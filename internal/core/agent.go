@@ -175,11 +175,13 @@ func (a *Agent) Epsilon() float64 {
 }
 
 // NewAgentWithNet wraps a pre-trained network in an evaluation-only agent
-// (the figures' "NN" policy).
+// (the figures' "NN" policy). It is built without the target network and the
+// replay ring a training agent carries — experiments build one per sweep cell
+// — and grows them only if Training is switched on.
 func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 	a := &Agent{
 		Spec:    spec,
-		DQL:     rl.NewDQL(net, rl.DQLConfig{}),
+		DQL:     rl.NewInferenceDQL(net, rl.DQLConfig{}),
 		Reward:  rl.NewRewardTracker(rl.RewardGlobalAge),
 		rng:     rand.New(rand.NewSource(seed)),
 		pending: make(map[int64]pendingDecision),

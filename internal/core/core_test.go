@@ -2,11 +2,14 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 
+	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
+	"mlnoc/internal/traffic"
 )
 
 func TestFeatureWidths(t *testing.T) {
@@ -566,5 +569,76 @@ func TestFootnote1CoreBonus(t *testing.T) {
 	plain := NewRLInspiredMesh4x4()
 	if plain.PriorityAt(now, noc.PortCore, m) != plain.PriorityAt(now, noc.PortEast, m) {
 		t.Fatal("default policy must be port-symmetric")
+	}
+}
+
+// eagerEvalAgent is NewAgentWithNet as it was before evaluation agents stopped
+// carrying training state: target network and replay memory built up front.
+func eagerEvalAgent(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
+	a := NewAgentWithNet(spec, net, seed)
+	a.DQL = rl.NewDQL(net, rl.DQLConfig{})
+	a.DQL.Replay.OnEvict = a.recycleExperience
+	return a
+}
+
+// TestEvalAgentCarriesNoTrainingState pins that an evaluation-only agent is
+// built without target network and replay ring, that this changes nothing it
+// does — a frozen episode, and training it after all, match an agent that had
+// both from the start bit for bit — and that Freeze keeps a trained agent's.
+func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
+	spec := MeshSpec(3)
+	weights := nn.New([]int{spec.InputSize(), 15, spec.ActionSize()},
+		[]nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rand.New(rand.NewSource(3)))
+	cfg := MeshTrainConfig{Seed: 5}
+	lazy := NewAgentWithNet(spec, weights.Clone(), 9)
+	eager := eagerEvalAgent(spec, weights.Clone(), 9)
+
+	// Built for APU scale, network aside, the agent is small: the ring and the
+	// target it no longer carries were ~540 KB.
+	apu := APUSpec()
+	apuNet := nn.New([]int{apu.InputSize(), 42, apu.ActionSize()},
+		[]nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rand.New(rand.NewSource(4)))
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	NewAgentWithNet(apu, apuNet, 1)
+	runtime.ReadMemStats(&after)
+	if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb > 32 {
+		t.Errorf("NewAgentWithNet allocated %d KB besides the network, want under 32", kb)
+	}
+
+	frozen := func(a *Agent) traffic.RunResult { return EvaluateMeshPolicy(cfg, a, 200, 1500) }
+	if got, want := frozen(lazy), frozen(eager); got != want {
+		t.Fatalf("frozen episode: %+v, with training state up front %+v", got, want)
+	}
+	if lazy.Decisions() == 0 || lazy.Decisions() != eager.Decisions() {
+		t.Fatalf("decisions %d vs %d", lazy.Decisions(), eager.Decisions())
+	}
+	if lazy.DQL.Target != nil || lazy.DQL.Replay.Len() != 0 {
+		t.Fatal("a frozen episode grew training state")
+	}
+
+	// Switched to training, the agent grows what it needs and learns exactly
+	// what its twin learns; frozen again, both still decide alike.
+	for _, a := range []*Agent{lazy, eager} {
+		a.Training = true
+		EvaluateMeshPolicy(cfg, a, 0, 1500)
+		a.Freeze()
+	}
+	if lazy.DQL.Steps() == 0 || lazy.DQL.Steps() != eager.DQL.Steps() {
+		t.Fatalf("training steps %d vs %d", lazy.DQL.Steps(), eager.DQL.Steps())
+	}
+	for l, layer := range lazy.Net().Layers {
+		for i, w := range layer.W {
+			if w != eager.Net().Layers[l].W[i] {
+				t.Fatalf("layer %d weight %d: %v vs %v", l, i, w, eager.Net().Layers[l].W[i])
+			}
+		}
+	}
+	steps, held := lazy.DQL.Steps(), lazy.DQL.Replay.Len()
+	if got, want := frozen(lazy), frozen(eager); got != want {
+		t.Fatalf("trained-then-frozen episode: %+v vs %+v", got, want)
+	}
+	if lazy.DQL.Target == nil || lazy.DQL.Steps() != steps || lazy.DQL.Replay.Len() != held || held == 0 {
+		t.Fatal("Freeze did not leave the trained agent's learner as it was")
 	}
 }

@@ -14,17 +14,21 @@ func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 func xgetbv() (eax, edx uint32)
 
 // fmaDot4x2 accumulates, into sums, the dot products of two weight rows
-// (w0, w1) against four activation rows (x0..x3) over the first n&^3
-// elements, vectorized four float64 lanes at a time with FMA:
+// (w0, w1) against four activation rows (x0..x3) over the nsteps 4-wide steps
+// whose element offsets steps lists (each a multiple of 4, at most n-4),
+// vectorized four float64 lanes at a time with FMA:
 //
-//	sums[2*b+j] = sum_i w_j[i] * x_b[i]   (i in 0..n&^3, j in {0,1}, b in 0..3)
+//	sums[2*b+j] = sum_s sum_{i in s..s+3} w_j[i] * x_b[i]   (j in {0,1}, b in 0..3)
 //
-// Each sum is the horizontal reduction of four interleaved lane partials, so
-// its rounding differs from left-to-right summation by a few ULPs (the
-// ForwardBatchFast contract). The caller adds the bias and the n%4 tail.
+// Each sum is the horizontal reduction, in a fixed order, of four lane
+// partials that start at +0 and take the steps in list order, lane = i mod 4,
+// so its rounding differs from left-to-right summation by a few ULPs (the
+// ForwardBatchFast contract) and a step whose products are all +-0 can
+// be left off the list without changing a bit. The caller adds the bias and
+// the n%4 tail.
 //
 //go:noescape
-func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, n int, sums *[8]float64)
+func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64)
 
 // detectAVX2FMA performs the standard AVX2 feature dance: CPUID leaf 1 for
 // FMA/AVX/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for AVX2.

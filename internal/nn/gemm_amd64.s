@@ -22,21 +22,23 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, n int, sums *[8]float64)
+// func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64)
 //
 // Eight YMM accumulators hold the 2x4 (neuron x sample) tile, four float64
-// lanes each; every loop iteration loads 4 elements of both weight rows and
-// all four activation rows and issues 8 FMAs (32 multiply-adds). The n%4 tail
-// is left to the Go caller.
-TEXT ·fmaDot4x2(SB), NOSPLIT, $0-64
+// lanes each; every loop iteration takes the next step's element offset from
+// steps, loads 4 elements of both weight rows and all four activation rows
+// there and issues 8 FMAs (32 multiply-adds). The n%4 tail is left to the Go
+// caller.
+TEXT ·fmaDot4x2(SB), NOSPLIT, $0-72
 	MOVQ w0+0(FP), DI
 	MOVQ w1+8(FP), SI
 	MOVQ x0+16(FP), R8
 	MOVQ x1+24(FP), R9
 	MOVQ x2+32(FP), R10
 	MOVQ x3+40(FP), R11
-	MOVQ n+48(FP), CX
-	MOVQ sums+56(FP), DX
+	MOVQ steps+48(FP), BX
+	MOVQ nsteps+56(FP), CX
+	MOVQ sums+64(FP), DX
 
 	VXORPD Y0, Y0, Y0
 	VXORPD Y1, Y1, Y1
@@ -47,30 +49,26 @@ TEXT ·fmaDot4x2(SB), NOSPLIT, $0-64
 	VXORPD Y6, Y6, Y6
 	VXORPD Y7, Y7, Y7
 
-	SHRQ $2, CX  // number of 4-wide steps
-	JZ   reduce
+	TESTQ CX, CX
+	JZ    reduce
 
 loop:
-	VMOVUPD (DI), Y8         // w0[i:i+4]
-	VMOVUPD (SI), Y9         // w1[i:i+4]
-	VMOVUPD (R8), Y10        // x0[i:i+4]
-	VFMADD231PD Y8, Y10, Y0  // Y0 += w0*x0
-	VFMADD231PD Y9, Y10, Y1  // Y1 += w1*x0
-	VMOVUPD (R9), Y11
+	MOVLQSX (BX), AX             // i: element offset of this 4-wide step
+	VMOVUPD (DI)(AX*8), Y8       // w0[i:i+4]
+	VMOVUPD (SI)(AX*8), Y9       // w1[i:i+4]
+	VMOVUPD (R8)(AX*8), Y10      // x0[i:i+4]
+	VFMADD231PD Y8, Y10, Y0      // Y0 += w0*x0
+	VFMADD231PD Y9, Y10, Y1      // Y1 += w1*x0
+	VMOVUPD (R9)(AX*8), Y11
 	VFMADD231PD Y8, Y11, Y2
 	VFMADD231PD Y9, Y11, Y3
-	VMOVUPD (R10), Y12
+	VMOVUPD (R10)(AX*8), Y12
 	VFMADD231PD Y8, Y12, Y4
 	VFMADD231PD Y9, Y12, Y5
-	VMOVUPD (R11), Y13
+	VMOVUPD (R11)(AX*8), Y13
 	VFMADD231PD Y8, Y13, Y6
 	VFMADD231PD Y9, Y13, Y7
-	ADDQ $32, DI
-	ADDQ $32, SI
-	ADDQ $32, R8
-	ADDQ $32, R9
-	ADDQ $32, R10
-	ADDQ $32, R11
+	ADDQ $4, BX
 	DECQ CX
 	JNZ  loop
 

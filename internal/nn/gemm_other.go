@@ -7,6 +7,6 @@ package nn
 const hasFMAKernel = false
 
 // fmaDot4x2 is never called when hasFMAKernel is false.
-func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, n int, sums *[8]float64) {
+func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64) {
 	panic("nn: fmaDot4x2 called without FMA kernel support")
 }

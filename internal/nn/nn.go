@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"math/bits"
 	"math/rand"
 )
 
@@ -105,6 +106,21 @@ type Layer struct {
 // MLP is a feed-forward multi-layer perceptron trained with SGD. It is not
 // safe for concurrent use: Forward and the training methods share scratch
 // buffers.
+//
+// The first layer is input-sparse in every kernel: a term w*x with x == 0
+// (either sign of zero) is never computed, in inference or in the weight
+// update. The router state vectors this network is built for are zero-padded
+// for every buffer without a competing message (core.StateSpec), so nearly all
+// of layer 0's multiplications would be by zero. Skipping such a term leaves
+// every sum and every weight bit-identical to computing it, on one
+// precondition: weights, biases and SGD steps are finite and no bias is -0.
+// A skipped term is then w*0 = +-0, and adding or subtracting +-0 changes no
+// non-zero value and no +0. The cases that differ are degenerate: a NaN or
+// Inf weight times a zero input is NaN when computed and nothing when skipped
+// (which is why Load rejects non-finite parameters), and a sum or weight that
+// is exactly -0 stays -0 when a +0 term is skipped where computing it would
+// give +0. There is no density threshold: a dense input walks the same index
+// list, only a full one.
 type MLP struct {
 	Layers []*Layer
 
@@ -114,13 +130,19 @@ type MLP struct {
 	// grad is the output-gradient scratch for TrainMSE/TrainAction; it is
 	// all-zero between calls so TrainAction only touches one element.
 	grad []float64
-	// maxWidth is the widest activation plane (input or any layer output),
-	// sizing the batched-inference scratch below.
-	maxWidth int
+	// nz holds, ascending, the indices of the last Forward's non-zero inputs
+	// (x != 0: both zeros are out, NaN is in) and nzv their values. Layer 0's
+	// dot products and its weight update walk these and nothing else.
+	nz  []int32
+	nzv []float64
+	// maxOut is the widest layer output, sizing the batched-inference planes.
+	maxOut int
 	// bacts are the two ping-pong row-major activation planes of
-	// ForwardBatch (nb x width each); brows holds the returned row headers.
+	// ForwardBatch (nb x width each); brows holds the row headers of the
+	// plane last written, which the call returns.
 	bacts [2][]float64
 	brows [][]float64
+	blk   blockScratch
 }
 
 // New constructs an MLP with the given layer sizes (len >= 2) and one
@@ -159,16 +181,19 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 func (m *MLP) allocScratch() {
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.deltas = make([][]float64, len(m.Layers))
-	m.acts[0] = make([]float64, m.Layers[0].In)
-	m.maxWidth = m.Layers[0].In
+	in0 := m.Layers[0].In
+	m.acts[0] = make([]float64, in0)
+	m.nz = make([]int32, in0)
+	m.nzv = make([]float64, in0)
+	maxIn := 0
 	for l, layer := range m.Layers {
 		m.acts[l+1] = make([]float64, layer.Out)
 		m.deltas[l] = make([]float64, layer.Out)
-		if layer.Out > m.maxWidth {
-			m.maxWidth = layer.Out
-		}
+		m.maxOut = max(m.maxOut, layer.Out)
+		maxIn = max(maxIn, layer.In)
 	}
 	m.grad = make([]float64, m.OutputSize())
+	m.blk = newBlockScratch(maxIn)
 }
 
 // InputSize returns the width of the input layer.
@@ -189,11 +214,33 @@ func (m *MLP) NumParams() int {
 // Forward runs inference. The returned slice is an internal buffer, valid
 // until the next Forward/training call; copy it to retain it.
 func (m *MLP) Forward(x []float64) []float64 {
-	if len(x) != m.Layers[0].In {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), m.Layers[0].In))
+	l0 := m.Layers[0]
+	if len(x) != l0.In {
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), l0.In))
 	}
-	copy(m.acts[0], x)
-	for l, layer := range m.Layers {
+	// One pass copies the input and indexes its non-zero elements.
+	a0, nz, nzv := m.acts[0][:len(x)], m.nz[:len(x)], m.nzv[:len(x)]
+	n := 0
+	for i, v := range x {
+		a0[i] = v
+		if v != 0 {
+			nz[n], nzv[n] = int32(i), v
+			n++
+		}
+	}
+	nz, nzv = nz[:n], nzv[:n]
+	m.nz, m.nzv = nz, nzv
+	out := m.acts[1]
+	for j := 0; j < l0.Out; j++ {
+		row := l0.W[j*l0.In : (j+1)*l0.In]
+		z := l0.B[j]
+		for k, i := range nz {
+			z += row[i] * nzv[k]
+		}
+		out[j] = l0.Act.apply(z)
+	}
+	for l := 1; l < len(m.Layers); l++ {
+		layer := m.Layers[l]
 		in, out := m.acts[l], m.acts[l+1]
 		for j := 0; j < layer.Out; j++ {
 			row := layer.W[j*layer.In : (j+1)*layer.In]
@@ -220,8 +267,10 @@ func (m *MLP) Forward(x []float64) []float64 {
 // call on this network overwrites. Callers must finish reading (or copy) every
 // row of one batch before issuing the next — see rl.DQL.TrainBatch, whose
 // SyncEvery-chunked target inference consumes each chunk's rows completely
-// before requesting the next chunk. Forward and the training methods use
-// separate scratch (m.acts) and do not invalidate batch rows.
+// before requesting the next chunk. The inputs are read in place, not copied,
+// so rows returned by one call must not be passed as inputs to the next.
+// Forward and the training methods use separate scratch (m.acts) and do not
+// invalidate batch rows.
 func (m *MLP) ForwardBatch(xs [][]float64) [][]float64 {
 	return m.forwardBatch(xs, false)
 }
@@ -245,79 +294,173 @@ func (m *MLP) forwardBatch(xs [][]float64, fma bool) [][]float64 {
 	if nb == 0 {
 		return nil
 	}
-	if need := nb * m.maxWidth; cap(m.bacts[0]) < need {
-		m.bacts[0] = make([]float64, need)
-		m.bacts[1] = make([]float64, need)
-	}
 	in0 := m.Layers[0].In
-	cur := m.bacts[0][:nb*in0]
-	for b, x := range xs {
+	for _, x := range xs {
 		if len(x) != in0 {
 			panic(fmt.Sprintf("nn: input size %d, want %d", len(x), in0))
 		}
-		copy(cur[b*in0:(b+1)*in0], x)
 	}
-	src := 0
-	for _, layer := range m.Layers {
-		prev := m.bacts[src][:nb*layer.In]
-		next := m.bacts[1-src][:nb*layer.Out]
-		if fma {
-			layer.forwardBlockedFMA(prev, next, nb)
-		} else {
-			layer.forwardBlocked(prev, next, nb)
-		}
-		src = 1 - src
+	if need := nb * m.maxOut; cap(m.bacts[0]) < need {
+		m.bacts[0] = make([]float64, need)
+		m.bacts[1] = make([]float64, need)
 	}
-	outW := m.OutputSize()
 	if cap(m.brows) < nb {
 		m.brows = make([][]float64, nb)
 	}
-	rows := m.brows[:nb]
-	flat := m.bacts[src]
-	for b := range rows {
-		rows[b] = flat[b*outW : (b+1)*outW : (b+1)*outW]
+	// Layer 0 reads the caller's rows where they lie; every deeper layer
+	// reads the plane the one before it wrote, through m.brows.
+	rows := xs
+	for l, layer := range m.Layers {
+		out := layer.Out
+		next := m.bacts[l&1][:nb*out]
+		layer.forwardBlocked(rows, next, &m.blk, l == 0, fma)
+		rows = m.brows[:nb]
+		for b := range rows {
+			rows[b] = next[b*out : (b+1)*out : (b+1)*out]
+		}
 	}
 	return rows
 }
 
-// forwardBlocked computes next = act(prev · Wᵀ + b) for nb row-major rows of
-// prev, register-blocked 4 batch rows x 2 neurons. The naive j-outer/b-inner
+// blockScratch holds the plans of the blocked batch kernels. A plan names the
+// input elements a tile's dot products visit: steps are the element offsets of
+// its 4-wide steps over the first in&^3 inputs, ascending; idx is the same
+// steps spelled out element by element, followed by the in%4 tail. Layer 0
+// gets a plan per tile that leaves out every step whose inputs are zero in all
+// of the tile's samples (tilePlan); deeper layers use the dense plan, every
+// step and every index, cut from allSteps and allIdx.
+type blockScratch struct {
+	flags            []uint64 // one bit per 4-wide step of the tile being planned
+	steps, idx       []int32
+	allSteps, allIdx []int32
+}
+
+func newBlockScratch(maxIn int) blockScratch {
+	nsteps := maxIn / 4
+	sc := blockScratch{
+		flags:    make([]uint64, (nsteps+63)/64),
+		steps:    make([]int32, nsteps),
+		idx:      make([]int32, maxIn),
+		allSteps: make([]int32, nsteps),
+		allIdx:   make([]int32, maxIn),
+	}
+	for s := range sc.allSteps {
+		sc.allSteps[s] = int32(4 * s)
+	}
+	for i := range sc.allIdx {
+		sc.allIdx[i] = int32(i)
+	}
+	return sc
+}
+
+// tilePlan returns the plan of one tile of layer-0 input rows, each in wide:
+// a 4-wide step is in it when any of its elements is non-zero in any row. The
+// in%4 tail is always in idx. The result is valid until the next plan is made.
+func (sc *blockScratch) tilePlan(tile [][]float64, in int) (steps, idx []int32) {
+	nsteps := in / 4
+	flags := sc.flags[:(nsteps+63)/64]
+	clear(flags)
+	for _, x := range tile {
+		x = x[:4*nsteps]
+		for s := 0; s < nsteps; s++ {
+			// x != 0 on the bit patterns: shifting the sign out makes -0 a
+			// zero and leaves NaN a non-zero.
+			q := x[4*s : 4*s+4]
+			any := math.Float64bits(q[0]) | math.Float64bits(q[1]) | math.Float64bits(q[2]) | math.Float64bits(q[3])
+			if any<<1 != 0 {
+				flags[s>>6] |= 1 << (s & 63)
+			}
+		}
+	}
+	return sc.flagged(flags, in)
+}
+
+// flagged spells out the plan of the steps whose bit is set in flags.
+func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
+	steps, idx = sc.steps[:0], sc.idx[:0]
+	for w, word := range flags {
+		for ; word != 0; word &= word - 1 {
+			i := int32(4 * (w<<6 + bits.TrailingZeros64(word)))
+			steps = append(steps, i)
+			idx = append(idx, i, i+1, i+2, i+3)
+		}
+	}
+	for i := in &^ 3; i < in; i++ {
+		idx = append(idx, int32(i))
+	}
+	return steps, idx
+}
+
+// forwardBlocked computes next = act(rows · Wᵀ + b) into the row-major plane
+// next, register-blocked 4 batch rows x 2 neurons. The naive j-outer/b-inner
 // formulation runs each (neuron, sample) dot product as one dependent
 // float-add chain (latency-bound: one flop per FP-add latency) and re-streams
-// the whole nb x in batch plane from L2 once per neuron. The 4x2 tile keeps 8
-// independent accumulators in registers, so the inner loop retires 8
-// independent multiply-adds per input element while each loaded weight is
-// reused across 4 samples and each loaded activation across 2 neurons —
-// throughput-bound, and the batch plane is streamed out/2 times instead of
-// out times. Every accumulator is initialized to its neuron's bias and then
-// adds w[i]*x[i] in ascending i — exactly Forward's summation order — so the
-// result is bit-identical to the scalar loop.
-func (l *Layer) forwardBlocked(prev, next []float64, nb int) {
+// the whole batch from L2 once per neuron. The 4x2 tile keeps 8 independent
+// accumulators in registers, so the inner loop retires 8 independent
+// multiply-adds per input element while each loaded weight is reused across 4
+// samples and each loaded activation across 2 neurons — throughput-bound, and
+// the batch is streamed out/2 times instead of out times.
+//
+// Every loop walks the tile's plan (blockScratch): dense for deeper layers,
+// and for layer 0 (sparse) without the steps that are zero across the tile.
+// Without fma every accumulator starts at its neuron's bias and adds
+// w[i]*x[i] in ascending i — Forward's summation order less terms that are
+// +-0 — so the result is bit-identical to the scalar loop. With fma the 4x2
+// tile's steps run on the AVX2+FMA assembly microkernel: each accumulator is
+// four interleaved fused partial sums, lane = i mod 4, reduced in a fixed
+// order at the end, which trades Forward's exact rounding for ~4x the
+// arithmetic throughput (the ForwardBatchFast contract); a skipped step would
+// have added +-0 to each lane, so the sparse plan leaves every lane, and the
+// row, bit-equal to the dense one. The bias and the in%4 tail are added in
+// scalar code; tile remainders (odd neuron, nb mod 4 samples) always take the
+// scalar order.
+func (l *Layer) forwardBlocked(rows [][]float64, next []float64, sc *blockScratch, sparse, fma bool) {
 	in, out, act := l.In, l.Out, l.Act
-	b := 0
-	for ; b+4 <= nb; b += 4 {
-		x0 := prev[(b+0)*in : (b+1)*in]
-		x1 := prev[(b+1)*in : (b+2)*in]
-		x2 := prev[(b+2)*in : (b+3)*in]
-		x3 := prev[(b+3)*in : (b+4)*in]
+	steps, idx := sc.allSteps[:in/4], sc.allIdx[:in]
+	var sums [8]float64
+	for b := 0; b < len(rows); b += 4 {
+		tile := rows[b:min(b+4, len(rows))]
+		if sparse {
+			steps, idx = sc.tilePlan(tile, in)
+		}
+		if len(tile) < 4 { // trailing samples (nb mod 4): one row at a time
+			for r, x := range tile {
+				x = x[:in]
+				for j := 0; j < out; j++ {
+					row := l.W[j*in : (j+1)*in]
+					z := l.B[j]
+					for _, i := range idx {
+						z += row[i] * x[i]
+					}
+					next[(b+r)*out+j] = act.apply(z)
+				}
+			}
+			break
+		}
+		x0, x1, x2, x3 := tile[0][:in], tile[1][:in], tile[2][:in], tile[3][:in]
+		rest := idx // what the scalar loop of a 4x2 tile still has to add
+		if fma {
+			rest = idx[4*len(steps):]
+		}
 		j := 0
 		for ; j+2 <= out; j += 2 {
 			w0 := l.W[(j+0)*in : (j+1)*in]
 			w1 := l.W[(j+1)*in : (j+2)*in]
-			// One bounds check each; elides them in the loop below.
-			w1 = w1[:len(w0)]
-			y0 := x0[:len(w0)]
-			y1 := x1[:len(w0)]
-			y2 := x2[:len(w0)]
-			y3 := x3[:len(w0)]
 			b0, b1 := l.B[j], l.B[j+1]
 			z00, z01 := b0, b1
 			z10, z11 := b0, b1
 			z20, z21 := b0, b1
 			z30, z31 := b0, b1
-			for i, w := range w0 {
-				v := w1[i]
-				e0, e1, e2, e3 := y0[i], y1[i], y2[i], y3[i]
+			if fma && len(steps) > 0 {
+				fmaDot4x2(&w0[0], &w1[0], &x0[0], &x1[0], &x2[0], &x3[0], &steps[0], len(steps), &sums)
+				z00, z01 = z00+sums[0], z01+sums[1]
+				z10, z11 = z10+sums[2], z11+sums[3]
+				z20, z21 = z20+sums[4], z21+sums[5]
+				z30, z31 = z30+sums[6], z31+sums[7]
+			}
+			for _, i := range rest {
+				w, v := w0[i], w1[i]
+				e0, e1, e2, e3 := x0[i], x1[i], x2[i], x3[i]
 				z00 += w * e0
 				z01 += v * e0
 				z10 += w * e1
@@ -338,119 +481,19 @@ func (l *Layer) forwardBlocked(prev, next []float64, nb int) {
 		}
 		if j < out { // odd trailing neuron: 4 samples, 1 weight row
 			w0 := l.W[j*in : (j+1)*in]
-			y0 := x0[:len(w0)]
-			y1 := x1[:len(w0)]
-			y2 := x2[:len(w0)]
-			y3 := x3[:len(w0)]
 			bj := l.B[j]
 			z0, z1, z2, z3 := bj, bj, bj, bj
-			for i, w := range w0 {
-				z0 += w * y0[i]
-				z1 += w * y1[i]
-				z2 += w * y2[i]
-				z3 += w * y3[i]
+			for _, i := range idx {
+				w := w0[i]
+				z0 += w * x0[i]
+				z1 += w * x1[i]
+				z2 += w * x2[i]
+				z3 += w * x3[i]
 			}
 			next[(b+0)*out+j] = act.apply(z0)
 			next[(b+1)*out+j] = act.apply(z1)
 			next[(b+2)*out+j] = act.apply(z2)
 			next[(b+3)*out+j] = act.apply(z3)
-		}
-	}
-	// Trailing samples (nb mod 4): scalar per-row loop, same order as Forward.
-	for ; b < nb; b++ {
-		x := prev[b*in : (b+1)*in]
-		for j := 0; j < out; j++ {
-			row := l.W[j*in : (j+1)*in]
-			y := x[:len(row)]
-			z := l.B[j]
-			for i, w := range row {
-				z += w * y[i]
-			}
-			next[b*out+j] = act.apply(z)
-		}
-	}
-}
-
-// forwardBlockedFMA is forwardBlocked with the 4-sample x 2-neuron tile's
-// inner loop replaced by the AVX2+FMA assembly microkernel: each accumulator
-// becomes four interleaved fused partial sums reduced at the end, which
-// trades Forward's exact rounding for ~4x the arithmetic throughput (the
-// ForwardBatchFast contract). The bias and the n%4 vector tail are added here
-// in scalar code; tile remainders fall back to the scalar paths.
-func (l *Layer) forwardBlockedFMA(prev, next []float64, nb int) {
-	in, out, act := l.In, l.Out, l.Act
-	n4 := in &^ 3
-	var sums [8]float64
-	b := 0
-	for ; b+4 <= nb; b += 4 {
-		x0 := prev[(b+0)*in : (b+1)*in]
-		x1 := prev[(b+1)*in : (b+2)*in]
-		x2 := prev[(b+2)*in : (b+3)*in]
-		x3 := prev[(b+3)*in : (b+4)*in]
-		j := 0
-		for ; j+2 <= out; j += 2 {
-			w0 := l.W[(j+0)*in : (j+1)*in]
-			w1 := l.W[(j+1)*in : (j+2)*in]
-			if n4 > 0 {
-				fmaDot4x2(&w0[0], &w1[0], &x0[0], &x1[0], &x2[0], &x3[0], in, &sums)
-			} else {
-				sums = [8]float64{}
-			}
-			b0, b1 := l.B[j], l.B[j+1]
-			z00, z01 := b0+sums[0], b1+sums[1]
-			z10, z11 := b0+sums[2], b1+sums[3]
-			z20, z21 := b0+sums[4], b1+sums[5]
-			z30, z31 := b0+sums[6], b1+sums[7]
-			for i := n4; i < in; i++ {
-				w, v := w0[i], w1[i]
-				z00 += w * x0[i]
-				z01 += v * x0[i]
-				z10 += w * x1[i]
-				z11 += v * x1[i]
-				z20 += w * x2[i]
-				z21 += v * x2[i]
-				z30 += w * x3[i]
-				z31 += v * x3[i]
-			}
-			next[(b+0)*out+j] = act.apply(z00)
-			next[(b+0)*out+j+1] = act.apply(z01)
-			next[(b+1)*out+j] = act.apply(z10)
-			next[(b+1)*out+j+1] = act.apply(z11)
-			next[(b+2)*out+j] = act.apply(z20)
-			next[(b+2)*out+j+1] = act.apply(z21)
-			next[(b+3)*out+j] = act.apply(z30)
-			next[(b+3)*out+j+1] = act.apply(z31)
-		}
-		if j < out { // odd trailing neuron
-			w0 := l.W[j*in : (j+1)*in]
-			y0 := x0[:len(w0)]
-			y1 := x1[:len(w0)]
-			y2 := x2[:len(w0)]
-			y3 := x3[:len(w0)]
-			bj := l.B[j]
-			z0, z1, z2, z3 := bj, bj, bj, bj
-			for i, w := range w0 {
-				z0 += w * y0[i]
-				z1 += w * y1[i]
-				z2 += w * y2[i]
-				z3 += w * y3[i]
-			}
-			next[(b+0)*out+j] = act.apply(z0)
-			next[(b+1)*out+j] = act.apply(z1)
-			next[(b+2)*out+j] = act.apply(z2)
-			next[(b+3)*out+j] = act.apply(z3)
-		}
-	}
-	for ; b < nb; b++ { // trailing samples: scalar per-row loop
-		x := prev[b*in : (b+1)*in]
-		for j := 0; j < out; j++ {
-			row := l.W[j*in : (j+1)*in]
-			y := x[:len(row)]
-			z := l.B[j]
-			for i, w := range row {
-				z += w * y[i]
-			}
-			next[b*out+j] = act.apply(z)
 		}
 	}
 }
@@ -499,7 +542,9 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			dl[j] *= layer.Act.derivFromOutput(outs[j])
 		}
 	}
-	// Apply gradients.
+	// Apply gradients. Layer 0 updates only the weights of the non-zero inputs
+	// Forward indexed: the others would move by step*0.
+	nz, nzv := m.nz, m.nzv[:len(m.nz)]
 	for l, layer := range m.Layers {
 		in := m.acts[l]
 		for j := 0; j < layer.Out; j++ {
@@ -509,8 +554,14 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			}
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			step := lr * d
-			for i := range row {
-				row[i] -= step * in[i]
+			if l == 0 {
+				for k, i := range nz {
+					row[i] -= step * nzv[k]
+				}
+			} else {
+				for i := range row {
+					row[i] -= step * in[i]
+				}
 			}
 			layer.B[j] -= step
 		}
@@ -652,7 +703,10 @@ func (m *MLP) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// Load reads a network previously written with Save.
+// Load reads a network previously written with Save. It rejects non-finite
+// weights and biases: the input-sparse first layer never multiplies them by a
+// zero input, so unlike in a dense network they would poison some outputs and
+// not others instead of failing loudly.
 func Load(r io.Reader) (*MLP, error) {
 	var wire mlpWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -667,6 +721,13 @@ func Load(r io.Reader) (*MLP, error) {
 		in, out := wire.Sizes[l], wire.Sizes[l+1]
 		if len(wire.W[l]) != in*out || len(wire.B[l]) != out {
 			return nil, fmt.Errorf("nn: load: layer %d shape mismatch", l)
+		}
+		for _, params := range [][]float64{wire.W[l], wire.B[l]} {
+			for _, v := range params {
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return nil, fmt.Errorf("nn: load: layer %d holds a non-finite parameter (%v)", l, v)
+				}
+			}
 		}
 		m.Layers = append(m.Layers, &Layer{
 			In: in, Out: out, Act: wire.Acts[l], W: wire.W[l], B: wire.B[l],

@@ -2,8 +2,10 @@ package nn
 
 import (
 	"bytes"
+	"encoding/gob"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -247,6 +249,45 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 func TestLoadRejectsGarbage(t *testing.T) {
 	if _, err := Load(bytes.NewReader([]byte("not a gob"))); err == nil {
 		t.Fatal("Load accepted garbage input")
+	}
+}
+
+// TestLoadRejectsBadParameters pins Load's checks on a well-formed gob that
+// does not describe a usable network: a parameter the input-sparse first layer
+// could hide behind a zero input, or a layer shorter than its shape.
+func TestLoadRejectsBadParameters(t *testing.T) {
+	good := func() mlpWire {
+		return mlpWire{
+			Sizes: []int{3, 2, 1},
+			Acts:  []Activation{Sigmoid, Identity},
+			W:     [][]float64{{1, 2, 3, 4, 5, 6}, {7, 8}},
+			B:     [][]float64{{0, 0}, {0}},
+		}
+	}
+	cases := []struct {
+		name    string
+		corrupt func(w *mlpWire)
+		want    string // "" = loads
+	}{
+		{"intact", func(w *mlpWire) {}, ""},
+		{"NaN weight", func(w *mlpWire) { w.W[0][4] = math.NaN() }, "nn: load: layer 0 holds a non-finite parameter"},
+		{"Inf bias", func(w *mlpWire) { w.B[1][0] = math.Inf(-1) }, "nn: load: layer 1 holds a non-finite parameter"},
+		{"truncated layer", func(w *mlpWire) { w.W[0] = w.W[0][:5] }, "nn: load: layer 0 shape mismatch"},
+	}
+	for _, c := range cases {
+		wire := good()
+		c.corrupt(&wire)
+		var buf bytes.Buffer
+		if err := gob.NewEncoder(&buf).Encode(wire); err != nil {
+			t.Fatalf("%s: encode: %v", c.name, err)
+		}
+		_, err := Load(&buf)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: Load: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.HasPrefix(err.Error(), c.want)):
+			t.Errorf("%s: Load error = %v, want prefix %q", c.name, err, c.want)
+		}
 	}
 }
 

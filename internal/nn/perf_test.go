@@ -22,7 +22,31 @@ func randVec(n int, seed int64) []float64 {
 	return v
 }
 
+// apuStates returns n inputs that look like the APU agent's traffic: 2 or 3 of
+// the 42 slots hold a message (sparseStateVec), the other ~96% of the 504
+// elements are zero padding.
+func apuStates(n int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, n)
+	for i := range xs {
+		xs[i] = sparseStateVec(rng, 504, 12, 2+rng.Intn(2))
+	}
+	return xs
+}
+
 func BenchmarkHotMLPForward(b *testing.B) {
+	m := apuNet()
+	xs := apuStates(64, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Forward(xs[i%len(xs)])
+	}
+}
+
+// BenchmarkHotMLPForwardDense keeps the cost of a fully dense input visible:
+// it walks the same index list as a sparse one, only a full one.
+func BenchmarkHotMLPForwardDense(b *testing.B) {
 	m := apuNet()
 	x := randVec(m.InputSize(), 7)
 	b.ReportAllocs()
@@ -33,6 +57,16 @@ func BenchmarkHotMLPForward(b *testing.B) {
 }
 
 func BenchmarkHotTrainAction(b *testing.B) {
+	m := apuNet()
+	xs := apuStates(64, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainAction(xs[i%len(xs)], i%m.OutputSize(), 0.5, 0.001)
+	}
+}
+
+func BenchmarkHotTrainActionDense(b *testing.B) {
 	m := apuNet()
 	x := randVec(m.InputSize(), 7)
 	b.ReportAllocs()
@@ -48,10 +82,7 @@ func BenchmarkHotTrainAction(b *testing.B) {
 // otherwise).
 func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 	m := apuNet()
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randVec(m.InputSize(), int64(20+i))
-	}
+	xs := apuStates(32, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -63,10 +94,7 @@ func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 // scalar batch path (ForwardBatch), the fallback and reference.
 func BenchmarkHotMLPForwardBatchExact32(b *testing.B) {
 	m := apuNet()
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randVec(m.InputSize(), int64(20+i))
-	}
+	xs := apuStates(32, 20)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -78,23 +106,20 @@ func BenchmarkHotMLPForwardBatchExact32(b *testing.B) {
 // network — the software analog of the paper's Table 3 MAC-array engine.
 func BenchmarkHotQuantForward(b *testing.B) {
 	m := apuNet()
-	q := Quantize(m, [][]float64{randVec(m.InputSize(), 3)})
-	x := randVec(m.InputSize(), 7)
+	xs := apuStates(64, 7)
+	q := Quantize(m, xs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		q.Forward(x)
+		q.Forward(xs[i%len(xs)])
 	}
 }
 
 // BenchmarkHotQuantForwardBatch32 measures the blocked INT8 batch path.
 func BenchmarkHotQuantForwardBatch32(b *testing.B) {
 	m := apuNet()
-	q := Quantize(m, [][]float64{randVec(m.InputSize(), 3)})
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randVec(m.InputSize(), int64(20+i))
-	}
+	xs := apuStates(32, 20)
+	q := Quantize(m, xs)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

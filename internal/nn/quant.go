@@ -60,13 +60,18 @@ type Quantized struct {
 	OutScale float64
 
 	// scratch: ping-pong int8 planes, the float output row, and the batched
-	// equivalents (sized lazily like MLP.bacts).
+	// equivalents (sized lazily like MLP.bacts). nz and nzq are the indices
+	// and int8 values of the last Forward's inputs that quantized to non-zero:
+	// layer 0 walks only these, which int32 accumulation makes exact.
 	xq       [2][]int8
 	outF     []float64
+	nz, nzq  []int32
 	maxWidth int
 	bq       [2][]int8
+	qrows    [][]int8
 	bout     []float64
 	brows    [][]float64
+	blk      blockScratch
 }
 
 // quantInt8 rounds v/scale to the nearest integer and clamps it to the
@@ -160,6 +165,9 @@ func Quantize(m *MLP, calib [][]float64) *Quantized {
 	q.xq[0] = make([]int8, q.maxWidth)
 	q.xq[1] = make([]int8, q.maxWidth)
 	q.outF = make([]float64, m.OutputSize())
+	q.nz = make([]int32, m.InputSize())
+	q.nzq = make([]int32, m.InputSize())
+	q.blk = newBlockScratch(q.maxWidth)
 	return q
 }
 
@@ -197,15 +205,24 @@ func (q *Quantized) Forward(x []float64) []float64 {
 	if len(x) != in0 {
 		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), in0))
 	}
-	cur := q.xq[0][:in0]
+	// Quantize the input straight into the index of its non-zero elements: a
+	// zero input is zero at any scale and needs no division.
 	sx0 := q.Layers[0].Sx
+	nz, nzq := q.nz[:in0], q.nzq[:in0]
+	n := 0
 	for i, v := range x {
-		cur[i] = quantInt8(v, sx0)
+		if v == 0 {
+			continue
+		}
+		if c := quantInt8(v, sx0); c != 0 {
+			nz[n], nzq[n] = int32(i), int32(c)
+			n++
+		}
 	}
+	nz, nzq = nz[:n], nzq[:n]
 	src := 0
 	last := len(q.Layers) - 1
 	for l, layer := range q.Layers {
-		xq := q.xq[src][:layer.In]
 		deq := layer.Sw * layer.Sx
 		var nextQ []int8
 		var nextSx float64
@@ -215,10 +232,16 @@ func (q *Quantized) Forward(x []float64) []float64 {
 		}
 		for j := 0; j < layer.Out; j++ {
 			row := layer.W[j*layer.In : (j+1)*layer.In]
-			xr := xq[:len(row)]
 			acc := layer.B[j]
-			for i, w := range row {
-				acc += int32(w) * int32(xr[i])
+			if l == 0 {
+				for k, i := range nz {
+					acc += int32(row[i]) * nzq[k]
+				}
+			} else {
+				xr := q.xq[src][:len(row)]
+				for i, w := range row {
+					acc += int32(w) * int32(xr[i])
+				}
 			}
 			y := layer.Act.apply(float64(acc) * deq)
 			if l < last {
@@ -250,6 +273,10 @@ func (q *Quantized) ForwardBatch(xs [][]float64) [][]float64 {
 	if cap(q.bout) < nb*outW {
 		q.bout = make([]float64, nb*outW)
 	}
+	if cap(q.qrows) < nb {
+		q.qrows = make([][]int8, nb)
+		q.brows = make([][]float64, nb)
+	}
 	in0 := q.Layers[0].In
 	cur := q.bq[0][:nb*in0]
 	sx0 := q.Layers[0].Sx
@@ -258,24 +285,29 @@ func (q *Quantized) ForwardBatch(xs [][]float64) [][]float64 {
 			panic(fmt.Sprintf("nn: input size %d, want %d", len(x), in0))
 		}
 		for i, v := range x {
-			cur[b*in0+i] = quantInt8(v, sx0)
+			var c int8 // a zero input is zero at any scale
+			if v != 0 {
+				c = quantInt8(v, sx0)
+			}
+			cur[b*in0+i] = c
 		}
 	}
 	src := 0
 	last := len(q.Layers) - 1
+	qrows := q.qrows[:nb]
 	for l, layer := range q.Layers {
 		prev := q.bq[src][:nb*layer.In]
+		for b := range qrows {
+			qrows[b] = prev[b*layer.In : (b+1)*layer.In]
+		}
 		var next []int8
 		var nextSx float64
 		if l < last {
 			next = q.bq[1-src][:nb*layer.Out]
 			nextSx = q.Layers[l+1].Sx
 		}
-		layer.forwardBlockedQ(prev, next, q.bout, nb, nextSx, l == last)
+		layer.forwardBlockedQ(qrows, next, q.bout, &q.blk, nextSx, l == 0, l == last)
 		src = 1 - src
-	}
-	if cap(q.brows) < nb {
-		q.brows = make([][]float64, nb)
 	}
 	rows := q.brows[:nb]
 	for b := range rows {
@@ -284,12 +316,32 @@ func (q *Quantized) ForwardBatch(xs [][]float64) [][]float64 {
 	return rows
 }
 
+// tilePlanQ is tilePlan for a tile of quantized layer-0 input rows. The int8
+// kernel has no 4-wide microkernel, so only the element list is returned.
+func (sc *blockScratch) tilePlanQ(tile [][]int8, in int) (idx []int32) {
+	nsteps := in / 4
+	flags := sc.flags[:(nsteps+63)/64]
+	clear(flags)
+	for _, x := range tile {
+		x = x[:4*nsteps]
+		for s := 0; s < nsteps; s++ {
+			if q := x[4*s : 4*s+4]; q[0]|q[1]|q[2]|q[3] != 0 {
+				flags[s>>6] |= 1 << (s & 63)
+			}
+		}
+	}
+	_, idx = sc.flagged(flags, in)
+	return idx
+}
+
 // forwardBlockedQ is the INT8 analog of Layer.forwardBlocked: a 4-sample x
 // 2-neuron register tile of int32 accumulators over int8 operands — in
-// software what the paper's MAC array does in parallel hardware. For the
-// final layer (final=true) it dequantizes into the float row plane bout;
-// otherwise it requantizes into the int8 plane next at scale nextSx.
-func (l *QuantLayer) forwardBlockedQ(prev, next []int8, bout []float64, nb int, nextSx float64, final bool) {
+// software what the paper's MAC array does in parallel hardware — walking the
+// same plans: dense for deeper layers, and for layer 0 (sparse) without the
+// steps whose inputs quantized to zero across the tile. For the final layer
+// (final=true) it dequantizes into the float row plane bout; otherwise it
+// requantizes into the int8 plane next at scale nextSx.
+func (l *QuantLayer) forwardBlockedQ(rows [][]int8, next []int8, bout []float64, sc *blockScratch, nextSx float64, sparse, final bool) {
 	in, out, act := l.In, l.Out, l.Act
 	deq := l.Sw * l.Sx
 	emit := func(b, j int, acc int32) {
@@ -300,28 +352,37 @@ func (l *QuantLayer) forwardBlockedQ(prev, next []int8, bout []float64, nb int, 
 			next[b*out+j] = quantInt8(y, nextSx)
 		}
 	}
-	b := 0
-	for ; b+4 <= nb; b += 4 {
-		x0 := prev[(b+0)*in : (b+1)*in]
-		x1 := prev[(b+1)*in : (b+2)*in]
-		x2 := prev[(b+2)*in : (b+3)*in]
-		x3 := prev[(b+3)*in : (b+4)*in]
+	idx := sc.allIdx[:in]
+	for b := 0; b < len(rows); b += 4 {
+		tile := rows[b:min(b+4, len(rows))]
+		if sparse {
+			idx = sc.tilePlanQ(tile, in)
+		}
+		if len(tile) < 4 { // trailing samples (nb mod 4): one row at a time
+			for r, x := range tile {
+				for j := 0; j < out; j++ {
+					row := l.W[j*in : (j+1)*in]
+					acc := l.B[j]
+					for _, i := range idx {
+						acc += int32(row[i]) * int32(x[i])
+					}
+					emit(b+r, j, acc)
+				}
+			}
+			break
+		}
+		x0, x1, x2, x3 := tile[0], tile[1], tile[2], tile[3]
 		j := 0
 		for ; j+2 <= out; j += 2 {
 			w0 := l.W[(j+0)*in : (j+1)*in]
 			w1 := l.W[(j+1)*in : (j+2)*in]
-			w1 = w1[:len(w0)]
-			y0 := x0[:len(w0)]
-			y1 := x1[:len(w0)]
-			y2 := x2[:len(w0)]
-			y3 := x3[:len(w0)]
 			a00, a01 := l.B[j], l.B[j+1]
 			a10, a11 := a00, a01
 			a20, a21 := a00, a01
 			a30, a31 := a00, a01
-			for i, w8 := range w0 {
-				w, v := int32(w8), int32(w1[i])
-				e0, e1, e2, e3 := int32(y0[i]), int32(y1[i]), int32(y2[i]), int32(y3[i])
+			for _, i := range idx {
+				w, v := int32(w0[i]), int32(w1[i])
+				e0, e1, e2, e3 := int32(x0[i]), int32(x1[i]), int32(x2[i]), int32(x3[i])
 				a00 += w * e0
 				a01 += v * e0
 				a10 += w * e1
@@ -342,35 +403,19 @@ func (l *QuantLayer) forwardBlockedQ(prev, next []int8, bout []float64, nb int, 
 		}
 		if j < out {
 			w0 := l.W[j*in : (j+1)*in]
-			y0 := x0[:len(w0)]
-			y1 := x1[:len(w0)]
-			y2 := x2[:len(w0)]
-			y3 := x3[:len(w0)]
 			bj := l.B[j]
 			a0, a1, a2, a3 := bj, bj, bj, bj
-			for i, w8 := range w0 {
-				w := int32(w8)
-				a0 += w * int32(y0[i])
-				a1 += w * int32(y1[i])
-				a2 += w * int32(y2[i])
-				a3 += w * int32(y3[i])
+			for _, i := range idx {
+				w := int32(w0[i])
+				a0 += w * int32(x0[i])
+				a1 += w * int32(x1[i])
+				a2 += w * int32(x2[i])
+				a3 += w * int32(x3[i])
 			}
 			emit(b+0, j, a0)
 			emit(b+1, j, a1)
 			emit(b+2, j, a2)
 			emit(b+3, j, a3)
-		}
-	}
-	for ; b < nb; b++ {
-		x := prev[b*in : (b+1)*in]
-		for j := 0; j < out; j++ {
-			row := l.W[j*in : (j+1)*in]
-			y := x[:len(row)]
-			acc := l.B[j]
-			for i, w := range row {
-				acc += int32(w) * int32(y[i])
-			}
-			emit(b, j, acc)
 		}
 	}
 }

@@ -1,0 +1,372 @@
+package nn
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// This file pins the input-sparse first layer (see MLP) against dense
+// references that exist only here: denseForward/denseBackprop are the layer
+// loops as they were before layer 0 learned to skip zeros, denseStepBatch
+// drives the production blocked kernels with the dense plan on every layer,
+// and fmaRefBatch spells the AVX2+FMA microkernel's arithmetic out in Go.
+// Every comparison is on math.Float64bits.
+
+// denseForward is Forward with every layer dense, on m's own scratch.
+func denseForward(m *MLP, x []float64) []float64 {
+	copy(m.acts[0], x)
+	for l, layer := range m.Layers {
+		in, out := m.acts[l], m.acts[l+1]
+		for j := 0; j < layer.Out; j++ {
+			row := layer.W[j*layer.In : (j+1)*layer.In]
+			z := layer.B[j]
+			for i, w := range row {
+				z += w * in[i]
+			}
+			out[j] = layer.Act.apply(z)
+		}
+	}
+	return m.acts[len(m.Layers)]
+}
+
+// denseBackprop is backpropFromActs with a dense layer-0 weight update, on the
+// activations denseForward left in m.acts.
+func denseBackprop(m *MLP, outGrad []float64, lr float64) {
+	y := m.acts[len(m.Layers)]
+	last := len(m.Layers) - 1
+	for j := range m.deltas[last] {
+		m.deltas[last][j] = outGrad[j] * m.Layers[last].Act.derivFromOutput(y[j])
+	}
+	for l := last - 1; l >= 0; l-- {
+		layer, next := m.Layers[l], m.Layers[l+1]
+		dl := m.deltas[l]
+		for j := range dl {
+			dl[j] = 0
+		}
+		for k := 0; k < next.Out; k++ {
+			d := m.deltas[l+1][k]
+			if d == 0 {
+				continue
+			}
+			for j, w := range next.W[k*next.In : (k+1)*next.In] {
+				dl[j] += w * d
+			}
+		}
+		for j := range dl {
+			dl[j] *= layer.Act.derivFromOutput(m.acts[l+1][j])
+		}
+	}
+	for l, layer := range m.Layers {
+		in := m.acts[l]
+		for j := 0; j < layer.Out; j++ {
+			d := m.deltas[l][j]
+			if d == 0 {
+				continue
+			}
+			row := layer.W[j*layer.In : (j+1)*layer.In]
+			step := lr * d
+			for i := range row {
+				row[i] -= step * in[i]
+			}
+			layer.B[j] -= step
+		}
+	}
+}
+
+func denseTrainAction(m *MLP, x []float64, action int, target, lr float64) float64 {
+	e := denseForward(m, x)[action] - target
+	grad := make([]float64, m.OutputSize())
+	grad[action] = e
+	denseBackprop(m, grad, lr)
+	return e * e
+}
+
+func denseTrainMSE(m *MLP, x, target []float64, lr float64) float64 {
+	y := denseForward(m, x)
+	grad := make([]float64, len(y))
+	loss := 0.0
+	for j := range y {
+		grad[j] = y[j] - target[j]
+		loss += 0.5 * grad[j] * grad[j]
+	}
+	denseBackprop(m, grad, lr)
+	return loss
+}
+
+// sparseStateVec returns a state vector shaped like core.StateSpec's: k of the
+// len/width blocks hold one message's features, every other element is zero.
+// A 12-wide block is core.AllFeatures — six scalars in [0,1), of which hop
+// count and local age are often 0, then two 3-wide one-hots; any other width
+// is all scalars. The benchmark's APU traffic has k of 2-3 (17 non-zero
+// inputs of 504 on average).
+func sparseStateVec(rng *rand.Rand, n, width, k int) []float64 {
+	x := make([]float64, n)
+	for _, slot := range rng.Perm(n / width)[:k] {
+		blk := x[slot*width : (slot+1)*width]
+		scalars := width
+		if width == 12 {
+			scalars = 6
+			blk[6+rng.Intn(3)] = 1
+			blk[9+rng.Intn(3)] = 1
+		}
+		for i := 0; i < scalars; i++ {
+			if rng.Intn(4) > 0 {
+				blk[i] = rng.Float64()
+			}
+		}
+	}
+	return x
+}
+
+// inputKinds are the input shapes the differential tests mix: what the
+// traffic looks like, the fully dense worst case, and the edge cases of the
+// zero test (nothing to index, a negative zero, exactly one entry).
+var inputKinds = []struct {
+	name string
+	gen  func(rng *rand.Rand, n int) []float64
+}{
+	{"block-sparse", func(rng *rand.Rand, n int) []float64 {
+		width := 12
+		if n < 3*width {
+			width = 1
+		}
+		return sparseStateVec(rng, n, width, 1+rng.Intn(3))
+	}},
+	{"dense", func(rng *rand.Rand, n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			x[i] = rng.Float64()*2 - 1
+		}
+		return x
+	}},
+	{"all-zero", func(rng *rand.Rand, n int) []float64 { return make([]float64, n) }},
+	{"negative-zero", func(rng *rand.Rand, n int) []float64 {
+		x := make([]float64, n)
+		for i := range x {
+			switch rng.Intn(3) {
+			case 0:
+				x[i] = math.Copysign(0, -1)
+			case 1:
+				x[i] = rng.Float64() - 0.5
+			}
+		}
+		return x
+	}},
+	{"single", func(rng *rand.Rand, n int) []float64 {
+		x := make([]float64, n)
+		x[rng.Intn(n)] = rng.Float64() + 0.1
+		return x
+	}},
+}
+
+// sparseArchs covers the APU and mesh agents, widths not divisible by 4 (the
+// blocked kernels' tail), inputs narrower than one 4-wide step, and 1-layer
+// nets, where layer 0 is also the output layer.
+var sparseArchs = []struct {
+	sizes []int
+	acts  []Activation
+}{
+	{[]int{504, 42, 42}, []Activation{Sigmoid, LeakyReLU}},
+	{[]int{60, 15, 15}, []Activation{Sigmoid, LeakyReLU}},
+	{[]int{13, 7, 5}, []Activation{Tanh, Identity}},
+	{[]int{3, 6, 4}, []Activation{ReLU, Sigmoid}},
+	{[]int{9, 4}, []Activation{Identity}},
+	{[]int{38, 3}, []Activation{LeakyReLU}},
+}
+
+func requireSameBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s[%d]: %v (%#x), want %v (%#x)", what, i,
+				got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
+		}
+	}
+}
+
+func requireSameWeights(t *testing.T, what string, got, want *MLP) {
+	t.Helper()
+	for l := range want.Layers {
+		requireSameBits(t, what+": layer W", got.Layers[l].W, want.Layers[l].W)
+		requireSameBits(t, what+": layer B", got.Layers[l].B, want.Layers[l].B)
+	}
+}
+
+// TestSparseTrainingMatchesDense runs 500 mixed TrainAction/TrainMSE steps on
+// the production network and on a clone trained by the dense reference, over
+// every input kind, and requires every returned loss, every output and, at the
+// end, every weight and bias to be bit-equal.
+func TestSparseTrainingMatchesDense(t *testing.T) {
+	for _, arch := range sparseArchs {
+		rng := rand.New(rand.NewSource(21))
+		m := New(arch.sizes, arch.acts, rng)
+		ref := m.Clone()
+		for step := 0; step < 500; step++ {
+			kind := inputKinds[rng.Intn(len(inputKinds))]
+			x := kind.gen(rng, m.InputSize())
+			what := kind.name
+			requireSameBits(t, what+" outputs", m.Forward(x), denseForward(ref, x))
+			var got, want float64
+			if rng.Intn(2) == 0 {
+				a, target := rng.Intn(m.OutputSize()), rng.Float64()
+				got = m.TrainAction(x, a, target, 0.05)
+				want = denseTrainAction(ref, x, a, target, 0.05)
+			} else {
+				target := make([]float64, m.OutputSize())
+				for j := range target {
+					target[j] = rng.Float64()
+				}
+				got = m.TrainMSE(x, target, 0.05)
+				want = denseTrainMSE(ref, x, target, 0.05)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%v step %d (%s): loss %v, dense reference %v", arch.sizes, step, what, got, want)
+			}
+		}
+		requireSameWeights(t, "after 500 steps", m, ref)
+	}
+}
+
+// denseStepBatch is forwardBatch with the dense plan on every layer: the
+// production blocked kernels, visiting every 4-wide step.
+func denseStepBatch(m *MLP, xs [][]float64, fma bool) [][]float64 {
+	sc := newBlockScratch(m.InputSize() + m.maxOut)
+	rows := xs
+	for _, layer := range m.Layers {
+		next := make([]float64, len(xs)*layer.Out)
+		layer.forwardBlocked(rows, next, &sc, false, fma)
+		rows = make([][]float64, len(xs))
+		for b := range rows {
+			rows[b] = next[b*layer.Out : (b+1)*layer.Out]
+		}
+	}
+	return rows
+}
+
+// fmaRefBatch computes what ForwardBatchFast computes on the FMA kernel with
+// every step taken, in plain Go: inside a full 4-sample x 2-neuron tile each
+// dot product is four lane partials (lane = i mod 4) of fused multiply-adds
+// from +0, reduced as (l0+l2)+(l1+l3), then bias + that sum, then the in%4 tail
+// in scalar order; outside a tile it is Forward's scalar order.
+func fmaRefBatch(m *MLP, xs [][]float64) [][]float64 {
+	rows := xs
+	for _, layer := range m.Layers {
+		in, out := layer.In, layer.Out
+		next := make([][]float64, len(xs))
+		for b, x := range rows {
+			next[b] = make([]float64, out)
+			for j := range next[b] {
+				w := layer.W[j*in : (j+1)*in]
+				z, from := layer.B[j], 0
+				if b < len(xs)&^3 && j < out&^1 && in >= 4 {
+					var lane [4]float64
+					for from = 0; from+4 <= in; from += 4 {
+						for k := range lane {
+							lane[k] = math.FMA(w[from+k], x[from+k], lane[k])
+						}
+					}
+					z += (lane[0] + lane[2]) + (lane[1] + lane[3])
+				}
+				for i := from; i < in; i++ {
+					z += w[i] * x[i]
+				}
+				next[b][j] = layer.Act.apply(z)
+			}
+		}
+		rows = next
+	}
+	return rows
+}
+
+// mixedBatch returns nb inputs cycling through the input kinds, so that tiles
+// mix sparse and dense samples.
+func mixedBatch(rng *rand.Rand, nb, n int) [][]float64 {
+	xs := make([][]float64, nb)
+	for b := range xs {
+		xs[b] = inputKinds[(b+rng.Intn(2))%len(inputKinds)].gen(rng, n)
+	}
+	return xs
+}
+
+// TestForwardBatchSparseMatchesDense pins both batch kernels on tiles mixing
+// sparse and dense samples, with and without trailing samples: ForwardBatch
+// rows equal sequential Forward and the dense-step blocked kernel, and
+// ForwardBatchFast rows equal the dense-step FMA kernel and its Go spelling.
+func TestForwardBatchSparseMatchesDense(t *testing.T) {
+	for _, arch := range sparseArchs {
+		rng := rand.New(rand.NewSource(33))
+		m := New(arch.sizes, arch.acts, rng)
+		for _, nb := range []int{1, 3, 4, 5, 8, 31, 32, 33} {
+			xs := mixedBatch(rng, nb, m.InputSize())
+			exact := m.ForwardBatch(xs)
+			for b, x := range xs {
+				requireSameBits(t, "ForwardBatch row vs Forward", exact[b], m.Forward(x))
+			}
+			for b, row := range denseStepBatch(m, xs, false) {
+				requireSameBits(t, "ForwardBatch row vs dense steps", exact[b], row)
+			}
+			fast := m.ForwardBatchFast(xs)
+			for b, row := range denseStepBatch(m, xs, hasFMAKernel) {
+				requireSameBits(t, "ForwardBatchFast row vs dense steps", fast[b], row)
+			}
+			if hasFMAKernel {
+				for b, row := range fmaRefBatch(m, xs) {
+					requireSameBits(t, "ForwardBatchFast row vs Go FMA reference", fast[b], row)
+				}
+			}
+		}
+	}
+}
+
+// FuzzForwardSparseMatchesDense builds a small network and inputs from the
+// fuzzer's bytes (0 and 1 decode to +0 and -0, so zeros are common) and
+// requires Forward, one TrainAction step and ForwardBatch to be bit-equal to
+// the dense reference.
+func FuzzForwardSparseMatchesDense(f *testing.F) {
+	f.Add(int64(1), uint8(12), uint8(5), uint8(3), []byte{0, 0, 0, 0, 9, 200, 1, 0, 0, 0, 0, 0, 77})
+	f.Add(int64(2), uint8(3), uint8(0), uint8(2), []byte{1, 1, 1})
+	f.Add(int64(3), uint8(37), uint8(8), uint8(7), []byte{})
+	f.Add(int64(4), uint8(16), uint8(2), uint8(1), []byte{255, 254, 253, 252, 251, 250, 249, 248, 2, 3, 4, 5, 6, 7, 8, 9})
+	f.Fuzz(func(t *testing.T, seed int64, in, hidden, out uint8, raw []byte) {
+		sizes := []int{1 + int(in)%48, 1 + int(hidden)%9, 1 + int(out)%9}
+		acts := []Activation{Sigmoid, LeakyReLU}
+		if hidden%9 == 0 { // 1-layer net
+			sizes, acts = []int{sizes[0], sizes[2]}, []Activation{Identity}
+		}
+		m := New(sizes, acts, rand.New(rand.NewSource(seed)))
+		ref := m.Clone()
+		// Up to five inputs, cut from raw one after another; short ones are
+		// zero-padded.
+		n := m.InputSize()
+		var xs [][]float64
+		for len(xs) == 0 || (len(raw) > 0 && len(xs) < 5) {
+			x := make([]float64, n)
+			for i := 0; i < n && len(raw) > 0; i, raw = i+1, raw[1:] {
+				switch b := raw[0]; b {
+				case 0:
+				case 1:
+					x[i] = math.Copysign(0, -1)
+				default:
+					x[i] = (float64(b) - 128) / 32
+				}
+			}
+			xs = append(xs, x)
+		}
+		for b, row := range m.ForwardBatch(xs) {
+			requireSameBits(t, "ForwardBatch row", row, denseForward(ref, xs[b]))
+		}
+		for _, x := range xs {
+			requireSameBits(t, "outputs", m.Forward(x), denseForward(ref, x))
+			a := int(seed&0xff) % m.OutputSize()
+			got, want := m.TrainAction(x, a, 0.5, 0.1), denseTrainAction(ref, x, a, 0.5, 0.1)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("TrainAction error %v, dense reference %v", got, want)
+			}
+		}
+		requireSameWeights(t, "after training", m, ref)
+	})
+}

@@ -79,6 +79,7 @@ func (d *DQL) TrainOffline(rng *rand.Rand, data *Dataset, epochs int) float64 {
 	if d.Online.InputSize() != data.StateSize || d.Online.OutputSize() != data.Actions {
 		panic("rl: dataset shapes do not match the learner's network")
 	}
+	d.ensureTarget()
 	last := 0.0
 	for ep := 0; ep < epochs; ep++ {
 		total := 0.0

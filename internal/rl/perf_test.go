@@ -5,25 +5,35 @@ import (
 	"testing"
 )
 
+// sparseStateVec returns a state vector shaped like core.StateSpec's: k of the
+// n/width blocks hold a message's features (scalars in [0,1), one in four of
+// them 0), every other element is zero padding.
+func sparseStateVec(rng *rand.Rand, n, width, k int) []float64 {
+	x := make([]float64, n)
+	for _, slot := range rng.Perm(n / width)[:k] {
+		for i := slot * width; i < (slot+1)*width; i++ {
+			if rng.Intn(4) > 0 {
+				x[i] = rng.Float64()
+			}
+		}
+	}
+	return x
+}
+
 // benchDQL builds a mesh-scale learner (60->15->15, batch 32) with a full
-// replay ring, the shape TrainMesh drives once per cycle.
+// replay ring, the shape TrainMesh drives once per cycle, holding states that
+// look like its traffic: 2 or 3 of the 15 buffers have a competing message.
 func benchDQL() (*DQL, *rand.Rand) {
 	d := NewDQL(newNet(5, 60, 15, 15), DQLConfig{
 		BatchSize: 32, ReplayCap: 4000, SyncEvery: 2000, LR: 0.05, Gamma: 0.5,
 	})
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < d.Replay.Cap(); i++ {
-		s := make([]float64, 60)
-		nx := make([]float64, 60)
-		for j := range s {
-			s[j] = rng.Float64()
-			nx[j] = rng.Float64()
-		}
 		d.Observe(Experience{
-			State:     s,
+			State:     sparseStateVec(rng, 60, 4, 2+rng.Intn(2)),
 			Action:    rng.Intn(15),
 			Reward:    rng.Float64(),
-			Next:      nx,
+			Next:      sparseStateVec(rng, 60, 4, 2+rng.Intn(2)),
 			NextValid: []int{rng.Intn(5), 5 + rng.Intn(5), 10 + rng.Intn(5)},
 		})
 	}
@@ -69,6 +79,34 @@ func TestReplayAtOrdersOldestFirst(t *testing.T) {
 	for i, want := range []int{2, 3, 4, 5} {
 		if got := r.At(i).Action; got != want {
 			t.Fatalf("At(%d).Action = %d, want %d", i, got, want)
+		}
+	}
+}
+
+// TestInferenceDQLGrowsTrainingStateOnUse pins what NewInferenceDQL holds
+// back and when it appears: no target copy until the learner first trains, and
+// a replay memory that reports its capacity and accepts experiences.
+func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
+	d := NewInferenceDQL(newNet(5, 60, 15, 15), DQLConfig{ReplayCap: 8})
+	rng := rand.New(rand.NewSource(2))
+	if d.Target != nil || d.Replay.Len() != 0 || d.Replay.Cap() != 8 {
+		t.Fatalf("fresh learner: target %v, replay %d/%d", d.Target, d.Replay.Len(), d.Replay.Cap())
+	}
+	if loss := d.TrainBatch(rng); loss != 0 || d.Target != nil {
+		t.Fatal("TrainBatch on an empty replay memory trained or built the target")
+	}
+	before := d.Online.Clone()
+	d.Observe(Experience{State: sparseStateVec(rng, 60, 4, 2), Action: 3, Reward: 1, Next: sparseStateVec(rng, 60, 4, 2)})
+	d.TrainBatch(rng)
+	if d.Target == nil || d.Target == d.Online || d.Steps() != 2 {
+		t.Fatalf("after training: target %p online %p steps %d", d.Target, d.Online, d.Steps())
+	}
+	// The target is the online network as it was when training began.
+	for l, layer := range d.Target.Layers {
+		for i, w := range layer.W {
+			if w != before.Layers[l].W[i] {
+				t.Fatalf("target layer %d weight %d is not the pre-training weight", l, i)
+			}
 		}
 	}
 }

@@ -32,7 +32,10 @@ type Experience struct {
 // training samples (Section 3.1.2). The zero value is unusable; create one
 // with NewReplay.
 type Replay struct {
+	// buf is the ring, cap slots long, allocated by the first Add: a frozen
+	// evaluation agent owns a Replay and never fills it.
 	buf  []Experience
+	cap  int
 	next int
 	size int
 
@@ -50,11 +53,14 @@ func NewReplay(capacity int) *Replay {
 	if capacity <= 0 {
 		panic("rl: replay capacity must be positive")
 	}
-	return &Replay{buf: make([]Experience, capacity)}
+	return &Replay{cap: capacity}
 }
 
 // Add records one experience, evicting the oldest when full.
 func (r *Replay) Add(e Experience) {
+	if r.buf == nil {
+		r.buf = make([]Experience, r.cap)
+	}
 	if r.size == len(r.buf) && r.OnEvict != nil {
 		r.OnEvict(&r.buf[r.next])
 	}
@@ -81,7 +87,7 @@ func (r *Replay) At(i int) *Experience {
 func (r *Replay) Len() int { return r.size }
 
 // Cap returns the capacity of the replay memory.
-func (r *Replay) Cap() int { return len(r.buf) }
+func (r *Replay) Cap() int { return r.cap }
 
 // Sample returns n experiences drawn uniformly at random with replacement —
 // the same ring slot can appear several times in one batch, and the draw
@@ -142,6 +148,7 @@ func (c *DQLConfig) applyDefaults() {
 // bootstrapped from a periodically synchronized target network.
 type DQL struct {
 	Online *nn.MLP
+	// Target is nil on a learner from NewInferenceDQL until it first trains.
 	Target *nn.MLP
 	Replay *Replay
 	Cfg    DQLConfig
@@ -161,12 +168,24 @@ type DQL struct {
 
 // NewDQL wraps an online network with a target copy and replay memory.
 func NewDQL(online *nn.MLP, cfg DQLConfig) *DQL {
+	d := NewInferenceDQL(online, cfg)
+	d.Target = online.Clone()
+	return d
+}
+
+// NewInferenceDQL is NewDQL for a network that is deployed, not trained: the
+// target copy, which only training reads, is not made. Should the learner be
+// trained after all, its first TrainBatch or TrainOffline clones the target
+// from the online weights as they are then.
+func NewInferenceDQL(online *nn.MLP, cfg DQLConfig) *DQL {
 	cfg.applyDefaults()
-	return &DQL{
-		Online: online,
-		Target: online.Clone(),
-		Replay: NewReplay(cfg.ReplayCap),
-		Cfg:    cfg,
+	return &DQL{Online: online, Replay: NewReplay(cfg.ReplayCap), Cfg: cfg}
+}
+
+// ensureTarget makes the target copy a NewInferenceDQL learner went without.
+func (d *DQL) ensureTarget() {
+	if d.Target == nil {
+		d.Target = d.Online.Clone()
 	}
 }
 
@@ -191,6 +210,7 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	if d.Replay.Len() == 0 {
 		return 0
 	}
+	d.ensureTarget()
 	n := d.Cfg.BatchSize
 	if cap(d.batch) < n {
 		d.batch = make([]*Experience, n)
