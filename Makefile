@@ -34,10 +34,10 @@ verify: fmt vet build test race
 # (any alloc growth from a zero-alloc baseline fails outright); CI runs it
 # non-gating.
 bench:
-	$(GO) run ./cmd/bench -out BENCH_14.json -benchtime 2s
+	$(GO) run ./cmd/bench -out BENCH_15.json -benchtime 2s
 
 bench-diff:
-	$(GO) run ./cmd/bench -diff BENCH_14.json
+	$(GO) run ./cmd/bench -diff BENCH_15.json
 
 # Race-check the sharded stepping engine specifically: the shard-invariance
 # and active-set-invariance suites in internal/noc and internal/fault drive

@@ -10,6 +10,10 @@
 //
 //	trainarb -record states.gob -behavior round-robin -cycles 20000
 //	trainarb -offline states.gob -epochs 20 -out agent.gob
+//
+// A dataset file holds each state as the (index, value) list of its non-zero
+// elements (rl.Dataset); -offline validates every record on load. Files
+// recorded when states were stored as dense vectors do not load: record anew.
 package main
 
 import (

@@ -51,20 +51,27 @@ type Agent struct {
 	// decision awaiting its next state.
 	pending map[int64]pendingDecision
 
-	// stateFree and validFree recycle the State/NextValid slices handed
+	// stateFree and validFree recycle the State/NextValid storage handed
 	// back by the replay ring on eviction, making steady-state Select
-	// allocation-free. evalState is the single state buffer reused by
-	// inference-only (non-training) agents, which never retain states.
-	stateFree [][]float64
-	validFree [][]int
-	evalState []float64
+	// allocation-free; widest is the most entries any state has needed room
+	// for so far, the capacity new state vectors are made with. evalState is
+	// the single state reused by inference-only (non-training) agents, which
+	// never retain states. slots lists the candidates' action indices of the
+	// arbitration in hand. inferState is the dense state handed to Infer, the
+	// only dense state the agent keeps.
+	stateFree  []nn.SparseVec
+	validFree  [][]int
+	widest     int
+	evalState  nn.SparseVec
+	slots      []int
+	inferState []float64
 
 	decisions int64
 	explored  int64
 }
 
 type pendingDecision struct {
-	state  []float64
+	state  nn.SparseVec
 	action int
 	reward float64
 }
@@ -123,13 +130,13 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 }
 
 // recycleExperience returns an evicted experience's slices to the freelists.
-// Only State and NextValid are recycled: an evicted experience's Next slice
-// is the State of a younger, still-live experience (or of a pending
-// decision); it comes back through its own eviction. The ring's FIFO order
-// guarantees the one experience whose Next aliased this State is already
-// gone, so recycling State here can never corrupt a live tuple.
+// Only State and NextValid are recycled: an evicted experience's Next is the
+// State of a younger, still-live experience (or of a pending decision); it
+// comes back through its own eviction. The ring's FIFO order guarantees the
+// one experience whose Next aliased this State is already gone, so recycling
+// State here can never corrupt a live tuple.
 func (a *Agent) recycleExperience(e *rl.Experience) {
-	if e.State != nil {
+	if e.State.Idx != nil {
 		a.stateFree = append(a.stateFree, e.State)
 	}
 	if e.NextValid != nil {
@@ -137,15 +144,21 @@ func (a *Agent) recycleExperience(e *rl.Experience) {
 	}
 }
 
-// takeState returns a recycled state vector or allocates one while the
-// freelist warms up.
-func (a *Agent) takeState() []float64 {
+// takeState returns a state vector with room for n entries: a recycled one, or
+// a new one while the freelist warms up or when the recycled one is too small.
+// New vectors are made for the widest state seen so far, so the vectors in
+// circulation converge on a capacity every state fits and steady-state
+// training stops allocating.
+func (a *Agent) takeState(n int) nn.SparseVec {
+	a.widest = max(a.widest, n)
 	if k := len(a.stateFree); k > 0 {
 		s := a.stateFree[k-1]
 		a.stateFree = a.stateFree[:k-1]
-		return s
+		if cap(s.Idx) >= n && cap(s.Val) >= n {
+			return s
+		}
 	}
-	return make([]float64, a.Spec.InputSize())
+	return nn.SparseVec{Idx: make([]int32, 0, a.widest), Val: make([]float64, 0, a.widest)}
 }
 
 // takeValid returns a recycled NextValid slice of length n. Fresh slices are
@@ -222,19 +235,21 @@ func siteKey(ctx *noc.ArbContext) int64 {
 // remaining candidates.
 func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	a.decisions++
-	var state []float64
+	// Training retains states in experiences and draws them from the freelist
+	// fed by replay-ring evictions; inference never retains the state, so one
+	// reusable vector suffices.
+	var state nn.SparseVec
 	if a.Training {
-		// Training retains states in experiences; draw from the freelist
-		// fed by replay-ring evictions.
-		state = a.takeState()
+		state = a.Spec.BuildSparse(a.takeState(len(cands)*a.Spec.Features.Width()), ctx.Net, ctx.Cycle, cands)
 	} else {
-		// Inference never retains the state: one reusable buffer suffices.
-		if a.evalState == nil {
-			a.evalState = make([]float64, a.Spec.InputSize())
-		}
+		a.evalState = a.Spec.BuildSparse(a.evalState, ctx.Net, ctx.Cycle, cands)
 		state = a.evalState
 	}
-	a.Spec.BuildStateInto(state, ctx.Net, ctx.Cycle, cands)
+	slots := a.slots[:0]
+	for _, c := range cands {
+		slots = append(slots, a.Spec.Slot(c.Port, c.VC))
+	}
+	a.slots = slots
 
 	// Algorithm 1 line 10: with probability epsilon the router selects a
 	// random candidate. The paper keeps this in the deployed decision
@@ -247,13 +262,18 @@ func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	} else {
 		var q []float64
 		if a.Infer != nil {
-			q = a.Infer.Forward(state)
+			if a.inferState == nil {
+				a.inferState = make([]float64, a.Spec.InputSize())
+			}
+			state.ScatterInto(a.inferState)
+			q = a.Infer.Forward(a.inferState)
 		} else {
-			q = a.DQL.Online.Forward(state)
+			// Only the candidates' Q-values are read, so only they are computed.
+			q = a.DQL.Online.ForwardSparse(state, slots)
 		}
-		bestQ := q[a.Spec.Slot(cands[0].Port, cands[0].VC)]
-		for i, c := range cands[1:] {
-			if v := q[a.Spec.Slot(c.Port, c.VC)]; v > bestQ {
+		bestQ := q[slots[0]]
+		for i, slot := range slots[1:] {
+			if v := q[slot]; v > bestQ {
 				bestQ, choice = v, i+1
 			}
 		}
@@ -262,10 +282,8 @@ func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	if a.Training {
 		key := siteKey(ctx)
 		if prev, ok := a.pending[key]; ok {
-			valid := a.takeValid(len(cands))
-			for i, c := range cands {
-				valid[i] = a.Spec.Slot(c.Port, c.VC)
-			}
+			valid := a.takeValid(len(slots))
+			copy(valid, slots)
 			a.DQL.Observe(rl.Experience{
 				State:     prev.state,
 				Action:    prev.action,
@@ -276,7 +294,7 @@ func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 		}
 		a.pending[key] = pendingDecision{
 			state:  state,
-			action: a.Spec.Slot(cands[choice].Port, cands[choice].VC),
+			action: slots[choice],
 			reward: a.Reward.DecisionReward(ctx, cands, choice),
 		}
 	}
@@ -301,7 +319,7 @@ func (a *Agent) OnCycle(n *noc.Network) {
 // rewards are not lost.
 func (a *Agent) FlushPending() {
 	for key, p := range a.pending {
-		a.DQL.Observe(rl.Experience{State: p.state, Action: p.action, Reward: p.reward})
+		a.DQL.Observe(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
 		delete(a.pending, key)
 	}
 }

@@ -179,6 +179,70 @@ func TestBuildStateZeroPadding(t *testing.T) {
 	}
 }
 
+// TestBuildStateIsScatterOfSparse: for random candidate sets handed over in
+// random (so mostly non-ascending) slot order, BuildSparse emits a strictly
+// ascending list without zero-valued entries, and both its scatter and
+// BuildStateInto equal the state assembled the way it was before states became
+// sparse: every candidate's features extracted straight into its block of a
+// zeroed vector. Up to 12 candidates also take BuildStateInto past the
+// intermediate list it keeps on the stack.
+func TestBuildStateIsScatterOfSparse(t *testing.T) {
+	net, _ := testNetwork(t)
+	rng := rand.New(rand.NewSource(41))
+	for _, spec := range []*StateSpec{MeshSpec(3), APUSpec()} {
+		fw := spec.Features.Width()
+		var v nn.SparseVec
+		got := make([]float64, spec.InputSize())
+		for trial := 0; trial < 300; trial++ {
+			var cands []noc.Candidate
+			for _, slot := range rng.Perm(spec.ActionSize())[:1+rng.Intn(min(12, spec.ActionSize()))] {
+				port, vc := spec.SlotPort(slot)
+				cands = append(cands, noc.Candidate{Port: port, VC: vc, Msg: &noc.Message{
+					SizeFlits:    1 + rng.Intn(8),
+					ArrivalCycle: 100 - int64(rng.Intn(3)*rng.Intn(40)),
+					Distance:     rng.Intn(7),
+					HopCount:     rng.Intn(2) * rng.Intn(7),
+					ArrivalGap:   int64(rng.Intn(2) * rng.Intn(70)),
+					Type:         noc.MsgType(rng.Intn(3)),
+					DstKind:      noc.DstType(rng.Intn(3)),
+				}})
+			}
+			want := make([]float64, spec.InputSize())
+			for _, c := range cands {
+				slot := spec.Slot(c.Port, c.VC)
+				spec.Features.Extract(want[slot*fw:(slot+1)*fw], &spec.Norm, net, 100, c.Msg)
+			}
+
+			v = spec.BuildSparse(v, net, 100, cands)
+			if err := v.Validate(spec.InputSize()); err != nil {
+				t.Fatalf("BuildSparse list: %v", err)
+			}
+			for k, x := range v.Val {
+				if x == 0 {
+					t.Fatalf("BuildSparse lists a zero at index %d", v.Idx[k])
+				}
+			}
+			for i := range got {
+				got[i] = -1 // ScatterInto must clear what a reused vector held
+			}
+			v.ScatterInto(got)
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("scatter of BuildSparse: element %d is %v, want %v (candidates %+v)", i, got[i], want[i], cands)
+				}
+			}
+			for i := range got {
+				got[i] = -1
+			}
+			for i, x := range spec.BuildStateInto(got, net, 100, cands) {
+				if x != want[i] {
+					t.Fatalf("BuildStateInto: element %d is %v, want %v", i, x, want[i])
+				}
+			}
+		}
+	}
+}
+
 func TestRLInspiredMeshPriority(t *testing.T) {
 	p4 := NewRLInspiredMesh4x4()
 	m := &noc.Message{ArrivalCycle: 0, HopCount: 3}

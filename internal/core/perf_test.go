@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/traffic"
@@ -104,6 +105,9 @@ func TestAgentSelectZeroAllocs(t *testing.T) {
 // live experiences share a State buffer, and nothing on the freelists aliases
 // a live State, Next or pending-decision state. A violation here would mean a
 // recycled vector is being overwritten while a replay tuple still reads it.
+// Candidate sets of different sizes come and go, so vectors are recycled into
+// states wider than the ones they were made for: every live state must still
+// be well-formed, and takeState must hand out only vectors that fit.
 func TestStateRecyclingNoAliasing(t *testing.T) {
 	spec := MeshSpec(3)
 	agent := NewAgent(spec, AgentConfig{
@@ -128,27 +132,45 @@ func TestStateRecyclingNoAliasing(t *testing.T) {
 
 	// An experience's Next legitimately aliases a younger experience's State
 	// (that is the s' = next s chaining), so only State-vs-State duplication
-	// is a bug; the freelist must alias none of them.
+	// is a bug; the freelist must alias none of them. A vector is identified
+	// by the start of its Val storage, which its Idx storage is made and
+	// recycled with.
+	key := func(v nn.SparseVec) *float64 { return &v.Val[:1][0] }
 	states := map[*float64]int{}
 	live := map[*float64]bool{}
+	widest := 0
 	r := agent.DQL.Replay
 	for i := 0; i < r.Len(); i++ {
 		e := r.At(i)
-		if j, dup := states[&e.State[0]]; dup {
+		if j, dup := states[key(e.State)]; dup {
 			t.Fatalf("experiences %d and %d share one State buffer", j, i)
 		}
-		states[&e.State[0]] = i
-		live[&e.State[0]] = true
-		if len(e.Next) > 0 {
-			live[&e.Next[0]] = true
+		states[key(e.State)] = i
+		live[key(e.State)] = true
+		if !e.Terminal {
+			live[key(e.Next)] = true
 		}
+		if err := e.State.Validate(spec.InputSize()); err != nil {
+			t.Fatalf("experience %d holds a malformed state: %v", i, err)
+		}
+		widest = max(widest, len(e.State.Idx))
 	}
 	for _, p := range agent.pending {
-		live[&p.state[0]] = true
+		live[key(p.state)] = true
 	}
 	for i, s := range agent.stateFree {
-		if live[&s[0]] {
+		if live[key(s)] {
 			t.Fatalf("freelist entry %d aliases a live state buffer", i)
+		}
+	}
+	// Vectors in circulation must come to fit the widest state seen: a too
+	// narrow one is dropped when drawn, never grown in place or handed out.
+	if agent.widest < widest {
+		t.Fatalf("agent sizes new vectors for %d entries, a live state has %d", agent.widest, widest)
+	}
+	for i := 0; i < 50; i++ {
+		if s := agent.takeState(agent.widest); cap(s.Idx) < agent.widest || cap(s.Val) < agent.widest {
+			t.Fatalf("takeState(%d) returned capacity %d/%d", agent.widest, cap(s.Idx), cap(s.Val))
 		}
 	}
 	if evictions == 0 {

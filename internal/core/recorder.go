@@ -1,6 +1,7 @@
 package core
 
 import (
+	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 )
@@ -26,6 +27,8 @@ type Recorder struct {
 	Data *rl.Dataset
 
 	pending map[int64]*pendingDecision
+	// scratch is where each state is built before a copy cut to size is kept.
+	scratch nn.SparseVec
 }
 
 // NewRecorder wraps behaviour with recording into a fresh dataset.
@@ -45,7 +48,8 @@ func (r *Recorder) Name() string { return r.Behavior.Name() + "+record" }
 // Select implements noc.Policy: the behaviour policy decides, the recorder
 // logs.
 func (r *Recorder) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
-	state := r.Spec.BuildState(ctx.Net, ctx.Cycle, cands)
+	r.scratch = r.Spec.BuildSparse(r.scratch, ctx.Net, ctx.Cycle, cands)
+	state := r.scratch.Clone()
 	choice := r.Behavior.Select(ctx, cands)
 
 	key := siteKey(ctx)
@@ -77,7 +81,7 @@ func (r *Recorder) OnCycle(n *noc.Network) { r.Reward.OnCycle(n) }
 // Flush records all incomplete decisions as terminal experiences.
 func (r *Recorder) Flush() {
 	for key, p := range r.pending {
-		r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward})
+		r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
 		delete(r.pending, key)
 	}
 }

@@ -2,9 +2,14 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"mlnoc/internal/arb"
+	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/traffic"
@@ -47,8 +52,8 @@ func TestRecorderCollects(t *testing.T) {
 		default:
 			t.Fatalf("unexpected reward %v", e.Reward)
 		}
-		if len(e.State) != spec.InputSize() {
-			t.Fatal("state size mismatch")
+		if err := e.State.Validate(spec.InputSize()); err != nil || len(e.State.Idx) == 0 {
+			t.Fatalf("recorded state %+v: %v", e.State, err)
 		}
 	}
 	if zeros == 0 || ones == 0 {
@@ -70,15 +75,79 @@ func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 		got.Actions != rec.Data.Actions {
 		t.Fatal("round trip changed shapes")
 	}
-	a, b := rec.Data.Records[0], got.Records[0]
-	if a.Action != b.Action || a.Reward != b.Reward || len(a.State) != len(b.State) {
+	if !reflect.DeepEqual(got.Records, rec.Data.Records) {
 		t.Fatal("round trip changed records")
 	}
 }
 
+// TestLoadDatasetRejectsGarbage: a file that is not a dataset, and every shape
+// of record that would otherwise fail later inside TrainOffline, is refused at
+// load with an error that names the record.
 func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	if _, err := rl.LoadDataset(bytes.NewReader([]byte("nope"))); err == nil {
 		t.Fatal("garbage accepted")
+	}
+	sv := func(idx []int32, val ...float64) nn.SparseVec { return nn.SparseVec{Idx: idx, Val: val} }
+	good := rl.Experience{
+		State: sv([]int32{0, 7}, 0.5, 1), Action: 2, Reward: 1,
+		Next: sv([]int32{3}, 0.25), NextValid: []int{0, 4},
+	}
+	bad := []struct {
+		name   string
+		mutate func(e *rl.Experience)
+	}{
+		{"state index beyond the state size", func(e *rl.Experience) { e.State = sv([]int32{0, 8}, 1, 1) }},
+		{"state index negative", func(e *rl.Experience) { e.State = sv([]int32{-1, 2}, 1, 1) }},
+		{"state indices descending", func(e *rl.Experience) { e.State = sv([]int32{5, 2}, 1, 1) }},
+		{"state index repeated", func(e *rl.Experience) { e.State = sv([]int32{2, 2}, 1, 1) }},
+		{"state with more indices than values", func(e *rl.Experience) { e.State = sv([]int32{1, 2}, 1) }},
+		{"state with more values than indices", func(e *rl.Experience) { e.State = sv([]int32{1}, 1, 1) }},
+		{"state value NaN", func(e *rl.Experience) { e.State = sv([]int32{1}, math.NaN()) }},
+		{"state value infinite", func(e *rl.Experience) { e.State = sv([]int32{1}, math.Inf(-1)) }},
+		{"action negative", func(e *rl.Experience) { e.Action = -1 }},
+		{"action beyond the action count", func(e *rl.Experience) { e.Action = 5 }},
+		{"next index beyond the state size", func(e *rl.Experience) { e.Next = sv([]int32{8}, 1) }},
+		{"next indices descending", func(e *rl.Experience) { e.Next = sv([]int32{4, 3}, 1, 1) }},
+		{"next with more indices than values", func(e *rl.Experience) { e.Next = sv([]int32{4, 5}, 1) }},
+		{"next value infinite", func(e *rl.Experience) { e.Next = sv([]int32{4}, math.Inf(1)) }},
+		{"next-valid action beyond the action count", func(e *rl.Experience) { e.NextValid = []int{0, 5} }},
+		{"next-valid action negative", func(e *rl.Experience) { e.NextValid = []int{-1} }},
+	}
+	save := func(records ...rl.Experience) *bytes.Buffer {
+		var buf bytes.Buffer
+		if err := (&rl.Dataset{StateSize: 8, Actions: 5, Records: records}).Save(&buf); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		return &buf
+	}
+	terminal := good
+	terminal.Terminal, terminal.Next, terminal.NextValid = true, sv([]int32{99}, 1), []int{99}
+	if d, err := rl.LoadDataset(save(good, terminal)); err != nil || d.Len() != 2 {
+		t.Fatalf("well-formed records (a terminal one's successor is not read) refused: %v", err)
+	}
+	for _, c := range bad {
+		e := good
+		c.mutate(&e)
+		_, err := rl.LoadDataset(save(good, e))
+		if err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: record 1: ") {
+			t.Errorf("%s: LoadDataset error %v, want one naming record 1", c.name, err)
+		}
+	}
+	// A dataset written before states became sparse held them as []float64.
+	type denseExperience struct {
+		State  []float64
+		Action int
+	}
+	type denseDataset struct {
+		StateSize, Actions int
+		Records            []denseExperience
+	}
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(denseDataset{8, 5, []denseExperience{{make([]float64, 8), 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := rl.LoadDataset(&old); err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: ") {
+		t.Errorf("dense-state dataset: LoadDataset error %v", err)
 	}
 }
 
@@ -137,7 +206,7 @@ func TestTrainOfflineValidation(t *testing.T) {
 		t.Fatalf("empty dataset trained: %v", got)
 	}
 	wrong := rl.NewDataset(10, 3)
-	wrong.Add(rl.Experience{State: make([]float64, 10), Action: 1})
+	wrong.Add(rl.Experience{Action: 1, Terminal: true})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch accepted")

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 )
 
@@ -79,25 +80,81 @@ func (s *StateSpec) SlotPort(slot int) (noc.PortID, int) {
 	return s.Ports[slot/s.VCs], slot % s.VCs
 }
 
-// BuildState assembles the state vector for one arbitration: the features of
-// every candidate message, placed at its buffer's block, all other elements
-// zero. The result is freshly allocated (experiences retain state slices).
+// BuildSparse assembles the state of one arbitration as an nn.SparseVec: the
+// features of every candidate message at its buffer's block. Candidates are
+// taken in ascending Slot order whatever order they come in, which makes the
+// list ascending as the Q-network requires (layer 0 sums in list order), and
+// features that are zero are not listed — a buffer without a competing message
+// contributes nothing. This is the one place states are built; the dense form
+// is a scatter of it. Like append, it builds into v's storage when that has
+// the capacity (len(cands) x Features.Width() entries always suffice) and
+// returns the result, so a caller that recycles vectors builds without
+// allocating; what v held is overwritten.
+func (s *StateSpec) BuildSparse(v nn.SparseVec, net *noc.Network, now int64, cands []noc.Candidate) nn.SparseVec {
+	fw := s.Features.Width()
+	room := len(cands) * fw
+	if cap(v.Idx) < room || cap(v.Val) < room {
+		v = nn.SparseVec{Idx: make([]int32, room), Val: make([]float64, room)}
+	}
+	// Sort the candidates by slot: keys are slot<<16 | position, insertion-
+	// sorted (a handful, mostly in order already), on the stack unless there
+	// are more than a router's ports usually present.
+	var stack [16]int
+	order := stack[:0]
+	if len(cands) > len(stack) {
+		order = make([]int, 0, len(cands))
+	}
+	for i, c := range cands {
+		key := s.Slot(c.Port, c.VC)<<16 | i
+		j := len(order)
+		order = append(order, key)
+		for ; j > 0 && order[j-1] > key; j-- {
+			order[j] = order[j-1]
+		}
+		order[j] = key
+	}
+	idx, val := v.Idx[:room], v.Val[:room]
+	n, last := 0, -1
+	for _, key := range order {
+		slot := key >> 16
+		if slot == last {
+			continue // one message per buffer: a repeated slot adds nothing
+		}
+		last = slot
+		// Extract into the free tail, then close up over the zeros.
+		block := val[n : n+fw]
+		s.Features.Extract(block, &s.Norm, net, now, cands[key&0xffff].Msg)
+		for k, x := range block {
+			// Written always, kept when non-zero: n never passes the element
+			// being read, and the loop has no branch to mispredict.
+			idx[n], val[n] = int32(slot*fw+k), x
+			if x != 0 {
+				n++
+			}
+		}
+	}
+	return nn.SparseVec{Idx: idx[:n], Val: val[:n]}
+}
+
+// buildStateStack is how many entries BuildStateInto's intermediate list holds
+// on the stack: eight candidates' worth of the widest feature set. An
+// arbitration with more spills to the heap.
+const buildStateStack = 8 * 12
+
+// BuildState assembles the dense state vector for one arbitration: the
+// features of every candidate message, placed at its buffer's block, all other
+// elements zero. The result is freshly allocated.
 func (s *StateSpec) BuildState(net *noc.Network, now int64, cands []noc.Candidate) []float64 {
 	return s.BuildStateInto(make([]float64, s.InputSize()), net, now, cands)
 }
 
-// BuildStateInto assembles the state vector into dst, which must have length
-// InputSize, and returns it. dst is zeroed first, so a recycled state vector
-// carries nothing over from its previous life. The hot-path variant of
-// BuildState: no allocation.
+// BuildStateInto assembles the dense state vector into dst, which must have
+// length InputSize, and returns it: dst is zeroed and BuildSparse's list
+// scattered into it, so a reused dst carries nothing over. The INT8 engine
+// and the quantization study take states in this form.
 func (s *StateSpec) BuildStateInto(dst []float64, net *noc.Network, now int64, cands []noc.Candidate) []float64 {
-	for i := range dst {
-		dst[i] = 0
-	}
-	fw := s.Features.Width()
-	for _, c := range cands {
-		slot := s.Slot(c.Port, c.VC)
-		s.Features.Extract(dst[slot*fw:(slot+1)*fw], &s.Norm, net, now, c.Msg)
-	}
+	var idx [buildStateStack]int32
+	var val [buildStateStack]float64
+	s.BuildSparse(nn.SparseVec{Idx: idx[:0], Val: val[:0]}, net, now, cands).ScatterInto(dst)
 	return dst
 }

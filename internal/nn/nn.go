@@ -73,6 +73,33 @@ func (a Activation) apply(z float64) float64 {
 	return z
 }
 
+// applyTo replaces the pre-activations zs with their activations in place,
+// one loop per activation kind.
+func (a Activation) applyTo(zs []float64) {
+	switch a {
+	case Sigmoid:
+		for i, z := range zs {
+			zs[i] = 1 / (1 + math.Exp(-z))
+		}
+	case ReLU:
+		for i, z := range zs {
+			if z < 0 {
+				zs[i] = 0
+			}
+		}
+	case Tanh:
+		for i, z := range zs {
+			zs[i] = math.Tanh(z)
+		}
+	case LeakyReLU:
+		for i, z := range zs {
+			if z < 0 {
+				zs[i] = leakySlope * z
+			}
+		}
+	}
+}
+
 // derivFromOutput returns f'(z) expressed via the activation output y=f(z).
 func (a Activation) derivFromOutput(y float64) float64 {
 	switch a {
@@ -107,34 +134,39 @@ type Layer struct {
 // safe for concurrent use: Forward and the training methods share scratch
 // buffers.
 //
-// The first layer is input-sparse in every kernel: a term w*x with x == 0
-// (either sign of zero) is never computed, in inference or in the weight
-// update. The router state vectors this network is built for are zero-padded
-// for every buffer without a competing message (core.StateSpec), so nearly all
-// of layer 0's multiplications would be by zero. Skipping such a term leaves
-// every sum and every weight bit-identical to computing it, on one
+// The first layer takes its input as a SparseVec in every kernel and computes
+// one term per listed entry, in inference and in the weight update; the dense
+// entry points (Forward, TrainAction, ForwardBatch...) list the input's
+// non-zero elements and call the same kernels. The router state vectors this
+// network is built for are zero-padded for every buffer without a competing
+// message (core.StateSpec), so nearly all of a dense layer 0's multiplications
+// would be by zero. Leaving a term w*x with x == 0 (either sign of zero) out
+// leaves every sum and every weight bit-identical to computing it, on one
 // precondition: weights, biases and SGD steps are finite and no bias is -0.
-// A skipped term is then w*0 = +-0, and adding or subtracting +-0 changes no
-// non-zero value and no +0. The cases that differ are degenerate: a NaN or
-// Inf weight times a zero input is NaN when computed and nothing when skipped
-// (which is why Load rejects non-finite parameters), and a sum or weight that
-// is exactly -0 stays -0 when a +0 term is skipped where computing it would
-// give +0. There is no density threshold: a dense input walks the same index
-// list, only a full one.
+// Such a term is w*0 = +-0, and adding or subtracting +-0 changes no non-zero
+// value and no +0. So a vector may list zero-valued entries or not, and a
+// dense input and its list give the same bits. The cases that differ are
+// degenerate: a NaN or Inf weight times a zero input is NaN when computed and
+// nothing when left out (which is why Load rejects non-finite parameters), and
+// a sum or weight that is exactly -0 stays -0 when a +0 term is left out where
+// computing it would give +0. There is no density threshold: a dense input is
+// the same list, only a full one.
+//
+// The last layer computes only the outputs a caller asks for (the outs
+// argument of ForwardSparse; TrainActionSparse asks for the one action). Each
+// output neuron's sum is independent of the others, so every value that is
+// computed is bit-identical to the one a full pass computes.
 type MLP struct {
 	Layers []*Layer
 
-	// scratch: acts[0] is the input copy, acts[l+1] the output of layer l.
+	// scratch: acts[l+1] is the output of layer l; acts[0] is unused, the
+	// input lives in the caller's SparseVec (or in in).
 	acts   [][]float64
 	deltas [][]float64
-	// grad is the output-gradient scratch for TrainMSE/TrainAction; it is
-	// all-zero between calls so TrainAction only touches one element.
-	grad []float64
-	// nz holds, ascending, the indices of the last Forward's non-zero inputs
-	// (x != 0: both zeros are out, NaN is in) and nzv their values. Layer 0's
-	// dot products and its weight update walk these and nothing else.
-	nz  []int32
-	nzv []float64
+	// in is the list the single-input dense entry points make of their input,
+	// bin the lists the batched ones make of theirs (grown on first use).
+	in  SparseVec
+	bin []SparseVec
 	// maxOut is the widest layer output, sizing the batched-inference planes.
 	maxOut int
 	// bacts are the two ping-pong row-major activation planes of
@@ -181,10 +213,6 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 func (m *MLP) allocScratch() {
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.deltas = make([][]float64, len(m.Layers))
-	in0 := m.Layers[0].In
-	m.acts[0] = make([]float64, in0)
-	m.nz = make([]int32, in0)
-	m.nzv = make([]float64, in0)
 	maxIn := 0
 	for l, layer := range m.Layers {
 		m.acts[l+1] = make([]float64, layer.Out)
@@ -192,7 +220,6 @@ func (m *MLP) allocScratch() {
 		m.maxOut = max(m.maxOut, layer.Out)
 		maxIn = max(maxIn, layer.In)
 	}
-	m.grad = make([]float64, m.OutputSize())
 	m.blk = newBlockScratch(maxIn)
 }
 
@@ -214,45 +241,115 @@ func (m *MLP) NumParams() int {
 // Forward runs inference. The returned slice is an internal buffer, valid
 // until the next Forward/training call; copy it to retain it.
 func (m *MLP) Forward(x []float64) []float64 {
-	l0 := m.Layers[0]
-	if len(x) != l0.In {
-		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), l0.In))
+	return m.forward(m.index(x), nil)
+}
+
+// ForwardSparse is Forward on an input given as a SparseVec, computing only
+// the outputs listed in outs (all of them when outs is empty). The returned
+// slice is OutputSize long, so an output is read at its own index; only the
+// listed elements mean anything, and each is bit-identical to what Forward
+// returns there for the dense form of x.
+func (m *MLP) ForwardSparse(x SparseVec, outs []int) []float64 {
+	m.checkSparse(x)
+	return m.forward(x, outs)
+}
+
+// index lists the non-zero elements of a dense input in m.in.
+func (m *MLP) index(x []float64) SparseVec {
+	if in := m.Layers[0].In; len(x) != in {
+		panic(fmt.Sprintf("nn: input size %d, want %d", len(x), in))
 	}
-	// One pass copies the input and indexes its non-zero elements.
-	a0, nz, nzv := m.acts[0][:len(x)], m.nz[:len(x)], m.nzv[:len(x)]
-	n := 0
-	for i, v := range x {
-		a0[i] = v
-		if v != 0 {
-			nz[n], nzv[n] = int32(i), v
-			n++
+	m.in.Index(x)
+	return m.in
+}
+
+// checkSparse panics on a vector the kernels cannot run on safely. Ascending
+// order is the caller's contract (SparseVec.Validate checks it): with it, the
+// first and the last index bound all of them.
+func (m *MLP) checkSparse(x SparseVec) {
+	n := len(x.Idx)
+	if n != len(x.Val) {
+		panic(fmt.Sprintf("nn: sparse input has %d indices for %d values", n, len(x.Val)))
+	}
+	if in := m.Layers[0].In; n > 0 && (x.Idx[0] < 0 || int(x.Idx[n-1]) >= in) {
+		panic(fmt.Sprintf("nn: sparse input index outside [0, %d)", in))
+	}
+}
+
+// forward is the one single-input forward pass. Layer 0 adds, to each bias,
+// one term per entry of x in list order; deeper layers are dense. Of the last
+// layer only the neurons in outs are computed (all when outs is empty); the
+// other elements of the returned slice keep whatever an earlier call left.
+func (m *MLP) forward(x SparseVec, outs []int) []float64 {
+	last := len(m.Layers) - 1
+	for l, layer := range m.Layers {
+		var want []int
+		if l == last {
+			want = outs
 		}
-	}
-	nz, nzv = nz[:n], nzv[:n]
-	m.nz, m.nzv = nz, nzv
-	out := m.acts[1]
-	for j := 0; j < l0.Out; j++ {
-		row := l0.W[j*l0.In : (j+1)*l0.In]
-		z := l0.B[j]
-		for k, i := range nz {
-			z += row[i] * nzv[k]
-		}
-		out[j] = l0.Act.apply(z)
-	}
-	for l := 1; l < len(m.Layers); l++ {
-		layer := m.Layers[l]
-		in, out := m.acts[l], m.acts[l+1]
-		for j := 0; j < layer.Out; j++ {
-			row := layer.W[j*layer.In : (j+1)*layer.In]
-			in := in[:len(row)] // one bounds check; elides them in the loop
-			z := layer.B[j]
-			for i, w := range row {
-				z += w * in[i]
-			}
-			out[j] = layer.Act.apply(z)
+		if l == 0 {
+			layer.forwardSparse(m.acts[1], x, want)
+		} else {
+			layer.forwardDense(m.acts[l+1], m.acts[l], want)
 		}
 	}
 	return m.acts[len(m.Layers)]
+}
+
+// forwardSparse computes z = act(W*x + b) for the neurons in want (all when
+// want is empty), one term per entry of x.
+func (l *Layer) forwardSparse(z []float64, x SparseVec, want []int) {
+	idx, val := x.Idx, x.Val[:len(x.Idx)]
+	n, selected := l.Out, len(want) > 0
+	if selected {
+		n = len(want)
+	}
+	for k := 0; k < n; k++ {
+		j := k
+		if selected {
+			j = want[k]
+		}
+		row := l.W[j*l.In : (j+1)*l.In]
+		s := l.B[j]
+		for e, i := range idx {
+			s += row[i] * val[e]
+		}
+		if selected {
+			s = l.Act.apply(s)
+		}
+		z[j] = s
+	}
+	if !selected {
+		l.Act.applyTo(z)
+	}
+}
+
+// forwardDense computes z = act(W*in + b) for the neurons in want (all when
+// want is empty).
+func (l *Layer) forwardDense(z, in []float64, want []int) {
+	n, selected := l.Out, len(want) > 0
+	if selected {
+		n = len(want)
+	}
+	for k := 0; k < n; k++ {
+		j := k
+		if selected {
+			j = want[k]
+		}
+		row := l.W[j*l.In : (j+1)*l.In]
+		in := in[:len(row)] // one bounds check; elides them in the loop
+		s := l.B[j]
+		for i, w := range row {
+			s += w * in[i]
+		}
+		if selected {
+			s = l.Act.apply(s)
+		}
+		z[j] = s
+	}
+	if !selected {
+		l.Act.applyTo(z)
+	}
 }
 
 // ForwardBatch runs inference on a batch of inputs and returns one Q-row per
@@ -263,16 +360,14 @@ func (m *MLP) Forward(x []float64) []float64 {
 // the order of additions within one.
 //
 // Aliasing contract: the returned row headers and the activations they point
-// at live in internal scratch (m.brows/m.bacts) that the NEXT ForwardBatch
-// call on this network overwrites. Callers must finish reading (or copy) every
-// row of one batch before issuing the next — see rl.DQL.TrainBatch, whose
+// at live in internal scratch (m.brows/m.bacts) that the NEXT batched call on
+// this network overwrites. Callers must finish reading (or copy) every row of
+// one batch before issuing the next — see rl.DQL.TrainBatch, whose
 // SyncEvery-chunked target inference consumes each chunk's rows completely
-// before requesting the next chunk. The inputs are read in place, not copied,
-// so rows returned by one call must not be passed as inputs to the next.
-// Forward and the training methods use separate scratch (m.acts) and do not
-// invalidate batch rows.
+// before requesting the next chunk. Forward and the training methods use
+// separate scratch (m.acts) and do not invalidate batch rows.
 func (m *MLP) ForwardBatch(xs [][]float64) [][]float64 {
-	return m.forwardBatch(xs, false)
+	return m.forwardBatch(m.indexBatch(xs), false)
 }
 
 // ForwardBatchFast is ForwardBatch running on the AVX2+FMA microkernel when
@@ -286,19 +381,39 @@ func (m *MLP) ForwardBatch(xs [][]float64) [][]float64 {
 // exactly ForwardBatch. The aliasing contract is ForwardBatch's: rows are
 // valid until the next batched call, either flavor.
 func (m *MLP) ForwardBatchFast(xs [][]float64) [][]float64 {
+	return m.forwardBatch(m.indexBatch(xs), hasFMAKernel)
+}
+
+// ForwardBatchFastSparse is ForwardBatchFast on inputs given as SparseVecs;
+// every row is bit-identical to the row ForwardBatchFast returns for the dense
+// form of its input.
+func (m *MLP) ForwardBatchFastSparse(xs []SparseVec) [][]float64 {
+	for _, x := range xs {
+		m.checkSparse(x)
+	}
 	return m.forwardBatch(xs, hasFMAKernel)
 }
 
-func (m *MLP) forwardBatch(xs [][]float64, fma bool) [][]float64 {
-	nb := len(xs)
-	if nb == 0 {
-		return nil
-	}
+// indexBatch lists the non-zero elements of each dense input in m.bin.
+func (m *MLP) indexBatch(xs [][]float64) []SparseVec {
 	in0 := m.Layers[0].In
-	for _, x := range xs {
+	if len(m.bin) < len(xs) {
+		m.bin = append(m.bin, make([]SparseVec, len(xs)-len(m.bin))...)
+	}
+	bin := m.bin[:len(xs)]
+	for b, x := range xs {
 		if len(x) != in0 {
 			panic(fmt.Sprintf("nn: input size %d, want %d", len(x), in0))
 		}
+		bin[b].Index(x)
+	}
+	return bin
+}
+
+func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
+	nb := len(xs)
+	if nb == 0 {
+		return nil
 	}
 	if need := nb * m.maxOut; cap(m.bacts[0]) < need {
 		m.bacts[0] = make([]float64, need)
@@ -307,14 +422,18 @@ func (m *MLP) forwardBatch(xs [][]float64, fma bool) [][]float64 {
 	if cap(m.brows) < nb {
 		m.brows = make([][]float64, nb)
 	}
-	// Layer 0 reads the caller's rows where they lie; every deeper layer
-	// reads the plane the one before it wrote, through m.brows.
-	rows := xs
+	// Layer 0 reads the callers' lists; every deeper layer reads the plane
+	// the one before it wrote, through m.brows.
+	rows := m.brows[:nb]
 	for l, layer := range m.Layers {
 		out := layer.Out
 		next := m.bacts[l&1][:nb*out]
-		layer.forwardBlocked(rows, next, &m.blk, l == 0, fma)
-		rows = m.brows[:nb]
+		if l == 0 {
+			layer.forwardBlockedSparse(xs, next, &m.blk, fma)
+		} else {
+			layer.forwardBlocked(rows, next, &m.blk, fma)
+		}
+		layer.Act.applyTo(next)
 		for b := range rows {
 			rows[b] = next[b*out : (b+1)*out : (b+1)*out]
 		}
@@ -326,13 +445,16 @@ func (m *MLP) forwardBatch(xs [][]float64, fma bool) [][]float64 {
 // input elements a tile's dot products visit: steps are the element offsets of
 // its 4-wide steps over the first in&^3 inputs, ascending; idx is the same
 // steps spelled out element by element, followed by the in%4 tail. Layer 0
-// gets a plan per tile that leaves out every step whose inputs are zero in all
-// of the tile's samples (tilePlan); deeper layers use the dense plan, every
-// step and every index, cut from allSteps and allIdx.
+// gets a plan per tile that has only the steps some sample of the tile lists
+// an entry in (scatter); deeper layers use the dense plan, every step and
+// every index, cut from allSteps and allIdx.
 type blockScratch struct {
 	flags            []uint64 // one bit per 4-wide step of the tile being planned
 	steps, idx       []int32
 	allSteps, allIdx []int32
+	// rows are the dense form of the layer-0 tile in flight (made by the
+	// first scatter); between tiles every element is +0.
+	rows [4][]float64
 }
 
 func newBlockScratch(maxIn int) blockScratch {
@@ -353,26 +475,43 @@ func newBlockScratch(maxIn int) blockScratch {
 	return sc
 }
 
-// tilePlan returns the plan of one tile of layer-0 input rows, each in wide:
-// a 4-wide step is in it when any of its elements is non-zero in any row. The
-// in%4 tail is always in idx. The result is valid until the next plan is made.
-func (sc *blockScratch) tilePlan(tile [][]float64, in int) (steps, idx []int32) {
+// scatter writes one tile of layer-0 inputs, each in wide, into sc.rows and
+// returns the rows and the tile's plan: a 4-wide step is in it when any sample
+// lists an entry there, so a step left out holds +0 in every row and would
+// have added +-0 to every sum. The in%4 tail is always in idx. The caller runs
+// the kernel and hands the tile back to gather; rows and plan are valid until
+// the next scatter.
+func (sc *blockScratch) scatter(tile []SparseVec, in int) (rows [][]float64, steps, idx []int32) {
+	if len(sc.rows[0]) != in {
+		backing := make([]float64, 4*in)
+		for r := range sc.rows {
+			sc.rows[r] = backing[r*in : (r+1)*in : (r+1)*in]
+		}
+	}
 	nsteps := in / 4
 	flags := sc.flags[:(nsteps+63)/64]
 	clear(flags)
-	for _, x := range tile {
-		x = x[:4*nsteps]
-		for s := 0; s < nsteps; s++ {
-			// x != 0 on the bit patterns: shifting the sign out makes -0 a
-			// zero and leaves NaN a non-zero.
-			q := x[4*s : 4*s+4]
-			any := math.Float64bits(q[0]) | math.Float64bits(q[1]) | math.Float64bits(q[2]) | math.Float64bits(q[3])
-			if any<<1 != 0 {
+	for r, x := range tile {
+		row, val := sc.rows[r], x.Val[:len(x.Idx)]
+		for k, i := range x.Idx {
+			row[i] = val[k]
+			if s := int(i) >> 2; s < nsteps {
 				flags[s>>6] |= 1 << (s & 63)
 			}
 		}
 	}
-	return sc.flagged(flags, in)
+	steps, idx = sc.flagged(flags, in)
+	return sc.rows[:len(tile)], steps, idx
+}
+
+// gather undoes scatter: the elements the tile's lists wrote are zeroed again.
+func (sc *blockScratch) gather(tile []SparseVec) {
+	for r, x := range tile {
+		row := sc.rows[r]
+		for _, i := range x.Idx {
+			row[i] = 0
+		}
+	}
 }
 
 // flagged spells out the plan of the steps whose bit is set in flags.
@@ -391,8 +530,30 @@ func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
 	return steps, idx
 }
 
-// forwardBlocked computes next = act(rows · Wᵀ + b) into the row-major plane
-// next, register-blocked 4 batch rows x 2 neurons. The naive j-outer/b-inner
+// forwardBlockedSparse computes layer 0's pre-activations next = xs · Wᵀ + b:
+// each tile of four inputs is scattered into dense rows, run through the tile
+// kernel on its own plan, and gathered back.
+func (l *Layer) forwardBlockedSparse(xs []SparseVec, next []float64, sc *blockScratch, fma bool) {
+	for b := 0; b < len(xs); b += 4 {
+		tile := xs[b:min(b+4, len(xs))]
+		rows, steps, idx := sc.scatter(tile, l.In)
+		l.forwardTile(rows, next[b*l.Out:], steps, idx, fma)
+		sc.gather(tile)
+	}
+}
+
+// forwardBlocked computes a deeper layer's pre-activations next = rows · Wᵀ + b
+// tile by tile on the dense plan.
+func (l *Layer) forwardBlocked(rows [][]float64, next []float64, sc *blockScratch, fma bool) {
+	steps, idx := sc.allSteps[:l.In/4], sc.allIdx[:l.In]
+	for b := 0; b < len(rows); b += 4 {
+		l.forwardTile(rows[b:min(b+4, len(rows))], next[b*l.Out:], steps, idx, fma)
+	}
+}
+
+// forwardTile computes the pre-activations of one tile of up to four batch
+// rows into the row-major plane next (the tile's first row at next[0]),
+// register-blocked 4 batch rows x 2 neurons. The naive j-outer/b-inner
 // formulation runs each (neuron, sample) dot product as one dependent
 // float-add chain (latency-bound: one flop per FP-add latency) and re-streams
 // the whole batch from L2 once per neuron. The 4x2 tile keeps 8 independent
@@ -401,8 +562,8 @@ func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
 // samples and each loaded activation across 2 neurons — throughput-bound, and
 // the batch is streamed out/2 times instead of out times.
 //
-// Every loop walks the tile's plan (blockScratch): dense for deeper layers,
-// and for layer 0 (sparse) without the steps that are zero across the tile.
+// Every loop walks the plan it is given (blockScratch): dense for deeper
+// layers, and for layer 0 without the steps that are zero across the tile.
 // Without fma every accumulator starts at its neuron's bias and adds
 // w[i]*x[i] in ascending i — Forward's summation order less terms that are
 // +-0 — so the result is bit-identical to the scalar loop. With fma the 4x2
@@ -413,108 +574,98 @@ func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
 // have added +-0 to each lane, so the sparse plan leaves every lane, and the
 // row, bit-equal to the dense one. The bias and the in%4 tail are added in
 // scalar code; tile remainders (odd neuron, nb mod 4 samples) always take the
-// scalar order.
-func (l *Layer) forwardBlocked(rows [][]float64, next []float64, sc *blockScratch, sparse, fma bool) {
-	in, out, act := l.In, l.Out, l.Act
-	steps, idx := sc.allSteps[:in/4], sc.allIdx[:in]
-	var sums [8]float64
-	for b := 0; b < len(rows); b += 4 {
-		tile := rows[b:min(b+4, len(rows))]
-		if sparse {
-			steps, idx = sc.tilePlan(tile, in)
-		}
-		if len(tile) < 4 { // trailing samples (nb mod 4): one row at a time
-			for r, x := range tile {
-				x = x[:in]
-				for j := 0; j < out; j++ {
-					row := l.W[j*in : (j+1)*in]
-					z := l.B[j]
-					for _, i := range idx {
-						z += row[i] * x[i]
-					}
-					next[(b+r)*out+j] = act.apply(z)
+// scalar order. The caller applies the activation to the finished plane.
+func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32, fma bool) {
+	in, out := l.In, l.Out
+	if len(tile) < 4 { // trailing samples (nb mod 4): one row at a time
+		for r, x := range tile {
+			x = x[:in]
+			for j := 0; j < out; j++ {
+				row := l.W[j*in : (j+1)*in]
+				z := l.B[j]
+				for _, i := range idx {
+					z += row[i] * x[i]
 				}
+				next[r*out+j] = z
 			}
-			break
 		}
-		x0, x1, x2, x3 := tile[0][:in], tile[1][:in], tile[2][:in], tile[3][:in]
-		rest := idx // what the scalar loop of a 4x2 tile still has to add
-		if fma {
-			rest = idx[4*len(steps):]
+		return
+	}
+	x0, x1, x2, x3 := tile[0][:in], tile[1][:in], tile[2][:in], tile[3][:in]
+	rest := idx // what the scalar loop of a 4x2 tile still has to add
+	if fma {
+		rest = idx[4*len(steps):]
+	}
+	var sums [8]float64
+	j := 0
+	for ; j+2 <= out; j += 2 {
+		w0 := l.W[(j+0)*in : (j+1)*in]
+		w1 := l.W[(j+1)*in : (j+2)*in]
+		b0, b1 := l.B[j], l.B[j+1]
+		z00, z01 := b0, b1
+		z10, z11 := b0, b1
+		z20, z21 := b0, b1
+		z30, z31 := b0, b1
+		if fma && len(steps) > 0 {
+			fmaDot4x2(&w0[0], &w1[0], &x0[0], &x1[0], &x2[0], &x3[0], &steps[0], len(steps), &sums)
+			z00, z01 = z00+sums[0], z01+sums[1]
+			z10, z11 = z10+sums[2], z11+sums[3]
+			z20, z21 = z20+sums[4], z21+sums[5]
+			z30, z31 = z30+sums[6], z31+sums[7]
 		}
-		j := 0
-		for ; j+2 <= out; j += 2 {
-			w0 := l.W[(j+0)*in : (j+1)*in]
-			w1 := l.W[(j+1)*in : (j+2)*in]
-			b0, b1 := l.B[j], l.B[j+1]
-			z00, z01 := b0, b1
-			z10, z11 := b0, b1
-			z20, z21 := b0, b1
-			z30, z31 := b0, b1
-			if fma && len(steps) > 0 {
-				fmaDot4x2(&w0[0], &w1[0], &x0[0], &x1[0], &x2[0], &x3[0], &steps[0], len(steps), &sums)
-				z00, z01 = z00+sums[0], z01+sums[1]
-				z10, z11 = z10+sums[2], z11+sums[3]
-				z20, z21 = z20+sums[4], z21+sums[5]
-				z30, z31 = z30+sums[6], z31+sums[7]
-			}
-			for _, i := range rest {
-				w, v := w0[i], w1[i]
-				e0, e1, e2, e3 := x0[i], x1[i], x2[i], x3[i]
-				z00 += w * e0
-				z01 += v * e0
-				z10 += w * e1
-				z11 += v * e1
-				z20 += w * e2
-				z21 += v * e2
-				z30 += w * e3
-				z31 += v * e3
-			}
-			next[(b+0)*out+j] = act.apply(z00)
-			next[(b+0)*out+j+1] = act.apply(z01)
-			next[(b+1)*out+j] = act.apply(z10)
-			next[(b+1)*out+j+1] = act.apply(z11)
-			next[(b+2)*out+j] = act.apply(z20)
-			next[(b+2)*out+j+1] = act.apply(z21)
-			next[(b+3)*out+j] = act.apply(z30)
-			next[(b+3)*out+j+1] = act.apply(z31)
+		for _, i := range rest {
+			w, v := w0[i], w1[i]
+			e0, e1, e2, e3 := x0[i], x1[i], x2[i], x3[i]
+			z00 += w * e0
+			z01 += v * e0
+			z10 += w * e1
+			z11 += v * e1
+			z20 += w * e2
+			z21 += v * e2
+			z30 += w * e3
+			z31 += v * e3
 		}
-		if j < out { // odd trailing neuron: 4 samples, 1 weight row
-			w0 := l.W[j*in : (j+1)*in]
-			bj := l.B[j]
-			z0, z1, z2, z3 := bj, bj, bj, bj
-			for _, i := range idx {
-				w := w0[i]
-				z0 += w * x0[i]
-				z1 += w * x1[i]
-				z2 += w * x2[i]
-				z3 += w * x3[i]
-			}
-			next[(b+0)*out+j] = act.apply(z0)
-			next[(b+1)*out+j] = act.apply(z1)
-			next[(b+2)*out+j] = act.apply(z2)
-			next[(b+3)*out+j] = act.apply(z3)
+		next[0*out+j], next[0*out+j+1] = z00, z01
+		next[1*out+j], next[1*out+j+1] = z10, z11
+		next[2*out+j], next[2*out+j+1] = z20, z21
+		next[3*out+j], next[3*out+j+1] = z30, z31
+	}
+	if j < out { // odd trailing neuron: 4 samples, 1 weight row
+		w0 := l.W[j*in : (j+1)*in]
+		bj := l.B[j]
+		z0, z1, z2, z3 := bj, bj, bj, bj
+		for _, i := range idx {
+			w := w0[i]
+			z0 += w * x0[i]
+			z1 += w * x1[i]
+			z2 += w * x2[i]
+			z3 += w * x3[i]
 		}
+		next[0*out+j] = z0
+		next[1*out+j] = z1
+		next[2*out+j] = z2
+		next[3*out+j] = z3
 	}
 }
 
 // Backprop performs one SGD step given dLoss/dOutput evaluated at the current
 // forward pass of x. It recomputes the forward pass internally.
 func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
-	m.Forward(x)
-	m.backpropFromActs(outGrad, lr)
+	in := m.index(x)
+	y := m.forward(in, nil)
+	last := len(m.Layers) - 1
+	for j, g := range outGrad[:len(y)] {
+		m.deltas[last][j] = g * m.Layers[last].Act.derivFromOutput(y[j])
+	}
+	m.backprop(in, lr)
 }
 
-// backpropFromActs applies one SGD step using the activations left in m.acts
-// by the immediately preceding Forward call, avoiding a duplicate forward
-// pass. Callers must not have mutated weights since that Forward.
-func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
-	y := m.acts[len(m.Layers)]
+// backprop applies one SGD step from the output deltas the caller has left
+// in m.deltas[last], using the hidden activations left in m.acts by the
+// immediately preceding forward call on x, avoiding a duplicate forward pass.
+// Callers must not have mutated weights since that forward.
+func (m *MLP) backprop(x SparseVec, lr float64) {
 	last := len(m.Layers) - 1
-	outLayer := m.Layers[last]
-	for j := range m.deltas[last] {
-		m.deltas[last][j] = outGrad[j] * outLayer.Act.derivFromOutput(y[j])
-	}
 	// Propagate deltas backwards. The accumulation runs k-outer over the
 	// next layer's neurons: each delta[j] still sums its terms in ascending
 	// k order — bit-identical to the j-outer formulation — but zero deltas
@@ -542,9 +693,9 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			dl[j] *= layer.Act.derivFromOutput(outs[j])
 		}
 	}
-	// Apply gradients. Layer 0 updates only the weights of the non-zero inputs
-	// Forward indexed: the others would move by step*0.
-	nz, nzv := m.nz, m.nzv[:len(m.nz)]
+	// Apply gradients. Layer 0 updates only the weights of the listed inputs:
+	// the others would move by step*0.
+	idx, val := x.Idx, x.Val[:len(x.Idx)]
 	for l, layer := range m.Layers {
 		in := m.acts[l]
 		for j := 0; j < layer.Out; j++ {
@@ -555,8 +706,8 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			step := lr * d
 			if l == 0 {
-				for k, i := range nz {
-					row[i] -= step * nzv[k]
+				for k, i := range idx {
+					row[i] -= step * val[k]
 				}
 			} else {
 				for i := range row {
@@ -571,21 +722,19 @@ func (m *MLP) backpropFromActs(outGrad []float64, lr float64) {
 // TrainMSE performs one SGD step toward target under 0.5*sum((y-t)^2) loss
 // and returns the pre-step loss.
 func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
-	y := m.Forward(x)
+	in := m.index(x)
+	y := m.forward(in, nil)
 	if len(target) != len(y) {
 		panic("nn: target size mismatch")
 	}
-	grad := m.grad
+	last := len(m.Layers) - 1
 	loss := 0.0
 	for j := range y {
 		e := y[j] - target[j]
-		grad[j] = e
+		m.deltas[last][j] = e * m.Layers[last].Act.derivFromOutput(y[j])
 		loss += 0.5 * e * e
 	}
-	m.backpropFromActs(grad, lr)
-	for j := range grad {
-		grad[j] = 0
-	}
+	m.backprop(in, lr)
 	return loss
 }
 
@@ -593,15 +742,31 @@ func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
 // output is pushed toward target; all other outputs receive zero gradient.
 // It returns the pre-step squared error on the action.
 func (m *MLP) TrainAction(x []float64, action int, target, lr float64) float64 {
-	y := m.Forward(x)
-	if action < 0 || action >= len(y) {
-		panic(fmt.Sprintf("nn: action %d out of range %d", action, len(y)))
+	return m.trainAction(m.index(x), action, target, lr)
+}
+
+// TrainActionSparse is TrainAction on an input given as a SparseVec: the same
+// returned error and the same weights afterwards, bit for bit, as TrainAction
+// on the dense form of x.
+func (m *MLP) TrainActionSparse(x SparseVec, action int, target, lr float64) float64 {
+	m.checkSparse(x)
+	return m.trainAction(x, action, target, lr)
+}
+
+// trainAction computes the action's output alone: the other outputs are not
+// needed for a gradient that is zero, and their deltas are set to zero
+// directly.
+func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
+	if n := m.OutputSize(); action < 0 || action >= n {
+		panic(fmt.Sprintf("nn: action %d out of range %d", action, n))
 	}
+	want := [1]int{action}
+	y := m.forward(x, want[:])
 	e := y[action] - target
-	grad := m.grad
-	grad[action] = e
-	m.backpropFromActs(grad, lr)
-	grad[action] = 0
+	last := len(m.Layers) - 1
+	clear(m.deltas[last])
+	m.deltas[last][action] = e * m.Layers[last].Act.derivFromOutput(y[action])
+	m.backprop(x, lr)
 	return e * e
 }
 

@@ -34,6 +34,20 @@ func apuStates(n int, seed int64) [][]float64 {
 	return xs
 }
 
+// apuSparseStates is apuStates in the form the agent and replay memory hold
+// states in.
+func apuSparseStates(n int, seed int64) []SparseVec {
+	svs := make([]SparseVec, n)
+	for i, x := range apuStates(n, seed) {
+		svs[i].Index(x)
+	}
+	return svs
+}
+
+// BenchmarkHotMLPForward stays on the dense entry point, like
+// BenchmarkHotTrainAction and the batch benchmarks below: the cost of listing
+// a 504-wide input's non-zero elements is part of what they keep on record.
+// The *Sparse benchmarks are the same work as the agent does it.
 func BenchmarkHotMLPForward(b *testing.B) {
 	m := apuNet()
 	xs := apuStates(64, 7)
@@ -41,6 +55,19 @@ func BenchmarkHotMLPForward(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Forward(xs[i%len(xs)])
+	}
+}
+
+// BenchmarkHotMLPForwardSparse is one decision's inference as core.Agent.Select
+// runs it: the state as a SparseVec and the Q-values of three candidates.
+func BenchmarkHotMLPForwardSparse(b *testing.B) {
+	m := apuNet()
+	xs := apuSparseStates(64, 7)
+	outs := []int{3, 17, 40}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardSparse(xs[i%len(xs)], outs)
 	}
 }
 
@@ -66,6 +93,17 @@ func BenchmarkHotTrainAction(b *testing.B) {
 	}
 }
 
+// BenchmarkHotTrainActionSparse is one SGD step as rl.DQL.TrainBatch runs it.
+func BenchmarkHotTrainActionSparse(b *testing.B) {
+	m := apuNet()
+	xs := apuSparseStates(64, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainActionSparse(xs[i%len(xs)], i%m.OutputSize(), 0.5, 0.001)
+	}
+}
+
 func BenchmarkHotTrainActionDense(b *testing.B) {
 	m := apuNet()
 	x := randVec(m.InputSize(), 7)
@@ -87,6 +125,18 @@ func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.ForwardBatchFast(xs)
+	}
+}
+
+// BenchmarkHotMLPForwardBatchSparse32 is the target bootstrap of one training
+// batch as rl.DQL.TrainBatch runs it.
+func BenchmarkHotMLPForwardBatchSparse32(b *testing.B) {
+	m := apuNet()
+	xs := apuSparseStates(32, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardBatchFastSparse(xs)
 	}
 }
 

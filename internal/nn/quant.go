@@ -109,14 +109,13 @@ func Quantize(m *MLP, calib [][]float64) *Quantized {
 		panic("nn: Quantize needs at least one calibration input")
 	}
 	// Plane ranges: planeMax[0] is the input plane, planeMax[l+1] layer l's
-	// output plane. Forward leaves per-layer activations in m.acts.
+	// output plane, which Forward leaves in m.acts[l+1].
 	planeMax := make([]float64, len(m.Layers)+1)
 	for _, x := range calib {
 		m.Forward(x)
-		for p := range planeMax {
-			if a := maxAbs(m.acts[p]); a > planeMax[p] {
-				planeMax[p] = a
-			}
+		planeMax[0] = max(planeMax[0], maxAbs(x))
+		for p := 1; p < len(planeMax); p++ {
+			planeMax[p] = max(planeMax[p], maxAbs(m.acts[p]))
 		}
 	}
 	scale := make([]float64, len(planeMax))
@@ -316,8 +315,10 @@ func (q *Quantized) ForwardBatch(xs [][]float64) [][]float64 {
 	return rows
 }
 
-// tilePlanQ is tilePlan for a tile of quantized layer-0 input rows. The int8
-// kernel has no 4-wide microkernel, so only the element list is returned.
+// tilePlanQ returns the plan of one tile of quantized layer-0 input rows, each
+// in wide: a 4-wide step is in it when any of its elements is non-zero in any
+// row. The int8 kernel has no 4-wide microkernel, so only the element list is
+// returned.
 func (sc *blockScratch) tilePlanQ(tile [][]int8, in int) (idx []int32) {
 	nsteps := in / 4
 	flags := sc.flags[:(nsteps+63)/64]
@@ -334,7 +335,7 @@ func (sc *blockScratch) tilePlanQ(tile [][]int8, in int) (idx []int32) {
 	return idx
 }
 
-// forwardBlockedQ is the INT8 analog of Layer.forwardBlocked: a 4-sample x
+// forwardBlockedQ is the INT8 analog of Layer.forwardTile: a 4-sample x
 // 2-neuron register tile of int32 accumulators over int8 operands — in
 // software what the paper's MAC array does in parallel hardware — walking the
 // same plans: dense for deeper layers, and for layer 0 (sparse) without the

@@ -6,16 +6,17 @@ import (
 	"testing"
 )
 
-// This file pins the input-sparse first layer (see MLP) against dense
-// references that exist only here: denseForward/denseBackprop are the layer
-// loops as they were before layer 0 learned to skip zeros, denseStepBatch
-// drives the production blocked kernels with the dense plan on every layer,
-// and fmaRefBatch spells the AVX2+FMA microkernel's arithmetic out in Go.
-// Every comparison is on math.Float64bits.
+// This file pins the input-sparse first layer and the selected outputs (see
+// MLP) against dense references that exist only here: denseForward/
+// denseBackprop are the layer loops as they were before layer 0 learned to
+// skip zeros, computing every output; denseStepBatch drives the production
+// tile kernel with the dense plan on every layer, and fmaRefBatch spells the
+// AVX2+FMA microkernel's arithmetic out in Go. The dense entry points and the
+// sparse ones are both held to them. Every comparison is on math.Float64bits.
 
 // denseForward is Forward with every layer dense, on m's own scratch.
 func denseForward(m *MLP, x []float64) []float64 {
-	copy(m.acts[0], x)
+	m.acts[0] = append(m.acts[0][:0], x...)
 	for l, layer := range m.Layers {
 		in, out := m.acts[l], m.acts[l+1]
 		for j := 0; j < layer.Out; j++ {
@@ -196,49 +197,103 @@ func requireSameWeights(t *testing.T, what string, got, want *MLP) {
 	}
 }
 
+// listed returns x as a SparseVec that lists its non-zero elements and, where
+// explicit says so, its zeros too (with their sign).
+func listed(x []float64, explicit func(i int) bool) SparseVec {
+	var v SparseVec
+	for i, e := range x {
+		if e != 0 || explicit(i) {
+			v.Idx = append(v.Idx, int32(i))
+			v.Val = append(v.Val, e)
+		}
+	}
+	return v
+}
+
+// requireSelectedOutputs asks m for the outputs of x in outs alone and holds
+// each to the full reference row want.
+func requireSelectedOutputs(t *testing.T, what string, m *MLP, x SparseVec, outs []int, want []float64) {
+	t.Helper()
+	got := m.ForwardSparse(x, outs)
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d outputs, want %d", what, len(got), len(want))
+	}
+	for _, j := range outs {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s outs %v: output %d is %v (%#x), want %v (%#x)", what, outs, j,
+				got[j], math.Float64bits(got[j]), want[j], math.Float64bits(want[j]))
+		}
+	}
+}
+
+// subsetOf returns the elements of 0..n-1 whose bit is set in mask.
+func subsetOf(mask uint64, n int) []int {
+	var outs []int
+	for j := 0; j < n; j++ {
+		if mask>>j&1 != 0 {
+			outs = append(outs, j)
+		}
+	}
+	return outs
+}
+
 // TestSparseTrainingMatchesDense runs 500 mixed TrainAction/TrainMSE steps on
-// the production network and on a clone trained by the dense reference, over
-// every input kind, and requires every returned loss, every output and, at the
-// end, every weight and bias to be bit-equal.
+// the production network through its dense entry points, on a second one
+// through the sparse entry points (vectors that list one zero in eight
+// explicitly), and on a clone trained by the dense reference, over every input
+// kind, and requires every returned loss, every output — asked for in full, one
+// by one and in random subsets — and, at the end, every weight and bias to be
+// bit-equal.
 func TestSparseTrainingMatchesDense(t *testing.T) {
 	for _, arch := range sparseArchs {
 		rng := rand.New(rand.NewSource(21))
 		m := New(arch.sizes, arch.acts, rng)
-		ref := m.Clone()
+		sp, ref := m.Clone(), m.Clone()
+		nout := m.OutputSize()
 		for step := 0; step < 500; step++ {
 			kind := inputKinds[rng.Intn(len(inputKinds))]
 			x := kind.gen(rng, m.InputSize())
+			sv := listed(x, func(int) bool { return rng.Intn(8) == 0 })
 			what := kind.name
-			requireSameBits(t, what+" outputs", m.Forward(x), denseForward(ref, x))
-			var got, want float64
+			want := append([]float64(nil), denseForward(ref, x)...)
+			requireSameBits(t, what+" outputs", m.Forward(x), want)
+			requireSameBits(t, what+" outputs, sparse entry", sp.ForwardSparse(sv, nil), want)
+			requireSelectedOutputs(t, what, sp, sv, []int{step % nout}, want)
+			requireSelectedOutputs(t, what, sp, sv, subsetOf(rng.Uint64(), nout), want)
+			var got, gotSparse float64
 			if rng.Intn(2) == 0 {
-				a, target := rng.Intn(m.OutputSize()), rng.Float64()
+				a, target := rng.Intn(nout), rng.Float64()
 				got = m.TrainAction(x, a, target, 0.05)
-				want = denseTrainAction(ref, x, a, target, 0.05)
+				gotSparse = sp.TrainActionSparse(sv, a, target, 0.05)
+				want[0] = denseTrainAction(ref, x, a, target, 0.05)
 			} else {
-				target := make([]float64, m.OutputSize())
+				target := make([]float64, nout)
 				for j := range target {
 					target[j] = rng.Float64()
 				}
 				got = m.TrainMSE(x, target, 0.05)
-				want = denseTrainMSE(ref, x, target, 0.05)
+				gotSparse = sp.TrainMSE(x, target, 0.05)
+				want[0] = denseTrainMSE(ref, x, target, 0.05)
 			}
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("%v step %d (%s): loss %v, dense reference %v", arch.sizes, step, what, got, want)
+			if math.Float64bits(got) != math.Float64bits(want[0]) || math.Float64bits(gotSparse) != math.Float64bits(want[0]) {
+				t.Fatalf("%v step %d (%s): loss %v, through the sparse entry %v, dense reference %v",
+					arch.sizes, step, what, got, gotSparse, want[0])
 			}
 		}
 		requireSameWeights(t, "after 500 steps", m, ref)
+		requireSameWeights(t, "after 500 steps through the sparse entry", sp, ref)
 	}
 }
 
 // denseStepBatch is forwardBatch with the dense plan on every layer: the
-// production blocked kernels, visiting every 4-wide step.
+// production tile kernel, visiting every 4-wide step of rows read in place.
 func denseStepBatch(m *MLP, xs [][]float64, fma bool) [][]float64 {
 	sc := newBlockScratch(m.InputSize() + m.maxOut)
 	rows := xs
 	for _, layer := range m.Layers {
 		next := make([]float64, len(xs)*layer.Out)
-		layer.forwardBlocked(rows, next, &sc, false, fma)
+		layer.forwardBlocked(rows, next, &sc, fma)
+		layer.Act.applyTo(next)
 		rows = make([][]float64, len(xs))
 		for b := range rows {
 			rows[b] = next[b*layer.Out : (b+1)*layer.Out]
@@ -294,28 +349,49 @@ func mixedBatch(rng *rand.Rand, nb, n int) [][]float64 {
 
 // TestForwardBatchSparseMatchesDense pins both batch kernels on tiles mixing
 // sparse and dense samples, with and without trailing samples: ForwardBatch
-// rows equal sequential Forward and the dense-step blocked kernel, and
-// ForwardBatchFast rows equal the dense-step FMA kernel and its Go spelling.
+// rows equal sequential Forward and the dense-step blocked kernel,
+// ForwardBatchFast rows equal the dense-step FMA kernel and its Go spelling,
+// and the same batch handed over as SparseVecs (one zero in eight listed
+// explicitly) gives the same rows on either kernel.
 func TestForwardBatchSparseMatchesDense(t *testing.T) {
 	for _, arch := range sparseArchs {
 		rng := rand.New(rand.NewSource(33))
 		m := New(arch.sizes, arch.acts, rng)
 		for _, nb := range []int{1, 3, 4, 5, 8, 31, 32, 33} {
 			xs := mixedBatch(rng, nb, m.InputSize())
+			svs := make([]SparseVec, nb)
+			for b, x := range xs {
+				svs[b] = listed(x, func(int) bool { return rng.Intn(8) == 0 })
+			}
 			exact := m.ForwardBatch(xs)
 			for b, x := range xs {
 				requireSameBits(t, "ForwardBatch row vs Forward", exact[b], m.Forward(x))
 			}
-			for b, row := range denseStepBatch(m, xs, false) {
+			exactRef := denseStepBatch(m, xs, false)
+			for b, row := range exactRef {
 				requireSameBits(t, "ForwardBatch row vs dense steps", exact[b], row)
 			}
-			fast := m.ForwardBatchFast(xs)
-			for b, row := range denseStepBatch(m, xs, hasFMAKernel) {
-				requireSameBits(t, "ForwardBatchFast row vs dense steps", fast[b], row)
+			for b, row := range m.forwardBatch(svs, false) {
+				requireSameBits(t, "exact kernel on sparse inputs vs dense steps", row, exactRef[b])
+			}
+			fastRef := denseStepBatch(m, xs, hasFMAKernel)
+			for b, row := range m.ForwardBatchFast(xs) {
+				requireSameBits(t, "ForwardBatchFast row vs dense steps", row, fastRef[b])
+			}
+			fast := m.ForwardBatchFastSparse(svs)
+			for b, row := range fastRef {
+				requireSameBits(t, "ForwardBatchFastSparse row vs dense steps", fast[b], row)
 			}
 			if hasFMAKernel {
 				for b, row := range fmaRefBatch(m, xs) {
-					requireSameBits(t, "ForwardBatchFast row vs Go FMA reference", fast[b], row)
+					requireSameBits(t, "ForwardBatchFastSparse row vs Go FMA reference", fast[b], row)
+				}
+			}
+			for b := range m.blk.rows {
+				for i, v := range m.blk.rows[b] {
+					if math.Float64bits(v) != 0 {
+						t.Fatalf("tile scratch row %d element %d left at %v after the batch", b, i, v)
+					}
 				}
 			}
 		}
@@ -323,9 +399,11 @@ func TestForwardBatchSparseMatchesDense(t *testing.T) {
 }
 
 // FuzzForwardSparseMatchesDense builds a small network and inputs from the
-// fuzzer's bytes (0 and 1 decode to +0 and -0, so zeros are common) and
-// requires Forward, one TrainAction step and ForwardBatch to be bit-equal to
-// the dense reference.
+// fuzzer's bytes and requires the dense entry points (Forward, TrainAction,
+// ForwardBatch) and the sparse ones (ForwardSparse for every subset of the
+// outputs, TrainActionSparse, the batch on either kernel) to be bit-equal to
+// the dense reference. Byte 0 decodes to +0, 1 to -0 and 2 to a +0 that the
+// SparseVec lists explicitly, as it does every -0, so zeros are common.
 func FuzzForwardSparseMatchesDense(f *testing.F) {
 	f.Add(int64(1), uint8(12), uint8(5), uint8(3), []byte{0, 0, 0, 0, 9, 200, 1, 0, 0, 0, 0, 0, 77})
 	f.Add(int64(2), uint8(3), uint8(0), uint8(2), []byte{1, 1, 1})
@@ -338,35 +416,53 @@ func FuzzForwardSparseMatchesDense(f *testing.F) {
 			sizes, acts = []int{sizes[0], sizes[2]}, []Activation{Identity}
 		}
 		m := New(sizes, acts, rand.New(rand.NewSource(seed)))
-		ref := m.Clone()
+		sp, ref := m.Clone(), m.Clone()
 		// Up to five inputs, cut from raw one after another; short ones are
 		// zero-padded.
 		n := m.InputSize()
 		var xs [][]float64
+		var svs []SparseVec
 		for len(xs) == 0 || (len(raw) > 0 && len(xs) < 5) {
 			x := make([]float64, n)
+			explicit := make([]bool, n)
 			for i := 0; i < n && len(raw) > 0; i, raw = i+1, raw[1:] {
 				switch b := raw[0]; b {
 				case 0:
 				case 1:
-					x[i] = math.Copysign(0, -1)
+					x[i], explicit[i] = math.Copysign(0, -1), true
+				case 2:
+					explicit[i] = true
 				default:
 					x[i] = (float64(b) - 128) / 32
 				}
 			}
 			xs = append(xs, x)
+			svs = append(svs, listed(x, func(i int) bool { return explicit[i] }))
 		}
+		exact, fast := sp.forwardBatch(svs, false), denseStepBatch(ref, xs, hasFMAKernel)
 		for b, row := range m.ForwardBatch(xs) {
-			requireSameBits(t, "ForwardBatch row", row, denseForward(ref, xs[b]))
+			want := denseForward(ref, xs[b])
+			requireSameBits(t, "ForwardBatch row", row, want)
+			requireSameBits(t, "exact batch kernel on sparse inputs", exact[b], want)
 		}
-		for _, x := range xs {
-			requireSameBits(t, "outputs", m.Forward(x), denseForward(ref, x))
-			a := int(seed&0xff) % m.OutputSize()
-			got, want := m.TrainAction(x, a, 0.5, 0.1), denseTrainAction(ref, x, a, 0.5, 0.1)
-			if math.Float64bits(got) != math.Float64bits(want) {
-				t.Fatalf("TrainAction error %v, dense reference %v", got, want)
+		for b, row := range sp.ForwardBatchFastSparse(svs) {
+			requireSameBits(t, "ForwardBatchFastSparse row", row, fast[b])
+		}
+		nout := m.OutputSize()
+		for b, x := range xs {
+			want := append([]float64(nil), denseForward(ref, x)...)
+			requireSameBits(t, "outputs", m.Forward(x), want)
+			for mask := uint64(0); mask < 1<<nout; mask++ {
+				requireSelectedOutputs(t, "sparse entry", sp, svs[b], subsetOf(mask, nout), want)
+			}
+			a := int(seed&0xff) % nout
+			got, gotSparse := m.TrainAction(x, a, 0.5, 0.1), sp.TrainActionSparse(svs[b], a, 0.5, 0.1)
+			if want := denseTrainAction(ref, x, a, 0.5, 0.1); math.Float64bits(got) != math.Float64bits(want) ||
+				math.Float64bits(gotSparse) != math.Float64bits(want) {
+				t.Fatalf("TrainAction error %v, through the sparse entry %v, dense reference %v", got, gotSparse, want)
 			}
 		}
 		requireSameWeights(t, "after training", m, ref)
+		requireSameWeights(t, "after training through the sparse entry", sp, ref)
 	})
 }

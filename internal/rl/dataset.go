@@ -29,16 +29,34 @@ func NewDataset(stateSize, actions int) *Dataset {
 	return &Dataset{StateSize: stateSize, Actions: actions}
 }
 
-// Add appends one experience after validating its shape.
-func (d *Dataset) Add(e Experience) {
-	if len(e.State) != d.StateSize {
-		panic(fmt.Sprintf("rl: record state size %d, want %d", len(e.State), d.StateSize))
+// check reports what is wrong with e as a record of this dataset, if anything:
+// both states must be well-formed StateSize-wide sparse vectors (a terminal
+// record's Next is not looked at) and every action index within [0, Actions).
+func (d *Dataset) check(e *Experience) error {
+	if err := e.State.Validate(d.StateSize); err != nil {
+		return fmt.Errorf("state: %w", err)
 	}
 	if e.Action < 0 || e.Action >= d.Actions {
-		panic(fmt.Sprintf("rl: record action %d out of %d", e.Action, d.Actions))
+		return fmt.Errorf("action %d out of %d", e.Action, d.Actions)
 	}
-	if e.Next != nil && len(e.Next) != d.StateSize {
-		panic("rl: record next-state size mismatch")
+	if e.Terminal {
+		return nil
+	}
+	if err := e.Next.Validate(d.StateSize); err != nil {
+		return fmt.Errorf("next state: %w", err)
+	}
+	for _, a := range e.NextValid {
+		if a < 0 || a >= d.Actions {
+			return fmt.Errorf("next-valid action %d out of %d", a, d.Actions)
+		}
+	}
+	return nil
+}
+
+// Add appends one experience after validating its shape.
+func (d *Dataset) Add(e Experience) {
+	if err := d.check(&e); err != nil {
+		panic(fmt.Sprintf("rl: record %v", err))
 	}
 	d.Records = append(d.Records, e)
 }
@@ -46,12 +64,16 @@ func (d *Dataset) Add(e Experience) {
 // Len returns the number of records.
 func (d *Dataset) Len() int { return len(d.Records) }
 
-// Save writes the dataset in gob format.
+// Save writes the dataset in gob format: the shapes, then the records with
+// their states as index and value lists.
 func (d *Dataset) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(d)
 }
 
-// LoadDataset reads a dataset previously written with Save.
+// LoadDataset reads a dataset previously written with Save and validates every
+// record, so that a malformed file fails here and not inside training. Files
+// that hold dense state vectors (written before states became sparse) do not
+// decode.
 func LoadDataset(r io.Reader) (*Dataset, error) {
 	var d Dataset
 	if err := gob.NewDecoder(r).Decode(&d); err != nil {
@@ -60,9 +82,9 @@ func LoadDataset(r io.Reader) (*Dataset, error) {
 	if d.StateSize <= 0 || d.Actions <= 0 {
 		return nil, fmt.Errorf("rl: load dataset: malformed shapes")
 	}
-	for i, e := range d.Records {
-		if len(e.State) != d.StateSize || e.Action < 0 || e.Action >= d.Actions {
-			return nil, fmt.Errorf("rl: load dataset: record %d malformed", i)
+	for i := range d.Records {
+		if err := d.check(&d.Records[i]); err != nil {
+			return nil, fmt.Errorf("rl: load dataset: record %d: %w", i, err)
 		}
 	}
 	return &d, nil
@@ -86,27 +108,12 @@ func (d *DQL) TrainOffline(rng *rand.Rand, data *Dataset, epochs int) float64 {
 		for i := 0; i < data.Len(); i++ {
 			e := &data.Records[rng.Intn(data.Len())]
 			target := e.Reward
-			if e.Next != nil {
-				q := d.Target.Forward(e.Next)
-				var best float64
-				if len(e.NextValid) > 0 {
-					best = q[e.NextValid[0]]
-					for _, a := range e.NextValid[1:] {
-						if q[a] > best {
-							best = q[a]
-						}
-					}
-				} else {
-					best = q[0]
-					for _, v := range q[1:] {
-						if v > best {
-							best = v
-						}
-					}
-				}
-				target += d.Cfg.Gamma * best
+			if !e.Terminal {
+				// The target network computes the Q-values the max is over,
+				// not the others.
+				target += d.Cfg.Gamma * bootstrap(d.Target.ForwardSparse(e.Next, e.NextValid), e.NextValid)
 			}
-			total += d.Online.TrainAction(e.State, e.Action, target, d.Cfg.LR)
+			total += d.Online.TrainActionSparse(e.State, e.Action, target, d.Cfg.LR)
 			d.steps++
 			if d.steps%d.Cfg.SyncEvery == 0 {
 				d.Target.CopyFrom(d.Online)

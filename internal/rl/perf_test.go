@@ -30,10 +30,10 @@ func benchDQL() (*DQL, *rand.Rand) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < d.Replay.Cap(); i++ {
 		d.Observe(Experience{
-			State:     sparseStateVec(rng, 60, 4, 2+rng.Intn(2)),
+			State:     sparse(sparseStateVec(rng, 60, 4, 2+rng.Intn(2))),
 			Action:    rng.Intn(15),
 			Reward:    rng.Float64(),
-			Next:      sparseStateVec(rng, 60, 4, 2+rng.Intn(2)),
+			Next:      sparse(sparseStateVec(rng, 60, 4, 2+rng.Intn(2))),
 			NextValid: []int{rng.Intn(5), 5 + rng.Intn(5), 10 + rng.Intn(5)},
 		})
 	}
@@ -96,7 +96,7 @@ func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
 		t.Fatal("TrainBatch on an empty replay memory trained or built the target")
 	}
 	before := d.Online.Clone()
-	d.Observe(Experience{State: sparseStateVec(rng, 60, 4, 2), Action: 3, Reward: 1, Next: sparseStateVec(rng, 60, 4, 2)})
+	d.Observe(Experience{State: sparse(sparseStateVec(rng, 60, 4, 2)), Action: 3, Reward: 1, Next: sparse(sparseStateVec(rng, 60, 4, 2))})
 	d.TrainBatch(rng)
 	if d.Target == nil || d.Target == d.Online || d.Steps() != 2 {
 		t.Fatalf("after training: target %p online %p steps %d", d.Target, d.Online, d.Steps())

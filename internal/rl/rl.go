@@ -14,18 +14,46 @@ import (
 )
 
 // Experience is one <state, action, reward, next state> tuple (Fig. 3 of the
-// paper). Next may be nil when no successor state was observed before the
-// episode ended; such experiences train without a bootstrapped future term.
+// paper). States are held in the sparse form the Q-network takes them in
+// (nn.SparseVec: a dozen entries per competing message of a state that is
+// otherwise zero padding), which is also how replay memory and datasets store
+// them.
 type Experience struct {
-	State  []float64
+	State  nn.SparseVec
 	Action int
 	Reward float64
-	Next   []float64
+	// Next is the successor state. It is meaningless when Terminal is set: no
+	// successor was observed before the episode ended, and the experience
+	// trains without a bootstrapped future term. An empty Next is a state
+	// like any other (all zeros), never a terminal marker.
+	Next     nn.SparseVec
+	Terminal bool
 	// NextValid lists the action indices that were actually available in the
 	// next state (occupied buffer slots). When non-empty, the Bellman max is
 	// restricted to them, so the bootstrap never flows through Q-values of
 	// empty buffers that can never be selected.
 	NextValid []int
+}
+
+// bootstrap returns the Bellman max over the next state's Q-values q: over
+// the actions valid lists when it lists any, else over all of q.
+func bootstrap(q []float64, valid []int) float64 {
+	if len(valid) > 0 {
+		best := q[valid[0]]
+		for _, a := range valid[1:] {
+			if q[a] > best {
+				best = q[a]
+			}
+		}
+		return best
+	}
+	best := q[0]
+	for _, v := range q[1:] {
+		if v > best {
+			best = v
+		}
+	}
+	return best
 }
 
 // Replay is the circular experience-replay buffer used to decorrelate
@@ -41,8 +69,8 @@ type Replay struct {
 
 	// OnEvict, when non-nil, is called with the experience about to be
 	// overwritten each time Add lands on a full ring. The receiver may
-	// recycle e.State and e.NextValid: the ring is FIFO, so by the time an
-	// experience is evicted the older neighbor whose Next aliased this
+	// recycle e.State's storage and e.NextValid: the ring is FIFO, so by the
+	// time an experience is evicted the older neighbor whose Next aliased this
 	// experience's State is already gone, and no live experience can still
 	// reference the recycled slices.
 	OnEvict func(e *Experience)
@@ -163,7 +191,7 @@ type DQL struct {
 	// batch and nextStates are TrainBatch scratch, grown once and reused so
 	// steady-state training performs zero heap allocations.
 	batch      []*Experience
-	nextStates [][]float64
+	nextStates []nn.SparseVec
 }
 
 // NewDQL wraps an online network with a target copy and replay memory.
@@ -197,15 +225,15 @@ func (d *DQL) Observe(e Experience) { d.Replay.Add(e) }
 // squared TD error of the batch and is a no-op returning 0 when replay is
 // empty.
 //
-// Target-network inference is batched through ForwardBatchFast for speed, in
-// chunks that never straddle a target-network sync: every experience sees the
-// exact target weights the one-Forward-per-experience loop would have used.
-// On amd64 with AVX2 the fast path's FMA contraction may perturb target
-// Q-values by a few ULPs relative to sequential Forward — deterministic for a
-// given platform and seed, but trajectories are pinned per-platform rather
-// than cross-platform. The returned rows alias the target network's batch
-// scratch; each chunk is fully consumed (Bellman max extracted) before the
-// next chunk's ForwardBatchFast call invalidates them.
+// Target-network inference is batched through ForwardBatchFastSparse for
+// speed, in chunks that never straddle a target-network sync: every experience
+// sees the exact target weights the one-forward-per-experience loop would have
+// used. On amd64 with AVX2 the fast path's FMA contraction may perturb target
+// Q-values by a few ULPs relative to a sequential forward pass — deterministic
+// for a given platform and seed, but trajectories are pinned per-platform
+// rather than cross-platform. The returned rows alias the target network's
+// batch scratch; each chunk is fully consumed (Bellman max extracted) before
+// the next chunk's batched call invalidates them.
 func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	if d.Replay.Len() == 0 {
 		return 0
@@ -214,7 +242,7 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	n := d.Cfg.BatchSize
 	if cap(d.batch) < n {
 		d.batch = make([]*Experience, n)
-		d.nextStates = make([][]float64, n)
+		d.nextStates = make([]nn.SparseVec, n)
 	}
 	batch := d.batch[:n]
 	d.Replay.SampleInto(rng, batch)
@@ -229,39 +257,19 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 		// Batched target inference for this chunk's non-terminal successors.
 		ns := d.nextStates[:0]
 		for _, e := range batch[start : start+chunk] {
-			if e.Next != nil {
+			if !e.Terminal {
 				ns = append(ns, e.Next)
 			}
 		}
-		var qs [][]float64
-		if len(ns) > 0 {
-			qs = d.Target.ForwardBatchFast(ns)
-		}
+		qs := d.Target.ForwardBatchFastSparse(ns)
 		qi := 0
 		for _, e := range batch[start : start+chunk] {
 			target := e.Reward
-			if e.Next != nil {
-				q := qs[qi]
+			if !e.Terminal {
+				target += d.Cfg.Gamma * bootstrap(qs[qi], e.NextValid)
 				qi++
-				var best float64
-				if len(e.NextValid) > 0 {
-					best = q[e.NextValid[0]]
-					for _, a := range e.NextValid[1:] {
-						if q[a] > best {
-							best = q[a]
-						}
-					}
-				} else {
-					best = q[0]
-					for _, v := range q[1:] {
-						if v > best {
-							best = v
-						}
-					}
-				}
-				target += d.Cfg.Gamma * best
 			}
-			total += d.Online.TrainAction(e.State, e.Action, target, d.Cfg.LR)
+			total += d.Online.TrainActionSparse(e.State, e.Action, target, d.Cfg.LR)
 			d.steps++
 			if d.Cfg.SyncEvery > 0 && d.steps%d.Cfg.SyncEvery == 0 {
 				d.Target.CopyFrom(d.Online)

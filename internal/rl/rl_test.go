@@ -16,6 +16,20 @@ func newNet(seed int64, in, hidden, out int) *nn.MLP {
 		rand.New(rand.NewSource(seed)))
 }
 
+// sparse returns x's non-zero elements as the nn.SparseVec experiences hold.
+func sparse(x []float64) nn.SparseVec {
+	var v nn.SparseVec
+	v.Index(x)
+	return v.Clone()
+}
+
+// dense writes v out as the n-wide vector the dense entry points take.
+func dense(v nn.SparseVec, n int) []float64 {
+	x := make([]float64, n)
+	v.ScatterInto(x)
+	return x
+}
+
 func TestReplayRingSemantics(t *testing.T) {
 	r := NewReplay(3)
 	if r.Len() != 0 || r.Cap() != 3 {
@@ -110,7 +124,7 @@ func TestDQLLearnsBandit(t *testing.T) {
 		if a == best {
 			reward = 1
 		}
-		d.Observe(Experience{State: s, Action: a, Reward: reward, Next: s, NextValid: []int{0, 1}})
+		d.Observe(Experience{State: sparse(s), Action: a, Reward: reward, Next: sparse(s), NextValid: []int{0, 1}})
 		d.TrainBatch(rng)
 	}
 	qa := d.Online.Forward(stateA)
@@ -137,7 +151,7 @@ func TestDQLBellmanTarget(t *testing.T) {
 	want := 1.0 + 0.9*qNext[2]
 	before := d.Online.Forward(s)[1]
 
-	d.Observe(Experience{State: s, Action: 1, Reward: 1, Next: next, NextValid: []int{2}})
+	d.Observe(Experience{State: sparse(s), Action: 1, Reward: 1, Next: sparse(next), NextValid: []int{2}})
 	d.TrainBatch(rand.New(rand.NewSource(1)))
 
 	after := d.Online.Forward(s)[1]
@@ -152,8 +166,8 @@ func TestDQLTerminalExperience(t *testing.T) {
 		Gamma: 0.9, LR: 0.1, BatchSize: 1, ReplayCap: 4, SyncEvery: 1 << 30,
 	})
 	s := []float64{1, 0}
-	// Terminal: no Next; target is the raw reward.
-	d.Observe(Experience{State: s, Action: 0, Reward: 2})
+	// Terminal: Next is not read; target is the raw reward.
+	d.Observe(Experience{State: sparse(s), Action: 0, Reward: 2, Terminal: true})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		d.TrainBatch(rng)
@@ -168,7 +182,7 @@ func TestDQLTargetSync(t *testing.T) {
 		Gamma: 0.5, LR: 0.1, BatchSize: 1, ReplayCap: 4, SyncEvery: 10,
 	})
 	s := []float64{1, 1}
-	d.Observe(Experience{State: s, Action: 0, Reward: 1})
+	d.Observe(Experience{State: sparse(s), Action: 0, Reward: 1, Terminal: true})
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10; i++ {
 		d.TrainBatch(rng)
@@ -194,8 +208,11 @@ func TestDQLTargetSync(t *testing.T) {
 // would silently train on the wrong Bellman targets. The test forces multiple
 // chunks and mid-batch target syncs (BatchSize 8, SyncEvery 3 => chunks of
 // 3/3/2 with a CopyFrom between), then replays the identical sample sequence
-// through a reference learner that calls Target.Forward once per experience —
-// the unbatched loop the chunking must be equivalent to. Final policies must
+// through a reference learner that writes each experience's states out
+// densely and calls Target.Forward and Online.TrainAction once per experience —
+// the unbatched, dense loop the chunking must be equivalent to. One successor
+// in seven is an empty vector, an all-zero state that bootstraps like any
+// other and is not a terminal. Final policies must
 // agree to within FMA-contraction noise; a stale-row bug perturbs targets at
 // full magnitude and blows through the tolerance by many orders.
 func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
@@ -218,12 +235,16 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 			s := make([]float64, in)
 			next := make([]float64, in)
 			for j := range s {
-				s[j] = rng.Float64()
-				next[j] = rng.Float64()
+				if rng.Intn(3) > 0 {
+					s[j] = rng.Float64()
+				}
+				if rng.Intn(3) > 0 && i%7 != 0 {
+					next[j] = rng.Float64()
+				}
 			}
-			e := Experience{State: s, Action: rng.Intn(out), Reward: rng.Float64(), Next: next}
+			e := Experience{State: sparse(s), Action: rng.Intn(out), Reward: rng.Float64(), Next: sparse(next)}
 			if i%5 == 0 {
-				e.Next = nil // terminal
+				e.Terminal = true
 			} else if i%3 == 0 {
 				e.NextValid = []int{0, 2}
 			}
@@ -238,7 +259,7 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 		chunked.TrainBatch(rngC)
 	}
 
-	// Reference: identical nets, replay, and RNG draws, but one
+	// Reference: identical nets, replay, and RNG draws, but one dense
 	// Target.Forward per experience — no batching, no aliased rows.
 	ref := build()
 	fill(ref)
@@ -249,8 +270,8 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 		ref.Replay.SampleInto(rngR, sample)
 		for _, e := range sample {
 			target := e.Reward
-			if e.Next != nil {
-				q := ref.Target.Forward(e.Next)
+			if !e.Terminal {
+				q := ref.Target.Forward(dense(e.Next, in))
 				var best float64
 				if len(e.NextValid) > 0 {
 					best = q[e.NextValid[0]]
@@ -269,7 +290,7 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 				}
 				target += ref.Cfg.Gamma * best
 			}
-			ref.Online.TrainAction(e.State, e.Action, target, ref.Cfg.LR)
+			ref.Online.TrainAction(dense(e.State, in), e.Action, target, ref.Cfg.LR)
 			steps++
 			if steps%syncEvery == 0 {
 				ref.Target.CopyFrom(ref.Online)
@@ -292,6 +313,77 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 			if math.Abs(got[j]-want[j]) > 1e-6 {
 				t.Fatalf("probe %d out %d: chunked %v vs sequential reference %v",
 					p, j, got[j], want[j])
+			}
+		}
+	}
+}
+
+// TestTrainOfflineMatchesDenseReference: TrainOffline, which asks the target
+// network for the NextValid outputs only, leaves the online network with
+// exactly the weights of a loop that writes every state out densely, computes
+// all Q-values with Target.Forward and steps with Online.TrainAction — over
+// records with and without NextValid, terminal ones, and empty successors.
+func TestTrainOfflineMatchesDenseReference(t *testing.T) {
+	const in, hidden, out, syncEvery, epochs = 24, 9, 6, 37, 3
+	cfg := DQLConfig{Gamma: 0.8, LR: 0.03, SyncEvery: syncEvery}
+	rng := rand.New(rand.NewSource(77))
+	data := NewDataset(in, out)
+	for i := 0; i < 120; i++ {
+		e := Experience{
+			State:  sparse(sparseStateVec(rng, in, 4, 1+rng.Intn(3))),
+			Action: rng.Intn(out),
+			Reward: rng.Float64(),
+			Next:   sparse(sparseStateVec(rng, in, 4, rng.Intn(3))),
+		}
+		switch i % 4 {
+		case 0:
+			e.Terminal = true
+		case 1, 2:
+			e.NextValid = rng.Perm(out)[:1+rng.Intn(3)]
+		}
+		data.Add(e)
+	}
+
+	d := NewDQL(newNet(78, in, hidden, out), cfg)
+	last := d.TrainOffline(rand.New(rand.NewSource(79)), data, epochs)
+
+	ref := NewDQL(newNet(78, in, hidden, out), cfg)
+	draw := rand.New(rand.NewSource(79))
+	var refLast float64
+	for ep, steps := 0, 0; ep < epochs; ep++ {
+		total := 0.0
+		for i := 0; i < data.Len(); i++ {
+			e := &data.Records[draw.Intn(data.Len())]
+			target := e.Reward
+			if !e.Terminal {
+				q := ref.Target.Forward(dense(e.Next, in))
+				valid := e.NextValid
+				if len(valid) == 0 {
+					valid = []int{0, 1, 2, 3, 4, 5}
+				}
+				best := q[valid[0]]
+				for _, a := range valid[1:] {
+					if q[a] > best {
+						best = q[a]
+					}
+				}
+				target += cfg.Gamma * best
+			}
+			total += ref.Online.TrainAction(dense(e.State, in), e.Action, target, cfg.LR)
+			if steps++; steps%syncEvery == 0 {
+				ref.Target.CopyFrom(ref.Online)
+			}
+		}
+		refLast = total / float64(data.Len())
+	}
+
+	if math.Float64bits(last) != math.Float64bits(refLast) || d.Steps() != int64(epochs*data.Len()) {
+		t.Fatalf("final-epoch TD error %v after %d steps, dense reference %v", last, d.Steps(), refLast)
+	}
+	for l, layer := range d.Online.Layers {
+		for i, w := range layer.W {
+			if math.Float64bits(w) != math.Float64bits(ref.Online.Layers[l].W[i]) {
+				t.Fatalf("layer %d weight %d: %v, dense reference %v", l, i, w, ref.Online.Layers[l].W[i])
 			}
 		}
 	}

@@ -13,9 +13,10 @@ func trainSome(trace *TrainingTrace, batches int) *DQL {
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 6; i++ {
 		d.Observe(Experience{
-			State:  []float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()},
-			Action: i % 2,
-			Reward: rng.Float64(),
+			State:    sparse([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}),
+			Action:   i % 2,
+			Reward:   rng.Float64(),
+			Terminal: true,
 		})
 	}
 	for i := 0; i < batches; i++ {
