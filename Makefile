@@ -42,11 +42,12 @@ bench-diff:
 # Race-check the sharded stepping engine specifically: the shard-invariance
 # and active-set-invariance suites in internal/noc and internal/fault drive
 # the two-phase engine at K in {2,4,8} on mesh and torus, healthy and faulted,
-# with active-set stepping both on and off, so any cross-shard data race in
-# phase 1 or in the activity-bitmap maintenance surfaces here. Split from
-# `race` so CI can gate on it by name.
+# with active-set stepping both on and off, and the arbitration-state suites
+# flip the shard count mid-run, so any cross-shard data race in phase 1 (which
+# writes the scanned routers' cached routes) or in the activity-bitmap
+# maintenance surfaces here. Split from `race` so CI can gate on it by name.
 race-shard:
-	$(GO) test -race -run 'ShardInvariance|TorusConservation|TorusFaultConservation|ActiveSet' ./internal/noc/ ./internal/fault/
+	$(GO) test -race -run 'ShardInvariance|TorusConservation|TorusFaultConservation|ActiveSet|ArbState' ./internal/noc/ ./internal/fault/
 
 # Full benchmark sweep across every package (slow; not snapshot-tracked).
 bench-paper:

@@ -6,13 +6,19 @@ import (
 	"mlnoc/internal/noc"
 )
 
+// opaqueRouting hides its routing's ShardSafe declaration, which forces the
+// engine onto the legacy arbitration path: every head re-routed for every
+// output every cycle, plus the per-cycle unreachable sweep.
+type opaqueRouting struct{ noc.Routing }
+
 // TestActiveSetInvarianceDegraded pins the active-set stepping engine against
 // the full-scan engine through the deepest fault stack in the repo: table
 // routing degrades to up*/down* after mid-run link kills, messages carry
 // RouteBits phase state, outages repair, and a router freezes. TableRouting
-// is shard-safe, so the active path runs lazy unreachable eviction — any
-// divergence in probe coverage or eviction order shows up as a trace or stats
-// mismatch. Checked sequentially and with the two-phase fork engaged.
+// is shard-safe, so each head is routed once and evicted from that pass — any
+// divergence in route coverage or eviction order shows up as a trace or stats
+// mismatch. Checked sequentially and with the two-phase fork engaged, and the
+// full-scan base itself against the legacy path (opaqueRouting).
 func TestActiveSetInvarianceDegraded(t *testing.T) {
 	topologies := map[string]func() (*noc.Network, []*noc.Node){
 		"mesh":  func() (*noc.Network, []*noc.Node) { return mesh(4, 4, 2) },
@@ -20,7 +26,7 @@ func TestActiveSetInvarianceDegraded(t *testing.T) {
 	}
 	for tname, build := range topologies {
 		t.Run(tname, func(t *testing.T) {
-			run := func(shards int, fullScan bool) (*noc.Network, []string, Stats) {
+			run := func(shards int, fullScan, legacy bool) (*noc.Network, []string, Stats) {
 				net, cores := build()
 				var plan Plan
 				plan.KillLink(net.RouterAt(1, 1).ID(), noc.PortEast, 100)
@@ -31,6 +37,9 @@ func TestActiveSetInvarianceDegraded(t *testing.T) {
 				if err != nil {
 					t.Fatalf("Equip: %v", err)
 				}
+				if legacy {
+					net.SetRouting(opaqueRouting{net.Routing()})
+				}
 				net.SetActiveStepping(!fullScan)
 				net.SetShards(shards)
 				net.SetShardMinActive(0)
@@ -39,15 +48,15 @@ func TestActiveSetInvarianceDegraded(t *testing.T) {
 				drive(net, cores, 31, 800)
 				return net, *trace, inj.Stats()
 			}
-			baseNet, baseTrace, baseStats := run(1, true)
+			baseNet, baseTrace, baseStats := run(1, true, false)
 			if baseStats.Reroutes == 0 || baseStats.Requeued == 0 {
 				t.Fatalf("fault scenario is vacuous: %+v", baseStats)
 			}
 			if len(baseTrace) == 0 {
 				t.Fatal("no deliveries recorded")
 			}
-			for _, k := range []int{1, 2, 4} {
-				net, trace, stats := run(k, false)
+			for _, k := range []int{0, 1, 2, 4} {
+				net, trace, stats := run(max(k, 1), false, k == 0) // K=0: the legacy oracle
 				if len(trace) != len(baseTrace) {
 					t.Fatalf("K=%d delivery counts diverge: %d vs %d", k, len(trace), len(baseTrace))
 				}

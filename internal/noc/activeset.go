@@ -1,41 +1,36 @@
 package noc
 
-import "math/bits"
-
 // Active-set stepping.
 //
 // A large, lightly loaded topology spends almost all of its per-cycle budget
 // visiting routers and nodes that have nothing to do: inject() walks every
-// node, arbitrate() walks every router, and on faulty networks
-// evictUnreachable probes every router's buffer heads — all O(topology) per
-// cycle even when the in-flight population touches a handful of routers. The
-// active-set engine makes those walks O(active):
+// node and arbitrate() walks every router — O(topology) per cycle even when
+// the in-flight population touches a handful of routers. The active-set
+// engine makes those walks O(active):
 //
 //   - actR is a router-activity bitmap: bit r is set iff router r has at
 //     least one buffered message (occ != 0). It is maintained on the exact
 //     0<->nonzero transitions of Router.occ inside Buffer.push/pop/syncOcc,
 //     so it is never stale and costs one word-OR only when a router wakes or
 //     drains. A router with occ == 0 produces no candidates on any output and
-//     no eviction probes, so skipping it is exactly behaviour-preserving.
+//     has no head to route or evict, so skipping it is exactly
+//     behaviour-preserving.
 //   - actN is a node-activity bitmap: bit n is set iff node n has a pending
 //     injection (maintained in Node.Inject and Node.dequeue). A node with an
 //     empty injection queue is a no-op in inject().
-//   - evictDirty marks routers whose buffer heads must be re-probed for
-//     unreachable verdicts: a fault or routing transition sets every bit, and
-//     any head change (push into an empty buffer, pop exposing a successor,
-//     wholesale queue rewrites through syncOcc) sets the owning router's bit.
-//     For routings whose verdicts are a pure function of (router, message,
-//     fault state) — the ShardSafeRouting contract — a clear bit proves no
-//     head of that router can carry an unreachable verdict, so the per-cycle
-//     evictUnreachable sweep shrinks to the routers actually touched by a
-//     transition.
 //
-// All three bitmaps are scanned with bits.TrailingZeros64, so visit order is
+// What a visited router costs is the other half: its arbitration state
+// (Router.occ/stale/want/full, see router.go and routeHeads in network.go)
+// holds each head's route from the moment it becomes head, so a visit routes
+// only the heads that changed — evicting those with an unreachable verdict in
+// the same pass — and reads its candidates off per-output request masks.
+//
+// Both bitmaps are scanned with bits.TrailingZeros64, so visit order is
 // ascending router/node ID — identical to the full scans they replace — and
-// every engine (sequential, fused, matched, sharded two-phase) stays
-// bit-identical for every policy, matcher, topology, fault schedule and shard
-// count. SetActiveStepping(false) forces the original full scans for A/B
-// benchmarking and for the equivalence suites that pin that contract.
+// every engine (sequential, sharded two-phase; policy, matcher) stays
+// bit-identical for every topology, fault schedule and shard count.
+// SetActiveStepping(false) forces the full walks for A/B benchmarking and for
+// the equivalence suites that pin that contract.
 //
 // During arbitration no activity bit is ever set (deliveries land on future
 // cycles; grants and evictions pop only from the arbitrated router's own
@@ -52,12 +47,11 @@ import "math/bits"
 const DefaultShardMinActive = 64
 
 // SetActiveStepping enables (the default) or disables active-set stepping.
-// With it disabled the engine runs the original full scans — every node in
-// inject, every router in arbitrate, every non-frozen router in the faulty
-// eviction sweep. Both modes are bit-identical for every seeded run; the
-// switch exists so benchmarks and equivalence tests can measure one against
-// the other. It may be flipped between cycles at any time: the activity
-// bitmaps are maintained unconditionally, so no rebuild is needed.
+// With it disabled the engine runs the full walks — every node in inject,
+// every router in arbitrate. Both modes are bit-identical for every seeded
+// run; the switch exists so benchmarks and equivalence tests can measure one
+// against the other. It may be flipped between cycles at any time: the
+// activity bitmaps are maintained unconditionally, so no rebuild is needed.
 func (n *Network) SetActiveStepping(on bool) { n.fullScan = !on }
 
 // ActiveStepping reports whether arbitration runs on the active-set path:
@@ -99,159 +93,6 @@ func (n *Network) activateRouter(r *Router) {
 func (n *Network) deactivateRouter(r *Router) {
 	n.actR[r.actWord] &^= r.actMask
 	n.actRCount--
-}
-
-// markEvictDirty flags r for the next unreachable-eviction probe.
-func (n *Network) markEvictDirty(r *Router) {
-	n.evictDirty[r.actWord] |= r.actMask
-}
-
-// markAllEvictDirty flags every router, invalidating all cached probe
-// verdicts. Called on fault and routing transitions (link state, freezes,
-// SetRouting); queue rewrites mark per-router through syncOcc.
-func (n *Network) markAllEvictDirty() {
-	for i := range n.evictDirty {
-		n.evictDirty[i] = ^uint64(0)
-	}
-}
-
-// Eviction modes of the active-set path, derived from the installed routing
-// by refreshEvictMode. The full-scan reference path ignores them and probes
-// every non-frozen router every faulty cycle, which is behaviourally
-// identical (see maybeEvict).
-const (
-	// evictSkip: no Routing installed. Built-in X-Y routing never returns
-	// RouteUnreachable, so the eviction sweep cannot pop anything and its
-	// probes (pure XYPort calls) have no side effects: skip it wholesale.
-	evictSkip uint8 = iota
-	// evictLazy: a ShardSafeRouting is installed. Its verdicts depend only on
-	// (router, message, fault state) and its message writes are idempotent,
-	// so heads need re-probing only after a transition or head change —
-	// exactly what evictDirty tracks.
-	evictLazy
-	// evictFull: an opaque Routing is installed. No contract to lean on;
-	// probe every active router every faulty cycle, as the sequential engine
-	// always did. (Routers with no buffered message are still skipped: with
-	// no heads there is nothing to probe, side effects included.)
-	evictFull
-)
-
-// refreshEvictMode recomputes the eviction mode after SetRouting.
-func (n *Network) refreshEvictMode() {
-	switch rt := n.routing.(type) {
-	case nil:
-		n.evictMode = evictSkip
-	case ShardSafeRouting:
-		if rt.ShardSafe() {
-			n.evictMode = evictLazy
-		} else {
-			n.evictMode = evictFull
-		}
-	default:
-		n.evictMode = evictFull
-	}
-}
-
-// maybeEvict is the active-set counterpart of the unconditional
-// evictUnreachable call in the full-scan arbitration loop. The caller has
-// already established n.faulty and !r.frozen.
-func (n *Network) maybeEvict(r *Router) {
-	switch n.evictMode {
-	case evictSkip:
-	case evictLazy:
-		if n.evictDirty[r.actWord]&r.actMask != 0 {
-			n.evictUnreachable(r)
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-	default:
-		n.evictUnreachable(r)
-	}
-}
-
-// arbitrateRouterRouted arbitrates one active router under a ShardSafeRouting
-// with exactly one Route call per buffered head per cycle. The legacy path
-// probes each head once per candidate output (up to five Route calls) plus
-// once more in the eviction sweep; for table-driven fault routings that probe
-// traffic dominates the whole cycle. The ShardSafe contract makes collapsing
-// it sound: verdicts are a pure function of (router, message, fault state) and
-// message writes are idempotent, so one call yields the same verdict and the
-// same RouteBits state as six. The sharded phase-1 scan already leans on
-// exactly this property.
-//
-// On faulty networks the unreachable eviction is folded into the same probe
-// loop: heads are visited in ascending (port, VC) order — the order
-// evictUnreachable walks — popping until each buffer's head is reachable, with
-// the same counting and reporting sequence. Every head gets probed, which is a
-// superset of what the evictDirty check demands, so the dirty bit is retired
-// before granting (grant pops below re-arm it for exposed successors).
-func (n *Network) arbitrateRouterRouted(ctx *ArbContext, r *Router) {
-	vcs := n.cfg.VCs
-	evict := n.faulty
-	var routes [64]PortID
-	for mask := r.occ; mask != 0; mask &= mask - 1 {
-		bit := bits.TrailingZeros64(mask)
-		buf := r.in[PortID(bit/vcs)][bit%vcs]
-		for {
-			m := buf.Head()
-			if m == nil {
-				break
-			}
-			out := r.Route(m)
-			if out != RouteUnreachable {
-				routes[bit] = out
-				break
-			}
-			if !evict {
-				// The full-scan reference only evicts on faulty networks; an
-				// unreachable verdict without a fault just never matches an
-				// output below, exactly as the legacy gather treats it.
-				routes[bit] = RouteUnreachable
-				break
-			}
-			buf.pop()
-			n.fstats.Unreachable++
-			n.inflightCount--
-			n.inflightBase -= m.InjectCycle
-			n.inflightBySrc[m.Src]--
-			if n.onUnreachable != nil {
-				n.onUnreachable(n.cycle, r, m)
-			}
-			if len(n.faultObs) > 0 {
-				n.observeUnreachable(r, m)
-			}
-			n.recycleMessage(m)
-		}
-	}
-	if evict {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.candScratch[:0]
-		for mask := r.occ; mask != 0; mask &= mask - 1 {
-			bit := bits.TrailingZeros64(mask)
-			p := PortID(bit / vcs)
-			if r.inGrantedAt[p] == n.cycle || routes[bit] != out {
-				continue
-			}
-			vc := bit - int(p)*vcs
-			m := r.in[p][vc].q[0]
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-		n.candScratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
-	}
 }
 
 // activateNode and deactivateNode maintain the node-activity bitmap on the

@@ -24,15 +24,17 @@ func (attachRouting) Route(r *Router, m *Message) PortID {
 	return r.XYPort(m)
 }
 
-// fullScanOpt forces a network onto the full-scan reference engine.
+// fullScanOpt makes a network walk every router and node every cycle; the
+// arbitration kernel is unchanged (see legacyOpt for the oracle).
 func fullScanOpt(net *Network) { net.SetActiveStepping(false) }
 
-// TestActiveSetInvariance pins the tentpole contract of this PR: the
-// active-set stepping engine produces delivery traces and stats bit-identical
-// to the full-scan engine, on mesh and torus, for an order-sensitive
-// per-output policy and an order-sensitive whole-router matcher, sequentially
-// and for every shard count — with the fork threshold both forced off and
-// forced unreachably high (sequential active fallback under SetShards).
+// TestActiveSetInvariance pins the active-set contract: the mask kernel
+// produces delivery traces and stats bit-identical to the legacy full-scan
+// oracle, on mesh and torus, for an order-sensitive per-output policy and an
+// order-sensitive whole-router matcher — on the full-scan walk, on the
+// active-set walk, sharded, and with the fork threshold forced unreachably
+// high (sequential active fallback under SetShards). Bit-identity across shard
+// counts is TestShardInvariance's; one K here ties the two suites together.
 func TestActiveSetInvariance(t *testing.T) {
 	cfgs := map[string]Config{
 		"mesh8x8":  {Width: 8, Height: 8, VCs: 3, BufferCap: 2},
@@ -42,15 +44,15 @@ func TestActiveSetInvariance(t *testing.T) {
 	for cname, cfg := range cfgs {
 		for pname, pol := range policies {
 			t.Run(cname+"/"+pname, func(t *testing.T) {
-				base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, nil, fullScanOpt)
-				// Sequential active-set.
-				net, log := shardRun(t, pol, cfg, 1, 600, nil, nil)
+				base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, nil, legacyOpt)
+				// Mask kernel on the full-scan walk, then on the active set.
+				net, log := shardRun(t, pol, cfg, 1, 600, nil, nil, fullScanOpt)
+				requireIdentical(t, 1, base, baseLog, net, log)
+				net, log = shardRun(t, pol, cfg, 1, 600, nil, nil)
 				requireIdentical(t, 1, base, baseLog, net, log)
 				// Sharded active-set, forking every cycle.
-				for _, k := range []int{2, 4, 8} {
-					net, log := shardRun(t, pol, cfg, k, 600, nil, nil)
-					requireIdentical(t, k, base, baseLog, net, log)
-				}
+				net, log = shardRun(t, pol, cfg, 4, 600, nil, nil)
+				requireIdentical(t, 4, base, baseLog, net, log)
 				// Sharded config whose threshold never engages: every cycle
 				// must fall through to the sequential active-set path.
 				net, log = shardRun(t, pol, cfg, 4, 600, nil, nil,
@@ -65,9 +67,10 @@ func TestActiveSetInvariance(t *testing.T) {
 }
 
 // TestActiveSetInvarianceFaulted runs the mid-run link-kill + freeze schedule
-// under built-in X-Y routing: the active-set engine must keep the faulty-mode
-// rules (frozen-router skip, eviction sweep, attach-link injection block)
-// bit-identical to the full scan, sequentially and sharded.
+// under built-in X-Y routing: the mask kernel must keep the faulty-mode rules
+// (frozen-router skip, attach-link injection block, routes re-derived at each
+// link transition) bit-identical to the legacy oracle, on both walks and
+// sharded.
 func TestActiveSetInvarianceFaulted(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -86,11 +89,13 @@ func TestActiveSetInvarianceFaulted(t *testing.T) {
 	}
 	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
 		t.Run(pname, func(t *testing.T) {
-			base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, faults, fullScanOpt)
+			base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, faults, legacyOpt)
 			if base.FaultStats().Requeued == 0 {
 				t.Fatal("fault schedule requeued nothing; scenario is vacuous")
 			}
-			for _, k := range []int{1, 2, 4, 8} {
+			net, log := shardRun(t, pol, cfg, 1, 600, nil, faults, fullScanOpt)
+			requireIdentical(t, 1, base, baseLog, net, log)
+			for _, k := range []int{1, 4} {
 				net, log := shardRun(t, pol, cfg, k, 600, nil, faults)
 				requireIdentical(t, k, base, baseLog, net, log)
 			}
@@ -99,9 +104,11 @@ func TestActiveSetInvarianceFaulted(t *testing.T) {
 }
 
 // TestActiveSetInvarianceUnreachable drives a run where a fault schedule makes
-// buffered heads unreachable mid-flight (attach link killed, later repaired):
-// the lazy eviction mode must find and evict exactly the same messages as the
-// full scan's unconditional per-cycle probe, sequentially and sharded.
+// buffered heads unreachable mid-flight (attach link killed, later repaired)
+// under a ShardSafe routing: routing each head once and evicting from that
+// pass must find and evict exactly the same messages, in the same order, as
+// the legacy oracle's unconditional per-cycle sweep — for a policy and for a
+// matcher, on the full-scan walk, on the active set and sharded.
 func TestActiveSetInvarianceUnreachable(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -115,24 +122,26 @@ func TestActiveSetInvarianceUnreachable(t *testing.T) {
 			net.SetLinkDown(r.ID(), net.Node(10).Port, false)
 		}
 	}
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, attachRouting{}, faults, fullScanOpt)
-	if base.FaultStats().Unreachable == 0 {
-		t.Fatal("no unreachable evictions; lazy eviction path not exercised")
-	}
-	for _, k := range []int{1, 2, 4, 8} {
-		net, log := shardRun(t, orderPolicy{}, cfg, k, 600, attachRouting{}, faults)
-		requireIdentical(t, k, base, baseLog, net, log)
-		fs := net.FaultStats()
-		if net.Stats().Injected != net.Stats().Delivered+fs.Unreachable+net.InFlight() {
-			t.Fatalf("K=%d conservation broken: injected=%d delivered=%d unreachable=%d inflight=%d",
-				k, net.Stats().Injected, net.Stats().Delivered, fs.Unreachable, net.InFlight())
-		}
+	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
+		t.Run(pname, func(t *testing.T) {
+			base, baseLog := shardRun(t, pol, cfg, 1, 600, attachRouting{}, faults, legacyOpt)
+			if base.FaultStats().Unreachable == 0 {
+				t.Fatal("no unreachable evictions; eviction path not exercised")
+			}
+			net, log := shardRun(t, pol, cfg, 1, 600, attachRouting{}, faults, fullScanOpt)
+			requireIdentical(t, 1, base, baseLog, net, log)
+			for _, k := range []int{1, 4} {
+				net, log := shardRun(t, pol, cfg, k, 600, attachRouting{}, faults)
+				requireIdentical(t, k, base, baseLog, net, log)
+				checkConservation(t, net, fmt.Sprintf("K=%d", k))
+			}
+		})
 	}
 }
 
 // checkBitmaps recomputes the activity bitmaps brute-force from the buffer
 // and queue state and diffs them against the incrementally maintained ones.
-func checkBitmaps(t *testing.T, net *Network, when string) {
+func checkBitmaps(t testing.TB, net *Network, when string) {
 	t.Helper()
 	count := 0
 	for _, r := range net.routers {
@@ -174,26 +183,6 @@ func checkBitmaps(t *testing.T, net *Network, when string) {
 		got := net.actN[nd.ID>>6]&(1<<(uint(nd.ID)&63)) != 0
 		if want := nd.PendingInjections() > 0; got != want {
 			t.Fatalf("%s: node %d activity bit = %v, pending = %d", when, nd.ID, got, nd.PendingInjections())
-		}
-	}
-}
-
-// checkDirtySuperset verifies the lazy-eviction soundness invariant under a
-// shard-safe routing: an active, unfrozen router whose evict-dirty bit is
-// clear has no buffered head with an unreachable verdict. (Probing is safe
-// here because attachRouting is pure.)
-func checkDirtySuperset(t *testing.T, net *Network, when string) {
-	t.Helper()
-	for _, r := range net.routers {
-		if r.occ == 0 || r.frozen || net.evictDirty[r.actWord]&r.actMask != 0 {
-			continue
-		}
-		for p := PortID(0); p < MaxPorts; p++ {
-			for _, buf := range r.in[p] {
-				if m := buf.Head(); m != nil && r.Route(m) == RouteUnreachable {
-					t.Fatalf("%s: router %d is clean but head %s is unreachable", when, r.id, m)
-				}
-			}
 		}
 	}
 }
@@ -249,7 +238,7 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 		net.Step()
 		when := fmt.Sprintf("cycle %d", cycle)
 		checkBitmaps(t, net, when)
-		checkDirtySuperset(t, net, when)
+		checkArbState(t, net, when)
 	}
 	// Repair and drain so the terminal state is checked empty.
 	if downAttach >= 0 {
@@ -331,7 +320,7 @@ func TestActiveSetShardThreshold(t *testing.T) {
 
 // TestActiveSetToggleMidRun flips the engine between active-set and full-scan
 // stepping every few hundred cycles of a seeded run and requires the combined
-// trace to match a pure full-scan run — SetActiveStepping is documented as
+// trace to match the legacy oracle's — SetActiveStepping is documented as
 // safe to toggle between cycles without a rebuild.
 func TestActiveSetToggleMidRun(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
@@ -340,7 +329,7 @@ func TestActiveSetToggleMidRun(t *testing.T) {
 			net.SetActiveStepping(cycle%300 == 0)
 		}
 	}
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, nil, fullScanOpt)
+	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, nil, legacyOpt)
 	net, log := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, toggle)
 	requireIdentical(t, 1, base, baseLog, net, log)
 }

@@ -1,0 +1,302 @@
+package noc
+
+import (
+	"fmt"
+	"math/bits"
+	"math/rand"
+	"testing"
+)
+
+// legacyOpt forces a network onto the legacy arbitration path — full scans,
+// one gather per output, every head re-routed every cycle — which shares no
+// state with the mask kernel and serves as its oracle.
+func legacyOpt(net *Network) { net.occTrack, net.arbState = false, false }
+
+// checkArbState recomputes every router's arbitration state by brute force
+// from the queues and compares it with the incrementally maintained masks:
+// occ and full bit for bit; no want bit on an empty or stale buffer; every
+// non-stale head in exactly the want mask of its cached port, and that port
+// equal to a fresh Route verdict under the current fault state. It may only be
+// used with routings whose Route is free of side effects beyond idempotent
+// message writes (the ShardSafe contract), and is a no-op without tracking.
+func checkArbState(t testing.TB, net *Network, when string) {
+	t.Helper()
+	if !net.occTrack {
+		for _, r := range net.routers {
+			if r.occ|r.stale|r.full != 0 || r.want != [MaxPorts]uint64{} {
+				t.Fatalf("%s: router %d has arbitration state without tracking", when, r.id)
+			}
+		}
+		return
+	}
+	for _, r := range net.routers {
+		var occ, full, wantAny uint64
+		for out := range r.want {
+			if r.want[out]&wantAny != 0 {
+				t.Fatalf("%s: router %d: a buffer requests two outputs: %b", when, r.id, r.want)
+			}
+			wantAny |= r.want[out]
+		}
+		for p := PortID(0); p < MaxPorts; p++ {
+			for vc, buf := range r.in[p] {
+				bit := uint64(1) << uint(int(p)*net.cfg.VCs+vc)
+				if buf.owner != r || 1<<buf.bit != bit {
+					t.Fatalf("%s: router %d buffer (%s,%d) is wired to bit %d of %v", when, r.id, p, vc, buf.bit, buf.owner)
+				}
+				if !buf.Free() {
+					full |= bit
+				}
+				if buf.Len() == 0 {
+					continue
+				}
+				occ |= bit
+				if r.stale&bit != 0 {
+					continue
+				}
+				if !net.arbState {
+					t.Fatalf("%s: router %d head (%s,%d) is routed though verdicts may not be cached", when, r.id, p, vc)
+				}
+				if r.want[buf.route]&bit == 0 {
+					t.Fatalf("%s: router %d head (%s,%d) cached port %d but want = %b", when, r.id, p, vc, buf.route, r.want)
+				}
+				if fresh := r.Route(buf.Head()); fresh != PortID(buf.route) {
+					t.Fatalf("%s: router %d head %s cached port %s, fresh verdict %s", when, r.id, buf.Head(), PortID(buf.route), fresh)
+				}
+			}
+		}
+		if occ != r.occ {
+			t.Fatalf("%s: router %d occ = %b, brute force %b", when, r.id, r.occ, occ)
+		}
+		if full != r.full {
+			t.Fatalf("%s: router %d full = %b, brute force %b", when, r.id, r.full, full)
+		}
+		if r.stale&^occ != 0 {
+			t.Fatalf("%s: router %d stale = %b outside occ = %b", when, r.id, r.stale, occ)
+		}
+		if wantAny != occ&^r.stale {
+			t.Fatalf("%s: router %d want = %b, routed heads %b", when, r.id, wantAny, occ&^r.stale)
+		}
+	}
+}
+
+// checkConservation asserts Injected == Delivered + Unreachable + InFlight.
+func checkConservation(t testing.TB, net *Network, when string) {
+	t.Helper()
+	s, fs := net.Stats(), net.FaultStats()
+	if s.Injected != s.Delivered+fs.Unreachable+net.InFlight() {
+		t.Fatalf("%s: conservation broken: injected=%d delivered=%d unreachable=%d inflight=%d",
+			when, s.Injected, s.Delivered, fs.Unreachable, net.InFlight())
+	}
+}
+
+// injectRandom queues one message per node with probability rate, uniformly
+// addressed, with a random class and a size of 1 or 1+big flits.
+func injectRandom(net *Network, nodes []*Node, rng *rand.Rand, rate float64, id *uint64) {
+	for i, nd := range nodes {
+		if rng.Float64() >= rate {
+			continue
+		}
+		d := rng.Intn(len(nodes) - 1)
+		if d >= i {
+			d++
+		}
+		*id++
+		m := net.AllocMessage()
+		m.ID = *id
+		m.Dst = nodes[d].ID
+		m.Class = Class(rng.Intn(net.cfg.VCs))
+		m.SizeFlits = 1 + 4*rng.Intn(2)
+		nd.Inject(m)
+	}
+}
+
+// TestArbStateNeverStale steps seeded runs over the configuration space the
+// arbitration state has to survive and recomputes it by brute force after
+// every cycle: topology, buffer depth, VC count (11 VCs exceed 64 bits and
+// must leave the legacy path untouched), policy and matcher, every routing
+// kind, and a fault schedule that kills and restores links mid-run (requeueLink
+// overfills a buffer past its capacity), freezes a router, strands messages,
+// swaps the routing and flips the stepping engine between cycles. Routing and
+// policy rotate over the (topology, depth, VCs) grid instead of multiplying
+// it: every value of every dimension meets every value of every other.
+func TestArbStateNeverStale(t *testing.T) {
+	routings := []struct {
+		name string
+		mk   func(*Network) (Routing, func())
+	}{
+		{"builtin", func(*Network) (Routing, func()) { return nil, nil }},
+		{"xy", func(*Network) (Routing, func()) { return XYRouting{}, nil }},
+		{"attach", func(*Network) (Routing, func()) { return attachRouting{}, nil }},
+		{"cut", func(*Network) (Routing, func()) { return cutRouting{cut: map[NodeID]bool{3: true}}, nil }},
+	}
+	policies := []struct {
+		name string
+		pol  Policy
+	}{{"policy", orderPolicy{}}, {"matcher", orderMatcher{}}}
+	cell := 0 // index into the (topology, depth) x VCs grid
+	for _, torus := range []bool{false, true} {
+		for _, bufCap := range []int{1, 4} {
+			for _, vcs := range []int{1, 3, 10, 11} {
+				for k, p := range policies {
+					// cell%4 is the VCs index and cell/4 the (topology, depth)
+					// one, so a row and a column of the grid each see all four
+					// routings, under the policy and under the matcher.
+					rt := routings[(cell%4+cell/4+2*k)%4]
+					name := fmt.Sprintf("torus=%v/cap%d/vcs%d/%s/%s", torus, bufCap, vcs, p.name, rt.name)
+					t.Run(name, func(t *testing.T) {
+						cfg := Config{Width: 4, Height: 4, VCs: vcs, BufferCap: bufCap, Torus: torus}
+						RunArbStateSchedule(t, cfg, p.pol, rt.mk, 7, 400)
+					})
+				}
+				cell++
+			}
+		}
+	}
+}
+
+// RunArbStateSchedule is the seeded run behind TestArbStateNeverStale, its
+// counterpart over internal/fault's routings and the fuzz target (both in
+// package noc_test, hence exported): random traffic plus a fault schedule
+// drawn from seed, with checkArbState, the activity bitmaps and conservation
+// asserted after every cycle. mkRouting returns the routing to install (nil
+// for built-in X-Y) and an optional hook to run after every link transition,
+// as fault.Injector does for table rebuilds. It returns the delivered count.
+func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*Network) (Routing, func()), seed int64, cycles int) int64 {
+	t.Helper()
+	net, nodes := BuildMeshCores(cfg)
+	net.SetPolicy(pol)
+	base, rebuild := mkRouting(net)
+	if base != nil {
+		net.SetRouting(base)
+	}
+	if rebuild == nil {
+		rebuild = func() {}
+	}
+	defer net.SetShards(1)
+	if want := MaxPorts*cfg.VCs <= 64; net.occTrack != want || net.arbState != want {
+		t.Fatalf("occTrack=%v arbState=%v with %d VCs", net.occTrack, net.arbState, cfg.VCs)
+	}
+	rng := rand.New(rand.NewSource(seed))
+	var id uint64
+	type link struct {
+		rid int
+		p   PortID
+	}
+	var down []link
+	for cycle := 0; cycle < cycles; cycle++ {
+		injectRandom(net, nodes, rng, 0.35, &id)
+		switch rng.Intn(12) {
+		case 0: // kill a random connected link, requeueing what is on it
+			r := net.routers[rng.Intn(len(net.routers))]
+			p := PortID(rng.Intn(MaxPorts))
+			if r.HasPort(p) && !r.linkDown[p] && len(down) < 4 {
+				net.SetLinkDown(r.id, p, true)
+				down = append(down, link{r.id, p})
+				rebuild()
+			}
+		case 1: // restore the oldest dead link
+			if len(down) > 0 {
+				net.SetLinkDown(down[0].rid, down[0].p, false)
+				down = down[1:]
+				rebuild()
+			}
+		case 2:
+			rid := rng.Intn(len(net.routers))
+			net.FreezeRouter(rid, !net.routers[rid].frozen)
+		case 3:
+			victim := NodeID(rng.Intn(len(nodes)))
+			net.RequeueStranded(func(_ *Router, _ PortID, m *Message) bool { return m.Dst == victim })
+		case 4: // swap the routing: to X-Y, to nothing, back to the base
+			switch rng.Intn(3) {
+			case 0:
+				net.SetRouting(XYRouting{})
+			case 1:
+				net.SetRouting(nil)
+			default:
+				net.SetRouting(base)
+			}
+		case 5:
+			net.SetActiveStepping(rng.Intn(2) == 0)
+		case 6:
+			net.SetShards(1 + 3*rng.Intn(2))
+			net.SetShardMinActive(0)
+		}
+		net.Step()
+		when := fmt.Sprintf("seed %d cycle %d", seed, cycle)
+		checkArbState(t, net, when)
+		if net.occTrack {
+			checkBitmaps(t, net, when)
+		}
+		checkConservation(t, net, when)
+	}
+	return net.Stats().Delivered
+}
+
+// countRouting is shard-safe X-Y routing that counts its Route calls.
+type countRouting struct{ calls *int64 }
+
+func (countRouting) Name() string    { return "count-xy" }
+func (countRouting) ShardSafe() bool { return true }
+func (c countRouting) Route(r *Router, m *Message) PortID {
+	*c.calls++
+	return r.XYPort(m)
+}
+
+// grantCounter counts grants through the engine's observer hook.
+type grantCounter struct{ grants int64 }
+
+func (*grantCounter) ObserveInject(int64, *Node, *Message)             {}
+func (g *grantCounter) ObserveGrant(int64, *Router, PortID, Candidate) { g.grants++ }
+func (*grantCounter) ObserveDeliver(int64, *Node, *Message)            {}
+
+// TestRouteOncePerHead pins the Route-call budget on a seeded mesh with a link
+// killed and restored mid-run: a message is routed once when it reaches a
+// buffer head, and once more per link transition if it is a routed head then —
+// never once per cycle. Every head that is routed is eventually granted (the
+// run drains and X-Y evicts nothing), so calls == grants + heads re-routed at
+// the two transitions.
+func TestRouteOncePerHead(t *testing.T) {
+	for _, opt := range []func(*Network){func(*Network) {}, fullScanOpt} {
+		for _, pol := range []Policy{orderPolicy{}, orderMatcher{}} {
+			net, nodes := BuildMeshCores(Config{Width: 6, Height: 6, VCs: 3, BufferCap: 2})
+			net.SetPolicy(pol)
+			var calls int64
+			net.SetRouting(countRouting{&calls})
+			opt(net)
+			var gc grantCounter
+			net.AddObserver(&gc)
+			routedHeads := func() (n int64) {
+				for _, r := range net.routers {
+					n += int64(bits.OnesCount64(r.occ &^ r.stale))
+				}
+				return n
+			}
+			rng := rand.New(rand.NewSource(5))
+			var id uint64
+			var rerouted int64
+			for cycle := 0; cycle < 600; cycle++ {
+				switch cycle {
+				case 200, 400:
+					// One transition: the heads are counted once, the first
+					// SetLinkDown drops every cached route.
+					rerouted += routedHeads()
+					for x := 1; x < 5; x++ {
+						net.SetLinkDown(net.RouterAt(x, 2).ID(), PortEast, cycle == 200)
+					}
+				}
+				injectRandom(net, nodes, rng, 0.3, &id)
+				net.Step()
+			}
+			if !net.Drain(20000) {
+				t.Fatal("network did not drain")
+			}
+			if rerouted == 0 || net.FaultStats().Requeued == 0 {
+				t.Fatalf("vacuous: %d heads re-routed, %d requeued", rerouted, net.FaultStats().Requeued)
+			}
+			if calls != gc.grants+rerouted {
+				t.Fatalf("%s: %d Route calls for %d grants + %d re-routed heads (%d cycles)",
+					pol.Name(), calls, gc.grants, rerouted, net.Cycle())
+			}
+		}
+	}
+}

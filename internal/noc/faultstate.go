@@ -62,7 +62,7 @@ func (n *Network) SetLinkDown(rid int, p PortID, down bool) int {
 	n.faulty = true
 	// A link transition (either direction) can change the routing verdict of
 	// any buffered head anywhere in the network.
-	n.markAllEvictDirty()
+	n.invalidateRoutes()
 	if !down {
 		n.fstats.LinksDown--
 		return 0
@@ -81,10 +81,6 @@ func (n *Network) FreezeRouter(rid int, frozen bool) {
 	}
 	r.frozen = frozen
 	n.faulty = true
-	// Frozen routers are skipped by the eviction sweep without clearing their
-	// dirty bit, so marks accumulated while frozen survive to the unfreeze;
-	// mark here as well so the transition itself forces a re-probe.
-	n.markEvictDirty(r)
 	if frozen {
 		n.fstats.FrozenRouters++
 	} else {
@@ -119,7 +115,7 @@ func (n *Network) requeueLink(r *Router, p PortID) int {
 			if d.router != nil {
 				// Undo the downstream buffer reservation and the hop count
 				// credited at grant time.
-				d.router.in[d.port][d.vc].reserved--
+				d.router.in[d.port][d.vc].unreserve()
 				d.msg.HopCount--
 			}
 			n.pending--
@@ -196,7 +192,7 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 				kept = append(kept, d)
 				continue
 			}
-			d.router.in[d.port][d.vc].reserved--
+			d.router.in[d.port][d.vc].unreserve()
 			d.msg.HopCount--
 			n.pending--
 			reinject(d.router, d.port, d.msg)
@@ -210,33 +206,32 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 }
 
 // evictUnreachable pops head messages whose route is an unreachable verdict
-// from every input buffer of r, counting and reporting each one. It runs
-// once per router per arbitration cycle, only on faulty networks.
+// from every input buffer of r. It is the legacy arbitration path's sweep, run
+// once per router per cycle on faulty networks; the mask kernel evicts from
+// routeHeads instead.
 func (n *Network) evictUnreachable(r *Router) {
 	for p := PortID(0); p < MaxPorts; p++ {
-		bufs := r.in[p]
-		if bufs == nil {
-			continue
-		}
-		for _, buf := range bufs {
-			for {
-				m := buf.Head()
-				if m == nil || r.Route(m) != RouteUnreachable {
-					break
-				}
-				buf.pop()
-				n.fstats.Unreachable++
-				n.inflightCount--
-				n.inflightBase -= m.InjectCycle
-				n.inflightBySrc[m.Src]--
-				if n.onUnreachable != nil {
-					n.onUnreachable(n.cycle, r, m)
-				}
-				if len(n.faultObs) > 0 {
-					n.observeUnreachable(r, m)
-				}
-				n.recycleMessage(m)
+		for _, buf := range r.in[p] {
+			for len(buf.q) > 0 && r.Route(buf.q[0]) == RouteUnreachable {
+				n.evictHead(r, buf)
 			}
 		}
 	}
+}
+
+// evictHead removes buf's head message from the network with an unreachable
+// verdict at router r, counting and reporting it.
+func (n *Network) evictHead(r *Router, buf *Buffer) {
+	m := buf.pop()
+	n.fstats.Unreachable++
+	n.inflightCount--
+	n.inflightBase -= m.InjectCycle
+	n.inflightBySrc[m.Src]--
+	if n.onUnreachable != nil {
+		n.onUnreachable(n.cycle, r, m)
+	}
+	if len(n.faultObs) > 0 {
+		n.observeUnreachable(r, m)
+	}
+	n.recycleMessage(m)
 }

@@ -7,9 +7,9 @@ import (
 )
 
 // orderPolicy is deliberately sensitive to candidate order and count: any
-// divergence between the fused single-scan arbitration and the legacy
-// per-output gather (extra, missing or reordered candidates) changes which
-// message wins and cascades through the rest of the run.
+// divergence between the mask arbitration kernel and the legacy per-output
+// gather (extra, missing or reordered candidates) changes which message wins
+// and cascades through the rest of the run.
 type orderPolicy struct{}
 
 func (orderPolicy) Name() string { return "order-sensitive" }
@@ -42,14 +42,14 @@ func (orderMatcher) Match(ctx *MatchContext, reqs []Request) []int {
 }
 
 // driveEquivalence runs two identically-seeded copies of the same workload,
-// one on the fused occupancy-mask arbitration path and one forced onto the
-// legacy full-scan path, and requires bit-identical delivery traces.
+// one on the mask arbitration kernel and one forced onto the legacy full-scan
+// oracle, and requires bit-identical delivery traces.
 func driveEquivalence(t *testing.T, policy Policy) {
 	t.Helper()
 	build := func(legacy bool) (*Network, []*Node, *[]string) {
 		net, nodes := BuildMeshCores(Config{Width: 4, Height: 4, VCs: 3, BufferCap: 2})
 		if legacy {
-			net.occTrack = false // forces gatherCandidates' full scan + per-output arbitration
+			legacyOpt(net)
 		}
 		net.SetPolicy(policy)
 		log := &[]string{}
@@ -85,25 +85,25 @@ func driveEquivalence(t *testing.T, policy Policy) {
 		net.Drain(4000)
 	}
 
-	fusedNet, fusedNodes, fusedLog := build(false)
+	maskNet, maskNodes, maskLog := build(false)
 	legacyNet, legacyNodes, legacyLog := build(true)
-	run(fusedNet, fusedNodes)
+	run(maskNet, maskNodes)
 	run(legacyNet, legacyNodes)
 
-	if len(*fusedLog) == 0 {
+	if len(*maskLog) == 0 {
 		t.Fatal("no deliveries recorded; workload is vacuous")
 	}
-	if len(*fusedLog) != len(*legacyLog) {
-		t.Fatalf("delivery counts diverge: fused %d, legacy %d", len(*fusedLog), len(*legacyLog))
+	if len(*maskLog) != len(*legacyLog) {
+		t.Fatalf("delivery counts diverge: mask %d, legacy %d", len(*maskLog), len(*legacyLog))
 	}
-	for i := range *fusedLog {
-		if (*fusedLog)[i] != (*legacyLog)[i] {
-			t.Fatalf("delivery %d diverges: fused %q, legacy %q", i, (*fusedLog)[i], (*legacyLog)[i])
+	for i := range *maskLog {
+		if (*maskLog)[i] != (*legacyLog)[i] {
+			t.Fatalf("delivery %d diverges: mask %q, legacy %q", i, (*maskLog)[i], (*legacyLog)[i])
 		}
 	}
-	fs, ls := fusedNet.Stats(), legacyNet.Stats()
+	fs, ls := maskNet.Stats(), legacyNet.Stats()
 	if fs.Latency.Mean() != ls.Latency.Mean() || fs.Injected != ls.Injected {
-		t.Fatalf("stats diverge: fused avg=%v inj=%d, legacy avg=%v inj=%d",
+		t.Fatalf("stats diverge: mask avg=%v inj=%d, legacy avg=%v inj=%d",
 			fs.Latency.Mean(), fs.Injected, ls.Latency.Mean(), ls.Injected)
 	}
 }

@@ -124,9 +124,9 @@ type Message struct {
 	// implementation (e.g. the up*/down* phase bit of the fault-aware
 	// router); the engine itself never reads or writes it. A ShardSafe
 	// routing's writes to it must be idempotent per (router position,
-	// tables): the active-set engine may skip re-probing a head whose
-	// verdict is provably unchanged, so implementations cannot rely on
-	// getting a Route call every cycle to advance RouteBits.
+	// tables): the engine routes a head once and caches the verdict, so
+	// implementations cannot rely on getting a Route call every cycle to
+	// advance RouteBits.
 	RouteBits uint8
 
 	// pooled marks messages obtained from Network.AllocMessage; the engine

@@ -147,21 +147,27 @@ type Network struct {
 	arbCtx   ArbContext
 	matchCtx MatchContext
 
-	// occTrack enables the per-router occupancy bitmask (requires
-	// MaxPorts*VCs <= 64); arbitration then visits only non-empty buffers.
-	occTrack bool
+	// occTrack is set when every router keeps its arbitration state (see
+	// Router.occ; requires MaxPorts*VCs <= 64). arbState additionally requires
+	// routing verdicts that may be cached per head — built-in X-Y or an
+	// installed ShardSafeRouting — and selects the mask arbitration kernel
+	// over the legacy per-output gather. bitPort maps a buffer's bit to its
+	// port; vcMask has the low VCs bits set; multiplying a VC mask by
+	// spreadMul copies it to every port's bit group.
+	occTrack  bool
+	arbState  bool
+	bitPort   [64]uint8
+	vcMask    uint64
+	spreadMul uint64
 
 	// Active-set stepping (see activeset.go). actR bit r is set iff router r
-	// has occ != 0; actN bit i is set iff node i has a pending injection;
-	// evictDirty bit r is set iff router r's buffer heads need re-probing for
-	// unreachable verdicts. fullScan forces the original full-scan engine
-	// (SetActiveStepping); the bitmaps stay maintained either way.
-	actR       []uint64
-	actN       []uint64
-	evictDirty []uint64
-	actRCount  int
-	fullScan   bool
-	evictMode  uint8
+	// has occ != 0; actN bit i is set iff node i has a pending injection.
+	// fullScan forces the original full-scan walks (SetActiveStepping); the
+	// bitmaps stay maintained either way.
+	actR      []uint64
+	actN      []uint64
+	actRCount int
+	fullScan  bool
 
 	// shardMinActive is the per-shard activity threshold below which a
 	// sharded cycle skips the fork/join and runs the sequential active-set
@@ -170,19 +176,7 @@ type Network struct {
 	shardMinActive int
 	shardForks     int64
 
-	// routeMemo caches the X-Y output port per (router, destination node),
-	// indexed router.id*len(nodes)+dst. X-Y routing is a pure function of
-	// that pair, so buffered messages never need their route recomputed.
-	// Only consulted while no Routing is installed; rebuilt when the node
-	// count changes. On big topologies the table outgrows the cache and a
-	// lookup costs more than the X-Y arithmetic it memoizes — routeDirect
-	// then bypasses it (see routeMemoMaxEntries).
-	routeMemo   []PortID
-	routeDirect bool
-
-	// outHeads accumulates per-output candidate lists during the fused
-	// single-scan arbitration; candArena backs matcher Request slices.
-	outHeads  [MaxPorts][]Candidate
+	// candArena backs matcher Request slices.
 	candArena []Candidate
 
 	// msgFree recycles delivered/evicted pooled messages (AllocMessage).
@@ -194,7 +188,6 @@ type Network struct {
 	shardWake   []chan struct{} // one wake channel per worker goroutine
 	shardDone   chan struct{}   // workers signal scan completion here
 	plans       []routerPlan    // per-router phase-1 output, indexed by router ID
-	shardHeads  []shardScratch  // per-shard bucketing scratch
 }
 
 // New creates an empty W x H mesh with no nodes attached. Use AttachNode (or
@@ -214,10 +207,18 @@ func New(cfg Config) *Network {
 		occTrack:       MaxPorts*cfg.VCs <= 64,
 		shardMinActive: DefaultShardMinActive,
 	}
+	if n.occTrack {
+		n.arbState = true
+		n.vcMask = 1<<cfg.VCs - 1
+		for p := 0; p < MaxPorts; p++ {
+			n.spreadMul |= 1 << (p * cfg.VCs)
+			for vc := 0; vc < cfg.VCs; vc++ {
+				n.bitPort[p*cfg.VCs+vc] = uint8(p)
+			}
+		}
+	}
 	n.routers = make([]*Router, cfg.Width*cfg.Height)
-	words := (len(n.routers) + 63) / 64
-	n.actR = make([]uint64, words)
-	n.evictDirty = make([]uint64, words)
+	n.actR = make([]uint64, (len(n.routers)+63)/64)
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			id := y*cfg.Width + x
@@ -321,9 +322,10 @@ func (n *Network) SetRouting(rt Routing) {
 	if rt != nil {
 		n.faulty = true
 	}
-	n.refreshEvictMode()
+	safe, ok := rt.(ShardSafeRouting)
+	n.arbState = n.occTrack && (rt == nil || ok && safe.ShardSafe())
 	// The new routing may reach different verdicts on every buffered head.
-	n.markAllEvictDirty()
+	n.invalidateRoutes()
 }
 
 // Routing returns the installed routing algorithm, or nil when the built-in
@@ -432,51 +434,6 @@ func (n *Network) recycleMessage(m *Message) {
 	}
 }
 
-// routeMemoUnset marks an uncomputed routeMemo entry. It must differ from
-// every real PortID and from RouteUnreachable.
-const routeMemoUnset PortID = -2
-
-// routeMemoMaxEntries caps the X-Y route memo: past this size (512 KiB of
-// PortIDs — a 16x16 cores-on-every-router mesh) the table no longer fits the
-// cache, and a random-access lookup costs more than the few compares of
-// DirToward it memoizes. Bigger topologies compute X-Y routes directly; the
-// result is the same either way, only the lookup cost changes.
-const routeMemoMaxEntries = 64 * 1024
-
-// ensureRouteMemo sizes the X-Y route memo for the current router and node
-// counts, invalidating it when nodes were attached since the last build.
-func (n *Network) ensureRouteMemo() {
-	want := len(n.routers) * len(n.nodes)
-	if n.routeDirect = want > routeMemoMaxEntries; n.routeDirect {
-		n.routeMemo = nil
-		return
-	}
-	if len(n.routeMemo) == want {
-		return
-	}
-	n.routeMemo = make([]PortID, want)
-	for i := range n.routeMemo {
-		n.routeMemo[i] = routeMemoUnset
-	}
-}
-
-// xyRouteMemo returns XYPort(m) at r through the (router, destination) memo,
-// or directly when the topology is past the memo size cap. Callers must have
-// called ensureRouteMemo and must only use it while no Routing override is
-// installed.
-func (n *Network) xyRouteMemo(r *Router, m *Message) PortID {
-	if n.routeDirect {
-		return r.XYPort(m)
-	}
-	idx := r.id*len(n.nodes) + int(m.Dst)
-	if out := n.routeMemo[idx]; out != routeMemoUnset {
-		return out
-	}
-	out := r.XYPort(m)
-	n.routeMemo[idx] = out
-	return out
-}
-
 // Step advances the simulation by one cycle: deliveries scheduled for this
 // cycle land, nodes inject, every router arbitrates its free output ports,
 // and OnCycle runs.
@@ -552,6 +509,8 @@ func (n *Network) deliver() {
 	n.pending -= len(ds)
 	for _, d := range ds {
 		if d.router != nil {
+			// The reserved slot becomes a queued message: len+reserved, and
+			// with it the buffer's full bit, does not change.
 			buf := d.router.in[d.port][d.vc]
 			buf.reserved--
 			buf.push(n.cycle, d.msg)
@@ -646,15 +605,99 @@ func (n *Network) injectFrom(node *Node) {
 	}
 }
 
-// gatherCandidates collects the competing input buffers for output port out
-// of router r: head messages routed to out, whose input port has not already
-// forwarded a message this cycle, and whose downstream buffer (for hops) has
-// space. The result is valid until the next gather call.
+// routeHeads brings router r's cached routes up to date: every stale head is
+// routed once, its output port cached in its Buffer and its bit moved from
+// r.stale to r.want[out], in ascending (port, VC) order. A head with an
+// unreachable verdict is evicted on the spot — popped, counted and reported —
+// and its successor routed in its place; with evict false (the sharded scan,
+// which may not touch network-wide counters) it is left stale instead and the
+// result is false.
+//
+// A cached verdict stays valid until the head is popped or invalidateRoutes
+// runs; that is the ShardSafeRouting contract (built-in X-Y meets it
+// trivially).
+func (n *Network) routeHeads(r *Router, evict bool) bool {
+	ok := true
+	for mask := r.stale; mask != 0; mask &= mask - 1 {
+		bit := bits.TrailingZeros64(mask)
+		p := n.bitPort[bit]
+		buf := r.in[p][bit-int(p)*n.cfg.VCs]
+		for len(buf.q) > 0 {
+			out := r.Route(buf.q[0])
+			if out == RouteUnreachable {
+				if evict {
+					n.evictHead(r, buf)
+					continue
+				}
+				ok = false
+			} else if uint(out) < MaxPorts && r.HasPort(out) {
+				buf.route = int8(out)
+				r.want[out] |= 1 << bit
+				r.stale &^= 1 << bit
+			}
+			// A port the router does not have requests no output, as in the
+			// legacy gather; the head stays stale and is asked again next cycle.
+			break
+		}
+	}
+	return ok
+}
+
+// invalidateRoutes drops every cached route. Called on the transitions that
+// may change a buffered head's verdict: link state and SetRouting.
+func (n *Network) invalidateRoutes() {
+	for _, r := range n.routers {
+		r.want = [MaxPorts]uint64{}
+		r.stale = r.occ
+	}
+}
+
+// requests returns the buffer mask of the heads that may be granted output
+// port out of r this cycle — those routed to it, or none while the port is
+// serializing or its link is down. r's routes must be current (routeHeads).
+func (r *Router) requests(out PortID, now int64) uint64 {
+	if r.outBusyUntil[out] > now || r.linkDown[out] {
+		return 0
+	}
+	return r.want[out]
+}
+
+// appendCands appends to dst the candidates among the requesting buffers req
+// (a subset of r.requests(out)) for output port out of router r, leaving out
+// those whose downstream buffer (for a hop) has no space.
+func (n *Network) appendCands(dst []Candidate, r *Router, out PortID, req uint64) []Candidate {
+	if next := r.peerRouter[out]; next != nil {
+		fullVCs := next.full >> (uint(out.Opposite()) * uint(n.cfg.VCs)) & n.vcMask
+		req &^= fullVCs * n.spreadMul
+	}
+	return n.appendHeads(dst, r, req)
+}
+
+// appendHeads appends to dst the heads of r's buffers in mask as candidates,
+// in ascending (port, VC) order. It is the one place the arbitration state
+// becomes a candidate list.
+func (n *Network) appendHeads(dst []Candidate, r *Router, mask uint64) []Candidate {
+	vcs := n.cfg.VCs
+	for ; mask != 0; mask &= mask - 1 {
+		bit := bits.TrailingZeros64(mask)
+		p := n.bitPort[bit]
+		vc := bit - int(p)*vcs
+		dst = append(dst, Candidate{Port: PortID(p), VC: vc, Msg: r.in[p][vc].q[0]})
+	}
+	return dst
+}
+
+// gatherCandidates is the legacy counterpart of appendCands for routings whose
+// verdicts may not be cached (and for ports*VCs > 64): it re-routes every
+// buffered head for output port out of router r, keeping those routed to out
+// whose input port has not already forwarded a message this cycle and whose
+// downstream buffer (for hops) has space. The result is valid until the next
+// gather call.
 //
 // With occupancy tracking on, the walk visits only non-empty buffers by
 // iterating r.occ's set bits; bit order is (port, VC) ascending, so the
-// candidate order — and the sequence of Route calls, which fault-aware
-// Routing implementations are sensitive to — matches the full scan exactly.
+// candidate order — and the sequence of Route calls, which stateful Routing
+// implementations are sensitive to — matches the full scan exactly.
 func (n *Network) gatherCandidates(r *Router, out PortID) []Candidate {
 	cands := n.candScratch[:0]
 	if n.occTrack {
@@ -709,7 +752,8 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	}
 	r.outBusyUntil[out] = n.cycle + int64(m.SizeFlits)
 	r.inGrantedAt[c.Port] = n.cycle
-	if n.faulty && out != r.XYPort(m) {
+	// Without an installed Routing the granted port is the X-Y port.
+	if n.routing != nil && out != r.XYPort(m) {
 		n.fstats.Reroutes++
 	}
 	// The output stays busy for cycles [now, now+SizeFlits); schedule the
@@ -723,7 +767,7 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	if next := r.peerRouter[out]; next != nil {
 		m.HopCount++
 		inPort := out.Opposite()
-		next.in[inPort][c.VC].reserved++
+		next.in[inPort][c.VC].reserve()
 		n.schedule(int64(m.SizeFlits), delivery{
 			msg: m, router: next, port: inPort, vc: c.VC,
 		})
@@ -740,78 +784,93 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 }
 
 func (n *Network) arbitrate() {
+	n.arbCtx = ArbContext{Net: n, Cycle: n.cycle}
+	n.matchCtx = MatchContext{Net: n, Cycle: n.cycle}
 	active := n.activeOK()
-	if n.shards > 1 && n.shardReady() &&
+	if n.shards > 1 && n.arbState &&
 		(!active || n.actRCount >= n.shardMinActive*n.shards) {
 		n.arbitrateSharded()
 		return
 	}
-	if n.matcher != nil {
-		n.arbitrateMatched(active)
-		return
-	}
-	fast := n.fusedScanOK()
-	ctx := &n.arbCtx
-	*ctx = ArbContext{Net: n, Cycle: n.cycle}
-	if active {
-		// Visit only routers with buffered messages, ascending router ID —
-		// the order the full scan produces. Per-word snapshots are safe: no
-		// activity bit is ever set during arbitration (deliveries land on
-		// future cycles, grants and evictions only pop), and a mid-word
-		// clear can only come from the router currently being visited.
-		// Under a ShardSafe routing the routed path folds the eviction probe
-		// and the per-output route lookups into one Route call per head.
-		routed := n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				r := n.routers[base+bits.TrailingZeros64(word)]
-				if n.faulty {
-					if r.frozen {
-						continue
-					}
-					if !routed {
-						n.maybeEvict(r)
-					}
-				}
-				ctx.Router = r
-				switch {
-				case fast:
-					n.arbitrateRouterFused(ctx, r)
-				case routed:
-					n.arbitrateRouterRouted(ctx, r)
-				default:
-					n.arbitrateRouterLegacy(ctx, r)
-				}
-			}
+	if !active {
+		for _, r := range n.routers {
+			n.arbitrateRouter(r)
 		}
 		return
 	}
-	// Full-scan reference path: every router, unconditional eviction sweep.
-	for _, r := range n.routers {
-		if n.faulty {
-			if r.frozen {
-				continue
-			}
-			n.evictUnreachable(r)
+	// Visit only routers with buffered messages, ascending router ID — the
+	// order the full scan produces. Per-word snapshots are safe: no activity
+	// bit is ever set during arbitration (deliveries land on future cycles,
+	// grants and evictions only pop), and a mid-word clear can only come from
+	// the router currently being visited.
+	for wi, word := range n.actR {
+		for base := wi << 6; word != 0; word &= word - 1 {
+			n.arbitrateRouter(n.routers[base+bits.TrailingZeros64(word)])
 		}
-		ctx.Router = r
-		if fast {
-			n.arbitrateRouterFused(ctx, r)
-			continue
-		}
-		n.arbitrateRouterLegacy(ctx, r)
 	}
 }
 
-// arbitrateRouterLegacy arbitrates r's outputs with one gather per output —
-// the reference per-router sequence the fused and sharded paths must
-// reproduce, and the path sharded phase 2 falls back to for routers whose
-// phase-1 plan was invalidated by an unreachable head.
-func (n *Network) arbitrateRouterLegacy(ctx *ArbContext, r *Router) {
+// arbitrateRouter runs one router's turn of the cycle: evict unreachable
+// heads, then grant its free outputs through the installed policy or matcher.
+// It is the sequential engine's whole per-router sequence, which sharded
+// phase 2 replays for routers whose phase-1 plan met an unreachable head.
+func (n *Network) arbitrateRouter(r *Router) {
+	if n.faulty && r.frozen {
+		return
+	}
+	if !n.arbState {
+		n.arbitrateRouterLegacy(r)
+		return
+	}
+	if r.occ == 0 {
+		return
+	}
+	if r.stale != 0 {
+		n.routeHeads(r, true)
+	}
+	if n.matcher != nil {
+		// Every head is in at most one want mask, so the arena never regrows.
+		arena, reqs := n.matchArena(), n.reqScratch[:0]
+		for out := PortID(0); out < MaxPorts; out++ {
+			req := r.requests(out, n.cycle)
+			if req == 0 {
+				continue
+			}
+			start := len(arena)
+			if arena = n.appendCands(arena, r, out, req); len(arena) > start {
+				reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
+			}
+		}
+		n.matchAndApply(r, reqs)
+		return
+	}
+	// granted masks the buffers of the input ports that forwarded a message
+	// to an earlier output of this turn: one grant per input port per cycle.
+	var granted uint64
+	for out := PortID(0); out < MaxPorts; out++ {
+		req := r.requests(out, n.cycle) &^ granted
+		if req == 0 {
+			continue
+		}
+		cands := n.appendCands(n.candScratch[:0], r, out, req)
+		n.candScratch = cands
+		if len(cands) == 0 {
+			continue
+		}
+		c := n.selectAndGrant(r, out, cands)
+		granted |= n.vcMask << (uint(c.Port) * uint(n.cfg.VCs))
+	}
+}
+
+// arbitrateRouterLegacy is arbitrateRouter for routings whose verdicts may
+// not be cached and for networks without arbitration state (ports*VCs > 64):
+// the unreachable sweep and one gather per output re-route every head every
+// cycle. It is also the oracle the invariance suites hold the mask kernel to.
+func (n *Network) arbitrateRouterLegacy(r *Router) {
+	if n.faulty {
+		n.evictUnreachable(r)
+	}
+	arena, reqs := n.matchArena(), n.reqScratch[:0]
 	for out := PortID(0); out < MaxPorts; out++ {
 		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
 			continue
@@ -820,26 +879,42 @@ func (n *Network) arbitrateRouterLegacy(ctx *ArbContext, r *Router) {
 		if len(cands) == 0 {
 			continue
 		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
+		if n.matcher == nil {
+			n.selectAndGrant(r, out, cands)
+			continue
+		}
+		// Park the candidates in the arena. Appending must never reallocate,
+		// or earlier requests' slices would go stale; a head re-routed to a
+		// second output can overflow it, and then gets a slice of its own.
+		var own []Candidate
+		if len(arena)+len(cands) <= cap(arena) {
+			start := len(arena)
+			arena = append(arena, cands...)
+			own = arena[start:len(arena):len(arena)]
+		} else {
+			own = append(own, cands...)
+		}
+		reqs = append(reqs, Request{Out: out, Cands: own})
+	}
+	if n.matcher != nil {
+		n.matchAndApply(r, reqs)
 	}
 }
 
-// fusedScanOK reports whether arbitration may use the fused single-scan path:
-// it routes through the X-Y memo with one route lookup per buffered head, so
-// it is only sound while routing is the built-in pure X-Y function (an
-// installed Routing may be stateful — the fault-aware router mutates
-// Message.RouteBits — and must see the per-output probe sequence the legacy
-// gather produces).
-func (n *Network) fusedScanOK() bool {
-	if n.routing != nil || !n.occTrack {
-		return false
+// matchArena returns the empty candidate arena behind a router's matcher
+// requests, sized for one candidate per (port, VC) buffer.
+func (n *Network) matchArena() []Candidate {
+	if n.matcher != nil && cap(n.candArena) < MaxPorts*n.cfg.VCs {
+		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
 	}
-	n.ensureRouteMemo()
-	return true
+	return n.candArena[:0]
 }
 
-func (n *Network) selectAndGrant(ctx *ArbContext, r *Router, out PortID, cands []Candidate) {
+// selectAndGrant lets the policy pick among cands for output out of r, applies
+// the grant and returns the winner.
+func (n *Network) selectAndGrant(r *Router, out PortID, cands []Candidate) Candidate {
+	ctx := &n.arbCtx
+	ctx.Router, ctx.Out = r, out
 	choice := 0
 	if len(cands) > 1 {
 		choice = n.policy.Select(ctx, cands)
@@ -855,176 +930,17 @@ func (n *Network) selectAndGrant(ctx *ArbContext, r *Router, out PortID, cands [
 		n.observeArb(r, out, cands, choice)
 	}
 	n.applyGrant(r, out, cands[choice])
-}
-
-// scanHeads makes one pass over r's occupancy bitmask, bucketing every
-// buffered head whose (memoized X-Y) output is grantable this cycle and
-// whose downstream buffer has space into n.outHeads[out]. It returns the
-// bitmask of outputs that received at least one candidate. Head order within
-// each output is (port, VC) ascending — identical to gatherCandidates.
-func (n *Network) scanHeads(r *Router) (filled uint32) {
-	var freeOuts uint32
-	for out := PortID(0); out < MaxPorts; out++ {
-		if r.HasPort(out) && !r.linkDown[out] && !r.OutputBusy(out, n.cycle) {
-			freeOuts |= 1 << out
-		}
-	}
-	if freeOuts == 0 {
-		return 0
-	}
-	vcs := n.cfg.VCs
-	for mask := r.occ; mask != 0; mask &= mask - 1 {
-		bit := bits.TrailingZeros64(mask)
-		p := PortID(bit / vcs)
-		vc := bit - int(p)*vcs
-		m := r.in[p][vc].q[0]
-		out := n.xyRouteMemo(r, m)
-		if freeOuts&(1<<out) == 0 {
-			continue
-		}
-		if next := r.peerRouter[out]; next != nil && !next.in[out.Opposite()][vc].Free() {
-			continue
-		}
-		if filled&(1<<out) == 0 {
-			filled |= 1 << out
-			n.outHeads[out] = n.outHeads[out][:0]
-		}
-		n.outHeads[out] = append(n.outHeads[out], Candidate{Port: p, VC: vc, Msg: m})
-	}
-	return filled
-}
-
-// arbitrateRouterFused arbitrates all outputs of r from one occupancy-mask
-// scan instead of one gather per output. Grants are applied per output in
-// ascending order, filtering out candidates whose input port was granted by
-// an earlier output of the same router this cycle — the exact exclusion the
-// sequential gather applies, so policies see identical candidate lists. The
-// downstream-space check does not move: within a router's turn only its own
-// grants could change it, and each output is granted at most once.
-func (n *Network) arbitrateRouterFused(ctx *ArbContext, r *Router) {
-	if r.occ == 0 {
-		return
-	}
-	filled := n.scanHeads(r)
-	for out := PortID(0); out < MaxPorts; out++ {
-		if filled&(1<<out) == 0 {
-			continue
-		}
-		cands := n.candScratch[:0]
-		for _, c := range n.outHeads[out] {
-			if r.inGrantedAt[c.Port] == n.cycle {
-				continue
-			}
-			cands = append(cands, c)
-		}
-		n.candScratch = cands
-		if len(cands) == 0 {
-			continue
-		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
-	}
-}
-
-func (n *Network) arbitrateMatched(active bool) {
-	fast := n.fusedScanOK()
-	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
-		// Each head routes to exactly one output, so a router's requests
-		// hold at most one candidate per (port, VC) buffer: the arena never
-		// regrows in the fused path and rarely overflows in the legacy one.
-		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
-	}
-	mctx := &n.matchCtx
-	*mctx = MatchContext{Net: n, Cycle: n.cycle}
-	if active {
-		// Active-set scan; see arbitrate for the snapshot-safety argument.
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				r := n.routers[base+bits.TrailingZeros64(word)]
-				if n.faulty {
-					if r.frozen {
-						continue
-					}
-					n.maybeEvict(r)
-				}
-				n.matchRouter(mctx, r, fast)
-			}
-		}
-		return
-	}
-	for _, r := range n.routers {
-		if n.faulty {
-			if r.frozen {
-				continue
-			}
-			n.evictUnreachable(r)
-		}
-		n.matchRouter(mctx, r, fast)
-	}
-}
-
-// matchRouter builds router r's per-output requests (fused single scan or
-// legacy per-output gather) and hands them to the installed matcher.
-func (n *Network) matchRouter(mctx *MatchContext, r *Router, fast bool) {
-	arena := n.candArena[:0]
-	reqs := n.reqScratch[:0]
-	if fast {
-		filled := uint32(0)
-		if r.occ != 0 {
-			filled = n.scanHeads(r)
-		}
-		for out := PortID(0); out < MaxPorts; out++ {
-			if filled&(1<<out) == 0 {
-				continue
-			}
-			start := len(arena)
-			arena = append(arena, n.outHeads[out]...)
-			reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
-		}
-	} else {
-		arena, reqs = n.gatherRequestsLegacy(r, arena, reqs)
-	}
-	n.matchAndApply(mctx, r, reqs)
-}
-
-// gatherRequestsLegacy builds r's per-output requests with one gather per
-// output, parking candidates in arena. Appending to the arena must never
-// reallocate, or earlier requests' slices would go stale — overflow falls
-// back to a fresh slice instead.
-func (n *Network) gatherRequestsLegacy(r *Router, arena []Candidate, reqs []Request) ([]Candidate, []Request) {
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.gatherCandidates(r, out)
-		if len(cands) == 0 {
-			continue
-		}
-		var own []Candidate
-		if len(arena)+len(cands) <= cap(arena) {
-			start := len(arena)
-			arena = append(arena, cands...)
-			own = arena[start:len(arena):len(arena)]
-		} else {
-			own = make([]Candidate, len(cands))
-			copy(own, cands)
-		}
-		reqs = append(reqs, Request{Out: out, Cands: own})
-	}
-	return arena, reqs
+	return cands[choice]
 }
 
 // matchAndApply runs the installed matcher over r's requests and applies the
 // grants, enforcing the one-grant-per-input-port invariant.
-func (n *Network) matchAndApply(mctx *MatchContext, r *Router, reqs []Request) {
+func (n *Network) matchAndApply(r *Router, reqs []Request) {
 	n.reqScratch = reqs[:0]
 	if len(reqs) == 0 {
 		return
 	}
+	mctx := &n.matchCtx
 	mctx.Router = r
 	grants := n.matcher.Match(mctx, reqs)
 	if len(grants) != len(reqs) {

@@ -9,11 +9,14 @@ type Buffer struct {
 	lastArr  int64 // cycle of the most recent arrival, -1 if none
 	cap      int
 
-	// owner/bit wire the buffer into its router's occupancy bitmask: bit
-	// port*VCs+vc of owner.occ is set iff the buffer is non-empty. owner is
-	// nil when occupancy tracking is disabled (ports*VCs > 64).
+	// owner/bit wire the buffer into its router's arbitration state (occ,
+	// stale, want, full): the buffer is bit port*VCs+vc of each mask. owner is
+	// nil when that state is not tracked (ports*VCs > 64).
 	owner *Router
 	bit   uint8
+	// route is the output port cached for the head message; meaningful only
+	// while the buffer's stale bit is clear.
+	route int8
 }
 
 // Len returns the number of messages queued in the buffer.
@@ -46,14 +49,17 @@ func (b *Buffer) push(now int64, m *Message) {
 	b.lastArr = now
 	m.ArrivalCycle = now
 	b.q = append(b.q, m)
-	if b.owner != nil && len(b.q) == 1 {
-		r := b.owner
-		if r.occ == 0 {
-			r.net.activateRouter(r)
+	if r := b.owner; r != nil {
+		if len(b.q) == 1 {
+			if r.occ == 0 {
+				r.net.activateRouter(r)
+			}
+			r.occ |= 1 << b.bit
+			r.stale |= 1 << b.bit // m is the new head and has no route yet
 		}
-		r.occ |= 1 << b.bit
-		// The push exposed a new head; its unreachable verdict is unknown.
-		r.net.markEvictDirty(r)
+		if !b.Free() {
+			r.full |= 1 << b.bit
+		}
 	}
 }
 
@@ -62,43 +68,71 @@ func (b *Buffer) pop() *Message {
 	copy(b.q, b.q[1:])
 	b.q[len(b.q)-1] = nil
 	b.q = b.q[:len(b.q)-1]
-	if b.owner != nil {
-		r := b.owner
+	if r := b.owner; r != nil {
+		if r.stale&(1<<b.bit) == 0 {
+			r.want[b.route] &^= 1 << b.bit
+		}
 		if len(b.q) == 0 {
+			r.stale &^= 1 << b.bit
 			r.occ &^= 1 << b.bit
 			if r.occ == 0 {
 				r.net.deactivateRouter(r)
 			}
 		} else {
-			// The pop exposed the successor as the new head; its unreachable
-			// verdict is unknown.
-			r.net.markEvictDirty(r)
+			r.stale |= 1 << b.bit // the successor is the new head
+		}
+		if b.Free() {
+			r.full &^= 1 << b.bit
 		}
 	}
 	return m
 }
 
-// syncOcc re-derives the buffer's occupancy bit from its queue length. Code
-// that rewrites b.q wholesale (instead of going through push/pop) must call
-// it afterwards.
+// reserve and unreserve claim and release one slot for a message in flight
+// toward the buffer, keeping the owner's full mask current.
+func (b *Buffer) reserve() {
+	b.reserved++
+	if b.owner != nil && !b.Free() {
+		b.owner.full |= 1 << b.bit
+	}
+}
+
+func (b *Buffer) unreserve() {
+	b.reserved--
+	if b.owner != nil && b.Free() {
+		b.owner.full &^= 1 << b.bit
+	}
+}
+
+// syncOcc re-derives the buffer's bits in its router's arbitration state from
+// the queue. Code that rewrites b.q wholesale (instead of going through
+// push/pop) must call it afterwards; any message may now be the head, so the
+// head is marked stale.
 func (b *Buffer) syncOcc() {
-	if b.owner == nil {
+	r := b.owner
+	if r == nil {
 		return
 	}
-	r := b.owner
+	bit := uint64(1) << b.bit
 	was := r.occ
-	if len(b.q) == 0 {
-		r.occ &^= 1 << b.bit
-	} else {
-		r.occ |= 1 << b.bit
+	if r.stale&bit == 0 {
+		r.want[b.route] &^= bit
+	}
+	r.occ &^= bit
+	r.stale &^= bit
+	r.full &^= bit
+	if len(b.q) != 0 {
+		r.occ |= bit
+		r.stale |= bit
+	}
+	if !b.Free() {
+		r.full |= bit
 	}
 	if was == 0 && r.occ != 0 {
 		r.net.activateRouter(r)
 	} else if was != 0 && r.occ == 0 {
 		r.net.deactivateRouter(r)
 	}
-	// A wholesale queue rewrite may have put any message at the head.
-	r.net.markEvictDirty(r)
 }
 
 // Router is one mesh router. Each port has one input buffer per virtual
@@ -134,16 +168,22 @@ type Router struct {
 	// though its input buffers still accept in-flight arrivals.
 	frozen bool
 
-	// occ is the input-buffer occupancy bitmask: bit p*VCs+vc is set iff
-	// in[p][vc] is non-empty. Maintained by Buffer push/pop when the network
-	// enables occupancy tracking; arbitration iterates set bits instead of
-	// scanning every (port, VC) pair.
-	occ uint64
+	// Arbitration state, one bit p*VCs+vc per input buffer in[p][vc], kept
+	// current by Buffer push/pop/reserve/unreserve/syncOcc and by routeHeads
+	// (network.go) whenever the network tracks it (ports*VCs <= 64), so that
+	// arbitration reads facts instead of re-deriving them per head per cycle:
+	//
+	//   occ      the buffer is non-empty
+	//   stale    it is non-empty and its head has no cached route yet
+	//   want[o]  its head's cached route is output port o (never also stale)
+	//   full     it cannot take another message (len + reserved >= cap)
+	occ, stale, full uint64
+	want             [MaxPorts]uint64
 
 	// actWord/actMask locate this router's bit in the network-level activity
-	// and evict-dirty bitmaps (actWord = id/64, actMask = 1<<(id%64)),
-	// precomputed so the occ 0<->nonzero transitions in Buffer push/pop cost
-	// two loads and an OR instead of two shifts.
+	// bitmap (actWord = id/64, actMask = 1<<(id%64)), precomputed so the occ
+	// 0<->nonzero transitions in Buffer push/pop cost two loads and an OR
+	// instead of two shifts.
 	actWord int
 	actMask uint64
 
@@ -227,8 +267,7 @@ func (r *Router) Route(m *Message) PortID {
 // the default routing function and the reference fault-aware routers deviate
 // from only around dead links (the engine counts such deviations as
 // reroutes). On a torus each dimension takes the shorter way around its ring
-// (see DirToward), so it stays a pure function of (router, destination) and
-// the route memo remains valid.
+// (see DirToward), so it stays a pure function of (router, destination).
 func (r *Router) XYPort(m *Message) PortID {
 	dst := r.net.nodes[m.Dst]
 	if dst.Router == r {
@@ -244,39 +283,33 @@ func (r *Router) XYPort(m *Message) PortID {
 // toward east/south. dc must differ from r.Coord.
 func (r *Router) DirToward(dc Coord) PortID {
 	cfg := &r.net.cfg
-	if dc.X != r.Coord.X {
-		if !cfg.Torus {
-			if dc.X > r.Coord.X {
-				return PortEast
-			}
-			return PortWest
-		}
-		fwd := dc.X - r.Coord.X // eastward hops, modulo the ring
-		if fwd < 0 {
-			fwd += cfg.Width
-		}
-		if 2*fwd <= cfg.Width {
-			return PortEast
-		}
-		return PortWest
+	dx, dy := dc.X-r.Coord.X, dc.Y-r.Coord.Y
+	if cfg.Torus {
+		dx, dy = ringWay(dx, cfg.Width), ringWay(dy, cfg.Height)
 	}
-	if dc.Y == r.Coord.Y {
+	// Which way a head turns is a coin toss to the branch predictor and this
+	// runs once per head per hop, so pick the port by arithmetic: d is dx if
+	// non-zero, else dy; the port pairs are (north, south) and (west, east),
+	// the second of each pair being the positive direction.
+	nz := (dx | -dx) >> 63 // -1 if dx != 0, else 0
+	d := dx&nz | dy&^nz
+	if d == 0 {
 		panic("noc: DirToward called with the router's own coordinate")
 	}
-	if !cfg.Torus {
-		if dc.Y > r.Coord.Y {
-			return PortSouth
-		}
-		return PortNorth
+	return PortNorth + PortID(nz&2) + PortID(uint(-d)>>63)
+}
+
+// ringWay turns the offset d between two positions on a ring of n slots into
+// signed steps the shorter way around: positive forward (east/south), with
+// the tie at exactly half the ring going forward.
+func ringWay(d, n int) int {
+	if d < 0 {
+		d += n
 	}
-	fwd := dc.Y - r.Coord.Y // southward hops, modulo the ring
-	if fwd < 0 {
-		fwd += cfg.Height
+	if 2*d <= n {
+		return d
 	}
-	if 2*fwd <= cfg.Height {
-		return PortSouth
-	}
-	return PortNorth
+	return d - n
 }
 
 // String implements fmt.Stringer.

@@ -13,17 +13,19 @@ const RouteUnreachable PortID = -1
 // destination node's attach port once m sits at its destination router, or
 // RouteUnreachable when no healthy path exists.
 //
-// Route is called from the arbitration hot path (several times per head
-// message per cycle) and must be deterministic and side-effect free per
-// cycle. Implementations that maintain tables (see internal/fault) rebuild
-// them from fault events, not inside Route.
+// Route is called from the arbitration hot path and must be deterministic.
+// Implementations that maintain tables (see internal/fault) rebuild them from
+// fault events, not inside Route.
 //
-// The active-set engine additionally leans on that determinism for routings
-// that declare themselves ShardSafe: because a head's verdict can only change
-// when the fault state changes or a different message reaches the head, the
-// unreachable-eviction sweep re-probes only routers flagged by such a
-// transition (see the evict-dirty tracking in activeset.go) instead of every
-// router every faulty cycle. Opaque routings keep the full per-cycle probe.
+// How often it is called depends on what the routing promises. A routing that
+// declares itself ShardSafe (see ShardSafeRouting) is asked once when a message
+// reaches a buffer head, and once more after each fault or routing transition
+// (Network.SetLinkDown, SetRouting, RequeueStranded); the engine caches the
+// verdict in between and evicts an unreachable head the moment it is routed.
+// A routing whose verdict may change at any other time must not declare
+// ShardSafe. Every other routing is opaque to the engine and is asked several
+// times per head per cycle — once per candidate output plus the unreachable
+// sweep — in a fixed order it may rely on.
 //
 // When no Routing is installed the engine uses built-in dimension-ordered
 // X-Y routing (XYRouting's behaviour) without an interface call.

@@ -7,13 +7,13 @@ import "math/bits"
 // SetShards(K) with K > 1 splits the router array into K contiguous shards
 // and turns the arbitrate stage of Step into two phases:
 //
-//   - Phase 1 (parallel): each shard scans its routers' occupancy bitmasks
-//     against the committed state of the cycle — one Route call per buffered
-//     head — and buckets the heads whose output port is grantable into a
+//   - Phase 1 (parallel): each shard brings its routers' cached routes up to
+//     date — one Route call per head that became head since the router's last
+//     turn — and lays the heads routed to each grantable output out in a
 //     per-router plan. The scan is read-only outside shard-owned memory: it
-//     writes only the shard's own plans, the scanned routers' route-memo rows
-//     and the scanned messages' routing scratch, all of which are owned by
-//     the shard that owns the buffering router.
+//     writes only the shard's own plans, the scanned routers' arbitration
+//     state and the scanned messages' routing scratch, all of which are owned
+//     by the shard that owns the buffering router.
 //   - Phase 2 (serial): one goroutine walks the routers in the same fixed
 //     ascending order as the sequential engine and commits grants from the
 //     plans, re-checking the two facts phase 1 could not know: whether an
@@ -32,15 +32,21 @@ import "math/bits"
 // any shard count (pinned by TestShardInvariance). See DESIGN.md §13.
 //
 // A router whose scan meets a RouteUnreachable head falls back wholesale:
-// phase 2 replays the sequential evict + arbitrate sequence for it, because
-// evicting a head exposes a successor the scan never saw.
+// phase 2 replays the sequential turn (arbitrateRouter) for it, because
+// evicting a head touches network-wide counters and exposes a successor the
+// scan never saw.
 
-// ShardSafeRouting marks a Routing implementation as safe for the parallel
-// phase-1 scan: Route must depend only on the queried router, the message,
-// and state that does not change during arbitration (topology, link health,
-// routing tables rebuilt from fault events), and may write only to the
-// message itself. Routings that do not implement it — or return false — force
-// the network back to sequential stepping regardless of SetShards.
+// ShardSafeRouting marks a Routing implementation whose verdicts the engine may
+// cache and compute out of order: Route must depend only on the queried
+// router, the message, and state that changes only at a fault or routing
+// transition (topology, link health, routing tables rebuilt from fault
+// events), and may write only to the message itself, idempotently. The engine
+// then calls Route once when a message reaches a buffer head and once more
+// after each such transition, possibly from the parallel phase-1 scan. A
+// routing whose verdict may change at any other time must not declare
+// ShardSafe. Routings that do not implement it — or return false — get the
+// legacy arbitration path (every head re-routed every cycle, in a fixed
+// order) and sequential stepping regardless of SetShards.
 type ShardSafeRouting interface {
 	Routing
 	ShardSafe() bool
@@ -56,22 +62,16 @@ type routerPlan struct {
 	fallback bool            // unreachable head seen; replay sequentially
 }
 
-// shardScratch is per-shard bucketing scratch for the phase-1 scan, mirroring
-// the sequential engine's Network.outHeads.
-type shardScratch struct {
-	outHeads [MaxPorts][]Candidate
-}
-
 // SetShards sets the number of router shards stepped in parallel during
 // arbitration. K <= 1 restores pure sequential stepping and stops the worker
 // goroutines; K is clamped to the router count. Seeded runs are bit-identical
 // across every K. Call SetShards(1) when done with a network to release its
 // workers.
 //
-// Sharding engages only while the network is in a shardable configuration:
-// occupancy tracking on (MaxPorts*VCs <= 64) and either built-in X-Y routing
-// or an installed ShardSafeRouting. Otherwise Step silently runs the
-// sequential engine, so SetShards is always safe to call.
+// Sharding engages only while the network keeps arbitration state with cached
+// routes: MaxPorts*VCs <= 64 and either built-in X-Y routing or an installed
+// ShardSafeRouting. Otherwise Step silently runs the sequential engine, so
+// SetShards is always safe to call.
 func (n *Network) SetShards(k int) {
 	if k < 1 {
 		k = 1
@@ -94,7 +94,6 @@ func (n *Network) SetShards(k int) {
 	if len(n.plans) != len(n.routers) {
 		n.plans = make([]routerPlan, len(n.routers))
 	}
-	n.shardHeads = make([]shardScratch, k)
 	n.shardWake = make([]chan struct{}, k-1)
 	n.shardDone = make(chan struct{}, k-1)
 	for i := range n.shardWake {
@@ -128,22 +127,6 @@ func (n *Network) stopShardWorkers() {
 	n.shardDone = nil
 }
 
-// shardReady reports whether this cycle's arbitration may run the sharded
-// two-phase path, mirroring fusedScanOK's occupancy/route-memo requirements
-// and additionally requiring any installed Routing to declare itself
-// shard-safe.
-func (n *Network) shardReady() bool {
-	if !n.occTrack {
-		return false
-	}
-	if n.routing != nil {
-		sr, ok := n.routing.(ShardSafeRouting)
-		return ok && sr.ShardSafe()
-	}
-	n.ensureRouteMemo()
-	return true
-}
-
 // arbitrateSharded runs one two-phase arbitration: wake the workers, scan
 // shard 0 on this goroutine, barrier on the workers, then commit serially.
 func (n *Network) arbitrateSharded() {
@@ -155,25 +138,13 @@ func (n *Network) arbitrateSharded() {
 	for range n.shardWake {
 		<-n.shardDone
 	}
-	if n.matcher != nil {
-		n.commitPlansMatched()
-		return
-	}
 	n.commitPlans()
 }
 
 // scanShard builds the phase-1 plans for every router of one shard. It runs
 // concurrently with the other shards' scans and must only write shard-owned
 // state (see the file comment).
-//
-// In faulty mode every buffered head is routed even when no output is free,
-// matching the sequential engine's per-cycle evictUnreachable probe — that is
-// how unreachable heads are detected and how stateful routings see the same
-// per-head Route coverage.
 func (n *Network) scanShard(shard int) {
-	sc := &n.shardHeads[shard]
-	rt := n.routing
-	faulty := n.faulty
 	lo, hi := n.shardBounds[shard], n.shardBounds[shard+1]
 	if n.activeOK() {
 		// Scan only the active routers of [lo, hi) by masking the shard's
@@ -195,165 +166,82 @@ func (n *Network) scanShard(shard int) {
 			base := wi << 6
 			for ; word != 0; word &= word - 1 {
 				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if faulty && r.frozen {
-					continue
-				}
-				n.scanRouter(sc, rt, faulty, true, r, &n.plans[id])
+				n.scanRouter(n.routers[id], &n.plans[id])
 			}
 		}
 		return
 	}
 	for id := lo; id < hi; id++ {
-		r := n.routers[id]
-		p := &n.plans[id]
-		p.filled = 0
-		p.fallback = false
-		if (faulty && r.frozen) || r.occ == 0 {
-			continue
-		}
-		n.scanRouter(sc, rt, faulty, false, r, p)
+		n.scanRouter(n.routers[id], &n.plans[id])
 	}
 }
 
-// scanRouter builds one router's phase-1 plan: route every buffered head and
-// bucket the grantable ones per output. The caller guarantees r.occ != 0 and
-// !r.frozen.
-func (n *Network) scanRouter(sc *shardScratch, rt Routing, faulty, active bool, r *Router, p *routerPlan) {
+// scanRouter builds one router's phase-1 plan: route the heads that became
+// head since the router's last turn — writing only r's own arbitration state
+// — and lay out, per free output, the heads routed to it.
+func (n *Network) scanRouter(r *Router, p *routerPlan) {
 	p.filled = 0
 	p.fallback = false
-	vcs := n.cfg.VCs
-	var freeOuts uint32
-	for out := PortID(0); out < MaxPorts; out++ {
-		if r.HasPort(out) && !r.linkDown[out] && !r.OutputBusy(out, n.cycle) {
-			freeOuts |= 1 << out
-		}
+	if r.occ == 0 || (n.faulty && r.frozen) {
+		return
 	}
-	if freeOuts == 0 {
-		if !faulty {
-			return
-		}
-		// Faulty with no free output: heads are routed purely to detect
-		// unreachable verdicts (and to give stateful routings the same Route
-		// coverage as the sequential eviction probe). On the active-set path
-		// the eviction modes prove when that probe cannot find anything:
-		// built-in X-Y never returns unreachable, and under a shard-safe
-		// routing a clean evict-dirty bit means every head's verdict is
-		// already known reachable.
-		if active {
-			if n.evictMode == evictSkip {
-				return
-			}
-			if n.evictMode == evictLazy && n.evictDirty[r.actWord]&r.actMask == 0 {
-				return
-			}
-		}
-	}
-	var filled uint32
-	for mask := r.occ; mask != 0; mask &= mask - 1 {
-		bit := bits.TrailingZeros64(mask)
-		pp := PortID(bit / vcs)
-		vc := bit - int(pp)*vcs
-		m := r.in[pp][vc].q[0]
-		var out PortID
-		if rt != nil {
-			out = rt.Route(r, m)
-		} else {
-			out = n.xyRouteMemo(r, m)
-		}
-		if out == RouteUnreachable {
-			// Evicting the head exposes a successor this scan never
-			// routed; replay the router sequentially in phase 2.
-			p.fallback = true
-			return
-		}
-		if uint(out) >= MaxPorts || freeOuts&(1<<out) == 0 {
-			continue
-		}
-		if filled&(1<<out) == 0 {
-			filled |= 1 << out
-			sc.outHeads[out] = sc.outHeads[out][:0]
-		}
-		sc.outHeads[out] = append(sc.outHeads[out], Candidate{Port: pp, VC: vc, Msg: m})
-	}
-	if filled == 0 {
+	if r.stale != 0 && !n.routeHeads(r, false) {
+		// Evicting the head exposes a successor this scan never routed;
+		// replay the router sequentially in phase 2.
+		p.fallback = true
 		return
 	}
 	cands := p.cands[:0]
 	for out := PortID(0); out < MaxPorts; out++ {
-		if filled&(1<<out) == 0 {
+		req := r.requests(out, n.cycle)
+		if req == 0 {
 			continue
 		}
+		p.filled |= 1 << out
 		p.off[out] = uint8(len(cands))
-		p.cnt[out] = uint8(len(sc.outHeads[out]))
-		cands = append(cands, sc.outHeads[out]...)
+		cands = n.appendHeads(cands, r, req)
+		p.cnt[out] = uint8(len(cands)) - p.off[out]
 	}
 	p.cands = cands
-	p.filled = filled
 }
 
-// commitPlans is phase 2 for per-output selection policies: walk routers in
-// ascending order, filter each plan group by the two live facts (input port
-// already granted this cycle by an earlier output; downstream buffer full),
-// and select/grant exactly as the sequential engine does.
+// commitPlans is phase 2: walk routers in ascending order — on the active-set
+// path the same activity snapshot phase 1 scanned (phase 1 pops nothing, and
+// within phase 2 only the router currently committing can clear its own bit,
+// so per-word snapshots stay exact) — and commit each router's plan. A router
+// whose scan met an unreachable head replays the sequential turn instead.
 func (n *Network) commitPlans() {
-	ctx := &n.arbCtx
-	*ctx = ArbContext{Net: n, Cycle: n.cycle}
-	if n.activeOK() {
-		// Walk the same activity snapshot phase 1 scanned (phase 1 pops
-		// nothing, so the bitmap is unchanged); within phase 2 only the
-		// router currently committing can clear its own bit, so per-word
-		// snapshots stay exact.
-		lazy := n.faulty && n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if n.faulty && r.frozen {
-					continue
-				}
-				n.commitRouter(ctx, r, &n.plans[id], lazy)
-			}
+	if !n.activeOK() {
+		for id := range n.routers {
+			n.commitPlan(id)
 		}
 		return
 	}
-	for id, r := range n.routers {
-		if n.faulty && r.frozen {
-			continue
+	for wi, word := range n.actR {
+		for base := wi << 6; word != 0; word &= word - 1 {
+			n.commitPlan(base + bits.TrailingZeros64(word))
 		}
-		n.commitRouter(ctx, r, &n.plans[id], false)
 	}
 }
 
-// commitRouter applies one router's phase-1 plan: fallback routers replay the
-// sequential evict + arbitrate sequence; planned routers re-check the two
-// live facts (input port already granted, downstream space) per group and
-// select/grant exactly as the sequential engine does. With lazy set the
-// router's evict-dirty bit is cleared after its eviction coverage is current
-// (phase 1 routed every head or a fallback eviction just re-probed them) and
-// before any grant pops can re-mark it — the same evict, clear, grant order
-// the sequential maybeEvict path produces.
-func (n *Network) commitRouter(ctx *ArbContext, r *Router, p *routerPlan, lazy bool) {
-	if p.fallback {
-		n.evictUnreachable(r)
-		if lazy {
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-		ctx.Router = r
-		n.arbitrateRouterLegacy(ctx, r)
-		return
+func (n *Network) commitPlan(id int) {
+	r, p := n.routers[id], &n.plans[id]
+	switch {
+	case p.fallback:
+		n.arbitrateRouter(r)
+	case p.filled == 0:
+	case n.matcher != nil:
+		n.commitRouterMatched(r, p)
+	default:
+		n.commitRouter(r, p)
 	}
-	if lazy {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
-	if p.filled == 0 {
-		return
-	}
-	ctx.Router = r
+}
+
+// commitRouter applies one router's phase-1 plan for a per-output selection
+// policy: filter each group by the two live facts (input port already granted
+// this cycle by an earlier output; downstream buffer full) and select/grant
+// exactly as the sequential engine does.
+func (n *Network) commitRouter(r *Router, p *routerPlan) {
 	for out := PortID(0); out < MaxPorts; out++ {
 		if p.filled&(1<<out) == 0 {
 			continue
@@ -377,66 +265,17 @@ func (n *Network) commitRouter(ctx *ArbContext, r *Router, p *routerPlan, lazy b
 		if len(cands) == 0 {
 			continue
 		}
-		ctx.Out = out
-		n.selectAndGrant(ctx, r, out, cands)
+		n.selectAndGrant(r, out, cands)
 	}
 }
 
-// commitPlansMatched is phase 2 for whole-router matchers: build each
-// router's request list from its plan with the live downstream-space filter
+// commitRouterMatched is commitRouter's counterpart for whole-router matchers:
+// build the request list from the plan with the live downstream-space filter
 // (no granted-input filter is needed — grants apply only after Match) and run
 // the sequential match-and-apply tail.
-func (n *Network) commitPlansMatched() {
-	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
-		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
-	}
-	mctx := &n.matchCtx
-	*mctx = MatchContext{Net: n, Cycle: n.cycle}
-	if n.activeOK() {
-		// Same activity-snapshot walk as commitPlans.
-		lazy := n.faulty && n.evictMode == evictLazy
-		for wi, word := range n.actR {
-			if word == 0 {
-				continue
-			}
-			base := wi << 6
-			for ; word != 0; word &= word - 1 {
-				id := base + bits.TrailingZeros64(word)
-				r := n.routers[id]
-				if n.faulty && r.frozen {
-					continue
-				}
-				n.commitRouterMatched(mctx, r, &n.plans[id], lazy)
-			}
-		}
-		return
-	}
-	for id, r := range n.routers {
-		if n.faulty && r.frozen {
-			continue
-		}
-		n.commitRouterMatched(mctx, r, &n.plans[id], false)
-	}
-}
-
-// commitRouterMatched is commitRouter's counterpart for whole-router matchers;
-// see commitRouter for the lazy dirty-clear ordering.
-func (n *Network) commitRouterMatched(mctx *MatchContext, r *Router, p *routerPlan, lazy bool) {
-	if p.fallback {
-		n.evictUnreachable(r)
-		if lazy {
-			n.evictDirty[r.actWord] &^= r.actMask
-		}
-		_, reqs := n.gatherRequestsLegacy(r, n.candArena[:0], n.reqScratch[:0])
-		n.matchAndApply(mctx, r, reqs)
-		return
-	}
-	if lazy {
-		n.evictDirty[r.actWord] &^= r.actMask
-	}
-	arena := n.candArena[:0]
-	reqs := n.reqScratch[:0]
-	for out := PortID(0); p.filled != 0 && out < MaxPorts; out++ {
+func (n *Network) commitRouterMatched(r *Router, p *routerPlan) {
+	arena, reqs := n.matchArena(), n.reqScratch[:0]
+	for out := PortID(0); out < MaxPorts; out++ {
 		if p.filled&(1<<out) == 0 {
 			continue
 		}
@@ -457,5 +296,5 @@ func (n *Network) commitRouterMatched(mctx *MatchContext, r *Router, p *routerPl
 		}
 		reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
 	}
-	n.matchAndApply(mctx, r, reqs)
+	n.matchAndApply(r, reqs)
 }

@@ -47,7 +47,7 @@ func shardRun(t *testing.T, policy Policy, cfg Config, shards, cycles int,
 		if got := net.Shards(); got != shards {
 			t.Fatalf("Shards() = %d after SetShards(%d)", got, shards)
 		}
-		if !net.shardReady() {
+		if !net.arbState {
 			t.Fatalf("network not shard-ready with routing %v", routing)
 		}
 	}
@@ -129,12 +129,14 @@ func TestShardInvariance(t *testing.T) {
 	for cname, cfg := range cfgs {
 		for pname, pol := range policies {
 			t.Run(cname+"/"+pname, func(t *testing.T) {
-				cycles := 600
+				cycles, ks := 600, []int{2, 4, 8}
 				if cfg.Width == 16 {
-					cycles = 300
+					// Four activity words: K=4 cuts them at word boundaries,
+					// K=8 inside words; K=2 adds nothing to the 8x8 cases.
+					cycles, ks = 300, []int{4, 8}
 				}
 				base, baseLog := shardRun(t, pol, cfg, 1, cycles, nil, nil)
-				for _, k := range []int{2, 4, 8} {
+				for _, k := range ks {
 					net, log := shardRun(t, pol, cfg, k, cycles, nil, nil)
 					requireIdentical(t, k, base, baseLog, net, log)
 				}
@@ -189,11 +191,7 @@ func TestShardInvarianceUnreachable(t *testing.T) {
 	for _, k := range []int{2, 4, 8} {
 		net, log := shardRun(t, orderPolicy{}, cfg, k, 600, routing(), nil)
 		requireIdentical(t, k, base, baseLog, net, log)
-		fs := net.FaultStats()
-		if net.Stats().Injected != net.Stats().Delivered+fs.Unreachable+net.InFlight() {
-			t.Fatalf("K=%d conservation broken: injected=%d delivered=%d unreachable=%d inflight=%d",
-				k, net.Stats().Injected, net.Stats().Delivered, fs.Unreachable, net.InFlight())
-		}
+		checkConservation(t, net, fmt.Sprintf("K=%d", k))
 	}
 }
 

@@ -82,13 +82,7 @@ func abs(v int) int {
 
 // ringDist returns the distance between positions a and b on a ring of n
 // slots: the shorter of the two ways around.
-func ringDist(a, b, n int) int {
-	d := abs(a - b)
-	if n-d < d {
-		return n - d
-	}
-	return d
-}
+func ringDist(a, b, n int) int { return abs(ringWay(b-a, n)) }
 
 // String implements fmt.Stringer.
 func (c Coord) String() string { return fmt.Sprintf("(%d,%d)", c.X, c.Y) }
