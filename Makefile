@@ -1,13 +1,21 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test race vet fmt verify bench bench-diff bench-paper serve-smoke race-shard clean
+.PHONY: build test test-nofma race vet fmt verify bench bench-diff bench-paper serve-smoke race-shard clean
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# internal/nn's vector sigmoid is math.Exp's amd64 FMA path op for op. With
+# cpu.fma=off math.Exp takes its other path and rounds differently, so the
+# package's start-up probe must switch the kernel off, and every bit-identity
+# test must pass on the scalar loop (TestSigmoidProbeFollowsMathExp checks the
+# switch itself).
+test-nofma:
+	GODEBUG=cpu.fma=off $(GO) test ./internal/nn
 
 # Race-check the library packages; the obs registry, the parallel sweep
 # telemetry and the fault-injection tests are explicitly exercised under
@@ -26,7 +34,7 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet build test race
+verify: fmt vet build test test-nofma race
 
 # Refresh the hot-path benchmark snapshot (ns/op, B/op, allocs/op for the
 # BenchmarkHot* suite). bench-diff compares a fresh run against the committed

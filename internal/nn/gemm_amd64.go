@@ -30,6 +30,15 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64)
 
+// sigmoid4 replaces, in place, the first groups groups of four values at zs
+// with 1/(1+exp(-z)), each lane bit-equal to the scalar expression on math.Exp's
+// FMA path (sigmoid_amd64.s). It stops in front of the first group that holds
+// a NaN or an |z| above 700, where math.Exp leaves its straight-line path, and
+// returns the number of groups it has done.
+//
+//go:noescape
+func sigmoid4(zs *float64, groups int) int
+
 // detectAVX2FMA performs the standard AVX2 feature dance: CPUID leaf 1 for
 // FMA/AVX/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for AVX2.
 func detectAVX2FMA() bool {

@@ -10,3 +10,8 @@ const hasFMAKernel = false
 func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64) {
 	panic("nn: fmaDot4x2 called without FMA kernel support")
 }
+
+// sigmoid4 is never called when hasFMAKernel is false.
+func sigmoid4(zs *float64, groups int) int {
+	panic("nn: sigmoid4 called without FMA kernel support")
+}

@@ -74,13 +74,15 @@ func (a Activation) apply(z float64) float64 {
 }
 
 // applyTo replaces the pre-activations zs with their activations in place,
-// one loop per activation kind.
+// one loop per activation kind, every element bit-equal to apply's. The
+// sigmoid's loop is sigmoidTo: four lanes at a time on an AVX2+FMA kernel that
+// is math.Exp's amd64 FMA path op for op, where a start-up probe has found it
+// to agree with apply, and apply's expression for a group of four holding a
+// NaN or an |z| above 700, for the len%4 tail, and everywhere else.
 func (a Activation) applyTo(zs []float64) {
 	switch a {
 	case Sigmoid:
-		for i, z := range zs {
-			zs[i] = 1 / (1 + math.Exp(-z))
-		}
+		sigmoidTo(zs)
 	case ReLU:
 		for i, z := range zs {
 			if z < 0 {
@@ -97,6 +99,53 @@ func (a Activation) applyTo(zs []float64) {
 				zs[i] = leakySlope * z
 			}
 		}
+	}
+}
+
+// vecSigmoid says whether sigmoidTo runs the AVX2+FMA kernel sigmoid4. The
+// kernel is math.Exp's amd64 FMA path op for op, and math.Exp belongs to
+// another package: a toolchain that changes it, or GODEBUG=cpu.fma=off, which
+// sends it down its non-FMA path, must switch the kernel off rather than
+// change a result. So the kernel runs only if, at start-up, it agrees with the
+// scalar expression on a fixed list of values.
+var vecSigmoid = hasFMAKernel && sigmoidAgrees(sigmoid4)
+
+// sigmoidAgrees reports whether kernel, which has sigmoid4's contract, gives
+// the scalar expression's bits on the 64 values of the start-up check, all
+// within the kernel's range; math.Exp's two amd64 paths give different sigmoid
+// bits on five of them.
+func sigmoidAgrees(kernel func(zs *float64, groups int) int) bool {
+	var probe [64]float64
+	for i := range probe {
+		probe[i] = -0.61*float64(i) - 0.0113*float64(i%7)
+	}
+	copy(probe[:], []float64{0, math.Copysign(0, -1), 1e-300, -1e-17, 36.5, 2.25, 699.5, -699.5})
+	got := probe
+	if kernel(&got[0], len(got)/4) != len(got)/4 {
+		return false
+	}
+	for i, z := range probe {
+		if math.Float64bits(got[i]) != math.Float64bits(Sigmoid.apply(z)) {
+			return false
+		}
+	}
+	return true
+}
+
+// sigmoidTo replaces each z with 1/(1+exp(-z)). The kernel takes whole groups
+// of four and stops in front of one it must not compute (a NaN, or |z| above
+// 700); that group, or the len%4 tail, goes through the scalar expression, and
+// the kernel resumes behind it.
+func sigmoidTo(zs []float64) {
+	for len(zs) > 0 {
+		if vecSigmoid && len(zs) >= 4 {
+			zs = zs[4*sigmoid4(&zs[0], len(zs)/4):]
+		}
+		rest := zs[:min(4, len(zs))]
+		for i, z := range rest {
+			rest[i] = 1 / (1 + math.Exp(-z))
+		}
+		zs = zs[len(rest):]
 	}
 }
 
@@ -151,6 +200,16 @@ type Layer struct {
 // a sum or weight that is exactly -0 stays -0 when a +0 term is left out where
 // computing it would give +0. There is no density threshold: a dense input is
 // the same list, only a full one.
+//
+// A layer-0 neuron's sum, and a layer-0 weight's update, are the same
+// operations in the same order whichever loop runs them. The forward pass and
+// the weight update walk the input list once per six neurons (six independent
+// chains in flight, an entry loaded once for six rows) and fall back to one
+// row at a time for the selected outputs of a one-layer network, the Out%6
+// remainder, and a block of six that holds a zero delta — a zero delta skips
+// its row, which a step of lr*0 would not leave alone (-0 - -0 is +0). The
+// sigmoid of a whole layer or batch plane is computed four lanes at a time
+// (Activation.applyTo), bit-equal to the scalar expression.
 //
 // The last layer computes only the outputs a caller asks for (the outs
 // argument of ForwardSparse; TrainActionSparse asks for the one action). Each
@@ -297,31 +356,52 @@ func (m *MLP) forward(x SparseVec, outs []int) []float64 {
 }
 
 // forwardSparse computes z = act(W*x + b) for the neurons in want (all when
-// want is empty), one term per entry of x.
+// want is empty), one term per entry of x. A neuron's sum is its bias, then
+// its terms in list order: one dependent chain of adds. Computing all neurons,
+// it walks the list once per six of them, so that six chains are in flight and
+// an index and its value are loaded once for six rows; each chain is the one
+// the one-row loop runs, which the selected neurons and the Out%6 remainder
+// still take.
 func (l *Layer) forwardSparse(z []float64, x SparseVec, want []int) {
 	idx, val := x.Idx, x.Val[:len(x.Idx)]
-	n, selected := l.Out, len(want) > 0
-	if selected {
-		n = len(want)
-	}
-	for k := 0; k < n; k++ {
-		j := k
-		if selected {
-			j = want[k]
+	if len(want) > 0 {
+		for _, j := range want {
+			z[j] = l.Act.apply(l.sumSparse(j, idx, val))
 		}
-		row := l.W[j*l.In : (j+1)*l.In]
-		s := l.B[j]
+		return
+	}
+	in, j := l.In, 0
+	for ; j+6 <= l.Out; j += 6 {
+		w, b, zj := l.W[j*in:(j+6)*in], l.B[j:j+6], z[j:j+6]
+		r0, r1, r2 := w[:in], w[in:][:in], w[2*in:][:in]
+		r3, r4, r5 := w[3*in:][:in], w[4*in:][:in], w[5*in:][:in]
+		s0, s1, s2, s3, s4, s5 := b[0], b[1], b[2], b[3], b[4], b[5]
 		for e, i := range idx {
-			s += row[i] * val[e]
+			v := val[e]
+			s0 += r0[i] * v
+			s1 += r1[i] * v
+			s2 += r2[i] * v
+			s3 += r3[i] * v
+			s4 += r4[i] * v
+			s5 += r5[i] * v
 		}
-		if selected {
-			s = l.Act.apply(s)
-		}
-		z[j] = s
+		zj[0], zj[1], zj[2], zj[3], zj[4], zj[5] = s0, s1, s2, s3, s4, s5
 	}
-	if !selected {
-		l.Act.applyTo(z)
+	for ; j < l.Out; j++ {
+		z[j] = l.sumSparse(j, idx, val)
 	}
+	l.Act.applyTo(z)
+}
+
+// sumSparse is neuron j's pre-activation on the listed input, one row at a
+// time.
+func (l *Layer) sumSparse(j int, idx []int32, val []float64) float64 {
+	row := l.W[j*l.In : (j+1)*l.In]
+	s := l.B[j]
+	for e, i := range idx {
+		s += row[i] * val[e]
+	}
+	return s
 }
 
 // forwardDense computes z = act(W*in + b) for the neurons in want (all when
@@ -693,11 +773,10 @@ func (m *MLP) backprop(x SparseVec, lr float64) {
 			dl[j] *= layer.Act.derivFromOutput(outs[j])
 		}
 	}
-	// Apply gradients. Layer 0 updates only the weights of the listed inputs:
-	// the others would move by step*0.
-	idx, val := x.Idx, x.Val[:len(x.Idx)]
-	for l, layer := range m.Layers {
-		in := m.acts[l]
+	// Apply gradients.
+	m.Layers[0].updateSparse(m.deltas[0], x, lr)
+	for l := 1; l <= last; l++ {
+		layer, in := m.Layers[l], m.acts[l]
 		for j := 0; j < layer.Out; j++ {
 			d := m.deltas[l][j]
 			if d == 0 {
@@ -705,18 +784,62 @@ func (m *MLP) backprop(x SparseVec, lr float64) {
 			}
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			step := lr * d
-			if l == 0 {
-				for k, i := range idx {
-					row[i] -= step * val[k]
-				}
-			} else {
-				for i := range row {
-					row[i] -= step * in[i]
-				}
+			for i := range row {
+				row[i] -= step * in[i]
 			}
 			layer.B[j] -= step
 		}
 	}
+}
+
+// updateSparse is layer 0's SGD step: w[j][i] -= lr*delta[j]*x[i] for the
+// listed inputs only, the others would move by step*0. A neuron whose delta is
+// zero is skipped outright, so that its row stays as it is, -0 weights
+// included. Like forwardSparse it walks the list once per six rows, each
+// weight taking the step the one-row loop gives it; a block holding a zero
+// delta, and the Out%6 remainder, go one row at a time.
+func (l *Layer) updateSparse(delta []float64, x SparseVec, lr float64) {
+	idx, val := x.Idx, x.Val[:len(x.Idx)]
+	in, j := l.In, 0
+	for ; j+6 <= l.Out; j += 6 {
+		d, b := delta[j:j+6], l.B[j:j+6]
+		if d[0] == 0 || d[1] == 0 || d[2] == 0 || d[3] == 0 || d[4] == 0 || d[5] == 0 {
+			for k := j; k < j+6; k++ {
+				l.updateRowSparse(k, delta[k], idx, val, lr)
+			}
+			continue
+		}
+		w := l.W[j*in : (j+6)*in]
+		r0, r1, r2 := w[:in], w[in:][:in], w[2*in:][:in]
+		r3, r4, r5 := w[3*in:][:in], w[4*in:][:in], w[5*in:][:in]
+		t0, t1, t2, t3, t4, t5 := lr*d[0], lr*d[1], lr*d[2], lr*d[3], lr*d[4], lr*d[5]
+		for e, i := range idx {
+			v := val[e]
+			r0[i] -= t0 * v
+			r1[i] -= t1 * v
+			r2[i] -= t2 * v
+			r3[i] -= t3 * v
+			r4[i] -= t4 * v
+			r5[i] -= t5 * v
+		}
+		b[0], b[1], b[2], b[3], b[4], b[5] = b[0]-t0, b[1]-t1, b[2]-t2, b[3]-t3, b[4]-t4, b[5]-t5
+	}
+	for ; j < l.Out; j++ {
+		l.updateRowSparse(j, delta[j], idx, val, lr)
+	}
+}
+
+// updateRowSparse is updateSparse for neuron j alone.
+func (l *Layer) updateRowSparse(j int, d float64, idx []int32, val []float64, lr float64) {
+	if d == 0 {
+		return
+	}
+	row := l.W[j*l.In : (j+1)*l.In]
+	step := lr * d
+	for e, i := range idx {
+		row[i] -= step * val[e]
+	}
+	l.B[j] -= step
 }
 
 // TrainMSE performs one SGD step toward target under 0.5*sum((y-t)^2) loss

@@ -152,6 +152,31 @@ func BenchmarkHotMLPForwardBatchExact32(b *testing.B) {
 	}
 }
 
+// benchSigmoid times applyTo(Sigmoid) on n pre-activations shaped like the
+// hidden layer's, copied back in before every pass because applyTo works in
+// place (the copy is a few percent of the op).
+func benchSigmoid(b *testing.B, n int) {
+	rng := rand.New(rand.NewSource(13))
+	src, zs := make([]float64, n), make([]float64, n)
+	for i := range src {
+		src[i] = rng.NormFloat64() * 2
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(zs, src)
+		Sigmoid.applyTo(zs)
+	}
+}
+
+// BenchmarkHotSigmoid42 is the hidden layer's activation in one Forward or
+// TrainAction: ten groups of four on the AVX2 kernel and a scalar tail of two.
+func BenchmarkHotSigmoid42(b *testing.B) { benchSigmoid(b, 42) }
+
+// BenchmarkHotSigmoidPlane1344 is the hidden plane of one batch of 32 in
+// forwardBatch.
+func BenchmarkHotSigmoidPlane1344(b *testing.B) { benchSigmoid(b, 32*42) }
+
 // BenchmarkHotQuantForward measures single-sample INT8 inference on the APU
 // network — the software analog of the paper's Table 3 MAC-array engine.
 func BenchmarkHotQuantForward(b *testing.B) {

@@ -285,6 +285,102 @@ func TestSparseTrainingMatchesDense(t *testing.T) {
 	}
 }
 
+// blockedOuts are layer widths around the six-row blocks of forwardSparse and
+// updateSparse: below one block, whole blocks, and every remainder.
+var blockedOuts = []int{1, 5, 6, 7, 12, 41, 42, 43}
+
+// blockedLayer is a layer 0 of the given shape whose weights are random, with
+// a -0 in one place in eight, and the input lists it is tried on: empty, full
+// (negative values and both zeros among them), and a sparse one.
+func blockedLayer(rng *rand.Rand, in, out int, act Activation) (*Layer, []SparseVec) {
+	l := &Layer{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out), Act: act}
+	for i := range l.W {
+		if l.W[i] = rng.NormFloat64(); rng.Intn(8) == 0 {
+			l.W[i] = math.Copysign(0, -1)
+		}
+	}
+	for j := range l.B {
+		l.B[j] = rng.NormFloat64()
+	}
+	full := make([]float64, in)
+	for i := range full {
+		full[i] = rng.NormFloat64()
+	}
+	full[0], full[in-1] = 0, math.Copysign(0, -1)
+	sparse := sparseStateVec(rng, in, 4, 2)
+	return l, []SparseVec{{}, listed(full, func(int) bool { return true }), listed(sparse, func(i int) bool { return i%5 == 0 })}
+}
+
+// TestForwardSparseBlockedMatchesOneRow holds the six-neuron pass of
+// forwardSparse to the one-row loop, neuron by neuron.
+func TestForwardSparseBlockedMatchesOneRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for _, out := range blockedOuts {
+		for _, act := range []Activation{Identity, Sigmoid} {
+			l, xs := blockedLayer(rng, 28, out, act)
+			for _, x := range xs {
+				want := make([]float64, out)
+				for j := range want {
+					want[j] = act.apply(l.sumSparse(j, x.Idx, x.Val))
+				}
+				got := make([]float64, out)
+				l.forwardSparse(got, x, nil)
+				requireSameBits(t, "forwardSparse", got, want)
+			}
+		}
+	}
+}
+
+// TestBackpropBlockedMatchesOneRow holds the six-row pass of updateSparse to
+// the one-row loop on deltas with exact zeros in every position of a block: a
+// row whose delta is zero must keep every bit, a -0 weight included, which a
+// step of lr*0 times a negative input would turn into +0. Then the same
+// through TrainActionSparse, where a ReLU hidden layer makes the zeros.
+func TestBackpropBlockedMatchesOneRow(t *testing.T) {
+	rng := rand.New(rand.NewSource(32))
+	for _, out := range blockedOuts {
+		l, xs := blockedLayer(rng, 28, out, Identity)
+		for trial := 0; trial < 12; trial++ {
+			delta := make([]float64, out)
+			for j := range delta {
+				// Trial 0 has no zero, trial 1 only zeros, the others one in
+				// four at random.
+				if delta[j] = rng.NormFloat64(); trial == 1 || (trial > 1 && rng.Intn(4) == 0) {
+					delta[j] = 0
+				}
+			}
+			for _, x := range xs {
+				ref := &Layer{In: l.In, Out: l.Out, W: append([]float64(nil), l.W...), B: append([]float64(nil), l.B...)}
+				for j, d := range delta {
+					ref.updateRowSparse(j, d, x.Idx, x.Val, 0.05)
+					if d == 0 {
+						requireSameBits(t, "one-row oracle, skipped row", ref.W[j*l.In:(j+1)*l.In], l.W[j*l.In:(j+1)*l.In])
+					}
+				}
+				l.updateSparse(delta, x, 0.05)
+				requireSameBits(t, "updateSparse W", l.W, ref.W)
+				requireSameBits(t, "updateSparse B", l.B, ref.B)
+			}
+		}
+
+		m := New([]int{28, out, 3}, []Activation{ReLU, Identity}, rng)
+		ref := m.Clone()
+		for step := 0; step < 40; step++ {
+			x := sparseStateVec(rng, 28, 4, 3)
+			for i := 1; i < len(x); i += 2 {
+				x[i] = -x[i]
+			}
+			sv := listed(x, func(i int) bool { return i%7 == 0 })
+			target := rng.Float64()
+			got, want := m.TrainActionSparse(sv, step%3, target, 0.05), denseTrainAction(ref, x, step%3, target, 0.05)
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("hidden %d step %d: error %v, dense reference %v", out, step, got, want)
+			}
+		}
+		requireSameWeights(t, "ReLU hidden layer", m, ref)
+	}
+}
+
 // denseStepBatch is forwardBatch with the dense plan on every layer: the
 // production tile kernel, visiting every 4-wide step of rows read in place.
 func denseStepBatch(m *MLP, xs [][]float64, fma bool) [][]float64 {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"fmt"
 	"sync"
 	"time"
 )
@@ -56,6 +57,7 @@ type Job struct {
 	Hash   string
 	CorrID string
 	Spec   *Spec
+	seq    int // submission number, the N of ID
 
 	mu        sync.Mutex
 	state     State
@@ -72,12 +74,14 @@ type Job struct {
 	subs      map[chan Event]struct{}
 }
 
-// newJob creates a queued job.
-func newJob(id string, spec *Spec, now time.Time) *Job {
+// newJob creates the queued job of submission seq; hash is spec.Hash(), which
+// the caller has computed for the cache lookup already.
+func newJob(seq int, hash string, spec *Spec, now time.Time) *Job {
 	return &Job{
-		ID:      id,
-		Hash:    spec.Hash(),
+		ID:      fmt.Sprintf("j%06d", seq),
+		Hash:    hash,
 		Spec:    spec,
+		seq:     seq,
 		state:   StateQueued,
 		created: now,
 		subs:    make(map[chan Event]struct{}),

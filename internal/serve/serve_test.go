@@ -131,6 +131,81 @@ func TestCacheHitByteIdentical(t *testing.T) {
 	}
 }
 
+// The registry is bounded: a daemon answering cache hits keeps its queued and
+// running jobs plus the latest retainedJobs terminal ones, however many it has
+// minted. An evicted ID answers 404 like an unknown one; a running job is
+// never evicted.
+func TestRegistryBounded(t *testing.T) {
+	br := newBlockingRunner()
+	s := New(Config{Workers: 2, Runner: func(ctx context.Context, job *Job) ([]byte, error) {
+		if job.Spec.Seed == 99 {
+			return br.run(ctx, job)
+		}
+		return []byte(`{"ok":true}`), nil
+	}})
+	h := s.Handler()
+
+	_, first := postJob(t, h, specQuant)
+	waitState(t, s.lookup(first.ID), StateDone)
+	_, running := postJob(t, h, `{"type":"quant","seed":99}`)
+	<-br.started
+
+	const submissions = 5000
+	var last StatusDoc
+	for i := 0; i < submissions; i++ {
+		code, doc := postJob(t, h, specQuant)
+		if code != http.StatusOK || !doc.Cached {
+			t.Fatalf("submission %d: code %d cached %v, want a cache hit", i, code, doc.Cached)
+		}
+		last = doc
+	}
+	s.mu.Lock()
+	retained, live := len(s.jobs), len(s.live)
+	s.mu.Unlock()
+	if live != 1 || retained != retainedJobs+1 {
+		t.Fatalf("registry holds %d jobs, %d live; want %d and 1 (the running job)", retained, live, retainedJobs+1)
+	}
+	if j := s.lookup(running.ID); j == nil || j.State() != StateRunning {
+		t.Fatalf("running job %s was evicted or is not running: %v", running.ID, j)
+	}
+	newest := s.lookup(last.ID).seq
+	for seq := newest; seq > newest-retainedJobs; seq-- {
+		if rec := get(h, fmt.Sprintf("/jobs/j%06d/result", seq)); rec.Code != http.StatusOK {
+			t.Fatalf("result of recent job %d: code %d, want 200", seq, rec.Code)
+		}
+	}
+	for _, id := range []string{first.ID, fmt.Sprintf("j%06d", newest-retainedJobs)} {
+		if rec := get(h, "/jobs/"+id); rec.Code != http.StatusNotFound {
+			t.Fatalf("evicted job %s: code %d, want 404", id, rec.Code)
+		}
+	}
+	var docs []StatusDoc
+	if err := json.NewDecoder(get(h, "/jobs").Body).Decode(&docs); err != nil {
+		t.Fatalf("decode /jobs: %v", err)
+	}
+	if len(docs) != retainedJobs+1 || docs[0].ID != running.ID || docs[len(docs)-1].ID != last.ID {
+		t.Fatalf("/jobs lists %d jobs from %s to %s; want %d from %s (the oldest retained, still running) to %s",
+			len(docs), docs[0].ID, docs[len(docs)-1].ID, retainedJobs+1, running.ID, last.ID)
+	}
+	for i := 1; i < len(docs); i++ {
+		if docs[i-1].ID >= docs[i].ID {
+			t.Fatalf("/jobs out of submission order at %d: %s then %s", i, docs[i-1].ID, docs[i].ID)
+		}
+	}
+
+	close(br.release)
+	waitState(t, s.lookup(running.ID), StateDone)
+	s.Drain()
+	if s.lookup(running.ID) == nil {
+		t.Fatal("the job that finished last is not among the recent ones")
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if len(s.jobs) != retainedJobs || len(s.live) != 0 {
+		t.Fatalf("after the last job finished the registry holds %d jobs, %d live; want %d and 0", len(s.jobs), len(s.live), retainedJobs)
+	}
+}
+
 // A different seed is a different job: it must re-execute, not hit the cache.
 func TestDifferentSeedReexecutes(t *testing.T) {
 	var runs atomic.Int64

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,11 +59,23 @@ type Server struct {
 	log      *slog.Logger
 	draining atomic.Bool
 
-	mu     sync.Mutex
-	jobs   map[string]*Job
-	order  []string
-	nextID int
+	// The registry holds the jobs a client can still ask about: every queued
+	// or running one (live), and the retainedJobs that reached a terminal
+	// state last (recent, a ring whose oldest entry the next one overwrites).
+	// jobs indexes both by ID; an evicted ID answers like an unknown one.
+	mu      sync.Mutex
+	jobs    map[string]*Job
+	live    map[string]*Job
+	recent  [retainedJobs]*Job
+	retired int // terminal jobs so far; recent[retired%retainedJobs] is the next slot
+	nextID  int
 }
+
+// retainedJobs is how many terminal jobs stay addressable. A daemon answering
+// cache hits mints a job per submission, so the registry must not keep them
+// all; a client polls a job it has just submitted, not one from a thousand
+// completions ago.
+const retainedJobs = 1024
 
 // New builds a Server and starts its workers.
 func New(cfg Config) *Server {
@@ -88,6 +101,7 @@ func New(cfg Config) *Server {
 		met:   newMetrics(cfg.Registry),
 		log:   cfg.Logger,
 		jobs:  make(map[string]*Job),
+		live:  make(map[string]*Job),
 	}
 	s.registerLiveMetrics(cfg.Registry)
 	run := cfg.Runner
@@ -205,6 +219,7 @@ func (s *Server) jobDone(job *Job) {
 	}
 	rec("job finished", "corr_id", job.CorrID, "id", job.ID, "type", job.Spec.Type,
 		"state", string(st), "elapsed", elapsed.Round(time.Millisecond).String())
+	s.retire(job)
 }
 
 // elapsed is the job's execution time (zero until it finished).
@@ -241,44 +256,70 @@ func (s *Server) finalizeQueued(jobs []*Job) {
 	for _, j := range jobs {
 		j.finish(StateCancelled, nil, "daemon draining", now)
 		s.met.jobFinished(j.Spec.Type, StateCancelled, 0)
+		s.retire(j)
 	}
 }
 
 // Draining reports whether shutdown has begun.
 func (s *Server) Draining() bool { return s.draining.Load() }
 
-// register mints an ID and adds the job to the registry. An empty corrID is
-// defaulted to "<id>-<hash prefix>", so every job is correlatable even when
-// the client sent no X-Correlation-ID.
-func (s *Server) register(spec *Spec, corrID string, now time.Time) *Job {
+// register mints an ID and adds the job to the registry as a live one. An
+// empty corrID is defaulted to "<id>-<hash prefix>", so every job is
+// correlatable even when the client sent no X-Correlation-ID.
+func (s *Server) register(spec *Spec, hash, corrID string, now time.Time) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.nextID++
-	job := newJob(fmt.Sprintf("j%06d", s.nextID), spec, now)
+	job := newJob(s.nextID, hash, spec, now)
 	if corrID == "" {
 		corrID = job.ID + "-" + job.Hash[:8]
 	}
 	job.CorrID = corrID
 	s.jobs[job.ID] = job
-	s.order = append(s.order, job.ID)
+	s.live[job.ID] = job
 	return job
 }
 
-// lookup returns the job with the given ID.
+// retire moves a job that has reached a terminal state from the live set into
+// the ring of recent ones, evicting the ring's oldest. Every path that ends a
+// job calls it; a second call for the same job does nothing.
+func (s *Server) retire(job *Job) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.live[job.ID]; !ok {
+		return
+	}
+	delete(s.live, job.ID)
+	slot := &s.recent[s.retired%retainedJobs]
+	if *slot != nil {
+		delete(s.jobs, (*slot).ID)
+	}
+	*slot = job
+	s.retired++
+}
+
+// lookup returns the job with the given ID, nil when there is none or it has
+// been evicted.
 func (s *Server) lookup(id string) *Job {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.jobs[id]
 }
 
-// snapshotJobs returns all jobs in submission order.
-func (s *Server) snapshotJobs() []*Job {
+// snapshotJobs returns the retained jobs, or only the live ones, in
+// submission order.
+func (s *Server) snapshotJobs(liveOnly bool) []*Job {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]*Job, 0, len(s.order))
-	for _, id := range s.order {
-		out = append(out, s.jobs[id])
+	set := s.jobs
+	if liveOnly {
+		set = s.live
 	}
+	out := make([]*Job, 0, len(set))
+	for _, j := range set {
+		out = append(out, j)
+	}
+	s.mu.Unlock()
+	slices.SortFunc(out, func(a, b *Job) int { return a.seq - b.seq })
 	return out
 }
 
@@ -298,16 +339,18 @@ func (s *Server) SubmitCorr(spec *Spec, corrID string) (*Job, error) {
 	s.met.jobSubmitted()
 	hash := spec.Hash()
 	if payload, ok := s.cache.Get(hash); ok {
-		job := s.register(spec, corrID, now)
+		job := s.register(spec, hash, corrID, now)
 		job.completeCached(payload, now)
+		s.retire(job)
 		s.met.jobFinished(spec.Type, StateDone, 0)
 		s.log.Info("job served from cache", "corr_id", job.CorrID, "id", job.ID,
 			"type", spec.Type, "hash", hash)
 		return job, nil
 	}
-	job := s.register(spec, corrID, now)
+	job := s.register(spec, hash, corrID, now)
 	if !s.q.Push(job) {
 		job.finish(StateFailed, nil, "queue full", now)
+		s.retire(job)
 		s.met.jobFinished(spec.Type, StateFailed, 0)
 		s.log.Warn("job rejected, queue full", "corr_id", job.CorrID, "id", job.ID, "type", spec.Type)
 		return nil, errQueueFull
@@ -379,7 +422,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleList(w http.ResponseWriter, _ *http.Request) {
-	jobs := s.snapshotJobs()
+	jobs := s.snapshotJobs(false)
 	docs := make([]StatusDoc, len(jobs))
 	for i, j := range jobs {
 		docs[i] = j.Status()
@@ -426,6 +469,7 @@ func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
 	job.Cancel(time.Now())
 	if was == StateQueued && job.State() == StateCancelled {
 		s.met.jobFinished(job.Spec.Type, StateCancelled, 0)
+		s.retire(job)
 	}
 	writeJSON(w, http.StatusOK, job.Status())
 }
@@ -488,7 +532,7 @@ func (s *Server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "queue full")
 		return
 	}
-	for _, j := range s.snapshotJobs() {
+	for _, j := range s.snapshotJobs(true) {
 		if j.State() != StateRunning {
 			continue
 		}
