@@ -9,7 +9,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"mlnoc/internal/apu"
@@ -23,6 +22,7 @@ import (
 	"mlnoc/internal/prof"
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/trace"
+	"mlnoc/internal/xrand"
 )
 
 func main() {
@@ -222,7 +222,7 @@ func reportTrace(tr *trace.Tracer, jsonOut, csvOut string) {
 func makePolicy(name string, seed int64) (noc.Policy, error) {
 	switch name {
 	case "random":
-		return arb.NewRandom(rand.New(rand.NewSource(seed))), nil
+		return arb.NewRandom(xrand.New(seed)), nil
 	case "round-robin", "rr":
 		return arb.NewRoundRobin(), nil
 	case "islip":
@@ -230,7 +230,7 @@ func makePolicy(name string, seed int64) (noc.Policy, error) {
 	case "fifo":
 		return arb.NewFIFO(), nil
 	case "probdist":
-		return arb.NewProbDist(rand.New(rand.NewSource(seed))), nil
+		return arb.NewProbDist(xrand.New(seed)), nil
 	case "global-age":
 		return arb.NewGlobalAge(), nil
 	case "rl-inspired":

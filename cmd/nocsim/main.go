@@ -10,7 +10,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 
 	"mlnoc/internal/arb"
@@ -23,6 +22,7 @@ import (
 	"mlnoc/internal/prof"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
+	"mlnoc/internal/xrand"
 )
 
 func main() {
@@ -128,7 +128,7 @@ func main() {
 		}
 	}
 
-	in := traffic.NewInjector(cores, pat, *rate, rand.New(rand.NewSource(*seed+1)))
+	in := traffic.NewInjector(cores, pat, *rate, xrand.New(*seed+1))
 	in.Classes = *vcs
 
 	var suite *obs.Suite
@@ -232,7 +232,7 @@ func reportObs(suite *obs.Suite, metricsOut string, seed int64) {
 func makePolicy(name string, size int, seed int64) (noc.Policy, error) {
 	switch name {
 	case "random":
-		return arb.NewRandom(rand.New(rand.NewSource(seed))), nil
+		return arb.NewRandom(xrand.New(seed)), nil
 	case "round-robin", "rr":
 		return arb.NewRoundRobin(), nil
 	case "islip":
@@ -240,7 +240,7 @@ func makePolicy(name string, size int, seed int64) (noc.Policy, error) {
 	case "fifo":
 		return arb.NewFIFO(), nil
 	case "probdist":
-		return arb.NewProbDist(rand.New(rand.NewSource(seed))), nil
+		return arb.NewProbDist(xrand.New(seed)), nil
 	case "global-age":
 		return arb.NewGlobalAge(), nil
 	case "rl-inspired":

@@ -19,7 +19,6 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"path/filepath"
 	"strings"
@@ -35,6 +34,7 @@ import (
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 func main() {
@@ -369,7 +369,7 @@ func recordDataset(path, behavior string, size int, rate float64, cycles, seed i
 	case "fifo":
 		beh = arb.NewFIFO()
 	case "random":
-		beh = arb.NewRandom(rand.New(rand.NewSource(seed)))
+		beh = arb.NewRandom(xrand.New(seed))
 	case "global-age":
 		beh = arb.NewGlobalAge()
 	default:
@@ -384,7 +384,7 @@ func recordDataset(path, behavior string, size int, rate float64, cycles, seed i
 	net.SetPolicy(rec)
 	net.OnCycle = rec.OnCycle
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate,
-		rand.New(rand.NewSource(seed+1)))
+		xrand.New(seed+1))
 	in.Classes = 3
 	for i := int64(0); i < cycles; i++ {
 		in.Tick()
@@ -425,7 +425,7 @@ func trainOffline(path string, size, hidden, epochs int, seed int64, out string)
 		DQL:    rl.DQLConfig{LR: 0.05, Gamma: 0.1, SyncEvery: 2000},
 	})
 	fmt.Printf("offline training on %d experiences for %d epochs...\n", data.Len(), epochs)
-	td := agent.DQL.TrainOffline(rand.New(rand.NewSource(seed+9)), data, epochs)
+	td := agent.DQL.TrainOffline(xrand.New(seed+9), data, epochs)
 	fmt.Printf("final epoch mean TD error: %.5f\n", td)
 	agent.Freeze()
 	h := core.NewHeatmap(spec, agent.Net())

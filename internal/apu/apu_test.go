@@ -1,6 +1,8 @@
 package apu
 
 import (
+	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -456,4 +458,78 @@ func (c *classCounter) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 		}
 	}
 	return c.inner.Select(ctx, cands)
+}
+
+// TestRunWorkloadPinned holds whole episodes to the ExecResult they produced
+// when every stream was a rand.New(rand.NewSource(..)) built per launch: the
+// values below were recorded on that code (commit 41099a6) and are compared
+// as literals, so a stream that differs in one draw, a seed computed
+// differently or a payload recycled too early shows up as a changed cycle
+// count or latency bit.
+func TestRunWorkloadPinned(t *testing.T) {
+	mix, err := synfull.Mix(2, 2) // a Fig. 11 mix: two low-, two high-injection
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := []struct {
+		workload   string
+		seed       int64
+		completion [4]int64
+		cycles     int64
+		latency    uint64 // math.Float64bits(AvgLatency)
+	}{
+		{"bfs", 17, [4]int64{688, 775, 614, 588}, 776, 0x40580367e28ef25a},
+		{"bfs", 42, [4]int64{624, 681, 813, 707}, 814, 0x405740aed8f1e7bc},
+		{"spmv", 17, [4]int64{659, 893, 678, 464}, 894, 0x404dac24346a73e2},
+		{"spmv", 42, [4]int64{803, 554, 795, 902}, 903, 0x40500dd580818492},
+		{"mix2L2H", 17, [4]int64{711, 947, 625, 659}, 948, 0x405507e9d06064f2},
+		{"mix2L2H", 42, [4]int64{1053, 773, 813, 831}, 1054, 0x40584612d06aac99},
+	}
+	for _, p := range pinned {
+		var models [4]*synfull.Model
+		if p.workload == "mix2L2H" {
+			copy(models[:], mix)
+		} else {
+			m, err := synfull.ByName(p.workload)
+			if err != nil {
+				t.Fatal(err)
+			}
+			models = Homogeneous(m)
+		}
+		res := RunWorkload(Config{}, arb.NewGlobalAge(), models, RunnerConfig{OpScale: 0.02, Seed: p.seed})
+		if !res.Finished || res.Completion != p.completion || res.Cycles != p.cycles ||
+			math.Float64bits(res.AvgLatency) != p.latency {
+			t.Errorf("%s seed %d: completion %v cycles %d latency %#x, pinned %v %d %#x",
+				p.workload, p.seed, res.Completion, res.Cycles, math.Float64bits(res.AvgLatency),
+				p.completion, p.cycles, p.latency)
+		}
+	}
+}
+
+// TestNewRunnerDoesNotAllocateStreams: relaunching a workload on a live
+// system re-seeds its 140 streams and resets its instances in place; only the
+// Runner itself is allocated.
+func TestNewRunnerDoesNotAllocateStreams(t *testing.T) {
+	sys := testSystem(t, 4)
+	model, err := synfull.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := Homogeneous(model)
+	cfg := RunnerConfig{OpScale: 0.002, Seed: 9}
+	if !NewRunner(sys, models, cfg).Run() { // a live system: one episode has run on it
+		t.Fatal("did not finish")
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 50
+	allocs := testing.AllocsPerRun(runs, func() { NewRunner(sys, models, cfg) })
+	runtime.ReadMemStats(&after)
+	if allocs > 2 {
+		t.Errorf("NewRunner on a live system: %v allocations, want at most 2", allocs)
+	}
+	// AllocsPerRun calls the function once more to warm up.
+	if perRun := (after.TotalAlloc - before.TotalAlloc) / (runs + 1); perRun >= 1024 {
+		t.Errorf("NewRunner on a live system allocates %d bytes, want under 1 KB", perRun)
+	}
 }

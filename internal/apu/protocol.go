@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/xrand"
 )
 
 // opKind tags the protocol operation a message carries.
@@ -25,7 +26,7 @@ const (
 	opWriteAck               // L2 -> CU write acknowledgement
 )
 
-// pkt is the protocol payload carried in noc.Message.Payload.
+// pkt is the protocol payload; noc.Message.Payload carries a *pkt.
 //
 // Hit/miss outcomes and directory targets are pre-drawn at issue time from
 // per-requester random streams and carried in the packet. This keeps the
@@ -59,8 +60,9 @@ type PhaseParams struct {
 }
 
 // send constructs and injects a protocol message at the from node. Messages
-// come from the network's freelist: sinks extract the pkt payload by value
-// and never retain the *Message, so recycling at delivery is safe.
+// come from the network's freelist and their payload boxes from the system's:
+// sinks take the pkt out by value and retain neither, so both are recycled at
+// delivery.
 func (s *System) send(from *noc.Node, to noc.NodeID, class noc.Class, typ noc.MsgType, flits int, p pkt) {
 	s.nextID++
 	m := s.Net.AllocMessage()
@@ -69,8 +71,28 @@ func (s *System) send(from *noc.Node, to noc.NodeID, class noc.Class, typ noc.Ms
 	m.Class = class
 	m.Type = typ
 	m.SizeFlits = flits
-	m.Payload = p
+	var box *pkt
+	if k := len(s.pktFree); k > 0 {
+		box = s.pktFree[k-1]
+		s.pktFree = s.pktFree[:k-1]
+	} else {
+		box = new(pkt)
+	}
+	*box = p
+	m.Payload = box
 	from.Inject(m)
+}
+
+// take copies the protocol payload out of a delivered message and returns
+// its box to the freelist; ok is false for a message that carries none.
+func (s *System) take(m *noc.Message) (p pkt, ok bool) {
+	box, ok := m.Payload.(*pkt)
+	if !ok {
+		return pkt{}, false
+	}
+	m.Payload = nil
+	s.pktFree = append(s.pktFree, box)
+	return *box, true
 }
 
 // timedMsg is a bank reply awaiting its service latency.
@@ -127,7 +149,7 @@ func (b *Bank) reply(now int64, to noc.NodeID, class noc.Class, typ noc.MsgType,
 // sink handles a protocol message arriving at the bank.
 func (b *Bank) sink(now int64, m *noc.Message) {
 	b.Handled++
-	p, ok := m.Payload.(pkt)
+	p, ok := b.sys.take(m)
 	if !ok {
 		panic(fmt.Sprintf("apu: %s bank received non-protocol %s", b.Label, m))
 	}
@@ -218,13 +240,20 @@ type CU struct {
 	// Issued counts operations retired.
 	Issued int64
 
+	// pending is the drawn-but-not-yet-issued operation, valid while
+	// hasPending.
+	pending    cuOp
+	hasPending bool
+
 	// opRNG drives per-op draws (a fixed number per op, indexed by op order)
 	// and cycRNG drives per-cycle draws (ifetch, coherence); splitting the
 	// streams keeps the workload identical across arbitration policies.
+	// NewSystem builds both over the sources below, which live in the CU so
+	// that a launch re-seeds them in place.
 	opRNG  *rand.Rand
 	cycRNG *rand.Rand
-
-	pending *cuOp
+	opSrc  xrand.Source
+	cycSrc xrand.Source
 }
 
 // cuOp is one drawn-but-not-yet-issued operation.
@@ -238,7 +267,7 @@ type cuOp struct {
 
 // drawOp consumes a fixed number of random draws and materializes the CU's
 // next operation under the active phase parameters.
-func (c *CU) drawOp(params *PhaseParams) *cuOp {
+func (c *CU) drawOp(params *PhaseParams) cuOp {
 	fMem := c.opRNG.Float64()
 	fWrite := c.opRNG.Float64()
 	fL1 := c.opRNG.Float64()
@@ -246,7 +275,7 @@ func (c *CU) drawOp(params *PhaseParams) *cuOp {
 	l2 := c.quad.L2s[c.opRNG.Intn(len(c.quad.L2s))]
 	dir := c.sys.Dirs[c.opRNG.Intn(len(c.sys.Dirs))]
 
-	op := &cuOp{l2: l2, dir: dir, hit: fL2 < params.L2Hit}
+	op := cuOp{l2: l2, dir: dir, hit: fL2 < params.L2Hit}
 	if fMem >= params.MemRatio {
 		return op // compute op
 	}
@@ -277,10 +306,10 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 		return
 	}
 	for i := 0; i < c.IssueWidth && c.OpsRemaining > 0; i++ {
-		if c.pending == nil {
-			c.pending = c.drawOp(params)
+		if !c.hasPending {
+			c.pending, c.hasPending = c.drawOp(params), true
 		}
-		op := c.pending
+		op := &c.pending
 		if op.mem {
 			// Reads and write-through writes both occupy a window slot: the
 			// write models a bounded write/coalescing buffer released by the
@@ -298,7 +327,7 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 				pkt{kind: op.kind, requester: c.Node.ID, hit: op.hit, dir: op.dir.Node.ID})
 			c.Outstanding++
 		}
-		c.pending = nil
+		c.hasPending = false
 		c.OpsRemaining--
 		c.Issued++
 	}
@@ -320,7 +349,7 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 
 // sink handles responses and coherence probes arriving at the CU.
 func (c *CU) sink(now int64, m *noc.Message) {
-	p, ok := m.Payload.(pkt)
+	p, ok := c.sys.take(m)
 	if !ok {
 		return // foreign message (e.g. raw synthetic traffic in tests)
 	}
@@ -331,10 +360,8 @@ func (c *CU) sink(now int64, m *noc.Message) {
 			// responses for windowed requests decrement it. IFetch replies
 			// come from L1I banks, window reads from L2 banks; both use
 			// opReadData, so distinguish by source kind.
-			if src, isBank := c.sys.byNode[m.Src].(*Bank); isBank && src.Label == "L2" {
-				if c.Outstanding > 0 {
-					c.Outstanding--
-				}
+			if c.sys.isL2[m.Src] && c.Outstanding > 0 {
+				c.Outstanding--
 			}
 		}
 	case opWriteAck:
@@ -363,11 +390,14 @@ type CPU struct {
 	DoneAt int64
 	Stalls int64
 
-	// rateRNG is drawn once per active cycle; opRNG twice per issued op.
+	wantIssue bool
+
+	// rateRNG is drawn once per active cycle; opRNG twice per issued op. As
+	// in CU, the sources are inline and re-seeded per launch.
 	rateRNG *rand.Rand
 	opRNG   *rand.Rand
-
-	wantIssue bool
+	rateSrc xrand.Source
+	opSrc   xrand.Source
 }
 
 // Done reports whether the CPU finished its operations.
@@ -405,9 +435,7 @@ func (c *CPU) Tick(now int64, params *PhaseParams) {
 
 // sink handles LLC responses arriving at the CPU.
 func (c *CPU) sink(now int64, m *noc.Message) {
-	if p, ok := m.Payload.(pkt); ok && p.kind == opCPUData {
-		if c.Outstanding > 0 {
-			c.Outstanding--
-		}
+	if p, ok := c.sys.take(m); ok && p.kind == opCPUData && c.Outstanding > 0 {
+		c.Outstanding--
 	}
 }

@@ -2,7 +2,6 @@ package apu
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
@@ -67,42 +66,41 @@ type Runner struct {
 	// Completion[q] is the cycle at which quadrant q's application finished,
 	// or -1 while running.
 	Completion [4]int64
-
-	banks []*Bank
 }
 
 // NewRunner prepares a runner executing models[q] in quadrant q. Pass four
 // copies of the same model for the paper's homogeneous scenario (Figs. 9-10)
 // or a Fig. 11 mix.
+//
+// The workload's state — the four instances and the two random streams of
+// every CU and CPU — lives in sys and is reset and re-seeded in place, so a
+// system runs one Runner at a time and a relaunch allocates only the Runner.
 func NewRunner(sys *System, models [4]*synfull.Model, cfg RunnerConfig) *Runner {
 	cfg.applyDefaults()
-	r := &Runner{
-		Sys:   sys,
-		Cfg:   cfg,
-		banks: sys.AllBanks(),
-	}
+	r := &Runner{Sys: sys, Cfg: cfg}
 	for q := 0; q < 4; q++ {
 		m := models[q]
-		r.Instances[q] = synfull.NewInstance(m, cfg.Seed+int64(q)*7919)
-		r.Completion[q] = -1
 		quad := sys.Quadrants[q]
+		quad.inst.Reset(m, cfg.Seed+int64(q)*7919)
+		r.Instances[q] = &quad.inst
+		r.Completion[q] = -1
 		for ci, cu := range quad.CUs {
 			cu.OpsRemaining = scaleOps(m.OpsPerCU, cfg.OpScale)
 			cu.Window = m.Window
 			cu.IssueWidth = m.IssueWidth
 			cu.IFetchRate = cfg.IFetchRate
 			cu.DoneAt = -1
-			cu.pending = nil
+			cu.hasPending = false
 			base := cfg.Seed*1_000_003 + int64(q)*4096 + int64(ci)
-			cu.opRNG = rand.New(rand.NewSource(base*2 + 1))
-			cu.cycRNG = rand.New(rand.NewSource(base*2 + 2))
+			cu.opRNG.Seed(base*2 + 1)
+			cu.cycRNG.Seed(base*2 + 2)
 		}
 		quad.CPU.OpsRemaining = scaleOps(m.OpsPerCPU, cfg.OpScale)
 		quad.CPU.Window = cfg.CPUWindow
 		quad.CPU.DoneAt = -1
 		quad.CPU.wantIssue = false
-		quad.CPU.rateRNG = rand.New(rand.NewSource(cfg.Seed*1_000_003 + 9001 + int64(q)))
-		quad.CPU.opRNG = rand.New(rand.NewSource(cfg.Seed*1_000_003 + 9101 + int64(q)))
+		quad.CPU.rateRNG.Seed(cfg.Seed*1_000_003 + 9001 + int64(q))
+		quad.CPU.opRNG.Seed(cfg.Seed*1_000_003 + 9101 + int64(q))
 	}
 	return r
 }
@@ -163,7 +161,7 @@ func (r *Runner) Step() {
 			r.Completion[q] = now
 		}
 	}
-	for _, b := range r.banks {
+	for _, b := range r.Sys.banks {
 		b.Tick(now)
 	}
 	r.Sys.Net.Step()

@@ -17,6 +17,7 @@ import (
 	"math/rand"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/synfull"
 )
 
 // Message classes of the APU protocol. Each class travels in its own virtual
@@ -110,6 +111,10 @@ type Quadrant struct {
 	Dirs  []*Bank
 	CPU   *CPU
 	LLC   *Bank
+
+	// inst is the workload instance running in the quadrant; each NewRunner
+	// on the system resets it in place.
+	inst synfull.Instance
 }
 
 // System is the assembled APU chip.
@@ -127,18 +132,24 @@ type System struct {
 	Quadrants [4]*Quadrant
 
 	byNode map[noc.NodeID]any // NodeID -> *CU, *Bank or *CPU
+	isL2   []bool             // by NodeID: the node is a GPU L2 bank
+	banks  []*Bank            // every bank, in AllBanks order
 
 	// params holds the active phase parameters per quadrant; the Runner
 	// refreshes them every cycle.
 	params [4]PhaseParams
 
-	rng    *rand.Rand
-	nextID uint64
+	nextID  uint64
+	pktFree []*pkt // payload boxes of delivered messages, reused by send
 }
 
 // NewSystem builds the chip topology and wires every endpoint's protocol
-// handler. Protocol randomness (hit draws, bank interleaving) is driven by
-// the given seed. Install an arbitration policy on sys.Net before running.
+// handler. Install an arbitration policy on sys.Net before running.
+//
+// seed is unused: the topology is fixed by cfg, and every random draw of the
+// protocol (op mix, hit outcomes, bank and directory choice, coherence) comes
+// from the per-CU and per-CPU streams that NewRunner seeds from
+// RunnerConfig.Seed. The parameter stays because callers pass it.
 func NewSystem(cfg Config, seed int64) *System {
 	cfg.applyDefaults()
 	s := cfg.QuadSide
@@ -149,7 +160,6 @@ func NewSystem(cfg Config, seed int64) *System {
 			Width: w, Height: w, VCs: NumClasses, BufferCap: cfg.BufferCap,
 		}),
 		byNode: make(map[noc.NodeID]any),
-		rng:    rand.New(rand.NewSource(seed)),
 	}
 	for q := 0; q < 4; q++ {
 		sys.Quadrants[q] = &Quadrant{Index: q}
@@ -167,6 +177,7 @@ func NewSystem(cfg Config, seed int64) *System {
 
 			cuNode := sys.Net.AttachNode(x, y, noc.PortCore, noc.DstCore, "CU/L1D")
 			cu := &CU{Node: cuNode, sys: sys, quad: quad}
+			cu.opRNG, cu.cycRNG = rand.New(&cu.opSrc), rand.New(&cu.cycSrc)
 			cuNode.Sink = cu.sink
 			sys.CUs = append(sys.CUs, cu)
 			quad.CUs = append(quad.CUs, cu)
@@ -216,6 +227,7 @@ func NewSystem(cfg Config, seed int64) *System {
 		cpuNode := sys.Net.AttachNode(baseX+1, y, port, noc.DstCore, "CPU")
 		llcNode := sys.Net.AttachNode(baseX+2, y, port, noc.DstCache, "LLC")
 		cpu := &CPU{Node: cpuNode, sys: sys, quad: quad}
+		cpu.rateRNG, cpu.opRNG = rand.New(&cpu.rateSrc), rand.New(&cpu.opSrc)
 		cpuNode.Sink = cpu.sink
 		llc := newBank(sys, llcNode, "LLC", quad)
 		sys.byNode[cpuNode.ID] = cpu
@@ -232,19 +244,22 @@ func NewSystem(cfg Config, seed int64) *System {
 			cu.l1i = quad.L1Is[i*len(quad.L1Is)/len(quad.CUs)]
 		}
 	}
+
+	sys.isL2 = make([]bool, len(sys.Net.Nodes()))
+	for _, b := range sys.L2s {
+		sys.isL2[b.Node.ID] = true
+	}
+	sys.banks = make([]*Bank, 0, len(sys.L2s)+len(sys.L1Is)+len(sys.Dirs)+len(sys.LLCs))
+	sys.banks = append(sys.banks, sys.L2s...)
+	sys.banks = append(sys.banks, sys.L1Is...)
+	sys.banks = append(sys.banks, sys.Dirs...)
+	sys.banks = append(sys.banks, sys.LLCs...)
 	return sys
 }
 
 // AllBanks returns every cache/directory bank in the system (L2, L1I,
 // directories and LLCs).
-func (s *System) AllBanks() []*Bank {
-	out := make([]*Bank, 0, len(s.L2s)+len(s.L1Is)+len(s.Dirs)+len(s.LLCs))
-	out = append(out, s.L2s...)
-	out = append(out, s.L1Is...)
-	out = append(out, s.Dirs...)
-	out = append(out, s.LLCs...)
-	return out
-}
+func (s *System) AllBanks() []*Bank { return append([]*Bank(nil), s.banks...) }
 
 // Endpoint returns the protocol endpoint (*CU, *Bank or *CPU) attached as the
 // given node, or nil.

@@ -6,6 +6,7 @@ import (
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
+	"mlnoc/internal/xrand"
 )
 
 // Agent is the shared RL arbitration agent (Section 3.1.1 / Algorithm 1).
@@ -102,7 +103,7 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 	if cfg.Hidden <= 0 {
 		cfg.Hidden = spec.ActionSize()
 	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
+	rng := xrand.New(cfg.Seed)
 	// The paper's architecture is sigmoid hidden / ReLU output (Section
 	// 4.6); the output layer here is leaky ReLU, which keeps the same
 	// non-negative Q shape while avoiding dying-ReLU outputs that can never
@@ -196,7 +197,7 @@ func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 		Spec:    spec,
 		DQL:     rl.NewInferenceDQL(net, rl.DQLConfig{}),
 		Reward:  rl.NewRewardTracker(rl.RewardGlobalAge),
-		rng:     rand.New(rand.NewSource(seed)),
+		rng:     xrand.New(seed),
 		pending: make(map[int64]pendingDecision),
 	}
 	a.DQL.Replay.OnEvict = a.recycleExperience

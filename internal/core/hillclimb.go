@@ -1,9 +1,5 @@
 package core
 
-import "math/rand"
-
-func newRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
-
 // HillClimbStep records one round of the Section 6.5 feature-selection
 // procedure: the feature added this round, the resulting converged latency,
 // and the full feature set after the addition.

@@ -13,6 +13,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/traffic"
+	"mlnoc/internal/xrand"
 )
 
 // recordDataset drives a mesh under a behaviour policy and returns the
@@ -24,7 +25,7 @@ func recordDataset(t *testing.T, cycles int, seed int64) (*Recorder, *StateSpec)
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3, BufferCap: 1})
 	net.SetPolicy(rec)
 	net.OnCycle = rec.OnCycle
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.22, newRNG(seed))
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.22, xrand.New(seed))
 	in.Classes = 3
 	for i := 0; i < cycles; i++ {
 		in.Tick()
@@ -164,7 +165,7 @@ func TestOfflineTrainingImprovesPolicy(t *testing.T) {
 	agent := NewAgent(spec, AgentConfig{Hidden: 15, Seed: 1, DQL: rl.DQLConfig{
 		LR: 0.05, Gamma: 0.1, SyncEvery: 2000, BatchSize: 1,
 	}})
-	last := agent.DQL.TrainOffline(newRNG(2), rec.Data, 20)
+	last := agent.DQL.TrainOffline(xrand.New(2), rec.Data, 20)
 	if last <= 0 {
 		t.Fatalf("offline training reported TD error %v", last)
 	}
@@ -202,7 +203,7 @@ func TestTrainOfflineValidation(t *testing.T) {
 	spec := MeshSpec(3)
 	agent := NewAgent(spec, AgentConfig{Hidden: 8, Seed: 1})
 	empty := rl.NewDataset(spec.InputSize(), spec.ActionSize())
-	if got := agent.DQL.TrainOffline(newRNG(1), empty, 3); got != 0 {
+	if got := agent.DQL.TrainOffline(xrand.New(1), empty, 3); got != 0 {
 		t.Fatalf("empty dataset trained: %v", got)
 	}
 	wrong := rl.NewDataset(10, 3)
@@ -212,5 +213,5 @@ func TestTrainOfflineValidation(t *testing.T) {
 			t.Fatal("shape mismatch accepted")
 		}
 	}()
-	agent.DQL.TrainOffline(newRNG(1), wrong, 1)
+	agent.DQL.TrainOffline(xrand.New(1), wrong, 1)
 }

@@ -5,6 +5,7 @@ import (
 
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
+	"mlnoc/internal/xrand"
 )
 
 // TabularAgent is a tabular Q-learning arbitration policy — the approach the
@@ -51,7 +52,7 @@ func NewTabularAgent(spec *StateSpec, seed int64) *TabularAgent {
 		Training: true,
 		Epsilon:  0.05,
 		Reward:   rl.NewRewardTracker(rl.RewardGlobalAge),
-		rng:      rand.New(rand.NewSource(seed)),
+		rng:      xrand.New(seed),
 		pending:  make(map[int64]*tabPending),
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
+	"mlnoc/internal/xrand"
 )
 
 func TestBucketMonotonic(t *testing.T) {
@@ -58,7 +59,7 @@ func TestTabularAgentLearnsAndGrows(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3, BufferCap: 1})
 	net.SetPolicy(agent)
 	net.OnCycle = agent.OnCycle
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.2, newRNG(3))
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.2, xrand.New(3))
 	in.Classes = 3
 	for i := 0; i < 4000; i++ {
 		in.Tick()
@@ -108,7 +109,7 @@ func TestMultiAgentDispatchAndIsolation(t *testing.T) {
 	net.SetPolicy(m)
 	net.OnCycle = m.OnCycle
 
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.22, newRNG(5))
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.22, xrand.New(5))
 	in.Classes = 3
 	for i := 0; i < 3000; i++ {
 		in.Tick()

@@ -5,6 +5,7 @@ import (
 	"mlnoc/internal/rl"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
+	"mlnoc/internal/xrand"
 )
 
 // TrainTelemetry configures the optional introspection of a TrainMesh run:
@@ -204,7 +205,7 @@ func newMeshRun(cfg MeshTrainConfig, policy noc.Policy) (*noc.Network, *traffic.
 		BufferCap: cfg.BufferCap,
 	})
 	net.SetPolicy(policy)
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, cfg.Rate, newRNG(cfg.Seed+1))
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, cfg.Rate, xrand.New(cfg.Seed+1))
 	in.Classes = cfg.VCs
 	return net, in
 }

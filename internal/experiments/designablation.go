@@ -9,6 +9,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // BufferAblationResult quantifies the DESIGN.md decision that shallow VC
@@ -36,7 +37,7 @@ func BufferAblation(sc Scale) *BufferAblationResult {
 			})
 			net.SetPolicy(p)
 			in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-				newSeededRNG(sc.Seed+21))
+				xrand.New(sc.Seed+21))
 			in.Classes = 3
 			return traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		}
@@ -103,7 +104,7 @@ func TieBreakAblation(sc Scale) *TieBreakAblationResult {
 		net.SetPolicy(p)
 		in := traffic.NewInjector(cores, traffic.Hotspot{
 			Spots: []int{5, 6}, Fraction: 0.5,
-		}, 0.3, newSeededRNG(sc.Seed+23))
+		}, 0.3, xrand.New(sc.Seed+23))
 		in.Classes = 3
 		cycles := sc.MeasureCycles
 		if cycles <= 0 {

@@ -11,11 +11,10 @@
 package experiments
 
 import (
-	"math/rand"
-
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
 	"mlnoc/internal/noc"
+	"mlnoc/internal/xrand"
 )
 
 // Scale controls how much work the experiments perform. The paper's results
@@ -76,7 +75,7 @@ func ClassicFactories() []PolicyFactory {
 		{Name: "iSLIP", New: func(int64) noc.Policy { return arb.NewISLIP(2) }},
 		{Name: "FIFO", New: func(int64) noc.Policy { return arb.NewFIFO() }},
 		{Name: "ProbDist", New: func(seed int64) noc.Policy {
-			return arb.NewProbDist(rand.New(rand.NewSource(seed)))
+			return arb.NewProbDist(xrand.New(seed))
 		}},
 	}
 }
@@ -107,6 +106,3 @@ func apuFactories(nnAgent *core.Agent) []PolicyFactory {
 	})
 	return fs
 }
-
-// newSeededRNG returns a deterministic RNG for the given seed.
-func newSeededRNG(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"mlnoc/internal/arb"
@@ -11,6 +10,7 @@ import (
 	"mlnoc/internal/stats"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // FairnessResult is the extended equality-of-service study (Section 5.2's
@@ -40,7 +40,7 @@ func Fairness(sc Scale) *FairnessResult {
 		{"fifo", func(int64) noc.Policy { return arb.NewFIFO() }},
 		{"slack-aware", func(int64) noc.Policy { return arb.NewSlackAware() }},
 		{"probdist", func(seed int64) noc.Policy {
-			return arb.NewProbDist(rand.New(rand.NewSource(seed)))
+			return arb.NewProbDist(xrand.New(seed))
 		}},
 		{"rl-inspired", func(int64) noc.Policy { return core.NewRLInspiredMesh8x8() }},
 		{"global-age", func(int64) noc.Policy { return arb.NewGlobalAge() }},
@@ -52,7 +52,7 @@ func Fairness(sc Scale) *FairnessResult {
 		})
 		net.SetPolicy(pp.mk(sc.Seed + 3))
 		in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-			newSeededRNG(sc.Seed+4))
+			xrand.New(sc.Seed+4))
 		in.Classes = 3
 		traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		st := net.Stats()

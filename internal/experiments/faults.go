@@ -15,6 +15,7 @@ import (
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // DefaultFaultRates are the link-kill fractions swept by the faults
@@ -137,7 +138,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 			suite = obs.Attach(net, *cfg)
 		}
 		in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-			newSeededRNG(sc.Seed+int64(ri*len(meshFs)+pi)*17))
+			xrand.New(sc.Seed+int64(ri*len(meshFs)+pi)*17))
 		run := traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		fs := inj.Stats()
 		res.MeshLatency[ri][pi] = run.AvgLatency

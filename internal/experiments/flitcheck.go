@@ -2,13 +2,13 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"strings"
 
 	"mlnoc/internal/core"
 	"mlnoc/internal/flit"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // FlitCheckResult is the flit-level cross-validation of the Fig. 5 policy
@@ -41,7 +41,7 @@ func FlitCheck(sc Scale) *FlitCheckResult {
 	res := &FlitCheckResult{}
 	for _, a := range arbs {
 		e := flit.New(flit.Config{Width: 8, Height: 8, VCs: 3}, a.mk())
-		rng := rand.New(rand.NewSource(sc.Seed + 11))
+		rng := xrand.New(sc.Seed + 11)
 		const msgRate = 0.35 / 2.2 // ~0.35 flits/node/cycle offered
 		for i := int64(0); i < cycles; i++ {
 			for nd := 0; nd < e.NumNodes(); nd++ {

@@ -9,6 +9,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // QTableResult quantifies the paper's Section 2.2 argument against tabular
@@ -53,7 +54,7 @@ func QTableStudy(sc Scale) *QTableResult {
 	net.SetPolicy(tab)
 	net.OnCycle = tab.OnCycle
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(4),
-		newSeededRNG(sc.Seed+1))
+		xrand.New(sc.Seed+1))
 	in.Classes = 3
 	total := res.TrainCycles
 	for i := int64(0); i < total; i++ {

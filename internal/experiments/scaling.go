@@ -10,6 +10,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // DefaultScalingSizes are the mesh edge sizes swept by the scaling study: the
@@ -86,7 +87,7 @@ func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMes
 	net.SetShards(cfg.Shards)
 	defer net.SetShards(1)
 
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, newSeededRNG(sc.Seed))
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, xrand.New(sc.Seed))
 	in.Classes = ncfg.VCs
 	for i := int64(0); i < sc.WarmupCycles; i++ {
 		if i%trainCheckEvery == 0 && ctx.Err() != nil {

@@ -9,6 +9,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
+	"mlnoc/internal/xrand"
 )
 
 // StarvationResult compares policies under adversarial hotspot traffic
@@ -52,7 +53,7 @@ func Starvation(sc Scale) *StarvationResult {
 		in := traffic.NewInjector(cores, traffic.Hotspot{
 			Spots:    []int{5, 6},
 			Fraction: 0.3,
-		}, 0.14, newSeededRNG(sc.Seed+17))
+		}, 0.14, xrand.New(sc.Seed+17))
 		in.Classes = 3
 		cycles := sc.MeasureCycles
 		if cycles <= 0 {

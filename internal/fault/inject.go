@@ -34,7 +34,7 @@ type Config struct {
 	// the plan. It requires RNG.
 	Hazard Hazard
 	// RNG drives the hazard process. It is never seeded or shared implicitly;
-	// callers pass rand.New(rand.NewSource(seed)).
+	// callers pass xrand.New(seed).
 	RNG *rand.Rand
 	// OnChange, if set, runs after every cycle on which the fault state
 	// changed (links flipped, routers frozen or thawed). Table-based routers

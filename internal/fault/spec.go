@@ -6,6 +6,7 @@ import (
 	"math/rand"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/xrand"
 )
 
 // Link identifies a directed link by its upstream router and output port. In
@@ -139,7 +140,7 @@ func (s Spec) Empty() bool {
 // random kill wave, and hazard. It returns the injector for stats and
 // reports.
 func (s Spec) Equip(net *noc.Network) (*Injector, error) {
-	rng := rand.New(rand.NewSource(s.Seed))
+	rng := xrand.New(s.Seed)
 	plan := s.Plan.Clone()
 	if s.KillFraction != 0 {
 		kills, err := RandomLinkKills(net, s.KillFraction, s.KillAt, rng)

@@ -19,6 +19,8 @@ package synfull
 import (
 	"fmt"
 	"math/rand"
+
+	"mlnoc/internal/xrand"
 )
 
 // Phase is one Markov program phase: the per-cycle behavioural parameters of
@@ -114,17 +116,29 @@ type Instance struct {
 
 	phase     int
 	nextDraw  int64
-	rng       *rand.Rand
 	phaseHist []int
+	rng       *rand.Rand // over src
+	src       xrand.Source
 }
 
 // NewInstance creates an instance starting in phase 0.
 func NewInstance(m *Model, seed int64) *Instance {
-	return &Instance{
-		Model:    m,
-		nextDraw: m.PhaseLen,
-		rng:      rand.New(rand.NewSource(seed)),
+	in := new(Instance)
+	in.Reset(m, seed)
+	return in
+}
+
+// Reset puts the instance in the state NewInstance(m, seed) returns, reusing
+// its storage; a slice PhaseHistory returned earlier is overwritten.
+func (in *Instance) Reset(m *Model, seed int64) {
+	if in.rng == nil {
+		in.rng = rand.New(&in.src)
 	}
+	in.rng.Seed(seed)
+	in.Model = m
+	in.phase = 0
+	in.nextDraw = m.PhaseLen
+	in.phaseHist = in.phaseHist[:0]
 }
 
 // Tick advances the Markov phase machine to the given cycle. Call once per
