@@ -191,8 +191,12 @@ func (a *Agent) Epsilon() float64 {
 // NewAgentWithNet wraps a pre-trained network in an evaluation-only agent
 // (the figures' "NN" policy). It is built without the target network and the
 // replay ring a training agent carries — experiments build one per sweep cell
-// — and grows them only if Training is switched on.
+// — and grows them only if Training is switched on. The network is frozen
+// (nn.MLP.Freeze, as its weights are now): the input-major copy of its first
+// layer belongs to net, so agents built over the same network share it and
+// only the first of them allocates it.
 func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
+	net.Freeze()
 	a := &Agent{
 		Spec:    spec,
 		DQL:     rl.NewInferenceDQL(net, rl.DQLConfig{}),
@@ -326,8 +330,10 @@ func (a *Agent) FlushPending() {
 }
 
 // Freeze switches the agent to pure-inference mode (the "NN" policy):
-// exploration and learning stop, pending experiences are flushed.
+// exploration and learning stop, pending experiences are flushed, and the
+// network is frozen until it is trained again.
 func (a *Agent) Freeze() {
 	a.FlushPending()
 	a.Training = false
+	a.DQL.Online.Freeze()
 }

@@ -1,0 +1,245 @@
+package nn
+
+import (
+	"fmt"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// frozenShapes are the APU and mesh networks (the mesh one has an odd last
+// hidden neuron, which the tile kernel leaves to the scalar loop), a single
+// neuron, and layers wider than one kernel pass (49 and 100 neurons: two and
+// three passes) behind inputs that do and do not end in an in%4 tail.
+var frozenShapes = [][]int{{504, 42, 42}, {60, 15, 15}, {7, 1}, {9, 49, 3}, {12, 100, 5}}
+
+// frozenTwins returns a network of the given sizes with random weights and
+// biases, frozen, and its clone that never was.
+func frozenTwins(rng *rand.Rand, sizes []int) (fz, ref *MLP) {
+	acts := []Activation{Sigmoid, LeakyReLU, Tanh}[:len(sizes)-1]
+	ref = New(sizes, acts, rng)
+	for _, l := range ref.Layers {
+		for j := range l.B {
+			l.B[j] = rng.NormFloat64()
+		}
+	}
+	fz = ref.Clone()
+	fz.Freeze()
+	return fz, ref
+}
+
+// frozenInputs returns lists of every shape layer 0's kernels treat
+// differently: none, one entry (first, last, random), every input, all entries
+// in one lane, zeros of either sign listed among values, and negative, tiny
+// and denormal values.
+func frozenInputs(rng *rand.Rand, in int) []SparseVec {
+	pick := func(keep func(i int) bool, val func() float64) SparseVec {
+		var v SparseVec
+		for i := 0; i < in; i++ {
+			if keep(i) {
+				v.Idx, v.Val = append(v.Idx, int32(i)), append(v.Val, val())
+			}
+		}
+		return v
+	}
+	unit := func() float64 { return rng.Float64()*2 - 1 }
+	lane, one := rng.Intn(4), rng.Intn(in)
+	odd := []float64{0, math.Copysign(0, -1), -3.5, 5e-324, -1e-310, 1e-300, 0.75}
+	return []SparseVec{
+		{},
+		pick(func(i int) bool { return i == 0 }, unit),
+		pick(func(i int) bool { return i == in-1 }, unit),
+		pick(func(i int) bool { return i == one }, unit),
+		pick(func(int) bool { return true }, unit),
+		pick(func(i int) bool { return i%4 == lane }, unit),
+		pick(func(int) bool { return rng.Intn(3) == 0 }, func() float64 { return odd[rng.Intn(2)] + float64(rng.Intn(2))*unit() }),
+		pick(func(int) bool { return rng.Intn(5) == 0 }, func() float64 { return odd[rng.Intn(len(odd))] }),
+		pick(func(int) bool { return rng.Intn(12) == 0 }, rng.Float64),
+	}
+}
+
+// requireFrozenMatches runs every inference entry point on fz and ref and
+// requires the same bits: each input alone, through the dense and the sparse
+// entry, for all outputs and for a selection, and every batch of 0..9 inputs
+// starting anywhere in xs on the exact and the fast kernel.
+func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []SparseVec) {
+	t.Helper()
+	n, nout := ref.InputSize(), ref.OutputSize()
+	dense := make([][]float64, len(xs))
+	for k, x := range xs {
+		dense[k] = make([]float64, n)
+		x.ScatterInto(dense[k])
+		what := fmt.Sprintf("input %d", k)
+		requireSameBits(t, what+": ForwardSparse", fz.ForwardSparse(x, nil), ref.ForwardSparse(x, nil))
+		requireSameBits(t, what+": Forward", fz.Forward(dense[k]), ref.Forward(dense[k]))
+		outs := subsetOf(rng.Uint64()|1<<rng.Intn(nout), nout)
+		requireSelectedOutputs(t, what+": selected", fz, x, outs, ref.ForwardSparse(x, nil))
+	}
+	for nb := 0; nb <= 9; nb++ {
+		from := rng.Intn(len(xs))
+		svs, ds := make([]SparseVec, nb), make([][]float64, nb)
+		for b := range svs {
+			svs[b], ds[b] = xs[(from+b)%len(xs)], dense[(from+b)%len(xs)]
+		}
+		for name, run := range map[string]func(m *MLP) [][]float64{
+			"ForwardBatch":           func(m *MLP) [][]float64 { return m.ForwardBatch(ds) },
+			"ForwardBatchFast":       func(m *MLP) [][]float64 { return m.ForwardBatchFast(ds) },
+			"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse(svs) },
+		} {
+			got, want := run(fz), run(ref)
+			if len(got) != len(want) {
+				t.Fatalf("%s of %d: %d rows, want %d", name, nb, len(got), len(want))
+			}
+			for b := range want {
+				requireSameBits(t, fmt.Sprintf("%s of %d from input %d, row %d", name, nb, from, b), got[b], want[b])
+			}
+		}
+	}
+}
+
+// checkFrozenMatchesUnfrozen holds a frozen network to its never-frozen clone
+// on every shape and input kind. afterFreeze runs between freezing and the
+// comparisons.
+func checkFrozenMatchesUnfrozen(t *testing.T, afterFreeze func()) {
+	for _, sizes := range frozenShapes {
+		rng := rand.New(rand.NewSource(int64(41 + sizes[0])))
+		fz, ref := frozenTwins(rng, sizes)
+		if (fz.frozen != nil) != hasFMAKernel || ref.frozen != nil {
+			t.Fatalf("%v: frozen copy %v, the clone's %v, kernels %t", sizes, fz.frozen != nil, ref.frozen != nil, hasFMAKernel)
+		}
+		wasFrozen := fz.frozen != nil
+		afterFreeze()
+		for rep := 0; rep < 4; rep++ {
+			requireFrozenMatches(t, rng, fz, ref, frozenInputs(rng, sizes[0]))
+		}
+		if ref.frozen != nil || (fz.frozen != nil) != wasFrozen {
+			t.Fatalf("%v: inference changed who is frozen", sizes)
+		}
+	}
+}
+
+func TestFrozenMatchesUnfrozen(t *testing.T) {
+	checkFrozenMatchesUnfrozen(t, func() {})
+}
+
+// TestFrozenRejectsBadIndices: the kernels read the copy at the indices they
+// are given, so an index the first-and-last check of checkSparse cannot see (a
+// list that is not ascending) must stop them, as a bounds check stops the
+// row-major loops.
+func TestFrozenRejectsBadIndices(t *testing.T) {
+	if !hasFMAKernel {
+		t.Skip("no frozen copy without the kernels")
+	}
+	fz, _ := frozenTwins(rand.New(rand.NewSource(1)), []int{60, 15, 15})
+	bad := SparseVec{Idx: []int32{3, 1 << 20, 7}, Val: []float64{1, 1, 1}}
+	neg := SparseVec{Idx: []int32{3, -5, 7}, Val: []float64{1, 1, 1}}
+	ok := SparseVec{Idx: []int32{3, 5, 7}, Val: []float64{1, 1, 1}}
+	for name, run := range map[string]func(){
+		"ForwardSparse":                    func() { fz.ForwardSparse(bad, nil) },
+		"ForwardSparse, negative":          func() { fz.ForwardSparse(neg, nil) },
+		"ForwardBatchFastSparse":           func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, bad, ok}) },
+		"ForwardBatchFastSparse, negative": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, neg, ok, ok}) },
+		"ForwardBatchFastSparse, trailing": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, ok, ok, bad}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s accepted an index outside the layer", name)
+				}
+			}()
+			run()
+		}()
+	}
+}
+
+// TestTrainingThaws: every training entry point drops the frozen copy before
+// it moves a weight, so the forward pass after it is the twin's; CopyFrom into
+// a frozen network leaves the copy a freshly frozen clone of the source would
+// have; a clone of a frozen network has a copy of its own.
+func TestTrainingThaws(t *testing.T) {
+	for _, sizes := range frozenShapes {
+		rng := rand.New(rand.NewSource(int64(3 + sizes[1])))
+		n, nout := sizes[0], sizes[len(sizes)-1]
+		xs := frozenInputs(rng, n)
+		x, grad := make([]float64, n), make([]float64, nout)
+		for j := range grad {
+			grad[j] = rng.Float64() - 0.5
+		}
+		for name, train := range map[string]func(m *MLP){
+			"TrainActionSparse": func(m *MLP) { m.TrainActionSparse(xs[4], nout-1, 0.5, 0.1) },
+			"Backprop":          func(m *MLP) { m.Backprop(x, grad, 0.1) },
+			"TrainMSE":          func(m *MLP) { m.TrainMSE(x, make([]float64, nout), 0.1) },
+		} {
+			fz, ref := frozenTwins(rng, sizes)
+			xs[5].ScatterInto(x)
+			x[0] = 0.25
+			fz.ForwardSparse(xs[4], nil)
+			train(fz)
+			train(ref)
+			if fz.frozen != nil {
+				t.Fatalf("%v: still frozen after %s", sizes, name)
+			}
+			requireSameWeights(t, name, fz, ref)
+			requireFrozenMatches(t, rng, fz, ref, xs)
+		}
+
+		src, srcRef := frozenTwins(rng, sizes)
+		dst, _ := frozenTwins(rng, sizes)
+		dst.CopyFrom(src)
+		if (dst.frozen != nil) != hasFMAKernel {
+			t.Fatalf("%v: CopyFrom changed whether the network is frozen", sizes)
+		}
+		if hasFMAKernel {
+			requireSameBits(t, "copy after CopyFrom: weights", dst.frozen.w, src.frozen.w)
+			requireSameBits(t, "copy after CopyFrom: biases", dst.frozen.b, src.frozen.b)
+		}
+		requireFrozenMatches(t, rng, dst, srcRef, xs)
+
+		// A clone's copy is its own: retraining the original leaves it alone,
+		// and refreezing the original follows the weights.
+		twin := src.Clone()
+		if hasFMAKernel && (twin.frozen == nil || &twin.frozen.w[0] == &src.frozen.w[0]) {
+			t.Fatalf("%v: the clone of a frozen network has no frozen copy of its own", sizes)
+		}
+		src.TrainActionSparse(xs[4], 0, 3, 0.5)
+		trained := src.Clone()
+		src.Freeze()
+		requireFrozenMatches(t, rng, src, trained, xs)
+		requireFrozenMatches(t, rng, twin, srcRef, xs)
+		if trained.frozen != nil {
+			t.Fatalf("%v: the clone of a thawed network is frozen", sizes)
+		}
+
+		// Freeze is also how a caller that wrote a weight directly catches up.
+		for _, m := range []*MLP{src, trained} {
+			m.Layers[0].W[len(m.Layers[0].W)/2] = 0.375
+			m.Layers[0].B[0] = -1.25
+		}
+		src.Freeze()
+		requireFrozenMatches(t, rng, src, trained, xs)
+	}
+}
+
+// FuzzFrozenMatchesUnfrozen holds a frozen network to its never-frozen clone
+// on a network, inputs and batch drawn from the seed: shape picks one of
+// frozenShapes or, past them, random widths up to 80 -> 110 -> 9.
+func FuzzFrozenMatchesUnfrozen(f *testing.F) {
+	for shape := 0; shape <= len(frozenShapes); shape++ {
+		f.Add(int64(shape+1), uint8(shape), uint8(4+shape))
+	}
+	f.Fuzz(func(t *testing.T, seed int64, shape, nb uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		sizes := []int{1 + rng.Intn(80), 1 + rng.Intn(110), 1 + rng.Intn(9)}
+		if k := int(shape) % (len(frozenShapes) + 2); k < len(frozenShapes) {
+			sizes = frozenShapes[k]
+		} else if k == len(frozenShapes) {
+			sizes = sizes[:2]
+		}
+		fz, ref := frozenTwins(rng, sizes)
+		xs := frozenInputs(rng, sizes[0])
+		for b := 0; b < int(nb)%10; b++ {
+			xs = append(xs, xs[rng.Intn(len(xs))])
+		}
+		requireFrozenMatches(t, rng, fz, ref, xs)
+	})
+}

@@ -39,6 +39,33 @@ func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *
 //go:noescape
 func sigmoid4(zs *float64, groups int) int
 
+// spmvExact is the layer-0 sum of a frozen network (frozenLayer) for 4*groups
+// neighbouring neurons, groups in 1..12, in the scalar loop's order and
+// rounding: for each column c,
+//
+//	z[c] = b[c] + w[idx[0]*stride+c]*val[0] + w[idx[1]*stride+c]*val[1] + ...
+//
+// summed left to right, every product rounded before it is added, over the n
+// listed entries. w holds rows rows of stride floats; z, b and each row are
+// read and written 4*groups wide (z may be b). It reports false, leaving z
+// undefined, if an index is outside [0, rows): the kernel reads w at the
+// indices it is given, so it checks them.
+//
+//go:noescape
+func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
+
+// spmvFused is the same sum in fmaDot4x2's order and rounding. The entries
+// come bucketed by lane (index mod 4), lane k's cnt[k] entries in list order
+// from idx[k*q] and val[k*q]; each lane is a chain of fused multiply-adds from
+// +0 (kept in lanes, scratch), and
+//
+//	z[c] = b[c] + ((lane0[c] + lane2[c]) + (lane1[c] + lane3[c]))
+//
+// It reports false, like spmvExact, on an index outside [0, rows).
+//
+//go:noescape
+func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool
+
 // detectAVX2FMA performs the standard AVX2 feature dance: CPUID leaf 1 for
 // FMA/AVX/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for AVX2.
 func detectAVX2FMA() bool {

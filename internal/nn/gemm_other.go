@@ -15,3 +15,13 @@ func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *
 func sigmoid4(zs *float64, groups int) int {
 	panic("nn: sigmoid4 called without FMA kernel support")
 }
+
+// spmvExact is never called when hasFMAKernel is false: Freeze builds nothing.
+func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool {
+	panic("nn: spmvExact called without AVX2 kernel support")
+}
+
+// spmvFused is never called when hasFMAKernel is false.
+func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool {
+	panic("nn: spmvFused called without AVX2 kernel support")
+}

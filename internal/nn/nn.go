@@ -211,6 +211,31 @@ type Layer struct {
 // sigmoid of a whole layer or batch plane is computed four lanes at a time
 // (Activation.applyTo), bit-equal to the scalar expression.
 //
+// Those loops walk Layer.W row-major, which is what training needs. A network
+// that is only evaluated (an evaluation agent's, a DQL target) can be frozen
+// (Freeze): it then also holds layer 0 input-major — input i's weights to every
+// neuron contiguous, each row and the biases padded with +0 to whole groups of
+// four neurons (frozenLayer) — and every forward pass of a frozen network
+// computes layer 0 from that copy, for all neurons at once, on two AVX2 kernels
+// (spmv_amd64.s). spmvExact keeps the order and rounding of the loops above:
+// an accumulator per neuron starts at the bias and takes w*v, the product
+// rounded first, entry by entry in list order; it serves Forward and
+// ForwardSparse (which then computes every neuron of a one-layer network,
+// selected or not), ForwardBatch, and within ForwardBatchFast what the tile
+// kernel leaves to scalar code: the nb%4 trailing samples and an odd last
+// neuron. spmvFused keeps fmaDot4x2's: the entries bucketed by index mod 4, one
+// chain of fused multiply-adds per lane from +0, bias + ((l0+l2)+(l1+l3)), then
+// the in%4 tail through the exact kernel; it serves the full tiles of
+// ForwardBatchFast and ForwardBatchFastSparse. The single-input pass applies
+// the activation over the padded width, so a 42-wide sigmoid is eleven groups
+// of four and no scalar exp. Every result has the bits the row-major loops
+// give. Layer.W stays the weights, the only ones training reads or writes:
+// each training call first drops the copy, CopyFrom into a frozen network
+// rebuilds it, Clone copies it, Freeze on a frozen network brings it up to
+// date. Code that writes Layers[l].W or .B itself must call Freeze afterwards;
+// until then a frozen network answers from the weights it was frozen with.
+// Off amd64, or without AVX2 and FMA, Freeze builds nothing.
+//
 // The last layer computes only the outputs a caller asks for (the outs
 // argument of ForwardSparse; TrainActionSparse asks for the one action). Each
 // output neuron's sum is independent of the others, so every value that is
@@ -234,6 +259,8 @@ type MLP struct {
 	bacts [2][]float64
 	brows [][]float64
 	blk   blockScratch
+	// frozen is layer 0 stored input-major, while the network is frozen.
+	frozen *frozenLayer
 }
 
 // New constructs an MLP with the given layer sizes (len >= 2) and one
@@ -274,12 +301,32 @@ func (m *MLP) allocScratch() {
 	m.deltas = make([][]float64, len(m.Layers))
 	maxIn := 0
 	for l, layer := range m.Layers {
-		m.acts[l+1] = make([]float64, layer.Out)
+		// Room for whole groups of four: a frozen layer 0 writes them.
+		m.acts[l+1] = make([]float64, layer.Out, (layer.Out+3)&^3)
 		m.deltas[l] = make([]float64, layer.Out)
 		m.maxOut = max(m.maxOut, layer.Out)
 		maxIn = max(maxIn, layer.In)
 	}
 	m.blk = newBlockScratch(maxIn)
+}
+
+// Freeze tells the network that it will be evaluated, not trained, until
+// further notice: it stores layer 0 a second time, input-major (frozenLayer),
+// as the weights are now, and every forward pass from here on computes layer 0
+// from that copy, bit for bit what it computed before. The next training call
+// drops the copy, CopyFrom into the network rebuilds it, Clone copies it, and
+// Freeze again brings it up to date, which is what a caller that has written
+// Layers[0].W or .B directly must do: nothing else looks at them while the
+// copy exists. On a CPU without the kernels the copy is for, it builds
+// nothing.
+func (m *MLP) Freeze() {
+	if m.frozen == nil {
+		if !hasFMAKernel {
+			return
+		}
+		m.frozen = newFrozenLayer(m.Layers[0])
+	}
+	m.frozen.fill(m.Layers[0])
 }
 
 // InputSize returns the width of the input layer.
@@ -346,7 +393,11 @@ func (m *MLP) forward(x SparseVec, outs []int) []float64 {
 		if l == last {
 			want = outs
 		}
-		if l == 0 {
+		if f := m.frozen; l == 0 && f != nil {
+			z := m.acts[1][:f.width]
+			f.exact(z, f.b, x.Idx, x.Val)
+			layer.Act.applyTo(z)
+		} else if l == 0 {
 			layer.forwardSparse(m.acts[1], x, want)
 		} else {
 			layer.forwardDense(m.acts[l+1], m.acts[l], want)
@@ -495,7 +546,9 @@ func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
 	if nb == 0 {
 		return nil
 	}
-	if need := nb * m.maxOut; cap(m.bacts[0]) < need {
+	// Three floats of slack: a frozen layer 0 writes its last row out to a
+	// whole group of four.
+	if need := nb*m.maxOut + 3; cap(m.bacts[0]) < need {
 		m.bacts[0] = make([]float64, need)
 		m.bacts[1] = make([]float64, need)
 	}
@@ -508,7 +561,9 @@ func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
 	for l, layer := range m.Layers {
 		out := layer.Out
 		next := m.bacts[l&1][:nb*out]
-		if l == 0 {
+		if f := m.frozen; l == 0 && f != nil {
+			f.forwardBatch(xs, next[:len(next)+f.width-out], fma)
+		} else if l == 0 {
 			layer.forwardBlockedSparse(xs, next, &m.blk, fma)
 		} else {
 			layer.forwardBlocked(rows, next, &m.blk, fma)
@@ -731,6 +786,7 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 // Backprop performs one SGD step given dLoss/dOutput evaluated at the current
 // forward pass of x. It recomputes the forward pass internally.
 func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
+	m.frozen = nil
 	in := m.index(x)
 	y := m.forward(in, nil)
 	last := len(m.Layers) - 1
@@ -845,6 +901,7 @@ func (l *Layer) updateRowSparse(j int, d float64, idx []int32, val []float64, lr
 // TrainMSE performs one SGD step toward target under 0.5*sum((y-t)^2) loss
 // and returns the pre-step loss.
 func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
+	m.frozen = nil
 	in := m.index(x)
 	y := m.forward(in, nil)
 	if len(target) != len(y) {
@@ -883,6 +940,7 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 	if n := m.OutputSize(); action < 0 || action >= n {
 		panic(fmt.Sprintf("nn: action %d out of range %d", action, n))
 	}
+	m.frozen = nil
 	want := [1]int{action}
 	y := m.forward(x, want[:])
 	e := y[action] - target
@@ -907,6 +965,9 @@ func (m *MLP) CopyFrom(src *MLP) {
 		copy(layer.W, s.W)
 		copy(layer.B, s.B)
 	}
+	if m.frozen != nil {
+		m.frozen.fill(m.Layers[0])
+	}
 }
 
 // Clone returns a deep copy with fresh scratch buffers.
@@ -920,6 +981,9 @@ func (m *MLP) Clone() *MLP {
 		c.Layers = append(c.Layers, nl)
 	}
 	c.allocScratch()
+	if m.frozen != nil {
+		c.frozen = m.frozen.clone()
+	}
 	return c
 }
 
@@ -991,10 +1055,12 @@ func (m *MLP) Save(w io.Writer) error {
 	return gob.NewEncoder(w).Encode(wire)
 }
 
-// Load reads a network previously written with Save. It rejects non-finite
-// weights and biases: the input-sparse first layer never multiplies them by a
-// zero input, so unlike in a dense network they would poison some outputs and
-// not others instead of failing loudly.
+// Load reads a network previously written with Save. It rejects what New
+// would: a layer without inputs or neurons, and an activation code that is none
+// of Identity..LeakyReLU (which would load and act as the identity). It also
+// rejects non-finite weights and biases: the input-sparse first layer never
+// multiplies them by a zero input, so unlike in a dense network they would
+// poison some outputs and not others instead of failing loudly.
 func Load(r io.Reader) (*MLP, error) {
 	var wire mlpWire
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
@@ -1007,6 +1073,12 @@ func Load(r io.Reader) (*MLP, error) {
 	m := &MLP{}
 	for l := 0; l < len(wire.Acts); l++ {
 		in, out := wire.Sizes[l], wire.Sizes[l+1]
+		if in <= 0 || out <= 0 {
+			return nil, fmt.Errorf("nn: load: layer %d is %d wide on %d inputs", l, out, in)
+		}
+		if a := wire.Acts[l]; a < Identity || a > LeakyReLU {
+			return nil, fmt.Errorf("nn: load: layer %d has unknown activation %d", l, int(a))
+		}
 		if len(wire.W[l]) != in*out || len(wire.B[l]) != out {
 			return nil, fmt.Errorf("nn: load: layer %d shape mismatch", l)
 		}

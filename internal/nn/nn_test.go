@@ -273,6 +273,13 @@ func TestLoadRejectsBadParameters(t *testing.T) {
 		{"NaN weight", func(w *mlpWire) { w.W[0][4] = math.NaN() }, "nn: load: layer 0 holds a non-finite parameter"},
 		{"Inf bias", func(w *mlpWire) { w.B[1][0] = math.Inf(-1) }, "nn: load: layer 1 holds a non-finite parameter"},
 		{"truncated layer", func(w *mlpWire) { w.W[0] = w.W[0][:5] }, "nn: load: layer 0 shape mismatch"},
+		// Shapes New refuses and every length check passes or nearly passes,
+		// and an activation that would load and act as the identity.
+		{"empty layers", func(w *mlpWire) {
+			*w = mlpWire{Sizes: []int{0, 0}, Acts: []Activation{Identity}, W: [][]float64{{}}, B: [][]float64{{}}}
+		}, "nn: load: layer 0 is 0 wide on 0 inputs"},
+		{"negative widths", func(w *mlpWire) { w.Sizes = []int{-3, -2, 1} }, "nn: load: layer 0 is -2 wide on -3 inputs"},
+		{"unknown activation", func(w *mlpWire) { w.Acts[1] = LeakyReLU + 1 }, "nn: load: layer 1 has unknown activation 5"},
 	}
 	for _, c := range cases {
 		wire := good()

@@ -71,6 +71,31 @@ func BenchmarkHotMLPForwardSparse(b *testing.B) {
 	}
 }
 
+// BenchmarkHotMLPForwardSparseFrozen is the same decision on the network an
+// evaluation agent holds: frozen, layer 0 on the input-major copy.
+func BenchmarkHotMLPForwardSparseFrozen(b *testing.B) {
+	m := apuNet()
+	m.Freeze()
+	xs := apuSparseStates(64, 7)
+	outs := []int{3, 17, 40}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardSparse(xs[i%len(xs)], outs)
+	}
+}
+
+// BenchmarkHotFreeze is the transpose a target sync or a new evaluation agent
+// pays to bring the frozen copy up to date.
+func BenchmarkHotFreeze(b *testing.B) {
+	m := apuNet()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.Freeze()
+	}
+}
+
 // BenchmarkHotMLPForwardDense keeps the cost of a fully dense input visible:
 // it walks the same index list as a sparse one, only a full one.
 func BenchmarkHotMLPForwardDense(b *testing.B) {
@@ -132,6 +157,19 @@ func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 // batch as rl.DQL.TrainBatch runs it.
 func BenchmarkHotMLPForwardBatchSparse32(b *testing.B) {
 	m := apuNet()
+	xs := apuSparseStates(32, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardBatchFastSparse(xs)
+	}
+}
+
+// BenchmarkHotMLPForwardBatchSparse32Frozen is the same bootstrap on the
+// network rl.DQL holds as its target: frozen.
+func BenchmarkHotMLPForwardBatchSparse32Frozen(b *testing.B) {
+	m := apuNet()
+	m.Freeze()
 	xs := apuSparseStates(32, 20)
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -1,0 +1,269 @@
+// AVX2 kernels for layer 0 of a frozen network (frozen.go): the layer's weights
+// stored input-major, so that one listed input's weights to four neighbouring
+// neurons are one 256-bit load and a pass over the input list advances every
+// neuron's sum at once. See spmvExact and spmvFused in gemm_amd64.go for the
+// Go-level contracts.
+//
+// Both kernels keep up to twelve groups of four neurons in Y0..Y11, walk a list
+// of (index, value) entries, and add to each group the entry's value (broadcast
+// in Y15) times the four weights at w + index*stride + 32*group. They differ in
+// the term: spmvExact multiplies, then adds (two roundings, the scalar loop's);
+// spmvFused fuses (one rounding, fmaDot4x2's). The loops are generated once per
+// group count, so that a layer of 42 neurons is one pass with eleven
+// accumulators and one of 15 a pass with four.
+
+#include "textflag.h"
+
+// LDn loads n accumulators from (DX); STn(r) stores them at (r); ZRn zeroes
+// them.
+#define LD1 VMOVUPD (DX), Y0
+#define LD2 LD1; VMOVUPD 32(DX), Y1
+#define LD3 LD2; VMOVUPD 64(DX), Y2
+#define LD4 LD3; VMOVUPD 96(DX), Y3
+#define LD5 LD4; VMOVUPD 128(DX), Y4
+#define LD6 LD5; VMOVUPD 160(DX), Y5
+#define LD7 LD6; VMOVUPD 192(DX), Y6
+#define LD8 LD7; VMOVUPD 224(DX), Y7
+#define LD9 LD8; VMOVUPD 256(DX), Y8
+#define LD10 LD9; VMOVUPD 288(DX), Y9
+#define LD11 LD10; VMOVUPD 320(DX), Y10
+#define LD12 LD11; VMOVUPD 352(DX), Y11
+
+#define ST1(r) VMOVUPD Y0, (r)
+#define ST2(r) ST1(r); VMOVUPD Y1, 32(r)
+#define ST3(r) ST2(r); VMOVUPD Y2, 64(r)
+#define ST4(r) ST3(r); VMOVUPD Y3, 96(r)
+#define ST5(r) ST4(r); VMOVUPD Y4, 128(r)
+#define ST6(r) ST5(r); VMOVUPD Y5, 160(r)
+#define ST7(r) ST6(r); VMOVUPD Y6, 192(r)
+#define ST8(r) ST7(r); VMOVUPD Y7, 224(r)
+#define ST9(r) ST8(r); VMOVUPD Y8, 256(r)
+#define ST10(r) ST9(r); VMOVUPD Y9, 288(r)
+#define ST11(r) ST10(r); VMOVUPD Y10, 320(r)
+#define ST12(r) ST11(r); VMOVUPD Y11, 352(r)
+
+#define ZR1 VXORPD Y0, Y0, Y0
+#define ZR2 ZR1; VXORPD Y1, Y1, Y1
+#define ZR3 ZR2; VXORPD Y2, Y2, Y2
+#define ZR4 ZR3; VXORPD Y3, Y3, Y3
+#define ZR5 ZR4; VXORPD Y4, Y4, Y4
+#define ZR6 ZR5; VXORPD Y5, Y5, Y5
+#define ZR7 ZR6; VXORPD Y6, Y6, Y6
+#define ZR8 ZR7; VXORPD Y7, Y7, Y7
+#define ZR9 ZR8; VXORPD Y8, Y8, Y8
+#define ZR10 ZR9; VXORPD Y9, Y9, Y9
+#define ZR11 ZR10; VXORPD Y10, Y10, Y10
+#define ZR12 ZR11; VXORPD Y11, Y11, Y11
+
+// XTn is one entry's exact term on n accumulators: acc = acc + w*v, the
+// product rounded before the sum.
+#define XT(off, acc) VMULPD off(SI)(AX*1), Y15, Y14; VADDPD Y14, acc, acc
+#define XT1 XT(0, Y0)
+#define XT2 XT1; XT(32, Y1)
+#define XT3 XT2; XT(64, Y2)
+#define XT4 XT3; XT(96, Y3)
+#define XT5 XT4; XT(128, Y4)
+#define XT6 XT5; XT(160, Y5)
+#define XT7 XT6; XT(192, Y6)
+#define XT8 XT7; XT(224, Y7)
+#define XT9 XT8; XT(256, Y8)
+#define XT10 XT9; XT(288, Y9)
+#define XT11 XT10; XT(320, Y10)
+#define XT12 XT11; XT(352, Y11)
+
+// FTn is one entry's fused term on n accumulators.
+#define FT(off, acc) VFMADD231PD off(SI)(AX*1), Y15, acc
+#define FT1 FT(0, Y0)
+#define FT2 FT1; FT(32, Y1)
+#define FT3 FT2; FT(64, Y2)
+#define FT4 FT3; FT(96, Y3)
+#define FT5 FT4; FT(128, Y4)
+#define FT6 FT5; FT(160, Y5)
+#define FT7 FT6; FT(192, Y6)
+#define FT8 FT7; FT(224, Y7)
+#define FT9 FT8; FT(256, Y8)
+#define FT10 FT9; FT(288, Y9)
+#define FT11 FT10; FT(320, Y10)
+#define FT12 FT11; FT(352, Y11)
+
+// ENTRIES walks CX entries at (BX) and (R11), applying terms to each: the
+// index is checked against the row count in R9 (as unsigned, so a negative one
+// fails too) and the walk stops at bad, with CX not yet zero, on one outside.
+#define ENTRIES(terms, loop, bad) \
+loop: \
+	MOVL (BX), AX; \
+	CMPQ AX, R9; \
+	JAE  bad; \
+	IMULQ R8, AX; \
+	VBROADCASTSD (R11), Y15; \
+	terms; \
+	ADDQ $4, BX; \
+	ADDQ $8, R11; \
+	DECQ CX; \
+	JNZ  loop
+
+// EXACT is spmvExact for one group count.
+#define EXACT(load, terms, store, entry, loop, out) \
+entry: \
+	load; \
+	TESTQ CX, CX; \
+	JZ   out; \
+	ENTRIES(terms, loop, out); \
+out: \
+	store; \
+	JMP  xdone
+
+// func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
+TEXT ·spmvExact(SB), NOSPLIT, $0-73
+	MOVQ z+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ w+16(FP), SI
+	MOVQ stride+24(FP), R8
+	SHLQ $3, R8                    // bytes between two inputs' rows
+	MOVQ rows+32(FP), R9
+	MOVQ groups+40(FP), R10
+	MOVQ idx+48(FP), BX
+	MOVQ val+56(FP), R11
+	MOVQ n+64(FP), CX
+	CMPQ R10, $11
+	JEQ  x11
+	CMPQ R10, $12
+	JEQ  x12
+	CMPQ R10, $10
+	JEQ  x10
+	CMPQ R10, $9
+	JEQ  x9
+	CMPQ R10, $8
+	JEQ  x8
+	CMPQ R10, $7
+	JEQ  x7
+	CMPQ R10, $6
+	JEQ  x6
+	CMPQ R10, $5
+	JEQ  x5
+	CMPQ R10, $4
+	JEQ  x4
+	CMPQ R10, $3
+	JEQ  x3
+	CMPQ R10, $2
+	JEQ  x2
+	EXACT(LD1, XT1, ST1(DI), x1, x1loop, x1out)
+	EXACT(LD2, XT2, ST2(DI), x2, x2loop, x2out)
+	EXACT(LD3, XT3, ST3(DI), x3, x3loop, x3out)
+	EXACT(LD4, XT4, ST4(DI), x4, x4loop, x4out)
+	EXACT(LD5, XT5, ST5(DI), x5, x5loop, x5out)
+	EXACT(LD6, XT6, ST6(DI), x6, x6loop, x6out)
+	EXACT(LD7, XT7, ST7(DI), x7, x7loop, x7out)
+	EXACT(LD8, XT8, ST8(DI), x8, x8loop, x8out)
+	EXACT(LD9, XT9, ST9(DI), x9, x9loop, x9out)
+	EXACT(LD10, XT10, ST10(DI), x10, x10loop, x10out)
+	EXACT(LD11, XT11, ST11(DI), x11, x11loop, x11out)
+	EXACT(LD12, XT12, ST12(DI), x12, x12loop, x12out)
+xdone:
+	TESTQ CX, CX                   // entries left: the walk stopped at a bad index
+	SETEQ ret+72(FP)
+	VZEROUPPER
+	RET
+
+// func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool
+TEXT ·spmvFused(SB), NOSPLIT, $0-89
+
+// FUSED is spmvFused's lane loop for one group count: for each of the four
+// lanes, in order, the accumulators start at +0, take the lane's entries, and
+// are stored in the lane's row of the scratch. DX and DI are the lane's index
+// and value regions, R12 its entry count, R10 its scratch row, R13 counts the
+// lanes left. (Defined inside the function because it names an argument: go
+// vet reads q+64(FP) against the TEXT line above it.)
+#define FUSED(zero, terms, store, entry, loop, out) \
+entry: \
+	zero; \
+	MOVQ DX, BX; \
+	MOVQ DI, R11; \
+	MOVQ (R12), CX; \
+	TESTQ CX, CX; \
+	JZ   out; \
+	ENTRIES(terms, loop, fbad); \
+out: \
+	store; \
+	MOVQ q+64(FP), AX; \
+	LEAQ (DX)(AX*4), DX; \
+	LEAQ (DI)(AX*8), DI; \
+	ADDQ $8, R12; \
+	ADDQ $384, R10; \
+	DECQ R13; \
+	JNZ  entry; \
+	JMP  combine
+
+	MOVQ w+16(FP), SI
+	MOVQ stride+24(FP), R8
+	SHLQ $3, R8
+	MOVQ rows+32(FP), R9
+	MOVQ idx+48(FP), DX
+	MOVQ val+56(FP), DI
+	MOVQ cnt+72(FP), R12
+	MOVQ lanes+80(FP), R10
+	MOVQ $4, R13
+	MOVQ groups+40(FP), AX
+	CMPQ AX, $11
+	JEQ  f11
+	CMPQ AX, $12
+	JEQ  f12
+	CMPQ AX, $10
+	JEQ  f10
+	CMPQ AX, $9
+	JEQ  f9
+	CMPQ AX, $8
+	JEQ  f8
+	CMPQ AX, $7
+	JEQ  f7
+	CMPQ AX, $6
+	JEQ  f6
+	CMPQ AX, $5
+	JEQ  f5
+	CMPQ AX, $4
+	JEQ  f4
+	CMPQ AX, $3
+	JEQ  f3
+	CMPQ AX, $2
+	JEQ  f2
+	FUSED(ZR1, FT1, ST1(R10), f1, f1loop, f1out)
+	FUSED(ZR2, FT2, ST2(R10), f2, f2loop, f2out)
+	FUSED(ZR3, FT3, ST3(R10), f3, f3loop, f3out)
+	FUSED(ZR4, FT4, ST4(R10), f4, f4loop, f4out)
+	FUSED(ZR5, FT5, ST5(R10), f5, f5loop, f5out)
+	FUSED(ZR6, FT6, ST6(R10), f6, f6loop, f6out)
+	FUSED(ZR7, FT7, ST7(R10), f7, f7loop, f7out)
+	FUSED(ZR8, FT8, ST8(R10), f8, f8loop, f8out)
+	FUSED(ZR9, FT9, ST9(R10), f9, f9loop, f9out)
+	FUSED(ZR10, FT10, ST10(R10), f10, f10loop, f10out)
+	FUSED(ZR11, FT11, ST11(R10), f11, f11loop, f11out)
+	FUSED(ZR12, FT12, ST12(R10), f12, f12loop, f12out)
+
+combine:
+	// z = b + ((l0+l2) + (l1+l3)), group by group: fmaDot4x2's reduction of
+	// its four lanes, then the bias.
+	MOVQ z+0(FP), DI
+	MOVQ b+8(FP), DX
+	MOVQ lanes+80(FP), R10
+	MOVQ groups+40(FP), CX
+cloop:
+	VMOVUPD (R10), Y0
+	VADDPD 768(R10), Y0, Y0        // l0 + l2
+	VMOVUPD 384(R10), Y1
+	VADDPD 1152(R10), Y1, Y1       // l1 + l3
+	VADDPD Y1, Y0, Y0
+	VADDPD (DX), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, R10
+	ADDQ $32, DX
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  cloop
+	MOVB $1, ret+88(FP)
+	VZEROUPPER
+	RET
+
+fbad:
+	MOVB $0, ret+88(FP)
+	VZEROUPPER
+	RET

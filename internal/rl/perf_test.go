@@ -23,18 +23,23 @@ func sparseStateVec(rng *rand.Rand, n, width, k int) []float64 {
 // benchDQL builds a mesh-scale learner (60->15->15, batch 32) with a full
 // replay ring, the shape TrainMesh drives once per cycle, holding states that
 // look like its traffic: 2 or 3 of the 15 buffers have a competing message.
-func benchDQL() (*DQL, *rand.Rand) {
-	d := NewDQL(newNet(5, 60, 15, 15), DQLConfig{
+func benchDQL() (*DQL, *rand.Rand) { return benchDQLOf(60, 4, 15) }
+
+// benchDQLOf is benchDQL for a learner of in inputs, width features a buffer,
+// and as many hidden neurons as actions.
+func benchDQLOf(in, width, actions int) (*DQL, *rand.Rand) {
+	d := NewDQL(newNet(5, in, actions, actions), DQLConfig{
 		BatchSize: 32, ReplayCap: 4000, SyncEvery: 2000, LR: 0.05, Gamma: 0.5,
 	})
 	rng := rand.New(rand.NewSource(9))
+	third := actions / 3
 	for i := 0; i < d.Replay.Cap(); i++ {
 		d.Observe(Experience{
-			State:     sparse(sparseStateVec(rng, 60, 4, 2+rng.Intn(2))),
-			Action:    rng.Intn(15),
+			State:     sparse(sparseStateVec(rng, in, width, 2+rng.Intn(2))),
+			Action:    rng.Intn(actions),
 			Reward:    rng.Float64(),
-			Next:      sparse(sparseStateVec(rng, 60, 4, 2+rng.Intn(2))),
-			NextValid: []int{rng.Intn(5), 5 + rng.Intn(5), 10 + rng.Intn(5)},
+			Next:      sparse(sparseStateVec(rng, in, width, 2+rng.Intn(2))),
+			NextValid: []int{rng.Intn(third), third + rng.Intn(third), 2*third + rng.Intn(third)},
 		})
 	}
 	return d, rng
@@ -42,6 +47,18 @@ func benchDQL() (*DQL, *rand.Rand) {
 
 func BenchmarkHotDQLTrainBatch(b *testing.B) {
 	d, rng := benchDQL()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.TrainBatch(rng)
+	}
+}
+
+// BenchmarkHotDQLTrainBatchAPU is one training cycle of the APU learner
+// (504->42->42, batch 32, apu_train's hyper-parameters): 32 bootstraps on the
+// frozen target, 32 SGD steps on the online network.
+func BenchmarkHotDQLTrainBatchAPU(b *testing.B) {
+	d, rng := benchDQLOf(504, 12, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

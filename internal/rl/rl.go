@@ -197,7 +197,7 @@ type DQL struct {
 // NewDQL wraps an online network with a target copy and replay memory.
 func NewDQL(online *nn.MLP, cfg DQLConfig) *DQL {
 	d := NewInferenceDQL(online, cfg)
-	d.Target = online.Clone()
+	d.ensureTarget()
 	return d
 }
 
@@ -211,9 +211,12 @@ func NewInferenceDQL(online *nn.MLP, cfg DQLConfig) *DQL {
 }
 
 // ensureTarget makes the target copy a NewInferenceDQL learner went without.
+// The target is only ever evaluated and overwritten whole (CopyFrom at a sync),
+// never trained, so it is frozen from the start and stays so.
 func (d *DQL) ensureTarget() {
 	if d.Target == nil {
 		d.Target = d.Online.Clone()
+		d.Target.Freeze()
 	}
 }
 
@@ -228,12 +231,15 @@ func (d *DQL) Observe(e Experience) { d.Replay.Add(e) }
 // Target-network inference is batched through ForwardBatchFastSparse for
 // speed, in chunks that never straddle a target-network sync: every experience
 // sees the exact target weights the one-forward-per-experience loop would have
-// used. On amd64 with AVX2 the fast path's FMA contraction may perturb target
-// Q-values by a few ULPs relative to a sequential forward pass — deterministic
-// for a given platform and seed, but trajectories are pinned per-platform
-// rather than cross-platform. The returned rows alias the target network's
-// batch scratch; each chunk is fully consumed (Bellman max extracted) before
-// the next chunk's batched call invalidates them.
+// used. The target is a frozen network (nn.MLP.Freeze): its layer 0 runs on
+// the input-major copy, which each sync's CopyFrom rebuilds, and gives the
+// bits the row-major tile kernel gives. On amd64 with AVX2 the fast path's FMA
+// contraction may perturb target Q-values by a few ULPs relative to a
+// sequential forward pass — deterministic for a given platform and seed, but
+// trajectories are pinned per-platform rather than cross-platform. The
+// returned rows alias the target network's batch scratch; each chunk is fully
+// consumed (Bellman max extracted) before the next chunk's batched call
+// invalidates them.
 func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	if d.Replay.Len() == 0 {
 		return 0
