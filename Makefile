@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet fmt verify bench bench-diff bench-paper serve-smoke race-shard clean
+.PHONY: build test test-nofma race vet fmt verify bench bench-diff bench-paper serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -46,16 +46,6 @@ bench:
 
 bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_15.json
-
-# Race-check the sharded stepping engine specifically: the shard-invariance
-# and active-set-invariance suites in internal/noc and internal/fault drive
-# the two-phase engine at K in {2,4,8} on mesh and torus, healthy and faulted,
-# with active-set stepping both on and off, and the arbitration-state suites
-# flip the shard count mid-run, so any cross-shard data race in phase 1 (which
-# writes the scanned routers' cached routes) or in the activity-bitmap
-# maintenance surfaces here. Split from `race` so CI can gate on it by name.
-race-shard:
-	$(GO) test -race -run 'ShardInvariance|TorusConservation|TorusFaultConservation|ActiveSet|ArbState' ./internal/noc/ ./internal/fault/
 
 # Full benchmark sweep across every package (slow; not snapshot-tracked).
 bench-paper:

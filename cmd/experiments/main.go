@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"log/slog"
@@ -42,8 +43,6 @@ func main() {
 	traceSample := flag.Uint64("trace-sample", 64, "trace only every Nth message per cell")
 	flag.StringVar(&scalingSizes, "scaling-sizes", "",
 		"scaling experiment: comma-separated topology edge sizes (default 8,16,32)")
-	flag.StringVar(&scalingShards, "scaling-shards", "",
-		"scaling experiment: comma-separated shard counts (default 1,2,4)")
 	flag.BoolVar(&scalingTorus, "scaling-torus", false,
 		"scaling experiment: wrap the topology into a 2D torus")
 	quantMinAgree := flag.Float64("quant-min-agree", 0,
@@ -268,13 +267,9 @@ func run(what string, sc experiments.Scale, withNN bool, csvDir string, tel *exp
 	case "hillclimb":
 		fmt.Print(experiments.HillClimbReport(sc))
 	case "scaling":
-		r, err := experiments.ScalingStudy(
-			parseIntList("-scaling-sizes", scalingSizes),
-			parseIntList("-scaling-shards", scalingShards),
-			scalingTorus, sc)
+		r, err := experiments.ScalingStudyCtx(context.Background(),
+			parseIntList("-scaling-sizes", scalingSizes), nil, scalingTorus, sc)
 		if err != nil {
-			// The study refuses to report if any shard count diverged from
-			// the sequential run — that is an engine bug, not a user error.
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}
@@ -311,9 +306,8 @@ func run(what string, sc experiments.Scale, withNN bool, csvDir string, tel *exp
 // Scaling-experiment knobs; package-level because run is recursive for "all"
 // and the scaling flags only matter to one subcommand.
 var (
-	scalingSizes  string
-	scalingShards string
-	scalingTorus  bool
+	scalingSizes string
+	scalingTorus bool
 )
 
 // parseIntList parses a comma-separated flag value; empty means the
@@ -370,9 +364,9 @@ experiments: fig4 fig5 fig7 fig9 fig10 fig11 fig12 fig13
              qtable flitcheck bufablation tiebreak derive hillclimb quant
              scaling all
 
-scaling sweeps large mesh/torus sizes across router-shard counts and checks
-the sharded engine is bit-identical to the sequential one; it is excluded
-from "all" because its throughput numbers are machine-dependent.
+scaling measures single-network stepping throughput over large mesh/torus
+sizes; it is excluded from "all" because its throughput numbers are
+machine-dependent.
 
 flags:
 `)

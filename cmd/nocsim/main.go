@@ -4,7 +4,7 @@
 //
 //	nocsim -size 8 -rate 0.13 -policy global-age -cycles 20000
 //	nocsim -size 4 -policy rl-inspired -pattern hotspot
-//	nocsim -size 16 -topology torus -rate 0.05 -shards 4
+//	nocsim -size 16 -topology torus -rate 0.05
 package main
 
 import (
@@ -28,8 +28,6 @@ import (
 func main() {
 	size := flag.Int("size", 8, "mesh edge size (routers per side)")
 	topology := flag.String("topology", "mesh", "topology: mesh (open) or torus (wraparound rings)")
-	shards := flag.Int("shards", 1,
-		"router shards stepped in parallel (bit-identical to sequential; >1 needs a shard-safe routing)")
 	rate := flag.Float64("rate", 0.13, "injection rate (messages/node/cycle)")
 	policy := flag.String("policy", "global-age",
 		"arbitration policy: random, round-robin, islip, fifo, probdist, global-age, rl-inspired")
@@ -73,7 +71,6 @@ func main() {
 	if *topology == "torus" {
 		check.AtLeast("-size", int64(*size), 3)
 	}
-	check.Positive("-shards", int64(*shards))
 	check.Unit("-rate", *rate)
 	check.NonNegative("-cycles", *cycles)
 	check.NonNegative("-warmup", *warmup)
@@ -89,7 +86,6 @@ func main() {
 		Width: *size, Height: *size, VCs: *vcs, BufferCap: *bufcap,
 		Torus: *topology == "torus",
 	})
-	net.SetShards(*shards)
 	var p noc.Policy
 	var err error
 	if *nnPath != "" {
@@ -152,8 +148,8 @@ func main() {
 
 	res := traffic.Run(net, in, *warmup, *cycles)
 	st := net.Stats()
-	fmt.Printf("policy=%s pattern=%s topology=%s size=%dx%d rate=%.3f shards=%d\n",
-		p.Name(), pat.Name(), *topology, *size, *size, *rate, net.Shards())
+	fmt.Printf("policy=%s pattern=%s topology=%s size=%dx%d rate=%.3f\n",
+		p.Name(), pat.Name(), *topology, *size, *size, *rate)
 	fmt.Printf("  delivered %d msgs in %d cycles (%.3f msgs/node/cycle accepted)\n",
 		res.Delivered, res.Cycles, float64(res.Delivered)/float64(res.Cycles)/float64(len(cores)))
 	fmt.Printf("  latency: avg %.1f, max %.0f (generation to delivery)\n",

@@ -14,11 +14,8 @@ import (
 )
 
 // DefaultScalingSizes are the mesh edge sizes swept by the scaling study: the
-// paper's 8x8 plus the large-topology axis the sharded engine unlocks.
+// paper's 8x8 plus the large-topology axis.
 var DefaultScalingSizes = []int{8, 16, 32}
-
-// DefaultScalingShards are the shard counts compared per size.
-var DefaultScalingShards = []int{1, 2, 4}
 
 // ScalingRate returns the uniform-random injection rate for a large-topology
 // throughput run. Meshes run at the Section 3.2 near-saturation rate; a torus
@@ -35,21 +32,17 @@ func ScalingRate(size int, torus bool) float64 {
 
 // LargeMeshConfig parameterizes one large-topology throughput run.
 type LargeMeshConfig struct {
-	Size   int  // mesh edge length (Size x Size routers, one core each)
-	Torus  bool // wrap both dimensions into rings
-	Shards int  // router shards stepped in parallel; <= 1 is sequential
+	Size  int  // mesh edge length (Size x Size routers, one core each)
+	Torus bool // wrap both dimensions into rings
 	// Rate overrides the injection rate; 0 uses ScalingRate.
 	Rate float64
 }
 
-// LargeMeshResult is the outcome of one large-topology run. The simulation
-// fields are bit-identical across shard counts (that invariance is what
-// ScalingStudyCtx asserts); only the wall-clock fields vary with K.
+// LargeMeshResult is the outcome of one large-topology run.
 type LargeMeshResult struct {
-	Size   int     `json:"size"`
-	Torus  bool    `json:"torus"`
-	Shards int     `json:"shards"`
-	Rate   float64 `json:"rate"`
+	Size  int     `json:"size"`
+	Torus bool    `json:"torus"`
+	Rate  float64 `json:"rate"`
 
 	// Deterministic simulation outcome of the measured window.
 	Cycles     int64   `json:"cycles"`
@@ -64,15 +57,9 @@ type LargeMeshResult struct {
 	MsgsPerSecPerCore float64 `json:"msgs_per_sec_per_core"`
 }
 
-// LargeMesh runs LargeMeshCtx without cancellation.
-func LargeMesh(cfg LargeMeshConfig, sc Scale) *LargeMeshResult {
-	r, _ := LargeMeshCtx(context.Background(), cfg, sc)
-	return r
-}
-
 // LargeMeshCtx drives one seeded uniform-random run on a Size x Size mesh or
-// torus under the global-age policy with the requested shard count, timing
-// the measured window. Cancellation is polled every trainCheckEvery cycles.
+// torus under the global-age policy, timing the measured window. Cancellation
+// is polled every trainCheckEvery cycles.
 func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMeshResult, error) {
 	if cfg.Size < 2 {
 		return nil, fmt.Errorf("experiments: scaling size %d too small", cfg.Size)
@@ -84,8 +71,6 @@ func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMes
 	ncfg := noc.Config{Width: cfg.Size, Height: cfg.Size, VCs: 3, BufferCap: 8, Torus: cfg.Torus}
 	net, cores := noc.BuildMeshCores(ncfg)
 	net.SetPolicy(arb.NewGlobalAge())
-	net.SetShards(cfg.Shards)
-	defer net.SetShards(1)
 
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, xrand.New(sc.Seed))
 	in.Classes = ncfg.VCs
@@ -112,7 +97,6 @@ func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMes
 	res := &LargeMeshResult{
 		Size:        cfg.Size,
 		Torus:       cfg.Torus,
-		Shards:      net.Shards(),
 		Rate:        rate,
 		Cycles:      net.Cycle(),
 		Injected:    st.Injected,
@@ -128,77 +112,43 @@ func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMes
 	return res, nil
 }
 
-// ScalingStudyResult is the sizes x shards throughput matrix. Rows follow
-// Sizes, columns follow Shards.
+// ScalingStudyResult is the per-size outcome of the scaling study; every
+// slice follows Sizes.
 type ScalingStudyResult struct {
-	Sizes  []int     `json:"sizes"`
-	Shards []int     `json:"shards"`
-	Torus  bool      `json:"torus"`
-	Rates  []float64 `json:"rates"`
+	Sizes []int     `json:"sizes"`
+	Torus bool      `json:"torus"`
+	Rates []float64 `json:"rates"`
 
-	// Shard-invariant simulation outcome per size, asserted identical across
-	// every shard column before the result is returned.
+	// Deterministic simulation outcome per size.
 	Delivered  []int64   `json:"delivered"`
 	AvgLatency []float64 `json:"avg_latency"`
 
-	// MsgsPerSecPerCore[s][k] is the headline scaling number; Speedup is the
-	// same row normalized to its first (fewest-shards) column.
-	MsgsPerSecPerCore [][]float64 `json:"msgs_per_sec_per_core"`
-	StepsPerSec       [][]float64 `json:"steps_per_sec"`
-	Speedup           [][]float64 `json:"speedup"`
+	// Wall-clock throughput per size (machine-dependent); MsgsPerSecPerCore
+	// is the headline scaling number.
+	MsgsPerSecPerCore []float64 `json:"msgs_per_sec_per_core"`
+	StepsPerSec       []float64 `json:"steps_per_sec"`
 }
 
-// ScalingStudy runs ScalingStudyCtx without cancellation.
-func ScalingStudy(sizes, shards []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
-	return ScalingStudyCtx(context.Background(), sizes, shards, torus, sc)
-}
-
-// ScalingStudyCtx measures single-network step throughput for every
-// (size, shard count) pair. Cells run strictly sequentially — each one wants
-// the whole machine, and interleaving them would corrupt the wall-clock
-// numbers — and the study doubles as a production bit-identity check: if any
-// shard count delivers a different message count or latency than the first
-// column for the same size, the engine's determinism contract is broken and
-// an error is returned instead of a result.
-func ScalingStudyCtx(ctx context.Context, sizes, shards []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
+// ScalingStudyCtx measures single-network step throughput for every size.
+// Runs are strictly sequential — each one wants the whole machine, and
+// interleaving them would corrupt the wall-clock numbers. The unnamed slice
+// is ignored: it stays only because benchmark/simd.go still passes one, and
+// ROADMAP item 2's [benchmark] PR removes it. In-repo callers pass nil.
+func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultScalingSizes
 	}
-	if len(shards) == 0 {
-		shards = DefaultScalingShards
-	}
-	res := &ScalingStudyResult{
-		Sizes:             append([]int(nil), sizes...),
-		Shards:            append([]int(nil), shards...),
-		Torus:             torus,
-		Delivered:         make([]int64, len(sizes)),
-		AvgLatency:        make([]float64, len(sizes)),
-		MsgsPerSecPerCore: makeMatrix(len(sizes), len(shards)),
-		StepsPerSec:       makeMatrix(len(sizes), len(shards)),
-		Speedup:           makeMatrix(len(sizes), len(shards)),
-	}
-	for si, size := range sizes {
-		res.Rates = append(res.Rates, ScalingRate(size, torus))
-		for ki, k := range shards {
-			r, err := LargeMeshCtx(ctx, LargeMeshConfig{Size: size, Torus: torus, Shards: k}, sc)
-			if err != nil {
-				return nil, err
-			}
-			if ki == 0 {
-				res.Delivered[si] = r.Delivered
-				res.AvgLatency[si] = r.AvgLatency
-			} else if r.Delivered != res.Delivered[si] || r.AvgLatency != res.AvgLatency[si] {
-				return nil, fmt.Errorf(
-					"experiments: shard determinism broken on %dx%d: K=%d delivered %d (avg %.6f), K=%d delivered %d (avg %.6f)",
-					size, size, shards[0], res.Delivered[si], res.AvgLatency[si],
-					r.Shards, r.Delivered, r.AvgLatency)
-			}
-			res.MsgsPerSecPerCore[si][ki] = r.MsgsPerSecPerCore
-			res.StepsPerSec[si][ki] = r.StepsPerSec
-			if base := res.MsgsPerSecPerCore[si][0]; base > 0 {
-				res.Speedup[si][ki] = res.MsgsPerSecPerCore[si][ki] / base
-			}
+	res := &ScalingStudyResult{Sizes: append([]int(nil), sizes...), Torus: torus}
+	for _, size := range sizes {
+		r, err := LargeMeshCtx(ctx, LargeMeshConfig{Size: size, Torus: torus}, sc)
+		if err != nil {
+			return nil, err
 		}
+		res.Rates = append(res.Rates, r.Rate)
+		res.Delivered = append(res.Delivered, r.Delivered)
+		res.AvgLatency = append(res.AvgLatency, r.AvgLatency)
+		res.MsgsPerSecPerCore = append(res.MsgsPerSecPerCore, r.MsgsPerSecPerCore)
+		res.StepsPerSec = append(res.StepsPerSec, r.StepsPerSec)
 	}
 	return res, nil
 }
@@ -215,57 +165,48 @@ func (r *ScalingStudyResult) sizeLabels() []string {
 	return out
 }
 
-func (r *ScalingStudyResult) shardLabels() []string {
-	out := make([]string, len(r.Shards))
-	for i, k := range r.Shards {
-		out[i] = fmt.Sprintf("K=%d", k)
+// throughputColumns labels the wall-clock table's columns.
+var throughputColumns = []string{"messages/sec/core", "steps/sec"}
+
+func (r *ScalingStudyResult) throughput() [][]float64 {
+	m := make([][]float64, len(r.Sizes))
+	for si := range m {
+		m[si] = []float64{r.MsgsPerSecPerCore[si], r.StepsPerSec[si]}
 	}
-	return out
+	return m
 }
 
-// Render formats the throughput and speedup matrices with the per-size
-// shard-invariant outcome line.
+// Render formats the throughput table followed by the per-size simulation
+// outcome.
 func (r *ScalingStudyResult) Render() string {
-	var b strings.Builder
-	b.WriteString(renderMatrix(
-		"Scaling study: delivered messages/sec/core by topology size and shard count",
-		"topology", r.sizeLabels(), r.shardLabels(), r.MsgsPerSecPerCore, nil))
-	b.WriteString(renderMatrix(
-		"Speedup over the first shard column (same seeded run, bit-identical outcome)",
-		"topology", r.sizeLabels(), r.shardLabels(), r.Speedup, nil))
-	b.WriteString("shard-invariant outcome per size (asserted identical across K):\n")
-	for si := range r.Sizes {
-		fmt.Fprintf(&b, "  %-10s rate %.2f: delivered %d, avg latency %.2f cycles\n",
-			r.sizeLabels()[si], r.Rates[si], r.Delivered[si], r.AvgLatency[si])
-	}
-	return b.String()
+	return renderMatrix("Scaling study: stepping throughput by topology size",
+		"topology", r.sizeLabels(), throughputColumns, r.throughput(), nil) + r.RenderInvariant()
 }
 
-// CSV exports the messages/sec/core matrix.
+// CSV exports the throughput table.
 func (r *ScalingStudyResult) CSV() string {
-	return viz.MatrixCSV("topology", r.sizeLabels(), r.shardLabels(), r.MsgsPerSecPerCore)
+	return viz.MatrixCSV("topology", r.sizeLabels(), throughputColumns, r.throughput())
 }
 
-// RenderInvariant formats only the shard-invariant simulation outcome — no
-// wall-clock numbers — so the output is byte-identical for any shard count on
-// any machine. The serve daemon caches this rendering.
+// RenderInvariant formats only the deterministic simulation outcome — no
+// wall-clock numbers — so the output is byte-identical on any machine. The
+// serve daemon caches this rendering.
 func (r *ScalingStudyResult) RenderInvariant() string {
 	var b strings.Builder
-	b.WriteString("Large-topology outcome (shard-invariant, asserted identical across K):\n")
-	for si := range r.Sizes {
+	b.WriteString("Large-topology outcome (deterministic per seed):\n")
+	for si, label := range r.sizeLabels() {
 		fmt.Fprintf(&b, "  %-10s rate %.2f: delivered %d, avg latency %.2f cycles\n",
-			r.sizeLabels()[si], r.Rates[si], r.Delivered[si], r.AvgLatency[si])
+			label, r.Rates[si], r.Delivered[si], r.AvgLatency[si])
 	}
 	return b.String()
 }
 
-// InvariantCSV exports the shard-invariant outcome per topology size.
+// InvariantCSV exports the deterministic outcome per topology size.
 func (r *ScalingStudyResult) InvariantCSV() string {
 	var b strings.Builder
 	b.WriteString("topology,rate,delivered,avg_latency\n")
-	for si := range r.Sizes {
-		fmt.Fprintf(&b, "%s,%.4f,%d,%.6f\n",
-			r.sizeLabels()[si], r.Rates[si], r.Delivered[si], r.AvgLatency[si])
+	for si, label := range r.sizeLabels() {
+		fmt.Fprintf(&b, "%s,%.4f,%d,%.6f\n", label, r.Rates[si], r.Delivered[si], r.AvgLatency[si])
 	}
 	return b.String()
 }

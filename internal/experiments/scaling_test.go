@@ -7,28 +7,32 @@ import (
 )
 
 // TestScalingStudyDeterminism runs the scaling study at test scale on a mesh
-// and a torus. The study itself asserts the bit-identity contract (an error
-// means a shard count diverged from the sequential run), so the test mostly
-// pins that the assertion machinery is wired and the outputs are populated.
+// and a torus, twice: the simulation outcome must repeat bit for bit, and the
+// outputs must be populated.
 func TestScalingStudyDeterminism(t *testing.T) {
 	sc := Scale{WarmupCycles: 200, MeasureCycles: 600, Seed: 5}
 	for _, torus := range []bool{false, true} {
-		res, err := ScalingStudy([]int{4, 8}, []int{1, 2, 4}, torus, sc)
+		res, err := ScalingStudyCtx(context.Background(), []int{4, 8}, nil, torus, sc)
 		if err != nil {
 			t.Fatalf("torus=%v: %v", torus, err)
+		}
+		again, err := ScalingStudyCtx(context.Background(), []int{4, 8}, nil, torus, sc)
+		if err != nil {
+			t.Fatalf("torus=%v: %v", torus, err)
+		}
+		if res.RenderInvariant() != again.RenderInvariant() || res.InvariantCSV() != again.InvariantCSV() {
+			t.Fatalf("torus=%v: outcome does not repeat:\n%s\n%s", torus, res.RenderInvariant(), again.RenderInvariant())
 		}
 		for si := range res.Sizes {
 			if res.Delivered[si] == 0 {
 				t.Fatalf("torus=%v size %d delivered nothing", torus, res.Sizes[si])
 			}
-			for ki := range res.Shards {
-				if res.MsgsPerSecPerCore[si][ki] <= 0 {
-					t.Fatalf("torus=%v cell (%d,%d) has no throughput", torus, si, ki)
-				}
+			if res.MsgsPerSecPerCore[si] <= 0 || res.StepsPerSec[si] <= 0 {
+				t.Fatalf("torus=%v size %d has no throughput", torus, res.Sizes[si])
 			}
 		}
 		out := res.Render()
-		for _, want := range []string{"messages/sec/core", "Speedup", "delivered"} {
+		for _, want := range []string{"messages/sec/core", "steps/sec", "delivered"} {
 			if !strings.Contains(out, want) {
 				t.Fatalf("Render missing %q:\n%s", want, out)
 			}
@@ -36,26 +40,5 @@ func TestScalingStudyDeterminism(t *testing.T) {
 		if csv := res.CSV(); !strings.Contains(csv, "topology") {
 			t.Fatalf("CSV missing header: %q", csv)
 		}
-	}
-}
-
-// TestLargeMeshShardsReported pins that the run reports the effective shard
-// count and the deterministic fields are shard-invariant for a single size.
-func TestLargeMeshShardsReported(t *testing.T) {
-	sc := Scale{WarmupCycles: 100, MeasureCycles: 400, Seed: 9}
-	base, err := LargeMeshCtx(context.Background(), LargeMeshConfig{Size: 8, Shards: 1}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sharded, err := LargeMeshCtx(context.Background(), LargeMeshConfig{Size: 8, Shards: 4}, sc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if base.Shards != 1 || sharded.Shards != 4 {
-		t.Fatalf("shard counts reported as %d/%d, want 1/4", base.Shards, sharded.Shards)
-	}
-	if base.Delivered != sharded.Delivered || base.AvgLatency != sharded.AvgLatency ||
-		base.Injected != sharded.Injected || base.Cycles != sharded.Cycles {
-		t.Fatalf("deterministic fields diverge: K=1 %+v, K=4 %+v", base, sharded)
 	}
 }

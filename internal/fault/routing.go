@@ -357,7 +357,7 @@ func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 
 // ShardSafe implements noc.ShardSafeRouting. Route reads only tables that
 // rebuild on fault events (never during arbitration) and writes only the
-// queried message's RouteBits, so the parallel phase-1 scan may call it.
+// queried message's RouteBits, idempotently, so its verdicts may be cached.
 func (t *TableRouting) ShardSafe() bool { return true }
 
 // WestFirstRouting is the west-first turn model with minimal adaptivity: all

@@ -27,10 +27,9 @@ package noc
 //
 // Both bitmaps are scanned with bits.TrailingZeros64, so visit order is
 // ascending router/node ID — identical to the full scans they replace — and
-// every engine (sequential, sharded two-phase; policy, matcher) stays
-// bit-identical for every topology, fault schedule and shard count.
-// SetActiveStepping(false) forces the full walks for A/B benchmarking and for
-// the equivalence suites that pin that contract.
+// a seeded run stays bit-identical, under a policy or a matcher, for every
+// topology and fault schedule. SetActiveStepping(false) forces the full walks
+// for A/B benchmarking and for the equivalence suites that pin that contract.
 //
 // During arbitration no activity bit is ever set (deliveries land on future
 // cycles; grants and evictions pop only from the arbitrated router's own
@@ -38,13 +37,6 @@ package noc
 // router. The one behavioural contract this adds: engine observers must not
 // inject messages from inside ObserveInject (Sink and OnCycle remain the
 // supported injection points) — see Observer.
-
-// DefaultShardMinActive is the default per-shard activity threshold of the
-// sharded stepping engine: the phase-1 fork/join only engages when at least
-// this many routers per shard are active. Below it the two-phase barrier
-// costs more than it parallelizes and the cycle falls through to the
-// sequential active-set path (bit-identical either way).
-const DefaultShardMinActive = 64
 
 // SetActiveStepping enables (the default) or disables active-set stepping.
 // With it disabled the engine runs the full walks — every node in inject,
@@ -65,18 +57,6 @@ func (n *Network) ActiveStepping() bool { return n.activeOK() }
 // while occupancy tracking is on (it reads the incrementally maintained
 // activity count).
 func (n *Network) ActiveRouters() int { return n.actRCount }
-
-// SetShardMinActive sets the per-shard activity threshold for the sharded
-// stepping engine (see DefaultShardMinActive): a cycle forks its phase-1
-// workers only when ActiveRouters() >= perShard * Shards(). Zero makes every
-// sharded cycle fork, as the pre-threshold engine did; the choice is
-// invisible to results, only to wall-clock.
-func (n *Network) SetShardMinActive(perShard int) {
-	if perShard < 0 {
-		perShard = 0
-	}
-	n.shardMinActive = perShard
-}
 
 // activeOK reports whether arbitrate may iterate the router-activity bitmap
 // instead of the full router slice.

@@ -7,11 +7,10 @@ import (
 	"testing"
 )
 
-// attachRouting is a shard-safe X-Y routing that declares a destination
-// unreachable while its attach link is down — verdicts are a pure function of
-// (message destination, live link state), so it is legal for the lazy
-// eviction mode and lets fault schedules create and repair unreachable heads
-// mid-run.
+// attachRouting is X-Y routing that declares a destination unreachable while
+// its attach link is down — verdicts are a pure function of (message
+// destination, live link state), so they may be cached per head, and fault
+// schedules can create and repair unreachable heads mid-run.
 type attachRouting struct{}
 
 func (attachRouting) Name() string    { return "attach-xy" }
@@ -31,10 +30,8 @@ func fullScanOpt(net *Network) { net.SetActiveStepping(false) }
 // TestActiveSetInvariance pins the active-set contract: the mask kernel
 // produces delivery traces and stats bit-identical to the legacy full-scan
 // oracle, on mesh and torus, for an order-sensitive per-output policy and an
-// order-sensitive whole-router matcher — on the full-scan walk, on the
-// active-set walk, sharded, and with the fork threshold forced unreachably
-// high (sequential active fallback under SetShards). Bit-identity across shard
-// counts is TestShardInvariance's; one K here ties the two suites together.
+// order-sensitive whole-router matcher — on the full-scan walk and on the
+// active-set walk.
 func TestActiveSetInvariance(t *testing.T) {
 	cfgs := map[string]Config{
 		"mesh8x8":  {Width: 8, Height: 8, VCs: 3, BufferCap: 2},
@@ -44,23 +41,11 @@ func TestActiveSetInvariance(t *testing.T) {
 	for cname, cfg := range cfgs {
 		for pname, pol := range policies {
 			t.Run(cname+"/"+pname, func(t *testing.T) {
-				base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, nil, legacyOpt)
-				// Mask kernel on the full-scan walk, then on the active set.
-				net, log := shardRun(t, pol, cfg, 1, 600, nil, nil, fullScanOpt)
-				requireIdentical(t, 1, base, baseLog, net, log)
-				net, log = shardRun(t, pol, cfg, 1, 600, nil, nil)
-				requireIdentical(t, 1, base, baseLog, net, log)
-				// Sharded active-set, forking every cycle.
-				net, log = shardRun(t, pol, cfg, 4, 600, nil, nil)
-				requireIdentical(t, 4, base, baseLog, net, log)
-				// Sharded config whose threshold never engages: every cycle
-				// must fall through to the sequential active-set path.
-				net, log = shardRun(t, pol, cfg, 4, 600, nil, nil,
-					func(n *Network) { n.SetShardMinActive(1 << 20) })
-				if net.shardForks != 0 {
-					t.Fatalf("fork ran %d times despite an unreachable threshold", net.shardForks)
-				}
-				requireIdentical(t, 4, base, baseLog, net, log)
+				base, baseLog := traceRun(t, pol, cfg, 600, nil, nil, legacyOpt)
+				net, log := traceRun(t, pol, cfg, 600, nil, nil, fullScanOpt)
+				requireIdentical(t, "full scan", base, baseLog, net, log)
+				net, log = traceRun(t, pol, cfg, 600, nil, nil)
+				requireIdentical(t, "active set", base, baseLog, net, log)
 			})
 		}
 	}
@@ -69,8 +54,7 @@ func TestActiveSetInvariance(t *testing.T) {
 // TestActiveSetInvarianceFaulted runs the mid-run link-kill + freeze schedule
 // under built-in X-Y routing: the mask kernel must keep the faulty-mode rules
 // (frozen-router skip, attach-link injection block, routes re-derived at each
-// link transition) bit-identical to the legacy oracle, on both walks and
-// sharded.
+// link transition) bit-identical to the legacy oracle, on both walks.
 func TestActiveSetInvarianceFaulted(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -89,26 +73,24 @@ func TestActiveSetInvarianceFaulted(t *testing.T) {
 	}
 	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
 		t.Run(pname, func(t *testing.T) {
-			base, baseLog := shardRun(t, pol, cfg, 1, 600, nil, faults, legacyOpt)
+			base, baseLog := traceRun(t, pol, cfg, 600, nil, faults, legacyOpt)
 			if base.FaultStats().Requeued == 0 {
 				t.Fatal("fault schedule requeued nothing; scenario is vacuous")
 			}
-			net, log := shardRun(t, pol, cfg, 1, 600, nil, faults, fullScanOpt)
-			requireIdentical(t, 1, base, baseLog, net, log)
-			for _, k := range []int{1, 4} {
-				net, log := shardRun(t, pol, cfg, k, 600, nil, faults)
-				requireIdentical(t, k, base, baseLog, net, log)
-			}
+			net, log := traceRun(t, pol, cfg, 600, nil, faults, fullScanOpt)
+			requireIdentical(t, "full scan", base, baseLog, net, log)
+			net, log = traceRun(t, pol, cfg, 600, nil, faults)
+			requireIdentical(t, "active set", base, baseLog, net, log)
 		})
 	}
 }
 
 // TestActiveSetInvarianceUnreachable drives a run where a fault schedule makes
 // buffered heads unreachable mid-flight (attach link killed, later repaired)
-// under a ShardSafe routing: routing each head once and evicting from that
-// pass must find and evict exactly the same messages, in the same order, as
-// the legacy oracle's unconditional per-cycle sweep — for a policy and for a
-// matcher, on the full-scan walk, on the active set and sharded.
+// under a routing with cacheable verdicts: routing each head once and evicting
+// from that pass must find and evict exactly the same messages, in the same
+// order, as the legacy oracle's unconditional per-cycle sweep — for a policy
+// and for a matcher, on the full-scan walk and on the active set.
 func TestActiveSetInvarianceUnreachable(t *testing.T) {
 	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
 	faults := func(net *Network, cycle int) {
@@ -124,17 +106,15 @@ func TestActiveSetInvarianceUnreachable(t *testing.T) {
 	}
 	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
 		t.Run(pname, func(t *testing.T) {
-			base, baseLog := shardRun(t, pol, cfg, 1, 600, attachRouting{}, faults, legacyOpt)
+			base, baseLog := traceRun(t, pol, cfg, 600, attachRouting{}, faults, legacyOpt)
 			if base.FaultStats().Unreachable == 0 {
 				t.Fatal("no unreachable evictions; eviction path not exercised")
 			}
-			net, log := shardRun(t, pol, cfg, 1, 600, attachRouting{}, faults, fullScanOpt)
-			requireIdentical(t, 1, base, baseLog, net, log)
-			for _, k := range []int{1, 4} {
-				net, log := shardRun(t, pol, cfg, k, 600, attachRouting{}, faults)
-				requireIdentical(t, k, base, baseLog, net, log)
-				checkConservation(t, net, fmt.Sprintf("K=%d", k))
-			}
+			net, log := traceRun(t, pol, cfg, 600, attachRouting{}, faults, fullScanOpt)
+			requireIdentical(t, "full scan", base, baseLog, net, log)
+			net, log = traceRun(t, pol, cfg, 600, attachRouting{}, faults)
+			requireIdentical(t, "active set", base, baseLog, net, log)
+			checkConservation(t, net, "active set")
 		})
 	}
 }
@@ -257,67 +237,6 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 	}
 }
 
-// TestActiveSetShardThreshold white-boxes the fork gate: below the per-shard
-// activity threshold a sharded network must step sequentially, above it the
-// two-phase fork must engage, and both regimes stay bit-identical (covered by
-// TestActiveSetInvariance; here the gate itself is probed).
-func TestActiveSetShardThreshold(t *testing.T) {
-	net, nodes := BuildMeshCores(Config{Width: 8, Height: 8, VCs: 2, BufferCap: 4})
-	net.SetPolicy(orderPolicy{})
-	net.SetShards(4)
-	defer net.SetShards(1)
-
-	// Empty network: no fork regardless of threshold.
-	net.SetShardMinActive(1)
-	net.Step()
-	if net.shardForks != 0 {
-		t.Fatalf("empty network forked %d times", net.shardForks)
-	}
-
-	// Park a little traffic in a frozen hub router so activity persists
-	// across cycle boundaries (an unobstructed message is granted within its
-	// arrival cycle and never shows at a boundary). One active router stays
-	// below the 1-per-shard * 4-shard threshold: still sequential.
-	hub := net.RouterAt(4, 4)
-	net.FreezeRouter(hub.ID(), true)
-	for i, src := range []int{35, 37} {
-		m := net.AllocMessage()
-		m.ID = uint64(i + 1)
-		m.Dst = nodes[36].ID // the node attached to the frozen hub
-		m.SizeFlits = 1
-		nodes[src].Inject(m)
-	}
-	net.Run(5)
-	if net.ActiveRouters() == 0 {
-		t.Fatal("parked messages did not keep their router active")
-	}
-	if net.shardForks != 0 {
-		t.Fatalf("%d active routers forked %d times with threshold 1/shard",
-			net.ActiveRouters(), net.shardForks)
-	}
-
-	// Threshold zero: every cycle forks.
-	net.SetShardMinActive(0)
-	before := net.shardForks
-	net.Step()
-	if net.shardForks != before+1 {
-		t.Fatalf("threshold 0 did not fork: %d -> %d", before, net.shardForks)
-	}
-
-	// Full-scan mode ignores the threshold entirely (reference behavior).
-	net.SetActiveStepping(true)
-	net.SetShardMinActive(1 << 20)
-	net.SetActiveStepping(false)
-	before = net.shardForks
-	net.Step()
-	if net.shardForks != before+1 {
-		t.Fatalf("full-scan sharded step did not fork: %d -> %d", before, net.shardForks)
-	}
-	net.SetActiveStepping(true)
-	net.FreezeRouter(hub.ID(), false)
-	net.Drain(4000)
-}
-
 // TestActiveSetToggleMidRun flips the engine between active-set and full-scan
 // stepping every few hundred cycles of a seeded run and requires the combined
 // trace to match the legacy oracle's — SetActiveStepping is documented as
@@ -329,7 +248,7 @@ func TestActiveSetToggleMidRun(t *testing.T) {
 			net.SetActiveStepping(cycle%300 == 0)
 		}
 	}
-	base, baseLog := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, nil, legacyOpt)
-	net, log := shardRun(t, orderPolicy{}, cfg, 1, 600, nil, toggle)
-	requireIdentical(t, 1, base, baseLog, net, log)
+	base, baseLog := traceRun(t, orderPolicy{}, cfg, 600, nil, nil, legacyOpt)
+	net, log := traceRun(t, orderPolicy{}, cfg, 600, nil, toggle)
+	requireIdentical(t, "toggled", base, baseLog, net, log)
 }

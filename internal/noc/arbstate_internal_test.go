@@ -18,7 +18,8 @@ func legacyOpt(net *Network) { net.occTrack, net.arbState = false, false }
 // non-stale head in exactly the want mask of its cached port, and that port
 // equal to a fresh Route verdict under the current fault state. It may only be
 // used with routings whose Route is free of side effects beyond idempotent
-// message writes (the ShardSafe contract), and is a no-op without tracking.
+// message writes (the cacheable-verdict contract), and is a no-op without
+// tracking.
 func checkArbState(t testing.TB, net *Network, when string) {
 	t.Helper()
 	if !net.occTrack {
@@ -116,7 +117,7 @@ func injectRandom(net *Network, nodes []*Node, rng *rand.Rand, rate float64, id 
 // must leave the legacy path untouched), policy and matcher, every routing
 // kind, and a fault schedule that kills and restores links mid-run (requeueLink
 // overfills a buffer past its capacity), freezes a router, strands messages,
-// swaps the routing and flips the stepping engine between cycles. Routing and
+// swaps the routing and flips active-set stepping between cycles. Routing and
 // policy rotate over the (topology, depth, VCs) grid instead of multiplying
 // it: every value of every dimension meets every value of every other.
 func TestArbStateNeverStale(t *testing.T) {
@@ -172,7 +173,6 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 	if rebuild == nil {
 		rebuild = func() {}
 	}
-	defer net.SetShards(1)
 	if want := MaxPorts*cfg.VCs <= 64; net.occTrack != want || net.arbState != want {
 		t.Fatalf("occTrack=%v arbState=%v with %d VCs", net.occTrack, net.arbState, cfg.VCs)
 	}
@@ -217,9 +217,6 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 			}
 		case 5:
 			net.SetActiveStepping(rng.Intn(2) == 0)
-		case 6:
-			net.SetShards(1 + 3*rng.Intn(2))
-			net.SetShardMinActive(0)
 		}
 		net.Step()
 		when := fmt.Sprintf("seed %d cycle %d", seed, cycle)
@@ -232,7 +229,8 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 	return net.Stats().Delivered
 }
 
-// countRouting is shard-safe X-Y routing that counts its Route calls.
+// countRouting is X-Y routing with cacheable verdicts that counts its Route
+// calls.
 type countRouting struct{ calls *int64 }
 
 func (countRouting) Name() string    { return "count-xy" }

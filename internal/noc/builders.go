@@ -31,8 +31,8 @@ func BuildMesh16x16() (*Network, []*Node) {
 	return BuildMeshCores(Config{Width: 16, Height: 16, VCs: 3, BufferCap: 8})
 }
 
-// BuildMesh32x32 creates the 32x32 large-mesh scenario used for the sharded
-// stepping throughput benchmark (1024 routers, 1024 cores).
+// BuildMesh32x32 creates the 32x32 large-mesh scenario used for the stepping
+// throughput benchmarks (1024 routers, 1024 cores).
 func BuildMesh32x32() (*Network, []*Node) {
 	return BuildMeshCores(Config{Width: 32, Height: 32, VCs: 3, BufferCap: 8})
 }

@@ -150,10 +150,10 @@ type Network struct {
 	// occTrack is set when every router keeps its arbitration state (see
 	// Router.occ; requires MaxPorts*VCs <= 64). arbState additionally requires
 	// routing verdicts that may be cached per head — built-in X-Y or an
-	// installed ShardSafeRouting — and selects the mask arbitration kernel
-	// over the legacy per-output gather. bitPort maps a buffer's bit to its
-	// port; vcMask has the low VCs bits set; multiplying a VC mask by
-	// spreadMul copies it to every port's bit group.
+	// installed routing that declares it (see SetRouting) — and selects the
+	// mask arbitration kernel over the legacy per-output gather. bitPort maps
+	// a buffer's bit to its port; vcMask has the low VCs bits set; multiplying
+	// a VC mask by spreadMul copies it to every port's bit group.
 	occTrack  bool
 	arbState  bool
 	bitPort   [64]uint8
@@ -169,25 +169,11 @@ type Network struct {
 	actRCount int
 	fullScan  bool
 
-	// shardMinActive is the per-shard activity threshold below which a
-	// sharded cycle skips the fork/join and runs the sequential active-set
-	// path instead; shardForks counts the cycles that did fork (white-box
-	// test hook).
-	shardMinActive int
-	shardForks     int64
-
 	// candArena backs matcher Request slices.
 	candArena []Candidate
 
 	// msgFree recycles delivered/evicted pooled messages (AllocMessage).
 	msgFree []*Message
-
-	// sharded two-phase stepping (see shard.go); shards <= 1 is sequential.
-	shards      int
-	shardBounds []int           // router range of shard i is [bounds[i], bounds[i+1])
-	shardWake   []chan struct{} // one wake channel per worker goroutine
-	shardDone   chan struct{}   // workers signal scan completion here
-	plans       []routerPlan    // per-router phase-1 output, indexed by router ID
 }
 
 // New creates an empty W x H mesh with no nodes attached. Use AttachNode (or
@@ -201,11 +187,10 @@ func New(cfg Config) *Network {
 		panic("noc: torus dimensions must be at least 3x3")
 	}
 	n := &Network{
-		cfg:            cfg,
-		wheel:          make([][]delivery, cfg.MaxFlits+2),
-		busyRelease:    make([]int, cfg.MaxFlits+2),
-		occTrack:       MaxPorts*cfg.VCs <= 64,
-		shardMinActive: DefaultShardMinActive,
+		cfg:         cfg,
+		wheel:       make([][]delivery, cfg.MaxFlits+2),
+		busyRelease: make([]int, cfg.MaxFlits+2),
+		occTrack:    MaxPorts*cfg.VCs <= 64,
 	}
 	if n.occTrack {
 		n.arbState = true
@@ -609,15 +594,12 @@ func (n *Network) injectFrom(node *Node) {
 // routed once, its output port cached in its Buffer and its bit moved from
 // r.stale to r.want[out], in ascending (port, VC) order. A head with an
 // unreachable verdict is evicted on the spot — popped, counted and reported —
-// and its successor routed in its place; with evict false (the sharded scan,
-// which may not touch network-wide counters) it is left stale instead and the
-// result is false.
+// and its successor routed in its place.
 //
 // A cached verdict stays valid until the head is popped or invalidateRoutes
-// runs; that is the ShardSafeRouting contract (built-in X-Y meets it
-// trivially).
-func (n *Network) routeHeads(r *Router, evict bool) bool {
-	ok := true
+// runs; that is the contract a routing accepts by declaring its verdicts
+// cacheable (built-in X-Y meets it trivially).
+func (n *Network) routeHeads(r *Router) {
 	for mask := r.stale; mask != 0; mask &= mask - 1 {
 		bit := bits.TrailingZeros64(mask)
 		p := n.bitPort[bit]
@@ -625,12 +607,10 @@ func (n *Network) routeHeads(r *Router, evict bool) bool {
 		for len(buf.q) > 0 {
 			out := r.Route(buf.q[0])
 			if out == RouteUnreachable {
-				if evict {
-					n.evictHead(r, buf)
-					continue
-				}
-				ok = false
-			} else if uint(out) < MaxPorts && r.HasPort(out) {
+				n.evictHead(r, buf)
+				continue
+			}
+			if uint(out) < MaxPorts && r.HasPort(out) {
 				buf.route = int8(out)
 				r.want[out] |= 1 << bit
 				r.stale &^= 1 << bit
@@ -640,7 +620,6 @@ func (n *Network) routeHeads(r *Router, evict bool) bool {
 			break
 		}
 	}
-	return ok
 }
 
 // invalidateRoutes drops every cached route. Called on the transitions that
@@ -786,13 +765,7 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 func (n *Network) arbitrate() {
 	n.arbCtx = ArbContext{Net: n, Cycle: n.cycle}
 	n.matchCtx = MatchContext{Net: n, Cycle: n.cycle}
-	active := n.activeOK()
-	if n.shards > 1 && n.arbState &&
-		(!active || n.actRCount >= n.shardMinActive*n.shards) {
-		n.arbitrateSharded()
-		return
-	}
-	if !active {
+	if !n.activeOK() {
 		for _, r := range n.routers {
 			n.arbitrateRouter(r)
 		}
@@ -812,8 +785,6 @@ func (n *Network) arbitrate() {
 
 // arbitrateRouter runs one router's turn of the cycle: evict unreachable
 // heads, then grant its free outputs through the installed policy or matcher.
-// It is the sequential engine's whole per-router sequence, which sharded
-// phase 2 replays for routers whose phase-1 plan met an unreachable head.
 func (n *Network) arbitrateRouter(r *Router) {
 	if n.faulty && r.frozen {
 		return
@@ -826,7 +797,7 @@ func (n *Network) arbitrateRouter(r *Router) {
 		return
 	}
 	if r.stale != 0 {
-		n.routeHeads(r, true)
+		n.routeHeads(r)
 	}
 	if n.matcher != nil {
 		// Every head is in at most one want mask, so the arena never regrows.

@@ -79,19 +79,13 @@ func BenchmarkHotNetworkStep(b *testing.B) {
 	}
 }
 
-// benchLargeMesh measures steady-state stepping of one large mesh with the
-// given router-shard count, reporting delivered messages/sec/core — the
-// headline scaling metric. K>1 only pays off with spare cores; on a
-// single-CPU runner the two-phase barrier is pure overhead and the custom
-// metric records that honestly.
-// The rate must stay below the topology's saturation point (the mesh
+// benchLargeMesh measures steady-state stepping of one large mesh, reporting
+// delivered messages/sec/core — the headline scaling metric. The rate must stay below the topology's saturation point (the mesh
 // bisection bound shrinks as 2/size for uniform traffic) or the injection
 // queues and message freelist grow — and allocate — without bound.
-func benchLargeMesh(b *testing.B, size, shards int, rate float64) {
+func benchLargeMesh(b *testing.B, size int, rate float64) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
-	net.SetShards(shards)
-	defer net.SetShards(1)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
 	// Long warmup: the in-flight population on a near-saturation 32x32 mesh
@@ -116,10 +110,9 @@ func benchLargeMesh(b *testing.B, size, shards int, rate float64) {
 	}
 }
 
-func BenchmarkHotLargeMeshStep16x16K1(b *testing.B) { benchLargeMesh(b, 16, 1, 0.1) }
-func BenchmarkHotLargeMeshStep16x16K4(b *testing.B) { benchLargeMesh(b, 16, 4, 0.1) }
-func BenchmarkHotLargeMeshStep32x32K1(b *testing.B) { benchLargeMesh(b, 32, 1, 0.05) }
-func BenchmarkHotLargeMeshStep32x32K4(b *testing.B) { benchLargeMesh(b, 32, 4, 0.05) }
+// The K1 suffix keeps these rows matching the committed BENCH_N.json snapshots.
+func BenchmarkHotLargeMeshStep16x16K1(b *testing.B) { benchLargeMesh(b, 16, 0.1) }
+func BenchmarkHotLargeMeshStep32x32K1(b *testing.B) { benchLargeMesh(b, 32, 0.05) }
 
 // TestSparseStepZeroAllocs pins the zero-alloc contract in the active-set
 // engine's target regime: a big mesh at a sparse injection rate, where almost
@@ -148,12 +141,10 @@ func TestSparseStepZeroAllocs(t *testing.T) {
 // full-scan baseline so the committed snapshot carries both sides of the
 // comparison. The mean active-router count is reported so the sparseness of
 // the regime is visible next to the ns/op.
-func benchLargeMeshSparse(b *testing.B, size, shards int, rate float64, active bool) {
+func benchLargeMeshSparse(b *testing.B, size int, rate float64, active bool) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
 	net.SetActiveStepping(active)
-	net.SetShards(shards)
-	defer net.SetShards(1)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
 	// The sparse regime converges slowly: at rate*N^2 injections per cycle
@@ -185,26 +176,23 @@ func benchLargeMeshSparse(b *testing.B, size, shards int, rate float64, active b
 	b.ReportMetric(float64(activeSum)/float64(b.N), "active-routers")
 }
 
-func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 1, 0.02, true) }
+func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 0.02, true) }
 func BenchmarkHotLargeMeshStepSparse16x16FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 16, 1, 0.02, false)
+	benchLargeMeshSparse(b, 16, 0.02, false)
 }
-func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 1, 0.005, true) }
-func BenchmarkHotLargeMeshStepSparse32x32K4(b *testing.B) {
-	benchLargeMeshSparse(b, 32, 4, 0.005, true)
-}
+func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 0.005, true) }
 func BenchmarkHotLargeMeshStepSparse32x32FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 32, 1, 0.005, false)
+	benchLargeMeshSparse(b, 32, 0.005, false)
 }
 func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) {
-	benchLargeMeshSparse(b, 64, 1, 0.002, true)
+	benchLargeMeshSparse(b, 64, 0.002, true)
 }
 
 // benchLargeMeshSparseFaulted is the degraded-mesh counterpart: two interior
 // links are dead for the whole run and the fault-aware table routing steers
 // around them. Per-cycle cost follows the occupied routers, and each head costs
 // one Route call when it becomes head, on the full-scan walk too.
-func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64, active bool) {
+func benchLargeMeshSparseFaulted(b *testing.B, size int, rate float64, active bool) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
 	mid := size / 2
@@ -212,8 +200,6 @@ func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64, a
 	net.SetLinkDown(net.RouterAt(mid, mid+1).ID(), noc.PortSouth, true)
 	net.SetRouting(fault.NewTableRouting(net))
 	net.SetActiveStepping(active)
-	net.SetShards(shards)
-	defer net.SetShards(1)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
 	for i := 0; i < 1500; i++ {
@@ -239,8 +225,8 @@ func benchLargeMeshSparseFaulted(b *testing.B, size, shards int, rate float64, a
 }
 
 func BenchmarkHotLargeMeshStepSparse32x32Faulted(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 1, 0.005, true)
+	benchLargeMeshSparseFaulted(b, 32, 0.005, true)
 }
 func BenchmarkHotLargeMeshStepSparse32x32FaultedFullScan(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 1, 0.005, false)
+	benchLargeMeshSparseFaulted(b, 32, 0.005, false)
 }

@@ -18,12 +18,11 @@ const RouteUnreachable PortID = -1
 // fault events, not inside Route.
 //
 // How often it is called depends on what the routing promises. A routing that
-// declares itself ShardSafe (see ShardSafeRouting) is asked once when a message
-// reaches a buffer head, and once more after each fault or routing transition
-// (Network.SetLinkDown, SetRouting, RequeueStranded); the engine caches the
-// verdict in between and evicts an unreachable head the moment it is routed.
-// A routing whose verdict may change at any other time must not declare
-// ShardSafe. Every other routing is opaque to the engine and is asked several
+// declares its verdicts cacheable (the marker interface below) is asked once
+// when a message reaches a buffer head, and once more after each fault or
+// routing transition (Network.SetLinkDown, SetRouting, RequeueStranded); the
+// engine caches the verdict in between and evicts an unreachable head the
+// moment it is routed. Every other routing is opaque to the engine and is asked several
 // times per head per cycle — once per candidate output plus the unreachable
 // sweep — in a fixed order it may rely on.
 //
@@ -32,6 +31,21 @@ const RouteUnreachable PortID = -1
 type Routing interface {
 	Name() string
 	Route(r *Router, m *Message) PortID
+}
+
+// ShardSafeRouting marks a Routing whose verdicts may be cached per head: Route
+// must depend only on the queried router, the message, and state that changes
+// only at a fault or routing transition (topology, link health, routing tables
+// rebuilt from fault events), and may write only to the message itself,
+// idempotently. The engine then calls Route once when a message reaches a
+// buffer head and once more after each such transition, and arbitrates from
+// the cached verdicts (the mask kernel). A routing whose verdict may change at
+// any other time must not declare it. Routings that do not implement the
+// interface — or return false — get the legacy gather: every head re-routed
+// every cycle, in a fixed order.
+type ShardSafeRouting interface {
+	Routing
+	ShardSafe() bool
 }
 
 // XYRouting is dimension-ordered X-Y routing, the default algorithm: correct
@@ -48,5 +62,5 @@ func (XYRouting) Name() string { return "xy" }
 func (XYRouting) Route(r *Router, m *Message) PortID { return r.XYPort(m) }
 
 // ShardSafe implements ShardSafeRouting: X-Y routing is a pure function of
-// (router, message destination) with no cross-router state.
+// (router, message destination).
 func (XYRouting) ShardSafe() bool { return true }

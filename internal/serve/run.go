@@ -90,13 +90,10 @@ func Execute(ctx context.Context, spec *Spec, tel *experiments.Telemetry) ([]byt
 		doc.Rendered = r.Render()
 		doc.CSV["quant_fidelity.csv"] = r.CSV()
 	case TypeMesh:
-		// The shard sweep always pairs the sequential baseline with the
-		// requested count, and ScalingStudyCtx errors if they diverge — every
-		// mesh job is also a production bit-identity check. Only the
-		// shard-invariant outcome is rendered: wall-clock throughput depends
-		// on the machine and the shard count, neither of which is in the job
-		// hash, and the cache contract is byte-identical payloads per hash.
-		r, err := experiments.ScalingStudyCtx(ctx, spec.effectiveMeshSizes(), spec.effectiveMeshShards(), spec.meshTorus(), sc)
+		// Only the deterministic outcome is rendered: wall-clock throughput
+		// depends on the machine, which is not in the job hash, and the cache
+		// contract is byte-identical payloads per hash.
+		r, err := experiments.ScalingStudyCtx(ctx, spec.effectiveMeshSizes(), nil, spec.meshTorus(), sc)
 		if err != nil {
 			return nil, err
 		}

@@ -29,7 +29,7 @@ import (
 // guards the canonicalization itself, so a change to how specs are resolved
 // into hashes can never collide with hashes minted before it.
 const (
-	EngineVersion = "mlnoc-engine/7"
+	EngineVersion = "mlnoc-engine/8"
 	SchemaVersion = 1
 )
 
@@ -103,16 +103,20 @@ type QuantSpec struct {
 }
 
 // MeshSpec parameterizes a large-topology scaling job. Sizes are mesh/torus
-// edge lengths (default experiments.DefaultScalingSizes). Shards is the
-// maximum router-shard count the engine steps with; like Priority it is an
-// execution knob — the sharded engine is bit-identical to the sequential one,
-// the run asserts that, and the cached result contains only shard-invariant
-// fields — so Shards is deliberately excluded from the job hash.
+// edge lengths (default experiments.DefaultScalingSizes).
 type MeshSpec struct {
-	Sizes  []int `json:"sizes,omitempty"`
-	Torus  bool  `json:"torus,omitempty"`
-	Shards int   `json:"shards,omitempty"`
+	Sizes []int `json:"sizes,omitempty"`
+	Torus bool  `json:"torus,omitempty"`
 }
+
+// Upper bounds on the topology a spec may ask for. Validate enforces them
+// before anything is allocated: an edge of 100000 would have a worker try to
+// build 10^10 routers. 64 is the largest edge the repo builds
+// (noc.BuildMesh64x64).
+const (
+	maxMeshEdge  = 64
+	maxMeshSizes = 16
+)
 
 // ParseSpec decodes and validates a JSON job spec. Unknown fields are
 // rejected: a typo that silently dropped a knob would hash — and cache — as
@@ -135,6 +139,14 @@ func ParseSpec(data []byte) (*Spec, error) {
 // both surfaces.
 func (s *Spec) Validate() error {
 	var c cliutil.Check
+	// cliutil.Check has lower bounds only; the first upper-bound violation is
+	// kept here, worded alike, and reported after c's.
+	var over error
+	atMost := func(name string, v, max int) {
+		if v > max && over == nil {
+			over = fmt.Errorf("%s must be <= %d, got %d", name, max, v)
+		}
+	}
 	c.OneOf("type", s.Type, TypeSweep, TypeTrain, TypeFault, TypeQuant, TypeMesh)
 	c.NonNegative("seed", s.Seed)
 	if sc := s.Scale; sc != nil {
@@ -165,6 +177,7 @@ func (s *Spec) Validate() error {
 	case TypeQuant:
 		if s.Quant != nil && s.Quant.Size != 0 {
 			c.AtLeast("quant.size", int64(s.Quant.Size), 2)
+			atMost("quant.size", s.Quant.Size, maxMeshEdge)
 		}
 	case TypeMesh:
 		if s.Mesh != nil {
@@ -174,13 +187,18 @@ func (s *Spec) Validate() error {
 			if s.Mesh.Torus {
 				min = 3
 			}
+			atMost("len(mesh.sizes)", len(s.Mesh.Sizes), maxMeshSizes)
 			for i, sz := range s.Mesh.Sizes {
-				c.AtLeast(fmt.Sprintf("mesh.sizes[%d]", i), int64(sz), min)
+				name := fmt.Sprintf("mesh.sizes[%d]", i)
+				c.AtLeast(name, int64(sz), min)
+				atMost(name, sz, maxMeshEdge)
 			}
-			c.NonNegative("mesh.shards", int64(s.Mesh.Shards))
 		}
 	}
-	return c.Err()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	return over
 }
 
 // EffectiveSeed resolves the spec's seed (0 means the CLI-wide default, 1).
@@ -248,16 +266,6 @@ func (s *Spec) effectiveMeshSizes() []int {
 	return experiments.DefaultScalingSizes
 }
 
-// effectiveMeshShards resolves a mesh job's shard-count sweep: always the
-// sequential baseline, plus the requested count when it differs — pairing
-// them makes every mesh job double as a production bit-identity check.
-func (s *Spec) effectiveMeshShards() []int {
-	if s.Mesh != nil && s.Mesh.Shards > 1 {
-		return []int{1, s.Mesh.Shards}
-	}
-	return []int{1}
-}
-
 func (s *Spec) meshTorus() bool { return s.Mesh != nil && s.Mesh.Torus }
 
 // canonicalJob is the exact byte layout hashed into the job's cache key:
@@ -277,10 +285,7 @@ type canonicalJob struct {
 	Mesh   *canonicalMesh    `json:"mesh,omitempty"`
 }
 
-// canonicalMesh is the hashed form of a mesh job. Shards is absent on
-// purpose: the sharded engine is bit-identical to the sequential one and the
-// result doc carries only shard-invariant fields, so two specs differing only
-// in shard count are the same job and share a cache entry.
+// canonicalMesh is the hashed form of a mesh job.
 type canonicalMesh struct {
 	Sizes []int `json:"sizes"`
 	Torus bool  `json:"torus"`

@@ -53,18 +53,12 @@ func TestHashIgnoresPriority(t *testing.T) {
 	}
 }
 
-// A mesh job's shard count is an execution knob like priority: the sharded
-// engine is bit-identical to the sequential one and the result payload holds
-// only shard-invariant fields, so shard count must not change the hash —
-// while sizes and topology, which do change the outcome, must.
+// Spelling out the default sizes is the same mesh job; sizes, topology and
+// seed, which change the outcome, are not.
 func TestMeshHashSemantics(t *testing.T) {
-	a := mustParse(t, `{"type":"mesh","mesh":{"sizes":[8,16],"shards":1}}`)
-	b := mustParse(t, `{"type":"mesh","mesh":{"sizes":[8,16],"shards":8}}`)
-	if a.Hash() != b.Hash() {
-		t.Fatal("shard count changed the mesh job hash")
-	}
+	a := mustParse(t, `{"type":"mesh","mesh":{"sizes":[8,16]}}`)
 	implicit := mustParse(t, `{"type":"mesh"}`)
-	explicit := mustParse(t, `{"type":"mesh","mesh":{"sizes":[8,16,32],"shards":4}}`)
+	explicit := mustParse(t, `{"type":"mesh","mesh":{"sizes":[8,16,32]}}`)
 	if implicit.Hash() != explicit.Hash() {
 		t.Fatal("explicit default sizes changed the mesh job hash")
 	}
@@ -145,7 +139,10 @@ func TestParseSpecRejects(t *testing.T) {
 		{`{"type":"train","scale":{"preset":"huge"}}`, `scale.preset must be one of`},
 		{`{"type":"mesh","mesh":{"sizes":[1]}}`, `mesh.sizes[0] must be >= 2, got 1`},
 		{`{"type":"mesh","mesh":{"sizes":[2],"torus":true}}`, `mesh.sizes[0] must be >= 3, got 2`},
-		{`{"type":"mesh","mesh":{"shards":-1}}`, `mesh.shards must be >= 0, got -1`},
+		{`{"type":"mesh","mesh":{"sizes":[100000]}}`, `mesh.sizes[0] must be <= 64, got 100000`},
+		{`{"type":"mesh","mesh":{"sizes":[2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2,2]}}`, `len(mesh.sizes) must be <= 16, got 17`},
+		{`{"type":"quant","quant":{"size":65}}`, `quant.size must be <= 64, got 65`},
+		{`{"type":"mesh","mesh":{"shards":4}}`, `unknown field "shards"`},
 		{`{"type":"train","scale":{"op_scale":-0.5}}`, `scale.op_scale must be positive`},
 	}
 	for _, tc := range cases {
