@@ -191,12 +191,9 @@ func (a *Agent) Epsilon() float64 {
 // NewAgentWithNet wraps a pre-trained network in an evaluation-only agent
 // (the figures' "NN" policy). It is built without the target network and the
 // replay ring a training agent carries — experiments build one per sweep cell
-// — and grows them only if Training is switched on. The network is frozen
-// (nn.MLP.Freeze, as its weights are now): the input-major copy of its first
-// layer belongs to net, so agents built over the same network share it and
-// only the first of them allocates it.
+// — and grows them only if Training is switched on. Nothing of net is copied
+// or rebuilt: agents built over the same network share all of it.
 func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
-	net.Freeze()
 	a := &Agent{
 		Spec:    spec,
 		DQL:     rl.NewInferenceDQL(net, rl.DQLConfig{}),
@@ -208,8 +205,15 @@ func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 	return a
 }
 
-// Net returns the online Q-network.
-func (a *Agent) Net() *nn.MLP { return a.DQL.Online }
+// Net returns the online Q-network with its exchange form up to date: where nn
+// stores the first layer input-major, training leaves Layers[0].W and .B
+// behind, and Net writes them back (nn.MLP.WriteBack, free when nothing was
+// trained since), so that a caller may read every layer's weights. They are
+// for reading: nn does not look at what is written there.
+func (a *Agent) Net() *nn.MLP {
+	a.DQL.Online.WriteBack()
+	return a.DQL.Online
+}
 
 // Name implements noc.Policy.
 func (a *Agent) Name() string {
@@ -330,10 +334,8 @@ func (a *Agent) FlushPending() {
 }
 
 // Freeze switches the agent to pure-inference mode (the "NN" policy):
-// exploration and learning stop, pending experiences are flushed, and the
-// network is frozen until it is trained again.
+// exploration and learning stop and pending experiences are flushed.
 func (a *Agent) Freeze() {
 	a.FlushPending()
 	a.Training = false
-	a.DQL.Online.Freeze()
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -662,17 +663,15 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 	apu := APUSpec()
 	apuNet := nn.New([]int{apu.InputSize(), 42, apu.ActionSize()},
 		[]nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rand.New(rand.NewSource(4)))
-	// The frozen copy of layer 0 (~180 KB where nn has its kernels) is the
-	// network's: the first agent over a network builds it, so it is built here,
-	// and a later agent over the same network brings it up to date where it is.
-	apuNet.Freeze()
+	// The input-major store of layer 0 (~180 KB where nn has its kernels) is
+	// the network's: no agent over it builds or refreshes anything.
 	for _, which := range []string{"first", "second"} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		NewAgentWithNet(apu, apuNet, 1)
 		runtime.ReadMemStats(&after)
 		if kb := (after.TotalAlloc - before.TotalAlloc) / 1024; kb > 32 {
-			t.Errorf("the %s NewAgentWithNet over a frozen network allocated %d KB, want under 32", which, kb)
+			t.Errorf("the %s NewAgentWithNet over a network allocated %d KB, want under 32", which, kb)
 		}
 	}
 
@@ -710,5 +709,66 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 	}
 	if lazy.DQL.Target == nil || lazy.DQL.Steps() != steps || lazy.DQL.Replay.Len() != held || held == 0 {
 		t.Fatal("Freeze did not leave the trained agent's learner as it was")
+	}
+}
+
+// TestNetShowsTrainedWeights: nn keeps the first layer of a network somewhere
+// else while it is trained (nn.MLP, "Layer 0 storage"), and Net is the door
+// through which everything outside nn reads weights. After training, with no
+// other call in between, the weights Net shows must be the ones the network
+// computes with: a forward pass spelled out here from Net().Layers gives the
+// network's own Q-values bit for bit, and the first layer has moved.
+func TestNetShowsTrainedWeights(t *testing.T) {
+	spec := MeshSpec(3)
+	a := NewAgent(spec, AgentConfig{Hidden: 15, Seed: 4})
+	initial := a.Net().Clone()
+	a.Training = true
+	EvaluateMeshPolicy(MeshTrainConfig{Seed: 6}, a, 0, 1500)
+	if a.DQL.Steps() == 0 {
+		t.Fatal("the episode trained nothing")
+	}
+	net := a.Net()
+	moved := false
+	for i, w := range net.Layers[0].W {
+		moved = moved || w != initial.Layers[0].W[i]
+	}
+	if !moved {
+		t.Fatal("Net().Layers[0].W is still the untrained first layer")
+	}
+	rng := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 20; trial++ {
+		x := make([]float64, spec.InputSize())
+		for i := range x {
+			if rng.Intn(5) == 0 {
+				x[i] = rng.Float64()
+			}
+		}
+		in := x
+		for _, l := range net.Layers {
+			out := make([]float64, l.Out)
+			for j := range out {
+				z := l.B[j]
+				for i, v := range in {
+					if v != 0 {
+						z += l.W[j*l.In+i] * v
+					}
+				}
+				switch l.Act {
+				case nn.Sigmoid:
+					z = 1 / (1 + math.Exp(-z))
+				case nn.LeakyReLU:
+					if z < 0 {
+						z *= 0.01
+					}
+				}
+				out[j] = z
+			}
+			in = out
+		}
+		for j, q := range net.Forward(x) {
+			if math.Float64bits(q) != math.Float64bits(in[j]) {
+				t.Fatalf("trial %d: Q[%d] = %v, from the weights Net shows %v", trial, j, q, in[j])
+			}
+		}
 	}
 }

@@ -14,18 +14,21 @@ import (
 var frozenShapes = [][]int{{504, 42, 42}, {60, 15, 15}, {7, 1}, {9, 49, 3}, {12, 100, 5}}
 
 // frozenTwins returns a network of the given sizes with random weights and
-// biases, frozen, and its clone that never was.
+// biases that keeps layer 0 in the input-major store (where the host has the
+// kernels) and runs it on them, and its twin built with the kernels switched
+// off: no store, the row-major loops. The names date from when only a frozen
+// network had the store.
 func frozenTwins(rng *rand.Rand, sizes []int) (fz, ref *MLP) {
 	acts := []Activation{Sigmoid, LeakyReLU, Tanh}[:len(sizes)-1]
-	ref = New(sizes, acts, rng)
-	for _, l := range ref.Layers {
-		for j := range l.B {
-			l.B[j] = rng.NormFloat64()
+	withoutKernels(func() {
+		ref = New(sizes, acts, rng)
+		for _, l := range ref.Layers {
+			for j := range l.B {
+				l.B[j] = rng.NormFloat64()
+			}
 		}
-	}
-	fz = ref.Clone()
-	fz.Freeze()
-	return fz, ref
+	})
+	return ref.Clone(), ref
 }
 
 // frozenInputs returns lists of every shape layer 0's kernels treat
@@ -97,23 +100,23 @@ func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []Spars
 	}
 }
 
-// checkFrozenMatchesUnfrozen holds a frozen network to its never-frozen clone
-// on every shape and input kind. afterFreeze runs between freezing and the
-// comparisons.
-func checkFrozenMatchesUnfrozen(t *testing.T, afterFreeze func()) {
+// checkFrozenMatchesUnfrozen holds a network on the store to its twin on the
+// row-major loops on every shape and input kind. afterBuild runs between
+// building the twins and the comparisons.
+func checkFrozenMatchesUnfrozen(t *testing.T, afterBuild func()) {
 	for _, sizes := range frozenShapes {
 		rng := rand.New(rand.NewSource(int64(41 + sizes[0])))
 		fz, ref := frozenTwins(rng, sizes)
-		if (fz.frozen != nil) != hasFMAKernel || ref.frozen != nil {
-			t.Fatalf("%v: frozen copy %v, the clone's %v, kernels %t", sizes, fz.frozen != nil, ref.frozen != nil, hasFMAKernel)
+		if (fz.store != nil) != hasFMAKernel || ref.store != nil {
+			t.Fatalf("%v: store %v, the twin's %v, kernels %t", sizes, fz.store != nil, ref.store != nil, hasFMAKernel)
 		}
-		wasFrozen := fz.frozen != nil
-		afterFreeze()
+		stored := fz.store != nil
+		afterBuild()
 		for rep := 0; rep < 4; rep++ {
 			requireFrozenMatches(t, rng, fz, ref, frozenInputs(rng, sizes[0]))
 		}
-		if ref.frozen != nil || (fz.frozen != nil) != wasFrozen {
-			t.Fatalf("%v: inference changed who is frozen", sizes)
+		if ref.store != nil || (fz.store != nil) != stored || fz.stale {
+			t.Fatalf("%v: inference changed who has a store, or made one stale", sizes)
 		}
 	}
 }
@@ -122,13 +125,13 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 	checkFrozenMatchesUnfrozen(t, func() {})
 }
 
-// TestFrozenRejectsBadIndices: the kernels read the copy at the indices they
+// TestFrozenRejectsBadIndices: the kernels read the store at the indices they
 // are given, so an index the first-and-last check of checkSparse cannot see (a
 // list that is not ascending) must stop them, as a bounds check stops the
 // row-major loops.
 func TestFrozenRejectsBadIndices(t *testing.T) {
 	if !hasFMAKernel {
-		t.Skip("no frozen copy without the kernels")
+		t.Skip("no store without the kernels")
 	}
 	fz, _ := frozenTwins(rand.New(rand.NewSource(1)), []int{60, 15, 15})
 	bad := SparseVec{Idx: []int32{3, 1 << 20, 7}, Val: []float64{1, 1, 1}}
@@ -152,76 +155,8 @@ func TestFrozenRejectsBadIndices(t *testing.T) {
 	}
 }
 
-// TestTrainingThaws: every training entry point drops the frozen copy before
-// it moves a weight, so the forward pass after it is the twin's; CopyFrom into
-// a frozen network leaves the copy a freshly frozen clone of the source would
-// have; a clone of a frozen network has a copy of its own.
-func TestTrainingThaws(t *testing.T) {
-	for _, sizes := range frozenShapes {
-		rng := rand.New(rand.NewSource(int64(3 + sizes[1])))
-		n, nout := sizes[0], sizes[len(sizes)-1]
-		xs := frozenInputs(rng, n)
-		x, grad := make([]float64, n), make([]float64, nout)
-		for j := range grad {
-			grad[j] = rng.Float64() - 0.5
-		}
-		for name, train := range map[string]func(m *MLP){
-			"TrainActionSparse": func(m *MLP) { m.TrainActionSparse(xs[4], nout-1, 0.5, 0.1) },
-			"Backprop":          func(m *MLP) { m.Backprop(x, grad, 0.1) },
-			"TrainMSE":          func(m *MLP) { m.TrainMSE(x, make([]float64, nout), 0.1) },
-		} {
-			fz, ref := frozenTwins(rng, sizes)
-			xs[5].ScatterInto(x)
-			x[0] = 0.25
-			fz.ForwardSparse(xs[4], nil)
-			train(fz)
-			train(ref)
-			if fz.frozen != nil {
-				t.Fatalf("%v: still frozen after %s", sizes, name)
-			}
-			requireSameWeights(t, name, fz, ref)
-			requireFrozenMatches(t, rng, fz, ref, xs)
-		}
-
-		src, srcRef := frozenTwins(rng, sizes)
-		dst, _ := frozenTwins(rng, sizes)
-		dst.CopyFrom(src)
-		if (dst.frozen != nil) != hasFMAKernel {
-			t.Fatalf("%v: CopyFrom changed whether the network is frozen", sizes)
-		}
-		if hasFMAKernel {
-			requireSameBits(t, "copy after CopyFrom: weights", dst.frozen.w, src.frozen.w)
-			requireSameBits(t, "copy after CopyFrom: biases", dst.frozen.b, src.frozen.b)
-		}
-		requireFrozenMatches(t, rng, dst, srcRef, xs)
-
-		// A clone's copy is its own: retraining the original leaves it alone,
-		// and refreezing the original follows the weights.
-		twin := src.Clone()
-		if hasFMAKernel && (twin.frozen == nil || &twin.frozen.w[0] == &src.frozen.w[0]) {
-			t.Fatalf("%v: the clone of a frozen network has no frozen copy of its own", sizes)
-		}
-		src.TrainActionSparse(xs[4], 0, 3, 0.5)
-		trained := src.Clone()
-		src.Freeze()
-		requireFrozenMatches(t, rng, src, trained, xs)
-		requireFrozenMatches(t, rng, twin, srcRef, xs)
-		if trained.frozen != nil {
-			t.Fatalf("%v: the clone of a thawed network is frozen", sizes)
-		}
-
-		// Freeze is also how a caller that wrote a weight directly catches up.
-		for _, m := range []*MLP{src, trained} {
-			m.Layers[0].W[len(m.Layers[0].W)/2] = 0.375
-			m.Layers[0].B[0] = -1.25
-		}
-		src.Freeze()
-		requireFrozenMatches(t, rng, src, trained, xs)
-	}
-}
-
-// FuzzFrozenMatchesUnfrozen holds a frozen network to its never-frozen clone
-// on a network, inputs and batch drawn from the seed: shape picks one of
+// FuzzFrozenMatchesUnfrozen holds a network on the store to its twin built
+// with the kernels off on a network, inputs and batch drawn from the seed: shape picks one of
 // frozenShapes or, past them, random widths up to 80 -> 110 -> 9.
 func FuzzFrozenMatchesUnfrozen(f *testing.F) {
 	for shape := 0; shape <= len(frozenShapes); shape++ {

@@ -1,10 +1,11 @@
 package nn
 
-// hasFMAKernel reports whether the AVX2+FMA batched-inference microkernel in
-// gemm_amd64.s is usable on this CPU (AVX2 and FMA present, and the OS saves
-// YMM state). ForwardBatchFast falls back to the bit-identical blocked scalar
-// kernel when it is false, so the flag only ever selects between two correct
-// implementations.
+// hasFMAKernel reports whether the AVX2+FMA kernels (gemm_amd64.s,
+// sigmoid_amd64.s, spmv_amd64.s) are usable on this CPU: AVX2 and FMA present,
+// and the OS saves YMM state. A network built while it is true keeps layer 0
+// input-major and runs it on them; otherwise ForwardBatchFast falls back to
+// the bit-identical blocked scalar kernel and layer 0 to the row-major loops,
+// so the flag only ever selects between two correct implementations.
 var hasFMAKernel = detectAVX2FMA()
 
 // cpuidex executes CPUID with the given leaf and subleaf.
@@ -39,8 +40,8 @@ func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *
 //go:noescape
 func sigmoid4(zs *float64, groups int) int
 
-// spmvExact is the layer-0 sum of a frozen network (frozenLayer) for 4*groups
-// neighbouring neurons, groups in 1..12, in the scalar loop's order and
+// spmvExact is the layer-0 sum on the input-major store (inputMajor) for
+// 4*groups neighbouring neurons, groups in 1..12, in the scalar loop's order and
 // rounding: for each column c,
 //
 //	z[c] = b[c] + w[idx[0]*stride+c]*val[0] + w[idx[1]*stride+c]*val[1] + ...
@@ -65,6 +66,22 @@ func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *floa
 //
 //go:noescape
 func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool
+
+// spmvUpdate is the layer-0 SGD step on the input-major store for 4*groups
+// neighbouring neurons, groups in 1..12, in the scalar loop's rounding: for each
+// of the n listed entries, in list order, and each column c,
+//
+//	w[idx[e]*stride+c] -= step[c] * val[e]
+//
+// the product rounded before it is subtracted. w holds rows rows of stride
+// floats; step and each listed row are read, and the row written, 4*groups
+// wide. An index outside [0, rows) stops the walk before anything is stored
+// for it, the rows of the entries in front of it already stepped, and the
+// kernel reports false: it writes w at the indices it is given, so it checks
+// them.
+//
+//go:noescape
+func spmvUpdate(w, step *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
 
 // detectAVX2FMA performs the standard AVX2 feature dance: CPUID leaf 1 for
 // FMA/AVX/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for AVX2.

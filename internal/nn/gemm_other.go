@@ -16,7 +16,7 @@ func sigmoid4(zs *float64, groups int) int {
 	panic("nn: sigmoid4 called without FMA kernel support")
 }
 
-// spmvExact is never called when hasFMAKernel is false: Freeze builds nothing.
+// spmvExact is never called when hasFMAKernel is false: no network has a store.
 func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool {
 	panic("nn: spmvExact called without AVX2 kernel support")
 }
@@ -24,4 +24,9 @@ func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *floa
 // spmvFused is never called when hasFMAKernel is false.
 func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool {
 	panic("nn: spmvFused called without AVX2 kernel support")
+}
+
+// spmvUpdate is never called when hasFMAKernel is false.
+func spmvUpdate(w, step *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool {
+	panic("nn: spmvUpdate called without AVX2 kernel support")
 }

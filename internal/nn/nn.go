@@ -211,30 +211,43 @@ type Layer struct {
 // sigmoid of a whole layer or batch plane is computed four lanes at a time
 // (Activation.applyTo), bit-equal to the scalar expression.
 //
-// Those loops walk Layer.W row-major, which is what training needs. A network
-// that is only evaluated (an evaluation agent's, a DQL target) can be frozen
-// (Freeze): it then also holds layer 0 input-major — input i's weights to every
-// neuron contiguous, each row and the biases padded with +0 to whole groups of
-// four neurons (frozenLayer) — and every forward pass of a frozen network
-// computes layer 0 from that copy, for all neurons at once, on two AVX2 kernels
-// (spmv_amd64.s). spmvExact keeps the order and rounding of the loops above:
-// an accumulator per neuron starts at the bias and takes w*v, the product
-// rounded first, entry by entry in list order; it serves Forward and
-// ForwardSparse (which then computes every neuron of a one-layer network,
-// selected or not), ForwardBatch, and within ForwardBatchFast what the tile
-// kernel leaves to scalar code: the nb%4 trailing samples and an odd last
-// neuron. spmvFused keeps fmaDot4x2's: the entries bucketed by index mod 4, one
-// chain of fused multiply-adds per lane from +0, bias + ((l0+l2)+(l1+l3)), then
-// the in%4 tail through the exact kernel; it serves the full tiles of
-// ForwardBatchFast and ForwardBatchFastSparse. The single-input pass applies
-// the activation over the padded width, so a 42-wide sigmoid is eleven groups
-// of four and no scalar exp. Every result has the bits the row-major loops
-// give. Layer.W stays the weights, the only ones training reads or writes:
-// each training call first drops the copy, CopyFrom into a frozen network
-// rebuilds it, Clone copies it, Freeze on a frozen network brings it up to
-// date. Code that writes Layers[l].W or .B itself must call Freeze afterwards;
-// until then a frozen network answers from the weights it was frozen with.
-// Off amd64, or without AVX2 and FMA, Freeze builds nothing.
+// Layer 0 storage. Those loops walk Layer.W row-major, and they are what runs
+// off amd64 or without AVX2 and FMA. On a host with the kernels (hasFMAKernel)
+// the network owns layer 0 input-major instead (inputMajor, store.go): input
+// i's weights to every neuron contiguous, each row and the biases padded with
+// +0 to whole groups of four neurons. New, Load and Clone build that store and
+// nothing drops it; it is the weights. Every forward pass computes layer 0 from
+// it, for all neurons at once, on two AVX2 kernels (spmv_amd64.s). spmvExact
+// keeps the order and rounding of the loops above: an accumulator per neuron
+// starts at the bias and takes w*v, the product rounded first, entry by entry
+// in list order; it serves Forward and ForwardSparse (which then computes every
+// neuron of a one-layer network, selected or not), the training calls' forward
+// pass, ForwardBatch, and within ForwardBatchFast what the tile kernel leaves
+// to scalar code: the nb%4 trailing samples and an odd last neuron. spmvFused
+// keeps fmaDot4x2's: the entries bucketed by index mod 4, one chain of fused
+// multiply-adds per lane from +0, bias + ((l0+l2)+(l1+l3)), then the in%4 tail
+// through the exact kernel; it serves the full tiles of ForwardBatchFast and
+// ForwardBatchFastSparse. The single-input pass applies the activation over
+// the padded width, so a 42-wide sigmoid is eleven groups of four and no
+// scalar exp. Training steps the store in place: spmvUpdate subtracts
+// (lr*delta)*x from the one contiguous row of each listed input, the product
+// rounded first, and a call that holds a zero delta takes the same rows in Go,
+// skipping that neuron. Every sum and every weight has the bits the row-major
+// loops give, which stay in the package as the portable implementation and as
+// the oracle the tests hold the kernels to.
+//
+// Layers[0].W and .B stay row-major and are the exchange form: what Save
+// writes, Quantize and the heatmap means read, and callers outside the package
+// may look at. They are current after New, Load and Clone of a current
+// network, and fall behind as soon as the network is trained or is the
+// destination of a CopyFrom; WriteBack brings them up to date (a no-op when
+// they are), and Save, Quantize, InputWeightAbsMean and InputWeightSignedMean
+// call it themselves. Outside this package they are read-only: on a host with
+// the kernels no forward pass or update looks at them, so a weight written
+// there is never used, and the next WriteBack after training overwrites it.
+// CopyFrom and Clone read their source's store and write nothing to the
+// source, so one network may be cloned from many goroutines at once. Deeper
+// layers have one form, Layers[l].W, always current.
 //
 // The last layer computes only the outputs a caller asks for (the outs
 // argument of ForwardSparse; TrainActionSparse asks for the one action). Each
@@ -259,8 +272,11 @@ type MLP struct {
 	bacts [2][]float64
 	brows [][]float64
 	blk   blockScratch
-	// frozen is layer 0 stored input-major, while the network is frozen.
-	frozen *frozenLayer
+	// store is layer 0 input-major, the weights themselves, on a host with
+	// the kernels; nil elsewhere, where Layers[0] is. stale says the store
+	// has changed since Layers[0].W and .B were last made equal to it.
+	store *inputMajor
+	stale bool
 }
 
 // New constructs an MLP with the given layer sizes (len >= 2) and one
@@ -293,40 +309,48 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 		m.Layers = append(m.Layers, layer)
 	}
 	m.allocScratch()
+	m.adopt()
 	return m
 }
 
+// allocScratch sizes the scratch buffers for m.Layers and, on a host with the
+// kernels, gives the network its layer-0 store, still empty (see adopt).
 func (m *MLP) allocScratch() {
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.deltas = make([][]float64, len(m.Layers))
 	maxIn := 0
 	for l, layer := range m.Layers {
-		// Room for whole groups of four: a frozen layer 0 writes them.
+		// Room for whole groups of four: a stored layer 0 writes them.
 		m.acts[l+1] = make([]float64, layer.Out, (layer.Out+3)&^3)
 		m.deltas[l] = make([]float64, layer.Out)
 		m.maxOut = max(m.maxOut, layer.Out)
 		maxIn = max(maxIn, layer.In)
 	}
 	m.blk = newBlockScratch(maxIn)
+	if hasFMAKernel {
+		m.store = newInputMajor(m.Layers[0])
+	}
 }
 
-// Freeze tells the network that it will be evaluated, not trained, until
-// further notice: it stores layer 0 a second time, input-major (frozenLayer),
-// as the weights are now, and every forward pass from here on computes layer 0
-// from that copy, bit for bit what it computed before. The next training call
-// drops the copy, CopyFrom into the network rebuilds it, Clone copies it, and
-// Freeze again brings it up to date, which is what a caller that has written
-// Layers[0].W or .B directly must do: nothing else looks at them while the
-// copy exists. On a CPU without the kernels the copy is for, it builds
-// nothing.
-func (m *MLP) Freeze() {
-	if m.frozen == nil {
-		if !hasFMAKernel {
-			return
-		}
-		m.frozen = newFrozenLayer(m.Layers[0])
+// adopt makes Layers[0].W and .B, as they are now, the network's layer 0: a
+// network with a store fills it from them. Construction ends with it, and code
+// in this package that writes Layers[0] by hand calls it afterwards.
+func (m *MLP) adopt() {
+	if m.store != nil {
+		m.store.fill(m.Layers[0])
+		m.stale = false
 	}
-	m.frozen.fill(m.Layers[0])
+}
+
+// WriteBack brings Layers[0].W and .B up to date with the network's layer 0,
+// which training and CopyFrom change elsewhere (see MLP, "Layer 0 storage").
+// Call it before reading them; it costs nothing when they are current, and
+// does nothing on a host without the kernels, where they are the weights.
+func (m *MLP) WriteBack() {
+	if m.stale {
+		m.store.writeBack(m.Layers[0])
+		m.stale = false
+	}
 }
 
 // InputSize returns the width of the input layer.
@@ -393,7 +417,7 @@ func (m *MLP) forward(x SparseVec, outs []int) []float64 {
 		if l == last {
 			want = outs
 		}
-		if f := m.frozen; l == 0 && f != nil {
+		if f := m.store; l == 0 && f != nil {
 			z := m.acts[1][:f.width]
 			f.exact(z, f.b, x.Idx, x.Val)
 			layer.Act.applyTo(z)
@@ -546,7 +570,7 @@ func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
 	if nb == 0 {
 		return nil
 	}
-	// Three floats of slack: a frozen layer 0 writes its last row out to a
+	// Three floats of slack: a stored layer 0 writes its last row out to a
 	// whole group of four.
 	if need := nb*m.maxOut + 3; cap(m.bacts[0]) < need {
 		m.bacts[0] = make([]float64, need)
@@ -561,7 +585,7 @@ func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
 	for l, layer := range m.Layers {
 		out := layer.Out
 		next := m.bacts[l&1][:nb*out]
-		if f := m.frozen; l == 0 && f != nil {
+		if f := m.store; l == 0 && f != nil {
 			f.forwardBatch(xs, next[:len(next)+f.width-out], fma)
 		} else if l == 0 {
 			layer.forwardBlockedSparse(xs, next, &m.blk, fma)
@@ -786,7 +810,6 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 // Backprop performs one SGD step given dLoss/dOutput evaluated at the current
 // forward pass of x. It recomputes the forward pass internally.
 func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
-	m.frozen = nil
 	in := m.index(x)
 	y := m.forward(in, nil)
 	last := len(m.Layers) - 1
@@ -830,7 +853,12 @@ func (m *MLP) backprop(x SparseVec, lr float64) {
 		}
 	}
 	// Apply gradients.
-	m.Layers[0].updateSparse(m.deltas[0], x, lr)
+	if f := m.store; f != nil {
+		f.update(m.deltas[0], x.Idx, x.Val, lr)
+		m.stale = true
+	} else {
+		m.Layers[0].updateSparse(m.deltas[0], x, lr)
+	}
 	for l := 1; l <= last; l++ {
 		layer, in := m.Layers[l], m.acts[l]
 		for j := 0; j < layer.Out; j++ {
@@ -901,7 +929,6 @@ func (l *Layer) updateRowSparse(j int, d float64, idx []int32, val []float64, lr
 // TrainMSE performs one SGD step toward target under 0.5*sum((y-t)^2) loss
 // and returns the pre-step loss.
 func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
-	m.frozen = nil
 	in := m.index(x)
 	y := m.forward(in, nil)
 	if len(target) != len(y) {
@@ -940,7 +967,6 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 	if n := m.OutputSize(); action < 0 || action >= n {
 		panic(fmt.Sprintf("nn: action %d out of range %d", action, n))
 	}
-	m.frozen = nil
 	want := [1]int{action}
 	y := m.forward(x, want[:])
 	e := y[action] - target
@@ -952,7 +978,10 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 }
 
 // CopyFrom copies all weights and biases from src, which must have an
-// identical architecture. Used to refresh the DQL target network.
+// identical architecture, activations included. Used to refresh the DQL target
+// network. It reads src and writes nothing to it; between two networks that
+// store layer 0 input-major that layer is one store-to-store copy, and m's
+// Layers[0].W and .B fall behind until WriteBack.
 func (m *MLP) CopyFrom(src *MLP) {
 	if len(m.Layers) != len(src.Layers) {
 		panic("nn: CopyFrom architecture mismatch")
@@ -962,28 +991,39 @@ func (m *MLP) CopyFrom(src *MLP) {
 		if layer.In != s.In || layer.Out != s.Out {
 			panic("nn: CopyFrom layer shape mismatch")
 		}
-		copy(layer.W, s.W)
-		copy(layer.B, s.B)
+		if layer.Act != s.Act {
+			panic(fmt.Sprintf("nn: CopyFrom layer %d activation mismatch: %v from %v", l, layer.Act, s.Act))
+		}
 	}
-	if m.frozen != nil {
-		m.frozen.fill(m.Layers[0])
+	for l, layer := range m.Layers[1:] {
+		copy(layer.W, src.Layers[l+1].W)
+		copy(layer.B, src.Layers[l+1].B)
+	}
+	switch dst, from := m.Layers[0], src.Layers[0]; {
+	case m.store != nil && src.store != nil:
+		copy(m.store.w, src.store.w)
+		copy(m.store.b, src.store.b)
+		m.stale = true
+	case src.stale: // into a network without a store
+		src.store.writeBack(dst)
+	default: // src's Layers[0] is current
+		copy(dst.W, from.W)
+		copy(dst.B, from.B)
+		m.adopt()
 	}
 }
 
-// Clone returns a deep copy with fresh scratch buffers.
+// Clone returns a deep copy with fresh scratch buffers. Like CopyFrom it only
+// reads m; the clone's Layers[0].W and .B are as current as m's.
 func (m *MLP) Clone() *MLP {
 	c := &MLP{}
 	for _, l := range m.Layers {
-		nl := &Layer{In: l.In, Out: l.Out, Act: l.Act,
-			W: make([]float64, len(l.W)), B: make([]float64, len(l.B))}
-		copy(nl.W, l.W)
-		copy(nl.B, l.B)
-		c.Layers = append(c.Layers, nl)
+		c.Layers = append(c.Layers, &Layer{In: l.In, Out: l.Out, Act: l.Act,
+			W: append([]float64(nil), l.W...), B: append([]float64(nil), l.B...)})
 	}
 	c.allocScratch()
-	if m.frozen != nil {
-		c.frozen = m.frozen.clone()
-	}
+	c.CopyFrom(m)
+	c.stale = c.stale && m.stale // Layers[0] was copied above, behind or not
 	return c
 }
 
@@ -991,6 +1031,7 @@ func (m *MLP) Clone() *MLP {
 // weight across all hidden neurons — the quantity visualized in the paper's
 // heatmaps (Figs. 4 and 7): darker pixels = larger mean |weight|.
 func (m *MLP) InputWeightAbsMean() []float64 {
+	m.WriteBack()
 	l := m.Layers[0]
 	out := make([]float64, l.In)
 	for j := 0; j < l.Out; j++ {
@@ -1009,6 +1050,7 @@ func (m *MLP) InputWeightAbsMean() []float64 {
 // Section 4.6 uses the sign to discover that hop count is preferred large on
 // N/S ports but small on W/E ports.
 func (m *MLP) InputWeightSignedMean() []float64 {
+	m.WriteBack()
 	l := m.Layers[0]
 	out := make([]float64, l.In)
 	for j := 0; j < l.Out; j++ {
@@ -1045,6 +1087,7 @@ type mlpWire struct {
 
 // Save writes the network weights to w in gob format.
 func (m *MLP) Save(w io.Writer) error {
+	m.WriteBack()
 	wire := mlpWire{Sizes: []int{m.Layers[0].In}}
 	for _, l := range m.Layers {
 		wire.Sizes = append(wire.Sizes, l.Out)
@@ -1094,5 +1137,6 @@ func Load(r io.Reader) (*MLP, error) {
 		})
 	}
 	m.allocScratch()
+	m.adopt()
 	return m, nil
 }

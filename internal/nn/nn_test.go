@@ -98,15 +98,21 @@ func TestGradientCheck(t *testing.T) {
 			grad[j] = y[j] - target[j]
 		}
 		m.Backprop(x, grad, lr)
+		m.WriteBack()
 
+		// perturbed is before with one parameter moved by d, written by hand
+		// and adopted.
+		perturbed := func(param func(net *MLP) *float64, d float64) *MLP {
+			net := before.Clone()
+			*param(net) += d
+			net.adopt()
+			return net
+		}
 		const eps = 1e-6
 		for l := range before.Layers {
 			for i := range before.Layers[l].W {
-				plus := before.Clone()
-				plus.Layers[l].W[i] += eps
-				minus := before.Clone()
-				minus.Layers[l].W[i] -= eps
-				numGrad := (loss(plus) - loss(minus)) / (2 * eps)
+				w := func(net *MLP) *float64 { return &net.Layers[l].W[i] }
+				numGrad := (loss(perturbed(w, eps)) - loss(perturbed(w, -eps))) / (2 * eps)
 				analytic := (before.Layers[l].W[i] - m.Layers[l].W[i]) / lr
 				if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
 					t.Fatalf("acts=%v layer %d w[%d]: numeric %g vs analytic %g",
@@ -114,11 +120,8 @@ func TestGradientCheck(t *testing.T) {
 				}
 			}
 			for i := range before.Layers[l].B {
-				plus := before.Clone()
-				plus.Layers[l].B[i] += eps
-				minus := before.Clone()
-				minus.Layers[l].B[i] -= eps
-				numGrad := (loss(plus) - loss(minus)) / (2 * eps)
+				b := func(net *MLP) *float64 { return &net.Layers[l].B[i] }
+				numGrad := (loss(perturbed(b, eps)) - loss(perturbed(b, -eps))) / (2 * eps)
 				analytic := (before.Layers[l].B[i] - m.Layers[l].B[i]) / lr
 				if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
 					t.Fatalf("acts=%v layer %d b[%d]: numeric %g vs analytic %g",

@@ -71,28 +71,15 @@ func BenchmarkHotMLPForwardSparse(b *testing.B) {
 	}
 }
 
-// BenchmarkHotMLPForwardSparseFrozen is the same decision on the network an
-// evaluation agent holds: frozen, layer 0 on the input-major copy.
-func BenchmarkHotMLPForwardSparseFrozen(b *testing.B) {
-	m := apuNet()
-	m.Freeze()
-	xs := apuSparseStates(64, 7)
-	outs := []int{3, 17, 40}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardSparse(xs[i%len(xs)], outs)
-	}
-}
-
-// BenchmarkHotFreeze is the transpose a target sync or a new evaluation agent
-// pays to bring the frozen copy up to date.
-func BenchmarkHotFreeze(b *testing.B) {
+// BenchmarkHotWriteBack is what a reader of Layers[0].W pays after training:
+// the store transposed back into the row-major exchange form.
+func BenchmarkHotWriteBack(b *testing.B) {
 	m := apuNet()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.Freeze()
+		m.stale = m.store != nil
+		m.WriteBack()
 	}
 }
 
@@ -157,19 +144,6 @@ func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 // batch as rl.DQL.TrainBatch runs it.
 func BenchmarkHotMLPForwardBatchSparse32(b *testing.B) {
 	m := apuNet()
-	xs := apuSparseStates(32, 20)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.ForwardBatchFastSparse(xs)
-	}
-}
-
-// BenchmarkHotMLPForwardBatchSparse32Frozen is the same bootstrap on the
-// network rl.DQL holds as its target: frozen.
-func BenchmarkHotMLPForwardBatchSparse32Frozen(b *testing.B) {
-	m := apuNet()
-	m.Freeze()
 	xs := apuSparseStates(32, 20)
 	b.ReportAllocs()
 	b.ResetTimer()

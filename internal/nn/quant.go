@@ -108,6 +108,7 @@ func Quantize(m *MLP, calib [][]float64) *Quantized {
 	if len(calib) == 0 {
 		panic("nn: Quantize needs at least one calibration input")
 	}
+	m.WriteBack()
 	// Plane ranges: planeMax[0] is the input plane, planeMax[l+1] layer l's
 	// output plane, which Forward leaves in m.acts[l+1].
 	planeMax := make([]float64, len(m.Layers)+1)

@@ -189,8 +189,12 @@ func requireSameBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
+// requireSameWeights compares two networks' weights and biases in their
+// exchange form, written back first.
 func requireSameWeights(t *testing.T, what string, got, want *MLP) {
 	t.Helper()
+	got.WriteBack()
+	want.WriteBack()
 	for l := range want.Layers {
 		requireSameBits(t, what+": layer W", got.Layers[l].W, want.Layers[l].W)
 		requireSameBits(t, what+": layer B", got.Layers[l].B, want.Layers[l].B)

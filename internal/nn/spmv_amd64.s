@@ -1,21 +1,22 @@
-// AVX2 kernels for layer 0 of a frozen network (frozen.go): the layer's weights
-// stored input-major, so that one listed input's weights to four neighbouring
-// neurons are one 256-bit load and a pass over the input list advances every
-// neuron's sum at once. See spmvExact and spmvFused in gemm_amd64.go for the
-// Go-level contracts.
+// AVX2 kernels for layer 0 stored input-major (store.go): one listed input's
+// weights to four neighbouring neurons are one 256-bit load, so a pass over the
+// input list advances every neuron's sum at once, and the SGD step of a listed
+// input is one contiguous row. See spmvExact, spmvFused and spmvUpdate in
+// gemm_amd64.go for the Go-level contracts.
 //
-// Both kernels keep up to twelve groups of four neurons in Y0..Y11, walk a list
-// of (index, value) entries, and add to each group the entry's value (broadcast
-// in Y15) times the four weights at w + index*stride + 32*group. They differ in
-// the term: spmvExact multiplies, then adds (two roundings, the scalar loop's);
-// spmvFused fuses (one rounding, fmaDot4x2's). The loops are generated once per
-// group count, so that a layer of 42 neurons is one pass with eleven
-// accumulators and one of 15 a pass with four.
+// All three keep up to twelve groups of four neurons in Y0..Y11 and walk a list
+// of (index, value) entries, the entry's value broadcast in Y15 and its row at
+// w + index*stride. The forward kernels hold the sums and add to each group the
+// value times the row's four weights: spmvExact multiplies, then adds (two
+// roundings, the scalar loop's); spmvFused fuses (one rounding, fmaDot4x2's).
+// spmvUpdate holds the steps and subtracts from the row's four weights the
+// value times each group, the product rounded first. The loops are generated
+// once per group count, so that a layer of 42 neurons is one pass with eleven
+// registers and one of 15 a pass with four.
 
 #include "textflag.h"
 
-// LDn loads n accumulators from (DX); STn(r) stores them at (r); ZRn zeroes
-// them.
+// LDn loads Y0..Yn-1 from (DX); STn(r) stores them at (r); ZRn zeroes them.
 #define LD1 VMOVUPD (DX), Y0
 #define LD2 LD1; VMOVUPD 32(DX), Y1
 #define LD3 LD2; VMOVUPD 64(DX), Y2
@@ -86,9 +87,26 @@
 #define FT11 FT10; FT(320, Y10)
 #define FT12 FT11; FT(352, Y11)
 
+// UTn is one entry's step on n groups of its row: w = w - step*v, the product
+// rounded before the difference.
+#define UT(off, step) VMULPD step, Y15, Y14; VMOVUPD off(SI)(AX*1), Y13; VSUBPD Y14, Y13, Y13; VMOVUPD Y13, off(SI)(AX*1)
+#define UT1 UT(0, Y0)
+#define UT2 UT1; UT(32, Y1)
+#define UT3 UT2; UT(64, Y2)
+#define UT4 UT3; UT(96, Y3)
+#define UT5 UT4; UT(128, Y4)
+#define UT6 UT5; UT(160, Y5)
+#define UT7 UT6; UT(192, Y6)
+#define UT8 UT7; UT(224, Y7)
+#define UT9 UT8; UT(256, Y8)
+#define UT10 UT9; UT(288, Y9)
+#define UT11 UT10; UT(320, Y10)
+#define UT12 UT11; UT(352, Y11)
+
 // ENTRIES walks CX entries at (BX) and (R11), applying terms to each: the
 // index is checked against the row count in R9 (as unsigned, so a negative one
-// fails too) and the walk stops at bad, with CX not yet zero, on one outside.
+// fails too) and the walk stops at bad, with CX not yet zero and before the
+// entry's terms, on one outside.
 #define ENTRIES(terms, loop, bad) \
 loop: \
 	MOVL (BX), AX; \
@@ -265,5 +283,65 @@ cloop:
 
 fbad:
 	MOVB $0, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// UPDATE is spmvUpdate for one group count.
+#define UPDATE(load, terms, entry, loop) \
+entry: \
+	load; \
+	ENTRIES(terms, loop, udone); \
+	JMP  udone
+
+// func spmvUpdate(w, step *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
+TEXT ·spmvUpdate(SB), NOSPLIT, $0-65
+	MOVQ w+0(FP), SI
+	MOVQ step+8(FP), DX
+	MOVQ stride+16(FP), R8
+	SHLQ $3, R8
+	MOVQ rows+24(FP), R9
+	MOVQ groups+32(FP), R10
+	MOVQ idx+40(FP), BX
+	MOVQ val+48(FP), R11
+	MOVQ n+56(FP), CX
+	TESTQ CX, CX
+	JZ   udone
+	CMPQ R10, $11
+	JEQ  u11
+	CMPQ R10, $12
+	JEQ  u12
+	CMPQ R10, $10
+	JEQ  u10
+	CMPQ R10, $9
+	JEQ  u9
+	CMPQ R10, $8
+	JEQ  u8
+	CMPQ R10, $7
+	JEQ  u7
+	CMPQ R10, $6
+	JEQ  u6
+	CMPQ R10, $5
+	JEQ  u5
+	CMPQ R10, $4
+	JEQ  u4
+	CMPQ R10, $3
+	JEQ  u3
+	CMPQ R10, $2
+	JEQ  u2
+	UPDATE(LD1, UT1, u1, u1loop)
+	UPDATE(LD2, UT2, u2, u2loop)
+	UPDATE(LD3, UT3, u3, u3loop)
+	UPDATE(LD4, UT4, u4, u4loop)
+	UPDATE(LD5, UT5, u5, u5loop)
+	UPDATE(LD6, UT6, u6, u6loop)
+	UPDATE(LD7, UT7, u7, u7loop)
+	UPDATE(LD8, UT8, u8, u8loop)
+	UPDATE(LD9, UT9, u9, u9loop)
+	UPDATE(LD10, UT10, u10, u10loop)
+	UPDATE(LD11, UT11, u11, u11loop)
+	UPDATE(LD12, UT12, u12, u12loop)
+udone:
+	TESTQ CX, CX                   // entries left: the walk stopped at a bad index
+	SETEQ ret+64(FP)
 	VZEROUPPER
 	RET

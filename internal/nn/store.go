@@ -1,22 +1,28 @@
 package nn
 
-// frozenLayer is layer 0 of a network nobody is training, stored input-major:
-// the weights of input i to every neuron are contiguous, so that a listed
-// input advances all the neurons' sums with a few 256-bit loads (spmvExact and
-// spmvFused, spmv_amd64.s) where Layer.W, row-major, offers one weight per
-// 4 KB. It is a copy: Layer.W stays the weights, and whoever changes them
-// through this package rebuilds the copy (CopyFrom) or drops it (training).
-type frozenLayer struct {
+// inputMajor is layer 0 of a network on a host with the AVX2 kernels, stored
+// input-major: the weights of input i to every neuron are contiguous, so that
+// a listed input advances all the neurons' sums with a few 256-bit loads
+// (spmvExact and spmvFused, spmv_amd64.s) and takes its SGD step as one
+// contiguous row (spmvUpdate), where Layer.W, row-major, offers one weight per
+// 4 KB. It is the weights: every forward pass reads it and training writes it;
+// Layers[0].W and .B are brought up to date from it on demand
+// (MLP.WriteBack).
+type inputMajor struct {
 	in, out int
 	// width is out rounded up to whole groups of four neurons, the length of
-	// a row of w and of b; the padding is +0 in both, so a padded neuron's sum
-	// is +0 and is never read.
+	// a row of w, of b and of step; the padding is +0 in all three, so a
+	// padded neuron's sum is +0 and is never read, and its weights take steps
+	// of +-0 and stay +0.
 	width int
 	// per is the most groups one kernel call takes: the width's groups cut
 	// into the fewest passes of at most twelve, as evenly as they go.
 	per int
 	w   []float64 // w[i*width+j] = Layer.W[j*in+i]
 	b   []float64
+
+	// step is the update's lr*delta per neuron.
+	step []float64
 
 	// The fused kernel's input: an input list's entries below in&^3 bucketed
 	// by lane (index mod 4), lane k's from bidx[k*q] and bval[k*q], where
@@ -29,23 +35,24 @@ type frozenLayer struct {
 
 // errSparseIndex is the panic of a kernel that was handed an index outside
 // [0, in): checkSparse sees the first and the last index only, and where a Go
-// loop would run into a bounds check a kernel would read outside w.
+// loop would run into a bounds check a kernel would read, or write, outside w.
 const errSparseIndex = "nn: sparse input index outside the layer's inputs"
 
-func newFrozenLayer(l *Layer) *frozenLayer {
+// newInputMajor returns the store of a layer of l's shape, all +0.
+func newInputMajor(l *Layer) *inputMajor {
 	width := (l.Out + 3) &^ 3
 	groups := width / 4
 	passes := (groups + 11) / 12
 	q := l.In / 4
-	return &frozenLayer{
+	return &inputMajor{
 		in: l.In, out: l.Out, width: width, per: (groups + passes - 1) / passes,
-		w: make([]float64, l.In*width), b: make([]float64, width),
+		w: make([]float64, l.In*width), b: make([]float64, width), step: make([]float64, width),
 		q: q, bidx: make([]int32, 4*q), bval: make([]float64, 4*q),
 	}
 }
 
 // fill makes f the layer's weights and biases as they are now.
-func (f *frozenLayer) fill(l *Layer) {
+func (f *inputMajor) fill(l *Layer) {
 	for i := 0; i < f.in; i++ {
 		row := f.w[i*f.width:][:f.out]
 		for j := range row {
@@ -55,17 +62,20 @@ func (f *frozenLayer) fill(l *Layer) {
 	copy(f.b, l.B)
 }
 
-func (f *frozenLayer) clone() *frozenLayer {
-	c := *f
-	c.w, c.b = append([]float64(nil), f.w...), append([]float64(nil), f.b...)
-	c.bidx, c.bval = make([]int32, len(f.bidx)), make([]float64, len(f.bval))
-	return &c
+// writeBack is fill's inverse: the layer's W and B become f's.
+func (f *inputMajor) writeBack(l *Layer) {
+	for i := 0; i < f.in; i++ {
+		for j, w := range f.w[i*f.width:][:f.out] {
+			l.W[j*f.in+i] = w
+		}
+	}
+	copy(l.B, f.b)
 }
 
 // exact computes every neuron's pre-activation on the listed input, from init
 // (the biases, or sums already begun) through the entries in list order: the
 // operations, order and bits of Layer.sumSparse. z and init are width long.
-func (f *frozenLayer) exact(z, init []float64, idx []int32, val []float64) {
+func (f *inputMajor) exact(z, init []float64, idx []int32, val []float64) {
 	var ip *int32
 	var vp *float64
 	if val = val[:len(idx)]; len(idx) > 0 {
@@ -83,7 +93,7 @@ func (f *frozenLayer) exact(z, init []float64, idx []int32, val []float64) {
 // lane chains of fused multiply-adds over the entries below in&^3, reduced and
 // added to the bias, then the in%4 tail in exact order; and an odd last neuron,
 // which the tile kernel leaves to the scalar loop, in exact order throughout.
-func (f *frozenLayer) fused(z []float64, idx []int32, val []float64) {
+func (f *inputMajor) fused(z []float64, idx []int32, val []float64) {
 	n := len(idx)
 	for tail := int32(f.in &^ 3); n > 0 && idx[n-1] >= tail; n-- {
 	}
@@ -123,7 +133,7 @@ func (f *frozenLayer) fused(z []float64, idx []int32, val []float64) {
 // (out apart, each row written width wide, so next is width-out longer than
 // the rows need): full tiles of four through the fused kernel when fma, as
 // forwardTile runs them on fmaDot4x2, everything else in exact order.
-func (f *frozenLayer) forwardBatch(xs []SparseVec, next []float64, fma bool) {
+func (f *inputMajor) forwardBatch(xs []SparseVec, next []float64, fma bool) {
 	full := 0
 	if fma {
 		full = len(xs) &^ 3
@@ -134,6 +144,48 @@ func (f *frozenLayer) forwardBatch(xs []SparseVec, next []float64, fma bool) {
 			f.fused(z, x.Idx, val)
 		} else {
 			f.exact(z, f.b, x.Idx, val)
+		}
+	}
+}
+
+// update is the layer's SGD step, Layer.updateSparse's on this layout and with
+// its bits: w[i][j] -= (lr*delta[j])*x[i] for the listed inputs, the product
+// rounded before it is subtracted, and b[j] -= lr*delta[j]. A neuron whose
+// delta is zero keeps its weights as they are, -0 included, which a step of
+// lr*0 would not (-0 - -0 is +0): a call with such a neuron, rare behind a
+// sigmoid, takes its rows in Go; every other call goes to the kernel, one
+// listed input's row at a time, where a padding column's step is +-0 and its
+// weight stays +0. Either way an index outside [0, in) panics before anything
+// is stored for it.
+func (f *inputMajor) update(delta []float64, idx []int32, val []float64, lr float64) {
+	val = val[:len(idx)]
+	step, zero := f.step[:f.out], false
+	for j, d := range delta[:f.out] {
+		step[j] = lr * d
+		if d == 0 {
+			zero = true
+		} else {
+			f.b[j] -= step[j]
+		}
+	}
+	if zero {
+		for e, i := range idx {
+			if uint(i) >= uint(f.in) {
+				panic(errSparseIndex)
+			}
+			row, v := f.w[int(i)*f.width:][:f.out], val[e]
+			for j, d := range delta[:f.out] {
+				if d != 0 {
+					row[j] -= step[j] * v
+				}
+			}
+		}
+	} else if len(idx) > 0 {
+		for c := 0; c < f.width; c += 4 * f.per {
+			g := min(f.per, (f.width-c)/4)
+			if !spmvUpdate(&f.w[c], &f.step[c], f.width, f.in, g, &idx[0], &val[0], len(idx)) {
+				panic(errSparseIndex)
+			}
 		}
 	}
 }

@@ -56,13 +56,24 @@ func BenchmarkHotDQLTrainBatch(b *testing.B) {
 
 // BenchmarkHotDQLTrainBatchAPU is one training cycle of the APU learner
 // (504->42->42, batch 32, apu_train's hyper-parameters): 32 bootstraps on the
-// frozen target, 32 SGD steps on the online network.
+// target, 32 SGD steps on the online network.
 func BenchmarkHotDQLTrainBatchAPU(b *testing.B) {
 	d, rng := benchDQLOf(504, 12, 42)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		d.TrainBatch(rng)
+	}
+}
+
+// BenchmarkHotTargetSync is the APU learner's target refresh, once every
+// SyncEvery steps.
+func BenchmarkHotTargetSync(b *testing.B) {
+	d, _ := benchDQLOf(504, 12, 42)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		d.Target.CopyFrom(d.Online)
 	}
 }
 
@@ -119,6 +130,7 @@ func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
 		t.Fatalf("after training: target %p online %p steps %d", d.Target, d.Online, d.Steps())
 	}
 	// The target is the online network as it was when training began.
+	d.Target.WriteBack()
 	for l, layer := range d.Target.Layers {
 		for i, w := range layer.W {
 			if w != before.Layers[l].W[i] {

@@ -34,6 +34,7 @@ func TestTrainBatchPinnedAPU(t *testing.T) {
 	}
 	// The sum of a layer's weights, then of its biases, in storage order.
 	sums := func(m *nn.MLP) (out []uint64) {
+		m.WriteBack()
 		for _, l := range m.Layers {
 			for _, params := range [][]float64{l.W, l.B} {
 				s := 0.0

@@ -211,12 +211,9 @@ func NewInferenceDQL(online *nn.MLP, cfg DQLConfig) *DQL {
 }
 
 // ensureTarget makes the target copy a NewInferenceDQL learner went without.
-// The target is only ever evaluated and overwritten whole (CopyFrom at a sync),
-// never trained, so it is frozen from the start and stays so.
 func (d *DQL) ensureTarget() {
 	if d.Target == nil {
 		d.Target = d.Online.Clone()
-		d.Target.Freeze()
 	}
 }
 
@@ -231,9 +228,10 @@ func (d *DQL) Observe(e Experience) { d.Replay.Add(e) }
 // Target-network inference is batched through ForwardBatchFastSparse for
 // speed, in chunks that never straddle a target-network sync: every experience
 // sees the exact target weights the one-forward-per-experience loop would have
-// used. The target is a frozen network (nn.MLP.Freeze): its layer 0 runs on
-// the input-major copy, which each sync's CopyFrom rebuilds, and gives the
-// bits the row-major tile kernel gives. On amd64 with AVX2 the fast path's FMA
+// used. Where nn has its kernels both networks keep layer 0 input-major (see
+// nn.MLP, "Layer 0 storage"): a sync's CopyFrom is one copy between the two
+// stores, and Target.Layers[0].W, like Online's, is current only after its
+// WriteBack. On amd64 with AVX2 the fast path's FMA
 // contraction may perturb target Q-values by a few ULPs relative to a
 // sequential forward pass — deterministic for a given platform and seed, but
 // trajectories are pinned per-platform rather than cross-platform. The

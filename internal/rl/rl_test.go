@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -380,10 +381,47 @@ func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 	if math.Float64bits(last) != math.Float64bits(refLast) || d.Steps() != int64(epochs*data.Len()) {
 		t.Fatalf("final-epoch TD error %v after %d steps, dense reference %v", last, d.Steps(), refLast)
 	}
+	d.Online.WriteBack()
+	ref.Online.WriteBack()
 	for l, layer := range d.Online.Layers {
 		for i, w := range layer.W {
 			if math.Float64bits(w) != math.Float64bits(ref.Online.Layers[l].W[i]) {
 				t.Fatalf("layer %d weight %d: %v, dense reference %v", l, i, w, ref.Online.Layers[l].W[i])
+			}
+		}
+	}
+}
+
+// TestTrainOfflineStopsAtSmuggledIndex: LoadDataset validates every record, but
+// Records is an exported field, and nn's entry check sees only a list's first
+// and last index. A record whose middle index is outside the state must stop
+// training with a panic wherever nn runs layer 0 — its kernels write weights
+// at the indices they are given — and never reach memory outside the network.
+func TestTrainOfflineStopsAtSmuggledIndex(t *testing.T) {
+	for _, mid := range []int32{60, -1, 1 << 30} {
+		bad := Experience{State: nn.SparseVec{Idx: []int32{3, mid, 59}, Val: []float64{1, 1, 1}}, Action: 2, Reward: 1, Terminal: true}
+		var buf bytes.Buffer
+		if err := (&Dataset{StateSize: 60, Actions: 15, Records: []Experience{bad}}).Save(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := LoadDataset(&buf); err == nil {
+			t.Errorf("LoadDataset accepted a record with index %d", mid)
+		}
+		d := NewDQL(newNet(5, 60, 15, 15), DQLConfig{})
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("TrainOffline trained on a record with index %d", mid)
+				}
+			}()
+			d.TrainOffline(rand.New(rand.NewSource(1)), &Dataset{StateSize: 60, Actions: 15, Records: []Experience{bad}}, 1)
+		}()
+		d.Online.WriteBack()
+		for l, layer := range d.Online.Layers {
+			for i, w := range layer.W {
+				if math.IsNaN(w) || math.IsInf(w, 0) {
+					t.Fatalf("index %d: layer %d weight %d is %v after the refused record", mid, l, i, w)
+				}
 			}
 		}
 	}
