@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
@@ -324,13 +325,27 @@ func (a *Agent) OnCycle(n *noc.Network) {
 }
 
 // FlushPending converts all incomplete decisions into terminal experiences
-// (no successor state). Useful at the end of a training phase so the final
+// (no successor state), in ascending site order, so that the replay memory is
+// a function of the seed. Useful at the end of a training phase so the final
 // rewards are not lost.
 func (a *Agent) FlushPending() {
-	for key, p := range a.pending {
+	for _, key := range sortedSites(a.pending) {
+		p := a.pending[key]
 		a.DQL.Observe(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
-		delete(a.pending, key)
 	}
+	clear(a.pending)
+}
+
+// sortedSites returns the arbitration sites (siteKey) of pending in ascending
+// order: the order in which a flush records them, where the map's own order
+// would differ from run to run.
+func sortedSites[D any](pending map[int64]D) []int64 {
+	keys := make([]int64, 0, len(pending))
+	for key := range pending {
+		keys = append(keys, key)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // Freeze switches the agent to pure-inference mode (the "NN" policy):

@@ -530,6 +530,47 @@ func TestAgentExperienceWiring(t *testing.T) {
 	}
 }
 
+// TestFreezeFlushesInSiteOrder: Freeze records the decisions still waiting for
+// a successor as terminal experiences in ascending site order, so the replay
+// memory it leaves is the same on every run. Each site's one decision grants
+// the only candidate, from a slot no other site uses, so the actions name the
+// sites.
+func TestFreezeFlushesInSiteOrder(t *testing.T) {
+	net, _ := testNetwork(t)
+	spec := MeshSpec(3)
+	type site struct {
+		x, y      int
+		out, port noc.PortID
+		vc        int
+	}
+	// Visited in an order that is not the sites' order.
+	sites := []site{
+		{2, 3, noc.PortWest, noc.PortNorth, 1}, {0, 0, noc.PortEast, noc.PortCore, 0},
+		{3, 1, noc.PortNorth, noc.PortSouth, 2}, {1, 1, noc.PortEast, noc.PortWest, 1},
+		{1, 1, noc.PortNorth, noc.PortEast, 0}, {0, 2, noc.PortSouth, noc.PortCore, 2},
+	}
+	for trial := 0; trial < 4; trial++ {
+		a := NewAgent(spec, AgentConfig{Hidden: 8, Seed: int64(trial)})
+		want := map[int64]int{}
+		for _, s := range sites {
+			ctx := &noc.ArbContext{Net: net, Router: net.RouterAt(s.x, s.y), Out: s.out, Cycle: 10}
+			cands := []noc.Candidate{{Port: s.port, VC: s.vc, Msg: &noc.Message{SizeFlits: 1, InjectCycle: 1, ArrivalCycle: 5}}}
+			a.Select(ctx, cands)
+			want[siteKey(ctx)] = spec.Slot(s.port, s.vc)
+		}
+		a.Freeze()
+		if a.DQL.Replay.Len() != len(sites) {
+			t.Fatalf("replay holds %d experiences after Freeze, want %d", a.DQL.Replay.Len(), len(sites))
+		}
+		for i, key := range sortedSites(want) {
+			if e := a.DQL.Replay.At(i); !e.Terminal || e.Action != want[key] {
+				t.Fatalf("trial %d: experience %d is action %d (terminal %t), want site %d's action %d",
+					trial, i, e.Action, e.Terminal, key, want[key])
+			}
+		}
+	}
+}
+
 func TestFreezeStopsLearning(t *testing.T) {
 	net, _ := testNetwork(t)
 	spec := MeshSpec(3)

@@ -78,10 +78,12 @@ func (r *Recorder) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 // network hook when using period-based rewards.
 func (r *Recorder) OnCycle(n *noc.Network) { r.Reward.OnCycle(n) }
 
-// Flush records all incomplete decisions as terminal experiences.
+// Flush records all incomplete decisions as terminal experiences, in
+// ascending site order, so that a recording is a function of its seed.
 func (r *Recorder) Flush() {
-	for key, p := range r.pending {
+	for _, key := range sortedSites(r.pending) {
+		p := r.pending[key]
 		r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
-		delete(r.pending, key)
 	}
+	clear(r.pending)
 }

@@ -62,6 +62,28 @@ func TestRecorderCollects(t *testing.T) {
 	}
 }
 
+// TestRecordingIsDeterministic: recordings with the same seed save to the same
+// bytes. Flush appends the decisions still waiting for a successor in
+// ascending site order; in the pending map's order the tail of the dataset,
+// and so the file and any network trained offline from it, would differ from
+// run to run.
+func TestRecordingIsDeterministic(t *testing.T) {
+	save := func() []byte {
+		rec, _ := recordDataset(t, 300, 5)
+		var buf bytes.Buffer
+		if err := rec.Data.Save(&buf); err != nil {
+			t.Fatalf("save: %v", err)
+		}
+		return buf.Bytes()
+	}
+	first := save()
+	for run := 2; run <= 4; run++ {
+		if !bytes.Equal(save(), first) {
+			t.Fatalf("recording %d with the same seed saved other bytes than the first", run)
+		}
+	}
+}
+
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
 	rec, _ := recordDataset(t, 500, 8)
 	var buf bytes.Buffer

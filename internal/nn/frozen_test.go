@@ -87,7 +87,7 @@ func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []Spars
 		for name, run := range map[string]func(m *MLP) [][]float64{
 			"ForwardBatch":           func(m *MLP) [][]float64 { return m.ForwardBatch(ds) },
 			"ForwardBatchFast":       func(m *MLP) [][]float64 { return m.ForwardBatchFast(ds) },
-			"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse(svs) },
+			"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse(svs, nil) },
 		} {
 			got, want := run(fz), run(ref)
 			if len(got) != len(want) {
@@ -140,9 +140,9 @@ func TestFrozenRejectsBadIndices(t *testing.T) {
 	for name, run := range map[string]func(){
 		"ForwardSparse":                    func() { fz.ForwardSparse(bad, nil) },
 		"ForwardSparse, negative":          func() { fz.ForwardSparse(neg, nil) },
-		"ForwardBatchFastSparse":           func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, bad, ok}) },
-		"ForwardBatchFastSparse, negative": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, neg, ok, ok}) },
-		"ForwardBatchFastSparse, trailing": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, ok, ok, bad}) },
+		"ForwardBatchFastSparse":           func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, bad, ok}, nil) },
+		"ForwardBatchFastSparse, negative": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, neg, ok, ok}, nil) },
+		"ForwardBatchFastSparse, trailing": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, ok, ok, bad}, nil) },
 	} {
 		func() {
 			defer func() {
@@ -152,6 +152,42 @@ func TestFrozenRejectsBadIndices(t *testing.T) {
 			}()
 			run()
 		}()
+	}
+}
+
+// TestFusedKeepsInsideItsScratch: spmvFused buckets a list by lane into
+// scratch with room for in/4 entries a lane, which no strictly ascending list
+// overfills; one that repeats an index does, and must stop the kernel with
+// errSparseIndex before anything is written past the scratch: guard words
+// behind both scratch arrays keep their bits.
+func TestFusedKeepsInsideItsScratch(t *testing.T) {
+	if !hasFMAKernel {
+		t.Skip("no store without the kernels")
+	}
+	fz, _ := frozenTwins(rand.New(rand.NewSource(1)), []int{60, 15, 15})
+	f := fz.store
+	const guard = 8
+	bidx, bval := make([]int32, len(f.bidx)+guard), make([]float64, len(f.bval)+guard)
+	for g := 0; g < guard; g++ {
+		bidx[len(f.bidx)+g], bval[len(f.bval)+g] = -7, -7
+	}
+	f.bidx, f.bval = bidx[:len(f.bidx)], bval[:len(f.bval)]
+	var rep SparseVec // lane 3, one entry more than it has room for
+	for k := 0; k <= f.q; k++ {
+		rep.Idx, rep.Val = append(rep.Idx, 3), append(rep.Val, 1)
+	}
+	func() {
+		defer func() {
+			if r := recover(); r != errSparseIndex {
+				t.Errorf("recovered %v, want %q", r, errSparseIndex)
+			}
+		}()
+		fz.ForwardBatchFastSparse([]SparseVec{rep, rep, rep, rep}, nil)
+	}()
+	for g := 0; g < guard; g++ {
+		if bidx[len(f.bidx)+g] != -7 || bval[len(f.bval)+g] != -7 {
+			t.Fatalf("guard word %d overwritten: %d, %v", g, bidx[len(f.bidx)+g], bval[len(f.bval)+g])
+		}
 	}
 }
 

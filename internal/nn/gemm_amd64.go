@@ -31,6 +31,20 @@ func xgetbv() (eax, edx uint32)
 //go:noescape
 func fmaDot4x2(w0, w1, x0, x1, x2, x3 *float64, steps *int32, nsteps int, sums *[8]float64)
 
+// fmaDotOuts is fmaDot4x2's arithmetic for one activation row x and the n
+// (at most 8) weight rows outs lists, row j at w[j*stride]: for each k,
+//
+//	sums[k] = sum_{i < 4*nsteps} w[outs[k]*stride+i] * x[i]
+//
+// as four lane chains of fused multiply-adds from +0 over the steps in
+// ascending order, reduced as (l0+l2)+(l1+l3), so every sum has the bits the
+// tile kernel gives the same row and neuron on the dense plan. The caller adds
+// the bias and the stride%4 tail, and has checked every listed row against the
+// layer's neurons: the kernel reads w at the rows it is given.
+//
+//go:noescape
+func fmaDotOuts(x, w *float64, stride, nsteps int, outs *int, n int, sums *[8]float64)
+
 // sigmoid4 replaces, in place, the first groups groups of four values at zs
 // with 1/(1+exp(-z)), each lane bit-equal to the scalar expression on math.Exp's
 // FMA path (sigmoid_amd64.s). It stops in front of the first group that holds
@@ -55,17 +69,21 @@ func sigmoid4(zs *float64, groups int) int
 //go:noescape
 func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
 
-// spmvFused is the same sum in fmaDot4x2's order and rounding. The entries
-// come bucketed by lane (index mod 4), lane k's cnt[k] entries in list order
-// from idx[k*q] and val[k*q]; each lane is a chain of fused multiply-adds from
-// +0 (kept in lanes, scratch), and
+// spmvFused is the same sum in fmaDot4x2's order and rounding over the n
+// listed entries, all of which lie below rows&^3. It first buckets them by lane
+// (index mod 4), order kept, lane k's from bidx[k*q] and bval[k*q] with its
+// count in cnt[k] (all three scratch, q the most entries a lane can hold); each
+// lane is then a chain of fused multiply-adds from +0 (kept in lanes, scratch),
+// and
 //
 //	z[c] = b[c] + ((lane0[c] + lane2[c]) + (lane1[c] + lane3[c]))
 //
-// It reports false, like spmvExact, on an index outside [0, rows).
+// It reports false, like spmvExact, on an index outside [0, rows), and on a
+// lane that would take more than q entries, which only a list that is not
+// strictly ascending can fill.
 //
 //go:noescape
-func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool
+func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n, q int, bidx *int32, bval *float64, cnt *[4]int, lanes *[4][48]float64) bool
 
 // spmvUpdate is the layer-0 SGD step on the input-major store for 4*groups
 // neighbouring neurons, groups in 1..12, in the scalar loop's rounding: for each
@@ -82,6 +100,28 @@ func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *floa
 //
 //go:noescape
 func spmvUpdate(w, step *float64, stride, rows, groups int, idx *int32, val *float64, n int) bool
+
+// spmvSteps is the prologue of the layer-0 SGD step on 4*groups neighbouring
+// neurons: for each column c, step[c] = lr*delta[c], and b[c] -= step[c]
+// unless delta[c] is zero. It returns how many deltas are zero (a NaN is not).
+//
+//go:noescape
+func spmvSteps(step, b, delta *float64, lr float64, groups int) int
+
+// axpy is y[i] += x[i]*a for i in [0, n), n >= 1, the product rounded before
+// the sum, which is what the scalar loop computes. With a = -s it is
+// y[i] -= s*x[i] bit for bit: x - p is x + (-p) in IEEE arithmetic, and
+// (-s)*x is -(s*x).
+//
+//go:noescape
+func axpy(y, x *float64, a float64, n int)
+
+// sigmoidGrad is d[i] *= y[i]*(1-y[i]) for i in [0, n), n >= 1: the sigmoid's
+// derivative from its output, each operation rounded as the scalar loop rounds
+// it.
+//
+//go:noescape
+func sigmoidGrad(d, y *float64, n int)
 
 // detectAVX2FMA performs the standard AVX2 feature dance: CPUID leaf 1 for
 // FMA/AVX/OSXSAVE, XGETBV for OS-enabled XMM+YMM state, CPUID leaf 7 for AVX2.

@@ -1,7 +1,17 @@
-// AVX2+FMA microkernel for batched MLP inference. See gemm_amd64.go for the
-// Go-level contracts and ForwardBatchFast in nn.go for the caller.
+// AVX2+FMA microkernels for batched MLP inference: the 4x2 tile, and one row
+// against the neurons a caller selects. See gemm_amd64.go for the Go-level
+// contracts and ForwardBatchFast in nn.go for the callers.
 
 #include "textflag.h"
+
+// REDUCE stores the horizontal sum of the four lanes of acc (xacc is its low
+// half) at dst, in the one order both dot kernels use: fold the high 128-bit
+// half onto the low one, (l0+l2, l1+l3), then add that pair. X8 is scratch.
+#define REDUCE(acc, xacc, dst) \
+	VEXTRACTF128 $1, acc, X8; \
+	VADDPD X8, xacc, xacc; \
+	VHADDPD xacc, xacc, xacc; \
+	VMOVSD xacc, dst
 
 // func cpuidex(leaf, sub uint32) (eax, ebx, ecx, edx uint32)
 TEXT ·cpuidex(SB), NOSPLIT, $0-24
@@ -73,47 +83,87 @@ loop:
 	JNZ  loop
 
 reduce:
-	// Horizontal-reduce each accumulator into sums[0..7]: fold the high
-	// 128-bit half onto the low one, then HADDPD the remaining pair.
-	VEXTRACTF128 $1, Y0, X8
-	VADDPD X8, X0, X0
-	VHADDPD X0, X0, X0
-	VMOVSD X0, (DX)
+	REDUCE(Y0, X0, (DX))
+	REDUCE(Y1, X1, 8(DX))
+	REDUCE(Y2, X2, 16(DX))
+	REDUCE(Y3, X3, 24(DX))
+	REDUCE(Y4, X4, 32(DX))
+	REDUCE(Y5, X5, 40(DX))
+	REDUCE(Y6, X6, 48(DX))
+	REDUCE(Y7, X7, 56(DX))
+	VZEROUPPER
+	RET
 
-	VEXTRACTF128 $1, Y1, X8
-	VADDPD X8, X1, X1
-	VHADDPD X1, X1, X1
-	VMOVSD X1, 8(DX)
+// func fmaDotOuts(x, w *float64, stride, nsteps int, outs *int, n int, sums *[8]float64)
+//
+// The listed rows are taken two at a time, so two chains are in flight and a
+// loaded step of x serves both; an odd last row goes alone. Each row's
+// accumulator is fmaDot4x2's: four lanes from +0, one VFMADD231PD per step,
+// then REDUCE.
+TEXT ·fmaDotOuts(SB), NOSPLIT, $0-56
+	MOVQ x+0(FP), SI
+	MOVQ w+8(FP), DI
+	MOVQ stride+16(FP), R8
+	SHLQ $3, R8                  // bytes between two neurons' rows
+	MOVQ nsteps+24(FP), R9
+	MOVQ outs+32(FP), BX
+	MOVQ n+40(FP), CX
+	MOVQ sums+48(FP), DX
 
-	VEXTRACTF128 $1, Y2, X8
-	VADDPD X8, X2, X2
-	VHADDPD X2, X2, X2
-	VMOVSD X2, 16(DX)
+pair:
+	CMPQ CX, $2
+	JLT  single
+	MOVQ (BX), R10
+	IMULQ R8, R10
+	ADDQ DI, R10                 // row of outs[k]
+	MOVQ 8(BX), R11
+	IMULQ R8, R11
+	ADDQ DI, R11                 // row of outs[k+1]
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	XORQ AX, AX                  // byte offset of the step
+	MOVQ R9, R12
+	TESTQ R12, R12
+	JZ   pairdone
 
-	VEXTRACTF128 $1, Y3, X8
-	VADDPD X8, X3, X3
-	VHADDPD X3, X3, X3
-	VMOVSD X3, 24(DX)
+pairloop:
+	VMOVUPD (SI)(AX*1), Y2
+	VFMADD231PD (R10)(AX*1), Y2, Y0
+	VFMADD231PD (R11)(AX*1), Y2, Y1
+	ADDQ $32, AX
+	DECQ R12
+	JNZ  pairloop
 
-	VEXTRACTF128 $1, Y4, X8
-	VADDPD X8, X4, X4
-	VHADDPD X4, X4, X4
-	VMOVSD X4, 32(DX)
+pairdone:
+	REDUCE(Y0, X0, (DX))
+	REDUCE(Y1, X1, 8(DX))
+	ADDQ $16, BX
+	ADDQ $16, DX
+	SUBQ $2, CX
+	JMP  pair
 
-	VEXTRACTF128 $1, Y5, X8
-	VADDPD X8, X5, X5
-	VHADDPD X5, X5, X5
-	VMOVSD X5, 40(DX)
+single:
+	TESTQ CX, CX
+	JZ   done
+	MOVQ (BX), R10
+	IMULQ R8, R10
+	ADDQ DI, R10
+	VXORPD Y0, Y0, Y0
+	XORQ AX, AX
+	MOVQ R9, R12
+	TESTQ R12, R12
+	JZ   singledone
 
-	VEXTRACTF128 $1, Y6, X8
-	VADDPD X8, X6, X6
-	VHADDPD X6, X6, X6
-	VMOVSD X6, 48(DX)
+singleloop:
+	VMOVUPD (SI)(AX*1), Y2
+	VFMADD231PD (R10)(AX*1), Y2, Y0
+	ADDQ $32, AX
+	DECQ R12
+	JNZ  singleloop
 
-	VEXTRACTF128 $1, Y7, X8
-	VADDPD X8, X7, X7
-	VHADDPD X7, X7, X7
-	VMOVSD X7, 56(DX)
+singledone:
+	REDUCE(Y0, X0, (DX))
 
+done:
 	VZEROUPPER
 	RET

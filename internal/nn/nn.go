@@ -229,12 +229,17 @@ type Layer struct {
 // through the exact kernel; it serves the full tiles of ForwardBatchFast and
 // ForwardBatchFastSparse. The single-input pass applies the activation over
 // the padded width, so a 42-wide sigmoid is eleven groups of four and no
-// scalar exp. Training steps the store in place: spmvUpdate subtracts
-// (lr*delta)*x from the one contiguous row of each listed input, the product
-// rounded first, and a call that holds a zero delta takes the same rows in Go,
-// skipping that neuron. Every sum and every weight has the bits the row-major
-// loops give, which stay in the package as the portable implementation and as
-// the oracle the tests hold the kernels to.
+// scalar exp. Training steps the store in place: spmvSteps computes lr*delta
+// per neuron, steps the biases whose delta is not zero and counts the zeros,
+// spmvUpdate subtracts (lr*delta)*x from the one contiguous row of each listed
+// input, the product rounded first, and a call that holds a zero delta takes
+// the same rows in Go, skipping that neuron. Past layer 0 such a network runs
+// the backward pass's row loops on kernels too: axpy for a hidden delta's
+// terms (dl += w*d) and a deeper row's update (w -= (lr*d)*in), sigmoidGrad for
+// the sigmoid's derivative (dl *= y*(1-y)), each product rounded before it is
+// added. Every sum and every weight has the bits the row-major loops give,
+// which stay in the package as the portable implementation and as the oracle
+// the tests hold the kernels to.
 //
 // Layers[0].W and .B stay row-major and are the exchange form: what Save
 // writes, Quantize and the heatmap means read, and callers outside the package
@@ -250,9 +255,14 @@ type Layer struct {
 // layers have one form, Layers[l].W, always current.
 //
 // The last layer computes only the outputs a caller asks for (the outs
-// argument of ForwardSparse; TrainActionSparse asks for the one action). Each
+// argument of ForwardSparse and ForwardBatchFastSparse; TrainActionSparse asks
+// for the one action, and backprop then looks at that delta alone). Each
 // output neuron's sum is independent of the others, so every value that is
-// computed is bit-identical to the one a full pass computes.
+// computed is bit-identical to the one a full pass computes; in a batch, where
+// the fast path's rounding depends on a row's and a neuron's place in the 4x2
+// tiling, a listed output is computed in the rounding its place gives it
+// (forwardSelected, with fmaDotOuts for the tiled case). Layer 0 and the hidden
+// layers are computed in full, and a one-layer network computes every output.
 type MLP struct {
 	Layers []*Layer
 
@@ -264,8 +274,10 @@ type MLP struct {
 	// bin the lists the batched ones make of theirs (grown on first use).
 	in  SparseVec
 	bin []SparseVec
-	// maxOut is the widest layer output, sizing the batched-inference planes.
+	// maxOut is the widest layer output, sizing the batched-inference planes;
+	// every lists 0..maxOut-1, what "all neurons" is for a loop over a list.
 	maxOut int
+	every  []int
 	// bacts are the two ping-pong row-major activation planes of
 	// ForwardBatch (nb x width each); brows holds the row headers of the
 	// plane last written, which the call returns.
@@ -320,11 +332,16 @@ func (m *MLP) allocScratch() {
 	m.deltas = make([][]float64, len(m.Layers))
 	maxIn := 0
 	for l, layer := range m.Layers {
-		// Room for whole groups of four: a stored layer 0 writes them.
+		// Room for whole groups of four: a stored layer 0 writes its
+		// activations that wide and reads its deltas that wide, +0 past Out.
 		m.acts[l+1] = make([]float64, layer.Out, (layer.Out+3)&^3)
-		m.deltas[l] = make([]float64, layer.Out)
+		m.deltas[l] = make([]float64, layer.Out, (layer.Out+3)&^3)
 		m.maxOut = max(m.maxOut, layer.Out)
 		maxIn = max(maxIn, layer.In)
+	}
+	m.every = make([]int, m.maxOut)
+	for j := range m.every {
+		m.every[j] = j
 	}
 	m.blk = newBlockScratch(maxIn)
 	if hasFMAKernel {
@@ -522,7 +539,7 @@ func (l *Layer) forwardDense(z, in []float64, want []int) {
 // before requesting the next chunk. Forward and the training methods use
 // separate scratch (m.acts) and do not invalidate batch rows.
 func (m *MLP) ForwardBatch(xs [][]float64) [][]float64 {
-	return m.forwardBatch(m.indexBatch(xs), false)
+	return m.forwardBatch(m.indexBatch(xs), nil, false)
 }
 
 // ForwardBatchFast is ForwardBatch running on the AVX2+FMA microkernel when
@@ -530,23 +547,41 @@ func (m *MLP) ForwardBatch(xs [][]float64) [][]float64 {
 // fused multiply-adds. Fusing and lane-interleaved partial sums change the
 // rounding of each dot product, so rows are NOT bit-identical to Forward —
 // they agree to within a few ULPs (pinned by TestForwardBatchFastULP). Use it
-// where throughput matters and ULP-exactness does not: rl's batched
-// target-network inference rides this path (Bellman targets are estimates;
-// ULP noise is far below the TD error they carry). Without CPU support it is
-// exactly ForwardBatch. The aliasing contract is ForwardBatch's: rows are
-// valid until the next batched call, either flavor.
+// where throughput matters and ULP-exactness does not, as for Bellman targets,
+// which are estimates whose ULP noise is far below the TD error they carry
+// (rl bootstraps through ForwardBatchFastSparse, the same arithmetic). Without
+// CPU support it is exactly ForwardBatch. The aliasing contract is
+// ForwardBatch's: rows are valid until the next batched call, either flavor.
 func (m *MLP) ForwardBatchFast(xs [][]float64) [][]float64 {
-	return m.forwardBatch(m.indexBatch(xs), hasFMAKernel)
+	return m.forwardBatch(m.indexBatch(xs), nil, hasFMAKernel)
 }
 
-// ForwardBatchFastSparse is ForwardBatchFast on inputs given as SparseVecs;
-// every row is bit-identical to the row ForwardBatchFast returns for the dense
-// form of its input.
-func (m *MLP) ForwardBatchFastSparse(xs []SparseVec) [][]float64 {
+// ForwardBatchFastSparse is ForwardBatchFast on inputs given as SparseVecs,
+// computing of row b only the outputs outs[b] lists (all of them when the list
+// is empty, and for every row when outs is nil), as ForwardSparse does for one
+// input. Every returned row is OutputSize long; its listed elements are
+// bit-identical to the ones ForwardBatchFast returns for the dense forms of
+// the same batch, and the others mean nothing. It panics, before computing
+// anything, if outs is neither nil nor one list per input, or lists an output
+// outside [0, OutputSize).
+func (m *MLP) ForwardBatchFastSparse(xs []SparseVec, outs [][]int) [][]float64 {
 	for _, x := range xs {
 		m.checkSparse(x)
 	}
-	return m.forwardBatch(xs, hasFMAKernel)
+	if outs != nil {
+		if len(outs) != len(xs) {
+			panic(fmt.Sprintf("nn: %d output lists for %d inputs", len(outs), len(xs)))
+		}
+		n := m.OutputSize()
+		for _, js := range outs {
+			for _, j := range js {
+				if uint(j) >= uint(n) {
+					panic(fmt.Sprintf("nn: output %d out of range %d", j, n))
+				}
+			}
+		}
+	}
+	return m.forwardBatch(xs, outs, hasFMAKernel)
 }
 
 // indexBatch lists the non-zero elements of each dense input in m.bin.
@@ -565,7 +600,11 @@ func (m *MLP) indexBatch(xs [][]float64) []SparseVec {
 	return bin
 }
 
-func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
+// forwardBatch computes the batch layer by layer, each into a row-major plane.
+// With outs, a last layer past layer 0 computes only the listed outputs of
+// each row (forwardSelected); layer 0 and the hidden planes are computed in
+// full either way.
+func (m *MLP) forwardBatch(xs []SparseVec, outs [][]int, fma bool) [][]float64 {
 	nb := len(xs)
 	if nb == 0 {
 		return nil
@@ -581,18 +620,24 @@ func (m *MLP) forwardBatch(xs []SparseVec, fma bool) [][]float64 {
 	}
 	// Layer 0 reads the callers' lists; every deeper layer reads the plane
 	// the one before it wrote, through m.brows.
-	rows := m.brows[:nb]
+	rows, last := m.brows[:nb], len(m.Layers)-1
 	for l, layer := range m.Layers {
 		out := layer.Out
 		next := m.bacts[l&1][:nb*out]
-		if f := m.store; l == 0 && f != nil {
+		selected := l == last && l > 0 && outs != nil
+		switch f := m.store; {
+		case l == 0 && f != nil:
 			f.forwardBatch(xs, next[:len(next)+f.width-out], fma)
-		} else if l == 0 {
+		case l == 0:
 			layer.forwardBlockedSparse(xs, next, &m.blk, fma)
-		} else {
+		case selected:
+			layer.forwardSelected(rows, next, outs, m.every[:out], fma)
+		default:
 			layer.forwardBlocked(rows, next, &m.blk, fma)
 		}
-		layer.Act.applyTo(next)
+		if !selected {
+			layer.Act.applyTo(next)
+		}
 		for b := range rows {
 			rows[b] = next[b*out : (b+1)*out : (b+1)*out]
 		}
@@ -807,6 +852,47 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 	}
 }
 
+// forwardSelected computes, for each of the batch rows, the activations of the
+// outputs outs[b] lists (every output when the list is empty) into the
+// row-major plane next; the other elements keep what they held. Each listed
+// output gets the bits forwardTile and applyTo give it in a full pass, which
+// depend on where the row and the neuron sit in the tiling: in a full tile of
+// four rows and a full pair of neurons under fma, bias + fmaDotOuts's lane sum
+// (fmaDot4x2's), then the In%4 tail in scalar order; for the nb%4 trailing
+// rows, an odd last neuron and every row without fma, the bias then every
+// term in scalar order. The caller has checked the lists.
+func (l *Layer) forwardSelected(rows [][]float64, next []float64, outs [][]int, every []int, fma bool) {
+	in, out, nsteps := l.In, l.Out, l.In/4
+	full, pairs := 0, out&^1
+	if fma && nsteps > 0 {
+		full = len(rows) &^ 3
+	}
+	var sums [8]float64
+	for b, x := range rows {
+		x, z, js := x[:in], next[b*out:][:out], outs[b]
+		if len(js) == 0 {
+			js = every
+		}
+		for len(js) > 0 {
+			chunk := js[:min(len(js), len(sums))]
+			js = js[len(chunk):]
+			if b < full {
+				fmaDotOuts(&x[0], &l.W[0], in, nsteps, &chunk[0], len(chunk), &sums)
+			}
+			for k, j := range chunk {
+				row, s, from := l.W[j*in:][:in], l.B[j], 0
+				if b < full && j < pairs {
+					s, from = s+sums[k], 4*nsteps
+				}
+				for i, w := range row[from:] {
+					s += w * x[from+i]
+				}
+				z[j] = l.Act.apply(s)
+			}
+		}
+	}
+}
+
 // Backprop performs one SGD step given dLoss/dOutput evaluated at the current
 // forward pass of x. It recomputes the forward pass internally.
 func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
@@ -816,43 +902,51 @@ func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
 	for j, g := range outGrad[:len(y)] {
 		m.deltas[last][j] = g * m.Layers[last].Act.derivFromOutput(y[j])
 	}
-	m.backprop(in, lr)
+	m.backprop(in, lr, nil)
 }
 
-// backprop applies one SGD step from the output deltas the caller has left
-// in m.deltas[last], using the hidden activations left in m.acts by the
+// backprop applies one SGD step from the output deltas the caller has left in
+// m.deltas[last], using the hidden activations left in m.acts by the
 // immediately preceding forward call on x, avoiding a duplicate forward pass.
-// Callers must not have mutated weights since that forward.
-func (m *MLP) backprop(x SparseVec, lr float64) {
-	last := len(m.Layers) - 1
-	// Propagate deltas backwards. The accumulation runs k-outer over the
-	// next layer's neurons: each delta[j] still sums its terms in ascending
-	// k order — bit-identical to the j-outer formulation — but zero deltas
-	// (all but one output under Q-learning's single-action gradient) skip
-	// their entire weight row, and the rows are walked contiguously.
+// Callers must not have mutated weights since that forward. nz lists the
+// outputs whose deltas may be non-zero (nil: any of them); the others must be
+// zero, and are not read past layer 0.
+//
+// Deltas propagate k-outer over the next layer's neurons: each delta[j] still
+// sums its terms in ascending k order, bit-identical to the j-outer loop, and
+// a zero delta (all but one output under Q-learning's single-action gradient)
+// skips its weight row, as it skips its row in the update. Past layer 0 a
+// network with a store runs those row loops, and the sigmoid's derivative, on
+// the AVX2 kernels, each operation rounded as the Go loop beside it rounds it;
+// the Go loops are the path without kernels and the oracle.
+func (m *MLP) backprop(x SparseVec, lr float64, nz []int) {
+	last, vec := len(m.Layers)-1, m.store != nil
 	for l := last - 1; l >= 0; l-- {
 		layer, next := m.Layers[l], m.Layers[l+1]
-		outs := m.acts[l+1]
-		dl := m.deltas[l][:layer.Out]
-		for j := range dl {
-			dl[j] = 0
-		}
-		for k := 0; k < next.Out; k++ {
+		dl, y := m.deltas[l][:layer.Out], m.acts[l+1][:layer.Out]
+		clear(dl)
+		for _, k := range m.nonZero(l+1, nz) {
 			d := m.deltas[l+1][k]
 			if d == 0 {
 				continue
 			}
-			row := next.W[k*next.In : (k+1)*next.In]
-			dl := dl[:len(row)]
+			row := next.W[k*next.In:][:len(dl)]
+			if vec {
+				axpy(&dl[0], &row[0], d, len(dl))
+				continue
+			}
 			for j, w := range row {
 				dl[j] += w * d
 			}
 		}
+		if vec && layer.Act == Sigmoid {
+			sigmoidGrad(&dl[0], &y[0], len(dl))
+			continue
+		}
 		for j := range dl {
-			dl[j] *= layer.Act.derivFromOutput(outs[j])
+			dl[j] *= layer.Act.derivFromOutput(y[j])
 		}
 	}
-	// Apply gradients.
 	if f := m.store; f != nil {
 		f.update(m.deltas[0], x.Idx, x.Val, lr)
 		m.stale = true
@@ -860,20 +954,33 @@ func (m *MLP) backprop(x SparseVec, lr float64) {
 		m.Layers[0].updateSparse(m.deltas[0], x, lr)
 	}
 	for l := 1; l <= last; l++ {
-		layer, in := m.Layers[l], m.acts[l]
-		for j := 0; j < layer.Out; j++ {
+		layer := m.Layers[l]
+		in := m.acts[l][:layer.In]
+		for _, j := range m.nonZero(l, nz) {
 			d := m.deltas[l][j]
 			if d == 0 {
 				continue
 			}
-			row := layer.W[j*layer.In : (j+1)*layer.In]
-			step := lr * d
-			for i := range row {
-				row[i] -= step * in[i]
+			row, step := layer.W[j*layer.In:][:len(in)], lr*d
+			if vec {
+				axpy(&row[0], &in[0], -step, len(row))
+			} else {
+				for i := range row {
+					row[i] -= step * in[i]
+				}
 			}
 			layer.B[j] -= step
 		}
 	}
+}
+
+// nonZero lists the neurons of layer l whose deltas backprop must look at:
+// nz's outputs for the last layer when the caller named them, else all.
+func (m *MLP) nonZero(l int, nz []int) []int {
+	if l == len(m.Layers)-1 && nz != nil {
+		return nz
+	}
+	return m.every[:m.Layers[l].Out]
 }
 
 // updateSparse is layer 0's SGD step: w[j][i] -= lr*delta[j]*x[i] for the
@@ -941,7 +1048,7 @@ func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
 		m.deltas[last][j] = e * m.Layers[last].Act.derivFromOutput(y[j])
 		loss += 0.5 * e * e
 	}
-	m.backprop(in, lr)
+	m.backprop(in, lr, nil)
 	return loss
 }
 
@@ -961,8 +1068,8 @@ func (m *MLP) TrainActionSparse(x SparseVec, action int, target, lr float64) flo
 }
 
 // trainAction computes the action's output alone: the other outputs are not
-// needed for a gradient that is zero, and their deltas are set to zero
-// directly.
+// needed for a gradient that is zero, their deltas are set to zero directly,
+// and backprop is told that the action's is the one to look at.
 func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 	if n := m.OutputSize(); action < 0 || action >= n {
 		panic(fmt.Sprintf("nn: action %d out of range %d", action, n))
@@ -973,7 +1080,7 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 	last := len(m.Layers) - 1
 	clear(m.deltas[last])
 	m.deltas[last][action] = e * m.Layers[last].Act.derivFromOutput(y[action])
-	m.backprop(x, lr)
+	m.backprop(x, lr, want[:])
 	return e * e
 }
 

@@ -148,7 +148,7 @@ func BenchmarkHotMLPForwardBatchSparse32(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.ForwardBatchFastSparse(xs)
+		m.ForwardBatchFastSparse(xs, nil)
 	}
 }
 

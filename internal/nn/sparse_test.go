@@ -471,14 +471,14 @@ func TestForwardBatchSparseMatchesDense(t *testing.T) {
 			for b, row := range exactRef {
 				requireSameBits(t, "ForwardBatch row vs dense steps", exact[b], row)
 			}
-			for b, row := range m.forwardBatch(svs, false) {
+			for b, row := range m.forwardBatch(svs, nil, false) {
 				requireSameBits(t, "exact kernel on sparse inputs vs dense steps", row, exactRef[b])
 			}
 			fastRef := denseStepBatch(m, xs, hasFMAKernel)
 			for b, row := range m.ForwardBatchFast(xs) {
 				requireSameBits(t, "ForwardBatchFast row vs dense steps", row, fastRef[b])
 			}
-			fast := m.ForwardBatchFastSparse(svs)
+			fast := m.ForwardBatchFastSparse(svs, nil)
 			for b, row := range fastRef {
 				requireSameBits(t, "ForwardBatchFastSparse row vs dense steps", fast[b], row)
 			}
@@ -539,13 +539,13 @@ func FuzzForwardSparseMatchesDense(f *testing.F) {
 			xs = append(xs, x)
 			svs = append(svs, listed(x, func(i int) bool { return explicit[i] }))
 		}
-		exact, fast := sp.forwardBatch(svs, false), denseStepBatch(ref, xs, hasFMAKernel)
+		exact, fast := sp.forwardBatch(svs, nil, false), denseStepBatch(ref, xs, hasFMAKernel)
 		for b, row := range m.ForwardBatch(xs) {
 			want := denseForward(ref, xs[b])
 			requireSameBits(t, "ForwardBatch row", row, want)
 			requireSameBits(t, "exact batch kernel on sparse inputs", exact[b], want)
 		}
-		for b, row := range sp.ForwardBatchFastSparse(svs) {
+		for b, row := range sp.ForwardBatchFastSparse(svs, nil) {
 			requireSameBits(t, "ForwardBatchFastSparse row", row, fast[b])
 		}
 		nout := m.OutputSize()

@@ -1,7 +1,9 @@
 // AVX2 kernels for layer 0 stored input-major (store.go): one listed input's
 // weights to four neighbouring neurons are one 256-bit load, so a pass over the
 // input list advances every neuron's sum at once, and the SGD step of a listed
-// input is one contiguous row. See spmvExact, spmvFused and spmvUpdate in
+// input is one contiguous row. Below them, the backward pass's vector loops
+// (spmvSteps for the layer-0 update's prologue, axpy and sigmoidGrad for the
+// layers past it), each operation rounded as its scalar loop rounds it. See
 // gemm_amd64.go for the Go-level contracts.
 //
 // All three keep up to twelve groups of four neurons in Y0..Y11 and walk a list
@@ -183,15 +185,15 @@ xdone:
 	VZEROUPPER
 	RET
 
-// func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, q int, cnt *[4]int, lanes *[4][48]float64) bool
-TEXT ·spmvFused(SB), NOSPLIT, $0-89
+// func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n, q int, bidx *int32, bval *float64, cnt *[4]int, lanes *[4][48]float64) bool
+TEXT ·spmvFused(SB), NOSPLIT, $0-113
 
 // FUSED is spmvFused's lane loop for one group count: for each of the four
 // lanes, in order, the accumulators start at +0, take the lane's entries, and
 // are stored in the lane's row of the scratch. DX and DI are the lane's index
 // and value regions, R12 its entry count, R10 its scratch row, R13 counts the
 // lanes left. (Defined inside the function because it names an argument: go
-// vet reads q+64(FP) against the TEXT line above it.)
+// vet reads q+72(FP) against the TEXT line above it.)
 #define FUSED(zero, terms, store, entry, loop, out) \
 entry: \
 	zero; \
@@ -203,7 +205,7 @@ entry: \
 	ENTRIES(terms, loop, fbad); \
 out: \
 	store; \
-	MOVQ q+64(FP), AX; \
+	MOVQ q+72(FP), AX; \
 	LEAQ (DX)(AX*4), DX; \
 	LEAQ (DI)(AX*8), DI; \
 	ADDQ $8, R12; \
@@ -212,14 +214,46 @@ out: \
 	JNZ  entry; \
 	JMP  combine
 
+	// Bucket the list: entry e goes to slot lane*q + cnt[lane] of bidx and
+	// bval, lane = idx[e] mod 4, so each lane keeps list order.
+	MOVQ idx+48(FP), BX
+	MOVQ val+56(FP), R11
+	MOVQ n+64(FP), CX
+	MOVQ q+72(FP), R13
+	MOVQ bidx+80(FP), DX
+	MOVQ bval+88(FP), DI
+	MOVQ cnt+96(FP), R12
+	MOVQ $0, (R12)
+	MOVQ $0, 8(R12)
+	MOVQ $0, 16(R12)
+	MOVQ $0, 24(R12)
+	TESTQ CX, CX
+	JZ   bucketed
+
+bucket:
+	MOVL (BX), AX
+	MOVQ AX, R10
+	ANDQ $3, R10                   // lane
+	MOVQ (R12)(R10*8), R9          // entries the lane holds so far
+	CMPQ R9, R13
+	JAE  fbad                      // a full lane: the list is not ascending
+	INCQ (R12)(R10*8)
+	IMULQ R13, R10
+	ADDQ R9, R10                   // the entry's slot
+	MOVL AX, (DX)(R10*4)
+	MOVQ (R11), R9
+	MOVQ R9, (DI)(R10*8)
+	ADDQ $4, BX
+	ADDQ $8, R11
+	DECQ CX
+	JNZ  bucket
+
+bucketed:
 	MOVQ w+16(FP), SI
 	MOVQ stride+24(FP), R8
 	SHLQ $3, R8
 	MOVQ rows+32(FP), R9
-	MOVQ idx+48(FP), DX
-	MOVQ val+56(FP), DI
-	MOVQ cnt+72(FP), R12
-	MOVQ lanes+80(FP), R10
+	MOVQ lanes+104(FP), R10
 	MOVQ $4, R13
 	MOVQ groups+40(FP), AX
 	CMPQ AX, $11
@@ -262,7 +296,7 @@ combine:
 	// its four lanes, then the bias.
 	MOVQ z+0(FP), DI
 	MOVQ b+8(FP), DX
-	MOVQ lanes+80(FP), R10
+	MOVQ lanes+104(FP), R10
 	MOVQ groups+40(FP), CX
 cloop:
 	VMOVUPD (R10), Y0
@@ -277,12 +311,12 @@ cloop:
 	ADDQ $32, DI
 	DECQ CX
 	JNZ  cloop
-	MOVB $1, ret+88(FP)
+	MOVB $1, ret+112(FP)
 	VZEROUPPER
 	RET
 
 fbad:
-	MOVB $0, ret+88(FP)
+	MOVB $0, ret+112(FP)
 	VZEROUPPER
 	RET
 
@@ -343,5 +377,108 @@ TEXT ·spmvUpdate(SB), NOSPLIT, $0-65
 udone:
 	TESTQ CX, CX                   // entries left: the walk stopped at a bad index
 	SETEQ ret+64(FP)
+	VZEROUPPER
+	RET
+
+// func spmvSteps(step, b, delta *float64, lr float64, groups int) int
+//
+// Per group of four: step = lr*delta; b - step where delta != 0, b where it is
+// zero (VCMPPD's equal-ordered predicate: a NaN delta is not zero); and the
+// zero deltas counted from the comparison's sign mask.
+TEXT ·spmvSteps(SB), NOSPLIT, $0-48
+	MOVQ step+0(FP), DI
+	MOVQ b+8(FP), SI
+	MOVQ delta+16(FP), DX
+	VBROADCASTSD lr+24(FP), Y15
+	MOVQ groups+32(FP), CX
+	VXORPD Y14, Y14, Y14
+	XORQ BX, BX
+
+sloop:
+	VMOVUPD (DX), Y0
+	VMULPD Y0, Y15, Y1             // lr*delta
+	VMOVUPD Y1, (DI)
+	VCMPPD $0, Y14, Y0, Y2         // delta == 0
+	VMOVUPD (SI), Y3
+	VSUBPD Y1, Y3, Y4              // b - step
+	VBLENDVPD Y2, Y3, Y4, Y4       // b where delta == 0
+	VMOVUPD Y4, (SI)
+	VMOVMSKPD Y2, AX
+	POPCNTL AX, AX
+	ADDQ AX, BX
+	ADDQ $32, DI
+	ADDQ $32, SI
+	ADDQ $32, DX
+	DECQ CX
+	JNZ  sloop
+	MOVQ BX, ret+40(FP)
+	VZEROUPPER
+	RET
+
+// func axpy(y, x *float64, a float64, n int)
+TEXT ·axpy(SB), NOSPLIT, $0-32
+	MOVQ y+0(FP), DI
+	MOVQ x+8(FP), SI
+	VBROADCASTSD a+16(FP), Y15
+	MOVQ n+24(FP), CX
+	XORQ AX, AX
+
+aloop:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   atail                     // fewer than four left
+	VMULPD (SI)(AX*8), Y15, Y0     // x*a, rounded
+	VADDPD (DI)(AX*8), Y0, Y0      // y + that
+	VMOVUPD Y0, (DI)(AX*8)
+	MOVQ DX, AX
+	JMP  aloop
+
+atail:
+	CMPQ AX, CX
+	JGE  adone
+	VMULSD (SI)(AX*8), X15, X0
+	VADDSD (DI)(AX*8), X0, X0
+	VMOVSD X0, (DI)(AX*8)
+	INCQ AX
+	JMP  atail
+
+adone:
+	VZEROUPPER
+	RET
+
+// func sigmoidGrad(d, y *float64, n int)
+TEXT ·sigmoidGrad(SB), NOSPLIT, $0-24
+	MOVQ d+0(FP), DI
+	MOVQ y+8(FP), SI
+	MOVQ n+16(FP), CX
+	MOVQ $0x3ff0000000000000, AX   // 1.0
+	MOVQ AX, X15
+	VBROADCASTSD X15, Y15
+	XORQ AX, AX
+
+gloop:
+	LEAQ 4(AX), DX
+	CMPQ DX, CX
+	JG   gtail                     // fewer than four left
+	VMOVUPD (SI)(AX*8), Y0
+	VSUBPD Y0, Y15, Y1             // 1 - y
+	VMULPD Y1, Y0, Y1              // y * (1-y)
+	VMULPD (DI)(AX*8), Y1, Y1      // d * that
+	VMOVUPD Y1, (DI)(AX*8)
+	MOVQ DX, AX
+	JMP  gloop
+
+gtail:
+	CMPQ AX, CX
+	JGE  gdone
+	VMOVSD (SI)(AX*8), X0
+	VSUBSD X0, X15, X1
+	VMULSD X1, X0, X1
+	VMULSD (DI)(AX*8), X1, X1
+	VMOVSD X1, (DI)(AX*8)
+	INCQ AX
+	JMP  gtail
+
+gdone:
 	VZEROUPPER
 	RET

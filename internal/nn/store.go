@@ -24,9 +24,9 @@ type inputMajor struct {
 	// step is the update's lr*delta per neuron.
 	step []float64
 
-	// The fused kernel's input: an input list's entries below in&^3 bucketed
-	// by lane (index mod 4), lane k's from bidx[k*q] and bval[k*q], where
-	// q = in/4 is the most indices a lane has; and its scratch.
+	// The fused kernel's scratch: where it buckets an input list's entries
+	// below in&^3 by lane (index mod 4), lane k's from bidx[k*q] and
+	// bval[k*q], q = in/4 being the most indices a lane has; and its lanes.
 	q     int
 	bidx  []int32
 	bval  []float64
@@ -34,9 +34,11 @@ type inputMajor struct {
 }
 
 // errSparseIndex is the panic of a kernel that was handed an index outside
-// [0, in): checkSparse sees the first and the last index only, and where a Go
-// loop would run into a bounds check a kernel would read, or write, outside w.
-const errSparseIndex = "nn: sparse input index outside the layer's inputs"
+// [0, in), or a list so far from ascending that a lane of the fused kernel
+// overflows: checkSparse sees the first and the last index only, and where a Go
+// loop would run into a bounds check a kernel would read, or write, outside its
+// arrays.
+const errSparseIndex = "nn: sparse input index outside the layer's inputs, or out of order"
 
 // newInputMajor returns the store of a layer of l's shape, all +0.
 func newInputMajor(l *Layer) *inputMajor {
@@ -93,6 +95,7 @@ func (f *inputMajor) exact(z, init []float64, idx []int32, val []float64) {
 // lane chains of fused multiply-adds over the entries below in&^3, reduced and
 // added to the bias, then the in%4 tail in exact order; and an odd last neuron,
 // which the tile kernel leaves to the scalar loop, in exact order throughout.
+// The kernel buckets the entries by lane itself, once per pass.
 func (f *inputMajor) fused(z []float64, idx []int32, val []float64) {
 	n := len(idx)
 	for tail := int32(f.in &^ 3); n > 0 && idx[n-1] >= tail; n-- {
@@ -102,18 +105,9 @@ func (f *inputMajor) fused(z []float64, idx []int32, val []float64) {
 		return
 	}
 	var cnt [4]int
-	for e, i := range idx[:n] {
-		k := int(i) & 3
-		p := k*f.q + cnt[k]
-		f.bidx[p], f.bval[p] = i, val[e]
-		cnt[k]++
-	}
-	if max(cnt[0], cnt[1], cnt[2], cnt[3]) > f.q {
-		panic("nn: sparse input indices are not strictly ascending")
-	}
 	for c := 0; c < f.width; c += 4 * f.per {
 		g := min(f.per, (f.width-c)/4)
-		if !spmvFused(&z[c], &f.b[c], &f.w[c], f.width, f.in, g, &f.bidx[0], &f.bval[0], f.q, &cnt, &f.lanes) {
+		if !spmvFused(&z[c], &f.b[c], &f.w[c], f.width, f.in, g, &idx[0], &val[0], n, f.q, &f.bidx[0], &f.bval[0], &cnt, &f.lanes) {
 			panic(errSparseIndex)
 		}
 	}
@@ -150,25 +144,18 @@ func (f *inputMajor) forwardBatch(xs []SparseVec, next []float64, fma bool) {
 
 // update is the layer's SGD step, Layer.updateSparse's on this layout and with
 // its bits: w[i][j] -= (lr*delta[j])*x[i] for the listed inputs, the product
-// rounded before it is subtracted, and b[j] -= lr*delta[j]. A neuron whose
-// delta is zero keeps its weights as they are, -0 included, which a step of
-// lr*0 would not (-0 - -0 is +0): a call with such a neuron, rare behind a
-// sigmoid, takes its rows in Go; every other call goes to the kernel, one
-// listed input's row at a time, where a padding column's step is +-0 and its
-// weight stays +0. Either way an index outside [0, in) panics before anything
-// is stored for it.
+// rounded before it is subtracted, and b[j] -= lr*delta[j]. delta is out long
+// with room for width, +0 past out. spmvSteps computes the steps, steps the
+// biases of the non-zero deltas and counts the zero ones. A neuron whose delta
+// is zero keeps its weights as they are, -0 included, which a step of lr*0
+// would not (-0 - -0 is +0): a call with such a neuron, rare behind a sigmoid,
+// takes its rows in Go; every other call goes to the kernel, one listed input's
+// row at a time, where a padding column's step is +-0 and its weight stays +0.
+// Either way an index outside [0, in) panics before anything is stored for it.
 func (f *inputMajor) update(delta []float64, idx []int32, val []float64, lr float64) {
 	val = val[:len(idx)]
-	step, zero := f.step[:f.out], false
-	for j, d := range delta[:f.out] {
-		step[j] = lr * d
-		if d == 0 {
-			zero = true
-		} else {
-			f.b[j] -= step[j]
-		}
-	}
-	if zero {
+	if zeros := spmvSteps(&f.step[0], &f.b[0], &delta[:f.width][0], lr, f.width/4); zeros > f.width-f.out {
+		step := f.step[:f.out]
 		for e, i := range idx {
 			if uint(i) >= uint(f.in) {
 				panic(errSparseIndex)

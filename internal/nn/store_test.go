@@ -17,12 +17,15 @@ import (
 // Off amd64 or without AVX2+FMA both twins are portable and the tests pass
 // trivially.
 
-// trainedShapes are the networks the differential tests train: the APU and
-// mesh agents', then shapes around the update kernel's edges.
-var trainedShapes = []struct {
+// trainedShape is a network's layer sizes and activations.
+type trainedShape struct {
 	sizes []int
 	acts  []Activation
-}{
+}
+
+// trainedShapes are the networks the differential tests train: the APU and
+// mesh agents', then shapes around the update kernel's edges.
+var trainedShapes = []trainedShape{
 	{[]int{504, 42, 42}, []Activation{Sigmoid, LeakyReLU}},
 	{[]int{60, 15, 15}, []Activation{Sigmoid, LeakyReLU}}, // odd last neuron, width padded by one
 	{[]int{9, 7, 3}, []Activation{ReLU, Identity}},        // in%4 != 0; a ReLU hidden layer makes zero deltas
@@ -92,8 +95,10 @@ func requireStoreIs(t *testing.T, what string, st, ref *MLP) {
 // checkTrainedTwins trains twins of the given shape for steps calls drawn from
 // rng — every training entry point, interleaved with batched inference,
 // CopyFrom into a second pair that training then continues on, and
-// write-backs — and compares them after every call.
-func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activation, saturate bool, steps int) {
+// write-backs — and compares them after every call. With zeroErr every other
+// training call aims at the output the network gives, so that its error, and
+// every delta behind it, is exactly zero.
+func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activation, saturate, zeroErr bool, steps int) {
 	t.Helper()
 	st, ref := trainedTwins(rng, sizes, acts, saturate)
 	st2 := st.Clone()
@@ -119,7 +124,12 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 		}
 		lr := []float64{0.05, 0.5, 0}[rng.Intn(3)]
 		a, target := rng.Intn(nout), rng.NormFloat64()
-		what := fmt.Sprintf("%v saturate=%t step %d", sizes, saturate, step)
+		if zeroErr && step%2 == 0 {
+			y := ref.ForwardSparse(sv, nil)
+			target = y[a]
+			copy(vec, y) // TrainMSE's target; Backprop's gradient is then zero
+		}
+		what := fmt.Sprintf("%v saturate=%t zeroErr=%t step %d", sizes, saturate, zeroErr, step)
 		switch op := rng.Intn(9); op {
 		case 0, 1:
 			what += ": TrainActionSparse"
@@ -132,6 +142,9 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 			sameLoss(what, st.TrainMSE(x, vec, lr), ref.TrainMSE(x, vec, lr))
 		case 4:
 			what += ": Backprop"
+			if zeroErr && step%2 == 0 {
+				clear(vec)
+			}
 			st.Backprop(x, vec, lr)
 			ref.Backprop(x, vec, lr)
 		case 5, 6:
@@ -140,7 +153,7 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 			for b := range batch {
 				batch[b] = xs[rng.Intn(len(xs))]
 			}
-			got, want := st.ForwardBatchFastSparse(batch), ref.ForwardBatchFastSparse(batch)
+			got, want := st.ForwardBatchFastSparse(batch, nil), ref.ForwardBatchFastSparse(batch, nil)
 			for b := range want {
 				requireSameBits(t, fmt.Sprintf("%s row %d", what, b), got[b], want[b])
 			}
@@ -179,10 +192,14 @@ func diverged(m *MLP) bool {
 }
 
 func TestTrainedStoreMatchesRowMajor(t *testing.T) {
-	for k, shape := range trainedShapes {
-		for _, saturate := range []bool{false, true} {
+	// A three-layer network besides trainedShapes: two hidden layers, the
+	// second behind a derivative the kernels leave to Go.
+	shapes := append(trainedShapes[:len(trainedShapes):len(trainedShapes)],
+		trainedShape{[]int{20, 11, 6, 5}, []Activation{Sigmoid, Tanh, LeakyReLU}})
+	for k, shape := range shapes {
+		for _, c := range []struct{ saturate, zeroErr bool }{{false, false}, {true, false}, {false, true}} {
 			rng := rand.New(rand.NewSource(int64(7 + k)))
-			checkTrainedTwins(t, rng, shape.sizes, shape.acts, saturate, 60)
+			checkTrainedTwins(t, rng, shape.sizes, shape.acts, c.saturate, c.zeroErr, 60)
 		}
 	}
 }
@@ -190,12 +207,13 @@ func TestTrainedStoreMatchesRowMajor(t *testing.T) {
 // FuzzTrainedStoreMatchesRowMajor is TestTrainedStoreMatchesRowMajor on a
 // network, inputs and calls drawn from the seed: shape picks one of
 // trainedShapes or, past them, random widths up to 40 -> 60 -> 9 behind random
-// activations.
+// activations; third puts one more layer of random width and activation
+// behind that, and zeroErr makes every other training call's error zero.
 func FuzzTrainedStoreMatchesRowMajor(f *testing.F) {
 	for shape := 0; shape <= len(trainedShapes); shape++ {
-		f.Add(int64(shape+1), uint8(shape), uint8(20+shape), shape%2 == 1)
+		f.Add(int64(shape+1), uint8(shape), uint8(20+shape), shape%2 == 1, shape%3 == 2, shape%4 == 3)
 	}
-	f.Fuzz(func(t *testing.T, seed int64, shape, steps uint8, saturate bool) {
+	f.Fuzz(func(t *testing.T, seed int64, shape, steps uint8, saturate, third, zeroErr bool) {
 		rng := rand.New(rand.NewSource(seed))
 		all := []Activation{Identity, Sigmoid, ReLU, Tanh, LeakyReLU}
 		sizes := []int{1 + rng.Intn(40), 1 + rng.Intn(60), 1 + rng.Intn(9)}
@@ -205,7 +223,11 @@ func FuzzTrainedStoreMatchesRowMajor(f *testing.F) {
 		} else if k == len(trainedShapes) {
 			sizes, acts = sizes[:2], acts[:1]
 		}
-		checkTrainedTwins(t, rng, sizes, acts, saturate, int(steps)%48)
+		if third {
+			sizes = append(sizes[:len(sizes):len(sizes)], 1+rng.Intn(9))
+			acts = append(acts[:len(acts):len(acts)], all[rng.Intn(len(all))])
+		}
+		checkTrainedTwins(t, rng, sizes, acts, saturate, zeroErr, int(steps)%48)
 	})
 }
 
@@ -247,7 +269,7 @@ func TestUpdateKeepsInsideTheStore(t *testing.T) {
 				}()
 				// The forward pass of a training call would stop at the index
 				// first; the update is what is under test.
-				delta := make([]float64, f.out)
+				delta := make([]float64, f.out, f.width)
 				for j := range delta {
 					delta[j] = float64(j+1) / 16
 				}
@@ -310,7 +332,7 @@ func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
 			requireSelectedOutputs(t, what+": ForwardSparse", m, sv, []int{step % nout}, ref.ForwardSparse(sv, nil))
 			for name, run := range map[string]func(m *MLP) [][]float64{
 				"ForwardBatch":           func(m *MLP) [][]float64 { return m.ForwardBatch([][]float64{x, x, x, x, x}) },
-				"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse([]SparseVec{sv, sv, sv, sv, sv}) },
+				"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse([]SparseVec{sv, sv, sv, sv, sv}, nil) },
 			} {
 				got, want := run(m), run(ref)
 				for b := range want {

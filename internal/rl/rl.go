@@ -188,10 +188,11 @@ type DQL struct {
 
 	steps int64
 
-	// batch and nextStates are TrainBatch scratch, grown once and reused so
-	// steady-state training performs zero heap allocations.
+	// batch, nextStates and nextValid are TrainBatch scratch, grown once and
+	// reused so steady-state training performs zero heap allocations.
 	batch      []*Experience
 	nextStates []nn.SparseVec
+	nextValid  [][]int
 }
 
 // NewDQL wraps an online network with a target copy and replay memory.
@@ -225,19 +226,21 @@ func (d *DQL) Observe(e Experience) { d.Replay.Add(e) }
 // squared TD error of the batch and is a no-op returning 0 when replay is
 // empty.
 //
-// Target-network inference is batched through ForwardBatchFastSparse for
-// speed, in chunks that never straddle a target-network sync: every experience
-// sees the exact target weights the one-forward-per-experience loop would have
-// used. Where nn has its kernels both networks keep layer 0 input-major (see
-// nn.MLP, "Layer 0 storage"): a sync's CopyFrom is one copy between the two
-// stores, and Target.Layers[0].W, like Online's, is current only after its
-// WriteBack. On amd64 with AVX2 the fast path's FMA
-// contraction may perturb target Q-values by a few ULPs relative to a
-// sequential forward pass — deterministic for a given platform and seed, but
-// trajectories are pinned per-platform rather than cross-platform. The
-// returned rows alias the target network's batch scratch; each chunk is fully
-// consumed (Bellman max extracted) before the next chunk's batched call
-// invalidates them.
+// The target network's Q-values are computed by one ForwardBatchFastSparse
+// call per chunk of the batch, a chunk never straddling a target sync, so
+// every experience sees the target weights a one-forward-per-experience loop
+// would have used. Each non-terminal experience asks for the outputs its
+// NextValid lists, the ones the Bellman max reads (all of them when it lists
+// none): on the APU traffic 2 or 3 of 42. A listed Q-value has the bits the
+// all-outputs call gives it. On amd64 with AVX2 that call's FMA contraction may
+// perturb target Q-values by a few ULPs relative to a sequential forward pass,
+// deterministically for a given platform and seed, so trajectories are pinned
+// per platform. Where nn has its kernels both networks keep layer 0
+// input-major (see nn.MLP, "Layer 0 storage"): a sync's CopyFrom is one copy
+// between the two stores, and Target.Layers[0].W, like Online's, is current
+// only after its WriteBack. The returned rows alias the target network's batch
+// scratch; each chunk is consumed (Bellman max extracted) before the next
+// chunk's call invalidates them.
 func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	if d.Replay.Len() == 0 {
 		return 0
@@ -247,6 +250,7 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 	if cap(d.batch) < n {
 		d.batch = make([]*Experience, n)
 		d.nextStates = make([]nn.SparseVec, n)
+		d.nextValid = make([][]int, n)
 	}
 	batch := d.batch[:n]
 	d.Replay.SampleInto(rng, batch)
@@ -259,13 +263,13 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 			}
 		}
 		// Batched target inference for this chunk's non-terminal successors.
-		ns := d.nextStates[:0]
+		ns, nv := d.nextStates[:0], d.nextValid[:0]
 		for _, e := range batch[start : start+chunk] {
 			if !e.Terminal {
-				ns = append(ns, e.Next)
+				ns, nv = append(ns, e.Next), append(nv, e.NextValid)
 			}
 		}
-		qs := d.Target.ForwardBatchFastSparse(ns)
+		qs := d.Target.ForwardBatchFastSparse(ns, nv)
 		qi := 0
 		for _, e := range batch[start : start+chunk] {
 			target := e.Reward

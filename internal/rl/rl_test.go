@@ -319,6 +319,88 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 	}
 }
 
+// trainBatchFullRows is TrainBatch with every successor's Q-row computed in
+// full (outs nil) before the Bellman max: the same draws, chunks and syncs.
+func trainBatchFullRows(d *DQL, rng *rand.Rand) float64 {
+	batch := d.Replay.Sample(rng, d.Cfg.BatchSize)
+	total := 0.0
+	for start := 0; start < len(batch); {
+		chunk := min(len(batch)-start, int(d.Cfg.SyncEvery-d.steps%d.Cfg.SyncEvery))
+		var ns []nn.SparseVec
+		for _, e := range batch[start : start+chunk] {
+			if !e.Terminal {
+				ns = append(ns, e.Next)
+			}
+		}
+		qs := d.Target.ForwardBatchFastSparse(ns, nil)
+		for _, e := range batch[start : start+chunk] {
+			target := e.Reward
+			if !e.Terminal {
+				target += d.Cfg.Gamma * bootstrap(qs[0], e.NextValid)
+				qs = qs[1:]
+			}
+			total += d.Online.TrainActionSparse(e.State, e.Action, target, d.Cfg.LR)
+			if d.steps++; d.steps%d.Cfg.SyncEvery == 0 {
+				d.Target.CopyFrom(d.Online)
+			}
+		}
+		start += chunk
+	}
+	return total / float64(len(batch))
+}
+
+// TestTrainBatchMatchesFullRows: TrainBatch asks the target network for each
+// successor's NextValid outputs alone, and must train exactly as a learner
+// that computes every Q-value: the same loss after every batch and the same
+// weights, bit for bit, over batches of 13 that straddle a target sync every
+// 37 steps, terminal experiences, successors without a NextValid (a max over
+// all outputs) and NextValid lists of every length, repeats included.
+func TestTrainBatchMatchesFullRows(t *testing.T) {
+	build := func() *DQL {
+		d := NewDQL(newNet(41, 504, 42, 42), DQLConfig{
+			BatchSize: 13, ReplayCap: 400, SyncEvery: 37, LR: 0.05, Gamma: 0.7,
+		})
+		rng := rand.New(rand.NewSource(43))
+		for i := 0; i < d.Replay.Cap(); i++ {
+			e := Experience{
+				State:  sparse(sparseStateVec(rng, 504, 12, 1+rng.Intn(4))),
+				Action: rng.Intn(42),
+				Reward: rng.Float64(),
+				Next:   sparse(sparseStateVec(rng, 504, 12, rng.Intn(5))),
+			}
+			for k := rng.Intn(6); k > 0; k-- {
+				e.NextValid = append(e.NextValid, rng.Intn(42))
+			}
+			e.Terminal = i%11 == 3
+			d.Observe(e)
+		}
+		return d
+	}
+	got, want := build(), build()
+	rngGot, rngWant := rand.New(rand.NewSource(47)), rand.New(rand.NewSource(47))
+	for b := 0; b < 60; b++ {
+		if l, w := got.TrainBatch(rngGot), trainBatchFullRows(want, rngWant); math.Float64bits(l) != math.Float64bits(w) {
+			t.Fatalf("batch %d: loss %v, full-row reference %v", b, l, w)
+		}
+	}
+	if got.Steps() != want.steps || got.Steps() != 60*13 {
+		t.Fatalf("steps %d, reference %d", got.Steps(), want.steps)
+	}
+	for _, pair := range [][2]*nn.MLP{{got.Online, want.Online}, {got.Target, want.Target}} {
+		pair[0].WriteBack()
+		pair[1].WriteBack()
+		for l, layer := range pair[1].Layers {
+			for k, params := range [][2][]float64{{pair[0].Layers[l].W, layer.W}, {pair[0].Layers[l].B, layer.B}} {
+				for i, v := range params[1] {
+					if math.Float64bits(params[0][i]) != math.Float64bits(v) {
+						t.Fatalf("layer %d %s %d: %v, full-row reference %v", l, [2]string{"weight", "bias"}[k], i, params[0][i], v)
+					}
+				}
+			}
+		}
+	}
+}
+
 // TestTrainOfflineMatchesDenseReference: TrainOffline, which asks the target
 // network for the NextValid outputs only, leaves the online network with
 // exactly the weights of a loop that writes every state out densely, computes
