@@ -75,6 +75,7 @@ func main() {
 	check.NonNegative("-cycles", *cycles)
 	check.NonNegative("-warmup", *warmup)
 	check.Positive("-vcs", int64(*vcs))
+	check.AtMost("-vcs", int64(*vcs), noc.MaxVCs)
 	check.Positive("-bufcap", int64(*bufcap))
 	check.NonNegative("-watchdog", *watchdog)
 	check.Unit("-faults", *faults)

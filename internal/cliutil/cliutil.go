@@ -60,6 +60,13 @@ func (c *Check) AtLeast(name string, v, min int64) {
 	}
 }
 
+// AtMost requires v <= max.
+func (c *Check) AtMost(name string, v, max int64) {
+	if v > max {
+		c.fail("%s must be <= %d, got %d", name, max, v)
+	}
+}
+
 // AtLeastU requires v >= min.
 func (c *Check) AtLeastU(name string, v, min uint64) {
 	if v < min {

@@ -13,6 +13,7 @@ func TestCheckPasses(t *testing.T) {
 	c.Unit("-rate", 1)
 	c.Unit("-faults", 0)
 	c.AtLeast("-quadside", 4, 3)
+	c.AtMost("-vcs", 10, 10)
 	c.AtLeastU("-trace-sample", 1, 1)
 	c.OneOf("-scale", "quick", "quick", "full")
 	if err := c.Err(); err != nil {
@@ -46,6 +47,8 @@ func TestRejectionMessages(t *testing.T) {
 			"-faults must be in [0,1], got 1.5"},
 		{"atleast", func(c *Check) { c.AtLeast("-quadside", 2, 3) },
 			"-quadside must be >= 3, got 2"},
+		{"atmost", func(c *Check) { c.AtMost("-vcs", 11, 10) },
+			"-vcs must be <= 10, got 11"},
 		{"atleastu", func(c *Check) { c.AtLeastU("-trace-sample", 0, 1) },
 			"-trace-sample must be >= 1, got 0"},
 		{"oneof", func(c *Check) { c.OneOf("-scale", "huge", "quick", "full") },

@@ -319,7 +319,8 @@ func (t *TableRouting) rebuildUpDown() {
 	}
 }
 
-// Route implements noc.Routing.
+// Route implements noc.Routing. It reads only tables that rebuild on fault
+// events and writes only m's RouteBits, idempotently, as the contract asks.
 func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	dst := t.net.Node(m.Dst)
 	if dst.Router == r {
@@ -355,9 +356,7 @@ func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	return noc.PortID(p)
 }
 
-// ShardSafe implements noc.ShardSafeRouting. Route reads only tables that
-// rebuild on fault events (never during arbitration) and writes only the
-// queried message's RouteBits, idempotently, so its verdicts may be cached.
+// ShardSafe implements noc.ShardSafeRouting, a marker the engine ignores.
 func (t *TableRouting) ShardSafe() bool { return true }
 
 // WestFirstRouting is the west-first turn model with minimal adaptivity: all
@@ -428,6 +427,5 @@ func (w *WestFirstRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	return dst.Port
 }
 
-// ShardSafe implements noc.ShardSafeRouting: west-first consults only live
-// link state and never writes outside the queried message.
+// ShardSafe implements noc.ShardSafeRouting, a marker the engine ignores.
 func (w *WestFirstRouting) ShardSafe() bool { return true }

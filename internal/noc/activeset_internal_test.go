@@ -8,13 +8,12 @@ import (
 )
 
 // attachRouting is X-Y routing that declares a destination unreachable while
-// its attach link is down — verdicts are a pure function of (message
-// destination, live link state), so they may be cached per head, and fault
-// schedules can create and repair unreachable heads mid-run.
+// its attach link is down: verdicts are a pure function of (message
+// destination, live link state), and fault schedules can create and repair
+// unreachable heads mid-run.
 type attachRouting struct{}
 
-func (attachRouting) Name() string    { return "attach-xy" }
-func (attachRouting) ShardSafe() bool { return true }
+func (attachRouting) Name() string { return "attach-xy" }
 func (attachRouting) Route(r *Router, m *Message) PortID {
 	dst := r.net.nodes[m.Dst]
 	if dst.Router.linkDown[dst.Port] {
@@ -23,99 +22,44 @@ func (attachRouting) Route(r *Router, m *Message) PortID {
 	return r.XYPort(m)
 }
 
-// fullScanOpt makes a network walk every router and node every cycle; the
-// arbitration kernel is unchanged (see legacyOpt for the oracle).
-func fullScanOpt(net *Network) { net.SetActiveStepping(false) }
+// checkActiveTrace replays a pinnedTraces row with the activity bitmaps and
+// arbitration state recomputed brute-force before every step and after the
+// drain. The literals were recorded where the active-set walk was proven equal
+// to a full scan of every router, so the walk must still reach the same
+// deliveries while never skipping a router or node with work.
+func checkActiveTrace(t *testing.T, name string) {
+	net := lookupTrace(t, name).check(t, func(net *Network, cycle int) {
+		when := fmt.Sprintf("cycle %d", cycle)
+		checkBitmaps(t, net, when)
+		checkArbState(t, net, when)
+	})
+	checkBitmaps(t, net, "after drain")
+}
 
-// TestActiveSetInvariance pins the active-set contract: the mask kernel
-// produces delivery traces and stats bit-identical to the legacy full-scan
-// oracle, on mesh and torus, for an order-sensitive per-output policy and an
-// order-sensitive whole-router matcher — on the full-scan walk and on the
-// active-set walk.
+// TestActiveSetInvariance holds the active-set walk to the healthy mesh and
+// torus runs of an order-sensitive policy and matcher.
 func TestActiveSetInvariance(t *testing.T) {
-	cfgs := map[string]Config{
-		"mesh8x8":  {Width: 8, Height: 8, VCs: 3, BufferCap: 2},
-		"torus8x8": {Width: 8, Height: 8, VCs: 3, BufferCap: 2, Torus: true},
-	}
-	policies := map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}}
-	for cname, cfg := range cfgs {
-		for pname, pol := range policies {
-			t.Run(cname+"/"+pname, func(t *testing.T) {
-				base, baseLog := traceRun(t, pol, cfg, 600, nil, nil, legacyOpt)
-				net, log := traceRun(t, pol, cfg, 600, nil, nil, fullScanOpt)
-				requireIdentical(t, "full scan", base, baseLog, net, log)
-				net, log = traceRun(t, pol, cfg, 600, nil, nil)
-				requireIdentical(t, "active set", base, baseLog, net, log)
-			})
-		}
+	for _, name := range []string{"mesh8x8/policy", "mesh8x8/matcher", "torus8x8/policy", "torus8x8/matcher"} {
+		t.Run(name, func(t *testing.T) { checkActiveTrace(t, name) })
 	}
 }
 
-// TestActiveSetInvarianceFaulted runs the mid-run link-kill + freeze schedule
-// under built-in X-Y routing: the mask kernel must keep the faulty-mode rules
-// (frozen-router skip, attach-link injection block, routes re-derived at each
-// link transition) bit-identical to the legacy oracle, on both walks.
+// TestActiveSetInvarianceFaulted holds the walk to the mid-run link-kill and
+// freeze schedule, node (1,6)'s attach link included: frozen routers are
+// skipped, injection waits on a dead attach link and routes are re-derived at
+// each link transition.
 func TestActiveSetInvarianceFaulted(t *testing.T) {
-	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
-	faults := func(net *Network, cycle int) {
-		switch cycle {
-		case 200:
-			net.SetLinkDown(net.RouterAt(3, 3).ID(), PortEast, true)
-			net.SetLinkDown(net.RouterAt(4, 3).ID(), PortWest, true)
-			net.SetLinkDown(net.RouterAt(1, 6).ID(), PortCore, true)
-			net.FreezeRouter(net.RouterAt(5, 5).ID(), true)
-		case 450:
-			net.SetLinkDown(net.RouterAt(3, 3).ID(), PortEast, false)
-			net.SetLinkDown(net.RouterAt(4, 3).ID(), PortWest, false)
-			net.SetLinkDown(net.RouterAt(1, 6).ID(), PortCore, false)
-			net.FreezeRouter(net.RouterAt(5, 5).ID(), false)
-		}
-	}
-	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
-		t.Run(pname, func(t *testing.T) {
-			base, baseLog := traceRun(t, pol, cfg, 600, nil, faults, legacyOpt)
-			if base.FaultStats().Requeued == 0 {
-				t.Fatal("fault schedule requeued nothing; scenario is vacuous")
-			}
-			net, log := traceRun(t, pol, cfg, 600, nil, faults, fullScanOpt)
-			requireIdentical(t, "full scan", base, baseLog, net, log)
-			net, log = traceRun(t, pol, cfg, 600, nil, faults)
-			requireIdentical(t, "active set", base, baseLog, net, log)
-		})
+	for _, pname := range []string{"policy", "matcher"} {
+		t.Run(pname, func(t *testing.T) { checkActiveTrace(t, "faulted-core/"+pname) })
 	}
 }
 
-// TestActiveSetInvarianceUnreachable drives a run where a fault schedule makes
-// buffered heads unreachable mid-flight (attach link killed, later repaired)
-// under a routing with cacheable verdicts: routing each head once and evicting
-// from that pass must find and evict exactly the same messages, in the same
-// order, as the legacy oracle's unconditional per-cycle sweep — for a policy
-// and for a matcher, on the full-scan walk and on the active set.
+// TestActiveSetInvarianceUnreachable holds the walk to a run whose fault
+// schedule makes buffered heads unreachable mid-flight under attachRouting:
+// routing each head once must evict exactly the pinned messages.
 func TestActiveSetInvarianceUnreachable(t *testing.T) {
-	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
-	faults := func(net *Network, cycle int) {
-		// Node 10's attach port: in-flight traffic toward it becomes
-		// unreachable at 150 and routable again at 400.
-		r := net.Node(10).Router
-		switch cycle {
-		case 150:
-			net.SetLinkDown(r.ID(), net.Node(10).Port, true)
-		case 400:
-			net.SetLinkDown(r.ID(), net.Node(10).Port, false)
-		}
-	}
-	for pname, pol := range map[string]Policy{"policy": orderPolicy{}, "matcher": orderMatcher{}} {
-		t.Run(pname, func(t *testing.T) {
-			base, baseLog := traceRun(t, pol, cfg, 600, attachRouting{}, faults, legacyOpt)
-			if base.FaultStats().Unreachable == 0 {
-				t.Fatal("no unreachable evictions; eviction path not exercised")
-			}
-			net, log := traceRun(t, pol, cfg, 600, attachRouting{}, faults, fullScanOpt)
-			requireIdentical(t, "full scan", base, baseLog, net, log)
-			net, log = traceRun(t, pol, cfg, 600, attachRouting{}, faults)
-			requireIdentical(t, "active set", base, baseLog, net, log)
-			checkConservation(t, net, "active set")
-		})
+	for _, pname := range []string{"policy", "matcher"} {
+		t.Run(pname, func(t *testing.T) { checkActiveTrace(t, "unreachable-attach/"+pname) })
 	}
 }
 
@@ -235,20 +179,4 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 	if net.actRCount != 0 {
 		t.Fatalf("drained network has %d active routers", net.actRCount)
 	}
-}
-
-// TestActiveSetToggleMidRun flips the engine between active-set and full-scan
-// stepping every few hundred cycles of a seeded run and requires the combined
-// trace to match the legacy oracle's — SetActiveStepping is documented as
-// safe to toggle between cycles without a rebuild.
-func TestActiveSetToggleMidRun(t *testing.T) {
-	cfg := Config{Width: 8, Height: 8, VCs: 3, BufferCap: 2}
-	toggle := func(net *Network, cycle int) {
-		if cycle%150 == 0 {
-			net.SetActiveStepping(cycle%300 == 0)
-		}
-	}
-	base, baseLog := traceRun(t, orderPolicy{}, cfg, 600, nil, nil, legacyOpt)
-	net, log := traceRun(t, orderPolicy{}, cfg, 600, nil, toggle)
-	requireIdentical(t, "toggled", base, baseLog, net, log)
 }

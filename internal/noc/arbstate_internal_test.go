@@ -7,29 +7,14 @@ import (
 	"testing"
 )
 
-// legacyOpt forces a network onto the legacy arbitration path — full scans,
-// one gather per output, every head re-routed every cycle — which shares no
-// state with the mask kernel and serves as its oracle.
-func legacyOpt(net *Network) { net.occTrack, net.arbState = false, false }
-
 // checkArbState recomputes every router's arbitration state by brute force
 // from the queues and compares it with the incrementally maintained masks:
 // occ and full bit for bit; no want bit on an empty or stale buffer; every
 // non-stale head in exactly the want mask of its cached port, and that port
-// equal to a fresh Route verdict under the current fault state. It may only be
-// used with routings whose Route is free of side effects beyond idempotent
-// message writes (the cacheable-verdict contract), and is a no-op without
-// tracking.
+// equal to a fresh Route verdict under the current fault state (Route may
+// write only the message, idempotently: the Routing contract).
 func checkArbState(t testing.TB, net *Network, when string) {
 	t.Helper()
-	if !net.occTrack {
-		for _, r := range net.routers {
-			if r.occ|r.stale|r.full != 0 || r.want != [MaxPorts]uint64{} {
-				t.Fatalf("%s: router %d has arbitration state without tracking", when, r.id)
-			}
-		}
-		return
-	}
 	for _, r := range net.routers {
 		var occ, full, wantAny uint64
 		for out := range r.want {
@@ -53,9 +38,6 @@ func checkArbState(t testing.TB, net *Network, when string) {
 				occ |= bit
 				if r.stale&bit != 0 {
 					continue
-				}
-				if !net.arbState {
-					t.Fatalf("%s: router %d head (%s,%d) is routed though verdicts may not be cached", when, r.id, p, vc)
 				}
 				if r.want[buf.route]&bit == 0 {
 					t.Fatalf("%s: router %d head (%s,%d) cached port %d but want = %b", when, r.id, p, vc, buf.route, r.want)
@@ -113,13 +95,13 @@ func injectRandom(net *Network, nodes []*Node, rng *rand.Rand, rate float64, id 
 
 // TestArbStateNeverStale steps seeded runs over the configuration space the
 // arbitration state has to survive and recomputes it by brute force after
-// every cycle: topology, buffer depth, VC count (11 VCs exceed 64 bits and
-// must leave the legacy path untouched), policy and matcher, every routing
-// kind, and a fault schedule that kills and restores links mid-run (requeueLink
-// overfills a buffer past its capacity), freezes a router, strands messages,
-// swaps the routing and flips active-set stepping between cycles. Routing and
-// policy rotate over the (topology, depth, VCs) grid instead of multiplying
-// it: every value of every dimension meets every value of every other.
+// every cycle: topology, buffer depth, VC count (up to MaxVCs, the widest
+// mask), policy and matcher, every routing kind, and a fault schedule that
+// kills and restores links mid-run (requeueLink overfills a buffer past its
+// capacity), freezes a router, strands messages and swaps the routing between
+// cycles. Routing and policy rotate over the (topology, depth, VCs) grid
+// instead of multiplying it: every value of every dimension meets every value
+// of every other.
 func TestArbStateNeverStale(t *testing.T) {
 	routings := []struct {
 		name string
@@ -134,23 +116,22 @@ func TestArbStateNeverStale(t *testing.T) {
 		name string
 		pol  Policy
 	}{{"policy", orderPolicy{}}, {"matcher", orderMatcher{}}}
-	cell := 0 // index into the (topology, depth) x VCs grid
+	row := 0 // index of the (topology, depth) pair
 	for _, torus := range []bool{false, true} {
 		for _, bufCap := range []int{1, 4} {
-			for _, vcs := range []int{1, 3, 10, 11} {
+			for vi, vcs := range []int{1, 3, MaxVCs} {
 				for k, p := range policies {
-					// cell%4 is the VCs index and cell/4 the (topology, depth)
-					// one, so a row and a column of the grid each see all four
+					// A row and a column of the grid each see all four
 					// routings, under the policy and under the matcher.
-					rt := routings[(cell%4+cell/4+2*k)%4]
+					rt := routings[(vi+row+2*k)%4]
 					name := fmt.Sprintf("torus=%v/cap%d/vcs%d/%s/%s", torus, bufCap, vcs, p.name, rt.name)
 					t.Run(name, func(t *testing.T) {
 						cfg := Config{Width: 4, Height: 4, VCs: vcs, BufferCap: bufCap, Torus: torus}
 						RunArbStateSchedule(t, cfg, p.pol, rt.mk, 7, 400)
 					})
 				}
-				cell++
 			}
+			row++
 		}
 	}
 }
@@ -172,9 +153,6 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 	}
 	if rebuild == nil {
 		rebuild = func() {}
-	}
-	if want := MaxPorts*cfg.VCs <= 64; net.occTrack != want || net.arbState != want {
-		t.Fatalf("occTrack=%v arbState=%v with %d VCs", net.occTrack, net.arbState, cfg.VCs)
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var id uint64
@@ -215,26 +193,22 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 			default:
 				net.SetRouting(base)
 			}
-		case 5:
-			net.SetActiveStepping(rng.Intn(2) == 0)
+		case 5: // no event; the draw keeps every committed seed's schedule
+			rng.Intn(2)
 		}
 		net.Step()
 		when := fmt.Sprintf("seed %d cycle %d", seed, cycle)
 		checkArbState(t, net, when)
-		if net.occTrack {
-			checkBitmaps(t, net, when)
-		}
+		checkBitmaps(t, net, when)
 		checkConservation(t, net, when)
 	}
 	return net.Stats().Delivered
 }
 
-// countRouting is X-Y routing with cacheable verdicts that counts its Route
-// calls.
+// countRouting is X-Y routing that counts its Route calls.
 type countRouting struct{ calls *int64 }
 
-func (countRouting) Name() string    { return "count-xy" }
-func (countRouting) ShardSafe() bool { return true }
+func (countRouting) Name() string { return "count-xy" }
 func (c countRouting) Route(r *Router, m *Message) PortID {
 	*c.calls++
 	return r.XYPort(m)
@@ -254,47 +228,44 @@ func (*grantCounter) ObserveDeliver(int64, *Node, *Message)            {}
 // run drains and X-Y evicts nothing), so calls == grants + heads re-routed at
 // the two transitions.
 func TestRouteOncePerHead(t *testing.T) {
-	for _, opt := range []func(*Network){func(*Network) {}, fullScanOpt} {
-		for _, pol := range []Policy{orderPolicy{}, orderMatcher{}} {
-			net, nodes := BuildMeshCores(Config{Width: 6, Height: 6, VCs: 3, BufferCap: 2})
-			net.SetPolicy(pol)
-			var calls int64
-			net.SetRouting(countRouting{&calls})
-			opt(net)
-			var gc grantCounter
-			net.AddObserver(&gc)
-			routedHeads := func() (n int64) {
-				for _, r := range net.routers {
-					n += int64(bits.OnesCount64(r.occ &^ r.stale))
+	for _, pol := range []Policy{orderPolicy{}, orderMatcher{}} {
+		net, nodes := BuildMeshCores(Config{Width: 6, Height: 6, VCs: 3, BufferCap: 2})
+		net.SetPolicy(pol)
+		var calls int64
+		net.SetRouting(countRouting{&calls})
+		var gc grantCounter
+		net.AddObserver(&gc)
+		routedHeads := func() (n int64) {
+			for _, r := range net.routers {
+				n += int64(bits.OnesCount64(r.occ &^ r.stale))
+			}
+			return n
+		}
+		rng := rand.New(rand.NewSource(5))
+		var id uint64
+		var rerouted int64
+		for cycle := 0; cycle < 600; cycle++ {
+			switch cycle {
+			case 200, 400:
+				// One transition: the heads are counted once, the first
+				// SetLinkDown drops every cached route.
+				rerouted += routedHeads()
+				for x := 1; x < 5; x++ {
+					net.SetLinkDown(net.RouterAt(x, 2).ID(), PortEast, cycle == 200)
 				}
-				return n
 			}
-			rng := rand.New(rand.NewSource(5))
-			var id uint64
-			var rerouted int64
-			for cycle := 0; cycle < 600; cycle++ {
-				switch cycle {
-				case 200, 400:
-					// One transition: the heads are counted once, the first
-					// SetLinkDown drops every cached route.
-					rerouted += routedHeads()
-					for x := 1; x < 5; x++ {
-						net.SetLinkDown(net.RouterAt(x, 2).ID(), PortEast, cycle == 200)
-					}
-				}
-				injectRandom(net, nodes, rng, 0.3, &id)
-				net.Step()
-			}
-			if !net.Drain(20000) {
-				t.Fatal("network did not drain")
-			}
-			if rerouted == 0 || net.FaultStats().Requeued == 0 {
-				t.Fatalf("vacuous: %d heads re-routed, %d requeued", rerouted, net.FaultStats().Requeued)
-			}
-			if calls != gc.grants+rerouted {
-				t.Fatalf("%s: %d Route calls for %d grants + %d re-routed heads (%d cycles)",
-					pol.Name(), calls, gc.grants, rerouted, net.Cycle())
-			}
+			injectRandom(net, nodes, rng, 0.3, &id)
+			net.Step()
+		}
+		if !net.Drain(20000) {
+			t.Fatal("network did not drain")
+		}
+		if rerouted == 0 || net.FaultStats().Requeued == 0 {
+			t.Fatalf("vacuous: %d heads re-routed, %d requeued", rerouted, net.FaultStats().Requeued)
+		}
+		if calls != gc.grants+rerouted {
+			t.Fatalf("%s: %d Route calls for %d grants + %d re-routed heads (%d cycles)",
+				pol.Name(), calls, gc.grants, rerouted, net.Cycle())
 		}
 	}
 }

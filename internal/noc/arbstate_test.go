@@ -65,10 +65,11 @@ func FuzzArbStateMatchesBruteforce(f *testing.F) {
 	f.Add(uint8(2), uint8(2), false, uint8(11), uint8(3), uint8(1), uint8(3), int64(4))
 	f.Add(uint8(6), uint8(3), true, uint8(2), uint8(1), uint8(2), uint8(4), int64(5))
 	f.Add(uint8(1), uint8(4), false, uint8(4), uint8(2), uint8(3), uint8(5), int64(6))
+	f.Add(uint8(3), uint8(3), true, uint8(9), uint8(1), uint8(2), uint8(2), int64(7)) // MaxVCs: the 60-bit mask
 	f.Fuzz(func(t *testing.T, w, h uint8, torus bool, vcs, bufCap, routing, policy uint8, seed int64) {
 		cfg := noc.Config{
 			Width: 1 + int(w%6), Height: 1 + int(h%6),
-			VCs: 1 + int(vcs%11), BufferCap: 1 + int(bufCap%4),
+			VCs: 1 + int(vcs%noc.MaxVCs), BufferCap: 1 + int(bufCap%4),
 		}
 		if cfg.Width*cfg.Height < 2 {
 			cfg.Width = 2 // traffic needs two nodes

@@ -205,20 +205,6 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 	return requeued
 }
 
-// evictUnreachable pops head messages whose route is an unreachable verdict
-// from every input buffer of r. It is the legacy arbitration path's sweep, run
-// once per router per cycle on faulty networks; the mask kernel evicts from
-// routeHeads instead.
-func (n *Network) evictUnreachable(r *Router) {
-	for p := PortID(0); p < MaxPorts; p++ {
-		for _, buf := range r.in[p] {
-			for len(buf.q) > 0 && r.Route(buf.q[0]) == RouteUnreachable {
-				n.evictHead(r, buf)
-			}
-		}
-	}
-}
-
 // evictHead removes buf's head message from the network with an unreachable
 // verdict at router r, counting and reporting it.
 func (n *Network) evictHead(r *Router, buf *Buffer) {

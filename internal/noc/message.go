@@ -121,12 +121,9 @@ type Message struct {
 	Payload any
 
 	// RouteBits is per-message scratch state owned by the active Routing
-	// implementation (e.g. the up*/down* phase bit of the fault-aware
-	// router); the engine itself never reads or writes it. A routing that
-	// declares its verdicts cacheable must write it idempotently per (router
-	// position, tables): the engine routes a head once and caches the
-	// verdict, so implementations cannot rely on getting a Route call every
-	// cycle to advance RouteBits.
+	// (e.g. the up*/down* phase bit of the fault-aware router); the engine
+	// never touches it. Route must write it idempotently per (router, tables):
+	// a head is routed once, not once per cycle.
 	RouteBits uint8
 
 	// pooled marks messages obtained from Network.AllocMessage; the engine

@@ -147,27 +147,18 @@ type Network struct {
 	arbCtx   ArbContext
 	matchCtx MatchContext
 
-	// occTrack is set when every router keeps its arbitration state (see
-	// Router.occ; requires MaxPorts*VCs <= 64). arbState additionally requires
-	// routing verdicts that may be cached per head — built-in X-Y or an
-	// installed routing that declares it (see SetRouting) — and selects the
-	// mask arbitration kernel over the legacy per-output gather. bitPort maps
-	// a buffer's bit to its port; vcMask has the low VCs bits set; multiplying
-	// a VC mask by spreadMul copies it to every port's bit group.
-	occTrack  bool
-	arbState  bool
+	// Arbitration-state geometry (see Router.occ): bitPort maps a buffer's bit
+	// to its port; vcMask has the low VCs bits set; multiplying a VC mask by
+	// spreadMul copies it to every port's bit group.
 	bitPort   [64]uint8
 	vcMask    uint64
 	spreadMul uint64
 
 	// Active-set stepping (see activeset.go). actR bit r is set iff router r
 	// has occ != 0; actN bit i is set iff node i has a pending injection.
-	// fullScan forces the original full-scan walks (SetActiveStepping); the
-	// bitmaps stay maintained either way.
 	actR      []uint64
 	actN      []uint64
 	actRCount int
-	fullScan  bool
 
 	// candArena backs matcher Request slices.
 	candArena []Candidate
@@ -186,20 +177,19 @@ func New(cfg Config) *Network {
 	if cfg.Torus && (cfg.Width < 3 || cfg.Height < 3) {
 		panic("noc: torus dimensions must be at least 3x3")
 	}
+	if cfg.VCs > MaxVCs {
+		panic(fmt.Sprintf("noc: %d VCs exceed MaxVCs = %d", cfg.VCs, MaxVCs))
+	}
 	n := &Network{
 		cfg:         cfg,
 		wheel:       make([][]delivery, cfg.MaxFlits+2),
 		busyRelease: make([]int, cfg.MaxFlits+2),
-		occTrack:    MaxPorts*cfg.VCs <= 64,
+		vcMask:      1<<cfg.VCs - 1,
 	}
-	if n.occTrack {
-		n.arbState = true
-		n.vcMask = 1<<cfg.VCs - 1
-		for p := 0; p < MaxPorts; p++ {
-			n.spreadMul |= 1 << (p * cfg.VCs)
-			for vc := 0; vc < cfg.VCs; vc++ {
-				n.bitPort[p*cfg.VCs+vc] = uint8(p)
-			}
+	for p := 0; p < MaxPorts; p++ {
+		n.spreadMul |= 1 << (p * cfg.VCs)
+		for vc := 0; vc < cfg.VCs; vc++ {
+			n.bitPort[p*cfg.VCs+vc] = uint8(p)
 		}
 	}
 	n.routers = make([]*Router, cfg.Width*cfg.Height)
@@ -246,11 +236,7 @@ func (n *Network) allocPortBuffers(r *Router, p PortID) {
 	}
 	bufs := make([]*Buffer, n.cfg.VCs)
 	for vc := range bufs {
-		bufs[vc] = &Buffer{cap: n.cfg.BufferCap, lastArr: -1}
-		if n.occTrack {
-			bufs[vc].owner = r
-			bufs[vc].bit = uint8(int(p)*n.cfg.VCs + vc)
-		}
+		bufs[vc] = &Buffer{cap: n.cfg.BufferCap, lastArr: -1, owner: r, bit: uint8(int(p)*n.cfg.VCs + vc)}
 	}
 	r.in[p] = bufs
 	r.nPorts++
@@ -307,8 +293,6 @@ func (n *Network) SetRouting(rt Routing) {
 	if rt != nil {
 		n.faulty = true
 	}
-	safe, ok := rt.(ShardSafeRouting)
-	n.arbState = n.occTrack && (rt == nil || ok && safe.ShardSafe())
 	// The new routing may reach different verdicts on every buffered head.
 	n.invalidateRoutes()
 }
@@ -532,19 +516,9 @@ func (n *Network) inject() {
 	if n.pendingInj == 0 {
 		return // no node holds a queued message; nothing can inject
 	}
-	if n.fullScan {
-		for _, node := range n.nodes {
-			if node.injectHead >= len(node.injectQ) {
-				continue
-			}
-			n.injectFrom(node)
-		}
-		return
-	}
-	// Visit only nodes with a pending injection, in ascending node ID —
-	// the same order the full scan produces. The per-word snapshot is safe:
-	// injectFrom never sets a node-activity bit (it only dequeues), so no
-	// active node can be missed mid-scan.
+	// Visit only nodes with a pending injection, in ascending node ID. The
+	// per-word snapshot is safe: injectFrom never sets a node-activity bit (it
+	// only dequeues), so no active node can be missed mid-scan.
 	for wi, word := range n.actN {
 		if word == 0 {
 			continue
@@ -594,11 +568,9 @@ func (n *Network) injectFrom(node *Node) {
 // routed once, its output port cached in its Buffer and its bit moved from
 // r.stale to r.want[out], in ascending (port, VC) order. A head with an
 // unreachable verdict is evicted on the spot — popped, counted and reported —
-// and its successor routed in its place.
-//
-// A cached verdict stays valid until the head is popped or invalidateRoutes
-// runs; that is the contract a routing accepts by declaring its verdicts
-// cacheable (built-in X-Y meets it trivially).
+// and its successor routed in its place. A verdict naming a port r lacks is a
+// routing bug and panics. A cached verdict stays valid until the head is
+// popped or invalidateRoutes runs (the Routing contract).
 func (n *Network) routeHeads(r *Router) {
 	for mask := r.stale; mask != 0; mask &= mask - 1 {
 		bit := bits.TrailingZeros64(mask)
@@ -610,13 +582,17 @@ func (n *Network) routeHeads(r *Router) {
 				n.evictHead(r, buf)
 				continue
 			}
-			if uint(out) < MaxPorts && r.HasPort(out) {
-				buf.route = int8(out)
-				r.want[out] |= 1 << bit
-				r.stale &^= 1 << bit
+			if uint(out) >= MaxPorts || !r.HasPort(out) {
+				name := XYRouting{}.Name()
+				if n.routing != nil {
+					name = n.routing.Name()
+				}
+				panic(fmt.Sprintf("noc: routing %s sent %s to unconnected output %s of %s",
+					name, buf.q[0], out, r))
 			}
-			// A port the router does not have requests no output, as in the
-			// legacy gather; the head stays stale and is asked again next cycle.
+			buf.route = int8(out)
+			r.want[out] |= 1 << bit
+			r.stale &^= 1 << bit
 			break
 		}
 	}
@@ -666,63 +642,6 @@ func (n *Network) appendHeads(dst []Candidate, r *Router, mask uint64) []Candida
 	return dst
 }
 
-// gatherCandidates is the legacy counterpart of appendCands for routings whose
-// verdicts may not be cached (and for ports*VCs > 64): it re-routes every
-// buffered head for output port out of router r, keeping those routed to out
-// whose input port has not already forwarded a message this cycle and whose
-// downstream buffer (for hops) has space. The result is valid until the next
-// gather call.
-//
-// With occupancy tracking on, the walk visits only non-empty buffers by
-// iterating r.occ's set bits; bit order is (port, VC) ascending, so the
-// candidate order — and the sequence of Route calls, which stateful Routing
-// implementations are sensitive to — matches the full scan exactly.
-func (n *Network) gatherCandidates(r *Router, out PortID) []Candidate {
-	cands := n.candScratch[:0]
-	if n.occTrack {
-		vcs := n.cfg.VCs
-		for mask := r.occ; mask != 0; mask &= mask - 1 {
-			bit := bits.TrailingZeros64(mask)
-			p := PortID(bit / vcs)
-			if r.inGrantedAt[p] == n.cycle {
-				continue
-			}
-			vc := bit - int(p)*vcs
-			m := r.in[p][vc].q[0]
-			if r.Route(m) != out {
-				continue
-			}
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-		n.candScratch = cands
-		return cands
-	}
-	for p := PortID(0); p < MaxPorts; p++ {
-		if r.in[p] == nil || r.inGrantedAt[p] == n.cycle {
-			continue
-		}
-		for vc, buf := range r.in[p] {
-			m := buf.Head()
-			if m == nil || r.Route(m) != out {
-				continue
-			}
-			if next := r.peerRouter[out]; next != nil {
-				if !next.in[out.Opposite()][vc].Free() {
-					continue
-				}
-			}
-			cands = append(cands, Candidate{Port: p, VC: vc, Msg: m})
-		}
-	}
-	n.candScratch = cands
-	return cands
-}
-
 func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	buf := r.in[c.Port][c.VC]
 	m := buf.pop()
@@ -765,17 +684,10 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 func (n *Network) arbitrate() {
 	n.arbCtx = ArbContext{Net: n, Cycle: n.cycle}
 	n.matchCtx = MatchContext{Net: n, Cycle: n.cycle}
-	if !n.activeOK() {
-		for _, r := range n.routers {
-			n.arbitrateRouter(r)
-		}
-		return
-	}
-	// Visit only routers with buffered messages, ascending router ID — the
-	// order the full scan produces. Per-word snapshots are safe: no activity
-	// bit is ever set during arbitration (deliveries land on future cycles,
-	// grants and evictions only pop), and a mid-word clear can only come from
-	// the router currently being visited.
+	// Visit only routers with buffered messages, in ascending router ID.
+	// Per-word snapshots are safe: no activity bit is ever set during
+	// arbitration (deliveries land on future cycles, grants and evictions only
+	// pop), and a mid-word clear can only come from the router being visited.
 	for wi, word := range n.actR {
 		for base := wi << 6; word != 0; word &= word - 1 {
 			n.arbitrateRouter(n.routers[base+bits.TrailingZeros64(word)])
@@ -783,17 +695,11 @@ func (n *Network) arbitrate() {
 	}
 }
 
-// arbitrateRouter runs one router's turn of the cycle: evict unreachable
-// heads, then grant its free outputs through the installed policy or matcher.
+// arbitrateRouter runs one router's turn of the cycle: route its new heads,
+// evicting unreachable ones, then grant its free outputs through the installed
+// policy or matcher.
 func (n *Network) arbitrateRouter(r *Router) {
 	if n.faulty && r.frozen {
-		return
-	}
-	if !n.arbState {
-		n.arbitrateRouterLegacy(r)
-		return
-	}
-	if r.occ == 0 {
 		return
 	}
 	if r.stale != 0 {
@@ -833,49 +739,10 @@ func (n *Network) arbitrateRouter(r *Router) {
 	}
 }
 
-// arbitrateRouterLegacy is arbitrateRouter for routings whose verdicts may
-// not be cached and for networks without arbitration state (ports*VCs > 64):
-// the unreachable sweep and one gather per output re-route every head every
-// cycle. It is also the oracle the invariance suites hold the mask kernel to.
-func (n *Network) arbitrateRouterLegacy(r *Router) {
-	if n.faulty {
-		n.evictUnreachable(r)
-	}
-	arena, reqs := n.matchArena(), n.reqScratch[:0]
-	for out := PortID(0); out < MaxPorts; out++ {
-		if !r.HasPort(out) || r.linkDown[out] || r.OutputBusy(out, n.cycle) {
-			continue
-		}
-		cands := n.gatherCandidates(r, out)
-		if len(cands) == 0 {
-			continue
-		}
-		if n.matcher == nil {
-			n.selectAndGrant(r, out, cands)
-			continue
-		}
-		// Park the candidates in the arena. Appending must never reallocate,
-		// or earlier requests' slices would go stale; a head re-routed to a
-		// second output can overflow it, and then gets a slice of its own.
-		var own []Candidate
-		if len(arena)+len(cands) <= cap(arena) {
-			start := len(arena)
-			arena = append(arena, cands...)
-			own = arena[start:len(arena):len(arena)]
-		} else {
-			own = append(own, cands...)
-		}
-		reqs = append(reqs, Request{Out: out, Cands: own})
-	}
-	if n.matcher != nil {
-		n.matchAndApply(r, reqs)
-	}
-}
-
 // matchArena returns the empty candidate arena behind a router's matcher
 // requests, sized for one candidate per (port, VC) buffer.
 func (n *Network) matchArena() []Candidate {
-	if n.matcher != nil && cap(n.candArena) < MaxPorts*n.cfg.VCs {
+	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
 		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
 	}
 	return n.candArena[:0]

@@ -218,6 +218,59 @@ func TestSchedulePanicReportsDelay(t *testing.T) {
 	net.Run(4)
 }
 
+// fixedRouting sends every head to one port, whatever the router.
+type fixedRouting struct{ out PortID }
+
+func (fixedRouting) Name() string                     { return "fixed" }
+func (f fixedRouting) Route(*Router, *Message) PortID { return f.out }
+
+// TestRouteToMissingPortPanics: a verdict naming a port the router lacks is a
+// routing bug. The engine must say so, naming the routing, the router, the
+// port and the message, instead of leaving the head stale to be routed again
+// every cycle and never move.
+func TestRouteToMissingPortPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		out  PortID
+	}{
+		{"out-of-range", PortID(MaxPorts + 3)},
+		{"missing-edge-port", PortWest}, // router (0,0) has no west neighbor
+		{"absent-attach-port", PortMem}, // BuildMeshCores attaches at PortCore only
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, nodes := BuildMeshCores(Config{Width: 2, Height: 2, VCs: 1})
+			net.SetPolicy(orderPolicy{})
+			net.SetRouting(fixedRouting{tc.out})
+			nodes[0].Inject(&Message{ID: 7, Dst: nodes[3].ID, SizeFlits: 1})
+			defer func() {
+				r := recover()
+				if r == nil {
+					t.Fatalf("route to %s did not panic", tc.out)
+				}
+				msg := fmt.Sprint(r)
+				for _, want := range []string{"routing fixed", "msg#7", "output " + tc.out.String(), "router#0"} {
+					if !strings.Contains(msg, want) {
+						t.Fatalf("panic %q does not mention %q", msg, want)
+					}
+				}
+			}()
+			net.Step()
+		})
+	}
+}
+
+// TestNewRejectsTooManyVCs pins the configuration limit: a router's masks
+// hold one bit per (port, VC), so MaxVCs = 10 builds and 11 is an error.
+func TestNewRejectsTooManyVCs(t *testing.T) {
+	New(Config{Width: 2, Height: 2, VCs: 10})
+	defer func() {
+		if msg := fmt.Sprint(recover()); !strings.Contains(msg, "MaxVCs") {
+			t.Fatalf("11 VCs: panic %q does not name MaxVCs", msg)
+		}
+	}()
+	New(Config{Width: 2, Height: 2, VCs: 11})
+}
+
 // TestPendingInjectionsCounter asserts the incremental pending-injections
 // counter against a full scan of the node queues throughout a bursty run,
 // including the RequeueStranded path that re-enters messages through Inject.

@@ -137,14 +137,12 @@ func TestSparseStepZeroAllocs(t *testing.T) {
 
 // benchLargeMeshSparse measures stepping at a sparse injection rate — the
 // active-set engine's target regime, where per-cycle cost should track the
-// in-flight population rather than the topology size. active=false forces the
-// full-scan baseline so the committed snapshot carries both sides of the
-// comparison. The mean active-router count is reported so the sparseness of
-// the regime is visible next to the ns/op.
-func benchLargeMeshSparse(b *testing.B, size int, rate float64, active bool) {
+// in-flight population rather than the topology size. The mean active-router
+// count is reported so the sparseness of the regime is visible next to the
+// ns/op.
+func benchLargeMeshSparse(b *testing.B, size int, rate float64) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
-	net.SetActiveStepping(active)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
 	// The sparse regime converges slowly: at rate*N^2 injections per cycle
@@ -176,30 +174,21 @@ func benchLargeMeshSparse(b *testing.B, size int, rate float64, active bool) {
 	b.ReportMetric(float64(activeSum)/float64(b.N), "active-routers")
 }
 
-func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 0.02, true) }
-func BenchmarkHotLargeMeshStepSparse16x16FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 16, 0.02, false)
-}
-func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 0.005, true) }
-func BenchmarkHotLargeMeshStepSparse32x32FullScan(b *testing.B) {
-	benchLargeMeshSparse(b, 32, 0.005, false)
-}
-func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) {
-	benchLargeMeshSparse(b, 64, 0.002, true)
-}
+func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 0.02) }
+func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 0.005) }
+func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) { benchLargeMeshSparse(b, 64, 0.002) }
 
 // benchLargeMeshSparseFaulted is the degraded-mesh counterpart: two interior
 // links are dead for the whole run and the fault-aware table routing steers
 // around them. Per-cycle cost follows the occupied routers, and each head costs
-// one Route call when it becomes head, on the full-scan walk too.
-func benchLargeMeshSparseFaulted(b *testing.B, size int, rate float64, active bool) {
+// one Route call when it becomes head.
+func benchLargeMeshSparseFaulted(b *testing.B, size int, rate float64) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
 	mid := size / 2
 	net.SetLinkDown(net.RouterAt(mid, mid).ID(), noc.PortEast, true)
 	net.SetLinkDown(net.RouterAt(mid, mid+1).ID(), noc.PortSouth, true)
 	net.SetRouting(fault.NewTableRouting(net))
-	net.SetActiveStepping(active)
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
 	for i := 0; i < 1500; i++ {
@@ -225,8 +214,5 @@ func benchLargeMeshSparseFaulted(b *testing.B, size int, rate float64, active bo
 }
 
 func BenchmarkHotLargeMeshStepSparse32x32Faulted(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 0.005, true)
-}
-func BenchmarkHotLargeMeshStepSparse32x32FaultedFullScan(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 0.005, false)
+	benchLargeMeshSparseFaulted(b, 32, 0.005)
 }

@@ -10,8 +10,7 @@ type Buffer struct {
 	cap      int
 
 	// owner/bit wire the buffer into its router's arbitration state (occ,
-	// stale, want, full): the buffer is bit port*VCs+vc of each mask. owner is
-	// nil when that state is not tracked (ports*VCs > 64).
+	// stale, want, full): the buffer is bit port*VCs+vc of each mask.
 	owner *Router
 	bit   uint8
 	// route is the output port cached for the head message; meaningful only
@@ -49,17 +48,16 @@ func (b *Buffer) push(now int64, m *Message) {
 	b.lastArr = now
 	m.ArrivalCycle = now
 	b.q = append(b.q, m)
-	if r := b.owner; r != nil {
-		if len(b.q) == 1 {
-			if r.occ == 0 {
-				r.net.activateRouter(r)
-			}
-			r.occ |= 1 << b.bit
-			r.stale |= 1 << b.bit // m is the new head and has no route yet
+	r := b.owner
+	if len(b.q) == 1 {
+		if r.occ == 0 {
+			r.net.activateRouter(r)
 		}
-		if !b.Free() {
-			r.full |= 1 << b.bit
-		}
+		r.occ |= 1 << b.bit
+		r.stale |= 1 << b.bit // m is the new head and has no route yet
+	}
+	if !b.Free() {
+		r.full |= 1 << b.bit
 	}
 }
 
@@ -68,22 +66,21 @@ func (b *Buffer) pop() *Message {
 	copy(b.q, b.q[1:])
 	b.q[len(b.q)-1] = nil
 	b.q = b.q[:len(b.q)-1]
-	if r := b.owner; r != nil {
-		if r.stale&(1<<b.bit) == 0 {
-			r.want[b.route] &^= 1 << b.bit
+	r := b.owner
+	if r.stale&(1<<b.bit) == 0 {
+		r.want[b.route] &^= 1 << b.bit
+	}
+	if len(b.q) == 0 {
+		r.stale &^= 1 << b.bit
+		r.occ &^= 1 << b.bit
+		if r.occ == 0 {
+			r.net.deactivateRouter(r)
 		}
-		if len(b.q) == 0 {
-			r.stale &^= 1 << b.bit
-			r.occ &^= 1 << b.bit
-			if r.occ == 0 {
-				r.net.deactivateRouter(r)
-			}
-		} else {
-			r.stale |= 1 << b.bit // the successor is the new head
-		}
-		if b.Free() {
-			r.full &^= 1 << b.bit
-		}
+	} else {
+		r.stale |= 1 << b.bit // the successor is the new head
+	}
+	if b.Free() {
+		r.full &^= 1 << b.bit
 	}
 	return m
 }
@@ -92,14 +89,14 @@ func (b *Buffer) pop() *Message {
 // toward the buffer, keeping the owner's full mask current.
 func (b *Buffer) reserve() {
 	b.reserved++
-	if b.owner != nil && !b.Free() {
+	if !b.Free() {
 		b.owner.full |= 1 << b.bit
 	}
 }
 
 func (b *Buffer) unreserve() {
 	b.reserved--
-	if b.owner != nil && b.Free() {
+	if b.Free() {
 		b.owner.full &^= 1 << b.bit
 	}
 }
@@ -110,9 +107,6 @@ func (b *Buffer) unreserve() {
 // head is marked stale.
 func (b *Buffer) syncOcc() {
 	r := b.owner
-	if r == nil {
-		return
-	}
 	bit := uint64(1) << b.bit
 	was := r.occ
 	if r.stale&bit == 0 {
@@ -168,10 +162,10 @@ type Router struct {
 	// though its input buffers still accept in-flight arrivals.
 	frozen bool
 
-	// Arbitration state, one bit p*VCs+vc per input buffer in[p][vc], kept
-	// current by Buffer push/pop/reserve/unreserve/syncOcc and by routeHeads
-	// (network.go) whenever the network tracks it (ports*VCs <= 64), so that
-	// arbitration reads facts instead of re-deriving them per head per cycle:
+	// Arbitration state, one bit p*VCs+vc per input buffer in[p][vc] (hence
+	// MaxVCs), kept current by Buffer push/pop/reserve/unreserve/syncOcc and
+	// by routeHeads (network.go), so that arbitration reads facts instead of
+	// re-deriving them per head per cycle:
 	//
 	//   occ      the buffer is non-empty
 	//   stale    it is non-empty and its head has no cached route yet

@@ -22,6 +22,10 @@ const (
 	// MaxPorts is the maximum number of ports on any router; state vectors
 	// are padded to this width (Section 4.4 of the paper).
 	MaxPorts = 6
+
+	// MaxVCs is the most virtual channels a network may have: a router keeps
+	// one bit per (port, VC) input buffer in 64-bit masks. New panics past it.
+	MaxVCs = 64 / MaxPorts
 )
 
 // String implements fmt.Stringer.
