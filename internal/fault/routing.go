@@ -15,12 +15,13 @@ var dirPorts = [4]noc.PortID{noc.PortNorth, noc.PortSouth, noc.PortWest, noc.Por
 // message takes its first down edge in degraded (up*/down*) mode.
 const RouteDown uint8 = 1
 
-// TableRouting is a fault-aware router: for every destination router it holds
-// next-hop ports, recomputed by Rebuild whenever the fault state changes.
+// TableRouting is a fault-aware router: X-Y routing while every link is up,
+// and once any link is down, per-destination next-hop tables that Rebuild
+// recomputes on every fault-state change.
 //
-// On an all-healthy topology the table is minimal with dimension-ordered
-// tie-breaks, so it reproduces X-Y routing exactly (and inherits X-Y's
-// deadlock freedom). Once any link is down it switches to up*/down* routing
+// On an all-healthy topology it routes by geometry (Router.DirToward), so it
+// reproduces X-Y routing exactly (and inherits X-Y's deadlock freedom) and
+// holds no table. Once any link is down it switches to up*/down* routing
 // (Autonet): every healthy link is oriented by BFS level from a root router,
 // and a legal path takes zero or more up edges followed by zero or more down
 // edges — messages carry a phase bit (RouteBits) that commits on the first
@@ -33,26 +34,29 @@ const RouteDown uint8 = 1
 type TableRouting struct {
 	net      *noc.Network
 	n        int  // number of routers
-	degraded bool // false: minimal X-Y table; true: up*/down* tables
-	// next[dst*n + at] is the direction port leaving router `at` toward
-	// destination router `dst`, or -1 when unreachable. In degraded mode it
-	// is the up-phase table (shortest legal path, any orientation next).
-	next []int8
-	// down[dst*n + at] is the degraded-mode down-phase table: the next hop
-	// over down edges only, or -1.
-	down []int8
+	degraded bool // false: X-Y by geometry; true: up*/down* tables
+	// entry[dst*n + at] is router at's hop toward destination router dst in
+	// degraded mode, one byte: the up-phase port (shortest legal path, any
+	// orientation next) in entryPort, entryDescends when that hop takes a
+	// down edge, and the down-phase port (down edges only) shifted up by
+	// entryDownShift. A port field holds the noc.PortID, 0 for none (no
+	// direction port is 0). Nil until a Rebuild first finds a dead link.
+	entry []uint8
 	// level[r] is r's BFS depth from the root over healthy links (-1 when
 	// cut off); together with the router ID it orients every edge.
-	level []int
+	level []int32
 }
 
-// NewTableRouting builds the routing tables for the network's current link
-// state.
+// Fields of a TableRouting entry byte.
+const (
+	entryPort      = 7
+	entryDescends  = 8
+	entryDownShift = 4
+)
+
+// NewTableRouting builds the routing for the network's current link state.
 func NewTableRouting(net *noc.Network) *TableRouting {
 	t := &TableRouting{net: net, n: len(net.Routers())}
-	t.next = make([]int8, t.n*t.n)
-	t.down = make([]int8, t.n*t.n)
-	t.level = make([]int, t.n)
 	t.Rebuild()
 	return t
 }
@@ -60,14 +64,14 @@ func NewTableRouting(net *noc.Network) *TableRouting {
 // Name implements noc.Routing.
 func (t *TableRouting) Name() string { return "table" }
 
-// Rebuild recomputes every next-hop entry from the network's current link
-// state: the minimal X-Y-equivalent table while every link is healthy, the
-// deadlock-free up*/down* tables once any link is down. The Injector calls
-// it on every fault-state change; it is O(routers^2).
+// Rebuild recomputes the routing from the network's current link state: X-Y
+// by geometry while every link is healthy, the deadlock-free up*/down*
+// tables once any link is down. The Injector calls it on every fault-state
+// change. The tables cost two linear sweeps over the routers per
+// destination, O(routers^2) in all.
 func (t *TableRouting) Rebuild() {
 	if t.allHealthy() {
 		t.degraded = false
-		t.rebuildMinimal()
 		t.renormalizeXY()
 		return
 	}
@@ -77,7 +81,7 @@ func (t *TableRouting) Rebuild() {
 }
 
 // renormalizeXY is renormalize's counterpart for the transition back to full
-// health: the table is exactly X-Y again, but a message parked mid-detour by
+// health: routing is exactly X-Y again, but a message parked mid-detour by
 // up*/down* can occupy a vertical channel with X distance still to cover —
 // the Y->X turn X-Y's deadlock freedom forbids. Those messages are requeued
 // at their source; every other message routes X-Y legally from where it sits
@@ -118,7 +122,7 @@ func (t *TableRouting) renormalize() {
 			m.RouteBits &^= RouteDown
 			return false
 		}
-		if t.down[dst.ID()*t.n+r.ID()] >= 0 {
+		if t.entry[dst.ID()*t.n+r.ID()]>>entryDownShift != 0 {
 			m.RouteBits |= RouteDown // keep descending
 			return false
 		}
@@ -139,63 +143,6 @@ func (t *TableRouting) allHealthy() bool {
 	return true
 }
 
-// rebuildMinimal fills the table with shortest paths, tie-broken toward the
-// topology's dimension-ordered port (Router.DirToward); on a healthy mesh this
-// is exactly X-Y routing, and on a healthy torus exactly the built-in
-// ring-shortest DOR — including the east/south tie at exactly half an even
-// ring, where both ways around are shortest and DirToward picks the one the
-// built-in routing takes.
-func (t *TableRouting) rebuildMinimal() {
-	routers := t.net.Routers()
-	dist := make([]int, t.n)
-	queue := make([]int, 0, t.n)
-	for dstID, dst := range routers {
-		base := dstID * t.n
-		for i := range dist {
-			dist[i] = -1
-			t.next[base+i] = -1
-		}
-		// Reverse BFS from the destination: relax healthy directed links
-		// u -> v while walking from v to u, so dist[u] is the healthy hop
-		// count from u to dst.
-		dist[dstID] = 0
-		queue = append(queue[:0], dstID)
-		for len(queue) > 0 {
-			v := routers[queue[0]]
-			queue = queue[1:]
-			for _, p := range dirPorts {
-				u := v.Neighbor(p)
-				if u == nil || dist[u.ID()] >= 0 || !u.LinkUp(p.Opposite()) {
-					continue
-				}
-				dist[u.ID()] = dist[v.ID()] + 1
-				queue = append(queue, u.ID())
-			}
-		}
-		for uID, u := range routers {
-			if uID == dstID || dist[uID] < 0 {
-				continue
-			}
-			xy := u.DirToward(dst.Coord)
-			best := noc.PortID(-1)
-			for _, p := range dirPorts {
-				w := u.Neighbor(p)
-				if w == nil || !u.LinkUp(p) || dist[w.ID()] != dist[uID]-1 {
-					continue
-				}
-				if p == xy {
-					best = p
-					break
-				}
-				if best < 0 {
-					best = p
-				}
-			}
-			t.next[base+uID] = int8(best)
-		}
-	}
-}
-
 // healthyEdge reports whether the link behind u's direction port p is up in
 // both directions (the Injector always fails direction links pairwise).
 func healthyEdge(u *noc.Router, p noc.PortID) *noc.Router {
@@ -213,113 +160,159 @@ func (t *TableRouting) downEdge(u, v *noc.Router) bool {
 	return lv > lu || (lv == lu && v.ID() > u.ID())
 }
 
-// rebuildUpDown fills the up- and down-phase tables with shortest legal
-// up*/down* paths: orient every healthy link by BFS level from router 0, and
-// per destination run a reverse BFS over (router, phase) states where an up
-// edge keeps the up phase and a down edge commits to the down phase. Every
-// table walk is a strict up-phase followed by a strict down-phase — no
-// down->up channel dependency can exist, so no buffer-full cycle can form.
+// unreachableDist is the hop count of a state with no legal path; it leaves
+// room for the four low key bits below it in an int32.
+const unreachableDist = 1 << 26
+
+// rankKey[x][k] is the low bits of port dirPorts[k]'s sweep key when
+// dirPorts[x] is the X-Y port: its tie-break rank (0 for the X-Y port, else
+// 1 + k) shifted past the descends bit. rankPort[x][rank] inverts it to the
+// noc.PortID.
+var rankKey, rankPort = func() (key [4][4]int32, port [4][5]uint8) {
+	for x := range key {
+		port[x][0] = uint8(dirPorts[x])
+		for k := range key[x] {
+			port[x][k+1] = uint8(dirPorts[k])
+			if k != x {
+				key[x][k] = int32(k+1) << 1
+			}
+		}
+	}
+	return
+}()
+
+// rebuildUpDown fills the entry table with shortest legal up*/down* paths.
+// Orient every healthy link by BFS level from router 0 and order the root's
+// component by (level, id): a down edge leads to a later router, an up edge
+// to an earlier one. Per destination the (router, phase) state graph is then
+// acyclic: a descending state moves only to later routers, and a climbing
+// state moves up to earlier routers or commits to a descending state. So one
+// sweep in reverse order gives every down-only distance d1, and one forward
+// sweep the climbing distance d0, each picking its port as it goes: the
+// lowest key cost<<4 | rank<<1 | descends, that is the lowest cost, ties to
+// the X-Y port, else to the first in dirPorts. Every table walk is a strict
+// up-phase followed by a strict down-phase — no down->up channel dependency
+// can exist, so no buffer-full cycle can form.
 func (t *TableRouting) rebuildUpDown() {
 	routers := t.net.Routers()
+	n := t.n
+	if t.entry == nil {
+		t.entry = make([]uint8, n*n)
+		t.level = make([]int32, n)
+	}
+	clear(t.entry) // cut-off routers and destinations stay unreachable
+
+	// nb[4u+k] is the router behind u's port dirPorts[k] over a healthy
+	// link, or -1.
+	nb := make([]int32, 4*n)
+	for u, r := range routers {
+		for k, p := range dirPorts {
+			nb[4*u+k] = -1
+			if v := healthyEdge(r, p); v != nil {
+				nb[4*u+k] = int32(v.ID())
+			}
+		}
+	}
 	for i := range t.level {
 		t.level[i] = -1
 	}
 	t.level[0] = 0
-	queue := make([]int, 0, t.n)
-	queue = append(queue, 0)
-	for len(queue) > 0 {
-		u := routers[queue[0]]
-		queue = queue[1:]
-		for _, p := range dirPorts {
-			v := healthyEdge(u, p)
-			if v == nil || t.level[v.ID()] >= 0 {
-				continue
+	bfs := append(make([]int32, 0, n), 0)
+	for h := 0; h < len(bfs); h++ {
+		u := bfs[h]
+		for _, v := range nb[4*u : 4*u+4] {
+			if v >= 0 && t.level[v] < 0 {
+				t.level[v] = t.level[u] + 1
+				bfs = append(bfs, v)
 			}
-			t.level[v.ID()] = t.level[u.ID()] + 1
-			queue = append(queue, v.ID())
+		}
+	}
+	// Counting sort of the component by (level, id).
+	m := len(bfs)
+	start := make([]int32, t.level[bfs[m-1]]+2)
+	for _, u := range bfs {
+		start[t.level[u]+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	order := make([]int32, m)
+	pos := make([]int32, n)
+	for u, l := range t.level {
+		if l >= 0 {
+			order[start[l]] = int32(u)
+			pos[u] = start[l]
+			start[l]++
 		}
 	}
 
-	// dist over states rID*2 + phase; phase 0 climbs, phase 1 has committed
-	// to descending.
-	dist := make([]int32, 2*t.n)
-	squeue := make([]int, 0, 2*t.n)
-	for dstID, dst := range routers {
-		base := dstID * t.n
-		for i := 0; i < t.n; i++ {
-			t.next[base+i] = -1
-			t.down[base+i] = -1
-		}
-		if t.level[dstID] < 0 {
-			continue // dst cut off entirely: unreachable from everywhere
-		}
-		for i := range dist {
-			dist[i] = -1
-		}
-		dist[dstID*2] = 0
-		dist[dstID*2+1] = 0
-		squeue = append(squeue[:0], dstID*2, dstID*2+1)
-		for len(squeue) > 0 {
-			s := squeue[0]
-			squeue = squeue[1:]
-			vID, ph := s/2, s%2
-			v := routers[vID]
-			for _, p := range dirPorts {
-				u := healthyEdge(v, p)
-				if u == nil {
-					continue
-				}
-				// Forward edge u -> v reaches state (v, ph) from (u, 0) when
-				// the edge orientation matches ph, and from (u, 1) only when
-				// the edge descends.
-				vIsDown := t.downEdge(u, v)
-				if (ph == 1) != vIsDown {
-					continue
-				}
-				if s0 := u.ID() * 2; dist[s0] < 0 {
-					dist[s0] = dist[s] + 1
-					squeue = append(squeue, s0)
-				}
-				if vIsDown {
-					if s1 := u.ID()*2 + 1; dist[s1] < 0 {
-						dist[s1] = dist[s] + 1
-						squeue = append(squeue, s1)
-					}
+	// dist[2i] is position i's climbing distance d0, dist[2i+1] its down-only
+	// distance d1, and dist[2m] an unreachable sentinel. upSlot[i][k] is the
+	// dist slot the climbing sweep reads behind port dirPorts[k] of position
+	// i — odd exactly when that hop descends — and dnSlot[i][k] the one the
+	// descending sweep reads, the sentinel for up edges and missing links.
+	sentinel := int32(2 * m)
+	dist := make([]int32, 2*m+1)
+	dist[sentinel] = unreachableDist
+	upSlot := make([][4]int32, m)
+	dnSlot := make([][4]int32, m)
+	for i, u := range order {
+		for k, v := range nb[4*u : 4*u+4] {
+			up, dn := sentinel, sentinel
+			if v >= 0 {
+				if j := pos[v]; j > int32(i) {
+					up, dn = 2*j+1, 2*j+1
+				} else {
+					up = 2 * j
 				}
 			}
+			upSlot[i][k], dnSlot[i][k] = up, dn
 		}
-		for uID, u := range routers {
-			if uID == dstID || t.level[uID] < 0 {
+	}
+
+	xy := make([]uint8, m)   // dirPorts index of the X-Y port, per position
+	down := make([]uint8, m) // down-phase port, per position
+	for q, dstID := range order {
+		dc := routers[dstID].Coord
+		for i, u := range order {
+			if i != q {
+				xy[i] = uint8(routers[u].DirToward(dc) - noc.PortNorth)
+			}
+		}
+		// No router after the destination descends to it.
+		for i := m - 1; i > q; i-- {
+			dist[2*i+1], down[i] = unreachableDist, 0
+		}
+		dist[2*q+1] = 0
+		for i := q - 1; i >= 0; i-- {
+			s, rk := &dnSlot[i], &rankKey[xy[i]]
+			best := min(dist[s[0]]<<4|rk[0], dist[s[1]]<<4|rk[1], dist[s[2]]<<4|rk[2], dist[s[3]]<<4|rk[3])
+			dist[2*i+1] = min(best>>4+1, unreachableDist)
+			down[i] = rankPort[xy[i]][best>>1&7]
+			if best>>4 >= unreachableDist {
+				down[i] = 0
+			}
+		}
+		row := t.entry[int(dstID)*n : int(dstID)*n+n]
+		for i := 0; i < m; i++ {
+			if i == q {
+				dist[2*i] = 0
 				continue
 			}
-			xy := u.DirToward(dst.Coord)
-			bestUp, bestDown := noc.PortID(-1), noc.PortID(-1)
-			var costUp, costDown int32 = -1, -1
-			for _, p := range dirPorts {
-				v := healthyEdge(u, p)
-				if v == nil {
-					continue
-				}
-				var c int32
-				if t.downEdge(u, v) {
-					c = dist[v.ID()*2+1]
-					if c >= 0 && (costDown < 0 || c < costDown || (c == costDown && p == xy)) {
-						bestDown, costDown = p, c
-					}
-				} else {
-					c = dist[v.ID()*2]
-				}
-				if c >= 0 && (costUp < 0 || c < costUp || (c == costUp && p == xy)) {
-					bestUp, costUp = p, c
-				}
+			s, rk := &upSlot[i], &rankKey[xy[i]]
+			best := min(dist[s[0]]<<4|rk[0]|s[0]&1, dist[s[1]]<<4|rk[1]|s[1]&1,
+				dist[s[2]]<<4|rk[2]|s[2]&1, dist[s[3]]<<4|rk[3]|s[3]&1)
+			dist[2*i] = min(best>>4+1, unreachableDist)
+			e := rankPort[xy[i]][best>>1&7] | uint8(best&1)*entryDescends | down[i]<<entryDownShift
+			if best>>4 >= unreachableDist {
+				e = 0
 			}
-			t.next[base+uID] = int8(bestUp)
-			t.down[base+uID] = int8(bestDown)
+			row[order[i]] = e
 		}
 	}
 }
 
-// Route implements noc.Routing. It reads only tables that rebuild on fault
+// Route implements noc.Routing. It reads only state that rebuilds on fault
 // events and writes only m's RouteBits, idempotently, as the contract asks.
 func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	dst := t.net.Node(m.Dst)
@@ -329,29 +322,24 @@ func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 		}
 		return dst.Port
 	}
-	base := dst.Router.ID()*t.n + r.ID()
-	if t.degraded {
-		if m.RouteBits&RouteDown != 0 {
-			if p := t.down[base]; p >= 0 {
-				return noc.PortID(p)
-			}
-			// Only possible after a rebuild reoriented the edges under the
-			// message: restart the climb under the new orientation.
-			m.RouteBits &^= RouteDown
-		}
-		p := t.next[base]
-		if p < 0 {
-			return noc.RouteUnreachable
-		}
-		out := noc.PortID(p)
-		if t.downEdge(r, r.Neighbor(out)) {
-			m.RouteBits |= RouteDown
-		}
-		return out
+	if !t.degraded {
+		return r.DirToward(dst.Router.Coord)
 	}
-	p := t.next[base]
-	if p < 0 {
+	e := t.entry[dst.Router.ID()*t.n+r.ID()]
+	if m.RouteBits&RouteDown != 0 {
+		if p := e >> entryDownShift; p != 0 {
+			return noc.PortID(p)
+		}
+		// Only possible after a rebuild reoriented the edges under the
+		// message: restart the climb under the new orientation.
+		m.RouteBits &^= RouteDown
+	}
+	p := e & entryPort
+	if p == 0 {
 		return noc.RouteUnreachable
+	}
+	if e&entryDescends != 0 {
+		m.RouteBits |= RouteDown
 	}
 	return noc.PortID(p)
 }
