@@ -17,13 +17,14 @@ test:
 test-nofma:
 	GODEBUG=cpu.fma=off $(GO) test ./internal/nn
 
-# Race-check the library packages; the obs registry, the parallel sweep
-# telemetry and the fault-injection tests are explicitly exercised under
-# -race by internal/experiments and internal/fault. The race detector runs
-# ~10x slower than a plain test, so give the heavyweight sweep package more
-# than the default 10m.
+# Race-check the library packages and the commands; the obs registry, the
+# parallel sweep telemetry and the fault-injection tests are explicitly
+# exercised under -race by internal/experiments and internal/fault, and the
+# command tests run whole sweeps and trainarb's metrics sidecar. The race
+# detector runs ~10x slower than a plain test, so give the heavyweight sweep
+# package more than the default 10m.
 race:
-	$(GO) test -race -timeout 20m ./internal/...
+	$(GO) test -race -timeout 20m ./internal/... ./cmd/...
 
 vet:
 	$(GO) vet ./...

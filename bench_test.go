@@ -14,6 +14,7 @@
 package mlnoc
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"sync"
@@ -37,6 +38,7 @@ var (
 
 	execOnce  sync.Once
 	execSweep *experiments.ExecSweepResult
+	execErr   error
 
 	printMu   sync.Mutex
 	printSeen = map[string]bool{}
@@ -64,10 +66,13 @@ func meshStudies() (*experiments.MeshStudyResult, *experiments.MeshStudyResult) 
 	return mesh4, mesh8
 }
 
-func sweep() *experiments.ExecSweepResult {
+func sweep(b *testing.B) *experiments.ExecSweepResult {
 	execOnce.Do(func() {
-		execSweep = experiments.ExecSweep(benchScale(), true)
+		execSweep, execErr = experiments.ExecSweepCtx(context.Background(), benchScale(), true, nil)
 	})
+	if execErr != nil {
+		b.Fatal(execErr)
+	}
 	return execSweep
 }
 
@@ -107,7 +112,12 @@ func BenchmarkFig5_MeshLatency(b *testing.B) {
 func BenchmarkFig7_HeatmapAPU(b *testing.B) {
 	var dominance float64
 	for i := 0; i < b.N; i++ {
-		h := experiments.APUHeatmap(benchScale())
+		agent, err := experiments.TrainAPUCtx(context.Background(), benchScale())
+		if err != nil {
+			b.Fatal(err)
+		}
+		agent.Freeze()
+		h := experiments.APUHeatmapFromAgent(agent)
 		ranked := h.RankedRows()
 		dominance = h.RowMean(ranked[0])
 		printOnce("fig7", func() string { return experiments.RenderAPUHeatmap(h) })
@@ -121,7 +131,7 @@ func BenchmarkFig7_HeatmapAPU(b *testing.B) {
 func BenchmarkFig9_AvgExecTime(b *testing.B) {
 	var rl, rr float64
 	for i := 0; i < b.N; i++ {
-		r := sweep()
+		r := sweep(b)
 		rl = r.MeanNormAvg[indexOf(b, r.Policies, "RL-inspired")]
 		rr = r.MeanNormAvg[indexOf(b, r.Policies, "Round-robin")]
 		printOnce("fig9", r.RenderAvg)
@@ -136,7 +146,7 @@ func BenchmarkFig9_AvgExecTime(b *testing.B) {
 func BenchmarkFig10_TailExecTime(b *testing.B) {
 	var rl, rr float64
 	for i := 0; i < b.N; i++ {
-		r := sweep()
+		r := sweep(b)
 		rl = r.MeanNormTail[indexOf(b, r.Policies, "RL-inspired")]
 		rr = r.MeanNormTail[indexOf(b, r.Policies, "Round-robin")]
 		printOnce("fig10", r.RenderTail)
@@ -152,7 +162,10 @@ func BenchmarkFig10_TailExecTime(b *testing.B) {
 func BenchmarkFig11_MixedWorkloads(b *testing.B) {
 	var spreadIdle, spreadBusy float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.MixedWorkloads(benchScale(), false)
+		r, err := experiments.MixedWorkloadsCtx(context.Background(), benchScale(), false, nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		spreadIdle = spread(r.NormAvg[0])
 		spreadBusy = spread(r.NormAvg[4])
 		printOnce("fig11", r.Render)
@@ -210,7 +223,10 @@ func BenchmarkTable3_Synthesis(b *testing.B) {
 func BenchmarkAblation_Defeatured(b *testing.B) {
 	var noPort float64
 	for i := 0; i < b.N; i++ {
-		r := experiments.Ablation(benchScale())
+		r, err := experiments.AblationCtx(context.Background(), benchScale(), nil)
+		if err != nil {
+			b.Fatal(err)
+		}
 		noPort = r.MeanIncrease[1]
 		printOnce("ablation", r.Render)
 	}

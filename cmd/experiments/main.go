@@ -13,108 +13,116 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"os"
 	"strconv"
 	"strings"
 
 	"mlnoc/internal/cliutil"
+	"mlnoc/internal/cliutil/cmdline"
 	"mlnoc/internal/core"
 	"mlnoc/internal/experiments"
 	"mlnoc/internal/obs"
-	"mlnoc/internal/prof"
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/viz"
 )
 
-func main() {
-	scale := flag.String("scale", "quick", "experiment scale: quick or full")
-	seed := flag.Int64("seed", 1, "random seed")
-	noNN := flag.Bool("no-nn", false, "skip NN training in APU sweeps (faster)")
-	csvDir := flag.String("csv", "", "also write results as CSV files into this directory")
-	metricsOut := flag.String("metrics-out", "",
+func main() { cliutil.Main("experiments", run) }
+
+func run(args []string, stdout io.Writer) error {
+	cmd := cmdline.New("experiments")
+	scale := cmd.String("scale", "quick", "experiment scale: quick or full")
+	seed := cmd.Int64("seed", 1, "random seed")
+	noNN := cmd.Bool("no-nn", false, "skip NN training in APU sweeps (faster)")
+	csvDir := cmd.String("csv", "", "also write results as CSV files into this directory")
+	metricsOut := cmd.String("metrics-out", "",
 		"write per-cell obs snapshots (JSON) of the APU sweeps to this file")
-	watchdog := flag.Int64("watchdog", 0,
+	watchdog := cmd.Int64("watchdog", 0,
 		"attach a watchdog to every sweep cell: flag head messages older than N cycles and N-cycle zero-delivery windows (0 = off)")
-	progress := flag.Bool("progress", false, "print sweep cell progress to stderr")
-	traceDir := flag.String("trace-dir", "",
+	progress := cmd.Bool("progress", false, "print sweep cell progress to stderr")
+	traceDir := cmd.String("trace-dir", "",
 		"write one Chrome/Perfetto trace JSON per APU sweep cell into this directory")
-	traceSample := flag.Uint64("trace-sample", 64, "trace only every Nth message per cell")
-	flag.StringVar(&scalingSizes, "scaling-sizes", "",
+	traceSample := cmd.Uint64("trace-sample", 64, "trace only every Nth message per cell")
+	scalingSizes := cmd.String("scaling-sizes", "",
 		"scaling experiment: comma-separated topology edge sizes (default 8,16,32)")
-	flag.BoolVar(&scalingTorus, "scaling-torus", false,
+	scalingTorus := cmd.Bool("scaling-torus", false,
 		"scaling experiment: wrap the topology into a 2D torus")
-	quantMinAgree := flag.Float64("quant-min-agree", 0,
+	quantMinAgree := cmd.Float64("quant-min-agree", 0,
 		"quant experiment: exit nonzero when INT8/float action agreement falls below this fraction (0 = report only)")
-	var logCfg cliutil.LogConfig
-	cliutil.AddLogFlags(flag.CommandLine, &logCfg)
-	flag.Usage = usage
-	profCfg := prof.AddFlags(flag.CommandLine)
-	flag.Parse()
-	if flag.NArg() != 1 {
-		usage()
-		os.Exit(2)
+	cmd.Usage = func() { usage(cmd.FlagSet) }
+	if err := cmd.Parse(args); err != nil {
+		return err
 	}
-	log := cliutil.SetupLogger("experiments", &logCfg)
+	if cmd.NArg() != 1 {
+		cmd.Usage()
+		return cliutil.Usagef("want one experiment, got %d arguments", cmd.NArg())
+	}
 	var check cliutil.Check
 	check.NonNegative("-watchdog", *watchdog)
 	check.AtLeastU("-trace-sample", *traceSample, 1)
 	check.OneOf("-scale", *scale, "quick", "full")
-	check.Exit("experiments")
-	profStop, err := prof.Start(*profCfg)
+	check.Unit("-quant-min-agree", *quantMinAgree)
+	what := strings.ToLower(cmd.Arg(0))
+	log, stop, err := cmd.Start(&check, what, *seed, stdout)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-		os.Exit(2)
+		return err
 	}
-	defer profStop()
+	defer stop()
 
-	var sc experiments.Scale
+	o := &options{
+		stdout:        stdout,
+		usage:         cmd.Usage,
+		withNN:        !*noNN,
+		csvDir:        *csvDir,
+		quantMinAgree: *quantMinAgree,
+		scalingSizes:  *scalingSizes,
+		scalingTorus:  *scalingTorus,
+	}
 	if *scale == "full" {
-		sc = experiments.Full()
+		o.sc = experiments.Full()
 	} else {
-		sc = experiments.Quick()
+		o.sc = experiments.Quick()
 	}
-	sc.Seed = *seed
-	withNN := !*noNN
-	cliutil.PrintSeed(os.Stdout, sc.Seed)
-
+	o.sc.Seed = *seed
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return err
 		}
 	}
-
-	what := strings.ToLower(flag.Arg(0))
-	// One correlation ID per invocation on every record, mirroring the
-	// daemon's per-job IDs: interleaved JSON logs from a batch of runs
-	// separate cleanly by corr_id.
-	log = log.With("corr_id", fmt.Sprintf("experiments-%s-%d-%d", what, os.Getpid(), *seed))
-
-	tel := buildTelemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log)
-	if tel != nil && tel.Registry != nil {
-		tel.Registry.SetSeed(*seed)
+	if o.tel, err = o.telemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log); err != nil {
+		return err
+	}
+	if o.tel != nil && o.tel.Registry != nil {
+		o.tel.Registry.SetSeed(*seed)
 	}
 
-	run(what, sc, withNN, *csvDir, tel, *quantMinAgree)
-
-	if tel != nil && tel.Registry != nil && *metricsOut != "" {
-		writeMetrics(*metricsOut, tel.Registry)
+	if err := o.run(what); err != nil {
+		return err
 	}
-	if tel != nil && tel.Registry != nil {
-		for _, a := range tel.Registry.Alerts() {
-			log.Warn("watchdog alert", "alert", a)
+	if o.tel == nil || o.tel.Registry == nil {
+		return nil
+	}
+	reg := o.tel.Registry
+	if *metricsOut != "" {
+		if err := cliutil.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
+			return err
 		}
+		fmt.Fprintf(stdout, "(obs metrics written to %s: %d runs)\n", *metricsOut, reg.Len())
 	}
+	for _, a := range reg.Alerts() {
+		log.Warn("watchdog alert", "alert", a)
+	}
+	return nil
 }
 
-// buildTelemetry assembles the sweep telemetry from the observability flags,
-// or returns nil when none are set.
-func buildTelemetry(metricsOut string, watchdog int64, progress bool,
-	traceDir string, traceSample uint64, log *slog.Logger) *experiments.Telemetry {
+// telemetry assembles the sweep telemetry from the observability flags, or
+// returns nil when none are set.
+func (o *options) telemetry(metricsOut string, watchdog int64, progress bool,
+	traceDir string, traceSample uint64, log *slog.Logger) (*experiments.Telemetry, error) {
 	if metricsOut == "" && watchdog == 0 && !progress && traceDir == "" {
-		return nil
+		return nil, nil
 	}
 	tel := &experiments.Telemetry{}
 	if metricsOut != "" || watchdog != 0 {
@@ -133,199 +141,221 @@ func buildTelemetry(metricsOut string, watchdog int64, progress bool,
 	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return nil, err
 		}
 		tel.Trace = &trace.Config{SampleEvery: traceSample}
+		// Telemetry serializes TraceSink calls, and a sweep returns only after
+		// its last one, so o.err needs no lock.
 		tel.TraceSink = func(label string, tr *trace.Tracer) {
+			if o.err != nil {
+				return
+			}
 			// Labels are "workload/policy"; flatten for the filesystem.
 			name := strings.NewReplacer("/", "_", " ", "_").Replace(label) + ".trace.json"
-			f, err := os.Create(traceDir + string(os.PathSeparator) + name)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
+			o.err = cliutil.WriteFile(traceDir+string(os.PathSeparator)+name,
+				func(w io.Writer) error { return trace.WriteChromeTrace(w, tr) })
+			if o.err == nil {
+				log.Info("trace written", "file", name, "events", tr.Len())
 			}
-			defer f.Close()
-			if err := trace.WriteChromeTrace(f, tr); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			log.Info("trace written", "file", name, "events", tr.Len())
 		}
 	}
-	return tel
+	return tel, nil
 }
 
-func writeMetrics(path string, reg *obs.Registry) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	defer f.Close()
-	if err := reg.WriteJSON(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	fmt.Printf("(obs metrics written to %s: %d runs)\n", path, reg.Len())
+// options are one invocation's settings, shared by every experiment "all"
+// runs.
+type options struct {
+	stdout        io.Writer
+	usage         func()
+	sc            experiments.Scale
+	withNN        bool
+	csvDir        string
+	tel           *experiments.Telemetry
+	quantMinAgree float64
+	scalingSizes  string
+	scalingTorus  bool
+	err           error // first failed CSV or trace write; later ones are skipped
 }
 
-// writeCSV writes one CSV artifact, reporting the path.
-func writeCSV(dir, name, content string) {
-	if dir == "" {
+// csv writes one CSV artifact into -csv and reports the path. After a failed
+// write it writes nothing, and run returns the error.
+func (o *options) csv(name, content string) {
+	if o.csvDir == "" || o.err != nil {
 		return
 	}
-	path := dir + string(os.PathSeparator) + name
-	if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+	path := o.csvDir + string(os.PathSeparator) + name
+	o.err = cliutil.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, content)
+		return err
+	})
+	if o.err == nil {
+		fmt.Fprintf(o.stdout, "(csv written to %s)\n", path)
 	}
-	fmt.Printf("(csv written to %s)\n", path)
 }
 
-func run(what string, sc experiments.Scale, withNN bool, csvDir string, tel *experiments.Telemetry, quantMinAgree float64) {
+func (o *options) run(what string) error {
+	ctx := context.Background()
+	w, sc := o.stdout, o.sc
 	switch what {
 	case "fig4":
 		r := experiments.MeshStudy(4, sc)
-		fmt.Print(r.RenderHeatmap())
-		writeCSV(csvDir, "fig4_heatmap.csv", r.HeatmapCSV())
+		fmt.Fprint(w, r.RenderHeatmap())
+		o.csv("fig4_heatmap.csv", r.HeatmapCSV())
 	case "fig5":
 		for _, size := range []int{4, 8} {
 			r := experiments.MeshStudy(size, sc)
-			fmt.Print(r.Render())
-			fmt.Println()
-			writeCSV(csvDir, fmt.Sprintf("fig5_%dx%d.csv", size, size), r.CSV())
+			fmt.Fprint(w, r.Render())
+			fmt.Fprintln(w)
+			o.csv(fmt.Sprintf("fig5_%dx%d.csv", size, size), r.CSV())
 		}
 	case "fig7":
-		h := experiments.APUHeatmap(sc)
-		fmt.Print(experiments.RenderAPUHeatmap(h))
-		writeCSV(csvDir, "fig7_heatmap.csv", viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs))
+		agent, err := experiments.TrainAPUCtx(ctx, sc)
+		if err != nil {
+			return err
+		}
+		agent.Freeze()
+		h := experiments.APUHeatmapFromAgent(agent)
+		fmt.Fprint(w, experiments.RenderAPUHeatmap(h))
+		o.csv("fig7_heatmap.csv", viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs))
 	case "fig9":
-		r := experiments.ExecSweepT(sc, withNN, tel)
-		fmt.Print(r.RenderAvg())
-		writeCSV(csvDir, "fig9_avg.csv", r.CSVAvg())
+		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.RenderAvg())
+		o.csv("fig9_avg.csv", r.CSVAvg())
 	case "fig10":
-		r := experiments.ExecSweepT(sc, withNN, tel)
-		fmt.Print(r.RenderTail())
-		writeCSV(csvDir, "fig10_tail.csv", r.CSVTail())
+		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.RenderTail())
+		o.csv("fig10_tail.csv", r.CSVTail())
 	case "fig9+10", "exec":
-		r := experiments.ExecSweepT(sc, withNN, tel)
-		fmt.Print(r.RenderAvg())
-		fmt.Println()
-		fmt.Print(r.RenderTail())
-		writeCSV(csvDir, "fig9_avg.csv", r.CSVAvg())
-		writeCSV(csvDir, "fig10_tail.csv", r.CSVTail())
+		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.RenderAvg())
+		fmt.Fprintln(w)
+		fmt.Fprint(w, r.RenderTail())
+		o.csv("fig9_avg.csv", r.CSVAvg())
+		o.csv("fig10_tail.csv", r.CSVTail())
 	case "fig11":
-		r := experiments.MixedWorkloadsT(sc, withNN, tel)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "fig11_mixes.csv", r.CSV())
+		r, err := experiments.MixedWorkloadsCtx(ctx, sc, o.withNN, o.tel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Render())
+		o.csv("fig11_mixes.csv", r.CSV())
 	case "fig12":
 		r := experiments.RewardCurves(sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "fig12_rewards.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("fig12_rewards.csv", r.CSV())
 	case "fig13":
 		r := experiments.FeatureCurves(sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "fig13_features.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("fig13_features.csv", r.CSV())
 	case "table1":
-		fmt.Print(renderTable1())
+		fmt.Fprint(w, renderTable1())
 	case "table2":
-		fmt.Print(renderTable2())
+		fmt.Fprint(w, renderTable2())
 	case "table3":
 		r := experiments.Table3()
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "table3.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("table3.csv", r.CSV())
 	case "ablation":
-		r := experiments.AblationT(sc, tel)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "ablation.csv", r.CSV())
+		r, err := experiments.AblationCtx(ctx, sc, o.tel)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Render())
+		o.csv("ablation.csv", r.CSV())
 	case "starvation":
 		r := experiments.Starvation(sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "starvation.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("starvation.csv", r.CSV())
 	case "faults":
-		r := experiments.FaultSweep(sc, tel)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "faults_mesh.csv", r.CSVMesh())
-		writeCSV(csvDir, "faults_apu.csv", r.CSVAPU())
+		r, err := experiments.FaultSweepRatesCtx(ctx, sc, o.tel, experiments.DefaultFaultRates)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Render())
+		o.csv("faults_mesh.csv", r.CSVMesh())
+		o.csv("faults_apu.csv", r.CSVAPU())
 	case "fairness":
 		r := experiments.Fairness(sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "fairness.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("fairness.csv", r.CSV())
 	case "qtable":
-		fmt.Print(experiments.QTableStudy(sc).Render())
+		fmt.Fprint(w, experiments.QTableStudy(sc).Render())
 	case "bufablation":
-		fmt.Print(experiments.BufferAblation(sc).Render())
+		fmt.Fprint(w, experiments.BufferAblation(sc).Render())
 	case "tiebreak":
-		fmt.Print(experiments.TieBreakAblation(sc).Render())
+		fmt.Fprint(w, experiments.TieBreakAblation(sc).Render())
 	case "derive":
-		fmt.Print(experiments.DeriveReport(sc))
+		fmt.Fprint(w, experiments.DeriveReport(sc))
 	case "flitcheck":
 		r := experiments.FlitCheck(sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "flitcheck.csv", r.CSV())
+		fmt.Fprint(w, r.Render())
+		o.csv("flitcheck.csv", r.CSV())
 	case "hillclimb":
-		fmt.Print(experiments.HillClimbReport(sc))
+		fmt.Fprint(w, experiments.HillClimbReport(sc))
 	case "scaling":
-		r, err := experiments.ScalingStudyCtx(context.Background(),
-			parseIntList("-scaling-sizes", scalingSizes), nil, scalingTorus, sc)
+		sizes, err := parseIntList("-scaling-sizes", o.scalingSizes)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
+			return err
 		}
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "scaling_throughput.csv", r.CSV())
-		writeCSV(csvDir, "scaling_invariant.csv", r.InvariantCSV())
+		r, err := experiments.ScalingStudyCtx(ctx, sizes, nil, o.scalingTorus, sc)
+		if err != nil {
+			return err
+		}
+		fmt.Fprint(w, r.Render())
+		o.csv("scaling_throughput.csv", r.CSV())
+		o.csv("scaling_invariant.csv", r.InvariantCSV())
 	case "quant":
 		r := experiments.QuantStudy(4, sc)
-		fmt.Print(r.Render())
-		writeCSV(csvDir, "quant_fidelity.csv", r.CSV())
-		if quantMinAgree > 0 && r.Agreement < quantMinAgree {
-			fmt.Fprintf(os.Stderr, "quant: INT8 action agreement %.3f below required %.3f\n",
-				r.Agreement, quantMinAgree)
-			os.Exit(1)
+		fmt.Fprint(w, r.Render())
+		o.csv("quant_fidelity.csv", r.CSV())
+		if o.quantMinAgree > 0 && r.Agreement < o.quantMinAgree {
+			return fmt.Errorf("quant: INT8 action agreement %.3f below required %.3f",
+				r.Agreement, o.quantMinAgree)
 		}
 	case "all":
-		for _, w := range []string{
+		for _, e := range []string{
 			"table1", "table2", "table3", "fig4", "fig5", "fig7",
 			"fig9+10", "fig11", "fig12", "fig13", "ablation", "starvation",
 			"fairness", "faults", "qtable", "flitcheck", "bufablation", "tiebreak",
 			"derive", "hillclimb", "quant",
 		} {
-			fmt.Printf("==== %s ====\n", w)
-			run(w, sc, withNN, csvDir, tel, quantMinAgree)
-			fmt.Println()
+			fmt.Fprintf(w, "==== %s ====\n", e)
+			if err := o.run(e); err != nil {
+				return err
+			}
+			fmt.Fprintln(w)
 		}
 	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", what)
-		usage()
-		os.Exit(2)
+		o.usage()
+		return cliutil.Usagef("unknown experiment %q", what)
 	}
+	return o.err
 }
-
-// Scaling-experiment knobs; package-level because run is recursive for "all"
-// and the scaling flags only matter to one subcommand.
-var (
-	scalingSizes string
-	scalingTorus bool
-)
 
 // parseIntList parses a comma-separated flag value; empty means the
 // experiment's default list.
-func parseIntList(flagName, s string) []int {
+func parseIntList(flagName, s string) ([]int, error) {
 	if s == "" {
-		return nil
+		return nil, nil
 	}
 	var out []int
 	for _, part := range strings.Split(s, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil || v <= 0 {
-			fmt.Fprintf(os.Stderr, "experiments: %s: %q is not a positive integer list\n", flagName, s)
-			os.Exit(2)
+			return nil, cliutil.Usagef("%s: %q is not a positive integer list", flagName, s)
 		}
 		out = append(out, v)
 	}
-	return out
+	return out, nil
 }
 
 func renderTable1() string {
@@ -356,8 +386,8 @@ func renderTable2() string {
 	return b.String()
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `usage: experiments [flags] <experiment>
+func usage(fs *flag.FlagSet) {
+	fmt.Fprintf(fs.Output(), `usage: experiments [flags] <experiment>
 
 experiments: fig4 fig5 fig7 fig9 fig10 fig11 fig12 fig13
              table1 table2 table3 ablation starvation fairness faults
@@ -370,5 +400,5 @@ machine-dependent.
 
 flags:
 `)
-	flag.PrintDefaults()
+	fs.PrintDefaults()
 }

@@ -17,18 +17,19 @@
 package main
 
 import (
-	"flag"
+	"context"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/cliutil"
+	"mlnoc/internal/cliutil/cmdline"
 	"mlnoc/internal/core"
 	"mlnoc/internal/experiments"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/prof"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/telemetry"
 	"mlnoc/internal/trace"
@@ -37,90 +38,86 @@ import (
 	"mlnoc/internal/xrand"
 )
 
-func main() {
-	size := flag.Int("size", 4, "mesh edge size")
-	cycles := flag.Int64("cycles", 40000, "training cycles")
-	rate := flag.Float64("rate", 0, "injection rate (0 = experiment default)")
-	hidden := flag.Int("hidden", 15, "hidden layer width")
-	lr := flag.Float64("lr", 0, "learning rate (0 = harness default)")
-	batch := flag.Int("batch", 0, "replay batch size per cycle (0 = harness default)")
-	eps := flag.Float64("eps", 0.001, "exploration rate floor")
-	gamma := flag.Float64("gamma", 0, "discount factor (0 = default)")
-	replay := flag.Int("replay", 0, "replay capacity (0 = default)")
-	sync := flag.Int64("sync", 0, "target sync interval in steps (0 = default)")
-	reward := flag.String("reward", "global_age", "reward: global_age, acc_latency, link_util")
-	seed := flag.Int64("seed", 1, "random seed")
-	out := flag.String("out", "", "save trained network to this file (gob)")
-	evalCycles := flag.Int64("eval", 6000, "evaluation cycles after training")
-	evalRate := flag.Float64("evalrate", 0, "evaluation injection rate (0 = training rate)")
-	record := flag.String("record", "", "record a dataset to this file instead of training")
-	behavior := flag.String("behavior", "round-robin", "behaviour policy while recording")
-	offline := flag.String("offline", "", "train offline from this dataset file")
-	epochs := flag.Int("epochs", 20, "offline training epochs over the dataset")
-	apuMode := flag.Bool("apu", false, "train the 504-input APU agent (on the bfs model) instead of a mesh agent")
-	telemetryOut := flag.String("telemetry-out", "",
+func main() { cliutil.Main("trainarb", run) }
+
+// epochCycles is the length of one mesh-training epoch.
+const epochCycles = 1000
+
+func run(args []string, stdout io.Writer) error {
+	cmd := cmdline.New("trainarb")
+	size := cmd.Int("size", 4, "mesh edge size")
+	cycles := cmd.Int64("cycles", 40000, "training cycles")
+	rate := cmd.Float64("rate", 0, "injection rate (0 = experiment default)")
+	hidden := cmd.Int("hidden", 15, "hidden layer width")
+	lr := cmd.Float64("lr", 0, "learning rate (0 = harness default)")
+	batch := cmd.Int("batch", 0, "replay batch size per cycle (0 = harness default)")
+	eps := cmd.Float64("eps", 0.001, "exploration rate floor")
+	gamma := cmd.Float64("gamma", 0, "discount factor (0 = default)")
+	replay := cmd.Int("replay", 0, "replay capacity (0 = default)")
+	sync := cmd.Int64("sync", 0, "target sync interval in steps (0 = default)")
+	reward := cmd.String("reward", "global_age", "reward: global_age, acc_latency, link_util")
+	seed := cmd.Int64("seed", 1, "random seed")
+	out := cmd.String("out", "", "save trained network to this file (gob)")
+	evalCycles := cmd.Int64("eval", 6000, "evaluation cycles after training")
+	evalRate := cmd.Float64("evalrate", 0, "evaluation injection rate (0 = training rate)")
+	record := cmd.String("record", "", "record a dataset to this file instead of training")
+	behavior := cmd.String("behavior", "round-robin", "behaviour policy while recording")
+	offline := cmd.String("offline", "", "train offline from this dataset file")
+	epochs := cmd.Int("epochs", 20, "offline training epochs over the dataset")
+	apuMode := cmd.Bool("apu", false, "train the 504-input APU agent (on the bfs model) instead of a mesh agent")
+	telemetryOut := cmd.String("telemetry-out", "",
 		"write training telemetry (training_curves.csv, per-epoch weight-heatmap CSVs) into this directory")
-	heatmapEvery := flag.Int("heatmap-every", 0,
+	heatmapEvery := cmd.Int("heatmap-every", 0,
 		"dump a weight-heatmap CSV every N epochs (0 = 4 dumps per run; needs -telemetry-out)")
-	traceOn := flag.Bool("trace", false,
+	traceFlags := &cliutil.TraceFlags{}
+	cmd.BoolVar(&traceFlags.On, "trace", false,
 		"trace message lifecycles during training and print a latency breakdown")
-	traceOut := flag.String("trace-out", "",
+	cmd.StringVar(&traceFlags.Out, "trace-out", "",
 		"write the training-run trace as Chrome/Perfetto JSON to this file (implies -trace)")
-	traceSample := flag.Uint64("trace-sample", 16, "trace only every Nth message")
-	quantEval := flag.Bool("quant-eval", false,
+	cmd.Uint64Var(&traceFlags.Sample, "trace-sample", 16, "trace only every Nth message")
+	quantEval := cmd.Bool("quant-eval", false,
 		"after training, compile the frozen net to the INT8 engine and report action agreement, Q-value error and latency deltas")
-	quantMinAgree := flag.Float64("quant-min-agree", 0,
+	quantMinAgree := cmd.Float64("quant-min-agree", 0,
 		"with -quant-eval: exit nonzero when INT8/float action agreement falls below this fraction (0 = report only)")
-	metricsAddr := flag.String("metrics-addr", "",
+	metricsAddr := cmd.String("metrics-addr", "",
 		"serve /metrics and /debug/pprof on this address for the lifetime of the run (e.g. :9100)")
-	var logCfg cliutil.LogConfig
-	cliutil.AddLogFlags(flag.CommandLine, &logCfg)
-	profCfg := prof.AddFlags(flag.CommandLine)
-	flag.Parse()
+	if err := cmd.Parse(args); err != nil {
+		return err
+	}
 
-	fail := func(format string, args ...any) {
-		cliutil.Fatal("trainarb", format, args...)
-	}
-	log := cliutil.SetupLogger("trainarb", &logCfg)
-	// One correlation ID per invocation, on every record: a multi-run sweep's
-	// interleaved JSON logs separate cleanly by corr_id.
-	log = log.With("corr_id", fmt.Sprintf("trainarb-%d-%d", os.Getpid(), *seed))
-	profStop, err := prof.Start(*profCfg)
-	if err != nil {
-		fail("%v", err)
-	}
-	defer profStop()
 	var check cliutil.Check
-	check.Positive("-size", int64(*size))
-	check.Positive("-cycles", *cycles)
+	check.AtLeast("-size", int64(*size), 2) // the injector needs two nodes
+	if *apuMode || *record != "" || *offline != "" {
+		check.Positive("-cycles", *cycles)
+	} else {
+		check.AtLeast("-cycles", *cycles, epochCycles) // mesh training runs whole epochs
+	}
 	check.Unit("-rate", *rate)
+	check.NonNegativeF("-lr", *lr)
+	check.NonNegative("-batch", int64(*batch))
+	check.Unit("-eps", *eps)
+	check.Unit("-gamma", *gamma)
+	check.NonNegative("-replay", int64(*replay))
+	check.NonNegative("-sync", *sync)
 	check.NonNegative("-eval", *evalCycles)
+	check.Unit("-evalrate", *evalRate)
+	check.Positive("-epochs", int64(*epochs))
 	check.NonNegative("-heatmap-every", int64(*heatmapEvery))
-	check.AtLeastU("-trace-sample", *traceSample, 1)
-	check.Exit("trainarb")
-	cliutil.PrintSeed(os.Stdout, *seed)
-
-	if *apuMode {
-		if err := trainAPU(*cycles, *seed, *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	check.Unit("-quant-min-agree", *quantMinAgree)
+	traceFlags.Validate(&check)
+	log, stop, err := cmd.Start(&check, "", *seed, stdout)
+	if err != nil {
+		return err
 	}
+	defer stop()
 
-	if *record != "" {
-		if err := recordDataset(*record, *behavior, *size, *rate, *cycles, *seed); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-	if *offline != "" {
-		if err := trainOffline(*offline, *size, *hidden, *epochs, *seed, *out); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
+	switch {
+	case *apuMode:
+		return trainAPU(stdout, *cycles, *seed, *out)
+	case *record != "":
+		return recordDataset(stdout, *record, *behavior, *size, *rate, *cycles, *seed)
+	case *offline != "":
+		return trainOffline(stdout, *offline, *hidden, *epochs, *seed, *out)
 	}
 
 	var kind rl.RewardKind
@@ -132,8 +129,7 @@ func main() {
 	case "link_util":
 		kind = rl.RewardLinkUtil
 	default:
-		fmt.Fprintf(os.Stderr, "unknown reward %q\n", *reward)
-		os.Exit(2)
+		return cliutil.Usagef("unknown reward %q", *reward)
 	}
 
 	cfg := core.MeshTrainConfig{
@@ -141,8 +137,8 @@ func main() {
 		Height:      *size,
 		Rate:        *rate,
 		Hidden:      *hidden,
-		Epochs:      int(*cycles / 1000),
-		EpochCycles: 1000,
+		Epochs:      int(*cycles / epochCycles),
+		EpochCycles: epochCycles,
 		Reward:      kind,
 		Seed:        *seed,
 		DQL: rl.DQLConfig{
@@ -154,8 +150,11 @@ func main() {
 			SyncEvery: *sync,
 		},
 	}
-	cfg.Telemetry = buildTelemetry(*telemetryOut, *heatmapEvery, cfg.Epochs,
-		*traceOn || *traceOut != "", *traceSample, fail)
+	var sinkErr error
+	if cfg.Telemetry, err = buildTelemetry(*telemetryOut, *heatmapEvery, cfg.Epochs,
+		traceFlags.Config(), &sinkErr); err != nil {
+		return err
+	}
 	// Epoch progress goes through slog live (not printed after the fact), so
 	// -log-format json turns a long run into machine-parseable progress.
 	if cfg.Telemetry == nil {
@@ -168,7 +167,7 @@ func main() {
 	if *metricsAddr != "" {
 		_, stop, err := startMetricsSidecar(*metricsAddr, telemetry.Default, log)
 		if err != nil {
-			fail("%v", err)
+			return err
 		}
 		defer stop()
 		newTrainMetrics(telemetry.Default).install(cfg.Telemetry)
@@ -176,14 +175,19 @@ func main() {
 	log.Info("training mesh agent", "size", fmt.Sprintf("%dx%d", *size, *size),
 		"cycles", *cycles, "reward", *reward)
 	tr := core.TrainMesh(cfg)
-	fmt.Printf("decisions=%d explored=%.4f replay=%d steps=%d\n",
+	if sinkErr != nil {
+		return sinkErr
+	}
+	fmt.Fprintf(stdout, "decisions=%d explored=%.4f replay=%d steps=%d\n",
 		tr.Agent.Decisions(), tr.Agent.ExplorationFraction(),
 		tr.Agent.DQL.Replay.Len(), tr.Agent.DQL.Steps())
-	reportTelemetry(tr, *telemetryOut, *traceOut, fail)
+	if err := reportTelemetry(stdout, tr, *telemetryOut, traceFlags); err != nil {
+		return err
+	}
 
 	tr.Agent.Freeze()
 	h := core.NewHeatmap(tr.Spec, tr.Agent.Net())
-	fmt.Print(viz.Heatmap(h.RowLabels, h.ColLabels, h.Abs))
+	fmt.Fprint(stdout, viz.Heatmap(h.RowLabels, h.ColLabels, h.Abs))
 
 	// Oldest-first accuracy: how often the frozen net picks the globally
 	// oldest candidate, measured by shadowing a global-age evaluation run.
@@ -192,13 +196,13 @@ func main() {
 	}
 	probe := &oldestProbe{inner: tr.Agent}
 	res := core.EvaluateMeshPolicy(cfg, probe, 1000, *evalCycles)
-	fmt.Printf("frozen NN eval: avg latency %.2f (oldest-pick accuracy %.1f%% of %d decisions)\n",
+	fmt.Fprintf(stdout, "frozen NN eval: avg latency %.2f (oldest-pick accuracy %.1f%% of %d decisions)\n",
 		res.AvgLatency, 100*probe.accuracy(), probe.total)
 
 	for _, pol := range []noc.Policy{arb.NewFIFO(), arb.NewGlobalAge(), core.NewRLInspiredMesh4x4()} {
 		pr := &oldestProbe{inner: pol}
 		r := core.EvaluateMeshPolicy(cfg, pr, 1000, *evalCycles)
-		fmt.Printf("%-16s avg latency %.2f (oldest accuracy %.1f%%)\n",
+		fmt.Fprintf(stdout, "%-16s avg latency %.2f (oldest accuracy %.1f%%)\n",
 			pol.Name(), r.AvgLatency, 100*pr.accuracy())
 	}
 
@@ -211,46 +215,41 @@ func main() {
 			sc.MeasureCycles = 1000
 		}
 		qr := experiments.QuantEval(tr.Agent, cfg, sc)
-		fmt.Print(qr.Render())
+		fmt.Fprint(stdout, qr.Render())
 		if *quantMinAgree > 0 && qr.Agreement < *quantMinAgree {
-			fmt.Fprintf(os.Stderr,
-				"trainarb: INT8 action agreement %.3f below required %.3f\n",
+			return fmt.Errorf("INT8 action agreement %.3f below required %.3f",
 				qr.Agreement, *quantMinAgree)
-			os.Exit(1)
 		}
 	}
+	return saveNetwork(stdout, *out, tr.Agent)
+}
 
-	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := tr.Agent.Net().Save(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := f.Close(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("saved network to %s\n", *out)
+// saveNetwork writes the agent's network to path, when one is given.
+func saveNetwork(stdout io.Writer, path string, agent *core.Agent) error {
+	if path == "" {
+		return nil
 	}
+	if err := cliutil.WriteFile(path, agent.Net().Save); err != nil {
+		return err
+	}
+	fmt.Fprintf(stdout, "saved network to %s\n", path)
+	return nil
 }
 
 // buildTelemetry assembles the TrainMesh telemetry config from the CLI
-// flags, or returns nil when no introspection was requested.
-func buildTelemetry(dir string, heatmapEvery, epochs int, traceOn bool, sample uint64,
-	fail func(string, ...any)) *core.TrainTelemetry {
-	if dir == "" && !traceOn {
-		return nil
+// flags, or returns nil when no introspection was requested. The first failed
+// heatmap write lands in *sinkErr; later epochs write nothing.
+func buildTelemetry(dir string, heatmapEvery, epochs int, traceCfg *trace.Config,
+	sinkErr *error) (*core.TrainTelemetry, error) {
+	if dir == "" && traceCfg == nil {
+		return nil, nil
 	}
 	// One curve point per 10 training batches keeps training_curves.csv a
 	// few thousand rows on default-length runs.
-	tel := &core.TrainTelemetry{BatchEvery: 10}
+	tel := &core.TrainTelemetry{BatchEvery: 10, Trace: traceCfg}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
-			fail("%v", err)
+			return nil, err
 		}
 		every := heatmapEvery
 		if every <= 0 {
@@ -261,27 +260,32 @@ func buildTelemetry(dir string, heatmapEvery, epochs int, traceOn bool, sample u
 		}
 		tel.HeatmapEvery = every
 		tel.HeatmapSink = func(epoch int, h *core.Heatmap) {
+			if *sinkErr != nil {
+				return
+			}
 			// Signed weights, not magnitudes: the CSV is the Fig. 4/7 raw
 			// artifact, and sign structure is what interpretation reads.
 			csv := viz.MatrixCSV("feature", h.RowLabels, h.ColLabels, h.Signed)
-			path := filepath.Join(dir, fmt.Sprintf("weights_epoch%03d.csv", epoch))
-			if err := os.WriteFile(path, []byte(csv), 0o644); err != nil {
-				fail("%v", err)
-			}
+			*sinkErr = writeString(filepath.Join(dir, fmt.Sprintf("weights_epoch%03d.csv", epoch)), csv)
 		}
 	}
-	if traceOn {
-		tel.Trace = &trace.Config{SampleEvery: sample}
-	}
-	return tel
+	return tel, nil
+}
+
+// writeString writes s to path.
+func writeString(path, s string) error {
+	return cliutil.WriteFile(path, func(w io.Writer) error {
+		_, err := io.WriteString(w, s)
+		return err
+	})
 }
 
 // reportTelemetry prints the training-telemetry summary and writes the
 // requested artifacts.
-func reportTelemetry(tr *core.TrainResult, dir, traceOut string, fail func(string, ...any)) {
+func reportTelemetry(stdout io.Writer, tr *core.TrainResult, dir string, traceFlags *cliutil.TraceFlags) error {
 	if tt := tr.TrainTrace; tt != nil && tt.Points() > 0 {
 		last := tt.Points() - 1
-		fmt.Printf("telemetry: %d curve points, %d target syncs, final loss %.5f, final epsilon %.4f, replay fill %.0f%%\n",
+		fmt.Fprintf(stdout, "telemetry: %d curve points, %d target syncs, final loss %.5f, final epsilon %.4f, replay fill %.0f%%\n",
 			tt.Points(), len(tt.SyncSteps), tt.Loss[last], tt.Epsilon[last], 100*tt.ReplayFill[last])
 		if dir != "" {
 			var b strings.Builder
@@ -290,41 +294,24 @@ func reportTelemetry(tr *core.TrainResult, dir, traceOut string, fail func(strin
 				fmt.Fprintf(&b, "%d,%.6f,%.4f,%.6f\n",
 					tt.Steps[i], tt.Loss[i], tt.ReplayFill[i], tt.Epsilon[i])
 			}
-			if err := os.WriteFile(filepath.Join(dir, "training_curves.csv"),
-				[]byte(b.String()), 0o644); err != nil {
-				fail("%v", err)
+			if err := writeString(filepath.Join(dir, "training_curves.csv"), b.String()); err != nil {
+				return err
 			}
 			var sb strings.Builder
 			sb.WriteString("step\n")
 			for _, s := range tt.SyncSteps {
 				fmt.Fprintf(&sb, "%d\n", s)
 			}
-			if err := os.WriteFile(filepath.Join(dir, "target_syncs.csv"),
-				[]byte(sb.String()), 0o644); err != nil {
-				fail("%v", err)
+			if err := writeString(filepath.Join(dir, "target_syncs.csv"), sb.String()); err != nil {
+				return err
 			}
-			fmt.Printf("telemetry written to %s\n", dir)
+			fmt.Fprintf(stdout, "telemetry written to %s\n", dir)
 		}
 	}
 	if tr.Tracer != nil {
-		fmt.Printf("trace: %d events retained (%d recorded, %d evicted)\n",
-			tr.Tracer.Len(), tr.Tracer.Recorded(), tr.Tracer.Dropped())
-		fmt.Print(trace.Analyze(tr.Tracer).Render())
-		if traceOut != "" {
-			f, err := os.Create(traceOut)
-			if err != nil {
-				fail("%v", err)
-			}
-			if err := trace.WriteChromeTrace(f, tr.Tracer); err != nil {
-				f.Close()
-				fail("%v", err)
-			}
-			if err := f.Close(); err != nil {
-				fail("%v", err)
-			}
-			fmt.Printf("(trace written to %s; load in https://ui.perfetto.dev or chrome://tracing)\n", traceOut)
-		}
+		return traceFlags.Report(stdout, tr.Tracer)
 	}
+	return nil
 }
 
 // oldestProbe wraps a policy and counts how often it grants the candidate
@@ -360,8 +347,10 @@ func (p *oldestProbe) accuracy() float64 {
 }
 
 // recordDataset runs the Fig. 2 data-collection phase: simulate the mesh
-// under a behaviour policy and dump the <s,a,r,s'> tuples.
-func recordDataset(path, behavior string, size int, rate float64, cycles, seed int64) error {
+// under a behaviour policy and dump the <s,a,r,s'> tuples. The recorder only
+// drives Select, so the behaviour policies are the four whose Select is the
+// whole policy.
+func recordDataset(stdout io.Writer, path, behavior string, size int, rate float64, cycles, seed int64) error {
 	var beh noc.Policy
 	switch behavior {
 	case "round-robin", "rr":
@@ -373,7 +362,7 @@ func recordDataset(path, behavior string, size int, rate float64, cycles, seed i
 	case "global-age":
 		beh = arb.NewGlobalAge()
 	default:
-		return fmt.Errorf("unknown behaviour policy %q", behavior)
+		return cliutil.Usagef("unknown behaviour policy %q", behavior)
 	}
 	spec := core.MeshSpec(3)
 	rec := core.NewRecorder(spec, beh)
@@ -391,20 +380,15 @@ func recordDataset(path, behavior string, size int, rate float64, cycles, seed i
 		net.Step()
 	}
 	rec.Flush()
-	f, err := os.Create(path)
-	if err != nil {
+	if err := cliutil.WriteFile(path, rec.Data.Save); err != nil {
 		return err
 	}
-	defer f.Close()
-	if err := rec.Data.Save(f); err != nil {
-		return err
-	}
-	fmt.Printf("recorded %d experiences under %s to %s\n", rec.Data.Len(), beh.Name(), path)
+	fmt.Fprintf(stdout, "recorded %d experiences under %s to %s\n", rec.Data.Len(), beh.Name(), path)
 	return nil
 }
 
 // trainOffline trains a fresh agent network from a recorded dataset.
-func trainOffline(path string, size, hidden, epochs int, seed int64, out string) error {
+func trainOffline(stdout io.Writer, path string, hidden, epochs int, seed int64, out string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
@@ -424,47 +408,27 @@ func trainOffline(path string, size, hidden, epochs int, seed int64, out string)
 		Seed:   seed,
 		DQL:    rl.DQLConfig{LR: 0.05, Gamma: 0.1, SyncEvery: 2000},
 	})
-	fmt.Printf("offline training on %d experiences for %d epochs...\n", data.Len(), epochs)
+	fmt.Fprintf(stdout, "offline training on %d experiences for %d epochs...\n", data.Len(), epochs)
 	td := agent.DQL.TrainOffline(xrand.New(seed+9), data, epochs)
-	fmt.Printf("final epoch mean TD error: %.5f\n", td)
+	fmt.Fprintf(stdout, "final epoch mean TD error: %.5f\n", td)
 	agent.Freeze()
 	h := core.NewHeatmap(spec, agent.Net())
-	fmt.Print(viz.Heatmap(h.RowLabels, h.ColLabels, h.Abs))
-	_ = size
-	if out != "" {
-		g, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer g.Close()
-		if err := agent.Net().Save(g); err != nil {
-			return err
-		}
-		fmt.Printf("saved network to %s\n", out)
-	}
-	return nil
+	fmt.Fprint(stdout, viz.Heatmap(h.RowLabels, h.ColLabels, h.Abs))
+	return saveNetwork(stdout, out, agent)
 }
 
 // trainAPU trains the paper's 504-input agent on the APU system and saves it.
-func trainAPU(cycles, seed int64, out string) error {
+func trainAPU(stdout io.Writer, cycles, seed int64, out string) error {
 	sc := experiments.Quick()
 	sc.TrainCycles = cycles
 	sc.Seed = seed
-	fmt.Printf("training the APU agent for %d cycles on the bfs model...\n", cycles)
-	agent := experiments.TrainAPU(sc)
-	agent.Freeze()
-	fmt.Printf("decisions: %d\n", agent.Decisions())
-	fmt.Print(experiments.RenderAPUHeatmap(experiments.APUHeatmapFromAgent(agent)))
-	if out != "" {
-		f, err := os.Create(out)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		if err := agent.Net().Save(f); err != nil {
-			return err
-		}
-		fmt.Printf("saved network to %s\n", out)
+	fmt.Fprintf(stdout, "training the APU agent for %d cycles on the bfs model...\n", cycles)
+	agent, err := experiments.TrainAPUCtx(context.Background(), sc)
+	if err != nil {
+		return err
 	}
-	return nil
+	agent.Freeze()
+	fmt.Fprintf(stdout, "decisions: %d\n", agent.Decisions())
+	fmt.Fprint(stdout, experiments.RenderAPUHeatmap(experiments.APUHeatmapFromAgent(agent)))
+	return saveNetwork(stdout, out, agent)
 }

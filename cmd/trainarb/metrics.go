@@ -5,7 +5,6 @@ import (
 	"log/slog"
 	"net"
 	"net/http"
-	"net/http/pprof"
 
 	"mlnoc/internal/core"
 	"mlnoc/internal/telemetry"
@@ -76,11 +75,7 @@ func startMetricsSidecar(addr string, reg *telemetry.Registry, log *slog.Logger)
 	}
 	mux := http.NewServeMux()
 	mux.Handle("/metrics", reg.Handler())
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	mux.Handle("/debug/pprof/", http.DefaultServeMux) // net/http/pprof's handlers, registered by cmdline
 	srv := &http.Server{Handler: mux}
 	go func() {
 		if err := srv.Serve(ln); err != http.ErrServerClosed {

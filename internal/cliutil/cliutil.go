@@ -1,12 +1,17 @@
-// Package cliutil holds the small pieces of command-line plumbing shared by
-// every binary in cmd/: flag validation with uniform rejection messages, and
-// effective-seed reporting. The same validation vocabulary is reused by
-// internal/serve to check JSON job specs, so a flag rejected by a CLI and a
-// field rejected by the daemon read identically ("-rate must be in [0,1],
-// got 1.5" vs `sweep.op_scale must be positive, got 0`).
+// Package cliutil holds the command-line plumbing shared by the binaries in
+// cmd/: the entry point that alone exits (Main), the logging flags, the flags
+// and reports the simulation commands have in common (obs, trace, saved
+// agents, the classic policies, output files), and flag validation with
+// uniform rejection messages. Their run setup, which adds profiling, is
+// package cmdline. The same validation vocabulary is reused by internal/serve to
+// check JSON job specs, so a flag rejected by a CLI and a field rejected by
+// the daemon read identically ("-rate must be in [0,1], got 1.5" vs
+// `sweep.op_scale must be positive, got 0`).
 package cliutil
 
 import (
+	"errors"
+	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -43,6 +48,13 @@ func (c *Check) PositiveF(name string, v float64) {
 func (c *Check) NonNegative(name string, v int64) {
 	if v < 0 {
 		c.fail("%s must be >= 0, got %d", name, v)
+	}
+}
+
+// NonNegativeF requires v >= 0.
+func (c *Check) NonNegativeF(name string, v float64) {
+	if v < 0 {
+		c.fail("%s must be >= 0, got %g", name, v)
 	}
 }
 
@@ -105,11 +117,49 @@ func (c *Check) Exit(prog string) {
 	}
 }
 
-// Fatal prints "prog: <msg>" to stderr and exits with status 2. It is the
-// shared shape of the per-cmd fail closures.
+// Fatal prints "prog: <msg>" to stderr and exits with status 2, for the
+// binaries that do not run through Main.
 func Fatal(prog, format string, args ...any) {
 	fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// UsageError is a bad invocation: a flag that does not parse or fails a
+// Check, or a name that no table of the command knows. Main exits 2 on it.
+type UsageError struct{ Err error }
+
+func (e UsageError) Error() string { return e.Err.Error() }
+func (e UsageError) Unwrap() error { return e.Err }
+
+// Usagef returns a UsageError with the formatted message.
+func Usagef(format string, args ...any) error {
+	return UsageError{fmt.Errorf(format, args...)}
+}
+
+// ExitCode is the exit status of a command whose run returned err: 0 on
+// success and for -h (flag.ErrHelp), 2 for a UsageError, 1 for any other
+// error.
+func ExitCode(err error) int {
+	var usage UsageError
+	switch {
+	case err == nil || errors.Is(err, flag.ErrHelp):
+		return 0
+	case errors.As(err, &usage):
+		return 2
+	}
+	return 1
+}
+
+// Main runs a command on the process arguments and standard output and is
+// the one place the command exits: a failed run's error becomes one
+// "prog: <msg>" line on stderr and the ExitCode status.
+func Main(prog string, run func(args []string, stdout io.Writer) error) {
+	err := run(os.Args[1:], os.Stdout)
+	code := ExitCode(err)
+	if code != 0 {
+		fmt.Fprintf(os.Stderr, "%s: %v\n", prog, err)
+	}
+	os.Exit(code)
 }
 
 // PrintSeed reports the effective RNG seed on w in the uniform "seed: N"

@@ -13,21 +13,17 @@ import (
 	"mlnoc/internal/viz"
 )
 
-// TrainAPU trains the paper's 504-input APU agent (Section 4.6) online on the
-// Bfs workload model — the application the paper uses to derive Fig. 7 —
-// re-launching the workload until the training budget is spent. The returned
-// agent is still in training mode; call Freeze before using it as the "NN"
+// TrainAPUCtx trains the paper's 504-input APU agent (Section 4.6) online on
+// the Bfs workload model — the application the paper uses to derive Fig. 7 —
+// re-launching the workload until the training budget is spent. The agent
+// comes back still training. Freeze only flushes its pending experiences and
+// stops training; that is all it needs before it serves as the "NN"
 // evaluation policy.
-func TrainAPU(sc Scale) *core.Agent {
-	agent, _ := TrainAPUCtx(context.Background(), sc)
-	return agent
-}
-
-// TrainAPUCtx is TrainAPU with cooperative cancellation: ctx is polled every
-// trainCheckEvery cycles and between workload launches, so a cancelled
-// server-side training job stops within a bounded number of simulated cycles
-// instead of spending the whole training budget. On cancellation the agent
-// trained so far is returned alongside ctx.Err().
+//
+// ctx is polled every trainCheckEvery cycles and between workload launches,
+// so a cancelled server-side training job stops within a bounded number of
+// simulated cycles instead of spending the whole training budget. On
+// cancellation the agent trained so far is returned alongside ctx.Err().
 func TrainAPUCtx(ctx context.Context, sc Scale) (*core.Agent, error) {
 	spec := core.APUSpec()
 	agent := core.NewAgent(spec, core.AgentConfig{
@@ -76,13 +72,6 @@ func TrainAPUCtx(ctx context.Context, sc Scale) (*core.Agent, error) {
 // simulated cycle, fine enough that cancellation lands within milliseconds.
 const trainCheckEvery = 1024
 
-// APUHeatmap trains the APU agent and returns its Fig. 7 weight heatmap.
-func APUHeatmap(sc Scale) *core.Heatmap {
-	agent := TrainAPU(sc)
-	agent.Freeze()
-	return APUHeatmapFromAgent(agent)
-}
-
 // APUHeatmapFromAgent extracts the Fig. 7 heatmap from an already trained
 // agent.
 func APUHeatmapFromAgent(agent *core.Agent) *core.Heatmap {
@@ -130,24 +119,15 @@ type ExecSweepResult struct {
 	MeanNormAvg, MeanNormTail []float64
 }
 
-// ExecSweep runs every Table 1 workload (four copies, one per quadrant) under
-// every Fig. 9 policy. With trainNN true it first trains the APU agent and
-// includes the frozen network as the "NN" policy.
-func ExecSweep(sc Scale, trainNN bool) *ExecSweepResult {
-	return ExecSweepT(sc, trainNN, nil)
-}
-
-// ExecSweepT is ExecSweep with per-cell telemetry (progress reporting, obs
-// snapshots, watchdog); tel may be nil.
-func ExecSweepT(sc Scale, trainNN bool, tel *Telemetry) *ExecSweepResult {
-	r, _ := ExecSweepCtx(context.Background(), sc, trainNN, tel)
-	return r
-}
-
-// ExecSweepCtx is ExecSweepT with cooperative cancellation: ctx is checked
-// between sweep cells (and inside NN training), so a killed server job stops
-// dispatching promptly instead of finishing the whole sweep. On cancellation
-// it returns (nil, ctx.Err()); cells already in flight complete first.
+// ExecSweepCtx runs every Table 1 workload (four copies, one per quadrant)
+// under every Fig. 9 policy. With trainNN true it first trains the APU agent
+// and includes the frozen network as the "NN" policy. tel adds per-cell
+// telemetry (progress reporting, obs snapshots, watchdog) and may be nil.
+//
+// ctx is checked between sweep cells (and inside NN training), so a killed
+// server job stops dispatching promptly instead of finishing the whole sweep.
+// On cancellation it returns (nil, ctx.Err()); cells already in flight
+// complete first.
 func ExecSweepCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*ExecSweepResult, error) {
 	var nnAgent *core.Agent
 	if trainNN {
@@ -269,21 +249,9 @@ type MixResult struct {
 	Avg      [][]float64
 }
 
-// MixedWorkloads reproduces Fig. 11: five mixes from four low-injection (L)
-// and four high-injection (H) applications, 4L0H through 0L4H, one
-// application per quadrant.
-func MixedWorkloads(sc Scale, trainNN bool) *MixResult {
-	return MixedWorkloadsT(sc, trainNN, nil)
-}
-
-// MixedWorkloadsT is MixedWorkloads with per-cell telemetry; tel may be nil.
-func MixedWorkloadsT(sc Scale, trainNN bool, tel *Telemetry) *MixResult {
-	r, _ := MixedWorkloadsCtx(context.Background(), sc, trainNN, tel)
-	return r
-}
-
-// MixedWorkloadsCtx is MixedWorkloadsT with cooperative cancellation checked
-// between sweep cells; see ExecSweepCtx.
+// MixedWorkloadsCtx reproduces Fig. 11: five mixes from four low-injection
+// (L) and four high-injection (H) applications, 4L0H through 0L4H, one
+// application per quadrant. tel and ctx work as in ExecSweepCtx.
 func MixedWorkloadsCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*MixResult, error) {
 	var nnAgent *core.Agent
 	if trainNN {
@@ -356,21 +324,10 @@ type AblationResult struct {
 	MaxIncrease, MeanIncrease []float64
 }
 
-// Ablation reproduces the Section 5.1 de-featuring experiment: remove the
+// AblationCtx reproduces the Section 5.1 de-featuring experiment: remove the
 // port condition (W/E hop inversion) and the message-type condition (boost)
-// from Algorithm 2, one at a time, and measure the slowdown.
-func Ablation(sc Scale) *AblationResult {
-	return AblationT(sc, nil)
-}
-
-// AblationT is Ablation with per-cell telemetry; tel may be nil.
-func AblationT(sc Scale, tel *Telemetry) *AblationResult {
-	r, _ := AblationCtx(context.Background(), sc, tel)
-	return r
-}
-
-// AblationCtx is AblationT with cooperative cancellation checked between
-// sweep cells; see ExecSweepCtx.
+// from Algorithm 2, one at a time, and measure the slowdown. tel and ctx work
+// as in ExecSweepCtx.
 func AblationCtx(ctx context.Context, sc Scale, tel *Telemetry) (*AblationResult, error) {
 	variants := []struct {
 		name string

@@ -95,7 +95,10 @@ func TestExecSweepShape(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	sc := tinyScale()
-	r := ExecSweep(sc, false)
+	r, err := ExecSweepCtx(context.Background(), sc, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Workloads) != 9 {
 		t.Fatalf("workloads = %v", r.Workloads)
 	}
@@ -146,7 +149,10 @@ func TestMixedWorkloadsShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	r := MixedWorkloads(tinyScale(), false)
+	r, err := MixedWorkloadsCtx(context.Background(), tinyScale(), false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Mixes) != 5 || r.Mixes[0] != "4L0H" || r.Mixes[4] != "0L4H" {
 		t.Fatalf("mixes = %v", r.Mixes)
 	}
@@ -181,7 +187,10 @@ func TestAblationShape(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	r := Ablation(tinyScale())
+	r, err := AblationCtx(context.Background(), tinyScale(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(r.Variants) != 4 || r.Variants[0] != "full" {
 		t.Fatalf("variants = %v", r.Variants)
 	}
@@ -296,7 +305,10 @@ func TestTrainAPUSmoke(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.TrainCycles = 1_500
-	agent := TrainAPU(sc)
+	agent, err := TrainAPUCtx(context.Background(), sc)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if agent.Decisions() == 0 {
 		t.Fatal("APU training made no arbitration decisions")
 	}

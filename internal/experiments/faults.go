@@ -64,22 +64,11 @@ func meshFaultFactories() []PolicyFactory {
 	}
 }
 
-// FaultSweep runs the faults experiment at the default rates.
-func FaultSweep(sc Scale, tel *Telemetry) *FaultSweepResult {
-	return FaultSweepRates(sc, tel, DefaultFaultRates)
-}
-
-// FaultSweepRates is FaultSweep over an explicit rate list. Every cell is
-// seeded from sc.Seed and the per-rate kill seed is shared across policies,
-// so each policy faces the identical physical fault scenario and the whole
-// sweep is reproducible run to run.
-func FaultSweepRates(sc Scale, tel *Telemetry, rates []float64) *FaultSweepResult {
-	r, _ := FaultSweepRatesCtx(context.Background(), sc, tel, rates)
-	return r
-}
-
-// FaultSweepRatesCtx is FaultSweepRates with cooperative cancellation checked
-// between sweep cells; see ExecSweepCtx.
+// FaultSweepRatesCtx runs the faults experiment over the given link-kill
+// fractions (DefaultFaultRates for the paper's sweep). Every cell is seeded
+// from sc.Seed and the per-rate kill seed is shared across policies, so each
+// policy faces the identical physical fault scenario and the whole sweep is
+// reproducible run to run. tel and ctx work as in ExecSweepCtx.
 func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []float64) (*FaultSweepResult, error) {
 	res := &FaultSweepResult{Rates: append([]float64(nil), rates...)}
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"mlnoc/internal/obs"
@@ -16,8 +17,14 @@ func faultTestScale() Scale {
 // faults experiment is reproducible: two runs render identical CSV.
 func TestFaultSweepDeterministic(t *testing.T) {
 	rates := []float64{0, 0.12}
-	a := FaultSweepRates(faultTestScale(), nil, rates)
-	b := FaultSweepRates(faultTestScale(), nil, rates)
+	a, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), nil, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), nil, rates)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if a.CSV() != b.CSV() {
 		t.Fatalf("fault sweep not deterministic:\nfirst:\n%s\nsecond:\n%s", a.CSV(), b.CSV())
 	}
@@ -50,7 +57,10 @@ func TestFaultSweepDeterministic(t *testing.T) {
 // snapshots into a shared registry, with fault counters attached.
 func TestFaultSweepTelemetry(t *testing.T) {
 	tel := &Telemetry{Registry: obs.NewRegistry(), SampleEvery: 64}
-	res := FaultSweepRates(faultTestScale(), tel, []float64{0.12})
+	res, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), tel, []float64{0.12})
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := len(res.MeshPolicies) + len(res.APUPolicies)
 	if tel.Registry.Len() != want {
 		t.Fatalf("registry holds %d snapshots, want %d", tel.Registry.Len(), want)

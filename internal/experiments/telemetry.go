@@ -9,11 +9,11 @@ import (
 	"mlnoc/internal/trace"
 )
 
-// Telemetry configures observability for the APU sweep experiments
-// (ExecSweep, MixedWorkloads, Ablation). The zero value disables everything;
-// a nil *Telemetry is valid everywhere one is accepted. One Telemetry may be
-// shared by the parallel cells of a sweep: progress reporting is serialized
-// and the registry is concurrency-safe.
+// Telemetry configures observability for the sweep experiments
+// (ExecSweepCtx, MixedWorkloadsCtx, AblationCtx, FaultSweepRatesCtx). The
+// zero value disables everything; a nil *Telemetry is valid everywhere one is
+// accepted. One Telemetry may be shared by the parallel cells of a sweep:
+// progress reporting is serialized and the registry is concurrency-safe.
 type Telemetry struct {
 	// Progress, if non-nil, is called after each completed sweep cell with
 	// the number of finished cells, the sweep total and the cell label

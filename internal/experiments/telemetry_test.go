@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -150,7 +151,10 @@ func TestAblationTelemetry(t *testing.T) {
 		t.Skip("simulation-heavy")
 	}
 	tel := &Telemetry{Registry: obs.NewRegistry()}
-	r := AblationT(tinyScale(), tel)
+	r, err := AblationCtx(context.Background(), tinyScale(), tel)
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := len(r.Workloads) * len(r.Variants)
 	if got := tel.Registry.Len(); got != want {
 		t.Fatalf("registry has %d snapshots, want %d", got, want)

@@ -704,22 +704,6 @@ func (sc *blockScratch) scatter(tile []SparseVec, in int) (rows [][]float64, ste
 			}
 		}
 	}
-	steps, idx = sc.flagged(flags, in)
-	return sc.rows[:len(tile)], steps, idx
-}
-
-// gather undoes scatter: the elements the tile's lists wrote are zeroed again.
-func (sc *blockScratch) gather(tile []SparseVec) {
-	for r, x := range tile {
-		row := sc.rows[r]
-		for _, i := range x.Idx {
-			row[i] = 0
-		}
-	}
-}
-
-// flagged spells out the plan of the steps whose bit is set in flags.
-func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
 	steps, idx = sc.steps[:0], sc.idx[:0]
 	for w, word := range flags {
 		for ; word != 0; word &= word - 1 {
@@ -731,7 +715,17 @@ func (sc *blockScratch) flagged(flags []uint64, in int) (steps, idx []int32) {
 	for i := in &^ 3; i < in; i++ {
 		idx = append(idx, int32(i))
 	}
-	return steps, idx
+	return sc.rows[:len(tile)], steps, idx
+}
+
+// gather undoes scatter: the elements the tile's lists wrote are zeroed again.
+func (sc *blockScratch) gather(tile []SparseVec) {
+	for r, x := range tile {
+		row := sc.rows[r]
+		for _, i := range x.Idx {
+			row[i] = 0
+		}
+	}
 }
 
 // forwardBlockedSparse computes layer 0's pre-activations next = xs · Wᵀ + b:

@@ -202,18 +202,6 @@ func BenchmarkHotQuantForward(b *testing.B) {
 	}
 }
 
-// BenchmarkHotQuantForwardBatch32 measures the blocked INT8 batch path.
-func BenchmarkHotQuantForwardBatch32(b *testing.B) {
-	m := apuNet()
-	xs := apuStates(32, 20)
-	q := Quantize(m, xs)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q.ForwardBatch(xs)
-	}
-}
-
 // TestForwardBatchMatchesForward pins ForwardBatch's bit-identity contract:
 // every row equals the corresponding sequential Forward call exactly, across
 // architectures (including a widest-hidden-plane net, which stresses the

@@ -63,30 +63,6 @@ func TestQuantizedTracksFloat(t *testing.T) {
 	}
 }
 
-// TestQuantizedBatchMatchesForward pins the INT8 batch path's bit-identity:
-// int32 accumulation is exact, so blocking cannot perturb results.
-func TestQuantizedBatchMatchesForward(t *testing.T) {
-	m := New([]int{33, 21, 10}, []Activation{Sigmoid, LeakyReLU},
-		rand.New(rand.NewSource(5)))
-	q := Quantize(m, calibSet(16, m.InputSize(), 3))
-	for _, nb := range []int{1, 3, 4, 7, 32, 5} {
-		xs := calibSet(nb, m.InputSize(), int64(40+nb))
-		rows := q.ForwardBatch(xs)
-		if len(rows) != nb {
-			t.Fatalf("nb=%d: got %d rows", nb, len(rows))
-		}
-		for b, x := range xs {
-			want := q.Forward(x)
-			for j := range want {
-				if rows[b][j] != want[j] {
-					t.Fatalf("nb=%d row %d out %d: batch %v != single %v",
-						nb, b, j, rows[b][j], want[j])
-				}
-			}
-		}
-	}
-}
-
 // TestQuantizedDeterministic: same weights + calibration + input => bitwise
 // identical Q-values, the property the fidelity study's CSV output relies on.
 func TestQuantizedDeterministic(t *testing.T) {
@@ -163,11 +139,6 @@ func TestQuantizedZeroAllocs(t *testing.T) {
 	x := calibSet(1, 504, 2)[0]
 	if allocs := testing.AllocsPerRun(100, func() { q.Forward(x) }); allocs != 0 {
 		t.Fatalf("Quantized.Forward allocates %v objects per call, want 0", allocs)
-	}
-	xs := calibSet(32, 504, 3)
-	q.ForwardBatch(xs) // warm batch scratch
-	if allocs := testing.AllocsPerRun(100, func() { q.ForwardBatch(xs) }); allocs != 0 {
-		t.Fatalf("Quantized.ForwardBatch allocates %v objects per call, want 0", allocs)
 	}
 }
 
