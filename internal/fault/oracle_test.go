@@ -188,6 +188,15 @@ func checkAgainstOracle(t testing.TB, net *noc.Network, tr *TableRouting, what s
 	}
 }
 
+// probeTo returns a message bound for node nd, its destination resolved by
+// queueing it at nd (Node.Inject), for calling a Routing directly. The
+// network must not be stepped while probes are queued.
+func probeTo(nd *noc.Node) *noc.Message {
+	m := &noc.Message{Dst: nd.ID, SizeFlits: 1}
+	nd.Inject(m)
+	return m
+}
+
 // checkGeometry requires a healthy TableRouting to route every router pair
 // by DirToward, without a table.
 func checkGeometry(t testing.TB, net *noc.Network, tr *TableRouting, what string) {
@@ -196,7 +205,7 @@ func checkGeometry(t testing.TB, net *noc.Network, tr *TableRouting, what string
 		t.Fatalf("%s: healthy network routed in degraded mode", what)
 	}
 	for _, nd := range net.Nodes() {
-		m := &noc.Message{Dst: nd.ID}
+		m := probeTo(nd)
 		for _, r := range net.Routers() {
 			want := nd.Port
 			if r != nd.Router {

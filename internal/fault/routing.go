@@ -34,6 +34,7 @@ const RouteDown uint8 = 1
 type TableRouting struct {
 	net      *noc.Network
 	n        int  // number of routers
+	width    int  // mesh width: router (x, y) has ID y*width+x
 	degraded bool // false: X-Y by geometry; true: up*/down* tables
 	// entry[dst*n + at] is router at's hop toward destination router dst in
 	// degraded mode, one byte: the up-phase port (shortest legal path, any
@@ -56,7 +57,7 @@ const (
 
 // NewTableRouting builds the routing for the network's current link state.
 func NewTableRouting(net *noc.Network) *TableRouting {
-	t := &TableRouting{net: net, n: len(net.Routers())}
+	t := &TableRouting{net: net, n: len(net.Routers()), width: net.Config().Width}
 	t.Rebuild()
 	return t
 }
@@ -90,12 +91,12 @@ func (t *TableRouting) Rebuild() {
 func (t *TableRouting) renormalizeXY() {
 	t.net.RequeueStranded(func(r *noc.Router, p noc.PortID, m *noc.Message) bool {
 		m.RouteBits = 0
-		dst := t.net.Node(m.Dst).Router
-		if dst == r {
+		dc, _ := m.DstRouter()
+		if dc == r.Coord {
 			return false
 		}
 		vertical := p == noc.PortNorth || p == noc.PortSouth
-		return vertical && dst.Coord.X != r.Coord.X
+		return vertical && dc.X != r.Coord.X
 	})
 }
 
@@ -112,8 +113,8 @@ func (t *TableRouting) renormalizeXY() {
 // all and are requeued at their source (counted in FaultStats.Requeued).
 func (t *TableRouting) renormalize() {
 	t.net.RequeueStranded(func(r *noc.Router, p noc.PortID, m *noc.Message) bool {
-		dst := t.net.Node(m.Dst).Router
-		if dst == r {
+		dc, _ := m.DstRouter()
+		if dc == r.Coord {
 			return false // ejects here; the attach channel always sinks
 		}
 		u := r.Neighbor(p)
@@ -122,7 +123,7 @@ func (t *TableRouting) renormalize() {
 			m.RouteBits &^= RouteDown
 			return false
 		}
-		if t.entry[dst.ID()*t.n+r.ID()]>>entryDownShift != 0 {
+		if t.entry[t.index(dc, r)]>>entryDownShift != 0 {
 			m.RouteBits |= RouteDown // keep descending
 			return false
 		}
@@ -315,17 +316,17 @@ func (t *TableRouting) rebuildUpDown() {
 // Route implements noc.Routing. It reads only state that rebuilds on fault
 // events and writes only m's RouteBits, idempotently, as the contract asks.
 func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
-	dst := t.net.Node(m.Dst)
-	if dst.Router == r {
-		if !r.LinkUp(dst.Port) {
+	dc, port := m.DstRouter()
+	if dc == r.Coord {
+		if !r.LinkUp(port) {
 			return noc.RouteUnreachable
 		}
-		return dst.Port
+		return port
 	}
 	if !t.degraded {
-		return r.DirToward(dst.Router.Coord)
+		return r.DirToward(dc)
 	}
-	e := t.entry[dst.Router.ID()*t.n+r.ID()]
+	e := t.entry[t.index(dc, r)]
 	if m.RouteBits&RouteDown != 0 {
 		if p := e >> entryDownShift; p != 0 {
 			return noc.PortID(p)
@@ -344,6 +345,12 @@ func (t *TableRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 	return noc.PortID(p)
 }
 
+// index returns the entry index of router r's hop toward the destination
+// router at coordinate dc.
+func (t *TableRouting) index(dc noc.Coord, r *noc.Router) int {
+	return (dc.Y*t.width+dc.X)*t.n + r.ID()
+}
+
 // ShardSafe implements noc.ShardSafeRouting, a marker the engine ignores.
 func (t *TableRouting) ShardSafe() bool { return true }
 
@@ -354,9 +361,7 @@ func (t *TableRouting) ShardSafe() bool { return true }
 // the price of weaker coverage than TableRouting: a message whose only
 // admissible next hop under the turn model is dead gets the unreachable
 // verdict even if a non-minimal healthy path exists.
-type WestFirstRouting struct {
-	net *noc.Network
-}
+type WestFirstRouting struct{}
 
 // NewWestFirstRouting returns a west-first router for the network. The turn
 // model's deadlock-freedom proof assumes an open mesh — wraparound links put
@@ -366,7 +371,7 @@ func NewWestFirstRouting(net *noc.Network) (*WestFirstRouting, error) {
 	if net.Torus() {
 		return nil, fmt.Errorf("fault: west-first routing requires an open mesh, not a torus")
 	}
-	return &WestFirstRouting{net: net}, nil
+	return &WestFirstRouting{}, nil
 }
 
 // Name implements noc.Routing.
@@ -374,8 +379,7 @@ func (w *WestFirstRouting) Name() string { return "west-first" }
 
 // Route implements noc.Routing.
 func (w *WestFirstRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
-	dst := w.net.Node(m.Dst)
-	dc := dst.Router.Coord
+	dc, port := m.DstRouter()
 	dx, dy := dc.X-r.Coord.X, dc.Y-r.Coord.Y
 	if dx < 0 {
 		// Westward phase: west is the only admissible direction.
@@ -409,10 +413,10 @@ func (w *WestFirstRouting) Route(r *noc.Router, m *noc.Message) noc.PortID {
 		}
 		return noc.RouteUnreachable
 	}
-	if !r.LinkUp(dst.Port) {
+	if !r.LinkUp(port) {
 		return noc.RouteUnreachable
 	}
-	return dst.Port
+	return port
 }
 
 // ShardSafe implements noc.ShardSafeRouting, a marker the engine ignores.

@@ -15,8 +15,8 @@ type attachRouting struct{}
 
 func (attachRouting) Name() string { return "attach-xy" }
 func (attachRouting) Route(r *Router, m *Message) PortID {
-	dst := r.net.nodes[m.Dst]
-	if dst.Router.linkDown[dst.Port] {
+	dc, port := m.DstRouter()
+	if r.net.RouterAt(dc.X, dc.Y).linkDown[port] {
 		return RouteUnreachable
 	}
 	return r.XYPort(m)
@@ -72,8 +72,8 @@ func checkBitmaps(t testing.TB, net *Network, when string) {
 		// Re-derive occ from the buffers, then the activity bit from occ.
 		var occ uint64
 		for p := PortID(0); p < MaxPorts; p++ {
-			for vc, buf := range r.in[p] {
-				if buf.Len() > 0 {
+			for vc := range r.in[p] {
+				if r.in[p][vc].Len() > 0 {
 					occ |= 1 << uint(int(p)*net.cfg.VCs+vc)
 				}
 			}

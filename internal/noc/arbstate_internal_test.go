@@ -24,7 +24,8 @@ func checkArbState(t testing.TB, net *Network, when string) {
 			wantAny |= r.want[out]
 		}
 		for p := PortID(0); p < MaxPorts; p++ {
-			for vc, buf := range r.in[p] {
+			for vc := range r.in[p] {
+				buf := &r.in[p][vc]
 				bit := uint64(1) << uint(int(p)*net.cfg.VCs+vc)
 				if buf.owner != r || 1<<buf.bit != bit {
 					t.Fatalf("%s: router %d buffer (%s,%d) is wired to bit %d of %v", when, r.id, p, vc, buf.bit, buf.owner)

@@ -101,21 +101,16 @@ func (n *Network) requeueLink(r *Router, p PortID) int {
 		ds := n.wheel[s]
 		kept := ds[:0]
 		for _, d := range ds {
-			hit := false
-			if next != nil && d.router == next && d.port == p.Opposite() {
-				hit = true
-			}
-			if node != nil && d.node == node {
-				hit = true
-			}
+			hit := node != nil && d.node == node ||
+				next != nil && d.buf != nil && d.buf.owner == next && n.bufPort(d.buf) == p.Opposite()
 			if !hit {
 				kept = append(kept, d)
 				continue
 			}
-			if d.router != nil {
+			if d.buf != nil {
 				// Undo the downstream buffer reservation and the hop count
 				// credited at grant time.
-				d.router.in[d.port][d.vc].unreserve()
+				d.buf.unreserve()
 				d.msg.HopCount--
 			}
 			n.pending--
@@ -162,22 +157,14 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 	}
 	for _, r := range n.routers {
 		for p := PortID(0); p < MaxPorts; p++ {
-			for _, buf := range r.in[p] {
-				kept := buf.q[:0]
-				for _, m := range buf.q {
+			for vc := range r.in[p] {
+				r.in[p][vc].filter(func(m *Message) bool {
 					if strand(r, p, m) {
 						reinject(r, p, m)
-					} else {
-						kept = append(kept, m)
+						return false
 					}
-				}
-				for i := len(kept); i < len(buf.q); i++ {
-					buf.q[i] = nil
-				}
-				buf.q = kept
-				// The queue was rewritten in place, bypassing push/pop:
-				// re-derive the occupancy bit.
-				buf.syncOcc()
+					return true
+				})
 			}
 		}
 	}
@@ -186,16 +173,16 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 		kept := ds[:0]
 		for _, d := range ds {
 			// Deliveries to a router input buffer are mid-link messages; the
-			// channel they occupy is the one feeding (d.router, d.port).
-			// Ejections to a node always sink and are never stranded.
-			if d.router == nil || !strand(d.router, d.port, d.msg) {
+			// channel they occupy is the one feeding that buffer. Ejections to
+			// a node always sink and are never stranded.
+			if d.buf == nil || !strand(d.buf.owner, n.bufPort(d.buf), d.msg) {
 				kept = append(kept, d)
 				continue
 			}
-			d.router.in[d.port][d.vc].unreserve()
+			d.buf.unreserve()
 			d.msg.HopCount--
 			n.pending--
-			reinject(d.router, d.port, d.msg)
+			reinject(d.buf.owner, n.bufPort(d.buf), d.msg)
 		}
 		for i := len(kept); i < len(ds); i++ {
 			ds[i] = delivery{}
@@ -204,6 +191,9 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 	}
 	return requeued
 }
+
+// bufPort returns the input port of buffer b in its owner router.
+func (n *Network) bufPort(b *Buffer) PortID { return PortID(n.bitPort[b.bit]) }
 
 // evictHead removes buf's head message from the network with an unreachable
 // verdict at router r, counting and reporting it.

@@ -86,8 +86,15 @@ type Message struct {
 	Class Class
 	Type  MsgType
 	// DstKind is the type of the destination node, used as an arbitration
-	// feature (Table 2 "Destination type").
-	DstKind   DstType
+	// feature (Table 2 "Destination type"). Node.Inject sets it.
+	DstKind DstType
+
+	// dstPort, dstX and dstY are the destination node's attach port and
+	// router coordinate, resolved once by Node.Inject (see DstRouter). They
+	// fill the padding after DstKind, so Message stays 112 bytes.
+	dstPort    int8
+	dstX, dstY int16
+
 	SizeFlits int
 
 	// GenCycle is the cycle at which the message was generated (queued at its
@@ -100,7 +107,7 @@ type Message struct {
 	InjectCycle int64
 
 	// Distance is the hop distance from source to destination router
-	// (Manhattan distance under X-Y routing), set at injection.
+	// (Manhattan distance under X-Y routing). Node.Inject sets it.
 	Distance int
 
 	// ArrivalCycle (dynamic) is the cycle the message arrived at its current
@@ -138,6 +145,13 @@ func (m *Message) GlobalAge(now int64) int64 { return now - m.InjectCycle }
 // LocalAge returns the number of cycles the message has waited at its current
 // router.
 func (m *Message) LocalAge(now int64) int64 { return now - m.ArrivalCycle }
+
+// DstRouter returns the coordinate of the destination node's router and the
+// port the node is attached to, as Node.Inject resolved them from Dst. A
+// message that never went through Node.Inject carries no destination.
+func (m *Message) DstRouter() (Coord, PortID) {
+	return Coord{X: int(m.dstX), Y: int(m.dstY)}, PortID(m.dstPort)
+}
 
 // String implements fmt.Stringer.
 func (m *Message) String() string {

@@ -2,6 +2,7 @@ package noc
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"mlnoc/internal/stats"
@@ -74,11 +75,9 @@ func (s *Stats) FairnessIndex() float64 {
 }
 
 type delivery struct {
-	msg    *Message
-	router *Router // destination router for a hop, nil for ejection
-	port   PortID
-	vc     int
-	node   *Node // ejection target, nil for a hop
+	msg  *Message
+	buf  *Buffer // input buffer a hop lands in, nil for ejection
+	node *Node   // ejection target, nil for a hop
 }
 
 // Network is a mesh NoC simulation. Create one with New, attach nodes, set a
@@ -104,6 +103,7 @@ type Network struct {
 	cycle int64
 
 	wheel   [][]delivery // delivery wheel indexed by cycle % len(wheel)
+	slot    int          // cycle % len(wheel), kept by Step without a division
 	pending int          // messages scheduled but not yet delivered
 
 	// pendingInj counts messages queued at nodes that have not yet entered
@@ -174,6 +174,9 @@ func New(cfg Config) *Network {
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("noc: mesh dimensions must be positive")
 	}
+	if cfg.Width > math.MaxInt16 || cfg.Height > math.MaxInt16 {
+		panic(fmt.Sprintf("noc: mesh dimensions %dx%d exceed %d", cfg.Width, cfg.Height, math.MaxInt16))
+	}
 	if cfg.Torus && (cfg.Width < 3 || cfg.Height < 3) {
 		panic("noc: torus dimensions must be at least 3x3")
 	}
@@ -234,9 +237,10 @@ func (n *Network) allocPortBuffers(r *Router, p PortID) {
 	if r.in[p] != nil {
 		return
 	}
-	bufs := make([]*Buffer, n.cfg.VCs)
+	bufs := make([]Buffer, n.cfg.VCs)
+	capacity := int32(min(n.cfg.BufferCap, math.MaxInt32)) // no ring holds more
 	for vc := range bufs {
-		bufs[vc] = &Buffer{cap: n.cfg.BufferCap, lastArr: -1, owner: r, bit: uint8(int(p)*n.cfg.VCs + vc)}
+		bufs[vc] = Buffer{cap: capacity, lastArr: -1, owner: r, bit: uint8(int(p)*n.cfg.VCs + vc)}
 	}
 	r.in[p] = bufs
 	r.nPorts++
@@ -267,6 +271,7 @@ func (n *Network) AttachNode(x, y int, port PortID, kind DstType, label string) 
 	n.allocPortBuffers(r, port)
 	n.nodes = append(n.nodes, node)
 	n.inflightBySrc = append(n.inflightBySrc, 0)
+	n.stats.PerSource = append(n.stats.PerSource, stats.Accumulator{})
 	if want := (len(n.nodes) + 63) / 64; len(n.actN) < want {
 		n.actN = append(n.actN, 0)
 	}
@@ -341,9 +346,12 @@ func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 func (n *Network) Stats() *Stats { return &n.stats }
 
 // ResetStats clears latency and counter statistics (typically after warmup).
-// In-flight bookkeeping is preserved.
+// In-flight bookkeeping is preserved. PerSource is zeroed in place, so the
+// cycles after a reset allocate no more than those before it.
 func (n *Network) ResetStats() {
-	n.stats = Stats{}
+	perSource := n.stats.PerSource
+	clear(perSource)
+	n.stats = Stats{PerSource: perSource}
 	n.windowLatencySum = 0
 	n.windowDelivered = 0
 }
@@ -411,6 +419,9 @@ func (n *Network) Step() {
 		panic("noc: Step called with no policy installed")
 	}
 	n.cycle++
+	if n.slot++; n.slot == len(n.wheel) {
+		n.slot = 0
+	}
 	n.deliver()
 	n.inject()
 	n.arbitrate()
@@ -454,7 +465,10 @@ func (n *Network) Quiescent() bool {
 // have not yet entered the network.
 func (n *Network) PendingInjections() int { return n.pendingInj }
 
-func (n *Network) schedule(delay int64, d delivery) {
+// schedule lands d delay cycles from now and returns the wheel slot it went
+// to. One conditional subtract replaces the division by the wheel length:
+// delay is below it.
+func (n *Network) schedule(delay int64, d delivery) int {
 	if delay <= 0 {
 		panic("noc: delivery delay must be positive")
 	}
@@ -463,26 +477,28 @@ func (n *Network) schedule(delay int64, d delivery) {
 			"noc: delivery delay %d does not fit the %d-slot wheel (MaxFlits=%d; message %s has %d flits)",
 			delay, len(n.wheel), n.cfg.MaxFlits, d.msg, d.msg.SizeFlits))
 	}
-	slot := (n.cycle + delay) % int64(len(n.wheel))
+	slot := n.slot + int(delay)
+	if slot >= len(n.wheel) {
+		slot -= len(n.wheel)
+	}
 	n.wheel[slot] = append(n.wheel[slot], d)
 	n.pending++
+	return slot
 }
 
 func (n *Network) deliver() {
-	slot := n.cycle % int64(len(n.wheel))
-	ds := n.wheel[slot]
+	ds := n.wheel[n.slot]
 	if len(ds) == 0 {
 		return
 	}
-	n.wheel[slot] = ds[:0]
+	n.wheel[n.slot] = ds[:0]
 	n.pending -= len(ds)
 	for _, d := range ds {
-		if d.router != nil {
+		if d.buf != nil {
 			// The reserved slot becomes a queued message: len+reserved, and
 			// with it the buffer's full bit, does not change.
-			buf := d.router.in[d.port][d.vc]
-			buf.reserved--
-			buf.push(n.cycle, d.msg)
+			d.buf.reserved--
+			d.buf.push(n.cycle, d.msg)
 			continue
 		}
 		// Ejection at destination node.
@@ -493,9 +509,6 @@ func (n *Network) deliver() {
 		n.stats.Latency.Add(genLat)
 		n.stats.NetLatency.Add(float64(lat))
 		n.stats.HopLatency.Add(float64(m.HopCount))
-		for int(m.Src) >= len(n.stats.PerSource) {
-			n.stats.PerSource = append(n.stats.PerSource, stats.Accumulator{})
-		}
 		n.stats.PerSource[m.Src].Add(genLat)
 		n.windowLatencySum += lat
 		n.windowDelivered++
@@ -542,16 +555,13 @@ func (n *Network) injectFrom(node *Node) {
 		panic(fmt.Sprintf("noc: %s has class %d but network has %d VCs",
 			m, m.Class, n.cfg.VCs))
 	}
-	buf := node.Router.in[node.Port][m.Class]
+	buf := &node.Router.in[node.Port][m.Class]
 	if !buf.Free() {
 		return
 	}
 	node.dequeue()
 
-	dst := n.nodes[m.Dst]
 	m.InjectCycle = n.cycle
-	m.Distance = n.Distance(node.Router.Coord, dst.Router.Coord)
-	m.DstKind = dst.Kind
 	m.HopCount = 0
 	buf.push(n.cycle, m)
 
@@ -575,9 +585,9 @@ func (n *Network) routeHeads(r *Router) {
 	for mask := r.stale; mask != 0; mask &= mask - 1 {
 		bit := bits.TrailingZeros64(mask)
 		p := n.bitPort[bit]
-		buf := r.in[p][bit-int(p)*n.cfg.VCs]
-		for len(buf.q) > 0 {
-			out := r.Route(buf.q[0])
+		buf := &r.in[p][bit-int(p)*n.cfg.VCs]
+		for buf.n > 0 {
+			out := r.Route(buf.ring[buf.head])
 			if out == RouteUnreachable {
 				n.evictHead(r, buf)
 				continue
@@ -588,7 +598,7 @@ func (n *Network) routeHeads(r *Router) {
 					name = n.routing.Name()
 				}
 				panic(fmt.Sprintf("noc: routing %s sent %s to unconnected output %s of %s",
-					name, buf.q[0], out, r))
+					name, buf.Head(), out, r))
 			}
 			buf.route = int8(out)
 			r.want[out] |= 1 << bit
@@ -637,14 +647,14 @@ func (n *Network) appendHeads(dst []Candidate, r *Router, mask uint64) []Candida
 		bit := bits.TrailingZeros64(mask)
 		p := n.bitPort[bit]
 		vc := bit - int(p)*vcs
-		dst = append(dst, Candidate{Port: PortID(p), VC: vc, Msg: r.in[p][vc].q[0]})
+		buf := &r.in[p][vc]
+		dst = append(dst, Candidate{Port: PortID(p), VC: vc, Msg: buf.ring[buf.head]})
 	}
 	return dst
 }
 
 func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
-	buf := r.in[c.Port][c.VC]
-	m := buf.pop()
+	m := r.in[c.Port][c.VC].pop()
 	if m != c.Msg {
 		panic("noc: granted candidate is no longer at its buffer head")
 	}
@@ -654,31 +664,24 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	if n.routing != nil && out != r.XYPort(m) {
 		n.fstats.Reroutes++
 	}
-	// The output stays busy for cycles [now, now+SizeFlits); schedule the
-	// matching busy-count decrement for the cycle it frees up.
 	n.busyOutputs++
-	n.busyRelease[(n.cycle+int64(m.SizeFlits))%int64(len(n.busyRelease))]++
 	if len(n.observers) > 0 {
 		n.observeGrant(r, out, c)
 	}
 
+	d := delivery{msg: m}
 	if next := r.peerRouter[out]; next != nil {
 		m.HopCount++
-		inPort := out.Opposite()
-		next.in[inPort][c.VC].reserve()
-		n.schedule(int64(m.SizeFlits), delivery{
-			msg: m, router: next, port: inPort, vc: c.VC,
-		})
-		return
-	}
-	node := r.peerNode[out]
-	if node == nil {
+		d.buf = &next.in[out.Opposite()][c.VC]
+		d.buf.reserve()
+	} else if d.node = r.peerNode[out]; d.node == nil {
 		panic(fmt.Sprintf("noc: grant to unconnected output %s of %s", out, r))
+	} else if m.Dst != d.node.ID {
+		panic(fmt.Sprintf("noc: %s misrouted to %s", m, d.node))
 	}
-	if m.Dst != node.ID {
-		panic(fmt.Sprintf("noc: %s misrouted to %s", m, node))
-	}
-	n.schedule(int64(m.SizeFlits), delivery{msg: m, node: node})
+	// The output stays busy for cycles [now, now+SizeFlits): the busy-count
+	// decrement is due in the slot the delivery lands in.
+	n.busyRelease[n.schedule(int64(m.SizeFlits), d)]++
 }
 
 func (n *Network) arbitrate() {
@@ -810,9 +813,8 @@ func (n *Network) countUtilization() {
 	// cycle): they were busy through cycle-1 but are idle now. Grants made
 	// this cycle always release at cycle+SizeFlits >= cycle+1, so the slot
 	// only holds releases that are due.
-	slot := n.cycle % int64(len(n.busyRelease))
-	n.busyOutputs -= n.busyRelease[slot]
-	n.busyRelease[slot] = 0
+	n.busyOutputs -= n.busyRelease[n.slot]
+	n.busyRelease[n.slot] = 0
 	if n.totalOutputs == 0 {
 		n.lastUtil = 0
 		return

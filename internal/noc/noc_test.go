@@ -3,6 +3,7 @@ package noc
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -167,8 +168,10 @@ func TestXYRouting(t *testing.T) {
 	}
 	// With X-first routing the message never occupies a N/S input buffer
 	// before reaching column 3. Indirect check: route() from source picks
-	// east, and from (3,0) picks south.
+	// east, and from (3,0) picks south. Inject resolves the probe's
+	// destination; the network is not stepped again.
 	m := &Message{Dst: dst.ID, SizeFlits: 1}
+	src.Inject(m)
 	if out := net.RouterAt(0, 0).Route(m); out != PortEast {
 		t.Fatalf("route from (0,0) = %v, want east", out)
 	}
@@ -177,6 +180,30 @@ func TestXYRouting(t *testing.T) {
 	}
 	if out := net.RouterAt(3, 4).Route(m); out != PortCore {
 		t.Fatalf("route at destination = %v, want core ejection", out)
+	}
+}
+
+// TestInjectRejectsUnknownDestination pins where a Dst that names no attached
+// node is caught: at Node.Inject, which resolves the destination, with the
+// message, its source and the unknown node named — not as an index panic
+// inside a later Step.
+func TestInjectRejectsUnknownDestination(t *testing.T) {
+	net, cores := buildMesh(t, 2, 2, 1)
+	for _, dst := range []NodeID{-1, NodeID(len(cores))} {
+		t.Run(fmt.Sprint(dst), func(t *testing.T) {
+			defer func() {
+				got := fmt.Sprint(recover())
+				for _, want := range []string{"msg#7 ", cores[1].String(), fmt.Sprintf("unknown destination node %d", dst)} {
+					if !strings.Contains(got, want) {
+						t.Fatalf("panic %q does not name %q", got, want)
+					}
+				}
+			}()
+			cores[1].Inject(&Message{ID: 7, Dst: dst, SizeFlits: 1})
+		})
+	}
+	if net.PendingInjections() != 0 {
+		t.Fatalf("%d rejected messages were queued", net.PendingInjections())
 	}
 }
 
@@ -241,7 +268,7 @@ func TestBufferCapacityInvariant(t *testing.T) {
 					if b == nil {
 						continue
 					}
-					if b.Len()+b.reserved > cap {
+					if b.Len()+int(b.reserved) > cap {
 						t.Fatalf("buffer %v.%v.%d over capacity: %d queued + %d reserved > %d",
 							r, p, vc, b.Len(), b.reserved, cap)
 					}

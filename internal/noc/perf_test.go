@@ -2,6 +2,7 @@ package noc_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -62,6 +63,46 @@ func TestNetworkStepZeroAllocs(t *testing.T) {
 				t.Fatalf("steady-state Tick+Step allocates %v objects per cycle, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestStepAfterResetStatsZeroAllocs pins that a ResetStats before a measured
+// window (LargeMeshCtx, core training and traffic all take one) does not make
+// the window allocate: PerSource is sized as nodes attach and zeroed in place.
+// It counts runtime mallocs over the whole window, because AllocsPerRun's
+// integer division hides fewer than one allocation per cycle. A saturating
+// burst, drained, first grows every buffer ring, wheel slot and the message
+// freelist to what the light load after it needs.
+func TestStepAfterResetStatsZeroAllocs(t *testing.T) {
+	net, cores := noc.BuildMeshCores(noc.Config{Width: 8, Height: 8, VCs: 3, BufferCap: 4})
+	net.SetPolicy(arb.NewGlobalAge())
+	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.4, rand.New(rand.NewSource(17)))
+	in.Classes = 3
+	for i := 0; i < 1500; i++ {
+		in.Tick()
+		net.Step()
+	}
+	if !net.Drain(100000) {
+		t.Fatal("the warm-up burst did not drain")
+	}
+	in.Rate = 0.1
+	for i := 0; i < 3000; i++ {
+		in.Tick()
+		net.Step()
+	}
+	net.ResetStats()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < 500; i++ {
+		in.Tick()
+		net.Step()
+	}
+	runtime.ReadMemStats(&after)
+	if n := after.Mallocs - before.Mallocs; n != 0 {
+		t.Fatalf("the 500 cycles after ResetStats made %d mallocs, want 0", n)
+	}
+	if net.Stats().Delivered == 0 {
+		t.Fatal("vacuous: nothing delivered after ResetStats")
 	}
 }
 

@@ -2,12 +2,14 @@ package noc
 
 import "fmt"
 
-// Buffer is one virtual-channel input FIFO of a router port.
+// Buffer is one virtual-channel input FIFO of a router port: a ring holding
+// n messages from ring[head] on, wrapping at the end of ring.
 type Buffer struct {
-	q        []*Message
-	reserved int   // slots reserved by in-flight granted messages
+	ring     []*Message
+	head, n  int32
+	reserved int32 // slots reserved by in-flight granted messages
+	cap      int32
 	lastArr  int64 // cycle of the most recent arrival, -1 if none
-	cap      int
 
 	// owner/bit wire the buffer into its router's arbitration state (occ,
 	// stale, want, full): the buffer is bit port*VCs+vc of each mask.
@@ -19,25 +21,39 @@ type Buffer struct {
 }
 
 // Len returns the number of messages queued in the buffer.
-func (b *Buffer) Len() int { return len(b.q) }
+func (b *Buffer) Len() int { return int(b.n) }
 
 // Head returns the message at the head of the buffer, or nil if empty.
 func (b *Buffer) Head() *Message {
-	if len(b.q) == 0 {
+	if b.n == 0 {
 		return nil
 	}
-	return b.q[0]
+	return b.ring[b.head]
 }
 
 // Free reports whether the buffer can accept one more message, counting
 // reservations made for messages currently in flight toward it.
-func (b *Buffer) Free() bool { return len(b.q)+b.reserved < b.cap }
+func (b *Buffer) Free() bool { return b.n+b.reserved < b.cap }
 
 // At returns the i-th queued message (0 is the head).
-func (b *Buffer) At(i int) *Message { return b.q[i] }
+func (b *Buffer) At(i int) *Message {
+	if uint(i) >= uint(b.n) {
+		panic(fmt.Sprintf("noc: Buffer.At(%d) of %d queued messages", i, b.n))
+	}
+	return b.ring[b.slot(i)]
+}
 
 // Cap returns the buffer capacity in messages.
-func (b *Buffer) Cap() int { return b.cap }
+func (b *Buffer) Cap() int { return int(b.cap) }
+
+// slot returns the ring index of the i-th queued message, i <= n.
+func (b *Buffer) slot(i int) int {
+	s := int(b.head) + i
+	if s >= len(b.ring) {
+		s -= len(b.ring)
+	}
+	return s
+}
 
 func (b *Buffer) push(now int64, m *Message) {
 	if b.lastArr >= 0 {
@@ -47,9 +63,18 @@ func (b *Buffer) push(now int64, m *Message) {
 	}
 	b.lastArr = now
 	m.ArrivalCycle = now
-	b.q = append(b.q, m)
+	if int(b.n) == len(b.ring) {
+		// Full ring (requeueLink may overfill past cap): double it from one
+		// slot, as append would grow a slice, and unwrap it to start at 0.
+		ring := make([]*Message, max(1, 2*len(b.ring)))
+		k := copy(ring, b.ring[b.head:])
+		copy(ring[k:], b.ring[:b.head])
+		b.ring, b.head = ring, 0
+	}
+	b.ring[b.slot(int(b.n))] = m
+	b.n++
 	r := b.owner
-	if len(b.q) == 1 {
+	if b.n == 1 {
 		if r.occ == 0 {
 			r.net.activateRouter(r)
 		}
@@ -62,15 +87,15 @@ func (b *Buffer) push(now int64, m *Message) {
 }
 
 func (b *Buffer) pop() *Message {
-	m := b.q[0]
-	copy(b.q, b.q[1:])
-	b.q[len(b.q)-1] = nil
-	b.q = b.q[:len(b.q)-1]
+	m := b.ring[b.head]
+	b.ring[b.head] = nil
+	b.head = int32(b.slot(1))
+	b.n--
 	r := b.owner
 	if r.stale&(1<<b.bit) == 0 {
 		r.want[b.route] &^= 1 << b.bit
 	}
-	if len(b.q) == 0 {
+	if b.n == 0 {
 		r.stale &^= 1 << b.bit
 		r.occ &^= 1 << b.bit
 		if r.occ == 0 {
@@ -101,8 +126,27 @@ func (b *Buffer) unreserve() {
 	}
 }
 
+// filter keeps, in order, the queued messages keep accepts, compacting the
+// ring in place across its wrap point, and re-derives the buffer's
+// arbitration bits (syncOcc). keep may have side effects but must not touch
+// the buffer.
+func (b *Buffer) filter(keep func(*Message) bool) {
+	k := 0
+	for i := 0; i < int(b.n); i++ {
+		if m := b.ring[b.slot(i)]; keep(m) {
+			b.ring[b.slot(k)] = m
+			k++
+		}
+	}
+	for i := k; i < int(b.n); i++ {
+		b.ring[b.slot(i)] = nil
+	}
+	b.n = int32(k)
+	b.syncOcc()
+}
+
 // syncOcc re-derives the buffer's bits in its router's arbitration state from
-// the queue. Code that rewrites b.q wholesale (instead of going through
+// the queue. Code that rewrites the ring wholesale (instead of going through
 // push/pop) must call it afterwards; any message may now be the head, so the
 // head is marked stale.
 func (b *Buffer) syncOcc() {
@@ -115,7 +159,7 @@ func (b *Buffer) syncOcc() {
 	r.occ &^= bit
 	r.stale &^= bit
 	r.full &^= bit
-	if len(b.q) != 0 {
+	if b.n != 0 {
 		r.occ |= bit
 		r.stale |= bit
 	}
@@ -143,9 +187,9 @@ type Router struct {
 	peerRouter [MaxPorts]*Router
 	peerNode   [MaxPorts]*Node
 
-	// in[p][vc] is the input buffer of port p, virtual channel vc. Ports
-	// without a peer have nil buffer slices.
-	in [MaxPorts][]*Buffer
+	// in[p][vc] is the input buffer of port p, virtual channel vc, stored by
+	// value. Ports without a peer have nil buffer slices.
+	in [MaxPorts][]Buffer
 
 	// outBusyUntil[p] is the first cycle at which output port p is free.
 	outBusyUntil [MaxPorts]int64
@@ -208,7 +252,7 @@ func (r *Router) Buffer(p PortID, vc int) *Buffer {
 	if r.in[p] == nil {
 		return nil
 	}
-	return r.in[p][vc]
+	return &r.in[p][vc]
 }
 
 // NumVCs returns the number of virtual channels per port.
@@ -232,8 +276,8 @@ func (r *Router) ForwardedThisCycle(p PortID, now int64) bool {
 func (r *Router) QueuedMessages() int {
 	total := 0
 	for p := 0; p < MaxPorts; p++ {
-		for _, b := range r.in[p] {
-			total += b.Len()
+		for vc := range r.in[p] {
+			total += r.in[p][vc].Len()
 		}
 	}
 	return total
@@ -263,11 +307,11 @@ func (r *Router) Route(m *Message) PortID {
 // reroutes). On a torus each dimension takes the shorter way around its ring
 // (see DirToward), so it stays a pure function of (router, destination).
 func (r *Router) XYPort(m *Message) PortID {
-	dst := r.net.nodes[m.Dst]
-	if dst.Router == r {
-		return dst.Port
+	dc, port := m.DstRouter()
+	if dc == r.Coord {
+		return port
 	}
-	return r.DirToward(dst.Router.Coord)
+	return r.DirToward(dc)
 }
 
 // DirToward returns the dimension-ordered routing direction from r toward

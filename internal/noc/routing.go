@@ -12,7 +12,9 @@ const RouteUnreachable PortID = -1
 // port taking m one hop closer to its destination from router r, the
 // destination node's attach port once m sits at its destination router, or
 // RouteUnreachable when no healthy path exists. Any other port r lacks is a
-// routing bug, and the engine panics on it.
+// routing bug, and the engine panics on it. Routings read the destination
+// from m.DstRouter(), which Node.Inject resolves once per message, not by
+// looking m.Dst up.
 //
 // The engine routes each message once, when it becomes a buffer head, and
 // again after each link or routing transition (Network.SetLinkDown,

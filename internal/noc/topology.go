@@ -116,13 +116,23 @@ type Node struct {
 
 // Inject queues a message for injection at this node. The message enters the
 // node's router when the local input buffer has space; one message enters per
-// cycle. Src, Dst and SizeFlits must be set by the caller; the network fills
-// in timing and distance fields.
+// cycle. Dst and SizeFlits must be set by the caller; Inject sets Src and
+// GenCycle, and resolves Dst once into DstKind, Distance and the destination
+// every routing reads (Message.DstRouter). It panics on a Dst that names no
+// attached node.
 func (n *Node) Inject(m *Message) {
 	if m.SizeFlits <= 0 {
 		panic("noc: message must have at least one flit")
 	}
 	m.Src = n.ID
+	if uint(m.Dst) >= uint(len(n.net.nodes)) {
+		panic(fmt.Sprintf("noc: %s from %s names unknown destination node %d", m, n, m.Dst))
+	}
+	dst := n.net.nodes[m.Dst]
+	dr := dst.Router
+	m.dstX, m.dstY, m.dstPort = int16(dr.Coord.X), int16(dr.Coord.Y), int8(dst.Port)
+	m.DstKind = dst.Kind
+	m.Distance = n.net.Distance(n.Router.Coord, dr.Coord)
 	m.GenCycle = n.net.cycle
 	if n.injectHead == len(n.injectQ) {
 		n.net.activateNode(n.ID) // empty -> non-empty
