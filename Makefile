@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet fmt verify bench bench-diff bench-paper serve-smoke clean
+.PHONY: build test test-nofma race vet fmt verify bench bench-diff serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -47,10 +47,6 @@ bench:
 
 bench-diff:
 	$(GO) run ./cmd/bench -diff BENCH_15.json
-
-# Full benchmark sweep across every package (slow; not snapshot-tracked).
-bench-paper:
-	$(GO) test -bench=. -benchmem ./...
 
 # End-to-end check of the simulation daemon: start it on a loopback port,
 # submit a tiny deterministic sweep twice over real HTTP, require the second

@@ -4,9 +4,8 @@
 //
 //	experiments [-scale quick|full] [-seed N] [-no-nn] <experiment>
 //
-// where <experiment> is one of: fig4, fig5, fig7, fig9, fig10, fig11, fig12,
-// fig13, table1, table2, table3, ablation, starvation, faults, hillclimb,
-// quant, scaling, all.
+// where <experiment> names an entry of experiments.Table, or is "all"; -h
+// lists them.
 package main
 
 import (
@@ -21,12 +20,9 @@ import (
 
 	"mlnoc/internal/cliutil"
 	"mlnoc/internal/cliutil/cmdline"
-	"mlnoc/internal/core"
 	"mlnoc/internal/experiments"
 	"mlnoc/internal/obs"
-	"mlnoc/internal/synfull"
 	"mlnoc/internal/trace"
-	"mlnoc/internal/viz"
 )
 
 func main() { cliutil.Main("experiments", run) }
@@ -46,9 +42,9 @@ func run(args []string, stdout io.Writer) error {
 		"write one Chrome/Perfetto trace JSON per APU sweep cell into this directory")
 	traceSample := cmd.Uint64("trace-sample", 64, "trace only every Nth message per cell")
 	scalingSizes := cmd.String("scaling-sizes", "",
-		"scaling experiment: comma-separated topology edge sizes (default 8,16,32)")
+		"scaling and mesh experiments: comma-separated topology edge sizes (default 8,16,32)")
 	scalingTorus := cmd.Bool("scaling-torus", false,
-		"scaling experiment: wrap the topology into a 2D torus")
+		"scaling and mesh experiments: wrap the topology into a 2D torus")
 	quantMinAgree := cmd.Float64("quant-min-agree", 0,
 		"quant experiment: exit nonzero when INT8/float action agreement falls below this fraction (0 = report only)")
 	cmd.Usage = func() { usage(cmd.FlagSet) }
@@ -59,52 +55,68 @@ func run(args []string, stdout io.Writer) error {
 		cmd.Usage()
 		return cliutil.Usagef("want one experiment, got %d arguments", cmd.NArg())
 	}
+	what := strings.ToLower(cmd.Arg(0))
+	e, ok := experiments.Lookup(what)
+	if !ok && what != "all" {
+		cmd.Usage()
+		return cliutil.Usagef("unknown experiment %q", what)
+	}
+	sizes, err := parseIntList("-scaling-sizes", *scalingSizes)
+	if err != nil {
+		return err
+	}
 	var check cliutil.Check
 	check.NonNegative("-watchdog", *watchdog)
 	check.AtLeastU("-trace-sample", *traceSample, 1)
 	check.OneOf("-scale", *scale, "quick", "full")
 	check.Unit("-quant-min-agree", *quantMinAgree)
-	what := strings.ToLower(cmd.Arg(0))
+	experiments.CheckTopology(&check, "-scaling-sizes", sizes, *scalingTorus)
 	log, stop, err := cmd.Start(&check, what, *seed, stdout)
 	if err != nil {
 		return err
 	}
 	defer stop()
 
-	o := &options{
-		stdout:        stdout,
-		usage:         cmd.Usage,
-		withNN:        !*noNN,
-		csvDir:        *csvDir,
-		quantMinAgree: *quantMinAgree,
-		scalingSizes:  *scalingSizes,
-		scalingTorus:  *scalingTorus,
-	}
+	sc := experiments.Quick()
 	if *scale == "full" {
-		o.sc = experiments.Full()
-	} else {
-		o.sc = experiments.Quick()
+		sc = experiments.Full()
 	}
-	o.sc.Seed = *seed
+	sc.Seed = *seed
+	o := &options{stdout: stdout, csvDir: *csvDir, in: experiments.Input{
+		Scale: sc, TrainNN: !*noNN, QuantMinAgree: *quantMinAgree, ScalingSizes: sizes, Torus: *scalingTorus,
+	}}
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			return err
 		}
 	}
-	if o.tel, err = o.telemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log); err != nil {
+	tel, err := o.telemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log)
+	if err != nil {
 		return err
 	}
-	if o.tel != nil && o.tel.Registry != nil {
-		o.tel.Registry.SetSeed(*seed)
+	o.in.Telemetry = tel
+	if tel != nil && tel.Registry != nil {
+		tel.Registry.SetSeed(*seed)
 	}
 
-	if err := o.run(what); err != nil {
+	if what == "all" {
+		for _, e := range experiments.Table {
+			if e.Solo {
+				continue
+			}
+			fmt.Fprintf(stdout, "==== %s ====\n", e.Name)
+			if err := o.run(e); err != nil {
+				return err
+			}
+			fmt.Fprintln(stdout)
+		}
+	} else if err := o.run(e); err != nil {
 		return err
 	}
-	if o.tel == nil || o.tel.Registry == nil {
+	if tel == nil || tel.Registry == nil {
 		return nil
 	}
-	reg := o.tel.Registry
+	reg := tel.Registry
 	if *metricsOut != "" {
 		if err := cliutil.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
 			return err
@@ -165,178 +177,33 @@ func (o *options) telemetry(metricsOut string, watchdog int64, progress bool,
 // options are one invocation's settings, shared by every experiment "all"
 // runs.
 type options struct {
-	stdout        io.Writer
-	usage         func()
-	sc            experiments.Scale
-	withNN        bool
-	csvDir        string
-	tel           *experiments.Telemetry
-	quantMinAgree float64
-	scalingSizes  string
-	scalingTorus  bool
-	err           error // first failed CSV or trace write; later ones are skipped
+	stdout io.Writer
+	in     experiments.Input
+	csvDir string
+	err    error // first failed CSV or trace write; later ones are skipped
 }
 
-// csv writes one CSV artifact into -csv and reports the path. After a failed
-// write it writes nothing, and run returns the error.
-func (o *options) csv(name, content string) {
-	if o.csvDir == "" || o.err != nil {
-		return
+// run runs one experiment, prints its tables and writes its CSVs into -csv,
+// reporting each path. After a failed write it writes nothing more, and run
+// returns the error.
+func (o *options) run(e experiments.Experiment) error {
+	res, err := e.Run(context.Background(), o.in)
+	fmt.Fprint(o.stdout, res.Rendered)
+	for _, f := range res.CSV {
+		if o.csvDir == "" || o.err != nil {
+			break
+		}
+		path := o.csvDir + string(os.PathSeparator) + f.Name
+		o.err = cliutil.WriteFile(path, func(w io.Writer) error {
+			_, err := io.WriteString(w, f.Content)
+			return err
+		})
+		if o.err == nil {
+			fmt.Fprintf(o.stdout, "(csv written to %s)\n", path)
+		}
 	}
-	path := o.csvDir + string(os.PathSeparator) + name
-	o.err = cliutil.WriteFile(path, func(w io.Writer) error {
-		_, err := io.WriteString(w, content)
+	if err != nil {
 		return err
-	})
-	if o.err == nil {
-		fmt.Fprintf(o.stdout, "(csv written to %s)\n", path)
-	}
-}
-
-func (o *options) run(what string) error {
-	ctx := context.Background()
-	w, sc := o.stdout, o.sc
-	switch what {
-	case "fig4":
-		r := experiments.MeshStudy(4, sc)
-		fmt.Fprint(w, r.RenderHeatmap())
-		o.csv("fig4_heatmap.csv", r.HeatmapCSV())
-	case "fig5":
-		for _, size := range []int{4, 8} {
-			r := experiments.MeshStudy(size, sc)
-			fmt.Fprint(w, r.Render())
-			fmt.Fprintln(w)
-			o.csv(fmt.Sprintf("fig5_%dx%d.csv", size, size), r.CSV())
-		}
-	case "fig7":
-		agent, err := experiments.TrainAPUCtx(ctx, sc)
-		if err != nil {
-			return err
-		}
-		agent.Freeze()
-		h := experiments.APUHeatmapFromAgent(agent)
-		fmt.Fprint(w, experiments.RenderAPUHeatmap(h))
-		o.csv("fig7_heatmap.csv", viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs))
-	case "fig9":
-		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.RenderAvg())
-		o.csv("fig9_avg.csv", r.CSVAvg())
-	case "fig10":
-		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.RenderTail())
-		o.csv("fig10_tail.csv", r.CSVTail())
-	case "fig9+10", "exec":
-		r, err := experiments.ExecSweepCtx(ctx, sc, o.withNN, o.tel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.RenderAvg())
-		fmt.Fprintln(w)
-		fmt.Fprint(w, r.RenderTail())
-		o.csv("fig9_avg.csv", r.CSVAvg())
-		o.csv("fig10_tail.csv", r.CSVTail())
-	case "fig11":
-		r, err := experiments.MixedWorkloadsCtx(ctx, sc, o.withNN, o.tel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-		o.csv("fig11_mixes.csv", r.CSV())
-	case "fig12":
-		r := experiments.RewardCurves(sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("fig12_rewards.csv", r.CSV())
-	case "fig13":
-		r := experiments.FeatureCurves(sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("fig13_features.csv", r.CSV())
-	case "table1":
-		fmt.Fprint(w, renderTable1())
-	case "table2":
-		fmt.Fprint(w, renderTable2())
-	case "table3":
-		r := experiments.Table3()
-		fmt.Fprint(w, r.Render())
-		o.csv("table3.csv", r.CSV())
-	case "ablation":
-		r, err := experiments.AblationCtx(ctx, sc, o.tel)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-		o.csv("ablation.csv", r.CSV())
-	case "starvation":
-		r := experiments.Starvation(sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("starvation.csv", r.CSV())
-	case "faults":
-		r, err := experiments.FaultSweepRatesCtx(ctx, sc, o.tel, experiments.DefaultFaultRates)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-		o.csv("faults_mesh.csv", r.CSVMesh())
-		o.csv("faults_apu.csv", r.CSVAPU())
-	case "fairness":
-		r := experiments.Fairness(sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("fairness.csv", r.CSV())
-	case "qtable":
-		fmt.Fprint(w, experiments.QTableStudy(sc).Render())
-	case "bufablation":
-		fmt.Fprint(w, experiments.BufferAblation(sc).Render())
-	case "tiebreak":
-		fmt.Fprint(w, experiments.TieBreakAblation(sc).Render())
-	case "derive":
-		fmt.Fprint(w, experiments.DeriveReport(sc))
-	case "flitcheck":
-		r := experiments.FlitCheck(sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("flitcheck.csv", r.CSV())
-	case "hillclimb":
-		fmt.Fprint(w, experiments.HillClimbReport(sc))
-	case "scaling":
-		sizes, err := parseIntList("-scaling-sizes", o.scalingSizes)
-		if err != nil {
-			return err
-		}
-		r, err := experiments.ScalingStudyCtx(ctx, sizes, nil, o.scalingTorus, sc)
-		if err != nil {
-			return err
-		}
-		fmt.Fprint(w, r.Render())
-		o.csv("scaling_throughput.csv", r.CSV())
-		o.csv("scaling_invariant.csv", r.InvariantCSV())
-	case "quant":
-		r := experiments.QuantStudy(4, sc)
-		fmt.Fprint(w, r.Render())
-		o.csv("quant_fidelity.csv", r.CSV())
-		if o.quantMinAgree > 0 && r.Agreement < o.quantMinAgree {
-			return fmt.Errorf("quant: INT8 action agreement %.3f below required %.3f",
-				r.Agreement, o.quantMinAgree)
-		}
-	case "all":
-		for _, e := range []string{
-			"table1", "table2", "table3", "fig4", "fig5", "fig7",
-			"fig9+10", "fig11", "fig12", "fig13", "ablation", "starvation",
-			"fairness", "faults", "qtable", "flitcheck", "bufablation", "tiebreak",
-			"derive", "hillclimb", "quant",
-		} {
-			fmt.Fprintf(w, "==== %s ====\n", e)
-			if err := o.run(e); err != nil {
-				return err
-			}
-			fmt.Fprintln(w)
-		}
-	default:
-		o.usage()
-		return cliutil.Usagef("unknown experiment %q", what)
 	}
 	return o.err
 }
@@ -358,47 +225,34 @@ func parseIntList(flagName, s string) ([]int, error) {
 	return out, nil
 }
 
-func renderTable1() string {
-	var b strings.Builder
-	b.WriteString("Table 1: traffic-intensive workloads\n")
-	var rows [][]string
-	for _, m := range synfull.Catalog() {
-		cls := "low-injection"
-		if m.HighInjection {
-			cls = "high-injection"
-		}
-		rows = append(rows, []string{m.Suite, m.Name, cls,
-			fmt.Sprintf("%d phases", len(m.Phases))})
-	}
-	b.WriteString(viz.Table([]string{"suite", "application", "class", "model"}, rows))
-	return b.String()
-}
-
-func renderTable2() string {
-	var b strings.Builder
-	b.WriteString("Table 2: message features\n")
-	var rows [][]string
-	for f := core.Feature(0); f < core.NumFeatures; f++ {
-		rows = append(rows, []string{f.String(), fmt.Sprintf("%d", f.Width())})
-	}
-	b.WriteString(viz.Table([]string{"feature", "state elements"}, rows))
-	fmt.Fprintf(&b, "total elements per message: %d\n", core.AllFeatures.Width())
-	return b.String()
-}
-
 func usage(fs *flag.FlagSet) {
+	var all, solo []string
+	for _, e := range experiments.Table {
+		if e.Solo {
+			solo = append(solo, e.Name)
+		} else {
+			all = append(all, e.Name)
+		}
+	}
 	fmt.Fprintf(fs.Output(), `usage: experiments [flags] <experiment>
 
-experiments: fig4 fig5 fig7 fig9 fig10 fig11 fig12 fig13
-             table1 table2 table3 ablation starvation fairness faults
-             qtable flitcheck bufablation tiebreak derive hillclimb quant
-             scaling all
-
-scaling measures single-network stepping throughput over large mesh/torus
-sizes; it is excluded from "all" because its throughput numbers are
-machine-dependent.
-
+experiments, in the order "all" runs them:
+%s
+kept out of "all" (views of another experiment, or machine-dependent):
+%s
 flags:
-`)
+`, wrap(all), wrap(solo))
 	fs.PrintDefaults()
+}
+
+// wrap lays names out in indented lines of at most 72 columns.
+func wrap(names []string) string {
+	out, line := "", " "
+	for _, n := range names {
+		if len(line) > 1 && len(line)+1+len(n) > 72 {
+			out, line = out+line+"\n", " "
+		}
+		line += " " + n
+	}
+	return out + line + "\n"
 }

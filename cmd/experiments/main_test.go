@@ -1,6 +1,7 @@
 package main
 
 import (
+	"strings"
 	"testing"
 
 	"mlnoc/internal/cliutil/clitest"
@@ -36,6 +37,9 @@ func TestRejects(t *testing.T) {
 		{[]string{"-scale", "huge", "table1"}, `-scale must be one of [quick full], got "huge"`, 2},
 		{[]string{"-quant-min-agree", "2", "quant"}, "-quant-min-agree must be in [0,1], got 2", 2},
 		{[]string{"-scaling-sizes", "8,0", "scaling"}, `-scaling-sizes: "8,0" is not a positive integer list`, 2},
+		{[]string{"-scaling-torus", "-scaling-sizes", "2", "scaling"}, "-scaling-sizes[0] must be >= 3, got 2", 2},
+		{[]string{"-scaling-sizes", "8,65", "mesh"}, "-scaling-sizes[1] must be <= 64, got 65", 2},
+		{[]string{"-scaling-sizes", strings.Repeat("2,", 16) + "2", "scaling"}, "len(-scaling-sizes) must be <= 16, got 17", 2},
 	} {
 		clitest.Reject(t, run, c.code, c.err, c.args...)
 	}

@@ -3,7 +3,6 @@ package main
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -14,46 +13,18 @@ import (
 	"mlnoc/internal/cliutil"
 	"mlnoc/internal/cliutil/clitest"
 	"mlnoc/internal/core"
-	"mlnoc/internal/nn"
 	"mlnoc/internal/telemetry"
 )
 
-// goldenDir holds the goldens of this platform's training arithmetic. They
-// were recorded from the command before run() existed; rl.TrainBatch
-// bootstraps through nn.ForwardBatchFast, so a run is pinned per GOARCH and
-// per the kernel that call selects, as in benchmark/golden.json.
+// goldenDir holds the goldens of this platform's training arithmetic
+// (clitest.Platform). They were recorded from the command before run()
+// existed.
 func goldenDir(t *testing.T) string {
-	dir := filepath.Join("testdata", runtime.GOARCH+"-"+nnKernel())
+	dir := filepath.Join("testdata", clitest.Platform())
 	if _, err := os.Stat(dir); err != nil {
 		t.Skipf("no trainarb goldens for %s", dir)
 	}
 	return dir
-}
-
-// nnKernel reports "fma" when nn.ForwardBatchFast runs the AVX2+FMA kernel,
-// whose rounding differs from ForwardBatch's, and "portable" otherwise.
-func nnKernel() string {
-	rng := rand.New(rand.NewSource(1))
-	net := nn.New([]int{504, 42, 42}, []nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rng)
-	xs := make([][]float64, 8)
-	for i := range xs {
-		xs[i] = make([]float64, 504)
-		for j := range xs[i] {
-			xs[i][j] = rng.Float64()
-		}
-	}
-	var exact [][]float64
-	for _, row := range net.ForwardBatch(xs) {
-		exact = append(exact, append([]float64(nil), row...))
-	}
-	for i, row := range net.ForwardBatchFast(xs) {
-		for j, v := range row {
-			if v != exact[i][j] {
-				return "fma"
-			}
-		}
-	}
-	return "portable"
 }
 
 func TestGolden(t *testing.T) {

@@ -23,6 +23,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"runtime"
 	"sort"
 	"strings"
 	"testing"
@@ -137,6 +138,36 @@ func SaveNet(t *testing.T, path string, spec *core.StateSpec, hidden int) {
 	if err := cliutil.WriteFile(path, net.Save); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// Platform names this host's training arithmetic, "<GOARCH>-fma" or
+// "<GOARCH>-portable", as in benchmark/golden.json: rl.TrainBatch bootstraps
+// through nn.ForwardBatchFast, so an output that carries trained weights is
+// pinned per GOARCH and per the kernel that call selects. The kernel is "fma"
+// when ForwardBatchFast runs the AVX2+FMA kernel, whose rounding differs from
+// ForwardBatch's.
+func Platform() string {
+	rng := xrand.New(1)
+	net := nn.New([]int{504, 42, 42}, []nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rng)
+	xs := make([][]float64, 8)
+	for i := range xs {
+		xs[i] = make([]float64, 504)
+		for j := range xs[i] {
+			xs[i][j] = rng.Float64()
+		}
+	}
+	var exact [][]float64
+	for _, row := range net.ForwardBatch(xs) {
+		exact = append(exact, append([]float64(nil), row...))
+	}
+	for i, row := range net.ForwardBatchFast(xs) {
+		for j, v := range row {
+			if v != exact[i][j] {
+				return runtime.GOARCH + "-fma"
+			}
+		}
+	}
+	return runtime.GOARCH + "-portable"
 }
 
 // same fails the test when got is not the golden file's content.

@@ -231,7 +231,7 @@ func (p *RLInspiredAPU) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 // always prioritizes the *newest* message (smallest local age), the behaviour
 // an agent trained on a completed-messages-only latency reward learns. It
 // starves old messages and is used by the starvation tests and the
-// BenchmarkStarvation_Guard experiment; never use it for real arbitration.
+// starvation experiment; never use it for real arbitration.
 type NaiveLatencyArbiter struct{}
 
 // Name implements noc.Policy.

@@ -122,8 +122,12 @@ func HillClimbReport(sc Scale) string {
 	b.WriteString("Section 6.5 hill-climbing feature selection (4x4 mesh):\n")
 	for i, step := range hc.Steps {
 		fmt.Fprintf(&b, "round %d:\n", i+1)
-		for f, lat := range step.Tried {
-			fmt.Fprintf(&b, "    try +%-18s -> %.2f cycles\n", f, lat)
+		// Tried is a map; walk it in feature order so the report is the same
+		// every run.
+		for f := core.Feature(0); f < core.NumFeatures; f++ {
+			if lat, ok := step.Tried[f]; ok {
+				fmt.Fprintf(&b, "    try +%-18s -> %.2f cycles\n", f, lat)
+			}
 		}
 		fmt.Fprintf(&b, "  selected %q (latency %.2f)\n", step.Added.String(), step.Latency)
 	}

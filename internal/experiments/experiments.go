@@ -1,9 +1,10 @@
 // Package experiments reproduces every table and figure of the paper's
-// evaluation. Each experiment is a pure function from a Scale (how much
+// evaluation. Each experiment is a function from a Scale (how much
 // simulation/training effort to spend) to a typed result with a Render
-// method; the cmd/experiments binary, the repository benchmarks and the
-// integration tests all call these functions, so the numbers they print come
-// from one implementation.
+// method. Table names every experiment once: each entry runs one of these
+// functions and returns its rendered tables and CSV files. cmd/experiments
+// and the serve daemon's jobs are lookups into Table, so a figure printed by
+// the command and the same figure served by the daemon are the same bytes.
 //
 // Absolute numbers depend on the simulator substrate (see DESIGN.md); the
 // experiments reproduce the paper's *shape*: policy orderings, approximate

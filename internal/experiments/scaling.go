@@ -133,7 +133,7 @@ type ScalingStudyResult struct {
 // Runs are strictly sequential — each one wants the whole machine, and
 // interleaving them would corrupt the wall-clock numbers. The unnamed slice
 // is ignored: it stays only because benchmark/simd.go still passes one, and
-// ROADMAP item 2's [benchmark] PR removes it. In-repo callers pass nil.
+// goes when the benchmark harness is unified. In-repo callers pass nil.
 func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultScalingSizes

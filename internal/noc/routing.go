@@ -32,7 +32,8 @@ type Routing interface {
 
 // ShardSafeRouting is a marker the engine ignores: every Routing's verdicts
 // are cached. It survives only because benchmark/ names it, and is deleted
-// together with benchmark/'s decorator for it (ROADMAP item 2).
+// together with benchmark/'s decorator for it when the benchmark harness is
+// unified.
 type ShardSafeRouting interface {
 	Routing
 	ShardSafe() bool

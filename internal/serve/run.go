@@ -6,7 +6,6 @@ import (
 	"fmt"
 
 	"mlnoc/internal/experiments"
-	"mlnoc/internal/viz"
 )
 
 // resultDoc is the JSON result payload served by GET /jobs/{id}/result. It
@@ -23,87 +22,50 @@ type resultDoc struct {
 	CSV      map[string]string `json:"csv,omitempty"`
 }
 
+// entries maps a job, by type and for sweeps by "sweep/<experiment>", to the
+// experiments.Table entry it runs.
+var entries = map[string]string{
+	TypeSweep + "/exec":     "exec",
+	TypeSweep + "/mix":      "fig11",
+	TypeSweep + "/ablation": "ablation",
+	TypeTrain:               "fig7",
+	TypeFault:               "faults",
+	TypeQuant:               "quant",
+	TypeMesh:                "mesh",
+}
+
+// entry is the experiments.Table entry the job runs.
+func (s *Spec) entry() string {
+	if s.Type == TypeSweep {
+		return entries[TypeSweep+"/"+s.Sweep.Experiment]
+	}
+	return entries[s.Type]
+}
+
 // Execute runs one validated job spec against the experiments engine,
 // forwarding per-cell telemetry through tel (which may be nil). It is the
 // production runFunc; tests substitute stubs through Config.Runner.
 func Execute(ctx context.Context, spec *Spec, tel *experiments.Telemetry) ([]byte, error) {
-	sc := spec.ResolveScale()
+	e, ok := experiments.Lookup(spec.entry())
+	if !ok {
+		return nil, fmt.Errorf("no experiment runs job type %q", spec.Type)
+	}
+	res, err := e.Run(ctx, spec.input(tel))
+	if err != nil {
+		return nil, err
+	}
 	doc := resultDoc{
-		Hash:   spec.Hash(),
-		Type:   spec.Type,
-		Seed:   sc.Seed,
-		Engine: EngineVersion,
-		CSV:    map[string]string{},
+		Hash:     spec.Hash(),
+		Type:     spec.Type,
+		Seed:     spec.EffectiveSeed(),
+		Engine:   EngineVersion,
+		Rendered: res.Rendered,
 	}
-	switch spec.Type {
-	case TypeSweep:
-		switch spec.Sweep.Experiment {
-		case "exec":
-			r, err := experiments.ExecSweepCtx(ctx, sc, spec.Sweep.TrainNN, tel)
-			if err != nil {
-				return nil, err
-			}
-			doc.Rendered = r.RenderAvg() + "\n" + r.RenderTail()
-			doc.CSV["fig9_avg.csv"] = r.CSVAvg()
-			doc.CSV["fig10_tail.csv"] = r.CSVTail()
-		case "mix":
-			r, err := experiments.MixedWorkloadsCtx(ctx, sc, spec.Sweep.TrainNN, tel)
-			if err != nil {
-				return nil, err
-			}
-			doc.Rendered = r.Render()
-			doc.CSV["fig11_mixes.csv"] = r.CSV()
-		case "ablation":
-			r, err := experiments.AblationCtx(ctx, sc, tel)
-			if err != nil {
-				return nil, err
-			}
-			doc.Rendered = r.Render()
-			doc.CSV["ablation.csv"] = r.CSV()
-		default:
-			return nil, fmt.Errorf("unknown sweep experiment %q", spec.Sweep.Experiment)
+	if len(res.CSV) > 0 {
+		doc.CSV = map[string]string{}
+		for _, f := range res.CSV {
+			doc.CSV[f.Name] = f.Content
 		}
-	case TypeTrain:
-		agent, err := experiments.TrainAPUCtx(ctx, sc)
-		if err != nil {
-			return nil, err
-		}
-		agent.Freeze()
-		h := experiments.APUHeatmapFromAgent(agent)
-		doc.Rendered = experiments.RenderAPUHeatmap(h)
-		doc.CSV["fig7_heatmap.csv"] = viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs)
-	case TypeFault:
-		r, err := experiments.FaultSweepRatesCtx(ctx, sc, tel, spec.effectiveRates())
-		if err != nil {
-			return nil, err
-		}
-		doc.Rendered = r.Render()
-		doc.CSV["faults_mesh.csv"] = r.CSVMesh()
-		doc.CSV["faults_apu.csv"] = r.CSVAPU()
-	case TypeQuant:
-		// QuantStudy has no per-cell structure to cancel between; honor a
-		// cancellation that lands before it starts.
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r := experiments.QuantStudy(spec.effectiveQuantSize(), sc)
-		doc.Rendered = r.Render()
-		doc.CSV["quant_fidelity.csv"] = r.CSV()
-	case TypeMesh:
-		// Only the deterministic outcome is rendered: wall-clock throughput
-		// depends on the machine, which is not in the job hash, and the cache
-		// contract is byte-identical payloads per hash.
-		r, err := experiments.ScalingStudyCtx(ctx, spec.effectiveMeshSizes(), nil, spec.meshTorus(), sc)
-		if err != nil {
-			return nil, err
-		}
-		doc.Rendered = r.RenderInvariant()
-		doc.CSV["scaling_invariant.csv"] = r.InvariantCSV()
-	default:
-		return nil, fmt.Errorf("unknown job type %q", spec.Type)
-	}
-	if len(doc.CSV) == 0 {
-		doc.CSV = nil
 	}
 	return json.Marshal(doc)
 }

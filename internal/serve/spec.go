@@ -42,16 +42,23 @@ const (
 	TypeMesh  = "mesh"
 )
 
-// Spec is the JSON job specification submitted to POST /jobs. Each type maps
-// onto one internal/experiments entry point:
+// The job types and sweep experiments a spec may name.
+var (
+	jobTypes         = []string{TypeSweep, TypeTrain, TypeFault, TypeQuant, TypeMesh}
+	sweepExperiments = []string{"exec", "mix", "ablation"}
+)
+
+// Spec is the JSON job specification submitted to POST /jobs. Each job runs
+// one experiments.Table entry, so `experiments <entry>` at the same scale,
+// seed and parameters prints the payload's tables and writes its CSVs:
 //
-//	sweep/exec     -> experiments.ExecSweepCtx        (Figs. 9+10)
-//	sweep/mix      -> experiments.MixedWorkloadsCtx   (Fig. 11)
-//	sweep/ablation -> experiments.AblationCtx         (Section 5.1)
-//	train          -> experiments.TrainAPUCtx         (Fig. 7 heatmap)
-//	fault          -> experiments.FaultSweepRatesCtx  (robustness sweep)
-//	quant          -> experiments.QuantStudy          (INT8 fidelity)
-//	mesh           -> experiments.ScalingStudyCtx     (large mesh/torus scaling)
+//	sweep/exec     -> exec      (Figs. 9+10)
+//	sweep/mix      -> fig11     (mixed workloads)
+//	sweep/ablation -> ablation  (Section 5.1)
+//	train          -> fig7      (APU agent heatmap)
+//	fault          -> faults    (robustness sweep)
+//	quant          -> quant     (INT8 fidelity)
+//	mesh           -> mesh      (deterministic half of the scaling study)
 //
 // Priority orders the queue (higher first, FIFO within a priority) and is
 // deliberately excluded from the job hash: it affects when a job runs, never
@@ -98,25 +105,17 @@ type FaultSpec struct {
 
 // QuantSpec parameterizes an INT8 quantization-fidelity study.
 type QuantSpec struct {
-	// Size is the mesh edge size (default 4).
+	// Size is the mesh edge size (default experiments.DefaultQuantSize).
 	Size int `json:"size,omitempty"`
 }
 
 // MeshSpec parameterizes a large-topology scaling job. Sizes are mesh/torus
-// edge lengths (default experiments.DefaultScalingSizes).
+// edge lengths (default experiments.DefaultScalingSizes), within the bounds
+// experiments.CheckTopology enforces.
 type MeshSpec struct {
 	Sizes []int `json:"sizes,omitempty"`
 	Torus bool  `json:"torus,omitempty"`
 }
-
-// Upper bounds on the topology a spec may ask for. Validate enforces them
-// before anything is allocated: an edge of 100000 would have a worker try to
-// build 10^10 routers. 64 is the largest edge the repo builds
-// (noc.BuildMesh64x64).
-const (
-	maxMeshEdge  = 64
-	maxMeshSizes = 16
-)
 
 // ParseSpec decodes and validates a JSON job spec. Unknown fields are
 // rejected: a typo that silently dropped a knob would hash — and cache — as
@@ -139,15 +138,7 @@ func ParseSpec(data []byte) (*Spec, error) {
 // both surfaces.
 func (s *Spec) Validate() error {
 	var c cliutil.Check
-	// cliutil.Check has lower bounds only; the first upper-bound violation is
-	// kept here, worded alike, and reported after c's.
-	var over error
-	atMost := func(name string, v, max int) {
-		if v > max && over == nil {
-			over = fmt.Errorf("%s must be <= %d, got %d", name, max, v)
-		}
-	}
-	c.OneOf("type", s.Type, TypeSweep, TypeTrain, TypeFault, TypeQuant, TypeMesh)
+	c.OneOf("type", s.Type, jobTypes...)
 	c.NonNegative("seed", s.Seed)
 	if sc := s.Scale; sc != nil {
 		if sc.Preset != "" {
@@ -167,7 +158,7 @@ func (s *Spec) Validate() error {
 		if s.Sweep == nil {
 			return fmt.Errorf(`sweep jobs need a "sweep" section`)
 		}
-		c.OneOf("sweep.experiment", s.Sweep.Experiment, "exec", "mix", "ablation")
+		c.OneOf("sweep.experiment", s.Sweep.Experiment, sweepExperiments...)
 	case TypeFault:
 		if s.Fault != nil {
 			for i, r := range s.Fault.Rates {
@@ -177,28 +168,14 @@ func (s *Spec) Validate() error {
 	case TypeQuant:
 		if s.Quant != nil && s.Quant.Size != 0 {
 			c.AtLeast("quant.size", int64(s.Quant.Size), 2)
-			atMost("quant.size", s.Quant.Size, maxMeshEdge)
+			c.AtMost("quant.size", int64(s.Quant.Size), experiments.MaxMeshEdge)
 		}
 	case TypeMesh:
 		if s.Mesh != nil {
-			// Torus rings need length >= 3 so a router's two ring directions
-			// stay distinct; an open mesh only needs >= 2.
-			min := int64(2)
-			if s.Mesh.Torus {
-				min = 3
-			}
-			atMost("len(mesh.sizes)", len(s.Mesh.Sizes), maxMeshSizes)
-			for i, sz := range s.Mesh.Sizes {
-				name := fmt.Sprintf("mesh.sizes[%d]", i)
-				c.AtLeast(name, int64(sz), min)
-				atMost(name, sz, maxMeshEdge)
-			}
+			experiments.CheckTopology(&c, "mesh.sizes", s.Mesh.Sizes, s.Mesh.Torus)
 		}
 	}
-	if err := c.Err(); err != nil {
-		return err
-	}
-	return over
+	return c.Err()
 }
 
 // EffectiveSeed resolves the spec's seed (0 means the CLI-wide default, 1).
@@ -242,31 +219,34 @@ func (s *Spec) ResolveScale() experiments.Scale {
 	return sc
 }
 
-// effectiveRates resolves a fault job's rate list.
-func (s *Spec) effectiveRates() []float64 {
+// input resolves the spec into the experiments.Input its entry runs on, with
+// every default applied. Execute runs exactly these values and Hash covers
+// them, so the hash cannot disagree with what runs.
+func (s *Spec) input(tel *experiments.Telemetry) experiments.Input {
+	in := experiments.Input{
+		Scale:        s.ResolveScale(),
+		Telemetry:    tel,
+		FaultRates:   experiments.DefaultFaultRates,
+		QuantSize:    experiments.DefaultQuantSize,
+		ScalingSizes: experiments.DefaultScalingSizes,
+	}
+	if s.Sweep != nil {
+		in.TrainNN = s.Sweep.TrainNN
+	}
 	if s.Fault != nil && len(s.Fault.Rates) > 0 {
-		return s.Fault.Rates
+		in.FaultRates = s.Fault.Rates
 	}
-	return experiments.DefaultFaultRates
-}
-
-// effectiveQuantSize resolves a quant job's mesh size.
-func (s *Spec) effectiveQuantSize() int {
 	if s.Quant != nil && s.Quant.Size > 0 {
-		return s.Quant.Size
+		in.QuantSize = s.Quant.Size
 	}
-	return 4
-}
-
-// effectiveMeshSizes resolves a mesh job's size list.
-func (s *Spec) effectiveMeshSizes() []int {
-	if s.Mesh != nil && len(s.Mesh.Sizes) > 0 {
-		return s.Mesh.Sizes
+	if s.Mesh != nil {
+		in.Torus = s.Mesh.Torus
+		if len(s.Mesh.Sizes) > 0 {
+			in.ScalingSizes = s.Mesh.Sizes
+		}
 	}
-	return experiments.DefaultScalingSizes
+	return in
 }
-
-func (s *Spec) meshTorus() bool { return s.Mesh != nil && s.Mesh.Torus }
 
 // canonicalJob is the exact byte layout hashed into the job's cache key:
 // engine and schema versions, the job type, and every resolved
@@ -303,23 +283,24 @@ func (s *Spec) Hash() string {
 // hashWith is Hash with explicit versions, split out so tests can prove a
 // version bump invalidates the cache key.
 func (s *Spec) hashWith(engine string, schema int) string {
+	in := s.input(nil)
 	c := canonicalJob{
 		Engine: engine,
 		Schema: schema,
 		Type:   s.Type,
-		Seed:   s.EffectiveSeed(),
-		Scale:  s.ResolveScale(),
+		Seed:   in.Scale.Seed,
+		Scale:  in.Scale,
 	}
 	switch s.Type {
 	case TypeSweep:
 		sw := *s.Sweep
 		c.Sweep = &sw
 	case TypeFault:
-		c.Rates = s.effectiveRates()
+		c.Rates = in.FaultRates
 	case TypeQuant:
-		c.Size = s.effectiveQuantSize()
+		c.Size = in.QuantSize
 	case TypeMesh:
-		c.Mesh = &canonicalMesh{Sizes: s.effectiveMeshSizes(), Torus: s.meshTorus()}
+		c.Mesh = &canonicalMesh{Sizes: in.ScalingSizes, Torus: in.Torus}
 	}
 	buf, err := json.Marshal(c)
 	if err != nil {
