@@ -13,6 +13,9 @@ import (
 // benchTrainLoop replicates the TrainMesh inner loop at quick scale (4x4
 // mesh, 3 VCs, batch 32, one training batch per cycle) without the epoch
 // reporting wrapper, so a benchmark iteration is exactly one training cycle.
+// It returns the loop 8000 cycles in: the 16 000-experience replay ring fills
+// after about 6 000, and until it does, and evictions feed the agent's
+// freelists, every decision allocates its state.
 func benchTrainLoop(seed int64) (*noc.Network, *traffic.Injector) {
 	cfg := MeshTrainConfig{Seed: seed}
 	cfg.applyDefaults()
@@ -27,15 +30,15 @@ func benchTrainLoop(seed int64) (*noc.Network, *traffic.Injector) {
 	})
 	net, in := newMeshRun(cfg, agent)
 	net.OnCycle = agent.OnCycle
+	for i := 0; i < 8000; i++ {
+		in.Tick()
+		net.Step()
+	}
 	return net, in
 }
 
 func BenchmarkHotTrainingLoop(b *testing.B) {
 	net, in := benchTrainLoop(3)
-	for i := 0; i < 3000; i++ {
-		in.Tick()
-		net.Step()
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -82,9 +85,10 @@ func BenchmarkHotAgentSelect(b *testing.B) {
 	}
 }
 
-// TestAgentSelectZeroAllocs pins the tentpole contract: once the replay ring
-// is full and evictions feed the freelists, a training-mode Select performs no
-// heap allocations.
+// TestAgentSelectZeroAllocs pins the zero-allocation contract: once the
+// replay ring is full and evictions feed the freelists, a training-mode Select
+// performs no heap allocations, and neither does a whole cycle of the training
+// loop (traffic, a Step whose arbitration is the agent's, and its TrainBatch).
 func TestAgentSelectZeroAllocs(t *testing.T) {
 	agent, ctx, cands := benchSelectSite()
 	// ReplayCap is 256; 1024 decisions guarantee the ring wrapped and the
@@ -92,11 +96,13 @@ func TestAgentSelectZeroAllocs(t *testing.T) {
 	for i := 0; i < 1024; i++ {
 		agent.Select(ctx, cands)
 	}
-	allocs := testing.AllocsPerRun(200, func() {
-		agent.Select(ctx, cands)
-	})
-	if allocs != 0 {
-		t.Fatalf("Select allocates %v objects per decision, want 0", allocs)
+	if allocs := testing.AllocsPerRun(200, func() { agent.Select(ctx, cands) }); allocs != 0 {
+		t.Errorf("Select allocates %v objects per decision, want 0", allocs)
+	}
+
+	net, in := benchTrainLoop(3)
+	if allocs := testing.AllocsPerRun(200, func() { in.Tick(); net.Step() }); allocs != 0 {
+		t.Errorf("a training-loop cycle allocates %v objects, want 0", allocs)
 	}
 }
 

@@ -58,7 +58,8 @@ const DefaultQuantSize = 4
 
 // Topology bounds of the scaling and mesh entries, checked before anything is
 // allocated: an edge of 100000 would build 10^10 routers. 64 is the largest
-// edge the repo builds (noc.BuildMesh64x64). A torus ring needs three routers
+// edge the repo measures (the 64x64 sparse-stepping benchmark in
+// internal/noc). A torus ring needs three routers
 // so that a router's two ring directions stay distinct; an open mesh needs two.
 const (
 	MaxMeshEdge  = 64

@@ -887,39 +887,27 @@ func (l *Layer) forwardSelected(rows [][]float64, next []float64, outs [][]int, 
 	}
 }
 
-// Backprop performs one SGD step given dLoss/dOutput evaluated at the current
-// forward pass of x. It recomputes the forward pass internally.
-func (m *MLP) Backprop(x, outGrad []float64, lr float64) {
-	in := m.index(x)
-	y := m.forward(in, nil)
-	last := len(m.Layers) - 1
-	for j, g := range outGrad[:len(y)] {
-		m.deltas[last][j] = g * m.Layers[last].Act.derivFromOutput(y[j])
-	}
-	m.backprop(in, lr, nil)
-}
-
-// backprop applies one SGD step from the output deltas the caller has left in
+// backprop applies one SGD step from the output deltas trainAction has left in
 // m.deltas[last], using the hidden activations left in m.acts by the
 // immediately preceding forward call on x, avoiding a duplicate forward pass.
-// Callers must not have mutated weights since that forward. nz lists the
-// outputs whose deltas may be non-zero (nil: any of them); the others must be
-// zero, and are not read past layer 0.
+// Callers must not have mutated weights since that forward. Only the action's
+// output delta may be non-zero; the others must be zero, and are not read past
+// layer 0.
 //
 // Deltas propagate k-outer over the next layer's neurons: each delta[j] still
 // sums its terms in ascending k order, bit-identical to the j-outer loop, and
-// a zero delta (all but one output under Q-learning's single-action gradient)
-// skips its weight row, as it skips its row in the update. Past layer 0 a
-// network with a store runs those row loops, and the sigmoid's derivative, on
-// the AVX2 kernels, each operation rounded as the Go loop beside it rounds it;
-// the Go loops are the path without kernels and the oracle.
-func (m *MLP) backprop(x SparseVec, lr float64, nz []int) {
+// a zero delta skips its weight row, as it skips its row in the update. Past
+// layer 0 a network with a store runs those row loops, and the sigmoid's
+// derivative, on the AVX2 kernels, each operation rounded as the Go loop
+// beside it rounds it; the Go loops are the path without kernels and the
+// oracle.
+func (m *MLP) backprop(x SparseVec, lr float64, action int) {
 	last, vec := len(m.Layers)-1, m.store != nil
 	for l := last - 1; l >= 0; l-- {
 		layer, next := m.Layers[l], m.Layers[l+1]
 		dl, y := m.deltas[l][:layer.Out], m.acts[l+1][:layer.Out]
 		clear(dl)
-		for _, k := range m.nonZero(l+1, nz) {
+		for _, k := range m.nonZero(l+1, action) {
 			d := m.deltas[l+1][k]
 			if d == 0 {
 				continue
@@ -950,7 +938,7 @@ func (m *MLP) backprop(x SparseVec, lr float64, nz []int) {
 	for l := 1; l <= last; l++ {
 		layer := m.Layers[l]
 		in := m.acts[l][:layer.In]
-		for _, j := range m.nonZero(l, nz) {
+		for _, j := range m.nonZero(l, action) {
 			d := m.deltas[l][j]
 			if d == 0 {
 				continue
@@ -969,10 +957,10 @@ func (m *MLP) backprop(x SparseVec, lr float64, nz []int) {
 }
 
 // nonZero lists the neurons of layer l whose deltas backprop must look at:
-// nz's outputs for the last layer when the caller named them, else all.
-func (m *MLP) nonZero(l int, nz []int) []int {
-	if l == len(m.Layers)-1 && nz != nil {
-		return nz
+// the action in the last layer, every neuron in the others.
+func (m *MLP) nonZero(l, action int) []int {
+	if l == len(m.Layers)-1 {
+		return m.every[action : action+1]
 	}
 	return m.every[:m.Layers[l].Out]
 }
@@ -1027,25 +1015,6 @@ func (l *Layer) updateRowSparse(j int, d float64, idx []int32, val []float64, lr
 	l.B[j] -= step
 }
 
-// TrainMSE performs one SGD step toward target under 0.5*sum((y-t)^2) loss
-// and returns the pre-step loss.
-func (m *MLP) TrainMSE(x, target []float64, lr float64) float64 {
-	in := m.index(x)
-	y := m.forward(in, nil)
-	if len(target) != len(y) {
-		panic("nn: target size mismatch")
-	}
-	last := len(m.Layers) - 1
-	loss := 0.0
-	for j := range y {
-		e := y[j] - target[j]
-		m.deltas[last][j] = e * m.Layers[last].Act.derivFromOutput(y[j])
-		loss += 0.5 * e * e
-	}
-	m.backprop(in, lr, nil)
-	return loss
-}
-
 // TrainAction performs one Q-learning SGD step: only the selected action's
 // output is pushed toward target; all other outputs receive zero gradient.
 // It returns the pre-step squared error on the action.
@@ -1068,13 +1037,12 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 	if n := m.OutputSize(); action < 0 || action >= n {
 		panic(fmt.Sprintf("nn: action %d out of range %d", action, n))
 	}
-	want := [1]int{action}
-	y := m.forward(x, want[:])
+	y := m.forward(x, m.every[action:action+1])
 	e := y[action] - target
 	last := len(m.Layers) - 1
 	clear(m.deltas[last])
 	m.deltas[last][action] = e * m.Layers[last].Act.derivFromOutput(y[action])
-	m.backprop(x, lr, want[:])
+	m.backprop(x, lr, action)
 	return e * e
 }
 

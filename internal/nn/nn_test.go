@@ -64,8 +64,9 @@ func TestActivations(t *testing.T) {
 	}
 }
 
-// TestGradientCheck verifies backprop against numerical differentiation of
-// the 0.5*sum((y-t)^2) loss for every parameter of a small network.
+// TestGradientCheck verifies backprop against numerical differentiation for
+// every parameter of a small network: TrainAction on output a is one SGD step
+// on 0.5*(y[a]-t)^2, checked for each output in turn.
 func TestGradientCheck(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, acts := range [][]Activation{
@@ -77,55 +78,46 @@ func TestGradientCheck(t *testing.T) {
 		m := New([]int{3, 4, 2}, acts, rng)
 		x := []float64{0.3, -0.7, 0.9}
 		target := []float64{0.2, 0.8}
-
-		loss := func(net *MLP) float64 {
-			y := net.Forward(x)
-			l := 0.0
-			for j := range y {
-				e := y[j] - target[j]
-				l += 0.5 * e * e
+		for a := range target {
+			loss := func(net *MLP) float64 {
+				e := net.Forward(x)[a] - target[a]
+				return 0.5 * e * e
 			}
-			return l
-		}
 
-		// Analytic step: one SGD update with lr. The parameter delta equals
-		// -lr * dL/dw, so compare against the numerical gradient.
-		const lr = 1e-3
-		before := m.Clone()
-		y := m.Forward(x)
-		grad := make([]float64, len(y))
-		for j := range y {
-			grad[j] = y[j] - target[j]
-		}
-		m.Backprop(x, grad, lr)
-		m.WriteBack()
+			// Analytic step: one SGD update with lr. The parameter delta equals
+			// -lr * dL/dw, so compare against the numerical gradient.
+			const lr = 1e-3
+			before := m.Clone()
+			m.TrainAction(x, a, target[a], lr)
+			m.WriteBack()
 
-		// perturbed is before with one parameter moved by d, written by hand
-		// and adopted.
-		perturbed := func(param func(net *MLP) *float64, d float64) *MLP {
-			net := before.Clone()
-			*param(net) += d
-			net.adopt()
-			return net
-		}
-		const eps = 1e-6
-		for l := range before.Layers {
-			for i := range before.Layers[l].W {
-				w := func(net *MLP) *float64 { return &net.Layers[l].W[i] }
-				numGrad := (loss(perturbed(w, eps)) - loss(perturbed(w, -eps))) / (2 * eps)
-				analytic := (before.Layers[l].W[i] - m.Layers[l].W[i]) / lr
-				if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
-					t.Fatalf("acts=%v layer %d w[%d]: numeric %g vs analytic %g",
-						acts, l, i, numGrad, analytic)
+			// perturbed is before with one parameter moved by d, written by hand
+			// and adopted.
+			perturbed := func(param func(net *MLP) *float64, d float64) *MLP {
+				net := before.Clone()
+				*param(net) += d
+				net.adopt()
+				return net
+			}
+			const eps = 1e-6
+			for l := range before.Layers {
+				for i := range before.Layers[l].W {
+					w := func(net *MLP) *float64 { return &net.Layers[l].W[i] }
+					numGrad := (loss(perturbed(w, eps)) - loss(perturbed(w, -eps))) / (2 * eps)
+					analytic := (before.Layers[l].W[i] - m.Layers[l].W[i]) / lr
+					if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
+						t.Fatalf("acts=%v output %d layer %d w[%d]: numeric %g vs analytic %g",
+							acts, a, l, i, numGrad, analytic)
+					}
 				}
-			}
-			for i := range before.Layers[l].B {
-				b := func(net *MLP) *float64 { return &net.Layers[l].B[i] }
-				numGrad := (loss(perturbed(b, eps)) - loss(perturbed(b, -eps))) / (2 * eps)
-				analytic := (before.Layers[l].B[i] - m.Layers[l].B[i]) / lr
-				if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
-					t.Fatalf("acts=%v layer %d b[%d]: numeric %g vs analytic %g",
-						acts, l, i, numGrad, analytic)
+				for i := range before.Layers[l].B {
+					b := func(net *MLP) *float64 { return &net.Layers[l].B[i] }
+					numGrad := (loss(perturbed(b, eps)) - loss(perturbed(b, -eps))) / (2 * eps)
+					analytic := (before.Layers[l].B[i] - m.Layers[l].B[i]) / lr
+					if math.Abs(numGrad-analytic) > 1e-4*(1+math.Abs(numGrad)) {
+						t.Fatalf("acts=%v output %d layer %d b[%d]: numeric %g vs analytic %g",
+							acts, a, l, i, numGrad, analytic)
+					}
 				}
 			}
 		}
@@ -140,7 +132,7 @@ func TestLearnXOR(t *testing.T) {
 	targets := []float64{0, 1, 1, 0}
 	for epoch := 0; epoch < 8000; epoch++ {
 		for i, x := range inputs {
-			m.TrainMSE(x, []float64{targets[i]}, 0.5)
+			m.TrainAction(x, 0, targets[i], 0.5)
 		}
 	}
 	for i, x := range inputs {
@@ -172,13 +164,13 @@ func TestLearnArgmaxOldest(t *testing.T) {
 	for step := 0; step < 30000; step++ {
 		x, best := sample()
 		// Supervised targets mimic converged Q: high for oldest, low others.
-		target := make([]float64, slots)
-		for i := range target {
-			if i == best {
-				target[i] = 1
+		for a := 0; a < slots; a++ {
+			target := 0.0
+			if a == best {
+				target = 1
 			}
+			m.TrainAction(x, a, target, 0.05)
 		}
-		m.TrainMSE(x, target, 0.05)
 	}
 	correct := 0
 	const trials = 1000
@@ -212,7 +204,7 @@ func TestCloneAndCopyFrom(t *testing.T) {
 		}
 	}
 	// Mutate the clone; original must not change.
-	b.TrainMSE(x, []float64{1, 1}, 0.5)
+	b.TrainAction(x, 0, 1, 0.5)
 	ya2 := a.Forward(x)
 	for i := range ya {
 		if ya[i] != ya2[i] {

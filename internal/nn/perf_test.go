@@ -301,44 +301,60 @@ func TestForwardBatchFastULP(t *testing.T) {
 	}
 }
 
-func TestForwardBatchFastZeroAllocs(t *testing.T) {
-	m := apuNet()
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randVec(m.InputSize(), int64(i))
-	}
-	m.ForwardBatchFast(xs) // warm the batch scratch
-	if allocs := testing.AllocsPerRun(100, func() { m.ForwardBatchFast(xs) }); allocs != 0 {
-		t.Fatalf("ForwardBatchFast allocates %v objects per call, want 0", allocs)
+// allocCase is one call an allocation test requires to make no heap
+// allocation once warm.
+type allocCase struct {
+	name string
+	call func()
+}
+
+// requireNoAllocs fails for every case whose call allocates.
+// testing.AllocsPerRun makes one warm-up call first, which grows the scratch a
+// first call may size.
+func requireNoAllocs(t *testing.T, cases ...allocCase) {
+	t.Helper()
+	for _, c := range cases {
+		if allocs := testing.AllocsPerRun(100, c.call); allocs != 0 {
+			t.Errorf("%s allocates %v objects per call, want 0", c.name, allocs)
+		}
 	}
 }
+
+// The zero-allocation tests below take the inputs of the benchmarks above:
+// a dense input, the APU agent's states as dense vectors and as the
+// SparseVecs it holds them in, cycled as the benchmarks cycle them.
 
 func TestForwardZeroAllocs(t *testing.T) {
 	m := apuNet()
-	x := randVec(m.InputSize(), 7)
-	if allocs := testing.AllocsPerRun(100, func() { m.Forward(x) }); allocs != 0 {
-		t.Fatalf("Forward allocates %v objects per call, want 0", allocs)
-	}
-}
-
-func TestForwardBatchZeroAllocs(t *testing.T) {
-	m := apuNet()
-	xs := make([][]float64, 32)
-	for i := range xs {
-		xs[i] = randVec(m.InputSize(), int64(i))
-	}
-	m.ForwardBatch(xs) // warm the batch scratch
-	if allocs := testing.AllocsPerRun(100, func() { m.ForwardBatch(xs) }); allocs != 0 {
-		t.Fatalf("ForwardBatch allocates %v objects per call, want 0", allocs)
-	}
+	x, xs, svs, i := randVec(m.InputSize(), 7), apuStates(64, 7), apuSparseStates(64, 7), 0
+	requireNoAllocs(t,
+		allocCase{"Forward (dense input)", func() { m.Forward(x) }},
+		allocCase{"Forward (APU states)", func() { i++; m.Forward(xs[i%len(xs)]) }},
+		allocCase{"ForwardSparse", func() { i++; m.ForwardSparse(svs[i%len(svs)], []int{3, 17, 40}) }},
+	)
 }
 
 func TestTrainActionZeroAllocs(t *testing.T) {
 	m := apuNet()
-	x := randVec(m.InputSize(), 7)
-	if allocs := testing.AllocsPerRun(100, func() {
-		m.TrainAction(x, 3, 0.5, 0.001)
-	}); allocs != 0 {
-		t.Fatalf("TrainAction allocates %v objects per call, want 0", allocs)
-	}
+	x, xs, svs, i := randVec(m.InputSize(), 7), apuStates(64, 7), apuSparseStates(64, 7), 0
+	requireNoAllocs(t,
+		allocCase{"TrainAction (dense input)", func() { i++; m.TrainAction(x, i%m.OutputSize(), 0.5, 0.001) }},
+		allocCase{"TrainAction (APU states)", func() { i++; m.TrainAction(xs[i%len(xs)], i%m.OutputSize(), 0.5, 0.001) }},
+		allocCase{"TrainActionSparse", func() { i++; m.TrainActionSparse(svs[i%len(svs)], i%m.OutputSize(), 0.5, 0.001) }},
+	)
+}
+
+func TestForwardBatchFastZeroAllocs(t *testing.T) {
+	m := apuNet()
+	xs, svs := apuStates(32, 20), apuSparseStates(32, 20)
+	requireNoAllocs(t,
+		allocCase{"ForwardBatchFast", func() { m.ForwardBatchFast(xs) }},
+		allocCase{"ForwardBatchFastSparse", func() { m.ForwardBatchFastSparse(svs, nil) }},
+	)
+}
+
+func TestForwardBatchZeroAllocs(t *testing.T) {
+	m := apuNet()
+	xs := apuStates(32, 20)
+	requireNoAllocs(t, allocCase{"ForwardBatch", func() { m.ForwardBatch(xs) }})
 }

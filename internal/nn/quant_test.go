@@ -100,9 +100,13 @@ func TestQuantizedArgmaxAgreement(t *testing.T) {
 				best = i
 			}
 		}
-		target := make([]float64, slots)
-		target[best] = 1
-		m.TrainMSE(x, target, 0.05)
+		for a := 0; a < slots; a++ {
+			target := 0.0
+			if a == best {
+				target = 1
+			}
+			m.TrainAction(x, a, target, 0.05)
+		}
 	}
 	q := Quantize(m, calibSet(64, slots, 6))
 	agree := 0

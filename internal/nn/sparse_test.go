@@ -31,8 +31,8 @@ func denseForward(m *MLP, x []float64) []float64 {
 	return m.acts[len(m.Layers)]
 }
 
-// denseBackprop is backpropFromActs with a dense layer-0 weight update, on the
-// activations denseForward left in m.acts.
+// denseBackprop is backprop with a dense layer-0 weight update and every
+// output's delta from outGrad, on the activations denseForward left in m.acts.
 func denseBackprop(m *MLP, outGrad []float64, lr float64) {
 	y := m.acts[len(m.Layers)]
 	last := len(m.Layers) - 1
@@ -81,18 +81,6 @@ func denseTrainAction(m *MLP, x []float64, action int, target, lr float64) float
 	grad[action] = e
 	denseBackprop(m, grad, lr)
 	return e * e
-}
-
-func denseTrainMSE(m *MLP, x, target []float64, lr float64) float64 {
-	y := denseForward(m, x)
-	grad := make([]float64, len(y))
-	loss := 0.0
-	for j := range y {
-		grad[j] = y[j] - target[j]
-		loss += 0.5 * grad[j] * grad[j]
-	}
-	denseBackprop(m, grad, lr)
-	return loss
 }
 
 // sparseStateVec returns a state vector shaped like core.StateSpec's: k of the
@@ -241,8 +229,8 @@ func subsetOf(mask uint64, n int) []int {
 	return outs
 }
 
-// TestSparseTrainingMatchesDense runs 500 mixed TrainAction/TrainMSE steps on
-// the production network through its dense entry points, on a second one
+// TestSparseTrainingMatchesDense runs 500 TrainAction steps on the production
+// network through its dense entry points, on a second one
 // through the sparse entry points (vectors that list one zero in eight
 // explicitly), and on a clone trained by the dense reference, over every input
 // kind, and requires every returned loss, every output — asked for in full, one
@@ -264,21 +252,10 @@ func TestSparseTrainingMatchesDense(t *testing.T) {
 			requireSameBits(t, what+" outputs, sparse entry", sp.ForwardSparse(sv, nil), want)
 			requireSelectedOutputs(t, what, sp, sv, []int{step % nout}, want)
 			requireSelectedOutputs(t, what, sp, sv, subsetOf(rng.Uint64(), nout), want)
-			var got, gotSparse float64
-			if rng.Intn(2) == 0 {
-				a, target := rng.Intn(nout), rng.Float64()
-				got = m.TrainAction(x, a, target, 0.05)
-				gotSparse = sp.TrainActionSparse(sv, a, target, 0.05)
-				want[0] = denseTrainAction(ref, x, a, target, 0.05)
-			} else {
-				target := make([]float64, nout)
-				for j := range target {
-					target[j] = rng.Float64()
-				}
-				got = m.TrainMSE(x, target, 0.05)
-				gotSparse = sp.TrainMSE(x, target, 0.05)
-				want[0] = denseTrainMSE(ref, x, target, 0.05)
-			}
+			a, target := rng.Intn(nout), rng.Float64()
+			got := m.TrainAction(x, a, target, 0.05)
+			gotSparse := sp.TrainActionSparse(sv, a, target, 0.05)
+			want[0] = denseTrainAction(ref, x, a, target, 0.05)
 			if math.Float64bits(got) != math.Float64bits(want[0]) || math.Float64bits(gotSparse) != math.Float64bits(want[0]) {
 				t.Fatalf("%v step %d (%s): loss %v, through the sparse entry %v, dense reference %v",
 					arch.sizes, step, what, got, gotSparse, want[0])

@@ -109,7 +109,7 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 	}
 	n, nout := sizes[0], sizes[len(sizes)-1]
 	xs := frozenInputs(rng, n)
-	x, vec := make([]float64, n), make([]float64, nout)
+	x := make([]float64, n)
 	sameLoss := func(what string, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
@@ -119,35 +119,20 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 	for step := 0; step < steps; step++ {
 		sv := xs[rng.Intn(len(xs))]
 		sv.ScatterInto(x)
-		for j := range vec {
-			vec[j] = rng.NormFloat64()
-		}
 		lr := []float64{0.05, 0.5, 0}[rng.Intn(3)]
 		a, target := rng.Intn(nout), rng.NormFloat64()
 		if zeroErr && step%2 == 0 {
-			y := ref.ForwardSparse(sv, nil)
-			target = y[a]
-			copy(vec, y) // TrainMSE's target; Backprop's gradient is then zero
+			target = ref.ForwardSparse(sv, nil)[a]
 		}
 		what := fmt.Sprintf("%v saturate=%t zeroErr=%t step %d", sizes, saturate, zeroErr, step)
-		switch op := rng.Intn(9); op {
+		switch op := rng.Intn(7); op {
 		case 0, 1:
 			what += ": TrainActionSparse"
 			sameLoss(what, st.TrainActionSparse(sv, a, target, lr), ref.TrainActionSparse(sv, a, target, lr))
 		case 2:
 			what += ": TrainAction"
 			sameLoss(what, st.TrainAction(x, a, target, lr), ref.TrainAction(x, a, target, lr))
-		case 3:
-			what += ": TrainMSE"
-			sameLoss(what, st.TrainMSE(x, vec, lr), ref.TrainMSE(x, vec, lr))
-		case 4:
-			what += ": Backprop"
-			if zeroErr && step%2 == 0 {
-				clear(vec)
-			}
-			st.Backprop(x, vec, lr)
-			ref.Backprop(x, vec, lr)
-		case 5, 6:
+		case 3, 4:
 			what += ": ForwardBatchFastSparse"
 			batch := make([]SparseVec, rng.Intn(10))
 			for b := range batch {
@@ -157,12 +142,12 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 			for b := range want {
 				requireSameBits(t, fmt.Sprintf("%s row %d", what, b), got[b], want[b])
 			}
-		case 7:
+		case 5:
 			what += ": CopyFrom"
 			st2.CopyFrom(st)
 			ref2.CopyFrom(ref)
 			st, st2, ref, ref2 = st2, st, ref2, ref
-		case 8:
+		case 6:
 			what += ": WriteBack"
 			requireSameWeights(t, what, st, ref)
 		}
@@ -321,10 +306,7 @@ func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
 		poison(other)
 		n, nout := m.InputSize(), m.OutputSize()
 		xs := frozenInputs(rng, n)
-		x, vec := make([]float64, n), make([]float64, nout)
-		for j := range vec {
-			vec[j] = float64(j+1) / 8
-		}
+		x := make([]float64, n)
 		for step, sv := range xs {
 			sv.ScatterInto(x)
 			what := fmt.Sprintf("%v input %d", shape.sizes, step)
@@ -343,10 +325,6 @@ func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
 			ref.TrainActionSparse(sv, step%nout, 0.5, 0.1)
 			m.TrainAction(x, step%nout, -0.5, 0.1)
 			ref.TrainAction(x, step%nout, -0.5, 0.1)
-			m.TrainMSE(x, vec, 0.1)
-			ref.TrainMSE(x, vec, 0.1)
-			m.Backprop(x, vec, 0.1)
-			ref.Backprop(x, vec, 0.1)
 			other.CopyFrom(m)
 			requireSameBits(t, what+": after CopyFrom", other.Forward(x), ref.Forward(x))
 		}

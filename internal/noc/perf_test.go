@@ -120,76 +120,30 @@ func BenchmarkHotNetworkStep(b *testing.B) {
 	}
 }
 
-// benchLargeMesh measures steady-state stepping of one large mesh, reporting
-// delivered messages/sec/core — the headline scaling metric. The rate must stay below the topology's saturation point (the mesh
+// largeMesh builds the network the BenchmarkHotLargeMeshStep* benchmarks
+// step: size x size routers with one core each, 3 VCs, 8-deep buffers,
+// global-age arbitration and uniform traffic at rate. faulted kills two
+// interior links for the whole run and has fault.TableRouting steer around
+// them. The rate must stay below the topology's saturation point (the mesh
 // bisection bound shrinks as 2/size for uniform traffic) or the injection
 // queues and message freelist grow — and allocate — without bound.
-func benchLargeMesh(b *testing.B, size int, rate float64) {
+//
+// It returns the network warmed up past the cycles in which Step still
+// allocates: the in-flight population, the message freelist and the per-node
+// queues take a few thousand cycles to reach their steady state, and a 64x64
+// mesh at a sparse rate takes several times that.
+func largeMesh(size int, rate float64, faulted bool) (*noc.Network, *traffic.Injector) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
 	net.SetPolicy(arb.NewGlobalAge())
+	if faulted {
+		mid := size / 2
+		net.SetLinkDown(net.RouterAt(mid, mid).ID(), noc.PortEast, true)
+		net.SetLinkDown(net.RouterAt(mid, mid+1).ID(), noc.PortSouth, true)
+		net.SetRouting(fault.NewTableRouting(net))
+	}
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
 	in.Classes = 3
-	// Long warmup: the in-flight population on a near-saturation 32x32 mesh
-	// takes on the order of a thousand cycles to stabilize, and the message
-	// freelist keeps growing (allocating) until it does.
-	for i := 0; i < 1500; i++ {
-		in.Tick()
-		net.Step()
-	}
-	before := net.Stats().Delivered
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		in.Tick()
-		net.Step()
-	}
-	elapsed := time.Since(start).Seconds()
-	b.StopTimer()
-	if delivered := net.Stats().Delivered - before; elapsed > 0 {
-		b.ReportMetric(float64(delivered)/elapsed/float64(len(cores)), "msgs/s/core")
-	}
-}
-
-// The K1 suffix keeps these rows matching the committed BENCH_N.json snapshots.
-func BenchmarkHotLargeMeshStep16x16K1(b *testing.B) { benchLargeMesh(b, 16, 0.1) }
-func BenchmarkHotLargeMeshStep32x32K1(b *testing.B) { benchLargeMesh(b, 32, 0.05) }
-
-// TestSparseStepZeroAllocs pins the zero-alloc contract in the active-set
-// engine's target regime: a big mesh at a sparse injection rate, where almost
-// every router and node is skipped each cycle.
-func TestSparseStepZeroAllocs(t *testing.T) {
-	net, cores := noc.BuildMesh32x32()
-	net.SetPolicy(arb.NewGlobalAge())
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.005, rand.New(rand.NewSource(17)))
-	in.Classes = 3
-	for i := 0; i < 3000; i++ {
-		in.Tick()
-		net.Step()
-	}
-	allocs := testing.AllocsPerRun(500, func() {
-		in.Tick()
-		net.Step()
-	})
-	if allocs != 0 {
-		t.Fatalf("sparse steady-state Tick+Step allocates %v objects per cycle, want 0", allocs)
-	}
-}
-
-// benchLargeMeshSparse measures stepping at a sparse injection rate — the
-// active-set engine's target regime, where per-cycle cost should track the
-// in-flight population rather than the topology size. The mean active-router
-// count is reported so the sparseness of the regime is visible next to the
-// ns/op.
-func benchLargeMeshSparse(b *testing.B, size int, rate float64) {
-	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
-	net.SetPolicy(arb.NewGlobalAge())
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
-	in.Classes = 3
-	// The sparse regime converges slowly: at rate*N^2 injections per cycle
-	// the freelist and per-node queues take thousands of cycles to reach
-	// steady state on the biggest meshes, and until they do Step allocates.
-	warmup := 1500
+	warmup := 3000
 	if size >= 64 {
 		warmup = 15000
 	}
@@ -197,6 +151,45 @@ func benchLargeMeshSparse(b *testing.B, size int, rate float64) {
 		in.Tick()
 		net.Step()
 	}
+	return net, in
+}
+
+// TestSparseStepZeroAllocs pins the zero-alloc contract on the large-mesh
+// benchmarks' networks: the active-set engine's target regime, where almost
+// every router and node is skipped each cycle (healthy and with two dead
+// links), and the loaded 16x16 mesh.
+func TestSparseStepZeroAllocs(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		size    int
+		rate    float64
+		faulted bool
+	}{
+		{"16x16", 16, 0.1, false},
+		{"Sparse16x16", 16, 0.02, false},
+		{"Sparse32x32", 32, 0.005, false},
+		{"Sparse64x64", 64, 0.002, false},
+		{"Sparse32x32Faulted", 32, 0.005, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			net, in := largeMesh(tc.size, tc.rate, tc.faulted)
+			allocs := testing.AllocsPerRun(500, func() {
+				in.Tick()
+				net.Step()
+			})
+			if allocs != 0 {
+				t.Fatalf("steady-state Tick+Step allocates %v objects per cycle, want 0", allocs)
+			}
+		})
+	}
+}
+
+// benchLargeMesh measures steady-state stepping of largeMesh, reporting
+// delivered messages/sec/core — the headline scaling metric — and the mean
+// number of routers the active set visits, so the sparseness of the regime is
+// visible next to the ns/op.
+func benchLargeMesh(b *testing.B, size int, rate float64, faulted bool) {
+	net, in := largeMesh(size, rate, faulted)
 	before := net.Stats().Delivered
 	var activeSum int64
 	b.ReportAllocs()
@@ -210,50 +203,16 @@ func benchLargeMeshSparse(b *testing.B, size int, rate float64) {
 	elapsed := time.Since(start).Seconds()
 	b.StopTimer()
 	if delivered := net.Stats().Delivered - before; elapsed > 0 {
-		b.ReportMetric(float64(delivered)/elapsed/float64(len(cores)), "msgs/s/core")
+		b.ReportMetric(float64(delivered)/elapsed/float64(len(in.Nodes)), "msgs/s/core")
 	}
 	b.ReportMetric(float64(activeSum)/float64(b.N), "active-routers")
 }
 
-func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMeshSparse(b, 16, 0.02) }
-func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMeshSparse(b, 32, 0.005) }
-func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) { benchLargeMeshSparse(b, 64, 0.002) }
-
-// benchLargeMeshSparseFaulted is the degraded-mesh counterpart: two interior
-// links are dead for the whole run and the fault-aware table routing steers
-// around them. Per-cycle cost follows the occupied routers, and each head costs
-// one Route call when it becomes head.
-func benchLargeMeshSparseFaulted(b *testing.B, size int, rate float64) {
-	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8})
-	net.SetPolicy(arb.NewGlobalAge())
-	mid := size / 2
-	net.SetLinkDown(net.RouterAt(mid, mid).ID(), noc.PortEast, true)
-	net.SetLinkDown(net.RouterAt(mid, mid+1).ID(), noc.PortSouth, true)
-	net.SetRouting(fault.NewTableRouting(net))
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, rand.New(rand.NewSource(17)))
-	in.Classes = 3
-	for i := 0; i < 1500; i++ {
-		in.Tick()
-		net.Step()
-	}
-	before := net.Stats().Delivered
-	var activeSum int64
-	b.ReportAllocs()
-	b.ResetTimer()
-	start := time.Now()
-	for i := 0; i < b.N; i++ {
-		in.Tick()
-		net.Step()
-		activeSum += int64(net.ActiveRouters())
-	}
-	elapsed := time.Since(start).Seconds()
-	b.StopTimer()
-	if delivered := net.Stats().Delivered - before; elapsed > 0 {
-		b.ReportMetric(float64(delivered)/elapsed/float64(len(cores)), "msgs/s/core")
-	}
-	b.ReportMetric(float64(activeSum)/float64(b.N), "active-routers")
-}
-
+func BenchmarkHotLargeMeshStep16x16(b *testing.B)       { benchLargeMesh(b, 16, 0.1, false) }
+func BenchmarkHotLargeMeshStep32x32(b *testing.B)       { benchLargeMesh(b, 32, 0.05, false) }
+func BenchmarkHotLargeMeshStepSparse16x16(b *testing.B) { benchLargeMesh(b, 16, 0.02, false) }
+func BenchmarkHotLargeMeshStepSparse32x32(b *testing.B) { benchLargeMesh(b, 32, 0.005, false) }
+func BenchmarkHotLargeMeshStepSparse64x64(b *testing.B) { benchLargeMesh(b, 64, 0.002, false) }
 func BenchmarkHotLargeMeshStepSparse32x32Faulted(b *testing.B) {
-	benchLargeMeshSparseFaulted(b, 32, 0.005)
+	benchLargeMesh(b, 32, 0.005, true)
 }

@@ -209,15 +209,20 @@ func TestReplayOnEvictFiresOnOverwrite(t *testing.T) {
 	}
 }
 
-// TestTrainBatchZeroAllocs pins the tentpole contract: steady-state training
-// performs no heap allocations.
+// TestTrainBatchZeroAllocs pins the zero-allocation contract: steady-state
+// training, and the replay draw it starts with, perform no heap allocations.
 func TestTrainBatchZeroAllocs(t *testing.T) {
 	d, rng := benchDQL()
-	d.TrainBatch(rng) // warm the batch scratch
-	allocs := testing.AllocsPerRun(50, func() {
-		d.TrainBatch(rng)
-	})
-	if allocs != 0 {
-		t.Fatalf("TrainBatch allocates %v objects per batch, want 0", allocs)
+	dst := make([]*Experience, d.Cfg.BatchSize)
+	for _, c := range []struct {
+		name string
+		call func()
+	}{
+		{"TrainBatch", func() { d.TrainBatch(rng) }},
+		{"Replay.SampleInto", func() { d.Replay.SampleInto(rng, dst) }},
+	} {
+		if allocs := testing.AllocsPerRun(50, c.call); allocs != 0 {
+			t.Errorf("%s allocates %v objects per batch, want 0", c.name, allocs)
+		}
 	}
 }

@@ -170,43 +170,6 @@ func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
 // Overflow returns the count of samples beyond the last bin.
 func (h *Histogram) Overflow() int64 { return h.overflow }
 
-// Summary renders the histogram as one metrics-style line:
-// "count=N mean=M p50=A p95=B p99=C max=D" (values in the sample's unit,
-// quantiles bin-interpolated). An empty histogram reports "count=0". It is
-// the text format the serving daemon's /metrics endpoint exposes per
-// job-type latency histogram.
-func (h *Histogram) Summary() string {
-	if h.Count() == 0 {
-		return "count=0"
-	}
-	return fmt.Sprintf("count=%d mean=%.3g p50=%.3g p95=%.3g p99=%.3g max=%.3g",
-		h.Count(), h.Mean(), h.Quantile(0.50), h.Quantile(0.95), h.Quantile(0.99), h.Max())
-}
-
-// Percentile returns an upper bound estimate of the p-th percentile
-// (0 < p <= 100) using bin upper edges. Overflowed samples report the exact
-// observed maximum.
-func (h *Histogram) Percentile(p float64) float64 {
-	// NaN fails every comparison, so test it explicitly: a range guard alone
-	// would let NaN through and silently return the first bin's edge.
-	if math.IsNaN(p) || p <= 0 || p > 100 {
-		panic("stats: percentile must be in (0,100]")
-	}
-	total := h.acc.Count()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(p / 100 * float64(total)))
-	var cum int64
-	for i, c := range h.bins {
-		cum += c
-		if cum >= target {
-			return float64(i+1) * h.binWidth
-		}
-	}
-	return h.acc.Max()
-}
-
 // Quantile returns the q-th quantile (0 <= q <= 1) of the samples, linearly
 // interpolated within the containing bin: the quantile mass is assumed to be
 // spread uniformly across each bin's width. Results are clamped to the exact
@@ -286,21 +249,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// GeoMean returns the geometric mean of xs. All values must be positive.
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	sumLog := 0.0
-	for _, x := range xs {
-		if x <= 0 {
-			panic("stats: GeoMean requires positive values")
-		}
-		sumLog += math.Log(x)
-	}
-	return math.Exp(sumLog / float64(len(xs)))
-}
-
 // Max returns the maximum of xs, or 0 for an empty slice.
 func Max(xs []float64) float64 {
 	if len(xs) == 0 {
@@ -371,32 +319,3 @@ func Clamp01(x float64) float64 {
 	}
 	return x
 }
-
-// EWMA is an exponentially weighted moving average. The zero value is unset;
-// the first Add seeds it.
-type EWMA struct {
-	alpha float64
-	value float64
-	set   bool
-}
-
-// NewEWMA creates an EWMA with smoothing factor alpha in (0,1].
-func NewEWMA(alpha float64) *EWMA {
-	if alpha <= 0 || alpha > 1 {
-		panic("stats: EWMA alpha must be in (0,1]")
-	}
-	return &EWMA{alpha: alpha}
-}
-
-// Add folds a sample into the average.
-func (e *EWMA) Add(x float64) {
-	if !e.set {
-		e.value = x
-		e.set = true
-		return
-	}
-	e.value = e.alpha*x + (1-e.alpha)*e.value
-}
-
-// Value returns the current average (0 if no samples yet).
-func (e *EWMA) Value() float64 { return e.value }

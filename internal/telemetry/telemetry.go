@@ -55,20 +55,6 @@ func ExponentialBuckets(start, factor float64, n int) []float64 {
 	return out
 }
 
-// LinearBuckets returns n bucket upper bounds {width, 2*width, ...} — the
-// fixed-bin shape of stats.Histogram, for bridging series previously kept
-// there.
-func LinearBuckets(width float64, n int) []float64 {
-	if width <= 0 || n < 1 {
-		panic("telemetry: LinearBuckets needs width > 0, n >= 1")
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = width * float64(i+1)
-	}
-	return out
-}
-
 // Registry holds metric families. The zero value is not usable; create with
 // NewRegistry. Default is the process-wide instance the binaries share.
 type Registry struct {

@@ -287,8 +287,4 @@ func TestBucketConstructors(t *testing.T) {
 			t.Fatalf("ExponentialBuckets[%d] = %g, want %g", i, exp[i], want[i])
 		}
 	}
-	lin := LinearBuckets(5, 3)
-	if lin[0] != 5 || lin[1] != 10 || lin[2] != 15 {
-		t.Fatalf("LinearBuckets = %v", lin)
-	}
 }
