@@ -19,7 +19,6 @@ import (
 	"mlnoc/internal/obs"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
-	"mlnoc/internal/xrand"
 )
 
 func main() { cliutil.Main("nocsim", run) }
@@ -71,10 +70,6 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stop()
 
-	net, cores := noc.BuildMeshCores(noc.Config{
-		Width: *size, Height: *size, VCs: *vcs, BufferCap: *bufcap,
-		Torus: *topology == "torus",
-	})
 	var p noc.Policy
 	if *nnPath != "" {
 		p, err = cliutil.LoadAgent(*nnPath, core.MeshSpec(*vcs), fmt.Sprintf("%d-VC mesh", *vcs), *seed)
@@ -84,14 +79,21 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	net.SetPolicy(p)
-	if agent, ok := p.(*core.Agent); ok {
-		net.OnCycle = agent.OnCycle
-	}
-
 	pat, err := makePattern(*pattern, *size)
 	if err != nil {
 		return err
+	}
+	net, in := traffic.Mesh{
+		Config: noc.Config{
+			Width: *size, Height: *size, VCs: *vcs, BufferCap: *bufcap,
+			Torus: *topology == "torus",
+		},
+		Pattern: pat,
+		Rate:    *rate,
+		Seed:    *seed + 1,
+	}.Build(p)
+	if agent, ok := p.(*core.Agent); ok {
+		net.OnCycle = agent.OnCycle
 	}
 	var inj *fault.Injector
 	if *faults > 0 {
@@ -109,9 +111,6 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	in := traffic.NewInjector(cores, pat, *rate, xrand.New(*seed+1))
-	in.Classes = *vcs
-
 	var suite *obs.Suite
 	if cfg := obsFlags.Suite(log); cfg != nil {
 		suite = obs.Attach(net, *cfg)
@@ -126,7 +125,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "policy=%s pattern=%s topology=%s size=%dx%d rate=%.3f\n",
 		p.Name(), pat.Name(), *topology, *size, *size, *rate)
 	fmt.Fprintf(stdout, "  delivered %d msgs in %d cycles (%.3f msgs/node/cycle accepted)\n",
-		res.Delivered, res.Cycles, float64(res.Delivered)/float64(res.Cycles)/float64(len(cores)))
+		res.Delivered, res.Cycles, float64(res.Delivered)/float64(res.Cycles)/float64(len(in.Nodes)))
 	fmt.Fprintf(stdout, "  latency: avg %.1f, max %.0f (generation to delivery)\n",
 		res.AvgLatency, res.MaxLatency)
 	fmt.Fprintf(stdout, "  in-network latency: avg %.1f, avg hops %.2f\n",

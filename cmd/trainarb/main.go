@@ -369,12 +369,12 @@ func recordDataset(stdout io.Writer, path, behavior string, size int, rate float
 	if rate == 0 {
 		rate = 0.23
 	}
-	net, cores := noc.BuildMeshCores(noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 1})
-	net.SetPolicy(rec)
+	net, in := traffic.Mesh{
+		Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 1},
+		Rate:   rate,
+		Seed:   seed + 1,
+	}.Build(rec)
 	net.OnCycle = rec.OnCycle
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate,
-		xrand.New(seed+1))
-	in.Classes = 3
 	for i := int64(0); i < cycles; i++ {
 		in.Tick()
 		net.Step()

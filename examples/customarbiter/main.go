@@ -11,7 +11,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
@@ -50,15 +49,15 @@ func main() {
 	fmt.Println("8x8 mesh, hotspot traffic (20% of messages to two hot nodes)")
 	fmt.Println()
 	for _, p := range policies {
-		net, cores := noc.BuildMeshCores(noc.Config{
-			Width: 8, Height: 8, VCs: 3, BufferCap: 1,
-		})
-		net.SetPolicy(p)
-		in := traffic.NewInjector(cores, traffic.Hotspot{
-			Spots:    []int{27, 36}, // two central nodes
-			Fraction: 0.2,
-		}, 0.07, rand.New(rand.NewSource(7)))
-		in.Classes = 3
+		net, in := traffic.Mesh{
+			Config: noc.Config{Width: 8, Height: 8, VCs: 3, BufferCap: 1},
+			Pattern: traffic.Hotspot{
+				Spots:    []int{27, 36}, // two central nodes
+				Fraction: 0.2,
+			},
+			Rate: 0.07,
+			Seed: 7,
+		}.Build(p)
 
 		res := traffic.Run(net, in, 1000, 6000)
 		fmt.Printf("%-20s avg %7.2f   p-max %6.0f   delivered %d\n",

@@ -8,7 +8,6 @@ package main
 
 import (
 	"fmt"
-	"math/rand"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
@@ -35,13 +34,11 @@ func main() {
 	for _, p := range policies {
 		// A fresh network per policy, fed the same traffic seed, makes the
 		// comparison paired.
-		net, cores := noc.BuildMeshCores(noc.Config{
-			Width: size, Height: size, VCs: 3, BufferCap: 1,
-		})
-		net.SetPolicy(p)
-		in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate,
-			rand.New(rand.NewSource(2)))
-		in.Classes = 3
+		net, in := traffic.Mesh{
+			Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 1},
+			Rate:   rate,
+			Seed:   2,
+		}.Build(p)
 
 		res := traffic.Run(net, in, warmup, cycles)
 		if baseline == 0 {

@@ -229,9 +229,6 @@ type CU struct {
 	Outstanding  int
 	Window       int
 	IssueWidth   int
-	// IFetchRate is the per-cycle probability of an instruction fetch to the
-	// CU's shared L1I.
-	IFetchRate float64
 
 	// DoneAt is the completion cycle, or -1 while running.
 	DoneAt int64
@@ -255,6 +252,10 @@ type CU struct {
 	opSrc  xrand.Source
 	cycSrc xrand.Source
 }
+
+// ifetchRate is every CU's per-cycle probability of an instruction fetch to
+// its shared L1I.
+const ifetchRate = 0.01
 
 // cuOp is one drawn-but-not-yet-issued operation.
 type cuOp struct {
@@ -336,7 +337,7 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 	fIF := c.cycRNG.Float64()
 	fCoh := c.cycRNG.Float64()
 	dir := c.sys.Dirs[c.cycRNG.Intn(len(c.sys.Dirs))]
-	if fIF < c.IFetchRate {
+	if fIF < ifetchRate {
 		c.sys.send(c.Node, c.l1i.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
 			pkt{kind: opIFetch, requester: c.Node.ID})
 	}
@@ -375,7 +376,7 @@ func (c *CU) sink(now int64, m *noc.Message) {
 }
 
 // CPU is one quadrant's CPU cluster: it issues OpsRemaining memory operations
-// to its LLC through a bounded window.
+// to its LLC through a window of cpuWindow outstanding requests.
 type CPU struct {
 	Node *noc.Node
 
@@ -384,7 +385,6 @@ type CPU struct {
 
 	OpsRemaining int64
 	Outstanding  int
-	Window       int
 
 	// DoneAt is the completion cycle, or -1 while running.
 	DoneAt int64
@@ -399,6 +399,9 @@ type CPU struct {
 	rateSrc xrand.Source
 	opSrc   xrand.Source
 }
+
+// cpuWindow bounds every CPU's outstanding requests.
+const cpuWindow = 8
 
 // Done reports whether the CPU finished its operations.
 func (c *CPU) Done() bool { return c.DoneAt >= 0 }
@@ -420,7 +423,7 @@ func (c *CPU) Tick(now int64, params *PhaseParams) {
 	if !c.wantIssue {
 		return
 	}
-	if c.Outstanding >= c.Window {
+	if c.Outstanding >= cpuWindow {
 		c.Stalls++
 		return
 	}

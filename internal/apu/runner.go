@@ -17,11 +17,6 @@ type RunnerConfig struct {
 	// growing program length (default 1.0). Benchmarks use < 1 to keep the
 	// full policy sweep fast; the shape of the results is insensitive to it.
 	OpScale float64
-	// CPUWindow is the CPU outstanding-request bound (default 8).
-	CPUWindow int
-	// IFetchRate is the per-CU per-cycle instruction fetch probability
-	// (default 0.01).
-	IFetchRate float64
 	// MaxCycles bounds Run (default 2,000,000).
 	MaxCycles int64
 	// Seed drives all workload randomness.
@@ -43,12 +38,6 @@ type RunnerConfig struct {
 func (c *RunnerConfig) applyDefaults() {
 	if c.OpScale == 0 {
 		c.OpScale = 1
-	}
-	if c.CPUWindow == 0 {
-		c.CPUWindow = 8
-	}
-	if c.IFetchRate == 0 {
-		c.IFetchRate = 0.01
 	}
 	if c.MaxCycles == 0 {
 		c.MaxCycles = 2_000_000
@@ -88,7 +77,6 @@ func NewRunner(sys *System, models [4]*synfull.Model, cfg RunnerConfig) *Runner 
 			cu.OpsRemaining = scaleOps(m.OpsPerCU, cfg.OpScale)
 			cu.Window = m.Window
 			cu.IssueWidth = m.IssueWidth
-			cu.IFetchRate = cfg.IFetchRate
 			cu.DoneAt = -1
 			cu.hasPending = false
 			base := cfg.Seed*1_000_003 + int64(q)*4096 + int64(ci)
@@ -96,7 +84,6 @@ func NewRunner(sys *System, models [4]*synfull.Model, cfg RunnerConfig) *Runner 
 			cu.cycRNG.Seed(base*2 + 2)
 		}
 		quad.CPU.OpsRemaining = scaleOps(m.OpsPerCPU, cfg.OpScale)
-		quad.CPU.Window = cfg.CPUWindow
 		quad.CPU.DoneAt = -1
 		quad.CPU.wantIssue = false
 		quad.CPU.rateRNG.Seed(cfg.Seed*1_000_003 + 9001 + int64(q))

@@ -5,7 +5,6 @@ import (
 	"mlnoc/internal/rl"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
-	"mlnoc/internal/xrand"
 )
 
 // TrainTelemetry configures the optional introspection of a TrainMesh run:
@@ -198,16 +197,11 @@ func TrainMesh(cfg MeshTrainConfig) *TrainResult {
 // newMeshRun builds the mesh network and injector for cfg with the given
 // policy installed.
 func newMeshRun(cfg MeshTrainConfig, policy noc.Policy) (*noc.Network, *traffic.Injector) {
-	net, cores := noc.BuildMeshCores(noc.Config{
-		Width:     cfg.Width,
-		Height:    cfg.Height,
-		VCs:       cfg.VCs,
-		BufferCap: cfg.BufferCap,
-	})
-	net.SetPolicy(policy)
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, cfg.Rate, xrand.New(cfg.Seed+1))
-	in.Classes = cfg.VCs
-	return net, in
+	return traffic.Mesh{
+		Config: noc.Config{Width: cfg.Width, Height: cfg.Height, VCs: cfg.VCs, BufferCap: cfg.BufferCap},
+		Rate:   cfg.Rate,
+		Seed:   cfg.Seed + 1,
+	}.Build(policy)
 }
 
 // EvaluateMeshPolicy measures the average message latency of a policy on the

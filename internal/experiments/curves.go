@@ -46,16 +46,9 @@ func (r *CurveResult) Render() string {
 // latency curve — bounded, while a poorly rewarded agent lets the network
 // saturate and its curve climb, which is exactly the contrast Fig. 12 shows.
 func curveMeshConfig(sc Scale) core.MeshTrainConfig {
-	return core.MeshTrainConfig{
-		Width:       8,
-		Height:      8,
-		VCs:         3,
-		Rate:        0.12,
-		Hidden:      15,
-		Epochs:      sc.Epochs,
-		EpochCycles: sc.EpochCycles,
-		Seed:        sc.Seed,
-	}
+	cfg := meshTrainConfig(8, sc)
+	cfg.Rate, cfg.Epochs, cfg.EpochCycles = 0.12, sc.Epochs, sc.EpochCycles
+	return cfg
 }
 
 // RewardCurves reproduces Fig. 12: train the agent with each Section 6.3
@@ -106,17 +99,8 @@ func FeatureCurves(sc Scale) *CurveResult {
 // HillClimbReport runs the Section 6.5 hill-climbing feature selection on the
 // 4x4 mesh and renders the selection path.
 func HillClimbReport(sc Scale) string {
-	cfg := core.MeshTrainConfig{
-		Width: 4, Height: 4, VCs: 3,
-		Rate:        MeshRate(4),
-		Hidden:      15,
-		Epochs:      sc.Epochs / 2,
-		EpochCycles: sc.EpochCycles,
-		Seed:        sc.Seed,
-	}
-	if cfg.Epochs < 2 {
-		cfg.Epochs = 2
-	}
+	cfg := meshTrainConfig(4, sc)
+	cfg.Epochs, cfg.EpochCycles = max(2, sc.Epochs/2), sc.EpochCycles
 	hc := core.HillClimb(cfg, nil, 3)
 	var b strings.Builder
 	b.WriteString("Section 6.5 hill-climbing feature selection (4x4 mesh):\n")

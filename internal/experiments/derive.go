@@ -15,18 +15,7 @@ func DeriveReport(sc Scale) string {
 	var b strings.Builder
 	b.WriteString("Automated NN -> algorithm derivation (the paper's future-work gap):\n\n")
 	for _, size := range []int{4, 8} {
-		cfg := core.MeshTrainConfig{
-			Width:       size,
-			Height:      size,
-			Rate:        MeshRate(size),
-			Hidden:      15,
-			Epochs:      int(sc.TrainCycles / 1000),
-			EpochCycles: 1000,
-			Seed:        sc.Seed,
-		}
-		if cfg.Epochs < 1 {
-			cfg.Epochs = 1
-		}
+		cfg := meshTrainConfig(size, sc)
 		tr := core.TrainMesh(cfg)
 		tr.Agent.Freeze()
 		h := core.NewHeatmap(tr.Spec, tr.Agent.Net())
@@ -35,12 +24,7 @@ func DeriveReport(sc Scale) string {
 			fmt.Fprintf(&b, "%dx%d: derivation failed: %v\n", size, size, err)
 			continue
 		}
-		var hand *core.RLInspiredMesh
-		if size >= 8 {
-			hand = core.NewRLInspiredMesh8x8()
-		} else {
-			hand = core.NewRLInspiredMesh4x4()
-		}
+		hand := inspiredMesh(size)
 		auto := core.EvaluateMeshPolicy(cfg, derived, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		handLat := core.EvaluateMeshPolicy(cfg, hand, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		nnLat := core.EvaluateMeshPolicy(cfg, tr.Agent, sc.WarmupCycles, sc.MeasureCycles).AvgLatency

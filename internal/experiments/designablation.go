@@ -9,7 +9,6 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
-	"mlnoc/internal/xrand"
 )
 
 // BufferAblationResult quantifies the DESIGN.md decision that shallow VC
@@ -32,13 +31,7 @@ func BufferAblation(sc Scale) *BufferAblationResult {
 	res := &BufferAblationResult{Caps: []int{1, 2, 4, 8}}
 	for _, cap := range res.Caps {
 		run := func(p noc.Policy) float64 {
-			net, cores := noc.BuildMeshCores(noc.Config{
-				Width: 8, Height: 8, VCs: 3, BufferCap: cap,
-			})
-			net.SetPolicy(p)
-			in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-				xrand.New(sc.Seed+21))
-			in.Classes = 3
+			net, in := uniformMesh(8, cap, sc.Seed+21).Build(p)
 			return traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		}
 		fifo := run(arb.NewFIFO())
@@ -100,20 +93,7 @@ func (f fixedTieBreakAPU) Select(ctx *noc.ArbContext, cands []noc.Candidate) int
 // hotspot traffic, where 5-bit priorities tie constantly.
 func TieBreakAblation(sc Scale) *TieBreakAblationResult {
 	run := func(p noc.Policy) (int64, float64) {
-		net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3})
-		net.SetPolicy(p)
-		in := traffic.NewInjector(cores, traffic.Hotspot{
-			Spots: []int{5, 6}, Fraction: 0.5,
-		}, 0.3, xrand.New(sc.Seed+23))
-		in.Classes = 3
-		cycles := sc.MeasureCycles
-		if cycles <= 0 {
-			cycles = 4000
-		}
-		for i := int64(0); i < cycles; i++ {
-			in.Tick()
-			net.Step()
-		}
+		net := hotspotRun(p, 0.5, 0.3, sc.Seed+23, sc)
 		return MaxQueuedLocalAge(net), net.Stats().Latency.Mean()
 	}
 	res := &TieBreakAblationResult{}

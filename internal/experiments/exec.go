@@ -7,6 +7,8 @@ import (
 
 	"mlnoc/internal/apu"
 	"mlnoc/internal/core"
+	"mlnoc/internal/fault"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/stats"
 	"mlnoc/internal/synfull"
@@ -104,15 +106,97 @@ func RenderAPUHeatmap(h *core.Heatmap) string {
 	return b.String()
 }
 
+// apuRow is one row of an APU policy grid: the applications its four
+// quadrants run, the seed its cells share, and the fault scenario, if any.
+type apuRow struct {
+	label  string
+	apps   [4]*synfull.Model
+	seed   int64
+	faults *fault.Spec
+}
+
+// apuGrid runs every row under every policy on the APU, each cell on a system
+// of its own and cells in parallel, and returns the results as
+// res[row][policy]. Cell (r, p) is labelled "<row label>/<policy name>" and
+// seeds its workload with rows[r].seed and its policy with rows[r].seed+p.
+// tel reports progress against the grid's cells plus others, the study's
+// cells outside the grid. ctx works as in ExecSweepCtx; a cell that does not
+// finish panics with its diagnosis.
+func apuGrid(ctx context.Context, sc Scale, tel *Telemetry, rows []apuRow, policies []PolicyFactory, others int) ([][]apu.ExecResult, error) {
+	res := make([][]apu.ExecResult, len(rows))
+	for ri := range res {
+		res[ri] = make([]apu.ExecResult, len(policies))
+	}
+	n := len(rows) * len(policies)
+	err := parallelForCtx(ctx, n, func(k int) {
+		ri, pi := k/len(policies), k%len(policies)
+		row, f := rows[ri], policies[pi]
+		label := row.label + "/" + f.Name
+		r := apu.RunWorkload(apu.Config{}, f.New(row.seed+int64(pi)), row.apps, apu.RunnerConfig{
+			OpScale: sc.OpScale,
+			Seed:    row.seed,
+			Obs:     tel.suiteConfig(),
+			Trace:   tel.traceConfig(),
+			Faults:  row.faults,
+		})
+		if !r.Finished {
+			panic(cellFailure(label, r))
+		}
+		tel.cellDone(n+others, label, r)
+		r.Obs, r.Trace = nil, nil // the grid keeps the numbers, not the instruments
+		res[ri][pi] = r
+	})
+	if err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
+// normalized maps each cell to metric and divides every row by its col
+// column.
+func normalized(cells [][]apu.ExecResult, metric func(apu.ExecResult) float64, col int) [][]float64 {
+	out := make([][]float64, len(cells))
+	for ri, row := range cells {
+		xs := make([]float64, len(row))
+		for pi, c := range row {
+			xs[pi] = metric(c)
+		}
+		out[ri] = stats.Normalize(xs, col)
+	}
+	return out
+}
+
+func avgExec(r apu.ExecResult) float64  { return r.Avg }
+func tailExec(r apu.ExecResult) float64 { return r.Tail }
+
+// apuPolicies returns the Fig. 9 policies, with the trained and frozen APU
+// agent as NN when trainNN is set.
+func apuPolicies(ctx context.Context, sc Scale, trainNN bool) ([]PolicyFactory, error) {
+	if !trainNN {
+		return apuFactories(nil), nil
+	}
+	agent, err := TrainAPUCtx(ctx, sc)
+	if err != nil {
+		return nil, err
+	}
+	agent.Freeze()
+	return apuFactories(agent), nil
+}
+
+func policyNames(fs []PolicyFactory) []string {
+	out := make([]string, len(fs))
+	for i, f := range fs {
+		out[i] = f.Name
+	}
+	return out
+}
+
 // ExecSweepResult holds the Figs. 9 and 10 matrices: average and tail program
-// execution times per (workload, policy), plus their normalizations to the
-// Global-age column.
+// execution times per (workload, policy), normalized to the Global-age
+// column.
 type ExecSweepResult struct {
-	Workloads []string
-	Policies  []string
-	// Avg[w][p] and Tail[w][p] are execution times in cycles.
-	Avg, Tail [][]float64
-	// NormAvg and NormTail are normalized to the Global-age policy.
+	Workloads         []string
+	Policies          []string
 	NormAvg, NormTail [][]float64
 	// MeanNormAvg and MeanNormTail average the normalized values across
 	// workloads (the paper's "on average" numbers).
@@ -129,59 +213,23 @@ type ExecSweepResult struct {
 // On cancellation it returns (nil, ctx.Err()); cells already in flight
 // complete first.
 func ExecSweepCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*ExecSweepResult, error) {
-	var nnAgent *core.Agent
-	if trainNN {
-		var err error
-		if nnAgent, err = TrainAPUCtx(ctx, sc); err != nil {
-			return nil, err
-		}
-		nnAgent.Freeze()
-	}
-	factories := apuFactories(nnAgent)
-
-	res := &ExecSweepResult{}
-	for _, f := range factories {
-		res.Policies = append(res.Policies, f.Name)
-	}
-	gaCol := len(factories) - 1 // Global-age is last
-
-	models := synfull.Catalog()
-	res.Avg = make([][]float64, len(models))
-	res.Tail = make([][]float64, len(models))
-	for _, model := range models {
-		res.Workloads = append(res.Workloads, model.Name)
-	}
-	for wi := range models {
-		res.Avg[wi] = make([]float64, len(factories))
-		res.Tail[wi] = make([]float64, len(factories))
-	}
-	total := len(models) * len(factories)
-	err := parallelForCtx(ctx, total, func(k int) {
-		wi, pi := k/len(factories), k%len(factories)
-		model, f := models[wi], factories[pi]
-		label := model.Name + "/" + f.Name
-		seed := sc.Seed + int64(wi+1)*1000
-		r := apu.RunWorkload(apu.Config{}, f.New(seed+int64(pi)),
-			apu.Homogeneous(model), apu.RunnerConfig{
-				OpScale: sc.OpScale,
-				Seed:    seed,
-				Obs:     tel.suiteConfig(),
-				Trace:   tel.traceConfig(),
-			})
-		if !r.Finished {
-			panic(cellFailure(label, r))
-		}
-		res.Avg[wi][pi], res.Tail[wi][pi] = r.Avg, r.Tail
-		tel.cellDone(total, label, r)
-	})
+	policies, err := apuPolicies(ctx, sc, trainNN)
 	if err != nil {
 		return nil, err
 	}
-	for wi := range models {
-		res.NormAvg = append(res.NormAvg, stats.Normalize(res.Avg[wi], gaCol))
-		res.NormTail = append(res.NormTail, stats.Normalize(res.Tail[wi], gaCol))
+	res := &ExecSweepResult{Policies: policyNames(policies)}
+	var rows []apuRow
+	for wi, m := range synfull.Catalog() {
+		res.Workloads = append(res.Workloads, m.Name)
+		rows = append(rows, apuRow{label: m.Name, apps: apu.Homogeneous(m), seed: sc.Seed + int64(wi+1)*1000})
 	}
-
+	cells, err := apuGrid(ctx, sc, tel, rows, policies, 0)
+	if err != nil {
+		return nil, err
+	}
+	ga := len(policies) - 1 // Global-age is last
+	res.NormAvg = normalized(cells, avgExec, ga)
+	res.NormTail = normalized(cells, tailExec, ga)
 	res.MeanNormAvg = columnMeans(res.NormAvg)
 	res.MeanNormTail = columnMeans(res.NormTail)
 	return res, nil
@@ -240,67 +288,39 @@ func (r *ExecSweepResult) RenderTail() string {
 		"workload", r.Workloads, r.Policies, r.NormTail, r.MeanNormTail)
 }
 
-// MixResult holds the Fig. 11 matrix: normalized average execution time per
-// (mix, policy).
+// MixResult holds the Fig. 11 matrix: average execution time per (mix,
+// policy), normalized to the Global-age column.
 type MixResult struct {
 	Mixes    []string
 	Policies []string
 	NormAvg  [][]float64
-	Avg      [][]float64
 }
 
 // MixedWorkloadsCtx reproduces Fig. 11: five mixes from four low-injection
 // (L) and four high-injection (H) applications, 4L0H through 0L4H, one
 // application per quadrant. tel and ctx work as in ExecSweepCtx.
 func MixedWorkloadsCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*MixResult, error) {
-	var nnAgent *core.Agent
-	if trainNN {
-		var err error
-		if nnAgent, err = TrainAPUCtx(ctx, sc); err != nil {
-			return nil, err
-		}
-		nnAgent.Freeze()
-	}
-	factories := apuFactories(nnAgent)
-	res := &MixResult{}
-	for _, f := range factories {
-		res.Policies = append(res.Policies, f.Name)
-	}
-	gaCol := len(factories) - 1
-
-	quads := make([][4]*synfull.Model, 5)
-	res.Avg = make([][]float64, 5)
-	for high := 0; high <= 4; high++ {
-		low := 4 - high
-		models, err := synfull.Mix(low, high)
-		if err != nil {
-			panic(err)
-		}
-		copy(quads[high][:], models)
-		res.Mixes = append(res.Mixes, fmt.Sprintf("%dL%dH", low, high))
-		res.Avg[high] = make([]float64, len(factories))
-	}
-	total := 5 * len(factories)
-	err := parallelForCtx(ctx, total, func(k int) {
-		high, pi := k/len(factories), k%len(factories)
-		f := factories[pi]
-		label := fmt.Sprintf("%dL%dH/%s", 4-high, high, f.Name)
-		seed := sc.Seed + int64(high+1)*773
-		r := apu.RunWorkload(apu.Config{}, f.New(seed+int64(pi)), quads[high],
-			apu.RunnerConfig{OpScale: sc.OpScale, Seed: seed, Obs: tel.suiteConfig(),
-				Trace: tel.traceConfig()})
-		if !r.Finished {
-			panic(cellFailure(label, r))
-		}
-		res.Avg[high][pi] = r.Avg
-		tel.cellDone(total, label, r)
-	})
+	policies, err := apuPolicies(ctx, sc, trainNN)
 	if err != nil {
 		return nil, err
 	}
+	res := &MixResult{Policies: policyNames(policies)}
+	var rows []apuRow
 	for high := 0; high <= 4; high++ {
-		res.NormAvg = append(res.NormAvg, stats.Normalize(res.Avg[high], gaCol))
+		models, err := synfull.Mix(4-high, high)
+		if err != nil {
+			panic(err)
+		}
+		row := apuRow{label: fmt.Sprintf("%dL%dH", 4-high, high), seed: sc.Seed + int64(high+1)*773}
+		copy(row.apps[:], models)
+		res.Mixes = append(res.Mixes, row.label)
+		rows = append(rows, row)
 	}
+	cells, err := apuGrid(ctx, sc, tel, rows, policies, 0)
+	if err != nil {
+		return nil, err
+	}
+	res.NormAvg = normalized(cells, avgExec, len(policies)-1)
 	return res, nil
 }
 
@@ -329,49 +349,27 @@ type AblationResult struct {
 // from Algorithm 2, one at a time, and measure the slowdown. tel and ctx work
 // as in ExecSweepCtx.
 func AblationCtx(ctx context.Context, sc Scale, tel *Telemetry) (*AblationResult, error) {
-	variants := []struct {
-		name string
-		p    *core.RLInspiredAPU
-	}{
-		{"full", core.NewRLInspiredAPU()},
-		{"no-port", &core.RLInspiredAPU{InvertNorthSouth: true, DefeaturePort: true}},
-		{"no-msgtype", &core.RLInspiredAPU{InvertNorthSouth: true, DefeatureMsgType: true}},
-		{"paper-we-rule", core.NewRLInspiredAPUPaper()},
+	variants := []PolicyFactory{
+		{Name: "full", New: func(int64) noc.Policy { return core.NewRLInspiredAPU() }},
+		{Name: "no-port", New: func(int64) noc.Policy {
+			return &core.RLInspiredAPU{InvertNorthSouth: true, DefeaturePort: true}
+		}},
+		{Name: "no-msgtype", New: func(int64) noc.Policy {
+			return &core.RLInspiredAPU{InvertNorthSouth: true, DefeatureMsgType: true}
+		}},
+		{Name: "paper-we-rule", New: func(int64) noc.Policy { return core.NewRLInspiredAPUPaper() }},
 	}
-	res := &AblationResult{}
-	for _, v := range variants {
-		res.Variants = append(res.Variants, v.name)
+	res := &AblationResult{Variants: policyNames(variants)}
+	var rows []apuRow
+	for wi, m := range synfull.Catalog() {
+		res.Workloads = append(res.Workloads, m.Name)
+		rows = append(rows, apuRow{label: "ablation-" + m.Name, apps: apu.Homogeneous(m), seed: sc.Seed + int64(wi+1)*131})
 	}
-	models := synfull.Catalog()
-	avgs := make([][]float64, len(models))
-	for wi, model := range models {
-		res.Workloads = append(res.Workloads, model.Name)
-		avgs[wi] = make([]float64, len(variants))
-	}
-	total := len(models) * len(variants)
-	err := parallelForCtx(ctx, total, func(k int) {
-		wi, vi := k/len(variants), k%len(variants)
-		model, v := models[wi], variants[vi]
-		label := "ablation-" + model.Name + "/" + v.name
-		seed := sc.Seed + int64(wi+1)*131
-		// Each cell builds its own policy value: RLInspiredAPU is stateless,
-		// so copying the variant struct is enough for concurrency safety.
-		p := *v.p
-		r := apu.RunWorkload(apu.Config{}, &p, apu.Homogeneous(model),
-			apu.RunnerConfig{OpScale: sc.OpScale, Seed: seed, Obs: tel.suiteConfig(),
-				Trace: tel.traceConfig()})
-		if !r.Finished {
-			panic(cellFailure(label, r))
-		}
-		avgs[wi][vi] = r.Avg
-		tel.cellDone(total, label, r)
-	})
+	cells, err := apuGrid(ctx, sc, tel, rows, variants, 0)
 	if err != nil {
 		return nil, err
 	}
-	for wi := range models {
-		res.Norm = append(res.Norm, stats.Normalize(avgs[wi], 0))
-	}
+	res.Norm = normalized(cells, avgExec, 0)
 	res.MaxIncrease = make([]float64, len(variants))
 	res.MeanIncrease = make([]float64, len(variants))
 	for _, row := range res.Norm {

@@ -68,27 +68,19 @@ type PolicyFactory struct {
 	New  func(seed int64) noc.Policy
 }
 
-// ClassicFactories returns the paper's practical baseline policies in the
-// Fig. 9 legend order: Round-robin, iSLIP, FIFO, ProbDist.
-func ClassicFactories() []PolicyFactory {
-	return []PolicyFactory{
+// apuFactories returns the Fig. 9 policies in legend order: Round-robin,
+// iSLIP, FIFO, ProbDist, RL-inspired, the frozen NN agent (omitted when
+// nnAgent is nil) and Global-age, last.
+func apuFactories(nnAgent *core.Agent) []PolicyFactory {
+	fs := []PolicyFactory{
 		{Name: "Round-robin", New: func(int64) noc.Policy { return arb.NewRoundRobin() }},
 		{Name: "iSLIP", New: func(int64) noc.Policy { return arb.NewISLIP(2) }},
 		{Name: "FIFO", New: func(int64) noc.Policy { return arb.NewFIFO() }},
 		{Name: "ProbDist", New: func(seed int64) noc.Policy {
 			return arb.NewProbDist(xrand.New(seed))
 		}},
+		{Name: "RL-inspired", New: func(int64) noc.Policy { return core.NewRLInspiredAPU() }},
 	}
-}
-
-// apuFactories returns the full Fig. 9 policy list. nn may be nil, in which
-// case the NN column is omitted.
-func apuFactories(nnAgent *core.Agent) []PolicyFactory {
-	fs := ClassicFactories()
-	fs = append(fs, PolicyFactory{
-		Name: "RL-inspired",
-		New:  func(int64) noc.Policy { return core.NewRLInspiredAPU() },
-	})
 	if nnAgent != nil {
 		spec := nnAgent.Spec
 		frozen := nnAgent.Net()
@@ -101,9 +93,8 @@ func apuFactories(nnAgent *core.Agent) []PolicyFactory {
 			},
 		})
 	}
-	fs = append(fs, PolicyFactory{
+	return append(fs, PolicyFactory{
 		Name: "Global-age",
 		New:  func(int64) noc.Policy { return arb.NewGlobalAge() },
 	})
-	return fs
 }

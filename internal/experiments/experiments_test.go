@@ -271,16 +271,16 @@ func TestFeatureCurvesShape(t *testing.T) {
 	}
 }
 
-func TestClassicFactoriesFresh(t *testing.T) {
-	fs := ClassicFactories()
-	if len(fs) != 4 {
-		t.Fatalf("factories = %d", len(fs))
+func TestAPUFactoriesFresh(t *testing.T) {
+	fs := apuFactories(nil)
+	if len(fs) != 6 || fs[len(fs)-1].Name != "Global-age" {
+		t.Fatalf("factories = %v", policyNames(fs))
 	}
 	for _, f := range fs {
 		// Stateful policies must not share instances across runs. FIFO and
 		// Global-age are stateless zero-size structs, for which Go may
 		// legitimately return identical pointers.
-		if f.Name == "FIFO" {
+		if f.Name == "FIFO" || f.Name == "Global-age" {
 			continue
 		}
 		a, b := f.New(1), f.New(1)

@@ -47,13 +47,7 @@ func Fairness(sc Scale) *FairnessResult {
 	}
 	res := &FairnessResult{}
 	for _, pp := range policies {
-		net, cores := noc.BuildMeshCores(noc.Config{
-			Width: 8, Height: 8, VCs: 3, BufferCap: 1,
-		})
-		net.SetPolicy(pp.mk(sc.Seed + 3))
-		in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-			xrand.New(sc.Seed+4))
-		in.Classes = 3
+		net, in := uniformMesh(8, 1, sc.Seed+4).Build(pp.mk(sc.Seed + 3))
 		traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		st := net.Stats()
 		res.Policies = append(res.Policies, pp.name)

@@ -15,7 +15,6 @@ import (
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
-	"mlnoc/internal/xrand"
 )
 
 // DefaultFaultRates are the link-kill fractions swept by the faults
@@ -46,9 +45,9 @@ type FaultSweepResult struct {
 
 	// APU part: bfs in all four quadrants.
 	APUPolicies []string
-	// APUAvg[r][p] is average program execution time in cycles; APUNorm is
-	// normalized to the Global-age column of the same rate row.
-	APUAvg, APUNorm [][]float64
+	// APUNorm[r][p] is average program execution time normalized to the
+	// Global-age column of the same rate row.
+	APUNorm [][]float64
 	// APUReroutes[r][p] counts grants routed around damage.
 	APUReroutes [][]int64
 }
@@ -70,23 +69,18 @@ func meshFaultFactories() []PolicyFactory {
 // policy faces the identical physical fault scenario and the whole sweep is
 // reproducible run to run. tel and ctx work as in ExecSweepCtx.
 func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []float64) (*FaultSweepResult, error) {
-	res := &FaultSweepResult{Rates: append([]float64(nil), rates...)}
-
-	meshFs := meshFaultFactories()
-	for _, f := range meshFs {
-		res.MeshPolicies = append(res.MeshPolicies, f.Name)
-	}
-	apuFs := apuFactories(nil)
-	for _, f := range apuFs {
-		res.APUPolicies = append(res.APUPolicies, f.Name)
+	meshFs, apuFs := meshFaultFactories(), apuFactories(nil)
+	res := &FaultSweepResult{
+		Rates:        append([]float64(nil), rates...),
+		MeshPolicies: policyNames(meshFs),
+		APUPolicies:  policyNames(apuFs),
 	}
 	nr := len(rates)
-	res.MeshLatency = makeMatrix(nr, len(meshFs))
+	res.MeshLatency = makeMatrix[float64](nr, len(meshFs))
 	res.MeshKilled = make([]int64, nr)
-	res.MeshReroutes = makeIntMatrix(nr, len(meshFs))
-	res.MeshUnreachable = makeIntMatrix(nr, len(meshFs))
-	res.APUAvg = makeMatrix(nr, len(apuFs))
-	res.APUReroutes = makeIntMatrix(nr, len(apuFs))
+	res.MeshReroutes = makeMatrix[int64](nr, len(meshFs))
+	res.MeshUnreachable = makeMatrix[int64](nr, len(meshFs))
+	res.APUReroutes = makeMatrix[int64](nr, len(apuFs))
 
 	meshGA := len(meshFs) - 1 // Global-age is last in both lists
 	apuGA := len(apuFs) - 1
@@ -97,28 +91,24 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 	}
 
 	meshTotal := nr * len(meshFs)
-	apuTotal := nr * len(apuFs)
-	total := meshTotal + apuTotal
+	total := meshTotal + nr*len(apuFs)
 	// Mid-run fault times: a third into the mesh measurement window, and
 	// roughly a third into the APU programs (whose length tracks OpScale).
 	meshKillAt := sc.WarmupCycles + sc.MeasureCycles/3
-	apuKillAt := int64(8000 * sc.OpScale)
-	if apuKillAt < 1 {
-		apuKillAt = 1
+	apuKillAt := max(1, int64(8000*sc.OpScale))
+	// killSpec is rate row ri's fault scenario: the same kill set for every
+	// policy in the row.
+	killSpec := func(ri int, at int64) *fault.Spec {
+		return &fault.Spec{KillFraction: rates[ri], KillAt: at, Seed: sc.Seed + int64(ri+1)*1009}
 	}
 
 	err = parallelForCtx(ctx, meshTotal, func(k int) {
 		ri, pi := k/len(meshFs), k%len(meshFs)
 		f := meshFs[pi]
 		label := fmt.Sprintf("faults-mesh-%.0f%%/%s", 100*rates[ri], f.Name)
-		spec := fault.Spec{
-			KillFraction: rates[ri],
-			KillAt:       meshKillAt,
-			Seed:         sc.Seed + int64(ri+1)*1009, // same kill set per rate row
-		}
-		net, cores := noc.BuildMeshCores(noc.Config{Width: 8, Height: 8, VCs: 3, BufferCap: 8})
-		net.SetPolicy(f.New(sc.Seed + int64(pi)))
-		inj, err := spec.Equip(net)
+		net, in := uniformMesh(8, 8, sc.Seed+int64(ri*len(meshFs)+pi)*17).Build(f.New(sc.Seed + int64(pi)))
+		in.Classes = 1 // single-class, as the study's recorded outputs were
+		inj, err := killSpec(ri, meshKillAt).Equip(net)
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", label, err))
 		}
@@ -126,8 +116,6 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if cfg := tel.suiteConfig(); cfg != nil {
 			suite = obs.Attach(net, *cfg)
 		}
-		in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(8),
-			xrand.New(sc.Seed+int64(ri*len(meshFs)+pi)*17))
 		run := traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		fs := inj.Stats()
 		res.MeshLatency[ri][pi] = run.AvgLatency
@@ -142,56 +130,35 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		return nil, err
 	}
 
-	err = parallelForCtx(ctx, apuTotal, func(k int) {
-		ri, pi := k/len(apuFs), k%len(apuFs)
-		f := apuFs[pi]
-		label := fmt.Sprintf("faults-apu-%.0f%%/%s", 100*rates[ri], f.Name)
-		spec := fault.Spec{
-			KillFraction: rates[ri],
-			KillAt:       apuKillAt,
-			Seed:         sc.Seed + int64(ri+1)*1009,
+	rows := make([]apuRow, nr)
+	for ri, rate := range rates {
+		rows[ri] = apuRow{
+			label:  fmt.Sprintf("faults-apu-%.0f%%", 100*rate),
+			apps:   apu.Homogeneous(bfs),
+			seed:   sc.Seed + int64(ri+1)*271,
+			faults: killSpec(ri, apuKillAt),
 		}
-		seed := sc.Seed + int64(ri+1)*271
-		r := apu.RunWorkload(apu.Config{}, f.New(seed+int64(pi)), apu.Homogeneous(bfs),
-			apu.RunnerConfig{
-				OpScale: sc.OpScale,
-				Seed:    seed,
-				Obs:     tel.suiteConfig(),
-				Trace:   tel.traceConfig(),
-				Faults:  &spec,
-			})
-		if !r.Finished {
-			panic(cellFailure(label, r))
-		}
-		res.APUAvg[ri][pi] = r.Avg
-		if r.Faults != nil {
-			res.APUReroutes[ri][pi] = r.Faults.Reroutes
-		}
-		tel.cellDone(total, label, r)
-	})
+	}
+	cells, err := apuGrid(ctx, sc, tel, rows, apuFs, meshTotal)
 	if err != nil {
 		return nil, err
 	}
-
-	for ri := range rates {
+	for ri, row := range cells {
+		for pi, c := range row {
+			if c.Faults != nil {
+				res.APUReroutes[ri][pi] = c.Faults.Reroutes
+			}
+		}
 		res.MeshNorm = append(res.MeshNorm, stats.Normalize(res.MeshLatency[ri], meshGA))
-		res.APUNorm = append(res.APUNorm, stats.Normalize(res.APUAvg[ri], apuGA))
 	}
+	res.APUNorm = normalized(cells, avgExec, apuGA)
 	return res, nil
 }
 
-func makeMatrix(rows, cols int) [][]float64 {
-	m := make([][]float64, rows)
+func makeMatrix[T any](rows, cols int) [][]T {
+	m := make([][]T, rows)
 	for i := range m {
-		m[i] = make([]float64, cols)
-	}
-	return m
-}
-
-func makeIntMatrix(rows, cols int) [][]int64 {
-	m := make([][]int64, rows)
-	for i := range m {
-		m[i] = make([]int64, cols)
+		m[i] = make([]T, cols)
 	}
 	return m
 }
@@ -233,9 +200,4 @@ func (r *FaultSweepResult) CSVMesh() string {
 // CSVAPU exports the APU part (normalized execution time).
 func (r *FaultSweepResult) CSVAPU() string {
 	return viz.MatrixCSV("fault_rate", r.rateLabels(), r.APUPolicies, r.APUNorm)
-}
-
-// CSV exports both parts, mesh first.
-func (r *FaultSweepResult) CSV() string {
-	return r.CSVMesh() + r.CSVAPU()
 }

@@ -14,7 +14,8 @@ func faultTestScale() Scale {
 }
 
 // TestFaultSweepDeterministic pins the acceptance criterion that a seeded
-// faults experiment is reproducible: two runs render identical CSV.
+// faults experiment is reproducible: two runs give the same full-precision
+// CSVs and render identically.
 func TestFaultSweepDeterministic(t *testing.T) {
 	rates := []float64{0, 0.12}
 	a, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), nil, rates)
@@ -25,8 +26,11 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if a.CSV() != b.CSV() {
-		t.Fatalf("fault sweep not deterministic:\nfirst:\n%s\nsecond:\n%s", a.CSV(), b.CSV())
+	if ca, cb := a.CSVMesh()+a.CSVAPU(), b.CSVMesh()+b.CSVAPU(); ca != cb {
+		t.Fatalf("fault sweep CSVs not deterministic:\nfirst:\n%s\nsecond:\n%s", ca, cb)
+	}
+	if a.Render() != b.Render() {
+		t.Fatalf("fault sweep not deterministic:\nfirst:\n%s\nsecond:\n%s", a.Render(), b.Render())
 	}
 	if a.MeshKilled[0] != 0 {
 		t.Fatalf("healthy row killed %d links", a.MeshKilled[0])
@@ -46,7 +50,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	// Degraded cells must still hold real measurements.
 	for ri := range rates {
 		for pi := range a.APUPolicies {
-			if a.APUAvg[ri][pi] <= 0 {
+			if a.APUNorm[ri][pi] <= 0 {
 				t.Fatalf("APU cell [%d][%d] has no result", ri, pi)
 			}
 		}
@@ -56,7 +60,7 @@ func TestFaultSweepDeterministic(t *testing.T) {
 // TestFaultSweepTelemetry checks that the sweep feeds both mesh and APU cell
 // snapshots into a shared registry, with fault counters attached.
 func TestFaultSweepTelemetry(t *testing.T) {
-	tel := &Telemetry{Registry: obs.NewRegistry(), SampleEvery: 64}
+	tel := &Telemetry{Registry: obs.NewRegistry()}
 	res, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), tel, []float64{0.12})
 	if err != nil {
 		t.Fatal(err)

@@ -7,7 +7,7 @@ import (
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/rl"
+	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
 )
 
@@ -22,6 +22,40 @@ func MeshRate(size int) float64 {
 	return 0.23
 }
 
+// uniformMesh is the Section 3.2 synthetic-traffic setup on a size x size
+// mesh: 3 VCs of bufCap messages, uniform-random traffic at MeshRate(size),
+// the injector seeded with seed.
+func uniformMesh(size, bufCap int, seed int64) traffic.Mesh {
+	return traffic.Mesh{
+		Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: bufCap},
+		Rate:   MeshRate(size),
+		Seed:   seed,
+	}
+}
+
+// meshTrainConfig trains the Section 3.2 agent on a size x size mesh: one
+// 1000-cycle epoch per thousand sc.TrainCycles, at least one.
+func meshTrainConfig(size int, sc Scale) core.MeshTrainConfig {
+	return core.MeshTrainConfig{
+		Width:       size,
+		Height:      size,
+		VCs:         3,
+		Rate:        MeshRate(size),
+		Hidden:      15,
+		Epochs:      max(1, int(sc.TrainCycles/1000)),
+		EpochCycles: 1000,
+		Seed:        sc.Seed,
+	}
+}
+
+// inspiredMesh is the paper's hand-derived mesh policy for a size x size mesh.
+func inspiredMesh(size int) *core.RLInspiredMesh {
+	if size >= 8 {
+		return core.NewRLInspiredMesh8x8()
+	}
+	return core.NewRLInspiredMesh4x4()
+}
+
 // MeshStudyResult is the outcome of the Section 3.2 synthetic-traffic study
 // for one mesh size: Fig. 5's latency comparison plus Fig. 4's heatmap from
 // the trained agent.
@@ -34,52 +68,29 @@ type MeshStudyResult struct {
 	Normalized []float64
 	// Heatmap is the trained agent's weight heatmap (Fig. 4 for 4x4).
 	Heatmap *core.Heatmap
-	// TrainCurve is the per-epoch average latency during agent training.
-	TrainCurve []float64
 }
 
 // MeshStudy reproduces the Section 3.2 study on a size x size mesh: train the
 // DQL agent under uniform-random traffic, freeze it, and compare FIFO, the
 // RL-inspired policy, the frozen NN and Global-age arbitration.
 func MeshStudy(size int, sc Scale) *MeshStudyResult {
-	cfg := core.MeshTrainConfig{
-		Width:       size,
-		Height:      size,
-		VCs:         3,
-		Rate:        MeshRate(size),
-		Hidden:      15,
-		Epochs:      int(sc.TrainCycles / 1000),
-		EpochCycles: 1000,
-		Reward:      rl.RewardGlobalAge,
-		Seed:        sc.Seed,
-	}
-	if cfg.Epochs < 1 {
-		cfg.Epochs = 1
-	}
+	cfg := meshTrainConfig(size, sc)
 	tr := core.TrainMesh(cfg)
 	tr.Agent.Freeze()
-
-	var inspired noc.Policy
-	if size >= 8 {
-		inspired = core.NewRLInspiredMesh8x8()
-	} else {
-		inspired = core.NewRLInspiredMesh4x4()
-	}
 
 	policies := []struct {
 		name string
 		p    noc.Policy
 	}{
 		{"FIFO", arb.NewFIFO()},
-		{"RL-inspired", inspired},
+		{"RL-inspired", inspiredMesh(size)},
 		{"NN", tr.Agent},
 		{"Global-age", arb.NewGlobalAge()},
 	}
 
 	res := &MeshStudyResult{
-		Size:       size,
-		Heatmap:    core.NewHeatmap(tr.Spec, tr.Agent.Net()),
-		TrainCurve: tr.Curve,
+		Size:    size,
+		Heatmap: core.NewHeatmap(tr.Spec, tr.Agent.Net()),
 	}
 	for _, pp := range policies {
 		run := core.EvaluateMeshPolicy(cfg, pp.p, sc.WarmupCycles, sc.MeasureCycles)

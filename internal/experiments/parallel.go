@@ -8,10 +8,11 @@ import (
 	"sync"
 )
 
-// CellPanic is the panic value parallelFor re-raises on the caller's goroutine
-// when a worker panics: it names the failing cell and preserves the original
-// panic value and stack, so a crashed sweep says which (workload, policy) cell
-// died instead of killing the process with an unattributed goroutine trace.
+// CellPanic is the panic value parallelForCtx re-raises on the caller's
+// goroutine when a worker panics: it names the failing cell and preserves the
+// original panic value and stack, so a crashed sweep says which (workload,
+// policy) cell died instead of killing the process with an unattributed
+// goroutine trace.
 type CellPanic struct {
 	// Cell is the index passed to the cell function that panicked.
 	Cell int
@@ -29,26 +30,21 @@ func (p *CellPanic) Error() string {
 // String implements fmt.Stringer.
 func (p *CellPanic) String() string { return p.Error() }
 
-// parallelFor runs f(0..n-1) on up to GOMAXPROCS worker goroutines and waits
-// for completion. Every experiment cell builds its own fully independent
-// simulator state (policies are created per cell, the frozen NN is cloned),
-// so cells can execute concurrently without changing any result.
+// parallelForCtx runs f(0..n-1) on up to GOMAXPROCS worker goroutines and
+// waits for completion. Every experiment cell builds its own fully
+// independent simulator state (policies are created per cell, the frozen NN
+// is cloned), so cells can execute concurrently without changing any result.
 //
 // A panic inside f does not crash the worker pool: the first panic is
 // captured (with its cell index and stack), remaining cells still run, and
 // the panic is re-raised on the caller's goroutine as a *CellPanic after all
 // workers finish.
-func parallelFor(n int, f func(i int)) {
-	// context.Background never cancels, so the error return is always nil.
-	_ = parallelForCtx(context.Background(), n, f)
-}
-
-// parallelForCtx is parallelFor with cooperative cancellation: ctx is checked
-// between cells, so a cancelled sweep stops dispatching promptly while cells
-// already in flight run to completion (cells are not preemptible — a partial
-// simulation has no meaningful result). It returns ctx.Err() when cancelled,
-// nil otherwise. Panic capture is identical to parallelFor and takes
-// precedence over cancellation.
+//
+// Cancellation is cooperative: ctx is checked between cells, so a cancelled
+// sweep stops dispatching promptly while cells already in flight run to
+// completion (cells are not preemptible — a partial simulation has no
+// meaningful result). It returns ctx.Err() when cancelled, nil otherwise. A
+// cell panic takes precedence over cancellation.
 func parallelForCtx(ctx context.Context, n int, f func(i int)) error {
 	var (
 		panicOnce sync.Once

@@ -15,7 +15,7 @@ import (
 func TestParallelForRunsAllCells(t *testing.T) {
 	const n = 100
 	var counts [n]int32
-	parallelFor(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+	_ = parallelForCtx(context.Background(), n, func(i int) { atomic.AddInt32(&counts[i], 1) })
 	for i, c := range counts {
 		if c != 1 {
 			t.Fatalf("cell %d ran %d times", i, c)
@@ -60,13 +60,13 @@ func TestParallelForRepanicsWithCell(t *testing.T) {
 			}
 		}
 	}()
-	parallelFor(n, func(i int) {
+	_ = parallelForCtx(context.Background(), n, func(i int) {
 		if i == bad {
 			panic(boom)
 		}
 		atomic.AddInt32(&ran[i], 1)
 	})
-	t.Fatal("parallelFor returned instead of re-panicking")
+	t.Fatal("parallelForCtx returned instead of re-panicking")
 }
 
 // TestParallelForFirstPanicWins checks that with several panicking cells
@@ -84,12 +84,12 @@ func TestParallelForFirstPanicWins(t *testing.T) {
 			t.Fatalf("panic value %v", cp.Value)
 		}
 	}()
-	parallelFor(30, func(i int) {
+	_ = parallelForCtx(context.Background(), 30, func(i int) {
 		if i%3 == 0 {
 			panic("bad cell")
 		}
 	})
-	t.Fatal("parallelFor returned instead of re-panicking")
+	t.Fatal("parallelForCtx returned instead of re-panicking")
 }
 
 // TestParallelForSerialPathPanics covers the workers<=1 serial path (n == 1
@@ -104,14 +104,14 @@ func TestParallelForSerialPathPanics(t *testing.T) {
 			t.Fatalf("cell = %d, want 0", cp.Cell)
 		}
 	}()
-	parallelFor(1, func(i int) { panic("serial") })
-	t.Fatal("parallelFor returned instead of re-panicking")
+	_ = parallelForCtx(context.Background(), 1, func(i int) { panic("serial") })
+	t.Fatal("parallelForCtx returned instead of re-panicking")
 }
 
 // TestParallelForZeroCells checks the degenerate sweep.
 func TestParallelForZeroCells(t *testing.T) {
 	called := false
-	parallelFor(0, func(int) { called = true })
+	_ = parallelForCtx(context.Background(), 0, func(int) { called = true })
 	if called {
 		t.Fatal("cell function called for n=0")
 	}
@@ -211,7 +211,7 @@ func TestParallelForConcurrentCells(t *testing.T) {
 	var mu sync.Mutex
 	arrived := 0
 	release := make(chan struct{})
-	parallelFor(n, func(i int) {
+	_ = parallelForCtx(context.Background(), n, func(i int) {
 		mu.Lock()
 		arrived++
 		if arrived == expected {

@@ -6,10 +6,7 @@ import (
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
-	"mlnoc/internal/noc"
-	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
-	"mlnoc/internal/xrand"
 )
 
 // QTableResult quantifies the paper's Section 2.2 argument against tabular
@@ -34,28 +31,15 @@ type QTableResult struct {
 // traffic for the same number of cycles and compares table growth and
 // evaluation latency.
 func QTableStudy(sc Scale) *QTableResult {
-	cfg := core.MeshTrainConfig{
-		Width: 4, Height: 4,
-		Epochs:      int(sc.TrainCycles / 1000),
-		EpochCycles: 1000,
-		Seed:        sc.Seed,
-	}
-	if cfg.Epochs < 4 {
-		cfg.Epochs = 4
-	}
+	cfg := meshTrainConfig(4, sc)
+	cfg.Epochs = max(4, cfg.Epochs)
 	res := &QTableResult{TrainCycles: int64(cfg.Epochs) * cfg.EpochCycles}
 
 	// Train the tabular agent, sampling table growth at quarter points.
 	spec := core.MeshSpec(3)
 	tab := core.NewTabularAgent(spec, sc.Seed)
-	net, cores := noc.BuildMeshCores(noc.Config{
-		Width: cfg.Width, Height: cfg.Height, VCs: 3, BufferCap: 1,
-	})
-	net.SetPolicy(tab)
+	net, in := uniformMesh(4, 1, sc.Seed+1).Build(tab)
 	net.OnCycle = tab.OnCycle
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, MeshRate(4),
-		xrand.New(sc.Seed+1))
-	in.Classes = 3
 	total := res.TrainCycles
 	for i := int64(0); i < total; i++ {
 		in.Tick()

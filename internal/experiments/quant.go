@@ -95,19 +95,7 @@ type QuantStudyResult struct {
 // live workload, and measures policy fidelity at three levels: per-decision
 // action agreement, Q-value error, and end-to-end latency/throughput deltas.
 func QuantStudy(size int, sc Scale) *QuantStudyResult {
-	cfg := core.MeshTrainConfig{
-		Width:       size,
-		Height:      size,
-		VCs:         3,
-		Rate:        MeshRate(size),
-		Hidden:      15,
-		Epochs:      int(sc.TrainCycles / 1000),
-		EpochCycles: 1000,
-		Seed:        sc.Seed,
-	}
-	if cfg.Epochs < 1 {
-		cfg.Epochs = 1
-	}
+	cfg := meshTrainConfig(size, sc)
 	tr := core.TrainMesh(cfg)
 	tr.Agent.Freeze()
 	return QuantEval(tr.Agent, cfg, sc)

@@ -10,147 +10,96 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
-	"mlnoc/internal/xrand"
 )
 
 // DefaultScalingSizes are the mesh edge sizes swept by the scaling study: the
 // paper's 8x8 plus the large-topology axis.
 var DefaultScalingSizes = []int{8, 16, 32}
 
-// ScalingRate returns the uniform-random injection rate for a large-topology
-// throughput run. Meshes run at the Section 3.2 near-saturation rate; a torus
-// runs well below it, because ring-shortest DOR on wrapped rings has a cyclic
-// channel dependency and saturating a healthy torus can wedge it (see
-// DESIGN.md §13) — the scaling story needs sustained throughput, not a study
-// of that deadlock.
-func ScalingRate(size int, torus bool) float64 {
-	if torus {
-		return 0.05
-	}
-	return MeshRate(size)
-}
-
-// LargeMeshConfig parameterizes one large-topology throughput run.
-type LargeMeshConfig struct {
-	Size  int  // mesh edge length (Size x Size routers, one core each)
-	Torus bool // wrap both dimensions into rings
-	// Rate overrides the injection rate; 0 uses ScalingRate.
-	Rate float64
-}
-
-// LargeMeshResult is the outcome of one large-topology run.
-type LargeMeshResult struct {
-	Size  int     `json:"size"`
-	Torus bool    `json:"torus"`
-	Rate  float64 `json:"rate"`
-
-	// Deterministic simulation outcome of the measured window.
-	Cycles     int64   `json:"cycles"`
-	Injected   int64   `json:"injected"`
-	Delivered  int64   `json:"delivered"`
-	AvgLatency float64 `json:"avg_latency"`
-
-	// Wall-clock throughput of the measured window (machine-dependent).
-	WallSeconds       float64 `json:"wall_seconds"`
-	StepsPerSec       float64 `json:"steps_per_sec"`
-	MsgsPerSec        float64 `json:"msgs_per_sec"`
-	MsgsPerSecPerCore float64 `json:"msgs_per_sec_per_core"`
-}
-
-// LargeMeshCtx drives one seeded uniform-random run on a Size x Size mesh or
-// torus under the global-age policy, timing the measured window. Cancellation
-// is polled every trainCheckEvery cycles.
-func LargeMeshCtx(ctx context.Context, cfg LargeMeshConfig, sc Scale) (*LargeMeshResult, error) {
-	if cfg.Size < 2 {
-		return nil, fmt.Errorf("experiments: scaling size %d too small", cfg.Size)
-	}
-	rate := cfg.Rate
-	if rate == 0 {
-		rate = ScalingRate(cfg.Size, cfg.Torus)
-	}
-	ncfg := noc.Config{Width: cfg.Size, Height: cfg.Size, VCs: 3, BufferCap: 8, Torus: cfg.Torus}
-	net, cores := noc.BuildMeshCores(ncfg)
-	net.SetPolicy(arb.NewGlobalAge())
-
-	in := traffic.NewInjector(cores, traffic.UniformRandom{}, rate, xrand.New(sc.Seed))
-	in.Classes = ncfg.VCs
-	for i := int64(0); i < sc.WarmupCycles; i++ {
-		if i%trainCheckEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		in.Tick()
-		net.Step()
-	}
-	net.ResetStats()
-	start := time.Now()
-	for i := int64(0); i < sc.MeasureCycles; i++ {
-		if i%trainCheckEvery == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		in.Tick()
-		net.Step()
-	}
-	wall := time.Since(start).Seconds()
-	net.Drain(4 * sc.MeasureCycles)
-
-	st := net.Stats()
-	res := &LargeMeshResult{
-		Size:        cfg.Size,
-		Torus:       cfg.Torus,
-		Rate:        rate,
-		Cycles:      net.Cycle(),
-		Injected:    st.Injected,
-		Delivered:   st.Delivered,
-		AvgLatency:  st.Latency.Mean(),
-		WallSeconds: wall,
-	}
-	if wall > 0 {
-		res.StepsPerSec = float64(sc.MeasureCycles) / wall
-		res.MsgsPerSec = float64(st.Delivered) / wall
-		res.MsgsPerSecPerCore = res.MsgsPerSec / float64(len(cores))
-	}
-	return res, nil
-}
-
 // ScalingStudyResult is the per-size outcome of the scaling study; every
 // slice follows Sizes.
 type ScalingStudyResult struct {
-	Sizes []int     `json:"sizes"`
-	Torus bool      `json:"torus"`
-	Rates []float64 `json:"rates"`
+	Sizes []int
+	Torus bool
+	Rates []float64
 
 	// Deterministic simulation outcome per size.
-	Delivered  []int64   `json:"delivered"`
-	AvgLatency []float64 `json:"avg_latency"`
+	Delivered  []int64
+	AvgLatency []float64
 
 	// Wall-clock throughput per size (machine-dependent); MsgsPerSecPerCore
 	// is the headline scaling number.
-	MsgsPerSecPerCore []float64 `json:"msgs_per_sec_per_core"`
-	StepsPerSec       []float64 `json:"steps_per_sec"`
+	MsgsPerSecPerCore []float64
+	StepsPerSec       []float64
 }
 
-// ScalingStudyCtx measures single-network step throughput for every size.
-// Runs are strictly sequential — each one wants the whole machine, and
-// interleaving them would corrupt the wall-clock numbers. The unnamed slice
-// is ignored: it stays only because benchmark/simd.go still passes one, and
-// goes when the benchmark harness is unified. In-repo callers pass nil.
+// ScalingStudyCtx measures single-network step throughput for every size:
+// one seeded uniform-random run per Size x Size mesh or torus under the
+// global-age policy, timing the measured window. Runs are strictly
+// sequential — each one wants the whole machine, and interleaving them would
+// corrupt the wall-clock numbers. Cancellation is polled every
+// trainCheckEvery cycles. The unnamed slice is ignored: it stays only because
+// benchmark/simd.go still passes one, and goes when the benchmark harness is
+// unified. In-repo callers pass nil.
 func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
 	if len(sizes) == 0 {
 		sizes = DefaultScalingSizes
 	}
 	res := &ScalingStudyResult{Sizes: append([]int(nil), sizes...), Torus: torus}
 	for _, size := range sizes {
-		r, err := LargeMeshCtx(ctx, LargeMeshConfig{Size: size, Torus: torus}, sc)
-		if err != nil {
+		if size < 2 {
+			return nil, fmt.Errorf("experiments: scaling size %d too small", size)
+		}
+		// Meshes run at the Section 3.2 near-saturation rate; a torus runs
+		// well below it, because ring-shortest DOR on wrapped rings has a
+		// cyclic channel dependency and saturating a healthy torus can wedge
+		// it (see DESIGN.md §13) — the scaling story needs sustained
+		// throughput, not a study of that deadlock.
+		rate := MeshRate(size)
+		if torus {
+			rate = 0.05
+		}
+		net, in := traffic.Mesh{
+			Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 8, Torus: torus},
+			Rate:   rate,
+			Seed:   sc.Seed,
+		}.Build(arb.NewGlobalAge())
+		if err := steps(ctx, net, in, sc.WarmupCycles); err != nil {
 			return nil, err
 		}
-		res.Rates = append(res.Rates, r.Rate)
-		res.Delivered = append(res.Delivered, r.Delivered)
-		res.AvgLatency = append(res.AvgLatency, r.AvgLatency)
-		res.MsgsPerSecPerCore = append(res.MsgsPerSecPerCore, r.MsgsPerSecPerCore)
-		res.StepsPerSec = append(res.StepsPerSec, r.StepsPerSec)
+		net.ResetStats()
+		start := time.Now()
+		if err := steps(ctx, net, in, sc.MeasureCycles); err != nil {
+			return nil, err
+		}
+		wall := time.Since(start).Seconds()
+		net.Drain(4 * sc.MeasureCycles)
+
+		st := net.Stats()
+		var stepsPerSec, msgsPerSecPerCore float64
+		if wall > 0 {
+			stepsPerSec = float64(sc.MeasureCycles) / wall
+			msgsPerSecPerCore = float64(st.Delivered) / wall / float64(size*size)
+		}
+		res.Rates = append(res.Rates, rate)
+		res.Delivered = append(res.Delivered, st.Delivered)
+		res.AvgLatency = append(res.AvgLatency, st.Latency.Mean())
+		res.MsgsPerSecPerCore = append(res.MsgsPerSecPerCore, msgsPerSecPerCore)
+		res.StepsPerSec = append(res.StepsPerSec, stepsPerSec)
 	}
 	return res, nil
+}
+
+// steps injects and steps n cycles, polling ctx every trainCheckEvery cycles.
+func steps(ctx context.Context, net *noc.Network, in *traffic.Injector, n int64) error {
+	for i := int64(0); i < n; i++ {
+		if i%trainCheckEvery == 0 && ctx.Err() != nil {
+			return ctx.Err()
+		}
+		in.Tick()
+		net.Step()
+	}
+	return nil
 }
 
 func (r *ScalingStudyResult) sizeLabels() []string {

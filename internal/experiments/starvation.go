@@ -9,7 +9,6 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
-	"mlnoc/internal/xrand"
 )
 
 // StarvationResult compares policies under adversarial hotspot traffic
@@ -39,36 +38,40 @@ func Starvation(sc Scale) *StarvationResult {
 	}
 	res := &StarvationResult{}
 	for _, pp := range policies {
-		net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3})
-		net.SetPolicy(pp.p)
-		// Heavy contention, but inside the regime Algorithm 2 was designed
-		// for (per-hop waits around the starvation threshold, not far past
-		// it): under extreme super-saturation every 5-bit age saturates and
-		// a fixed tie-break would starve in any priority arbiter.
-		// Sustained but unsaturated contention: the newest-first arbiter
-		// starves waiting heads behind the continuous stream of fresh
-		// arrivals, while any aging-aware policy bounds waiting time. (At
-		// saturation the metric would instead measure congestion-tree depth,
+		// Sustained but unsaturated contention, inside the regime Algorithm 2
+		// was designed for: the newest-first arbiter starves waiting heads
+		// behind the continuous stream of fresh arrivals, while any
+		// aging-aware policy bounds waiting time. (At saturation every 5-bit
+		// age saturates and the metric would measure congestion-tree depth,
 		// which no arbiter can bound.)
-		in := traffic.NewInjector(cores, traffic.Hotspot{
-			Spots:    []int{5, 6},
-			Fraction: 0.3,
-		}, 0.14, xrand.New(sc.Seed+17))
-		in.Classes = 3
-		cycles := sc.MeasureCycles
-		if cycles <= 0 {
-			cycles = 4000
-		}
-		for i := int64(0); i < cycles; i++ {
-			in.Tick()
-			net.Step()
-		}
+		net := hotspotRun(pp.p, 0.3, 0.14, sc.Seed+17, sc)
 		res.Policies = append(res.Policies, pp.name)
 		res.MaxQueuedLocalAge = append(res.MaxQueuedLocalAge, MaxQueuedLocalAge(net))
 		res.MaxDeliveredLatency = append(res.MaxDeliveredLatency, net.Stats().Latency.Max())
 		res.AvgDeliveredLatency = append(res.AvgDeliveredLatency, net.Stats().Latency.Mean())
 	}
 	return res
+}
+
+// hotspotRun steps a 4x4 mesh under p for sc.MeasureCycles cycles (4000 when
+// unset) of hotspot traffic that sends fraction of its messages to cores 5
+// and 6, injecting to the last cycle, and returns the network to be read.
+func hotspotRun(p noc.Policy, fraction, rate float64, seed int64, sc Scale) *noc.Network {
+	net, in := traffic.Mesh{
+		Config:  noc.Config{Width: 4, Height: 4, VCs: 3},
+		Pattern: traffic.Hotspot{Spots: []int{5, 6}, Fraction: fraction},
+		Rate:    rate,
+		Seed:    seed,
+	}.Build(p)
+	cycles := sc.MeasureCycles
+	if cycles <= 0 {
+		cycles = 4000
+	}
+	for i := int64(0); i < cycles; i++ {
+		in.Tick()
+		net.Step()
+	}
+	return net
 }
 
 // MaxQueuedLocalAge scans every input buffer of the network and returns the

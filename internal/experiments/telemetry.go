@@ -9,11 +9,11 @@ import (
 	"mlnoc/internal/trace"
 )
 
-// Telemetry configures observability for the sweep experiments
-// (ExecSweepCtx, MixedWorkloadsCtx, AblationCtx, FaultSweepRatesCtx). The
-// zero value disables everything; a nil *Telemetry is valid everywhere one is
-// accepted. One Telemetry may be shared by the parallel cells of a sweep:
-// progress reporting is serialized and the registry is concurrency-safe.
+// Telemetry configures observability for the sweep experiments: the APU
+// policy grid (apuGrid) and the faults study's mesh cells. The zero value
+// disables everything; a nil *Telemetry is valid everywhere one is accepted.
+// One Telemetry may be shared by the parallel cells of a sweep: progress
+// reporting is serialized and the registry is concurrency-safe.
 type Telemetry struct {
 	// Progress, if non-nil, is called after each completed sweep cell with
 	// the number of finished cells, the sweep total and the cell label
@@ -27,9 +27,6 @@ type Telemetry struct {
 	// finish panics with the watchdog summary instead of a bare "did not
 	// finish".
 	Watchdog *obs.WatchdogConfig
-	// SampleEvery is the collector sampling period in cycles (default 16; a
-	// sweep samples coarsely to stay cheap).
-	SampleEvery int64
 	// Trace, if non-nil, attaches a per-message lifecycle tracer to every
 	// cell; TraceSink receives each cell's tracer (serialized across
 	// workers). Both must be set for tracing to run.
@@ -46,11 +43,8 @@ func (t *Telemetry) suiteConfig() *obs.SuiteConfig {
 	if t == nil || (t.Registry == nil && t.Watchdog == nil) {
 		return nil
 	}
-	every := t.SampleEvery
-	if every <= 0 {
-		every = 16
-	}
-	return &obs.SuiteConfig{SampleEvery: every, Watchdog: t.Watchdog}
+	// A sweep samples coarsely to stay cheap.
+	return &obs.SuiteConfig{SampleEvery: 16, Watchdog: t.Watchdog}
 }
 
 // traceConfig returns the per-cell trace configuration, or nil when no trace

@@ -13,10 +13,10 @@ import (
 	"mlnoc/internal/synfull"
 )
 
-// TestTelemetryParallelSweep drives a miniature parallel sweep with the full
+// TestTelemetryParallelSweep drives a miniature APU policy grid with the full
 // telemetry stack attached — shared registry, watchdog per cell, serialized
 // progress callback — and checks everything lands. Run with -race this is the
-// concurrency test for the obs registry under parallelFor.
+// concurrency test for the obs registry under parallelForCtx.
 func TestTelemetryParallelSweep(t *testing.T) {
 	model := synfull.Catalog()[0]
 	const cells = 8
@@ -29,21 +29,18 @@ func TestTelemetryParallelSweep(t *testing.T) {
 			defer mu.Unlock()
 			progress = append(progress, fmt.Sprintf("%d/%d %s", done, total, label))
 		},
-		Registry:    obs.NewRegistry(),
-		Watchdog:    &obs.WatchdogConfig{MaxHeadAge: 1 << 20, LivelockWindow: 1 << 20},
-		SampleEvery: 8,
+		Registry: obs.NewRegistry(),
+		Watchdog: &obs.WatchdogConfig{MaxHeadAge: 1 << 20, LivelockWindow: 1 << 20},
 	}
 
-	parallelFor(cells, func(i int) {
-		label := fmt.Sprintf("cell-%d/%s", i, model.Name)
-		r := apu.RunWorkload(apu.Config{}, firstPolicyT{},
-			apu.Homogeneous(model),
-			apu.RunnerConfig{OpScale: 0.02, Seed: int64(i + 1), Obs: tel.suiteConfig()})
-		if !r.Finished {
-			panic(cellFailure(label, r))
-		}
-		tel.cellDone(cells, label, r)
-	})
+	rows := make([]apuRow, cells)
+	for i := range rows {
+		rows[i] = apuRow{label: fmt.Sprintf("cell-%d", i), apps: apu.Homogeneous(model), seed: int64(i + 1)}
+	}
+	first := []PolicyFactory{{Name: "first", New: func(int64) noc.Policy { return firstPolicyT{} }}}
+	if _, err := apuGrid(context.Background(), Scale{OpScale: 0.02}, tel, rows, first, 0); err != nil {
+		t.Fatal(err)
+	}
 
 	if got := tel.Registry.Len(); got != cells {
 		t.Fatalf("registry has %d snapshots, want %d", got, cells)

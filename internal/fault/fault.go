@@ -85,9 +85,6 @@ type Plan struct {
 	Events []Event
 }
 
-// Empty reports whether the plan schedules no faults.
-func (p Plan) Empty() bool { return len(p.Events) == 0 }
-
 // Clone returns a deep copy of the plan.
 func (p Plan) Clone() Plan {
 	return Plan{Events: append([]Event(nil), p.Events...)}

@@ -130,11 +130,6 @@ type Spec struct {
 	Seed int64
 }
 
-// Empty reports whether the spec describes the all-healthy scenario.
-func (s Spec) Empty() bool {
-	return s.Plan.Empty() && s.KillFraction == 0 && s.Hazard.Rate == 0
-}
-
 // Equip installs the fault scenario on net: fault-aware table routing
 // (rebuilt on every fault event) plus an Injector applying the spec's plan,
 // random kill wave, and hazard. It returns the injector for stats and

@@ -10,7 +10,7 @@ import (
 // torus builds a cores-on-every-router torus with the global-age policy, the
 // torus counterpart of the mesh helper.
 func torus(w, h, vcs int) (*noc.Network, []*noc.Node) {
-	net, cores := noc.BuildTorusCores(noc.Config{Width: w, Height: h, VCs: vcs, BufferCap: 4})
+	net, cores := noc.BuildMeshCores(noc.Config{Width: w, Height: h, VCs: vcs, BufferCap: 4, Torus: true})
 	net.SetPolicy(arb.NewGlobalAge())
 	return net, cores
 }

@@ -67,8 +67,9 @@ func TestNetworkStepZeroAllocs(t *testing.T) {
 }
 
 // TestStepAfterResetStatsZeroAllocs pins that a ResetStats before a measured
-// window (LargeMeshCtx, core training and traffic all take one) does not make
-// the window allocate: PerSource is sized as nodes attach and zeroed in place.
+// window (the scaling study, core training and traffic all take one) does not
+// make the window allocate: PerSource is sized as nodes attach and zeroed in
+// place.
 // It counts runtime mallocs over the whole window, because AllocsPerRun's
 // integer division hides fewer than one allocation per cycle. A saturating
 // burst, drained, first grows every buffer ring, wheel slot and the message

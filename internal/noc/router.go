@@ -271,18 +271,6 @@ func (r *Router) ForwardedThisCycle(p PortID, now int64) bool {
 	return r.inGrantedAt[p] == now
 }
 
-// QueuedMessages returns the total number of messages queued in all input
-// buffers of the router.
-func (r *Router) QueuedMessages() int {
-	total := 0
-	for p := 0; p < MaxPorts; p++ {
-		for vc := range r.in[p] {
-			total += r.in[p][vc].Len()
-		}
-	}
-	return total
-}
-
 // LinkUp reports whether the outgoing link at port p is healthy. Ports never
 // taken down by Network.SetLinkDown are always up.
 func (r *Router) LinkUp(p PortID) bool { return !r.linkDown[p] }

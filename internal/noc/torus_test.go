@@ -9,7 +9,7 @@ import (
 // direction neighbors, edge routers wrap to the opposite edge, and the
 // Opposite pairing holds across wrap links exactly as on interior ones.
 func TestTorusWiring(t *testing.T) {
-	net, _ := BuildTorusCores(Config{Width: 4, Height: 3, VCs: 1, BufferCap: 2})
+	net, _ := BuildMeshCores(Config{Width: 4, Height: 3, VCs: 1, BufferCap: 2, Torus: true})
 	for _, r := range net.Routers() {
 		for _, p := range []PortID{PortNorth, PortSouth, PortWest, PortEast} {
 			next := r.Neighbor(p)
@@ -48,7 +48,7 @@ func TestTorusTooSmall(t *testing.T) {
 // and the topology-aware Distance metric, including the deterministic
 // east/south tie-break at exactly half an even ring.
 func TestTorusDirTowardAndDistance(t *testing.T) {
-	net, _ := BuildTorusCores(Config{Width: 4, Height: 4, VCs: 1, BufferCap: 2})
+	net, _ := BuildMeshCores(Config{Width: 4, Height: 4, VCs: 1, BufferCap: 2, Torus: true})
 	r := net.RouterAt(0, 0)
 	cases := []struct {
 		to   Coord
@@ -83,7 +83,7 @@ func TestTorusDirTowardAndDistance(t *testing.T) {
 // TestTorusWrapDelivery sends one message the wrap way around and checks it
 // arrives in ring-distance hops with the Distance field recorded to match.
 func TestTorusWrapDelivery(t *testing.T) {
-	net, nodes := BuildTorusCores(Config{Width: 5, Height: 5, VCs: 1, BufferCap: 2})
+	net, nodes := BuildMeshCores(Config{Width: 5, Height: 5, VCs: 1, BufferCap: 2, Torus: true})
 	net.SetPolicy(firstPolicy{})
 	var hops, dist int
 	nodes[0].Sink = nil
@@ -111,7 +111,7 @@ func TestTorusWrapDelivery(t *testing.T) {
 // torus can therefore wedge — by design, and documented in DESIGN.md §13 —
 // while the conservation identity keeps holding.
 func TestTorusConservation(t *testing.T) {
-	net, nodes := BuildTorusCores(Config{Width: 6, Height: 6, VCs: 2, BufferCap: 4})
+	net, nodes := BuildMeshCores(Config{Width: 6, Height: 6, VCs: 2, BufferCap: 4, Torus: true})
 	net.SetPolicy(firstPolicy{})
 	rng := rand.New(rand.NewSource(11))
 	var id uint64

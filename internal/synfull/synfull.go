@@ -114,11 +114,10 @@ func (m *Model) validate() {
 type Instance struct {
 	Model *Model
 
-	phase     int
-	nextDraw  int64
-	phaseHist []int
-	rng       *rand.Rand // over src
-	src       xrand.Source
+	phase    int
+	nextDraw int64
+	rng      *rand.Rand // over src
+	src      xrand.Source
 }
 
 // NewInstance creates an instance starting in phase 0.
@@ -129,7 +128,7 @@ func NewInstance(m *Model, seed int64) *Instance {
 }
 
 // Reset puts the instance in the state NewInstance(m, seed) returns, reusing
-// its storage; a slice PhaseHistory returned earlier is overwritten.
+// its storage.
 func (in *Instance) Reset(m *Model, seed int64) {
 	if in.rng == nil {
 		in.rng = rand.New(&in.src)
@@ -138,7 +137,6 @@ func (in *Instance) Reset(m *Model, seed int64) {
 	in.Model = m
 	in.phase = 0
 	in.nextDraw = m.PhaseLen
-	in.phaseHist = in.phaseHist[:0]
 }
 
 // Tick advances the Markov phase machine to the given cycle. Call once per
@@ -157,7 +155,6 @@ func (in *Instance) Tick(now int64) {
 			break
 		}
 	}
-	in.phaseHist = append(in.phaseHist, in.phase)
 }
 
 // Cur returns the active phase.
@@ -165,6 +162,3 @@ func (in *Instance) Cur() *Phase { return &in.Model.Phases[in.phase] }
 
 // PhaseIndex returns the index of the active phase.
 func (in *Instance) PhaseIndex() int { return in.phase }
-
-// PhaseHistory returns the sequence of phases entered at each transition.
-func (in *Instance) PhaseHistory() []int { return in.phaseHist }

@@ -13,6 +13,7 @@ import (
 	"math/rand"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/xrand"
 )
 
 // Pattern chooses a destination index for a message injected by the node at
@@ -205,6 +206,34 @@ func (in *Injector) Tick() {
 		m.SizeFlits = size
 		node.Inject(m)
 	}
+}
+
+// Mesh is a synthetic-traffic setup: the Config mesh (a torus when
+// Config.Torus) with one core on every router, and an injector over the cores
+// that sends Pattern traffic at Rate and spreads messages over one class per
+// VC. The experiments, from the paper's Section 3.2 study on, the CLIs and
+// the examples build their synthetic-traffic runs from one.
+type Mesh struct {
+	noc.Config
+	// Pattern chooses destinations; nil is UniformRandom.
+	Pattern Pattern
+	// Rate is the per-core injection probability per cycle.
+	Rate float64
+	// Seed seeds the injector's random stream.
+	Seed int64
+}
+
+// Build creates the network with policy installed, and its injector.
+func (m Mesh) Build(policy noc.Policy) (*noc.Network, *Injector) {
+	net, cores := noc.BuildMeshCores(m.Config)
+	net.SetPolicy(policy)
+	p := m.Pattern
+	if p == nil {
+		p = UniformRandom{}
+	}
+	in := NewInjector(cores, p, m.Rate, xrand.New(m.Seed))
+	in.Classes = m.VCs
+	return net, in
 }
 
 // Generated returns the number of messages generated so far.

@@ -204,32 +204,6 @@ func Series(xName string, xs []string, names []string, series [][]float64) strin
 	return Table(headers, rows)
 }
 
-// Bar renders a labelled horizontal bar chart of values (one row per label),
-// scaled so the largest value spans width characters.
-func Bar(labels []string, values []float64, width int) string {
-	if width <= 0 {
-		width = 50
-	}
-	maxV, labelW := 0.0, 0
-	for i, v := range values {
-		if v > maxV {
-			maxV = v
-		}
-		if len(labels[i]) > labelW {
-			labelW = len(labels[i])
-		}
-	}
-	var b strings.Builder
-	for i, v := range values {
-		n := 0
-		if maxV > 0 {
-			n = int(v / maxV * float64(width))
-		}
-		fmt.Fprintf(&b, "%-*s |%s %.3f\n", labelW, labels[i], strings.Repeat("#", n), v)
-	}
-	return b.String()
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -81,17 +81,6 @@ func TestSeries(t *testing.T) {
 	}
 }
 
-func TestBar(t *testing.T) {
-	out := Bar([]string{"x", "yy"}, []float64{2, 4}, 10)
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("bar lines = %d", len(lines))
-	}
-	if c1, c2 := strings.Count(lines[0], "#"), strings.Count(lines[1], "#"); c2 != 10 || c1 != 5 {
-		t.Fatalf("bar lengths %d/%d, want 5/10:\n%s", c1, c2, out)
-	}
-}
-
 func TestShadeBounds(t *testing.T) {
 	if shade(0, 1) != ' ' {
 		t.Fatal("zero not blank")
