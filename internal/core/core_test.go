@@ -160,7 +160,7 @@ func TestBuildStateZeroPadding(t *testing.T) {
 			SizeFlits: 1, ArrivalCycle: 5, HopCount: 2, Distance: 3,
 		}},
 	}
-	state := spec.BuildState(net, 10, cands)
+	state := spec.BuildStateInto(make([]float64, spec.InputSize()), net, 10, cands)
 	if len(state) != 60 {
 		t.Fatalf("state size %d", len(state))
 	}

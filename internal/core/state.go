@@ -141,17 +141,12 @@ func (s *StateSpec) BuildSparse(v nn.SparseVec, net *noc.Network, now int64, can
 // arbitration with more spills to the heap.
 const buildStateStack = 8 * 12
 
-// BuildState assembles the dense state vector for one arbitration: the
-// features of every candidate message, placed at its buffer's block, all other
-// elements zero. The result is freshly allocated.
-func (s *StateSpec) BuildState(net *noc.Network, now int64, cands []noc.Candidate) []float64 {
-	return s.BuildStateInto(make([]float64, s.InputSize()), net, now, cands)
-}
-
-// BuildStateInto assembles the dense state vector into dst, which must have
-// length InputSize, and returns it: dst is zeroed and BuildSparse's list
-// scattered into it, so a reused dst carries nothing over. The INT8 engine
-// and the quantization study take states in this form.
+// BuildStateInto assembles the dense state vector for one arbitration into
+// dst, which must have length InputSize, and returns it: the features of every
+// candidate message at its buffer's block, all other elements zero. dst is
+// zeroed and BuildSparse's list scattered into it, so a reused dst carries
+// nothing over. The INT8 engine and the quantization study take states in
+// this form.
 func (s *StateSpec) BuildStateInto(dst []float64, net *noc.Network, now int64, cands []noc.Candidate) []float64 {
 	var idx [buildStateStack]int32
 	var val [buildStateStack]float64

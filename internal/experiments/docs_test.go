@@ -1,0 +1,137 @@
+package experiments
+
+import (
+	"io/fs"
+	"os"
+	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
+	"testing"
+)
+
+// DESIGN.md, README.md and EXPERIMENTS.md name tests, experiments and
+// packages. The tests in this file fail when a name they cite no longer
+// exists, or when an experiment or a package goes unnamed.
+
+const repoRoot = "../.."
+
+func readRepoFile(t *testing.T, name string) string {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join(repoRoot, name))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(b)
+}
+
+// docSection returns the body of doc's "## " section whose heading contains
+// title, up to the next "## " heading.
+func docSection(t *testing.T, doc, title string) string {
+	t.Helper()
+	for _, sec := range strings.Split(doc, "\n## ")[1:] {
+		heading, body, _ := strings.Cut(sec, "\n")
+		if strings.Contains(heading, title) {
+			return body
+		}
+	}
+	t.Fatalf("no section %q", title)
+	return ""
+}
+
+// backtickWords returns the whitespace-separated words of doc's `code` spans.
+func backtickWords(doc string) []string {
+	var words []string
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(doc, -1) {
+		words = append(words, strings.Fields(m[1])...)
+	}
+	return words
+}
+
+// TestDocsCiteExistingTests fails when DESIGN.md or README.md cites a
+// Test*/Fuzz* name that no _test.go file defines. A * in a cited name matches
+// any run of characters, so TestArbStateNeverStale* cites a family.
+func TestDocsCiteExistingTests(t *testing.T) {
+	defined := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
+	var funcs []string
+	err := filepath.WalkDir(repoRoot, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != repoRoot && (strings.HasPrefix(d.Name(), ".") || d.Name() == "testdata") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			b, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range defined.FindAllStringSubmatch(string(b), -1) {
+				funcs = append(funcs, m[1])
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cited := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z*][A-Za-z0-9_*]*`)
+	for _, doc := range []string{"DESIGN.md", "README.md"} {
+		for _, name := range cited.FindAllString(readRepoFile(t, doc), -1) {
+			pat := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, ".*") + "$")
+			if !slices.ContainsFunc(funcs, pat.MatchString) {
+				t.Errorf("%s cites %s, which no _test.go file defines", doc, name)
+			}
+		}
+	}
+}
+
+// TestDocsNameEveryExperiment fails when an entry of Table is not named in a
+// code span of EXPERIMENTS.md and of DESIGN.md's per-experiment index.
+func TestDocsNameEveryExperiment(t *testing.T) {
+	docs := map[string][]string{
+		"EXPERIMENTS.md": backtickWords(readRepoFile(t, "EXPERIMENTS.md")),
+		"DESIGN.md's per-experiment index": backtickWords(
+			docSection(t, readRepoFile(t, "DESIGN.md"), "Per-experiment index")),
+	}
+	for _, e := range Table {
+		for doc, words := range docs {
+			if !slices.Contains(words, e.Name) {
+				t.Errorf("%s does not name experiment `%s`", doc, e.Name)
+			}
+		}
+	}
+}
+
+// TestDesignMapsEveryPackage fails when a directory under cmd/, internal/ or
+// examples/ that holds non-test Go files is missing from DESIGN.md's module
+// map, where each appears as a code span of its path.
+func TestDesignMapsEveryPackage(t *testing.T) {
+	moduleMap := docSection(t, readRepoFile(t, "DESIGN.md"), "Module map")
+	var dirs []string
+	for _, top := range []string{"cmd", "internal", "examples"} {
+		err := filepath.WalkDir(filepath.Join(repoRoot, top), func(path string, d fs.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if d.IsDir() && d.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if !d.IsDir() && strings.HasSuffix(path, ".go") && !strings.HasSuffix(path, "_test.go") {
+				dir, err := filepath.Rel(repoRoot, filepath.Dir(path))
+				dirs = append(dirs, filepath.ToSlash(dir))
+				return err
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	slices.Sort(dirs)
+	for _, dir := range slices.Compact(dirs) {
+		if !strings.Contains(moduleMap, "`"+dir+"`") {
+			t.Errorf("DESIGN.md's module map does not list `%s`", dir)
+		}
+	}
+}

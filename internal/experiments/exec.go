@@ -142,7 +142,7 @@ func apuGrid(ctx context.Context, sc Scale, tel *Telemetry, rows []apuRow, polic
 		if !r.Finished {
 			panic(cellFailure(label, r))
 		}
-		tel.cellDone(n+others, label, r)
+		tel.cellDone(n+others, label, r.Obs, r.Trace)
 		r.Obs, r.Trace = nil, nil // the grid keeps the numbers, not the instruments
 		res[ri][pi] = r
 	})

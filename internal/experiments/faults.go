@@ -124,7 +124,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if pi == meshGA {
 			res.MeshKilled[ri] = fs.LinkKills
 		}
-		tel.cellSnapshot(total, label, suite)
+		tel.cellDone(total, label, suite, nil)
 	})
 	if err != nil {
 		return nil, err

@@ -53,7 +53,7 @@ func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) 
 		// Meshes run at the Section 3.2 near-saturation rate; a torus runs
 		// well below it, because ring-shortest DOR on wrapped rings has a
 		// cyclic channel dependency and saturating a healthy torus can wedge
-		// it (see DESIGN.md §13) — the scaling story needs sustained
+		// it (see DESIGN.md §4) — the scaling story needs sustained
 		// throughput, not a study of that deadlock.
 		rate := MeshRate(size)
 		if torus {

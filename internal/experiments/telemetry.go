@@ -57,30 +57,10 @@ func (t *Telemetry) traceConfig() *trace.Config {
 	return &cfg
 }
 
-// cellDone records one finished cell: snapshots it into the registry and
-// reports progress.
-func (t *Telemetry) cellDone(total int, label string, r apu.ExecResult) {
-	if t == nil {
-		return
-	}
-	if t.Registry != nil && r.Obs != nil {
-		t.Registry.Record(label, r.Obs.Snapshot())
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.TraceSink != nil && r.Trace != nil {
-		t.TraceSink(label, r.Trace)
-	}
-	t.done++
-	if t.Progress != nil {
-		t.Progress(t.done, total, label)
-	}
-}
-
-// cellSnapshot records one finished non-APU cell (e.g. a synthetic-traffic
-// mesh run that attached its own obs suite) and reports progress; suite may
-// be nil.
-func (t *Telemetry) cellSnapshot(total int, label string, suite *obs.Suite) {
+// cellDone records one finished cell: snapshots its obs suite into the
+// registry, hands its tracer to the trace sink and reports progress. suite and
+// tr are nil for a cell that attached none.
+func (t *Telemetry) cellDone(total int, label string, suite *obs.Suite, tr *trace.Tracer) {
 	if t == nil {
 		return
 	}
@@ -89,6 +69,9 @@ func (t *Telemetry) cellSnapshot(total int, label string, suite *obs.Suite) {
 	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	if t.TraceSink != nil && tr != nil {
+		t.TraceSink(label, tr)
+	}
 	t.done++
 	if t.Progress != nil {
 		t.Progress(t.done, total, label)

@@ -81,13 +81,13 @@ func TestTelemetryNilSafe(t *testing.T) {
 	if nilTel.suiteConfig() != nil {
 		t.Fatal("nil telemetry produced a suite config")
 	}
-	nilTel.cellDone(1, "x", apu.ExecResult{})
+	nilTel.cellDone(1, "x", nil, nil)
 
 	empty := &Telemetry{}
 	if empty.suiteConfig() != nil {
 		t.Fatal("empty telemetry produced a suite config")
 	}
-	empty.cellDone(1, "x", apu.ExecResult{})
+	empty.cellDone(1, "x", nil, nil)
 
 	// Watchdog-only telemetry still attaches a suite (for failure diagnosis).
 	wdOnly := &Telemetry{Watchdog: &obs.WatchdogConfig{MaxHeadAge: 100}}

@@ -108,7 +108,7 @@ func TestTorusWrapDelivery(t *testing.T) {
 // has a cyclic channel dependency around each wrapped ring (the open mesh's
 // deadlock-freedom argument does not transfer), and message classes double as
 // VCs here, so no dateline channel split is possible. At saturation a healthy
-// torus can therefore wedge — by design, and documented in DESIGN.md §13 —
+// torus can therefore wedge — by design, and documented in DESIGN.md §4 —
 // while the conservation identity keeps holding.
 func TestTorusConservation(t *testing.T) {
 	net, nodes := BuildMeshCores(Config{Width: 6, Height: 6, VCs: 2, BufferCap: 4, Torus: true})

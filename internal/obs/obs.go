@@ -1,6 +1,6 @@
 // Package obs is the observability layer of the NoC simulator: per-router /
 // per-port counters (grants, blocked cycles, buffer occupancy, per-VC head
-// ages), cycle-sampled and exportable as JSON/CSV snapshots, a concurrent
+// ages), cycle-sampled and exportable as JSON snapshots, a concurrent
 // registry that aggregates snapshots across parallel experiment cells, and a
 // starvation/livelock watchdog that turns silent hangs into structured
 // diagnostics.
@@ -101,10 +101,6 @@ func (c *Collector) ObserveDeliver(now int64, node *noc.Node, m *noc.Message) {
 	c.routers[node.Router.ID()].delivered++
 	c.latency.Add(float64(now - m.GenCycle))
 }
-
-// LatencyQuantile returns the q-th quantile (0 <= q <= 1) of
-// generation-to-delivery latency over the messages delivered since attach.
-func (c *Collector) LatencyQuantile(q float64) float64 { return c.latency.Quantile(q) }
 
 // onCycle samples buffer state after arbitration.
 func (c *Collector) onCycle(net *noc.Network) {

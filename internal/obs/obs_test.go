@@ -103,24 +103,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSnapshotCSV(t *testing.T) {
-	_, suite := runUniform(t, SuiteConfig{SampleEvery: 1}, 0.1, 500)
-	out := suite.Snapshot().CSV()
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if lines[0] != csvHeader {
-		t.Fatalf("csv header = %q", lines[0])
-	}
-	// 4x4 mesh: 16 cores + 2*(12+12) direction ports = 64 port rows.
-	if len(lines) != 1+64 {
-		t.Fatalf("csv rows = %d, want 65", len(lines))
-	}
-	for _, line := range lines[1:] {
-		if got := strings.Count(line, ","); got != strings.Count(csvHeader, ",") {
-			t.Fatalf("csv row %q has %d commas", line, got)
-		}
-	}
-}
-
 // TestRegistryOnRecord checks the streaming seam: the hook sees every
 // snapshot with its name, after the registry stores it (so the hook can read
 // it back), and recording without a hook still works.
@@ -199,9 +181,6 @@ func TestRegistryConcurrentRecord(t *testing.T) {
 	if len(doc["runs"]) != 24 {
 		t.Fatalf("registry JSON has %d runs, want 24", len(doc["runs"]))
 	}
-	if !strings.HasPrefix(reg.CSV(), "run,"+csvHeader+"\n") {
-		t.Fatal("registry CSV header malformed")
-	}
 }
 
 func sortedStrings(xs []string) bool {
@@ -236,9 +215,5 @@ func TestSnapshotLatencyQuantiles(t *testing.T) {
 	if snap.LatencyP50 > st.Latency.Max() || snap.LatencyP99 < st.Latency.Min() {
 		t.Fatalf("quantiles outside the exact latency range [%v, %v]",
 			st.Latency.Min(), st.Latency.Max())
-	}
-	// The direct accessor agrees with the snapshot fields.
-	if got := suite.Collector.LatencyQuantile(0.95); got != snap.LatencyP95 {
-		t.Fatalf("LatencyQuantile(0.95) = %v, snapshot p95 = %v", got, snap.LatencyP95)
 	}
 }

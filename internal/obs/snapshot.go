@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strings"
 	"sync"
 
 	"mlnoc/internal/noc"
@@ -152,34 +151,6 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	return enc.Encode(s)
 }
 
-// csvHeader is the column layout shared by Snapshot.CSV and Registry.CSV.
-const csvHeader = "router,x,y,port,grants,blocked_cycles,avg_occupancy,max_occupancy,max_head_age"
-
-// CSV exports one row per router port. Per-VC head ages are collapsed to
-// their max; use JSON for the full breakdown.
-func (s *Snapshot) CSV() string {
-	var b strings.Builder
-	b.WriteString(csvHeader + "\n")
-	s.appendCSV(&b, "")
-	return b.String()
-}
-
-func (s *Snapshot) appendCSV(b *strings.Builder, prefix string) {
-	for _, r := range s.Routers {
-		for _, p := range r.Ports {
-			var maxAge int64
-			for _, a := range p.MaxHeadAge {
-				if a > maxAge {
-					maxAge = a
-				}
-			}
-			fmt.Fprintf(b, "%s%d,%d,%d,%s,%d,%d,%.3f,%d,%d\n",
-				prefix, r.Router, r.X, r.Y, p.Port,
-				p.Grants, p.BlockedCycles, p.AvgOccupancy, p.MaxOccupancy, maxAge)
-		}
-	}
-}
-
 // Registry collects named snapshots from concurrent runs (one per experiment
 // sweep cell). All methods are safe for concurrent use.
 type Registry struct {
@@ -300,14 +271,4 @@ func (g *Registry) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
-}
-
-// CSV exports every recorded snapshot as one table with a leading run column.
-func (g *Registry) CSV() string {
-	var b strings.Builder
-	b.WriteString("run," + csvHeader + "\n")
-	for _, name := range g.Names() {
-		g.Get(name).appendCSV(&b, name+",")
-	}
-	return b.String()
 }

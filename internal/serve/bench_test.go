@@ -31,7 +31,7 @@ func BenchmarkSubmitCachedJob(b *testing.B) {
 	}})
 	defer s.Drain()
 	spec := &Spec{Type: TypeQuant}
-	job, err := s.Submit(spec)
+	job, err := s.SubmitCorr(spec, "")
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -40,7 +40,7 @@ func BenchmarkSubmitCachedJob(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for b.Loop() {
-		job, err := s.Submit(spec)
+		job, err := s.SubmitCorr(spec, "")
 		if err != nil {
 			b.Fatal(err)
 		}

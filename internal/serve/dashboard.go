@@ -98,8 +98,9 @@ function sum(fams, name, want) {
   return t;
 }
 
-// quantile interpolates inside cumulative _bucket samples, mirroring
-// telemetry.Histogram.Quantile.
+// quantile estimates the q-th quantile from cumulative _bucket samples by
+// linear interpolation inside the containing bucket; one landing in the +Inf
+// bucket reports the last finite bound.
 function quantile(buckets, q) {
   const total = buckets.length ? buckets[buckets.length - 1].value : 0;
   if (!total) return 0;

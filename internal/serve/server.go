@@ -150,10 +150,6 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 		func() uint64 { _, _, _, sp := s.cache.Counters(); return uint64(sp) })
 }
 
-// Registry returns the registry the daemon reports into (the /metrics
-// document source).
-func (s *Server) Registry() *telemetry.Registry { return s.cfg.Registry }
-
 // runJob is the production runFunc: it wires the job's live telemetry
 // (progress, obs snapshots, watchdog alerts) and executes the spec.
 func (s *Server) runJob(ctx context.Context, job *Job) ([]byte, error) {
@@ -323,14 +319,10 @@ func (s *Server) snapshotJobs(liveOnly bool) []*Job {
 	return out
 }
 
-// Submit runs the full submission flow (validation already done by the
-// caller): cache lookup, then enqueue. The error is non-nil only when the
-// daemon cannot accept the job (draining or queue full).
-func (s *Server) Submit(spec *Spec) (*Job, error) {
-	return s.SubmitCorr(spec, "")
-}
-
-// SubmitCorr is Submit with a caller-supplied correlation ID ("" mints one).
+// SubmitCorr runs the full submission flow (validation already done by the
+// caller): cache lookup, then enqueue, under the caller's correlation ID (""
+// mints one). The error is non-nil only when the daemon cannot accept the job
+// (draining or queue full).
 func (s *Server) SubmitCorr(spec *Spec, corrID string) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining

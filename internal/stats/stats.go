@@ -40,46 +40,6 @@ func (a *Accumulator) Add(x float64) {
 	a.m2 += delta * (x - a.mean)
 }
 
-// AddN folds the same sample n times in O(1): n repeats of x form an
-// accumulator with mean x and zero second moment (exactly what n repeated
-// Adds produce from an empty accumulator), which is then merged in. Folding
-// into an empty accumulator is bit-identical to the Add loop; folding into a
-// non-empty one uses the Welford merge, which agrees up to floating-point
-// reassociation.
-func (a *Accumulator) AddN(x float64, n int64) {
-	if n <= 0 {
-		return
-	}
-	b := Accumulator{n: n, mean: x, min: x, max: x}
-	if a.n == 0 {
-		*a = b
-		return
-	}
-	a.Merge(&b)
-}
-
-// Merge folds another accumulator into a (parallel Welford merge).
-func (a *Accumulator) Merge(b *Accumulator) {
-	if b.n == 0 {
-		return
-	}
-	if a.n == 0 {
-		*a = *b
-		return
-	}
-	delta := b.mean - a.mean
-	total := a.n + b.n
-	a.mean += delta * float64(b.n) / float64(total)
-	a.m2 += b.m2 + delta*delta*float64(a.n)*float64(b.n)/float64(total)
-	if b.min < a.min {
-		a.min = b.min
-	}
-	if b.max > a.max {
-		a.max = b.max
-	}
-	a.n = total
-}
-
 // Count returns the number of samples seen.
 func (a *Accumulator) Count() int64 { return a.n }
 
@@ -157,18 +117,6 @@ func (h *Histogram) Add(x float64) {
 
 // Count returns the total number of samples.
 func (h *Histogram) Count() int64 { return h.acc.Count() }
-
-// Mean returns the exact (not binned) mean of the samples.
-func (h *Histogram) Mean() float64 { return h.acc.Mean() }
-
-// Max returns the exact max of the samples.
-func (h *Histogram) Max() float64 { return h.acc.Max() }
-
-// Bin returns the count in bin i.
-func (h *Histogram) Bin(i int) int64 { return h.bins[i] }
-
-// Overflow returns the count of samples beyond the last bin.
-func (h *Histogram) Overflow() int64 { return h.overflow }
 
 // Quantile returns the q-th quantile (0 <= q <= 1) of the samples, linearly
 // interpolated within the containing bin: the quantile mass is assumed to be
@@ -257,20 +205,6 @@ func Max(xs []float64) float64 {
 	m := xs[0]
 	for _, x := range xs[1:] {
 		if x > m {
-			m = x
-		}
-	}
-	return m
-}
-
-// Min returns the minimum of xs, or 0 for an empty slice.
-func Min(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	m := xs[0]
-	for _, x := range xs[1:] {
-		if x < m {
 			m = x
 		}
 	}

@@ -235,7 +235,7 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
 // Gauge is a point-in-time value that can go up and down. The float64 is
-// stored as atomic bits, so Set is a single store and Add a CAS loop.
+// stored as atomic bits, so Set is a single store.
 type Gauge struct{ bits atomic.Uint64 }
 
 // Set replaces the value.
@@ -243,17 +243,6 @@ func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
 
 // SetInt replaces the value with an integer.
 func (g *Gauge) SetInt(v int64) { g.Set(float64(v)) }
-
-// Add folds a delta into the value.
-func (g *Gauge) Add(delta float64) {
-	for {
-		old := g.bits.Load()
-		next := math.Float64bits(math.Float64frombits(old) + delta)
-		if g.bits.CompareAndSwap(old, next) {
-			return
-		}
-	}
-}
 
 // Value returns the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }
@@ -299,37 +288,6 @@ func (h *Histogram) Count() uint64 { return h.count.Load() }
 
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
-
-// Quantile estimates the q-th quantile (0 <= q <= 1) by linear interpolation
-// inside the containing bucket — the same estimate stats.Histogram.Quantile
-// makes, and the one the dashboard computes client-side from the exposition.
-// A quantile landing in the +Inf bucket reports the last finite bound (the
-// histogram records no structure beyond it). Returns 0 when empty.
-func (h *Histogram) Quantile(q float64) float64 {
-	if math.IsNaN(q) || q < 0 || q > 1 {
-		panic("telemetry: quantile must be in [0,1]")
-	}
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := q * float64(total)
-	var cum uint64
-	lower := 0.0
-	for i, bound := range h.bounds {
-		c := h.counts[i].Load()
-		if c > 0 && float64(cum+c) >= target {
-			frac := (target - float64(cum)) / float64(c)
-			return lower + frac*(bound-lower)
-		}
-		cum += c
-		lower = bound
-	}
-	if len(h.bounds) == 0 {
-		return 0
-	}
-	return h.bounds[len(h.bounds)-1]
-}
 
 func validateName(name string) {
 	if !validMetricName(name) {
