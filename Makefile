@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet fmt bench-once verify serve-smoke clean
+.PHONY: build test test-nofma race vet vet-cross fmt bench-once verify serve-smoke clean
 
 build:
 	$(GO) build ./...
@@ -29,6 +29,11 @@ race:
 vet:
 	$(GO) vet ./...
 
+# Type-check and vet every package for arm64, so the portable kernel files
+# built only off amd64 (internal/nn/gemm_other.go) compile in CI too.
+vet-cross:
+	GOARCH=arm64 $(GO) vet ./...
+
 # Fail if any tracked Go file is not gofmt-clean.
 fmt:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
@@ -42,7 +47,7 @@ bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet build test test-nofma race bench-once
+verify: fmt vet vet-cross build test test-nofma race bench-once
 
 # End-to-end check of the simulation daemon: start it on a loopback port,
 # submit a tiny deterministic sweep twice over real HTTP, require the second

@@ -19,6 +19,9 @@ func TestGolden(t *testing.T) {
 		clitest.Golden(t, t.TempDir(), "testdata/fig11",
 			"-no-nn", "-metrics-out", "metrics.json", "-csv", "csv", "fig11")
 	})
+	t.Run("flitcheck", func(t *testing.T) {
+		clitest.Golden(t, t.TempDir(), "testdata/flitcheck", "-csv", "csv", "flitcheck")
+	})
 }
 
 func TestMain(m *testing.M) { clitest.Main(m, "experiments", run) }

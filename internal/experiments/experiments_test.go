@@ -412,9 +412,12 @@ func TestFlitCheckShape(t *testing.T) {
 	if len(r.Policies) != 4 || r.Policies[3] != "Global-age" {
 		t.Fatalf("policies = %v", r.Policies)
 	}
-	ga, fifo, rl := r.Normalized[3], r.Normalized[1], r.Normalized[2]
+	rr, fifo, rl, ga := r.Normalized[0], r.Normalized[1], r.Normalized[2], r.Normalized[3]
 	if ga != 1 {
 		t.Fatalf("normalization broken: %v", r.Normalized)
+	}
+	if rr <= ga {
+		t.Fatalf("flit-level round-robin (%.3f) not worse than global-age", rr)
 	}
 	if fifo < 1.2 {
 		t.Fatalf("flit-level FIFO %.3f not clearly worse than global-age", fifo)

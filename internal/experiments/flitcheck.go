@@ -4,7 +4,7 @@ import (
 	"fmt"
 	"strings"
 
-	"mlnoc/internal/core"
+	"mlnoc/internal/arb"
 	"mlnoc/internal/flit"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/viz"
@@ -21,18 +21,18 @@ type FlitCheckResult struct {
 	Delivered  []int64
 }
 
-// FlitCheck runs round-robin, FIFO, the RL-inspired priority and global-age
-// on the 8x8 flit-level mesh under identical traffic and reports average
-// packet latency.
+// FlitCheck runs round-robin, FIFO, the RL-inspired priority and global-age —
+// the policy objects Fig. 5 runs — on the 8x8 flit-level mesh under identical
+// traffic and reports average packet latency.
 func FlitCheck(sc Scale) *FlitCheckResult {
 	arbs := []struct {
 		name string
-		mk   func() flit.Arbiter
+		p    noc.Policy
 	}{
-		{"Round-robin", func() flit.Arbiter { return flit.NewRoundRobin(3) }},
-		{"FIFO", func() flit.Arbiter { return flit.FIFO{} }},
-		{"RL-inspired", func() flit.Arbiter { return flit.NewRLInspired(core.NewRLInspiredMesh8x8()) }},
-		{"Global-age", func() flit.Arbiter { return flit.GlobalAge{} }},
+		{"Round-robin", arb.NewRoundRobin()},
+		{"FIFO", arb.NewFIFO()},
+		{"RL-inspired", inspiredMesh(8)},
+		{"Global-age", arb.NewGlobalAge()},
 	}
 	cycles := sc.MeasureCycles * 3
 	if cycles < 6000 {
@@ -40,7 +40,7 @@ func FlitCheck(sc Scale) *FlitCheckResult {
 	}
 	res := &FlitCheckResult{}
 	for _, a := range arbs {
-		e := flit.New(flit.Config{Width: 8, Height: 8, VCs: 3}, a.mk())
+		e := flit.New(flit.Config{Width: 8, Height: 8, VCs: 3}, a.p)
 		rng := xrand.New(sc.Seed + 11)
 		const msgRate = 0.35 / 2.2 // ~0.35 flits/node/cycle offered
 		for i := int64(0); i < cycles; i++ {

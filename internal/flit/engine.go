@@ -39,11 +39,11 @@ type vcIn struct {
 	vcOwned    bool // this packet holds outVCOwner[route][vc]
 }
 
+// router is the flit-level state of one noc router: its ID, coordinate,
+// ports and neighbours come from the embedded *noc.Router.
 type router struct {
-	id   int
-	x, y int
-	in   [noc.MaxPorts][]vcIn
-	has  [noc.MaxPorts]bool
+	*noc.Router
+	in [noc.MaxPorts][]vcIn
 	// outOwner[p][vc] is the packet currently streaming through output VC
 	// (p, vc), nil when free.
 	outOwner [noc.MaxPorts][]*noc.Message
@@ -52,7 +52,6 @@ type router struct {
 }
 
 type node struct {
-	id    int
 	queue []*noc.Message
 	cur   *noc.Message
 	seq   int
@@ -81,8 +80,12 @@ type Stats struct {
 
 // Engine is a flit-level mesh simulation.
 type Engine struct {
-	cfg     Config
-	arb     Arbiter
+	cfg    Config
+	policy noc.Policy
+	// ctx is the arbitration site handed to policy; cands is switch
+	// allocation's candidate scratch.
+	ctx     noc.ArbContext
+	cands   []noc.Candidate
 	routers []*router
 	nodes   []*node
 	cycle   int64
@@ -98,29 +101,28 @@ type Engine struct {
 	flitsReceived map[uint64]int
 }
 
-// New builds a flit-level mesh running the given arbiter.
-func New(cfg Config, arb Arbiter) *Engine {
+// New builds a flit-level mesh on the topology of noc.BuildMeshCores and
+// arbitrates switch allocation through policy, the same noc.Policy objects
+// the message-level engine runs. The noc.Network behind the policy's
+// ArbContext only supplies the mesh: it carries no traffic, so a policy that
+// reads its buffers or statistics (core.Agent, for one) sees an empty network
+// and is not supported here.
+func New(cfg Config, policy noc.Policy) *Engine {
 	cfg.applyDefaults()
 	if cfg.Width <= 0 || cfg.Height <= 0 {
 		panic("flit: mesh dimensions must be positive")
 	}
-	if arb == nil {
-		panic("flit: engine needs an arbiter")
+	if policy == nil {
+		panic("flit: engine needs a policy")
 	}
-	e := &Engine{cfg: cfg, arb: arb, flitsReceived: make(map[uint64]int)}
-	for y := 0; y < cfg.Height; y++ {
-		for x := 0; x < cfg.Width; x++ {
-			r := &router{id: y*cfg.Width + x, x: x, y: y}
-			e.routers = append(e.routers, r)
-			e.nodes = append(e.nodes, &node{id: r.id})
-		}
-	}
-	for _, r := range e.routers {
-		connect := func(p noc.PortID, ok bool) {
-			if !ok && p != noc.PortCore {
-				return
+	net, _ := noc.BuildMeshCores(noc.Config{Width: cfg.Width, Height: cfg.Height, VCs: cfg.VCs})
+	e := &Engine{cfg: cfg, policy: policy, ctx: noc.ArbContext{Net: net}, flitsReceived: make(map[uint64]int)}
+	for _, nr := range net.Routers() {
+		r := &router{Router: nr}
+		for p := noc.PortID(0); p < noc.MaxPorts; p++ {
+			if !r.HasPort(p) {
+				continue
 			}
-			r.has[p] = true
 			r.in[p] = make([]vcIn, cfg.VCs)
 			r.outOwner[p] = make([]*noc.Message, cfg.VCs)
 			r.credits[p] = make([]int, cfg.VCs)
@@ -133,11 +135,8 @@ func New(cfg Config, arb Arbiter) *Engine {
 				}
 			}
 		}
-		connect(noc.PortCore, true)
-		connect(noc.PortNorth, r.y > 0)
-		connect(noc.PortSouth, r.y < cfg.Height-1)
-		connect(noc.PortWest, r.x > 0)
-		connect(noc.PortEast, r.x < cfg.Width-1)
+		e.routers = append(e.routers, r)
+		e.nodes = append(e.nodes, &node{})
 	}
 	return e
 }
@@ -163,7 +162,6 @@ func (e *Engine) Inject(src, dst int, class noc.Class, flits int) {
 		panic("flit: self-send not supported at flit level")
 	}
 	e.nextID++
-	sr, dr := e.routers[src], e.routers[dst]
 	m := &noc.Message{
 		ID:        e.nextID,
 		Src:       noc.NodeID(src),
@@ -171,47 +169,10 @@ func (e *Engine) Inject(src, dst int, class noc.Class, flits int) {
 		Class:     class,
 		SizeFlits: flits,
 		GenCycle:  e.cycle,
-		Distance:  abs(sr.x-dr.x) + abs(sr.y-dr.y),
+		Distance:  e.routers[src].Coord.Manhattan(e.routers[dst].Coord),
 	}
 	e.nodes[src].queue = append(e.nodes[src].queue, m)
 	e.stats.Injected++
-}
-
-func abs(v int) int {
-	if v < 0 {
-		return -v
-	}
-	return v
-}
-
-func (e *Engine) neighbor(r *router, p noc.PortID) *router {
-	switch p {
-	case noc.PortNorth:
-		return e.routers[(r.y-1)*e.cfg.Width+r.x]
-	case noc.PortSouth:
-		return e.routers[(r.y+1)*e.cfg.Width+r.x]
-	case noc.PortWest:
-		return e.routers[r.y*e.cfg.Width+r.x-1]
-	case noc.PortEast:
-		return e.routers[r.y*e.cfg.Width+r.x+1]
-	}
-	return nil
-}
-
-// route computes the X-Y output port for packet m at router r.
-func (e *Engine) route(r *router, m *noc.Message) noc.PortID {
-	d := e.routers[m.Dst]
-	switch {
-	case d.x > r.x:
-		return noc.PortEast
-	case d.x < r.x:
-		return noc.PortWest
-	case d.y > r.y:
-		return noc.PortSouth
-	case d.y < r.y:
-		return noc.PortNorth
-	}
-	return noc.PortCore
 }
 
 // Step advances one cycle: land scheduled arrivals and credits, inject from
@@ -241,8 +202,8 @@ func (e *Engine) Step() {
 
 	// Injection: each node feeds at most one flit per cycle into its local
 	// input buffer.
-	for _, n := range e.nodes {
-		r := e.routers[n.id]
+	for i, n := range e.nodes {
+		r := e.routers[i]
 		if n.cur == nil {
 			if len(n.queue) == 0 {
 				continue
@@ -287,9 +248,6 @@ func (e *Engine) Step() {
 	// Route computation and VC allocation for packets at buffer heads.
 	for _, r := range e.routers {
 		for p := noc.PortID(0); p < noc.MaxPorts; p++ {
-			if !r.has[p] {
-				continue
-			}
 			for vc := range r.in[p] {
 				buf := &r.in[p][vc]
 				if len(buf.q) == 0 {
@@ -297,7 +255,11 @@ func (e *Engine) Step() {
 				}
 				front := buf.q[0]
 				if front.Kind.IsHead() && !buf.routeValid {
-					buf.route = e.route(r, front.Pkt)
+					// X-Y routing; every endpoint sits on its router's core port.
+					buf.route = noc.PortCore
+					if dc := e.routers[front.Pkt.Dst].Coord; dc != r.Coord {
+						buf.route = r.DirToward(dc)
+					}
 					buf.routeValid = true
 					buf.vcOwned = false
 				}
@@ -316,16 +278,16 @@ func (e *Engine) Step() {
 	}
 
 	// Switch allocation: one flit per output port, one per input port.
-	var cands []Candidate
+	e.ctx.Cycle = e.cycle
 	for _, r := range e.routers {
 		var inUsed [noc.MaxPorts]bool
 		for out := noc.PortID(0); out < noc.MaxPorts; out++ {
-			if !r.has[out] {
+			if !r.HasPort(out) {
 				continue
 			}
-			cands = cands[:0]
+			cands := e.cands[:0]
 			for p := noc.PortID(0); p < noc.MaxPorts; p++ {
-				if !r.has[p] || inUsed[p] {
+				if inUsed[p] {
 					continue
 				}
 				for vc := range r.in[p] {
@@ -336,17 +298,19 @@ func (e *Engine) Step() {
 					if r.credits[out][vc] <= 0 {
 						continue
 					}
-					cands = append(cands, Candidate{Port: p, VC: vc, Msg: buf.q[0].Pkt})
+					cands = append(cands, noc.Candidate{Port: p, VC: vc, Msg: buf.q[0].Pkt})
 				}
 			}
+			e.cands = cands
 			if len(cands) == 0 {
 				continue
 			}
 			choice := 0
 			if len(cands) > 1 {
-				choice = e.arb.Pick(e.cycle, r.id, out, cands)
+				e.ctx.Router, e.ctx.Out = r.Router, out
+				choice = e.policy.Select(&e.ctx, cands)
 				if choice < 0 || choice >= len(cands) {
-					panic(fmt.Sprintf("flit: arbiter %s returned %d of %d", e.arb.Name(), choice, len(cands)))
+					panic(fmt.Sprintf("flit: policy %s returned %d of %d", e.policy.Name(), choice, len(cands)))
 				}
 			}
 			c := cands[choice]
@@ -367,7 +331,7 @@ func (e *Engine) launch(r *router, in noc.PortID, vc int, out noc.PortID) {
 	// Return a credit upstream for the freed buffer slot (not for the
 	// injection buffer, which the local node reads directly).
 	if in.IsDirection() {
-		up := e.neighbor(r, in)
+		up := e.routers[r.Neighbor(in).ID()]
 		e.nextCredits = append(e.nextCredits, creditReturn{r: up, port: in.Opposite(), vc: vc})
 	}
 
@@ -397,7 +361,7 @@ func (e *Engine) launch(r *router, in noc.PortID, vc int, out noc.PortID) {
 	}
 	r.credits[out][vc]--
 	e.nextArrivals = append(e.nextArrivals, arrival{
-		r: e.neighbor(r, out), port: out.Opposite(), vc: vc, f: f,
+		r: e.routers[r.Neighbor(out).ID()], port: out.Opposite(), vc: vc, f: f,
 	})
 }
 
@@ -420,9 +384,6 @@ func (e *Engine) Quiescent() bool {
 	}
 	for _, r := range e.routers {
 		for p := noc.PortID(0); p < noc.MaxPorts; p++ {
-			if !r.has[p] {
-				continue
-			}
 			for vc := range r.in[p] {
 				if len(r.in[p][vc].q) > 0 {
 					return false

@@ -1,19 +1,18 @@
 // Package flit implements a flit-level virtual-channel wormhole NoC engine —
-// the granularity of the Garnet model the paper builds on — as a validation
-// substrate for the message-level engine in internal/noc.
+// the granularity of the Garnet model the paper builds on — as a check on the
+// message-level engine in internal/noc.
 //
 // Packets are split into head/body/tail flits that traverse the mesh through
 // per-VC flit buffers with credit-based flow control. A packet's flits can
 // span several routers at once (true wormhole), so head-of-line blocking and
-// congestion trees form exactly as in a hardware router. Output-port
-// arbitration happens in switch allocation, once per flit per cycle, which is
-// where the Arbiter hook sits; packet-level arbiters (FIFO, global-age, the
-// paper's RL-inspired priorities) act on the head packet's descriptor.
+// congestion trees form exactly as in a hardware router.
 //
-// The engine's purpose is cross-validation: the repository's headline
-// experiments run on the message-level engine, and the flit-level tests
-// confirm the policy orderings (e.g. global-age < FIFO < round-robin in
-// latency under contention) hold at this granularity too.
+// The engine owns only that flit state: the mesh (router IDs, coordinates,
+// ports, neighbours and X-Y directions) is noc's, built by
+// noc.BuildMeshCores, and switch allocation — once per output port per cycle —
+// asks a noc.Policy to pick among the head packets' descriptors. The policies
+// are the arb and core objects the message-level experiments run, so the Fig. 5
+// ordering checked here (experiments.FlitCheck) is that of the same code.
 package flit
 
 import (
@@ -60,22 +59,7 @@ type Flit struct {
 	Kind Kind
 	// Seq is the flit's index within its packet (0 = head).
 	Seq int
-	// Pkt is the shared packet descriptor (reusing the message-level
-	// descriptor so packet-level arbiters work unchanged).
+	// Pkt is the shared packet descriptor (the message-level descriptor, so
+	// noc policies arbitrate it unchanged).
 	Pkt *noc.Message
-}
-
-// Candidate is one input virtual channel competing in switch allocation.
-type Candidate struct {
-	Port noc.PortID
-	VC   int
-	// Msg is the descriptor of the packet whose flit is at the buffer head.
-	Msg *noc.Message
-}
-
-// Arbiter selects the winning input VC for an output port during switch
-// allocation. It is invoked only with two or more candidates.
-type Arbiter interface {
-	Name() string
-	Pick(now int64, routerID int, out noc.PortID, cands []Candidate) int
 }

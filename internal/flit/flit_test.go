@@ -5,14 +5,14 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mlnoc/internal/core"
+	"mlnoc/internal/arb"
 	"mlnoc/internal/noc"
 )
 
 func TestSinglePacketTiming(t *testing.T) {
 	// One 5-flit packet across 3 hops on an empty 4x1 line: head needs
 	// 1 cycle per stage per hop, tail follows 4 cycles behind.
-	e := New(Config{Width: 4, Height: 1, VCs: 1}, FIFO{})
+	e := New(Config{Width: 4, Height: 1, VCs: 1}, arb.NewFIFO())
 	e.Inject(0, 3, 0, 5)
 	if !e.Drain(200) {
 		t.Fatal("did not drain")
@@ -46,7 +46,7 @@ func TestKindStringsAndPredicates(t *testing.T) {
 }
 
 func TestConservationUnderLoad(t *testing.T) {
-	e := New(Config{Width: 4, Height: 4, VCs: 2}, FIFO{})
+	e := New(Config{Width: 4, Height: 4, VCs: 2}, arb.NewFIFO())
 	rng := rand.New(rand.NewSource(3))
 	n := 0
 	for i := 0; i < 1500; i++ {
@@ -78,7 +78,7 @@ func TestConservationUnderLoad(t *testing.T) {
 // the engine's internal ordering assertions (panic on out-of-order or
 // incomplete ejection) double as the correctness check.
 func TestWormholeSpanning(t *testing.T) {
-	e := New(Config{Width: 6, Height: 1, VCs: 1, BufFlits: 2}, FIFO{})
+	e := New(Config{Width: 6, Height: 1, VCs: 1, BufFlits: 2}, arb.NewFIFO())
 	for i := 0; i < 10; i++ {
 		e.Inject(0, 5, 0, 5)
 	}
@@ -93,7 +93,7 @@ func TestWormholeSpanning(t *testing.T) {
 // TestNoVCInterleaving: two same-class packets converging on one link must
 // not interleave flits; the per-packet ejection counter panics if they do.
 func TestNoVCInterleaving(t *testing.T) {
-	e := New(Config{Width: 3, Height: 3, VCs: 1}, NewRoundRobin(1))
+	e := New(Config{Width: 3, Height: 3, VCs: 1}, arb.NewRoundRobin())
 	// Both packets target node 5 (row 1, col 2) through router (1,1).
 	e.Inject(3, 5, 0, 5) // west neighbor of center
 	e.Inject(1, 5, 0, 5) // north neighbor of center
@@ -108,7 +108,7 @@ func TestNoVCInterleaving(t *testing.T) {
 func TestQuickFlitConservation(t *testing.T) {
 	f := func(seed int64, n8 uint8) bool {
 		rng := rand.New(rand.NewSource(seed))
-		e := New(Config{Width: 3, Height: 3, VCs: 2, BufFlits: 3}, GlobalAge{})
+		e := New(Config{Width: 3, Height: 3, VCs: 2, BufFlits: 3}, arb.NewGlobalAge())
 		n := int(n8)%60 + 1
 		for i := 0; i < n; i++ {
 			src := rng.Intn(9)
@@ -126,68 +126,8 @@ func TestQuickFlitConservation(t *testing.T) {
 	}
 }
 
-// TestPolicyOrderingCrossValidation is the reason this engine exists: at
-// flit granularity, the policy ordering of the message-level experiments
-// must hold — global-age below FIFO below round-robin in average latency
-// under contention, with the RL-inspired priority close to global-age.
-func TestPolicyOrderingCrossValidation(t *testing.T) {
-	if testing.Short() {
-		t.Skip("simulation-heavy")
-	}
-	run := func(mk func() Arbiter) float64 {
-		e := New(Config{Width: 8, Height: 8, VCs: 3}, mk())
-		rng := rand.New(rand.NewSource(11))
-		const rate = 0.35 // flits/node/cycle offered, near saturation
-		for i := 0; i < 12000; i++ {
-			for nd := 0; nd < e.NumNodes(); nd++ {
-				size := 1
-				if rng.Float64() < 0.3 {
-					size = 5
-				}
-				if rng.Float64() < rate/2.2 {
-					dst := rng.Intn(e.NumNodes() - 1)
-					if dst >= nd {
-						dst++
-					}
-					e.Inject(nd, dst, noc.Class(rng.Intn(3)), size)
-				}
-			}
-			e.Step()
-		}
-		e.Drain(100000)
-		return e.Stats().Latency.Mean()
-	}
-	fifo := run(func() Arbiter { return FIFO{} })
-	ga := run(func() Arbiter { return GlobalAge{} })
-	rr := run(func() Arbiter { return NewRoundRobin(3) })
-	rl := run(func() Arbiter { return NewRLInspired(core.NewRLInspiredMesh8x8()) })
-
-	t.Logf("flit-level avg latency: rr=%.1f fifo=%.1f rl=%.1f ga=%.1f", rr, fifo, rl, ga)
-	if !(ga < fifo) {
-		t.Errorf("global-age (%.1f) not better than FIFO (%.1f) at flit level", ga, fifo)
-	}
-	if !(ga < rr) {
-		t.Errorf("global-age (%.1f) not better than round-robin (%.1f) at flit level", ga, rr)
-	}
-	if !(rl < fifo*1.05) {
-		t.Errorf("RL-inspired (%.1f) much worse than FIFO (%.1f) at flit level", rl, fifo)
-	}
-}
-
-func TestArbiterNames(t *testing.T) {
-	for _, a := range []Arbiter{
-		FIFO{}, GlobalAge{}, NewRoundRobin(2),
-		Random{Rng: rand.New(rand.NewSource(1))},
-		NewRLInspired(core.NewRLInspiredMesh4x4()),
-	} {
-		if a.Name() == "" {
-			t.Errorf("%T empty name", a)
-		}
-	}
-}
-
 func TestInjectValidation(t *testing.T) {
-	e := New(Config{Width: 2, Height: 2, VCs: 1}, FIFO{})
+	e := New(Config{Width: 2, Height: 2, VCs: 1}, arb.NewFIFO())
 	for _, f := range []func(){
 		func() { e.Inject(0, 1, 0, 0) }, // zero flits
 		func() { e.Inject(0, 1, 5, 1) }, // class out of range
@@ -208,7 +148,7 @@ func TestEngineValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("nil arbiter accepted")
+				t.Error("nil policy accepted")
 			}
 		}()
 		New(Config{Width: 2, Height: 2}, nil)
@@ -219,6 +159,6 @@ func TestEngineValidation(t *testing.T) {
 				t.Error("zero-size mesh accepted")
 			}
 		}()
-		New(Config{}, FIFO{})
+		New(Config{}, arb.NewFIFO())
 	}()
 }

@@ -236,16 +236,6 @@ func (m Mesh) Build(policy noc.Policy) (*noc.Network, *Injector) {
 	return net, in
 }
 
-// Generated returns the number of messages generated so far.
-func (in *Injector) Generated() uint64 { return in.nextID }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // RunResult reports the measured phase of a synthetic-traffic run.
 type RunResult struct {
 	AvgLatency float64

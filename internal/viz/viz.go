@@ -204,13 +204,6 @@ func Series(xName string, xs []string, names []string, series [][]float64) strin
 	return Table(headers, rows)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // CSV renders headers and rows as comma-separated values. Cells containing
 // commas or quotes are quoted.
 func CSV(headers []string, rows [][]string) string {
