@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet vet-cross fmt bench-once verify serve-smoke clean
+.PHONY: build test test-nofma race vet vet-cross fmt bench-once verify clean
 
 build:
 	$(GO) build ./...
@@ -48,12 +48,6 @@ bench-once:
 
 # The PR gate: everything that must be green before merging.
 verify: fmt vet vet-cross build test test-nofma race bench-once
-
-# End-to-end check of the simulation daemon: start it on a loopback port,
-# submit a tiny deterministic sweep twice over real HTTP, require the second
-# submission to be a byte-identical cache hit, and check the health endpoints.
-serve-smoke:
-	$(GO) run ./cmd/simd -smoke
 
 clean:
 	$(GO) clean ./...

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	simd [-addr :8723] [-workers N] [-queue N] [-cache-entries N]
-//	     [-cache-dir DIR] [-watchdog N] [-smoke]
+//	     [-cache-dir DIR] [-watchdog N]
 //
 // Endpoints:
 //
@@ -23,20 +23,11 @@
 // The first SIGINT/SIGTERM drains gracefully (running jobs finish, queued
 // jobs are cancelled, new submissions get 503); a second signal cancels
 // running jobs too.
-//
-// -smoke starts the daemon on a loopback port, submits a tiny deterministic
-// sweep twice, verifies the second submission is a byte-identical cache hit,
-// checks /healthz, and exits — the self-contained end-to-end check used by
-// `make serve-smoke` and CI.
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
-	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -58,7 +49,6 @@ func main() {
 	cacheDir := flag.String("cache-dir", "", "spill results to this directory (survives restarts)")
 	watchdog := flag.Int64("watchdog", 0,
 		"attach a watchdog to every job's cells: flag head messages older than N cycles and N-cycle zero-delivery windows (0 = off)")
-	smoke := flag.Bool("smoke", false, "run the self-contained smoke check and exit")
 	var logCfg cliutil.LogConfig
 	cliutil.AddLogFlags(flag.CommandLine, &logCfg)
 	flag.Parse()
@@ -93,10 +83,6 @@ func main() {
 	}
 	srv := serve.New(cfg)
 
-	if *smoke {
-		os.Exit(runSmoke(srv))
-	}
-
 	ln, err := net.Listen("tcp", *addr)
 	if err != nil {
 		cliutil.Fatal("simd", "listen: %v", err)
@@ -124,146 +110,4 @@ func main() {
 	defer cancel()
 	_ = httpSrv.Shutdown(ctx)
 	log.Info("drained")
-}
-
-// smokeSpec is a deliberately tiny deterministic sweep: every workload in the
-// catalog at 10% load for a few hundred cycles — seconds of work, stable
-// output.
-const smokeSpec = `{"type":"sweep","sweep":{"experiment":"ablation"},` +
-	`"scale":{"op_scale":0.1,"warmup_cycles":200,"measure_cycles":400}}`
-
-// runSmoke drives the daemon end-to-end over real HTTP and real simulation:
-// submit the same job twice, require the second to be an instant cache hit
-// with a byte-identical payload, and check the health endpoints.
-func runSmoke(srv *serve.Server) int {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "smoke: listen: %v\n", err)
-		return 1
-	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
-	go func() { _ = httpSrv.Serve(ln) }()
-	defer httpSrv.Close()
-	base := "http://" + ln.Addr().String()
-
-	fail := func(format string, args ...any) int {
-		fmt.Fprintf(os.Stderr, "smoke: FAIL: "+format+"\n", args...)
-		return 1
-	}
-
-	for _, path := range []string{"/healthz", "/readyz"} {
-		code, body := httpGet(base + path)
-		if code != http.StatusOK {
-			return fail("%s: %d %s", path, code, body)
-		}
-	}
-
-	code, doc := submit(base)
-	if code != http.StatusAccepted {
-		return fail("first submit: code %d, want 202", code)
-	}
-	fmt.Printf("smoke: submitted %s (hash %.12s...), waiting\n", doc.ID, doc.Hash)
-	start := time.Now()
-	for {
-		code, st := status(base, doc.ID)
-		if code != http.StatusOK {
-			return fail("status %s: code %d", doc.ID, code)
-		}
-		if st.State == serve.StateDone {
-			break
-		}
-		if st.State == serve.StateFailed || st.State == serve.StateCancelled {
-			return fail("job ended %s: %s", st.State, st.Error)
-		}
-		if time.Since(start) > 2*time.Minute {
-			return fail("job still %s after %s", st.State, time.Since(start))
-		}
-		time.Sleep(100 * time.Millisecond)
-	}
-	fmt.Printf("smoke: %s done in %s\n", doc.ID, time.Since(start).Round(time.Millisecond))
-
-	_, first := httpGet(base + "/jobs/" + doc.ID + "/result")
-
-	code2, doc2 := submit(base)
-	if code2 != http.StatusOK {
-		return fail("second submit: code %d, want 200 (cached)", code2)
-	}
-	if !doc2.Cached {
-		return fail("second submission of the identical job was not served from cache")
-	}
-	_, second := httpGet(base + "/jobs/" + doc2.ID + "/result")
-	if !bytes.Equal(first, second) {
-		return fail("cache hit payload differs from the original result")
-	}
-	fmt.Printf("smoke: cache hit verified, %d-byte payload byte-identical\n", len(second))
-
-	code, metrics := httpGet(base + "/metrics")
-	if code != http.StatusOK {
-		return fail("/metrics: code %d", code)
-	}
-	// The exposition must lint against the strict parser and cover every
-	// subsystem: jobs, HTTP routes, pool, cache, watchdog.
-	if err := telemetry.Lint(string(metrics)); err != nil {
-		return fail("/metrics is not valid exposition text: %v\n%s", err, metrics)
-	}
-	for _, want := range []string{
-		"mlnoc_jobs_submitted_total 2",
-		`mlnoc_jobs_finished_total{state="done",type="sweep"} 2`,
-		"mlnoc_cache_hits_total 1",
-		"mlnoc_cache_misses_total 1",
-		"mlnoc_cache_evictions_total 0",
-		"mlnoc_cache_spills_total 0",
-		"mlnoc_pool_workers",
-		"mlnoc_queue_depth 0",
-		"mlnoc_draining 0",
-		`mlnoc_job_latency_seconds_count{type="sweep"} 1`,
-		`mlnoc_http_request_duration_seconds_count{route="submit"} 2`,
-		`mlnoc_watchdog_alerts_total{kind="starvation"} 0`,
-	} {
-		if !bytes.Contains(metrics, []byte(want)) {
-			return fail("/metrics missing %q:\n%s", want, metrics)
-		}
-	}
-	fmt.Println("smoke: /metrics lints and covers jobs, http, pool, cache, watchdog")
-
-	code, dash := httpGet(base + "/dashboard")
-	if code != http.StatusOK || !bytes.Contains(dash, []byte("<!DOCTYPE html>")) {
-		return fail("/dashboard: code %d, want 200 with HTML", code)
-	}
-	fmt.Printf("smoke: /dashboard served (%d bytes)\n", len(dash))
-	fmt.Println("smoke: PASS")
-	return 0
-}
-
-func submit(base string) (int, serve.StatusDoc) {
-	resp, err := http.Post(base+"/jobs", "application/json", bytes.NewReader([]byte(smokeSpec)))
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "smoke: submit: %v\n", err)
-		return 0, serve.StatusDoc{}
-	}
-	defer resp.Body.Close()
-	var doc serve.StatusDoc
-	_ = json.NewDecoder(resp.Body).Decode(&doc)
-	return resp.StatusCode, doc
-}
-
-func status(base, id string) (int, serve.StatusDoc) {
-	resp, err := http.Get(base + "/jobs/" + id)
-	if err != nil {
-		return 0, serve.StatusDoc{}
-	}
-	defer resp.Body.Close()
-	var doc serve.StatusDoc
-	_ = json.NewDecoder(resp.Body).Decode(&doc)
-	return resp.StatusCode, doc
-}
-
-func httpGet(url string) (int, []byte) {
-	resp, err := http.Get(url)
-	if err != nil {
-		return 0, []byte(err.Error())
-	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	return resp.StatusCode, body
 }

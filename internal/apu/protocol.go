@@ -105,8 +105,13 @@ type timedMsg struct {
 	p     pkt
 }
 
+// bankRepliesPerCycle is every bank's reply bandwidth: the most replies a
+// bank issues in one cycle.
+const bankRepliesPerCycle = 2
+
 // Bank is a cache or directory endpoint: it services incoming protocol
-// messages after a fixed latency, bounded by a per-cycle reply bandwidth.
+// messages after a fixed latency (in cycles, by bank kind), bounded by a
+// per-cycle reply bandwidth.
 type Bank struct {
 	Node  *noc.Node
 	Label string
@@ -114,9 +119,8 @@ type Bank struct {
 	sys  *System
 	quad *Quadrant
 
-	latency  int64
-	perCycle int
-	queue    []timedMsg
+	latency int64
+	queue   []timedMsg
 
 	// Handled counts protocol messages received by the bank.
 	Handled int64
@@ -126,13 +130,13 @@ func newBank(sys *System, node *noc.Node, label string, quad *Quadrant) *Bank {
 	b := &Bank{Node: node, Label: label, sys: sys, quad: quad}
 	switch label {
 	case "L2":
-		b.latency, b.perCycle = sys.Cfg.L2Latency, sys.Cfg.L2PerCycle
+		b.latency = 4
 	case "L1I":
-		b.latency, b.perCycle = sys.Cfg.L1ILatency, sys.Cfg.L2PerCycle
+		b.latency = 2
 	case "Dir":
-		b.latency, b.perCycle = sys.Cfg.DirLatency, sys.Cfg.DirPerCycle
+		b.latency = 30
 	case "LLC":
-		b.latency, b.perCycle = sys.Cfg.LLCLatency, sys.Cfg.L2PerCycle
+		b.latency = 8
 	default:
 		panic("apu: unknown bank label " + label)
 	}
@@ -202,7 +206,7 @@ func (b *Bank) sink(now int64, m *noc.Message) {
 // per-cycle bandwidth. Call once per cycle before Network.Step.
 func (b *Bank) Tick(now int64) {
 	sent := 0
-	for len(b.queue) > 0 && b.queue[0].ready <= now && sent < b.perCycle {
+	for len(b.queue) > 0 && b.queue[0].ready <= now && sent < bankRepliesPerCycle {
 		t := b.queue[0]
 		copy(b.queue, b.queue[1:])
 		b.queue = b.queue[:len(b.queue)-1]

@@ -59,12 +59,6 @@ type Config struct {
 	QuadSide int
 	// BufferCap is the per-VC input buffer capacity in messages.
 	BufferCap int
-	// L2Latency, L1ILatency, DirLatency and LLCLatency are bank service
-	// latencies in cycles.
-	L2Latency, L1ILatency, DirLatency, LLCLatency int64
-	// L2PerCycle and DirPerCycle bound how many replies a bank may issue per
-	// cycle (bank bandwidth).
-	L2PerCycle, DirPerCycle int
 }
 
 func (c *Config) applyDefaults() {
@@ -79,24 +73,6 @@ func (c *Config) applyDefaults() {
 		// most a couple of data messages — the regime where arbitration
 		// separates policies through HOL blocking and congestion trees.
 		c.BufferCap = 2
-	}
-	if c.L2Latency == 0 {
-		c.L2Latency = 4
-	}
-	if c.L1ILatency == 0 {
-		c.L1ILatency = 2
-	}
-	if c.DirLatency == 0 {
-		c.DirLatency = 30
-	}
-	if c.LLCLatency == 0 {
-		c.LLCLatency = 8
-	}
-	if c.L2PerCycle == 0 {
-		c.L2PerCycle = 2
-	}
-	if c.DirPerCycle == 0 {
-		c.DirPerCycle = 2
 	}
 }
 

@@ -25,28 +25,44 @@ func TestActiveSetInvarianceDegraded(t *testing.T) {
 		digest              uint64
 		injected, delivered int64
 		latencyBits         uint64
-		stats               Stats
+		stats               noc.FaultStats
 	}{
 		{name: "mesh", build: mesh,
 			digest: 0x34ee04c8088b1021, injected: 747, delivered: 747, latencyBits: 0x402f1f2fa2c8d31b,
-			stats: Stats{FaultStats: noc.FaultStats{LinksDown: 4, DowntimeCycles: 3364, Requeued: 6, Reroutes: 386},
-				LinkKills: 2, LinkOutages: 1, RouterFreezes: 1, Repairs: 1}},
+			stats: noc.FaultStats{LinksDown: 4, DowntimeCycles: 3364, Requeued: 6, Reroutes: 386}},
 		{name: "torus", build: torus,
 			digest: 0x45bcc507d827a754, injected: 747, delivered: 747, latencyBits: 0x402a98d896ca3206,
-			stats: Stats{FaultStats: noc.FaultStats{LinksDown: 4, DowntimeCycles: 3332, Requeued: 3, Reroutes: 286},
-				LinkKills: 2, LinkOutages: 1, RouterFreezes: 1, Repairs: 1}},
+			stats: noc.FaultStats{LinksDown: 4, DowntimeCycles: 3332, Requeued: 3, Reroutes: 286}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, cores := tc.build(4, 4, 2)
-			var plan Plan
-			plan.KillLink(net.RouterAt(1, 1).ID(), noc.PortEast, 100)
-			plan.KillLink(net.RouterAt(2, 2).ID(), noc.PortSouth, 100)
-			plan.Outage(net.RouterAt(0, 1).ID(), noc.PortEast, 150, 400)
-			plan.FreezeRouter(net.RouterAt(3, 0).ID(), 200, 350)
-			inj, err := (Spec{Plan: plan}).Equip(net)
-			if err != nil {
-				t.Fatalf("Equip: %v", err)
+			// Two kills at 100, an outage over [150,400) and a freeze over
+			// [200,350), each set at the end of the cycle before it takes
+			// effect and followed by a table rebuild.
+			rt := NewTableRouting(net)
+			net.SetRouting(rt)
+			link := func(r *noc.Router, p noc.PortID, down bool) {
+				net.SetLinkDown(r.ID(), p, down)
+				net.SetLinkDown(r.Neighbor(p).ID(), p.Opposite(), down)
 			}
+			net.AddOnCycle(func(net *noc.Network) {
+				switch net.Cycle() + 1 {
+				case 100:
+					link(net.RouterAt(1, 1), noc.PortEast, true)
+					link(net.RouterAt(2, 2), noc.PortSouth, true)
+				case 150:
+					link(net.RouterAt(0, 1), noc.PortEast, true)
+				case 200:
+					net.FreezeRouter(net.RouterAt(3, 0).ID(), true)
+				case 350:
+					net.FreezeRouter(net.RouterAt(3, 0).ID(), false)
+				case 400:
+					link(net.RouterAt(0, 1), noc.PortEast, false)
+				default:
+					return
+				}
+				rt.Rebuild()
+			})
 			trace := traceDeliveries(cores)
 			drive(net, cores, 31, 800)
 			h := fnv.New64a()
@@ -54,7 +70,7 @@ func TestActiveSetInvarianceDegraded(t *testing.T) {
 				h.Write([]byte(line))
 				h.Write([]byte{'\n'})
 			}
-			st, stats := net.Stats(), inj.Stats()
+			st, stats := net.Stats(), net.FaultStats()
 			latency := math.Float64bits(st.Latency.Mean())
 			if h.Sum64() != tc.digest || st.Injected != tc.injected || st.Delivered != tc.delivered ||
 				latency != tc.latencyBits || stats != tc.stats {

@@ -121,7 +121,7 @@ func TestTableRoutingRoutesAroundKills(t *testing.T) {
 
 // TestPartitionConservation splits a 2x1 mesh mid-run and checks the
 // accounting identity Injected == Delivered + Unreachable after drain: a
-// message stranded on the wrong side of a partition is evicted and reported,
+// message stranded on the wrong side of a partition is evicted and counted,
 // never silently lost.
 func TestPartitionConservation(t *testing.T) {
 	net, cores := mesh(2, 1, 1)
@@ -152,44 +152,6 @@ func TestPartitionConservation(t *testing.T) {
 	if s.Injected != s.Delivered+fs.Unreachable {
 		t.Fatalf("conservation broken: injected=%d delivered=%d unreachable=%d",
 			s.Injected, s.Delivered, fs.Unreachable)
-	}
-	if reps := inj.Reports(); len(reps) == 0 {
-		t.Fatal("no unreachable reports retained")
-	}
-}
-
-// TestTransientOutage checks outage scheduling and the per-link downtime
-// ledger: the link is down exactly during [from, to) and traffic resumes
-// afterwards.
-func TestTransientOutage(t *testing.T) {
-	net, cores := mesh(2, 1, 1)
-	var plan Plan
-	plan.Outage(0, noc.PortEast, 10, 30)
-	inj, err := (Spec{Plan: plan}).Equip(net)
-	if err != nil {
-		t.Fatalf("Equip: %v", err)
-	}
-	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(60)
-	net.Drain(100)
-	if net.Stats().Delivered != 1 {
-		t.Fatalf("delivered %d, want 1 after outage ended", net.Stats().Delivered)
-	}
-	down := inj.Downtime()
-	fwd := down[Link{Router: 0, Port: noc.PortEast}]
-	rev := down[Link{Router: 1, Port: noc.PortWest}]
-	if fwd != 20 || rev != 20 {
-		t.Fatalf("per-link downtime = %d/%d cycles, want 20/20", fwd, rev)
-	}
-	fs := inj.Stats()
-	if fs.DowntimeCycles != 40 {
-		t.Fatalf("aggregate DowntimeCycles = %d, want 40 (2 directed links x 20)", fs.DowntimeCycles)
-	}
-	if fs.LinkOutages != 1 || fs.Repairs != 1 {
-		t.Fatalf("outages=%d repairs=%d, want 1/1", fs.LinkOutages, fs.Repairs)
-	}
-	if fs.LinksDown != 0 {
-		t.Fatalf("LinksDown = %d after repair, want 0", fs.LinksDown)
 	}
 }
 
@@ -226,33 +188,6 @@ func TestWestFirstRouting(t *testing.T) {
 	net.Run(10)
 	if net.FaultStats().Unreachable != 1 {
 		t.Fatalf("Unreachable = %d, want 1 (west-first cannot detour westbound)", net.FaultStats().Unreachable)
-	}
-}
-
-// TestHazardDeterminism runs the stochastic hazard process twice with the
-// same seed and once with a different seed.
-func TestHazardDeterminism(t *testing.T) {
-	run := func(seed int64) (Stats, int64) {
-		net, cores := mesh(4, 4, 2)
-		spec := Spec{Hazard: Hazard{Rate: 0.02, Repair: 40}, Seed: seed}
-		inj, err := spec.Equip(net)
-		if err != nil {
-			t.Fatalf("Equip: %v", err)
-		}
-		drive(net, cores, 11, 500)
-		return inj.Stats(), net.Stats().Delivered
-	}
-	a, da := run(5)
-	b, db := run(5)
-	if a != b || da != db {
-		t.Fatalf("same seed diverged:\n%+v (delivered %d)\n%+v (delivered %d)", a, da, b, db)
-	}
-	if a.HazardOutages == 0 {
-		t.Fatal("hazard process raised no outages at rate 0.02 over 500+ cycles")
-	}
-	c, _ := run(6)
-	if c == a {
-		t.Fatal("different seeds produced identical fault histories")
 	}
 }
 
@@ -316,19 +251,9 @@ func TestPlanValidate(t *testing.T) {
 			p.KillLink(0, noc.PortWest, 0)
 			return p
 		}},
-		{"outage ends before start", func() Plan {
-			var p Plan
-			p.Outage(0, noc.PortEast, 30, 10)
-			return p
-		}},
 		{"negative start", func() Plan {
 			var p Plan
 			p.KillLink(0, noc.PortEast, -5)
-			return p
-		}},
-		{"freeze ends before start", func() Plan {
-			var p Plan
-			p.FreezeRouter(1, 20, 5)
 			return p
 		}},
 	}
@@ -339,47 +264,39 @@ func TestPlanValidate(t *testing.T) {
 	}
 	var ok Plan
 	ok.KillLink(0, noc.PortEast, 10)
-	ok.Outage(1, noc.PortWest, 5, 25)
-	ok.FreezeRouter(3, 10, 0)
+	ok.KillLink(3, noc.PortWest, 5)
 	if err := ok.Validate(net); err != nil {
 		t.Errorf("valid plan rejected: %v", err)
 	}
-	if _, err := Attach(net, Config{Plan: func() Plan {
-		var p Plan
-		p.KillLink(99, noc.PortEast, 0)
-		return p
-	}()}); err == nil {
-		t.Error("Attach accepted invalid plan")
-	}
-	if _, err := Attach(net, Config{Hazard: Hazard{Rate: 0.5}}); err == nil {
-		t.Error("Attach accepted hazard without RNG")
-	}
-	if _, err := Attach(net, Config{Hazard: Hazard{Rate: 2}}); err == nil {
-		t.Error("Attach accepted hazard rate > 1")
+	var bad Plan
+	bad.KillLink(99, noc.PortEast, 0)
+	if _, err := (Spec{Plan: bad}).Equip(net); err == nil {
+		t.Error("Equip accepted invalid plan")
 	}
 }
 
-// TestRouterFreezeEvent checks freeze scheduling end to end through the
-// injector.
-func TestRouterFreezeEvent(t *testing.T) {
-	net, cores := mesh(2, 1, 1)
+// TestKillTakesEffectAtItsCycle pins the timing rule: a kill scheduled for
+// cycle A is in force during cycle A's arbitration, and not before. A hook
+// registered ahead of the injector sees the state each cycle ran with.
+func TestKillTakesEffectAtItsCycle(t *testing.T) {
+	net, _ := mesh(2, 1, 1)
+	down, downtime := []int64{0}, []int64{0} // indexed by cycle
+	net.AddOnCycle(func(net *noc.Network) {
+		fs := net.FaultStats()
+		down, downtime = append(down, fs.LinksDown), append(downtime, fs.DowntimeCycles)
+	})
 	var plan Plan
-	plan.FreezeRouter(0, 1, 40)
-	inj, err := Attach(net, Config{Plan: plan})
-	if err != nil {
-		t.Fatalf("Attach: %v", err)
+	plan.KillLink(0, noc.PortEast, 10)
+	if _, err := (Spec{Plan: plan}).Equip(net); err != nil {
+		t.Fatalf("Equip: %v", err)
 	}
-	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(30)
-	if net.Stats().Delivered != 0 {
-		t.Fatal("frozen router forwarded a message")
+	net.Run(20)
+	if down[9] != 0 || down[10] != 2 {
+		t.Fatalf("LinksDown after cycles 9 and 10 = %d, %d; want 0, 2", down[9], down[10])
 	}
-	net.Run(30)
-	net.Drain(100)
-	if net.Stats().Delivered != 1 {
-		t.Fatalf("delivered %d after thaw, want 1", net.Stats().Delivered)
-	}
-	if fs := inj.Stats(); fs.RouterFreezes != 1 || fs.FrozenRouters != 0 {
-		t.Fatalf("freezes=%d frozen-now=%d, want 1/0", fs.RouterFreezes, fs.FrozenRouters)
+	for c := int64(1); c <= 20; c++ {
+		if want := 2 * max(0, c-9); downtime[c] != want {
+			t.Fatalf("DowntimeCycles after cycle %d = %d, want %d", c, downtime[c], want)
+		}
 	}
 }

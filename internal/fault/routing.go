@@ -67,8 +67,8 @@ func (t *TableRouting) Name() string { return "table" }
 
 // Rebuild recomputes the routing from the network's current link state: X-Y
 // by geometry while every link is healthy, the deadlock-free up*/down*
-// tables once any link is down. The Injector calls it on every fault-state
-// change. The tables cost two linear sweeps over the routers per
+// tables once any link is down. The Injector calls it after every cycle that
+// killed a link. The tables cost two linear sweeps over the routers per
 // destination, O(routers^2) in all.
 func (t *TableRouting) Rebuild() {
 	if t.allHealthy() {

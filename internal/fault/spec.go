@@ -4,21 +4,19 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 
 	"mlnoc/internal/noc"
 	"mlnoc/internal/xrand"
 )
 
 // Link identifies a directed link by its upstream router and output port. In
-// undirected contexts (MeshLinks, the hazard process) links are canonicalized
-// to their east- or south-facing direction.
+// undirected contexts (MeshLinks) links are canonicalized to their east- or
+// south-facing direction.
 type Link struct {
 	Router int
 	Port   noc.PortID
 }
-
-// String implements fmt.Stringer.
-func (l Link) String() string { return fmt.Sprintf("router#%d.%s", l.Router, l.Port) }
 
 // MeshLinks enumerates the undirected router-to-router mesh links of the
 // network in canonical form (east and south ports only), in deterministic
@@ -111,12 +109,12 @@ func connectedWithout(net *noc.Network, links []Link, killed map[Link]bool) bool
 }
 
 // Spec is the one-struct description of a fault scenario used by the CLIs and
-// experiment sweeps: an explicit plan, an optional random kill wave, and an
-// optional stochastic hazard, all reproducible from Seed. The zero value is
-// the all-healthy scenario (which still installs fault-aware routing, so
-// equipping it must not change results — the regression tests pin this).
+// experiment sweeps: an explicit plan plus an optional random kill wave,
+// reproducible from Seed. The zero value is the all-healthy scenario (which
+// still installs fault-aware routing, so equipping it must not change
+// results — the regression tests pin this).
 type Spec struct {
-	// Plan is an explicit fault schedule, applied as given.
+	// Plan is an explicit kill schedule, applied as given.
 	Plan Plan
 	// KillFraction, if positive, kills that fraction of the mesh's undirected
 	// links at cycle KillAt, chosen connectivity-preservingly at random from
@@ -124,32 +122,33 @@ type Spec struct {
 	KillFraction float64
 	// KillAt is the cycle the random kill wave lands.
 	KillAt int64
-	// Hazard optionally layers stochastic transient outages on top.
-	Hazard Hazard
-	// Seed seeds the RNG behind KillFraction and Hazard.
+	// Seed seeds the RNG behind KillFraction.
 	Seed int64
 }
 
-// Equip installs the fault scenario on net: fault-aware table routing
-// (rebuilt on every fault event) plus an Injector applying the spec's plan,
-// random kill wave, and hazard. It returns the injector for stats and
-// reports.
+// Equip installs the fault scenario on net: fault-aware table routing plus an
+// Injector applying the spec's plan and random kill wave, each kill in force
+// from its cycle's arbitration on and followed by a table rebuild. It returns
+// the injector for stats.
 func (s Spec) Equip(net *noc.Network) (*Injector, error) {
-	rng := xrand.New(s.Seed)
-	plan := s.Plan.Clone()
+	plan := Plan{Events: append([]Event(nil), s.Plan.Events...)}
 	if s.KillFraction != 0 {
-		kills, err := RandomLinkKills(net, s.KillFraction, s.KillAt, rng)
+		kills, err := RandomLinkKills(net, s.KillFraction, s.KillAt, xrand.New(s.Seed))
 		if err != nil {
 			return nil, err
 		}
 		plan.Events = append(plan.Events, kills.Events...)
 	}
+	if err := plan.Validate(net); err != nil {
+		return nil, err
+	}
 	rt := NewTableRouting(net)
 	net.SetRouting(rt)
-	return Attach(net, Config{
-		Plan:     plan,
-		Hazard:   s.Hazard,
-		RNG:      rng,
-		OnChange: func(int64) { rt.Rebuild() },
-	})
+	// Kills already due (at or before the next cycle) apply now, the rest
+	// from the OnCycle hook.
+	in := &Injector{net: net, rt: rt, kills: plan.Events}
+	sort.SliceStable(in.kills, func(i, j int) bool { return in.kills[i].From < in.kills[j].From })
+	in.advance(net.Cycle() + 1)
+	net.AddOnCycle(in.onCycle)
+	return in, nil
 }

@@ -76,25 +76,38 @@ func TestLinkDownRequeuesInFlight(t *testing.T) {
 	}
 }
 
+// evictionObserver records the unreachable evictions of its FaultObserver
+// stream.
+type evictionObserver struct {
+	evictions int
+	router    int
+	dst       NodeID
+}
+
+func (*evictionObserver) ObserveInject(int64, *Node, *Message)            {}
+func (*evictionObserver) ObserveGrant(int64, *Router, PortID, Candidate)  {}
+func (*evictionObserver) ObserveDeliver(int64, *Node, *Message)           {}
+func (*evictionObserver) ObserveRequeue(int64, *Router, PortID, *Message) {}
+func (o *evictionObserver) ObserveUnreachable(_ int64, r *Router, m *Message) {
+	o.evictions++
+	o.router, o.dst = r.ID(), m.Dst
+}
+
 func TestUnreachableEviction(t *testing.T) {
 	net, cores := buildMesh(t, 2, 2, 1)
 	net.SetPolicy(firstPolicy{})
 	net.SetRouting(stubRouting{fn: func(r *Router, m *Message) PortID {
 		return RouteUnreachable
 	}})
-	var gotRouter, gotDst int
-	evictions := 0
-	net.SetUnreachableHandler(func(now int64, r *Router, m *Message) {
-		evictions++
-		gotRouter, gotDst = r.ID(), int(m.Dst)
-	})
+	ob := &evictionObserver{}
+	net.AddObserver(ob)
 	cores[0].Inject(&Message{ID: 1, Dst: cores[3].ID, SizeFlits: 1})
 	net.Run(3)
-	if evictions != 1 {
-		t.Fatalf("unreachable handler ran %d times, want 1", evictions)
+	if ob.evictions != 1 {
+		t.Fatalf("ObserveUnreachable ran %d times, want 1", ob.evictions)
 	}
-	if gotRouter != 0 || gotDst != int(cores[3].ID) {
-		t.Fatalf("evicted at router %d for dst %d, want router 0 dst %d", gotRouter, gotDst, cores[3].ID)
+	if ob.router != 0 || ob.dst != cores[3].ID {
+		t.Fatalf("evicted at router %d for dst %d, want router 0 dst %d", ob.router, ob.dst, cores[3].ID)
 	}
 	fs := net.FaultStats()
 	if fs.Unreachable != 1 {

@@ -35,13 +35,6 @@ func (n *Network) Faulty() bool { return n.faulty }
 // FaultStats returns a copy of the accumulated fault counters.
 func (n *Network) FaultStats() FaultStats { return n.fstats }
 
-// SetUnreachableHandler installs f to run whenever the engine evicts a
-// message whose route is an unreachable verdict. The previous handler (if
-// any) is replaced. f runs inside Network.Step and must not call Step.
-func (n *Network) SetUnreachableHandler(f func(now int64, r *Router, m *Message)) {
-	n.onUnreachable = f
-}
-
 // SetLinkDown sets the state of the directed link leaving router rid through
 // port p. Taking a link down removes it from arbitration — the output
 // accepts no further grants and, being unable to deliver, effectively
@@ -203,9 +196,6 @@ func (n *Network) evictHead(r *Router, buf *Buffer) {
 	n.inflightCount--
 	n.inflightBase -= m.InjectCycle
 	n.inflightBySrc[m.Src]--
-	if n.onUnreachable != nil {
-		n.onUnreachable(n.cycle, r, m)
-	}
 	if len(n.faultObs) > 0 {
 		n.observeUnreachable(r, m)
 	}

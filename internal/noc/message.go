@@ -22,8 +22,6 @@ const (
 	TypeRequest MsgType = iota
 	TypeResponse
 	TypeCoherence
-
-	NumMsgTypes = 3
 )
 
 // String implements fmt.Stringer.
@@ -48,8 +46,6 @@ const (
 	DstCore DstType = iota
 	DstCache
 	DstMemory
-
-	NumDstTypes = 3
 )
 
 // String implements fmt.Stringer.

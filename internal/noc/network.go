@@ -8,6 +8,9 @@ import (
 	"mlnoc/internal/stats"
 )
 
+// MaxFlits bounds message size; the delivery wheel is sized from it.
+const MaxFlits = 32
+
 // Config describes a mesh network.
 type Config struct {
 	// Width and Height are the mesh dimensions in routers.
@@ -16,9 +19,6 @@ type Config struct {
 	VCs int
 	// BufferCap is the per-VC input buffer capacity in messages.
 	BufferCap int
-	// MaxFlits bounds message size; the delivery wheel is sized from it.
-	// Defaults to 32.
-	MaxFlits int
 	// Torus closes both dimensions into rings: every router gets wraparound
 	// links (east of column Width-1 connects to column 0, south of row
 	// Height-1 to row 0), turning the mesh into a 2D torus. Requires Width
@@ -32,9 +32,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.BufferCap <= 0 {
 		c.BufferCap = 4
-	}
-	if c.MaxFlits <= 0 {
-		c.MaxFlits = 32
 	}
 }
 
@@ -92,9 +89,8 @@ type Network struct {
 	routing Routing // nil means built-in X-Y routing
 
 	// fault layer (see faultstate.go); zero-cost while faulty is false.
-	faulty        bool
-	fstats        FaultStats
-	onUnreachable func(now int64, r *Router, m *Message)
+	faulty bool
+	fstats FaultStats
 
 	observers []Observer      // engine instrumentation (see observe.go)
 	arbObs    []ArbObserver   // observers that also watch whole arbitrations
@@ -185,8 +181,8 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{
 		cfg:         cfg,
-		wheel:       make([][]delivery, cfg.MaxFlits+2),
-		busyRelease: make([]int, cfg.MaxFlits+2),
+		wheel:       make([][]delivery, MaxFlits+2),
+		busyRelease: make([]int, MaxFlits+2),
 		vcMask:      1<<cfg.VCs - 1,
 	}
 	for p := 0; p < MaxPorts; p++ {
@@ -475,7 +471,7 @@ func (n *Network) schedule(delay int64, d delivery) int {
 	if delay >= int64(len(n.wheel)) {
 		panic(fmt.Sprintf(
 			"noc: delivery delay %d does not fit the %d-slot wheel (MaxFlits=%d; message %s has %d flits)",
-			delay, len(n.wheel), n.cfg.MaxFlits, d.msg, d.msg.SizeFlits))
+			delay, len(n.wheel), MaxFlits, d.msg, d.msg.SizeFlits))
 	}
 	slot := n.slot + int(delay)
 	if slot >= len(n.wheel) {

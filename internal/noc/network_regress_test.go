@@ -91,14 +91,14 @@ func TestLinkUtilizationMatchesRecount(t *testing.T) {
 
 	totalOutputs := 0
 	for _, r := range net.Routers() {
-		totalOutputs += r.NumPorts()
+		totalOutputs += r.nPorts
 	}
 	net.OnCycle = func(n *Network) {
 		now := n.Cycle()
 		busy := 0
 		for _, r := range n.Routers() {
 			for p := PortID(0); p < MaxPorts; p++ {
-				if r.HasPort(p) && r.OutputBusy(p, now) {
+				if r.HasPort(p) && r.outBusyUntil[p] > now {
 					busy++
 				}
 			}
@@ -198,18 +198,18 @@ func TestObserverSeesAllEvents(t *testing.T) {
 // message: an over-length delay must be reported as a delay/wheel mismatch
 // with the actual numbers, not as a generic flit-count complaint.
 func TestSchedulePanicReportsDelay(t *testing.T) {
-	net, nodes := BuildMeshCores(Config{Width: 2, Height: 2, VCs: 1, BufferCap: 2, MaxFlits: 4})
+	net, nodes := BuildMeshCores(Config{Width: 2, Height: 2, VCs: 1, BufferCap: 2})
 	net.SetPolicy(orderPolicy{})
-	// 9 flits exceed MaxFlits=4: the serialization delay overruns the 6-slot
-	// delivery wheel at the first grant.
-	nodes[0].Inject(&Message{ID: 1, Dst: nodes[3].ID, SizeFlits: 9})
+	// 40 flits exceed MaxFlits=32: the serialization delay overruns the
+	// 34-slot delivery wheel at the first grant.
+	nodes[0].Inject(&Message{ID: 1, Dst: nodes[3].ID, SizeFlits: 40})
 	defer func() {
 		r := recover()
 		if r == nil {
 			t.Fatal("over-length delay did not panic")
 		}
 		msg := fmt.Sprint(r)
-		for _, want := range []string{"delay 9", "6-slot wheel", "MaxFlits=4", "9 flits"} {
+		for _, want := range []string{"delay 40", "34-slot wheel", "MaxFlits=32", "40 flits"} {
 			if !strings.Contains(msg, want) {
 				t.Fatalf("panic %q does not mention %q", msg, want)
 			}

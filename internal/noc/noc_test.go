@@ -34,12 +34,12 @@ func TestMeshWiring(t *testing.T) {
 		t.Fatalf("got %d routers, %d cores", len(net.Routers()), len(cores))
 	}
 	r := net.RouterAt(1, 1) // interior: core + 4 directions
-	if r.NumPorts() != 5 {
-		t.Fatalf("interior router has %d ports, want 5", r.NumPorts())
+	if r.nPorts != 5 {
+		t.Fatalf("interior router has %d ports, want 5", r.nPorts)
 	}
 	corner := net.RouterAt(0, 0)
-	if corner.NumPorts() != 3 { // core, south, east
-		t.Fatalf("corner router has %d ports, want 3", corner.NumPorts())
+	if corner.nPorts != 3 { // core, south, east
+		t.Fatalf("corner router has %d ports, want 3", corner.nPorts)
 	}
 	if corner.Neighbor(PortNorth) != nil || corner.Neighbor(PortWest) != nil {
 		t.Fatal("corner router has neighbors off the mesh edge")
@@ -104,7 +104,7 @@ func TestAttachNodeOnFreeEdgePort(t *testing.T) {
 	if n.Router != net.RouterAt(0, 0) || n.Port != PortNorth {
 		t.Fatalf("node attached at wrong place: %v", n)
 	}
-	if net.RouterAt(0, 0).AttachedNode(PortNorth) != n {
+	if net.RouterAt(0, 0).peerNode[PortNorth] != n {
 		t.Fatal("router does not know about the attached node")
 	}
 }

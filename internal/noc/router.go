@@ -225,7 +225,7 @@ type Router struct {
 	actWord int
 	actMask uint64
 
-	nPorts int // number of connected ports (for stats/diagnostics)
+	nPorts int // number of connected ports (for String)
 }
 
 // ID returns the router's dense index within its network.
@@ -237,14 +237,8 @@ func (r *Router) HasPort(p PortID) bool {
 	return r.peerRouter[p] != nil || r.peerNode[p] != nil
 }
 
-// NumPorts returns the number of connected ports.
-func (r *Router) NumPorts() int { return r.nPorts }
-
 // Neighbor returns the router connected at direction port p, or nil.
 func (r *Router) Neighbor(p PortID) *Router { return r.peerRouter[p] }
-
-// AttachedNode returns the node attached at port p, or nil.
-func (r *Router) AttachedNode(p PortID) *Node { return r.peerNode[p] }
 
 // Buffer returns the input buffer for (port, vc), or nil if the port is not
 // connected.
@@ -257,12 +251,6 @@ func (r *Router) Buffer(p PortID, vc int) *Buffer {
 
 // NumVCs returns the number of virtual channels per port.
 func (r *Router) NumVCs() int { return r.net.cfg.VCs }
-
-// OutputBusy reports whether output port p is still serializing a previously
-// granted message at the given cycle.
-func (r *Router) OutputBusy(p PortID, now int64) bool {
-	return r.outBusyUntil[p] > now
-}
 
 // ForwardedThisCycle reports whether input port p forwarded a message during
 // the given cycle. After arbitration (e.g. inside an OnCycle hook), a queued

@@ -4,7 +4,7 @@ package noc
 // implementation returns when no admissible healthy path to the destination
 // exists from the queried router. The engine evicts a head message whose
 // route is RouteUnreachable from its buffer, counts it in FaultStats, and
-// reports it through the unreachable handler — messages are never silently
+// reports it to every FaultObserver — messages are never silently
 // blackholed.
 const RouteUnreachable PortID = -1
 

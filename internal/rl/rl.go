@@ -336,16 +336,17 @@ func (k RewardKind) String() string {
 // global rewards train poorly.
 type RewardTracker struct {
 	Kind RewardKind
-	// Period is the sampling period in cycles for RewardAccLatency
-	// (paper: e.g. 10 cycles).
-	Period int64
 
 	current float64
 }
 
+// rewardPeriod is RewardAccLatency's sampling period in cycles (paper: e.g.
+// 10 cycles).
+const rewardPeriod = 10
+
 // NewRewardTracker creates a tracker for the given reward kind.
 func NewRewardTracker(kind RewardKind) *RewardTracker {
-	return &RewardTracker{Kind: kind, Period: 10}
+	return &RewardTracker{Kind: kind}
 }
 
 // OnCycle refreshes period-based rewards; call it once per simulated cycle.
@@ -354,7 +355,7 @@ func (t *RewardTracker) OnCycle(n *noc.Network) {
 	case RewardLinkUtil:
 		t.current = n.LinkUtilization()
 	case RewardAccLatency:
-		if n.Cycle()%t.Period != 0 {
+		if n.Cycle()%rewardPeriod != 0 {
 			return
 		}
 		sum, count := n.TakeDeliveryWindow()

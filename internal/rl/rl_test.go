@@ -579,19 +579,22 @@ func TestRewardLinkUtil(t *testing.T) {
 func TestRewardAccLatencyPeriodic(t *testing.T) {
 	net := buildLoadedNet(t)
 	tr := NewRewardTracker(RewardAccLatency)
-	tr.Period = 1 // refresh every cycle for the test
-	for i := 0; i < 12; i++ {
+	for i := 0; i < 20; i++ { // two sampling periods
 		net.Step()
 		tr.OnCycle(net)
 	}
 	if tr.current <= 0 || tr.current > 1 {
 		t.Fatalf("acc-latency reward = %v, want in (0,1]", tr.current)
 	}
-	// Idle network: reward goes to the no-traffic value of 1.
+	// Idle network: at its next sample the reward goes to the no-traffic
+	// value of 1.
 	net.Drain(100)
 	net.TakeDeliveryWindow()
-	net.Step()
-	tr.OnCycle(net)
+	for done := false; !done; {
+		net.Step()
+		tr.OnCycle(net)
+		done = net.Cycle()%rewardPeriod == 0
+	}
 	if tr.current != 1 {
 		t.Fatalf("idle acc-latency reward = %v, want 1", tr.current)
 	}

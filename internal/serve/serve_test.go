@@ -6,6 +6,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -484,7 +485,7 @@ func TestStreamEvents(t *testing.T) {
 	}
 }
 
-// /metrics exposes the counters the smoke test greps for.
+// /metrics exposes the counters TestEndToEndTinySweep checks.
 func TestMetricsRender(t *testing.T) {
 	var runs atomic.Int64
 	s := New(Config{Workers: 1, Runner: countingRunner(&runs)})
@@ -594,39 +595,117 @@ func TestCacheDiskSpillAcrossRestart(t *testing.T) {
 	}
 }
 
-// End-to-end over the real engine: a tiny ablation sweep through Execute,
-// twice, must cache-hit with byte-identical output. This is the in-process
-// version of the CI smoke test.
+// TestEndToEndTinySweep drives the daemon end to end over a real loopback
+// listener and a real simulation: the health endpoints, a tiny deterministic
+// sweep submitted twice (the second answered from the cache with a
+// byte-identical payload), /metrics linting and covering jobs, HTTP routes,
+// pool, cache and watchdog, and the dashboard.
 func TestEndToEndTinySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (tiny) simulation sweep")
 	}
 	s := New(Config{Workers: 1})
 	defer s.Drain()
-	h := s.Handler()
+	srv := httptest.NewServer(s.Handler())
+	defer srv.Close()
+	fetch := func(method, path, body string) (int, []byte) {
+		t.Helper()
+		req, err := http.NewRequest(method, srv.URL+path, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := srv.Client().Do(req)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		defer resp.Body.Close()
+		b, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatalf("%s %s: %v", method, path, err)
+		}
+		return resp.StatusCode, b
+	}
+	status := func(method, path, body string) (int, StatusDoc) {
+		t.Helper()
+		code, b := fetch(method, path, body)
+		var doc StatusDoc
+		if err := json.Unmarshal(b, &doc); err != nil {
+			t.Fatalf("%s %s: code %d, body %q: %v", method, path, code, b, err)
+		}
+		return code, doc
+	}
+
+	for _, path := range []string{"/healthz", "/readyz"} {
+		if code, body := fetch("GET", path, ""); code != http.StatusOK {
+			t.Fatalf("%s: %d %s", path, code, body)
+		}
+	}
 
 	spec := `{"type":"sweep","sweep":{"experiment":"ablation"},"scale":{"op_scale":0.1,"warmup_cycles":200,"measure_cycles":400}}`
-	code, doc := postJob(t, h, spec)
+	code, doc := status("POST", "/jobs", spec)
 	if code != http.StatusAccepted {
-		t.Fatalf("submit: code %d", code)
+		t.Fatalf("first submit: code %d, want 202", code)
 	}
-	waitState(t, s.lookup(doc.ID), StateDone)
-	first := get(h, "/jobs/"+doc.ID+"/result")
+	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
+		code, st := status("GET", "/jobs/"+doc.ID, "")
+		if code != http.StatusOK {
+			t.Fatalf("status %s: code %d", doc.ID, code)
+		}
+		if st.State == StateDone {
+			break
+		}
+		if st.State == StateFailed || st.State == StateCancelled {
+			t.Fatalf("job ended %s: %s", st.State, st.Error)
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("job still %s after 2m", st.State)
+		}
+	}
+	_, first := fetch("GET", "/jobs/"+doc.ID+"/result", "")
 
 	var res resultDoc
-	if err := json.Unmarshal(first.Body.Bytes(), &res); err != nil {
+	if err := json.Unmarshal(first, &res); err != nil {
 		t.Fatalf("result payload: %v", err)
 	}
 	if res.Rendered == "" || res.CSV["ablation.csv"] == "" {
 		t.Fatal("result payload missing rendered table or CSV")
 	}
 
-	code2, doc2 := postJob(t, h, spec)
+	code2, doc2 := status("POST", "/jobs", spec)
 	if code2 != http.StatusOK || !doc2.Cached {
 		t.Fatalf("second identical sweep not cached (code %d)", code2)
 	}
-	second := get(h, "/jobs/"+doc2.ID+"/result")
-	if !bytes.Equal(first.Body.Bytes(), second.Body.Bytes()) {
+	if _, second := fetch("GET", "/jobs/"+doc2.ID+"/result", ""); !bytes.Equal(first, second) {
 		t.Fatal("real sweep results not byte-identical across cache hit")
+	}
+
+	code, metrics := fetch("GET", "/metrics", "")
+	if code != http.StatusOK {
+		t.Fatalf("/metrics: code %d", code)
+	}
+	if err := telemetry.Lint(string(metrics)); err != nil {
+		t.Fatalf("/metrics is not valid exposition text: %v\n%s", err, metrics)
+	}
+	for _, want := range []string{
+		"mlnoc_jobs_submitted_total 2",
+		`mlnoc_jobs_finished_total{state="done",type="sweep"} 2`,
+		"mlnoc_cache_hits_total 1",
+		"mlnoc_cache_misses_total 1",
+		"mlnoc_cache_evictions_total 0",
+		"mlnoc_cache_spills_total 0",
+		"mlnoc_pool_workers",
+		"mlnoc_queue_depth 0",
+		"mlnoc_draining 0",
+		`mlnoc_job_latency_seconds_count{type="sweep"} 1`,
+		`mlnoc_http_request_duration_seconds_count{route="submit"} 2`,
+		`mlnoc_watchdog_alerts_total{kind="starvation"} 0`,
+	} {
+		if !bytes.Contains(metrics, []byte(want)) {
+			t.Fatalf("/metrics missing %q:\n%s", want, metrics)
+		}
+	}
+
+	if code, dash := fetch("GET", "/dashboard", ""); code != http.StatusOK || !bytes.Contains(dash, []byte("<!DOCTYPE html>")) {
+		t.Fatalf("/dashboard: code %d, want 200 with HTML", code)
 	}
 }

@@ -316,7 +316,3 @@ func (t *Tracer) Events() []Event {
 	out = append(out, t.ring[:t.next]...)
 	return out
 }
-
-// VCs returns the virtual-channel count of the traced network, needed to
-// decode Competing bitmasks.
-func (t *Tracer) VCs() int { return t.vcs }
