@@ -542,3 +542,29 @@ func TestNewRunnerDoesNotAllocateStreams(t *testing.T) {
 		t.Errorf("NewRunner on a live system allocates %d bytes, want under 1 KB", perRun)
 	}
 }
+
+// TestEpisodeAllocationBudget builds a system and runs one short bfs episode
+// on it, the apu_infer benchmark's episode under global-age. Each of its 140
+// streams draws fewer than 274 times, so none allocates an xrand register:
+// the episode allocates about 575 KB, where a 4.9 KB register per stream
+// made it about 1 260 KB.
+func TestEpisodeAllocationBudget(t *testing.T) {
+	model, err := synfull.ByName("bfs")
+	if err != nil {
+		t.Fatal(err)
+	}
+	models := Homogeneous(model)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	sys := NewSystem(Config{}, 18)
+	sys.Net.SetPolicy(arb.NewGlobalAge())
+	finished := NewRunner(sys, models, RunnerConfig{OpScale: 0.01, Seed: 17}).Run()
+	runtime.ReadMemStats(&after)
+	if !finished {
+		t.Fatal("did not finish")
+	}
+	const budget = 700 << 10
+	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
+		t.Errorf("one episode allocates %d KB, want under %d KB", got>>10, budget>>10)
+	}
+}

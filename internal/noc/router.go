@@ -194,8 +194,10 @@ type Router struct {
 	// outBusyUntil[p] is the first cycle at which output port p is free.
 	outBusyUntil [MaxPorts]int64
 
-	// inGrantedAt[p] is the last cycle input port p forwarded a message,
-	// enforcing the one-message-per-input-port-per-cycle constraint.
+	// inGrantedAt[p] is the last cycle input port p forwarded a message, or
+	// -1; ForwardedThisCycle reads it (obs counts blocked cycles with it).
+	// The one-grant-per-input-port rule is enforced per cycle by granted in
+	// arbitrateRouter and usedIn in matchAndApply, not by this record.
 	inGrantedAt [MaxPorts]int64
 
 	// linkDown[p] marks the outgoing link at port p as failed: the output

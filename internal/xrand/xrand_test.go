@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"strconv"
 	"testing"
 )
 
@@ -64,20 +65,25 @@ func TestMatchesMathRand(t *testing.T) {
 	}
 }
 
+// TestReseedInPlaceEqualsFresh re-seeds a Source that has drawn nothing, one
+// part way into its lazy draws and one whose register holds the state, and
+// holds each to a new Source's stream for two register lengths.
 func TestReseedInPlaceEqualsFresh(t *testing.T) {
-	var used Source
-	used.Seed(99)
-	for i := 0; i < 1234; i++ { // leaves tap and feed mid-register
-		used.Uint64()
-	}
-	for _, seed := range edgeSeeds {
-		var fresh Source
-		fresh.Seed(seed)
-		used.Seed(seed)
-		if used != fresh {
-			t.Fatalf("seed %d: a re-seeded Source differs from a new one", seed)
+	for _, taken := range []int{0, 100, 1234} {
+		for _, seed := range edgeSeeds {
+			var used, fresh Source
+			used.Seed(99)
+			for i := 0; i < taken; i++ {
+				used.Uint64()
+			}
+			used.Seed(seed)
+			fresh.Seed(seed)
+			for i := 0; i < 2*rngLen; i++ {
+				if got, want := used.Uint64(), fresh.Uint64(); got != want {
+					t.Fatalf("%d draws taken, re-seeded %d: draw %d %#x, fresh %#x", taken, seed, i, got, want)
+				}
+			}
 		}
-		used.Uint64()
 	}
 
 	// The same through the *rand.Rand a caller holds.
@@ -86,6 +92,40 @@ func TestReseedInPlaceEqualsFresh(t *testing.T) {
 	r.Seed(6)
 	if got, want := r.Uint64(), New(6).Uint64(); got != want {
 		t.Fatalf("Rand.Seed: first draw %#x, fresh %#x", got, want)
+	}
+}
+
+// TestLazySourceAllocations: a stream that stops within its first rngTap
+// draws never allocates a register, and a Source re-seeded after one was
+// allocated reuses it.
+func TestLazySourceAllocations(t *testing.T) {
+	var s Source
+	seed := int64(0)
+	if a := testing.AllocsPerRun(20, func() {
+		seed++
+		s.Seed(seed)
+		for i := 0; i < rngTap; i++ {
+			s.Uint64()
+		}
+	}); a != 0 {
+		t.Errorf("Seed and %d draws: %v allocations, want 0", rngTap, a)
+	}
+	if s.reg != nil {
+		t.Errorf("Seed and %d draws allocated the register", rngTap)
+	}
+
+	s.Seed(1)
+	for i := 0; i < 2000; i++ {
+		s.Uint64()
+	}
+	if a := testing.AllocsPerRun(20, func() {
+		seed++
+		s.Seed(seed)
+		for i := 0; i < 2000; i++ {
+			s.Uint64()
+		}
+	}); a != 0 {
+		t.Errorf("re-seeded Source, 2000 draws: %v allocations, want 0", a)
 	}
 }
 
@@ -109,7 +149,80 @@ func FuzzSourceMatchesMathRand(f *testing.F) {
 	})
 }
 
-var sinkSource rand.Source
+var (
+	sinkSource rand.Source
+	sinkDraw   uint64
+)
+
+// BenchmarkDraw is one steady-state draw from a Source whose register holds
+// the state, on its own and through the *rand.Rand every caller draws with.
+func BenchmarkDraw(b *testing.B) {
+	b.Run("Uint64", func(b *testing.B) {
+		var s Source
+		s.Seed(17)
+		for i := 0; i < rngLen; i++ {
+			s.Uint64()
+		}
+		var x uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x += s.Uint64()
+		}
+		sinkDraw = x
+	})
+	b.Run("rand_Int63", func(b *testing.B) {
+		r := New(17)
+		for i := 0; i < rngLen; i++ {
+			r.Int63()
+		}
+		var x uint64
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			x += uint64(r.Int63())
+		}
+		sinkDraw = x
+	})
+}
+
+// BenchmarkSeedAndDraw re-seeds one Source and takes n draws through the
+// *rand.Rand over it, as an APU system re-seeds its streams: 66 and 132 are
+// what a CU draws from its cycle and op streams in an apu_infer episode (lazy
+// draws only), 2000 a stream long enough to fill the register.
+func BenchmarkSeedAndDraw(b *testing.B) {
+	for _, n := range []int{66, 132, 2000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			r := New(0)
+			var x uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r.Seed(int64(i))
+				for j := 0; j < n; j++ {
+					x += uint64(r.Int63())
+				}
+			}
+			sinkDraw = x
+		})
+	}
+}
+
+// BenchmarkNewAndDraw takes n draws from a new *rand.Rand over a new Source,
+// as a freshly built APU system does: at 2000 draws this is the one-time
+// price of a long stream, 273 lazy draws and then a register filled.
+func BenchmarkNewAndDraw(b *testing.B) {
+	for _, n := range []int{132, 2000} {
+		b.Run(strconv.Itoa(n), func(b *testing.B) {
+			var x uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				r := New(int64(i))
+				for j := 0; j < n; j++ {
+					x += uint64(r.Int63())
+				}
+			}
+			sinkDraw = x
+		})
+	}
+}
 
 func BenchmarkSeed(b *testing.B) {
 	b.Run("xrand", func(b *testing.B) {
