@@ -33,7 +33,6 @@ import (
 	"mlnoc/internal/rl"
 	"mlnoc/internal/telemetry"
 	"mlnoc/internal/trace"
-	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
 	"mlnoc/internal/xrand"
 )
@@ -132,9 +131,8 @@ func run(args []string, stdout io.Writer) error {
 		return cliutil.Usagef("unknown reward %q", *reward)
 	}
 
-	cfg := core.MeshTrainConfig{
+	cfg := core.TrainSpec{
 		Width:       *size,
-		Height:      *size,
 		Rate:        *rate,
 		Hidden:      *hidden,
 		Epochs:      int(*cycles / epochCycles),
@@ -174,7 +172,10 @@ func run(args []string, stdout io.Writer) error {
 	}
 	log.Info("training mesh agent", "size", fmt.Sprintf("%dx%d", *size, *size),
 		"cycles", *cycles, "reward", *reward)
-	tr := core.TrainMesh(cfg)
+	tr, err := core.Train(context.Background(), cfg)
+	if err != nil {
+		return err
+	}
 	if sinkErr != nil {
 		return sinkErr
 	}
@@ -236,7 +237,7 @@ func saveNetwork(stdout io.Writer, path string, agent *core.Agent) error {
 	return nil
 }
 
-// buildTelemetry assembles the TrainMesh telemetry config from the CLI
+// buildTelemetry assembles the core.Train telemetry config from the CLI
 // flags, or returns nil when no introspection was requested. The first failed
 // heatmap write lands in *sinkErr; later epochs write nothing.
 func buildTelemetry(dir string, heatmapEvery, epochs int, traceCfg *trace.Config,
@@ -364,16 +365,8 @@ func recordDataset(stdout io.Writer, path, behavior string, size int, rate float
 	default:
 		return cliutil.Usagef("unknown behaviour policy %q", behavior)
 	}
-	spec := core.MeshSpec(3)
-	rec := core.NewRecorder(spec, beh)
-	if rate == 0 {
-		rate = 0.23
-	}
-	net, in := traffic.Mesh{
-		Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: 1},
-		Rate:   rate,
-		Seed:   seed + 1,
-	}.Build(rec)
+	rec := core.NewRecorder(core.MeshSpec(3), beh)
+	net, in := core.TrainSpec{Width: size, Rate: rate, Seed: seed}.Mesh().Build(rec)
 	net.OnCycle = rec.OnCycle
 	for i := int64(0); i < cycles; i++ {
 		in.Tick()
@@ -406,7 +399,7 @@ func trainOffline(stdout io.Writer, path string, hidden, epochs int, seed int64,
 	agent := core.NewAgent(spec, core.AgentConfig{
 		Hidden: hidden,
 		Seed:   seed,
-		DQL:    rl.DQLConfig{LR: 0.05, Gamma: 0.1, SyncEvery: 2000},
+		DQL:    rl.DQLConfig{Gamma: 0.1},
 	})
 	fmt.Fprintf(stdout, "offline training on %d experiences for %d epochs...\n", data.Len(), epochs)
 	td := agent.DQL.TrainOffline(xrand.New(seed+9), data, epochs)
@@ -419,14 +412,17 @@ func trainOffline(stdout io.Writer, path string, hidden, epochs int, seed int64,
 
 // trainAPU trains the paper's 504-input agent on the APU system and saves it.
 func trainAPU(stdout io.Writer, cycles, seed int64, out string) error {
-	sc := experiments.Quick()
-	sc.TrainCycles = cycles
-	sc.Seed = seed
 	fmt.Fprintf(stdout, "training the APU agent for %d cycles on the bfs model...\n", cycles)
-	agent, err := experiments.TrainAPUCtx(context.Background(), sc)
+	tr, err := core.Train(context.Background(), core.TrainSpec{
+		OpScale:     experiments.Quick().OpScale,
+		Epochs:      1,
+		EpochCycles: cycles,
+		Seed:        seed,
+	})
 	if err != nil {
 		return err
 	}
+	agent := tr.Agent
 	agent.Freeze()
 	fmt.Fprintf(stdout, "decisions: %d\n", agent.Decisions())
 	fmt.Fprint(stdout, experiments.RenderAPUHeatmap(experiments.APUHeatmapFromAgent(agent)))

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"net/http"
@@ -39,6 +40,10 @@ func TestGolden(t *testing.T) {
 			"-record", "states.gob", "-cycles", "2000")
 		clitest.Golden(t, dir, filepath.Join(golden, "offline"),
 			"-offline", "states.gob", "-epochs", "2", "-out", "agent.gob")
+	})
+	t.Run("quant", func(t *testing.T) {
+		clitest.Golden(t, t.TempDir(), filepath.Join(golden, "quant"),
+			"-cycles", "2000", "-eval", "500", "-quant-eval")
 	})
 	t.Run("apu", func(t *testing.T) {
 		clitest.Golden(t, t.TempDir(), filepath.Join(golden, "apu"),
@@ -118,9 +123,11 @@ func TestMetricsSidecar(t *testing.T) {
 			page, scrapeErr = scrape("http://" + addr + "/metrics")
 		}
 	}
-	core.TrainMesh(core.MeshTrainConfig{
-		Width: 4, Height: 4, Epochs: 2, EpochCycles: 500, Seed: 1, Telemetry: tel,
-	})
+	if _, err := core.Train(context.Background(), core.TrainSpec{
+		Width: 4, Epochs: 2, EpochCycles: 500, Seed: 1, Telemetry: tel,
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if scrapeErr != nil {
 		t.Fatal(scrapeErr)
 	}

@@ -7,7 +7,9 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"log"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
@@ -16,17 +18,19 @@ import (
 )
 
 func main() {
-	cfg := core.MeshTrainConfig{
+	cfg := core.TrainSpec{
 		Width:       4,
-		Height:      4,
 		Epochs:      40,
 		EpochCycles: 1000,
 		Seed:        1,
 	}
 	fmt.Printf("training a %dx%d mesh agent for %d cycles...\n\n",
-		cfg.Width, cfg.Height, int64(cfg.Epochs)*cfg.EpochCycles)
+		cfg.Width, cfg.Width, int64(cfg.Epochs)*cfg.EpochCycles)
 
-	tr := core.TrainMesh(cfg)
+	tr, err := core.Train(context.Background(), cfg)
+	if err != nil {
+		log.Fatal(err)
+	}
 	for i := 0; i < len(tr.Curve); i += 5 {
 		fmt.Printf("  epoch %2d: avg latency %.1f cycles\n", i+1, tr.Curve[i])
 	}

@@ -83,8 +83,8 @@ type AgentConfig struct {
 	// Hidden is the hidden-layer width (paper: 15 for the mesh agent, 42 for
 	// the APU agent).
 	Hidden int
-	// DQL holds the Q-learning hyperparameters (zero fields take the paper's
-	// Section 4.6 defaults).
+	// DQL holds the Q-learning hyperparameters (zero fields take
+	// rl.DQLConfig's defaults, the training harness's recipe).
 	DQL rl.DQLConfig
 	// Reward selects the reward function (default: global age).
 	Reward rl.RewardKind

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"context"
+	"errors"
 	"math"
 	"math/rand"
 	"runtime"
@@ -441,10 +443,13 @@ func TestAgentLearnsOldestPreference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := MeshTrainConfig{
-		Width: 4, Height: 4, Epochs: 20, EpochCycles: 1000, Seed: 3,
+	cfg := TrainSpec{
+		Width: 4, Epochs: 20, EpochCycles: 1000, Seed: 3,
 	}
-	tr := TrainMesh(cfg)
+	tr, err := Train(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr.Agent.Freeze()
 
 	// Shadow-evaluate: fraction of decisions picking the oldest candidate.
@@ -598,8 +603,8 @@ func TestHillClimbFindsLocalAge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := MeshTrainConfig{
-		Width: 4, Height: 4, Epochs: 4, EpochCycles: 600, Seed: 5,
+	cfg := TrainSpec{
+		Width: 4, Epochs: 4, EpochCycles: 600, Seed: 5,
 	}
 	hc := HillClimb(cfg, nil, 2)
 	if len(hc.Steps) == 0 {
@@ -611,6 +616,40 @@ func TestHillClimbFindsLocalAge(t *testing.T) {
 	}
 	if len(hc.Best) == 0 || hc.BestLatency <= 0 {
 		t.Fatalf("bad result: %+v", hc)
+	}
+}
+
+// TestTrainCancels: on either environment, Train cancelled mid-run returns
+// ctx.Err() and the agent trained so far, at most one poll period after the
+// cancellation.
+func TestTrainCancels(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		spec TrainSpec
+	}{
+		{"mesh", TrainSpec{Seed: 2}},
+		{"apu", TrainSpec{OpScale: 0.05, Seed: 2}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			s := c.spec
+			s.Epochs, s.EpochCycles = 4, 1000
+			s.Telemetry = &TrainTelemetry{OnEpoch: func(int, float64) { cancel() }}
+			res, err := Train(ctx, s)
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("err %v, want %v", err, context.Canceled)
+			}
+			if res == nil || res.Agent == nil || res.Agent.DQL.Steps() == 0 {
+				t.Fatal("cancelled training returned no trained agent")
+			}
+			if len(res.Curve) != 1 {
+				t.Fatalf("%d epochs reported, want the 1 before cancellation", len(res.Curve))
+			}
+			if late := res.Agent.cyclesSeen - s.EpochCycles; late < 0 || late > trainCheckEvery {
+				t.Fatalf("stopped %d cycles after cancellation, want at most %d", late, trainCheckEvery)
+			}
+		})
 	}
 }
 
@@ -695,7 +734,7 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 	spec := MeshSpec(3)
 	weights := nn.New([]int{spec.InputSize(), 15, spec.ActionSize()},
 		[]nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rand.New(rand.NewSource(3)))
-	cfg := MeshTrainConfig{Seed: 5}
+	cfg := TrainSpec{Seed: 5}
 	lazy := NewAgentWithNet(spec, weights.Clone(), 9)
 	eager := eagerEvalAgent(spec, weights.Clone(), 9)
 
@@ -764,7 +803,7 @@ func TestNetShowsTrainedWeights(t *testing.T) {
 	a := NewAgent(spec, AgentConfig{Hidden: 15, Seed: 4})
 	initial := a.Net().Clone()
 	a.Training = true
-	EvaluateMeshPolicy(MeshTrainConfig{Seed: 6}, a, 0, 1500)
+	EvaluateMeshPolicy(TrainSpec{Seed: 6}, a, 0, 1500)
 	if a.DQL.Steps() == 0 {
 		t.Fatal("the episode trained nothing")
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -126,8 +127,11 @@ func TestDeriveFromTrainedAgent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := MeshTrainConfig{Width: 4, Height: 4, Epochs: 20, EpochCycles: 1000, Seed: 6}
-	tr := TrainMesh(cfg)
+	cfg := TrainSpec{Width: 4, Epochs: 20, EpochCycles: 1000, Seed: 6}
+	tr, err := Train(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	tr.Agent.Freeze()
 	h := NewHeatmap(tr.Spec, tr.Agent.Net())
 	derived, d, err := DeriveMeshPolicy(h)

@@ -1,5 +1,7 @@
 package core
 
+import "context"
+
 // HillClimbStep records one round of the Section 6.5 feature-selection
 // procedure: the feature added this round, the resulting converged latency,
 // and the full feature set after the addition.
@@ -29,7 +31,7 @@ type HillClimbResult struct {
 //
 // The paper reports this procedure converging on {local age, hop count} —
 // the same features the heatmap analysis identified.
-func HillClimb(cfg MeshTrainConfig, pool []Feature, maxFeatures int) *HillClimbResult {
+func HillClimb(spec TrainSpec, pool []Feature, maxFeatures int) *HillClimbResult {
 	if len(pool) == 0 {
 		pool = []Feature{FeatPayload, FeatLocalAge, FeatDistance, FeatHopCount}
 	}
@@ -45,9 +47,10 @@ func HillClimb(cfg MeshTrainConfig, pool []Feature, maxFeatures int) *HillClimbR
 		bestIdx, bestLat := -1, -1.0
 		for i, f := range remaining {
 			trial := append(append(FeatureSet(nil), current...), f)
-			c := cfg
-			c.Features = trial
-			lat := TrainMesh(c).FinalLatency()
+			s := spec
+			s.Features = trial
+			tr, _ := Train(context.TODO(), s) // TODO never cancels: Train cannot fail
+			lat := tr.FinalLatency()
 			step.Tried[f] = lat
 			if bestIdx == -1 || lat < bestLat {
 				bestIdx, bestLat = i, lat

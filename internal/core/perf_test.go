@@ -10,40 +10,28 @@ import (
 	"mlnoc/internal/traffic"
 )
 
-// benchTrainLoop replicates the TrainMesh inner loop at quick scale (4x4
+// benchTrainLoop is Train's mesh environment at its default, quick scale (4x4
 // mesh, 3 VCs, batch 32, one training batch per cycle) without the epoch
-// reporting wrapper, so a benchmark iteration is exactly one training cycle.
-// It returns the loop 8000 cycles in: the 16 000-experience replay ring fills
-// after about 6 000, and until it does, and evictions feed the agent's
+// loop, so a benchmark iteration is exactly one training cycle. It returns
+// the environment's step 8000 cycles in: the 16 000-experience replay ring
+// fills after about 6 000, and until it does, and evictions feed the agent's
 // freelists, every decision allocates its state.
-func benchTrainLoop(seed int64) (*noc.Network, *traffic.Injector) {
-	cfg := MeshTrainConfig{Seed: seed}
-	cfg.applyDefaults()
-	spec := NewStateSpec(
-		[]noc.PortID{noc.PortCore, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast},
-		cfg.VCs, cfg.Features, DefaultNorm())
-	agent := NewAgent(spec, AgentConfig{
-		DQL:            rl.DQLConfig{BatchSize: 32, LR: 0.05, Gamma: 0.5, ReplayCap: 16000, SyncEvery: 2000},
-		EpsStart:       0.5,
-		EpsDecayCycles: 10000,
-		Seed:           seed,
-	})
-	net, in := newMeshRun(cfg, agent)
-	net.OnCycle = agent.OnCycle
+func benchTrainLoop(seed int64) (step func()) {
+	s := TrainSpec{Seed: seed}
+	s.applyDefaults()
+	_, _, step = newTrainRun(s)
 	for i := 0; i < 8000; i++ {
-		in.Tick()
-		net.Step()
+		step()
 	}
-	return net, in
+	return step
 }
 
 func BenchmarkHotTrainingLoop(b *testing.B) {
-	net, in := benchTrainLoop(3)
+	step := benchTrainLoop(3)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		in.Tick()
-		net.Step()
+		step()
 	}
 }
 
@@ -100,8 +88,7 @@ func TestAgentSelectZeroAllocs(t *testing.T) {
 		t.Errorf("Select allocates %v objects per decision, want 0", allocs)
 	}
 
-	net, in := benchTrainLoop(3)
-	if allocs := testing.AllocsPerRun(200, func() { in.Tick(); net.Step() }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(200, benchTrainLoop(3)); allocs != 0 {
 		t.Errorf("a training-loop cycle allocates %v objects, want 0", allocs)
 	}
 }

@@ -210,7 +210,7 @@ func TestOfflineTrainingImprovesPolicy(t *testing.T) {
 		}
 		return choice
 	})
-	cfg := MeshTrainConfig{Width: 4, Height: 4, Seed: 31}
+	cfg := TrainSpec{Width: 4, Seed: 31}
 	EvaluateMeshPolicy(cfg, probe, 500, 3000)
 	if total == 0 {
 		t.Fatal("no contended arbitrations")

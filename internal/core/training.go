@@ -1,22 +1,26 @@
 package core
 
 import (
+	"context"
+
+	"mlnoc/internal/apu"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
+	"mlnoc/internal/synfull"
 	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
 )
 
-// TrainTelemetry configures the optional introspection of a TrainMesh run:
+// TrainTelemetry configures the optional introspection of a Train run:
 // the training-curve telemetry (loss/epsilon/replay-fill/target-sync), an
 // attached per-message lifecycle tracer, and periodic weight-heatmap dumps —
 // the artifacts behind the paper's Figs. 4, 7, 12 and 13. All of it is
 // passive: enabling telemetry never changes the training trajectory.
 type TrainTelemetry struct {
 	// BatchEvery throttles the training trace to one point per N batches
-	// (default 1; TrainMesh runs one batch per cycle).
+	// (default 1; Train runs one batch per cycle).
 	BatchEvery int64
-	// Trace, when non-nil, attaches a message tracer to the training mesh.
+	// Trace, when non-nil, attaches a message tracer to the training network.
 	Trace *trace.Config
 	// HeatmapEvery dumps a weight heatmap of the online network every N
 	// epochs to HeatmapSink (0 disables). The sink receives the 1-based
@@ -34,15 +38,43 @@ type TrainTelemetry struct {
 	OnEpoch func(epoch int, avgLatency float64)
 }
 
-// MeshTrainConfig parameterizes a Section 3.2-style training run: a W x H
-// mesh of cores under uniform-random synthetic traffic, one shared agent
-// trained online.
-type MeshTrainConfig struct {
-	Width, Height int
-	VCs           int
-	BufferCap     int
-	// Rate is the per-node injection probability per cycle.
+// DefaultMeshRate is the per-node injection probability per cycle of the
+// Section 3.2 study on meshes smaller than 8x8, at the onset of saturation: a
+// TrainSpec's Rate when none is set.
+const DefaultMeshRate = 0.23
+
+// The Section 3.2 mesh has 3 VCs of single-message buffers: flit-level input
+// buffers that cannot hold more than one data message, the regime in which
+// arbitration quality separates policies (HOL blocking and congestion trees).
+const (
+	meshVCs       = 3
+	meshBufferCap = 1
+)
+
+// apuModel is the workload the APU agent trains on: the application the
+// paper derives Fig. 7 from.
+const apuModel = "bfs"
+
+// trainCheckEvery is Train's cancellation poll period in cycles: coarse
+// enough that the ctx.Err() check is invisible next to a simulated cycle,
+// fine enough that cancellation lands within milliseconds.
+const trainCheckEvery = 1024
+
+// TrainSpec parameterizes a training run: one shared agent trained online in
+// one of two environments. A zero OpScale picks the Section 3.2 mesh, a
+// Width x Width mesh of cores with 3 VCs of single-message buffers under
+// uniform-random traffic. A positive OpScale picks the Section 4.6 APU
+// system, running the bfs model until the training budget is spent.
+type TrainSpec struct {
+	// Width is the mesh edge (default 4).
+	Width int
+	// Rate is the mesh's per-node injection probability per cycle (default
+	// DefaultMeshRate).
 	Rate float64
+	// OpScale, when positive, trains the 504-input APU agent instead of a
+	// mesh agent, on bfs with its op counts scaled by OpScale. The workload
+	// is relaunched each time it finishes.
+	OpScale float64
 	// Hidden is the agent's hidden-layer width (default: action size).
 	Hidden int
 	// Epochs and EpochCycles split training into reporting epochs; the
@@ -51,10 +83,11 @@ type MeshTrainConfig struct {
 	EpochCycles int64
 	// Reward selects the Section 6.3 reward function.
 	Reward rl.RewardKind
-	// Features overrides the state features (default MeshFeatures); Fig. 13
-	// passes single-feature sets here.
+	// Features overrides the mesh state features (default MeshFeatures);
+	// Fig. 13 passes single-feature sets here. The APU agent has its own.
 	Features FeatureSet
-	// DQL overrides Q-learning hyperparameters.
+	// DQL overrides Q-learning hyperparameters (zero fields take rl's
+	// defaults).
 	DQL rl.DQLConfig
 	// Seed drives all randomness in the run.
 	Seed int64
@@ -63,33 +96,34 @@ type MeshTrainConfig struct {
 	Telemetry *TrainTelemetry
 }
 
-func (c *MeshTrainConfig) applyDefaults() {
-	if c.Width == 0 {
-		c.Width = 4
+func (s *TrainSpec) applyDefaults() {
+	if s.Width == 0 {
+		s.Width = 4
 	}
-	if c.Height == 0 {
-		c.Height = c.Width
+	if s.Rate == 0 {
+		s.Rate = DefaultMeshRate
 	}
-	if c.VCs == 0 {
-		c.VCs = 3
+	if s.Epochs == 0 {
+		s.Epochs = 20
 	}
-	if c.BufferCap == 0 {
-		// Single-message buffers model flit-level input buffers that cannot
-		// hold more than one data message, the regime in which arbitration
-		// quality separates policies (HOL blocking and congestion trees).
-		c.BufferCap = 1
+	if s.EpochCycles == 0 {
+		s.EpochCycles = 1000
 	}
-	if c.Rate == 0 {
-		c.Rate = 0.23
+	if s.Features == nil {
+		s.Features = MeshFeatures
 	}
-	if c.Epochs == 0 {
-		c.Epochs = 20
-	}
-	if c.EpochCycles == 0 {
-		c.EpochCycles = 1000
-	}
-	if c.Features == nil {
-		c.Features = MeshFeatures
+}
+
+// Mesh returns the mesh environment of s, with its defaults applied: the
+// network and traffic that Train trains a mesh agent on and
+// EvaluateMeshPolicy evaluates a policy on. Its injector is seeded with
+// Seed+1.
+func (s TrainSpec) Mesh() traffic.Mesh {
+	s.applyDefaults()
+	return traffic.Mesh{
+		Config: noc.Config{Width: s.Width, Height: s.Width, VCs: meshVCs, BufferCap: meshBufferCap},
+		Rate:   s.Rate,
+		Seed:   s.Seed + 1,
 	}
 }
 
@@ -102,9 +136,9 @@ type TrainResult struct {
 	Agent *Agent
 	// Spec is the state spec the agent was trained with.
 	Spec *StateSpec
-	// TrainTrace holds the training telemetry when cfg.Telemetry was set.
+	// TrainTrace holds the training telemetry when the spec set Telemetry.
 	TrainTrace *rl.TrainingTrace
-	// Tracer is the message tracer when cfg.Telemetry.Trace was set.
+	// Tracer is the message tracer when the spec set Telemetry.Trace.
 	Tracer *trace.Tracer
 }
 
@@ -126,48 +160,19 @@ func (r *TrainResult) FinalLatency() float64 {
 	return sum / float64(k)
 }
 
-// TrainMesh runs one online training experiment and returns the latency
-// curve and the trained agent.
-func TrainMesh(cfg MeshTrainConfig) *TrainResult {
-	cfg.applyDefaults()
-	spec := NewStateSpec(
-		[]noc.PortID{noc.PortCore, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast},
-		cfg.VCs, cfg.Features, DefaultNorm())
-	// Training-harness hyperparameters: the paper's batch of 2 at lr 0.001
-	// converges over industrial-length simulations; at laptop scale we use a
-	// larger batch, a higher learning rate and linear exploration decay to
-	// reach the same policies in tens of thousands of cycles.
-	dql := cfg.DQL
-	if dql.BatchSize == 0 {
-		dql.BatchSize = 32
-	}
-	if dql.LR == 0 {
-		dql.LR = 0.05
-	}
-	if dql.Gamma == 0 {
-		dql.Gamma = 0.5
-	}
-	if dql.ReplayCap == 0 {
-		dql.ReplayCap = 16000
-	}
-	if dql.SyncEvery == 0 {
-		dql.SyncEvery = 2000
-	}
-	totalCycles := int64(cfg.Epochs) * cfg.EpochCycles
-	agent := NewAgent(spec, AgentConfig{
-		Hidden:         cfg.Hidden,
-		DQL:            dql,
-		Reward:         cfg.Reward,
-		EpsStart:       0.5,
-		EpsDecayCycles: totalCycles / 2,
-		Seed:           cfg.Seed,
-	})
-
-	net, in := newMeshRun(cfg, agent)
-	net.OnCycle = agent.OnCycle
-
-	res := &TrainResult{Agent: agent, Spec: spec}
-	tel := cfg.Telemetry
+// Train trains an agent online in the environment s picks and returns the
+// latency curve and the trained agent, still training. Exploration decays
+// linearly from ε 0.5 over the first half of the run.
+//
+// ctx is polled every trainCheckEvery cycles, so a cancelled training job
+// stops within that many simulated cycles instead of spending its whole
+// budget. On cancellation the result so far, holding the agent trained so
+// far, is returned alongside ctx.Err().
+func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
+	s.applyDefaults()
+	agent, net, step := newTrainRun(s)
+	res := &TrainResult{Agent: agent, Spec: agent.Spec}
+	tel := s.Telemetry
 	if tel != nil {
 		agent.DQL.Trace = &rl.TrainingTrace{Every: tel.BatchEvery,
 			OnPoint: tel.OnBatch, OnSync: tel.OnSync}
@@ -176,11 +181,15 @@ func TrainMesh(cfg MeshTrainConfig) *TrainResult {
 			res.Tracer = trace.Attach(net, *tel.Trace)
 		}
 	}
-	for e := 0; e < cfg.Epochs; e++ {
+	var cycle int64
+	for e := 0; e < s.Epochs; e++ {
 		net.ResetStats()
-		for i := int64(0); i < cfg.EpochCycles; i++ {
-			in.Tick()
-			net.Step()
+		for i := int64(0); i < s.EpochCycles; i++ {
+			if cycle%trainCheckEvery == 0 && ctx.Err() != nil {
+				return res, ctx.Err()
+			}
+			step()
+			cycle++
 		}
 		avg := net.Stats().Latency.Mean()
 		res.Curve = append(res.Curve, avg)
@@ -188,28 +197,68 @@ func TrainMesh(cfg MeshTrainConfig) *TrainResult {
 			tel.OnEpoch(e+1, avg)
 		}
 		if tel != nil && tel.HeatmapEvery > 0 && tel.HeatmapSink != nil && (e+1)%tel.HeatmapEvery == 0 {
-			tel.HeatmapSink(e+1, NewHeatmap(spec, agent.Net()))
+			tel.HeatmapSink(e+1, NewHeatmap(res.Spec, agent.Net()))
 		}
 	}
-	return res
+	return res, nil
 }
 
-// newMeshRun builds the mesh network and injector for cfg with the given
-// policy installed.
-func newMeshRun(cfg MeshTrainConfig, policy noc.Policy) (*noc.Network, *traffic.Injector) {
-	return traffic.Mesh{
-		Config: noc.Config{Width: cfg.Width, Height: cfg.Height, VCs: cfg.VCs, BufferCap: cfg.BufferCap},
-		Rate:   cfg.Rate,
-		Seed:   cfg.Seed + 1,
-	}.Build(policy)
+// newTrainRun builds the agent s describes, s's defaults applied, and
+// installs it in the environment s picks: net is the network the agent
+// arbitrates, and step advances the environment one cycle.
+func newTrainRun(s TrainSpec) (agent *Agent, net *noc.Network, step func()) {
+	onAPU := s.OpScale > 0
+	spec := APUSpec()
+	if !onAPU {
+		spec = NewStateSpec(
+			[]noc.PortID{noc.PortCore, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast},
+			meshVCs, s.Features, DefaultNorm())
+	}
+	agent = NewAgent(spec, AgentConfig{
+		Hidden:         s.Hidden,
+		DQL:            s.DQL,
+		Reward:         s.Reward,
+		EpsStart:       0.5,
+		EpsDecayCycles: int64(s.Epochs) * s.EpochCycles / 2,
+		Seed:           s.Seed,
+	})
+	if onAPU {
+		sys := apu.NewSystem(apu.Config{}, s.Seed+11)
+		sys.Net.SetPolicy(agent)
+		model, err := synfull.ByName(apuModel)
+		if err != nil {
+			panic(err)
+		}
+		var runner *apu.Runner
+		var launch int64
+		net = sys.Net
+		step = func() {
+			if runner == nil || runner.Done() {
+				runner = apu.NewRunner(sys, apu.Homogeneous(model), apu.RunnerConfig{
+					OpScale: s.OpScale,
+					Seed:    s.Seed + 101*launch,
+				})
+				launch++
+			}
+			runner.Step()
+		}
+	} else {
+		var in *traffic.Injector
+		net, in = s.Mesh().Build(agent)
+		step = func() {
+			in.Tick()
+			net.Step()
+		}
+	}
+	net.OnCycle = agent.OnCycle
+	return agent, net, step
 }
 
 // EvaluateMeshPolicy measures the average message latency of a policy on the
-// cfg mesh under uniform-random traffic (warmup + measured phase + drain).
+// mesh of s under uniform-random traffic (warmup + measured phase + drain).
 // It is the evaluation half of the Fig. 5 experiment.
-func EvaluateMeshPolicy(cfg MeshTrainConfig, policy noc.Policy, warmup, measure int64) traffic.RunResult {
-	cfg.applyDefaults()
-	net, in := newMeshRun(cfg, policy)
+func EvaluateMeshPolicy(s TrainSpec, policy noc.Policy, warmup, measure int64) traffic.RunResult {
+	net, in := s.Mesh().Build(policy)
 	if agent, ok := policy.(*Agent); ok {
 		net.OnCycle = agent.OnCycle
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -40,13 +41,13 @@ func (r *CurveResult) Render() string {
 	return b.String()
 }
 
-// curveMeshConfig is the shared training setup for Figs. 12 and 13: the 8x8
+// curveMeshSpec is the shared training setup for Figs. 12 and 13: the 8x8
 // mesh under uniform-random traffic just below saturation. Below saturation a
 // well-trained arbiter keeps source backlogs — and hence the per-epoch
 // latency curve — bounded, while a poorly rewarded agent lets the network
 // saturate and its curve climb, which is exactly the contrast Fig. 12 shows.
-func curveMeshConfig(sc Scale) core.MeshTrainConfig {
-	cfg := meshTrainConfig(8, sc)
+func curveMeshSpec(sc Scale) core.TrainSpec {
+	cfg := meshTrainSpec(8, sc)
 	cfg.Rate, cfg.Epochs, cfg.EpochCycles = 0.12, sc.Epochs, sc.EpochCycles
 	return cfg
 }
@@ -59,9 +60,9 @@ func RewardCurves(sc Scale) *CurveResult {
 		Title: "Fig. 12: avg message latency vs training time, per reward function",
 	}
 	for _, kind := range []rl.RewardKind{rl.RewardGlobalAge, rl.RewardAccLatency, rl.RewardLinkUtil} {
-		cfg := curveMeshConfig(sc)
+		cfg := curveMeshSpec(sc)
 		cfg.Reward = kind
-		tr := core.TrainMesh(cfg)
+		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 		res.Names = append(res.Names, kind.String())
 		res.Curves = append(res.Curves, tr.Curve)
 	}
@@ -87,9 +88,9 @@ func FeatureCurves(sc Scale) *CurveResult {
 		{"allfeature", core.MeshFeatures},
 	}
 	for _, c := range cases {
-		cfg := curveMeshConfig(sc)
+		cfg := curveMeshSpec(sc)
 		cfg.Features = c.feats
-		tr := core.TrainMesh(cfg)
+		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 		res.Names = append(res.Names, c.name)
 		res.Curves = append(res.Curves, tr.Curve)
 	}
@@ -99,7 +100,7 @@ func FeatureCurves(sc Scale) *CurveResult {
 // HillClimbReport runs the Section 6.5 hill-climbing feature selection on the
 // 4x4 mesh and renders the selection path.
 func HillClimbReport(sc Scale) string {
-	cfg := meshTrainConfig(4, sc)
+	cfg := meshTrainSpec(4, sc)
 	cfg.Epochs, cfg.EpochCycles = max(2, sc.Epochs/2), sc.EpochCycles
 	hc := core.HillClimb(cfg, nil, 3)
 	var b strings.Builder

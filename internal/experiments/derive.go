@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -15,8 +16,8 @@ func DeriveReport(sc Scale) string {
 	var b strings.Builder
 	b.WriteString("Automated NN -> algorithm derivation (the paper's future-work gap):\n\n")
 	for _, size := range []int{4, 8} {
-		cfg := meshTrainConfig(size, sc)
-		tr := core.TrainMesh(cfg)
+		cfg := meshTrainSpec(size, sc)
+		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 		tr.Agent.Freeze()
 		h := core.NewHeatmap(tr.Spec, tr.Agent.Net())
 		derived, d, err := core.DeriveMeshPolicy(h)

@@ -9,70 +9,19 @@ import (
 	"mlnoc/internal/core"
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/rl"
 	"mlnoc/internal/stats"
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/viz"
 )
 
-// TrainAPUCtx trains the paper's 504-input APU agent (Section 4.6) online on
-// the Bfs workload model — the application the paper uses to derive Fig. 7 —
-// re-launching the workload until the training budget is spent. The agent
-// comes back still training. Freeze only flushes its pending experiences and
-// stops training; that is all it needs before it serves as the "NN"
-// evaluation policy.
-//
-// ctx is polled every trainCheckEvery cycles and between workload launches,
-// so a cancelled server-side training job stops within a bounded number of
-// simulated cycles instead of spending the whole training budget. On
-// cancellation the agent trained so far is returned alongside ctx.Err().
-func TrainAPUCtx(ctx context.Context, sc Scale) (*core.Agent, error) {
-	spec := core.APUSpec()
-	agent := core.NewAgent(spec, core.AgentConfig{
-		Hidden: 42,
-		DQL: rl.DQLConfig{
-			BatchSize: 32,
-			LR:        0.05,
-			Gamma:     0.5,
-			ReplayCap: 16000,
-			SyncEvery: 2000,
-		},
-		EpsStart:       0.5,
-		EpsDecayCycles: sc.TrainCycles / 2,
-		Seed:           sc.Seed,
-	})
-	sys := apu.NewSystem(apu.Config{}, sc.Seed+11)
-	sys.Net.SetPolicy(agent)
-	sys.Net.OnCycle = agent.OnCycle
-
-	model, err := synfull.ByName("bfs")
-	if err != nil {
-		panic(err)
-	}
-	var cycles int64
-	for launch := int64(0); cycles < sc.TrainCycles; launch++ {
-		if ctx.Err() != nil {
-			return agent, ctx.Err()
-		}
-		runner := apu.NewRunner(sys, apu.Homogeneous(model), apu.RunnerConfig{
-			OpScale: sc.OpScale,
-			Seed:    sc.Seed + 101*launch,
-		})
-		for !runner.Done() && cycles < sc.TrainCycles {
-			if cycles%trainCheckEvery == 0 && ctx.Err() != nil {
-				return agent, ctx.Err()
-			}
-			runner.Step()
-			cycles++
-		}
-	}
-	return agent, nil
+// apuTrainSpec is the spec core.Train trains the paper's 504-input APU agent
+// (Section 4.6) with: sc.TrainCycles cycles, as one epoch, on the bfs
+// workload at sc.OpScale. The agent comes back still training. Freeze only flushes its pending
+// experiences and stops training; that is all it needs before it serves as
+// the "NN" evaluation policy.
+func apuTrainSpec(sc Scale) core.TrainSpec {
+	return core.TrainSpec{OpScale: sc.OpScale, Epochs: 1, EpochCycles: sc.TrainCycles, Seed: sc.Seed}
 }
-
-// trainCheckEvery is the cancellation poll period of TrainAPUCtx in cycles:
-// coarse enough that the atomic ctx.Err() check is invisible next to a
-// simulated cycle, fine enough that cancellation lands within milliseconds.
-const trainCheckEvery = 1024
 
 // APUHeatmapFromAgent extracts the Fig. 7 heatmap from an already trained
 // agent.
@@ -175,12 +124,12 @@ func apuPolicies(ctx context.Context, sc Scale, trainNN bool) ([]PolicyFactory, 
 	if !trainNN {
 		return apuFactories(nil), nil
 	}
-	agent, err := TrainAPUCtx(ctx, sc)
+	tr, err := core.Train(ctx, apuTrainSpec(sc))
 	if err != nil {
 		return nil, err
 	}
-	agent.Freeze()
-	return apuFactories(agent), nil
+	tr.Agent.Freeze()
+	return apuFactories(tr.Agent), nil
 }
 
 func policyNames(fs []PolicyFactory) []string {

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"mlnoc/internal/core"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/synfull"
 )
@@ -305,10 +306,11 @@ func TestTrainAPUSmoke(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.TrainCycles = 1_500
-	agent, err := TrainAPUCtx(context.Background(), sc)
+	tr, err := core.Train(context.Background(), apuTrainSpec(sc))
 	if err != nil {
 		t.Fatal(err)
 	}
+	agent := tr.Agent
 	if agent.Decisions() == 0 {
 		t.Fatal("APU training made no arbitration decisions")
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -19,7 +20,7 @@ func MeshRate(size int) float64 {
 	if size >= 8 {
 		return 0.14
 	}
-	return 0.23
+	return core.DefaultMeshRate
 }
 
 // uniformMesh is the Section 3.2 synthetic-traffic setup on a size x size
@@ -33,13 +34,11 @@ func uniformMesh(size, bufCap int, seed int64) traffic.Mesh {
 	}
 }
 
-// meshTrainConfig trains the Section 3.2 agent on a size x size mesh: one
+// meshTrainSpec trains the Section 3.2 agent on a size x size mesh: one
 // 1000-cycle epoch per thousand sc.TrainCycles, at least one.
-func meshTrainConfig(size int, sc Scale) core.MeshTrainConfig {
-	return core.MeshTrainConfig{
+func meshTrainSpec(size int, sc Scale) core.TrainSpec {
+	return core.TrainSpec{
 		Width:       size,
-		Height:      size,
-		VCs:         3,
 		Rate:        MeshRate(size),
 		Hidden:      15,
 		Epochs:      max(1, int(sc.TrainCycles/1000)),
@@ -74,8 +73,8 @@ type MeshStudyResult struct {
 // DQL agent under uniform-random traffic, freeze it, and compare FIFO, the
 // RL-inspired policy, the frozen NN and Global-age arbitration.
 func MeshStudy(size int, sc Scale) *MeshStudyResult {
-	cfg := meshTrainConfig(size, sc)
-	tr := core.TrainMesh(cfg)
+	cfg := meshTrainSpec(size, sc)
+	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 	tr.Agent.Freeze()
 
 	policies := []struct {

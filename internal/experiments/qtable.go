@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"strings"
 
@@ -31,7 +32,7 @@ type QTableResult struct {
 // traffic for the same number of cycles and compares table growth and
 // evaluation latency.
 func QTableStudy(sc Scale) *QTableResult {
-	cfg := meshTrainConfig(4, sc)
+	cfg := meshTrainSpec(4, sc)
 	cfg.Epochs = max(4, cfg.Epochs)
 	res := &QTableResult{TrainCycles: int64(cfg.Epochs) * cfg.EpochCycles}
 
@@ -55,7 +56,7 @@ func QTableStudy(sc Scale) *QTableResult {
 	tab.Freeze()
 
 	// Train the DQL agent with the same budget.
-	tr := core.TrainMesh(cfg)
+	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 	tr.Agent.Freeze()
 	res.DQLParams = tr.Agent.Net().NumParams()
 

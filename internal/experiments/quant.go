@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"strings"
@@ -95,8 +96,8 @@ type QuantStudyResult struct {
 // live workload, and measures policy fidelity at three levels: per-decision
 // action agreement, Q-value error, and end-to-end latency/throughput deltas.
 func QuantStudy(size int, sc Scale) *QuantStudyResult {
-	cfg := meshTrainConfig(size, sc)
-	tr := core.TrainMesh(cfg)
+	cfg := meshTrainSpec(size, sc)
+	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
 	tr.Agent.Freeze()
 	return QuantEval(tr.Agent, cfg, sc)
 }
@@ -105,12 +106,9 @@ func QuantStudy(size int, sc Scale) *QuantStudyResult {
 // recorded from a live run under cfg's traffic, and measures fidelity. It is
 // the evaluation half of QuantStudy, exported so cmd/trainarb can run the
 // same study on a network it just trained.
-func QuantEval(agent *core.Agent, cfg core.MeshTrainConfig, sc Scale) *QuantStudyResult {
-	if cfg.Rate == 0 {
-		// Mirror MeshTrainConfig's default so the rate sweep below varies
-		// the actual load instead of passing 0 ("use default") twice.
-		cfg.Rate = 0.23
-	}
+func QuantEval(agent *core.Agent, cfg core.TrainSpec, sc Scale) *QuantStudyResult {
+	// The rate sweep below varies the actual load, not 0 ("use default").
+	cfg.Rate = cfg.Mesh().Rate
 	net := agent.Net()
 
 	// Record workload states by replaying the frozen policy once.

@@ -38,7 +38,7 @@ type ScalingStudyResult struct {
 // global-age policy, timing the measured window. Runs are strictly
 // sequential — each one wants the whole machine, and interleaving them would
 // corrupt the wall-clock numbers. Cancellation is polled every
-// trainCheckEvery cycles. The unnamed slice is ignored: it stays only because
+// checkEvery cycles. The unnamed slice is ignored: it stays only because
 // benchmark/simd.go still passes one, and goes when the benchmark harness is
 // unified. In-repo callers pass nil.
 func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
@@ -90,10 +90,15 @@ func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) 
 	return res, nil
 }
 
-// steps injects and steps n cycles, polling ctx every trainCheckEvery cycles.
+// checkEvery is the cancellation poll period of steps in cycles: coarse
+// enough that the atomic ctx.Err() check is invisible next to a simulated
+// cycle, fine enough that cancellation lands within milliseconds.
+const checkEvery = 1024
+
+// steps injects and steps n cycles, polling ctx every checkEvery cycles.
 func steps(ctx context.Context, net *noc.Network, in *traffic.Injector, n int64) error {
 	for i := int64(0); i < n; i++ {
-		if i%trainCheckEvery == 0 && ctx.Err() != nil {
+		if i%checkEvery == 0 && ctx.Err() != nil {
 			return ctx.Err()
 		}
 		in.Tick()

@@ -105,12 +105,12 @@ var Table = []Experiment{
 		return res
 	})},
 	{Name: "fig7", Run: view(func(ctx context.Context, in Input) (*core.Heatmap, error) {
-		agent, err := TrainAPUCtx(ctx, in.Scale)
+		tr, err := core.Train(ctx, apuTrainSpec(in.Scale))
 		if err != nil {
 			return nil, err
 		}
-		agent.Freeze()
-		return APUHeatmapFromAgent(agent), nil
+		tr.Agent.Freeze()
+		return APUHeatmapFromAgent(tr.Agent), nil
 	}, func(h *core.Heatmap) Result {
 		return Result{RenderAPUHeatmap(h), []CSVFile{{"fig7_heatmap.csv", viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs)}}}
 	})},

@@ -50,7 +50,7 @@ func apuOccupied(rng *rand.Rand) int {
 func benchAPU() (*DQL, *rand.Rand) { return benchDQLOf(504, 12, 42, apuOccupied) }
 
 // benchDQL builds a mesh-scale learner (60->15->15, batch 32) with a full
-// replay ring, the shape TrainMesh drives once per cycle, holding states that
+// replay ring, the shape core.Train drives once per cycle, holding states that
 // look like its traffic: 2 or 3 of the 15 buffers have a competing message.
 func benchDQL() (*DQL, *rand.Rand) {
 	return benchDQLOf(60, 4, 15, func(rng *rand.Rand) int { return 2 + rng.Intn(2) })
@@ -171,7 +171,7 @@ func TestReplayAtOrdersOldestFirst(t *testing.T) {
 // back and when it appears: no target copy until the learner first trains, and
 // a replay memory that reports its capacity and accepts experiences.
 func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
-	d := NewInferenceDQL(newNet(5, 60, 15, 15), DQLConfig{ReplayCap: 8})
+	d := NewInferenceDQL(newNet(5, 60, 15, 15), DQLConfig{ReplayCap: 8, BatchSize: 2})
 	rng := rand.New(rand.NewSource(2))
 	if d.Target != nil || d.Replay.Len() != 0 || d.Replay.Cap() != 8 {
 		t.Fatalf("fresh learner: target %v, replay %d/%d", d.Target, d.Replay.Len(), d.Replay.Cap())

@@ -97,9 +97,9 @@ func TestQuickReplayNeverExceedsCap(t *testing.T) {
 
 func TestDQLDefaults(t *testing.T) {
 	d := NewDQL(newNet(1, 4, 6, 3), DQLConfig{})
-	if d.Cfg.Gamma != 0.9 || d.Cfg.LR != 0.001 || d.Cfg.ReplayCap != 4000 ||
-		d.Cfg.BatchSize != 2 {
-		t.Fatalf("paper defaults not applied: %+v", d.Cfg)
+	if d.Cfg.Gamma != 0.5 || d.Cfg.LR != 0.05 || d.Cfg.ReplayCap != 16000 ||
+		d.Cfg.BatchSize != 32 || d.Cfg.SyncEvery != 2000 {
+		t.Fatalf("harness defaults not applied: %+v", d.Cfg)
 	}
 	if d.Target == d.Online {
 		t.Fatal("target network aliases the online network")
