@@ -55,15 +55,15 @@ type Agent struct {
 
 	// stateFree and validFree recycle the State/NextValid storage handed
 	// back by the replay ring on eviction, making steady-state Select
-	// allocation-free; widest is the most entries any state has needed room
-	// for so far, the capacity new state vectors are made with. evalState is
-	// the single state reused by inference-only (non-training) agents, which
+	// allocation-free. Both are filed by size in candidates: stateFree[k]
+	// holds state vectors with room for k candidates' features, validFree[k]
+	// NextValid slices of capacity k (see takeState). evalState is the
+	// single state reused by inference-only (non-training) agents, which
 	// never retain states. slots lists the candidates' action indices of the
 	// arbitration in hand. inferState is the dense state handed to Infer, the
 	// only dense state the agent keeps.
-	stateFree  []nn.SparseVec
-	validFree  [][]int
-	widest     int
+	stateFree  [][]nn.SparseVec
+	validFree  [][][]int
 	evalState  nn.SparseVec
 	slots      []int
 	inferState []float64
@@ -131,7 +131,7 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 	return a
 }
 
-// recycleExperience returns an evicted experience's slices to the freelists.
+// recycleExperience files an evicted experience's slices by size.
 // Only State and NextValid are recycled: an evicted experience's Next is the
 // State of a younger, still-live experience (or of a pending decision); it
 // comes back through its own eviction. The ring's FIFO order guarantees the
@@ -139,41 +139,55 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 // State here can never corrupt a live tuple.
 func (a *Agent) recycleExperience(e *rl.Experience) {
 	if e.State.Idx != nil {
-		a.stateFree = append(a.stateFree, e.State)
+		a.stateFree = fileBySize(a.stateFree, cap(e.State.Idx)/a.Spec.Features.Width(), e.State)
 	}
 	if e.NextValid != nil {
-		a.validFree = append(a.validFree, e.NextValid[:0])
+		a.validFree = fileBySize(a.validFree, cap(e.NextValid), e.NextValid[:0])
 	}
 }
 
-// takeState returns a state vector with room for n entries: a recycled one, or
-// a new one while the freelist warms up or when the recycled one is too small.
-// New vectors are made for the widest state seen so far, so the vectors in
-// circulation converge on a capacity every state fits and steady-state
-// training stops allocating.
+// takeState returns a state vector with room for n entries. It takes a
+// recycled one from the smallest size that fits and has one free, and makes a
+// new one of exactly the room asked for only if none does. So every stored
+// state is about as small as its own arbitration, and once the lists have
+// warmed up steady-state training stops allocating.
 func (a *Agent) takeState(n int) nn.SparseVec {
-	a.widest = max(a.widest, n)
-	if k := len(a.stateFree); k > 0 {
-		s := a.stateFree[k-1]
-		a.stateFree = a.stateFree[:k-1]
-		if cap(s.Idx) >= n && cap(s.Val) >= n {
-			return s
-		}
+	fw := a.Spec.Features.Width()
+	if s, ok := takeBySize(a.stateFree, (n+fw-1)/fw); ok {
+		return s
 	}
-	return nn.SparseVec{Idx: make([]int32, 0, a.widest), Val: make([]float64, 0, a.widest)}
+	return nn.SparseVec{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
 }
 
-// takeValid returns a recycled NextValid slice of length n. Fresh slices are
-// allocated with the full action-size capacity so any later reuse fits.
+// takeValid returns a NextValid slice of length n, recycled like a state
+// vector or else made with capacity n.
 func (a *Agent) takeValid(n int) []int {
-	if k := len(a.validFree); k > 0 {
-		v := a.validFree[k-1]
-		a.validFree = a.validFree[:k-1]
-		if cap(v) >= n {
-			return v[:n]
+	if v, ok := takeBySize(a.validFree, n); ok {
+		return v[:n]
+	}
+	return make([]int, n)
+}
+
+// fileBySize appends v to lists[size], growing lists to reach it.
+func fileBySize[T any](lists [][]T, size int, v T) [][]T {
+	for len(lists) <= size {
+		lists = append(lists, nil)
+	}
+	lists[size] = append(lists[size], v)
+	return lists
+}
+
+// takeBySize pops an element of lists[size] or, if that list is empty, of the
+// nearest non-empty larger one.
+func takeBySize[T any](lists [][]T, size int) (v T, ok bool) {
+	for ; size < len(lists); size++ {
+		if k := len(lists[size]); k > 0 {
+			v = lists[size][k-1]
+			lists[size] = lists[size][:k-1]
+			return v, true
 		}
 	}
-	return make([]int, n, a.Spec.ActionSize())
+	return v, false
 }
 
 // Epsilon returns the current exploration rate under the decay schedule.

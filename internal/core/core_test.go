@@ -697,8 +697,6 @@ func TestSelectMaxRotatingTieBreak(t *testing.T) {
 	}
 }
 
-var _ = rand.Int // keep math/rand imported for future tests
-
 func TestFootnote1CoreBonus(t *testing.T) {
 	p := NewRLInspiredMesh4x4()
 	p.CoreBonus = 8

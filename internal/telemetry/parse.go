@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -27,14 +28,15 @@ func (s *Sample) Label(name string) string {
 }
 
 // baseKey identifies one series within a family: the label pairs minus any
-// "le", in sorted order.
+// "le", in sorted order, each value quoted so that no two label sets share a
+// key.
 func (s *Sample) baseKey() string {
 	pairs := make([]string, 0, len(s.Labels))
 	for _, kv := range s.Labels {
 		if kv[0] == "le" {
 			continue
 		}
-		pairs = append(pairs, kv[0]+"="+kv[1])
+		pairs = append(pairs, kv[0]+"="+strconv.Quote(kv[1]))
 	}
 	sort.Strings(pairs)
 	return strings.Join(pairs, ",")
@@ -300,7 +302,8 @@ func checkSampleName(f *Family, sample string) error {
 
 // checkHistogram validates each series of a histogram family: cumulative
 // bucket counts non-decreasing with increasing le, a +Inf bucket present,
-// and _count equal to the +Inf bucket.
+// and one _count, equal to the +Inf bucket. The comparisons are written so
+// that a NaN le or count fails them.
 func checkHistogram(f *Family) error {
 	type state struct {
 		lastLe    float64
@@ -315,7 +318,7 @@ func checkHistogram(f *Family) error {
 		k := s.baseKey()
 		st, ok := states[k]
 		if !ok {
-			st = &state{lastLe: -1 << 62}
+			st = &state{lastLe: math.Inf(-1)}
 			states[k] = st
 		}
 		return st
@@ -333,10 +336,10 @@ func checkHistogram(f *Family) error {
 			if err != nil {
 				return fmt.Errorf("histogram %q: bad le %q", f.Name, leStr)
 			}
-			if le <= st.lastLe {
+			if !(le > st.lastLe) {
 				return fmt.Errorf("histogram %q: le %q out of order", f.Name, leStr)
 			}
-			if s.Value < st.lastCount {
+			if !(s.Value >= st.lastCount) {
 				return fmt.Errorf("histogram %q: cumulative bucket counts decreased at le=%q", f.Name, leStr)
 			}
 			st.lastLe, st.lastCount = le, s.Value
@@ -344,6 +347,9 @@ func checkHistogram(f *Family) error {
 				st.inf, st.hasInf = s.Value, true
 			}
 		case f.Name + "_count":
+			if st.hasCount {
+				return fmt.Errorf("histogram %q{%s} has two _count samples", f.Name, s.baseKey())
+			}
 			st.count, st.hasCount = s.Value, true
 		}
 	}

@@ -193,16 +193,20 @@ func TestRenderDeterministic(t *testing.T) {
 
 func TestParseRejectsMalformed(t *testing.T) {
 	cases := map[string]string{
-		"no EOF":             "# TYPE x counter\nx_total 1\n",
-		"sample before TYPE": "x_total 1\n# EOF\n",
-		"counter no _total":  "# TYPE x counter\nx 1\n# EOF\n",
-		"bad name":           "# TYPE 2x counter\n2x_total 1\n# EOF\n",
-		"bad value":          "# TYPE x counter\nx_total one\n# EOF\n",
-		"unterminated label": "# TYPE x gauge\nx{a=\"b 1\n# EOF\n",
-		"bad escape":         "# TYPE x gauge\nx{a=\"\\q\"} 1\n# EOF\n",
-		"content after EOF":  "# EOF\n# TYPE x gauge\nx 1\n",
-		"no +Inf bucket":     "# TYPE x histogram\nx_bucket{le=\"1\"} 1\nx_sum 1\nx_count 1\n# EOF\n",
-		"shrinking buckets":  "# TYPE x histogram\nx_bucket{le=\"1\"} 2\nx_bucket{le=\"+Inf\"} 1\nx_sum 1\nx_count 1\n# EOF\n",
+		"no EOF":              "# TYPE x counter\nx_total 1\n",
+		"sample before TYPE":  "x_total 1\n# EOF\n",
+		"counter no _total":   "# TYPE x counter\nx 1\n# EOF\n",
+		"bad name":            "# TYPE 2x counter\n2x_total 1\n# EOF\n",
+		"bad value":           "# TYPE x counter\nx_total one\n# EOF\n",
+		"unterminated label":  "# TYPE x gauge\nx{a=\"b 1\n# EOF\n",
+		"bad escape":          "# TYPE x gauge\nx{a=\"\\q\"} 1\n# EOF\n",
+		"content after EOF":   "# EOF\n# TYPE x gauge\nx 1\n",
+		"no +Inf bucket":      "# TYPE x histogram\nx_bucket{le=\"1\"} 1\nx_sum 1\nx_count 1\n# EOF\n",
+		"shrinking buckets":   "# TYPE x histogram\nx_bucket{le=\"1\"} 2\nx_bucket{le=\"+Inf\"} 1\nx_sum 1\nx_count 1\n# EOF\n",
+		"NaN bucket count":    "# TYPE x histogram\nx_bucket{le=\"1\"} 5\nx_bucket{le=\"2\"} NaN\nx_bucket{le=\"+Inf\"} 1\nx_count 1\n# EOF\n",
+		"NaN le":              "# TYPE x histogram\nx_bucket{le=\"NaN\"} 1\nx_bucket{le=\"1\"} 1\nx_bucket{le=\"+Inf\"} 1\nx_count 1\n# EOF\n",
+		"two _count samples":  "# TYPE x histogram\nx_bucket{le=\"+Inf\"} 1\nx_count 5\nx_count 1\n# EOF\n",
+		"series keys collide": "# TYPE x histogram\nx_bucket{a=\"1,b=2\",le=\"+Inf\"} 1\nx_count{a=\"1\",b=\"2\"} 1\n# EOF\n",
 	}
 	for name, doc := range cases {
 		if err := Lint(doc); err == nil {
