@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet vet-cross fmt bench-once verify clean
+.PHONY: build test test-nofma race vet vet-cross fmt layering bench-once verify clean
 
 build:
 	$(GO) build ./...
@@ -17,8 +17,8 @@ test:
 test-nofma:
 	GODEBUG=cpu.fma=off $(GO) test ./internal/nn
 
-# Race-check the library packages and the commands; the obs registry, the
-# parallel sweep telemetry and the fault-injection tests are explicitly
+# Race-check the library packages and the commands; the parallel sweep
+# telemetry and the fault-injection tests are explicitly
 # exercised under -race by internal/experiments and internal/fault, and the
 # command tests run whole sweeps and trainarb's metrics sidecar. The race
 # detector runs ~10x slower than a plain test, so give the heavyweight sweep
@@ -39,6 +39,18 @@ fmt:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
+# The simulation layers carry no instruments: obs, trace and telemetry are
+# attached from above (the commands, experiments, serve) through the
+# network's hooks. Fail, naming the package, if any of these layers depends
+# on one of them, directly or not.
+LAYERS = noc arb traffic fault nn rl synfull xrand apu core
+layering:
+	@fail=0; for p in $(LAYERS); do \
+		deps=$$($(GO) list -deps ./internal/$$p) || { echo "go list failed for internal/$$p"; fail=1; continue; }; \
+		bad=$$(echo "$$deps" | grep -E '^mlnoc/internal/(obs|trace|telemetry)$$'); \
+		if [ -n "$$bad" ]; then echo "internal/$$p depends on" $$bad; fail=1; fi; \
+	done; exit $$fail
+
 # Run every Go benchmark exactly once, so the BenchmarkHot* developer
 # microbenchmarks keep compiling and running. It times nothing worth reading:
 # performance is measured and gated by benchmark/run.sh, and the zero-alloc
@@ -47,7 +59,7 @@ bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet vet-cross build test test-nofma race bench-once
+verify: fmt vet vet-cross layering build test test-nofma race bench-once
 
 clean:
 	$(GO) clean ./...

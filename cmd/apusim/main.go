@@ -17,7 +17,9 @@ import (
 	"mlnoc/internal/core"
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
+	"mlnoc/internal/obs"
 	"mlnoc/internal/synfull"
+	"mlnoc/internal/trace"
 )
 
 func main() { cliutil.Main("apusim", run) }
@@ -84,11 +86,15 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 
+	var suite *obs.Suite
+	var tr *trace.Tracer
 	runCfg := apu.RunnerConfig{
 		OpScale: *opscale,
 		Seed:    *seed,
-		Obs:     obsFlags.Suite(log),
-		Trace:   traceFlags.Config(),
+		Attach: func(net *noc.Network) {
+			suite = obsFlags.Attach(net, log)
+			tr = traceFlags.Attach(net)
+		},
 	}
 	if *faults > 0 {
 		fseed := *faultSeed
@@ -107,15 +113,11 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	res := apu.RunWorkload(apu.Config{QuadSide: *quadSide, BufferCap: *bufcap}, p, models, runCfg)
-	if res.Obs != nil {
-		if err := obsFlags.Report(stdout, res.Obs, *seed); err != nil {
-			return err
-		}
+	if err := obsFlags.Report(stdout, suite, *seed); err != nil {
+		return err
 	}
-	if res.Trace != nil {
-		if err := traceFlags.Report(stdout, res.Trace); err != nil {
-			return err
-		}
+	if err := traceFlags.Report(stdout, tr); err != nil {
+		return err
 	}
 	if !res.Finished {
 		return errors.New("workload did not finish within the cycle budget")

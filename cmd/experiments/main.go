@@ -10,11 +10,13 @@ package main
 
 import (
 	"context"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
 	"log/slog"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 
@@ -34,12 +36,12 @@ func run(args []string, stdout io.Writer) error {
 	noNN := cmd.Bool("no-nn", false, "skip NN training in APU sweeps (faster)")
 	csvDir := cmd.String("csv", "", "also write results as CSV files into this directory")
 	metricsOut := cmd.String("metrics-out", "",
-		"write per-cell obs snapshots (JSON) of the APU sweeps to this file")
+		"write per-cell obs snapshots (JSON) of the sweeps to this file")
 	watchdog := cmd.Int64("watchdog", 0,
 		"attach a watchdog to every sweep cell: flag head messages older than N cycles and N-cycle zero-delivery windows (0 = off)")
 	progress := cmd.Bool("progress", false, "print sweep cell progress to stderr")
 	traceDir := cmd.String("trace-dir", "",
-		"write one Chrome/Perfetto trace JSON per APU sweep cell into this directory")
+		"write one Chrome/Perfetto trace JSON per sweep cell into this directory")
 	traceSample := cmd.Uint64("trace-sample", 64, "trace only every Nth message per cell")
 	scalingSizes := cmd.String("scaling-sizes", "",
 		"scaling and mesh experiments: comma-separated topology edge sizes (default 8,16,32)")
@@ -90,13 +92,9 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 	}
-	tel, err := o.telemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log)
+	snaps, err := o.telemetry(*metricsOut, *watchdog, *progress, *traceDir, *traceSample, log)
 	if err != nil {
 		return err
-	}
-	o.in.Telemetry = tel
-	if tel != nil && tel.Registry != nil {
-		tel.Registry.SetSeed(*seed)
 	}
 
 	if what == "all" {
@@ -113,65 +111,93 @@ func run(args []string, stdout io.Writer) error {
 	} else if err := o.run(e); err != nil {
 		return err
 	}
-	if tel == nil || tel.Registry == nil {
-		return nil
-	}
-	reg := tel.Registry
+	runs := sortedRuns(snaps)
 	if *metricsOut != "" {
-		if err := cliutil.WriteFile(*metricsOut, reg.WriteJSON); err != nil {
+		doc := struct {
+			Seed int64     `json:"seed"`
+			Runs []cellRun `json:"runs"`
+		}{*seed, runs}
+		if err := cliutil.WriteFile(*metricsOut, func(w io.Writer) error {
+			enc := json.NewEncoder(w)
+			enc.SetIndent("", "  ")
+			return enc.Encode(doc)
+		}); err != nil {
 			return err
 		}
-		fmt.Fprintf(stdout, "(obs metrics written to %s: %d runs)\n", *metricsOut, reg.Len())
+		fmt.Fprintf(stdout, "(obs metrics written to %s: %d runs)\n", *metricsOut, len(runs))
 	}
-	for _, a := range reg.Alerts() {
-		log.Warn("watchdog alert", "alert", a)
+	for _, r := range runs {
+		for _, a := range r.Snapshot.Alerts {
+			log.Warn("watchdog alert", "alert", r.Name+": "+a.String())
+		}
+		if n := r.Snapshot.SuppressedAlerts; n > 0 {
+			log.Warn("watchdog alert", "alert", fmt.Sprintf("%s: (%d further alerts suppressed)", r.Name, n))
+		}
 	}
 	return nil
 }
 
-// telemetry assembles the sweep telemetry from the observability flags, or
-// returns nil when none are set.
+// telemetry sets o's sweep telemetry from the observability flags, leaving
+// it nil when none is set. When -metrics-out or -watchdog is set, the
+// returned map fills with each sweep cell's snapshot, keyed by cell label (a
+// label run twice keeps its last).
 func (o *options) telemetry(metricsOut string, watchdog int64, progress bool,
-	traceDir string, traceSample uint64, log *slog.Logger) (*experiments.Telemetry, error) {
+	traceDir string, traceSample uint64, log *slog.Logger) (map[string]*obs.Snapshot, error) {
 	if metricsOut == "" && watchdog == 0 && !progress && traceDir == "" {
 		return nil, nil
 	}
 	tel := &experiments.Telemetry{}
+	var snaps map[string]*obs.Snapshot
 	if metricsOut != "" || watchdog != 0 {
-		tel.Registry = obs.NewRegistry()
+		snaps = map[string]*obs.Snapshot{}
+		tel.Obs = true
 	}
 	if watchdog > 0 {
-		tel.Watchdog = &obs.WatchdogConfig{
-			MaxHeadAge:     watchdog,
-			LivelockWindow: watchdog,
-		}
-	}
-	if progress {
-		tel.Progress = func(done, total int, label string) {
-			log.Info("progress", "done", done, "total", total, "cell", label)
-		}
+		tel.Watchdog = &obs.WatchdogConfig{Threshold: watchdog}
 	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return nil, err
 		}
 		tel.Trace = &trace.Config{SampleEvery: traceSample}
-		// Telemetry serializes TraceSink calls, and a sweep returns only after
-		// its last one, so o.err needs no lock.
-		tel.TraceSink = func(label string, tr *trace.Tracer) {
-			if o.err != nil {
-				return
-			}
+	}
+	// Telemetry serializes OnCell calls, and a sweep returns only after its
+	// last one, so snaps and o.err need no lock.
+	tel.OnCell = func(c experiments.Cell) {
+		if c.Suite != nil {
+			snaps[c.Label] = c.Suite.Snapshot()
+		}
+		if c.Tracer != nil && o.err == nil {
 			// Labels are "workload/policy"; flatten for the filesystem.
-			name := strings.NewReplacer("/", "_", " ", "_").Replace(label) + ".trace.json"
+			name := strings.NewReplacer("/", "_", " ", "_").Replace(c.Label) + ".trace.json"
 			o.err = cliutil.WriteFile(traceDir+string(os.PathSeparator)+name,
-				func(w io.Writer) error { return trace.WriteChromeTrace(w, tr) })
+				func(w io.Writer) error { return trace.WriteChromeTrace(w, c.Tracer) })
 			if o.err == nil {
-				log.Info("trace written", "file", name, "events", tr.Len())
+				log.Info("trace written", "file", name, "events", c.Tracer.Len())
 			}
 		}
+		if progress {
+			log.Info("progress", "done", c.Done, "total", c.Total, "cell", c.Label)
+		}
 	}
-	return tel, nil
+	o.in.Telemetry = tel
+	return snaps, nil
+}
+
+// cellRun is one sweep cell's entry in the -metrics-out document.
+type cellRun struct {
+	Name     string        `json:"name"`
+	Snapshot *obs.Snapshot `json:"snapshot"`
+}
+
+// sortedRuns returns the snapshots as runs sorted by cell label.
+func sortedRuns(snaps map[string]*obs.Snapshot) []cellRun {
+	runs := make([]cellRun, 0, len(snaps))
+	for name, snap := range snaps {
+		runs = append(runs, cellRun{name, snap})
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].Name < runs[j].Name })
+	return runs
 }
 
 // options are one invocation's settings, shared by every experiment "all"

@@ -16,8 +16,6 @@ import (
 	"mlnoc/internal/core"
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/obs"
-	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
 )
 
@@ -111,14 +109,8 @@ func run(args []string, stdout io.Writer) error {
 		}
 	}
 
-	var suite *obs.Suite
-	if cfg := obsFlags.Suite(log); cfg != nil {
-		suite = obs.Attach(net, *cfg)
-	}
-	var tr *trace.Tracer
-	if cfg := traceFlags.Config(); cfg != nil {
-		tr = trace.Attach(net, *cfg)
-	}
+	suite := obsFlags.Attach(net, log)
+	tr := traceFlags.Attach(net)
 
 	res := traffic.Run(net, in, *warmup, *cycles)
 	st := net.Stats()
@@ -135,15 +127,10 @@ func run(args []string, stdout io.Writer) error {
 		fmt.Fprintf(stdout, "  faults: %d links killed, %d downtime cycles, %d requeued, %d reroutes, %d unreachable\n",
 			fs.LinkKills, fs.DowntimeCycles, fs.Requeued, fs.Reroutes, fs.Unreachable)
 	}
-	if suite != nil {
-		if err := obsFlags.Report(stdout, suite, *seed); err != nil {
-			return err
-		}
+	if err := obsFlags.Report(stdout, suite, *seed); err != nil {
+		return err
 	}
-	if tr != nil {
-		return traceFlags.Report(stdout, tr)
-	}
-	return nil
+	return traceFlags.Report(stdout, tr)
 }
 
 func makePolicy(name string, size int, seed int64) (noc.Policy, error) {

@@ -76,10 +76,7 @@ func main() {
 		Registry:     telemetry.Default,
 	}
 	if *watchdog > 0 {
-		cfg.Watchdog = &obs.WatchdogConfig{
-			MaxHeadAge:     *watchdog,
-			LivelockWindow: *watchdog,
-		}
+		cfg.Watchdog = &obs.WatchdogConfig{Threshold: *watchdog}
 	}
 	srv := serve.New(cfg)
 

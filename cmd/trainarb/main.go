@@ -149,15 +149,13 @@ func run(args []string, stdout io.Writer) error {
 		},
 	}
 	var sinkErr error
-	if cfg.Telemetry, err = buildTelemetry(*telemetryOut, *heatmapEvery, cfg.Epochs,
-		traceFlags.Config(), &sinkErr); err != nil {
+	if cfg.Telemetry, err = buildTelemetry(*telemetryOut, *heatmapEvery, cfg.Epochs, &sinkErr); err != nil {
 		return err
 	}
+	var tracer *trace.Tracer
+	cfg.Telemetry.Attach = func(net *noc.Network) { tracer = traceFlags.Attach(net) }
 	// Epoch progress goes through slog live (not printed after the fact), so
 	// -log-format json turns a long run into machine-parseable progress.
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = &core.TrainTelemetry{BatchEvery: 10}
-	}
 	cfg.Telemetry.OnEpoch = func(epoch int, avg float64) {
 		log.Info("epoch complete", "epoch", epoch, "epochs", cfg.Epochs,
 			"avg_latency", fmt.Sprintf("%.2f", avg))
@@ -182,7 +180,10 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "decisions=%d explored=%.4f replay=%d steps=%d\n",
 		tr.Agent.Decisions(), tr.Agent.ExplorationFraction(),
 		tr.Agent.DQL.Replay.Len(), tr.Agent.DQL.Steps())
-	if err := reportTelemetry(stdout, tr, *telemetryOut, traceFlags); err != nil {
+	if err := reportTelemetry(stdout, tr, *telemetryOut); err != nil {
+		return err
+	}
+	if err := traceFlags.Report(stdout, tracer); err != nil {
 		return err
 	}
 
@@ -237,17 +238,13 @@ func saveNetwork(stdout io.Writer, path string, agent *core.Agent) error {
 	return nil
 }
 
-// buildTelemetry assembles the core.Train telemetry config from the CLI
-// flags, or returns nil when no introspection was requested. The first failed
-// heatmap write lands in *sinkErr; later epochs write nothing.
-func buildTelemetry(dir string, heatmapEvery, epochs int, traceCfg *trace.Config,
-	sinkErr *error) (*core.TrainTelemetry, error) {
-	if dir == "" && traceCfg == nil {
-		return nil, nil
-	}
+// buildTelemetry assembles the core.Train telemetry config from the
+// -telemetry-out flags. The first failed heatmap write lands in *sinkErr;
+// later epochs write nothing.
+func buildTelemetry(dir string, heatmapEvery, epochs int, sinkErr *error) (*core.TrainTelemetry, error) {
 	// One curve point per 10 training batches keeps training_curves.csv a
 	// few thousand rows on default-length runs.
-	tel := &core.TrainTelemetry{BatchEvery: 10, Trace: traceCfg}
+	tel := &core.TrainTelemetry{BatchEvery: 10}
 	if dir != "" {
 		if err := os.MkdirAll(dir, 0o755); err != nil {
 			return nil, err
@@ -283,7 +280,7 @@ func writeString(path, s string) error {
 
 // reportTelemetry prints the training-telemetry summary and writes the
 // requested artifacts.
-func reportTelemetry(stdout io.Writer, tr *core.TrainResult, dir string, traceFlags *cliutil.TraceFlags) error {
+func reportTelemetry(stdout io.Writer, tr *core.TrainResult, dir string) error {
 	if tt := tr.TrainTrace; tt != nil && tt.Points() > 0 {
 		last := tt.Points() - 1
 		fmt.Fprintf(stdout, "telemetry: %d curve points, %d target syncs, final loss %.5f, final epsilon %.4f, replay fill %.0f%%\n",
@@ -308,9 +305,6 @@ func reportTelemetry(stdout io.Writer, tr *core.TrainResult, dir string, traceFl
 			}
 			fmt.Fprintf(stdout, "telemetry written to %s\n", dir)
 		}
-	}
-	if tr.Tracer != nil {
-		return traceFlags.Report(stdout, tr.Tracer)
 	}
 	return nil
 }

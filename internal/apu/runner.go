@@ -5,10 +5,8 @@ import (
 
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/obs"
 	"mlnoc/internal/stats"
 	"mlnoc/internal/synfull"
-	"mlnoc/internal/trace"
 )
 
 // RunnerConfig parameterizes a workload execution.
@@ -21,18 +19,16 @@ type RunnerConfig struct {
 	MaxCycles int64
 	// Seed drives all workload randomness.
 	Seed int64
-	// Obs, if non-nil, attaches an observability suite (metrics collector
-	// and optional watchdog) to the run's network; RunWorkload returns it in
-	// ExecResult.Obs.
-	Obs *obs.SuiteConfig
 	// Faults, if non-nil, equips the run's network with the fault scenario
 	// (fault-aware table routing plus injector) before the workload starts.
 	// Scenarios built from Spec.KillFraction preserve mesh connectivity, so
 	// the coherence protocol keeps its liveness under link kills.
 	Faults *fault.Spec
-	// Trace, if non-nil, attaches a per-message lifecycle tracer to the
-	// run's network; RunWorkload returns it in ExecResult.Trace.
-	Trace *trace.Config
+	// Attach, if non-nil, is handed the run's network once RunWorkload has
+	// installed the policy's OnCycle hook and the fault scenario, so that
+	// instruments it attaches there observe the fully arbitrated cycle. The
+	// caller keeps and reports whatever it attaches.
+	Attach func(*noc.Network)
 }
 
 func (c *RunnerConfig) applyDefaults() {
@@ -198,15 +194,9 @@ type ExecResult struct {
 	AvgLatency float64 // mean NoC message latency during the run
 	Cycles     int64
 	Finished   bool
-	// Obs is the observability suite attached to the run, non-nil when
-	// RunnerConfig.Obs was set.
-	Obs *obs.Suite
 	// Faults holds the run's fault counters, non-nil when RunnerConfig.Faults
 	// was set.
 	Faults *fault.Stats
-	// Trace is the message tracer attached to the run, non-nil when
-	// RunnerConfig.Trace was set.
-	Trace *trace.Tracer
 }
 
 // RunWorkload is the one-call experiment helper: build a system with the
@@ -226,15 +216,8 @@ func RunWorkload(sysCfg Config, policy noc.Policy, models [4]*synfull.Model, run
 			panic(fmt.Sprintf("apu: invalid fault spec: %v", err))
 		}
 	}
-	var suite *obs.Suite
-	if runCfg.Obs != nil {
-		// Attach after the policy's OnCycle hook so samples and watchdog
-		// scans observe the fully arbitrated cycle.
-		suite = obs.Attach(sys.Net, *runCfg.Obs)
-	}
-	var tr *trace.Tracer
-	if runCfg.Trace != nil {
-		tr = trace.Attach(sys.Net, *runCfg.Trace)
+	if runCfg.Attach != nil {
+		runCfg.Attach(sys.Net)
 	}
 	r := NewRunner(sys, models, runCfg)
 	finished := r.Run()
@@ -243,8 +226,6 @@ func RunWorkload(sysCfg Config, policy noc.Policy, models [4]*synfull.Model, run
 		AvgLatency: sys.Net.Stats().Latency.Mean(),
 		Cycles:     sys.Net.Cycle(),
 		Finished:   finished,
-		Obs:        suite,
-		Trace:      tr,
 	}
 	if inj != nil {
 		fs := inj.Stats()

@@ -103,28 +103,31 @@ func AddObsFlags(fs *flag.FlagSet, o *ObsFlags) *ObsFlags {
 // Validate records flag violations on c.
 func (o *ObsFlags) Validate(c *Check) { c.NonNegative("-watchdog", o.Watchdog) }
 
-// Suite returns the obs suite the flags ask for, or nil when neither is set.
-// Watchdog alerts are logged as warnings as they fire.
-func (o *ObsFlags) Suite(log *slog.Logger) *obs.SuiteConfig {
+// Attach attaches the obs suite the flags ask for to net and returns it, or
+// returns nil when neither flag is set. Watchdog alerts are logged as
+// warnings as they fire.
+func (o *ObsFlags) Attach(net *noc.Network, log *slog.Logger) *obs.Suite {
 	if o.MetricsOut == "" && o.Watchdog <= 0 {
 		return nil
 	}
-	cfg := &obs.SuiteConfig{SampleEvery: o.SampleEvery}
+	cfg := obs.SuiteConfig{SampleEvery: o.SampleEvery}
 	if o.Watchdog > 0 {
 		cfg.Watchdog = &obs.WatchdogConfig{
-			MaxHeadAge:     o.Watchdog,
-			LivelockWindow: o.Watchdog,
+			Threshold: o.Watchdog,
 			OnAlert: func(a obs.Alert) {
 				log.Warn("watchdog alert", "kind", string(a.Kind), "alert", a.String())
 			},
 		}
 	}
-	return cfg
+	return obs.Attach(net, cfg)
 }
 
 // Report prints the obs summary of suite on w and writes its JSON snapshot,
-// stamped with seed, to -metrics-out.
+// stamped with seed, to -metrics-out. A nil suite reports nothing.
 func (o *ObsFlags) Report(w io.Writer, suite *obs.Suite, seed int64) error {
+	if suite == nil {
+		return nil
+	}
 	in := o.Indent
 	snap := suite.Snapshot()
 	snap.Seed = seed
@@ -182,18 +185,21 @@ func AddTraceFlags(fs *flag.FlagSet, sample uint64, sampleNote, indent string) *
 // Validate records flag violations on c.
 func (t *TraceFlags) Validate(c *Check) { c.AtLeastU("-trace-sample", t.Sample, 1) }
 
-// Config returns the tracer the flags ask for, or nil: -trace-out and
-// -trace-csv imply -trace.
-func (t *TraceFlags) Config() *trace.Config {
+// Attach attaches the tracer the flags ask for to net and returns it, or
+// returns nil when none is asked for: -trace-out and -trace-csv imply -trace.
+func (t *TraceFlags) Attach(net *noc.Network) *trace.Tracer {
 	if !t.On && t.Out == "" && t.CSV == "" {
 		return nil
 	}
-	return &trace.Config{SampleEvery: t.Sample}
+	return trace.Attach(net, trace.Config{SampleEvery: t.Sample})
 }
 
 // Report prints the latency breakdown of tr on w and writes the exports the
-// flags ask for.
+// flags ask for. A nil tr reports nothing.
 func (t *TraceFlags) Report(w io.Writer, tr *trace.Tracer) error {
+	if tr == nil {
+		return nil
+	}
 	fmt.Fprintf(w, "%strace: %d events retained (%d recorded, %d evicted)",
 		t.indent, tr.Len(), tr.Recorded(), tr.Dropped())
 	if t.showSample {

@@ -7,21 +7,23 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/synfull"
-	"mlnoc/internal/trace"
 	"mlnoc/internal/traffic"
 )
 
 // TrainTelemetry configures the optional introspection of a Train run:
-// the training-curve telemetry (loss/epsilon/replay-fill/target-sync), an
-// attached per-message lifecycle tracer, and periodic weight-heatmap dumps —
-// the artifacts behind the paper's Figs. 4, 7, 12 and 13. All of it is
-// passive: enabling telemetry never changes the training trajectory.
+// the training-curve telemetry (loss/epsilon/replay-fill/target-sync), a
+// hook for the caller's instruments on the training network, and periodic
+// weight-heatmap dumps — the artifacts behind the paper's Figs. 4, 7, 12 and
+// 13. All of it is passive: enabling telemetry never changes the training
+// trajectory.
 type TrainTelemetry struct {
 	// BatchEvery throttles the training trace to one point per N batches
 	// (default 1; Train runs one batch per cycle).
 	BatchEvery int64
-	// Trace, when non-nil, attaches a message tracer to the training network.
-	Trace *trace.Config
+	// Attach, when non-nil, is handed the training network after the agent's
+	// OnCycle hook is installed and before the first cycle; the caller keeps
+	// and reports whatever it attaches (trainarb's message tracer).
+	Attach func(*noc.Network)
 	// HeatmapEvery dumps a weight heatmap of the online network every N
 	// epochs to HeatmapSink (0 disables). The sink receives the 1-based
 	// epoch number.
@@ -138,8 +140,6 @@ type TrainResult struct {
 	Spec *StateSpec
 	// TrainTrace holds the training telemetry when the spec set Telemetry.
 	TrainTrace *rl.TrainingTrace
-	// Tracer is the message tracer when the spec set Telemetry.Trace.
-	Tracer *trace.Tracer
 }
 
 // FinalLatency returns the mean of the last quarter of the curve, a stable
@@ -177,8 +177,8 @@ func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
 		agent.DQL.Trace = &rl.TrainingTrace{Every: tel.BatchEvery,
 			OnPoint: tel.OnBatch, OnSync: tel.OnSync}
 		res.TrainTrace = agent.DQL.Trace
-		if tel.Trace != nil {
-			res.Tracer = trace.Attach(net, *tel.Trace)
+		if tel.Attach != nil {
+			tel.Attach(net)
 		}
 	}
 	var cycle int64

@@ -68,8 +68,8 @@ type apuRow struct {
 // of its own and cells in parallel, and returns the results as
 // res[row][policy]. Cell (r, p) is labelled "<row label>/<policy name>" and
 // seeds its workload with rows[r].seed and its policy with rows[r].seed+p.
-// tel reports progress against the grid's cells plus others, the study's
-// cells outside the grid. ctx works as in ExecSweepCtx; a cell that does not
+// tel counts the grid's cells against a total of those plus others, the
+// study's cells outside the grid. ctx works as in ExecSweepCtx; a cell that does not
 // finish panics with its diagnosis.
 func apuGrid(ctx context.Context, sc Scale, tel *Telemetry, rows []apuRow, policies []PolicyFactory, others int) ([][]apu.ExecResult, error) {
 	res := make([][]apu.ExecResult, len(rows))
@@ -81,18 +81,17 @@ func apuGrid(ctx context.Context, sc Scale, tel *Telemetry, rows []apuRow, polic
 		ri, pi := k/len(policies), k%len(policies)
 		row, f := rows[ri], policies[pi]
 		label := row.label + "/" + f.Name
+		var cell Cell
 		r := apu.RunWorkload(apu.Config{}, f.New(row.seed+int64(pi)), row.apps, apu.RunnerConfig{
 			OpScale: sc.OpScale,
 			Seed:    row.seed,
-			Obs:     tel.suiteConfig(),
-			Trace:   tel.traceConfig(),
 			Faults:  row.faults,
+			Attach:  func(net *noc.Network) { cell = tel.attach(label, net) },
 		})
 		if !r.Finished {
-			panic(cellFailure(label, r))
+			panic(cellFailure(cell, r.Cycles))
 		}
-		tel.cellDone(n+others, label, r.Obs, r.Trace)
-		r.Obs, r.Trace = nil, nil // the grid keeps the numbers, not the instruments
+		tel.cellDone(cell, n+others)
 		res[ri][pi] = r
 	})
 	if err != nil {
@@ -154,8 +153,9 @@ type ExecSweepResult struct {
 
 // ExecSweepCtx runs every Table 1 workload (four copies, one per quadrant)
 // under every Fig. 9 policy. With trainNN true it first trains the APU agent
-// and includes the frozen network as the "NN" policy. tel adds per-cell
-// telemetry (progress reporting, obs snapshots, watchdog) and may be nil.
+// and includes the frozen network as the "NN" policy. tel attaches per-cell
+// instruments (obs suite, watchdog, tracer), hands each finished cell to its
+// OnCell hook, and may be nil.
 //
 // ctx is checked between sweep cells (and inside NN training), so a killed
 // server job stops dispatching promptly instead of finishing the whole sweep.

@@ -220,7 +220,7 @@ func TestAblationCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var cells int32
-	tel := &Telemetry{Progress: func(done, total int, label string) {
+	tel := &Telemetry{OnCell: func(Cell) {
 		atomic.AddInt32(&cells, 1)
 		cancel()
 	}}

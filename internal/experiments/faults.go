@@ -10,7 +10,6 @@ import (
 	"mlnoc/internal/core"
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
-	"mlnoc/internal/obs"
 	"mlnoc/internal/stats"
 	"mlnoc/internal/synfull"
 	"mlnoc/internal/traffic"
@@ -112,10 +111,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", label, err))
 		}
-		var suite *obs.Suite
-		if cfg := tel.suiteConfig(); cfg != nil {
-			suite = obs.Attach(net, *cfg)
-		}
+		cell := tel.attach(label, net)
 		run := traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		fs := inj.Stats()
 		res.MeshLatency[ri][pi] = run.AvgLatency
@@ -124,7 +120,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if pi == meshGA {
 			res.MeshKilled[ri] = fs.LinkKills
 		}
-		tel.cellDone(total, label, suite, nil)
+		tel.cellDone(cell, total)
 	})
 	if err != nil {
 		return nil, err

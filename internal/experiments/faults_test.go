@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"mlnoc/internal/obs"
+	"mlnoc/internal/trace"
 )
 
 // faultTestScale is small enough for CI but long enough that the mid-run kill
@@ -57,25 +58,32 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultSweepTelemetry checks that the sweep feeds both mesh and APU cell
-// snapshots into a shared registry, with fault counters attached.
+// TestFaultSweepTelemetry checks that the sweep attaches the same
+// instruments to its mesh and APU cells: every cell hands OnCell a snapshot
+// carrying fault counters and a tracer that recorded events.
 func TestFaultSweepTelemetry(t *testing.T) {
-	tel := &Telemetry{Registry: obs.NewRegistry()}
+	snaps := map[string]*obs.Snapshot{}
+	tel := &Telemetry{
+		Obs:   true,
+		Trace: &trace.Config{SampleEvery: 16},
+		OnCell: func(c Cell) {
+			snaps[c.Label] = c.Suite.Snapshot()
+			if c.Tracer == nil || c.Tracer.Recorded() == 0 {
+				t.Errorf("cell %s has no tracer events", c.Label)
+			}
+		},
+	}
 	res, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), tel, []float64{0.12})
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := len(res.MeshPolicies) + len(res.APUPolicies)
-	if tel.Registry.Len() != want {
-		t.Fatalf("registry holds %d snapshots, want %d", tel.Registry.Len(), want)
+	if len(snaps) != want {
+		t.Fatalf("OnCell kept %d snapshots, want %d", len(snaps), want)
 	}
-	faulted := 0
-	for _, name := range tel.Registry.Names() {
-		if tel.Registry.Get(name).Faults != nil {
-			faulted++
+	for name, snap := range snaps {
+		if snap.Faults == nil {
+			t.Errorf("cell %s snapshot carries no fault counters", name)
 		}
-	}
-	if faulted != want {
-		t.Fatalf("%d/%d snapshots carry fault counters", faulted, want)
 	}
 }

@@ -4,90 +4,91 @@ import (
 	"fmt"
 	"sync"
 
-	"mlnoc/internal/apu"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/obs"
 	"mlnoc/internal/trace"
 )
 
 // Telemetry configures observability for the sweep experiments: the APU
 // policy grid (apuGrid) and the faults study's mesh cells. The zero value
-// disables everything; a nil *Telemetry is valid everywhere one is accepted.
-// One Telemetry may be shared by the parallel cells of a sweep: progress
-// reporting is serialized and the registry is concurrency-safe.
+// attaches nothing; a nil *Telemetry is valid everywhere one is accepted.
+// One Telemetry may be shared by the parallel cells of a sweep: OnCell calls
+// are serialized.
 type Telemetry struct {
-	// Progress, if non-nil, is called after each completed sweep cell with
-	// the number of finished cells, the sweep total and the cell label
-	// ("workload/policy"). Calls are serialized across workers.
-	Progress func(done, total int, label string)
-	// Registry, if non-nil, receives one obs snapshot per sweep cell, keyed
-	// by the cell label.
-	Registry *obs.Registry
-	// Watchdog, if non-nil, attaches a starvation/livelock watchdog to every
-	// cell; alerts land in the cell's snapshot, and a cell that fails to
-	// finish panics with the watchdog summary instead of a bare "did not
+	// Obs attaches an obs suite to every cell, sampling every 16 cycles (a
+	// sweep samples coarsely to stay cheap). An APU cell that fails to
+	// finish panics with the suite's diagnosis instead of a bare "did not
 	// finish".
+	Obs bool
+	// Watchdog, if non-nil, adds a starvation/livelock watchdog to every
+	// cell's suite, and so implies Obs. Its alerts land in the cell's
+	// snapshot and its summary in a failing cell's panic.
 	Watchdog *obs.WatchdogConfig
 	// Trace, if non-nil, attaches a per-message lifecycle tracer to every
-	// cell; TraceSink receives each cell's tracer (serialized across
-	// workers). Both must be set for tracing to run.
-	Trace     *trace.Config
-	TraceSink func(label string, t *trace.Tracer)
+	// cell.
+	Trace *trace.Config
+	// OnCell, if non-nil, is called after each finished cell with what was
+	// attached to it. Calls are serialized across workers.
+	OnCell func(Cell)
 
 	mu   sync.Mutex
 	done int
 }
 
-// suiteConfig returns the per-cell obs configuration, or nil when no
-// telemetry collection is requested.
-func (t *Telemetry) suiteConfig() *obs.SuiteConfig {
-	if t == nil || (t.Registry == nil && t.Watchdog == nil) {
-		return nil
-	}
-	// A sweep samples coarsely to stay cheap.
-	return &obs.SuiteConfig{SampleEvery: 16, Watchdog: t.Watchdog}
+// Cell is one finished sweep cell, as OnCell receives it.
+type Cell struct {
+	// Label is "<workload>/<policy>".
+	Label string
+	// Done counts the finished cells of the sweep, this one included, out
+	// of Total.
+	Done, Total int
+	// Suite and Tracer are the cell's instruments, nil unless Telemetry
+	// asked for them.
+	Suite  *obs.Suite
+	Tracer *trace.Tracer
 }
 
-// traceConfig returns the per-cell trace configuration, or nil when no trace
-// sink is installed.
-func (t *Telemetry) traceConfig() *trace.Config {
-	if t == nil || t.Trace == nil || t.TraceSink == nil {
-		return nil
+// attach equips the network of the cell label with the instruments t asks
+// for: the one place sweep cells, APU and mesh alike, get theirs.
+func (t *Telemetry) attach(label string, net *noc.Network) Cell {
+	c := Cell{Label: label}
+	if t == nil {
+		return c
 	}
-	cfg := *t.Trace
-	return &cfg
+	if t.Obs || t.Watchdog != nil {
+		c.Suite = obs.Attach(net, obs.SuiteConfig{SampleEvery: 16, Watchdog: t.Watchdog})
+	}
+	if t.Trace != nil {
+		c.Tracer = trace.Attach(net, *t.Trace)
+	}
+	return c
 }
 
-// cellDone records one finished cell: snapshots its obs suite into the
-// registry, hands its tracer to the trace sink and reports progress. suite and
-// tr are nil for a cell that attached none.
-func (t *Telemetry) cellDone(total int, label string, suite *obs.Suite, tr *trace.Tracer) {
+// cellDone counts c as finished out of total and hands it to OnCell. The
+// lock is held across OnCell: serializing the calls is its contract.
+func (t *Telemetry) cellDone(c Cell, total int) {
 	if t == nil {
 		return
 	}
-	if t.Registry != nil && suite != nil {
-		t.Registry.Record(label, suite.Snapshot())
-	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if t.TraceSink != nil && tr != nil {
-		t.TraceSink(label, tr)
-	}
 	t.done++
-	if t.Progress != nil {
-		t.Progress(t.done, total, label)
+	if t.OnCell != nil {
+		c.Done, c.Total = t.done, total
+		t.OnCell(c)
 	}
 }
 
-// cellFailure builds the panic message for a sweep cell that did not finish,
-// appending the cell's watchdog diagnosis when telemetry is attached.
-func cellFailure(label string, r apu.ExecResult) string {
-	msg := fmt.Sprintf("experiments: %s did not finish after %d cycles", label, r.Cycles)
-	if r.Obs != nil {
-		snap := r.Obs.Snapshot()
+// cellFailure builds the panic message for a sweep cell that did not finish
+// after cycles, appending the diagnosis of its obs suite when it has one.
+func cellFailure(c Cell, cycles int64) string {
+	msg := fmt.Sprintf("experiments: %s did not finish after %d cycles", c.Label, cycles)
+	if c.Suite != nil {
+		snap := c.Suite.Snapshot()
 		msg += fmt.Sprintf(" (%d messages in flight, max sampled head age %d)",
 			snap.InFlight, snap.MaxHeadAge())
-		if r.Obs.Watchdog != nil && r.Obs.Watchdog.Tripped() {
-			msg += "\nwatchdog diagnostics:\n" + r.Obs.Watchdog.Summary()
+		if wd := c.Suite.Watchdog; wd != nil && wd.Tripped() {
+			msg += "\nwatchdog diagnostics:\n" + wd.Summary()
 		}
 	}
 	return msg

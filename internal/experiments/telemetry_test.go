@@ -4,33 +4,32 @@ import (
 	"context"
 	"fmt"
 	"strings"
-	"sync"
 	"testing"
 
 	"mlnoc/internal/apu"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/obs"
 	"mlnoc/internal/synfull"
+	"mlnoc/internal/trace"
 )
 
 // TestTelemetryParallelSweep drives a miniature APU policy grid with the full
-// telemetry stack attached — shared registry, watchdog per cell, serialized
-// progress callback — and checks everything lands. Run with -race this is the
-// concurrency test for the obs registry under parallelForCtx.
+// telemetry stack attached — obs suite with a watchdog and a tracer per cell,
+// one shared OnCell hook — and checks everything lands. Run with -race this is
+// the concurrency test for the per-cell hook under parallelForCtx.
 func TestTelemetryParallelSweep(t *testing.T) {
 	model := synfull.Catalog()[0]
 	const cells = 8
 
-	var mu sync.Mutex
-	var progress []string
+	var got []Cell
+	snaps := map[string]*obs.Snapshot{}
 	tel := &Telemetry{
-		Progress: func(done, total int, label string) {
-			mu.Lock()
-			defer mu.Unlock()
-			progress = append(progress, fmt.Sprintf("%d/%d %s", done, total, label))
+		Watchdog: &obs.WatchdogConfig{Threshold: 1 << 20},
+		Trace:    &trace.Config{SampleEvery: 64},
+		OnCell: func(c Cell) {
+			got = append(got, c)
+			snaps[c.Label] = c.Suite.Snapshot()
 		},
-		Registry: obs.NewRegistry(),
-		Watchdog: &obs.WatchdogConfig{MaxHeadAge: 1 << 20, LivelockWindow: 1 << 20},
 	}
 
 	rows := make([]apuRow, cells)
@@ -42,14 +41,10 @@ func TestTelemetryParallelSweep(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	if got := tel.Registry.Len(); got != cells {
-		t.Fatalf("registry has %d snapshots, want %d", got, cells)
+	if len(snaps) != cells {
+		t.Fatalf("OnCell saw %d distinct cells, want %d", len(snaps), cells)
 	}
-	for _, name := range tel.Registry.Names() {
-		snap := tel.Registry.Get(name)
-		if snap == nil {
-			t.Fatalf("registry lost %q", name)
-		}
+	for name, snap := range snaps {
 		if snap.Delivered == 0 || snap.TotalGrants() == 0 {
 			t.Fatalf("cell %q recorded no traffic: %+v", name, *snap)
 		}
@@ -57,13 +52,16 @@ func TestTelemetryParallelSweep(t *testing.T) {
 			t.Fatalf("cell %q tripped the watchdog: %v", name, snap.Alerts)
 		}
 	}
-	// Progress was serialized: done counted 1..cells exactly once each.
-	if len(progress) != cells {
-		t.Fatalf("progress fired %d times, want %d", len(progress), cells)
+	// OnCell was serialized: done counted 1..cells exactly once each.
+	if len(got) != cells {
+		t.Fatalf("OnCell fired %d times, want %d", len(got), cells)
 	}
-	for i, line := range progress {
-		if !strings.HasPrefix(line, fmt.Sprintf("%d/%d ", i+1, cells)) {
-			t.Fatalf("progress line %d = %q; done counter not serialized", i, line)
+	for i, c := range got {
+		if c.Done != i+1 || c.Total != cells {
+			t.Fatalf("cell %d = %s %d/%d; done counter not serialized", i, c.Label, c.Done, c.Total)
+		}
+		if c.Tracer == nil || c.Tracer.Recorded() == 0 {
+			t.Fatalf("cell %s has no tracer events", c.Label)
 		}
 	}
 }
@@ -75,32 +73,45 @@ func (firstPolicyT) Name() string                                    { return "f
 func (firstPolicyT) Select(_ *noc.ArbContext, _ []noc.Candidate) int { return 0 }
 
 // TestTelemetryNilSafe checks a nil *Telemetry and an empty Telemetry both
-// disable collection without blowing up.
+// attach nothing without blowing up, that Obs alone attaches a suite with no
+// watchdog, and that a sweep's suite samples every 16 cycles.
 func TestTelemetryNilSafe(t *testing.T) {
+	net, _ := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
+	net.SetPolicy(firstPolicyT{})
 	var nilTel *Telemetry
-	if nilTel.suiteConfig() != nil {
-		t.Fatal("nil telemetry produced a suite config")
+	if c := nilTel.attach("x", net); c.Suite != nil || c.Tracer != nil || c.Label != "x" {
+		t.Fatalf("nil telemetry attached %+v", c)
 	}
-	nilTel.cellDone(1, "x", nil, nil)
+	nilTel.cellDone(Cell{Label: "x"}, 1)
 
 	empty := &Telemetry{}
-	if empty.suiteConfig() != nil {
-		t.Fatal("empty telemetry produced a suite config")
+	if c := empty.attach("x", net); c.Suite != nil || c.Tracer != nil {
+		t.Fatalf("empty telemetry attached %+v", c)
 	}
-	empty.cellDone(1, "x", nil, nil)
+	empty.cellDone(Cell{Label: "x"}, 1)
 
-	// Watchdog-only telemetry still attaches a suite (for failure diagnosis).
-	wdOnly := &Telemetry{Watchdog: &obs.WatchdogConfig{MaxHeadAge: 100}}
-	cfg := wdOnly.suiteConfig()
-	if cfg == nil || cfg.Watchdog == nil || cfg.SampleEvery != 16 {
-		t.Fatalf("watchdog-only suite config = %+v", cfg)
+	obsOnly := &Telemetry{Obs: true}
+	if c := obsOnly.attach("x", net); c.Suite == nil || c.Suite.Watchdog != nil || c.Tracer != nil {
+		t.Fatalf("obs-only telemetry attached %+v", c)
+	}
+
+	// A watchdog-only suite still attaches (for failure diagnosis), sampling
+	// at the sweep's period.
+	wdOnly := &Telemetry{Watchdog: &obs.WatchdogConfig{Threshold: 100}}
+	c := wdOnly.attach("x", net)
+	if c.Suite == nil || c.Suite.Watchdog == nil || c.Tracer != nil {
+		t.Fatalf("watchdog-only telemetry attached %+v", c)
+	}
+	net.Run(160)
+	if got := c.Suite.Snapshot().Samples; got != 160/16 {
+		t.Fatalf("sweep suite took %d samples in 160 cycles, want %d", got, 160/16)
 	}
 }
 
 // TestCellFailureDiagnostics checks the did-not-finish panic text includes the
 // watchdog's diagnosis when telemetry is attached.
 func TestCellFailureDiagnostics(t *testing.T) {
-	bare := cellFailure("w/p", apu.ExecResult{Cycles: 42})
+	bare := cellFailure(Cell{Label: "w/p"}, 42)
 	if !strings.Contains(bare, "w/p did not finish after 42 cycles") {
 		t.Fatalf("bare failure text: %q", bare)
 	}
@@ -114,12 +125,12 @@ func TestCellFailureDiagnostics(t *testing.T) {
 	net.SetPolicy(noMatch{})
 	suite := obs.Attach(net, obs.SuiteConfig{
 		SampleEvery: 1,
-		Watchdog:    &obs.WatchdogConfig{LivelockWindow: 20, CheckEvery: 10},
+		Watchdog:    &obs.WatchdogConfig{Threshold: 20},
 	})
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
 	net.Run(200)
 
-	msg := cellFailure("w/p", apu.ExecResult{Cycles: net.Cycle(), Obs: suite})
+	msg := cellFailure(Cell{Label: "w/p", Suite: suite}, net.Cycle())
 	if !strings.Contains(msg, "in flight") {
 		t.Fatalf("failure text missing in-flight count: %q", msg)
 	}
@@ -147,20 +158,21 @@ func TestAblationTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	tel := &Telemetry{Registry: obs.NewRegistry()}
+	snaps := map[string]*obs.Snapshot{}
+	tel := &Telemetry{Obs: true, OnCell: func(c Cell) { snaps[c.Label] = c.Suite.Snapshot() }}
 	r, err := AblationCtx(context.Background(), tinyScale(), tel)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := len(r.Workloads) * len(r.Variants)
-	if got := tel.Registry.Len(); got != want {
-		t.Fatalf("registry has %d snapshots, want %d", got, want)
+	if got := len(snaps); got != want {
+		t.Fatalf("OnCell kept %d snapshots, want %d", got, want)
 	}
-	for _, name := range tel.Registry.Names() {
+	for name, snap := range snaps {
 		if !strings.HasPrefix(name, "ablation-") {
-			t.Fatalf("unexpected registry label %q", name)
+			t.Fatalf("unexpected cell label %q", name)
 		}
-		if tel.Registry.Get(name).Delivered == 0 {
+		if snap.Delivered == 0 {
 			t.Fatalf("cell %q recorded no deliveries", name)
 		}
 	}

@@ -1,15 +1,13 @@
 // Package obs is the observability layer of the NoC simulator: per-router /
 // per-port counters (grants, blocked cycles, buffer occupancy, per-VC head
-// ages), cycle-sampled and exportable as JSON snapshots, a concurrent
-// registry that aggregates snapshots across parallel experiment cells, and a
-// starvation/livelock watchdog that turns silent hangs into structured
-// diagnostics.
+// ages), cycle-sampled and exportable as JSON snapshots, and a starvation/
+// livelock watchdog that turns silent hangs into structured diagnostics.
 //
 // The package hooks the engine through noc.Observer (event counters) and
 // Network.AddOnCycle (cycle sampling and watchdog scans); it never alters
 // simulation behaviour. A Collector belongs to one network and, like the
-// network itself, is not safe for concurrent use; the Registry is the
-// concurrency boundary between parallel runs.
+// network itself, is not safe for concurrent use; a Snapshot is a plain value
+// that may cross goroutines.
 package obs
 
 import (

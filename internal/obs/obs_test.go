@@ -5,8 +5,6 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
-	"strings"
-	"sync"
 	"testing"
 
 	"mlnoc/internal/arb"
@@ -86,7 +84,7 @@ func TestCollectorSampling(t *testing.T) {
 func TestSnapshotJSONRoundTrip(t *testing.T) {
 	_, suite := runUniform(t, SuiteConfig{
 		SampleEvery: 1,
-		Watchdog:    &WatchdogConfig{MaxHeadAge: 100000, LivelockWindow: 100000},
+		Watchdog:    &WatchdogConfig{Threshold: 100000},
 	}, 0.1, 2000)
 	snap := suite.Snapshot()
 
@@ -101,95 +99,6 @@ func TestSnapshotJSONRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(*snap, back) {
 		t.Fatalf("round trip mismatch:\nwrote %+v\nread  %+v", *snap, back)
 	}
-}
-
-// TestRegistryOnRecord checks the streaming seam: the hook sees every
-// snapshot with its name, after the registry stores it (so the hook can read
-// it back), and recording without a hook still works.
-func TestRegistryOnRecord(t *testing.T) {
-	reg := NewRegistry()
-	reg.Record("before-hook", &Snapshot{Cycle: 1}) // no hook installed: no-op
-
-	var mu sync.Mutex
-	seen := map[string]int64{}
-	reg.SetOnRecord(func(name string, s *Snapshot) {
-		mu.Lock()
-		defer mu.Unlock()
-		if got := reg.Get(name); got != s {
-			t.Errorf("hook for %q ran before the snapshot was stored", name)
-		}
-		seen[name] = s.Cycle
-	})
-
-	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			reg.Record(string(rune('a'+w)), &Snapshot{Cycle: int64(w)})
-		}(w)
-	}
-	wg.Wait()
-
-	if len(seen) != 4 {
-		t.Fatalf("hook observed %d records, want 4: %v", len(seen), seen)
-	}
-	for w := 0; w < 4; w++ {
-		if seen[string(rune('a'+w))] != int64(w) {
-			t.Fatalf("hook saw wrong snapshot for %c: %v", 'a'+w, seen)
-		}
-	}
-	if _, ok := seen["before-hook"]; ok {
-		t.Fatal("hook retroactively saw a record from before installation")
-	}
-}
-
-func TestRegistryConcurrentRecord(t *testing.T) {
-	reg := NewRegistry()
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				name := string(rune('a'+w)) + "-" + strings.Repeat("x", i%3)
-				reg.Record(name, &Snapshot{Cycle: int64(i)})
-				_ = reg.Get(name)
-				_ = reg.Len()
-			}
-		}(w)
-	}
-	wg.Wait()
-	if reg.Len() != 8*3 {
-		t.Fatalf("registry has %d snapshots, want 24", reg.Len())
-	}
-	names := reg.Names()
-	if !sortedStrings(names) {
-		t.Fatalf("names not sorted: %v", names)
-	}
-	var buf bytes.Buffer
-	if err := reg.WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	var doc map[string][]struct {
-		Name     string    `json:"name"`
-		Snapshot *Snapshot `json:"snapshot"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("registry JSON does not parse: %v", err)
-	}
-	if len(doc["runs"]) != 24 {
-		t.Fatalf("registry JSON has %d runs, want 24", len(doc["runs"]))
-	}
-}
-
-func sortedStrings(xs []string) bool {
-	for i := 1; i < len(xs); i++ {
-		if xs[i-1] > xs[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // TestSnapshotLatencyQuantiles pins the end-to-end latency quantiles added to

@@ -2,10 +2,7 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
-	"sync"
 
 	"mlnoc/internal/noc"
 )
@@ -32,8 +29,8 @@ type RouterSnapshot struct {
 }
 
 // Snapshot is a point-in-time export of a Collector (plus any watchdog
-// alerts, when taken through a Suite). It is a plain value: safe to hand to
-// a Registry, marshal, and compare.
+// alerts, when taken through a Suite). It is a plain value: safe to keep,
+// marshal, and compare.
 type Snapshot struct {
 	Cycle     int64 `json:"cycle"`
 	Samples   int64 `json:"samples"`
@@ -149,126 +146,4 @@ func (s *Snapshot) WriteJSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(s)
-}
-
-// Registry collects named snapshots from concurrent runs (one per experiment
-// sweep cell). All methods are safe for concurrent use.
-type Registry struct {
-	mu       sync.Mutex
-	snaps    map[string]*Snapshot
-	seed     int64
-	hasSeed  bool
-	onRecord func(name string, s *Snapshot)
-}
-
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{snaps: make(map[string]*Snapshot)}
-}
-
-// SetSeed records the RNG seed of the sweep that feeds this registry; it is
-// included in WriteJSON so exported metrics identify their exact rerun.
-func (g *Registry) SetSeed(seed int64) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.seed = seed
-	g.hasSeed = true
-}
-
-// SetOnRecord installs a hook that observes every snapshot as it is
-// recorded, after it is stored. It is the registry's streaming seam: a
-// long-running server forwards each sweep cell's snapshot to live
-// subscribers (SSE) the moment the cell finishes instead of polling the
-// registry. The hook runs on the recording goroutine — with parallel sweep
-// cells that means concurrently — and outside the registry lock, so it may
-// call back into the registry but must be concurrency-safe itself.
-func (g *Registry) SetOnRecord(f func(name string, s *Snapshot)) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	g.onRecord = f
-}
-
-// Record stores a snapshot under name, replacing any previous snapshot with
-// the same name, then invokes the OnRecord hook when one is installed.
-func (g *Registry) Record(name string, s *Snapshot) {
-	g.mu.Lock()
-	g.snaps[name] = s
-	f := g.onRecord
-	g.mu.Unlock()
-	if f != nil {
-		f(name, s)
-	}
-}
-
-// Get returns the snapshot recorded under name, or nil.
-func (g *Registry) Get(name string) *Snapshot {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return g.snaps[name]
-}
-
-// Names returns the recorded snapshot names, sorted.
-func (g *Registry) Names() []string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	names := make([]string, 0, len(g.snaps))
-	for name := range g.snaps {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// Len returns the number of recorded snapshots.
-func (g *Registry) Len() int {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	return len(g.snaps)
-}
-
-// Alerts returns every watchdog alert across recorded snapshots, prefixed
-// with the run name.
-func (g *Registry) Alerts() []string {
-	var out []string
-	for _, name := range g.Names() {
-		s := g.Get(name)
-		for _, a := range s.Alerts {
-			out = append(out, name+": "+a.String())
-		}
-		if s.SuppressedAlerts > 0 {
-			out = append(out, fmt.Sprintf("%s: (%d further alerts suppressed)", name, s.SuppressedAlerts))
-		}
-	}
-	return out
-}
-
-// namedSnapshot pairs a run name with its snapshot for ordered JSON export.
-type namedSnapshot struct {
-	Name     string    `json:"name"`
-	Snapshot *Snapshot `json:"snapshot"`
-}
-
-// registryDoc is the JSON layout of Registry.WriteJSON.
-type registryDoc struct {
-	Seed *int64          `json:"seed,omitempty"`
-	Runs []namedSnapshot `json:"runs"`
-}
-
-// WriteJSON writes every recorded snapshot as one JSON document:
-// {"seed": ..., "runs": [{"name": ..., "snapshot": {...}}, ...]}, sorted by
-// name. The seed field appears when SetSeed was called.
-func (g *Registry) WriteJSON(w io.Writer) error {
-	doc := registryDoc{Runs: make([]namedSnapshot, 0, g.Len())}
-	for _, name := range g.Names() {
-		doc.Runs = append(doc.Runs, namedSnapshot{Name: name, Snapshot: g.Get(name)})
-	}
-	g.mu.Lock()
-	if g.hasSeed {
-		seed := g.seed
-		doc.Seed = &seed
-	}
-	g.mu.Unlock()
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

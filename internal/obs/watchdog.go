@@ -59,43 +59,26 @@ func (a Alert) String() string {
 
 // WatchdogConfig parameterizes a Watchdog.
 type WatchdogConfig struct {
-	// MaxHeadAge flags any input-buffer head message older (in local age)
-	// than this many cycles. 0 disables starvation checks.
-	MaxHeadAge int64
-	// LivelockWindow flags any window of at least this many cycles with zero
-	// deliveries while messages are in flight. 0 disables livelock checks.
-	LivelockWindow int64
-	// CheckEvery is the scan period in cycles (default 64, clamped so the
-	// livelock window spans at least one check).
-	CheckEvery int64
-	// MaxAlerts bounds the recorded alert list (default 64); further alerts
-	// are counted as suppressed but still reach OnAlert.
-	MaxAlerts int
+	// Threshold flags any input-buffer head message older (in local age)
+	// than this many cycles, and any window of at least this many cycles
+	// with zero deliveries while messages are in flight. 0 disables both
+	// checks.
+	Threshold int64
 	// OnAlert, if non-nil, runs for every alert, inside Network.Step.
 	OnAlert func(Alert)
 }
 
-func (c *WatchdogConfig) applyDefaults() {
-	if c.CheckEvery <= 0 {
-		c.CheckEvery = 64
-	}
-	if c.LivelockWindow > 0 && c.CheckEvery > c.LivelockWindow {
-		c.CheckEvery = c.LivelockWindow
-	}
-	if c.MaxHeadAge > 0 && c.CheckEvery > c.MaxHeadAge {
-		c.CheckEvery = c.MaxHeadAge
-	}
-	if c.MaxAlerts <= 0 {
-		c.MaxAlerts = 64
-	}
-}
+// maxAlerts bounds a watchdog's recorded alert list; further alerts are
+// counted as suppressed but still reach OnAlert.
+const maxAlerts = 64
 
 // Watchdog monitors one network for starvation (over-age buffer heads) and
 // livelock (delivery silence while traffic is in flight). Create and install
 // one with AttachWatchdog.
 type Watchdog struct {
-	net *noc.Network
-	cfg WatchdogConfig
+	net        *noc.Network
+	cfg        WatchdogConfig
+	checkEvery int64 // scan period: 64, or the threshold when shorter
 
 	alerts     []Alert
 	suppressed int64
@@ -111,10 +94,10 @@ type Watchdog struct {
 
 // AttachWatchdog creates a Watchdog for net and installs its OnCycle hook.
 func AttachWatchdog(net *noc.Network, cfg WatchdogConfig) *Watchdog {
-	cfg.applyDefaults()
 	w := &Watchdog{
 		net:           net,
 		cfg:           cfg,
+		checkEvery:    min(64, max(1, cfg.Threshold)),
 		flagged:       make([][noc.MaxPorts]uint64, len(net.Routers())),
 		lastDelivered: net.Stats().Delivered,
 		lastProgress:  net.Cycle(),
@@ -148,7 +131,7 @@ func (w *Watchdog) Summary() string {
 }
 
 func (w *Watchdog) raise(a Alert) {
-	if len(w.alerts) < w.cfg.MaxAlerts {
+	if len(w.alerts) < maxAlerts {
 		w.alerts = append(w.alerts, a)
 	} else {
 		w.suppressed++
@@ -160,15 +143,11 @@ func (w *Watchdog) raise(a Alert) {
 
 func (w *Watchdog) onCycle(net *noc.Network) {
 	now := net.Cycle()
-	if now%w.cfg.CheckEvery != 0 {
+	if w.cfg.Threshold <= 0 || now%w.checkEvery != 0 {
 		return
 	}
-	if w.cfg.LivelockWindow > 0 {
-		w.checkLivelock(net, now)
-	}
-	if w.cfg.MaxHeadAge > 0 {
-		w.checkStarvation(net, now)
-	}
+	w.checkLivelock(net, now)
+	w.checkStarvation(net, now)
 }
 
 func (w *Watchdog) checkLivelock(net *noc.Network, now int64) {
@@ -183,7 +162,7 @@ func (w *Watchdog) checkLivelock(net *noc.Network, now int64) {
 		w.lastProgress = now
 		return
 	}
-	if window := now - w.lastProgress; window >= w.cfg.LivelockWindow {
+	if window := now - w.lastProgress; window >= w.cfg.Threshold {
 		w.raise(Alert{
 			Kind:     AlertLivelock,
 			Cycle:    now,
@@ -202,7 +181,7 @@ func (w *Watchdog) checkStarvation(net *noc.Network, now int64) {
 			}
 			for vc := 0; vc < r.NumVCs(); vc++ {
 				m := r.Buffer(p, vc).Head()
-				if m == nil || m.LocalAge(now) <= w.cfg.MaxHeadAge {
+				if m == nil || m.LocalAge(now) <= w.cfg.Threshold {
 					continue
 				}
 				// One alert per stuck message per port: re-alert only when a

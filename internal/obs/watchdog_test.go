@@ -47,7 +47,7 @@ func (deadMatcher) Match(_ *noc.MatchContext, reqs []noc.Request) []int {
 func TestWatchdogCatchesStarvation(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 3, Height: 1, VCs: 1, BufferCap: 4})
 	net.SetPolicy(biasPolicy{})
-	w := AttachWatchdog(net, WatchdogConfig{MaxHeadAge: 200, CheckEvery: 10})
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 200})
 
 	var id uint64
 	for cycle := 0; cycle < 2000; cycle++ {
@@ -90,11 +90,11 @@ func TestWatchdogCatchesStarvation(t *testing.T) {
 
 // TestWatchdogCatchesLivelock freezes a network mid-flight with a matcher
 // that never grants, and checks the zero-delivery window alert fires with
-// the in-flight count attached.
+// the in-flight count attached, and re-arms instead of firing every scan.
 func TestWatchdogCatchesLivelock(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 2, VCs: 1})
 	net.SetPolicy(deadMatcher{})
-	w := AttachWatchdog(net, WatchdogConfig{LivelockWindow: 300, CheckEvery: 50})
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 300})
 
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[3].ID, SizeFlits: 1})
 	cores[1].Inject(&noc.Message{ID: 2, Dst: cores[2].ID, SizeFlits: 1})
@@ -113,9 +113,16 @@ func TestWatchdogCatchesLivelock(t *testing.T) {
 	if a.Window < 300 {
 		t.Fatalf("livelock window %d below threshold", a.Window)
 	}
-	// Re-armed, not spamming: at most one alert per elapsed window.
-	if got := len(w.Alerts()); got > 4 {
-		t.Fatalf("livelock alert fired %d times in 1000 cycles", got)
+	// Re-armed, not spamming: one livelock alert per elapsed window. (The
+	// two stuck heads also raise one over-age alert each.)
+	livelocks := 0
+	for _, a := range w.Alerts() {
+		if a.Kind == AlertLivelock {
+			livelocks++
+		}
+	}
+	if livelocks != 3 {
+		t.Fatalf("livelock alert fired %d times in 1000 cycles, want 3", livelocks)
 	}
 }
 
@@ -124,7 +131,7 @@ func TestWatchdogCatchesLivelock(t *testing.T) {
 func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 2})
 	net.SetPolicy(arb.NewGlobalAge())
-	w := AttachWatchdog(net, WatchdogConfig{MaxHeadAge: 500, LivelockWindow: 500, CheckEvery: 25})
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 500})
 
 	in := traffic.NewInjector(cores, traffic.UniformRandom{}, 0.08, rand.New(rand.NewSource(9)))
 	in.Classes = 2
@@ -151,7 +158,7 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 func TestWatchdogDrainedThenIdle(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 2, VCs: 1})
 	net.SetPolicy(arb.NewGlobalAge())
-	w := AttachWatchdog(net, WatchdogConfig{LivelockWindow: 100, CheckEvery: 10})
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 100})
 
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[3].ID, SizeFlits: 1})
 	if !net.Drain(1000) {
@@ -171,22 +178,49 @@ func TestWatchdogDrainedThenIdle(t *testing.T) {
 }
 
 // TestWatchdogAlertCap checks that the alert list is bounded and overflow is
-// counted, not dropped silently.
+// counted, not dropped silently: a dead network re-raises its livelock alert
+// every 10-cycle window, well past the cap.
 func TestWatchdogAlertCap(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
 	net.SetPolicy(deadMatcher{})
-	w := AttachWatchdog(net, WatchdogConfig{LivelockWindow: 10, CheckEvery: 10, MaxAlerts: 3})
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 10})
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(500)
-	if len(w.Alerts()) != 3 {
-		t.Fatalf("recorded %d alerts, want cap 3", len(w.Alerts()))
+	net.Run(1000)
+	if len(w.Alerts()) != maxAlerts {
+		t.Fatalf("recorded %d alerts, want cap %d", len(w.Alerts()), maxAlerts)
 	}
 	if w.Suppressed() == 0 {
 		t.Fatal("no suppressed alerts counted past the cap")
 	}
 	snapAlerts := (&Suite{Collector: AttachCollector(net, 1), Watchdog: w}).Snapshot()
-	if len(snapAlerts.Alerts) != 3 || snapAlerts.SuppressedAlerts != w.Suppressed() {
+	if len(snapAlerts.Alerts) != maxAlerts || snapAlerts.SuppressedAlerts != w.Suppressed() {
 		t.Fatalf("suite snapshot lost alerts: %d recorded, %d suppressed",
 			len(snapAlerts.Alerts), snapAlerts.SuppressedAlerts)
+	}
+}
+
+// TestWatchdogFaultBlackhole checks that an over-age head stuck behind a
+// frozen router is reported as fault damage, not as policy starvation.
+func TestWatchdogFaultBlackhole(t *testing.T) {
+	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
+	net.SetPolicy(arb.NewGlobalAge())
+	net.FreezeRouter(0, true)
+	w := AttachWatchdog(net, WatchdogConfig{Threshold: 50})
+	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
+	net.Run(500)
+	var holes int
+	for _, a := range w.Alerts() {
+		switch a.Kind {
+		case AlertStarvation:
+			t.Fatalf("frozen router's head reported as starvation: %v", a)
+		case AlertFaultBlackhole:
+			holes++
+			if a.Router != 0 || a.Port != noc.PortCore.String() || a.MsgID != 1 {
+				t.Fatalf("blackhole flagged at %+v, want msg#1 at router#0 core", a)
+			}
+		}
+	}
+	if holes != 1 {
+		t.Fatalf("%d fault-blackhole alerts, want 1 (deduplicated per message): %v", holes, w.Alerts())
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestInstrumentedRunBitIdentity pins the observability contract: telemetry
-// is passive. A run under full instrumentation — progress callbacks, an obs
-// registry with snapshot hooks, a watchdog, and metrics counters firing —
+// is passive. A run under full instrumentation — a per-cell hook reading
+// each cell's obs snapshot, a watchdog, and metrics counters firing —
 // must produce a payload byte-identical to a bare run of the same spec.
 // This is also what makes the result cache sound: a cached payload produced
 // by an instrumented daemon is exactly what an uninstrumented rerun would
@@ -37,16 +37,16 @@ func TestInstrumentedRunBitIdentity(t *testing.T) {
 	met := newMetrics(reg)
 	progress := reg.Counter("test_progress_calls", "").With()
 	snapshots := reg.Counter("test_snapshots", "").With()
-	obsReg := obs.NewRegistry()
-	obsReg.SetOnRecord(func(string, *obs.Snapshot) { snapshots.Inc() })
 	tel := &experiments.Telemetry{
-		Progress: func(done, total int, label string) { progress.Inc() },
-		Registry: obsReg,
 		Watchdog: &obs.WatchdogConfig{
-			MaxHeadAge:     10_000,
-			LivelockWindow: 10_000,
-			CheckEvery:     64,
-			OnAlert:        func(a obs.Alert) { met.watchdogAlert(a.Kind) },
+			Threshold: 10_000,
+			OnAlert:   func(a obs.Alert) { met.watchdogAlert(a.Kind) },
+		},
+		OnCell: func(c experiments.Cell) {
+			progress.Inc()
+			if c.Suite.Snapshot().Delivered > 0 {
+				snapshots.Inc()
+			}
 		},
 	}
 	start := time.Now()

@@ -599,12 +599,19 @@ func TestCacheDiskSpillAcrossRestart(t *testing.T) {
 // listener and a real simulation: the health endpoints, a tiny deterministic
 // sweep submitted twice (the second answered from the cache with a
 // byte-identical payload), /metrics linting and covering jobs, HTTP routes,
-// pool, cache and watchdog, and the dashboard.
+// pool, cache and watchdog, the job's event stream, and the dashboard.
 func TestEndToEndTinySweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs a real (tiny) simulation sweep")
 	}
-	s := New(Config{Workers: 1})
+	// The production runner waits at a gate until the test has subscribed to
+	// the job's stream, so the stream sees every cell.
+	gate := make(chan struct{})
+	var s *Server
+	s = New(Config{Workers: 1, Runner: func(ctx context.Context, job *Job) ([]byte, error) {
+		<-gate
+		return s.runJob(ctx, job)
+	}})
 	defer s.Drain()
 	srv := httptest.NewServer(s.Handler())
 	defer srv.Close()
@@ -646,6 +653,13 @@ func TestEndToEndTinySweep(t *testing.T) {
 	if code != http.StatusAccepted {
 		t.Fatalf("first submit: code %d, want 202", code)
 	}
+	resp, err := srv.Client().Get(srv.URL + "/jobs/" + doc.ID + "/stream")
+	if err != nil {
+		t.Fatalf("stream: %v", err)
+	}
+	close(gate)
+	checkSweepStream(t, resp.Body)
+	resp.Body.Close()
 	for deadline := time.Now().Add(2 * time.Minute); ; time.Sleep(10 * time.Millisecond) {
 		code, st := status("GET", "/jobs/"+doc.ID, "")
 		if code != http.StatusOK {
@@ -707,5 +721,60 @@ func TestEndToEndTinySweep(t *testing.T) {
 
 	if code, dash := fetch("GET", "/dashboard", ""); code != http.StatusOK || !bytes.Contains(dash, []byte("<!DOCTYPE html>")) {
 		t.Fatalf("/dashboard: code %d, want 200 with HTML", code)
+	}
+}
+
+// checkSweepStream reads a sweep job's event stream to its end and checks
+// the per-cell feed: one snapshot event per cell, each ahead of that cell's
+// progress event, and progress counting 1, 2, ... up to the sweep's total.
+func checkSweepStream(t *testing.T, body io.Reader) {
+	t.Helper()
+	snapped := map[string]bool{}
+	progress := 0
+	total := -1
+	var kind string
+	sc := bufio.NewScanner(body)
+	for sc.Scan() {
+		if name, ok := strings.CutPrefix(sc.Text(), "event: "); ok {
+			kind = name
+			continue
+		}
+		data, ok := strings.CutPrefix(sc.Text(), "data: ")
+		if !ok {
+			continue
+		}
+		switch kind {
+		case "snapshot":
+			var s snapshotSummary
+			if err := json.Unmarshal([]byte(data), &s); err != nil {
+				t.Fatalf("snapshot event %q: %v", data, err)
+			}
+			if snapped[s.Cell] {
+				t.Fatalf("cell %q streamed two snapshots", s.Cell)
+			}
+			if s.Delivered == 0 {
+				t.Errorf("cell %q snapshot delivered nothing: %s", s.Cell, data)
+			}
+			snapped[s.Cell] = true
+		case "progress":
+			var p Progress
+			if err := json.Unmarshal([]byte(data), &p); err != nil {
+				t.Fatalf("progress event %q: %v", data, err)
+			}
+			progress++
+			if p.Done != progress || (total >= 0 && p.Total != total) {
+				t.Fatalf("progress event %d = %+v, want done %d of %d", progress, p, progress, total)
+			}
+			total = p.Total
+			if !snapped[p.Label] {
+				t.Fatalf("progress for cell %q came before its snapshot", p.Label)
+			}
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatalf("reading stream: %v", err)
+	}
+	if total <= 0 || progress != total || len(snapped) != total {
+		t.Fatalf("stream carried %d progress and %d snapshot events, want %d of each", progress, len(snapped), total)
 	}
 }

@@ -155,24 +155,22 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 func (s *Server) runJob(ctx context.Context, job *Job) ([]byte, error) {
 	s.log.Info("job started", "corr_id", job.CorrID, "id", job.ID, "type", job.Spec.Type)
 	tel := &experiments.Telemetry{
-		Progress: func(done, total int, label string) {
-			job.setProgress(done, total, label)
+		Obs: true,
+		OnCell: func(c experiments.Cell) {
+			snap := c.Suite.Snapshot()
+			job.publish(Event{Kind: "snapshot", Data: snapshotSummary{
+				Cell:       c.Label,
+				Cycle:      snap.Cycle,
+				Injected:   snap.Injected,
+				Delivered:  snap.Delivered,
+				InFlight:   snap.InFlight,
+				LatencyP50: snap.LatencyP50,
+				LatencyP99: snap.LatencyP99,
+				Alerts:     len(snap.Alerts),
+			}})
+			job.setProgress(c.Done, c.Total, c.Label)
 		},
 	}
-	reg := obs.NewRegistry()
-	reg.SetOnRecord(func(name string, snap *obs.Snapshot) {
-		job.publish(Event{Kind: "snapshot", Data: snapshotSummary{
-			Cell:       name,
-			Cycle:      snap.Cycle,
-			Injected:   snap.Injected,
-			Delivered:  snap.Delivered,
-			InFlight:   snap.InFlight,
-			LatencyP50: snap.LatencyP50,
-			LatencyP99: snap.LatencyP99,
-			Alerts:     len(snap.Alerts),
-		}})
-	})
-	tel.Registry = reg
 	if s.cfg.Watchdog != nil {
 		wd := *s.cfg.Watchdog
 		prev := wd.OnAlert
@@ -190,8 +188,8 @@ func (s *Server) runJob(ctx context.Context, job *Job) ([]byte, error) {
 	return Execute(ctx, job.Spec, tel)
 }
 
-// snapshotSummary is the compact per-cell obs view sent on job streams; the
-// full snapshot stays in the per-job registry, the stream is a progress feed.
+// snapshotSummary is the compact per-cell obs view sent on job streams, a
+// progress feed: the full snapshot is not kept.
 type snapshotSummary struct {
 	Cell       string  `json:"cell"`
 	Cycle      int64   `json:"cycle"`
