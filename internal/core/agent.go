@@ -2,7 +2,6 @@ package core
 
 import (
 	"math/rand"
-	"slices"
 
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
@@ -22,6 +21,11 @@ import (
 // site's following arbitration — and runs one replay batch per cycle through
 // its OnCycle hook.
 type Agent struct {
+	// Spec lays out states and actions. It is the agent's own copy, taken by
+	// NewAgent and NewAgentWithNet, of the spec it was built with: the replay
+	// ring keeps the agent's arbitrations as Records and decodes them with
+	// it, so changing the caller's spec afterwards cannot reinterpret a
+	// stored record. It must not be changed.
 	Spec   *StateSpec
 	DQL    *rl.DQL
 	Reward *rl.RewardTracker
@@ -49,22 +53,15 @@ type Agent struct {
 
 	rng *rand.Rand
 
-	// pending holds, per (router, output) arbitration site, the last
-	// decision awaiting its next state.
-	pending map[int64]pendingDecision
+	// pending holds, per (router, output) arbitration site (indexed by
+	// siteKey), the last decision awaiting its next state.
+	pending []pendingDecision
 
-	// stateFree and validFree recycle the State/NextValid storage handed
-	// back by the replay ring on eviction, making steady-state Select
-	// allocation-free. Both are filed by size in candidates: stateFree[k]
-	// holds state vectors with room for k candidates' features, validFree[k]
-	// NextValid slices of capacity k (see takeState). evalState is the
-	// single state reused by inference-only (non-training) agents, which
-	// never retain states. slots lists the candidates' action indices of the
-	// arbitration in hand. inferState is the dense state handed to Infer, the
-	// only dense state the agent keeps.
-	stateFree  [][]nn.SparseVec
-	validFree  [][][]int
-	evalState  nn.SparseVec
+	// rec, state and slots are the arbitration in hand: its Record, and the
+	// state and candidate slots Expand decodes from it. inferState is the
+	// dense state handed to Infer, the only dense state the agent keeps.
+	rec        []byte
+	state      nn.SparseVec
 	slots      []int
 	inferState []float64
 
@@ -72,10 +69,22 @@ type Agent struct {
 	explored  int64
 }
 
+// pendingDecision is a site's last decision: its state's record, kept in the
+// site's own buffer from one decision to the next.
 type pendingDecision struct {
-	state  nn.SparseVec
+	rec    []byte
 	action int
 	reward float64
+	live   bool
+}
+
+// pendingAt returns the pending decision of site key, growing pending to
+// reach it.
+func pendingAt[D any](pending *[]D, key int64) *D {
+	if n := int64(len(*pending)); key >= n {
+		*pending = append(*pending, make([]D, key+1-n)...)
+	}
+	return &(*pending)[key]
 }
 
 // AgentConfig configures NewAgent.
@@ -99,7 +108,8 @@ type AgentConfig struct {
 
 // NewAgent builds an agent for the given state spec: a one-hidden-layer MLP
 // (sigmoid hidden activation, ReLU output — Section 4.6) wrapped in a deep
-// Q-learner with replay memory and target network.
+// Q-learner with replay memory and target network. The agent keeps its own
+// copy of spec (see Agent.Spec).
 func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 	if cfg.Hidden <= 0 {
 		cfg.Hidden = spec.ActionSize()
@@ -118,76 +128,16 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 		cfg.DQL.Epsilon = 0.001
 	}
 	a := &Agent{
-		Spec:           spec,
+		Spec:           spec.clone(),
 		DQL:            rl.NewDQL(net, cfg.DQL),
 		Reward:         rl.NewRewardTracker(cfg.Reward),
 		Training:       true,
 		EpsStart:       cfg.EpsStart,
 		EpsDecayCycles: cfg.EpsDecayCycles,
 		rng:            rng,
-		pending:        make(map[int64]pendingDecision),
 	}
-	a.DQL.Replay.OnEvict = a.recycleExperience
+	a.DQL.Replay.Codec = a.Spec
 	return a
-}
-
-// recycleExperience files an evicted experience's slices by size.
-// Only State and NextValid are recycled: an evicted experience's Next is the
-// State of a younger, still-live experience (or of a pending decision); it
-// comes back through its own eviction. The ring's FIFO order guarantees the
-// one experience whose Next aliased this State is already gone, so recycling
-// State here can never corrupt a live tuple.
-func (a *Agent) recycleExperience(e *rl.Experience) {
-	if e.State.Idx != nil {
-		a.stateFree = fileBySize(a.stateFree, cap(e.State.Idx)/a.Spec.Features.Width(), e.State)
-	}
-	if e.NextValid != nil {
-		a.validFree = fileBySize(a.validFree, cap(e.NextValid), e.NextValid[:0])
-	}
-}
-
-// takeState returns a state vector with room for n entries. It takes a
-// recycled one from the smallest size that fits and has one free, and makes a
-// new one of exactly the room asked for only if none does. So every stored
-// state is about as small as its own arbitration, and once the lists have
-// warmed up steady-state training stops allocating.
-func (a *Agent) takeState(n int) nn.SparseVec {
-	fw := a.Spec.Features.Width()
-	if s, ok := takeBySize(a.stateFree, (n+fw-1)/fw); ok {
-		return s
-	}
-	return nn.SparseVec{Idx: make([]int32, 0, n), Val: make([]float64, 0, n)}
-}
-
-// takeValid returns a NextValid slice of length n, recycled like a state
-// vector or else made with capacity n.
-func (a *Agent) takeValid(n int) []int {
-	if v, ok := takeBySize(a.validFree, n); ok {
-		return v[:n]
-	}
-	return make([]int, n)
-}
-
-// fileBySize appends v to lists[size], growing lists to reach it.
-func fileBySize[T any](lists [][]T, size int, v T) [][]T {
-	for len(lists) <= size {
-		lists = append(lists, nil)
-	}
-	lists[size] = append(lists[size], v)
-	return lists
-}
-
-// takeBySize pops an element of lists[size] or, if that list is empty, of the
-// nearest non-empty larger one.
-func takeBySize[T any](lists [][]T, size int) (v T, ok bool) {
-	for ; size < len(lists); size++ {
-		if k := len(lists[size]); k > 0 {
-			v = lists[size][k-1]
-			lists[size] = lists[size][:k-1]
-			return v, true
-		}
-	}
-	return v, false
 }
 
 // Epsilon returns the current exploration rate under the decay schedule.
@@ -210,13 +160,12 @@ func (a *Agent) Epsilon() float64 {
 // or rebuilt: agents built over the same network share all of it.
 func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 	a := &Agent{
-		Spec:    spec,
-		DQL:     rl.NewInferenceDQL(net, rl.DQLConfig{}),
-		Reward:  rl.NewRewardTracker(rl.RewardGlobalAge),
-		rng:     xrand.New(seed),
-		pending: make(map[int64]pendingDecision),
+		Spec:   spec.clone(),
+		DQL:    rl.NewInferenceDQL(net, rl.DQLConfig{}),
+		Reward: rl.NewRewardTracker(rl.RewardGlobalAge),
+		rng:    xrand.New(seed),
 	}
-	a.DQL.Replay.OnEvict = a.recycleExperience
+	a.DQL.Replay.Codec = a.Spec
 	return a
 }
 
@@ -259,21 +208,11 @@ func siteKey(ctx *noc.ArbContext) int64 {
 // remaining candidates.
 func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	a.decisions++
-	// Training retains states in experiences and draws them from the freelist
-	// fed by replay-ring evictions; inference never retains the state, so one
-	// reusable vector suffices.
-	var state nn.SparseVec
-	if a.Training {
-		state = a.Spec.BuildSparse(a.takeState(len(cands)*a.Spec.Features.Width()), ctx.Net, ctx.Cycle, cands)
-	} else {
-		a.evalState = a.Spec.BuildSparse(a.evalState, ctx.Net, ctx.Cycle, cands)
-		state = a.evalState
-	}
-	slots := a.slots[:0]
-	for _, c := range cands {
-		slots = append(slots, a.Spec.Slot(c.Port, c.VC))
-	}
-	a.slots = slots
+	// Training and inference build the state one way: the arbitration's
+	// record, expanded. A training agent stores the record, not the state.
+	a.rec = a.Spec.Record(a.rec[:0], ctx.Net, ctx.Cycle, cands)
+	a.state, a.slots = a.Spec.Expand(a.state, a.slots, a.rec)
+	state, slots := a.state, a.slots
 
 	// Algorithm 1 line 10: with probability epsilon the router selects a
 	// random candidate. The paper keeps this in the deployed decision
@@ -304,23 +243,12 @@ func (a *Agent) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	}
 
 	if a.Training {
-		key := siteKey(ctx)
-		if prev, ok := a.pending[key]; ok {
-			valid := a.takeValid(len(slots))
-			copy(valid, slots)
-			a.DQL.Observe(rl.Experience{
-				State:     prev.state,
-				Action:    prev.action,
-				Reward:    prev.reward,
-				Next:      state,
-				NextValid: valid,
-			})
+		p := pendingAt(&a.pending, siteKey(ctx))
+		if p.live {
+			a.DQL.Observe(rl.Transition{State: p.rec, Action: p.action, Reward: p.reward, Next: a.rec})
 		}
-		a.pending[key] = pendingDecision{
-			state:  state,
-			action: slots[choice],
-			reward: a.Reward.DecisionReward(ctx, cands, choice),
-		}
+		p.rec = append(p.rec[:0], a.rec...)
+		p.action, p.reward, p.live = slots[choice], a.Reward.DecisionReward(ctx, cands, choice), true
 	}
 	return choice
 }
@@ -343,23 +271,12 @@ func (a *Agent) OnCycle(n *noc.Network) {
 // a function of the seed. Useful at the end of a training phase so the final
 // rewards are not lost.
 func (a *Agent) FlushPending() {
-	for _, key := range sortedSites(a.pending) {
-		p := a.pending[key]
-		a.DQL.Observe(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
+	for i := range a.pending {
+		if p := &a.pending[i]; p.live {
+			a.DQL.Observe(rl.Transition{State: p.rec, Action: p.action, Reward: p.reward, Terminal: true})
+			p.live = false
+		}
 	}
-	clear(a.pending)
-}
-
-// sortedSites returns the arbitration sites (siteKey) of pending in ascending
-// order: the order in which a flush records them, where the map's own order
-// would differ from run to run.
-func sortedSites[D any](pending map[int64]D) []int64 {
-	keys := make([]int64, 0, len(pending))
-	for key := range pending {
-		keys = append(keys, key)
-	}
-	slices.Sort(keys)
-	return keys
 }
 
 // Freeze switches the agent to pure-inference mode (the "NN" policy):

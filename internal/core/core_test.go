@@ -720,7 +720,7 @@ func TestFootnote1CoreBonus(t *testing.T) {
 func eagerEvalAgent(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 	a := NewAgentWithNet(spec, net, seed)
 	a.DQL = rl.NewDQL(net, rl.DQLConfig{})
-	a.DQL.Replay.OnEvict = a.recycleExperience
+	a.DQL.Replay.Codec = a.Spec
 	return a
 }
 

@@ -49,7 +49,8 @@ func (l *denseLearner) trainBatch() {
 		v.ScatterInto(x)
 		return x
 	}
-	batch := d.Replay.Sample(l.agent.rng, d.Cfg.BatchSize)
+	batch := make([]*rl.Experience, d.Cfg.BatchSize)
+	d.Replay.SampleInto(l.agent.rng, batch)
 	for start := 0; start < len(batch); {
 		chunk := min(len(batch)-start, int(d.Cfg.SyncEvery-l.steps%d.Cfg.SyncEvery))
 		var next [][]float64

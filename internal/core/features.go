@@ -139,42 +139,64 @@ func DefaultNorm() NormConfig {
 func (fs FeatureSet) Extract(dst []float64, norm *NormConfig, net *noc.Network, now int64, m *noc.Message) []float64 {
 	i := 0
 	for _, f := range fs {
-		switch f {
-		case FeatPayload:
-			dst[i] = stats.Clamp01(float64(m.SizeFlits) / norm.PayloadCap)
-			i++
-		case FeatLocalAge:
-			// Soft normalization la/(la+cap/2): stays in [0,1) like the
-			// paper's normalization, but remains strictly increasing so a
-			// long-waiting message's Q-value keeps growing instead of
-			// saturating — a hard clamp lets the network starve a message it
-			// has ranked last once its age passes the cap.
-			la := float64(m.LocalAge(now))
-			dst[i] = la / (la + norm.LocalAgeCap/2)
-			i++
-		case FeatDistance:
-			dst[i] = stats.Clamp01(float64(m.Distance) / norm.DistanceCap)
-			i++
-		case FeatHopCount:
-			dst[i] = stats.Clamp01(float64(m.HopCount) / norm.HopCap)
-			i++
-		case FeatInflight:
-			dst[i] = stats.Clamp01(float64(net.OutstandingFrom(m.Src)) / norm.InflightCap)
-			i++
-		case FeatInterArrival:
-			dst[i] = stats.Clamp01(float64(m.ArrivalGap) / norm.GapCap)
-			i++
-		case FeatMsgType:
+		r := f.read(net, now, m)
+		if f.Width() == 3 {
 			dst[i], dst[i+1], dst[i+2] = 0, 0, 0
-			dst[i+int(m.Type)] = 1
+			dst[i+int(r)] = 1
 			i += 3
-		case FeatDstType:
-			dst[i], dst[i+1], dst[i+2] = 0, 0, 0
-			dst[i+int(m.DstKind)] = 1
-			i += 3
-		default:
-			panic(fmt.Sprintf("core: unknown feature %v", f))
+			continue
 		}
+		dst[i] = norm.scale(f, r)
+		i++
 	}
 	return dst
+}
+
+// read returns the reading of feature f for message m: the integer Extract
+// normalizes, or a one-hot feature's category.
+func (f Feature) read(net *noc.Network, now int64, m *noc.Message) int64 {
+	switch f {
+	case FeatPayload:
+		return int64(m.SizeFlits)
+	case FeatLocalAge:
+		return m.LocalAge(now)
+	case FeatDistance:
+		return int64(m.Distance)
+	case FeatHopCount:
+		return int64(m.HopCount)
+	case FeatInflight:
+		return int64(net.OutstandingFrom(m.Src))
+	case FeatInterArrival:
+		return m.ArrivalGap
+	case FeatMsgType:
+		return int64(m.Type)
+	case FeatDstType:
+		return int64(m.DstKind)
+	}
+	panic(fmt.Sprintf("core: unknown feature %v", f))
+}
+
+// scale returns the state-vector value of reading r of scalar feature f.
+func (norm *NormConfig) scale(f Feature, r int64) float64 {
+	x := float64(r)
+	switch f {
+	case FeatPayload:
+		return stats.Clamp01(x / norm.PayloadCap)
+	case FeatLocalAge:
+		// Soft normalization la/(la+cap/2): stays in [0,1) like the paper's
+		// normalization, but remains strictly increasing so a long-waiting
+		// message's Q-value keeps growing instead of saturating — a hard
+		// clamp lets the network starve a message it has ranked last once
+		// its age passes the cap.
+		return x / (x + norm.LocalAgeCap/2)
+	case FeatDistance:
+		return stats.Clamp01(x / norm.DistanceCap)
+	case FeatHopCount:
+		return stats.Clamp01(x / norm.HopCap)
+	case FeatInflight:
+		return stats.Clamp01(x / norm.InflightCap)
+	case FeatInterArrival:
+		return stats.Clamp01(x / norm.GapCap)
+	}
+	panic(fmt.Sprintf("core: %v is not a scalar feature", f))
 }

@@ -26,9 +26,19 @@ type Recorder struct {
 	// Data accumulates the recorded experiences.
 	Data *rl.Dataset
 
-	pending map[int64]*pendingDecision
+	// pending holds, per arbitration site (indexed by siteKey), the last
+	// decision awaiting its next state.
+	pending []recordedDecision
 	// scratch is where each state is built before a copy cut to size is kept.
 	scratch nn.SparseVec
+}
+
+// recordedDecision is a site's last decision as the recorder keeps it.
+type recordedDecision struct {
+	state  nn.SparseVec
+	action int
+	reward float64
+	live   bool
 }
 
 // NewRecorder wraps behaviour with recording into a fresh dataset.
@@ -38,7 +48,6 @@ func NewRecorder(spec *StateSpec, behavior noc.Policy) *Recorder {
 		Spec:     spec,
 		Reward:   rl.NewRewardTracker(rl.RewardGlobalAge),
 		Data:     rl.NewDataset(spec.InputSize(), spec.ActionSize()),
-		pending:  make(map[int64]*pendingDecision),
 	}
 }
 
@@ -52,24 +61,25 @@ func (r *Recorder) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	state := r.scratch.Clone()
 	choice := r.Behavior.Select(ctx, cands)
 
-	key := siteKey(ctx)
-	if prev := r.pending[key]; prev != nil {
+	p := pendingAt(&r.pending, siteKey(ctx))
+	if p.live {
 		valid := make([]int, len(cands))
 		for i, c := range cands {
 			valid[i] = r.Spec.Slot(c.Port, c.VC)
 		}
 		r.Data.Add(rl.Experience{
-			State:     prev.state,
-			Action:    prev.action,
-			Reward:    prev.reward,
+			State:     p.state,
+			Action:    p.action,
+			Reward:    p.reward,
 			Next:      state,
 			NextValid: valid,
 		})
 	}
-	r.pending[key] = &pendingDecision{
+	*p = recordedDecision{
 		state:  state,
 		action: r.Spec.Slot(cands[choice].Port, cands[choice].VC),
 		reward: r.Reward.DecisionReward(ctx, cands, choice),
+		live:   true,
 	}
 	return choice
 }
@@ -81,9 +91,10 @@ func (r *Recorder) OnCycle(n *noc.Network) { r.Reward.OnCycle(n) }
 // Flush records all incomplete decisions as terminal experiences, in
 // ascending site order, so that a recording is a function of its seed.
 func (r *Recorder) Flush() {
-	for _, key := range sortedSites(r.pending) {
-		p := r.pending[key]
-		r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
+	for i := range r.pending {
+		if p := &r.pending[i]; p.live {
+			r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
+			p.live = false
+		}
 	}
-	clear(r.pending)
 }

@@ -1,7 +1,10 @@
 package rl
 
 import (
+	"bytes"
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mlnoc/internal/nn"
@@ -68,7 +71,7 @@ func benchDQLOf(in, width, actions int, occupied func(*rand.Rand) int) (*DQL, *r
 	for i := 0; i < d.Replay.Cap(); i++ {
 		state, slots := blockState(rng, in, width, occupied(rng))
 		next, valid := blockState(rng, in, width, occupied(rng))
-		d.Observe(Experience{
+		observe(d, Experience{
 			State:     sparse(state),
 			Action:    slots[rng.Intn(len(slots))],
 			Reward:    rng.Float64(),
@@ -105,8 +108,9 @@ func BenchmarkHotDQLTrainBatchAPU(b *testing.B) {
 // NextValid lists (what TrainBatch asks for) against all of them (nil).
 func BenchmarkHotTargetBootstrapAPU(b *testing.B) {
 	d, rng := benchAPU()
-	ns, nv := make([]nn.SparseVec, 32), make([][]int, 32)
-	for k, e := range d.Replay.Sample(rng, 32) {
+	ns, nv, batch := make([]nn.SparseVec, 32), make([][]int, 32), make([]*Experience, 32)
+	d.Replay.SampleInto(rng, batch)
+	for k, e := range batch {
 		ns[k], nv[k] = e.Next, e.NextValid
 	}
 	for _, c := range []struct {
@@ -143,22 +147,38 @@ func BenchmarkHotReplaySample(b *testing.B) {
 	}
 }
 
-func TestSampleIntoMatchesSample(t *testing.T) {
-	d, _ := benchDQL()
-	a := d.Replay.Sample(rand.New(rand.NewSource(3)), 16)
-	b := make([]*Experience, 16)
-	d.Replay.SampleInto(rand.New(rand.NewSource(3)), b)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("draw %d: Sample and SampleInto diverge with the same seed", i)
+// TestSampleIntoDrawsIntnInOrder pins SampleInto's RNG consumption, which
+// seeded trajectories depend on: one Intn(Len()) per element of dst, in
+// order, each naming the ring slot drawn (slot k holds the latest experience
+// added at a position k modulo the capacity), and nothing else drawn.
+func TestSampleIntoDrawsIntnInOrder(t *testing.T) {
+	r := NewReplay(7)
+	r.Codec = verbatim{}
+	for i := 0; i < 10; i++ {
+		r.Add(transition(Experience{Action: i}))
+	}
+	got, want := rand.New(rand.NewSource(3)), rand.New(rand.NewSource(3))
+	dst := make([]*Experience, 16)
+	r.SampleInto(got, dst)
+	for i, e := range dst {
+		k := want.Intn(r.Len())
+		if k < 10-7 {
+			k += 7
 		}
+		if e.Action != k {
+			t.Fatalf("draw %d is experience %d, want %d", i, e.Action, k)
+		}
+	}
+	if got.Int63() != want.Int63() {
+		t.Fatal("SampleInto drew more than one Intn per experience")
 	}
 }
 
 func TestReplayAtOrdersOldestFirst(t *testing.T) {
 	r := NewReplay(4)
+	r.Codec = verbatim{}
 	for i := 0; i < 6; i++ { // wraps: holds experiences 2..5
-		r.Add(Experience{Action: i})
+		r.Add(transition(Experience{Action: i}))
 	}
 	for i, want := range []int{2, 3, 4, 5} {
 		if got := r.At(i).Action; got != want {
@@ -180,7 +200,7 @@ func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
 		t.Fatal("TrainBatch on an empty replay memory trained or built the target")
 	}
 	before := d.Online.Clone()
-	d.Observe(Experience{State: sparse(sparseStateVec(rng, 60, 4, 2)), Action: 3, Reward: 1, Next: sparse(sparseStateVec(rng, 60, 4, 2))})
+	observe(d, Experience{State: sparse(sparseStateVec(rng, 60, 4, 2)), Action: 3, Reward: 1, Next: sparse(sparseStateVec(rng, 60, 4, 2))})
 	d.TrainBatch(rng)
 	if d.Target == nil || d.Target == d.Online || d.Steps() != 2 {
 		t.Fatalf("after training: target %p online %p steps %d", d.Target, d.Online, d.Steps())
@@ -196,17 +216,122 @@ func TestInferenceDQLGrowsTrainingStateOnUse(t *testing.T) {
 	}
 }
 
-func TestReplayOnEvictFiresOnOverwrite(t *testing.T) {
-	r := NewReplay(3)
-	var evicted []int
-	r.OnEvict = func(e *Experience) { evicted = append(evicted, e.Action) }
-	for i := 0; i < 5; i++ {
-		r.Add(Experience{Action: i})
+// TestReplayArenaRing drives a small ring through records of many lengths,
+// so that the arena wraps, leaves gaps at its end and doubles with live
+// records in it, wrapped or not, and checks after every Add that the ring holds the latest
+// experiences, oldest first, each as it was added: reward, action, the state,
+// and the successor with its valid actions unless terminal. The caller's
+// buffers are overwritten after each Add, which must change nothing stored.
+func TestReplayArenaRing(t *testing.T) {
+	const capacity = 9
+	r := NewReplay(capacity)
+	r.Codec = verbatim{}
+	rng := rand.New(rand.NewSource(5))
+	var added []Experience
+	var state, next []byte
+	sizes, wraps := map[int]bool{}, 0
+	for i := 0; i < 400; i++ {
+		// States that grow over the run, from a few bytes to over a
+		// kilobyte, so the arena fills up and doubles in every layout.
+		k := 1 + i/8 + rng.Intn(4)
+		e := Experience{
+			State:    sparse(sparseStateVec(rng, 400, 4, k)),
+			Action:   rng.Intn(100),
+			Reward:   []float64{0, 1, rng.Float64(), -rng.Float64()}[rng.Intn(4)],
+			Next:     sparse(sparseStateVec(rng, 400, 4, 1+rng.Intn(k))),
+			Terminal: rng.Intn(5) == 0,
+		}
+		if !e.Terminal {
+			e.NextValid = rng.Perm(100)[:rng.Intn(4)]
+		}
+		tr := transition(e)
+		state, next = append(state[:0], tr.State...), append(next[:0], tr.Next...)
+		r.Add(Transition{State: state, Action: tr.Action, Reward: tr.Reward, Next: next, Terminal: tr.Terminal})
+		for j := range state {
+			state[j] = 0xff
+		}
+		for j := range next {
+			next[j] = 0xff
+		}
+		added = append(added, e)
+		sizes[r.ArenaBytes()] = true
+		if r.Len() > 1 && r.off[(r.next+capacity-1)%capacity] == 0 {
+			wraps++
+		}
+
+		live := added[max(0, len(added)-capacity):]
+		if r.Len() != len(live) {
+			t.Fatalf("add %d: ring holds %d, want %d", i, r.Len(), len(live))
+		}
+		for j, want := range live {
+			got := r.At(j)
+			if got.Action != want.Action || math.Float64bits(got.Reward) != math.Float64bits(want.Reward) || got.Terminal != want.Terminal {
+				t.Fatalf("add %d: At(%d) is action %d reward %v terminal %t, want %d %v %t",
+					i, j, got.Action, got.Reward, got.Terminal, want.Action, want.Reward, want.Terminal)
+			}
+			if !sameVec(got.State, want.State) {
+				t.Fatalf("add %d: At(%d) state differs", i, j)
+			}
+			if want.Terminal {
+				if len(got.Next.Idx) != 0 || got.NextValid != nil {
+					t.Fatalf("add %d: terminal At(%d) has a successor", i, j)
+				}
+				continue
+			}
+			if !sameVec(got.Next, want.Next) || !slices.Equal(got.NextValid, want.NextValid) {
+				t.Fatalf("add %d: At(%d) successor differs", i, j)
+			}
+		}
 	}
-	// Capacity 3: adds 3 and 4 overwrite experiences 0 and 1, oldest first.
-	if len(evicted) != 2 || evicted[0] != 0 || evicted[1] != 1 {
-		t.Fatalf("evicted = %v, want [0 1]", evicted)
+	if len(sizes) < 3 || wraps == 0 {
+		t.Fatalf("arena took %d sizes and wrapped %d times: growth under live records or wrap-around untested", len(sizes), wraps)
 	}
+	t.Logf("arena sizes %v, %d wraps", sizes, wraps)
+}
+
+// TestReplayArenaPlacement walks the arena through each placement in turn,
+// with records of set sizes in a ring of four: after the youngest record,
+// doubling when the end is reached before the ring is full, at the start once
+// the end has no room, after a wrapped youngest record, and doubling when a
+// record would overrun the oldest live one by 25 bytes, wrapped or from the
+// start. After every Add each live record must read back as it was added.
+func TestReplayArenaPlacement(t *testing.T) {
+	r := NewReplay(4)
+	var added [][]byte
+	for i, c := range []struct{ size, arena, at int }{
+		{1000, minArena, 0}, {1000, minArena, 1000}, {1000, minArena, 2000},
+		{1200, 2 * minArena, 3000}, // past the end, ring not full: double
+		{2000, 2 * minArena, 4200},
+		{1500, 2 * minArena, 6200},
+		{1000, 2 * minArena, 0},    // the end has no room: wrap
+		{1500, 2 * minArena, 1000}, // after the wrapped youngest
+		{3725, 4 * minArena, 4000}, // 25 bytes past the oldest: double
+		{1000, 4 * minArena, 7725},
+		{7000, 4 * minArena, 8725},
+		{4025, 8 * minArena, 11725}, // no room at the end, 25 bytes short at the start: double
+	} {
+		// A 5-byte header (reward 0, action i, two lengths) and the state.
+		state := bytes.Repeat([]byte{byte(i + 1)}, c.size-5)
+		r.Add(Transition{State: state, Action: i})
+		added = append(added, state)
+		slot := (r.next + r.cap - 1) % r.cap
+		if r.ArenaBytes() != c.arena || int(r.off[slot]) != c.at {
+			t.Fatalf("add %d: record at %d in an arena of %d, want at %d in %d", i, r.off[slot], r.ArenaBytes(), c.at, c.arena)
+		}
+		for j := 0; j < r.Len(); j++ {
+			k, n := (r.next-r.Len()+j+r.cap)%r.cap, len(added)-r.Len()+j
+			if got := r.record(k); !bytes.Equal(got.State, added[n]) || got.Action != n || got.end-int(r.off[k]) != len(added[n])+5 {
+				t.Fatalf("add %d: live record %d does not read back as added", i, j)
+			}
+		}
+	}
+}
+
+// sameVec reports whether a and b list the same entries, bit for bit.
+func sameVec(a, b nn.SparseVec) bool {
+	return slices.Equal(a.Idx, b.Idx) && slices.EqualFunc(a.Val, b.Val, func(x, y float64) bool {
+		return math.Float64bits(x) == math.Float64bits(y)
+	})
 }
 
 // TestTrainBatchZeroAllocs pins the zero-allocation contract: steady-state

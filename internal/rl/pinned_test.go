@@ -20,7 +20,7 @@ func TestTrainBatchPinnedAPU(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < d.Replay.Cap(); i++ {
-		d.Observe(Experience{
+		observe(d, Experience{
 			State:     sparse(sparseStateVec(rng, 504, 12, 2+rng.Intn(2))),
 			Action:    rng.Intn(42),
 			Reward:    rng.Float64(),

@@ -6,7 +6,10 @@
 package rl
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 
 	"mlnoc/internal/nn"
@@ -16,8 +19,8 @@ import (
 // Experience is one <state, action, reward, next state> tuple (Fig. 3 of the
 // paper). States are held in the sparse form the Q-network takes them in
 // (nn.SparseVec: a dozen entries per competing message of a state that is
-// otherwise zero padding), which is also how replay memory and datasets store
-// them.
+// otherwise zero padding): datasets store them so, and the replay memory,
+// which stores Transitions, decodes them so when it draws them.
 type Experience struct {
 	State  nn.SparseVec
 	Action int
@@ -56,24 +59,62 @@ func bootstrap(q []float64, valid []int) float64 {
 	return best
 }
 
+// StateCodec decodes the states the replay memory stores: each is kept as a
+// record, the raw readings it was built from, and becomes the state vector
+// the Q-network takes only when an experience holding it is drawn.
+type StateCodec interface {
+	// Expand decodes rec into a state vector and the actions that were
+	// available in that state. Like append, it builds into v's and valid's
+	// storage when they have the capacity and returns the results.
+	Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int)
+}
+
+// Transition is an experience as the replay memory takes it: its states are
+// records its StateCodec decodes. Next is not stored when Terminal is set.
+type Transition struct {
+	State    []byte
+	Action   int
+	Reward   float64
+	Next     []byte
+	Terminal bool
+}
+
 // Replay is the circular experience-replay buffer used to decorrelate
 // training samples (Section 3.1.2). The zero value is unusable; create one
 // with NewReplay.
+//
+// The experiences are Transitions, stored back to back in ring order in one
+// byte arena: per experience the reward, the action and terminal flag, the
+// lengths of the two records, then the records. The arena holds no pointer,
+// so the garbage collector never scans it. An experience is decoded, through
+// Codec, only when SampleInto or At draws it.
 type Replay struct {
-	// buf is the ring, cap slots long, allocated by the first Add: a frozen
-	// evaluation agent owns a Replay and never fills it.
-	buf  []Experience
+	// Codec decodes the stored states; it must be set before the first
+	// SampleInto or At.
+	Codec StateCodec
+
 	cap  int
-	next int
+	next int // the slot the next Add fills
 	size int
 
-	// OnEvict, when non-nil, is called with the experience about to be
-	// overwritten each time Add lands on a full ring. The receiver may
-	// recycle e.State's storage and e.NextValid: the ring is FIFO, so by the
-	// time an experience is evicted the older neighbor whose Next aliased this
-	// experience's State is already gone, and no live experience can still
-	// reference the recycled slices.
-	OnEvict func(e *Experience)
+	// arena holds the records; off[k] is where slot k's starts, and end is
+	// where the youngest one ends. Both are allocated by the first Add: a
+	// frozen evaluation agent owns a Replay and never fills it.
+	arena []byte
+	off   []uint32
+	end   int
+
+	// out holds the experiences the last SampleInto or At decoded. Their
+	// vectors and Next's valid actions are cut from idx, val and valid, which
+	// grow after a draw that did not fit in them (spilled), to twice what it
+	// took.
+	out     []Experience
+	idx     []int32
+	val     []float64
+	valid   []int
+	nIdx    int
+	nValid  int
+	spilled bool
 }
 
 // NewReplay creates a replay memory holding up to capacity experiences.
@@ -84,31 +125,121 @@ func NewReplay(capacity int) *Replay {
 	return &Replay{cap: capacity}
 }
 
-// Add records one experience, evicting the oldest when full.
-func (r *Replay) Add(e Experience) {
-	if r.buf == nil {
-		r.buf = make([]Experience, r.cap)
+// minArena is the size in bytes of the arena the first Add allocates.
+const minArena = 4096
+
+// Add stores a copy of one experience, evicting the oldest when full.
+func (r *Replay) Add(t Transition) {
+	if t.Action < 0 {
+		panic("rl: negative action")
 	}
-	if r.size == len(r.buf) && r.OnEvict != nil {
-		r.OnEvict(&r.buf[r.next])
+	succ := t.Next
+	flag := uint64(t.Action) << 1
+	if t.Terminal {
+		succ, flag = nil, flag|1
 	}
-	r.buf[r.next] = e
-	r.next = (r.next + 1) % len(r.buf)
-	if r.size < len(r.buf) {
+	// The reward's bits byte-reversed, as gob writes a float: the usual
+	// rewards (0, 1, a short fraction) take one to three bytes.
+	var hdr [4 * binary.MaxVarintLen64]byte
+	h := binary.AppendUvarint(hdr[:0], bits.ReverseBytes64(math.Float64bits(t.Reward)))
+	h = binary.AppendUvarint(h, flag)
+	h = binary.AppendUvarint(h, uint64(len(t.State)))
+	h = binary.AppendUvarint(h, uint64(len(succ)))
+	if r.off == nil {
+		r.off = make([]uint32, r.cap)
+	}
+	p := r.place(len(h) + len(t.State) + len(succ))
+	w := append(append(append(r.arena[p:p], h...), t.State...), succ...)
+	r.off[r.next] = uint32(p)
+	r.end = p + len(w)
+	r.next = (r.next + 1) % r.cap
+	if r.size < r.cap {
 		r.size++
 	}
 }
 
-// At returns the i-th stored experience in insertion order (0 = oldest).
-// The pointer is into the ring: it is invalidated by the Add that evicts it.
+// place returns where a record of n bytes goes, the slot it fills given up
+// if the ring is full: right after the youngest record, or at the start of
+// the arena when the end has no room. Where either would overrun the oldest
+// live record, the arena doubles, and the live records move to its start in
+// ring order.
+func (r *Replay) place(n int) int {
+	live := r.size
+	if live == r.cap {
+		live--
+	}
+	if live == 0 {
+		if n > len(r.arena) {
+			r.arena = make([]byte, max(minArena, 2*len(r.arena), n))
+		}
+		return 0
+	}
+	first := (r.next - live + r.cap) % r.cap
+	oldest, youngest := int(r.off[first]), int(r.off[(r.next-1+r.cap)%r.cap])
+	switch {
+	case youngest >= oldest && r.end+n <= len(r.arena):
+		return r.end
+	case youngest >= oldest && n <= oldest:
+		return 0
+	case youngest < oldest && r.end+n <= oldest:
+		return r.end
+	}
+	size := 2 * len(r.arena)
+	for size < len(r.arena)+n {
+		size *= 2
+	}
+	if uint64(size) > math.MaxUint32 {
+		panic("rl: replay arena past 4 GB")
+	}
+	arena, w := make([]byte, size), 0
+	for i := 0; i < live; i++ {
+		k := (first + i) % r.cap
+		p, end := int(r.off[k]), r.record(k).end
+		r.off[k] = uint32(w)
+		w += copy(arena[w:], r.arena[p:end])
+	}
+	r.arena = arena
+	return w
+}
+
+// stored is a record parsed in place: its transition, whose records are
+// slices of the arena, and where it ends.
+type stored struct {
+	Transition
+	end int
+}
+
+// record parses slot k's record.
+func (r *Replay) record(k int) stored {
+	p := int(r.off[k])
+	b := r.arena[p:]
+	var u [4]uint64
+	for i := range u {
+		x, n := binary.Uvarint(b)
+		u[i], b = x, b[n:]
+	}
+	ns, nx := int(u[2]), int(u[3])
+	return stored{
+		Transition: Transition{
+			State:    b[:ns],
+			Action:   int(u[1] >> 1),
+			Reward:   math.Float64frombits(bits.ReverseBytes64(u[0])),
+			Next:     b[ns : ns+nx],
+			Terminal: u[1]&1 != 0,
+		},
+		end: len(r.arena) - len(b) + ns + nx,
+	}
+}
+
+// At returns the i-th stored experience in insertion order (0 = oldest),
+// decoded into storage the replay owns: it is valid until the next At or
+// SampleInto.
 func (r *Replay) At(i int) *Experience {
 	if i < 0 || i >= r.size {
 		panic("rl: replay index out of range")
 	}
-	if r.size < len(r.buf) {
-		return &r.buf[i]
-	}
-	return &r.buf[(r.next+i)%len(r.buf)]
+	r.startDecoding(1)
+	return r.decode(0, (r.next-r.size+i+r.cap)%r.cap)
 }
 
 // Len returns the number of stored experiences.
@@ -117,30 +248,74 @@ func (r *Replay) Len() int { return r.size }
 // Cap returns the capacity of the replay memory.
 func (r *Replay) Cap() int { return r.cap }
 
-// Sample returns n experiences drawn uniformly at random with replacement —
-// the same ring slot can appear several times in one batch, and the draw
-// probability is uniform over stored experiences regardless of age. It panics
-// if the buffer is empty. The batch is freshly allocated; hot paths should
-// use SampleInto with a reusable scratch slice instead.
-func (r *Replay) Sample(rng *rand.Rand, n int) []*Experience {
-	out := make([]*Experience, n)
-	r.SampleInto(rng, out)
-	return out
-}
+// ArenaBytes returns the size of the arena the experiences are stored in.
+func (r *Replay) ArenaBytes() int { return len(r.arena) }
 
 // SampleInto fills dst with len(dst) experiences drawn uniformly at random
-// with replacement, performing no allocations. It draws exactly len(dst)
-// values from rng in slot order — the same RNG consumption as Sample — so
-// swapping one for the other cannot perturb a seeded trajectory. It panics if
-// the buffer is empty. The pointers are into the ring and are invalidated
-// once Add overwrites their slots.
+// with replacement — the same slot can appear several times in one batch, and
+// the draw probability is uniform over stored experiences regardless of age.
+// It draws exactly len(dst) values from rng, one Intn(Len()) per element in
+// order. The experiences are decoded into storage the replay owns, which
+// stays valid until the next SampleInto or At; once that storage has grown to
+// fit the batches drawn, sampling allocates nothing. It panics if the buffer
+// is empty.
 func (r *Replay) SampleInto(rng *rand.Rand, dst []*Experience) {
 	if r.size == 0 {
 		panic("rl: sampling from empty replay memory")
 	}
+	r.startDecoding(len(dst))
 	for i := range dst {
-		dst[i] = &r.buf[rng.Intn(r.size)]
+		dst[i] = r.decode(i, rng.Intn(r.size))
 	}
+}
+
+// startDecoding readies out for n experiences and the vector storage for a
+// new draw, growing it if the last draw spilled out of it.
+func (r *Replay) startDecoding(n int) {
+	if r.Codec == nil {
+		panic("rl: replay memory has no Codec")
+	}
+	if len(r.out) < n {
+		r.out = make([]Experience, n)
+	}
+	if r.spilled {
+		entries, valid := max(2*r.nIdx, 2*len(r.idx), 64), max(2*r.nValid, 2*len(r.valid), 16)
+		r.idx, r.val, r.valid = make([]int32, entries), make([]float64, entries), make([]int, valid)
+		r.spilled = false
+	}
+	r.nIdx, r.nValid = 0, 0
+}
+
+// decode decodes slot k's experience into out[i] and returns it.
+func (r *Replay) decode(i, k int) *Experience {
+	t := r.record(k).Transition
+	e := &r.out[i]
+	e.Action, e.Reward, e.Terminal = t.Action, t.Reward, t.Terminal
+	// The state's valid actions are not kept: they are decoded into free
+	// storage, which Next's may then take.
+	e.State, _ = r.expand(t.State, false)
+	e.Next, e.NextValid = nn.SparseVec{}, nil
+	if !t.Terminal {
+		e.Next, e.NextValid = r.expand(t.Next, true)
+	}
+	return e
+}
+
+// expand decodes rec into the free part of the vector storage and takes what
+// it used, and, if keepValid, the valid actions' storage too. nIdx and nValid
+// count what the draw has taken, whether it fit or spilled.
+func (r *Replay) expand(rec []byte, keepValid bool) (nn.SparseVec, []int) {
+	i, j := min(r.nIdx, len(r.idx)), min(r.nValid, len(r.valid))
+	free := nn.SparseVec{Idx: r.idx[i:i], Val: r.val[i:i]}
+	v, valid := r.Codec.Expand(free, r.valid[j:j], rec)
+	if cap(v.Idx) != cap(free.Idx) || cap(v.Val) != cap(free.Val) || cap(valid) != len(r.valid)-j {
+		r.spilled = true
+	}
+	r.nIdx += len(v.Idx)
+	if keepValid {
+		r.nValid += len(valid)
+	}
+	return v, valid
 }
 
 // DQLConfig configures a deep Q-learner. The defaults (applied by NewDQL for
@@ -223,7 +398,7 @@ func (d *DQL) ensureTarget() {
 }
 
 // Observe stores one experience in replay memory.
-func (d *DQL) Observe(e Experience) { d.Replay.Add(e) }
+func (d *DQL) Observe(t Transition) { d.Replay.Add(t) }
 
 // TrainBatch samples Cfg.BatchSize experiences and applies one Bellman update
 // each: Q(s,a) <- r + gamma * max_a' Qtarget(s',a'). It returns the mean

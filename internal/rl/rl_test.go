@@ -33,11 +33,12 @@ func dense(v nn.SparseVec, n int) []float64 {
 
 func TestReplayRingSemantics(t *testing.T) {
 	r := NewReplay(3)
+	r.Codec = verbatim{}
 	if r.Len() != 0 || r.Cap() != 3 {
 		t.Fatalf("fresh replay len/cap = %d/%d", r.Len(), r.Cap())
 	}
 	for i := 0; i < 5; i++ {
-		r.Add(Experience{Action: i})
+		r.Add(transition(Experience{Action: i}))
 	}
 	if r.Len() != 3 {
 		t.Fatalf("len after overfill = %d, want 3", r.Len())
@@ -45,8 +46,10 @@ func TestReplayRingSemantics(t *testing.T) {
 	// Oldest entries (0, 1) must have been evicted.
 	seen := map[int]bool{}
 	rng := rand.New(rand.NewSource(1))
+	batch := make([]*Experience, 4)
 	for i := 0; i < 200; i++ {
-		for _, e := range r.Sample(rng, 4) {
+		r.SampleInto(rng, batch)
+		for _, e := range batch {
 			seen[e.Action] = true
 		}
 	}
@@ -74,10 +77,12 @@ func TestReplayPanics(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("Sample from empty replay did not panic")
+				t.Error("SampleInto from empty replay did not panic")
 			}
 		}()
-		NewReplay(1).Sample(rand.New(rand.NewSource(1)), 1)
+		r := NewReplay(1)
+		r.Codec = verbatim{}
+		r.SampleInto(rand.New(rand.NewSource(1)), make([]*Experience, 1))
 	}()
 }
 
@@ -86,7 +91,7 @@ func TestQuickReplayNeverExceedsCap(t *testing.T) {
 		capacity := int(capacity8)%50 + 1
 		r := NewReplay(capacity)
 		for i := 0; i < int(n16)%500; i++ {
-			r.Add(Experience{Action: i})
+			r.Add(transition(Experience{Action: i}))
 		}
 		return r.Len() <= capacity && r.Cap() == capacity
 	}
@@ -125,7 +130,7 @@ func TestDQLLearnsBandit(t *testing.T) {
 		if a == best {
 			reward = 1
 		}
-		d.Observe(Experience{State: sparse(s), Action: a, Reward: reward, Next: sparse(s), NextValid: []int{0, 1}})
+		observe(d, Experience{State: sparse(s), Action: a, Reward: reward, Next: sparse(s), NextValid: []int{0, 1}})
 		d.TrainBatch(rng)
 	}
 	qa := d.Online.Forward(stateA)
@@ -152,7 +157,7 @@ func TestDQLBellmanTarget(t *testing.T) {
 	want := 1.0 + 0.9*qNext[2]
 	before := d.Online.Forward(s)[1]
 
-	d.Observe(Experience{State: sparse(s), Action: 1, Reward: 1, Next: sparse(next), NextValid: []int{2}})
+	observe(d, Experience{State: sparse(s), Action: 1, Reward: 1, Next: sparse(next), NextValid: []int{2}})
 	d.TrainBatch(rand.New(rand.NewSource(1)))
 
 	after := d.Online.Forward(s)[1]
@@ -168,7 +173,7 @@ func TestDQLTerminalExperience(t *testing.T) {
 	})
 	s := []float64{1, 0}
 	// Terminal: Next is not read; target is the raw reward.
-	d.Observe(Experience{State: sparse(s), Action: 0, Reward: 2, Terminal: true})
+	observe(d, Experience{State: sparse(s), Action: 0, Reward: 2, Terminal: true})
 	rng := rand.New(rand.NewSource(2))
 	for i := 0; i < 500; i++ {
 		d.TrainBatch(rng)
@@ -183,7 +188,7 @@ func TestDQLTargetSync(t *testing.T) {
 		Gamma: 0.5, LR: 0.1, BatchSize: 1, ReplayCap: 4, SyncEvery: 10,
 	})
 	s := []float64{1, 1}
-	d.Observe(Experience{State: sparse(s), Action: 0, Reward: 1, Terminal: true})
+	observe(d, Experience{State: sparse(s), Action: 0, Reward: 1, Terminal: true})
 	rng := rand.New(rand.NewSource(4))
 	for i := 0; i < 10; i++ {
 		d.TrainBatch(rng)
@@ -249,7 +254,7 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 			} else if i%3 == 0 {
 				e.NextValid = []int{0, 2}
 			}
-			d.Observe(e)
+			observe(d, e)
 		}
 	}
 
@@ -322,7 +327,8 @@ func TestTrainBatchChunkedMatchesSequential(t *testing.T) {
 // trainBatchFullRows is TrainBatch with every successor's Q-row computed in
 // full (outs nil) before the Bellman max: the same draws, chunks and syncs.
 func trainBatchFullRows(d *DQL, rng *rand.Rand) float64 {
-	batch := d.Replay.Sample(rng, d.Cfg.BatchSize)
+	batch := make([]*Experience, d.Cfg.BatchSize)
+	d.Replay.SampleInto(rng, batch)
 	total := 0.0
 	for start := 0; start < len(batch); {
 		chunk := min(len(batch)-start, int(d.Cfg.SyncEvery-d.steps%d.Cfg.SyncEvery))
@@ -372,7 +378,7 @@ func TestTrainBatchMatchesFullRows(t *testing.T) {
 				e.NextValid = append(e.NextValid, rng.Intn(42))
 			}
 			e.Terminal = i%11 == 3
-			d.Observe(e)
+			observe(d, e)
 		}
 		return d
 	}

@@ -12,7 +12,7 @@ func trainSome(trace *TrainingTrace, batches int) *DQL {
 	d.Trace = trace
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 6; i++ {
-		d.Observe(Experience{
+		observe(d, Experience{
 			State:    sparse([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}),
 			Action:   i % 2,
 			Reward:   rng.Float64(),
