@@ -42,13 +42,20 @@ fmt:
 # The simulation layers carry no instruments: obs, trace and telemetry are
 # attached from above (the commands, experiments, serve) through the
 # network's hooks. Fail, naming the package, if any of these layers depends
-# on one of them, directly or not.
+# on one of them, directly or not. core holds the agent and its state; the
+# environments it trains in (traffic's mesh, apu's system running synfull's
+# models) come to it as core.Env values, so core must not depend on those
+# packages either.
 LAYERS = noc arb traffic fault nn rl synfull xrand apu core
 layering:
 	@fail=0; for p in $(LAYERS); do \
 		deps=$$($(GO) list -deps ./internal/$$p) || { echo "go list failed for internal/$$p"; fail=1; continue; }; \
 		bad=$$(echo "$$deps" | grep -E '^mlnoc/internal/(obs|trace|telemetry)$$'); \
 		if [ -n "$$bad" ]; then echo "internal/$$p depends on" $$bad; fail=1; fi; \
+		if [ $$p = core ]; then \
+			bad=$$(echo "$$deps" | grep -E '^mlnoc/internal/(apu|synfull|traffic)$$'); \
+			if [ -n "$$bad" ]; then echo "internal/core depends on" $$bad; fail=1; fi; \
+		fi; \
 	done; exit $$fail
 
 # Run every Go benchmark exactly once, so the BenchmarkHot* developer

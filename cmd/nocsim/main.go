@@ -90,9 +90,6 @@ func run(args []string, stdout io.Writer) error {
 		Rate:    *rate,
 		Seed:    *seed + 1,
 	}.Build(p)
-	if agent, ok := p.(*core.Agent); ok {
-		net.OnCycle = agent.OnCycle
-	}
 	var inj *fault.Injector
 	if *faults > 0 {
 		fseed := *faultSeed

@@ -33,6 +33,7 @@ import (
 	"mlnoc/internal/rl"
 	"mlnoc/internal/telemetry"
 	"mlnoc/internal/trace"
+	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
 	"mlnoc/internal/xrand"
 )
@@ -110,11 +111,15 @@ func run(args []string, stdout io.Writer) error {
 	}
 	defer stop()
 
+	mesh := experiments.UniformMesh(*size, 1, *seed+1)
+	if *rate > 0 {
+		mesh.Rate = *rate
+	}
 	switch {
 	case *apuMode:
 		return trainAPU(stdout, *cycles, *seed, *out)
 	case *record != "":
-		return recordDataset(stdout, *record, *behavior, *size, *rate, *cycles, *seed)
+		return recordDataset(stdout, *record, *behavior, mesh, *cycles, *seed)
 	case *offline != "":
 		return trainOffline(stdout, *offline, *hidden, *epochs, *seed, *out)
 	}
@@ -132,8 +137,7 @@ func run(args []string, stdout io.Writer) error {
 	}
 
 	cfg := core.TrainSpec{
-		Width:       *size,
-		Rate:        *rate,
+		Env:         mesh,
 		Hidden:      *hidden,
 		Epochs:      int(*cycles / epochCycles),
 		EpochCycles: epochCycles,
@@ -194,16 +198,16 @@ func run(args []string, stdout io.Writer) error {
 	// Oldest-first accuracy: how often the frozen net picks the globally
 	// oldest candidate, measured by shadowing a global-age evaluation run.
 	if *evalRate > 0 {
-		cfg.Rate = *evalRate
+		mesh.Rate = *evalRate
 	}
 	probe := &oldestProbe{inner: tr.Agent}
-	res := core.EvaluateMeshPolicy(cfg, probe, 1000, *evalCycles)
+	res := mesh.Evaluate(probe, 1000, *evalCycles)
 	fmt.Fprintf(stdout, "frozen NN eval: avg latency %.2f (oldest-pick accuracy %.1f%% of %d decisions)\n",
 		res.AvgLatency, 100*probe.accuracy(), probe.total)
 
 	for _, pol := range []noc.Policy{arb.NewFIFO(), arb.NewGlobalAge(), core.NewRLInspiredMesh4x4()} {
 		pr := &oldestProbe{inner: pol}
-		r := core.EvaluateMeshPolicy(cfg, pr, 1000, *evalCycles)
+		r := mesh.Evaluate(pr, 1000, *evalCycles)
 		fmt.Fprintf(stdout, "%-16s avg latency %.2f (oldest accuracy %.1f%%)\n",
 			pol.Name(), r.AvgLatency, 100*pr.accuracy())
 	}
@@ -216,7 +220,7 @@ func run(args []string, stdout io.Writer) error {
 		if sc.MeasureCycles < 1000 {
 			sc.MeasureCycles = 1000
 		}
-		qr := experiments.QuantEval(tr.Agent, cfg, sc)
+		qr := experiments.QuantEval(tr.Agent, mesh, sc)
 		fmt.Fprint(stdout, qr.Render())
 		if *quantMinAgree > 0 && qr.Agreement < *quantMinAgree {
 			return fmt.Errorf("INT8 action agreement %.3f below required %.3f",
@@ -345,7 +349,7 @@ func (p *oldestProbe) accuracy() float64 {
 // under a behaviour policy and dump the <s,a,r,s'> tuples. The recorder only
 // drives Select, so the behaviour policies are the four whose Select is the
 // whole policy.
-func recordDataset(stdout io.Writer, path, behavior string, size int, rate float64, cycles, seed int64) error {
+func recordDataset(stdout io.Writer, path, behavior string, mesh traffic.Mesh, cycles, seed int64) error {
 	var beh noc.Policy
 	switch behavior {
 	case "round-robin", "rr":
@@ -360,11 +364,9 @@ func recordDataset(stdout io.Writer, path, behavior string, size int, rate float
 		return cliutil.Usagef("unknown behaviour policy %q", behavior)
 	}
 	rec := core.NewRecorder(core.MeshSpec(3), beh)
-	net, in := core.TrainSpec{Width: size, Rate: rate, Seed: seed}.Mesh().Build(rec)
-	net.OnCycle = rec.OnCycle
+	_, step := mesh.Start(rec)
 	for i := int64(0); i < cycles; i++ {
-		in.Tick()
-		net.Step()
+		step()
 	}
 	rec.Flush()
 	if err := cliutil.WriteFile(path, rec.Data.Save); err != nil {
@@ -407,12 +409,9 @@ func trainOffline(stdout io.Writer, path string, hidden, epochs int, seed int64,
 // trainAPU trains the paper's 504-input agent on the APU system and saves it.
 func trainAPU(stdout io.Writer, cycles, seed int64, out string) error {
 	fmt.Fprintf(stdout, "training the APU agent for %d cycles on the bfs model...\n", cycles)
-	tr, err := core.Train(context.Background(), core.TrainSpec{
-		OpScale:     experiments.Quick().OpScale,
-		Epochs:      1,
-		EpochCycles: cycles,
-		Seed:        seed,
-	})
+	sc := experiments.Quick()
+	sc.TrainCycles, sc.Seed = cycles, seed
+	tr, err := core.Train(context.Background(), experiments.APUTrainSpec(sc))
 	if err != nil {
 		return err
 	}

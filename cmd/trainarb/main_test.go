@@ -14,6 +14,7 @@ import (
 	"mlnoc/internal/cliutil"
 	"mlnoc/internal/cliutil/clitest"
 	"mlnoc/internal/core"
+	"mlnoc/internal/experiments"
 	"mlnoc/internal/telemetry"
 )
 
@@ -124,7 +125,7 @@ func TestMetricsSidecar(t *testing.T) {
 		}
 	}
 	if _, err := core.Train(context.Background(), core.TrainSpec{
-		Width: 4, Epochs: 2, EpochCycles: 500, Seed: 1, Telemetry: tel,
+		Env: experiments.UniformMesh(4, 1, 2), Epochs: 2, EpochCycles: 500, Seed: 1, Telemetry: tel,
 	}); err != nil {
 		t.Fatal(err)
 	}

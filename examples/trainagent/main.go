@@ -13,19 +13,24 @@ import (
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
+	"mlnoc/internal/experiments"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/viz"
 )
 
 func main() {
+	// The Section 3.2 environment: a 4x4 mesh of single-message buffers under
+	// uniform-random traffic, seeded apart from the agent.
+	const seed = 1
+	mesh := experiments.UniformMesh(4, 1, seed+1)
 	cfg := core.TrainSpec{
-		Width:       4,
+		Env:         mesh,
 		Epochs:      40,
 		EpochCycles: 1000,
-		Seed:        1,
+		Seed:        seed,
 	}
 	fmt.Printf("training a %dx%d mesh agent for %d cycles...\n\n",
-		cfg.Width, cfg.Width, int64(cfg.Epochs)*cfg.EpochCycles)
+		mesh.Width, mesh.Height, int64(cfg.Epochs)*cfg.EpochCycles)
 
 	tr, err := core.Train(context.Background(), cfg)
 	if err != nil {
@@ -54,7 +59,7 @@ func main() {
 		core.NewRLInspiredMesh4x4(),
 		arb.NewGlobalAge(),
 	} {
-		res := core.EvaluateMeshPolicy(cfg, p, 1000, 6000)
+		res := mesh.Evaluate(p, 1000, 6000)
 		fmt.Printf("  %-16s avg latency %.2f\n", p.Name(), res.AvgLatency)
 	}
 	fmt.Println("\nThe heatmap is the bridge: local age and hop count dominate, which is")

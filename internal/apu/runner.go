@@ -203,11 +203,7 @@ type ExecResult struct {
 // given config and policy, execute models (all four quadrants), and report
 // execution times. Homogeneous runs pass the same model four times.
 func RunWorkload(sysCfg Config, policy noc.Policy, models [4]*synfull.Model, runCfg RunnerConfig) ExecResult {
-	sys := NewSystem(sysCfg, runCfg.Seed+1)
-	sys.Net.SetPolicy(policy)
-	if oc, ok := policy.(interface{ OnCycle(*noc.Network) }); ok {
-		sys.Net.OnCycle = oc.OnCycle
-	}
+	sys := newPolicySystem(sysCfg, policy, runCfg.Seed+1)
 	var inj *fault.Injector
 	if runCfg.Faults != nil {
 		var err error
@@ -241,4 +237,47 @@ func RunWorkload(sysCfg Config, policy noc.Policy, models [4]*synfull.Model, run
 // Homogeneous returns a [4]*Model with the same model in every quadrant.
 func Homogeneous(m *synfull.Model) [4]*synfull.Model {
 	return [4]*synfull.Model{m, m, m, m}
+}
+
+// newPolicySystem builds a system seeded seed with policy installed, and
+// with the policy's OnCycle hook when it has one (a learning agent's).
+func newPolicySystem(cfg Config, policy noc.Policy, seed int64) *System {
+	sys := NewSystem(cfg, seed)
+	sys.Net.SetPolicy(policy)
+	if oc, ok := policy.(interface{ OnCycle(*noc.Network) }); ok {
+		sys.Net.OnCycle = oc.OnCycle
+	}
+	return sys
+}
+
+// Loop is the APU as a training environment (core.Env): the baseline system
+// running Models, one per quadrant, with op counts scaled by OpScale, and
+// launching them anew each time they all finish, so that a training budget
+// is never cut short by the workload ending.
+type Loop struct {
+	Models  [4]*synfull.Model
+	OpScale float64
+	Seed    int64
+}
+
+// Start builds the system, seeded Seed+11, with policy installed, and returns
+// its network and a step that advances the workload by one cycle, first
+// launching it when none is running: launch k is seeded Seed+101*k.
+func (l Loop) Start(policy noc.Policy) (*noc.Network, func()) {
+	sys := newPolicySystem(Config{}, policy, l.Seed+11)
+	var runner *Runner
+	var launch int64
+	return sys.Net, func() {
+		if runner == nil || runner.Done() {
+			runner = NewRunner(sys, l.Models, RunnerConfig{OpScale: l.OpScale, Seed: l.Seed + 101*launch})
+			launch++
+		}
+		runner.Step()
+	}
+}
+
+// StatePorts names the input ports of an APU router, the core's, the
+// memory's and the four directions', and its NumClasses VCs per port.
+func (Loop) StatePorts() ([]noc.PortID, int) {
+	return []noc.PortID{noc.PortCore, noc.PortMem, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast}, NumClasses
 }

@@ -9,11 +9,33 @@ import (
 	"testing"
 	"testing/quick"
 
+	"mlnoc/internal/apu"
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
+	"mlnoc/internal/synfull"
 	"mlnoc/internal/traffic"
 )
+
+// sectionMesh is the Section 3.2 environment: a width x width mesh with 3 VCs
+// of single-message buffers under uniform-random traffic at 0.23 per core per
+// cycle, its injector seeded seed+1.
+func sectionMesh(width int, seed int64) traffic.Mesh {
+	return traffic.Mesh{
+		Config: noc.Config{Width: width, Height: width, VCs: 3, BufferCap: 1},
+		Rate:   0.23,
+		Seed:   seed + 1,
+	}
+}
+
+// apuLoop is the APU environment running the named model in every quadrant.
+func apuLoop(model string, opScale float64, seed int64) apu.Loop {
+	m, err := synfull.ByName(model)
+	if err != nil {
+		panic(err)
+	}
+	return apu.Loop{Models: apu.Homogeneous(m), OpScale: opScale, Seed: seed}
+}
 
 func TestFeatureWidths(t *testing.T) {
 	if w := AllFeatures.Width(); w != 12 {
@@ -78,52 +100,6 @@ func TestSlotPanicsOnForeignPort(t *testing.T) {
 func testNetwork(t *testing.T) (*noc.Network, []*noc.Node) {
 	t.Helper()
 	return noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3})
-}
-
-func TestFeatureExtraction(t *testing.T) {
-	net, _ := testNetwork(t)
-	norm := DefaultNorm()
-	m := &noc.Message{
-		SizeFlits:    5,
-		InjectCycle:  10,
-		ArrivalCycle: 80,
-		Distance:     6,
-		HopCount:     3,
-		ArrivalGap:   7,
-		Type:         noc.TypeCoherence,
-		DstKind:      noc.DstMemory,
-	}
-	dst := make([]float64, AllFeatures.Width())
-	AllFeatures.Extract(dst, &norm, net, 100, m)
-
-	if dst[0] != 5.0/8 {
-		t.Errorf("payload = %v, want %v", dst[0], 5.0/8)
-	}
-	// Soft local-age normalization: la/(la+cap/2) with la=20.
-	wantLA := 20.0 / (20.0 + norm.LocalAgeCap/2)
-	if dst[1] != wantLA {
-		t.Errorf("local age = %v, want %v", dst[1], wantLA)
-	}
-	if dst[2] != 6.0/15 {
-		t.Errorf("distance = %v, want %v", dst[2], 6.0/15)
-	}
-	if dst[3] != 3.0/15 {
-		t.Errorf("hop count = %v, want %v", dst[3], 3.0/15)
-	}
-	if dst[4] != 0 {
-		t.Errorf("in-flight = %v, want 0", dst[4])
-	}
-	if dst[5] != 7.0/63 {
-		t.Errorf("inter-arrival = %v, want %v", dst[5], 7.0/63)
-	}
-	// One-hot message type: coherence.
-	if dst[6] != 0 || dst[7] != 0 || dst[8] != 1 {
-		t.Errorf("msg type one-hot = %v", dst[6:9])
-	}
-	// One-hot destination type: memory.
-	if dst[9] != 0 || dst[10] != 0 || dst[11] != 1 {
-		t.Errorf("dst type one-hot = %v", dst[9:12])
-	}
 }
 
 func TestQuickFeatureRange(t *testing.T) {
@@ -443,10 +419,8 @@ func TestAgentLearnsOldestPreference(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := TrainSpec{
-		Width: 4, Epochs: 20, EpochCycles: 1000, Seed: 3,
-	}
-	tr, err := Train(context.Background(), cfg)
+	mesh := sectionMesh(4, 3)
+	tr, err := Train(context.Background(), TrainSpec{Env: mesh, Epochs: 20, EpochCycles: 1000, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -468,7 +442,7 @@ func TestAgentLearnsOldestPreference(t *testing.T) {
 		}
 		return choice
 	})
-	EvaluateMeshPolicy(cfg, probe, 500, 3000)
+	mesh.Evaluate(probe, 500, 3000)
 	if total == 0 {
 		t.Fatal("no contended arbitrations during evaluation")
 	}
@@ -603,10 +577,7 @@ func TestHillClimbFindsLocalAge(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := TrainSpec{
-		Width: 4, Epochs: 4, EpochCycles: 600, Seed: 5,
-	}
-	hc := HillClimb(cfg, nil, 2)
+	hc := HillClimb(TrainSpec{Env: sectionMesh(4, 5), Epochs: 4, EpochCycles: 600, Seed: 5}, nil, 2)
 	if len(hc.Steps) == 0 {
 		t.Fatal("hill climbing made no steps")
 	}
@@ -627,8 +598,8 @@ func TestTrainCancels(t *testing.T) {
 		name string
 		spec TrainSpec
 	}{
-		{"mesh", TrainSpec{Seed: 2}},
-		{"apu", TrainSpec{OpScale: 0.05, Seed: 2}},
+		{"mesh", TrainSpec{Env: sectionMesh(4, 2), Seed: 2}},
+		{"apu", TrainSpec{Env: apuLoop("bfs", 0.05, 2), Features: AllFeatures, Seed: 2}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
@@ -732,7 +703,7 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 	spec := MeshSpec(3)
 	weights := nn.New([]int{spec.InputSize(), 15, spec.ActionSize()},
 		[]nn.Activation{nn.Sigmoid, nn.LeakyReLU}, rand.New(rand.NewSource(3)))
-	cfg := TrainSpec{Seed: 5}
+	mesh := sectionMesh(4, 5)
 	lazy := NewAgentWithNet(spec, weights.Clone(), 9)
 	eager := eagerEvalAgent(spec, weights.Clone(), 9)
 
@@ -753,7 +724,7 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 		}
 	}
 
-	frozen := func(a *Agent) traffic.RunResult { return EvaluateMeshPolicy(cfg, a, 200, 1500) }
+	frozen := func(a *Agent) traffic.RunResult { return mesh.Evaluate(a, 200, 1500) }
 	if got, want := frozen(lazy), frozen(eager); got != want {
 		t.Fatalf("frozen episode: %+v, with training state up front %+v", got, want)
 	}
@@ -768,7 +739,7 @@ func TestEvalAgentCarriesNoTrainingState(t *testing.T) {
 	// what its twin learns; frozen again, both still decide alike.
 	for _, a := range []*Agent{lazy, eager} {
 		a.Training = true
-		EvaluateMeshPolicy(cfg, a, 0, 1500)
+		mesh.Evaluate(a, 0, 1500)
 		a.Freeze()
 	}
 	if lazy.DQL.Steps() == 0 || lazy.DQL.Steps() != eager.DQL.Steps() {
@@ -801,7 +772,7 @@ func TestNetShowsTrainedWeights(t *testing.T) {
 	a := NewAgent(spec, AgentConfig{Hidden: 15, Seed: 4})
 	initial := a.Net().Clone()
 	a.Training = true
-	EvaluateMeshPolicy(TrainSpec{Seed: 6}, a, 0, 1500)
+	sectionMesh(4, 6).Evaluate(a, 0, 1500)
 	if a.DQL.Steps() == 0 {
 		t.Fatal("the episode trained nothing")
 	}

@@ -4,11 +4,9 @@ import (
 	"math"
 	"testing"
 
-	"mlnoc/internal/apu"
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
-	"mlnoc/internal/synfull"
 )
 
 // denseLearner is the test-only reference for training from sparse states: an
@@ -98,20 +96,11 @@ func TestSparseTrainingRunMatchesDenseReference(t *testing.T) {
 		EpsDecayCycles: cycles / 2,
 		Seed:           seed,
 	}
-	model, err := synfull.ByName("bfs")
-	if err != nil {
-		t.Fatal(err)
-	}
 	run := func(agent *Agent, onCycle func(*noc.Network)) {
-		sys := apu.NewSystem(apu.Config{}, seed+11)
-		sys.Net.SetPolicy(agent)
-		sys.Net.OnCycle = onCycle
-		done := 0
-		for launch := int64(0); done < cycles; launch++ {
-			r := apu.NewRunner(sys, apu.Homogeneous(model), apu.RunnerConfig{OpScale: 0.05, Seed: seed + 101*launch})
-			for ; !r.Done() && done < cycles; done++ {
-				r.Step()
-			}
+		net, step := apuLoop("bfs", 0.05, seed).Start(agent)
+		net.OnCycle = onCycle
+		for i := 0; i < cycles; i++ {
+			step()
 		}
 	}
 	sparse := NewAgent(APUSpec(), cfg)

@@ -127,8 +127,8 @@ func TestDeriveFromTrainedAgent(t *testing.T) {
 	if testing.Short() {
 		t.Skip("training run")
 	}
-	cfg := TrainSpec{Width: 4, Epochs: 20, EpochCycles: 1000, Seed: 6}
-	tr, err := Train(context.Background(), cfg)
+	mesh := sectionMesh(4, 6)
+	tr, err := Train(context.Background(), TrainSpec{Env: mesh, Epochs: 20, EpochCycles: 1000, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,9 +140,9 @@ func TestDeriveFromTrainedAgent(t *testing.T) {
 	}
 	t.Logf("derived (la<<%d, hc<<%d): %s", derived.LAShift, derived.HCShift, d.Notes)
 
-	auto := EvaluateMeshPolicy(cfg, derived, 500, 4000).AvgLatency
-	hand := EvaluateMeshPolicy(cfg, NewRLInspiredMesh4x4(), 500, 4000).AvgLatency
-	nn := EvaluateMeshPolicy(cfg, tr.Agent, 500, 4000).AvgLatency
+	auto := mesh.Evaluate(derived, 500, 4000).AvgLatency
+	hand := mesh.Evaluate(NewRLInspiredMesh4x4(), 500, 4000).AvgLatency
+	nn := mesh.Evaluate(tr.Agent, 500, 4000).AvgLatency
 	t.Logf("latency: derived=%.2f hand=%.2f nn=%.2f", auto, hand, nn)
 	if auto > hand*1.25 {
 		t.Fatalf("auto-derived policy (%.2f) much worse than hand-derived (%.2f)", auto, hand)

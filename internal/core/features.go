@@ -133,27 +133,8 @@ func DefaultNorm() NormConfig {
 	}
 }
 
-// Extract writes the normalized feature values of message m into dst (which
-// must have length fs.Width()) and returns dst. The message must currently
-// reside in an input buffer of a router in net.
-func (fs FeatureSet) Extract(dst []float64, norm *NormConfig, net *noc.Network, now int64, m *noc.Message) []float64 {
-	i := 0
-	for _, f := range fs {
-		r := f.read(net, now, m)
-		if f.Width() == 3 {
-			dst[i], dst[i+1], dst[i+2] = 0, 0, 0
-			dst[i+int(r)] = 1
-			i += 3
-			continue
-		}
-		dst[i] = norm.scale(f, r)
-		i++
-	}
-	return dst
-}
-
-// read returns the reading of feature f for message m: the integer Extract
-// normalizes, or a one-hot feature's category.
+// read returns the reading of feature f for message m: the integer the state
+// normalizes (NormConfig.scale), or a one-hot feature's category.
 func (f Feature) read(net *noc.Network, now int64, m *noc.Message) int64 {
 	switch f {
 	case FeatPayload:

@@ -30,7 +30,8 @@ type HillClimbResult struct {
 // improves converged latency (or maxFeatures is reached).
 //
 // The paper reports this procedure converging on {local age, hop count} —
-// the same features the heatmap analysis identified.
+// the same features the heatmap analysis identified. It panics if spec has no
+// Env.
 func HillClimb(spec TrainSpec, pool []Feature, maxFeatures int) *HillClimbResult {
 	if len(pool) == 0 {
 		pool = []Feature{FeatPayload, FeatLocalAge, FeatDistance, FeatHopCount}
@@ -49,7 +50,10 @@ func HillClimb(spec TrainSpec, pool []Feature, maxFeatures int) *HillClimbResult
 			trial := append(append(FeatureSet(nil), current...), f)
 			s := spec
 			s.Features = trial
-			tr, _ := Train(context.TODO(), s) // TODO never cancels: Train cannot fail
+			tr, err := Train(context.TODO(), s) // TODO never cancels
+			if err != nil {
+				panic(err)
+			}
 			lat := tr.FinalLatency()
 			step.Tried[f] = lat
 			if bestIdx == -1 || lat < bestLat {

@@ -3,21 +3,18 @@ package core
 import (
 	"testing"
 
-	"mlnoc/internal/apu"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
-	"mlnoc/internal/synfull"
 )
 
-// benchTrainLoop is Train's mesh environment at its default, quick scale (4x4
-// mesh, 3 VCs, batch 32, one training batch per cycle) without the epoch
+// benchTrainLoop is Train on the Section 3.2 4x4 mesh with its default
+// settings (3 VCs, batch 32, one training batch per cycle) without the epoch
 // loop, so a benchmark iteration is exactly one training cycle. It returns
 // the environment's step 8000 cycles in: the 16 000-experience replay ring
 // fills after about 6 000, and until it does its arena grows.
 func benchTrainLoop(seed int64) (step func()) {
-	s := TrainSpec{Seed: seed}
-	s.applyDefaults()
-	_, _, step = newTrainRun(s)
+	agent := NewAgent(MeshSpec(3), AgentConfig{EpsStart: 0.5, EpsDecayCycles: 10_000, Seed: seed})
+	_, step = sectionMesh(4, seed).Start(agent)
 	for i := 0; i < 8000; i++ {
 		step()
 	}
@@ -114,9 +111,9 @@ func TestAgentSelectZeroAllocs(t *testing.T) {
 
 // apuWarmAgent runs apu_train's warm-up from the public API: a 504-input,
 // 42-hidden training agent on the APU, bfs at OpScale 0.25 relaunched on
-// completion, 2 500 cycles collecting experiences without a batch step, so
-// exploring at EpsStart throughout. The 16 000-experience ring is full by
-// then.
+// completion, 2 500 cycles collecting experiences without a batch step (the
+// environment's OnCycle hook is taken out), so exploring at EpsStart
+// throughout. The 16 000-experience ring is full by then.
 func apuWarmAgent(tb testing.TB) *Agent {
 	const seed = 17
 	agent := NewAgent(APUSpec(), AgentConfig{
@@ -126,19 +123,10 @@ func apuWarmAgent(tb testing.TB) *Agent {
 		EpsDecayCycles: 25_000,
 		Seed:           seed,
 	})
-	model, err := synfull.ByName("bfs")
-	if err != nil {
-		tb.Fatal(err)
-	}
-	sys := apu.NewSystem(apu.Config{}, seed+11)
-	sys.Net.SetPolicy(agent)
-	var runner *apu.Runner
-	for launches, i := int64(0), 0; i < 2500; i++ {
-		if runner == nil || runner.Done() {
-			runner = apu.NewRunner(sys, apu.Homogeneous(model), apu.RunnerConfig{OpScale: 0.25, Seed: seed + 101*launches})
-			launches++
-		}
-		runner.Step()
+	net, step := apuLoop("bfs", 0.25, seed).Start(agent)
+	net.OnCycle = nil
+	for i := 0; i < 2500; i++ {
+		step()
 	}
 	if r := agent.DQL.Replay; r.Len() != r.Cap() {
 		tb.Fatalf("ring holds %d experiences, want %d", r.Len(), r.Cap())

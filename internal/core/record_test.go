@@ -12,6 +12,73 @@ import (
 	"mlnoc/internal/noc"
 )
 
+// Extract writes the normalized feature values of message m into dst (which
+// must have length fs.Width()) and returns dst. The message must currently
+// reside in an input buffer of a router in net. It is the reference the
+// states Record and Expand build are held to: feature by feature, straight
+// from the message.
+func (fs FeatureSet) Extract(dst []float64, norm *NormConfig, net *noc.Network, now int64, m *noc.Message) []float64 {
+	i := 0
+	for _, f := range fs {
+		r := f.read(net, now, m)
+		if f.Width() == 3 {
+			dst[i], dst[i+1], dst[i+2] = 0, 0, 0
+			dst[i+int(r)] = 1
+			i += 3
+			continue
+		}
+		dst[i] = norm.scale(f, r)
+		i++
+	}
+	return dst
+}
+
+func TestFeatureExtraction(t *testing.T) {
+	net, _ := testNetwork(t)
+	norm := DefaultNorm()
+	m := &noc.Message{
+		SizeFlits:    5,
+		InjectCycle:  10,
+		ArrivalCycle: 80,
+		Distance:     6,
+		HopCount:     3,
+		ArrivalGap:   7,
+		Type:         noc.TypeCoherence,
+		DstKind:      noc.DstMemory,
+	}
+	dst := make([]float64, AllFeatures.Width())
+	AllFeatures.Extract(dst, &norm, net, 100, m)
+
+	if dst[0] != 5.0/8 {
+		t.Errorf("payload = %v, want %v", dst[0], 5.0/8)
+	}
+	// Soft local-age normalization: la/(la+cap/2) with la=20.
+	wantLA := 20.0 / (20.0 + norm.LocalAgeCap/2)
+	if dst[1] != wantLA {
+		t.Errorf("local age = %v, want %v", dst[1], wantLA)
+	}
+	if dst[2] != 6.0/15 {
+		t.Errorf("distance = %v, want %v", dst[2], 6.0/15)
+	}
+	if dst[3] != 3.0/15 {
+		t.Errorf("hop count = %v, want %v", dst[3], 3.0/15)
+	}
+	if dst[4] != 0 {
+		t.Errorf("in-flight = %v, want 0", dst[4])
+	}
+	if dst[5] != 7.0/63 {
+		t.Errorf("inter-arrival = %v, want %v", dst[5], 7.0/63)
+	}
+	// One-hot message type: coherence.
+	if dst[6] != 0 || dst[7] != 0 || dst[8] != 1 {
+		t.Errorf("msg type one-hot = %v", dst[6:9])
+	}
+	// One-hot destination type: memory.
+	if dst[9] != 0 || dst[10] != 0 || dst[11] != 1 {
+		t.Errorf("dst type one-hot = %v", dst[9:12])
+	}
+}
+
 // referenceBuildSparse is how states were built before arbitrations were
 // recorded: candidates sorted by slot (the first of a repeated slot kept),
 // each one's features extracted straight into its block, zeros closed up.

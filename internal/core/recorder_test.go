@@ -210,8 +210,7 @@ func TestOfflineTrainingImprovesPolicy(t *testing.T) {
 		}
 		return choice
 	})
-	cfg := TrainSpec{Width: 4, Seed: 31}
-	EvaluateMeshPolicy(cfg, probe, 500, 3000)
+	sectionMesh(4, 31).Evaluate(probe, 500, 3000)
 	if total == 0 {
 		t.Fatal("no contended arbitrations")
 	}

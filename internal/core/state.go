@@ -32,10 +32,10 @@ type StateSpec struct {
 }
 
 // valueTable holds, for each feature of a set and every reading a one-byte
-// varint encodes (-64 to 63), what Expand makes of it: the value Extract
-// computes, the element of the message's block it goes to (a one-hot
-// feature's category picks one of three; -1 marks a category that does not
-// exist), and whether it is kept (non-zero). Looking a reading up replaces a
+// varint encodes (-64 to 63), what Expand makes of it: the value
+// NormConfig.scale gives it, the element of the message's block it goes to
+// (a one-hot feature's category picks one of three; -1 marks a category that
+// does not exist), and whether it is kept (non-zero). Looking a reading up replaces a
 // division and a clamp, whose branches random readings mispredict, and gives
 // the same bits.
 type valueTable struct {
@@ -145,9 +145,9 @@ func (s *StateSpec) SlotPort(slot int) (noc.PortID, int) {
 
 // Record appends to dst the record of one arbitration: for each candidate in
 // the order given, its Slot and then one reading per feature of the spec's
-// FeatureSet, the integer Extract normalizes (Feature.read), each a
+// FeatureSet, the integer the state normalizes (Feature.read), each a
 // binary.AppendVarint. Nothing is clipped or rounded, so Expand rebuilds from
-// a record exactly the state Extract would have built. On the APU a record
+// a record exactly the state the messages themselves give. On the APU a record
 // takes about nine bytes a candidate, where its state takes a dozen entries
 // of 12 bytes.
 func (s *StateSpec) Record(dst []byte, net *noc.Network, now int64, cands []noc.Candidate) []byte {
@@ -166,8 +166,8 @@ func (s *StateSpec) Record(dst []byte, net *noc.Network, now int64, cands []noc.
 // every candidate at its buffer's block, in ascending Slot order whatever
 // order the record lists them in, which makes the list ascending as the
 // Q-network requires (layer 0 sums in list order); features that are zero are
-// not listed, and a buffer listed twice counts once. Each value is the one
-// Extract computes from the same reading. Like append, Expand builds into v's
+// not listed, and a buffer listed twice counts once. Each value is
+// NormConfig.scale of its reading, or a one-hot feature's 1. Like append, Expand builds into v's
 // and valid's storage when they have the capacity (a record of k candidates
 // needs k x Features.Width() entries and k slots) and returns the results;
 // what they held is overwritten. It panics on a record that Record could not

@@ -2,12 +2,10 @@ package core
 
 import (
 	"context"
+	"errors"
 
-	"mlnoc/internal/apu"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
-	"mlnoc/internal/synfull"
-	"mlnoc/internal/traffic"
 )
 
 // TrainTelemetry configures the optional introspection of a Train run:
@@ -40,22 +38,19 @@ type TrainTelemetry struct {
 	OnEpoch func(epoch int, avgLatency float64)
 }
 
-// DefaultMeshRate is the per-node injection probability per cycle of the
-// Section 3.2 study on meshes smaller than 8x8, at the onset of saturation: a
-// TrainSpec's Rate when none is set.
-const DefaultMeshRate = 0.23
-
-// The Section 3.2 mesh has 3 VCs of single-message buffers: flit-level input
-// buffers that cannot hold more than one data message, the regime in which
-// arbitration quality separates policies (HOL blocking and congestion trees).
-const (
-	meshVCs       = 3
-	meshBufferCap = 1
-)
-
-// apuModel is the workload the APU agent trains on: the application the
-// paper derives Fig. 7 from.
-const apuModel = "bfs"
+// Env is an environment an agent trains in: a simulated system whose network
+// the agent arbitrates, advanced one cycle at a time. traffic.Mesh (the
+// Section 3.2 mesh under synthetic traffic) and apu.Loop (the Section 4 APU
+// running its workloads) are Envs; each carries its own seeds.
+type Env interface {
+	// Start builds the environment's network with policy installed, and with
+	// the policy's OnCycle hook when it has one, and returns the network and
+	// a function that advances the environment by one cycle.
+	Start(policy noc.Policy) (net *noc.Network, step func())
+	// StatePorts names the input ports, and the VCs per port, that an
+	// agent's StateSpec covers.
+	StatePorts() ([]noc.PortID, int)
+}
 
 // trainCheckEvery is Train's cancellation poll period in cycles: coarse
 // enough that the ctx.Err() check is invisible next to a simulated cycle,
@@ -63,35 +58,25 @@ const apuModel = "bfs"
 const trainCheckEvery = 1024
 
 // TrainSpec parameterizes a training run: one shared agent trained online in
-// one of two environments. A zero OpScale picks the Section 3.2 mesh, a
-// Width x Width mesh of cores with 3 VCs of single-message buffers under
-// uniform-random traffic. A positive OpScale picks the Section 4.6 APU
-// system, running the bfs model until the training budget is spent.
+// Env.
 type TrainSpec struct {
-	// Width is the mesh edge (default 4).
-	Width int
-	// Rate is the mesh's per-node injection probability per cycle (default
-	// DefaultMeshRate).
-	Rate float64
-	// OpScale, when positive, trains the 504-input APU agent instead of a
-	// mesh agent, on bfs with its op counts scaled by OpScale. The workload
-	// is relaunched each time it finishes.
-	OpScale float64
+	// Env is the environment the agent trains in; Train fails without one.
+	Env Env
+	// Features are the state features (default MeshFeatures); Fig. 13
+	// passes single-feature sets here, the APU agent AllFeatures.
+	Features FeatureSet
 	// Hidden is the agent's hidden-layer width (default: action size).
 	Hidden int
+	// Reward selects the Section 6.3 reward function.
+	Reward rl.RewardKind
+	// DQL overrides Q-learning hyperparameters (zero fields take rl's
+	// defaults).
+	DQL rl.DQLConfig
 	// Epochs and EpochCycles split training into reporting epochs; the
 	// latency curve has one point per epoch (the x-axis of Figs. 12/13).
 	Epochs      int
 	EpochCycles int64
-	// Reward selects the Section 6.3 reward function.
-	Reward rl.RewardKind
-	// Features overrides the mesh state features (default MeshFeatures);
-	// Fig. 13 passes single-feature sets here. The APU agent has its own.
-	Features FeatureSet
-	// DQL overrides Q-learning hyperparameters (zero fields take rl's
-	// defaults).
-	DQL rl.DQLConfig
-	// Seed drives all randomness in the run.
+	// Seed drives the agent's randomness: its weights and its exploration.
 	Seed int64
 	// Telemetry, when non-nil, enables training introspection (see
 	// TrainTelemetry).
@@ -99,12 +84,6 @@ type TrainSpec struct {
 }
 
 func (s *TrainSpec) applyDefaults() {
-	if s.Width == 0 {
-		s.Width = 4
-	}
-	if s.Rate == 0 {
-		s.Rate = DefaultMeshRate
-	}
 	if s.Epochs == 0 {
 		s.Epochs = 20
 	}
@@ -113,19 +92,6 @@ func (s *TrainSpec) applyDefaults() {
 	}
 	if s.Features == nil {
 		s.Features = MeshFeatures
-	}
-}
-
-// Mesh returns the mesh environment of s, with its defaults applied: the
-// network and traffic that Train trains a mesh agent on and
-// EvaluateMeshPolicy evaluates a policy on. Its injector is seeded with
-// Seed+1.
-func (s TrainSpec) Mesh() traffic.Mesh {
-	s.applyDefaults()
-	return traffic.Mesh{
-		Config: noc.Config{Width: s.Width, Height: s.Width, VCs: meshVCs, BufferCap: meshBufferCap},
-		Rate:   s.Rate,
-		Seed:   s.Seed + 1,
 	}
 }
 
@@ -160,17 +126,29 @@ func (r *TrainResult) FinalLatency() float64 {
 	return sum / float64(k)
 }
 
-// Train trains an agent online in the environment s picks and returns the
-// latency curve and the trained agent, still training. Exploration decays
-// linearly from ε 0.5 over the first half of the run.
+// Train trains an agent online in s.Env and returns the latency curve and
+// the trained agent, still training. Exploration decays linearly from ε 0.5
+// over the first half of the run.
 //
 // ctx is polled every trainCheckEvery cycles, so a cancelled training job
 // stops within that many simulated cycles instead of spending its whole
 // budget. On cancellation the result so far, holding the agent trained so
 // far, is returned alongside ctx.Err().
 func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
+	if s.Env == nil {
+		return nil, errors.New("core: TrainSpec has no Env")
+	}
 	s.applyDefaults()
-	agent, net, step := newTrainRun(s)
+	ports, vcs := s.Env.StatePorts()
+	agent := NewAgent(NewStateSpec(ports, vcs, s.Features, DefaultNorm()), AgentConfig{
+		Hidden:         s.Hidden,
+		DQL:            s.DQL,
+		Reward:         s.Reward,
+		EpsStart:       0.5,
+		EpsDecayCycles: int64(s.Epochs) * s.EpochCycles / 2,
+		Seed:           s.Seed,
+	})
+	net, step := s.Env.Start(agent)
 	res := &TrainResult{Agent: agent, Spec: agent.Spec}
 	tel := s.Telemetry
 	if tel != nil {
@@ -201,66 +179,4 @@ func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
 		}
 	}
 	return res, nil
-}
-
-// newTrainRun builds the agent s describes, s's defaults applied, and
-// installs it in the environment s picks: net is the network the agent
-// arbitrates, and step advances the environment one cycle.
-func newTrainRun(s TrainSpec) (agent *Agent, net *noc.Network, step func()) {
-	onAPU := s.OpScale > 0
-	spec := APUSpec()
-	if !onAPU {
-		spec = NewStateSpec(
-			[]noc.PortID{noc.PortCore, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast},
-			meshVCs, s.Features, DefaultNorm())
-	}
-	agent = NewAgent(spec, AgentConfig{
-		Hidden:         s.Hidden,
-		DQL:            s.DQL,
-		Reward:         s.Reward,
-		EpsStart:       0.5,
-		EpsDecayCycles: int64(s.Epochs) * s.EpochCycles / 2,
-		Seed:           s.Seed,
-	})
-	if onAPU {
-		sys := apu.NewSystem(apu.Config{}, s.Seed+11)
-		sys.Net.SetPolicy(agent)
-		model, err := synfull.ByName(apuModel)
-		if err != nil {
-			panic(err)
-		}
-		var runner *apu.Runner
-		var launch int64
-		net = sys.Net
-		step = func() {
-			if runner == nil || runner.Done() {
-				runner = apu.NewRunner(sys, apu.Homogeneous(model), apu.RunnerConfig{
-					OpScale: s.OpScale,
-					Seed:    s.Seed + 101*launch,
-				})
-				launch++
-			}
-			runner.Step()
-		}
-	} else {
-		var in *traffic.Injector
-		net, in = s.Mesh().Build(agent)
-		step = func() {
-			in.Tick()
-			net.Step()
-		}
-	}
-	net.OnCycle = agent.OnCycle
-	return agent, net, step
-}
-
-// EvaluateMeshPolicy measures the average message latency of a policy on the
-// mesh of s under uniform-random traffic (warmup + measured phase + drain).
-// It is the evaluation half of the Fig. 5 experiment.
-func EvaluateMeshPolicy(s TrainSpec, policy noc.Policy, warmup, measure int64) traffic.RunResult {
-	net, in := s.Mesh().Build(policy)
-	if agent, ok := policy.(*Agent); ok {
-		net.OnCycle = agent.OnCycle
-	}
-	return traffic.Run(net, in, warmup, measure)
 }

@@ -47,8 +47,10 @@ func (r *CurveResult) Render() string {
 // latency curve — bounded, while a poorly rewarded agent lets the network
 // saturate and its curve climb, which is exactly the contrast Fig. 12 shows.
 func curveMeshSpec(sc Scale) core.TrainSpec {
-	cfg := meshTrainSpec(8, sc)
-	cfg.Rate, cfg.Epochs, cfg.EpochCycles = 0.12, sc.Epochs, sc.EpochCycles
+	mesh := UniformMesh(8, 1, sc.Seed+1)
+	mesh.Rate = 0.12
+	cfg := meshTrainSpec(mesh, sc)
+	cfg.Epochs, cfg.EpochCycles = sc.Epochs, sc.EpochCycles
 	return cfg
 }
 
@@ -62,7 +64,7 @@ func RewardCurves(sc Scale) *CurveResult {
 	for _, kind := range []rl.RewardKind{rl.RewardGlobalAge, rl.RewardAccLatency, rl.RewardLinkUtil} {
 		cfg := curveMeshSpec(sc)
 		cfg.Reward = kind
-		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+		tr, _ := core.Train(context.TODO(), cfg) // cannot fail: Env set, TODO never cancels
 		res.Names = append(res.Names, kind.String())
 		res.Curves = append(res.Curves, tr.Curve)
 	}
@@ -90,7 +92,7 @@ func FeatureCurves(sc Scale) *CurveResult {
 	for _, c := range cases {
 		cfg := curveMeshSpec(sc)
 		cfg.Features = c.feats
-		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+		tr, _ := core.Train(context.TODO(), cfg) // cannot fail: Env set, TODO never cancels
 		res.Names = append(res.Names, c.name)
 		res.Curves = append(res.Curves, tr.Curve)
 	}
@@ -100,7 +102,7 @@ func FeatureCurves(sc Scale) *CurveResult {
 // HillClimbReport runs the Section 6.5 hill-climbing feature selection on the
 // 4x4 mesh and renders the selection path.
 func HillClimbReport(sc Scale) string {
-	cfg := meshTrainSpec(4, sc)
+	cfg := meshTrainSpec(UniformMesh(4, 1, sc.Seed+1), sc)
 	cfg.Epochs, cfg.EpochCycles = max(2, sc.Epochs/2), sc.EpochCycles
 	hc := core.HillClimb(cfg, nil, 3)
 	var b strings.Builder

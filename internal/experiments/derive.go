@@ -16,8 +16,8 @@ func DeriveReport(sc Scale) string {
 	var b strings.Builder
 	b.WriteString("Automated NN -> algorithm derivation (the paper's future-work gap):\n\n")
 	for _, size := range []int{4, 8} {
-		cfg := meshTrainSpec(size, sc)
-		tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+		mesh := UniformMesh(size, 1, sc.Seed+1)
+		tr, _ := core.Train(context.TODO(), meshTrainSpec(mesh, sc)) // cannot fail: Env set, TODO never cancels
 		tr.Agent.Freeze()
 		h := core.NewHeatmap(tr.Spec, tr.Agent.Net())
 		derived, d, err := core.DeriveMeshPolicy(h)
@@ -26,9 +26,9 @@ func DeriveReport(sc Scale) string {
 			continue
 		}
 		hand := inspiredMesh(size)
-		auto := core.EvaluateMeshPolicy(cfg, derived, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
-		handLat := core.EvaluateMeshPolicy(cfg, hand, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
-		nnLat := core.EvaluateMeshPolicy(cfg, tr.Agent, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+		auto := mesh.Evaluate(derived, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+		handLat := mesh.Evaluate(hand, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+		nnLat := mesh.Evaluate(tr.Agent, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		fmt.Fprintf(&b, "%dx%d mesh:\n", size, size)
 		fmt.Fprintf(&b, "  heatmap: local age %.3f, hop count %.3f -> %s\n",
 			d.LAWeight, d.HCWeight, d.Notes)

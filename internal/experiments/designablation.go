@@ -31,7 +31,7 @@ func BufferAblation(sc Scale) *BufferAblationResult {
 	res := &BufferAblationResult{Caps: []int{1, 2, 4, 8}}
 	for _, cap := range res.Caps {
 		run := func(p noc.Policy) float64 {
-			net, in := uniformMesh(8, cap, sc.Seed+21).Build(p)
+			net, in := UniformMesh(8, cap, sc.Seed+21).Build(p)
 			return traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 		}
 		fifo := run(arb.NewFIFO())

@@ -14,13 +14,29 @@ import (
 	"mlnoc/internal/viz"
 )
 
-// apuTrainSpec is the spec core.Train trains the paper's 504-input APU agent
+// APUTrainSpec is the spec core.Train trains the paper's 504-input APU agent
 // (Section 4.6) with: sc.TrainCycles cycles, as one epoch, on the bfs
-// workload at sc.OpScale. The agent comes back still training. Freeze only flushes its pending
-// experiences and stops training; that is all it needs before it serves as
-// the "NN" evaluation policy.
-func apuTrainSpec(sc Scale) core.TrainSpec {
-	return core.TrainSpec{OpScale: sc.OpScale, Epochs: 1, EpochCycles: sc.TrainCycles, Seed: sc.Seed}
+// workload at sc.OpScale, relaunched each time it finishes. The agent comes
+// back still training. Freeze only flushes its pending experiences and stops
+// training; that is all it needs before it serves as the "NN" evaluation
+// policy.
+func APUTrainSpec(sc Scale) core.TrainSpec {
+	return core.TrainSpec{
+		Env:         apu.Loop{Models: apu.Homogeneous(model("bfs")), OpScale: sc.OpScale, Seed: sc.Seed},
+		Features:    core.AllFeatures,
+		Epochs:      1,
+		EpochCycles: sc.TrainCycles,
+		Seed:        sc.Seed,
+	}
+}
+
+// model returns the named synfull model; name is one of the catalog's.
+func model(name string) *synfull.Model {
+	m, err := synfull.ByName(name)
+	if err != nil {
+		panic(err)
+	}
+	return m
 }
 
 // APUHeatmapFromAgent extracts the Fig. 7 heatmap from an already trained
@@ -123,7 +139,7 @@ func apuPolicies(ctx context.Context, sc Scale, trainNN bool) ([]PolicyFactory, 
 	if !trainNN {
 		return apuFactories(nil), nil
 	}
-	tr, err := core.Train(ctx, apuTrainSpec(sc))
+	tr, err := core.Train(ctx, APUTrainSpec(sc))
 	if err != nil {
 		return nil, err
 	}

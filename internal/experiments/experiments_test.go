@@ -306,7 +306,7 @@ func TestTrainAPUSmoke(t *testing.T) {
 	}
 	sc := tinyScale()
 	sc.TrainCycles = 1_500
-	tr, err := core.Train(context.Background(), apuTrainSpec(sc))
+	tr, err := core.Train(context.Background(), APUTrainSpec(sc))
 	if err != nil {
 		t.Fatal(err)
 	}

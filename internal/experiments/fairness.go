@@ -47,7 +47,7 @@ func Fairness(sc Scale) *FairnessResult {
 	}
 	res := &FairnessResult{}
 	for _, pp := range policies {
-		net, in := uniformMesh(8, 1, sc.Seed+4).Build(pp.mk(sc.Seed + 3))
+		net, in := UniformMesh(8, 1, sc.Seed+4).Build(pp.mk(sc.Seed + 3))
 		traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		st := net.Stats()
 		res.Policies = append(res.Policies, pp.name)

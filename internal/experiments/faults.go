@@ -11,7 +11,6 @@ import (
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/stats"
-	"mlnoc/internal/synfull"
 	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
 )
@@ -84,10 +83,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 	meshGA := len(meshFs) - 1 // Global-age is last in both lists
 	apuGA := len(apuFs) - 1
 
-	bfs, err := synfull.ByName("bfs")
-	if err != nil {
-		panic(err)
-	}
+	bfs := model("bfs")
 
 	meshTotal := nr * len(meshFs)
 	total := meshTotal + nr*len(apuFs)
@@ -101,11 +97,11 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		return &fault.Spec{KillFraction: rates[ri], KillAt: at, Seed: sc.Seed + int64(ri+1)*1009}
 	}
 
-	err = parallelForCtx(ctx, meshTotal, func(k int) {
+	err := parallelForCtx(ctx, meshTotal, func(k int) {
 		ri, pi := k/len(meshFs), k%len(meshFs)
 		f := meshFs[pi]
 		label := fmt.Sprintf("faults-mesh-%.0f%%/%s", 100*rates[ri], f.Name)
-		net, in := uniformMesh(8, 8, sc.Seed+int64(ri*len(meshFs)+pi)*17).Build(f.New(sc.Seed + int64(pi)))
+		net, in := UniformMesh(8, 8, sc.Seed+int64(ri*len(meshFs)+pi)*17).Build(f.New(sc.Seed + int64(pi)))
 		in.Classes = 1 // single-class, as the study's recorded outputs were
 		inj, err := killSpec(ri, meshKillAt).Equip(net)
 		if err != nil {

@@ -20,13 +20,16 @@ func MeshRate(size int) float64 {
 	if size >= 8 {
 		return 0.14
 	}
-	return core.DefaultMeshRate
+	return 0.23
 }
 
-// uniformMesh is the Section 3.2 synthetic-traffic setup on a size x size
+// UniformMesh is the Section 3.2 synthetic-traffic setup on a size x size
 // mesh: 3 VCs of bufCap messages, uniform-random traffic at MeshRate(size),
-// the injector seeded with seed.
-func uniformMesh(size, bufCap int, seed int64) traffic.Mesh {
+// the injector seeded with seed. With single-message buffers (bufCap 1) it is
+// the mesh the Section 3.2 agent trains and is evaluated on, and a
+// core.TrainSpec's Env; the studies seed its injector with their Scale's
+// Seed+1.
+func UniformMesh(size, bufCap int, seed int64) traffic.Mesh {
 	return traffic.Mesh{
 		Config: noc.Config{Width: size, Height: size, VCs: 3, BufferCap: bufCap},
 		Rate:   MeshRate(size),
@@ -34,12 +37,11 @@ func uniformMesh(size, bufCap int, seed int64) traffic.Mesh {
 	}
 }
 
-// meshTrainSpec trains the Section 3.2 agent on a size x size mesh: one
-// 1000-cycle epoch per thousand sc.TrainCycles, at least one.
-func meshTrainSpec(size int, sc Scale) core.TrainSpec {
+// meshTrainSpec trains the Section 3.2 agent on mesh: one 1000-cycle epoch
+// per thousand sc.TrainCycles, at least one.
+func meshTrainSpec(mesh traffic.Mesh, sc Scale) core.TrainSpec {
 	return core.TrainSpec{
-		Width:       size,
-		Rate:        MeshRate(size),
+		Env:         mesh,
 		Hidden:      15,
 		Epochs:      max(1, int(sc.TrainCycles/1000)),
 		EpochCycles: 1000,
@@ -73,8 +75,8 @@ type MeshStudyResult struct {
 // DQL agent under uniform-random traffic, freeze it, and compare FIFO, the
 // RL-inspired policy, the frozen NN and Global-age arbitration.
 func MeshStudy(size int, sc Scale) *MeshStudyResult {
-	cfg := meshTrainSpec(size, sc)
-	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+	mesh := UniformMesh(size, 1, sc.Seed+1)
+	tr, _ := core.Train(context.TODO(), meshTrainSpec(mesh, sc)) // cannot fail: Env set, TODO never cancels
 	tr.Agent.Freeze()
 
 	policies := []struct {
@@ -92,7 +94,7 @@ func MeshStudy(size int, sc Scale) *MeshStudyResult {
 		Heatmap: core.NewHeatmap(tr.Spec, tr.Agent.Net()),
 	}
 	for _, pp := range policies {
-		run := core.EvaluateMeshPolicy(cfg, pp.p, sc.WarmupCycles, sc.MeasureCycles)
+		run := mesh.Evaluate(pp.p, sc.WarmupCycles, sc.MeasureCycles)
 		res.Policies = append(res.Policies, pp.name)
 		res.AvgLatency = append(res.AvgLatency, run.AvgLatency)
 	}

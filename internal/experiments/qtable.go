@@ -32,19 +32,17 @@ type QTableResult struct {
 // traffic for the same number of cycles and compares table growth and
 // evaluation latency.
 func QTableStudy(sc Scale) *QTableResult {
-	cfg := meshTrainSpec(4, sc)
+	mesh := UniformMesh(4, 1, sc.Seed+1)
+	cfg := meshTrainSpec(mesh, sc)
 	cfg.Epochs = max(4, cfg.Epochs)
 	res := &QTableResult{TrainCycles: int64(cfg.Epochs) * cfg.EpochCycles}
 
 	// Train the tabular agent, sampling table growth at quarter points.
-	spec := core.MeshSpec(3)
-	tab := core.NewTabularAgent(spec, sc.Seed)
-	net, in := uniformMesh(4, 1, sc.Seed+1).Build(tab)
-	net.OnCycle = tab.OnCycle
+	tab := core.NewTabularAgent(core.MeshSpec(3), sc.Seed)
+	_, step := mesh.Start(tab)
 	total := res.TrainCycles
 	for i := int64(0); i < total; i++ {
-		in.Tick()
-		net.Step()
+		step()
 		for q := 0; q < 4; q++ {
 			if i == (total*int64(q+1))/4-1 {
 				res.GrowthAt[q] = tab.Table.States()
@@ -56,15 +54,15 @@ func QTableStudy(sc Scale) *QTableResult {
 	tab.Freeze()
 
 	// Train the DQL agent with the same budget.
-	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+	tr, _ := core.Train(context.TODO(), cfg) // cannot fail: Env set, TODO never cancels
 	tr.Agent.Freeze()
 	res.DQLParams = tr.Agent.Net().NumParams()
 
 	// Paired evaluation.
-	res.TabularLatency = core.EvaluateMeshPolicy(cfg, tab, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
-	res.DQLLatency = core.EvaluateMeshPolicy(cfg, tr.Agent, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
-	res.FIFOLatency = core.EvaluateMeshPolicy(cfg, arb.NewFIFO(), sc.WarmupCycles, sc.MeasureCycles).AvgLatency
-	res.GlobalAgeLatency = core.EvaluateMeshPolicy(cfg, arb.NewGlobalAge(), sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+	res.TabularLatency = mesh.Evaluate(tab, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+	res.DQLLatency = mesh.Evaluate(tr.Agent, sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+	res.FIFOLatency = mesh.Evaluate(arb.NewFIFO(), sc.WarmupCycles, sc.MeasureCycles).AvgLatency
+	res.GlobalAgeLatency = mesh.Evaluate(arb.NewGlobalAge(), sc.WarmupCycles, sc.MeasureCycles).AvgLatency
 	return res
 }
 

@@ -10,6 +10,7 @@ import (
 	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/synth"
+	"mlnoc/internal/traffic"
 	"mlnoc/internal/viz"
 )
 
@@ -96,24 +97,22 @@ type QuantStudyResult struct {
 // live workload, and measures policy fidelity at three levels: per-decision
 // action agreement, Q-value error, and end-to-end latency/throughput deltas.
 func QuantStudy(size int, sc Scale) *QuantStudyResult {
-	cfg := meshTrainSpec(size, sc)
-	tr, _ := core.Train(context.TODO(), cfg) // TODO never cancels: Train cannot fail
+	mesh := UniformMesh(size, 1, sc.Seed+1)
+	tr, _ := core.Train(context.TODO(), meshTrainSpec(mesh, sc)) // cannot fail: Env set, TODO never cancels
 	tr.Agent.Freeze()
-	return QuantEval(tr.Agent, cfg, sc)
+	return QuantEval(tr.Agent, mesh, sc)
 }
 
 // QuantEval compiles a frozen agent's network to the INT8 engine with states
-// recorded from a live run under cfg's traffic, and measures fidelity. It is
-// the evaluation half of QuantStudy, exported so cmd/trainarb can run the
-// same study on a network it just trained.
-func QuantEval(agent *core.Agent, cfg core.TrainSpec, sc Scale) *QuantStudyResult {
-	// The rate sweep below varies the actual load, not 0 ("use default").
-	cfg.Rate = cfg.Mesh().Rate
+// recorded from a live run on mesh, and measures fidelity. It is the
+// evaluation half of QuantStudy, exported so cmd/trainarb can run the same
+// study on a network it just trained.
+func QuantEval(agent *core.Agent, mesh traffic.Mesh, sc Scale) *QuantStudyResult {
 	net := agent.Net()
 
 	// Record workload states by replaying the frozen policy once.
 	probe := &stateProbe{agent: agent}
-	core.EvaluateMeshPolicy(cfg, probe, sc.WarmupCycles, sc.MeasureCycles)
+	mesh.Evaluate(probe, sc.WarmupCycles, sc.MeasureCycles)
 	if len(probe.states) < 2 {
 		panic("experiments: quant probe recorded too few arbitration states")
 	}
@@ -133,7 +132,7 @@ func QuantEval(agent *core.Agent, cfg core.TrainSpec, sc Scale) *QuantStudyResul
 	q := nn.Quantize(net, calib)
 
 	res := &QuantStudyResult{
-		Size:       cfg.Width,
+		Size:       mesh.Width,
 		LayerSizes: q.LayerSizes(),
 		MACs:       q.MACs(),
 		Decisions:  len(evalStates),
@@ -182,14 +181,14 @@ func QuantEval(agent *core.Agent, cfg core.TrainSpec, sc Scale) *QuantStudyResul
 	// End-to-end deltas: the same frozen weights deployed as float64 and as
 	// INT8, at the training rate and at a lighter load. Each run gets fresh
 	// agents (cloned nets / rebuilt engines): scratch is not shareable.
-	for _, rate := range []float64{cfg.Rate, cfg.Rate / 2} {
-		rcfg := cfg
-		rcfg.Rate = rate
+	for _, rate := range []float64{mesh.Rate, mesh.Rate / 2} {
+		rmesh := mesh
+		rmesh.Rate = rate
 		fa := core.NewAgentWithNet(agent.Spec, net.Clone(), sc.Seed+7)
-		fr := core.EvaluateMeshPolicy(rcfg, fa, sc.WarmupCycles, sc.MeasureCycles)
+		fr := rmesh.Evaluate(fa, sc.WarmupCycles, sc.MeasureCycles)
 		qa := core.NewAgentWithNet(agent.Spec, net.Clone(), sc.Seed+7)
 		qa.Infer = nn.Quantize(net, calib)
-		qr := core.EvaluateMeshPolicy(rcfg, qa, sc.WarmupCycles, sc.MeasureCycles)
+		qr := rmesh.Evaluate(qa, sc.WarmupCycles, sc.MeasureCycles)
 		res.Deltas = append(res.Deltas, QuantRunDelta{
 			Rate:            rate,
 			FloatAvg:        fr.AvgLatency,

@@ -105,7 +105,7 @@ var Table = []Experiment{
 		return res
 	})},
 	{Name: "fig7", Run: view(func(ctx context.Context, in Input) (*core.Heatmap, error) {
-		tr, err := core.Train(ctx, apuTrainSpec(in.Scale))
+		tr, err := core.Train(ctx, APUTrainSpec(in.Scale))
 		if err != nil {
 			return nil, err
 		}

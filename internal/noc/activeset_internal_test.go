@@ -44,10 +44,9 @@ func TestActiveSetInvariance(t *testing.T) {
 	}
 }
 
-// TestActiveSetInvarianceFaulted holds the walk to the mid-run link-kill and
-// freeze schedule, node (1,6)'s attach link included: frozen routers are
-// skipped, injection waits on a dead attach link and routes are re-derived at
-// each link transition.
+// TestActiveSetInvarianceFaulted holds the walk to the mid-run link-kill
+// schedule, node (1,6)'s attach link included: injection waits on a dead
+// attach link and routes are re-derived at each link transition.
 func TestActiveSetInvarianceFaulted(t *testing.T) {
 	for _, pname := range []string{"policy", "matcher"} {
 		t.Run(pname, func(t *testing.T) { checkActiveTrace(t, "faulted-core/"+pname) })
@@ -112,7 +111,7 @@ func checkBitmaps(t testing.TB, net *Network, when string) {
 }
 
 // TestActiveSetBitmapInvariants fuzzes a small faulted mesh — random
-// injections, link kills and repairs, freezes, wholesale requeues — and
+// injections, link kills and repairs, wholesale requeues — and
 // recomputes every activity bitmap brute-force after each step. This is the
 // safety net for the incremental maintenance in Buffer.push/pop/syncOcc,
 // Node.Inject/dequeue and the fault transitions.
@@ -149,9 +148,6 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 			downAttach = rng.Intn(len(nodes))
 			nd := net.Node(NodeID(downAttach))
 			net.SetLinkDown(nd.Router.ID(), nd.Port, true)
-		case cycle%131 == 40:
-			rid := rng.Intn(len(net.routers))
-			net.FreezeRouter(rid, !net.routers[rid].frozen)
 		case cycle%211 == 77:
 			// Strand every message bound for a random destination.
 			victim := NodeID(rng.Intn(len(nodes)))
@@ -168,11 +164,6 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 	if downAttach >= 0 {
 		nd := net.Node(NodeID(downAttach))
 		net.SetLinkDown(nd.Router.ID(), nd.Port, false)
-	}
-	for _, r := range net.routers {
-		if r.frozen {
-			net.FreezeRouter(r.id, false)
-		}
 	}
 	net.Drain(20000)
 	checkBitmaps(t, net, "after drain")

@@ -187,27 +187,6 @@ func TestRequeueStranded(t *testing.T) {
 	}
 }
 
-func TestFrozenRouterMakesNoGrants(t *testing.T) {
-	net, cores := buildMesh(t, 2, 1, 1)
-	net.SetPolicy(firstPolicy{})
-	net.FreezeRouter(0, true)
-	if got := net.FaultStats().FrozenRouters; got != 1 {
-		t.Fatalf("FrozenRouters = %d, want 1", got)
-	}
-	cores[0].Inject(&Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(50)
-	if net.Stats().Delivered != 0 {
-		t.Fatal("frozen router forwarded a message")
-	}
-	net.FreezeRouter(0, false)
-	if !net.Drain(100) || net.Stats().Delivered != 1 {
-		t.Fatalf("after thaw: delivered %d, want 1", net.Stats().Delivered)
-	}
-	if got := net.FaultStats().FrozenRouters; got != 0 {
-		t.Fatalf("FrozenRouters = %d after thaw, want 0", got)
-	}
-}
-
 func TestAttachPortDownBlocksInjection(t *testing.T) {
 	net, cores := buildMesh(t, 2, 1, 1)
 	net.SetPolicy(firstPolicy{})

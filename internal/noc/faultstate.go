@@ -8,8 +8,6 @@ import "fmt"
 type FaultStats struct {
 	// LinksDown is the number of directed links currently down.
 	LinksDown int64 `json:"links_down"`
-	// FrozenRouters is the number of routers currently frozen.
-	FrozenRouters int64 `json:"frozen_routers"`
 	// DowntimeCycles accumulates, per cycle, the number of directed links
 	// down during that cycle (i.e. the sum of per-link downtimes).
 	DowntimeCycles int64 `json:"downtime_cycles"`
@@ -27,7 +25,7 @@ type FaultStats struct {
 }
 
 // Faulty reports whether any fault machinery has touched the network: a link
-// taken down, a router frozen, or a custom Routing installed. While false,
+// taken down or a custom Routing installed. While false,
 // the fault layer is zero-cost: Step takes the exact code path of a
 // fault-free network.
 func (n *Network) Faulty() bool { return n.faulty }
@@ -62,23 +60,6 @@ func (n *Network) SetLinkDown(rid int, p PortID, down bool) int {
 	}
 	n.fstats.LinksDown++
 	return n.requeueLink(r, p)
-}
-
-// FreezeRouter sets the frozen state of router rid. A frozen router makes no
-// grants on any output; messages already heading toward it still land in its
-// input buffers.
-func (n *Network) FreezeRouter(rid int, frozen bool) {
-	r := n.routers[rid]
-	if r.frozen == frozen {
-		return
-	}
-	r.frozen = frozen
-	n.faulty = true
-	if frozen {
-		n.fstats.FrozenRouters++
-	} else {
-		n.fstats.FrozenRouters--
-	}
 }
 
 // requeueLink pulls every delivery still in flight across the dead directed

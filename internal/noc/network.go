@@ -698,9 +698,6 @@ func (n *Network) arbitrate() {
 // evicting unreachable ones, then grant its free outputs through the installed
 // policy or matcher.
 func (n *Network) arbitrateRouter(r *Router) {
-	if n.faulty && r.frozen {
-		return
-	}
 	if r.stale != 0 {
 		n.routeHeads(r)
 	}

@@ -204,10 +204,6 @@ type Router struct {
 	// accepts no grants until the link is restored (Network.SetLinkDown).
 	linkDown [MaxPorts]bool
 
-	// frozen marks the whole router as fault-frozen: it makes no grants,
-	// though its input buffers still accept in-flight arrivals.
-	frozen bool
-
 	// Arbitration state, one bit p*VCs+vc per input buffer in[p][vc] (hence
 	// MaxVCs), kept current by Buffer push/pop/reserve/unreserve/syncOcc and
 	// by routeHeads (network.go), so that arbitration reads facts instead of
@@ -264,9 +260,6 @@ func (r *Router) ForwardedThisCycle(p PortID, now int64) bool {
 // LinkUp reports whether the outgoing link at port p is healthy. Ports never
 // taken down by Network.SetLinkDown are always up.
 func (r *Router) LinkUp(p PortID) bool { return !r.linkDown[p] }
-
-// Frozen reports whether the router is fault-frozen (making no grants).
-func (r *Router) Frozen() bool { return r.frozen }
 
 // Route returns the output port the installed routing algorithm picks for m
 // at this router, or RouteUnreachable when no healthy path exists. Without

@@ -19,8 +19,8 @@ const (
 	// messages were in flight.
 	AlertLivelock AlertKind = "livelock"
 	// AlertFaultBlackhole flags an over-age head message that is stuck
-	// because of an injected fault — its router is frozen, its route is a
-	// dead link, or its destination is unreachable — rather than because the
+	// because of an injected fault — its route is a dead link or its
+	// destination is unreachable — rather than because the
 	// arbitration policy starved it. Telling the two apart matters when
 	// judging a policy under fault injection.
 	AlertFaultBlackhole AlertKind = "fault-blackhole"
@@ -193,9 +193,9 @@ func (w *Watchdog) checkStarvation(net *noc.Network, now int64) {
 				kind := AlertStarvation
 				if net.Faulty() {
 					// Distinguish policy starvation from fault damage: a head
-					// is blackholed (not starved) when its router is frozen,
-					// its route crosses a dead link, or no route exists.
-					if out := r.Route(m); r.Frozen() || out == noc.RouteUnreachable || !r.LinkUp(out) {
+					// is blackholed (not starved) when its route crosses a
+					// dead link or no route exists.
+					if out := r.Route(m); out == noc.RouteUnreachable || !r.LinkUp(out) {
 						kind = AlertFaultBlackhole
 					}
 				}

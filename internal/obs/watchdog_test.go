@@ -199,12 +199,12 @@ func TestWatchdogAlertCap(t *testing.T) {
 	}
 }
 
-// TestWatchdogFaultBlackhole checks that an over-age head stuck behind a
-// frozen router is reported as fault damage, not as policy starvation.
+// TestWatchdogFaultBlackhole checks that an over-age head whose route crosses
+// a dead link is reported as fault damage, not as policy starvation.
 func TestWatchdogFaultBlackhole(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
 	net.SetPolicy(arb.NewGlobalAge())
-	net.FreezeRouter(0, true)
+	net.SetLinkDown(0, noc.PortEast, true)
 	w := AttachWatchdog(net, WatchdogConfig{Threshold: 50})
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
 	net.Run(500)
@@ -212,7 +212,7 @@ func TestWatchdogFaultBlackhole(t *testing.T) {
 	for _, a := range w.Alerts() {
 		switch a.Kind {
 		case AlertStarvation:
-			t.Fatalf("frozen router's head reported as starvation: %v", a)
+			t.Fatalf("head behind a dead link reported as starvation: %v", a)
 		case AlertFaultBlackhole:
 			holes++
 			if a.Router != 0 || a.Port != noc.PortCore.String() || a.MsgID != 1 {

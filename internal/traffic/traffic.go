@@ -223,10 +223,14 @@ type Mesh struct {
 	Seed int64
 }
 
-// Build creates the network with policy installed, and its injector.
+// Build creates the network with policy installed, and with the policy's
+// OnCycle hook when it has one (a learning agent's), and its injector.
 func (m Mesh) Build(policy noc.Policy) (*noc.Network, *Injector) {
 	net, cores := noc.BuildMeshCores(m.Config)
 	net.SetPolicy(policy)
+	if oc, ok := policy.(interface{ OnCycle(*noc.Network) }); ok {
+		net.OnCycle = oc.OnCycle
+	}
 	p := m.Pattern
 	if p == nil {
 		p = UniformRandom{}
@@ -234,6 +238,30 @@ func (m Mesh) Build(policy noc.Policy) (*noc.Network, *Injector) {
 	in := NewInjector(cores, p, m.Rate, xrand.New(m.Seed))
 	in.Classes = m.VCs
 	return net, in
+}
+
+// Start builds the network and returns it with a step that injects one cycle
+// of traffic and advances the network. Start and StatePorts make a Mesh a
+// training environment (core.Env).
+func (m Mesh) Start(policy noc.Policy) (*noc.Network, func()) {
+	net, in := m.Build(policy)
+	return net, func() {
+		in.Tick()
+		net.Step()
+	}
+}
+
+// StatePorts names the input ports of a mesh router, the core's and the four
+// directions', and the Config's VCs per port.
+func (m Mesh) StatePorts() ([]noc.PortID, int) {
+	return []noc.PortID{noc.PortCore, noc.PortNorth, noc.PortSouth, noc.PortWest, noc.PortEast}, m.VCs
+}
+
+// Evaluate measures the average message latency of policy on the mesh: Run's
+// warmup, measured phase and drain.
+func (m Mesh) Evaluate(policy noc.Policy, warmup, measure int64) RunResult {
+	net, in := m.Build(policy)
+	return Run(net, in, warmup, measure)
 }
 
 // RunResult reports the measured phase of a synthetic-traffic run.

@@ -202,3 +202,37 @@ func TestPatternNames(t *testing.T) {
 		}
 	}
 }
+
+// hookedPolicy is global-age arbitration with a per-cycle hook, as a learning
+// agent has one; it counts the cycles it was called on.
+type hookedPolicy struct {
+	noc.Policy
+	cycles int64
+}
+
+func (p *hookedPolicy) OnCycle(*noc.Network) { p.cycles++ }
+
+// TestMeshInstallsOnCycle: a policy's OnCycle hook runs on every cycle of a
+// Mesh's network, whether Start steps it or Evaluate runs it, and Start's
+// step is one cycle of injection and network.
+func TestMeshInstallsOnCycle(t *testing.T) {
+	m := Mesh{Config: noc.Config{Width: 3, Height: 3, VCs: 2, BufferCap: 1}, Rate: 0.2, Seed: 3}
+	p := &hookedPolicy{Policy: arb.NewGlobalAge()}
+	net, step := m.Start(p)
+	for i := 0; i < 50; i++ {
+		step()
+	}
+	if net.Cycle() != 50 || p.cycles != 50 || net.Stats().Injected == 0 {
+		t.Fatalf("50 steps: cycle %d, hook ran %d times, %d injected",
+			net.Cycle(), p.cycles, net.Stats().Injected)
+	}
+	if ports, vcs := m.StatePorts(); len(ports) != 5 || vcs != 2 {
+		t.Fatalf("state ports %v x %d VCs, want the 5 mesh ports x 2", ports, vcs)
+	}
+
+	p.cycles = 0
+	res := m.Evaluate(p, 100, 200)
+	if p.cycles != res.Cycles || res.Delivered == 0 {
+		t.Fatalf("hook ran %d times in a %d-cycle evaluation (%d delivered)", p.cycles, res.Cycles, res.Delivered)
+	}
+}
