@@ -8,12 +8,14 @@
 // It also implements the paper's offline workflow (Fig. 2): record a dataset
 // of router states under a behaviour policy, then train from it offline.
 //
-//	trainarb -record states.gob -behavior round-robin -cycles 20000
-//	trainarb -offline states.gob -epochs 20 -out agent.gob
+//	trainarb -record states.rec -behavior round-robin -cycles 20000
+//	trainarb -offline states.rec -epochs 20 -out agent.gob
 //
-// A dataset file holds each state as the (index, value) list of its non-zero
-// elements (rl.Dataset); -offline validates every record on load. Files
-// recorded when states were stored as dense vectors do not load: record anew.
+// A dataset file (rl.Dataset) holds each experience as the replay memory
+// does, its states as the raw readings StateSpec.Record takes. -offline
+// decodes every one under the 60-input mesh spec on load and refuses a file
+// of other shapes or another format version (gob files of earlier releases
+// among them): record anew.
 package main
 
 import (
@@ -382,15 +384,11 @@ func trainOffline(stdout io.Writer, path string, hidden, epochs int, seed int64,
 	if err != nil {
 		return err
 	}
-	data, err := rl.LoadDataset(f)
+	spec := core.MeshSpec(3)
+	data, err := rl.LoadDataset(f, spec)
 	f.Close()
 	if err != nil {
 		return err
-	}
-	spec := core.MeshSpec(3)
-	if spec.InputSize() != data.StateSize {
-		return fmt.Errorf("dataset state size %d does not match the mesh spec %d",
-			data.StateSize, spec.InputSize())
 	}
 	agent := core.NewAgent(spec, core.AgentConfig{
 		Hidden: hidden,

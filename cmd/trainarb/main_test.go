@@ -2,6 +2,7 @@ package main
 
 import (
 	"context"
+	"encoding/gob"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,6 +58,26 @@ func TestMain(m *testing.M) { clitest.Main(m, "trainarb", run) }
 func TestHelp(t *testing.T) { clitest.Help(t) }
 
 func TestRejects(t *testing.T) {
+	// A dataset file of earlier releases (a gob stream), and a recording cut
+	// short by nine bytes: its 36-byte header and 4-byte checksum frame a
+	// body that is no longer the length the header gives.
+	dir := t.TempDir()
+	old, cut := filepath.Join(dir, "old.gob"), filepath.Join(dir, "cut.rec")
+	if err := cliutil.WriteFile(old, func(w io.Writer) error {
+		return gob.NewEncoder(w).Encode(struct{ StateSize, Actions int }{60, 15})
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"-record", cut, "-cycles", "200"}, io.Discard); err != nil {
+		t.Fatal(err)
+	}
+	fi, err := os.Stat(cut)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(cut, fi.Size()-9); err != nil {
+		t.Fatal(err)
+	}
 	for _, c := range []struct {
 		args []string
 		err  string
@@ -78,6 +99,8 @@ func TestRejects(t *testing.T) {
 		{[]string{"-cycles", "1000", "-reward", "speed"}, `unknown reward "speed"`, 2},
 		{[]string{"-record", "d.gob", "-behavior", "islip"}, `unknown behaviour policy "islip"`, 2},
 		{[]string{"-offline", "missing.gob"}, "open missing.gob: no such file or directory", 1},
+		{[]string{"-offline", old}, "rl: load dataset: not a dataset file", 1},
+		{[]string{"-offline", cut}, fmt.Sprintf("rl: load dataset: body of %d bytes, file holds %d", fi.Size()-40, fi.Size()-49), 1},
 	} {
 		clitest.Reject(t, run, c.code, c.err, c.args...)
 	}

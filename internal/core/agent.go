@@ -80,11 +80,23 @@ type pendingDecision struct {
 
 // pendingAt returns the pending decision of site key, growing pending to
 // reach it.
-func pendingAt[D any](pending *[]D, key int64) *D {
+func pendingAt(pending *[]pendingDecision, key int64) *pendingDecision {
 	if n := int64(len(*pending)); key >= n {
-		*pending = append(*pending, make([]D, key+1-n)...)
+		*pending = append(*pending, make([]pendingDecision, key+1-n)...)
 	}
 	return &(*pending)[key]
+}
+
+// flushPending hands every live decision of pending to observe as a terminal
+// transition (no successor state), in ascending site order, so that what is
+// observed is a function of the seed.
+func flushPending(pending []pendingDecision, observe func(rl.Transition)) {
+	for i := range pending {
+		if p := &pending[i]; p.live {
+			observe(rl.Transition{State: p.rec, Action: p.action, Reward: p.reward, Terminal: true})
+			p.live = false
+		}
+	}
 }
 
 // AgentConfig configures NewAgent.
@@ -267,17 +279,9 @@ func (a *Agent) OnCycle(n *noc.Network) {
 }
 
 // FlushPending converts all incomplete decisions into terminal experiences
-// (no successor state), in ascending site order, so that the replay memory is
-// a function of the seed. Useful at the end of a training phase so the final
-// rewards are not lost.
-func (a *Agent) FlushPending() {
-	for i := range a.pending {
-		if p := &a.pending[i]; p.live {
-			a.DQL.Observe(rl.Transition{State: p.rec, Action: p.action, Reward: p.reward, Terminal: true})
-			p.live = false
-		}
-	}
-}
+// (flushPending). Useful at the end of a training phase so the final rewards
+// are not lost.
+func (a *Agent) FlushPending() { flushPending(a.pending, a.DQL.Observe) }
 
 // Freeze switches the agent to pure-inference mode (the "NN" policy):
 // exploration and learning stop and pending experiences are flushed.

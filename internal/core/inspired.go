@@ -19,8 +19,8 @@ const (
 	// HopMax is the saturation value of the hop counter (15).
 	HopMax = 1<<HopBits - 1
 	// StarvationThreshold is Algorithm 2's local-age override threshold
-	// (binary 11000 = 24): any 5-bit value above it has both MSBs set, so
-	// the comparison is a single AND gate in hardware.
+	// (binary 11000 = 24), compared strictly: LA > 24. The paper's AND of the
+	// two MSBs, LA >= 24, is synth.PBlockOptions.ApproxThreshold (45 gates to 48).
 	StarvationThreshold = 24
 )
 

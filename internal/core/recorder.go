@@ -1,7 +1,6 @@
 package core
 
 import (
-	"mlnoc/internal/nn"
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 )
@@ -10,7 +9,8 @@ import (
 // workflow (Fig. 2): it wraps an arbitrary behaviour policy, lets it make
 // every arbitration decision, and records <state, action, reward, next
 // state> tuples into an rl.Dataset — the "NoC router states over a large
-// number of simulated cycles" the paper's agent was trained on. The recorded
+// number of simulated cycles" the paper's agent was trained on, each state as
+// its Record, paired per site as a training Agent pairs them. The recorded
 // dataset feeds rl.DQL.TrainOffline.
 //
 // Because recording is off-policy, any behaviour policy works: round-robin
@@ -19,7 +19,8 @@ import (
 type Recorder struct {
 	// Behavior makes the actual decisions.
 	Behavior noc.Policy
-	// Spec lays out states and actions.
+	// Spec lays out states and actions. It is the recorder's own copy, the
+	// one Data decodes with; it must not be changed.
 	Spec *StateSpec
 	// Reward scores decisions (default: global age).
 	Reward *rl.RewardTracker
@@ -27,27 +28,20 @@ type Recorder struct {
 	Data *rl.Dataset
 
 	// pending holds, per arbitration site (indexed by siteKey), the last
-	// decision awaiting its next state.
-	pending []recordedDecision
-	// scratch is where each state is built before a copy cut to size is kept.
-	scratch nn.SparseVec
-}
-
-// recordedDecision is a site's last decision as the recorder keeps it.
-type recordedDecision struct {
-	state  nn.SparseVec
-	action int
-	reward float64
-	live   bool
+	// decision awaiting its next state; rec is the arbitration in hand's
+	// record.
+	pending []pendingDecision
+	rec     []byte
 }
 
 // NewRecorder wraps behaviour with recording into a fresh dataset.
 func NewRecorder(spec *StateSpec, behavior noc.Policy) *Recorder {
+	spec = spec.clone()
 	return &Recorder{
 		Behavior: behavior,
 		Spec:     spec,
 		Reward:   rl.NewRewardTracker(rl.RewardGlobalAge),
-		Data:     rl.NewDataset(spec.InputSize(), spec.ActionSize()),
+		Data:     rl.NewDataset(spec),
 	}
 }
 
@@ -57,30 +51,14 @@ func (r *Recorder) Name() string { return r.Behavior.Name() + "+record" }
 // Select implements noc.Policy: the behaviour policy decides, the recorder
 // logs.
 func (r *Recorder) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
-	r.scratch = r.Spec.BuildSparse(r.scratch, ctx.Net, ctx.Cycle, cands)
-	state := r.scratch.Clone()
+	r.rec = r.Spec.Record(r.rec[:0], ctx.Net, ctx.Cycle, cands)
 	choice := r.Behavior.Select(ctx, cands)
-
 	p := pendingAt(&r.pending, siteKey(ctx))
 	if p.live {
-		valid := make([]int, len(cands))
-		for i, c := range cands {
-			valid[i] = r.Spec.Slot(c.Port, c.VC)
-		}
-		r.Data.Add(rl.Experience{
-			State:     p.state,
-			Action:    p.action,
-			Reward:    p.reward,
-			Next:      state,
-			NextValid: valid,
-		})
+		r.Data.Add(rl.Transition{State: p.rec, Action: p.action, Reward: p.reward, Next: r.rec})
 	}
-	*p = recordedDecision{
-		state:  state,
-		action: r.Spec.Slot(cands[choice].Port, cands[choice].VC),
-		reward: r.Reward.DecisionReward(ctx, cands, choice),
-		live:   true,
-	}
+	p.rec = append(p.rec[:0], r.rec...)
+	p.action, p.reward, p.live = r.Spec.Slot(cands[choice].Port, cands[choice].VC), r.Reward.DecisionReward(ctx, cands, choice), true
 	return choice
 }
 
@@ -88,13 +66,6 @@ func (r *Recorder) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 // network hook when using period-based rewards.
 func (r *Recorder) OnCycle(n *noc.Network) { r.Reward.OnCycle(n) }
 
-// Flush records all incomplete decisions as terminal experiences, in
-// ascending site order, so that a recording is a function of its seed.
-func (r *Recorder) Flush() {
-	for i := range r.pending {
-		if p := &r.pending[i]; p.live {
-			r.Data.Add(rl.Experience{State: p.state, Action: p.action, Reward: p.reward, Terminal: true})
-			p.live = false
-		}
-	}
-}
+// Flush records all incomplete decisions as terminal experiences
+// (flushPending).
+func (r *Recorder) Flush() { flushPending(r.pending, r.Data.Add) }

@@ -2,9 +2,11 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
+	"hash/crc32"
 	"math"
-	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -16,12 +18,19 @@ import (
 	"mlnoc/internal/xrand"
 )
 
-// recordDataset drives a mesh under a behaviour policy and returns the
-// recorded dataset.
+// recordDataset drives a mesh under a round-robin behaviour policy, flushes
+// the recorder and drains the mesh, and returns the recorder.
 func recordDataset(t *testing.T, cycles int, seed int64) (*Recorder, *StateSpec) {
+	rec, net := recordUnder(t, arb.NewRoundRobin(), cycles, seed)
+	net.Drain(100000)
+	return rec, rec.Spec
+}
+
+// recordUnder drives a mesh for cycles under the behaviour policy beh,
+// flushes the recorder and returns it with the mesh.
+func recordUnder(t *testing.T, beh noc.Policy, cycles int, seed int64) (*Recorder, *noc.Network) {
 	t.Helper()
-	spec := MeshSpec(3)
-	rec := NewRecorder(spec, arb.NewRoundRobin())
+	rec := NewRecorder(MeshSpec(3), beh)
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 4, Height: 4, VCs: 3, BufferCap: 1})
 	net.SetPolicy(rec)
 	net.OnCycle = rec.OnCycle
@@ -32,8 +41,7 @@ func recordDataset(t *testing.T, cycles int, seed int64) (*Recorder, *StateSpec)
 		net.Step()
 	}
 	rec.Flush()
-	net.Drain(100000)
-	return rec, spec
+	return rec, net
 }
 
 func TestRecorderCollects(t *testing.T) {
@@ -41,10 +49,10 @@ func TestRecorderCollects(t *testing.T) {
 	if rec.Data.Len() < 500 {
 		t.Fatalf("recorded only %d experiences", rec.Data.Len())
 	}
-	// Shapes validated by Dataset.Add; sanity-check rewards are the binary
-	// global-age signal.
+	// Rewards are the binary global-age signal.
 	zeros, ones := 0, 0
-	for _, e := range rec.Data.Records {
+	for i := 0; i < rec.Data.Len(); i++ {
+		e := rec.Data.At(i)
 		switch e.Reward {
 		case 0:
 			zeros++
@@ -84,94 +92,218 @@ func TestRecordingIsDeterministic(t *testing.T) {
 	}
 }
 
+// TestDatasetSaveLoadRoundTrip: a loaded recording holds the experiences the
+// recorder's own dataset decodes to, and saves back to the same bytes.
 func TestDatasetSaveLoadRoundTrip(t *testing.T) {
-	rec, _ := recordDataset(t, 500, 8)
+	rec, spec := recordDataset(t, 500, 8)
 	var buf bytes.Buffer
 	if err := rec.Data.Save(&buf); err != nil {
 		t.Fatalf("save: %v", err)
 	}
-	got, err := rl.LoadDataset(&buf)
+	file := bytes.Clone(buf.Bytes())
+	got, err := rl.LoadDataset(&buf, spec)
 	if err != nil {
 		t.Fatalf("load: %v", err)
 	}
-	if got.Len() != rec.Data.Len() || got.StateSize != rec.Data.StateSize ||
-		got.Actions != rec.Data.Actions {
-		t.Fatal("round trip changed shapes")
+	if got.Len() != rec.Data.Len() {
+		t.Fatalf("round trip holds %d experiences, recorded %d", got.Len(), rec.Data.Len())
 	}
-	if !reflect.DeepEqual(got.Records, rec.Data.Records) {
-		t.Fatal("round trip changed records")
+	for i := 0; i < got.Len(); i++ {
+		if !sameExperience(got.At(i), rec.Data.At(i)) {
+			t.Fatalf("round trip changed experience %d", i)
+		}
+	}
+	if err := got.Save(&buf); err != nil || !bytes.Equal(buf.Bytes(), file) {
+		t.Fatalf("the loaded dataset saves to other bytes (%v)", err)
 	}
 }
 
-// TestLoadDatasetRejectsGarbage: a file that is not a dataset, and every shape
-// of record that would otherwise fail later inside TrainOffline, is refused at
-// load with an error that names the record.
-func TestLoadDatasetRejectsGarbage(t *testing.T) {
-	if _, err := rl.LoadDataset(bytes.NewReader([]byte("nope"))); err == nil {
-		t.Fatal("garbage accepted")
+// sameExperience reports whether a and b are the same experience, bit for
+// bit: a terminal one's successor is not compared.
+func sameExperience(a, b *rl.Experience) bool {
+	same := func(x, y nn.SparseVec) bool {
+		return slices.Equal(x.Idx, y.Idx) && slices.EqualFunc(x.Val, y.Val, func(p, q float64) bool {
+			return math.Float64bits(p) == math.Float64bits(q)
+		})
 	}
-	sv := func(idx []int32, val ...float64) nn.SparseVec { return nn.SparseVec{Idx: idx, Val: val} }
-	good := rl.Experience{
-		State: sv([]int32{0, 7}, 0.5, 1), Action: 2, Reward: 1,
-		Next: sv([]int32{3}, 0.25), NextValid: []int{0, 4},
+	if !same(a.State, b.State) || a.Action != b.Action || a.Terminal != b.Terminal ||
+		math.Float64bits(a.Reward) != math.Float64bits(b.Reward) {
+		return false
 	}
-	bad := []struct {
-		name   string
-		mutate func(e *rl.Experience)
-	}{
-		{"state index beyond the state size", func(e *rl.Experience) { e.State = sv([]int32{0, 8}, 1, 1) }},
-		{"state index negative", func(e *rl.Experience) { e.State = sv([]int32{-1, 2}, 1, 1) }},
-		{"state indices descending", func(e *rl.Experience) { e.State = sv([]int32{5, 2}, 1, 1) }},
-		{"state index repeated", func(e *rl.Experience) { e.State = sv([]int32{2, 2}, 1, 1) }},
-		{"state with more indices than values", func(e *rl.Experience) { e.State = sv([]int32{1, 2}, 1) }},
-		{"state with more values than indices", func(e *rl.Experience) { e.State = sv([]int32{1}, 1, 1) }},
-		{"state value NaN", func(e *rl.Experience) { e.State = sv([]int32{1}, math.NaN()) }},
-		{"state value infinite", func(e *rl.Experience) { e.State = sv([]int32{1}, math.Inf(-1)) }},
-		{"action negative", func(e *rl.Experience) { e.Action = -1 }},
-		{"action beyond the action count", func(e *rl.Experience) { e.Action = 5 }},
-		{"next index beyond the state size", func(e *rl.Experience) { e.Next = sv([]int32{8}, 1) }},
-		{"next indices descending", func(e *rl.Experience) { e.Next = sv([]int32{4, 3}, 1, 1) }},
-		{"next with more indices than values", func(e *rl.Experience) { e.Next = sv([]int32{4, 5}, 1) }},
-		{"next value infinite", func(e *rl.Experience) { e.Next = sv([]int32{4}, math.Inf(1)) }},
-		{"next-valid action beyond the action count", func(e *rl.Experience) { e.NextValid = []int{0, 5} }},
-		{"next-valid action negative", func(e *rl.Experience) { e.NextValid = []int{-1} }},
-	}
-	save := func(records ...rl.Experience) *bytes.Buffer {
-		var buf bytes.Buffer
-		if err := (&rl.Dataset{StateSize: 8, Actions: 5, Records: records}).Save(&buf); err != nil {
-			t.Fatalf("save: %v", err)
+	return a.Terminal || same(a.Next, b.Next) && slices.Equal(a.NextValid, b.NextValid)
+}
+
+// TestRecordingMatchesBuildSparse: a recording decodes to the experiences the
+// float path builds at record time. The behaviour policy is wrapped so that
+// it also builds each arbitration's state with BuildSparse and its
+// candidates' slots in the engine's order, and pairs each site's decisions
+// the way the recorder does; every experience of the saved and loaded
+// recording equals its pair, the reward's bits included.
+func TestRecordingMatchesBuildSparse(t *testing.T) {
+	spec := MeshSpec(3)
+	reward := rl.NewRewardTracker(rl.RewardGlobalAge)
+	rr := arb.NewRoundRobin()
+	pending := map[int64]rl.Experience{}
+	var want []rl.Experience
+	beh := policyFunc(func(ctx *noc.ArbContext, cands []noc.Candidate) int {
+		choice := rr.Select(ctx, cands)
+		state := spec.BuildSparse(nn.SparseVec{}, ctx.Net, ctx.Cycle, cands)
+		valid := make([]int, len(cands))
+		for i, c := range cands {
+			valid[i] = spec.Slot(c.Port, c.VC)
 		}
-		return &buf
-	}
-	terminal := good
-	terminal.Terminal, terminal.Next, terminal.NextValid = true, sv([]int32{99}, 1), []int{99}
-	if d, err := rl.LoadDataset(save(good, terminal)); err != nil || d.Len() != 2 {
-		t.Fatalf("well-formed records (a terminal one's successor is not read) refused: %v", err)
-	}
-	for _, c := range bad {
-		e := good
-		c.mutate(&e)
-		_, err := rl.LoadDataset(save(good, e))
-		if err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: record 1: ") {
-			t.Errorf("%s: LoadDataset error %v, want one naming record 1", c.name, err)
+		if p, ok := pending[siteKey(ctx)]; ok {
+			p.Next, p.NextValid = state, valid
+			want = append(want, p)
 		}
+		pending[siteKey(ctx)] = rl.Experience{State: state, Action: valid[choice], Reward: reward.DecisionReward(ctx, cands, choice)}
+		return choice
+	})
+	rec, _ := recordUnder(t, beh, 1500, 12)
+	for _, key := range sortedSites(pending) {
+		p := pending[key]
+		p.Terminal = true
+		want = append(want, p)
 	}
-	// A dataset written before states became sparse held them as []float64.
-	type denseExperience struct {
-		State  []float64
-		Action int
-	}
-	type denseDataset struct {
-		StateSize, Actions int
-		Records            []denseExperience
-	}
-	var old bytes.Buffer
-	if err := gob.NewEncoder(&old).Encode(denseDataset{8, 5, []denseExperience{{make([]float64, 8), 1}}}); err != nil {
+	var buf bytes.Buffer
+	if err := rec.Data.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := rl.LoadDataset(&old); err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: ") {
-		t.Errorf("dense-state dataset: LoadDataset error %v", err)
+	got, err := rl.LoadDataset(&buf, spec)
+	if err != nil {
+		t.Fatal(err)
 	}
+	if got.Len() != len(want) {
+		t.Fatalf("recorded %d experiences, want %d", got.Len(), len(want))
+	}
+	terminal := 0
+	for i := range want {
+		if !sameExperience(got.At(i), &want[i]) {
+			t.Fatalf("experience %d decodes to %+v, built at record time as %+v", i, *got.At(i), want[i])
+		}
+		if want[i].Terminal {
+			terminal++
+		}
+	}
+	if terminal == 0 || terminal == len(want) {
+		t.Fatalf("%d of %d experiences terminal: both kinds must be compared", terminal, len(want))
+	}
+}
+
+// datasetFile returns the file of a dataset under spec whose experiences are
+// the terminal transitions of the given states and actions, saved. The
+// header's fields sit at these offsets: the version at 8, the state size
+// at 12, the action count at 16, the record count at 20 and the body length
+// at 28; the body starts at 36 and the checksum takes the last four bytes.
+func datasetFile(t *testing.T, spec *StateSpec, states [][]byte, actions ...int) []byte {
+	t.Helper()
+	d := rl.NewDataset(spec)
+	for i, s := range states {
+		d.Add(rl.Transition{State: s, Action: actions[i], Reward: 1, Terminal: true})
+	}
+	var buf bytes.Buffer
+	if err := d.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// reseal returns a copy of file with fn applied and its checksum recomputed.
+func reseal(file []byte, fn func(b []byte)) []byte {
+	b := bytes.Clone(file)
+	fn(b)
+	binary.LittleEndian.PutUint32(b[len(b)-4:], crc32.ChecksumIEEE(b[:len(b)-4]))
+	return b
+}
+
+// withBody returns file with its body replaced by body, holding count records.
+func withBody(file []byte, count int, body []byte) []byte {
+	b := append(append(bytes.Clone(file[:36]), body...), 0, 0, 0, 0)
+	return reseal(b, func(b []byte) {
+		binary.LittleEndian.PutUint64(b[20:], uint64(count))
+		binary.LittleEndian.PutUint64(b[28:], uint64(len(body)))
+	})
+}
+
+// TestLoadDatasetRejectsGarbage: a file that is not a dataset file, and every
+// record that would otherwise fail later inside TrainOffline, is refused at
+// load with an error, which names the record where there is one.
+func TestLoadDatasetRejectsGarbage(t *testing.T) {
+	spec := MeshSpec(3)
+	// A record of one candidate in slot 5 whose payload reading is 1 (a
+	// zigzag varint 2) and whose other readings are 0.
+	good := append([]byte{5, 2}, make([]byte, len(spec.Features)-1)...)
+	file := datasetFile(t, spec, [][]byte{good, good}, 0, 14)
+	if d, err := rl.LoadDataset(bytes.NewReader(file), spec); err != nil || d.Len() != 2 {
+		t.Fatalf("well-formed file refused: %v", err)
+	}
+	goodBody := file[36 : len(file)-4]
+	first := goodBody[:len(goodBody)/2]
+	// A dataset file of earlier releases was a gob stream.
+	var old bytes.Buffer
+	if err := gob.NewEncoder(&old).Encode(struct {
+		StateSize, Actions int
+		Records            []rl.Experience
+	}{60, 15, []rl.Experience{{Action: 1, Terminal: true}}}); err != nil {
+		t.Fatal(err)
+	}
+	le := binary.LittleEndian
+	for _, c := range []struct {
+		name, want string
+		file       []byte
+	}{
+		{"empty file", "not a dataset file", nil},
+		{"gob file", "not a dataset file", old.Bytes()},
+		{"truncated file", "body of", file[:len(file)-7]},
+		{"bytes past the checksum", "body of", append(bytes.Clone(file), 0)},
+		{"other version", "format version 2", reseal(file, func(b []byte) { b[8] = 2 })},
+		{"other state size", "shapes 80 x 15, the codec's 60 x 15", reseal(file, func(b []byte) { le.PutUint32(b[12:], 80) })},
+		{"other action count", "shapes 60 x 20, the codec's 60 x 15", reseal(file, func(b []byte) { le.PutUint32(b[16:], 20) })},
+		{"oversized body length", "body of 1099511627776 bytes", reseal(file, func(b []byte) { le.PutUint64(b[28:], 1<<40) })},
+		{"record count past the records", "2 records, header says 3", reseal(file, func(b []byte) { le.PutUint64(b[20:], 3) })},
+		{"checksum mismatch", "checksum", func() []byte { b := bytes.Clone(file); b[40] ^= 1; return b }()},
+		{"transition with a bad varint", "record 1: malformed transition", withBody(file, 2, append(bytes.Clone(first), 0x80, 0x80, 0x80, 0x80))},
+		{"transition longer than the body", "record 1: malformed transition", withBody(file, 2, append(bytes.Clone(first), 0, 1, 50, 0))},
+		{"bytes after the last record", "record 2: malformed transition", withBody(file, 2, append(bytes.Clone(goodBody), 0, 1, 0))},
+		{"overlong varint", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), 0x80, 0, 1, 5, 0), good...))},
+		{"terminal transition with a successor", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), 0, 1, 0, 1), 0))},
+		{"action beyond the action count", "record 1: action 20 out of 15", datasetFile(t, spec, [][]byte{good, good}, 0, 20)},
+		{"slot beyond the action count", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, append([]byte{byte(spec.ActionSize())}, good[1:]...)}, 0, 0)},
+		{"reading with a bad varint", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, append(bytes.Clone(good[:len(good)-1]), 0x80)}, 0, 0)},
+	} {
+		_, err := rl.LoadDataset(bytes.NewReader(c.file), spec)
+		if err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: ") || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: LoadDataset error %v, want one saying %q", c.name, err, c.want)
+		}
+	}
+}
+
+// FuzzLoadDataset feeds LoadDataset arbitrary files under the mesh spec, their
+// checksums recomputed when fix is set so that the header and the records
+// behind it are reached: it must return a dataset or an error, never panic,
+// and a file it accepts must save back to the same bytes and train an agent
+// offline.
+func FuzzLoadDataset(f *testing.F) {
+	spec := MeshSpec(3)
+	f.Fuzz(func(t *testing.T, file []byte, fix bool) {
+		if fix && len(file) >= 4 {
+			file = reseal(file, func([]byte) {})
+		}
+		d, err := rl.LoadDataset(bytes.NewReader(file), spec)
+		if err != nil {
+			if !strings.HasPrefix(err.Error(), "rl: load dataset: ") {
+				t.Fatalf("error %v", err)
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := d.Save(&buf); err != nil || !bytes.Equal(buf.Bytes(), file) {
+			t.Fatalf("accepted file saves to other bytes (%v)", err)
+		}
+		NewAgent(spec, AgentConfig{Hidden: 4, Seed: 1}).DQL.TrainOffline(xrand.New(1), d, 1)
+	})
 }
 
 // TestOfflineTrainingImprovesPolicy is the end-to-end offline workflow of
@@ -223,12 +355,12 @@ func TestOfflineTrainingImprovesPolicy(t *testing.T) {
 func TestTrainOfflineValidation(t *testing.T) {
 	spec := MeshSpec(3)
 	agent := NewAgent(spec, AgentConfig{Hidden: 8, Seed: 1})
-	empty := rl.NewDataset(spec.InputSize(), spec.ActionSize())
+	empty := rl.NewDataset(spec)
 	if got := agent.DQL.TrainOffline(xrand.New(1), empty, 3); got != 0 {
 		t.Fatalf("empty dataset trained: %v", got)
 	}
-	wrong := rl.NewDataset(10, 3)
-	wrong.Add(rl.Experience{Action: 1, Terminal: true})
+	wrong := rl.NewDataset(MeshSpec(2))
+	wrong.Add(rl.Transition{Action: 1, Terminal: true})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("shape mismatch accepted")

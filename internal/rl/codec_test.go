@@ -9,8 +9,12 @@ import (
 
 // verbatim is the StateCodec of rl's tests: a record is the state vector
 // itself, its entry count, each entry's index and value bits, then the valid
-// actions, all as uvarints.
-type verbatim struct{}
+// actions, all as uvarints. A verbatim with shapes refuses a state that is not
+// a well-formed vector of its width; the zero verbatim takes any.
+type verbatim struct{ in, out int }
+
+func (c verbatim) InputSize() int  { return c.in }
+func (c verbatim) ActionSize() int { return c.out }
 
 // encode returns the record of state v with valid actions valid.
 func encode(v nn.SparseVec, valid []int) []byte {
@@ -25,7 +29,7 @@ func encode(v nn.SparseVec, valid []int) []byte {
 	return rec
 }
 
-func (verbatim) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int) {
+func (c verbatim) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int) {
 	next := func() uint64 {
 		x, n := binary.Uvarint(rec)
 		if n <= 0 {
@@ -35,6 +39,9 @@ func (verbatim) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, [
 		return x
 	}
 	n := int(next())
+	if n < 0 || n > len(rec) {
+		panic("rl: malformed test record")
+	}
 	if cap(v.Idx) < n || cap(v.Val) < n {
 		v = nn.SparseVec{Idx: make([]int32, n), Val: make([]float64, n)}
 	}
@@ -42,6 +49,11 @@ func (verbatim) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, [
 	for k := range n {
 		v.Idx[k] = int32(uint32(next()))
 		v.Val[k] = math.Float64frombits(next())
+	}
+	if c.in > 0 {
+		if err := v.Validate(c.in); err != nil {
+			panic(err)
+		}
 	}
 	valid = valid[:0]
 	for len(rec) > 0 {

@@ -320,7 +320,7 @@ func TestReplayArenaPlacement(t *testing.T) {
 		}
 		for j := 0; j < r.Len(); j++ {
 			k, n := (r.next-r.Len()+j+r.cap)%r.cap, len(added)-r.Len()+j
-			if got := r.record(k); !bytes.Equal(got.State, added[n]) || got.Action != n || got.end-int(r.off[k]) != len(added[n])+5 {
+			if got, size, _ := parseTransition(r.arena[r.off[k]:]); !bytes.Equal(got.State, added[n]) || got.Action != n || size != len(added[n])+5 {
 				t.Fatalf("add %d: live record %d does not read back as added", i, j)
 			}
 		}

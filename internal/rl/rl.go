@@ -19,8 +19,8 @@ import (
 // Experience is one <state, action, reward, next state> tuple (Fig. 3 of the
 // paper). States are held in the sparse form the Q-network takes them in
 // (nn.SparseVec: a dozen entries per competing message of a state that is
-// otherwise zero padding): datasets store them so, and the replay memory,
-// which stores Transitions, decodes them so when it draws them.
+// otherwise zero padding): the replay memory, which stores Transitions,
+// decodes them so when it draws them.
 type Experience struct {
 	State  nn.SparseVec
 	Action int
@@ -63,9 +63,13 @@ func bootstrap(q []float64, valid []int) float64 {
 // record, the raw readings it was built from, and becomes the state vector
 // the Q-network takes only when an experience holding it is drawn.
 type StateCodec interface {
-	// Expand decodes rec into a state vector and the actions that were
-	// available in that state. Like append, it builds into v's and valid's
-	// storage when they have the capacity and returns the results.
+	InputSize() int  // the width of the decoded states
+	ActionSize() int // the Q-network's output width
+	// Expand decodes rec into a state vector, well-formed and InputSize
+	// wide, and the actions, each below ActionSize, that were available in
+	// that state. Like append, it builds into v's and valid's storage when
+	// they have the capacity and returns the results. It panics on a record
+	// it could not have been given.
 	Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int)
 }
 
@@ -79,14 +83,53 @@ type Transition struct {
 	Terminal bool
 }
 
+// appendTransition appends t's bytes to dst, as the replay arena and a dataset
+// file hold it: the reward's bits byte-reversed (0, 1 or a short fraction
+// takes one to three bytes), the action and terminal flag, the lengths of the
+// two records, each a uvarint, then the records; a terminal's Next is not.
+func appendTransition(dst []byte, t Transition) []byte {
+	if t.Action < 0 {
+		panic("rl: negative action")
+	}
+	succ, flag := t.Next, uint64(t.Action)<<1
+	if t.Terminal {
+		succ, flag = nil, flag|1
+	}
+	dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(t.Reward)))
+	dst = binary.AppendUvarint(dst, flag)
+	dst = binary.AppendUvarint(dst, uint64(len(t.State)))
+	dst = binary.AppendUvarint(dst, uint64(len(succ)))
+	return append(append(dst, t.State...), succ...)
+}
+
+// parseTransition parses the transition appendTransition wrote at the start of
+// b: it returns the transition, whose records are slices of b, and its length
+// in bytes, or ok false when b does not start with one. The arena holds
+// nothing else, so the ring does not look at ok.
+func parseTransition(b []byte) (t Transition, n int, ok bool) {
+	var u [4]uint64
+	for i := range u {
+		x, k := binary.Uvarint(b[n:])
+		if k <= 0 {
+			return t, 0, false
+		}
+		u[i], n = x, n+k
+	}
+	if rest := uint64(len(b) - n); u[2] > rest || u[3] > rest-u[2] {
+		return t, 0, false
+	}
+	ns := n + int(u[2])
+	end := ns + int(u[3])
+	return Transition{b[n:ns], int(u[1] >> 1), math.Float64frombits(bits.ReverseBytes64(u[0])), b[ns:end], u[1]&1 != 0}, end, true
+}
+
 // Replay is the circular experience-replay buffer used to decorrelate
 // training samples (Section 3.1.2). The zero value is unusable; create one
 // with NewReplay.
 //
 // The experiences are Transitions, stored back to back in ring order in one
-// byte arena: per experience the reward, the action and terminal flag, the
-// lengths of the two records, then the records. The arena holds no pointer,
-// so the garbage collector never scans it. An experience is decoded, through
+// byte arena as appendTransition writes them. The arena holds no pointer, so
+// the garbage collector never scans it. An experience is decoded, through
 // Codec, only when SampleInto or At draws it.
 type Replay struct {
 	// Codec decodes the stored states; it must be set before the first
@@ -103,6 +146,8 @@ type Replay struct {
 	arena []byte
 	off   []uint32
 	end   int
+	// enc is where Add encodes a transition before placing it.
+	enc []byte
 
 	// out holds the experiences the last SampleInto or At decoded. Their
 	// vectors and Next's valid actions are cut from idx, val and valid, which
@@ -130,28 +175,13 @@ const minArena = 4096
 
 // Add stores a copy of one experience, evicting the oldest when full.
 func (r *Replay) Add(t Transition) {
-	if t.Action < 0 {
-		panic("rl: negative action")
-	}
-	succ := t.Next
-	flag := uint64(t.Action) << 1
-	if t.Terminal {
-		succ, flag = nil, flag|1
-	}
-	// The reward's bits byte-reversed, as gob writes a float: the usual
-	// rewards (0, 1, a short fraction) take one to three bytes.
-	var hdr [4 * binary.MaxVarintLen64]byte
-	h := binary.AppendUvarint(hdr[:0], bits.ReverseBytes64(math.Float64bits(t.Reward)))
-	h = binary.AppendUvarint(h, flag)
-	h = binary.AppendUvarint(h, uint64(len(t.State)))
-	h = binary.AppendUvarint(h, uint64(len(succ)))
+	r.enc = appendTransition(r.enc[:0], t)
 	if r.off == nil {
 		r.off = make([]uint32, r.cap)
 	}
-	p := r.place(len(h) + len(t.State) + len(succ))
-	w := append(append(append(r.arena[p:p], h...), t.State...), succ...)
+	p := r.place(len(r.enc))
 	r.off[r.next] = uint32(p)
-	r.end = p + len(w)
+	r.end = p + copy(r.arena[p:], r.enc)
 	r.next = (r.next + 1) % r.cap
 	if r.size < r.cap {
 		r.size++
@@ -194,41 +224,13 @@ func (r *Replay) place(n int) int {
 	arena, w := make([]byte, size), 0
 	for i := 0; i < live; i++ {
 		k := (first + i) % r.cap
-		p, end := int(r.off[k]), r.record(k).end
+		p := r.off[k]
+		_, n, _ := parseTransition(r.arena[p:])
 		r.off[k] = uint32(w)
-		w += copy(arena[w:], r.arena[p:end])
+		w += copy(arena[w:], r.arena[p:p+uint32(n)])
 	}
 	r.arena = arena
 	return w
-}
-
-// stored is a record parsed in place: its transition, whose records are
-// slices of the arena, and where it ends.
-type stored struct {
-	Transition
-	end int
-}
-
-// record parses slot k's record.
-func (r *Replay) record(k int) stored {
-	p := int(r.off[k])
-	b := r.arena[p:]
-	var u [4]uint64
-	for i := range u {
-		x, n := binary.Uvarint(b)
-		u[i], b = x, b[n:]
-	}
-	ns, nx := int(u[2]), int(u[3])
-	return stored{
-		Transition: Transition{
-			State:    b[:ns],
-			Action:   int(u[1] >> 1),
-			Reward:   math.Float64frombits(bits.ReverseBytes64(u[0])),
-			Next:     b[ns : ns+nx],
-			Terminal: u[1]&1 != 0,
-		},
-		end: len(r.arena) - len(b) + ns + nx,
-	}
 }
 
 // At returns the i-th stored experience in insertion order (0 = oldest),
@@ -288,7 +290,7 @@ func (r *Replay) startDecoding(n int) {
 
 // decode decodes slot k's experience into out[i] and returns it.
 func (r *Replay) decode(i, k int) *Experience {
-	t := r.record(k).Transition
+	t, _, _ := parseTransition(r.arena[r.off[k]:])
 	e := &r.out[i]
 	e.Action, e.Reward, e.Terminal = t.Action, t.Reward, t.Terminal
 	// The state's valid actions are not kept: they are decoded into free

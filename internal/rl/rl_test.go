@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -407,16 +408,19 @@ func TestTrainBatchMatchesFullRows(t *testing.T) {
 	}
 }
 
-// TestTrainOfflineMatchesDenseReference: TrainOffline, which asks the target
-// network for the NextValid outputs only, leaves the online network with
-// exactly the weights of a loop that writes every state out densely, computes
-// all Q-values with Target.Forward and steps with Online.TrainAction — over
-// records with and without NextValid, terminal ones, and empty successors.
+// TestTrainOfflineMatchesDenseReference: TrainOffline, which decodes each
+// draw from the dataset's records and asks the target network for the
+// NextValid outputs only, leaves the online network with exactly the weights
+// of a loop that draws the same experiences, writes every state out densely,
+// computes all Q-values with Target.Forward and steps with Online.TrainAction
+// — over experiences with and without NextValid, terminal ones, and empty
+// successors.
 func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 	const in, hidden, out, syncEvery, epochs = 24, 9, 6, 37, 3
 	cfg := DQLConfig{Gamma: 0.8, LR: 0.03, SyncEvery: syncEvery}
 	rng := rand.New(rand.NewSource(77))
-	data := NewDataset(in, out)
+	data := NewDataset(verbatim{in, out})
+	var exps []Experience
 	for i := 0; i < 120; i++ {
 		e := Experience{
 			State:  sparse(sparseStateVec(rng, in, 4, 1+rng.Intn(3))),
@@ -430,7 +434,8 @@ func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 		case 1, 2:
 			e.NextValid = rng.Perm(out)[:1+rng.Intn(3)]
 		}
-		data.Add(e)
+		data.Add(transition(e))
+		exps = append(exps, e)
 	}
 
 	d := NewDQL(newNet(78, in, hidden, out), cfg)
@@ -441,8 +446,8 @@ func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 	var refLast float64
 	for ep, steps := 0, 0; ep < epochs; ep++ {
 		total := 0.0
-		for i := 0; i < data.Len(); i++ {
-			e := &data.Records[draw.Intn(data.Len())]
+		for i := 0; i < len(exps); i++ {
+			e := &exps[draw.Intn(len(exps))]
 			target := e.Reward
 			if !e.Terminal {
 				q := ref.Target.Forward(dense(e.Next, in))
@@ -463,10 +468,10 @@ func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 				ref.Target.CopyFrom(ref.Online)
 			}
 		}
-		refLast = total / float64(data.Len())
+		refLast = total / float64(len(exps))
 	}
 
-	if math.Float64bits(last) != math.Float64bits(refLast) || d.Steps() != int64(epochs*data.Len()) {
+	if math.Float64bits(last) != math.Float64bits(refLast) || d.Steps() != int64(epochs*len(exps)) {
 		t.Fatalf("final-epoch TD error %v after %d steps, dense reference %v", last, d.Steps(), refLast)
 	}
 	d.Online.WriteBack()
@@ -480,20 +485,22 @@ func TestTrainOfflineMatchesDenseReference(t *testing.T) {
 	}
 }
 
-// TestTrainOfflineStopsAtSmuggledIndex: LoadDataset validates every record, but
-// Records is an exported field, and nn's entry check sees only a list's first
-// and last index. A record whose middle index is outside the state must stop
-// training with a panic wherever nn runs layer 0 — its kernels write weights
-// at the indices they are given — and never reach memory outside the network.
+// TestTrainOfflineStopsAtSmuggledIndex: a record whose state would decode
+// with an index outside the state is refused when its codec decodes it — nn's
+// entry check sees only a list's first and last index, and its kernels write
+// weights at the indices they are given. LoadDataset reports the refusal as
+// an error; TrainOffline, on a dataset built in memory, stops with a panic
+// and never reaches memory outside the network.
 func TestTrainOfflineStopsAtSmuggledIndex(t *testing.T) {
 	for _, mid := range []int32{60, -1, 1 << 30} {
-		bad := Experience{State: nn.SparseVec{Idx: []int32{3, mid, 59}, Val: []float64{1, 1, 1}}, Action: 2, Reward: 1, Terminal: true}
+		data := NewDataset(verbatim{60, 15})
+		data.Add(transition(Experience{State: nn.SparseVec{Idx: []int32{3, mid, 59}, Val: []float64{1, 1, 1}}, Action: 2, Reward: 1, Terminal: true}))
 		var buf bytes.Buffer
-		if err := (&Dataset{StateSize: 60, Actions: 15, Records: []Experience{bad}}).Save(&buf); err != nil {
+		if err := data.Save(&buf); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadDataset(&buf); err == nil {
-			t.Errorf("LoadDataset accepted a record with index %d", mid)
+		if _, err := LoadDataset(&buf, verbatim{60, 15}); err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: record 0: decode: ") {
+			t.Errorf("LoadDataset of a record with index %d: error %v", mid, err)
 		}
 		d := NewDQL(newNet(5, 60, 15, 15), DQLConfig{})
 		func() {
@@ -502,7 +509,7 @@ func TestTrainOfflineStopsAtSmuggledIndex(t *testing.T) {
 					t.Errorf("TrainOffline trained on a record with index %d", mid)
 				}
 			}()
-			d.TrainOffline(rand.New(rand.NewSource(1)), &Dataset{StateSize: 60, Actions: 15, Records: []Experience{bad}}, 1)
+			d.TrainOffline(rand.New(rand.NewSource(1)), data, 1)
 		}()
 		d.Online.WriteBack()
 		for l, layer := range d.Online.Layers {
