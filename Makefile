@@ -41,8 +41,10 @@ fmt:
 
 # The simulation layers carry no instruments: obs, trace and telemetry are
 # attached from above (the commands, experiments, serve) through the
-# network's hooks. Fail, naming the package, if any of these layers depends
-# on one of them, directly or not. core holds the agent and its state; the
+# network's hooks, and rl and core carry no recorder for their reader either
+# (trainarb records its training curves from core.TrainSpec's hooks). Fail,
+# naming the package, if any of these layers depends on one of them,
+# directly or not. core holds the agent and its state; the
 # environments it trains in (traffic's mesh, apu's system running synfull's
 # models) come to it as core.Env values, so core must not depend on those
 # packages either.

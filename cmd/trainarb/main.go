@@ -23,8 +23,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
-	"strings"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/cliutil"
@@ -154,17 +152,26 @@ func run(args []string, stdout io.Writer) error {
 			SyncEvery: *sync,
 		},
 	}
-	var sinkErr error
-	if cfg.Telemetry, err = buildTelemetry(*telemetryOut, *heatmapEvery, cfg.Epochs, &sinkErr); err != nil {
-		return err
+	tel := &curves{dir: *telemetryOut, heatmapEvery: *heatmapEvery}
+	if tel.dir != "" {
+		if err := os.MkdirAll(tel.dir, 0o755); err != nil {
+			return err
+		}
+		if tel.heatmapEvery == 0 { // four dumps a run
+			tel.heatmapEvery = max(cfg.Epochs/4, 1)
+		}
 	}
 	var tracer *trace.Tracer
-	cfg.Telemetry.Attach = func(net *noc.Network) { tracer = traceFlags.Attach(net) }
+	cfg.Attach = func(net *noc.Network, a *core.Agent) {
+		tracer = traceFlags.Attach(net)
+		tel.attach(net, a)
+	}
 	// Epoch progress goes through slog live (not printed after the fact), so
 	// -log-format json turns a long run into machine-parseable progress.
-	cfg.Telemetry.OnEpoch = func(epoch int, avg float64) {
+	cfg.OnEpoch = func(epoch int, avg float64) {
 		log.Info("epoch complete", "epoch", epoch, "epochs", cfg.Epochs,
 			"avg_latency", fmt.Sprintf("%.2f", avg))
+		tel.onEpoch(epoch, avg)
 	}
 	if *metricsAddr != "" {
 		_, stop, err := startMetricsSidecar(*metricsAddr, telemetry.Default, log)
@@ -172,7 +179,7 @@ func run(args []string, stdout io.Writer) error {
 			return err
 		}
 		defer stop()
-		newTrainMetrics(telemetry.Default).install(cfg.Telemetry)
+		tel.metrics = newTrainMetrics(telemetry.Default)
 	}
 	log.Info("training mesh agent", "size", fmt.Sprintf("%dx%d", *size, *size),
 		"cycles", *cycles, "reward", *reward)
@@ -180,13 +187,13 @@ func run(args []string, stdout io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if sinkErr != nil {
-		return sinkErr
+	if tel.err != nil {
+		return tel.err
 	}
 	fmt.Fprintf(stdout, "decisions=%d explored=%.4f replay=%d steps=%d\n",
 		tr.Agent.Decisions(), tr.Agent.ExplorationFraction(),
 		tr.Agent.DQL.Replay.Len(), tr.Agent.DQL.Steps())
-	if err := reportTelemetry(stdout, tr, *telemetryOut); err != nil {
+	if err := tel.report(stdout); err != nil {
 		return err
 	}
 	if err := traceFlags.Report(stdout, tracer); err != nil {
@@ -244,75 +251,12 @@ func saveNetwork(stdout io.Writer, path string, agent *core.Agent) error {
 	return nil
 }
 
-// buildTelemetry assembles the core.Train telemetry config from the
-// -telemetry-out flags. The first failed heatmap write lands in *sinkErr;
-// later epochs write nothing.
-func buildTelemetry(dir string, heatmapEvery, epochs int, sinkErr *error) (*core.TrainTelemetry, error) {
-	// One curve point per 10 training batches keeps training_curves.csv a
-	// few thousand rows on default-length runs.
-	tel := &core.TrainTelemetry{BatchEvery: 10}
-	if dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			return nil, err
-		}
-		every := heatmapEvery
-		if every <= 0 {
-			every = epochs / 4
-			if every < 1 {
-				every = 1
-			}
-		}
-		tel.HeatmapEvery = every
-		tel.HeatmapSink = func(epoch int, h *core.Heatmap) {
-			if *sinkErr != nil {
-				return
-			}
-			// Signed weights, not magnitudes: the CSV is the Fig. 4/7 raw
-			// artifact, and sign structure is what interpretation reads.
-			csv := viz.MatrixCSV("feature", h.RowLabels, h.ColLabels, h.Signed)
-			*sinkErr = writeString(filepath.Join(dir, fmt.Sprintf("weights_epoch%03d.csv", epoch)), csv)
-		}
-	}
-	return tel, nil
-}
-
 // writeString writes s to path.
 func writeString(path, s string) error {
 	return cliutil.WriteFile(path, func(w io.Writer) error {
 		_, err := io.WriteString(w, s)
 		return err
 	})
-}
-
-// reportTelemetry prints the training-telemetry summary and writes the
-// requested artifacts.
-func reportTelemetry(stdout io.Writer, tr *core.TrainResult, dir string) error {
-	if tt := tr.TrainTrace; tt != nil && tt.Points() > 0 {
-		last := tt.Points() - 1
-		fmt.Fprintf(stdout, "telemetry: %d curve points, %d target syncs, final loss %.5f, final epsilon %.4f, replay fill %.0f%%\n",
-			tt.Points(), len(tt.SyncSteps), tt.Loss[last], tt.Epsilon[last], 100*tt.ReplayFill[last])
-		if dir != "" {
-			var b strings.Builder
-			b.WriteString("step,loss,replay_fill,epsilon\n")
-			for i := range tt.Steps {
-				fmt.Fprintf(&b, "%d,%.6f,%.4f,%.6f\n",
-					tt.Steps[i], tt.Loss[i], tt.ReplayFill[i], tt.Epsilon[i])
-			}
-			if err := writeString(filepath.Join(dir, "training_curves.csv"), b.String()); err != nil {
-				return err
-			}
-			var sb strings.Builder
-			sb.WriteString("step\n")
-			for _, s := range tt.SyncSteps {
-				fmt.Fprintf(&sb, "%d\n", s)
-			}
-			if err := writeString(filepath.Join(dir, "target_syncs.csv"), sb.String()); err != nil {
-				return err
-			}
-			fmt.Fprintf(stdout, "telemetry written to %s\n", dir)
-		}
-	}
-	return nil
 }
 
 // oldestProbe wraps a policy and counts how often it grants the candidate
@@ -349,20 +293,12 @@ func (p *oldestProbe) accuracy() float64 {
 
 // recordDataset runs the Fig. 2 data-collection phase: simulate the mesh
 // under a behaviour policy and dump the <s,a,r,s'> tuples. The recorder only
-// drives Select, so the behaviour policies are the four whose Select is the
-// whole policy.
+// drives Select, so the behaviour policies are the classic arbiters whose
+// Select is the whole policy: all of cliutil.ClassicPolicy's but the
+// matcher, islip.
 func recordDataset(stdout io.Writer, path, behavior string, mesh traffic.Mesh, cycles, seed int64) error {
-	var beh noc.Policy
-	switch behavior {
-	case "round-robin", "rr":
-		beh = arb.NewRoundRobin()
-	case "fifo":
-		beh = arb.NewFIFO()
-	case "random":
-		beh = arb.NewRandom(xrand.New(seed))
-	case "global-age":
-		beh = arb.NewGlobalAge()
-	default:
+	beh, err := cliutil.ClassicPolicy(behavior, seed)
+	if _, matcher := beh.(noc.Matcher); err != nil || matcher {
 		return cliutil.Usagef("unknown behaviour policy %q", behavior)
 	}
 	rec := core.NewRecorder(core.MeshSpec(3), beh)

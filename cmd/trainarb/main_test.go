@@ -1,6 +1,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -106,6 +107,25 @@ func TestRejects(t *testing.T) {
 	}
 }
 
+// TestRecordBehaviours: -record takes every classic arbiter whose Select is
+// the whole policy as its behaviour, by any of its names.
+func TestRecordBehaviours(t *testing.T) {
+	dir := t.TempDir()
+	for name, policy := range map[string]string{
+		"round-robin": "round-robin", "rr": "round-robin", "fifo": "fifo",
+		"random": "random", "global-age": "global-age", "probdist": "probdist",
+	} {
+		var stdout strings.Builder
+		path := filepath.Join(dir, name+".rec")
+		if err := run([]string{"-record", path, "-behavior", name, "-cycles", "200"}, &stdout); err != nil {
+			t.Fatalf("-behavior %s: %v", name, err)
+		}
+		if want := " under " + policy + " to " + path; !strings.Contains(stdout.String(), want) {
+			t.Errorf("-behavior %s printed %q, want it to say %q", name, stdout.String(), want)
+		}
+	}
+}
+
 // TestWriteErrorExits1 fills the disk under -out: the run fails with exit
 // status 1 and does not report the network as saved.
 func TestWriteErrorExits1(t *testing.T) {
@@ -126,8 +146,37 @@ func TestWriteErrorExits1(t *testing.T) {
 	}
 }
 
-// TestMetricsSidecar scrapes /metrics from inside a short training run with
-// trainMetrics installed and checks the page is valid exposition text
+// TestTelemetryIsPassive: the trained network is the same bytes whether the
+// run writes its telemetry and serves its metrics or not.
+func TestTelemetryIsPassive(t *testing.T) {
+	dir := t.TempDir()
+	train := func(name string, extra ...string) []byte {
+		out := filepath.Join(dir, name)
+		args := append([]string{"-cycles", "2000", "-eval", "0", "-out", out}, extra...)
+		if err := run(args, io.Discard); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(out)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	plain := train("plain.gob")
+	watched := train("watched.gob", "-telemetry-out", filepath.Join(dir, "tel"),
+		"-heatmap-every", "1", "-metrics-addr", "127.0.0.1:0")
+	if !bytes.Equal(plain, watched) {
+		t.Fatal("the network trained with -telemetry-out and -metrics-addr differs")
+	}
+	for _, f := range []string{"training_curves.csv", "target_syncs.csv", "weights_epoch001.csv", "weights_epoch002.csv"} {
+		if _, err := os.Stat(filepath.Join(dir, "tel", f)); err != nil {
+			t.Error(err)
+		}
+	}
+}
+
+// TestMetricsSidecar scrapes /metrics from inside a short training run whose
+// curves export to trainMetrics and checks the page is valid exposition text
 // holding the run's live series.
 func TestMetricsSidecar(t *testing.T) {
 	reg := telemetry.NewRegistry()
@@ -136,19 +185,18 @@ func TestMetricsSidecar(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer stop()
-	tel := &core.TrainTelemetry{BatchEvery: 10}
-	newTrainMetrics(reg).install(tel)
+	rec := &curves{metrics: newTrainMetrics(reg)}
 	var page string
 	var scrapeErr error
-	prev := tel.OnEpoch
-	tel.OnEpoch = func(epoch int, avg float64) {
-		prev(epoch, avg)
-		if epoch == 1 {
-			page, scrapeErr = scrape("http://" + addr + "/metrics")
-		}
-	}
 	if _, err := core.Train(context.Background(), core.TrainSpec{
-		Env: experiments.UniformMesh(4, 1, 2), Epochs: 2, EpochCycles: 500, Seed: 1, Telemetry: tel,
+		Env: experiments.UniformMesh(4, 1, 2), Epochs: 2, EpochCycles: 500, Seed: 1,
+		Attach: rec.attach,
+		OnEpoch: func(epoch int, avg float64) {
+			rec.onEpoch(epoch, avg)
+			if epoch == 1 {
+				page, scrapeErr = scrape("http://" + addr + "/metrics")
+			}
+		},
 	}); err != nil {
 		t.Fatal(err)
 	}

@@ -6,15 +6,13 @@ import (
 	"net"
 	"net/http"
 
-	"mlnoc/internal/core"
 	"mlnoc/internal/telemetry"
 )
 
 // trainMetrics owns the mlnoc_train_* series a long run exports on the
-// -metrics-addr sidecar. All handles are resolved at registration; the
-// training-loop hooks are then pure atomic stores, preserving the
-// telemetry-is-passive contract (the run is bit-identical with or without a
-// scraper attached).
+// -metrics-addr sidecar, which curves sets. All handles are resolved at
+// registration; setting them in the training loop is then pure atomic
+// stores, so the run is bit-identical with or without a scraper attached.
 type trainMetrics struct {
 	loss         *telemetry.Gauge
 	epsilon      *telemetry.Gauge
@@ -34,34 +32,6 @@ func newTrainMetrics(reg *telemetry.Registry) *trainMetrics {
 		targetSyncs:  reg.Counter("mlnoc_train_target_syncs", "target-network refreshes from the online network").With(),
 		epoch:        reg.Gauge("mlnoc_train_epoch", "last completed training epoch (1-based)").With(),
 		epochLatency: reg.Gauge("mlnoc_train_epoch_latency_cycles", "average delivered-message latency of the last epoch").With(),
-	}
-}
-
-// install wires the metrics into a TrainTelemetry's live hooks, chaining any
-// hooks already present (the slog epoch reporter).
-func (m *trainMetrics) install(tel *core.TrainTelemetry) {
-	prevBatch, prevSync, prevEpoch := tel.OnBatch, tel.OnSync, tel.OnEpoch
-	tel.OnBatch = func(step int64, loss, fill, eps float64) {
-		m.steps.SetInt(step)
-		m.loss.Set(loss)
-		m.replayFill.Set(fill)
-		m.epsilon.Set(eps)
-		if prevBatch != nil {
-			prevBatch(step, loss, fill, eps)
-		}
-	}
-	tel.OnSync = func(step int64) {
-		m.targetSyncs.Inc()
-		if prevSync != nil {
-			prevSync(step)
-		}
-	}
-	tel.OnEpoch = func(epoch int, avg float64) {
-		m.epoch.SetInt(int64(epoch))
-		m.epochLatency.Set(avg)
-		if prevEpoch != nil {
-			prevEpoch(epoch, avg)
-		}
 	}
 }
 

@@ -271,9 +271,6 @@ func (a *Agent) OnCycle(n *noc.Network) {
 	a.Reward.OnCycle(n)
 	if a.Training {
 		a.cyclesSeen++
-		if a.DQL.Trace != nil {
-			a.DQL.Trace.ObserveEpsilon(a.Epsilon())
-		}
 		a.DQL.TrainBatch(a.rng)
 	}
 }

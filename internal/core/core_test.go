@@ -193,8 +193,8 @@ func TestBuildStateIsScatterOfSparse(t *testing.T) {
 			}
 
 			v = spec.BuildSparse(v, net, 100, cands)
-			if err := v.Validate(spec.InputSize()); err != nil {
-				t.Fatalf("BuildSparse list: %v", err)
+			if !wellFormed(v, spec.InputSize()) {
+				t.Fatalf("BuildSparse list %v is not a well-formed vector", v)
 			}
 			for k, x := range v.Val {
 				if x == 0 {
@@ -606,7 +606,7 @@ func TestTrainCancels(t *testing.T) {
 			defer cancel()
 			s := c.spec
 			s.Epochs, s.EpochCycles = 4, 1000
-			s.Telemetry = &TrainTelemetry{OnEpoch: func(int, float64) { cancel() }}
+			s.OnEpoch = func(int, float64) { cancel() }
 			res, err := Train(ctx, s)
 			if !errors.Is(err, context.Canceled) {
 				t.Fatalf("err %v, want %v", err, context.Canceled)

@@ -23,7 +23,7 @@ func trainOn(t *testing.T, env core.Env, feats core.FeatureSet) (*core.TrainResu
 		Epochs:      2,
 		EpochCycles: 300,
 		Seed:        4,
-		Telemetry:   &core.TrainTelemetry{Attach: func(n *noc.Network) { net = n }},
+		Attach:      func(n *noc.Network, _ *core.Agent) { net = n },
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -115,6 +115,21 @@ func referenceBuildSparse(s *StateSpec, net *noc.Network, now int64, cands []noc
 	return v
 }
 
+// wellFormed reports whether v is a vector of n elements the network takes:
+// as many values as indices, indices strictly ascending within [0, n),
+// values finite.
+func wellFormed(v nn.SparseVec, n int) bool {
+	if len(v.Idx) != len(v.Val) {
+		return false
+	}
+	for k, i := range v.Idx {
+		if i < 0 || int(i) >= n || k > 0 && i <= v.Idx[k-1] || math.IsNaN(v.Val[k]) || math.IsInf(v.Val[k], 0) {
+			return false
+		}
+	}
+	return true
+}
+
 // busyNetwork returns a mesh whose core 0 has 51 messages outstanding, past
 // the in-flight cap of 32, and core 1 has 11; every other core has none.
 func busyNetwork() (*noc.Network, []*noc.Node) {

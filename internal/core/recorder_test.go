@@ -61,8 +61,8 @@ func TestRecorderCollects(t *testing.T) {
 		default:
 			t.Fatalf("unexpected reward %v", e.Reward)
 		}
-		if err := e.State.Validate(spec.InputSize()); err != nil || len(e.State.Idx) == 0 {
-			t.Fatalf("recorded state %+v: %v", e.State, err)
+		if !wellFormed(e.State, spec.InputSize()) || len(e.State.Idx) == 0 {
+			t.Fatalf("recorded state %+v is empty or not a well-formed vector", e.State)
 		}
 	}
 	if zeros == 0 || ones == 0 {
@@ -272,6 +272,18 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 			datasetFile(t, spec, [][]byte{good, append([]byte{byte(spec.ActionSize())}, good[1:]...)}, 0, 0)},
 		{"reading with a bad varint", "record 1: decode: core: malformed state record",
 			datasetFile(t, spec, [][]byte{good, append(bytes.Clone(good[:len(good)-1]), 0x80)}, 0, 0)},
+		// Records cut short: inside the second reading of the only
+		// candidate, into empty storage and into storage grown by a good
+		// record, and inside a second candidate whose slot is below the
+		// first's, after one reading or in the middle of it.
+		{"first record cut inside a candidate", "record 0: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{{2, 0, 0x80}}, 0)},
+		{"record cut inside a candidate", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, {2, 0, 0x80}}, 0, 0)},
+		{"unordered record cut after a reading", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0, 0x80}}, 0, 0)},
+		{"unordered record cut inside a reading", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0x80, 0x80, 0x80, 0x80}}, 0, 0)},
 	} {
 		_, err := rl.LoadDataset(bytes.NewReader(c.file), spec)
 		if err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: ") || !strings.Contains(err.Error(), c.want) {
@@ -283,8 +295,9 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 // FuzzLoadDataset feeds LoadDataset arbitrary files under the mesh spec, their
 // checksums recomputed when fix is set so that the header and the records
 // behind it are reached: it must return a dataset or an error, never panic,
-// and a file it accepts must save back to the same bytes and train an agent
-// offline.
+// a record its codec cannot decode must be refused as malformed, not by a
+// runtime error, and a file it accepts must save back to the same bytes and
+// train an agent offline.
 func FuzzLoadDataset(f *testing.F) {
 	spec := MeshSpec(3)
 	f.Fuzz(func(t *testing.T, file []byte, fix bool) {
@@ -293,7 +306,7 @@ func FuzzLoadDataset(f *testing.F) {
 		}
 		d, err := rl.LoadDataset(bytes.NewReader(file), spec)
 		if err != nil {
-			if !strings.HasPrefix(err.Error(), "rl: load dataset: ") {
+			if !strings.HasPrefix(err.Error(), "rl: load dataset: ") || strings.Contains(err.Error(), "runtime error") {
 				t.Fatalf("error %v", err)
 			}
 			return

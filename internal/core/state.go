@@ -178,15 +178,19 @@ func (s *StateSpec) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVe
 		t = nil // changed since NewStateSpec: compute every value
 	}
 	nf, fw := len(s.Features), s.Features.Width()
-	// A candidate takes at least nf+1 bytes, so this many entries are
-	// always room enough; only a vector with less room needs the exact count.
-	room := len(rec) / (nf + 1) * fw
+	// A candidate takes at least nf+1 bytes and one cut short at least one,
+	// so this many entries are always room enough, whatever decoding writes
+	// before it finds the record malformed; only a vector with less room
+	// needs the exact count.
+	room := (len(rec) + nf) / (nf + 1) * fw
 	if c := min(cap(v.Idx), cap(v.Val)); c < room {
 		k := varints(rec)
 		if k%(nf+1) != 0 {
 			panic("core: malformed state record")
 		}
-		if room = k / (nf + 1) * fw; c < room {
+		if need := k / (nf + 1) * fw; c >= need {
+			room = need
+		} else {
 			v = nn.SparseVec{Idx: make([]int32, room), Val: make([]float64, room)}
 		}
 	}
@@ -227,6 +231,9 @@ func (s *StateSpec) expandUnordered(idx []int32, val []float64, valid []int, rec
 		valid = append(valid, slot)
 		// Skip the readings: each ends at a byte below 0x80.
 		for k := 0; k < len(s.Features); q++ {
+			if q == len(rec) {
+				panic("core: malformed state record")
+			}
 			if rec[q] < 0x80 {
 				k++
 			}

@@ -8,36 +8,6 @@ import (
 	"mlnoc/internal/rl"
 )
 
-// TrainTelemetry configures the optional introspection of a Train run:
-// the training-curve telemetry (loss/epsilon/replay-fill/target-sync), a
-// hook for the caller's instruments on the training network, and periodic
-// weight-heatmap dumps — the artifacts behind the paper's Figs. 4, 7, 12 and
-// 13. All of it is passive: enabling telemetry never changes the training
-// trajectory.
-type TrainTelemetry struct {
-	// BatchEvery throttles the training trace to one point per N batches
-	// (default 1; Train runs one batch per cycle).
-	BatchEvery int64
-	// Attach, when non-nil, is handed the training network after the agent's
-	// OnCycle hook is installed and before the first cycle; the caller keeps
-	// and reports whatever it attaches (trainarb's message tracer).
-	Attach func(*noc.Network)
-	// HeatmapEvery dumps a weight heatmap of the online network every N
-	// epochs to HeatmapSink (0 disables). The sink receives the 1-based
-	// epoch number.
-	HeatmapEvery int
-	HeatmapSink  func(epoch int, hm *Heatmap)
-	// OnBatch/OnSync, when non-nil, are installed on the training trace
-	// (TrainingTrace.OnPoint/OnSync): live per-point and per-target-sync
-	// export, called from inside the training loop.
-	OnBatch func(step int64, loss, replayFill, epsilon float64)
-	OnSync  func(step int64)
-	// OnEpoch, when non-nil, is called after each epoch with its 1-based
-	// number and the epoch's average delivered-message latency — the same
-	// value appended to TrainResult.Curve.
-	OnEpoch func(epoch int, avgLatency float64)
-}
-
 // Env is an environment an agent trains in: a simulated system whose network
 // the agent arbitrates, advanced one cycle at a time. traffic.Mesh (the
 // Section 3.2 mesh under synthetic traffic) and apu.Loop (the Section 4 APU
@@ -78,9 +48,16 @@ type TrainSpec struct {
 	EpochCycles int64
 	// Seed drives the agent's randomness: its weights and its exploration.
 	Seed int64
-	// Telemetry, when non-nil, enables training introspection (see
-	// TrainTelemetry).
-	Telemetry *TrainTelemetry
+
+	// Attach, when non-nil, is handed the training network and the agent
+	// after the agent's OnCycle hook is installed and before the first
+	// cycle; the caller keeps and reports whatever it attaches (trainarb's
+	// tracer and training curves).
+	Attach func(net *noc.Network, a *Agent)
+	// OnEpoch, when non-nil, is called after each epoch with its 1-based
+	// number and the epoch's average delivered-message latency, the value
+	// appended to TrainResult.Curve.
+	OnEpoch func(epoch int, avgLatency float64)
 }
 
 func (s *TrainSpec) applyDefaults() {
@@ -104,8 +81,6 @@ type TrainResult struct {
 	Agent *Agent
 	// Spec is the state spec the agent was trained with.
 	Spec *StateSpec
-	// TrainTrace holds the training telemetry when the spec set Telemetry.
-	TrainTrace *rl.TrainingTrace
 }
 
 // FinalLatency returns the mean of the last quarter of the curve, a stable
@@ -150,14 +125,8 @@ func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
 	})
 	net, step := s.Env.Start(agent)
 	res := &TrainResult{Agent: agent, Spec: agent.Spec}
-	tel := s.Telemetry
-	if tel != nil {
-		agent.DQL.Trace = &rl.TrainingTrace{Every: tel.BatchEvery,
-			OnPoint: tel.OnBatch, OnSync: tel.OnSync}
-		res.TrainTrace = agent.DQL.Trace
-		if tel.Attach != nil {
-			tel.Attach(net)
-		}
+	if s.Attach != nil {
+		s.Attach(net, agent)
 	}
 	var cycle int64
 	for e := 0; e < s.Epochs; e++ {
@@ -171,11 +140,8 @@ func Train(ctx context.Context, s TrainSpec) (*TrainResult, error) {
 		}
 		avg := net.Stats().Latency.Mean()
 		res.Curve = append(res.Curve, avg)
-		if tel != nil && tel.OnEpoch != nil {
-			tel.OnEpoch(e+1, avg)
-		}
-		if tel != nil && tel.HeatmapEvery > 0 && tel.HeatmapSink != nil && (e+1)%tel.HeatmapEvery == 0 {
-			tel.HeatmapSink(e+1, NewHeatmap(res.Spec, agent.Net()))
+		if s.OnEpoch != nil {
+			s.OnEpoch(e+1, avg)
 		}
 	}
 	return res, nil

@@ -411,8 +411,8 @@ func (m *MLP) index(x []float64) SparseVec {
 }
 
 // checkSparse panics on a vector the kernels cannot run on safely. Ascending
-// order is the caller's contract (SparseVec.Validate checks it): with it, the
-// first and the last index bound all of them.
+// order is the caller's contract: with it, the first and the last index bound
+// all of them.
 func (m *MLP) checkSparse(x SparseVec) {
 	n := len(x.Idx)
 	if n != len(x.Val) {

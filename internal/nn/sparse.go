@@ -1,10 +1,5 @@
 package nn
 
-import (
-	"fmt"
-	"math"
-)
-
 // SparseVec is a vector given by its listed entries: element Idx[k] holds
 // Val[k], every unlisted element is zero. Idx is strictly ascending — layer 0
 // sums its terms in list order, and ascending is Forward's order — and
@@ -45,33 +40,4 @@ func (v SparseVec) ScatterInto(dst []float64) {
 	for k, i := range v.Idx {
 		dst[i] = val[k]
 	}
-}
-
-// Clone returns a copy of v in storage of its own, no larger than it needs.
-func (v SparseVec) Clone() SparseVec {
-	return SparseVec{Idx: append([]int32(nil), v.Idx...), Val: append([]float64(nil), v.Val...)}
-}
-
-// Validate reports whether v is a well-formed vector of n elements: as many
-// values as indices, indices strictly ascending within [0, n), values finite.
-// The network's entry points check only what memory safety needs; anything
-// read from outside the program should pass through here first.
-func (v SparseVec) Validate(n int) error {
-	if len(v.Idx) != len(v.Val) {
-		return fmt.Errorf("%d indices for %d values", len(v.Idx), len(v.Val))
-	}
-	prev := int32(-1)
-	for k, i := range v.Idx {
-		if i <= prev {
-			return fmt.Errorf("index %d at entry %d is not above its predecessor %d", i, k, prev)
-		}
-		if int(i) >= n {
-			return fmt.Errorf("index %d at entry %d is outside a vector of %d", i, k, n)
-		}
-		if math.IsNaN(v.Val[k]) || math.IsInf(v.Val[k], 0) {
-			return fmt.Errorf("value %v at index %d is not finite", v.Val[k], i)
-		}
-		prev = i
-	}
-	return nil
 }

@@ -85,7 +85,6 @@ type Network struct {
 	nodes   []*Node
 	policy  Policy
 	matcher Matcher // non-nil when policy implements Matcher
-	grantOb GrantObserver
 	routing Routing // nil means built-in X-Y routing
 
 	// fault layer (see faultstate.go); zero-cost while faulty is false.
@@ -279,7 +278,6 @@ func (n *Network) AttachNode(x, y int, port PortID, kind DstType, label string) 
 func (n *Network) SetPolicy(p Policy) {
 	n.policy = p
 	n.matcher, _ = p.(Matcher)
-	n.grantOb, _ = p.(GrantObserver)
 }
 
 // Policy returns the installed arbitration policy.
@@ -756,9 +754,6 @@ func (n *Network) selectAndGrant(r *Router, out PortID, cands []Candidate) Candi
 			panic(fmt.Sprintf("noc: policy %s returned choice %d of %d candidates",
 				n.policy.Name(), choice, len(cands)))
 		}
-	}
-	if n.grantOb != nil {
-		n.grantOb.ObserveGrant(ctx, cands, choice)
 	}
 	if len(n.arbObs) > 0 && len(cands) > 1 {
 		n.observeArb(r, out, cands, choice)

@@ -2,8 +2,8 @@ package noc
 
 // Observer receives the structural events of a simulation: injections into the
 // network, arbitration grants, and deliveries. Observers are the engine-level
-// instrumentation hook used by the obs package; unlike GrantObserver (a policy
-// concern), observers see every event regardless of the installed policy.
+// instrumentation hook used by the obs and trace packages; they see every
+// event regardless of the installed policy.
 //
 // Observer methods run inside Network.Step and must not call Step, Run or
 // Drain. They may inspect any exported network state. ObserveInject

@@ -55,9 +55,10 @@ type MatchContext struct {
 	Cycle  int64
 }
 
-// GrantObserver is an optional interface for policies that need to see every
-// grant, including the single-candidate grants that bypass Select. The RL
-// reward machinery uses it.
+// GrantObserver is a marker the engine ignores: no policy needs to see its
+// grants (an instrument that does attaches an Observer). It survives only
+// because benchmark/ names it, and is deleted together with benchmark/'s
+// decorator for it when the benchmark harness is unified.
 type GrantObserver interface {
 	ObserveGrant(ctx *ArbContext, cands []Candidate, chosen int)
 }

@@ -51,8 +51,8 @@ func (c verbatim) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec,
 		v.Val[k] = math.Float64frombits(next())
 	}
 	if c.in > 0 {
-		if err := v.Validate(c.in); err != nil {
-			panic(err)
+		if !wellFormed(v, c.in) {
+			panic("rl: test record holds a malformed vector")
 		}
 	}
 	valid = valid[:0]
@@ -77,4 +77,19 @@ func transition(e Experience) Transition {
 func observe(d *DQL, e Experience) {
 	d.Replay.Codec = verbatim{}
 	d.Observe(transition(e))
+}
+
+// wellFormed reports whether v is a vector of n elements the network takes:
+// as many values as indices, indices strictly ascending within [0, n),
+// values finite.
+func wellFormed(v nn.SparseVec, n int) bool {
+	if len(v.Idx) != len(v.Val) {
+		return false
+	}
+	for k, i := range v.Idx {
+		if i < 0 || int(i) >= n || k > 0 && i <= v.Idx[k-1] || math.IsNaN(v.Val[k]) || math.IsInf(v.Val[k], 0) {
+			return false
+		}
+	}
+	return true
 }

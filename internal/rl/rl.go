@@ -362,12 +362,8 @@ type DQL struct {
 	Replay *Replay
 	Cfg    DQLConfig
 
-	// Trace, when non-nil, records per-batch training telemetry (loss,
-	// replay fill, epsilon, target syncs). Recording is passive: it draws no
-	// randomness and never alters the training trajectory.
-	Trace *TrainingTrace
-
 	steps int64
+	loss  float64
 
 	// batch, nextStates and nextValid are TrainBatch scratch, grown once and
 	// reused so steady-state training performs zero heap allocations.
@@ -462,22 +458,20 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 			d.steps++
 			if d.Cfg.SyncEvery > 0 && d.steps%d.Cfg.SyncEvery == 0 {
 				d.Target.CopyFrom(d.Online)
-				if d.Trace != nil {
-					d.Trace.observeSync(d.steps)
-				}
 			}
 		}
 		start += chunk
 	}
-	loss := total / float64(len(batch))
-	if d.Trace != nil {
-		d.Trace.observeBatch(d, loss)
-	}
-	return loss
+	d.loss = total / float64(len(batch))
+	return d.loss
 }
 
 // Steps returns the number of single-experience SGD updates performed.
 func (d *DQL) Steps() int64 { return d.steps }
+
+// Loss returns the mean squared TD error of the last batch TrainBatch
+// trained, 0 before the first.
+func (d *DQL) Loss() float64 { return d.loss }
 
 // RewardKind selects one of the Section 6.3 reward functions.
 type RewardKind int

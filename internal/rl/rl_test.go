@@ -22,7 +22,7 @@ func newNet(seed int64, in, hidden, out int) *nn.MLP {
 func sparse(x []float64) nn.SparseVec {
 	var v nn.SparseVec
 	v.Index(x)
-	return v.Clone()
+	return v
 }
 
 // dense writes v out as the n-wide vector the dense entry points take.
@@ -529,6 +529,31 @@ func TestTrainBatchEmptyReplayNoop(t *testing.T) {
 	}
 	if d.Steps() != 0 {
 		t.Fatal("empty replay training advanced steps")
+	}
+}
+
+// TestLossIsLastBatchLoss: Loss is what the last TrainBatch that trained
+// returned, and a TrainBatch on empty replay leaves it alone.
+func TestLossIsLastBatchLoss(t *testing.T) {
+	d := NewDQL(newNet(3, 4, 5, 2), DQLConfig{BatchSize: 2, SyncEvery: 4})
+	rng := rand.New(rand.NewSource(7))
+	d.TrainBatch(rng)
+	if d.Loss() != 0 {
+		t.Fatalf("Loss %v before any batch trained, want 0", d.Loss())
+	}
+	for i := 0; i < 6; i++ {
+		observe(d, Experience{
+			State:    sparse([]float64{rng.Float64(), rng.Float64(), rng.Float64(), rng.Float64()}),
+			Action:   i % 2,
+			Reward:   rng.Float64(),
+			Terminal: true,
+		})
+	}
+	for i := 0; i < 5; i++ {
+		loss := d.TrainBatch(rng)
+		if loss == 0 || d.Loss() != loss {
+			t.Fatalf("batch %d: Loss %v, TrainBatch returned %v", i, d.Loss(), loss)
+		}
 	}
 }
 
