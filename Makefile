@@ -39,16 +39,18 @@ fmt:
 	@out=$$($(GOFMT) -l .); if [ -n "$$out" ]; then \
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
-# The simulation layers carry no instruments: obs, trace and telemetry are
-# attached from above (the commands, experiments, serve) through the
-# network's hooks, and rl and core carry no recorder for their reader either
-# (trainarb records its training curves from core.TrainSpec's hooks). Fail,
+# The library layers carry no instruments: obs, trace and telemetry are
+# attached from above (the commands and serve, the readers) through the
+# network's hooks. rl and core carry no recorder for their reader either
+# (trainarb records its training curves from core.TrainSpec's hooks),
+# experiments hands each sweep cell's network to its Input.Cell hook, and
+# cliutil leaves the commands' obs and trace flags to cliutil/cmdline. Fail,
 # naming the package, if any of these layers depends on one of them,
 # directly or not. core holds the agent and its state; the
 # environments it trains in (traffic's mesh, apu's system running synfull's
 # models) come to it as core.Env values, so core must not depend on those
 # packages either.
-LAYERS = noc arb traffic fault nn rl synfull xrand apu core
+LAYERS = noc arb traffic fault nn rl synfull xrand apu core experiments cliutil
 layering:
 	@fail=0; for p in $(LAYERS); do \
 		deps=$$($(GO) list -deps ./internal/$$p) || { echo "go list failed for internal/$$p"; fail=1; continue; }; \

@@ -35,11 +35,11 @@ func run(args []string, stdout io.Writer) error {
 	bufcap := cmd.Int("bufcap", 0, "router buffer capacity per VC (0 = default)")
 	seed := cmd.Int64("seed", 1, "random seed")
 	nnPath := cmd.String("nn", "", "run a saved APU agent network (gob) as the policy")
-	obsFlags := cliutil.AddObsFlags(cmd.FlagSet, &cliutil.ObsFlags{SampleEvery: 4, InFlight: true})
+	obsFlags := cmdline.AddObsFlags(cmd.FlagSet, &cmdline.ObsFlags{SampleEvery: 4, InFlight: true})
 	faults := cmd.Float64("faults", 0,
 		"fraction of NoC links to kill a third into the programs (0..1, connectivity-preserving)")
 	faultSeed := cmd.Int64("fault-seed", 0, "fault scenario seed (0 = use -seed)")
-	traceFlags := cliutil.AddTraceFlags(cmd.FlagSet, 64, " (APU runs generate millions)", "")
+	traceFlags := cmdline.AddTraceFlags(cmd.FlagSet, 64, " (APU runs generate millions)", "")
 	if err := cmd.Parse(args); err != nil {
 		return err
 	}

@@ -23,6 +23,7 @@ import (
 	"mlnoc/internal/cliutil"
 	"mlnoc/internal/cliutil/cmdline"
 	"mlnoc/internal/experiments"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/obs"
 	"mlnoc/internal/trace"
 )
@@ -137,7 +138,7 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
-// telemetry sets o's sweep telemetry from the observability flags, leaving
+// telemetry sets o's sweep cell hook from the observability flags, leaving
 // it nil when none is set. When -metrics-out or -watchdog is set, the
 // returned map fills with each sweep cell's snapshot, keyed by cell label (a
 // label run twice keeps its last).
@@ -146,41 +147,49 @@ func (o *options) telemetry(metricsOut string, watchdog int64, progress bool,
 	if metricsOut == "" && watchdog == 0 && !progress && traceDir == "" {
 		return nil, nil
 	}
-	tel := &experiments.Telemetry{}
 	var snaps map[string]*obs.Snapshot
 	if metricsOut != "" || watchdog != 0 {
 		snaps = map[string]*obs.Snapshot{}
-		tel.Obs = true
 	}
+	var wd *obs.WatchdogConfig
 	if watchdog > 0 {
-		tel.Watchdog = &obs.WatchdogConfig{Threshold: watchdog}
+		wd = &obs.WatchdogConfig{Threshold: watchdog}
 	}
 	if traceDir != "" {
 		if err := os.MkdirAll(traceDir, 0o755); err != nil {
 			return nil, err
 		}
-		tel.Trace = &trace.Config{SampleEvery: traceSample}
 	}
-	// Telemetry serializes OnCell calls, and a sweep returns only after its
+	// A sweep serializes its cells' done calls and returns only after its
 	// last one, so snaps and o.err need no lock.
-	tel.OnCell = func(c experiments.Cell) {
-		if c.Suite != nil {
-			snaps[c.Label] = c.Suite.Snapshot()
+	o.in.Cell = func(label string, net *noc.Network) func(int, int) {
+		var suite *obs.Suite
+		if snaps != nil {
+			// A sweep samples coarsely to stay cheap.
+			suite = obs.Attach(net, obs.SuiteConfig{SampleEvery: 16, Watchdog: wd})
 		}
-		if c.Tracer != nil && o.err == nil {
-			// Labels are "workload/policy"; flatten for the filesystem.
-			name := strings.NewReplacer("/", "_", " ", "_").Replace(c.Label) + ".trace.json"
-			o.err = cliutil.WriteFile(traceDir+string(os.PathSeparator)+name,
-				func(w io.Writer) error { return trace.WriteChromeTrace(w, c.Tracer) })
-			if o.err == nil {
-				log.Info("trace written", "file", name, "events", c.Tracer.Len())
+		var tr *trace.Tracer
+		if traceDir != "" {
+			tr = trace.Attach(net, trace.Config{SampleEvery: traceSample})
+		}
+		return func(done, total int) {
+			if suite != nil {
+				snaps[label] = suite.Snapshot()
+			}
+			if tr != nil && o.err == nil {
+				// Labels are "workload/policy"; flatten for the filesystem.
+				name := strings.NewReplacer("/", "_", " ", "_").Replace(label) + ".trace.json"
+				o.err = cliutil.WriteFile(traceDir+string(os.PathSeparator)+name,
+					func(w io.Writer) error { return trace.WriteChromeTrace(w, tr) })
+				if o.err == nil {
+					log.Info("trace written", "file", name, "events", tr.Len())
+				}
+			}
+			if progress {
+				log.Info("progress", "done", done, "total", total, "cell", label)
 			}
 		}
-		if progress {
-			log.Info("progress", "done", c.Done, "total", c.Total, "cell", c.Label)
-		}
 	}
-	o.in.Telemetry = tel
 	return snaps, nil
 }
 

@@ -36,13 +36,13 @@ func run(args []string, stdout io.Writer) error {
 	bufcap := cmd.Int("bufcap", 8, "buffer capacity per VC (messages)")
 	seed := cmd.Int64("seed", 1, "random seed")
 	nnPath := cmd.String("nn", "", "run a saved agent network (gob) as the policy")
-	obsFlags := cliutil.AddObsFlags(cmd.FlagSet, &cliutil.ObsFlags{
+	obsFlags := cmdline.AddObsFlags(cmd.FlagSet, &cmdline.ObsFlags{
 		SampleEvery: 1, Indent: "  ", LatencyNote: " (since attach, warmup included)",
 	})
 	faults := cmd.Float64("faults", 0,
 		"fraction of mesh links to kill a third into the measured run (0..1, connectivity-preserving)")
 	faultSeed := cmd.Int64("fault-seed", 0, "fault scenario seed (0 = use -seed)")
-	traceFlags := cliutil.AddTraceFlags(cmd.FlagSet, 1, " (1 = all)", "  ")
+	traceFlags := cmdline.AddTraceFlags(cmd.FlagSet, 1, " (1 = all)", "  ")
 	if err := cmd.Parse(args); err != nil {
 		return err
 	}

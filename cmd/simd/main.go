@@ -36,7 +36,6 @@ import (
 	"time"
 
 	"mlnoc/internal/cliutil"
-	"mlnoc/internal/obs"
 	"mlnoc/internal/serve"
 	"mlnoc/internal/telemetry"
 )
@@ -72,11 +71,9 @@ func main() {
 		QueueDepth:   *queueDepth,
 		CacheEntries: *cacheEntries,
 		CacheDir:     *cacheDir,
+		Watchdog:     *watchdog,
 		Logger:       log,
 		Registry:     telemetry.Default,
-	}
-	if *watchdog > 0 {
-		cfg.Watchdog = &obs.WatchdogConfig{Threshold: *watchdog}
 	}
 	srv := serve.New(cfg)
 

@@ -69,7 +69,7 @@ func run(args []string, stdout io.Writer) error {
 		"write training telemetry (training_curves.csv, per-epoch weight-heatmap CSVs) into this directory")
 	heatmapEvery := cmd.Int("heatmap-every", 0,
 		"dump a weight-heatmap CSV every N epochs (0 = 4 dumps per run; needs -telemetry-out)")
-	traceFlags := &cliutil.TraceFlags{}
+	traceFlags := &cmdline.TraceFlags{}
 	cmd.BoolVar(&traceFlags.On, "trace", false,
 		"trace message lifecycles during training and print a latency breakdown")
 	cmd.StringVar(&traceFlags.Out, "trace-out", "",

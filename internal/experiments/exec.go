@@ -84,30 +84,32 @@ type apuRow struct {
 // of its own and cells in parallel, and returns the results as
 // res[row][policy]. Cell (r, p) is labelled "<row label>/<policy name>" and
 // seeds its workload with rows[r].seed and its policy with rows[r].seed+p.
-// tel counts the grid's cells against a total of those plus others, the
-// study's cells outside the grid. ctx works as in ExecSweepCtx; a cell that does not
-// finish panics with its diagnosis.
-func apuGrid(ctx context.Context, sc Scale, tel *Telemetry, rows []apuRow, policies []PolicyFactory, others int) ([][]apu.ExecResult, error) {
+// Each cell is handed to cells' hook and counted there. ctx works as in
+// ExecSweepCtx; a cell that does not finish panics with its network's
+// in-flight count and largest queued local age.
+func apuGrid(ctx context.Context, sc Scale, cells *cellCount, rows []apuRow, policies []PolicyFactory) ([][]apu.ExecResult, error) {
 	res := make([][]apu.ExecResult, len(rows))
 	for ri := range res {
 		res[ri] = make([]apu.ExecResult, len(policies))
 	}
-	n := len(rows) * len(policies)
-	err := parallelForCtx(ctx, n, func(k int) {
+	err := parallelForCtx(ctx, len(rows)*len(policies), func(k int) {
 		ri, pi := k/len(policies), k%len(policies)
 		row, f := rows[ri], policies[pi]
 		label := row.label + "/" + f.Name
-		var cell Cell
+		var (
+			net      *noc.Network
+			finished func()
+		)
 		r := apu.RunWorkload(apu.Config{}, f.New(row.seed+int64(pi)), row.apps, apu.RunnerConfig{
 			OpScale: sc.OpScale,
 			Seed:    row.seed,
 			Faults:  row.faults,
-			Attach:  func(net *noc.Network) { cell = tel.attach(label, net) },
+			Attach:  func(n *noc.Network) { net, finished = n, cells.attach(label, n) },
 		})
 		if !r.Finished {
-			panic(cellFailure(cell, r.Cycles))
+			panic(cellFailure(label, net, r.Cycles))
 		}
-		tel.cellDone(cell, n+others)
+		finished()
 		res[ri][pi] = r
 	})
 	if err != nil {
@@ -169,15 +171,14 @@ type ExecSweepResult struct {
 
 // ExecSweepCtx runs every Table 1 workload (four copies, one per quadrant)
 // under every Fig. 9 policy. With trainNN true it first trains the APU agent
-// and includes the frozen network as the "NN" policy. tel attaches per-cell
-// instruments (obs suite, watchdog, tracer), hands each finished cell to its
-// OnCell hook, and may be nil.
+// and includes the frozen network as the "NN" policy. Each cell's network is
+// handed to hook (nil for none), which attaches the reader's instruments.
 //
 // ctx is checked between sweep cells (and inside NN training), so a killed
 // server job stops dispatching promptly instead of finishing the whole sweep.
 // On cancellation it returns (nil, ctx.Err()); cells already in flight
 // complete first.
-func ExecSweepCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*ExecSweepResult, error) {
+func ExecSweepCtx(ctx context.Context, sc Scale, trainNN bool, hook CellHook) (*ExecSweepResult, error) {
 	policies, err := apuPolicies(ctx, sc, trainNN)
 	if err != nil {
 		return nil, err
@@ -188,7 +189,7 @@ func ExecSweepCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (
 		res.Workloads = append(res.Workloads, m.Name)
 		rows = append(rows, apuRow{label: m.Name, apps: apu.Homogeneous(m), seed: sc.Seed + int64(wi+1)*1000})
 	}
-	cells, err := apuGrid(ctx, sc, tel, rows, policies, 0)
+	cells, err := apuGrid(ctx, sc, &cellCount{hook: hook, total: len(rows) * len(policies)}, rows, policies)
 	if err != nil {
 		return nil, err
 	}
@@ -263,8 +264,8 @@ type MixResult struct {
 
 // MixedWorkloadsCtx reproduces Fig. 11: five mixes from four low-injection
 // (L) and four high-injection (H) applications, 4L0H through 0L4H, one
-// application per quadrant. tel and ctx work as in ExecSweepCtx.
-func MixedWorkloadsCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemetry) (*MixResult, error) {
+// application per quadrant. hook and ctx work as in ExecSweepCtx.
+func MixedWorkloadsCtx(ctx context.Context, sc Scale, trainNN bool, hook CellHook) (*MixResult, error) {
 	policies, err := apuPolicies(ctx, sc, trainNN)
 	if err != nil {
 		return nil, err
@@ -281,7 +282,7 @@ func MixedWorkloadsCtx(ctx context.Context, sc Scale, trainNN bool, tel *Telemet
 		res.Mixes = append(res.Mixes, row.label)
 		rows = append(rows, row)
 	}
-	cells, err := apuGrid(ctx, sc, tel, rows, policies, 0)
+	cells, err := apuGrid(ctx, sc, &cellCount{hook: hook, total: len(rows) * len(policies)}, rows, policies)
 	if err != nil {
 		return nil, err
 	}
@@ -311,9 +312,9 @@ type AblationResult struct {
 
 // AblationCtx reproduces the Section 5.1 de-featuring experiment: remove the
 // port condition (W/E hop inversion) and the message-type condition (boost)
-// from Algorithm 2, one at a time, and measure the slowdown. tel and ctx work
+// from Algorithm 2, one at a time, and measure the slowdown. hook and ctx work
 // as in ExecSweepCtx.
-func AblationCtx(ctx context.Context, sc Scale, tel *Telemetry) (*AblationResult, error) {
+func AblationCtx(ctx context.Context, sc Scale, hook CellHook) (*AblationResult, error) {
 	variants := []PolicyFactory{
 		{Name: "full", New: func(int64) noc.Policy { return core.NewRLInspiredAPU() }},
 		{Name: "no-port", New: func(int64) noc.Policy {
@@ -330,7 +331,7 @@ func AblationCtx(ctx context.Context, sc Scale, tel *Telemetry) (*AblationResult
 		res.Workloads = append(res.Workloads, m.Name)
 		rows = append(rows, apuRow{label: "ablation-" + m.Name, apps: apu.Homogeneous(m), seed: sc.Seed + int64(wi+1)*131})
 	}
-	cells, err := apuGrid(ctx, sc, tel, rows, variants, 0)
+	cells, err := apuGrid(ctx, sc, &cellCount{hook: hook, total: len(rows) * len(variants)}, rows, variants)
 	if err != nil {
 		return nil, err
 	}

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"mlnoc/internal/core"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/synfull"
 )
@@ -220,11 +221,13 @@ func TestAblationCtxCancellation(t *testing.T) {
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	var cells int32
-	tel := &Telemetry{OnCell: func(Cell) {
-		atomic.AddInt32(&cells, 1)
-		cancel()
-	}}
-	r, err := AblationCtx(ctx, tinyScale(), tel)
+	hook := func(string, *noc.Network) func(int, int) {
+		return func(int, int) {
+			atomic.AddInt32(&cells, 1)
+			cancel()
+		}
+	}
+	r, err := AblationCtx(ctx, tinyScale(), hook)
 	if r != nil || !errors.Is(err, context.Canceled) {
 		t.Fatalf("cancelled sweep returned (%v, %v), want (nil, context.Canceled)", r, err)
 	}

@@ -65,8 +65,8 @@ func meshFaultFactories() []PolicyFactory {
 // fractions (DefaultFaultRates for the paper's sweep). Every cell is seeded
 // from sc.Seed and the per-rate kill seed is shared across policies, so each
 // policy faces the identical physical fault scenario and the whole sweep is
-// reproducible run to run. tel and ctx work as in ExecSweepCtx.
-func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []float64) (*FaultSweepResult, error) {
+// reproducible run to run. hook and ctx work as in ExecSweepCtx.
+func FaultSweepRatesCtx(ctx context.Context, sc Scale, hook CellHook, rates []float64) (*FaultSweepResult, error) {
 	meshFs, apuFs := meshFaultFactories(), apuFactories(nil)
 	res := &FaultSweepResult{
 		Rates:        append([]float64(nil), rates...),
@@ -86,7 +86,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 	bfs := model("bfs")
 
 	meshTotal := nr * len(meshFs)
-	total := meshTotal + nr*len(apuFs)
+	count := &cellCount{hook: hook, total: meshTotal + nr*len(apuFs)}
 	// Mid-run fault times: a third into the mesh measurement window, and
 	// roughly a third into the APU programs (whose length tracks OpScale).
 	meshKillAt := sc.WarmupCycles + sc.MeasureCycles/3
@@ -107,7 +107,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if err != nil {
 			panic(fmt.Sprintf("experiments: %s: %v", label, err))
 		}
-		cell := tel.attach(label, net)
+		finished := count.attach(label, net)
 		run := traffic.Run(net, in, sc.WarmupCycles, sc.MeasureCycles)
 		fs := inj.Stats()
 		res.MeshLatency[ri][pi] = run.AvgLatency
@@ -116,7 +116,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 		if pi == meshGA {
 			res.MeshKilled[ri] = fs.LinkKills
 		}
-		tel.cellDone(cell, total)
+		finished()
 	})
 	if err != nil {
 		return nil, err
@@ -131,7 +131,7 @@ func FaultSweepRatesCtx(ctx context.Context, sc Scale, tel *Telemetry, rates []f
 			faults: killSpec(ri, apuKillAt),
 		}
 	}
-	cells, err := apuGrid(ctx, sc, tel, rows, apuFs, meshTotal)
+	cells, err := apuGrid(ctx, sc, count, rows, apuFs)
 	if err != nil {
 		return nil, err
 	}

@@ -58,28 +58,26 @@ func TestFaultSweepDeterministic(t *testing.T) {
 	}
 }
 
-// TestFaultSweepTelemetry checks that the sweep attaches the same
-// instruments to its mesh and APU cells: every cell hands OnCell a snapshot
-// carrying fault counters and a tracer that recorded events.
+// TestFaultSweepTelemetry checks that the sweep hands its mesh and APU cells
+// alike to the hook: every cell yields a snapshot carrying fault counters and
+// a tracer that recorded events.
 func TestFaultSweepTelemetry(t *testing.T) {
-	snaps := map[string]*obs.Snapshot{}
-	tel := &Telemetry{
-		Obs:   true,
-		Trace: &trace.Config{SampleEvery: 16},
-		OnCell: func(c Cell) {
-			snaps[c.Label] = c.Suite.Snapshot()
-			if c.Tracer == nil || c.Tracer.Recorded() == 0 {
-				t.Errorf("cell %s has no tracer events", c.Label)
-			}
-		},
-	}
-	res, err := FaultSweepRatesCtx(context.Background(), faultTestScale(), tel, []float64{0.12})
+	var got []cellSeen
+	res, err := FaultSweepRatesCtx(context.Background(), faultTestScale(),
+		recordCells(&got, nil, &trace.Config{SampleEvery: 16}), []float64{0.12})
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps := map[string]*obs.Snapshot{}
+	for _, c := range got {
+		snaps[c.label] = c.snap
+		if c.tracer == nil || c.tracer.Recorded() == 0 {
+			t.Errorf("cell %s has no tracer events", c.label)
+		}
+	}
 	want := len(res.MeshPolicies) + len(res.APUPolicies)
 	if len(snaps) != want {
-		t.Fatalf("OnCell kept %d snapshots, want %d", len(snaps), want)
+		t.Fatalf("the hook kept %d snapshots, want %d", len(snaps), want)
 	}
 	for name, snap := range snaps {
 		if snap.Faults == nil {

@@ -23,7 +23,7 @@ type Experiment struct {
 	Run  func(context.Context, Input) (Result, error)
 }
 
-// Input is what an entry runs on: the scale, the sweeps' per-cell telemetry
+// Input is what an entry runs on: the scale, the sweeps' per-cell hook
 // (nil for none), and the parameters of the entries that take one, zero
 // meaning the entry's default. TrainNN adds the trained APU agent as the NN
 // policy of fig9, fig10, fig9+10, exec and fig11. FaultRates are faults'
@@ -34,7 +34,7 @@ type Experiment struct {
 // into tori.
 type Input struct {
 	Scale         Scale
-	Telemetry     *Telemetry
+	Cell          CellHook
 	TrainNN       bool
 	FaultRates    []float64
 	QuantSize     int
@@ -123,7 +123,7 @@ var Table = []Experiment{
 	{Name: "fig9+10", Run: view(execSweep, fig9And10)},
 	{Name: "exec", Solo: true, Run: view(execSweep, fig9And10)},
 	{Name: "fig11", Run: view(func(ctx context.Context, in Input) (*MixResult, error) {
-		return MixedWorkloadsCtx(ctx, in.Scale, in.TrainNN, in.Telemetry)
+		return MixedWorkloadsCtx(ctx, in.Scale, in.TrainNN, in.Cell)
 	}, func(r *MixResult) Result { return Result{r.Render(), []CSVFile{{"fig11_mixes.csv", r.CSV()}}} })},
 	{Name: "fig12", Run: plain(func(in Input) Result {
 		r := RewardCurves(in.Scale)
@@ -134,7 +134,7 @@ var Table = []Experiment{
 		return Result{r.Render(), []CSVFile{{"fig13_features.csv", r.CSV()}}}
 	})},
 	{Name: "ablation", Run: view(func(ctx context.Context, in Input) (*AblationResult, error) {
-		return AblationCtx(ctx, in.Scale, in.Telemetry)
+		return AblationCtx(ctx, in.Scale, in.Cell)
 	}, func(r *AblationResult) Result { return Result{r.Render(), []CSVFile{{"ablation.csv", r.CSV()}}} })},
 	{Name: "starvation", Run: plain(func(in Input) Result {
 		r := Starvation(in.Scale)
@@ -148,7 +148,7 @@ var Table = []Experiment{
 		if len(in.FaultRates) == 0 {
 			in.FaultRates = DefaultFaultRates
 		}
-		return FaultSweepRatesCtx(ctx, in.Scale, in.Telemetry, in.FaultRates)
+		return FaultSweepRatesCtx(ctx, in.Scale, in.Cell, in.FaultRates)
 	}, func(r *FaultSweepResult) Result {
 		return Result{r.Render(), []CSVFile{{"faults_mesh.csv", r.CSVMesh()}, {"faults_apu.csv", r.CSVAPU()}}}
 	})},
@@ -206,7 +206,7 @@ func plain(run func(Input) Result) func(context.Context, Input) (Result, error) 
 }
 
 func execSweep(ctx context.Context, in Input) (*ExecSweepResult, error) {
-	return ExecSweepCtx(ctx, in.Scale, in.TrainNN, in.Telemetry)
+	return ExecSweepCtx(ctx, in.Scale, in.TrainNN, in.Cell)
 }
 
 func fig9And10(r *ExecSweepResult) Result {

@@ -13,55 +13,73 @@ import (
 	"mlnoc/internal/trace"
 )
 
+// cellSeen is what a test hook saw of one finished sweep cell.
+type cellSeen struct {
+	label       string
+	done, total int
+	snap        *obs.Snapshot
+	tracer      *trace.Tracer
+}
+
+// recordCells returns a hook that attaches an obs suite (with the watchdog
+// wd, if non-nil) and, when tc is non-nil, a tracer to every cell, the way
+// the commands do, and appends each finished cell to *seen. The appends are
+// unlocked: the done calls of a sweep are serialized.
+func recordCells(seen *[]cellSeen, wd *obs.WatchdogConfig, tc *trace.Config) CellHook {
+	return func(label string, net *noc.Network) func(int, int) {
+		suite := obs.Attach(net, obs.SuiteConfig{SampleEvery: 16, Watchdog: wd})
+		var tr *trace.Tracer
+		if tc != nil {
+			tr = trace.Attach(net, *tc)
+		}
+		return func(done, total int) {
+			*seen = append(*seen, cellSeen{label, done, total, suite.Snapshot(), tr})
+		}
+	}
+}
+
 // TestTelemetryParallelSweep drives a miniature APU policy grid with the full
-// telemetry stack attached — obs suite with a watchdog and a tracer per cell,
-// one shared OnCell hook — and checks everything lands. Run with -race this is
-// the concurrency test for the per-cell hook under parallelForCtx.
+// telemetry stack attached by its hook — an obs suite with a watchdog and a
+// tracer per cell — and checks everything lands. Run with -race this is the
+// concurrency test for the per-cell hook under parallelForCtx.
 func TestTelemetryParallelSweep(t *testing.T) {
 	model := synfull.Catalog()[0]
 	const cells = 8
 
-	var got []Cell
-	snaps := map[string]*obs.Snapshot{}
-	tel := &Telemetry{
-		Watchdog: &obs.WatchdogConfig{Threshold: 1 << 20},
-		Trace:    &trace.Config{SampleEvery: 64},
-		OnCell: func(c Cell) {
-			got = append(got, c)
-			snaps[c.Label] = c.Suite.Snapshot()
-		},
-	}
-
+	var got []cellSeen
+	hook := recordCells(&got, &obs.WatchdogConfig{Threshold: 1 << 20}, &trace.Config{SampleEvery: 64})
 	rows := make([]apuRow, cells)
 	for i := range rows {
 		rows[i] = apuRow{label: fmt.Sprintf("cell-%d", i), apps: apu.Homogeneous(model), seed: int64(i + 1)}
 	}
 	first := []PolicyFactory{{Name: "first", New: func(int64) noc.Policy { return firstPolicyT{} }}}
-	if _, err := apuGrid(context.Background(), Scale{OpScale: 0.02}, tel, rows, first, 0); err != nil {
+	if _, err := apuGrid(context.Background(), Scale{OpScale: 0.02}, &cellCount{hook: hook, total: cells}, rows, first); err != nil {
 		t.Fatal(err)
 	}
 
-	if len(snaps) != cells {
-		t.Fatalf("OnCell saw %d distinct cells, want %d", len(snaps), cells)
+	labels := map[string]bool{}
+	for _, c := range got {
+		labels[c.label] = true
 	}
-	for name, snap := range snaps {
-		if snap.Delivered == 0 || snap.TotalGrants() == 0 {
-			t.Fatalf("cell %q recorded no traffic: %+v", name, *snap)
-		}
-		if len(snap.Alerts) != 0 {
-			t.Fatalf("cell %q tripped the watchdog: %v", name, snap.Alerts)
-		}
+	if len(labels) != cells {
+		t.Fatalf("the hook saw %d distinct cells, want %d", len(labels), cells)
 	}
-	// OnCell was serialized: done counted 1..cells exactly once each.
+	// done was serialized: it counted 1..cells exactly once each.
 	if len(got) != cells {
-		t.Fatalf("OnCell fired %d times, want %d", len(got), cells)
+		t.Fatalf("done fired %d times, want %d", len(got), cells)
 	}
 	for i, c := range got {
-		if c.Done != i+1 || c.Total != cells {
-			t.Fatalf("cell %d = %s %d/%d; done counter not serialized", i, c.Label, c.Done, c.Total)
+		if c.done != i+1 || c.total != cells {
+			t.Fatalf("cell %d = %s %d/%d; done counter not serialized", i, c.label, c.done, c.total)
 		}
-		if c.Tracer == nil || c.Tracer.Recorded() == 0 {
-			t.Fatalf("cell %s has no tracer events", c.Label)
+		if c.snap.Delivered == 0 || c.snap.TotalGrants() == 0 {
+			t.Fatalf("cell %q recorded no traffic: %+v", c.label, *c.snap)
+		}
+		if len(c.snap.Alerts) != 0 {
+			t.Fatalf("cell %q tripped the watchdog: %v", c.label, c.snap.Alerts)
+		}
+		if c.tracer == nil || c.tracer.Recorded() == 0 {
+			t.Fatalf("cell %s has no tracer events", c.label)
 		}
 	}
 }
@@ -72,70 +90,75 @@ type firstPolicyT struct{}
 func (firstPolicyT) Name() string                                    { return "first" }
 func (firstPolicyT) Select(_ *noc.ArbContext, _ []noc.Candidate) int { return 0 }
 
-// TestTelemetryNilSafe checks a nil *Telemetry and an empty Telemetry both
-// attach nothing without blowing up, that Obs alone attaches a suite with no
-// watchdog, and that a sweep's suite samples every 16 cycles.
+// TestTelemetryNilSafe checks that a sweep without a hook, and a hook whose
+// done is nil, still count their cells without blowing up, and that the hook
+// is handed the cell's network before its first cycle. (The sampling period
+// of a sweep's suite is the reader's: cmd/experiments' fig11 golden pins its
+// metrics.json.)
 func TestTelemetryNilSafe(t *testing.T) {
 	net, _ := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
 	net.SetPolicy(firstPolicyT{})
-	var nilTel *Telemetry
-	if c := nilTel.attach("x", net); c.Suite != nil || c.Tracer != nil || c.Label != "x" {
-		t.Fatalf("nil telemetry attached %+v", c)
-	}
-	nilTel.cellDone(Cell{Label: "x"}, 1)
-
-	empty := &Telemetry{}
-	if c := empty.attach("x", net); c.Suite != nil || c.Tracer != nil {
-		t.Fatalf("empty telemetry attached %+v", c)
-	}
-	empty.cellDone(Cell{Label: "x"}, 1)
-
-	obsOnly := &Telemetry{Obs: true}
-	if c := obsOnly.attach("x", net); c.Suite == nil || c.Suite.Watchdog != nil || c.Tracer != nil {
-		t.Fatalf("obs-only telemetry attached %+v", c)
+	bare := &cellCount{total: 2}
+	bare.attach("x", net)()
+	var handed *noc.Network
+	silent := &cellCount{hook: func(_ string, n *noc.Network) func(int, int) { handed = n; return nil }, total: 2}
+	silent.attach("x", net)()
+	silent.attach("y", net)()
+	if bare.done != 1 || silent.done != 2 || handed != net {
+		t.Fatalf("counted %d and %d cells, hook handed %p; want 1, 2, %p", bare.done, silent.done, handed, net)
 	}
 
-	// A watchdog-only suite still attaches (for failure diagnosis), sampling
-	// at the sweep's period.
-	wdOnly := &Telemetry{Watchdog: &obs.WatchdogConfig{Threshold: 100}}
-	c := wdOnly.attach("x", net)
-	if c.Suite == nil || c.Suite.Watchdog == nil || c.Tracer != nil {
-		t.Fatalf("watchdog-only telemetry attached %+v", c)
+	model := synfull.Catalog()[0]
+	rows := []apuRow{{label: "cell", apps: apu.Homogeneous(model), seed: 1}}
+	first := []PolicyFactory{{Name: "first", New: func(int64) noc.Policy { return firstPolicyT{} }}}
+	var cycle int64 = -1
+	atStart := &cellCount{hook: func(_ string, n *noc.Network) func(int, int) { cycle = n.Cycle(); return nil }, total: 1}
+	for _, c := range []*cellCount{{total: 1}, atStart} {
+		if _, err := apuGrid(context.Background(), Scale{OpScale: 0.02}, c, rows, first); err != nil || c.done != 1 {
+			t.Fatalf("grid of one cell: err %v, %d cells counted", err, c.done)
+		}
 	}
-	net.Run(160)
-	if got := c.Suite.Snapshot().Samples; got != 160/16 {
-		t.Fatalf("sweep suite took %d samples in 160 cycles, want %d", got, 160/16)
+	if cycle != 0 {
+		t.Fatalf("hook handed the network at cycle %d, want 0", cycle)
 	}
 }
 
-// TestCellFailureDiagnostics checks the did-not-finish panic text includes the
-// watchdog's diagnosis when telemetry is attached.
+// TestCellFailureDiagnostics checks the did-not-finish panic text reads the
+// cell's network — the in-flight count and the oldest queued message — the
+// same with instruments attached or not, and that a watchdog's diagnosis
+// stays in its suite's snapshot instead.
 func TestCellFailureDiagnostics(t *testing.T) {
-	bare := cellFailure(Cell{Label: "w/p"}, 42)
-	if !strings.Contains(bare, "w/p did not finish after 42 cycles") {
-		t.Fatalf("bare failure text: %q", bare)
+	// Freeze two networks mid-flight, one under a watchdog that trips.
+	frozen := func(instrumented bool) (*noc.Network, *obs.Suite) {
+		net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
+		net.SetPolicy(noMatch{})
+		var suite *obs.Suite
+		if instrumented {
+			suite = obs.Attach(net, obs.SuiteConfig{
+				SampleEvery: 1,
+				Watchdog:    &obs.WatchdogConfig{Threshold: 20},
+			})
+		}
+		cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
+		net.Run(200)
+		return net, suite
+	}
+	bareNet, _ := frozen(false)
+	bare := cellFailure("w/p", bareNet, bareNet.Cycle())
+	want := "experiments: w/p did not finish after 200 cycles (1 messages in flight, max queued local age 199)"
+	if bare != want {
+		t.Fatalf("bare failure text:\n got %q\nwant %q", bare, want)
+	}
+	net, suite := frozen(true)
+	if msg := cellFailure("w/p", net, net.Cycle()); msg != bare {
+		t.Fatalf("instrumented failure text %q differs from bare %q", msg, bare)
 	}
 	if strings.Contains(bare, "watchdog") {
-		t.Fatalf("bare failure mentions a watchdog it does not have: %q", bare)
+		t.Fatalf("failure text mentions a watchdog: %q", bare)
 	}
-
-	// Freeze a network mid-flight so the attached watchdog trips, then check
-	// its summary surfaces in the failure text.
-	net, cores := noc.BuildMeshCores(noc.Config{Width: 2, Height: 1, VCs: 1})
-	net.SetPolicy(noMatch{})
-	suite := obs.Attach(net, obs.SuiteConfig{
-		SampleEvery: 1,
-		Watchdog:    &obs.WatchdogConfig{Threshold: 20},
-	})
-	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(200)
-
-	msg := cellFailure(Cell{Label: "w/p", Suite: suite}, net.Cycle())
-	if !strings.Contains(msg, "in flight") {
-		t.Fatalf("failure text missing in-flight count: %q", msg)
-	}
-	if !strings.Contains(msg, "watchdog diagnostics") || !strings.Contains(msg, "livelock") {
-		t.Fatalf("failure text missing watchdog diagnosis: %q", msg)
+	alerts := suite.Snapshot().Alerts
+	if len(alerts) == 0 || !strings.Contains(fmt.Sprint(alerts), "livelock") {
+		t.Fatalf("snapshot missing the watchdog's livelock diagnosis: %v", alerts)
 	}
 }
 
@@ -152,21 +175,24 @@ func (noMatch) Match(_ *noc.MatchContext, reqs []noc.Request) []int {
 	return out
 }
 
-// TestAblationTelemetry runs the real ablation sweep with telemetry attached
+// TestAblationTelemetry runs the real ablation sweep with a hook attached
 // and checks one snapshot lands per cell with the documented labels.
 func TestAblationTelemetry(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulation-heavy")
 	}
-	snaps := map[string]*obs.Snapshot{}
-	tel := &Telemetry{Obs: true, OnCell: func(c Cell) { snaps[c.Label] = c.Suite.Snapshot() }}
-	r, err := AblationCtx(context.Background(), tinyScale(), tel)
+	var got []cellSeen
+	r, err := AblationCtx(context.Background(), tinyScale(), recordCells(&got, nil, nil))
 	if err != nil {
 		t.Fatal(err)
 	}
+	snaps := map[string]*obs.Snapshot{}
+	for _, c := range got {
+		snaps[c.label] = c.snap
+	}
 	want := len(r.Workloads) * len(r.Variants)
 	if got := len(snaps); got != want {
-		t.Fatalf("OnCell kept %d snapshots, want %d", got, want)
+		t.Fatalf("the hook kept %d snapshots, want %d", got, want)
 	}
 	for name, snap := range snaps {
 		if !strings.HasPrefix(name, "ablation-") {

@@ -6,7 +6,7 @@ import (
 	"testing"
 	"time"
 
-	"mlnoc/internal/experiments"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/obs"
 	"mlnoc/internal/telemetry"
 )
@@ -37,20 +37,21 @@ func TestInstrumentedRunBitIdentity(t *testing.T) {
 	met := newMetrics(reg)
 	progress := reg.Counter("test_progress_calls", "").With()
 	snapshots := reg.Counter("test_snapshots", "").With()
-	tel := &experiments.Telemetry{
-		Watchdog: &obs.WatchdogConfig{
-			Threshold: 10_000,
-			OnAlert:   func(a obs.Alert) { met.watchdogAlert(a.Kind) },
-		},
-		OnCell: func(c experiments.Cell) {
+	wd := &obs.WatchdogConfig{
+		Threshold: 10_000,
+		OnAlert:   func(a obs.Alert) { met.watchdogAlert(a.Kind) },
+	}
+	cell := func(_ string, net *noc.Network) func(int, int) {
+		suite := obs.Attach(net, obs.SuiteConfig{SampleEvery: 16, Watchdog: wd})
+		return func(int, int) {
 			progress.Inc()
-			if c.Suite.Snapshot().Delivered > 0 {
+			if suite.Snapshot().Delivered > 0 {
 				snapshots.Inc()
 			}
-		},
+		}
 	}
 	start := time.Now()
-	instrumented, err := Execute(context.Background(), spec, tel)
+	instrumented, err := Execute(context.Background(), spec, cell)
 	if err != nil {
 		t.Fatal(err)
 	}

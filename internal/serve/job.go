@@ -65,7 +65,8 @@ type Job struct {
 	errMsg    string
 	result    []byte
 	progress  Progress
-	alerts    []string
+	alerts    []string // the first maxJobAlerts watchdog alerts
+	dropped   int64    // the alerts past them, counted only
 	created   time.Time
 	started   time.Time
 	finished  time.Time
@@ -130,6 +131,8 @@ type StatusDoc struct {
 	Created  string    `json:"created"`
 	Started  string    `json:"started,omitempty"`
 	Finished string    `json:"finished,omitempty"`
+	// SuppressedAlerts counts the alerts raised past the first maxJobAlerts.
+	SuppressedAlerts int64 `json:"suppressed_alerts,omitempty"`
 }
 
 // Status exports the job's current state for the API.
@@ -163,6 +166,7 @@ func (j *Job) statusLocked() StatusDoc {
 	if len(j.alerts) > 0 {
 		doc.Alerts = append([]string(nil), j.alerts...)
 	}
+	doc.SuppressedAlerts = j.dropped
 	return doc
 }
 
@@ -254,12 +258,21 @@ func (j *Job) setProgress(done, total int, label string) {
 	j.publishLocked(Event{Kind: "progress", Data: j.progress})
 }
 
-// addAlert records a watchdog alert and streams it. The alert list is the
-// readiness signal: a running job with alerts marks the daemon unready.
+// maxJobAlerts bounds the alerts a job keeps: a starving sweep raises
+// hundreds of thousands, and every status document copies the list.
+const maxJobAlerts = 64
+
+// addAlert records a watchdog alert, or counts it once the job keeps
+// maxJobAlerts, and streams it. The alert list is the readiness signal: a
+// running job with alerts marks the daemon unready.
 func (j *Job) addAlert(s string) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
-	j.alerts = append(j.alerts, s)
+	if len(j.alerts) < maxJobAlerts {
+		j.alerts = append(j.alerts, s)
+	} else {
+		j.dropped++
+	}
 	j.publishLocked(Event{Kind: "alert", Data: s})
 }
 

@@ -43,14 +43,14 @@ func (s *Spec) entry() string {
 }
 
 // Execute runs one validated job spec against the experiments engine,
-// forwarding per-cell telemetry through tel (which may be nil). It is the
-// production runFunc; tests substitute stubs through Config.Runner.
-func Execute(ctx context.Context, spec *Spec, tel *experiments.Telemetry) ([]byte, error) {
+// handing each sweep cell's network to cell (which may be nil). It is what
+// the production runFunc runs; tests substitute stubs through Config.Runner.
+func Execute(ctx context.Context, spec *Spec, cell experiments.CellHook) ([]byte, error) {
 	e, ok := experiments.Lookup(spec.entry())
 	if !ok {
 		return nil, fmt.Errorf("no experiment runs job type %q", spec.Type)
 	}
-	res, err := e.Run(ctx, spec.input(tel))
+	res, err := e.Run(ctx, spec.input(cell))
 	if err != nil {
 		return nil, err
 	}

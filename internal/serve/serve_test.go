@@ -419,11 +419,16 @@ func TestJobPanicCaptured(t *testing.T) {
 }
 
 // /readyz flips unhealthy while a running job has watchdog alerts and
-// recovers once the job finishes.
+// recovers once the job finishes. The job keeps its first 64 alerts and
+// counts the rest: a starving sweep raises hundreds of thousands, and every
+// status document, listing and readiness probe copies the list.
 func TestReadyzFlipsOnWatchdogAlert(t *testing.T) {
+	const raised = 1000
 	br := newBlockingRunner()
 	s := New(Config{Workers: 1, Runner: func(ctx context.Context, job *Job) ([]byte, error) {
-		job.addAlert("cycle 512: livelock: no deliveries for 512 cycles with 9 messages in flight")
+		for i := range raised {
+			job.addAlert(fmt.Sprintf("cycle %d: livelock: no deliveries for 512 cycles with 9 messages in flight", i))
+		}
 		return br.run(ctx, job)
 	}})
 	h := s.Handler()
@@ -433,6 +438,14 @@ func TestReadyzFlipsOnWatchdogAlert(t *testing.T) {
 	}
 	_, doc := postJob(t, h, specQuant)
 	<-br.started
+	var st StatusDoc
+	if err := json.Unmarshal(get(h, "/jobs/"+doc.ID).Body.Bytes(), &st); err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Alerts) != 64 || !strings.HasPrefix(st.Alerts[63], "cycle 63:") || st.SuppressedAlerts != raised-64 {
+		t.Fatalf("status keeps %d alerts and counts %d more; want the first 64 and %d more",
+			len(st.Alerts), st.SuppressedAlerts, raised-64)
+	}
 	rec := get(h, "/readyz")
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("/readyz with alerting job: code %d, want 503", rec.Code)

@@ -14,7 +14,7 @@ import (
 	"time"
 
 	"mlnoc/internal/cliutil"
-	"mlnoc/internal/experiments"
+	"mlnoc/internal/noc"
 	"mlnoc/internal/obs"
 	"mlnoc/internal/telemetry"
 )
@@ -32,9 +32,10 @@ type Config struct {
 	// CacheDir, when non-empty, spills every result to <dir>/<hash>.json and
 	// serves cache misses from it.
 	CacheDir string
-	// Watchdog, when non-nil, attaches a starvation/livelock watchdog to
-	// every job's cells; its alerts flip /readyz unready while the job runs.
-	Watchdog *obs.WatchdogConfig
+	// Watchdog, when positive, attaches to every job's cells a
+	// starvation/livelock watchdog with this threshold in cycles; its alerts
+	// flip /readyz unready while the job runs.
+	Watchdog int64
 	// Runner overrides the job executor (tests). Nil means Execute.
 	Runner runFunc
 	// Logger receives the daemon's structured log stream (submissions, job
@@ -150,16 +151,26 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 		func() uint64 { _, _, _, sp := s.cache.Counters(); return uint64(sp) })
 }
 
-// runJob is the production runFunc: it wires the job's live telemetry
-// (progress, obs snapshots, watchdog alerts) and executes the spec.
+// runJob is the production runFunc: it attaches the job's live telemetry
+// (an obs suite per cell, with the watchdog Config asks for) and executes the
+// spec. Each finished cell streams its snapshot summary and the progress.
 func (s *Server) runJob(ctx context.Context, job *Job) ([]byte, error) {
 	s.log.Info("job started", "corr_id", job.CorrID, "id", job.ID, "type", job.Spec.Type)
-	tel := &experiments.Telemetry{
-		Obs: true,
-		OnCell: func(c experiments.Cell) {
-			snap := c.Suite.Snapshot()
+	var wd *obs.WatchdogConfig
+	if s.cfg.Watchdog > 0 {
+		wd = &obs.WatchdogConfig{Threshold: s.cfg.Watchdog, OnAlert: func(a obs.Alert) {
+			s.met.watchdogAlert(a.Kind)
+			s.log.Warn("watchdog alert", "corr_id", job.CorrID, "id", job.ID,
+				"kind", string(a.Kind), "alert", a.String())
+			job.addAlert(a.String())
+		}}
+	}
+	cell := func(label string, net *noc.Network) func(int, int) {
+		suite := obs.Attach(net, obs.SuiteConfig{SampleEvery: 16, Watchdog: wd})
+		return func(done, total int) {
+			snap := suite.Snapshot()
 			job.publish(Event{Kind: "snapshot", Data: snapshotSummary{
-				Cell:       c.Label,
+				Cell:       label,
 				Cycle:      snap.Cycle,
 				Injected:   snap.Injected,
 				Delivered:  snap.Delivered,
@@ -168,24 +179,10 @@ func (s *Server) runJob(ctx context.Context, job *Job) ([]byte, error) {
 				LatencyP99: snap.LatencyP99,
 				Alerts:     len(snap.Alerts),
 			}})
-			job.setProgress(c.Done, c.Total, c.Label)
-		},
-	}
-	if s.cfg.Watchdog != nil {
-		wd := *s.cfg.Watchdog
-		prev := wd.OnAlert
-		wd.OnAlert = func(a obs.Alert) {
-			if prev != nil {
-				prev(a)
-			}
-			s.met.watchdogAlert(a.Kind)
-			s.log.Warn("watchdog alert", "corr_id", job.CorrID, "id", job.ID,
-				"kind", string(a.Kind), "alert", a.String())
-			job.addAlert(a.String())
+			job.setProgress(done, total, label)
 		}
-		tel.Watchdog = &wd
 	}
-	return Execute(ctx, job.Spec, tel)
+	return Execute(ctx, job.Spec, cell)
 }
 
 // snapshotSummary is the compact per-cell obs view sent on job streams, a

@@ -222,10 +222,10 @@ func (s *Spec) ResolveScale() experiments.Scale {
 // input resolves the spec into the experiments.Input its entry runs on, with
 // every default applied. Execute runs exactly these values and Hash covers
 // them, so the hash cannot disagree with what runs.
-func (s *Spec) input(tel *experiments.Telemetry) experiments.Input {
+func (s *Spec) input(cell experiments.CellHook) experiments.Input {
 	in := experiments.Input{
 		Scale:        s.ResolveScale(),
-		Telemetry:    tel,
+		Cell:         cell,
 		FaultRates:   experiments.DefaultFaultRates,
 		QuantSize:    experiments.DefaultQuantSize,
 		ScalingSizes: experiments.DefaultScalingSizes,
