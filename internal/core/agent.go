@@ -148,7 +148,7 @@ func NewAgent(spec *StateSpec, cfg AgentConfig) *Agent {
 		EpsDecayCycles: cfg.EpsDecayCycles,
 		rng:            rng,
 	}
-	a.DQL.Replay.Codec = a.Spec
+	a.DQL.Replay.Codec = a.Spec.values
 	return a
 }
 
@@ -177,7 +177,7 @@ func NewAgentWithNet(spec *StateSpec, net *nn.MLP, seed int64) *Agent {
 		Reward: rl.NewRewardTracker(rl.RewardGlobalAge),
 		rng:    xrand.New(seed),
 	}
-	a.DQL.Replay.Codec = a.Spec
+	a.DQL.Replay.Codec = a.Spec.values
 	return a
 }
 

@@ -166,3 +166,16 @@ func BenchmarkHotAPUTrainBatch(b *testing.B) {
 		agent.DQL.TrainBatch(agent.rng)
 	}
 }
+
+// BenchmarkHotAPUReplaySample is the draw that starts an APU training batch,
+// on the ring apu_train's warm-up fills: 32 experiences sampled and their
+// states and successors decoded from their records by the APU spec.
+func BenchmarkHotAPUReplaySample(b *testing.B) {
+	agent := apuWarmAgent(b)
+	dst := make([]*rl.Experience, 32)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		agent.DQL.Replay.SampleInto(agent.rng, dst)
+	}
+}

@@ -253,6 +253,16 @@ func TestRecordExpandMatchesExtract(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			requireRecordMatchesExtract(t, s, net, randomCands(rng, s, cores))
 		}
+		// Every scalar reading at the one-byte boundary, negative and
+		// 2^62: the escapes fall on the first feature of a candidate
+		// (payload) and on the last (the mesh's hop count), in records in
+		// slot order and out of it.
+		for _, x := range []int64{253, 254, 255, 256, -1, 1 << 62} {
+			at := candidate(s, 4, cores[0].ID, int(x), x, int(x), int(x), x, 1, 2)
+			small := candidate(s, 2, cores[1].ID, 1, 3, 2, 1, 5, 0, 1)
+			requireRecordMatchesExtract(t, s, net, []noc.Candidate{small, at})
+			requireRecordMatchesExtract(t, s, net, []noc.Candidate{at, small, at})
+		}
 	}
 }
 

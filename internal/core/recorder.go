@@ -41,7 +41,7 @@ func NewRecorder(spec *StateSpec, behavior noc.Policy) *Recorder {
 		Behavior: behavior,
 		Spec:     spec,
 		Reward:   rl.NewRewardTracker(rl.RewardGlobalAge),
-		Data:     rl.NewDataset(spec),
+		Data:     rl.NewDataset(spec.values),
 	}
 }
 

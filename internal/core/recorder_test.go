@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/gob"
+	"encoding/hex"
 	"hash/crc32"
 	"math"
 	"slices"
@@ -230,9 +231,9 @@ func withBody(file []byte, count int, body []byte) []byte {
 // load with an error, which names the record where there is one.
 func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	spec := MeshSpec(3)
-	// A record of one candidate in slot 5 whose payload reading is 1 (a
-	// zigzag varint 2) and whose other readings are 0.
-	good := append([]byte{5, 2}, make([]byte, len(spec.Features)-1)...)
+	// A record of one candidate in slot 5 whose payload reading is 1 and
+	// whose other readings are 0, each one byte.
+	good := append([]byte{5, 1}, make([]byte, len(spec.Features)-1)...)
 	file := datasetFile(t, spec, [][]byte{good, good}, 0, 14)
 	if d, err := rl.LoadDataset(bytes.NewReader(file), spec); err != nil || d.Len() != 2 {
 		t.Fatalf("well-formed file refused: %v", err)
@@ -247,43 +248,57 @@ func TestLoadDatasetRejectsGarbage(t *testing.T) {
 	}{60, 15, []rl.Experience{{Action: 1, Terminal: true}}}); err != nil {
 		t.Fatal(err)
 	}
+	// The same two experiences as file, saved in format version 1, whose
+	// transitions opened with four uvarints and whose readings were varints.
+	v1, err := hex.DecodeString("6d6c6e6f6358500a010000003c0000000f00000002000000000000001600000000000000" +
+		"bfe0030105000502000000bfe0031d05000502000000708118c8")
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The kind bytes of a stored transition: reward 1, terminal, wide.
+	const one, term, wide = 1, 4, 8
 	le := binary.LittleEndian
+	wideHeader := le.AppendUint64(le.AppendUint64(le.AppendUint64([]byte{wide | term | one}, 0), uint64(len(good))), 0)
 	for _, c := range []struct {
 		name, want string
 		file       []byte
 	}{
 		{"empty file", "not a dataset file", nil},
 		{"gob file", "not a dataset file", old.Bytes()},
+		{"version 1 file", "format version 1, want 2", v1},
 		{"truncated file", "body of", file[:len(file)-7]},
 		{"bytes past the checksum", "body of", append(bytes.Clone(file), 0)},
-		{"other version", "format version 2", reseal(file, func(b []byte) { b[8] = 2 })},
+		{"other version", "format version 3", reseal(file, func(b []byte) { b[8] = 3 })},
 		{"other state size", "shapes 80 x 15, the codec's 60 x 15", reseal(file, func(b []byte) { le.PutUint32(b[12:], 80) })},
 		{"other action count", "shapes 60 x 20, the codec's 60 x 15", reseal(file, func(b []byte) { le.PutUint32(b[16:], 20) })},
 		{"oversized body length", "body of 1099511627776 bytes", reseal(file, func(b []byte) { le.PutUint64(b[28:], 1<<40) })},
 		{"record count past the records", "2 records, header says 3", reseal(file, func(b []byte) { le.PutUint64(b[20:], 3) })},
 		{"checksum mismatch", "checksum", func() []byte { b := bytes.Clone(file); b[40] ^= 1; return b }()},
-		{"transition with a bad varint", "record 1: malformed transition", withBody(file, 2, append(bytes.Clone(first), 0x80, 0x80, 0x80, 0x80))},
+		{"unknown kind", "record 1: malformed transition", withBody(file, 2, append(append(bytes.Clone(first), 16|term|one, 0, 5, 0), good...))},
+		{"two reward kinds", "record 1: malformed transition", withBody(file, 2, append(append(bytes.Clone(first), term|3, 0, 5, 0), good...))},
+		{"wide header cut short", "record 1: malformed transition", withBody(file, 2, append(append(bytes.Clone(first), wide), make([]byte, 23)...))},
+		{"reward bits cut short", "record 1: malformed transition", withBody(file, 2, append(bytes.Clone(first), 2, 0, 0, 0, 1, 2))},
 		{"transition longer than the body", "record 1: malformed transition", withBody(file, 2, append(bytes.Clone(first), 0, 1, 50, 0))},
 		{"bytes after the last record", "record 2: malformed transition", withBody(file, 2, append(bytes.Clone(goodBody), 0, 1, 0))},
-		{"overlong varint", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), 0x80, 0, 1, 5, 0), good...))},
-		{"terminal transition with a successor", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), 0, 1, 0, 1), 0))},
+		{"wide header on a narrow transition", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), wideHeader...), good...))},
+		{"terminal transition with a successor", "record 1: not in canonical form", withBody(file, 2, append(append(bytes.Clone(first), term, 0, 0, 1), 0))},
 		{"action beyond the action count", "record 1: action 20 out of 15", datasetFile(t, spec, [][]byte{good, good}, 0, 20)},
 		{"slot beyond the action count", "record 1: decode: core: malformed state record",
 			datasetFile(t, spec, [][]byte{good, append([]byte{byte(spec.ActionSize())}, good[1:]...)}, 0, 0)},
-		{"reading with a bad varint", "record 1: decode: core: malformed state record",
-			datasetFile(t, spec, [][]byte{good, append(bytes.Clone(good[:len(good)-1]), 0x80)}, 0, 0)},
+		{"escaped reading with a bad varint", "record 1: decode: core: malformed state record",
+			datasetFile(t, spec, [][]byte{good, append(bytes.Clone(good[:len(good)-1]), 0xff, 0x80)}, 0, 0)},
 		// Records cut short: inside the second reading of the only
 		// candidate, into empty storage and into storage grown by a good
 		// record, and inside a second candidate whose slot is below the
 		// first's, after one reading or in the middle of it.
 		{"first record cut inside a candidate", "record 0: decode: core: malformed state record",
-			datasetFile(t, spec, [][]byte{{2, 0, 0x80}}, 0)},
+			datasetFile(t, spec, [][]byte{{2, 0, 0xff, 0x80}}, 0)},
 		{"record cut inside a candidate", "record 1: decode: core: malformed state record",
-			datasetFile(t, spec, [][]byte{good, {2, 0, 0x80}}, 0, 0)},
+			datasetFile(t, spec, [][]byte{good, {2, 0, 0xff, 0x80}}, 0, 0)},
 		{"unordered record cut after a reading", "record 1: decode: core: malformed state record",
-			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0, 0x80}}, 0, 0)},
+			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0}}, 0, 0)},
 		{"unordered record cut inside a reading", "record 1: decode: core: malformed state record",
-			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0x80, 0x80, 0x80, 0x80}}, 0, 0)},
+			datasetFile(t, spec, [][]byte{good, {3, 0, 0, 0, 0, 2, 0xff, 0x80, 0x80, 0x80}}, 0, 0)},
 	} {
 		_, err := rl.LoadDataset(bytes.NewReader(c.file), spec)
 		if err == nil || !strings.HasPrefix(err.Error(), "rl: load dataset: ") || !strings.Contains(err.Error(), c.want) {

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
 
 	"mlnoc/internal/nn"
@@ -26,49 +25,45 @@ type StateSpec struct {
 	Norm NormConfig
 
 	portIndex [noc.MaxPorts]int // PortID -> dense column, -1 if absent
-	// values is what Expand looks readings up in while Features and Norm
-	// are still the ones NewStateSpec built it for.
+	// values is what Expand decodes with while the spec is the one
+	// NewStateSpec built it for.
 	values *valueTable
 }
 
-// valueTable holds, for each feature of a set and every reading a one-byte
-// varint encodes (-64 to 63), what Expand makes of it: the value
-// NormConfig.scale gives it, the element of the message's block it goes to
-// (a one-hot feature's category picks one of three; -1 marks a category that
-// does not exist), and whether it is kept (non-zero). Looking a reading up replaces a
-// division and a clamp, whose branches random readings mispredict, and gives
-// the same bits.
+// valueTable is a spec as Expand decodes with it: its shapes, and for each
+// feature and each reading a record holds in one byte (0 to 254), the value
+// NormConfig.scale gives it (a one-hot category's 1), its element in the
+// message's block, and whether it is kept (non-zero); the escape byte 255
+// and a one-hot category that does not exist have element -1. Looking a
+// reading up replaces a division and a clamp and gives the same bits. Nothing
+// writes a table once built, so a replay ring decodes with its agent's
+// without checking the spec each draw. It takes 4 KB a feature.
 type valueTable struct {
-	feats FeatureSet
-	norm  NormConfig
-	cells []valueCell // [feature<<7 | varint byte]
+	feats       FeatureSet
+	norm        NormConfig
+	fw, actions int
+	cells       [][escape + 1]valueCell
 }
 
 type valueCell struct {
 	val  float64
-	at   int8
-	keep uint8
+	at   int32 // -1: slowReading
+	keep int32
 }
 
-// newValueTable tabulates what Expand makes of the one-byte readings of
-// feats under norm, or returns nil for a set too wide for an int8 element.
-func newValueTable(feats FeatureSet, norm NormConfig) *valueTable {
-	if feats.Width() > math.MaxInt8 {
-		return nil
-	}
-	t := &valueTable{feats: slices.Clone(feats), norm: norm, cells: make([]valueCell, len(feats)<<7)}
+// newValueTable tabulates the one-byte readings of s's features.
+func newValueTable(s *StateSpec) *valueTable {
+	feats := slices.Clone(s.Features)
+	t := &valueTable{feats: feats, norm: s.Norm, fw: feats.Width(), actions: s.ActionSize(), cells: make([][escape + 1]valueCell, len(feats))}
 	el := 0
 	for i, f := range feats {
-		for b := range 1 << 7 {
-			r, _ := binary.Varint([]byte{byte(b)})
-			c := &t.cells[i<<7|b]
-			switch {
-			case f.Width() == 1:
-				c.val, c.at = norm.scale(f, r), int8(el)
-			case r >= 0 && r < 3:
-				c.val, c.at = 1, int8(el+int(r))
-			default:
-				c.at = -1
+		for r := range t.cells[i] {
+			c := &t.cells[i][r]
+			switch c.at = -1; {
+			case r < escape && f.Width() == 1:
+				c.val, c.at = s.Norm.scale(f, int64(r)), int32(el)
+			case r < 3:
+				c.val, c.at = 1, int32(el+r)
 			}
 			if c.val != 0 {
 				c.keep = 1
@@ -79,18 +74,21 @@ func newValueTable(feats FeatureSet, norm NormConfig) *valueTable {
 	return t
 }
 
-// NewStateSpec builds a state spec over the given ports.
+// NewStateSpec builds a state spec over the given ports. A record holds a
+// slot in one byte, so a spec has at most 256 (a network's ports and VCs
+// make at most noc.MaxPorts x noc.MaxVCs).
 func NewStateSpec(ports []noc.PortID, vcs int, feats FeatureSet, norm NormConfig) *StateSpec {
-	if len(ports) == 0 || vcs <= 0 || len(feats) == 0 {
-		panic("core: state spec needs ports, VCs and features")
+	if len(ports) == 0 || vcs <= 0 || len(feats) == 0 || len(ports)*vcs > 256 {
+		panic("core: state spec needs ports, VCs and features, and at most 256 slots")
 	}
-	s := &StateSpec{Ports: ports, VCs: vcs, Features: feats, Norm: norm, values: newValueTable(feats, norm)}
+	s := &StateSpec{Ports: ports, VCs: vcs, Features: feats, Norm: norm}
 	for i := range s.portIndex {
 		s.portIndex[i] = -1
 	}
 	for i, p := range ports {
 		s.portIndex[p] = i
 	}
+	s.values = newValueTable(s)
 	return s
 }
 
@@ -144,21 +142,29 @@ func (s *StateSpec) SlotPort(slot int) (noc.PortID, int) {
 }
 
 // Record appends to dst the record of one arbitration: for each candidate in
-// the order given, its Slot and then one reading per feature of the spec's
-// FeatureSet, the integer the state normalizes (Feature.read), each a
+// the order given, its Slot in one byte and then one reading per feature of
+// the spec's FeatureSet, the integer the state normalizes (Feature.read): one
+// byte when it is 0 to 254, else the escape byte 255 and its
 // binary.AppendVarint. Nothing is clipped or rounded, so Expand rebuilds from
-// a record exactly the state the messages themselves give. On the APU a record
-// takes about nine bytes a candidate, where its state takes a dozen entries
-// of 12 bytes.
+// a record exactly the state the messages themselves give. On the APU a
+// record takes nine bytes a candidate (one reading in 600 escapes, into three
+// bytes), where its state takes a dozen entries of 12 bytes.
 func (s *StateSpec) Record(dst []byte, net *noc.Network, now int64, cands []noc.Candidate) []byte {
 	for _, c := range cands {
-		dst = binary.AppendUvarint(dst, uint64(s.Slot(c.Port, c.VC)))
+		dst = append(dst, byte(s.Slot(c.Port, c.VC)))
 		for _, f := range s.Features {
-			dst = binary.AppendVarint(dst, f.read(net, now, c.Msg))
+			if r := f.read(net, now, c.Msg); uint64(r) < escape {
+				dst = append(dst, byte(r))
+			} else {
+				dst = binary.AppendVarint(append(dst, escape), r)
+			}
 		}
 	}
 	return dst
 }
+
+// escape is the byte that marks a reading Record writes as a varint.
+const escape = 0xff
 
 // Expand decodes a record written by Record into the state vector of its
 // arbitration and the list of its candidates' slots, in the record's order
@@ -174,176 +180,143 @@ func (s *StateSpec) Record(dst []byte, net *noc.Network, now int64, cands []noc.
 // have written for this spec.
 func (s *StateSpec) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int) {
 	t := s.values
-	if t != nil && (t.norm != s.Norm || !slices.Equal(t.feats, s.Features)) {
-		t = nil // changed since NewStateSpec: compute every value
+	if t.norm != s.Norm || t.actions != s.ActionSize() || !slices.Equal(t.feats, s.Features) {
+		t = newValueTable(s) // changed since NewStateSpec
 	}
-	nf, fw := len(s.Features), s.Features.Width()
-	// A candidate takes at least nf+1 bytes and one cut short at least one,
-	// so this many entries are always room enough, whatever decoding writes
-	// before it finds the record malformed; only a vector with less room
-	// needs the exact count.
-	room := (len(rec) + nf) / (nf + 1) * fw
-	if c := min(cap(v.Idx), cap(v.Val)); c < room {
-		k := varints(rec)
-		if k%(nf+1) != 0 {
-			panic("core: malformed state record")
-		}
-		if need := k / (nf + 1) * fw; c >= need {
-			room = need
-		} else {
-			v = nn.SparseVec{Idx: make([]int32, room), Val: make([]float64, room)}
-		}
+	return t.Expand(v, valid, rec)
+}
+
+// InputSize, ActionSize and Expand make a table the rl.StateCodec of the spec
+// it was built for.
+func (t *valueTable) InputSize() int  { return t.actions * t.fw }
+func (t *valueTable) ActionSize() int { return t.actions }
+
+// Expand is StateSpec.Expand. The engine hands candidates over in ascending
+// slot order as a rule, and a reading takes one byte but for one in
+// hundreds: such a record holds a slot every nf+1 bytes, and lookup decodes
+// it, in one loop a candidate. slowExpand decodes any other.
+func (t *valueTable) Expand(v nn.SparseVec, valid []int, rec []byte) (nn.SparseVec, []int) {
+	stride, p, last, ok := len(t.cells)+1, 0, -1, true
+	for valid = valid[:0]; ok && p < len(rec); p += stride {
+		slot := int(rec[p])
+		valid, ok, last = append(valid, slot), slot > last && slot < t.actions, slot
 	}
-	idx, val := v.Idx[:room], v.Val[:room]
-	// The engine hands candidates over in ascending slot order as a rule:
-	// decode straight through while they come so.
-	valid = valid[:0]
-	n, last := 0, -1
-	for p := 0; p < len(rec); {
-		slot, q := s.slotAt(rec, p)
-		if slot <= last {
-			return s.expandUnordered(idx, val, valid[:0], rec, t)
-		}
-		valid = append(valid, slot)
-		n, p = s.expandBlock(idx, val, n, slot*fw, rec, q, t)
-		last = slot
+	// Any other record takes room for a candidate every nf+1 bytes and one
+	// cut short, whatever decoding writes before it finds it malformed.
+	k, ok := len(valid), ok && p == len(rec)
+	if !ok {
+		k = (len(rec) + stride - 1) / stride
+	}
+	if min(cap(v.Idx), cap(v.Val)) < k*t.fw {
+		v = nn.SparseVec{Idx: make([]int32, k*t.fw), Val: make([]float64, k*t.fw)}
+	}
+	idx, val, n := v.Idx[:k*t.fw], v.Val[:k*t.fw], 0
+	if ok {
+		n, ok = t.lookup(idx, val, rec)
+	}
+	if !ok {
+		valid = slices.Grow(valid[:0], k)[:k]
+		n, k = t.slowExpand(idx, val, valid, rec)
+		valid = valid[:k]
 	}
 	return nn.SparseVec{Idx: idx[:n], Val: val[:n]}, valid
 }
 
-// expandUnordered is Expand for a record whose slots are not ascending, into
-// storage Expand has sized.
-func (s *StateSpec) expandUnordered(idx []int32, val []float64, valid []int, rec []byte, t *valueTable) (nn.SparseVec, []int) {
-	// Sort the candidates by slot: keys are slot<<32 | where the candidate's
-	// readings start, insertion-sorted (a handful, mostly in order already),
-	// on the stack unless there are more than a router's ports usually hold.
+// lookup decodes into idx and val, non-zero values only, a record whose
+// readings take one byte each, by table lookups alone, in one loop a
+// candidate: it reports false, having written what it may, at a reading the
+// table does not hold.
+func (t *valueTable) lookup(idx []int32, val []float64, rec []byte) (n int, ok bool) {
+	cells, fw, val := t.cells, int32(t.fw), val[:len(idx)]
+	for p := 0; p < len(rec); p++ {
+		el := int32(rec[p]) * fw
+		for i := range cells {
+			p++
+			c := &cells[i][rec[p]]
+			if c.at < 0 {
+				return n, false
+			}
+			// Written always, kept when non-zero: n never passes the element
+			// being written, and the lookup has no branch to mispredict.
+			idx[n], val[n] = el+c.at, c.val
+			n += int(c.keep)
+		}
+	}
+	return n, true
+}
+
+// slowExpand is lookup for any record, reading by reading through
+// slowReading: it lists the candidates' slots in the record's order and
+// decodes them in ascending slot order, the first of a repeated slot only
+// (one message per buffer: a repeat adds nothing).
+func (t *valueTable) slowExpand(idx []int32, val []float64, valid []int, rec []byte) (n, k int) {
+	// Keys are slot<<32 | where the candidate's readings start,
+	// insertion-sorted (a handful, mostly in order already), on the stack
+	// unless there are more than a router's ports usually hold.
 	var stack [16]uint64
 	order := stack[:0]
-	for p := 0; p < len(rec); {
-		slot, q := s.slotAt(rec, p)
-		key := uint64(slot)<<32 | uint64(q)
+	for p := 0; p < len(rec); k++ {
+		slot := int(rec[p])
+		if slot >= t.actions {
+			panic("core: malformed state record")
+		}
+		valid[k], p = slot, p+1
+		key := uint64(slot)<<32 | uint64(p)
 		j := len(order)
 		order = append(order, key)
 		for ; j > 0 && order[j-1] > key; j-- {
 			order[j] = order[j-1]
 		}
 		order[j] = key
-		valid = append(valid, slot)
-		// Skip the readings: each ends at a byte below 0x80.
-		for k := 0; k < len(s.Features); q++ {
-			if q == len(rec) {
-				panic("core: malformed state record")
+		for range t.cells { // past the readings: an escape's varint ends below 0x80
+			if p < len(rec) && rec[p] == escape {
+				for p++; p < len(rec) && rec[p] >= 0x80; p++ {
+				}
 			}
-			if rec[q] < 0x80 {
-				k++
-			}
-		}
-		p = q
-	}
-	fw := s.Features.Width()
-	n, last := 0, -1
-	for _, key := range order {
-		slot := int(key >> 32)
-		if slot == last {
-			continue // one message per buffer: a repeated slot adds nothing
-		}
-		last = slot
-		n, _ = s.expandBlock(idx, val, n, slot*fw, rec, int(key&(1<<32-1)), t)
-	}
-	return nn.SparseVec{Idx: idx[:n], Val: val[:n]}, valid
-}
-
-// slotAt decodes the slot at rec[p:], returning it and the offset past it.
-func (s *StateSpec) slotAt(rec []byte, p int) (int, int) {
-	slot, n := uint64(rec[p]), 1
-	if slot >= 0x80 {
-		if slot, n = binary.Uvarint(rec[p:]); n <= 0 {
-			panic("core: malformed state record")
+			p++
 		}
 	}
-	if slot >= uint64(s.ActionSize()) {
-		panic("core: malformed state record")
-	}
-	return int(slot), p + n
-}
-
-// expandBlock decodes the readings at rec[p:] of the candidate whose block
-// starts at element el into idx and val from entry n, non-zero values only,
-// and returns the entries then filled and the offset past the readings. t
-// is the spec's value table, nil when it may not be used.
-func (s *StateSpec) expandBlock(idx []int32, val []float64, n, el int, rec []byte, p int, t *valueTable) (int, int) {
-	for i := 0; i < len(s.Features); i++ {
-		if t != nil {
-			var k int
-			if n, k = t.expand(idx, val, n, el, i, rec[p:]); i+k == len(s.Features) {
-				return n, p + k
-			}
-			i, p = i+k, p+k
+	for j, key := range order {
+		if j > 0 && key>>32 == order[j-1]>>32 {
+			continue
 		}
-		var x float64
-		var at int
-		x, at, p = s.slowReading(i, rec, p)
-		idx[n], val[n] = int32(el+at), x
-		if x != 0 {
-			n++
+		p, el := int(key&(1<<32-1)), int32(key>>32)*int32(t.fw)
+		for i := range t.cells {
+			var c valueCell
+			c, p = t.slowReading(i, rec, p)
+			idx[n], val[n] = el+c.at, c.val
+			n += int(c.keep)
 		}
-	}
-	return n, p
-}
-
-// expand is expandBlock by table lookups, from feature i on for as long as
-// the readings are one byte each and name existing one-hot categories: it
-// returns the entries then filled and how many readings it took.
-func (t *valueTable) expand(idx []int32, val []float64, n, el, i int, rec []byte) (int, int) {
-	k := 0
-	for ; i+k < len(t.feats) && k < len(rec); k++ {
-		b := rec[k]
-		if b >= 0x80 {
-			break
-		}
-		c := &t.cells[(i+k)<<7|int(b)]
-		if c.at < 0 {
-			break
-		}
-		// Written always, kept when non-zero: n never passes the element
-		// being written, and the loop has no branch to mispredict.
-		idx[n], val[n] = int32(el+int(c.at)), c.val
-		n += int(c.keep)
 	}
 	return n, k
 }
 
-// varints returns how many varints rec holds: each ends at its one byte
-// below 0x80.
-func varints(rec []byte) int {
-	n := 0
-	for _, b := range rec {
-		if b < 0x80 {
-			n++
-		}
-	}
-	return n
-}
-
-// slowReading decodes the reading of feature i at rec[p:] without the value
-// table: the value, its element in the message's block, and the offset past
-// it. It panics on a one-hot category that does not exist.
-func (s *StateSpec) slowReading(i int, rec []byte, p int) (x float64, at, end int) {
-	r, n := binary.Varint(rec[min(p, len(rec)):])
-	if n <= 0 {
+// slowReading returns the cell of the reading of feature i at rec[p:], the
+// table's or, for an escape, one it computes, and the offset past the
+// reading. It panics on a one-hot category that does not exist.
+func (t *valueTable) slowReading(i int, rec []byte, p int) (valueCell, int) {
+	if p >= len(rec) {
 		panic("core: malformed state record")
 	}
-	f := s.Features[i]
-	at = s.Features[:i].Width()
+	if c := t.cells[i][rec[p]]; c.at >= 0 {
+		return c, p + 1
+	}
+	r, n := binary.Varint(rec[p+1:])
+	f, c := t.feats[i], valueCell{at: int32(t.feats[:i].Width())}
 	switch {
+	case rec[p] != escape || n <= 0:
+		panic("core: malformed state record")
 	case f.Width() == 1:
-		x = s.Norm.scale(f, r)
+		c.val = t.norm.scale(f, r)
 	case r >= 0 && r < 3:
-		x, at = 1, at+int(r)
+		c.val, c.at = 1, c.at+int32(r)
 	default:
 		panic("core: malformed state record")
 	}
-	return x, at, p + n
+	if c.val != 0 {
+		c.keep = 1
+	}
+	return c, p + 1 + n
 }
 
 // BuildSparse assembles the state of one arbitration as an nn.SparseVec: the
@@ -358,8 +331,8 @@ func (s *StateSpec) BuildSparse(v nn.SparseVec, net *noc.Network, now int64, can
 	return v
 }
 
-// recordStack is how many bytes of record BuildSparse keeps on the stack:
-// eight candidates of the widest feature set at two bytes a reading.
+// recordStack is how many bytes of record BuildSparse and Expand keep on the
+// stack: eight candidates of the widest feature set at two bytes a reading.
 const recordStack = 8 * (1 + 2*NumFeatures)
 
 // buildStateStack is how many entries BuildStateInto's intermediate list holds

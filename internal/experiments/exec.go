@@ -86,7 +86,7 @@ type apuRow struct {
 // seeds its workload with rows[r].seed and its policy with rows[r].seed+p.
 // Each cell is handed to cells' hook and counted there. ctx works as in
 // ExecSweepCtx; a cell that does not finish panics with its network's
-// in-flight count and largest queued local age.
+// in-flight count and largest queued local age, after its hook's done.
 func apuGrid(ctx context.Context, sc Scale, cells *cellCount, rows []apuRow, policies []PolicyFactory) ([][]apu.ExecResult, error) {
 	res := make([][]apu.ExecResult, len(rows))
 	for ri := range res {
@@ -106,10 +106,12 @@ func apuGrid(ctx context.Context, sc Scale, cells *cellCount, rows []apuRow, pol
 			Faults:  row.faults,
 			Attach:  func(n *noc.Network) { net, finished = n, cells.attach(label, n) },
 		})
+		// The hook's done runs for a cell that did not finish too: it is
+		// where the cell's instruments report what went wrong.
+		finished()
 		if !r.Finished {
 			panic(cellFailure(label, net, r.Cycles))
 		}
-		finished()
 		res[ri][pi] = r
 	})
 	if err != nil {

@@ -203,3 +203,38 @@ func TestAblationTelemetry(t *testing.T) {
 		}
 	}
 }
+
+// stallPolicy grants nothing: every output it matches stays idle.
+type stallPolicy struct{ idle []int }
+
+func (*stallPolicy) Name() string                                    { return "stall" }
+func (*stallPolicy) Select(_ *noc.ArbContext, _ []noc.Candidate) int { return 0 }
+func (p *stallPolicy) Match(_ *noc.MatchContext, reqs []noc.Request) []int {
+	for len(p.idle) < len(reqs) {
+		p.idle = append(p.idle, -1)
+	}
+	return p.idle[:len(reqs)]
+}
+
+// TestStuckCellReportsBeforePanic: a cell that never finishes still runs its
+// hook's done, where a command's watchdog reports the cell, before the sweep
+// panics with a *CellPanic whose message names the cell.
+func TestStuckCellReportsBeforePanic(t *testing.T) {
+	var done []string
+	hook := func(label string, _ *noc.Network) func(int, int) {
+		return func(int, int) { done = append(done, label) }
+	}
+	rows := []apuRow{{label: "stuck", apps: apu.Homogeneous(synfull.Catalog()[0]), seed: 1}}
+	stall := []PolicyFactory{{Name: "stall", New: func(int64) noc.Policy { return &stallPolicy{} }}}
+	defer func() {
+		cp, ok := recover().(*CellPanic)
+		if !ok || !strings.Contains(fmt.Sprint(cp.Value), "stuck/stall did not finish") {
+			t.Fatalf("recovered %v, want a *CellPanic naming stuck/stall", cp)
+		}
+		if len(done) != 1 || done[0] != "stuck/stall" {
+			t.Fatalf("the hook's done ran for %v, want [stuck/stall]", done)
+		}
+	}()
+	apuGrid(context.Background(), Scale{OpScale: 0.02}, &cellCount{hook: hook, total: 1}, rows, stall)
+	t.Fatal("apuGrid returned on a cell that cannot finish")
+}

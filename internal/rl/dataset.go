@@ -46,7 +46,7 @@ type fileHeader struct {
 
 var datasetMagic = [8]byte{'m', 'l', 'n', 'o', 'c', 'X', 'P', '\n'}
 
-const datasetVersion = 1
+const datasetVersion = 2
 
 // Save writes the dataset file.
 func (d *Dataset) Save(w io.Writer) error {

@@ -310,8 +310,9 @@ func TestReplayArenaPlacement(t *testing.T) {
 		{7000, 4 * minArena, 8725},
 		{4025, 8 * minArena, 11725}, // no room at the end, 25 bytes short at the start: double
 	} {
-		// A 5-byte header (reward 0, action i, two lengths) and the state.
-		state := bytes.Repeat([]byte{byte(i + 1)}, c.size-5)
+		// A 25-byte header (the kind, then action i and the two lengths in
+		// eight bytes each, a state being past 255 bytes) and the state.
+		state := bytes.Repeat([]byte{byte(i + 1)}, c.size-25)
 		r.Add(Transition{State: state, Action: i})
 		added = append(added, state)
 		slot := (r.next + r.cap - 1) % r.cap
@@ -320,7 +321,7 @@ func TestReplayArenaPlacement(t *testing.T) {
 		}
 		for j := 0; j < r.Len(); j++ {
 			k, n := (r.next-r.Len()+j+r.cap)%r.cap, len(added)-r.Len()+j
-			if got, size, _ := parseTransition(r.arena[r.off[k]:]); !bytes.Equal(got.State, added[n]) || got.Action != n || size != len(added[n])+5 {
+			if got, size, _ := parseTransition(r.arena[r.off[k]:]); !bytes.Equal(got.State, added[n]) || got.Action != n || size != len(added[n])+25 {
 				t.Fatalf("add %d: live record %d does not read back as added", i, j)
 			}
 		}

@@ -9,7 +9,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"math/bits"
 	"math/rand"
 
 	"mlnoc/internal/nn"
@@ -83,22 +82,41 @@ type Transition struct {
 	Terminal bool
 }
 
+// The bits of the kind byte that opens a stored transition: the reward is 1,
+// or the eight bytes after the header (else it is 0); the transition is
+// terminal; its action and record lengths take eight bytes each, not one.
+const rewardOne, rewardBits, terminal, wide = 1, 2, 4, 8
+
 // appendTransition appends t's bytes to dst, as the replay arena and a dataset
-// file hold it: the reward's bits byte-reversed (0, 1 or a short fraction
-// takes one to three bytes), the action and terminal flag, the lengths of the
-// two records, each a uvarint, then the records; a terminal's Next is not.
+// file hold it: the kind byte; the action and the two records' lengths, one
+// byte each while all three are below 256, else eight each; the reward's
+// bits unless it is 0 or 1 (eight bytes little-endian, like the others);
+// then the records, a terminal's Next left out. So the header of a
+// transition whose action and records are under 256 takes four bytes.
 func appendTransition(dst []byte, t Transition) []byte {
 	if t.Action < 0 {
 		panic("rl: negative action")
 	}
-	succ, flag := t.Next, uint64(t.Action)<<1
+	succ, kind, bits := t.Next, byte(0), math.Float64bits(t.Reward)
 	if t.Terminal {
-		succ, flag = nil, flag|1
+		succ, kind = nil, terminal
 	}
-	dst = binary.AppendUvarint(dst, bits.ReverseBytes64(math.Float64bits(t.Reward)))
-	dst = binary.AppendUvarint(dst, flag)
-	dst = binary.AppendUvarint(dst, uint64(len(t.State)))
-	dst = binary.AppendUvarint(dst, uint64(len(succ)))
+	if bits == math.Float64bits(1) {
+		kind |= rewardOne
+	} else if bits != 0 {
+		kind |= rewardBits
+	}
+	if max(t.Action, len(t.State), len(succ)) < 256 {
+		dst = append(dst, kind, byte(t.Action), byte(len(t.State)), byte(len(succ)))
+	} else {
+		dst = append(dst, kind|wide)
+		for _, x := range [...]int{t.Action, len(t.State), len(succ)} {
+			dst = binary.LittleEndian.AppendUint64(dst, uint64(x))
+		}
+	}
+	if kind&rewardBits != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, bits)
+	}
 	return append(append(dst, t.State...), succ...)
 }
 
@@ -107,20 +125,28 @@ func appendTransition(dst []byte, t Transition) []byte {
 // in bytes, or ok false when b does not start with one. The arena holds
 // nothing else, so the ring does not look at ok.
 func parseTransition(b []byte) (t Transition, n int, ok bool) {
-	var u [4]uint64
-	for i := range u {
-		x, k := binary.Uvarint(b[n:])
-		if k <= 0 {
-			return t, 0, false
-		}
-		u[i], n = x, n+k
-	}
-	if rest := uint64(len(b) - n); u[2] > rest || u[3] > rest-u[2] {
+	if len(b) < 4 || b[0]&wide != 0 && len(b) < 25 || b[0] > terminal|wide|rewardBits ||
+		b[0]&rewardOne != 0 && b[0]&rewardBits != 0 {
 		return t, 0, false
 	}
-	ns := n + int(u[2])
-	end := ns + int(u[3])
-	return Transition{b[n:ns], int(u[1] >> 1), math.Float64frombits(bits.ReverseBytes64(u[0])), b[ns:end], u[1]&1 != 0}, end, true
+	kind, u := b[0], [3]uint64{uint64(b[1]), uint64(b[2]), uint64(b[3])}
+	if n = 4; kind&wide != 0 {
+		le := binary.LittleEndian
+		u, n = [3]uint64{le.Uint64(b[1:]), le.Uint64(b[9:]), le.Uint64(b[17:])}, 25
+	}
+	t.Reward = float64(kind & rewardOne)
+	if kind&rewardBits != 0 {
+		if len(b)-n < 8 {
+			return t, 0, false
+		}
+		t.Reward, n = math.Float64frombits(binary.LittleEndian.Uint64(b[n:])), n+8
+	}
+	if rest := uint64(len(b) - n); u[0] > math.MaxInt || u[1] > rest || u[2] > rest-u[1] {
+		return t, 0, false
+	}
+	ns := n + int(u[1])
+	end := ns + int(u[2])
+	return Transition{b[n:ns], int(u[0]), t.Reward, b[ns:end], kind&terminal != 0}, end, true
 }
 
 // Replay is the circular experience-replay buffer used to decorrelate
@@ -128,9 +154,10 @@ func parseTransition(b []byte) (t Transition, n int, ok bool) {
 // with NewReplay.
 //
 // The experiences are Transitions, stored back to back in ring order in one
-// byte arena as appendTransition writes them. The arena holds no pointer, so
-// the garbage collector never scans it. An experience is decoded, through
-// Codec, only when SampleInto or At draws it.
+// byte arena as appendTransition writes them, each behind a header that is
+// four bytes while its action and records are under 256. The arena holds no
+// pointer, so the garbage collector never scans it. An experience is
+// decoded, through Codec, only when SampleInto or At draws it.
 type Replay struct {
 	// Codec decodes the stored states; it must be set before the first
 	// SampleInto or At.

@@ -637,3 +637,27 @@ func TestRewardAccLatencyPeriodic(t *testing.T) {
 		t.Fatalf("idle acc-latency reward = %v, want 1", tr.current)
 	}
 }
+
+// FuzzTransitionRoundTrip: parseTransition gives back every transition
+// appendTransition wrote, bit for bit (a terminal's successor is not stored),
+// at its exact length whatever follows it, and refuses every strict prefix of
+// it, a header cut short included, without panicking.
+func FuzzTransitionRoundTrip(f *testing.F) {
+	f.Fuzz(func(t *testing.T, action, reward uint64, terminal bool, state, next []byte) {
+		in := Transition{State: state, Action: int(action >> 1), Reward: math.Float64frombits(reward), Next: next, Terminal: terminal}
+		b := appendTransition(nil, in)
+		got, n, ok := parseTransition(append(b, 0xff, 1, 2))
+		if terminal {
+			in.Next = nil
+		}
+		if !ok || n != len(b) || got.Action != in.Action || got.Terminal != in.Terminal ||
+			math.Float64bits(got.Reward) != reward || !bytes.Equal(got.State, in.State) || !bytes.Equal(got.Next, in.Next) {
+			t.Fatalf("%+v stored as %x parses to %+v, %d bytes, ok %t", in, b, got, n, ok)
+		}
+		for cut := range b {
+			if _, _, ok := parseTransition(b[:cut]); ok {
+				t.Fatalf("the first %d of the %d bytes of %+v parse", cut, len(b), in)
+			}
+		}
+	})
+}
