@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet vet-cross fmt layering bench-once verify clean
+.PHONY: build test test-nofma race vet vet-cross fmt layering examples bench-once verify clean
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,13 @@ layering:
 		fi; \
 	done; exit $$fail
 
+# Run each program under examples/ once (a few seconds together; they write
+# no files), so they keep working, not just compiling. examples/hardware
+# exits non-zero when a named rule's Fig. 8 P-block disagrees with the
+# priority the simulator runs.
+examples:
+	@for d in examples/*/; do echo "== $$d"; $(GO) run ./$$d || exit 1; done
+
 # Run every Go benchmark exactly once, so the BenchmarkHot* developer
 # microbenchmarks keep compiling and running. It times nothing worth reading:
 # performance is measured and gated by benchmark/run.sh, and the zero-alloc
@@ -70,7 +77,7 @@ bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet vet-cross layering build test test-nofma race bench-once
+verify: fmt vet vet-cross layering build test examples test-nofma race bench-once
 
 clean:
 	$(GO) clean ./...

@@ -136,16 +136,18 @@ func run(args []string, stdout io.Writer) error {
 	return nil
 }
 
+// rulePolicies maps the -policy values of the distilled arbiters to their
+// names in core's rule table.
+var rulePolicies = map[string]string{
+	"rl-inspired":            "rl-inspired",
+	"rl-inspired-we":         "rl-inspired-paper-we",
+	"rl-inspired-no-port":    "rl-inspired(-port)",
+	"rl-inspired-no-msgtype": "rl-inspired(-msgtype)",
+}
+
 func makePolicy(name string, seed int64) (noc.Policy, error) {
-	switch name {
-	case "rl-inspired":
-		return core.NewRLInspiredAPU(), nil
-	case "rl-inspired-we":
-		return core.NewRLInspiredAPUPaper(), nil
-	case "rl-inspired-no-port":
-		return &core.RLInspiredAPU{InvertNorthSouth: true, DefeaturePort: true}, nil
-	case "rl-inspired-no-msgtype":
-		return &core.RLInspiredAPU{InvertNorthSouth: true, DefeatureMsgType: true}, nil
+	if rule, ok := rulePolicies[name]; ok {
+		return core.NamedRule(rule), nil
 	}
 	return cliutil.ClassicPolicy(name, seed)
 }

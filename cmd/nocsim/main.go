@@ -133,9 +133,9 @@ func run(args []string, stdout io.Writer) error {
 func makePolicy(name string, size int, seed int64) (noc.Policy, error) {
 	if name == "rl-inspired" {
 		if size >= 8 {
-			return core.NewRLInspiredMesh8x8(), nil
+			return core.NamedRule("rl-inspired-8x8"), nil
 		}
-		return core.NewRLInspiredMesh4x4(), nil
+		return core.NamedRule("rl-inspired-4x4"), nil
 	}
 	return cliutil.ClassicPolicy(name, seed)
 }

@@ -214,7 +214,7 @@ func run(args []string, stdout io.Writer) error {
 	fmt.Fprintf(stdout, "frozen NN eval: avg latency %.2f (oldest-pick accuracy %.1f%% of %d decisions)\n",
 		res.AvgLatency, 100*probe.accuracy(), probe.total)
 
-	for _, pol := range []noc.Policy{arb.NewFIFO(), arb.NewGlobalAge(), core.NewRLInspiredMesh4x4()} {
+	for _, pol := range []noc.Policy{arb.NewFIFO(), arb.NewGlobalAge(), core.NamedRule("rl-inspired-4x4")} {
 		pr := &oldestProbe{inner: pol}
 		r := mesh.Evaluate(pr, 1000, *evalCycles)
 		fmt.Fprintf(stdout, "%-16s avg latency %.2f (oldest accuracy %.1f%%)\n",

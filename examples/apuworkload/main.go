@@ -37,7 +37,7 @@ func main() {
 	policies := []noc.Policy{
 		arb.NewRoundRobin(),
 		arb.NewFIFO(),
-		core.NewRLInspiredAPU(),
+		core.NamedRule("rl-inspired"),
 		arb.NewGlobalAge(),
 	}
 	var base float64

@@ -42,7 +42,7 @@ func main() {
 		arb.NewRoundRobin(),
 		arb.NewFIFO(),
 		oldestPlusLongest{},
-		core.NewRLInspiredMesh8x8(),
+		core.NamedRule("rl-inspired-8x8"),
 		arb.NewGlobalAge(),
 	}
 

@@ -25,7 +25,7 @@ func main() {
 
 	policies := []noc.Policy{
 		arb.NewFIFO(),
-		core.NewRLInspiredMesh4x4(),
+		core.NamedRule("rl-inspired-4x4"),
 		arb.NewGlobalAge(),
 	}
 

@@ -56,7 +56,7 @@ func main() {
 	for _, p := range []noc.Policy{
 		arb.NewFIFO(),
 		tr.Agent,
-		core.NewRLInspiredMesh4x4(),
+		core.NamedRule("rl-inspired-4x4"),
 		arb.NewGlobalAge(),
 	} {
 		res := mesh.Evaluate(p, 1000, 6000)

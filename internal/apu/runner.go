@@ -150,14 +150,28 @@ func (r *Runner) Step() {
 	r.Sys.Net.Step()
 }
 
-// Run steps until every instance completes or Cfg.MaxCycles cycles elapse,
-// then lets residual traffic drain. It reports whether all completed.
+// wedgedCycles ends a Run early: a run with messages in flight that delivers
+// none for this many consecutive cycles is wedged (its policy grants nothing,
+// or its traffic deadlocked) and would only spin on to MaxCycles. In every
+// quick-scale APU cell of Figs. 9-11, the Section 5.1 ablation and the fault
+// sweep, the longest such stretch is 70 cycles.
+const wedgedCycles = 10_000
+
+// Run steps until every instance completes, Cfg.MaxCycles cycles elapse or
+// the run wedges (wedgedCycles), then lets residual traffic drain. It
+// reports whether all completed.
 func (r *Runner) Run() bool {
-	for i := int64(0); i < r.Cfg.MaxCycles && !r.Done(); i++ {
+	net := r.Sys.Net
+	delivered, stalled := net.Stats().Delivered, 0
+	for i := int64(0); i < r.Cfg.MaxCycles && !r.Done() && stalled < wedgedCycles; i++ {
 		r.Step()
+		stalled++
+		if d := net.Stats().Delivered; d != delivered || net.InFlight() == 0 {
+			delivered, stalled = d, 0
+		}
 	}
 	done := r.Done()
-	r.Sys.Net.Drain(10_000)
+	net.Drain(10_000)
 	return done
 }
 

@@ -14,6 +14,7 @@ import (
 	"mlnoc/internal/noc"
 	"mlnoc/internal/rl"
 	"mlnoc/internal/synfull"
+	"mlnoc/internal/synth"
 	"mlnoc/internal/traffic"
 )
 
@@ -222,27 +223,27 @@ func TestBuildStateIsScatterOfSparse(t *testing.T) {
 	}
 }
 
-func TestRLInspiredMeshPriority(t *testing.T) {
-	p4 := NewRLInspiredMesh4x4()
+func TestMeshRulePriority(t *testing.T) {
+	p4 := NamedRule("rl-inspired-4x4")
 	m := &noc.Message{ArrivalCycle: 0, HopCount: 3}
 	// la=10 (<<1 = 20) + hc=3 (<<1 = 6) = 26.
-	if got := p4.Priority(10, m); got != 26 {
+	if got := p4.Priority(10, noc.PortCore, m); got != 26 {
 		t.Fatalf("4x4 priority = %d, want 26", got)
 	}
-	p8 := NewRLInspiredMesh8x8()
+	p8 := NamedRule("rl-inspired-8x8")
 	// la=10 + hc=3<<2=12 -> 22.
-	if got := p8.Priority(10, m); got != 22 {
+	if got := p8.Priority(10, noc.PortCore, m); got != 22 {
 		t.Fatalf("8x8 priority = %d, want 22", got)
 	}
 	// Local age saturates at 31; 3-bit hop counter saturates at 7 on 4x4.
 	old := &noc.Message{ArrivalCycle: 0, HopCount: 100}
-	if got := p4.Priority(1000, old); got != 31<<1+7<<1 {
+	if got := p4.Priority(1000, noc.PortCore, old); got != 31<<1+7<<1 {
 		t.Fatalf("saturated 4x4 priority = %d, want %d", got, 31<<1+7<<1)
 	}
 }
 
-func TestRLInspiredMeshSelectsMaxPriority(t *testing.T) {
-	p := NewRLInspiredMesh4x4()
+func TestMeshRuleSelectsMaxPriority(t *testing.T) {
+	p := NamedRule("rl-inspired-4x4")
 	ctx := &noc.ArbContext{Cycle: 100}
 	cands := []noc.Candidate{
 		{Port: noc.PortCore, Msg: &noc.Message{ArrivalCycle: 95, HopCount: 0}},  // pri 10
@@ -255,7 +256,7 @@ func TestRLInspiredMeshSelectsMaxPriority(t *testing.T) {
 }
 
 func TestAlgorithm2StarvationOverride(t *testing.T) {
-	p := NewRLInspiredAPU()
+	p := NamedRule("rl-inspired")
 	// Local age 25 (> 24): priority equals the local age, regardless of hops
 	// or class.
 	m := &noc.Message{ArrivalCycle: 0, HopCount: 15, Type: noc.TypeCoherence}
@@ -268,7 +269,7 @@ func TestAlgorithm2StarvationOverride(t *testing.T) {
 	}
 	// At exactly the threshold the normal path applies.
 	m2 := &noc.Message{ArrivalCycle: 0, HopCount: 2, Type: noc.TypeRequest}
-	if got := p.Priority(StarvationThreshold, noc.PortCore, m2); got != 2 {
+	if got := p.Priority(24, noc.PortCore, m2); got != 2 {
 		t.Fatalf("threshold-edge priority = %d, want 2", got)
 	}
 }
@@ -277,7 +278,7 @@ func TestAlgorithm2PortAsymmetry(t *testing.T) {
 	m := &noc.Message{ArrivalCycle: 95, HopCount: 3, Type: noc.TypeRequest}
 	now := int64(100)
 
-	paper := NewRLInspiredAPUPaper() // inverts W/E
+	paper := NamedRule("rl-inspired-paper-we") // inverts W/E
 	if got := paper.Priority(now, noc.PortCore, m); got != 3 {
 		t.Fatalf("paper core priority = %d, want 3", got)
 	}
@@ -288,7 +289,7 @@ func TestAlgorithm2PortAsymmetry(t *testing.T) {
 		t.Fatalf("paper north priority = %d, want 3", got)
 	}
 
-	ours := NewRLInspiredAPU() // inverts N/S
+	ours := NamedRule("rl-inspired") // inverts N/S
 	if got := ours.Priority(now, noc.PortWest, m); got != 3 {
 		t.Fatalf("ours west priority = %d, want 3", got)
 	}
@@ -298,7 +299,7 @@ func TestAlgorithm2PortAsymmetry(t *testing.T) {
 }
 
 func TestAlgorithm2ClassBoost(t *testing.T) {
-	p := NewRLInspiredAPUPaper()
+	p := NamedRule("rl-inspired-paper-we")
 	now := int64(100)
 	req := &noc.Message{ArrivalCycle: 95, HopCount: 3, Type: noc.TypeRequest}
 	resp := &noc.Message{ArrivalCycle: 95, HopCount: 3, Type: noc.TypeResponse}
@@ -309,7 +310,7 @@ func TestAlgorithm2ClassBoost(t *testing.T) {
 	if p.Priority(now, noc.PortCore, req) != 3 {
 		t.Fatal("request should not be boosted")
 	}
-	deboost := &RLInspiredAPU{DefeatureMsgType: true}
+	deboost := NamedRule("rl-inspired(-msgtype)")
 	if deboost.Priority(now, noc.PortCore, resp) != 3 {
 		t.Fatal("de-featured msgtype still boosts")
 	}
@@ -318,11 +319,10 @@ func TestAlgorithm2ClassBoost(t *testing.T) {
 // TestAlgorithm2PriorityFits5Bits: the paper's Fig. 8 datapath is 5 bits
 // wide; every reachable priority must fit.
 func TestAlgorithm2PriorityFits5Bits(t *testing.T) {
-	variants := []*RLInspiredAPU{
-		NewRLInspiredAPU(),
-		NewRLInspiredAPUPaper(),
-		{DefeaturePort: true},
-		{DefeatureMsgType: true},
+	var variants []*RulePolicy
+	for _, name := range []string{"rl-inspired", "rl-inspired-paper-we", "rl-inspired(-port)",
+		"rl-inspired(-msgtype)", "rl-inspired(and-threshold)"} {
+		variants = append(variants, NamedRule(name))
 	}
 	f := func(la8, hc8, typ8, port8 uint8) bool {
 		la := int64(la8) % 200
@@ -348,7 +348,7 @@ func TestAlgorithm2PriorityFits5Bits(t *testing.T) {
 // TestAlgorithm2StarvationWins: once a message crosses the starvation
 // threshold with a saturated counter it beats any non-starved candidate.
 func TestAlgorithm2StarvationWins(t *testing.T) {
-	p := NewRLInspiredAPU()
+	p := NamedRule("rl-inspired")
 	ctx := &noc.ArbContext{Cycle: 1000}
 	starved := noc.Candidate{Port: noc.PortCore, Msg: &noc.Message{
 		ArrivalCycle: 0, HopCount: 0, Type: noc.TypeRequest, // la saturates at 31
@@ -358,6 +358,60 @@ func TestAlgorithm2StarvationWins(t *testing.T) {
 	}}
 	if got := p.Select(ctx, []noc.Candidate{fresh, starved}); got != 1 {
 		t.Fatalf("saturated starved message lost arbitration (got %d)", got)
+	}
+}
+
+// TestRulesMatchTheirPBlocks is the one proof for every distilled arbiter:
+// each named rule's priority, as the simulator computes it from a message,
+// equals its Fig. 8 P-block netlist's on every input the P-block encodes —
+// local age 0-31, hop count 0-15 (saturated to the rule's field), port 0-5
+// and class 0-2. It also pins the netlists' cost and the paper's AND-gate
+// threshold, which differs from the exact one only at LA = 24.
+func TestRulesMatchTheirPBlocks(t *testing.T) {
+	const now = 100
+	exact, approxDiffs := NamedRule("rl-inspired"), 0
+	for _, p := range Rules {
+		r := p.Rule()
+		nl := synth.BuildPBlock(r)
+		for la := 0; la < 32; la++ {
+			for hc := 0; hc < 16; hc++ {
+				for port := 0; port < noc.MaxPorts; port++ {
+					for class := 0; class < 3; class++ {
+						m := &noc.Message{ArrivalCycle: now - int64(la), HopCount: hc, Type: noc.MsgType(class)}
+						want := p.Priority(now, noc.PortID(port), m)
+						if got := synth.PBlockPriority(nl, r, la, hc, port, class); got != want {
+							t.Fatalf("%s: P-block(la=%d hc=%d port=%d class=%d) = %d, want %d",
+								p.Name(), la, hc, port, class, got, want)
+						}
+						if p.Name() != "rl-inspired(and-threshold)" {
+							continue
+						}
+						if e := exact.Priority(now, noc.PortID(port), m); want != e {
+							if la != 24 || want != 24 {
+								t.Fatalf("AND-gate threshold gives %d at la=%d hc=%d, the exact one %d", want, la, hc, e)
+							}
+							approxDiffs++
+						}
+					}
+				}
+			}
+		}
+	}
+	if approxDiffs == 0 {
+		t.Error("the AND-gate threshold never differed from the exact one")
+	}
+	for _, c := range []struct {
+		name         string
+		gates, depth int
+	}{
+		{"rl-inspired", 48, 6},
+		{"rl-inspired(and-threshold)", 45, 5},
+	} {
+		nl := synth.BuildPBlock(NamedRule(c.name).Rule())
+		if nl.NumGates() != c.gates || nl.Depth() != c.depth {
+			t.Errorf("%s: P-block of %d gates at depth %d, want %d at depth %d",
+				c.name, nl.NumGates(), nl.Depth(), c.gates, c.depth)
+		}
 	}
 }
 
@@ -635,16 +689,6 @@ func TestTrainResultFinalLatency(t *testing.T) {
 	}
 }
 
-func TestBoostClass(t *testing.T) {
-	if !BoostClass(&noc.Message{Type: noc.TypeResponse}) ||
-		!BoostClass(&noc.Message{Type: noc.TypeCoherence}) {
-		t.Fatal("responses and coherence must be boosted")
-	}
-	if BoostClass(&noc.Message{Type: noc.TypeRequest}) {
-		t.Fatal("requests must not be boosted")
-	}
-}
-
 func TestSelectMaxRotatingTieBreak(t *testing.T) {
 	cands := []noc.Candidate{
 		{Msg: &noc.Message{HopCount: 5}},
@@ -665,24 +709,6 @@ func TestSelectMaxRotatingTieBreak(t *testing.T) {
 		if got := selectMax(now, cands, pri); got == 2 {
 			t.Fatal("lower-priority candidate won a tie-break")
 		}
-	}
-}
-
-func TestFootnote1CoreBonus(t *testing.T) {
-	p := NewRLInspiredMesh4x4()
-	p.CoreBonus = 8
-	now := int64(100)
-	m := &noc.Message{ArrivalCycle: 95, HopCount: 1} // base priority 10+2 = 12
-	if got := p.PriorityAt(now, noc.PortCore, m); got != 20 {
-		t.Fatalf("core priority = %d, want 20", got)
-	}
-	if got := p.PriorityAt(now, noc.PortWest, m); got != 12 {
-		t.Fatalf("west priority = %d, want 12", got)
-	}
-	// Without the bonus, ports are symmetric.
-	plain := NewRLInspiredMesh4x4()
-	if plain.PriorityAt(now, noc.PortCore, m) != plain.PriorityAt(now, noc.PortEast, m) {
-		t.Fatal("default policy must be port-symmetric")
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/synth"
 )
 
 // This file implements a first cut at the gap the paper's conclusion calls
@@ -30,10 +31,6 @@ type Derivation struct {
 	LARow, HCRow int
 	// LAWeight and HCWeight are the mean |w| of those rows.
 	LAWeight, HCWeight float64
-	// LAShift and HCShift are the derived shifts.
-	LAShift, HCShift uint
-	// InvertNorthSouth is the derived APU port rule (APU derivations only).
-	InvertNorthSouth bool
 	// Notes explains the decision in the paper's vocabulary.
 	Notes string
 }
@@ -53,7 +50,7 @@ func featureRow(h *Heatmap, label string) (int, error) {
 // Section 3.2 priority function: the relative magnitude of the local-age and
 // hop-count rows sets the shift amounts, exactly the reading that produced
 // (la<<1)+(hc<<1) on the 4x4 mesh and la+(hc<<2) on the 8x8 mesh.
-func DeriveMeshPolicy(h *Heatmap) (*RLInspiredMesh, *Derivation, error) {
+func DeriveMeshPolicy(h *Heatmap) (*RulePolicy, *Derivation, error) {
 	laRow, err := featureRow(h, FeatLocalAge.String())
 	if err != nil {
 		return nil, nil, err
@@ -71,30 +68,27 @@ func DeriveMeshPolicy(h *Heatmap) (*RLInspiredMesh, *Derivation, error) {
 	}
 	// Shift split from the magnitude ratio: comparable weights share the
 	// shift budget; a 2x dominant feature takes all of it.
+	r := synth.Rule{LABits: 5, HopBits: 4}
 	ratio := math.Log2(d.HCWeight / d.LAWeight)
 	switch {
 	case ratio >= 1: // hop count clearly dominant (the paper's 8x8 case)
-		d.LAShift, d.HCShift = 0, 2
+		r.LAShift, r.HCShift = 0, 2
 		d.Notes = "hop count dominant: global age is better approximated through hop count"
 	case ratio <= -1: // local age clearly dominant
-		d.LAShift, d.HCShift = 2, 0
+		r.LAShift, r.HCShift = 2, 0
 		d.Notes = "local age dominant: waiting time drives priority"
 	default: // comparable (the paper's 4x4 case)
-		d.LAShift, d.HCShift = 1, 1
+		r.LAShift, r.HCShift = 1, 1
 		d.Notes = "local age and hop count carry similar weight"
 	}
-	p := &RLInspiredMesh{
-		LAShift: d.LAShift, HCShift: d.HCShift, HopBits: 4,
-		label: fmt.Sprintf("rl-derived(la<<%d,hc<<%d)", d.LAShift, d.HCShift),
-	}
-	return p, d, nil
+	return &RulePolicy{fmt.Sprintf("rl-derived(la<<%d,hc<<%d)", r.LAShift, r.HCShift), r}, d, nil
 }
 
 // DeriveAPUPortRule reads the per-port hop-count signs of a trained APU
 // agent's heatmap — the Section 4.6 analysis — and returns the Algorithm 2
-// variant with the hop inversion on the port pair whose signed weights are
-// more negative (after orienting by the output-layer sign).
-func DeriveAPUPortRule(h *Heatmap) (*RLInspiredAPU, *Derivation, error) {
+// variant of Rules with the hop inversion on the port pair whose signed
+// weights are more negative (after orienting by the output-layer sign).
+func DeriveAPUPortRule(h *Heatmap) (*RulePolicy, *Derivation, error) {
 	hcRow, err := featureRow(h, FeatHopCount.String())
 	if err != nil {
 		return nil, nil, err
@@ -109,13 +103,10 @@ func DeriveAPUPortRule(h *Heatmap) (*RLInspiredAPU, *Derivation, error) {
 	if h.OutputWeightMean < 0 {
 		we, ns = -we, -ns
 	}
-	p := &RLInspiredAPU{}
 	if ns < we {
-		p.InvertNorthSouth = true
-		d.InvertNorthSouth = true
 		d.Notes = "hop-count weights more negative on N/S: prioritize smaller hop counts there"
-	} else {
-		d.Notes = "hop-count weights more negative on W/E: prioritize smaller hop counts there (the paper's rule)"
+		return NamedRule("rl-inspired"), d, nil
 	}
-	return p, d, nil
+	d.Notes = "hop-count weights more negative on W/E: prioritize smaller hop counts there (the paper's rule)"
+	return NamedRule("rl-inspired-paper-we"), d, nil
 }

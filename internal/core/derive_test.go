@@ -44,9 +44,9 @@ func TestDeriveMeshPolicyShiftSelection(t *testing.T) {
 		if err != nil {
 			t.Fatalf("derive(la=%v hc=%v): %v", c.la, c.hc, err)
 		}
-		if p.LAShift != c.wantLA || p.HCShift != c.wantHC {
+		if r := p.Rule(); r.LAShift != c.wantLA || r.HCShift != c.wantHC {
 			t.Fatalf("derive(la=%v hc=%v) = (la<<%d, hc<<%d), want (la<<%d, hc<<%d)",
-				c.la, c.hc, p.LAShift, p.HCShift, c.wantLA, c.wantHC)
+				c.la, c.hc, r.LAShift, r.HCShift, c.wantLA, c.wantHC)
 		}
 		if d.Notes == "" || p.Name() == "" {
 			t.Fatal("missing derivation notes or name")
@@ -97,8 +97,8 @@ func TestDeriveAPUPortRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.InvertNorthSouth {
-		t.Fatalf("expected the paper's W/E rule, got N/S (%s)", d.Notes)
+	if p.Name() != "rl-inspired-paper-we" {
+		t.Fatalf("expected the paper's W/E rule, got %s (%s)", p.Name(), d.Notes)
 	}
 	// Negative N/S, positive W/E -> the mirrored rule.
 	h = syntheticAPUHeatmap(t, 0.5, -0.5, 1)
@@ -106,8 +106,8 @@ func TestDeriveAPUPortRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.InvertNorthSouth {
-		t.Fatalf("expected the mirrored N/S rule (%s)", d.Notes)
+	if p.Name() != "rl-inspired" {
+		t.Fatalf("expected the mirrored N/S rule, got %s (%s)", p.Name(), d.Notes)
 	}
 	// A negative output layer flips the reading (Section 4.6's check).
 	h = syntheticAPUHeatmap(t, 0.5, -0.5, -1)
@@ -115,7 +115,7 @@ func TestDeriveAPUPortRule(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.InvertNorthSouth {
+	if p.Name() != "rl-inspired-paper-we" {
 		t.Fatal("negative output layer must flip the sign reading")
 	}
 }
@@ -138,10 +138,10 @@ func TestDeriveFromTrainedAgent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("derived (la<<%d, hc<<%d): %s", derived.LAShift, derived.HCShift, d.Notes)
+	t.Logf("derived %s: %s", derived.Name(), d.Notes)
 
 	auto := mesh.Evaluate(derived, 500, 4000).AvgLatency
-	hand := mesh.Evaluate(NewRLInspiredMesh4x4(), 500, 4000).AvgLatency
+	hand := mesh.Evaluate(NamedRule("rl-inspired-4x4"), 500, 4000).AvgLatency
 	nn := mesh.Evaluate(tr.Agent, 500, 4000).AvgLatency
 	t.Logf("latency: derived=%.2f hand=%.2f nn=%.2f", auto, hand, nn)
 	if auto > hand*1.25 {

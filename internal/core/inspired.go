@@ -4,41 +4,12 @@ import (
 	"fmt"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/synth"
 )
 
-// Hardware counter widths used by the RL-inspired arbiters (Section 4.8):
-// a 5-bit saturating local-age counter per input buffer and a 4-bit hop-count
-// field carried in the header flit.
-const (
-	// LocalAgeBits is the width of the per-buffer local age counter.
-	LocalAgeBits = 5
-	// LocalAgeMax is the saturation value of the local age counter (31).
-	LocalAgeMax = 1<<LocalAgeBits - 1
-	// HopBits is the width of the hop-count header field.
-	HopBits = 4
-	// HopMax is the saturation value of the hop counter (15).
-	HopMax = 1<<HopBits - 1
-	// StarvationThreshold is Algorithm 2's local-age override threshold
-	// (binary 11000 = 24), compared strictly: LA > 24. The paper's AND of the
-	// two MSBs, LA >= 24, is synth.PBlockOptions.ApproxThreshold (45 gates to 48).
-	StarvationThreshold = 24
-)
-
-// hwLocalAge returns the saturating 5-bit local age of m.
+// hwLocalAge returns the saturating 5-bit local age of m (Section 4.8).
 func hwLocalAge(now int64, m *noc.Message) int {
-	la := m.LocalAge(now)
-	if la > LocalAgeMax {
-		return LocalAgeMax
-	}
-	return int(la)
-}
-
-// hwHopCount returns the saturating hop count of m at the given bit width.
-func hwHopCount(m *noc.Message, maxVal int) int {
-	if m.HopCount > maxVal {
-		return maxVal
-	}
-	return m.HopCount
+	return int(min(m.LocalAge(now), 1<<synth.LocalAgeBits-1))
 }
 
 // selectMax returns the index of the candidate with the highest priority as
@@ -62,169 +33,82 @@ func selectMax(now int64, cands []noc.Candidate, pri func(noc.Candidate) int) in
 	return best
 }
 
-// RLInspiredMesh is the Section 3.2 RL-inspired arbiter for simple meshes
-// under synthetic traffic: priority = (local_age << LAShift) +
-// (hop_count << HCShift), computable with constant shifts and one narrow add.
-//
-// The paper derives (LAShift=1, HCShift=1) for the 4x4 mesh, where local age
-// and hop count carry similar weight in the trained network, and
-// (LAShift=0, HCShift=2) for the 8x8 mesh, where the longer routes make hop
-// count the better proxy for global age.
-type RLInspiredMesh struct {
-	LAShift, HCShift uint
-	// HopBits is the hop counter width (paper: 3 bits for the 4x4 mesh).
-	HopBits uint
-	// CoreBonus implements the paper's footnote 1: Fig. 4's heatmap weights
-	// the core (injection) port heavily, suggesting extra priority for new
-	// requests entering from the local core. A non-zero value is added to
-	// the priority of candidates on the core port.
-	CoreBonus int
-	label     string
-}
-
-// NewRLInspiredMesh4x4 returns the paper's 4x4-mesh policy:
-// priority = (local_age << 1) + (hop_count << 1), 5-bit LA, 3-bit HC.
-func NewRLInspiredMesh4x4() *RLInspiredMesh {
-	return &RLInspiredMesh{LAShift: 1, HCShift: 1, HopBits: 3, label: "rl-inspired-4x4"}
-}
-
-// NewRLInspiredMesh8x8 returns the paper's 8x8-mesh policy:
-// priority = local_age + (hop_count << 2), 5-bit LA, 4-bit HC.
-func NewRLInspiredMesh8x8() *RLInspiredMesh {
-	return &RLInspiredMesh{LAShift: 0, HCShift: 2, HopBits: 4, label: "rl-inspired-8x8"}
+// RulePolicy arbitrates by a distilled rule under the name the figures
+// print: selectMax picks the candidate of highest rule priority, the same
+// the rule's P-block computes (TestRulesMatchTheirPBlocks).
+type RulePolicy struct {
+	name string
+	rule synth.Rule
 }
 
 // Name implements noc.Policy.
-func (p *RLInspiredMesh) Name() string {
-	if p.label == "" {
-		return fmt.Sprintf("rl-inspired-mesh(la<<%d,hc<<%d)", p.LAShift, p.HCShift)
-	}
-	return p.label
-}
+func (p *RulePolicy) Name() string { return p.name }
 
-// Priority returns the hardware priority level of message m.
-func (p *RLInspiredMesh) Priority(now int64, m *noc.Message) int {
-	hopMax := 1<<p.HopBits - 1
-	return hwLocalAge(now, m)<<p.LAShift + hwHopCount(m, hopMax)<<p.HCShift
-}
+// Rule returns the rule p arbitrates by.
+func (p *RulePolicy) Rule() synth.Rule { return p.rule }
 
-// PriorityAt returns the priority of message m entering on port in,
-// including the footnote-1 core bonus when configured.
-func (p *RLInspiredMesh) PriorityAt(now int64, in noc.PortID, m *noc.Message) int {
-	pri := p.Priority(now, m)
-	if in == noc.PortCore {
-		pri += p.CoreBonus
-	}
-	return pri
+// Priority returns the priority level of message m entering on port in.
+func (p *RulePolicy) Priority(now int64, in noc.PortID, m *noc.Message) int {
+	return p.rule.Priority(hwLocalAge(now, m), m.HopCount, int(in), int(m.Type))
 }
 
 // Select implements noc.Policy.
-func (p *RLInspiredMesh) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
-	return selectMax(ctx.Cycle, cands, func(c noc.Candidate) int {
-		return p.PriorityAt(ctx.Cycle, c.Port, c.Msg)
-	})
-}
-
-// BoostClass reports whether a message belongs to the classes Algorithm 2
-// boosts: coherence messages and response messages (the paper's GPU
-// coherence, memory response and GPU L2 response classes — "draining these
-// out of the NoC as quickly as possible tends to unblock stalled
-// computation").
-func BoostClass(m *noc.Message) bool {
-	return m.Type == noc.TypeCoherence || m.Type == noc.TypeResponse
-}
-
-// RLInspiredAPU is Algorithm 2, the paper's final arbiter for the APU system,
-// distilled from the Fig. 7 heatmap analysis:
-//
-//  1. Starvation override: any message whose 5-bit local age exceeds 24
-//     (both MSBs set) is prioritized by its local age alone, guaranteeing
-//     forward progress (Section 6.4).
-//  2. Coherence and response messages get their priority doubled (one shift).
-//  3. Hop count sets the base priority — ascending for messages entering on
-//     core/memory/north/south ports, but *descending* (bit-inverted) for
-//     west/east ports, reflecting the trained network's negative hop-count
-//     weights on W/E ports under X-Y routing.
-//
-// The Defeature* fields remove individual ingredients to reproduce the
-// Section 5.1 ablation.
-type RLInspiredAPU struct {
-	// DefeaturePort disables the port-asymmetric hop-count inversion (Line 6
-	// of Algorithm 2 removed).
-	DefeaturePort bool
-	// DefeatureMsgType disables the coherence/response boost (Lines 7 and 14
-	// removed).
-	DefeatureMsgType bool
-	// InvertNorthSouth mirrors the port rule: the hop-count inversion is
-	// applied on the north/south ports instead of west/east. The paper's
-	// Algorithm 2 inverts W/E, a rule its authors traced to the interaction
-	// of their traffic with X-Y routing; re-deriving the rule with the
-	// paper's methodology on this repository's substrate (different tile map
-	// and protocol flows) can yield the mirrored asymmetry.
-	InvertNorthSouth bool
-}
-
-// NewRLInspiredAPU returns the repository's production Algorithm 2 variant:
-// the port-asymmetric hop rule re-derived, with the paper's methodology, for
-// this repository's substrate. Our tile map routes the long-haul directory
-// and write-through traffic along the X dimension, the mirror image of the
-// paper's system, so the re-derived rule inverts hop count on the north/south
-// ports instead of west/east. Use NewRLInspiredAPUPaper for the verbatim
-// Algorithm 2.
-func NewRLInspiredAPU() *RLInspiredAPU {
-	return &RLInspiredAPU{InvertNorthSouth: true}
-}
-
-// NewRLInspiredAPUPaper returns Algorithm 2 exactly as printed in the paper
-// (hop-count inversion on the west/east ports).
-func NewRLInspiredAPUPaper() *RLInspiredAPU { return &RLInspiredAPU{} }
-
-// Name implements noc.Policy.
-func (p *RLInspiredAPU) Name() string {
-	base := "rl-inspired"
-	if !p.InvertNorthSouth && !p.DefeaturePort {
-		base = "rl-inspired-paper-we"
-	}
-	switch {
-	case p.DefeaturePort && p.DefeatureMsgType:
-		return base + "(-port,-msgtype)"
-	case p.DefeaturePort:
-		return base + "(-port)"
-	case p.DefeatureMsgType:
-		return base + "(-msgtype)"
-	}
-	return base
-}
-
-// Priority computes Algorithm 2's priority level for a message arriving on
-// the given input port. The result fits in 5 bits: hop counts are 4-bit and
-// the boost shift produces at most 30, while the starvation override yields
-// 25..31.
-func (p *RLInspiredAPU) Priority(now int64, in noc.PortID, m *noc.Message) int {
-	la := hwLocalAge(now, m)
-	if la > StarvationThreshold {
-		return la
-	}
-	hc := hwHopCount(m, HopMax)
-	base := hc
-	invert := in == noc.PortWest || in == noc.PortEast
-	if p.InvertNorthSouth {
-		invert = in == noc.PortNorth || in == noc.PortSouth
-	}
-	if !p.DefeaturePort && invert {
-		base = HopMax - hc // bit inversion of the 4-bit hop counter
-	}
-	if !p.DefeatureMsgType && BoostClass(m) {
-		return base << 1
-	}
-	return base
-}
-
-// Select implements noc.Policy.
-func (p *RLInspiredAPU) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
+func (p *RulePolicy) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	return selectMax(ctx.Cycle, cands, func(c noc.Candidate) int {
 		return p.Priority(ctx.Cycle, c.Port, c.Msg)
 	})
+}
+
+// apuRule is Algorithm 2, the paper's final APU arbiter, distilled from the
+// Fig. 7 heatmap: a 4-bit hop count sets the priority, descending on the
+// invert ports; the boost classes' priority doubles; a message whose local
+// age exceeds starve (24: binary 11000) is prioritized by its age alone,
+// which guarantees forward progress (Section 6.4). The result fits in 5 bits.
+func apuRule(starve int, boost, invert uint8) synth.Rule {
+	return synth.Rule{HopBits: 4, Starve: starve, Boost: boost, Invert: invert}
+}
+
+// Algorithm 2 boosts coherence and responses ("draining these out of the NoC
+// as quickly as possible tends to unblock stalled computation").
+const (
+	boosted    = 1<<noc.TypeResponse | 1<<noc.TypeCoherence
+	northSouth = 1<<noc.PortNorth | 1<<noc.PortSouth
+	westEast   = 1<<noc.PortWest | 1<<noc.PortEast
+)
+
+// Rules are the paper's distilled arbiters, by the names the figures print.
+var Rules = []RulePolicy{
+	// Section 3.2's mesh rules: on the 4x4 mesh local age and hop count
+	// carry similar weight in the trained network, (la<<1)+(hc<<1) with a
+	// 3-bit hop field; on the 8x8 mesh the longer routes make hop count the
+	// better proxy for global age, la+(hc<<2).
+	{"rl-inspired-4x4", synth.Rule{LABits: 5, LAShift: 1, HopBits: 3, HCShift: 1}},
+	{"rl-inspired-8x8", synth.Rule{LABits: 5, HopBits: 4, HCShift: 2}},
+	// Algorithm 2 as this repository runs it. Its tile map routes the
+	// long-haul directory and write-through traffic along X, the mirror
+	// image of the paper's system, so the rule re-derived with the paper's
+	// method inverts hop count on the north/south ports.
+	{"rl-inspired", apuRule(24, boosted, northSouth)},
+	// Algorithm 2 as printed: the inversion on the west/east ports.
+	{"rl-inspired-paper-we", apuRule(24, boosted, westEast)},
+	// Section 5.1's de-featured variants: the port condition (Line 6) or the
+	// message-type boost (Lines 7 and 14) removed.
+	{"rl-inspired(-port)", apuRule(24, boosted, 0)},
+	{"rl-inspired(-msgtype)", apuRule(24, 0, northSouth)},
+	// Section 4.8's simplification: the override fires when both local-age
+	// MSBs are set, LA >= 24, one AND gate instead of the strict LA > 24.
+	{"rl-inspired(and-threshold)", apuRule(23, boosted, northSouth)},
+}
+
+// NamedRule returns a new policy of the distilled arbiter of Rules named
+// name; it panics on a name the table does not hold.
+func NamedRule(name string) *RulePolicy {
+	for _, r := range Rules {
+		if r.name == name {
+			return &r
+		}
+	}
+	panic(fmt.Sprintf("core: no rule named %q", name))
 }
 
 // NaiveLatencyArbiter is the cautionary counter-example of Section 6.4: it

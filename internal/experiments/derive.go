@@ -33,7 +33,7 @@ func DeriveReport(sc Scale) string {
 		fmt.Fprintf(&b, "  heatmap: local age %.3f, hop count %.3f -> %s\n",
 			d.LAWeight, d.HCWeight, d.Notes)
 		fmt.Fprintf(&b, "  derived  priority = (local_age<<%d) + (hop_count<<%d): avg latency %.2f\n",
-			derived.LAShift, derived.HCShift, auto)
+			derived.Rule().LAShift, derived.Rule().HCShift, auto)
 		fmt.Fprintf(&b, "  paper's  %-34s avg latency %.2f\n", hand.Name()+":", handLat)
 		fmt.Fprintf(&b, "  trained network (frozen):                 avg latency %.2f\n\n", nnLat)
 	}

@@ -75,7 +75,7 @@ type TieBreakAblationResult struct {
 
 // fixedTieBreakAPU wraps the Algorithm 2 priority with a non-rotating
 // (first-max) select, isolating the tie-break as the only difference.
-type fixedTieBreakAPU struct{ p *core.RLInspiredAPU }
+type fixedTieBreakAPU struct{ p *core.RulePolicy }
 
 func (f fixedTieBreakAPU) Name() string { return "rl-inspired(fixed-tiebreak)" }
 
@@ -97,8 +97,8 @@ func TieBreakAblation(sc Scale) *TieBreakAblationResult {
 		return MaxQueuedLocalAge(net), net.Stats().Latency.Mean()
 	}
 	res := &TieBreakAblationResult{}
-	res.MaxAgeFixed, res.AvgFixed = run(fixedTieBreakAPU{p: core.NewRLInspiredAPU()})
-	res.MaxAgeRotating, res.AvgRotating = run(core.NewRLInspiredAPU())
+	res.MaxAgeFixed, res.AvgFixed = run(fixedTieBreakAPU{p: core.NamedRule("rl-inspired")})
+	res.MaxAgeRotating, res.AvgRotating = run(core.NamedRule("rl-inspired"))
 	return res
 }
 

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io/fs"
 	"os"
 	"path/filepath"
@@ -48,8 +51,8 @@ func backtickWords(doc string) []string {
 	return words
 }
 
-// TestDocsCiteExistingTests fails when DESIGN.md or README.md cites a
-// Test*/Fuzz* name that no _test.go file defines. A * in a cited name matches
+// TestDocsCiteExistingTests fails when DESIGN.md, README.md or EXPERIMENTS.md
+// cites a Test*/Fuzz* name that no _test.go file defines. A * in a cited name matches
 // any run of characters, so TestArbStateNeverStale* cites a family.
 func TestDocsCiteExistingTests(t *testing.T) {
 	defined := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w+)\(`)
@@ -76,11 +79,70 @@ func TestDocsCiteExistingTests(t *testing.T) {
 		t.Fatal(err)
 	}
 	cited := regexp.MustCompile(`\b(?:Test|Fuzz)[A-Z*][A-Za-z0-9_*]*`)
-	for _, doc := range []string{"DESIGN.md", "README.md"} {
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
 		for _, name := range cited.FindAllString(readRepoFile(t, doc), -1) {
 			pat := regexp.MustCompile("^" + strings.ReplaceAll(regexp.QuoteMeta(name), `\*`, ".*") + "$")
 			if !slices.ContainsFunc(funcs, pat.MatchString) {
 				t.Errorf("%s cites %s, which no _test.go file defines", doc, name)
+			}
+		}
+	}
+}
+
+// declaredNames returns every name the Go files of dir declare: funcs,
+// methods, types, consts, vars, struct fields and interface methods.
+func declaredNames(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	pkgs, err := parser.ParseDir(token.NewFileSet(), dir, nil, parser.SkipObjectResolution)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make(map[string]bool)
+	for _, pkg := range pkgs {
+		ast.Inspect(pkg, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				names[n.Name.Name] = true
+			case *ast.TypeSpec:
+				names[n.Name.Name] = true
+			case *ast.ValueSpec:
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			case *ast.Field:
+				for _, id := range n.Names {
+					names[id.Name] = true
+				}
+			}
+			return true
+		})
+	}
+	return names
+}
+
+// TestDocsCiteExistingNames fails when DESIGN.md, README.md or EXPERIMENTS.md
+// cites, in a code span, a `pkg.Name` (or `pkg.Type.Member`) of a package
+// internal/pkg that declares no such name, its tests included. Snake-case
+// names, the benchmark's per-layer metrics (`rl.replay_sample_ns`), are not
+// Go names and are skipped.
+func TestDocsCiteExistingNames(t *testing.T) {
+	declared := make(map[string]map[string]bool)
+	cited := regexp.MustCompile(`(?:^|[^\w./-])([a-z]\w*)((?:\.[A-Za-z_]\w*)+)`)
+	for _, doc := range []string{"DESIGN.md", "README.md", "EXPERIMENTS.md"} {
+		for _, span := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(readRepoFile(t, doc), -1) {
+			for _, m := range cited.FindAllStringSubmatch(span[1], -1) {
+				pkg, dir := m[1], filepath.Join(repoRoot, "internal", m[1])
+				if fi, err := os.Stat(dir); err != nil || !fi.IsDir() || strings.Contains(m[2], "_") {
+					continue
+				}
+				if declared[pkg] == nil {
+					declared[pkg] = declaredNames(t, dir)
+				}
+				for _, name := range strings.Split(m[2], ".")[1:] {
+					if !declared[pkg][name] {
+						t.Errorf("%s cites %s%s: internal/%s declares no %s", doc, pkg, m[2], pkg, name)
+					}
+				}
 			}
 		}
 	}

@@ -318,14 +318,10 @@ type AblationResult struct {
 // as in ExecSweepCtx.
 func AblationCtx(ctx context.Context, sc Scale, hook CellHook) (*AblationResult, error) {
 	variants := []PolicyFactory{
-		{Name: "full", New: func(int64) noc.Policy { return core.NewRLInspiredAPU() }},
-		{Name: "no-port", New: func(int64) noc.Policy {
-			return &core.RLInspiredAPU{InvertNorthSouth: true, DefeaturePort: true}
-		}},
-		{Name: "no-msgtype", New: func(int64) noc.Policy {
-			return &core.RLInspiredAPU{InvertNorthSouth: true, DefeatureMsgType: true}
-		}},
-		{Name: "paper-we-rule", New: func(int64) noc.Policy { return core.NewRLInspiredAPUPaper() }},
+		{Name: "full", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired") }},
+		{Name: "no-port", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired(-port)") }},
+		{Name: "no-msgtype", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired(-msgtype)") }},
+		{Name: "paper-we-rule", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired-paper-we") }},
 	}
 	res := &AblationResult{Variants: policyNames(variants)}
 	var rows []apuRow

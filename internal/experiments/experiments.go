@@ -79,7 +79,7 @@ func apuFactories(nnAgent *core.Agent) []PolicyFactory {
 		{Name: "ProbDist", New: func(seed int64) noc.Policy {
 			return arb.NewProbDist(xrand.New(seed))
 		}},
-		{Name: "RL-inspired", New: func(int64) noc.Policy { return core.NewRLInspiredAPU() }},
+		{Name: "RL-inspired", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired") }},
 	}
 	if nnAgent != nil {
 		spec := nnAgent.Spec

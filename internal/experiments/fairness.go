@@ -42,7 +42,7 @@ func Fairness(sc Scale) *FairnessResult {
 		{"probdist", func(seed int64) noc.Policy {
 			return arb.NewProbDist(xrand.New(seed))
 		}},
-		{"rl-inspired", func(int64) noc.Policy { return core.NewRLInspiredMesh8x8() }},
+		{"rl-inspired", func(int64) noc.Policy { return core.NamedRule("rl-inspired-8x8") }},
 		{"global-age", func(int64) noc.Policy { return arb.NewGlobalAge() }},
 	}
 	res := &FairnessResult{}

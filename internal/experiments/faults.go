@@ -56,7 +56,7 @@ func meshFaultFactories() []PolicyFactory {
 		{Name: "Round-robin", New: func(int64) noc.Policy { return arb.NewRoundRobin() }},
 		{Name: "iSLIP", New: func(int64) noc.Policy { return arb.NewISLIP(2) }},
 		{Name: "FIFO", New: func(int64) noc.Policy { return arb.NewFIFO() }},
-		{Name: "RL-inspired", New: func(int64) noc.Policy { return core.NewRLInspiredMesh8x8() }},
+		{Name: "RL-inspired", New: func(int64) noc.Policy { return core.NamedRule("rl-inspired-8x8") }},
 		{Name: "Global-age", New: func(int64) noc.Policy { return arb.NewGlobalAge() }},
 	}
 }

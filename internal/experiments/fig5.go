@@ -50,11 +50,11 @@ func meshTrainSpec(mesh traffic.Mesh, sc Scale) core.TrainSpec {
 }
 
 // inspiredMesh is the paper's hand-derived mesh policy for a size x size mesh.
-func inspiredMesh(size int) *core.RLInspiredMesh {
+func inspiredMesh(size int) *core.RulePolicy {
 	if size >= 8 {
-		return core.NewRLInspiredMesh8x8()
+		return core.NamedRule("rl-inspired-8x8")
 	}
-	return core.NewRLInspiredMesh4x4()
+	return core.NamedRule("rl-inspired-4x4")
 }
 
 // MeshStudyResult is the outcome of the Section 3.2 synthetic-traffic study

@@ -34,7 +34,7 @@ func Starvation(sc Scale) *StarvationResult {
 	}{
 		{"naive-newest-first", core.NaiveLatencyArbiter{}},
 		{"fifo", arb.NewFIFO()},
-		{"rl-inspired (Alg.2)", core.NewRLInspiredAPU()},
+		{"rl-inspired (Alg.2)", core.NamedRule("rl-inspired")},
 	}
 	res := &StarvationResult{}
 	for _, pp := range policies {

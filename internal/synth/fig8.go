@@ -3,71 +3,110 @@ package synth
 import "fmt"
 
 // This file constructs the paper's Fig. 8 arbiter datapath as an actual
-// netlist: the P-block computing Algorithm 2's 5-bit priority level from the
+// netlist: the P-block computing a distilled rule's priority level from the
 // local-age counter, hop-count field, message-class boost and port-side
 // inversion, plus the select-max tree choosing the winning input buffer.
-// The equivalence property tests prove the P-block bit-exact against the
-// software Algorithm 2 for every reachable input.
+// The equivalence tests prove every named rule's P-block bit-exact against
+// Rule.Priority, the arithmetic the simulator arbitrates by, on every input.
 
-// PBlockOptions selects between the exact Algorithm 2 threshold comparison
-// and the paper's single-AND-gate simplification.
-type PBlockOptions struct {
-	// ApproxThreshold uses the paper's Section 4.8 simplification: the
-	// starvation override fires when both local-age MSBs are set (LA >= 24)
-	// instead of Algorithm 2's strict LA > 24, trading one comparison case
-	// at LA == 24 for a single AND gate.
-	ApproxThreshold bool
+// LocalAgeBits is the width of the per-buffer local-age counter (Section
+// 4.8): a P-block's la input, saturating at 31.
+const LocalAgeBits = 5
+
+// Rule is one distilled arbiter of the paper's family (Section 3.2's mesh
+// formulas, Algorithm 2, Fig. 8's P-block): a priority built from shifted,
+// saturated local-age and hop-count counters, with an optional per-port hop
+// inversion, a class boost and a starvation override. See Priority.
+type Rule struct {
+	// LABits saturates the local-age term (0 drops it), HopBits the hop
+	// count (the header field's width); the shifts weight the two terms.
+	LABits, LAShift, HopBits, HCShift uint
+	// Starve, when positive, overrides the priority with the local age
+	// itself once the age exceeds it (Algorithm 2's forward-progress guard).
+	Starve int
+	// Boost doubles the priority of the message classes it holds, a bit per
+	// noc.MsgType; Invert descends the hop term, hopMax-h, on the input
+	// ports it holds, a bit per noc.PortID.
+	Boost, Invert uint8
 }
 
-// BuildPBlock constructs the Fig. 8 P-block.
+// sat clamps v to the largest value of a bits-wide counter.
+func sat(v int, bits uint) int { return min(v, 1<<bits-1) }
+
+// Priority returns r's priority level for a buffer whose head message has
+// the 5-bit local age la and the hop count hc, of class class, entering on
+// input port port:
 //
-// Inputs: la0..la4 (5-bit local age), hc0..hc3 (4-bit hop count),
-// boost (message is coherence or response), invert (input port is on the
-// hop-descending side). Outputs: p0..p4, the 5-bit priority level.
-func BuildPBlock(opt PBlockOptions) *Netlist {
-	b := NewBuilder()
-	la := b.InputBus("la", 5)
-	hc := b.InputBus("hc", 4)
-	boost := b.Input("boost")
-	invert := b.Input("invert")
-
-	// Starvation override condition.
-	starve := b.And(la[4], la[3]) // LA >= 24 (both MSBs set)
-	if !opt.ApproxThreshold {
-		// Strict LA > 24: additionally require a low bit set.
-		low := b.Or(la[0], b.Or(la[1], la[2]))
-		starve = b.And(starve, low)
+//	p = sat(la, LABits)<<LAShift + h<<HCShift, h = sat(hc, HopBits),
+//
+// with h inverted on an Invert port and p doubled on a Boost class, or la
+// itself when Starve > 0 and la > Starve.
+func (r Rule) Priority(la, hc, port, class int) int {
+	if r.Starve > 0 && la > r.Starve {
+		return la
 	}
+	h := sat(hc, r.HopBits)
+	if r.Invert>>port&1 != 0 {
+		h = 1<<r.HopBits - 1 - h
+	}
+	p := sat(la, r.LABits)<<r.LAShift + h<<r.HCShift
+	if r.Boost>>class&1 != 0 {
+		p <<= 1
+	}
+	return p
+}
 
-	// Conditional hop-count inversion: XOR with the invert line computes
-	// hc or 15-hc (Algorithm 2 lines 6-18).
-	base := b.XorBus(invert, hc)
-
-	// Class boost: shift left by one (pure wiring) when boost is set.
-	// 5-bit result: plain = {0, base}, shifted = {base, 0}.
-	plain := []Wire{base[0], base[1], base[2], base[3], WireFalse}
-	shifted := []Wire{WireFalse, base[0], base[1], base[2], base[3]}
-	boosted := b.MuxBus(boost, plain, shifted)
-
-	// Final mux: starving messages present their local age directly.
-	p := b.MuxBus(starve, boosted, la)
+// BuildPBlock constructs the Fig. 8 P-block of rule r, with no gates for
+// the fields r leaves unused.
+//
+// Inputs: la0..la4 (local age), hc0.. (the HopBits-wide hop count), invert
+// (the buffer's port is in r.Invert, a constant per buffer) and boost (the
+// head's class is in r.Boost). Outputs: p0.., the priority level.
+// PBlockPriority drives it.
+func BuildPBlock(r Rule) *Netlist {
+	b := NewBuilder()
+	la := b.InputBus("la", LocalAgeBits)
+	h := b.InputBus("hc", int(r.HopBits))
+	invert, boost := b.Input("invert"), b.Input("boost")
+	if r.Invert != 0 {
+		// hopMax-h is h's bitwise complement: XOR with the invert line.
+		h = b.XorBus(invert, h)
+	}
+	p := shifted(h, r.HCShift)
+	if r.LABits > 0 {
+		p = b.Add(shifted(b.saturate(la, r.LABits), r.LAShift), p)
+	}
+	if r.Boost != 0 {
+		// The boost is a shift by one: pure wiring into the mux.
+		p = b.MuxBus(boost, padded(p, len(p)+1), shifted(p, 1))
+	}
+	if r.Starve > 0 {
+		// Starving messages present their local age directly.
+		w := max(len(p), LocalAgeBits)
+		p = b.MuxBus(b.GreaterThanConst(la, r.Starve), padded(p, w), padded(la, w))
+	}
 	b.OutputBus("p", p)
 	return b.Build()
 }
 
-// PBlockPriority evaluates a P-block netlist for concrete field values.
-func PBlockPriority(nl *Netlist, la, hc int, boost, invert bool) int {
-	in := map[string]uint64{
-		"la": uint64(la),
-		"hc": uint64(hc),
-	}
-	if boost {
-		in["boost"] = 1
-	}
-	if invert {
-		in["invert"] = 1
-	}
-	return int(nl.EvalUint(in, "p"))
+// shifted returns bus x shifted left by n: n constant-0 wires below it.
+func shifted(x []Wire, n uint) []Wire {
+	return append(make([]Wire, n), x...) // WireFalse is the zero Wire
+}
+
+// padded returns bus x zero-extended to at least w bits.
+func padded(x []Wire, w int) []Wire {
+	return append(x[:len(x):len(x)], make([]Wire, max(w-len(x), 0))...)
+}
+
+// PBlockPriority evaluates nl, rule r's P-block, for one buffer: the hop
+// count saturates to r's field width, and r's masks turn the port and the
+// class into the invert and boost lines.
+func PBlockPriority(nl *Netlist, r Rule, la, hc, port, class int) int {
+	return int(nl.EvalUint(map[string]uint64{
+		"la": uint64(la), "hc": uint64(sat(hc, r.HopBits)),
+		"invert": uint64(r.Invert >> port & 1), "boost": uint64(r.Boost >> class & 1),
+	}, "p"))
 }
 
 // BuildSelectMax constructs an n-way select-max tournament over 5-bit

@@ -6,56 +6,59 @@ import (
 	"testing/quick"
 )
 
-// algorithm2 is the software reference for the P-block: Algorithm 2's
-// priority arithmetic (mirrors core.RLInspiredAPU.Priority; duplicated here
-// as an independent oracle so a shared bug cannot hide).
-func algorithm2(la, hc int, boost, invert bool) int {
-	if la > 24 {
-		return la
-	}
-	base := hc
-	if invert {
-		base = 15 - hc
-	}
-	if boost {
-		return base << 1
-	}
-	return base
-}
+// algorithm2 is Algorithm 2's shape as a Rule: no local-age term, a 4-bit
+// hop count, the starvation override past LA 24, the response and coherence
+// classes boosted and the hop term inverted on the north and south ports.
+var algorithm2 = Rule{HopBits: 4, Starve: 24, Boost: 0b110, Invert: 0b1100}
 
 // TestPBlockExhaustiveEquivalence proves the exact-threshold P-block netlist
-// bit-identical to Algorithm 2 over its entire input space (5-bit age, 4-bit
-// hop count, two mode bits: 2048 cases).
+// bit-identical to Algorithm 2's priority over its entire input space (5-bit
+// age, 4-bit hop count, ports 0-5, classes 0-2), and pins a few levels
+// worked by hand from the algorithm's text.
 func TestPBlockExhaustiveEquivalence(t *testing.T) {
-	nl := BuildPBlock(PBlockOptions{})
+	nl := BuildPBlock(algorithm2)
 	for la := 0; la < 32; la++ {
 		for hc := 0; hc < 16; hc++ {
-			for _, boost := range []bool{false, true} {
-				for _, invert := range []bool{false, true} {
-					want := algorithm2(la, hc, boost, invert)
-					got := PBlockPriority(nl, la, hc, boost, invert)
-					if got != want {
-						t.Fatalf("P-block(la=%d hc=%d boost=%v invert=%v) = %d, want %d",
-							la, hc, boost, invert, got, want)
+			for port := 0; port < 6; port++ {
+				for class := 0; class < 3; class++ {
+					want := algorithm2.Priority(la, hc, port, class)
+					if got := PBlockPriority(nl, algorithm2, la, hc, port, class); got != want {
+						t.Fatalf("P-block(la=%d hc=%d port=%d class=%d) = %d, want %d",
+							la, hc, port, class, got, want)
 					}
 				}
 			}
 		}
 	}
+	for _, c := range []struct{ la, hc, port, class, want int }{
+		{0, 5, 0, 0, 5},    // request on the core port: the hop count
+		{0, 5, 2, 0, 10},   // north port inverts: 15-5
+		{0, 5, 0, 1, 10},   // response boosted: 5<<1
+		{0, 5, 3, 2, 20},   // south and coherence: (15-5)<<1
+		{24, 15, 2, 2, 0},  // at the threshold the override has not fired
+		{25, 15, 2, 2, 25}, // past it the local age wins
+	} {
+		if got := PBlockPriority(nl, algorithm2, c.la, c.hc, c.port, c.class); got != c.want {
+			t.Errorf("P-block(la=%d hc=%d port=%d class=%d) = %d, want %d",
+				c.la, c.hc, c.port, c.class, got, c.want)
+		}
+	}
 }
 
 // TestPBlockApproxThreshold: the paper's single-AND-gate simplification
-// differs from Algorithm 2 only at LA == 24, where it fires the override
-// early.
+// (Starve 23, LA >= 24) differs from Algorithm 2 only at LA == 24, where it
+// fires the override early.
 func TestPBlockApproxThreshold(t *testing.T) {
-	nl := BuildPBlock(PBlockOptions{ApproxThreshold: true})
+	approx := algorithm2
+	approx.Starve = 23
+	nl := BuildPBlock(approx)
 	diffs := 0
 	for la := 0; la < 32; la++ {
 		for hc := 0; hc < 16; hc++ {
-			for _, boost := range []bool{false, true} {
-				for _, invert := range []bool{false, true} {
-					want := algorithm2(la, hc, boost, invert)
-					got := PBlockPriority(nl, la, hc, boost, invert)
+			for port := 0; port < 6; port++ {
+				for class := 0; class < 3; class++ {
+					want := algorithm2.Priority(la, hc, port, class)
+					got := PBlockPriority(nl, approx, la, hc, port, class)
 					if got != want {
 						if la != 24 {
 							t.Fatalf("approx P-block differs at la=%d (not 24)", la)
@@ -76,14 +79,96 @@ func TestPBlockApproxThreshold(t *testing.T) {
 
 // TestPBlockCost: the netlist's own gate count and depth validate the cost
 // model's P-block component (35 gates, depth 6 — same magnitude, not exact,
-// since the model counts NAND2 equivalents).
+// since the model counts NAND2 equivalents). The rule is Algorithm 2's shape
+// with the paper's single-AND-gate threshold.
 func TestPBlockCost(t *testing.T) {
-	nl := BuildPBlock(PBlockOptions{ApproxThreshold: true})
+	approx := algorithm2
+	approx.Starve = 23
+	nl := BuildPBlock(approx)
 	if g := nl.NumGates(); g < 15 || g > 70 {
 		t.Fatalf("P-block gate count %d outside the modeled magnitude", g)
 	}
 	if d := nl.Depth(); d < 3 || d > 12 {
 		t.Fatalf("P-block depth %d outside the modeled magnitude", d)
+	}
+}
+
+// TestPBlockOffTableRules holds the P-block to Rule.Priority on shapes no
+// named rule has: a saturated narrow age term, a starvation override beside
+// an adder, a boost over a sum. (The named rules' proof is in core.)
+func TestPBlockOffTableRules(t *testing.T) {
+	for _, r := range []Rule{
+		{LABits: 3, LAShift: 2, HopBits: 2},
+		{LABits: 1, HopBits: 4, HCShift: 1, Starve: 10, Invert: 0b10},
+		{LABits: 4, LAShift: 1, HopBits: 3, Boost: 0b10, Starve: 30},
+		{HopBits: 1, HCShift: 3, Invert: 0b1, Boost: 0b1},
+	} {
+		nl := BuildPBlock(r)
+		for la := 0; la < 32; la++ {
+			for hc := 0; hc < 16; hc++ {
+				for port := 0; port < 2; port++ {
+					for class := 0; class < 2; class++ {
+						want := r.Priority(la, hc, port, class)
+						if got := PBlockPriority(nl, r, la, hc, port, class); got != want {
+							t.Fatalf("%+v: P-block(la=%d hc=%d port=%d class=%d) = %d, want %d",
+								r, la, hc, port, class, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestGreaterThanConstExhaustive checks x > k for every 5-bit x and every k
+// up to past the bus's range, and the shape the P-block's Algorithm 2
+// threshold needs: 4 gates at depth 3 for k = 24, one AND for k = 23.
+func TestGreaterThanConstExhaustive(t *testing.T) {
+	for k := 0; k < 34; k++ {
+		b := NewBuilder()
+		b.Output("gt", b.GreaterThanConst(b.InputBus("x", 5), k))
+		nl := b.Build()
+		for x := 0; x < 32; x++ {
+			want := uint64(0)
+			if x > k {
+				want = 1
+			}
+			if got := nl.EvalUint(map[string]uint64{"x": uint64(x)}, "gt"); got != want {
+				t.Fatalf("%d > %d = %d, want %d", x, k, got, want)
+			}
+		}
+		switch k {
+		case 24:
+			if nl.NumGates() != 4 || nl.Depth() != 3 {
+				t.Errorf("x > 24: %d gates at depth %d, want 4 at depth 3", nl.NumGates(), nl.Depth())
+			}
+		case 23:
+			if nl.NumGates() != 1 || nl.Depth() != 1 {
+				t.Errorf("x > 23: %d gates at depth %d, want 1 at depth 1", nl.NumGates(), nl.Depth())
+			}
+		}
+	}
+}
+
+// TestAddExhaustive checks the ripple adder on the 4x4 mesh rule's operands,
+// (x<<1) + (y<<1) for a 5-bit x and a 3-bit y, where the shifted-in zeros
+// cost nothing: 16 gates.
+func TestAddExhaustive(t *testing.T) {
+	b := NewBuilder()
+	x := b.InputBus("x", 5)
+	y := b.InputBus("y", 3)
+	b.OutputBus("s", b.Add(shifted(x, 1), shifted(y, 1)))
+	nl := b.Build()
+	for a := 0; a < 32; a++ {
+		for c := 0; c < 8; c++ {
+			got := nl.EvalUint(map[string]uint64{"x": uint64(a), "y": uint64(c)}, "s")
+			if want := uint64(a<<1 + c<<1); got != want {
+				t.Fatalf("%d<<1 + %d<<1 = %d, want %d", a, c, got, want)
+			}
+		}
+	}
+	if nl.NumGates() != 16 {
+		t.Errorf("adder: %d gates, want 16", nl.NumGates())
 	}
 }
 

@@ -166,6 +166,89 @@ func (b *Builder) GreaterThan(x, y []Wire) Wire {
 	return gt
 }
 
+// GreaterThanConst returns x > k for an unsigned bus x (LSB first) and a
+// constant k. From the LSB up, each run of equal bits of k combines x's bits
+// under it by a balanced tree, an AND under ones and an OR under zeros, with
+// the comparison of the bits below; so for k = 24 (11000) it is
+// (x4&x3)&(x2|x1|x0), the depth growing with k's runs, not x's width.
+func (b *Builder) GreaterThanConst(x []Wire, k int) Wire {
+	if k >= 1<<len(x) {
+		return WireFalse
+	}
+	gt := WireFalse
+	for i := 0; i < len(x); {
+		j, one := i, k>>i&1
+		for j < len(x) && k>>j&1 == one {
+			j++
+		}
+		op := b.Or
+		if one == 1 {
+			op = b.And
+		}
+		switch { // under a run of ones over nothing greater, gt stays false
+		case gt != WireFalse:
+			gt = op(b.tree(op, x[i:j]), gt)
+		case one == 0:
+			gt = b.tree(op, x[i:j])
+		}
+		i = j
+	}
+	return gt
+}
+
+// tree combines ws into one wire by op: a balanced tree.
+func (b *Builder) tree(op func(x, y Wire) Wire, ws []Wire) Wire {
+	if len(ws) == 1 {
+		return ws[0]
+	}
+	return op(b.tree(op, ws[:len(ws)/2]), b.tree(op, ws[len(ws)/2:]))
+}
+
+// saturate returns the low n bits of bus x clamped to their maximum: each
+// ORed with the OR of the bits above.
+func (b *Builder) saturate(x []Wire, n uint) []Wire {
+	if int(n) >= len(x) {
+		return x
+	}
+	over := b.tree(b.Or, x[n:])
+	out := make([]Wire, n)
+	for i := range out {
+		out[i] = b.Or(x[i], over)
+	}
+	return out
+}
+
+// Add returns x + y for two unsigned buses (LSB first), one bit wider than
+// the wider of them: a ripple-carry adder. Constant-0 operand bits, such as
+// a shift's, cost no gates.
+func (b *Builder) Add(x, y []Wire) []Wire {
+	n := max(len(x), len(y))
+	x, y = padded(x, n), padded(y, n)
+	sum := make([]Wire, 0, n+1)
+	carry := WireFalse
+	for i := 0; i < n; i++ {
+		var ops []Wire
+		for _, w := range []Wire{x[i], y[i], carry} {
+			if w != WireFalse {
+				ops = append(ops, w)
+			}
+		}
+		switch len(ops) {
+		case 0:
+			sum, carry = append(sum, WireFalse), WireFalse
+		case 1:
+			sum, carry = append(sum, ops[0]), WireFalse
+		case 2:
+			sum, carry = append(sum, b.Xor(ops[0], ops[1])), b.And(ops[0], ops[1])
+		default:
+			half := b.Xor(ops[0], ops[1])
+			sum = append(sum, b.Xor(half, ops[2]))
+			carry = b.Or(b.And(ops[0], ops[1]), b.And(half, ops[2]))
+		}
+	}
+	return append(sum, carry)
+}
+
 // Netlist is a built combinational circuit.
 type Netlist struct {
 	gates    []gate
@@ -246,8 +329,7 @@ func (n *Netlist) Eval(in map[string]bool) map[string]bool {
 func (n *Netlist) EvalUint(in map[string]uint64, outBus string) uint64 {
 	bits := make(map[string]bool)
 	for name, v := range in {
-		if w, ok := n.inputs[name]; ok && v <= 1 {
-			_ = w
+		if _, ok := n.inputs[name]; ok && v <= 1 {
 			bits[name] = v == 1
 			continue
 		}
