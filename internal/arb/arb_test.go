@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"mlnoc/internal/noc"
+	"mlnoc/internal/synth"
 )
 
 // testCtx builds a minimal arbitration context on a real 2x2 mesh router.
@@ -87,6 +88,47 @@ func TestRoundRobinRotates(t *testing.T) {
 		if order[i] == order[i-1] {
 			t.Fatalf("round-robin granted %d twice in a row: %v", order[i], order)
 		}
+	}
+}
+
+// TestRoundRobinIsSelectMax proves RoundRobin is the width-1 select-max
+// netlist: on a 6-port, 7-VC router, over a seeded sequence of request
+// sets from one slot to all 42, BuildSelectMax(42, 1) with each slot's
+// request as its priority and the pointer as its start grants the slot
+// RoundRobin grants, the pointer following each grant to the next slot.
+func TestRoundRobinIsSelectMax(t *testing.T) {
+	const vcs = 7
+	const slots = noc.MaxPorts * vcs
+	ctx, _ := testCtx(t, vcs)
+	nl := synth.BuildSelectMax(slots, 1)
+	p := NewRoundRobin()
+	rng := rand.New(rand.NewSource(7))
+	ptr, wraps := 0, 0
+	for step := 0; step < 2000; step++ {
+		density := rng.Float64()
+		reqs := make([]int, slots)
+		var cands []noc.Candidate
+		for s := range reqs {
+			if rng.Float64() < density {
+				reqs[s] = 1
+				cands = append(cands, cand(noc.PortID(s/vcs), s%vcs, 0, 0, 0))
+			}
+		}
+		if len(cands) == 0 {
+			continue
+		}
+		g := cands[p.Select(ctx, cands)]
+		slot := slotIndex(g, vcs)
+		if idx, _ := synth.SelectMaxEval(nl, reqs, ptr); idx != slot {
+			t.Fatalf("step %d, pointer %d, requests %v: select-max grants %d, round-robin %d", step, ptr, reqs, idx, slot)
+		}
+		if slot < ptr {
+			wraps++
+		}
+		ptr = (slot + 1) % slots
+	}
+	if wraps == 0 {
+		t.Error("no grant wrapped past the last slot")
 	}
 }
 

@@ -4,8 +4,10 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -413,6 +415,67 @@ func TestRulesMatchTheirPBlocks(t *testing.T) {
 				c.name, nl.NumGates(), nl.Depth(), c.gates, c.depth)
 		}
 	}
+}
+
+// TestRulesMatchTheirSelectMax is the proof of the whole Fig. 8 arbiter:
+// for every named rule, candidates' priorities computed by the rule's
+// P-block netlist and reduced by a 42-way select-max netlist as wide as the
+// rule's priorities grant the candidate RulePolicy.Select picks, for 1 to
+// 42 candidates at several cycles, so at many scan starts. The local ages
+// and hop counts come from short lists, many saturated, so equal priorities
+// are common and the rotating tie-break decides most grants. Candidates past
+// the count read priority 0, which never beats the one at start.
+//
+// It also pins the cost of the 5-bit tree Algorithm 2 needs: 41 nodes of 90
+// gates (a 6-bit ripple comparator of 42 gates and 12 bits of 2:1 mux, the
+// key and the index, of 4 gates each) over 213 gates testing k >= start, at
+// depth 73.
+func TestRulesMatchTheirSelectMax(t *testing.T) {
+	const slots = noc.MaxPorts * 7
+	if nl := synth.BuildSelectMax(slots, 5); nl.NumGates() != 41*90+213 || nl.Depth() != 73 {
+		t.Errorf("42-way 5-bit select-max: %d gates at depth %d, want %d at depth 73", nl.NumGates(), nl.Depth(), 41*90+213)
+	}
+	ages := []int64{0, 3, 24, 25, 31, 40}
+	hops := []int{0, 2, 5, 15, 20}
+	rng := rand.New(rand.NewSource(53))
+	cases, rotated := 0, 0
+	for _, p := range Rules {
+		r := p.Rule()
+		pblock, top := synth.BuildPBlock(r), 0
+		for port := 0; port < noc.MaxPorts; port++ {
+			for class := 0; class < 3; class++ {
+				top = max(top, r.Priority(31, 15, port, class))
+			}
+		}
+		nl := synth.BuildSelectMax(slots, bits.Len(uint(top)))
+		for n := 1; n <= slots; n++ {
+			for _, now := range []int64{100, 101, 102, 103, 104, 105, 1007, 12345} {
+				cands := make([]noc.Candidate, n)
+				pris := make([]int, n)
+				for k := range cands {
+					la, hc := ages[rng.Intn(len(ages))], hops[rng.Intn(len(hops))]
+					port, class := rng.Intn(noc.MaxPorts), rng.Intn(3)
+					m := &noc.Message{ArrivalCycle: now - la, HopCount: hc, Type: noc.MsgType(class)}
+					cands[k] = noc.Candidate{Port: noc.PortID(port), Msg: m}
+					pris[k] = synth.PBlockPriority(pblock, r, hwLocalAge(now, m), hc, port, class)
+				}
+				want := p.Select(&noc.ArbContext{Cycle: now}, cands)
+				idx, got := synth.SelectMaxEval(nl, pris, int(now%int64(n)))
+				if idx != want || got != pris[want] {
+					t.Fatalf("%s, %d candidates at cycle %d: select-max grants %d (priority %d), the policy %d (priority %d); priorities %v",
+						p.Name(), n, now, idx, got, want, pris[want], pris)
+				}
+				cases++
+				if slices.Index(pris, pris[want]) != want {
+					rotated++
+				}
+			}
+		}
+	}
+	if rotated < cases/4 {
+		t.Errorf("the rotating tie-break decided only %d of %d grants", rotated, cases)
+	}
+	t.Logf("%d arbitrations, %d decided by the rotating tie-break, 0 mismatches", cases, rotated)
 }
 
 func TestNaiveLatencyArbiterPicksNewest(t *testing.T) {

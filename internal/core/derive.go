@@ -27,9 +27,8 @@ import (
 
 // Derivation reports how a policy was derived from a heatmap.
 type Derivation struct {
-	// LARow and HCRow are the heatmap rows used.
-	LARow, HCRow int
-	// LAWeight and HCWeight are the mean |w| of those rows.
+	// LAWeight and HCWeight are the mean |w| of the local-age and hop-count
+	// heatmap rows.
 	LAWeight, HCWeight float64
 	// Notes explains the decision in the paper's vocabulary.
 	Notes string
@@ -59,10 +58,7 @@ func DeriveMeshPolicy(h *Heatmap) (*RulePolicy, *Derivation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &Derivation{
-		LARow: laRow, HCRow: hcRow,
-		LAWeight: h.RowMean(laRow), HCWeight: h.RowMean(hcRow),
-	}
+	d := &Derivation{LAWeight: h.RowMean(laRow), HCWeight: h.RowMean(hcRow)}
 	if d.LAWeight <= 0 || d.HCWeight <= 0 {
 		return nil, nil, fmt.Errorf("core: degenerate heatmap (zero feature rows)")
 	}
@@ -93,7 +89,7 @@ func DeriveAPUPortRule(h *Heatmap) (*RulePolicy, *Derivation, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	d := &Derivation{HCRow: hcRow, HCWeight: h.RowMean(hcRow)}
+	d := &Derivation{HCWeight: h.RowMean(hcRow)}
 	we := h.PortSignedMean(hcRow, noc.PortWest.String()) +
 		h.PortSignedMean(hcRow, noc.PortEast.String())
 	ns := h.PortSignedMean(hcRow, noc.PortNorth.String()) +

@@ -109,43 +109,47 @@ func PBlockPriority(nl *Netlist, r Rule, la, hc, port, class int) int {
 	}, "p"))
 }
 
-// BuildSelectMax constructs an n-way select-max tournament over 5-bit
-// priorities: inputs i<k>_0..i<k>_4 for k in [0,n); outputs max0..max4 (the
-// winning priority) and idx0.. (the winner's index, lowest index on ties).
+// BuildSelectMax constructs the select-max circuit over n width-bit
+// priorities, inputs i<k>_0.. for k in [0,n), scanning from the start input
+// start0.. (below n): outputs max0.. (the highest priority) and idx0.. (the
+// first input holding it in the order start, start+1, .., n-1, 0, ..,
+// start-1), the grant of core's selectMax. At width 1 each input is a request
+// and the grant is the first requester at or after start: a round-robin
+// arbiter whose pointer is start.
+//
+// A tournament tree compares keys: each input's priority with the bit
+// k >= start below it, so that among equal priorities the inputs at or after
+// start win, and equal keys keep the lower index.
 func BuildSelectMax(n, width int) *Netlist {
 	if n < 1 {
 		panic("synth: select-max needs at least one input")
 	}
 	b := NewBuilder()
 	type entry struct {
-		val []Wire
+		key []Wire // k >= start, then the priority
 		idx []Wire
 	}
-	idxBits := 1
-	for 1<<idxBits < n {
-		idxBits++
-	}
+	idxBits := max(log2ceil(n), 1)
+	start := b.InputBus("start", idxBits)
 	entries := make([]entry, n)
-	for k := 0; k < n; k++ {
-		e := entry{val: b.InputBus(fmt.Sprintf("i%d_", k), width)}
+	for k := range entries {
+		ge := b.Not(b.GreaterThanConst(start, k))
+		e := entry{key: append([]Wire{ge}, b.InputBus(fmt.Sprintf("i%d_", k), width)...)}
 		e.idx = make([]Wire, idxBits)
 		for j := range e.idx {
 			if k&(1<<j) != 0 {
 				e.idx[j] = WireTrue
-			} else {
-				e.idx[j] = WireFalse
 			}
 		}
 		entries[k] = e
 	}
-	// Tournament reduction; ties keep the earlier (lower-index) entry.
 	for len(entries) > 1 {
 		var next []entry
 		for i := 0; i+1 < len(entries); i += 2 {
 			a, c := entries[i], entries[i+1]
-			sel := b.GreaterThan(c.val, a.val) // strict: ties keep a
+			sel := b.GreaterThan(c.key, a.key) // strict: ties keep a
 			next = append(next, entry{
-				val: b.MuxBus(sel, a.val, c.val),
+				key: b.MuxBus(sel, a.key, c.key),
 				idx: b.MuxBus(sel, a.idx, c.idx),
 			})
 		}
@@ -154,15 +158,16 @@ func BuildSelectMax(n, width int) *Netlist {
 		}
 		entries = next
 	}
-	b.OutputBus("max", entries[0].val)
+	b.OutputBus("max", entries[0].key[1:])
 	b.OutputBus("idx", entries[0].idx)
 	return b.Build()
 }
 
-// SelectMaxEval evaluates a select-max netlist over concrete priorities,
-// returning the winning index and value.
-func SelectMaxEval(nl *Netlist, pris []int) (idx, max int) {
-	in := make(map[string]uint64, len(pris))
+// SelectMaxEval evaluates a select-max netlist over concrete priorities
+// scanned from start, returning the winning index and priority.
+func SelectMaxEval(nl *Netlist, pris []int, start int) (idx, max int) {
+	in := make(map[string]uint64, len(pris)+1)
+	in["start"] = uint64(start)
 	for k, p := range pris {
 		in[fmt.Sprintf("i%d_", k)] = uint64(p)
 	}

@@ -8,7 +8,8 @@ import (
 
 // algorithm2 is Algorithm 2's shape as a Rule: no local-age term, a 4-bit
 // hop count, the starvation override past LA 24, the response and coherence
-// classes boosted and the hop term inverted on the north and south ports.
+// classes boosted and the hop term inverted on the north and south ports
+// (core's "rl-inspired", the rule Table 3 prices).
 var algorithm2 = Rule{HopBits: 4, Starve: 24, Boost: 0b110, Invert: 0b1100}
 
 // TestPBlockExhaustiveEquivalence proves the exact-threshold P-block netlist
@@ -77,10 +78,10 @@ func TestPBlockApproxThreshold(t *testing.T) {
 	}
 }
 
-// TestPBlockCost: the netlist's own gate count and depth validate the cost
-// model's P-block component (35 gates, depth 6 — same magnitude, not exact,
-// since the model counts NAND2 equivalents). The rule is Algorithm 2's shape
-// with the paper's single-AND-gate threshold.
+// TestPBlockCost: a P-block, whose own gate count and depth Table 3 prices,
+// stays the size of Fig. 8's bottom half: a few dozen gates, a handful of
+// levels. The rule is Algorithm 2's shape with the paper's single-AND-gate
+// threshold.
 func TestPBlockCost(t *testing.T) {
 	approx := algorithm2
 	approx.Starve = 23
@@ -172,25 +173,35 @@ func TestAddExhaustive(t *testing.T) {
 	}
 }
 
+// rotatedArgmax is core's selectMax over plain priorities: the first
+// highest in the order start, start+1, .., wrapping to 0.
+func rotatedArgmax(pris []int, start int) (idx, max int) {
+	idx = start
+	for k := 1; k < len(pris); k++ {
+		if i := (start + k) % len(pris); pris[i] > pris[idx] {
+			idx = i
+		}
+	}
+	return idx, pris[idx]
+}
+
+// TestSelectMaxExhaustiveSmall: 3 inputs of 3 bits, every start: 3x512
+// cases, start 0 giving the lowest-index tie-break.
 func TestSelectMaxExhaustiveSmall(t *testing.T) {
-	nl := BuildSelectMax(3, 3) // 3 inputs, 3-bit values: 512 cases
-	for a := 0; a < 8; a++ {
-		for b := 0; b < 8; b++ {
-			for c := 0; c < 8; c++ {
-				idx, max := SelectMaxEval(nl, []int{a, b, c})
-				vals := []int{a, b, c}
-				wantMax, wantIdx := a, 0
-				for i, v := range vals {
-					if v > wantMax {
-						wantMax, wantIdx = v, i
+	nl := BuildSelectMax(3, 3)
+	for start := 0; start < 3; start++ {
+		for a := 0; a < 8; a++ {
+			for b := 0; b < 8; b++ {
+				for c := 0; c < 8; c++ {
+					vals := []int{a, b, c}
+					idx, max := SelectMaxEval(nl, vals, start)
+					wantIdx, wantMax := rotatedArgmax(vals, start)
+					if max != wantMax {
+						t.Fatalf("max(%d,%d,%d) = %d, want %d", a, b, c, max, wantMax)
 					}
-				}
-				if max != wantMax {
-					t.Fatalf("max(%d,%d,%d) = %d, want %d", a, b, c, max, wantMax)
-				}
-				if idx != wantIdx {
-					t.Fatalf("argmax(%d,%d,%d) = %d, want %d (lowest-index tie-break)",
-						a, b, c, idx, wantIdx)
+					if idx != wantIdx {
+						t.Fatalf("argmax(%d,%d,%d) from %d = %d, want %d", a, b, c, start, idx, wantIdx)
+					}
 				}
 			}
 		}
@@ -198,7 +209,8 @@ func TestSelectMaxExhaustiveSmall(t *testing.T) {
 }
 
 func TestQuickSelectMax42(t *testing.T) {
-	// The full router-scale tree: 42 inputs of 5 bits.
+	// The full router-scale tree: 42 inputs of 5 bits, from start 0 and
+	// from a drawn start.
 	nl := BuildSelectMax(42, 5)
 	rng := rand.New(rand.NewSource(1))
 	f := func(seed int64) bool {
@@ -207,14 +219,13 @@ func TestQuickSelectMax42(t *testing.T) {
 		for i := range pris {
 			pris[i] = r.Intn(32)
 		}
-		idx, max := SelectMaxEval(nl, pris)
-		wantMax, wantIdx := pris[0], 0
-		for i, v := range pris {
-			if v > wantMax {
-				wantMax, wantIdx = v, i
+		for _, start := range []int{0, r.Intn(42)} {
+			idx, max := SelectMaxEval(nl, pris, start)
+			if wantIdx, wantMax := rotatedArgmax(pris, start); idx != wantIdx || max != wantMax {
+				return false
 			}
 		}
-		return max == wantMax && idx == wantIdx
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200, Rand: rng}); err != nil {
 		t.Fatal(err)
@@ -273,6 +284,8 @@ func TestGreaterThanExhaustive(t *testing.T) {
 func TestBuilderPanics(t *testing.T) {
 	for _, f := range []func(){
 		func() { b := NewBuilder(); b.Input("a"); b.Input("a") },
+		func() { b := NewBuilder(); b.Input("a"); b.InputBus("a", 1) },
+		func() { b := NewBuilder(); b.Output("o", WireTrue); b.OutputBus("o", []Wire{WireFalse}) },
 		func() {
 			b := NewBuilder()
 			w := b.Input("a")

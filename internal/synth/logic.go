@@ -38,40 +38,38 @@ type gate struct {
 // Builder assembles a combinational netlist. Create one with NewBuilder, add
 // inputs and gates, mark outputs, then Build.
 type Builder struct {
-	nextWire int
-	gates    []gate
-	inputs   map[string]Wire
-	inOrder  []string
-	outputs  map[string]Wire
-	outOrder []string
-	depth    map[Wire]int
+	gates             []gate
+	depth             []int // each wire's logic depth, by Wire
+	inOrder, outOrder []string
+	// ins and outs hold each named bus's wires, LSB first; a single input or
+	// output, a bus's bits among them, is a one-wire bus of its own name.
+	ins, outs map[string][]Wire
 }
 
 // NewBuilder returns an empty builder with the two constant wires allocated.
 func NewBuilder() *Builder {
-	return &Builder{
-		nextWire: 2,
-		inputs:   make(map[string]Wire),
-		outputs:  make(map[string]Wire),
-		depth:    map[Wire]int{WireFalse: 0, WireTrue: 0},
-	}
+	return &Builder{depth: []int{0, 0}, ins: map[string][]Wire{}, outs: map[string][]Wire{}}
 }
 
-func (b *Builder) alloc() Wire {
-	w := Wire(b.nextWire)
-	b.nextWire++
-	return w
+// alloc returns a new wire of logic depth d.
+func (b *Builder) alloc(d int) Wire {
+	b.depth = append(b.depth, d)
+	return Wire(len(b.depth) - 1)
+}
+
+// bus records ws under name in buses, panicking if the name is taken.
+func bus(buses map[string][]Wire, kind, name string, ws []Wire) {
+	if _, dup := buses[name]; dup {
+		panic("synth: duplicate " + kind + " " + name)
+	}
+	buses[name] = ws
 }
 
 // Input declares a named primary input.
 func (b *Builder) Input(name string) Wire {
-	if _, dup := b.inputs[name]; dup {
-		panic("synth: duplicate input " + name)
-	}
-	w := b.alloc()
-	b.inputs[name] = w
+	w := b.alloc(0)
+	bus(b.ins, "input", name, []Wire{w})
 	b.inOrder = append(b.inOrder, name)
-	b.depth[w] = 0
 	return w
 }
 
@@ -81,15 +79,13 @@ func (b *Builder) InputBus(name string, width int) []Wire {
 	for i := range ws {
 		ws[i] = b.Input(fmt.Sprintf("%s%d", name, i))
 	}
+	bus(b.ins, "input", name, ws)
 	return ws
 }
 
 // Output marks a wire as a named primary output.
 func (b *Builder) Output(name string, w Wire) {
-	if _, dup := b.outputs[name]; dup {
-		panic("synth: duplicate output " + name)
-	}
-	b.outputs[name] = w
+	bus(b.outs, "output", name, []Wire{w})
 	b.outOrder = append(b.outOrder, name)
 }
 
@@ -98,16 +94,12 @@ func (b *Builder) OutputBus(name string, ws []Wire) {
 	for i, w := range ws {
 		b.Output(fmt.Sprintf("%s%d", name, i), w)
 	}
+	bus(b.outs, "output", name, ws)
 }
 
 func (b *Builder) gate2(kind gateKind, x, y Wire) Wire {
-	out := b.alloc()
+	out := b.alloc(max(b.depth[x], b.depth[y]) + 1)
 	b.gates = append(b.gates, gate{kind: kind, a: x, b: y, out: out})
-	d := b.depth[x]
-	if dy := b.depth[y]; dy > d {
-		d = dy
-	}
-	b.depth[out] = d + 1
 	return out
 }
 
@@ -251,32 +243,20 @@ func (b *Builder) Add(x, y []Wire) []Wire {
 
 // Netlist is a built combinational circuit.
 type Netlist struct {
-	gates    []gate
-	nWires   int
-	inputs   map[string]Wire
-	inOrder  []string
-	outputs  map[string]Wire
-	outOrder []string
-	maxDepth int
+	gates             []gate
+	nWires            int
+	inOrder, outOrder []string
+	ins, outs         map[string][]Wire
+	maxDepth          int
 }
 
 // Build freezes the builder into an evaluable netlist.
 func (b *Builder) Build() *Netlist {
 	maxDepth := 0
 	for _, name := range b.outOrder {
-		if d := b.depth[b.outputs[name]]; d > maxDepth {
-			maxDepth = d
-		}
+		maxDepth = max(maxDepth, b.depth[b.outs[name][0]])
 	}
-	return &Netlist{
-		gates:    b.gates,
-		nWires:   b.nextWire,
-		inputs:   b.inputs,
-		inOrder:  b.inOrder,
-		outputs:  b.outputs,
-		outOrder: b.outOrder,
-		maxDepth: maxDepth,
-	}
+	return &Netlist{b.gates, len(b.depth), b.inOrder, b.outOrder, b.ins, b.outs, maxDepth}
 }
 
 // NumGates returns the gate count of the netlist.
@@ -294,15 +274,61 @@ func (n *Netlist) OutputNames() []string { return n.outOrder }
 // Eval evaluates the circuit for the given input assignment. Missing inputs
 // default to false; unknown names panic.
 func (n *Netlist) Eval(in map[string]bool) map[string]bool {
-	vals := make([]bool, n.nWires)
-	vals[WireTrue] = true
+	vals := n.values()
 	for name, v := range in {
-		w, ok := n.inputs[name]
-		if !ok {
+		ws, ok := n.ins[name]
+		if !ok || len(ws) != 1 {
 			panic("synth: unknown input " + name)
 		}
-		vals[w] = v
+		vals[ws[0]] = v
 	}
+	n.run(vals)
+	out := make(map[string]bool, len(n.outOrder))
+	for _, name := range n.outOrder {
+		out[name] = vals[n.outs[name][0]]
+	}
+	return out
+}
+
+// EvalUint evaluates the circuit with unsigned-integer convenience: each
+// entry of in assigns a bus ("la" -> la0..laN) or a single input, missing
+// ones reading 0, and the named output bus or single output is decoded back
+// to an integer. Unknown names panic.
+func (n *Netlist) EvalUint(in map[string]uint64, outBus string) uint64 {
+	vals := n.values()
+	for name, v := range in {
+		ws, ok := n.ins[name]
+		if !ok {
+			panic("synth: unknown input or bus " + name)
+		}
+		for i, w := range ws {
+			vals[w] = v>>i&1 != 0
+		}
+	}
+	n.run(vals)
+	ws, ok := n.outs[outBus]
+	if !ok {
+		panic("synth: unknown output bus " + outBus)
+	}
+	var val uint64
+	for i, w := range ws {
+		if vals[w] {
+			val |= 1 << i
+		}
+	}
+	return val
+}
+
+// values returns every wire's value before evaluation: all false but the
+// constant-1 net.
+func (n *Netlist) values() []bool {
+	vals := make([]bool, n.nWires)
+	vals[WireTrue] = true
+	return vals
+}
+
+// run evaluates the gates in build order over vals.
+func (n *Netlist) run(vals []bool) {
 	for _, g := range n.gates {
 		switch g.kind {
 		case gateNot:
@@ -315,57 +341,4 @@ func (n *Netlist) Eval(in map[string]bool) map[string]bool {
 			vals[g.out] = vals[g.a] != vals[g.b]
 		}
 	}
-	out := make(map[string]bool, len(n.outputs))
-	for name, w := range n.outputs {
-		out[name] = vals[w]
-	}
-	return out
-}
-
-// EvalUint evaluates the circuit with unsigned-integer convenience: each
-// entry of in assigns a bus ("la" -> la0..laN) or a single input, and the
-// named output bus is decoded back to an integer (missing bits are treated
-// as single-bit outputs).
-func (n *Netlist) EvalUint(in map[string]uint64, outBus string) uint64 {
-	bits := make(map[string]bool)
-	for name, v := range in {
-		if _, ok := n.inputs[name]; ok && v <= 1 {
-			bits[name] = v == 1
-			continue
-		}
-		// Bus assignment: name0, name1, ...
-		for i := 0; ; i++ {
-			bit := fmt.Sprintf("%s%d", name, i)
-			if _, ok := n.inputs[bit]; !ok {
-				if i == 0 {
-					panic("synth: unknown input or bus " + name)
-				}
-				break
-			}
-			bits[bit] = v&(1<<i) != 0
-		}
-	}
-	out := n.Eval(bits)
-	// A single named output decodes as one bit.
-	if v, ok := out[outBus]; ok {
-		if v {
-			return 1
-		}
-		return 0
-	}
-	var val uint64
-	for i := 0; ; i++ {
-		bit := fmt.Sprintf("%s%d", outBus, i)
-		v, ok := out[bit]
-		if !ok {
-			if i == 0 {
-				panic("synth: unknown output bus " + outBus)
-			}
-			break
-		}
-		if v {
-			val |= 1 << i
-		}
-	}
-	return val
 }

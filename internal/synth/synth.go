@@ -1,14 +1,17 @@
 // Package synth is a transparent gate-level hardware cost model standing in
 // for the paper's Synopsys Design Compiler synthesis at 32nm (Table 3).
 //
-// Circuits are described as compositions of components with explicit
-// NAND2-equivalent gate counts and logic depths; a gate library (area, delay
-// and switching power per NAND2 equivalent at a 32nm-class node) converts
-// them into latency (ns), area (mm²) and power (mW). The point of Table 3 —
-// that a parallelized INT8 inference engine for the paper's 504-42-42 network
-// is orders of magnitude larger and slower than the distilled priority
-// arbiter, which itself costs only a few times a round-robin arbiter — falls
-// out of the structure of the circuits rather than calibration constants.
+// Circuits are described as compositions of components with NAND2-equivalent
+// gate counts and logic depths; a gate library (area, delay and switching
+// power per NAND2 equivalent at a 32nm-class node) converts them into latency
+// (ns), area (mm²) and power (mW). The proposed arbiter's P-blocks are the
+// Fig. 8 netlists of fig8.go, priced by their own gates and depth; the
+// select-max trees, the round-robin encoder and the NN engine are modelled
+// counts. The point of Table 3 — that a parallelized INT8 inference engine
+// for the paper's 504-42-42 network is orders of magnitude larger and slower
+// than the distilled priority arbiter, which itself costs only a few times a
+// round-robin arbiter — falls out of the structure of the circuits rather
+// than calibration constants.
 package synth
 
 import "fmt"
@@ -172,27 +175,30 @@ func RoundRobinArbiter(ports, vcs int) *Circuit {
 }
 
 // ProposedArbiter models the paper's Fig. 8 circuit for a router with the
-// given ports and VCs: one P-block per input buffer computing the Algorithm 2
-// priority level (AND-gate age threshold, XOR hop inversion, boost shift,
-// output mux), shared across outputs, plus a select-max comparator tree per
-// output port.
-func ProposedArbiter(ports, vcs int) *Circuit {
+// given ports and VCs arbitrating by rule r: one P-block per input buffer,
+// shared across outputs, plus a select-max comparator tree per output port.
+// The P-block is BuildPBlock(r), priced by its own gate count and depth.
+func ProposedArbiter(r Rule, ports, vcs int) *Circuit {
 	bufs := ports * vcs
+	pblock := BuildPBlock(r)
 	return &Circuit{
 		Name: "proposed",
 		Comps: []Component{
 			{
-				// P-block (Fig. 8 bottom): threshold AND, 4-bit XOR invert,
-				// class-boost shift mux, 5-bit 2:1 output mux.
 				Name:   "p-block",
-				Gates:  35,
-				Depth:  6,
+				Gates:  pblock.NumGates(),
+				Depth:  pblock.Depth(),
 				Count:  bufs,
 				Serial: true,
 			},
 			{
 				// Select-max tournament tree over all buffers: one 5-bit
 				// comparator plus 5-bit 2:1 mux and index mux per tree node.
+				// A modelled count, like the round-robin encoder's: the
+				// exact rotating tree BuildSelectMax builds, ripple
+				// comparators muxing whole keys and indices, is several
+				// times larger and deeper than the synthesized circuits
+				// Table 3 publishes.
 				Name:   "select-max",
 				Gates:  20,
 				Depth:  log2ceil(bufs) * (4 + 1),
@@ -268,13 +274,13 @@ func maxInt(xs ...int) int {
 }
 
 // Table3 evaluates the paper's three Table 3 designs for a 6-port, 7-VC
-// router and its 504-42-42 agent network, returning the reports in the
-// paper's row order: NN engine, round-robin, proposed.
-func Table3() []Report {
+// router arbitrating by rule r and its 504-42-42 agent network, returning
+// the reports in the paper's row order: NN engine, round-robin, proposed.
+func Table3(r Rule) []Report {
 	lib := Lib32nm
 	return []Report{
 		Evaluate(NNEngine([]int{504, 42, 42}, 2048), lib),
 		Evaluate(RoundRobinArbiter(6, 7), lib),
-		Evaluate(ProposedArbiter(6, 7), lib),
+		Evaluate(ProposedArbiter(r, 6, 7), lib),
 	}
 }

@@ -7,7 +7,7 @@ import (
 )
 
 func TestTable3Shape(t *testing.T) {
-	reports := Table3()
+	reports := Table3(algorithm2)
 	if len(reports) != 3 {
 		t.Fatalf("Table3 rows = %d, want 3", len(reports))
 	}
@@ -38,7 +38,7 @@ func TestTable3Magnitudes(t *testing.T) {
 	// The model should land in the same decade as the paper's numbers
 	// (NN 8.17ns / 1.2344mm2 / 63.67mW; RR 0.89/0.0012/0.07;
 	// proposed 1.10/0.0044/0.27).
-	reports := Table3()
+	reports := Table3(algorithm2)
 	within := func(got, want, factor float64) bool {
 		return got > want/factor && got < want*factor
 	}
@@ -115,8 +115,8 @@ func TestQuickScalingMonotonic(t *testing.T) {
 		vcs := int(v8)%7 + 1
 		smallRR := RoundRobinArbiter(ports, vcs)
 		bigRR := RoundRobinArbiter(ports+1, vcs+1)
-		smallP := ProposedArbiter(ports, vcs)
-		bigP := ProposedArbiter(ports+1, vcs+1)
+		smallP := ProposedArbiter(algorithm2, ports, vcs)
+		bigP := ProposedArbiter(algorithm2, ports+1, vcs+1)
 		return bigRR.Gates() > smallRR.Gates() &&
 			bigP.Gates() > smallP.Gates() &&
 			bigRR.LatencyNS(lib) >= smallRR.LatencyNS(lib) &&
@@ -128,7 +128,7 @@ func TestQuickScalingMonotonic(t *testing.T) {
 }
 
 func TestEvaluateAndString(t *testing.T) {
-	rep := Evaluate(ProposedArbiter(6, 7), Lib32nm)
+	rep := Evaluate(ProposedArbiter(algorithm2, 6, 7), Lib32nm)
 	if rep.Name != "proposed" || rep.Gates == 0 || rep.String() == "" {
 		t.Fatalf("bad report: %+v", rep)
 	}
