@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet vet-cross fmt layering examples bench-once verify clean
+.PHONY: build test test-nofma race vet vet-cross nofuse fmt layering examples bench-once verify clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,18 @@ vet:
 # built only off amd64 (internal/nn/gemm_other.go) compile in CI too.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./...
+
+# Go lets a compiler fuse x*y+z into one rounding unless an explicit float64()
+# rounds the product. gc fuses on arm64 and never on amd64, so an unrounded
+# product would give one host's figures other bits than another's. Every such
+# product in the program is written float64(x*y): fail, naming the function and
+# the line, if the arm64 assembly listing of ./internal/... holds a fused
+# multiply-add in any function of this module.
+FUSED = FMADDD|FMSUBD|FNMADDD|FNMSUBD|FMADDS|FMSUBS|FNMADDS|FNMSUBS
+nofuse:
+	@out=$$(GOARCH=arm64 $(GO) build -gcflags='mlnoc/...=-S' ./internal/... 2>&1) || { echo "$$out" | tail -20; exit 1; }; \
+	bad=$$(printf "%s\n" "$$out" | awk '/ STEXT /{fn=$$1} $$4 ~ /^($(FUSED))$$/ && fn ~ /^mlnoc\//{print fn, $$3}' | sort -u); \
+	if [ -n "$$bad" ]; then echo "fused multiply-add in:"; echo "$$bad"; exit 1; fi
 
 # Fail if any tracked Go file is not gofmt-clean.
 fmt:
@@ -77,7 +89,7 @@ bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet vet-cross layering build test examples test-nofma race bench-once
+verify: fmt vet vet-cross nofuse layering build test examples test-nofma race bench-once
 
 clean:
 	$(GO) clean ./...

@@ -2,12 +2,14 @@
 // compares against: round-robin, FIFO (local age), iSLIP, probabilistic
 // distance-based arbitration, global-age and random arbitration.
 //
-// All policies implement noc.Policy. iSLIP additionally implements
-// noc.Matcher, computing a whole-router input/output matching per cycle.
+// All policies implement noc.Policy. iSLIP and the wavefront allocator
+// (extended.go) additionally implement noc.Matcher, computing a whole-router
+// input/output matching per cycle.
 package arb
 
 import (
 	"math/rand"
+	"slices"
 
 	"mlnoc/internal/noc"
 )
@@ -164,8 +166,41 @@ type ISLIP struct {
 	// Iterations is the number of grant/accept rounds per cycle (>= 1).
 	Iterations int
 
-	grantPtr  map[int]*[noc.MaxPorts]int // router ID -> per-output pointers
-	acceptPtr map[int]*[noc.MaxPorts]int // router ID -> per-input pointers
+	// ptrs holds, by router ID, the router's grant pointers (one per output)
+	// and accept pointers (one per input), grown as routers are met.
+	ptrs []islipPtrs
+	// match is Match's scratch, reused from call to call.
+	match matchScratch
+}
+
+type islipPtrs struct{ grant, accept [noc.MaxPorts]int }
+
+// matchScratch is a router-level matcher's per-call scratch: the grants it
+// returns, valid until its next Match, and rep[r][in], the index within
+// reqs[r] of the candidate that represents input port in (the first eligible
+// buffer of that port), or -1.
+type matchScratch struct {
+	grants []int
+	rep    [][noc.MaxPorts]int
+}
+
+// reset sizes the scratch for reqs and fills it: no grant, and each
+// request's representative candidates.
+func (s *matchScratch) reset(reqs []noc.Request) (grants []int, rep [][noc.MaxPorts]int) {
+	s.grants = slices.Grow(s.grants[:0], len(reqs))[:len(reqs)]
+	s.rep = slices.Grow(s.rep[:0], len(reqs))[:len(reqs)]
+	for r := range reqs {
+		s.grants[r] = -1
+		for in := range s.rep[r] {
+			s.rep[r][in] = -1
+		}
+		for ci, c := range reqs[r].Cands {
+			if s.rep[r][c.Port] == -1 {
+				s.rep[r][c.Port] = ci
+			}
+		}
+	}
+	return s.grants, s.rep
 }
 
 // NewISLIP creates an iSLIP policy with the given number of iterations
@@ -174,11 +209,7 @@ func NewISLIP(iterations int) *ISLIP {
 	if iterations < 1 {
 		iterations = 1
 	}
-	return &ISLIP{
-		Iterations: iterations,
-		grantPtr:   make(map[int]*[noc.MaxPorts]int),
-		acceptPtr:  make(map[int]*[noc.MaxPorts]int),
-	}
+	return &ISLIP{Iterations: iterations}
 }
 
 // Name implements noc.Policy.
@@ -187,7 +218,7 @@ func (p *ISLIP) Name() string { return "islip" }
 // Select implements noc.Policy. It is only invoked if the engine is not using
 // the Matcher interface; it applies a single grant round for one output.
 func (p *ISLIP) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
-	g := p.ptrs(p.grantPtr, ctx.Router.ID())
+	g := &p.at(ctx.Router.ID()).grant
 	best, bestDist := 0, noc.MaxPorts+1
 	for i, c := range cands {
 		d := (int(c.Port) - g[ctx.Out] + noc.MaxPorts) % noc.MaxPorts
@@ -199,37 +230,20 @@ func (p *ISLIP) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	return best
 }
 
-func (p *ISLIP) ptrs(m map[int]*[noc.MaxPorts]int, routerID int) *[noc.MaxPorts]int {
-	ptr := m[routerID]
-	if ptr == nil {
-		ptr = new([noc.MaxPorts]int)
-		m[routerID] = ptr
+// at returns the pointers of router routerID, all 0 the first time.
+func (p *ISLIP) at(routerID int) *islipPtrs {
+	for routerID >= len(p.ptrs) {
+		p.ptrs = append(p.ptrs, islipPtrs{})
 	}
-	return ptr
+	return &p.ptrs[routerID]
 }
 
-// Match implements noc.Matcher.
+// Match implements noc.Matcher. The returned slice is valid until the next
+// call.
 func (p *ISLIP) Match(ctx *noc.MatchContext, reqs []noc.Request) []int {
-	grantPtr := p.ptrs(p.grantPtr, ctx.Router.ID())
-	acceptPtr := p.ptrs(p.acceptPtr, ctx.Router.ID())
-
-	result := make([]int, len(reqs))
-	for i := range result {
-		result[i] = -1
-	}
-	// repCand[r][in] is the candidate index within reqs[r] representing input
-	// port in (the first eligible buffer of that port), or -1.
-	repCand := make([][noc.MaxPorts]int, len(reqs))
-	for r := range reqs {
-		for in := range repCand[r] {
-			repCand[r][in] = -1
-		}
-		for ci, c := range reqs[r].Cands {
-			if repCand[r][c.Port] == -1 {
-				repCand[r][c.Port] = ci
-			}
-		}
-	}
+	ptrs := p.at(ctx.Router.ID())
+	grantPtr, acceptPtr := &ptrs.grant, &ptrs.accept
+	result, repCand := p.match.reset(reqs)
 
 	var inMatched, outMatched [noc.MaxPorts]bool
 	for iter := 0; iter < p.Iterations; iter++ {

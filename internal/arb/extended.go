@@ -16,7 +16,9 @@ import (
 // simultaneously. The starting diagonal rotates each cycle for fairness. It
 // finds a maximal matching but, as the paper notes, its latency grows with
 // the number of requesters.
-type Wavefront struct{}
+type Wavefront struct {
+	match matchScratch // Match's scratch, reused from call to call
+}
 
 // NewWavefront creates a wavefront allocator.
 func NewWavefront() *Wavefront { return &Wavefront{} }
@@ -31,31 +33,16 @@ func (p *Wavefront) Select(ctx *noc.ArbContext, cands []noc.Candidate) int {
 	return int(ctx.Cycle) % len(cands)
 }
 
-// Match implements noc.Matcher.
+// Match implements noc.Matcher. The returned slice is valid until the next
+// call.
 func (p *Wavefront) Match(ctx *noc.MatchContext, reqs []noc.Request) []int {
-	grants := make([]int, len(reqs))
-	for i := range grants {
-		grants[i] = -1
-	}
-	// Representative candidate per (request, input port).
+	grants, rep := p.match.reset(reqs)
 	const n = noc.MaxPorts
-	rep := make([][n]int, len(reqs))
-	for r := range reqs {
-		for in := range rep[r] {
-			rep[r][in] = -1
-		}
-		for ci, c := range reqs[r].Cands {
-			if rep[r][c.Port] == -1 {
-				rep[r][c.Port] = ci
-			}
-		}
-	}
 	var inUsed [n]bool
-	outUsed := make([]bool, len(reqs))
 	start := int(ctx.Cycle) % n
 	for k := 0; k < n; k++ {
 		for r := range reqs {
-			if outUsed[r] {
+			if grants[r] != -1 { // this output is matched already
 				continue
 			}
 			out := int(reqs[r].Out)
@@ -66,7 +53,6 @@ func (p *Wavefront) Match(ctx *noc.MatchContext, reqs []noc.Request) []int {
 				continue
 			}
 			inUsed[in] = true
-			outUsed[r] = true
 			grants[r] = rep[r][in]
 		}
 	}

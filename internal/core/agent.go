@@ -162,7 +162,7 @@ func (a *Agent) Epsilon() float64 {
 	if frac >= 1 {
 		return floor
 	}
-	return a.EpsStart - (a.EpsStart-floor)*frac
+	return a.EpsStart - float64((a.EpsStart-floor)*frac)
 }
 
 // NewAgentWithNet wraps a pre-trained network in an evaluation-only agent

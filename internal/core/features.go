@@ -169,7 +169,7 @@ func (norm *NormConfig) scale(f Feature, r int64) float64 {
 		// message's Q-value keeps growing instead of saturating — a hard
 		// clamp lets the network starve a message it has ranked last once
 		// its age passes the cap.
-		return x / (x + norm.LocalAgeCap/2)
+		return x / (x + float64(norm.LocalAgeCap/2))
 	case FeatDistance:
 		return stats.Clamp01(x / norm.DistanceCap)
 	case FeatHopCount:

@@ -2,10 +2,11 @@ package nn
 
 import "testing"
 
-// withoutKernels runs build with the kernels reported absent, so that the
-// networks it constructs get no store and run layer 0 on the row-major loops,
-// then and afterwards: the portable implementation, which is also the oracle.
-// (hasFMAKernel is a variable only here, on amd64.)
+// withoutKernels runs build with the kernels reported absent: the networks it
+// constructs get a layer-0 store on the Go loops, then and afterwards, the
+// portable implementation the kernels are held to; and a batched call it makes
+// takes no fused tile, on any network. (hasFMAKernel is a variable only here,
+// on amd64.)
 func withoutKernels(build func()) {
 	defer func(v bool) { hasFMAKernel = v }(hasFMAKernel)
 	hasFMAKernel = false
@@ -13,9 +14,9 @@ func withoutKernels(build func()) {
 }
 
 // TestFrozenMatchesUnfrozenWithoutFMA is TestFrozenMatchesUnfrozen with the
-// FMA tile kernel switched off once the networks are built, as on a CPU
-// without it ForwardBatchFast would be ForwardBatch: the stored network then
-// answers every batch from the exact kernel, the other from the scalar tile.
+// kernels reported absent once the networks are built, for every call: the
+// network on the kernels still runs layer 0 on them, but no batch of either
+// twin takes a fused tile, so none is held to the Go FMA reference.
 func TestFrozenMatchesUnfrozenWithoutFMA(t *testing.T) {
 	defer func(v bool) { hasFMAKernel = v }(hasFMAKernel)
 	checkFrozenMatchesUnfrozen(t, func() { hasFMAKernel = false })

@@ -14,10 +14,9 @@ import (
 var frozenShapes = [][]int{{504, 42, 42}, {60, 15, 15}, {7, 1}, {9, 49, 3}, {12, 100, 5}}
 
 // frozenTwins returns a network of the given sizes with random weights and
-// biases that keeps layer 0 in the input-major store (where the host has the
-// kernels) and runs it on them, and its twin built with the kernels switched
-// off: no store, the row-major loops. The names date from when only a frozen
-// network had the store.
+// biases whose layer-0 store runs on the kernels (where the host has them),
+// and its twin built with the kernels switched off, whose store runs on the Go
+// loops. The names date from when only a frozen network had a store.
 func frozenTwins(rng *rand.Rand, sizes []int) (fz, ref *MLP) {
 	acts := []Activation{Sigmoid, LeakyReLU, Tanh}[:len(sizes)-1]
 	withoutKernels(func() {
@@ -27,6 +26,7 @@ func frozenTwins(rng *rand.Rand, sizes []int) (fz, ref *MLP) {
 				l.B[j] = rng.NormFloat64()
 			}
 		}
+		ref.adopt()
 	})
 	return ref.Clone(), ref
 }
@@ -64,7 +64,9 @@ func frozenInputs(rng *rand.Rand, in int) []SparseVec {
 // requireFrozenMatches runs every inference entry point on fz and ref and
 // requires the same bits: each input alone, through the dense and the sparse
 // entry, for all outputs and for a selection, and every batch of 0..9 inputs
-// starting anywhere in xs on the exact and the fast kernel.
+// starting anywhere in xs through each batched entry, with the kernels
+// reported absent (withoutKernels), where no batch takes a fused tile. fz's
+// fused tiles are held to the Go FMA reference instead (requireFusedMatchesRef).
 func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []SparseVec) {
 	t.Helper()
 	n, nout := ref.InputSize(), ref.OutputSize()
@@ -89,7 +91,8 @@ func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []Spars
 			"ForwardBatchFast":       func(m *MLP) [][]float64 { return m.ForwardBatchFast(ds) },
 			"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse(svs, nil) },
 		} {
-			got, want := run(fz), run(ref)
+			var got, want [][]float64
+			withoutKernels(func() { got, want = run(fz), run(ref) })
 			if len(got) != len(want) {
 				t.Fatalf("%s of %d: %d rows, want %d", name, nb, len(got), len(want))
 			}
@@ -97,26 +100,46 @@ func requireFrozenMatches(t *testing.T, rng *rand.Rand, fz, ref *MLP, xs []Spars
 				requireSameBits(t, fmt.Sprintf("%s of %d from input %d, row %d", name, nb, from, b), got[b], want[b])
 			}
 		}
+		requireFusedMatchesRef(t, fmt.Sprintf("batch of %d from input %d", nb, from), fz, svs)
 	}
 }
 
-// checkFrozenMatchesUnfrozen holds a network on the store to its twin on the
-// row-major loops on every shape and input kind. afterBuild runs between
-// building the twins and the comparisons.
+// requireFusedMatchesRef holds the rows of m.ForwardBatchFastSparse(xs, nil),
+// full tiles fused where m runs on the kernels and the host reports them, to
+// fmaRefBatch, that arithmetic spelled out in Go. Elsewhere every row is exact,
+// which the twin comparisons cover.
+func requireFusedMatchesRef(t *testing.T, what string, m *MLP, xs []SparseVec) {
+	t.Helper()
+	if !hasFMAKernel || !m.store.kernels {
+		return
+	}
+	dense := make([][]float64, len(xs))
+	for b, x := range xs {
+		dense[b] = make([]float64, m.InputSize())
+		x.ScatterInto(dense[b])
+	}
+	got := m.ForwardBatchFastSparse(xs, nil)
+	for b, row := range fmaRefBatch(m, dense) {
+		requireSameBits(t, fmt.Sprintf("%s, row %d: fused vs the Go FMA reference", what, b), got[b], row)
+	}
+}
+
+// checkFrozenMatchesUnfrozen holds a network on the kernels to its twin on the
+// Go loops on every shape and input kind. afterBuild runs between building the
+// twins and the comparisons.
 func checkFrozenMatchesUnfrozen(t *testing.T, afterBuild func()) {
 	for _, sizes := range frozenShapes {
 		rng := rand.New(rand.NewSource(int64(41 + sizes[0])))
 		fz, ref := frozenTwins(rng, sizes)
-		if (fz.store != nil) != hasFMAKernel || ref.store != nil {
-			t.Fatalf("%v: store %v, the twin's %v, kernels %t", sizes, fz.store != nil, ref.store != nil, hasFMAKernel)
+		if fz.store.kernels != hasFMAKernel || ref.store.kernels {
+			t.Fatalf("%v: store on the kernels %t, the twin's %t, host %t", sizes, fz.store.kernels, ref.store.kernels, hasFMAKernel)
 		}
-		stored := fz.store != nil
 		afterBuild()
 		for rep := 0; rep < 4; rep++ {
 			requireFrozenMatches(t, rng, fz, ref, frozenInputs(rng, sizes[0]))
 		}
-		if ref.store != nil || (fz.store != nil) != stored || fz.stale {
-			t.Fatalf("%v: inference changed who has a store, or made one stale", sizes)
+		if fz.stale || ref.stale {
+			t.Fatalf("%v: inference made a store stale", sizes)
 		}
 	}
 }
@@ -127,31 +150,30 @@ func TestFrozenMatchesUnfrozen(t *testing.T) {
 
 // TestFrozenRejectsBadIndices: the kernels read the store at the indices they
 // are given, so an index the first-and-last check of checkSparse cannot see (a
-// list that is not ascending) must stop them, as a bounds check stops the
-// row-major loops.
+// list that is not ascending) must stop them, and the Go loops, with
+// errSparseIndex.
 func TestFrozenRejectsBadIndices(t *testing.T) {
-	if !hasFMAKernel {
-		t.Skip("no store without the kernels")
-	}
-	fz, _ := frozenTwins(rand.New(rand.NewSource(1)), []int{60, 15, 15})
+	fz, ref := frozenTwins(rand.New(rand.NewSource(1)), []int{60, 15, 15})
 	bad := SparseVec{Idx: []int32{3, 1 << 20, 7}, Val: []float64{1, 1, 1}}
 	neg := SparseVec{Idx: []int32{3, -5, 7}, Val: []float64{1, 1, 1}}
 	ok := SparseVec{Idx: []int32{3, 5, 7}, Val: []float64{1, 1, 1}}
-	for name, run := range map[string]func(){
-		"ForwardSparse":                    func() { fz.ForwardSparse(bad, nil) },
-		"ForwardSparse, negative":          func() { fz.ForwardSparse(neg, nil) },
-		"ForwardBatchFastSparse":           func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, bad, ok}, nil) },
-		"ForwardBatchFastSparse, negative": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, neg, ok, ok}, nil) },
-		"ForwardBatchFastSparse, trailing": func() { fz.ForwardBatchFastSparse([]SparseVec{ok, ok, ok, ok, bad}, nil) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s accepted an index outside the layer", name)
-				}
+	for _, m := range []*MLP{fz, ref} {
+		for name, run := range map[string]func(){
+			"ForwardSparse":                    func() { m.ForwardSparse(bad, nil) },
+			"ForwardSparse, negative":          func() { m.ForwardSparse(neg, nil) },
+			"ForwardBatchFastSparse":           func() { m.ForwardBatchFastSparse([]SparseVec{ok, ok, bad, ok}, nil) },
+			"ForwardBatchFastSparse, negative": func() { m.ForwardBatchFastSparse([]SparseVec{ok, neg, ok, ok}, nil) },
+			"ForwardBatchFastSparse, trailing": func() { m.ForwardBatchFastSparse([]SparseVec{ok, ok, ok, ok, bad}, nil) },
+		} {
+			func() {
+				defer func() {
+					if r := recover(); r != errSparseIndex {
+						t.Errorf("%s on the kernels %t: recovered %v, want %q", name, m.store.kernels, r, errSparseIndex)
+					}
+				}()
+				run()
 			}()
-			run()
-		}()
+		}
 	}
 }
 
@@ -191,9 +213,10 @@ func TestFusedKeepsInsideItsScratch(t *testing.T) {
 	}
 }
 
-// FuzzFrozenMatchesUnfrozen holds a network on the store to its twin built
-// with the kernels off on a network, inputs and batch drawn from the seed: shape picks one of
-// frozenShapes or, past them, random widths up to 80 -> 110 -> 9.
+// FuzzFrozenMatchesUnfrozen holds a network on the kernels to its twin built
+// with the kernels off on a network, inputs and batch drawn from the seed:
+// shape picks one of frozenShapes or, past them, random widths up to 80 -> 110
+// -> 9.
 func FuzzFrozenMatchesUnfrozen(f *testing.F) {
 	for shape := 0; shape <= len(frozenShapes); shape++ {
 		f.Add(int64(shape+1), uint8(shape), uint8(4+shape))

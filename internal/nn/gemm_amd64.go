@@ -2,10 +2,10 @@ package nn
 
 // hasFMAKernel reports whether the AVX2+FMA kernels (gemm_amd64.s,
 // sigmoid_amd64.s, spmv_amd64.s) are usable on this CPU: AVX2 and FMA present,
-// and the OS saves YMM state. A network built while it is true keeps layer 0
-// input-major and runs it on them; otherwise ForwardBatchFast falls back to
-// the bit-identical blocked scalar kernel and layer 0 to the row-major loops,
-// so the flag only ever selects between two correct implementations.
+// and the OS saves YMM state. A network built while it is true runs its
+// layer-0 store on them; otherwise on Go loops with the same bits, and
+// ForwardBatchFast falls back to the bit-identical exact sums, so the flag only
+// ever selects between two correct implementations.
 var hasFMAKernel = detectAVX2FMA()
 
 // cpuidex executes CPUID with the given leaf and subleaf.
@@ -55,8 +55,8 @@ func fmaDotOuts(x, w *float64, stride, nsteps int, outs *int, n int, sums *[8]fl
 func sigmoid4(zs *float64, groups int) int
 
 // spmvExact is the layer-0 sum on the input-major store (inputMajor) for
-// 4*groups neighbouring neurons, groups in 1..12, in the scalar loop's order and
-// rounding: for each column c,
+// 4*groups neighbouring neurons, groups in 1..12, in the order and rounding of
+// inputMajor.exact's Go loop: for each column c,
 //
 //	z[c] = b[c] + w[idx[0]*stride+c]*val[0] + w[idx[1]*stride+c]*val[1] + ...
 //
@@ -86,8 +86,8 @@ func spmvExact(z, b, w *float64, stride, rows, groups int, idx *int32, val *floa
 func spmvFused(z, b, w *float64, stride, rows, groups int, idx *int32, val *float64, n, q int, bidx *int32, bval *float64, cnt *[4]int, lanes *[4][48]float64) bool
 
 // spmvUpdate is the layer-0 SGD step on the input-major store for 4*groups
-// neighbouring neurons, groups in 1..12, in the scalar loop's rounding: for each
-// of the n listed entries, in list order, and each column c,
+// neighbouring neurons, groups in 1..12, in the rounding of inputMajor.update's
+// Go loop: for each of the n listed entries, in list order, and each column c,
 //
 //	w[idx[e]*stride+c] -= step[c] * val[e]
 //

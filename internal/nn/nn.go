@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/bits"
 	"math/rand"
 )
 
@@ -117,7 +116,7 @@ var vecSigmoid = hasFMAKernel && sigmoidAgrees(sigmoid4)
 func sigmoidAgrees(kernel func(zs *float64, groups int) int) bool {
 	var probe [64]float64
 	for i := range probe {
-		probe[i] = -0.61*float64(i) - 0.0113*float64(i%7)
+		probe[i] = float64(-0.61*float64(i)) - float64(0.0113*float64(i%7))
 	}
 	copy(probe[:], []float64{0, math.Copysign(0, -1), 1e-300, -1e-17, 36.5, 2.25, 699.5, -699.5})
 	got := probe
@@ -160,7 +159,7 @@ func (a Activation) derivFromOutput(y float64) float64 {
 		}
 		return 0
 	case Tanh:
-		return 1 - y*y
+		return 1 - float64(y*y)
 	case LeakyReLU:
 		if y > 0 {
 			return 1
@@ -201,45 +200,37 @@ type Layer struct {
 // computing it would give +0. There is no density threshold: a dense input is
 // the same list, only a full one.
 //
-// A layer-0 neuron's sum, and a layer-0 weight's update, are the same
-// operations in the same order whichever loop runs them. The forward pass and
-// the weight update walk the input list once per six neurons (six independent
-// chains in flight, an entry loaded once for six rows) and fall back to one
-// row at a time for the selected outputs of a one-layer network, the Out%6
-// remainder, and a block of six that holds a zero delta — a zero delta skips
-// its row, which a step of lr*0 would not leave alone (-0 - -0 is +0). The
-// sigmoid of a whole layer or batch plane is computed four lanes at a time
-// (Activation.applyTo), bit-equal to the scalar expression.
-//
-// Layer 0 storage. Those loops walk Layer.W row-major, and they are what runs
-// off amd64 or without AVX2 and FMA. On a host with the kernels (hasFMAKernel)
-// the network owns layer 0 input-major instead (inputMajor, store.go): input
-// i's weights to every neuron contiguous, each row and the biases padded with
-// +0 to whole groups of four neurons. New, Load and Clone build that store and
-// nothing drops it; it is the weights. Every forward pass computes layer 0 from
-// it, for all neurons at once, on two AVX2 kernels (spmv_amd64.s). spmvExact
-// keeps the order and rounding of the loops above: an accumulator per neuron
-// starts at the bias and takes w*v, the product rounded first, entry by entry
-// in list order; it serves Forward and ForwardSparse (which then computes every
-// neuron of a one-layer network, selected or not), the training calls' forward
-// pass, ForwardBatch, and within ForwardBatchFast what the tile kernel leaves
-// to scalar code: the nb%4 trailing samples and an odd last neuron. spmvFused
-// keeps fmaDot4x2's: the entries bucketed by index mod 4, one chain of fused
-// multiply-adds per lane from +0, bias + ((l0+l2)+(l1+l3)), then the in%4 tail
-// through the exact kernel; it serves the full tiles of ForwardBatchFast and
-// ForwardBatchFastSparse. The single-input pass applies the activation over
-// the padded width, so a 42-wide sigmoid is eleven groups of four and no
-// scalar exp. Training steps the store in place: spmvSteps computes lr*delta
-// per neuron, steps the biases whose delta is not zero and counts the zeros,
+// Layer 0 storage. Every network owns layer 0 input-major (inputMajor,
+// store.go): input i's weights to every neuron contiguous, each row and the
+// biases padded with +0 to whole groups of four neurons. New, Load and Clone
+// build that store and nothing drops it; it is the weights. Each store records
+// at construction whether the AVX2 kernels (spmv_amd64.s) run it, which they
+// do on a host with AVX2 and FMA (hasFMAKernel); otherwise Go loops run it,
+// spelling the kernels' operations in the same order, each product rounded
+// before it is added. Every forward pass computes layer 0 from the store, for
+// all neurons at once. The exact sum (spmvExact) gives each neuron an
+// accumulator that starts at the bias and takes w*v, entry by entry in list
+// order; it serves Forward and ForwardSparse (which then computes every neuron
+// of a one-layer network, selected or not), the training calls' forward pass,
+// ForwardBatch, and within ForwardBatchFast what the tile kernel leaves to
+// scalar code: the nb%4 trailing samples and an odd last neuron. On the
+// kernels the full tiles of ForwardBatchFast and ForwardBatchFastSparse take
+// spmvFused, which keeps fmaDot4x2's rounding: the entries bucketed by index
+// mod 4, one chain of fused multiply-adds per lane from +0, bias +
+// ((l0+l2)+(l1+l3)), then the in%4 tail in exact order; without the kernels
+// those tiles are exact too. The single-input pass applies the activation over
+// the padded width, so a 42-wide sigmoid is eleven groups of four and no scalar
+// exp. Training steps the store in place: spmvSteps computes lr*delta per
+// neuron, steps the biases whose delta is not zero and counts the zeros,
 // spmvUpdate subtracts (lr*delta)*x from the one contiguous row of each listed
-// input, the product rounded first, and a call that holds a zero delta takes
-// the same rows in Go, skipping that neuron. Past layer 0 such a network runs
-// the backward pass's row loops on kernels too: axpy for a hidden delta's
-// terms (dl += w*d) and a deeper row's update (w -= (lr*d)*in), sigmoidGrad for
-// the sigmoid's derivative (dl *= y*(1-y)), each product rounded before it is
-// added. Every sum and every weight has the bits the row-major loops give,
-// which stay in the package as the portable implementation and as the oracle
-// the tests hold the kernels to.
+// input, and a call that holds a zero delta takes the rows in a Go loop that
+// skips that neuron (a zero delta skips its row, which a step of lr*0 would
+// not leave alone: -0 - -0 is +0). Past layer 0 a network on the kernels runs
+// the backward pass's row loops on them too: axpy for a hidden delta's terms
+// (dl += w*d) and a deeper row's update (w -= (lr*d)*in), sigmoidGrad for the
+// sigmoid's derivative (dl *= y*(1-y)), each product rounded before it is
+// added, as the Go loops beside them round it. The tests hold a store on the
+// kernels to one on the Go loops, bit for bit.
 //
 // Layers[0].W and .B stay row-major and are the exchange form: what Save
 // writes, Quantize and the heatmap means read, and callers outside the package
@@ -247,12 +238,12 @@ type Layer struct {
 // network, and fall behind as soon as the network is trained or is the
 // destination of a CopyFrom; WriteBack brings them up to date (a no-op when
 // they are), and Save, Quantize, InputWeightAbsMean and InputWeightSignedMean
-// call it themselves. Outside this package they are read-only: on a host with
-// the kernels no forward pass or update looks at them, so a weight written
-// there is never used, and the next WriteBack after training overwrites it.
-// CopyFrom and Clone read their source's store and write nothing to the
-// source, so one network may be cloned from many goroutines at once. Deeper
-// layers have one form, Layers[l].W, always current.
+// call it themselves. Outside this package they are read-only: no forward pass
+// or update looks at them, so a weight written there is never used, and the
+// next WriteBack after training overwrites it. CopyFrom and Clone read their
+// source's store and write nothing to the source, so one network may be cloned
+// from many goroutines at once. Deeper layers have one form, Layers[l].W,
+// always current.
 //
 // The last layer computes only the outputs a caller asks for (the outs
 // argument of ForwardSparse and ForwardBatchFastSparse; TrainActionSparse asks
@@ -263,6 +254,11 @@ type Layer struct {
 // tiling, a listed output is computed in the rounding its place gives it
 // (forwardSelected, with fmaDotOuts for the tiled case). Layer 0 and the hidden
 // layers are computed in full, and a one-layer network computes every output.
+//
+// Go may fuse x*y+z into one rounding on some architectures (arm64 does); an
+// explicit float64(x*y) forbids it, so every product that is added in this
+// package is written that way, and amd64, which never fuses, gives the same
+// bits either way.
 type MLP struct {
 	Layers []*Layer
 
@@ -283,10 +279,11 @@ type MLP struct {
 	// plane last written, which the call returns.
 	bacts [2][]float64
 	brows [][]float64
-	blk   blockScratch
-	// store is layer 0 input-major, the weights themselves, on a host with
-	// the kernels; nil elsewhere, where Layers[0] is. stale says the store
-	// has changed since Layers[0].W and .B were last made equal to it.
+	// steps are the element offsets 0, 4, 8, ... of the 4-wide steps the
+	// tile kernel takes over a deeper layer's inputs.
+	steps []int32
+	// store is layer 0, the weights themselves. stale says the store has
+	// changed since Layers[0].W and .B were last made equal to it.
 	store *inputMajor
 	stale bool
 }
@@ -316,7 +313,8 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 		}
 		bound := math.Sqrt(6 / float64(in+out))
 		for i := range layer.W {
-			layer.W[i] = (rng.Float64()*2 - 1) * bound
+			u := float64(rng.Float64()) // rounded, so that no product inside it fuses
+			layer.W[i] = (float64(u*2) - 1) * bound
 		}
 		m.Layers = append(m.Layers, layer)
 	}
@@ -325,44 +323,44 @@ func New(sizes []int, acts []Activation, rng *rand.Rand) *MLP {
 	return m
 }
 
-// allocScratch sizes the scratch buffers for m.Layers and, on a host with the
-// kernels, gives the network its layer-0 store, still empty (see adopt).
+// allocScratch sizes the scratch buffers for m.Layers and gives the network
+// its layer-0 store, still empty (see adopt).
 func (m *MLP) allocScratch() {
 	m.acts = make([][]float64, len(m.Layers)+1)
 	m.deltas = make([][]float64, len(m.Layers))
-	maxIn := 0
+	deepIn := 0
 	for l, layer := range m.Layers {
-		// Room for whole groups of four: a stored layer 0 writes its
+		// Room for whole groups of four: layer 0 writes its
 		// activations that wide and reads its deltas that wide, +0 past Out.
 		m.acts[l+1] = make([]float64, layer.Out, (layer.Out+3)&^3)
 		m.deltas[l] = make([]float64, layer.Out, (layer.Out+3)&^3)
 		m.maxOut = max(m.maxOut, layer.Out)
-		maxIn = max(maxIn, layer.In)
+		if l > 0 {
+			deepIn = max(deepIn, layer.In)
+		}
 	}
 	m.every = make([]int, m.maxOut)
 	for j := range m.every {
 		m.every[j] = j
 	}
-	m.blk = newBlockScratch(maxIn)
-	if hasFMAKernel {
-		m.store = newInputMajor(m.Layers[0])
+	m.steps = make([]int32, deepIn/4)
+	for s := range m.steps {
+		m.steps[s] = int32(4 * s)
 	}
+	m.store = newInputMajor(m.Layers[0])
 }
 
-// adopt makes Layers[0].W and .B, as they are now, the network's layer 0: a
-// network with a store fills it from them. Construction ends with it, and code
-// in this package that writes Layers[0] by hand calls it afterwards.
+// adopt makes Layers[0].W and .B, as they are now, the network's layer 0: the
+// store is filled from them. Construction ends with it, and code in this
+// package that writes Layers[0] by hand calls it afterwards.
 func (m *MLP) adopt() {
-	if m.store != nil {
-		m.store.fill(m.Layers[0])
-		m.stale = false
-	}
+	m.store.fill(m.Layers[0])
+	m.stale = false
 }
 
 // WriteBack brings Layers[0].W and .B up to date with the network's layer 0,
 // which training and CopyFrom change elsewhere (see MLP, "Layer 0 storage").
-// Call it before reading them; it costs nothing when they are current, and
-// does nothing on a host without the kernels, where they are the weights.
+// Call it before reading them; it costs nothing when they are current.
 func (m *MLP) WriteBack() {
 	if m.stale {
 		m.store.writeBack(m.Layers[0])
@@ -424,76 +422,23 @@ func (m *MLP) checkSparse(x SparseVec) {
 }
 
 // forward is the one single-input forward pass. Layer 0 adds, to each bias,
-// one term per entry of x in list order; deeper layers are dense. Of the last
-// layer only the neurons in outs are computed (all when outs is empty); the
-// other elements of the returned slice keep whatever an earlier call left.
+// one term per entry of x in list order, for every neuron; deeper layers are
+// dense. Of the last layer past layer 0 only the neurons in outs are computed
+// (all when outs is empty); the other elements of the returned slice keep
+// whatever an earlier call left.
 func (m *MLP) forward(x SparseVec, outs []int) []float64 {
-	last := len(m.Layers) - 1
-	for l, layer := range m.Layers {
+	f, last := m.store, len(m.Layers)-1
+	z := m.acts[1][:f.width]
+	f.exact(z, f.b, x.Idx, x.Val)
+	m.Layers[0].Act.applyTo(z)
+	for l := 1; l <= last; l++ {
 		var want []int
 		if l == last {
 			want = outs
 		}
-		if f := m.store; l == 0 && f != nil {
-			z := m.acts[1][:f.width]
-			f.exact(z, f.b, x.Idx, x.Val)
-			layer.Act.applyTo(z)
-		} else if l == 0 {
-			layer.forwardSparse(m.acts[1], x, want)
-		} else {
-			layer.forwardDense(m.acts[l+1], m.acts[l], want)
-		}
+		m.Layers[l].forwardDense(m.acts[l+1], m.acts[l], want)
 	}
 	return m.acts[len(m.Layers)]
-}
-
-// forwardSparse computes z = act(W*x + b) for the neurons in want (all when
-// want is empty), one term per entry of x. A neuron's sum is its bias, then
-// its terms in list order: one dependent chain of adds. Computing all neurons,
-// it walks the list once per six of them, so that six chains are in flight and
-// an index and its value are loaded once for six rows; each chain is the one
-// the one-row loop runs, which the selected neurons and the Out%6 remainder
-// still take.
-func (l *Layer) forwardSparse(z []float64, x SparseVec, want []int) {
-	idx, val := x.Idx, x.Val[:len(x.Idx)]
-	if len(want) > 0 {
-		for _, j := range want {
-			z[j] = l.Act.apply(l.sumSparse(j, idx, val))
-		}
-		return
-	}
-	in, j := l.In, 0
-	for ; j+6 <= l.Out; j += 6 {
-		w, b, zj := l.W[j*in:(j+6)*in], l.B[j:j+6], z[j:j+6]
-		r0, r1, r2 := w[:in], w[in:][:in], w[2*in:][:in]
-		r3, r4, r5 := w[3*in:][:in], w[4*in:][:in], w[5*in:][:in]
-		s0, s1, s2, s3, s4, s5 := b[0], b[1], b[2], b[3], b[4], b[5]
-		for e, i := range idx {
-			v := val[e]
-			s0 += r0[i] * v
-			s1 += r1[i] * v
-			s2 += r2[i] * v
-			s3 += r3[i] * v
-			s4 += r4[i] * v
-			s5 += r5[i] * v
-		}
-		zj[0], zj[1], zj[2], zj[3], zj[4], zj[5] = s0, s1, s2, s3, s4, s5
-	}
-	for ; j < l.Out; j++ {
-		z[j] = l.sumSparse(j, idx, val)
-	}
-	l.Act.applyTo(z)
-}
-
-// sumSparse is neuron j's pre-activation on the listed input, one row at a
-// time.
-func (l *Layer) sumSparse(j int, idx []int32, val []float64) float64 {
-	row := l.W[j*l.In : (j+1)*l.In]
-	s := l.B[j]
-	for e, i := range idx {
-		s += row[i] * val[e]
-	}
-	return s
 }
 
 // forwardDense computes z = act(W*in + b) for the neurons in want (all when
@@ -512,7 +457,7 @@ func (l *Layer) forwardDense(z, in []float64, want []int) {
 		in := in[:len(row)] // one bounds check; elides them in the loop
 		s := l.B[j]
 		for i, w := range row {
-			s += w * in[i]
+			s += float64(w * in[i])
 		}
 		if selected {
 			s = l.Act.apply(s)
@@ -603,14 +548,17 @@ func (m *MLP) indexBatch(xs [][]float64) []SparseVec {
 // forwardBatch computes the batch layer by layer, each into a row-major plane.
 // With outs, a last layer past layer 0 computes only the listed outputs of
 // each row (forwardSelected); layer 0 and the hidden planes are computed in
-// full either way.
+// full either way. fma asks for the fused tiles, which a network whose store
+// runs on the Go loops does not have.
 func (m *MLP) forwardBatch(xs []SparseVec, outs [][]int, fma bool) [][]float64 {
 	nb := len(xs)
 	if nb == 0 {
 		return nil
 	}
-	// Three floats of slack: a stored layer 0 writes its last row out to a
-	// whole group of four.
+	f := m.store
+	fma = fma && f.kernels
+	// Three floats of slack: layer 0 writes its last row out to a whole group
+	// of four.
 	if need := nb*m.maxOut + 3; cap(m.bacts[0]) < need {
 		m.bacts[0] = make([]float64, need)
 		m.bacts[1] = make([]float64, need)
@@ -625,15 +573,13 @@ func (m *MLP) forwardBatch(xs []SparseVec, outs [][]int, fma bool) [][]float64 {
 		out := layer.Out
 		next := m.bacts[l&1][:nb*out]
 		selected := l == last && l > 0 && outs != nil
-		switch f := m.store; {
-		case l == 0 && f != nil:
-			f.forwardBatch(xs, next[:len(next)+f.width-out], fma)
+		switch {
 		case l == 0:
-			layer.forwardBlockedSparse(xs, next, &m.blk, fma)
+			f.forwardBatch(xs, next[:len(next)+f.width-out], fma)
 		case selected:
 			layer.forwardSelected(rows, next, outs, m.every[:out], fma)
 		default:
-			layer.forwardBlocked(rows, next, &m.blk, fma)
+			layer.forwardBlocked(rows, next, m.steps[:layer.In/4], fma)
 		}
 		if !selected {
 			layer.Act.applyTo(next)
@@ -645,107 +591,12 @@ func (m *MLP) forwardBatch(xs []SparseVec, outs [][]int, fma bool) [][]float64 {
 	return rows
 }
 
-// blockScratch holds the plans of the blocked batch kernels. A plan names the
-// input elements a tile's dot products visit: steps are the element offsets of
-// its 4-wide steps over the first in&^3 inputs, ascending; idx is the same
-// steps spelled out element by element, followed by the in%4 tail. Layer 0
-// gets a plan per tile that has only the steps some sample of the tile lists
-// an entry in (scatter); deeper layers use the dense plan, every step and
-// every index, cut from allSteps and allIdx.
-type blockScratch struct {
-	flags            []uint64 // one bit per 4-wide step of the tile being planned
-	steps, idx       []int32
-	allSteps, allIdx []int32
-	// rows are the dense form of the layer-0 tile in flight (made by the
-	// first scatter); between tiles every element is +0.
-	rows [4][]float64
-}
-
-func newBlockScratch(maxIn int) blockScratch {
-	nsteps := maxIn / 4
-	sc := blockScratch{
-		flags:    make([]uint64, (nsteps+63)/64),
-		steps:    make([]int32, nsteps),
-		idx:      make([]int32, maxIn),
-		allSteps: make([]int32, nsteps),
-		allIdx:   make([]int32, maxIn),
-	}
-	for s := range sc.allSteps {
-		sc.allSteps[s] = int32(4 * s)
-	}
-	for i := range sc.allIdx {
-		sc.allIdx[i] = int32(i)
-	}
-	return sc
-}
-
-// scatter writes one tile of layer-0 inputs, each in wide, into sc.rows and
-// returns the rows and the tile's plan: a 4-wide step is in it when any sample
-// lists an entry there, so a step left out holds +0 in every row and would
-// have added +-0 to every sum. The in%4 tail is always in idx. The caller runs
-// the kernel and hands the tile back to gather; rows and plan are valid until
-// the next scatter.
-func (sc *blockScratch) scatter(tile []SparseVec, in int) (rows [][]float64, steps, idx []int32) {
-	if len(sc.rows[0]) != in {
-		backing := make([]float64, 4*in)
-		for r := range sc.rows {
-			sc.rows[r] = backing[r*in : (r+1)*in : (r+1)*in]
-		}
-	}
-	nsteps := in / 4
-	flags := sc.flags[:(nsteps+63)/64]
-	clear(flags)
-	for r, x := range tile {
-		row, val := sc.rows[r], x.Val[:len(x.Idx)]
-		for k, i := range x.Idx {
-			row[i] = val[k]
-			if s := int(i) >> 2; s < nsteps {
-				flags[s>>6] |= 1 << (s & 63)
-			}
-		}
-	}
-	steps, idx = sc.steps[:0], sc.idx[:0]
-	for w, word := range flags {
-		for ; word != 0; word &= word - 1 {
-			i := int32(4 * (w<<6 + bits.TrailingZeros64(word)))
-			steps = append(steps, i)
-			idx = append(idx, i, i+1, i+2, i+3)
-		}
-	}
-	for i := in &^ 3; i < in; i++ {
-		idx = append(idx, int32(i))
-	}
-	return sc.rows[:len(tile)], steps, idx
-}
-
-// gather undoes scatter: the elements the tile's lists wrote are zeroed again.
-func (sc *blockScratch) gather(tile []SparseVec) {
-	for r, x := range tile {
-		row := sc.rows[r]
-		for _, i := range x.Idx {
-			row[i] = 0
-		}
-	}
-}
-
-// forwardBlockedSparse computes layer 0's pre-activations next = xs · Wᵀ + b:
-// each tile of four inputs is scattered into dense rows, run through the tile
-// kernel on its own plan, and gathered back.
-func (l *Layer) forwardBlockedSparse(xs []SparseVec, next []float64, sc *blockScratch, fma bool) {
-	for b := 0; b < len(xs); b += 4 {
-		tile := xs[b:min(b+4, len(xs))]
-		rows, steps, idx := sc.scatter(tile, l.In)
-		l.forwardTile(rows, next[b*l.Out:], steps, idx, fma)
-		sc.gather(tile)
-	}
-}
-
 // forwardBlocked computes a deeper layer's pre-activations next = rows · Wᵀ + b
-// tile by tile on the dense plan.
-func (l *Layer) forwardBlocked(rows [][]float64, next []float64, sc *blockScratch, fma bool) {
-	steps, idx := sc.allSteps[:l.In/4], sc.allIdx[:l.In]
+// tile by tile; steps are the offsets of its 4-wide steps, 0, 4, ... up to
+// In&^3 exclusive.
+func (l *Layer) forwardBlocked(rows [][]float64, next []float64, steps []int32, fma bool) {
 	for b := 0; b < len(rows); b += 4 {
-		l.forwardTile(rows[b:min(b+4, len(rows))], next[b*l.Out:], steps, idx, fma)
+		l.forwardTile(rows[b:min(b+4, len(rows))], next[b*l.Out:], steps, fma)
 	}
 }
 
@@ -760,29 +611,24 @@ func (l *Layer) forwardBlocked(rows [][]float64, next []float64, sc *blockScratc
 // samples and each loaded activation across 2 neurons — throughput-bound, and
 // the batch is streamed out/2 times instead of out times.
 //
-// Every loop walks the plan it is given (blockScratch): dense for deeper
-// layers, and for layer 0 without the steps that are zero across the tile.
 // Without fma every accumulator starts at its neuron's bias and adds
-// w[i]*x[i] in ascending i — Forward's summation order less terms that are
-// +-0 — so the result is bit-identical to the scalar loop. With fma the 4x2
-// tile's steps run on the AVX2+FMA assembly microkernel: each accumulator is
-// four interleaved fused partial sums, lane = i mod 4, reduced in a fixed
-// order at the end, which trades Forward's exact rounding for ~4x the
-// arithmetic throughput (the ForwardBatchFast contract); a skipped step would
-// have added +-0 to each lane, so the sparse plan leaves every lane, and the
-// row, bit-equal to the dense one. The bias and the in%4 tail are added in
-// scalar code; tile remainders (odd neuron, nb mod 4 samples) always take the
-// scalar order. The caller applies the activation to the finished plane.
-func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32, fma bool) {
+// w[i]*x[i] in ascending i — Forward's summation order — so the result is
+// bit-identical to the scalar loop. With fma the 4x2 tile's steps run on the
+// AVX2+FMA assembly microkernel: each accumulator is four interleaved fused
+// partial sums, lane = i mod 4, reduced in a fixed order at the end, which
+// trades Forward's exact rounding for ~4x the arithmetic throughput (the
+// ForwardBatchFast contract). The bias and the in%4 tail are added in scalar
+// code; tile remainders (odd neuron, nb mod 4 samples) always take the scalar
+// order. The caller applies the activation to the finished plane.
+func (l *Layer) forwardTile(tile [][]float64, next []float64, steps []int32, fma bool) {
 	in, out := l.In, l.Out
 	if len(tile) < 4 { // trailing samples (nb mod 4): one row at a time
 		for r, x := range tile {
 			x = x[:in]
 			for j := 0; j < out; j++ {
-				row := l.W[j*in : (j+1)*in]
 				z := l.B[j]
-				for _, i := range idx {
-					z += row[i] * x[i]
+				for i, w := range l.W[j*in : (j+1)*in] {
+					z += float64(w * x[i])
 				}
 				next[r*out+j] = z
 			}
@@ -790,9 +636,9 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 		return
 	}
 	x0, x1, x2, x3 := tile[0][:in], tile[1][:in], tile[2][:in], tile[3][:in]
-	rest := idx // what the scalar loop of a 4x2 tile still has to add
+	from := 0 // the first input the scalar loop of a 4x2 tile still has to add
 	if fma {
-		rest = idx[4*len(steps):]
+		from = 4 * len(steps)
 	}
 	var sums [8]float64
 	j := 0
@@ -811,17 +657,17 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 			z20, z21 = z20+sums[4], z21+sums[5]
 			z30, z31 = z30+sums[6], z31+sums[7]
 		}
-		for _, i := range rest {
+		for i := from; i < in; i++ {
 			w, v := w0[i], w1[i]
 			e0, e1, e2, e3 := x0[i], x1[i], x2[i], x3[i]
-			z00 += w * e0
-			z01 += v * e0
-			z10 += w * e1
-			z11 += v * e1
-			z20 += w * e2
-			z21 += v * e2
-			z30 += w * e3
-			z31 += v * e3
+			z00 += float64(w * e0)
+			z01 += float64(v * e0)
+			z10 += float64(w * e1)
+			z11 += float64(v * e1)
+			z20 += float64(w * e2)
+			z21 += float64(v * e2)
+			z30 += float64(w * e3)
+			z31 += float64(v * e3)
 		}
 		next[0*out+j], next[0*out+j+1] = z00, z01
 		next[1*out+j], next[1*out+j+1] = z10, z11
@@ -829,15 +675,13 @@ func (l *Layer) forwardTile(tile [][]float64, next []float64, steps, idx []int32
 		next[3*out+j], next[3*out+j+1] = z30, z31
 	}
 	if j < out { // odd trailing neuron: 4 samples, 1 weight row
-		w0 := l.W[j*in : (j+1)*in]
 		bj := l.B[j]
 		z0, z1, z2, z3 := bj, bj, bj, bj
-		for _, i := range idx {
-			w := w0[i]
-			z0 += w * x0[i]
-			z1 += w * x1[i]
-			z2 += w * x2[i]
-			z3 += w * x3[i]
+		for i, w := range l.W[j*in : (j+1)*in] {
+			z0 += float64(w * x0[i])
+			z1 += float64(w * x1[i])
+			z2 += float64(w * x2[i])
+			z3 += float64(w * x3[i])
 		}
 		next[0*out+j] = z0
 		next[1*out+j] = z1
@@ -879,7 +723,7 @@ func (l *Layer) forwardSelected(rows [][]float64, next []float64, outs [][]int, 
 					s, from = s+sums[k], 4*nsteps
 				}
 				for i, w := range row[from:] {
-					s += w * x[from+i]
+					s += float64(w * x[from+i])
 				}
 				z[j] = l.Act.apply(s)
 			}
@@ -897,12 +741,11 @@ func (l *Layer) forwardSelected(rows [][]float64, next []float64, outs [][]int, 
 // Deltas propagate k-outer over the next layer's neurons: each delta[j] still
 // sums its terms in ascending k order, bit-identical to the j-outer loop, and
 // a zero delta skips its weight row, as it skips its row in the update. Past
-// layer 0 a network with a store runs those row loops, and the sigmoid's
-// derivative, on the AVX2 kernels, each operation rounded as the Go loop
-// beside it rounds it; the Go loops are the path without kernels and the
-// oracle.
+// layer 0 a network whose store runs on the AVX2 kernels runs those row loops,
+// and the sigmoid's derivative, on them too, each operation rounded as the Go
+// loop beside it rounds it.
 func (m *MLP) backprop(x SparseVec, lr float64, action int) {
-	last, vec := len(m.Layers)-1, m.store != nil
+	last, vec := len(m.Layers)-1, m.store.kernels
 	for l := last - 1; l >= 0; l-- {
 		layer, next := m.Layers[l], m.Layers[l+1]
 		dl, y := m.deltas[l][:layer.Out], m.acts[l+1][:layer.Out]
@@ -918,7 +761,7 @@ func (m *MLP) backprop(x SparseVec, lr float64, action int) {
 				continue
 			}
 			for j, w := range row {
-				dl[j] += w * d
+				dl[j] += float64(w * d)
 			}
 		}
 		if vec && layer.Act == Sigmoid {
@@ -929,12 +772,8 @@ func (m *MLP) backprop(x SparseVec, lr float64, action int) {
 			dl[j] *= layer.Act.derivFromOutput(y[j])
 		}
 	}
-	if f := m.store; f != nil {
-		f.update(m.deltas[0], x.Idx, x.Val, lr)
-		m.stale = true
-	} else {
-		m.Layers[0].updateSparse(m.deltas[0], x, lr)
-	}
+	m.store.update(m.deltas[0], x.Idx, x.Val, lr)
+	m.stale = true
 	for l := 1; l <= last; l++ {
 		layer := m.Layers[l]
 		in := m.acts[l][:layer.In]
@@ -943,12 +782,12 @@ func (m *MLP) backprop(x SparseVec, lr float64, action int) {
 			if d == 0 {
 				continue
 			}
-			row, step := layer.W[j*layer.In:][:len(in)], lr*d
+			row, step := layer.W[j*layer.In:][:len(in)], float64(lr*d)
 			if vec {
 				axpy(&row[0], &in[0], -step, len(row))
 			} else {
 				for i := range row {
-					row[i] -= step * in[i]
+					row[i] -= float64(step * in[i])
 				}
 			}
 			layer.B[j] -= step
@@ -963,56 +802,6 @@ func (m *MLP) nonZero(l, action int) []int {
 		return m.every[action : action+1]
 	}
 	return m.every[:m.Layers[l].Out]
-}
-
-// updateSparse is layer 0's SGD step: w[j][i] -= lr*delta[j]*x[i] for the
-// listed inputs only, the others would move by step*0. A neuron whose delta is
-// zero is skipped outright, so that its row stays as it is, -0 weights
-// included. Like forwardSparse it walks the list once per six rows, each
-// weight taking the step the one-row loop gives it; a block holding a zero
-// delta, and the Out%6 remainder, go one row at a time.
-func (l *Layer) updateSparse(delta []float64, x SparseVec, lr float64) {
-	idx, val := x.Idx, x.Val[:len(x.Idx)]
-	in, j := l.In, 0
-	for ; j+6 <= l.Out; j += 6 {
-		d, b := delta[j:j+6], l.B[j:j+6]
-		if d[0] == 0 || d[1] == 0 || d[2] == 0 || d[3] == 0 || d[4] == 0 || d[5] == 0 {
-			for k := j; k < j+6; k++ {
-				l.updateRowSparse(k, delta[k], idx, val, lr)
-			}
-			continue
-		}
-		w := l.W[j*in : (j+6)*in]
-		r0, r1, r2 := w[:in], w[in:][:in], w[2*in:][:in]
-		r3, r4, r5 := w[3*in:][:in], w[4*in:][:in], w[5*in:][:in]
-		t0, t1, t2, t3, t4, t5 := lr*d[0], lr*d[1], lr*d[2], lr*d[3], lr*d[4], lr*d[5]
-		for e, i := range idx {
-			v := val[e]
-			r0[i] -= t0 * v
-			r1[i] -= t1 * v
-			r2[i] -= t2 * v
-			r3[i] -= t3 * v
-			r4[i] -= t4 * v
-			r5[i] -= t5 * v
-		}
-		b[0], b[1], b[2], b[3], b[4], b[5] = b[0]-t0, b[1]-t1, b[2]-t2, b[3]-t3, b[4]-t4, b[5]-t5
-	}
-	for ; j < l.Out; j++ {
-		l.updateRowSparse(j, delta[j], idx, val, lr)
-	}
-}
-
-// updateRowSparse is updateSparse for neuron j alone.
-func (l *Layer) updateRowSparse(j int, d float64, idx []int32, val []float64, lr float64) {
-	if d == 0 {
-		return
-	}
-	row := l.W[j*l.In : (j+1)*l.In]
-	step := lr * d
-	for e, i := range idx {
-		row[i] -= step * val[e]
-	}
-	l.B[j] -= step
 }
 
 // TrainAction performs one Q-learning SGD step: only the selected action's
@@ -1048,9 +837,8 @@ func (m *MLP) trainAction(x SparseVec, action int, target, lr float64) float64 {
 
 // CopyFrom copies all weights and biases from src, which must have an
 // identical architecture, activations included. Used to refresh the DQL target
-// network. It reads src and writes nothing to it; between two networks that
-// store layer 0 input-major that layer is one store-to-store copy, and m's
-// Layers[0].W and .B fall behind until WriteBack.
+// network. It reads src and writes nothing to it; layer 0 is one
+// store-to-store copy, and m's Layers[0].W and .B fall behind until WriteBack.
 func (m *MLP) CopyFrom(src *MLP) {
 	if len(m.Layers) != len(src.Layers) {
 		panic("nn: CopyFrom architecture mismatch")
@@ -1068,18 +856,9 @@ func (m *MLP) CopyFrom(src *MLP) {
 		copy(layer.W, src.Layers[l+1].W)
 		copy(layer.B, src.Layers[l+1].B)
 	}
-	switch dst, from := m.Layers[0], src.Layers[0]; {
-	case m.store != nil && src.store != nil:
-		copy(m.store.w, src.store.w)
-		copy(m.store.b, src.store.b)
-		m.stale = true
-	case src.stale: // into a network without a store
-		src.store.writeBack(dst)
-	default: // src's Layers[0] is current
-		copy(dst.W, from.W)
-		copy(dst.B, from.B)
-		m.adopt()
-	}
+	copy(m.store.w, src.store.w)
+	copy(m.store.b, src.store.b)
+	m.stale = true
 }
 
 // Clone returns a deep copy with fresh scratch buffers. Like CopyFrom it only
@@ -1092,7 +871,7 @@ func (m *MLP) Clone() *MLP {
 	}
 	c.allocScratch()
 	c.CopyFrom(m)
-	c.stale = c.stale && m.stale // Layers[0] was copied above, behind or not
+	c.stale = m.stale // Layers[0] was copied above, behind or not
 	return c
 }
 

@@ -78,7 +78,7 @@ func BenchmarkHotWriteBack(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.stale = m.store != nil
+		m.stale = true
 		m.WriteBack()
 	}
 }
@@ -128,8 +128,7 @@ func BenchmarkHotTrainActionDense(b *testing.B) {
 
 // BenchmarkHotMLPForwardBatch32 measures the production batched-inference
 // path — ForwardBatchFast, the one rl's chunked target inference rides
-// (AVX2+FMA microkernel where available, the blocked scalar kernel
-// otherwise).
+// (the fused AVX2+FMA kernels where available, exact sums otherwise).
 func BenchmarkHotMLPForwardBatch32(b *testing.B) {
 	m := apuNet()
 	xs := apuStates(32, 20)
@@ -152,8 +151,44 @@ func BenchmarkHotMLPForwardBatchSparse32(b *testing.B) {
 	}
 }
 
-// BenchmarkHotMLPForwardBatchExact32 measures the bit-identical blocked
-// scalar batch path (ForwardBatch), the fallback and reference.
+// portableAPUNet is apuNet as a host without AVX2 and FMA runs it: the
+// layer-0 store on its Go loops, the backward pass and, for the rest of the
+// benchmark, the sigmoid in Go, and every batch exact.
+func portableAPUNet(b *testing.B) *MLP {
+	var m *MLP
+	withoutKernels(func() { m = apuNet() })
+	v := vecSigmoid
+	b.Cleanup(func() { vecSigmoid = v })
+	vecSigmoid = false
+	return m
+}
+
+// BenchmarkHotTrainActionSparsePortable is BenchmarkHotTrainActionSparse on
+// the portable path.
+func BenchmarkHotTrainActionSparsePortable(b *testing.B) {
+	m := portableAPUNet(b)
+	xs := apuSparseStates(64, 7)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.TrainActionSparse(xs[i%len(xs)], i%m.OutputSize(), 0.5, 0.001)
+	}
+}
+
+// BenchmarkHotMLPForwardBatchSparse32Portable is
+// BenchmarkHotMLPForwardBatchSparse32 on the portable path.
+func BenchmarkHotMLPForwardBatchSparse32Portable(b *testing.B) {
+	m := portableAPUNet(b)
+	xs := apuSparseStates(32, 20)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		m.ForwardBatchFastSparse(xs, nil)
+	}
+}
+
+// BenchmarkHotMLPForwardBatchExact32 measures the bit-identical batch path
+// (ForwardBatch), the fallback and reference.
 func BenchmarkHotMLPForwardBatchExact32(b *testing.B) {
 	m := apuNet()
 	xs := apuStates(32, 20)

@@ -10,8 +10,9 @@ import (
 // This file holds the selected outputs of the batched pass (the outs argument
 // of ForwardBatchFastSparse) to the same call for all outputs: every listed
 // output must have the bits the outs == nil call gives that row, on a network
-// with the store and on its twin without one, on the FMA kernels and with them
-// reported absent (withoutKernels), where every row takes the scalar order.
+// on the kernels and on its twin on the Go loops, with the FMA kernels and with
+// them reported absent (withoutKernels), where every row takes the scalar
+// order.
 
 // selectedShapes are the APU and mesh agents' networks, an even and an odd Out
 // behind last-layer inputs with In%4 != 0, a last layer whose inputs are fewer
@@ -48,7 +49,8 @@ func selectedLists(rng *rand.Rand, nb, nout int) [][]int {
 
 // checkSelectedOutputs runs a batch of nb inputs drawn from rng through twins
 // of the given shape, once for all outputs and once for random lists, and
-// holds every listed output to the full row; then an output outside the layer
+// holds every listed output to the full row, and, with the kernels reported
+// absent, the twins' full rows to each other; then an output outside the layer
 // in any one list must panic.
 func checkSelectedOutputs(t *testing.T, rng *rand.Rand, sizes []int, acts []Activation, nb int) {
 	t.Helper()
@@ -61,12 +63,20 @@ func checkSelectedOutputs(t *testing.T, rng *rand.Rand, sizes []int, acts []Acti
 	nout := sizes[len(sizes)-1]
 	outs := selectedLists(rng, nb, nout)
 	for _, kernels := range []bool{true, false} {
+		var twin [][]float64 // st's full rows, which ref's must equal without the kernels
 		for _, m := range []*MLP{st, ref} {
-			what := fmt.Sprintf("%v batch of %d, store %t, kernels %t", sizes, nb, m.store != nil, kernels)
+			what := fmt.Sprintf("%v batch of %d, store on the kernels %t, host kernels %t", sizes, nb, m.store.kernels, kernels)
 			run := func() {
 				var full [][]float64
 				for _, row := range m.ForwardBatchFastSparse(xs, nil) {
 					full = append(full, append([]float64(nil), row...))
+				}
+				if !kernels && twin == nil {
+					twin = full
+				} else if !kernels {
+					for b := range full {
+						requireSameBits(t, fmt.Sprintf("%s, row %d, against the twin on the kernels", what, b), full[b], twin[b])
+					}
 				}
 				got := m.ForwardBatchFastSparse(xs, outs)
 				if len(got) != nb {

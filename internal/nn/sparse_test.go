@@ -1,6 +1,7 @@
 package nn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -10,9 +11,10 @@ import (
 // MLP) against dense references that exist only here: denseForward/
 // denseBackprop are the layer loops as they were before layer 0 learned to
 // skip zeros, computing every output; denseStepBatch drives the production
-// tile kernel with the dense plan on every layer, and fmaRefBatch spells the
-// AVX2+FMA microkernel's arithmetic out in Go. The dense entry points and the
-// sparse ones are both held to them. Every comparison is on math.Float64bits.
+// tile kernel on every layer, layer 0 read row-major from its exchange form,
+// and fmaRefBatch spells the AVX2+FMA microkernel's arithmetic out in Go. The
+// dense entry points and the sparse ones are both held to them. Every
+// comparison is on math.Float64bits.
 
 // denseForward is Forward with every layer dense, on m's own scratch.
 func denseForward(m *MLP, x []float64) []float64 {
@@ -23,7 +25,7 @@ func denseForward(m *MLP, x []float64) []float64 {
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			z := layer.B[j]
 			for i, w := range row {
-				z += w * in[i]
+				z += float64(w * in[i])
 			}
 			out[j] = layer.Act.apply(z)
 		}
@@ -51,7 +53,7 @@ func denseBackprop(m *MLP, outGrad []float64, lr float64) {
 				continue
 			}
 			for j, w := range next.W[k*next.In : (k+1)*next.In] {
-				dl[j] += w * d
+				dl[j] += float64(w * d)
 			}
 		}
 		for j := range dl {
@@ -68,7 +70,7 @@ func denseBackprop(m *MLP, outGrad []float64, lr float64) {
 			row := layer.W[j*layer.In : (j+1)*layer.In]
 			step := lr * d
 			for i := range row {
-				row[i] -= step * in[i]
+				row[i] -= float64(step * in[i])
 			}
 			layer.B[j] -= step
 		}
@@ -266,15 +268,16 @@ func TestSparseTrainingMatchesDense(t *testing.T) {
 	}
 }
 
-// blockedOuts are layer widths around the six-row blocks of forwardSparse and
-// updateSparse: below one block, whole blocks, and every remainder.
-var blockedOuts = []int{1, 5, 6, 7, 12, 41, 42, 43}
+// blockedOuts are layer-0 widths around the store's groups of four neurons and
+// the kernels' passes of at most twelve groups: below one group, whole groups,
+// every remainder, one pass, and two and three passes.
+var blockedOuts = []int{1, 3, 4, 5, 7, 12, 41, 42, 43, 48, 49, 97}
 
 // blockedLayer is a layer 0 of the given shape whose weights are random, with
 // a -0 in one place in eight, and the input lists it is tried on: empty, full
 // (negative values and both zeros among them), and a sparse one.
-func blockedLayer(rng *rand.Rand, in, out int, act Activation) (*Layer, []SparseVec) {
-	l := &Layer{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out), Act: act}
+func blockedLayer(rng *rand.Rand, in, out int) (*Layer, []SparseVec) {
+	l := &Layer{In: in, Out: out, W: make([]float64, in*out), B: make([]float64, out)}
 	for i := range l.W {
 		if l.W[i] = rng.NormFloat64(); rng.Intn(8) == 0 {
 			l.W[i] = math.Copysign(0, -1)
@@ -292,37 +295,54 @@ func blockedLayer(rng *rand.Rand, in, out int, act Activation) (*Layer, []Sparse
 	return l, []SparseVec{{}, listed(full, func(int) bool { return true }), listed(sparse, func(i int) bool { return i%5 == 0 })}
 }
 
-// TestForwardSparseBlockedMatchesOneRow holds the six-neuron pass of
-// forwardSparse to the one-row loop, neuron by neuron.
+// layerStores returns two stores of l, filled from it: one on the kernels
+// where the host has them, and one on the Go loops.
+func layerStores(l *Layer) []*inputMajor {
+	f := newInputMajor(l)
+	var g *inputMajor
+	withoutKernels(func() { g = newInputMajor(l) })
+	f.fill(l)
+	g.fill(l)
+	return []*inputMajor{f, g}
+}
+
+// TestForwardSparseBlockedMatchesOneRow holds layer 0's exact sum on the
+// store, on the kernels in passes of at most twelve groups of four neurons and
+// on the Go loops, to the one-row loop over Layer.W, neuron by neuron: the bias,
+// then each listed entry's product in list order. The padding sums are +0.
 func TestForwardSparseBlockedMatchesOneRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	for _, out := range blockedOuts {
-		for _, act := range []Activation{Identity, Sigmoid} {
-			l, xs := blockedLayer(rng, 28, out, act)
-			for _, x := range xs {
-				want := make([]float64, out)
-				for j := range want {
-					want[j] = act.apply(l.sumSparse(j, x.Idx, x.Val))
+		l, xs := blockedLayer(rng, 28, out)
+		for _, x := range xs {
+			want := make([]float64, (out+3)&^3)
+			for j := 0; j < out; j++ {
+				want[j] = l.B[j]
+				for e, i := range x.Idx {
+					want[j] += float64(l.W[j*l.In+int(i)] * x.Val[e])
 				}
-				got := make([]float64, out)
-				l.forwardSparse(got, x, nil)
-				requireSameBits(t, "forwardSparse", got, want)
+			}
+			for _, f := range layerStores(l) {
+				got := make([]float64, f.width)
+				f.exact(got, f.b, x.Idx, x.Val)
+				requireSameBits(t, fmt.Sprintf("out %d, on the kernels %t", out, f.kernels), got, want)
 			}
 		}
 	}
 }
 
-// TestBackpropBlockedMatchesOneRow holds the six-row pass of updateSparse to
-// the one-row loop on deltas with exact zeros in every position of a block: a
-// row whose delta is zero must keep every bit, a -0 weight included, which a
-// step of lr*0 times a negative input would turn into +0. Then the same
-// through TrainActionSparse, where a ReLU hidden layer makes the zeros.
+// TestBackpropBlockedMatchesOneRow holds the store's SGD step, on the kernels
+// and on the Go loops, to the one-row loop over Layer.W on deltas with exact
+// zeros in every position: a row whose delta is zero must keep every bit, a
+// -0 weight included, which a step of lr*0 times a negative input would turn
+// into +0, and the padding stays +0. Then the same through TrainActionSparse,
+// where a ReLU hidden layer makes the zeros.
 func TestBackpropBlockedMatchesOneRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(32))
 	for _, out := range blockedOuts {
-		l, xs := blockedLayer(rng, 28, out, Identity)
+		l, xs := blockedLayer(rng, 28, out)
 		for trial := 0; trial < 12; trial++ {
-			delta := make([]float64, out)
+			delta := make([]float64, out, (out+3)&^3)
 			for j := range delta {
 				// Trial 0 has no zero, trial 1 only zeros, the others one in
 				// four at random.
@@ -333,14 +353,27 @@ func TestBackpropBlockedMatchesOneRow(t *testing.T) {
 			for _, x := range xs {
 				ref := &Layer{In: l.In, Out: l.Out, W: append([]float64(nil), l.W...), B: append([]float64(nil), l.B...)}
 				for j, d := range delta {
-					ref.updateRowSparse(j, d, x.Idx, x.Val, 0.05)
 					if d == 0 {
-						requireSameBits(t, "one-row oracle, skipped row", ref.W[j*l.In:(j+1)*l.In], l.W[j*l.In:(j+1)*l.In])
+						continue
 					}
+					row, step := ref.W[j*l.In:(j+1)*l.In], 0.05*d
+					for e, i := range x.Idx {
+						row[i] -= float64(step * x.Val[e])
+					}
+					ref.B[j] -= step
 				}
-				l.updateSparse(delta, x, 0.05)
-				requireSameBits(t, "updateSparse W", l.W, ref.W)
-				requireSameBits(t, "updateSparse B", l.B, ref.B)
+				for _, f := range layerStores(l) {
+					what := fmt.Sprintf("out %d trial %d, on the kernels %t", out, trial, f.kernels)
+					f.update(delta, x.Idx, x.Val, 0.05)
+					got := &Layer{In: l.In, Out: l.Out, W: make([]float64, len(l.W)), B: make([]float64, out)}
+					f.writeBack(got)
+					requireSameBits(t, what+": W", got.W, ref.W)
+					requireSameBits(t, what+": B", got.B, ref.B)
+					for i := 0; i < f.in; i++ {
+						requireSameBits(t, what+": weight padding", f.w[i*f.width+f.out:][:f.width-f.out], make([]float64, f.width-f.out))
+					}
+					requireSameBits(t, what+": bias padding", f.b[f.out:], make([]float64, f.width-f.out))
+				}
 			}
 		}
 
@@ -362,14 +395,19 @@ func TestBackpropBlockedMatchesOneRow(t *testing.T) {
 	}
 }
 
-// denseStepBatch is forwardBatch with the dense plan on every layer: the
-// production tile kernel, visiting every 4-wide step of rows read in place.
+// denseStepBatch is forwardBatch with the production tile kernel on every
+// layer, every 4-wide step of rows read in place, layer 0 from its exchange
+// form.
 func denseStepBatch(m *MLP, xs [][]float64, fma bool) [][]float64 {
-	sc := newBlockScratch(m.InputSize() + m.maxOut)
+	m.WriteBack()
 	rows := xs
 	for _, layer := range m.Layers {
+		steps := make([]int32, layer.In/4)
+		for s := range steps {
+			steps[s] = int32(4 * s)
+		}
 		next := make([]float64, len(xs)*layer.Out)
-		layer.forwardBlocked(rows, next, &sc, fma)
+		layer.forwardBlocked(rows, next, steps, fma)
 		layer.Act.applyTo(next)
 		rows = make([][]float64, len(xs))
 		for b := range rows {
@@ -383,8 +421,10 @@ func denseStepBatch(m *MLP, xs [][]float64, fma bool) [][]float64 {
 // every step taken, in plain Go: inside a full 4-sample x 2-neuron tile each
 // dot product is four lane partials (lane = i mod 4) of fused multiply-adds
 // from +0, reduced as (l0+l2)+(l1+l3), then bias + that sum, then the in%4 tail
-// in scalar order; outside a tile it is Forward's scalar order.
+// in scalar order; outside a tile it is Forward's scalar order. It reads layer
+// 0 from its exchange form, written back first.
 func fmaRefBatch(m *MLP, xs [][]float64) [][]float64 {
+	m.WriteBack()
 	rows := xs
 	for _, layer := range m.Layers {
 		in, out := layer.In, layer.Out
@@ -404,7 +444,7 @@ func fmaRefBatch(m *MLP, xs [][]float64) [][]float64 {
 					z += (lane[0] + lane[2]) + (lane[1] + lane[3])
 				}
 				for i := from; i < in; i++ {
-					z += w[i] * x[i]
+					z += float64(w[i] * x[i])
 				}
 				next[b][j] = layer.Act.apply(z)
 			}
@@ -462,13 +502,6 @@ func TestForwardBatchSparseMatchesDense(t *testing.T) {
 			if hasFMAKernel {
 				for b, row := range fmaRefBatch(m, xs) {
 					requireSameBits(t, "ForwardBatchFastSparse row vs Go FMA reference", fast[b], row)
-				}
-			}
-			for b := range m.blk.rows {
-				for i, v := range m.blk.rows[b] {
-					if math.Float64bits(v) != 0 {
-						t.Fatalf("tile scratch row %d element %d left at %v after the batch", b, i, v)
-					}
 				}
 			}
 		}

@@ -1,12 +1,12 @@
 package nn
 
-// inputMajor is layer 0 of a network on a host with the AVX2 kernels, stored
-// input-major: the weights of input i to every neuron are contiguous, so that
-// a listed input advances all the neurons' sums with a few 256-bit loads
-// (spmvExact and spmvFused, spmv_amd64.s) and takes its SGD step as one
-// contiguous row (spmvUpdate), where Layer.W, row-major, offers one weight per
-// 4 KB. It is the weights: every forward pass reads it and training writes it;
-// Layers[0].W and .B are brought up to date from it on demand
+// inputMajor is layer 0 of every network, stored input-major: the weights of
+// input i to every neuron are contiguous, so that a listed input advances all
+// the neurons' sums through one row (on a host with the AVX2 kernels, a few
+// 256-bit loads: spmvExact and spmvFused, spmv_amd64.s) and takes its SGD step
+// as one contiguous row (spmvUpdate), where Layer.W, row-major, offers one
+// weight per 4 KB. It is the weights: every forward pass reads it and training
+// writes it; Layers[0].W and .B are brought up to date from it on demand
 // (MLP.WriteBack).
 type inputMajor struct {
 	in, out int
@@ -18,8 +18,12 @@ type inputMajor struct {
 	// per is the most groups one kernel call takes: the width's groups cut
 	// into the fewest passes of at most twelve, as evenly as they go.
 	per int
-	w   []float64 // w[i*width+j] = Layer.W[j*in+i]
-	b   []float64
+	// kernels says whether the AVX2 kernels run this store: hasFMAKernel when
+	// it was built. Without them the Go loops below run it, with the kernels'
+	// operations, order and bits.
+	kernels bool
+	w       []float64 // w[i*width+j] = Layer.W[j*in+i]
+	b       []float64
 
 	// step is the update's lr*delta per neuron.
 	step []float64
@@ -33,11 +37,11 @@ type inputMajor struct {
 	lanes [4][48]float64
 }
 
-// errSparseIndex is the panic of a kernel that was handed an index outside
-// [0, in), or a list so far from ascending that a lane of the fused kernel
-// overflows: checkSparse sees the first and the last index only, and where a Go
-// loop would run into a bounds check a kernel would read, or write, outside its
-// arrays.
+// errSparseIndex is the panic of a kernel or loop that was handed an index
+// outside [0, in), or a list so far from ascending that a lane of the fused
+// kernel overflows: checkSparse sees the first and the last index only, and
+// where a Go loop would run into a bounds check a kernel would read, or write,
+// outside its arrays.
 const errSparseIndex = "nn: sparse input index outside the layer's inputs, or out of order"
 
 // newInputMajor returns the store of a layer of l's shape, all +0.
@@ -47,7 +51,7 @@ func newInputMajor(l *Layer) *inputMajor {
 	passes := (groups + 11) / 12
 	q := l.In / 4
 	return &inputMajor{
-		in: l.In, out: l.Out, width: width, per: (groups + passes - 1) / passes,
+		in: l.In, out: l.Out, width: width, per: (groups + passes - 1) / passes, kernels: hasFMAKernel,
 		w: make([]float64, l.In*width), b: make([]float64, width), step: make([]float64, width),
 		q: q, bidx: make([]int32, 4*q), bval: make([]float64, 4*q),
 	}
@@ -74,13 +78,34 @@ func (f *inputMajor) writeBack(l *Layer) {
 	copy(l.B, f.b)
 }
 
+// row is input i's weights to every neuron, width long. An index outside
+// [0, in) panics with errSparseIndex, as the kernels report it.
+func (f *inputMajor) row(i int32) []float64 {
+	if uint(i) >= uint(f.in) {
+		panic(errSparseIndex)
+	}
+	return f.w[int(i)*f.width:][:f.width]
+}
+
 // exact computes every neuron's pre-activation on the listed input, from init
-// (the biases, or sums already begun) through the entries in list order: the
-// operations, order and bits of Layer.sumSparse. z and init are width long.
+// (the biases, or sums already begun) through the entries in list order: an
+// accumulator per neuron takes w*v, the product rounded first, entry by entry.
+// z and init are width long.
 func (f *inputMajor) exact(z, init []float64, idx []int32, val []float64) {
+	val = val[:len(idx)]
+	if !f.kernels {
+		z = z[:f.width]
+		copy(z, init)
+		for e, i := range idx {
+			for c, w := range f.row(i) {
+				z[c] += float64(w * val[e])
+			}
+		}
+		return
+	}
 	var ip *int32
 	var vp *float64
-	if val = val[:len(idx)]; len(idx) > 0 {
+	if len(idx) > 0 {
 		ip, vp = &idx[0], &val[0]
 	}
 	for c := 0; c < f.width; c += 4 * f.per {
@@ -95,7 +120,8 @@ func (f *inputMajor) exact(z, init []float64, idx []int32, val []float64) {
 // lane chains of fused multiply-adds over the entries below in&^3, reduced and
 // added to the bias, then the in%4 tail in exact order; and an odd last neuron,
 // which the tile kernel leaves to the scalar loop, in exact order throughout.
-// The kernel buckets the entries by lane itself, once per pass.
+// The kernel buckets the entries by lane itself, once per pass. Only a store
+// with the kernels runs it.
 func (f *inputMajor) fused(z []float64, idx []int32, val []float64) {
 	n := len(idx)
 	for tail := int32(f.in &^ 3); n > 0 && idx[n-1] >= tail; n-- {
@@ -125,8 +151,9 @@ func (f *inputMajor) fused(z []float64, idx []int32, val []float64) {
 
 // forwardBatch writes the pre-activations of xs into the row-major plane next
 // (out apart, each row written width wide, so next is width-out longer than
-// the rows need): full tiles of four through the fused kernel when fma, as
-// forwardTile runs them on fmaDot4x2, everything else in exact order.
+// the rows need): full tiles of four through the fused kernel when fma, which
+// needs the kernels, as forwardTile runs them on fmaDot4x2, everything else in
+// exact order.
 func (f *inputMajor) forwardBatch(xs []SparseVec, next []float64, fma bool) {
 	full := 0
 	if fma {
@@ -142,36 +169,54 @@ func (f *inputMajor) forwardBatch(xs []SparseVec, next []float64, fma bool) {
 	}
 }
 
-// update is the layer's SGD step, Layer.updateSparse's on this layout and with
-// its bits: w[i][j] -= (lr*delta[j])*x[i] for the listed inputs, the product
-// rounded before it is subtracted, and b[j] -= lr*delta[j]. delta is out long
-// with room for width, +0 past out. spmvSteps computes the steps, steps the
-// biases of the non-zero deltas and counts the zero ones. A neuron whose delta
-// is zero keeps its weights as they are, -0 included, which a step of lr*0
-// would not (-0 - -0 is +0): a call with such a neuron, rare behind a sigmoid,
-// takes its rows in Go; every other call goes to the kernel, one listed input's
-// row at a time, where a padding column's step is +-0 and its weight stays +0.
-// Either way an index outside [0, in) panics before anything is stored for it.
+// steps sets step[c] = lr*delta[c] for every column, steps the biases whose
+// delta is not zero (b[c] -= step[c]; a NaN is not zero) and returns how many
+// deltas are zero: spmvSteps, or its Go spelling. delta is out long with room
+// for width, +0 past out.
+func (f *inputMajor) steps(delta []float64, lr float64) int {
+	delta = delta[:f.width]
+	if f.kernels {
+		return spmvSteps(&f.step[0], &f.b[0], &delta[0], lr, f.width/4)
+	}
+	zeros := 0
+	for c, d := range delta {
+		f.step[c] = float64(lr * d)
+		if d == 0 {
+			zeros++
+		} else {
+			f.b[c] -= f.step[c]
+		}
+	}
+	return zeros
+}
+
+// update is the layer's SGD step: w[i][j] -= (lr*delta[j])*x[i] for the listed
+// inputs, the product rounded before it is subtracted, one contiguous row an
+// entry, and b[j] -= lr*delta[j]. A neuron whose delta is zero keeps its
+// weights as they are, -0 included, which a step of lr*0 would not (-0 - -0 is
+// +0): a call with such a neuron, rare behind a sigmoid, takes its rows in the
+// Go loop, which skips that neuron, as does every call on a store without the
+// kernels; every other call goes to spmvUpdate, one listed input's row at a
+// time, where a padding column's step is +-0 and its weight stays +0. Either
+// way an index outside [0, in) panics before anything is stored for it.
 func (f *inputMajor) update(delta []float64, idx []int32, val []float64, lr float64) {
 	val = val[:len(idx)]
-	if zeros := spmvSteps(&f.step[0], &f.b[0], &delta[:f.width][0], lr, f.width/4); zeros > f.width-f.out {
-		step := f.step[:f.out]
-		for e, i := range idx {
-			if uint(i) >= uint(f.in) {
-				panic(errSparseIndex)
-			}
-			row, v := f.w[int(i)*f.width:][:f.out], val[e]
-			for j, d := range delta[:f.out] {
-				if d != 0 {
-					row[j] -= step[j] * v
-				}
-			}
-		}
-	} else if len(idx) > 0 {
-		for c := 0; c < f.width; c += 4 * f.per {
+	if zeros := f.steps(delta, lr); f.kernels && zeros == f.width-f.out {
+		for c := 0; c < f.width && len(idx) > 0; c += 4 * f.per {
 			g := min(f.per, (f.width-c)/4)
 			if !spmvUpdate(&f.w[c], &f.step[c], f.width, f.in, g, &idx[0], &val[0], len(idx)) {
 				panic(errSparseIndex)
+			}
+		}
+		return
+	}
+	delta = delta[:f.out]
+	step := f.step[:len(delta)]
+	for e, i := range idx {
+		row, v := f.row(i)[:len(delta)], val[e]
+		for j, d := range delta {
+			if d != 0 {
+				row[j] -= float64(step[j] * v)
 			}
 		}
 	}

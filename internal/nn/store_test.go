@@ -10,12 +10,14 @@ import (
 	"testing"
 )
 
-// This file holds training on the input-major store (store.go, spmvUpdate) to
-// the row-major loops: a network built with the kernels and its twin built
-// with them switched off (withoutKernels) take the same calls and must agree
-// bit for bit, weights, biases, outputs and returned losses, after every one.
-// Off amd64 or without AVX2+FMA both twins are portable and the tests pass
-// trivially.
+// This file holds training on the layer-0 store's kernels (store.go,
+// spmvSteps and spmvUpdate, and axpy and sigmoidGrad past layer 0) to its Go
+// loops: a network built with the kernels and its twin built with them
+// switched off (withoutKernels) take the same calls and must agree bit for
+// bit, weights, biases, outputs and returned losses, after every one. Off
+// amd64 or without AVX2+FMA both twins run the Go loops and the comparisons
+// pass trivially. The "RowMajor" in the names dates from when the twin without
+// the kernels kept layer 0 row-major.
 
 // trainedShape is a network's layer sizes and activations.
 type trainedShape struct {
@@ -36,7 +38,7 @@ var trainedShapes = []trainedShape{
 }
 
 // trainedTwins returns a network with random biases and a -0 in one layer-0
-// weight in eight, built with the kernels off, and its clone on the store.
+// weight in eight, built with the kernels off, and its clone on the kernels.
 // saturate gives layer 0's first neuron a bias of 40: behind a sigmoid its
 // output is exactly 1, its delta exactly 0, and every update of the network
 // must leave its row alone.
@@ -57,35 +59,34 @@ func trainedTwins(rng *rand.Rand, sizes []int, acts []Activation, saturate bool)
 		if saturate {
 			l.B[0] = 40
 		}
+		ref.adopt()
 	})
 	return ref.Clone(), ref
 }
 
-// requireStoreIs reads st's layer 0 where it lives, without writing it back,
-// and holds it to ref's row-major weights, padding included (+0); deeper
-// layers are compared as they are.
+// requireStoreIs reads st's and ref's layer 0 where it lives, without writing
+// it back, and holds st's to ref's, the padding of both to +0; deeper layers
+// are compared as they are.
 func requireStoreIs(t *testing.T, what string, st, ref *MLP) {
 	t.Helper()
-	f, l := st.store, ref.Layers[0]
-	if f == nil {
-		requireSameBits(t, what+": layer 0 W", st.Layers[0].W, l.W)
-		requireSameBits(t, what+": layer 0 B", st.Layers[0].B, l.B)
-	} else {
-		for i := 0; i < f.in; i++ {
-			for j, w := range f.w[i*f.width:][:f.width] {
-				want := 0.0
-				if j < f.out {
-					want = l.W[j*l.In+i]
-				}
-				if math.Float64bits(w) != math.Float64bits(want) {
-					t.Fatalf("%s: stored weight of input %d to neuron %d (of %d, width %d): %v (%#x), want %v (%#x)",
-						what, i, j, f.out, f.width, w, math.Float64bits(w), want, math.Float64bits(want))
-				}
+	f, g := st.store, ref.store
+	for i := 0; i < f.in; i++ {
+		for j, w := range f.w[i*f.width:][:f.width] {
+			want := 0.0
+			if j < f.out {
+				want = g.w[i*g.width+j]
+			} else if pad := g.w[i*g.width+j]; math.Float64bits(pad) != 0 {
+				t.Fatalf("%s: the Go loops' padding weight of input %d, column %d, is %v", what, i, j, pad)
+			}
+			if math.Float64bits(w) != math.Float64bits(want) {
+				t.Fatalf("%s: stored weight of input %d to neuron %d (of %d, width %d): %v (%#x), want %v (%#x)",
+					what, i, j, f.out, f.width, w, math.Float64bits(w), want, math.Float64bits(want))
 			}
 		}
-		requireSameBits(t, what+": stored biases", f.b[:f.out], l.B)
-		requireSameBits(t, what+": bias padding", f.b[f.out:], make([]float64, f.width-f.out))
 	}
+	requireSameBits(t, what+": stored biases", f.b[:f.out], g.b[:g.out])
+	requireSameBits(t, what+": bias padding", f.b[f.out:], make([]float64, f.width-f.out))
+	requireSameBits(t, what+": the Go loops' bias padding", g.b[g.out:], make([]float64, g.width-g.out))
 	for k := 1; k < len(ref.Layers); k++ {
 		requireSameBits(t, what+": deeper W", st.Layers[k].W, ref.Layers[k].W)
 		requireSameBits(t, what+": deeper B", st.Layers[k].B, ref.Layers[k].B)
@@ -104,8 +105,8 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 	st2 := st.Clone()
 	var ref2 *MLP
 	withoutKernels(func() { ref2 = ref.Clone() })
-	if (st.store != nil) != hasFMAKernel || ref.store != nil || ref2.store != nil {
-		t.Fatalf("%v: store %v, the twins' %v %v, kernels %t", sizes, st.store != nil, ref.store != nil, ref2.store != nil, hasFMAKernel)
+	if st.store.kernels != hasFMAKernel || ref.store.kernels || ref2.store.kernels {
+		t.Fatalf("%v: store on the kernels %t, the twins' %t %t, host %t", sizes, st.store.kernels, ref.store.kernels, ref2.store.kernels, hasFMAKernel)
 	}
 	n, nout := sizes[0], sizes[len(sizes)-1]
 	xs := frozenInputs(rng, n)
@@ -113,7 +114,7 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 	sameLoss := func(what string, got, want float64) {
 		t.Helper()
 		if math.Float64bits(got) != math.Float64bits(want) {
-			t.Fatalf("%s: loss %v (%#x), row-major %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
+			t.Fatalf("%s: loss %v (%#x), on the Go loops %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
 		}
 	}
 	for step := 0; step < steps; step++ {
@@ -138,10 +139,12 @@ func checkTrainedTwins(t *testing.T, rng *rand.Rand, sizes []int, acts []Activat
 			for b := range batch {
 				batch[b] = xs[rng.Intn(len(xs))]
 			}
-			got, want := st.ForwardBatchFastSparse(batch, nil), ref.ForwardBatchFastSparse(batch, nil)
+			var got, want [][]float64
+			withoutKernels(func() { got, want = st.ForwardBatchFastSparse(batch, nil), ref.ForwardBatchFastSparse(batch, nil) })
 			for b := range want {
 				requireSameBits(t, fmt.Sprintf("%s row %d", what, b), got[b], want[b])
 			}
+			requireFusedMatchesRef(t, what, st, batch)
 		case 5:
 			what += ": CopyFrom"
 			st2.CopyFrom(st)
@@ -222,59 +225,58 @@ func FuzzTrainedStoreMatchesRowMajor(f *testing.F) {
 // ascending can hide there) must stop the update with errSparseIndex before
 // anything is written for it: guard words on either side of the store's
 // backing array keep their bits. On the kernel and, with a zero delta in the
-// call, on the Go loop.
+// call, on the Go loop; and on the twin whose store runs the Go loops.
 func TestUpdateKeepsInsideTheStore(t *testing.T) {
-	if !hasFMAKernel {
-		t.Skip("no store without the kernels")
-	}
 	const guard = 64
 	sentinel := math.Float64frombits(0x7ff8_dead_beef_cafe)
 	for _, saturate := range []bool{false, true} {
 		for _, mid := range []int32{60, -1, 1 << 30} {
-			m, _ := trainedTwins(rand.New(rand.NewSource(5)), []int{60, 15, 15}, []Activation{Sigmoid, LeakyReLU}, saturate)
-			f := m.store
-			backing := make([]float64, guard+len(f.w)+guard)
-			for i := range backing {
-				backing[i] = sentinel
-			}
-			f.w = backing[guard : guard+len(f.w) : guard+len(f.w)]
-			f.fill(m.Layers[0])
-			for i := range f.w { // fill leaves the padding alone
-				if math.Float64bits(f.w[i]) == math.Float64bits(sentinel) {
-					f.w[i] = 0
+			st, ref := trainedTwins(rand.New(rand.NewSource(5)), []int{60, 15, 15}, []Activation{Sigmoid, LeakyReLU}, saturate)
+			for _, m := range []*MLP{st, ref} {
+				f := m.store
+				backing := make([]float64, guard+len(f.w)+guard)
+				for i := range backing {
+					backing[i] = sentinel
 				}
-			}
-			bad := SparseVec{Idx: []int32{3, mid, 59}, Val: []float64{1, 1, 1}}
-			what := fmt.Sprintf("saturate=%t middle index %d", saturate, mid)
-			func() {
-				defer func() {
-					if r := recover(); r != errSparseIndex {
-						t.Errorf("%s: recovered %v, want %q", what, r, errSparseIndex)
+				f.w = backing[guard : guard+len(f.w) : guard+len(f.w)]
+				f.fill(m.Layers[0])
+				for i := range f.w { // fill leaves the padding alone
+					if math.Float64bits(f.w[i]) == math.Float64bits(sentinel) {
+						f.w[i] = 0
 					}
-				}()
-				// The forward pass of a training call would stop at the index
-				// first; the update is what is under test.
-				delta := make([]float64, f.out, f.width)
-				for j := range delta {
-					delta[j] = float64(j+1) / 16
 				}
-				if saturate {
-					delta[0] = 0
-				}
-				f.update(delta, bad.Idx, bad.Val, 0.1)
-			}()
-			func() {
-				defer func() {
-					if r := recover(); r != errSparseIndex {
-						t.Errorf("%s through TrainActionSparse: recovered %v, want %q", what, r, errSparseIndex)
+				bad := SparseVec{Idx: []int32{3, mid, 59}, Val: []float64{1, 1, 1}}
+				what := fmt.Sprintf("saturate=%t middle index %d, on the kernels %t", saturate, mid, f.kernels)
+				func() {
+					defer func() {
+						if r := recover(); r != errSparseIndex {
+							t.Errorf("%s: recovered %v, want %q", what, r, errSparseIndex)
+						}
+					}()
+					// The forward pass of a training call would stop at the index
+					// first; the update is what is under test.
+					delta := make([]float64, f.out, f.width)
+					for j := range delta {
+						delta[j] = float64(j+1) / 16
 					}
+					if saturate {
+						delta[0] = 0
+					}
+					f.update(delta, bad.Idx, bad.Val, 0.1)
 				}()
-				m.TrainActionSparse(bad, 2, 0.5, 0.1)
-			}()
-			for _, g := range [][]float64{backing[:guard], backing[guard+len(f.w):]} {
-				for i, v := range g {
-					if math.Float64bits(v) != math.Float64bits(sentinel) {
-						t.Fatalf("%s: guard word %d overwritten with %v", what, i, v)
+				func() {
+					defer func() {
+						if r := recover(); r != errSparseIndex {
+							t.Errorf("%s through TrainActionSparse: recovered %v, want %q", what, r, errSparseIndex)
+						}
+					}()
+					m.TrainActionSparse(bad, 2, 0.5, 0.1)
+				}()
+				for _, g := range [][]float64{backing[:guard], backing[guard+len(f.w):]} {
+					for i, v := range g {
+						if math.Float64bits(v) != math.Float64bits(sentinel) {
+							t.Fatalf("%s: guard word %d overwritten with %v", what, i, v)
+						}
 					}
 				}
 			}
@@ -282,13 +284,10 @@ func TestUpdateKeepsInsideTheStore(t *testing.T) {
 	}
 }
 
-// TestStoreIsTheOnlyLayer0Path: on a host with the kernels no forward pass and
-// no update reads Layers[0].W or .B, so NaNs put there after construction show
-// up nowhere — until a write-back after training replaces them.
+// TestStoreIsTheOnlyLayer0Path: no forward pass and no update reads
+// Layers[0].W or .B, so NaNs put there after construction show up nowhere —
+// until a write-back after training replaces them.
 func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
-	if !hasFMAKernel {
-		t.Skip("no store without the kernels")
-	}
 	for _, shape := range trainedShapes {
 		rng := rand.New(rand.NewSource(23))
 		m, ref := trainedTwins(rng, shape.sizes, shape.acts, false)
@@ -316,7 +315,8 @@ func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
 				"ForwardBatch":           func(m *MLP) [][]float64 { return m.ForwardBatch([][]float64{x, x, x, x, x}) },
 				"ForwardBatchFastSparse": func(m *MLP) [][]float64 { return m.ForwardBatchFastSparse([]SparseVec{sv, sv, sv, sv, sv}, nil) },
 			} {
-				got, want := run(m), run(ref)
+				var got, want [][]float64
+				withoutKernels(func() { got, want = run(m), run(ref) })
 				for b := range want {
 					requireSameBits(t, what+": "+name, got[b], want[b])
 				}
@@ -335,7 +335,7 @@ func TestStoreIsTheOnlyLayer0Path(t *testing.T) {
 
 // TestEveryReaderSeesTrainedWeights trains a network and then, with no
 // explicit write-back, reads it every way the package offers; each reader must
-// see what a twin that never had a store shows.
+// see what its twin on the Go loops shows.
 func TestEveryReaderSeesTrainedWeights(t *testing.T) {
 	sizes, acts := []int{60, 15, 15}, []Activation{Sigmoid, LeakyReLU}
 	// trained returns freshly trained twins, the stored one's Layers[0] behind.
@@ -346,8 +346,8 @@ func TestEveryReaderSeesTrainedWeights(t *testing.T) {
 			st.TrainActionSparse(sv, 3, 0.25, 0.1)
 			ref.TrainActionSparse(sv, 3, 0.25, 0.1)
 		}
-		if st.stale != hasFMAKernel {
-			t.Fatalf("after training: stale %t, kernels %t", st.stale, hasFMAKernel)
+		if !st.stale {
+			t.Fatal("after training: Layers[0] is not marked behind")
 		}
 		return st, ref
 	}
@@ -374,7 +374,7 @@ func TestEveryReaderSeesTrainedWeights(t *testing.T) {
 	t.Run("Clone", func(t *testing.T) {
 		st, ref := trained()
 		c := st.Clone()
-		if st.stale != hasFMAKernel {
+		if !st.stale {
 			t.Fatal("Clone wrote its source's Layers[0] back")
 		}
 		requireSameBits(t, "clone: Forward", c.Forward(x), ref.Forward(x))
@@ -388,8 +388,8 @@ func TestEveryReaderSeesTrainedWeights(t *testing.T) {
 		stored.CopyFrom(st)
 		portable.CopyFrom(st)
 		back.CopyFrom(portable)
-		if st.stale != hasFMAKernel || portable.store != nil {
-			t.Fatal("CopyFrom wrote to its source, or gave a portable network a store")
+		if !st.stale || portable.store.kernels {
+			t.Fatal("CopyFrom wrote to its source, or put a portable network on the kernels")
 		}
 		for name, m := range map[string]*MLP{"stored to stored": stored, "stored to portable": portable, "portable to stored": back} {
 			requireSameBits(t, name+": Forward", m.Forward(x), ref.Forward(x))

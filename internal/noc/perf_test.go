@@ -29,22 +29,26 @@ func benchMesh() (*noc.Network, *traffic.Injector) {
 // TestNetworkStepZeroAllocs pins the zero-allocation contract: once warm
 // (scratch grown, message freelist populated, delivery wheel sized), a
 // simulation cycle performs no heap allocations — at a light load, at the
-// benchmark's mesh8_dense operating point, and under fault.TableRouting with a
-// dead link. All rates are below saturation so injection queues and the
-// in-flight population are stable.
+// benchmark's mesh8_dense operating point, under fault.TableRouting with a
+// dead link, and through the router-level matchers (iSLIP and the wavefront
+// allocator, which keep their scratch on themselves). All rates are below
+// saturation so injection queues and the in-flight population are stable.
 func TestNetworkStepZeroAllocs(t *testing.T) {
 	for _, tc := range []struct {
 		name   string
 		rate   float64
 		faulty bool
+		policy noc.Policy
 	}{
-		{"light", 0.1, false},
-		{"mesh8_dense", 0.18, false},
-		{"table-routing-dead-link", 0.1, true},
+		{"light", 0.1, false, arb.NewGlobalAge()},
+		{"mesh8_dense", 0.18, false, arb.NewGlobalAge()},
+		{"table-routing-dead-link", 0.1, true, arb.NewGlobalAge()},
+		{"islip", 0.1, false, arb.NewISLIP(2)},
+		{"wavefront", 0.1, false, arb.NewWavefront()},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			net, cores := noc.BuildMeshCores(noc.Config{Width: 8, Height: 8, VCs: 3, BufferCap: 4})
-			net.SetPolicy(arb.NewGlobalAge())
+			net.SetPolicy(tc.policy)
 			if tc.faulty {
 				net.SetLinkDown(net.RouterAt(4, 4).ID(), noc.PortEast, true)
 				net.SetRouting(fault.NewTableRouting(net))

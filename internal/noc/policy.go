@@ -41,6 +41,8 @@ type Request struct {
 // also implements Matcher, the engine calls Match once per router per cycle
 // with every free, requested output port; the returned slice gives, for each
 // request, the index of the winning candidate or -1 to leave the output idle.
+// The engine reads it before the next call, so it may be the matcher's own
+// scratch.
 //
 // A valid matching grants each input port at most once; the engine verifies
 // this and panics on violation, since it indicates a policy bug.

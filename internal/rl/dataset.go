@@ -135,7 +135,7 @@ func (d *DQL) TrainOffline(rng *rand.Rand, data *Dataset, epochs int) float64 {
 			if !e.Terminal {
 				// The target network computes the Q-values the max is over,
 				// not the others.
-				target += d.Cfg.Gamma * bootstrap(d.Target.ForwardSparse(e.Next, e.NextValid), e.NextValid)
+				target += float64(d.Cfg.Gamma * bootstrap(d.Target.ForwardSparse(e.Next, e.NextValid), e.NextValid))
 			}
 			total += d.Online.TrainActionSparse(e.State, e.Action, target, d.Cfg.LR)
 			d.steps++

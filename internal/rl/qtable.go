@@ -80,10 +80,10 @@ func (q *QTable) Update(state uint64, action int, reward float64, next uint64, n
 	target := reward
 	if len(nextValid) > 0 {
 		_, best := q.Best(next, nextValid)
-		target += q.Gamma * best
+		target += float64(q.Gamma * best)
 	}
 	row := q.Row(state)
-	row[action] += q.Alpha * (target - row[action])
+	row[action] += float64(q.Alpha * (target - row[action]))
 }
 
 // States returns the number of distinct state keys in the table.

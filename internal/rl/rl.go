@@ -478,7 +478,7 @@ func (d *DQL) TrainBatch(rng *rand.Rand) float64 {
 		for _, e := range batch[start : start+chunk] {
 			target := e.Reward
 			if !e.Terminal {
-				target += d.Cfg.Gamma * bootstrap(qs[qi], e.NextValid)
+				target += float64(d.Cfg.Gamma * bootstrap(qs[qi], e.NextValid))
 				qi++
 			}
 			total += d.Online.TrainActionSparse(e.State, e.Action, target, d.Cfg.LR)
@@ -570,7 +570,7 @@ func (t *RewardTracker) OnCycle(n *noc.Network) {
 			t.current = 1
 			return
 		}
-		avg := (float64(sum) + n.AvgInFlightAge()*float64(inflight)) / total
+		avg := (float64(sum) + float64(n.AvgInFlightAge()*float64(inflight))) / total
 		if avg < 1 {
 			avg = 1
 		}

@@ -37,7 +37,7 @@ func (a *Accumulator) Add(x float64) {
 	}
 	delta := x - a.mean
 	a.mean += delta / float64(a.n)
-	a.m2 += delta * (x - a.mean)
+	a.m2 += float64(delta * (x - a.mean))
 }
 
 // Count returns the number of samples seen.
@@ -145,7 +145,7 @@ func (h *Histogram) Quantile(q float64) float64 {
 		}
 		return v
 	}
-	target := q * float64(total)
+	target := float64(q * float64(total))
 	var cum int64
 	for i, c := range h.bins {
 		if c == 0 {
@@ -161,9 +161,9 @@ func (h *Histogram) Quantile(q float64) float64 {
 	if h.overflow == 0 {
 		return h.acc.Max()
 	}
-	lo := float64(len(h.bins)) * h.binWidth
+	lo := float64(float64(len(h.bins)) * h.binWidth)
 	frac := (target - float64(total-h.overflow)) / float64(h.overflow)
-	return clamp(lo + frac*(h.acc.Max()-lo))
+	return clamp(lo + float64(frac*(h.acc.Max()-lo)))
 }
 
 // Percentile returns the p-th percentile (0 < p <= 100) of xs using the
@@ -221,7 +221,7 @@ func JainIndex(xs []float64) float64 {
 			panic("stats: JainIndex requires non-negative values")
 		}
 		sum += x
-		sumSq += x * x
+		sumSq += float64(x * x)
 	}
 	if sumSq == 0 {
 		return 1

@@ -97,7 +97,7 @@ func (c *Circuit) LatencyNS(lib GateLib) float64 {
 	total := 0.0
 	for _, comp := range c.Comps {
 		if comp.Serial {
-			total += float64(comp.Depth*comp.passes()) * lib.DelayNS
+			total += float64(float64(comp.Depth*comp.passes()) * lib.DelayNS)
 		}
 	}
 	return total
@@ -105,7 +105,7 @@ func (c *Circuit) LatencyNS(lib GateLib) float64 {
 
 // AreaMM2 returns the total area in mm² (logic plus SRAM).
 func (c *Circuit) AreaMM2(lib GateLib) float64 {
-	um2 := float64(c.Gates())*lib.AreaUM2 + float64(c.SRAMBits())*lib.SRAMBitUM2
+	um2 := float64(float64(c.Gates())*lib.AreaUM2) + float64(float64(c.SRAMBits())*lib.SRAMBitUM2)
 	return um2 / 1e6
 }
 
