@@ -15,6 +15,15 @@ func bfsModels(b *testing.B) [4]*synfull.Model {
 	return Homogeneous(m)
 }
 
+// BenchmarkHotNewSystem is the set-up of one episode alone: build the 8x8
+// APU network and wire its 136 endpoints.
+func BenchmarkHotNewSystem(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		NewSystem(Config{}, 1)
+	}
+}
+
 // BenchmarkHotNewRunner is one relaunch on a live system: reset four workload
 // instances and 68 endpoints, re-seed 140 streams.
 func BenchmarkHotNewRunner(b *testing.B) {

@@ -120,7 +120,13 @@ type Bank struct {
 	quad *Quadrant
 
 	latency int64
-	queue   []timedMsg
+	// queue holds the replies awaiting service from queue[head] on, in ready
+	// order (a bank's latency is fixed). Tick advances head instead of
+	// shifting the slice; the served prefix is reclaimed when the queue
+	// drains, or compacted when an append would grow a slice it dominates.
+	queue []timedMsg
+	head  int
+	idx   int // the bank's position in System.banks, its bit in System.busy
 
 	// Handled counts protocol messages received by the bank.
 	Handled int64
@@ -145,6 +151,12 @@ func newBank(sys *System, node *noc.Node, label string, quad *Quadrant) *Bank {
 }
 
 func (b *Bank) reply(now int64, to noc.NodeID, class noc.Class, typ noc.MsgType, flits int, p pkt) {
+	if len(b.queue) == 0 {
+		b.sys.busy[b.idx>>6] |= 1 << (uint(b.idx) & 63) // empty -> non-empty
+	} else if len(b.queue) == cap(b.queue) && b.head*2 >= len(b.queue) {
+		b.queue = b.queue[:copy(b.queue, b.queue[b.head:])]
+		b.head = 0
+	}
 	b.queue = append(b.queue, timedMsg{
 		ready: now + b.latency, to: to, class: class, typ: typ, flits: flits, p: p,
 	})
@@ -203,20 +215,22 @@ func (b *Bank) sink(now int64, m *noc.Message) {
 }
 
 // Tick injects replies whose service latency has elapsed, up to the bank's
-// per-cycle bandwidth. Call once per cycle before Network.Step.
+// per-cycle bandwidth. Call once per cycle before Network.Step; Runner.Step
+// calls it only while the bank holds a queued reply.
 func (b *Bank) Tick(now int64) {
-	sent := 0
-	for len(b.queue) > 0 && b.queue[0].ready <= now && sent < bankRepliesPerCycle {
-		t := b.queue[0]
-		copy(b.queue, b.queue[1:])
-		b.queue = b.queue[:len(b.queue)-1]
+	for sent := 0; sent < bankRepliesPerCycle && b.head < len(b.queue) && b.queue[b.head].ready <= now; sent++ {
+		t := b.queue[b.head]
+		b.head++
 		b.sys.send(b.Node, t.to, t.class, t.typ, t.flits, t.p)
-		sent++
+	}
+	if b.head == len(b.queue) {
+		b.queue, b.head = b.queue[:0], 0
+		b.sys.busy[b.idx>>6] &^= 1 << (uint(b.idx) & 63) // non-empty -> empty
 	}
 }
 
 // QueueLen returns the number of replies awaiting service.
-func (b *Bank) QueueLen() int { return len(b.queue) }
+func (b *Bank) QueueLen() int { return len(b.queue) - b.head }
 
 // CU is one GPU compute unit with its private L1D. It retires OpsRemaining
 // operations; memory reads and writes occupy its outstanding-request window,

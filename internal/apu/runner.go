@@ -2,6 +2,7 @@ package apu
 
 import (
 	"fmt"
+	"math/bits"
 
 	"mlnoc/internal/fault"
 	"mlnoc/internal/noc"
@@ -144,8 +145,13 @@ func (r *Runner) Step() {
 			r.Completion[q] = now
 		}
 	}
-	for _, b := range r.Sys.banks {
-		b.Tick(now)
+	// Tick only the banks holding a queued reply, in AllBanks order. The
+	// per-word snapshot is safe: a tick clears only its own bank's bit, and
+	// replies are queued by deliveries, inside Net.Step.
+	for wi, word := range r.Sys.busy {
+		for base := wi << 6; word != 0; word &= word - 1 {
+			r.Sys.banks[base+bits.TrailingZeros64(word)].Tick(now)
+		}
 	}
 	r.Sys.Net.Step()
 }

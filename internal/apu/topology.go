@@ -110,6 +110,7 @@ type System struct {
 	byNode map[noc.NodeID]any // NodeID -> *CU, *Bank or *CPU
 	isL2   []bool             // by NodeID: the node is a GPU L2 bank
 	banks  []*Bank            // every bank, in AllBanks order
+	busy   []uint64           // bit i set iff banks[i] holds a queued reply
 
 	// params holds the active phase parameters per quadrant; the Runner
 	// refreshes them every cycle.
@@ -230,6 +231,10 @@ func NewSystem(cfg Config, seed int64) *System {
 	sys.banks = append(sys.banks, sys.L1Is...)
 	sys.banks = append(sys.banks, sys.Dirs...)
 	sys.banks = append(sys.banks, sys.LLCs...)
+	for i, b := range sys.banks {
+		b.idx = i
+	}
+	sys.busy = make([]uint64, (len(sys.banks)+63)/64)
 	return sys
 }
 

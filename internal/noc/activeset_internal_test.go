@@ -22,9 +22,9 @@ func (attachRouting) Route(r *Router, m *Message) PortID {
 	return r.XYPort(m)
 }
 
-// checkActiveTrace replays a pinnedTraces row with the activity bitmaps and
-// arbitration state recomputed brute-force before every step and after the
-// drain. The literals were recorded where the active-set walk was proven equal
+// checkActiveTrace replays a pinnedTraces row with the activity bitmaps,
+// arbitration state and delivery store recomputed brute-force before every
+// step, and the bitmaps after the drain. The literals were recorded where the active-set walk was proven equal
 // to a full scan of every router, so the walk must still reach the same
 // deliveries while never skipping a router or node with work.
 func checkActiveTrace(t *testing.T, name string) {
@@ -32,6 +32,7 @@ func checkActiveTrace(t *testing.T, name string) {
 		when := fmt.Sprintf("cycle %d", cycle)
 		checkBitmaps(t, net, when)
 		checkArbState(t, net, when)
+		checkDeliveries(t, net, when)
 	})
 	checkBitmaps(t, net, "after drain")
 }
@@ -159,6 +160,7 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 		when := fmt.Sprintf("cycle %d", cycle)
 		checkBitmaps(t, net, when)
 		checkArbState(t, net, when)
+		checkDeliveries(t, net, when)
 	}
 	// Repair and drain so the terminal state is checked empty.
 	if downAttach >= 0 {

@@ -12,7 +12,8 @@ import (
 // occ and full bit for bit; no want bit on an empty or stale buffer; every
 // non-stale head in exactly the want mask of its cached port, and that port
 // equal to a fresh Route verdict under the current fault state (Route may
-// write only the message, idempotently: the Routing contract).
+// write only the message, idempotently: the Routing contract); outs bit o set
+// exactly when want[o] is non-zero.
 func checkArbState(t testing.TB, net *Network, when string) {
 	t.Helper()
 	for _, r := range net.routers {
@@ -22,6 +23,9 @@ func checkArbState(t testing.TB, net *Network, when string) {
 				t.Fatalf("%s: router %d: a buffer requests two outputs: %b", when, r.id, r.want)
 			}
 			wantAny |= r.want[out]
+			if got, want := r.outs>>out&1 != 0, r.want[out] != 0; got != want {
+				t.Fatalf("%s: router %d outs = %06b, want = %b", when, r.id, r.outs, r.want)
+			}
 		}
 		for p := PortID(0); p < MaxPorts; p++ {
 			for vc := range r.in[p] {
@@ -60,6 +64,54 @@ func checkArbState(t testing.TB, net *Network, when string) {
 		if wantAny != occ&^r.stale {
 			t.Fatalf("%s: router %d want = %b, routed heads %b", when, r.id, wantAny, occ&^r.stale)
 		}
+	}
+}
+
+// checkDeliveries recounts the delivery store from the wheel: each wheel
+// slot's list ends at its tail and lists only taken output slots, none twice;
+// every listed delivery crosses its output's link (into the peer router's
+// opposite input buffer, or to the attached node) and lands in its slot's
+// cycle, the cycle its output stops serializing; every taken slot is listed,
+// and the lists hold pending deliveries in all.
+func checkDeliveries(t testing.TB, net *Network, when string) {
+	t.Helper()
+	listed := make([]bool, len(net.dels))
+	count := 0
+	for s := range net.wheelHead {
+		last := int32(-1)
+		for i := net.wheelHead[s]; i >= 0; i = net.delNext[i] {
+			r, out := net.routers[int(i)/MaxPorts], PortID(int(i)%MaxPorts)
+			d := &net.dels[i]
+			if listed[i] || d.msg == nil {
+				t.Fatalf("%s: wheel slot %d lists output %s of %s again or free (msg %v)", when, s, out, r, d.msg)
+			}
+			listed[i] = true
+			count++
+			if next := r.peerRouter[out]; next != nil {
+				if d.buf != &next.in[out.Opposite()][d.msg.Class] || d.node != nil {
+					t.Fatalf("%s: %s on output %s of %s lands off its link", when, d.msg, out, r)
+				}
+			} else if d.buf != nil || d.node != r.peerNode[out] {
+				t.Fatalf("%s: %s ejects through output %s of %s to %v", when, d.msg, out, r, d.node)
+			}
+			ahead := r.outBusyUntil[out] - net.cycle
+			if ahead <= 0 || ahead >= wheelLen || (net.slot+int(ahead))%wheelLen != s {
+				t.Fatalf("%s: %s in wheel slot %d (now %d) on an output busy until cycle %d",
+					when, d.msg, s, net.slot, r.outBusyUntil[out])
+			}
+			last = i
+		}
+		if net.wheelTail[s] != last {
+			t.Fatalf("%s: wheel slot %d tail = %d, list ends at %d", when, s, net.wheelTail[s], last)
+		}
+	}
+	for i := range net.dels {
+		if net.dels[i].msg != nil && !listed[i] {
+			t.Fatalf("%s: output slot %d holds %s on no wheel list", when, i, net.dels[i].msg)
+		}
+	}
+	if count != net.pending {
+		t.Fatalf("%s: the wheel lists %d deliveries, pending = %d", when, count, net.pending)
 	}
 }
 
@@ -139,8 +191,8 @@ func TestArbStateNeverStale(t *testing.T) {
 // RunArbStateSchedule is the seeded run behind TestArbStateNeverStale, its
 // counterpart over internal/fault's routings and the fuzz target (both in
 // package noc_test, hence exported): random traffic plus a fault schedule
-// drawn from seed, with checkArbState, the activity bitmaps and conservation
-// asserted after every cycle. mkRouting returns the routing to install (nil
+// drawn from seed, with checkArbState, the delivery store, the activity
+// bitmaps and conservation asserted after every cycle. mkRouting returns the routing to install (nil
 // for built-in X-Y) and an optional hook to run after every link transition,
 // as fault.Injector does for table rebuilds. It returns the delivered count.
 func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*Network) (Routing, func()), seed int64, cycles int) int64 {
@@ -198,6 +250,7 @@ func RunArbStateSchedule(t testing.TB, cfg Config, pol Policy, mkRouting func(*N
 		net.Step()
 		when := fmt.Sprintf("seed %d cycle %d", seed, cycle)
 		checkArbState(t, net, when)
+		checkDeliveries(t, net, when)
 		checkBitmaps(t, net, when)
 		checkConservation(t, net, when)
 	}

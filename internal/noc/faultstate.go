@@ -62,44 +62,34 @@ func (n *Network) SetLinkDown(rid int, p PortID, down bool) int {
 	return n.requeueLink(r, p)
 }
 
-// requeueLink pulls every delivery still in flight across the dead directed
-// link (r, p) off the wheel and requeues the messages at the upstream router
-// r, in the input buffer of port p for their class. The buffer may
-// transiently exceed its capacity (it accepts no new arrivals until it
-// drains below cap); this is the price of never losing a granted message.
+// requeueLink pulls the delivery still in flight across the dead directed
+// link (r, p) — the one in output p's slot — off the wheel and requeues its
+// message at the upstream router r, in the input buffer of port p for its
+// class. The buffer may transiently exceed its capacity (it accepts no new
+// arrivals until it drains below cap); this is the price of never losing a
+// granted message.
 func (n *Network) requeueLink(r *Router, p PortID) int {
-	next := r.peerRouter[p]
-	node := r.peerNode[p]
+	out := int32(r.id*MaxPorts + int(p))
 	requeued := 0
-	for s := range n.wheel {
-		ds := n.wheel[s]
-		kept := ds[:0]
-		for _, d := range ds {
-			hit := node != nil && d.node == node ||
-				next != nil && d.buf != nil && d.buf.owner == next && n.bufPort(d.buf) == p.Opposite()
-			if !hit {
-				kept = append(kept, d)
-				continue
-			}
-			if d.buf != nil {
-				// Undo the downstream buffer reservation and the hop count
-				// credited at grant time.
-				d.buf.unreserve()
-				d.msg.HopCount--
-			}
-			n.pending--
-			requeued++
-			n.fstats.Requeued++
-			r.in[p][d.msg.Class].push(n.cycle, d.msg)
-			if len(n.faultObs) > 0 {
-				n.observeRequeue(r, p, d.msg)
-			}
+	n.unlinkDeliveries(func(i int32) bool {
+		if i != out {
+			return false
 		}
-		for i := len(kept); i < len(ds); i++ {
-			ds[i] = delivery{}
+		d := &n.dels[i]
+		if d.buf != nil {
+			// Undo the downstream buffer reservation and the hop count
+			// credited at grant time.
+			d.buf.unreserve()
+			d.msg.HopCount--
 		}
-		n.wheel[s] = kept
-	}
+		requeued++
+		n.fstats.Requeued++
+		r.in[p][d.msg.Class].push(n.cycle, d.msg)
+		if len(n.faultObs) > 0 {
+			n.observeRequeue(r, p, d.msg)
+		}
+		return true
+	})
 	return requeued
 }
 
@@ -142,27 +132,19 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 			}
 		}
 	}
-	for s := range n.wheel {
-		ds := n.wheel[s]
-		kept := ds[:0]
-		for _, d := range ds {
-			// Deliveries to a router input buffer are mid-link messages; the
-			// channel they occupy is the one feeding that buffer. Ejections to
-			// a node always sink and are never stranded.
-			if d.buf == nil || !strand(d.buf.owner, n.bufPort(d.buf), d.msg) {
-				kept = append(kept, d)
-				continue
-			}
-			d.buf.unreserve()
-			d.msg.HopCount--
-			n.pending--
-			reinject(d.buf.owner, n.bufPort(d.buf), d.msg)
+	n.unlinkDeliveries(func(i int32) bool {
+		// Deliveries to a router input buffer are mid-link messages; the
+		// channel they occupy is the one feeding that buffer. Ejections to a
+		// node always sink and are never stranded.
+		d := &n.dels[i]
+		if d.buf == nil || !strand(d.buf.owner, n.bufPort(d.buf), d.msg) {
+			return false
 		}
-		for i := len(kept); i < len(ds); i++ {
-			ds[i] = delivery{}
-		}
-		n.wheel[s] = kept
-	}
+		d.buf.unreserve()
+		d.msg.HopCount--
+		reinject(d.buf.owner, n.bufPort(d.buf), d.msg)
+		return true
+	})
 	return requeued
 }
 

@@ -11,6 +11,10 @@ import (
 // MaxFlits bounds message size; the delivery wheel is sized from it.
 const MaxFlits = 32
 
+// wheelLen is the number of delivery-wheel slots: a delivery lands at most
+// MaxFlits+1 cycles ahead.
+const wheelLen = MaxFlits + 2
+
 // Config describes a mesh network.
 type Config struct {
 	// Width and Height are the mesh dimensions in routers.
@@ -71,6 +75,8 @@ func (s *Stats) FairnessIndex() float64 {
 	return stats.JainIndex(s.SourceMeanLatencies())
 }
 
+// delivery is a granted message crossing one output port: it lands in buf
+// (a hop) or at node (an ejection) when its serialization ends.
 type delivery struct {
 	msg  *Message
 	buf  *Buffer // input buffer a hop lands in, nil for ejection
@@ -97,9 +103,20 @@ type Network struct {
 
 	cycle int64
 
-	wheel   [][]delivery // delivery wheel indexed by cycle % len(wheel)
-	slot    int          // cycle % len(wheel), kept by Step without a division
-	pending int          // messages scheduled but not yet delivered
+	// The delivery store, sized at New. An output granted at cycle c for S
+	// flits is busy until c+S, when its delivery lands, and deliver runs
+	// before arbitrate, so each output port has at most one delivery in
+	// flight: dels[r.id*MaxPorts+out] is the one crossing output out of
+	// router r (msg == nil while none is). The wheel threads the deliveries
+	// landing in each cycle as a FIFO in grant order: wheelHead/wheelTail[s]
+	// are the first and last dels index of slot s and delNext links each to
+	// the next, -1 ending a list.
+	dels      []delivery
+	delNext   []int32
+	wheelHead [wheelLen]int32
+	wheelTail [wheelLen]int32
+	slot      int // cycle % wheelLen, kept by Step without a division
+	pending   int // messages scheduled but not yet delivered
 
 	// pendingInj counts messages queued at nodes that have not yet entered
 	// the network, maintained incrementally by Node.Inject/dequeue so the
@@ -121,7 +138,7 @@ type Network struct {
 	// parallel to the delivery wheel) schedules the decrement for the cycle
 	// each output port frees up.
 	busyOutputs  int
-	busyRelease  []int
+	busyRelease  [wheelLen]int
 	totalOutputs int
 	lastUtil     float64
 
@@ -132,9 +149,8 @@ type Network struct {
 	// cycle.
 	OnCycle func(n *Network)
 
-	// scratch buffers reused across cycles
-	candScratch []Candidate
-	reqScratch  []Request
+	// reqScratch backs the matcher's request list.
+	reqScratch []Request
 
 	// arbCtx/matchCtx are the per-cycle contexts handed to policies. They
 	// live on the Network so the interface call does not force a heap
@@ -155,7 +171,7 @@ type Network struct {
 	actN      []uint64
 	actRCount int
 
-	// candArena backs matcher Request slices.
+	// candArena backs the candidate lists of a router's turn.
 	candArena []Candidate
 
 	// msgFree recycles delivered/evicted pooled messages (AllocMessage).
@@ -179,10 +195,13 @@ func New(cfg Config) *Network {
 		panic(fmt.Sprintf("noc: %d VCs exceed MaxVCs = %d", cfg.VCs, MaxVCs))
 	}
 	n := &Network{
-		cfg:         cfg,
-		wheel:       make([][]delivery, MaxFlits+2),
-		busyRelease: make([]int, MaxFlits+2),
-		vcMask:      1<<cfg.VCs - 1,
+		cfg:        cfg,
+		vcMask:     1<<cfg.VCs - 1,
+		candArena:  make([]Candidate, 0, MaxPorts*cfg.VCs),
+		reqScratch: make([]Request, 0, MaxPorts),
+	}
+	for s := range n.wheelHead {
+		n.wheelHead[s], n.wheelTail[s] = -1, -1
 	}
 	for p := 0; p < MaxPorts; p++ {
 		n.spreadMul |= 1 << (p * cfg.VCs)
@@ -192,6 +211,8 @@ func New(cfg Config) *Network {
 	}
 	n.routers = make([]*Router, cfg.Width*cfg.Height)
 	n.actR = make([]uint64, (len(n.routers)+63)/64)
+	n.dels = make([]delivery, len(n.routers)*MaxPorts)
+	n.delNext = make([]int32, len(n.dels))
 	for y := 0; y < cfg.Height; y++ {
 		for x := 0; x < cfg.Width; x++ {
 			id := y*cfg.Width + x
@@ -413,7 +434,7 @@ func (n *Network) Step() {
 		panic("noc: Step called with no policy installed")
 	}
 	n.cycle++
-	if n.slot++; n.slot == len(n.wheel) {
+	if n.slot++; n.slot == wheelLen {
 		n.slot = 0
 	}
 	n.deliver()
@@ -459,35 +480,57 @@ func (n *Network) Quiescent() bool {
 // have not yet entered the network.
 func (n *Network) PendingInjections() int { return n.pendingInj }
 
-// schedule lands d delay cycles from now and returns the wheel slot it went
-// to. One conditional subtract replaces the division by the wheel length:
-// delay is below it.
-func (n *Network) schedule(delay int64, d delivery) int {
+// schedule puts d in output out's slot of the delivery store, landing delay
+// cycles from now at the tail of its wheel slot, and returns that wheel slot.
+// One conditional subtract replaces the division by the wheel length: delay
+// is below it. The output's slot must be free: an output is granted only
+// once its previous delivery has landed.
+func (n *Network) schedule(r *Router, out PortID, delay int64, d delivery) int {
 	if delay <= 0 {
 		panic("noc: delivery delay must be positive")
 	}
-	if delay >= int64(len(n.wheel)) {
+	if delay >= wheelLen {
 		panic(fmt.Sprintf(
 			"noc: delivery delay %d does not fit the %d-slot wheel (MaxFlits=%d; message %s has %d flits)",
-			delay, len(n.wheel), MaxFlits, d.msg, d.msg.SizeFlits))
+			delay, wheelLen, MaxFlits, d.msg, d.msg.SizeFlits))
+	}
+	i := int32(r.id*MaxPorts + int(out))
+	if prev := n.dels[i].msg; prev != nil {
+		panic(fmt.Sprintf("noc: output %s of %s granted %s while %s is still in flight on it",
+			out, r, d.msg, prev))
 	}
 	slot := n.slot + int(delay)
-	if slot >= len(n.wheel) {
-		slot -= len(n.wheel)
+	if slot >= wheelLen {
+		slot -= wheelLen
 	}
-	n.wheel[slot] = append(n.wheel[slot], d)
+	n.dels[i] = d
+	n.delNext[i] = -1
+	if t := n.wheelTail[slot]; t < 0 {
+		n.wheelHead[slot] = i
+	} else {
+		n.delNext[t] = i
+	}
+	n.wheelTail[slot] = i
 	n.pending++
 	return slot
 }
 
+// deliver lands this cycle's wheel slot in grant order, freeing each
+// delivery's output slot as it goes.
 func (n *Network) deliver() {
-	ds := n.wheel[n.slot]
-	if len(ds) == 0 {
+	i := n.wheelHead[n.slot]
+	if i < 0 {
 		return
 	}
-	n.wheel[n.slot] = ds[:0]
-	n.pending -= len(ds)
-	for _, d := range ds {
+	n.wheelHead[n.slot], n.wheelTail[n.slot] = -1, -1
+	dels, delNext := n.dels, n.delNext
+	for i >= 0 {
+		// Load the next link before the landing's calls, so the walk does
+		// not wait on it after them.
+		d, next := dels[i], delNext[i]
+		dels[i].msg = nil
+		i = next
+		n.pending--
 		if d.buf != nil {
 			// The reserved slot becomes a queued message: len+reserved, and
 			// with it the buffer's full bit, does not change.
@@ -516,6 +559,33 @@ func (n *Network) deliver() {
 			n.observeDeliver(d.node, m)
 		}
 		n.recycleMessage(m)
+	}
+}
+
+// unlinkDeliveries walks the wheel, slot by slot in index order and each slot
+// in grant order, and unlinks every delivery drop reports true for, freeing
+// its output's slot. drop gets the dels index and sees the delivery in place.
+func (n *Network) unlinkDeliveries(drop func(i int32) bool) {
+	for s := range n.wheelHead {
+		prev := int32(-1)
+		for i := n.wheelHead[s]; i >= 0; {
+			next := n.delNext[i]
+			if !drop(i) {
+				prev, i = i, next
+				continue
+			}
+			if prev < 0 {
+				n.wheelHead[s] = next
+			} else {
+				n.delNext[prev] = next
+			}
+			if n.wheelTail[s] == i {
+				n.wheelTail[s] = prev
+			}
+			n.dels[i].msg = nil
+			n.pending--
+			i = next
+		}
 	}
 }
 
@@ -596,6 +666,7 @@ func (n *Network) routeHeads(r *Router) {
 			}
 			buf.route = int8(out)
 			r.want[out] |= 1 << bit
+			r.outs |= 1 << out
 			r.stale &^= 1 << bit
 			break
 		}
@@ -607,6 +678,7 @@ func (n *Network) routeHeads(r *Router) {
 func (n *Network) invalidateRoutes() {
 	for _, r := range n.routers {
 		r.want = [MaxPorts]uint64{}
+		r.outs = 0
 		r.stale = r.occ
 	}
 }
@@ -675,7 +747,7 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	}
 	// The output stays busy for cycles [now, now+SizeFlits): the busy-count
 	// decrement is due in the slot the delivery lands in.
-	n.busyRelease[n.schedule(int64(m.SizeFlits), d)]++
+	n.busyRelease[n.schedule(r, out, int64(m.SizeFlits), d)]++
 }
 
 func (n *Network) arbitrate() {
@@ -693,53 +765,41 @@ func (n *Network) arbitrate() {
 }
 
 // arbitrateRouter runs one router's turn of the cycle: route its new heads,
-// evicting unreachable ones, then grant its free outputs through the installed
-// policy or matcher.
+// evicting unreachable ones, then visit the outputs its heads request, in
+// ascending order. A policy grants each output as it is visited; a matcher
+// gets every output's candidates at once.
 func (n *Network) arbitrateRouter(r *Router) {
 	if r.stale != 0 {
 		n.routeHeads(r)
 	}
-	if n.matcher != nil {
-		// Every head is in at most one want mask, so the arena never regrows.
-		arena, reqs := n.matchArena(), n.reqScratch[:0]
-		for out := PortID(0); out < MaxPorts; out++ {
-			req := r.requests(out, n.cycle)
-			if req == 0 {
-				continue
-			}
-			start := len(arena)
-			if arena = n.appendCands(arena, r, out, req); len(arena) > start {
-				reqs = append(reqs, Request{Out: out, Cands: arena[start:len(arena):len(arena)]})
-			}
-		}
-		n.matchAndApply(r, reqs)
-		return
-	}
+	// Every head is in at most one want mask, so the arena, one candidate
+	// per (port, VC) buffer, never regrows.
+	arena, reqs := n.candArena[:0], n.reqScratch[:0]
 	// granted masks the buffers of the input ports that forwarded a message
 	// to an earlier output of this turn: one grant per input port per cycle.
 	var granted uint64
-	for out := PortID(0); out < MaxPorts; out++ {
+	for outs := r.outs; outs != 0; outs &= outs - 1 {
+		out := PortID(bits.TrailingZeros8(outs))
 		req := r.requests(out, n.cycle) &^ granted
 		if req == 0 {
 			continue
 		}
-		cands := n.appendCands(n.candScratch[:0], r, out, req)
-		n.candScratch = cands
+		start := len(arena)
+		arena = n.appendCands(arena, r, out, req)
+		cands := arena[start:len(arena):len(arena)]
 		if len(cands) == 0 {
+			continue
+		}
+		if n.matcher != nil {
+			reqs = append(reqs, Request{Out: out, Cands: cands})
 			continue
 		}
 		c := n.selectAndGrant(r, out, cands)
 		granted |= n.vcMask << (uint(c.Port) * uint(n.cfg.VCs))
 	}
-}
-
-// matchArena returns the empty candidate arena behind a router's matcher
-// requests, sized for one candidate per (port, VC) buffer.
-func (n *Network) matchArena() []Candidate {
-	if cap(n.candArena) < MaxPorts*n.cfg.VCs {
-		n.candArena = make([]Candidate, 0, MaxPorts*n.cfg.VCs)
+	if n.matcher != nil {
+		n.matchAndApply(r, reqs)
 	}
-	return n.candArena[:0]
 }
 
 // selectAndGrant lets the policy pick among cands for output out of r, applies

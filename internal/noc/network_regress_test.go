@@ -218,6 +218,24 @@ func TestSchedulePanicReportsDelay(t *testing.T) {
 	net.Run(4)
 }
 
+// TestScheduleTakenSlotPanics: an output holds one delivery at a time, so a
+// grant onto an output whose slot in the delivery store is still taken is an
+// engine bug, and schedule must say so instead of overwriting the delivery.
+func TestScheduleTakenSlotPanics(t *testing.T) {
+	net, nodes := BuildMeshCores(Config{Width: 2, Height: 1, VCs: 1, BufferCap: 2})
+	net.SetPolicy(orderPolicy{})
+	nodes[0].Inject(&Message{ID: 1, Dst: nodes[1].ID, SizeFlits: 1})
+	// The first Step injects the message and grants it router 0's east output.
+	net.dels[0*MaxPorts+int(PortEast)] = delivery{msg: &Message{ID: 99}}
+	defer func() {
+		msg := fmt.Sprint(recover())
+		if !strings.Contains(msg, "still in flight") || !strings.Contains(msg, "msg#99") {
+			t.Fatalf("grant onto a taken slot panicked with %q", msg)
+		}
+	}()
+	net.Step()
+}
+
 // fixedRouting sends every head to one port, whatever the router.
 type fixedRouting struct{ out PortID }
 

@@ -27,7 +27,7 @@ func benchMesh() (*noc.Network, *traffic.Injector) {
 }
 
 // TestNetworkStepZeroAllocs pins the zero-allocation contract: once warm
-// (scratch grown, message freelist populated, delivery wheel sized), a
+// (message freelist populated, buffer rings grown), a
 // simulation cycle performs no heap allocations — at a light load, at the
 // benchmark's mesh8_dense operating point, under fault.TableRouting with a
 // dead link, and through the router-level matchers (iSLIP and the wavefront
@@ -76,8 +76,8 @@ func TestNetworkStepZeroAllocs(t *testing.T) {
 // place.
 // It counts runtime mallocs over the whole window, because AllocsPerRun's
 // integer division hides fewer than one allocation per cycle. A saturating
-// burst, drained, first grows every buffer ring, wheel slot and the message
-// freelist to what the light load after it needs.
+// burst, drained, first grows every buffer ring and the message freelist to
+// what the light load after it needs.
 func TestStepAfterResetStatsZeroAllocs(t *testing.T) {
 	net, cores := noc.BuildMeshCores(noc.Config{Width: 8, Height: 8, VCs: 3, BufferCap: 4})
 	net.SetPolicy(arb.NewGlobalAge())

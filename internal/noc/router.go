@@ -93,7 +93,7 @@ func (b *Buffer) pop() *Message {
 	b.n--
 	r := b.owner
 	if r.stale&(1<<b.bit) == 0 {
-		r.want[b.route] &^= 1 << b.bit
+		r.unwant(b.route, 1<<b.bit)
 	}
 	if b.n == 0 {
 		r.stale &^= 1 << b.bit
@@ -154,7 +154,7 @@ func (b *Buffer) syncOcc() {
 	bit := uint64(1) << b.bit
 	was := r.occ
 	if r.stale&bit == 0 {
-		r.want[b.route] &^= bit
+		r.unwant(b.route, bit)
 	}
 	r.occ &^= bit
 	r.stale &^= bit
@@ -213,8 +213,12 @@ type Router struct {
 	//   stale    it is non-empty and its head has no cached route yet
 	//   want[o]  its head's cached route is output port o (never also stale)
 	//   full     it cannot take another message (len + reserved >= cap)
+	//
+	// and, one bit per output port, outs: bit o is set iff want[o] != 0, the
+	// outputs arbitration visits.
 	occ, stale, full uint64
 	want             [MaxPorts]uint64
+	outs             uint8
 
 	// actWord/actMask locate this router's bit in the network-level activity
 	// bitmap (actWord = id/64, actMask = 1<<(id%64)), precomputed so the occ
@@ -224,6 +228,14 @@ type Router struct {
 	actMask uint64
 
 	nPorts int // number of connected ports (for String)
+}
+
+// unwant clears the buffer bit from want[out], and out from outs when no
+// other head requests it.
+func (r *Router) unwant(out int8, bit uint64) {
+	if r.want[out] &^= bit; r.want[out] == 0 {
+		r.outs &^= 1 << out
+	}
 }
 
 // ID returns the router's dense index within its network.
