@@ -5,6 +5,7 @@ import (
 	"runtime"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/noc"
@@ -232,8 +233,8 @@ func TestBankBandwidthBound(t *testing.T) {
 	dir := sys.Dirs[0]
 	// Enqueue 5 replies all ready now.
 	for i := 0; i < 5; i++ {
-		dir.reply(0, sys.CUs[0].Node.ID, ClassMemResp, noc.TypeResponse, 1,
-			pkt{kind: opMemData, requester: sys.CUs[0].Node.ID, via: sys.L2s[0].Node.ID})
+		dir.reply(0, nid(sys.CUs[0].Node.ID), ClassMemResp, noc.TypeResponse, 1,
+			pkt{kind: opMemData, requester: nid(sys.CUs[0].Node.ID), via: nid(sys.L2s[0].Node.ID)})
 	}
 	dir.Tick(1000) // well past the service latency: all five are ready
 	if got := dir.QueueLen(); got != 3 {
@@ -250,7 +251,7 @@ func TestProtocolFlows(t *testing.T) {
 
 	// L2 hit: CU -> L2 -> CU data.
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opGPURead, requester: cu.Node.ID, hit: true})
+		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: true})
 	cu.Outstanding = 1
 	for i := 0; i < 200 && cu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -264,7 +265,7 @@ func TestProtocolFlows(t *testing.T) {
 
 	// L2 miss: CU -> L2 -> Dir -> L2 -> CU data.
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opGPURead, requester: cu.Node.ID, hit: false, dir: dir.Node.ID})
+		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: false, dir: nid(dir.Node.ID)})
 	cu.Outstanding = 1
 	for i := 0; i < 500 && cu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -279,7 +280,7 @@ func TestProtocolFlows(t *testing.T) {
 	// Write: CU -> L2 (ack to CU) and write-through L2 -> Dir.
 	before := dir.Handled
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, DataFlits,
-		pkt{kind: opGPUWrite, requester: cu.Node.ID, dir: dir.Node.ID})
+		pkt{kind: opGPUWrite, requester: nid(cu.Node.ID), dir: nid(dir.Node.ID)})
 	cu.Outstanding = 1
 	for i := 0; i < 500 && (cu.Outstanding > 0 || dir.Handled == before); i++ {
 		for _, b := range sys.AllBanks() {
@@ -297,7 +298,7 @@ func TestProtocolFlows(t *testing.T) {
 	// Coherence: Dir probe -> CU ack -> Dir.
 	before = dir.Handled
 	sys.send(dir.Node, cu.Node.ID, ClassCoh, noc.TypeCoherence, ReqFlits,
-		pkt{kind: opCohProbe, requester: dir.Node.ID})
+		pkt{kind: opCohProbe, requester: nid(dir.Node.ID)})
 	for i := 0; i < 500 && dir.Handled == before; i++ {
 		for _, b := range sys.AllBanks() {
 			b.Tick(sys.Net.Cycle())
@@ -311,7 +312,7 @@ func TestProtocolFlows(t *testing.T) {
 	// CPU read, LLC miss: CPU -> LLC -> Dir -> LLC -> CPU.
 	cpu := sys.Quadrants[0].CPU
 	sys.send(cpu.Node, cpu.quad.LLC.Node.ID, ClassCPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opCPURead, requester: cpu.Node.ID, hit: false, dir: dir.Node.ID})
+		pkt{kind: opCPURead, requester: nid(cpu.Node.ID), hit: false, dir: nid(dir.Node.ID)})
 	cpu.Outstanding = 1
 	for i := 0; i < 500 && cpu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -388,6 +389,16 @@ func TestEndpointLookup(t *testing.T) {
 	}
 	if _, ok := sys.Endpoint(sys.CPUs[0].Node.ID).(*CPU); !ok {
 		t.Fatal("CPU endpoint lookup failed")
+	}
+	for _, nd := range sys.Net.Nodes() {
+		if sys.Endpoint(nd.ID) == nil {
+			t.Fatalf("%s has no endpoint", nd)
+		}
+	}
+	for _, id := range []noc.NodeID{-1, noc.NodeID(len(sys.Net.Nodes()))} {
+		if ep := sys.Endpoint(id); ep != nil {
+			t.Fatalf("Endpoint(%d) = %v for a node that does not exist", id, ep)
+		}
 	}
 }
 
@@ -546,9 +557,11 @@ func TestNewRunnerDoesNotAllocateStreams(t *testing.T) {
 // TestEpisodeAllocationBudget builds a system and runs one short bfs episode
 // on it, the apu_infer benchmark's episode under global-age. Each of its 140
 // streams draws fewer than 274 times, so none allocates an xrand register,
-// and the network's delivery store is sized when it is built: the episode
-// allocates about 480 KB, where a 4.9 KB register per stream made it about
-// 1 260 KB and a delivery wheel grown slot by slot about 575 KB.
+// the network's delivery store is sized when it is built, and a VC buffer is
+// a 32-byte list through its messages that never allocates: the episode
+// allocates about 330 KB, where 64-byte ring buffers and wide protocol
+// records made it about 480 KB, a delivery wheel grown slot by slot about
+// 575 KB and a 4.9 KB register per stream about 1 260 KB.
 func TestEpisodeAllocationBudget(t *testing.T) {
 	model, err := synfull.ByName("bfs")
 	if err != nil {
@@ -564,8 +577,23 @@ func TestEpisodeAllocationBudget(t *testing.T) {
 	if !finished {
 		t.Fatal("did not finish")
 	}
-	const budget = 540 << 10
+	const budget = 400 << 10
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 		t.Errorf("one episode allocates %d KB, want under %d KB", got>>10, budget>>10)
+	}
+}
+
+// TestProtocolRecordSizes pins the records an episode allocates per protocol
+// message: a payload box in the 16-byte size class and a bank's queued reply
+// at 32 bytes, two a cache line.
+func TestProtocolRecordSizes(t *testing.T) {
+	if unsafe.Sizeof(uintptr(0)) != 8 {
+		t.Skip("sizes are pinned for 64-bit platforms")
+	}
+	if got := unsafe.Sizeof(pkt{}); got != 16 {
+		t.Errorf("unsafe.Sizeof(pkt) = %d, want 16", got)
+	}
+	if got := unsafe.Sizeof(timedMsg{}); got != 32 {
+		t.Errorf("unsafe.Sizeof(timedMsg) = %d, want 32", got)
 	}
 }

@@ -26,7 +26,12 @@ const (
 	opWriteAck               // L2 -> CU write acknowledgement
 )
 
-// pkt is the protocol payload; noc.Message.Payload carries a *pkt.
+// nid is a noc.NodeID narrowed for the protocol records (pkt, timedMsg);
+// NewSystem checks that every node's ID fits.
+type nid int32
+
+// pkt is the protocol payload; noc.Message.Payload carries a *pkt. It is
+// 16 bytes, the smallest size class that holds it.
 //
 // Hit/miss outcomes and directory targets are pre-drawn at issue time from
 // per-requester random streams and carried in the packet. This keeps the
@@ -35,15 +40,15 @@ const (
 // and differences reflect scheduling, not divergent random streams.
 type pkt struct {
 	kind opKind
-	// requester is the node that originated the transaction (CU or CPU);
-	// final data responses are routed to it.
-	requester noc.NodeID
-	// via is the intermediate cache (L2 or LLC) on two-level flows.
-	via noc.NodeID
 	// hit is the pre-drawn cache outcome at the target (L2 or LLC).
 	hit bool
+	// requester is the node that originated the transaction (CU or CPU);
+	// final data responses are routed to it.
+	requester nid
+	// via is the intermediate cache (L2 or LLC) on two-level flows.
+	via nid
 	// dir is the pre-chosen directory for the miss/write path.
-	dir noc.NodeID
+	dir nid
 }
 
 // PhaseParams is the per-quadrant behavioural parameter set active during the
@@ -95,13 +100,14 @@ func (s *System) take(m *noc.Message) (p pkt, ok bool) {
 	return *box, true
 }
 
-// timedMsg is a bank reply awaiting its service latency.
+// timedMsg is a bank reply awaiting its service latency: 32 bytes, so a
+// bank's queue grows by two replies a cache line.
 type timedMsg struct {
 	ready int64
-	to    noc.NodeID
+	to    nid
 	class noc.Class
 	typ   noc.MsgType
-	flits int
+	flits uint8
 	p     pkt
 }
 
@@ -150,7 +156,7 @@ func newBank(sys *System, node *noc.Node, label string, quad *Quadrant) *Bank {
 	return b
 }
 
-func (b *Bank) reply(now int64, to noc.NodeID, class noc.Class, typ noc.MsgType, flits int, p pkt) {
+func (b *Bank) reply(now int64, to nid, class noc.Class, typ noc.MsgType, flits uint8, p pkt) {
 	if len(b.queue) == 0 {
 		b.sys.busy[b.idx>>6] |= 1 << (uint(b.idx) & 63) // empty -> non-empty
 	} else if len(b.queue) == cap(b.queue) && b.head*2 >= len(b.queue) {
@@ -177,10 +183,10 @@ func (b *Bank) sink(now int64, m *noc.Message) {
 			return
 		}
 		b.reply(now, p.dir, ClassMemReq, noc.TypeRequest, ReqFlits,
-			pkt{kind: opMemRead, requester: p.requester, via: b.Node.ID})
+			pkt{kind: opMemRead, requester: p.requester, via: nid(b.Node.ID)})
 	case opGPUWrite: // at L2: write-through to memory, ack the CU
 		b.reply(now, p.dir, ClassMemReq, noc.TypeRequest, DataFlits,
-			pkt{kind: opMemWrite, requester: p.requester, via: b.Node.ID})
+			pkt{kind: opMemWrite, requester: p.requester, via: nid(b.Node.ID)})
 		b.reply(now, p.requester, ClassGPUResp, noc.TypeResponse, ReqFlits,
 			pkt{kind: opWriteAck, requester: p.requester})
 	case opIFetch: // at L1I
@@ -208,7 +214,7 @@ func (b *Bank) sink(now int64, m *noc.Message) {
 			return
 		}
 		b.reply(now, p.dir, ClassMemReq, noc.TypeRequest, ReqFlits,
-			pkt{kind: opMemRead, requester: p.requester, via: b.Node.ID})
+			pkt{kind: opMemRead, requester: p.requester, via: nid(b.Node.ID)})
 	default:
 		panic(fmt.Sprintf("apu: %s bank cannot handle op %d", b.Label, p.kind))
 	}
@@ -221,7 +227,7 @@ func (b *Bank) Tick(now int64) {
 	for sent := 0; sent < bankRepliesPerCycle && b.head < len(b.queue) && b.queue[b.head].ready <= now; sent++ {
 		t := b.queue[b.head]
 		b.head++
-		b.sys.send(b.Node, t.to, t.class, t.typ, t.flits, t.p)
+		b.sys.send(b.Node, noc.NodeID(t.to), t.class, t.typ, int(t.flits), t.p)
 	}
 	if b.head == len(b.queue) {
 		b.queue, b.head = b.queue[:0], 0
@@ -343,7 +349,7 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 				flits = DataFlits
 			}
 			c.sys.send(c.Node, op.l2.Node.ID, ClassGPUReq, noc.TypeRequest, flits,
-				pkt{kind: op.kind, requester: c.Node.ID, hit: op.hit, dir: op.dir.Node.ID})
+				pkt{kind: op.kind, requester: nid(c.Node.ID), hit: op.hit, dir: nid(op.dir.Node.ID)})
 			c.Outstanding++
 		}
 		c.hasPending = false
@@ -357,12 +363,12 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 	dir := c.sys.Dirs[c.cycRNG.Intn(len(c.sys.Dirs))]
 	if fIF < ifetchRate {
 		c.sys.send(c.Node, c.l1i.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-			pkt{kind: opIFetch, requester: c.Node.ID})
+			pkt{kind: opIFetch, requester: nid(c.Node.ID)})
 	}
 	if fCoh < params.CoherenceRate {
 		// A directory probes this CU; the CU acks on receipt.
 		c.sys.send(dir.Node, c.Node.ID, ClassCoh, noc.TypeCoherence, ReqFlits,
-			pkt{kind: opCohProbe, requester: dir.Node.ID})
+			pkt{kind: opCohProbe, requester: nid(dir.Node.ID)})
 	}
 }
 
@@ -389,7 +395,7 @@ func (c *CU) sink(now int64, m *noc.Message) {
 		}
 	case opCohProbe:
 		c.sys.send(c.Node, m.Src, ClassCoh, noc.TypeCoherence, ReqFlits,
-			pkt{kind: opCohAck, requester: c.Node.ID})
+			pkt{kind: opCohAck, requester: nid(c.Node.ID)})
 	}
 }
 
@@ -448,7 +454,7 @@ func (c *CPU) Tick(now int64, params *PhaseParams) {
 	hit := c.opRNG.Float64() < params.LLCHit
 	dir := c.sys.Dirs[c.opRNG.Intn(len(c.sys.Dirs))]
 	c.sys.send(c.Node, c.quad.LLC.Node.ID, ClassCPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opCPURead, requester: c.Node.ID, hit: hit, dir: dir.Node.ID})
+		pkt{kind: opCPURead, requester: nid(c.Node.ID), hit: hit, dir: nid(dir.Node.ID)})
 	c.Outstanding++
 	c.OpsRemaining--
 	c.wantIssue = false

@@ -14,6 +14,7 @@ package apu
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 
 	"mlnoc/internal/noc"
@@ -107,10 +108,10 @@ type System struct {
 
 	Quadrants [4]*Quadrant
 
-	byNode map[noc.NodeID]any // NodeID -> *CU, *Bank or *CPU
-	isL2   []bool             // by NodeID: the node is a GPU L2 bank
-	banks  []*Bank            // every bank, in AllBanks order
-	busy   []uint64           // bit i set iff banks[i] holds a queued reply
+	byNode []any    // by NodeID: the node's *CU, *Bank or *CPU
+	isL2   []bool   // by NodeID: the node is a GPU L2 bank
+	banks  []*Bank  // every bank, in AllBanks order
+	busy   []uint64 // bit i set iff banks[i] holds a queued reply
 
 	// params holds the active phase parameters per quadrant; the Runner
 	// refreshes them every cycle.
@@ -136,7 +137,6 @@ func NewSystem(cfg Config, seed int64) *System {
 		Net: noc.New(noc.Config{
 			Width: w, Height: w, VCs: NumClasses, BufferCap: cfg.BufferCap,
 		}),
-		byNode: make(map[noc.NodeID]any),
 	}
 	for q := 0; q < 4; q++ {
 		sys.Quadrants[q] = &Quadrant{Index: q}
@@ -158,7 +158,6 @@ func NewSystem(cfg Config, seed int64) *System {
 			cuNode.Sink = cu.sink
 			sys.CUs = append(sys.CUs, cu)
 			quad.CUs = append(quad.CUs, cu)
-			sys.byNode[cuNode.ID] = cu
 
 			var kind noc.DstType
 			var label string
@@ -175,7 +174,6 @@ func NewSystem(cfg Config, seed int64) *System {
 			}
 			node := sys.Net.AttachNode(x, y, noc.PortMem, kind, label)
 			bank := newBank(sys, node, label, quad)
-			sys.byNode[node.ID] = bank
 			switch label {
 			case "Dir":
 				sys.Dirs = append(sys.Dirs, bank)
@@ -207,8 +205,6 @@ func NewSystem(cfg Config, seed int64) *System {
 		cpu.rateRNG, cpu.opRNG = rand.New(&cpu.rateSrc), rand.New(&cpu.opSrc)
 		cpuNode.Sink = cpu.sink
 		llc := newBank(sys, llcNode, "LLC", quad)
-		sys.byNode[cpuNode.ID] = cpu
-		sys.byNode[llcNode.ID] = llc
 		quad.CPU, quad.LLC = cpu, llc
 		sys.CPUs = append(sys.CPUs, cpu)
 		sys.LLCs = append(sys.LLCs, llc)
@@ -222,7 +218,11 @@ func NewSystem(cfg Config, seed int64) *System {
 		}
 	}
 
-	sys.isL2 = make([]bool, len(sys.Net.Nodes()))
+	nodes := len(sys.Net.Nodes())
+	if nodes > math.MaxInt32 {
+		panic(fmt.Sprintf("apu: %d nodes do not fit the protocol records' 32-bit node IDs", nodes))
+	}
+	sys.isL2 = make([]bool, nodes)
 	for _, b := range sys.L2s {
 		sys.isL2[b.Node.ID] = true
 	}
@@ -231,8 +231,16 @@ func NewSystem(cfg Config, seed int64) *System {
 	sys.banks = append(sys.banks, sys.L1Is...)
 	sys.banks = append(sys.banks, sys.Dirs...)
 	sys.banks = append(sys.banks, sys.LLCs...)
+	sys.byNode = make([]any, nodes)
 	for i, b := range sys.banks {
 		b.idx = i
+		sys.byNode[b.Node.ID] = b
+	}
+	for _, cu := range sys.CUs {
+		sys.byNode[cu.Node.ID] = cu
+	}
+	for _, cpu := range sys.CPUs {
+		sys.byNode[cpu.Node.ID] = cpu
 	}
 	sys.busy = make([]uint64, (len(sys.banks)+63)/64)
 	return sys
@@ -244,7 +252,12 @@ func (s *System) AllBanks() []*Bank { return append([]*Bank(nil), s.banks...) }
 
 // Endpoint returns the protocol endpoint (*CU, *Bank or *CPU) attached as the
 // given node, or nil.
-func (s *System) Endpoint(id noc.NodeID) any { return s.byNode[id] }
+func (s *System) Endpoint(id noc.NodeID) any {
+	if uint(id) >= uint(len(s.byNode)) {
+		return nil
+	}
+	return s.byNode[id]
+}
 
 // quadrantOf maps a tile coordinate to its quadrant index:
 // 0 = top-left, 1 = top-right, 2 = bottom-left, 3 = bottom-right.

@@ -7,7 +7,7 @@ package noc
 //
 //   - actR bit r is set iff router r holds a buffered message (occ != 0). It
 //     changes only on the 0<->nonzero transitions of Router.occ inside
-//     Buffer.push/pop/syncOcc, so it is never stale. A router with occ == 0
+//     Router.push/pop/filter, so it is never stale. A router with occ == 0
 //     has no head to route, evict or grant.
 //   - actN bit n is set iff node n has a pending injection (Node.Inject and
 //     Node.dequeue).
@@ -25,7 +25,7 @@ func (n *Network) ActiveRouters() int { return n.actRCount }
 
 // activateRouter and deactivateRouter maintain the router-activity bitmap and
 // its population count. They are called exactly on the 0<->nonzero
-// transitions of r.occ (Buffer push/pop/syncOcc), so the count never drifts.
+// transitions of r.occ (Router push/pop/filter), so the count never drifts.
 func (n *Network) activateRouter(r *Router) {
 	n.actR[r.actWord] |= r.actMask
 	n.actRCount++

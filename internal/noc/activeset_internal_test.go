@@ -114,7 +114,7 @@ func checkBitmaps(t testing.TB, net *Network, when string) {
 // TestActiveSetBitmapInvariants fuzzes a small faulted mesh — random
 // injections, link kills and repairs, wholesale requeues — and
 // recomputes every activity bitmap brute-force after each step. This is the
-// safety net for the incremental maintenance in Buffer.push/pop/syncOcc,
+// safety net for the incremental maintenance in Router.push/pop/filter,
 // Node.Inject/dequeue and the fault transitions.
 func TestActiveSetBitmapInvariants(t *testing.T) {
 	net, nodes := BuildMeshCores(Config{Width: 4, Height: 4, VCs: 2, BufferCap: 2})

@@ -13,9 +13,13 @@ import (
 // non-stale head in exactly the want mask of its cached port, and that port
 // equal to a fresh Route verdict under the current fault state (Route may
 // write only the message, idempotently: the Routing contract); outs bit o set
-// exactly when want[o] is non-zero.
+// exactly when want[o] is non-zero. It also walks the lists Message.next
+// threads: each buffer's list holds Len() messages and ends at its tail, no
+// message sits in two lists or in a list and the freelist, and a message
+// waiting at a node links to nothing.
 func checkArbState(t testing.TB, net *Network, when string) {
 	t.Helper()
+	checkLists(t, net, when)
 	for _, r := range net.routers {
 		var occ, full, wantAny uint64
 		for out := range r.want {
@@ -31,10 +35,7 @@ func checkArbState(t testing.TB, net *Network, when string) {
 			for vc := range r.in[p] {
 				buf := &r.in[p][vc]
 				bit := uint64(1) << uint(int(p)*net.cfg.VCs+vc)
-				if buf.owner != r || 1<<buf.bit != bit {
-					t.Fatalf("%s: router %d buffer (%s,%d) is wired to bit %d of %v", when, r.id, p, vc, buf.bit, buf.owner)
-				}
-				if !buf.Free() {
+				if buf.Len()+int(buf.reserved) >= net.cfg.BufferCap {
 					full |= bit
 				}
 				if buf.Len() == 0 {
@@ -44,11 +45,12 @@ func checkArbState(t testing.TB, net *Network, when string) {
 				if r.stale&bit != 0 {
 					continue
 				}
-				if r.want[buf.route]&bit == 0 {
-					t.Fatalf("%s: router %d head (%s,%d) cached port %d but want = %b", when, r.id, p, vc, buf.route, r.want)
+				route := buf.head.route
+				if route < 0 || route >= MaxPorts || r.want[route]&bit == 0 {
+					t.Fatalf("%s: router %d head (%s,%d) cached port %d but want = %b", when, r.id, p, vc, route, r.want)
 				}
-				if fresh := r.Route(buf.Head()); fresh != PortID(buf.route) {
-					t.Fatalf("%s: router %d head %s cached port %s, fresh verdict %s", when, r.id, buf.Head(), PortID(buf.route), fresh)
+				if fresh := r.Route(buf.Head()); fresh != PortID(route) {
+					t.Fatalf("%s: router %d head %s cached port %s, fresh verdict %s", when, r.id, buf.Head(), PortID(route), fresh)
 				}
 			}
 		}
@@ -67,9 +69,63 @@ func checkArbState(t testing.TB, net *Network, when string) {
 	}
 }
 
+// listPlace is where checkLists found a linked message: buffer (p, vc) of r,
+// or the freelist (r == nil).
+type listPlace struct {
+	r  *Router
+	p  PortID
+	vc int
+}
+
+// checkLists walks the freelist and every input buffer's list from its head.
+// It fails when a list's length is not the buffer's Len(), when its last
+// message is not its tail, when a message is reached twice (two lists, a list
+// and the freelist, or a cycle), or when a message queued at a node has a
+// successor.
+func checkLists(t testing.TB, net *Network, when string) {
+	t.Helper()
+	where := map[*Message]listPlace{}
+	visit := func(m *Message, at listPlace) {
+		if prev, dup := where[m]; dup {
+			t.Fatalf("%s: %s reached in %+v and again in %+v", when, m, prev, at)
+		}
+		where[m] = at
+	}
+	for m := net.free; m != nil; m = m.next {
+		visit(m, listPlace{})
+	}
+	for _, r := range net.routers {
+		for p := PortID(0); p < MaxPorts; p++ {
+			for vc := range r.in[p] {
+				buf := &r.in[p][vc]
+				at := listPlace{r, p, vc}
+				var last *Message
+				k := 0
+				for m := buf.head; m != nil; m = m.next {
+					visit(m, at)
+					last = m
+					k++
+				}
+				if k != buf.Len() || buf.tail != last {
+					t.Fatalf("%s: router %d buffer (%s,%d) lists %d messages ending at %v, Len %d, tail %v",
+						when, r.id, p, vc, k, last, buf.Len(), buf.tail)
+				}
+			}
+		}
+	}
+	for _, nd := range net.nodes {
+		for _, m := range nd.injectQ[nd.injectHead:] {
+			if m.next != nil {
+				t.Fatalf("%s: %s queued at %s links to %s", when, m, nd, m.next)
+			}
+		}
+	}
+}
+
 // checkDeliveries recounts the delivery store from the wheel: each wheel
 // slot's list ends at its tail and lists only taken output slots, none twice;
-// every listed delivery crosses its output's link (into the peer router's
+// every listed message links to nothing (Message.next) and every listed
+// delivery crosses its output's link (into the peer router's
 // opposite input buffer, or to the attached node) and lands in its slot's
 // cycle, the cycle its output stops serializing; every taken slot is listed,
 // and the lists hold pending deliveries in all.
@@ -87,11 +143,14 @@ func checkDeliveries(t testing.TB, net *Network, when string) {
 			}
 			listed[i] = true
 			count++
+			if d.msg.next != nil {
+				t.Fatalf("%s: %s in flight on output %s of %s links to %s", when, d.msg, out, r, d.msg.next)
+			}
 			if next := r.peerRouter[out]; next != nil {
-				if d.buf != &next.in[out.Opposite()][d.msg.Class] || d.node != nil {
+				if d.to != next || d.node != nil {
 					t.Fatalf("%s: %s on output %s of %s lands off its link", when, d.msg, out, r)
 				}
-			} else if d.buf != nil || d.node != r.peerNode[out] {
+			} else if d.to != nil || d.node != r.peerNode[out] {
 				t.Fatalf("%s: %s ejects through output %s of %s to %v", when, d.msg, out, r, d.node)
 			}
 			ahead := r.outBusyUntil[out] - net.cycle

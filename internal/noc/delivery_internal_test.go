@@ -8,8 +8,9 @@ import (
 )
 
 // TestDeliveryStoreFixedAtNew pins that a network's delivery storage is sized
-// by New: on a fresh network whose message freelist, buffer rings and
-// injection queues are already warm, driving the in-flight deliveries up to
+// by New: on a fresh network whose message freelist and injection queues are
+// already warm (input buffers are lists through the messages and never
+// allocate), driving the in-flight deliveries up to
 // their first peak allocates nothing. It counts the runtime's mallocs over the
 // whole climb, on one P as testing.AllocsPerRun does, because AllocsPerRun's
 // integer division hides fewer than one allocation per cycle.
@@ -18,15 +19,7 @@ func TestDeliveryStoreFixedAtNew(t *testing.T) {
 	net, nodes := BuildMeshCores(Config{Width: 8, Height: 8, VCs: 3, BufferCap: 4})
 	net.SetPolicy(orderPolicy{})
 	for i := 0; i < 64*cycles; i++ {
-		net.msgFree = append(net.msgFree, &Message{pooled: true})
-	}
-	for _, r := range net.routers {
-		for p := range r.in {
-			for vc := range r.in[p] {
-				b := &r.in[p][vc]
-				b.ring = make([]*Message, b.cap)
-			}
-		}
+		net.recycleMessage(&Message{pooled: true})
 	}
 	for _, nd := range nodes {
 		nd.injectQ = make([]*Message, 0, cycles)
@@ -102,7 +95,7 @@ func TestUnlinkKeepsGrantOrder(t *testing.T) {
 	before := wheelLists(net)
 	hop := int32(-1)
 	for i := range net.dels {
-		if net.dels[i].buf != nil {
+		if net.dels[i].to != nil {
 			hop = int32(i)
 			break
 		}
@@ -129,7 +122,7 @@ func TestUnlinkKeepsGrantOrder(t *testing.T) {
 	for s := range net.wheelHead {
 		k := 0
 		for i := net.wheelHead[s]; i >= 0; i = net.delNext[i] {
-			if net.dels[i].buf != nil {
+			if net.dels[i].to != nil {
 				if k%2 == 0 {
 					stranded[net.dels[i].msg] = true
 					slotsOf = append(slotsOf, i)

@@ -76,15 +76,15 @@ func (n *Network) requeueLink(r *Router, p PortID) int {
 			return false
 		}
 		d := &n.dels[i]
-		if d.buf != nil {
+		if d.to != nil {
 			// Undo the downstream buffer reservation and the hop count
 			// credited at grant time.
-			d.buf.unreserve()
+			d.to.unreserve(p.Opposite(), int(d.msg.Class))
 			d.msg.HopCount--
 		}
 		requeued++
 		n.fstats.Requeued++
-		r.in[p][d.msg.Class].push(n.cycle, d.msg)
+		r.push(p, int(d.msg.Class), n.cycle, d.msg)
 		if len(n.faultObs) > 0 {
 			n.observeRequeue(r, p, d.msg)
 		}
@@ -122,7 +122,7 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 	for _, r := range n.routers {
 		for p := PortID(0); p < MaxPorts; p++ {
 			for vc := range r.in[p] {
-				r.in[p][vc].filter(func(m *Message) bool {
+				r.filter(p, vc, func(m *Message) bool {
 					if strand(r, p, m) {
 						reinject(r, p, m)
 						return false
@@ -137,24 +137,25 @@ func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) b
 		// channel they occupy is the one feeding that buffer. Ejections to a
 		// node always sink and are never stranded.
 		d := &n.dels[i]
-		if d.buf == nil || !strand(d.buf.owner, n.bufPort(d.buf), d.msg) {
+		if d.to == nil {
 			return false
 		}
-		d.buf.unreserve()
+		p := PortID(i % MaxPorts).Opposite()
+		if !strand(d.to, p, d.msg) {
+			return false
+		}
+		d.to.unreserve(p, int(d.msg.Class))
 		d.msg.HopCount--
-		reinject(d.buf.owner, n.bufPort(d.buf), d.msg)
+		reinject(d.to, p, d.msg)
 		return true
 	})
 	return requeued
 }
 
-// bufPort returns the input port of buffer b in its owner router.
-func (n *Network) bufPort(b *Buffer) PortID { return PortID(n.bitPort[b.bit]) }
-
-// evictHead removes buf's head message from the network with an unreachable
-// verdict at router r, counting and reporting it.
-func (n *Network) evictHead(r *Router, buf *Buffer) {
-	m := buf.pop()
+// evictHead removes the head message of input buffer in[p][vc] of router r
+// from the network with an unreachable verdict, counting and reporting it.
+func (n *Network) evictHead(r *Router, p PortID, vc int) {
+	m := r.pop(p, vc)
 	n.fstats.Unreachable++
 	n.inflightCount--
 	n.inflightBase -= m.InjectCycle

@@ -87,7 +87,7 @@ type Message struct {
 
 	// dstPort, dstX and dstY are the destination node's attach port and
 	// router coordinate, resolved once by Node.Inject (see DstRouter). They
-	// fill the padding after DstKind, so Message stays 112 bytes.
+	// fill the padding after DstKind.
 	dstPort    int8
 	dstX, dstY int16
 
@@ -132,6 +132,18 @@ type Message struct {
 	// pooled marks messages obtained from Network.AllocMessage; the engine
 	// returns them to the freelist after delivery or eviction.
 	pooled bool
+
+	// route is the output port cached for the message while it is the
+	// routed head of its buffer: meaningful only while the buffer's stale
+	// bit is clear (Router.want).
+	route int8
+
+	// next links the message to its successor in the one list it sits in: a
+	// router input buffer (Buffer) or the network's freelist. It is nil
+	// everywhere else — queued at a node, in flight on a link, delivered.
+	// With route, pooled and RouteBits it keeps Message at 120 bytes, the
+	// 128-byte size class.
+	next *Message
 }
 
 // GlobalAge returns the number of cycles since the message entered the

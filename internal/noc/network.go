@@ -75,11 +75,12 @@ func (s *Stats) FairnessIndex() float64 {
 	return stats.JainIndex(s.SourceMeanLatencies())
 }
 
-// delivery is a granted message crossing one output port: it lands in buf
-// (a hop) or at node (an ejection) when its serialization ends.
+// delivery is a granted message crossing one output port out: it lands in
+// router to (a hop, in input buffer in[out.Opposite()][msg.Class]) or at node
+// (an ejection) when its serialization ends.
 type delivery struct {
 	msg  *Message
-	buf  *Buffer // input buffer a hop lands in, nil for ejection
+	to   *Router // router a hop lands in, nil for ejection
 	node *Node   // ejection target, nil for a hop
 }
 
@@ -174,8 +175,12 @@ type Network struct {
 	// candArena backs the candidate lists of a router's turn.
 	candArena []Candidate
 
-	// msgFree recycles delivered/evicted pooled messages (AllocMessage).
-	msgFree []*Message
+	// bufCap is every input buffer's capacity (Config.BufferCap).
+	bufCap int32
+
+	// free is the freelist of delivered/evicted pooled messages
+	// (AllocMessage), linked through Message.next.
+	free *Message
 }
 
 // New creates an empty W x H mesh with no nodes attached. Use AttachNode (or
@@ -199,6 +204,7 @@ func New(cfg Config) *Network {
 		vcMask:     1<<cfg.VCs - 1,
 		candArena:  make([]Candidate, 0, MaxPorts*cfg.VCs),
 		reqScratch: make([]Request, 0, MaxPorts),
+		bufCap:     int32(min(cfg.BufferCap, math.MaxInt32)),
 	}
 	for s := range n.wheelHead {
 		n.wheelHead[s], n.wheelTail[s] = -1, -1
@@ -254,9 +260,8 @@ func (n *Network) allocPortBuffers(r *Router, p PortID) {
 		return
 	}
 	bufs := make([]Buffer, n.cfg.VCs)
-	capacity := int32(min(n.cfg.BufferCap, math.MaxInt32)) // no ring holds more
 	for vc := range bufs {
-		bufs[vc] = Buffer{cap: capacity, lastArr: -1, owner: r, bit: uint8(int(p)*n.cfg.VCs + vc)}
+		bufs[vc].lastArr = -1
 	}
 	r.in[p] = bufs
 	r.nPorts++
@@ -408,21 +413,21 @@ func (n *Network) LinkUtilization() float64 { return n.lastUtil }
 // pointer past that point. Traffic generators and protocol layers use this
 // to make steady-state injection allocation-free.
 func (n *Network) AllocMessage() *Message {
-	if k := len(n.msgFree); k > 0 {
-		m := n.msgFree[k-1]
-		n.msgFree = n.msgFree[:k-1]
+	if m := n.free; m != nil {
+		n.free = m.next
 		*m = Message{pooled: true}
 		return m
 	}
 	return &Message{pooled: true}
 }
 
-// recycleMessage returns a pooled message to the freelist. Messages built
-// with plain &Message{} literals are left alone: the engine cannot know who
-// still references them.
+// recycleMessage pushes a pooled message onto the freelist; it is in no
+// buffer, so its link is free. Messages built with plain &Message{} literals
+// are left alone: the engine cannot know who still references them.
 func (n *Network) recycleMessage(m *Message) {
 	if m.pooled {
-		n.msgFree = append(n.msgFree, m)
+		m.next = n.free
+		n.free = m
 	}
 }
 
@@ -529,13 +534,15 @@ func (n *Network) deliver() {
 		// not wait on it after them.
 		d, next := dels[i], delNext[i]
 		dels[i].msg = nil
+		out := PortID(i % MaxPorts)
 		i = next
 		n.pending--
-		if d.buf != nil {
+		if d.to != nil {
 			// The reserved slot becomes a queued message: len+reserved, and
 			// with it the buffer's full bit, does not change.
-			d.buf.reserved--
-			d.buf.push(n.cycle, d.msg)
+			p, vc := out.Opposite(), int(d.msg.Class)
+			d.to.in[p][vc].reserved--
+			d.to.push(p, vc, n.cycle, d.msg)
 			continue
 		}
 		// Ejection at destination node.
@@ -619,15 +626,14 @@ func (n *Network) injectFrom(node *Node) {
 		panic(fmt.Sprintf("noc: %s has class %d but network has %d VCs",
 			m, m.Class, n.cfg.VCs))
 	}
-	buf := &node.Router.in[node.Port][m.Class]
-	if !buf.Free() {
+	if !node.Router.in[node.Port][m.Class].free(n.bufCap) {
 		return
 	}
 	node.dequeue()
 
 	m.InjectCycle = n.cycle
 	m.HopCount = 0
-	buf.push(n.cycle, m)
+	node.Router.push(node.Port, int(m.Class), n.cycle, m)
 
 	n.stats.Injected++
 	n.inflightCount++
@@ -639,7 +645,7 @@ func (n *Network) injectFrom(node *Node) {
 }
 
 // routeHeads brings router r's cached routes up to date: every stale head is
-// routed once, its output port cached in its Buffer and its bit moved from
+// routed once, its output port cached in the message and its bit moved from
 // r.stale to r.want[out], in ascending (port, VC) order. A head with an
 // unreachable verdict is evicted on the spot — popped, counted and reported —
 // and its successor routed in its place. A verdict naming a port r lacks is a
@@ -648,12 +654,13 @@ func (n *Network) injectFrom(node *Node) {
 func (n *Network) routeHeads(r *Router) {
 	for mask := r.stale; mask != 0; mask &= mask - 1 {
 		bit := bits.TrailingZeros64(mask)
-		p := n.bitPort[bit]
-		buf := &r.in[p][bit-int(p)*n.cfg.VCs]
+		p := PortID(n.bitPort[bit])
+		vc := bit - int(p)*n.cfg.VCs
+		buf := &r.in[p][vc]
 		for buf.n > 0 {
-			out := r.Route(buf.ring[buf.head])
+			out := r.Route(buf.head)
 			if out == RouteUnreachable {
-				n.evictHead(r, buf)
+				n.evictHead(r, p, vc)
 				continue
 			}
 			if uint(out) >= MaxPorts || !r.HasPort(out) {
@@ -664,7 +671,7 @@ func (n *Network) routeHeads(r *Router) {
 				panic(fmt.Sprintf("noc: routing %s sent %s to unconnected output %s of %s",
 					name, buf.Head(), out, r))
 			}
-			buf.route = int8(out)
+			buf.head.route = int8(out)
 			r.want[out] |= 1 << bit
 			r.outs |= 1 << out
 			r.stale &^= 1 << bit
@@ -713,17 +720,16 @@ func (n *Network) appendHeads(dst []Candidate, r *Router, mask uint64) []Candida
 		bit := bits.TrailingZeros64(mask)
 		p := n.bitPort[bit]
 		vc := bit - int(p)*vcs
-		buf := &r.in[p][vc]
-		dst = append(dst, Candidate{Port: PortID(p), VC: vc, Msg: buf.ring[buf.head]})
+		dst = append(dst, Candidate{Port: PortID(p), VC: vc, Msg: r.in[p][vc].head})
 	}
 	return dst
 }
 
 func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
-	m := r.in[c.Port][c.VC].pop()
-	if m != c.Msg {
+	if r.in[c.Port][c.VC].head != c.Msg {
 		panic("noc: granted candidate is no longer at its buffer head")
 	}
+	m := r.pop(c.Port, c.VC)
 	r.outBusyUntil[out] = n.cycle + int64(m.SizeFlits)
 	r.inGrantedAt[c.Port] = n.cycle
 	// Without an installed Routing the granted port is the X-Y port.
@@ -736,10 +742,9 @@ func (n *Network) applyGrant(r *Router, out PortID, c Candidate) {
 	}
 
 	d := delivery{msg: m}
-	if next := r.peerRouter[out]; next != nil {
+	if d.to = r.peerRouter[out]; d.to != nil {
 		m.HopCount++
-		d.buf = &next.in[out.Opposite()][c.VC]
-		d.buf.reserve()
+		d.to.reserve(out.Opposite(), c.VC)
 	} else if d.node = r.peerNode[out]; d.node == nil {
 		panic(fmt.Sprintf("noc: grant to unconnected output %s of %s", out, r))
 	} else if m.Dst != d.node.ID {

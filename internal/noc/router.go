@@ -2,60 +2,50 @@ package noc
 
 import "fmt"
 
-// Buffer is one virtual-channel input FIFO of a router port: a ring holding
-// n messages from ring[head] on, wrapping at the end of ring.
+// Buffer is one virtual-channel input FIFO of a router port: its n queued
+// messages linked from head to tail through Message.next, the link the
+// network's message freelist also threads (a message is in at most one of
+// the two). The buffer keeps no back-pointer: its router, port and VC are
+// known to every caller (a message's VC is its Class), and its capacity is
+// the network's.
 type Buffer struct {
-	ring     []*Message
-	head, n  int32
-	reserved int32 // slots reserved by in-flight granted messages
-	cap      int32
-	lastArr  int64 // cycle of the most recent arrival, -1 if none
-
-	// owner/bit wire the buffer into its router's arbitration state (occ,
-	// stale, want, full): the buffer is bit port*VCs+vc of each mask.
-	owner *Router
-	bit   uint8
-	// route is the output port cached for the head message; meaningful only
-	// while the buffer's stale bit is clear.
-	route int8
+	head, tail *Message
+	n          int32
+	reserved   int32 // slots reserved by in-flight granted messages
+	lastArr    int64 // cycle of the most recent arrival, -1 if none
 }
 
 // Len returns the number of messages queued in the buffer.
 func (b *Buffer) Len() int { return int(b.n) }
 
 // Head returns the message at the head of the buffer, or nil if empty.
-func (b *Buffer) Head() *Message {
-	if b.n == 0 {
-		return nil
-	}
-	return b.ring[b.head]
-}
+func (b *Buffer) Head() *Message { return b.head }
 
-// Free reports whether the buffer can accept one more message, counting
-// reservations made for messages currently in flight toward it.
-func (b *Buffer) Free() bool { return b.n+b.reserved < b.cap }
-
-// At returns the i-th queued message (0 is the head).
+// At returns the i-th queued message (0 is the head), walking the queue.
 func (b *Buffer) At(i int) *Message {
 	if uint(i) >= uint(b.n) {
 		panic(fmt.Sprintf("noc: Buffer.At(%d) of %d queued messages", i, b.n))
 	}
-	return b.ring[b.slot(i)]
-}
-
-// Cap returns the buffer capacity in messages.
-func (b *Buffer) Cap() int { return int(b.cap) }
-
-// slot returns the ring index of the i-th queued message, i <= n.
-func (b *Buffer) slot(i int) int {
-	s := int(b.head) + i
-	if s >= len(b.ring) {
-		s -= len(b.ring)
+	m := b.head
+	for ; i > 0; i-- {
+		m = m.next
 	}
-	return s
+	return m
 }
 
-func (b *Buffer) push(now int64, m *Message) {
+// free reports whether the buffer can accept one more message, counting
+// reservations made for messages currently in flight toward it.
+func (b *Buffer) free(capacity int32) bool { return b.n+b.reserved < capacity }
+
+// bufBit returns the bit of input buffer in[p][vc] in r's arbitration masks.
+func (r *Router) bufBit(p PortID, vc int) uint64 {
+	return 1 << (uint(p)*uint(r.net.cfg.VCs) + uint(vc))
+}
+
+// push appends m to input buffer in[p][vc] of r, stamping its arrival, and
+// keeps r's arbitration bits and activity current. m must be in no list.
+func (r *Router) push(p PortID, vc int, now int64, m *Message) {
+	b := &r.in[p][vc]
 	if b.lastArr >= 0 {
 		m.ArrivalGap = now - b.lastArr
 	} else {
@@ -63,107 +53,107 @@ func (b *Buffer) push(now int64, m *Message) {
 	}
 	b.lastArr = now
 	m.ArrivalCycle = now
-	if int(b.n) == len(b.ring) {
-		// Full ring (requeueLink may overfill past cap): double it from one
-		// slot, as append would grow a slice, and unwrap it to start at 0.
-		ring := make([]*Message, max(1, 2*len(b.ring)))
-		k := copy(ring, b.ring[b.head:])
-		copy(ring[k:], b.ring[:b.head])
-		b.ring, b.head = ring, 0
+	if b.tail == nil {
+		b.head = m
+	} else {
+		b.tail.next = m
 	}
-	b.ring[b.slot(int(b.n))] = m
+	b.tail = m
 	b.n++
-	r := b.owner
+	bit := r.bufBit(p, vc)
 	if b.n == 1 {
 		if r.occ == 0 {
 			r.net.activateRouter(r)
 		}
-		r.occ |= 1 << b.bit
-		r.stale |= 1 << b.bit // m is the new head and has no route yet
+		r.occ |= bit
+		r.stale |= bit // m is the new head and has no route yet
 	}
-	if !b.Free() {
-		r.full |= 1 << b.bit
+	if !b.free(r.net.bufCap) {
+		r.full |= bit
 	}
 }
 
-func (b *Buffer) pop() *Message {
-	m := b.ring[b.head]
-	b.ring[b.head] = nil
-	b.head = int32(b.slot(1))
+// pop unlinks and returns the head of input buffer in[p][vc] of r, which
+// must be non-empty.
+func (r *Router) pop(p PortID, vc int) *Message {
+	b := &r.in[p][vc]
+	m := b.head
+	if b.head = m.next; b.head == nil {
+		b.tail = nil
+	}
+	m.next = nil
 	b.n--
-	r := b.owner
-	if r.stale&(1<<b.bit) == 0 {
-		r.unwant(b.route, 1<<b.bit)
+	bit := r.bufBit(p, vc)
+	if r.stale&bit == 0 {
+		r.unwant(m.route, bit)
 	}
 	if b.n == 0 {
-		r.stale &^= 1 << b.bit
-		r.occ &^= 1 << b.bit
+		r.stale &^= bit
+		r.occ &^= bit
 		if r.occ == 0 {
 			r.net.deactivateRouter(r)
 		}
 	} else {
-		r.stale |= 1 << b.bit // the successor is the new head
+		r.stale |= bit // the successor is the new head
 	}
-	if b.Free() {
-		r.full &^= 1 << b.bit
+	if b.free(r.net.bufCap) {
+		r.full &^= bit
 	}
 	return m
 }
 
-// reserve and unreserve claim and release one slot for a message in flight
-// toward the buffer, keeping the owner's full mask current.
-func (b *Buffer) reserve() {
-	b.reserved++
-	if !b.Free() {
-		b.owner.full |= 1 << b.bit
+// reserve and unreserve claim and release one slot of input buffer
+// in[p][vc] for a message in flight toward it, keeping r's full mask current.
+func (r *Router) reserve(p PortID, vc int) {
+	b := &r.in[p][vc]
+	if b.reserved++; !b.free(r.net.bufCap) {
+		r.full |= r.bufBit(p, vc)
 	}
 }
 
-func (b *Buffer) unreserve() {
-	b.reserved--
-	if b.Free() {
-		b.owner.full &^= 1 << b.bit
+func (r *Router) unreserve(p PortID, vc int) {
+	b := &r.in[p][vc]
+	if b.reserved--; b.free(r.net.bufCap) {
+		r.full &^= r.bufBit(p, vc)
 	}
 }
 
-// filter keeps, in order, the queued messages keep accepts, compacting the
-// ring in place across its wrap point, and re-derives the buffer's
-// arbitration bits (syncOcc). keep may have side effects but must not touch
-// the buffer.
-func (b *Buffer) filter(keep func(*Message) bool) {
-	k := 0
-	for i := 0; i < int(b.n); i++ {
-		if m := b.ring[b.slot(i)]; keep(m) {
-			b.ring[b.slot(k)] = m
+// filter keeps, in order, the messages of input buffer in[p][vc] that keep
+// accepts, unlinking the others, and re-derives the buffer's arbitration
+// bits: any message may now be the head, so a non-empty buffer is marked
+// stale. keep may have side effects but must not touch the buffer.
+func (r *Router) filter(p PortID, vc int, keep func(*Message) bool) {
+	b := &r.in[p][vc]
+	bit := r.bufBit(p, vc)
+	was := r.occ
+	if was&bit != 0 && r.stale&bit == 0 {
+		r.unwant(b.head.route, bit)
+	}
+	var head, tail *Message
+	k := int32(0)
+	for m := b.head; m != nil; {
+		next := m.next
+		m.next = nil
+		if keep(m) {
+			if tail == nil {
+				head = m
+			} else {
+				tail.next = m
+			}
+			tail = m
 			k++
 		}
+		m = next
 	}
-	for i := k; i < int(b.n); i++ {
-		b.ring[b.slot(i)] = nil
-	}
-	b.n = int32(k)
-	b.syncOcc()
-}
-
-// syncOcc re-derives the buffer's bits in its router's arbitration state from
-// the queue. Code that rewrites the ring wholesale (instead of going through
-// push/pop) must call it afterwards; any message may now be the head, so the
-// head is marked stale.
-func (b *Buffer) syncOcc() {
-	r := b.owner
-	bit := uint64(1) << b.bit
-	was := r.occ
-	if r.stale&bit == 0 {
-		r.unwant(b.route, bit)
-	}
+	b.head, b.tail, b.n = head, tail, k
 	r.occ &^= bit
 	r.stale &^= bit
 	r.full &^= bit
-	if b.n != 0 {
+	if k != 0 {
 		r.occ |= bit
 		r.stale |= bit
 	}
-	if !b.Free() {
+	if !b.free(r.net.bufCap) {
 		r.full |= bit
 	}
 	if was == 0 && r.occ != 0 {
@@ -205,13 +195,14 @@ type Router struct {
 	linkDown [MaxPorts]bool
 
 	// Arbitration state, one bit p*VCs+vc per input buffer in[p][vc] (hence
-	// MaxVCs), kept current by Buffer push/pop/reserve/unreserve/syncOcc and
+	// MaxVCs), kept current by push/pop/reserve/unreserve/filter above and
 	// by routeHeads (network.go), so that arbitration reads facts instead of
 	// re-deriving them per head per cycle:
 	//
 	//   occ      the buffer is non-empty
 	//   stale    it is non-empty and its head has no cached route yet
-	//   want[o]  its head's cached route is output port o (never also stale)
+	//   want[o]  its head's cached route (Message.route) is output port o
+	//            (never also stale)
 	//   full     it cannot take another message (len + reserved >= cap)
 	//
 	// and, one bit per output port, outs: bit o is set iff want[o] != 0, the
@@ -222,7 +213,7 @@ type Router struct {
 
 	// actWord/actMask locate this router's bit in the network-level activity
 	// bitmap (actWord = id/64, actMask = 1<<(id%64)), precomputed so the occ
-	// 0<->nonzero transitions in Buffer push/pop cost two loads and an OR
+	// 0<->nonzero transitions in push/pop cost two loads and an OR
 	// instead of two shifts.
 	actWord int
 	actMask uint64

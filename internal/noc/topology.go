@@ -55,17 +55,13 @@ func (p PortID) IsDirection() bool { return p >= PortNorth && p <= PortEast }
 // holds on torus wraparound links too: the east port of the last column feeds
 // the west port of column zero, exactly as on an interior link.
 func (p PortID) Opposite() PortID {
-	switch p {
-	case PortNorth:
-		return PortSouth
-	case PortSouth:
-		return PortNorth
-	case PortWest:
-		return PortEast
-	case PortEast:
-		return PortWest
+	if !p.IsDirection() {
+		panic("noc: Opposite of non-direction port " + p.String())
 	}
-	panic("noc: Opposite of non-direction port " + p.String())
+	// The pairs are (north, south) and (west, east), each starting at an
+	// even port: flipping the low bit turns a port around without a branch
+	// on which port it is.
+	return p ^ 1
 }
 
 // Coord is a router coordinate in the mesh. X grows eastward (columns), Y

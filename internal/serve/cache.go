@@ -1,7 +1,10 @@
 package serve
 
 import (
+	"bytes"
 	"container/list"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"sync"
@@ -14,9 +17,12 @@ import (
 // not an approximation.
 //
 // With a spill directory configured every payload is also written to
-// <dir>/<hash>.json (hashes are hex, so the name is filesystem-safe); an
+// <dir>/<hash>.spill (hashes are hex, so the name is filesystem-safe); an
 // entry evicted from memory is then still served from disk, and a restarted
-// daemon warms up from the artifacts of its previous life.
+// daemon warms up from the artifacts of its previous life. A spill file is
+// framed (see spillFrame) and written to a temporary name, then renamed into
+// place, so a reader sees a whole entry or none; a file that fails its frame
+// (cut short, corrupted) is a miss, removed and counted in rejects.
 type cache struct {
 	mu        sync.Mutex
 	max       int
@@ -27,6 +33,39 @@ type cache struct {
 	misses    int64
 	evictions int64
 	spills    int64
+	rejects   int64
+}
+
+// A spill file is a 16-byte header, then the payload: the magic, the
+// payload's length (uint64, little-endian) and its CRC-32C (uint32,
+// little-endian).
+var spillMagic = [4]byte{'m', 'l', 's', '1'}
+
+const spillHeader = 16
+
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// spillFrame returns payload framed for a spill file.
+func spillFrame(payload []byte) []byte {
+	buf := make([]byte, spillHeader, spillHeader+len(payload))
+	copy(buf, spillMagic[:])
+	binary.LittleEndian.PutUint64(buf[4:], uint64(len(payload)))
+	binary.LittleEndian.PutUint32(buf[12:], crc32.Checksum(payload, castagnoli))
+	return append(buf, payload...)
+}
+
+// spillPayload returns the payload of a spill file's bytes, or false when
+// they are not one whole, intact frame.
+func spillPayload(file []byte) ([]byte, bool) {
+	if len(file) < spillHeader || !bytes.Equal(file[:4], spillMagic[:]) {
+		return nil, false
+	}
+	payload := file[spillHeader:]
+	if binary.LittleEndian.Uint64(file[4:]) != uint64(len(payload)) ||
+		binary.LittleEndian.Uint32(file[12:]) != crc32.Checksum(payload, castagnoli) {
+		return nil, false
+	}
+	return payload, true
 }
 
 type cacheEntry struct {
@@ -57,12 +96,18 @@ func (c *cache) Get(hash string) ([]byte, bool) {
 	c.mu.Unlock()
 
 	if c.dir != "" {
-		if payload, err := os.ReadFile(c.spillPath(hash)); err == nil {
+		if file, err := os.ReadFile(c.spillPath(hash)); err == nil {
+			if payload, ok := spillPayload(file); ok {
+				c.mu.Lock()
+				c.hits++
+				c.putLocked(hash, payload)
+				c.mu.Unlock()
+				return payload, true
+			}
+			os.Remove(c.spillPath(hash))
 			c.mu.Lock()
-			c.hits++
-			c.putLocked(hash, payload)
+			c.rejects++
 			c.mu.Unlock()
-			return payload, true
 		}
 	}
 
@@ -79,13 +124,34 @@ func (c *cache) Put(hash string, payload []byte) {
 	c.mu.Lock()
 	c.putLocked(hash, payload)
 	c.mu.Unlock()
-	if c.dir != "" {
-		if os.WriteFile(c.spillPath(hash), payload, 0o644) == nil {
-			c.mu.Lock()
-			c.spills++
-			c.mu.Unlock()
-		}
+	if c.dir != "" && c.spill(hash, payload) == nil {
+		c.mu.Lock()
+		c.spills++
+		c.mu.Unlock()
 	}
+}
+
+// spill writes payload's frame to a temporary file in the spill directory,
+// syncs it and renames it over hash's spill file.
+func (c *cache) spill(hash string, payload []byte) error {
+	f, err := os.CreateTemp(c.dir, hash+".tmp*")
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(spillFrame(payload))
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), c.spillPath(hash))
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
 }
 
 func (c *cache) putLocked(hash string, payload []byte) {
@@ -113,13 +179,14 @@ func (c *cache) Stats() (hits, misses int64, entries int) {
 
 // Counters returns every cumulative counter — the /metrics bridge. Evictions
 // count in-memory LRU removals (a disk spill of the same entry may still
-// serve it later); spills count successful write-throughs to the spill dir.
-func (c *cache) Counters() (hits, misses, evictions, spills int64) {
+// serve it later); spills count successful write-throughs to the spill dir;
+// rejects count spill files removed for failing their frame.
+func (c *cache) Counters() (hits, misses, evictions, spills, rejects int64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.spills
+	return c.hits, c.misses, c.evictions, c.spills, c.rejects
 }
 
 func (c *cache) spillPath(hash string) string {
-	return filepath.Join(c.dir, hash+".json")
+	return filepath.Join(c.dir, hash+".spill")
 }

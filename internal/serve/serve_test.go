@@ -9,6 +9,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -605,6 +607,100 @@ func TestCacheDiskSpillAcrossRestart(t *testing.T) {
 	}
 	if runs.Load() != 1 {
 		t.Fatalf("runner invoked %d times across restart, want 1", runs.Load())
+	}
+}
+
+// TestCacheSpillRejectsDamagedFiles cuts one spill file to seven bytes, as a
+// kill mid-write of an unframed file would leave it, and flips a payload byte
+// of another, between two daemons. The second daemon must take both for
+// misses: remove and count them, rerun both jobs, answer each with the first
+// daemon's bytes, and spill both intact again, leaving no temporary file.
+func TestCacheSpillRejectsDamagedFiles(t *testing.T) {
+	dir := t.TempDir()
+	var runs atomic.Int64
+	specs := []string{specQuant, `{"type":"quant","seed":2}`}
+
+	s1 := New(Config{Workers: 1, CacheDir: dir, Runner: countingRunner(&runs)})
+	var first [][]byte
+	var paths []string
+	for _, spec := range specs {
+		_, doc := postJob(t, s1.Handler(), spec)
+		job := s1.lookup(doc.ID)
+		waitState(t, job, StateDone)
+		first = append(first, get(s1.Handler(), "/jobs/"+doc.ID+"/result").Body.Bytes())
+		paths = append(paths, filepath.Join(dir, job.Hash+".spill"))
+	}
+	s1.Drain()
+	cut, err := os.ReadFile(paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(paths[0], cut[:7], 0o644); err != nil {
+		t.Fatal(err)
+	}
+	flipped, err := os.ReadFile(paths[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	flipped[len(flipped)-1] ^= 0x20
+	if err := os.WriteFile(paths[1], flipped, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	s2 := New(Config{Workers: 1, CacheDir: dir, Runner: countingRunner(&runs)})
+	defer s2.Drain()
+	for i, spec := range specs {
+		code, doc := postJob(t, s2.Handler(), spec)
+		if doc.Cached {
+			t.Fatalf("spec %d: a damaged spill file was served as a cached result (code %d)", i, code)
+		}
+		waitState(t, s2.lookup(doc.ID), StateDone)
+		if got := get(s2.Handler(), "/jobs/"+doc.ID+"/result").Body.Bytes(); !bytes.Equal(got, first[i]) {
+			t.Fatalf("spec %d: rerun result %q, first daemon's %q", i, got, first[i])
+		}
+	}
+	if runs.Load() != 4 {
+		t.Fatalf("runner invoked %d times, want 4 (both jobs rerun)", runs.Load())
+	}
+	if _, _, _, _, rejects := s2.cache.Counters(); rejects != 2 {
+		t.Fatalf("%d spill rejects counted, want 2", rejects)
+	}
+	for _, path := range paths {
+		file, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := spillPayload(file); !ok {
+			t.Fatalf("%s was not spilled intact again", path)
+		}
+	}
+	if names, _ := os.ReadDir(dir); len(names) != len(paths) {
+		t.Fatalf("spill directory holds %d files, want %d", len(names), len(paths))
+	}
+}
+
+// TestSpillFrameRejectsEveryDamage holds spillPayload to the frame: the whole
+// file returns its payload, and every proper prefix and every single flipped
+// bit is refused.
+func TestSpillFrameRejectsEveryDamage(t *testing.T) {
+	payload := []byte(`{"hash":"ab12","seed":7}`)
+	file := spillFrame(payload)
+	if got, ok := spillPayload(file); !ok || !bytes.Equal(got, payload) {
+		t.Fatalf("intact frame: payload %q, ok %v", got, ok)
+	}
+	for n := range file {
+		if _, ok := spillPayload(file[:n]); ok {
+			t.Fatalf("a %d-byte prefix of a %d-byte frame was accepted", n, len(file))
+		}
+	}
+	for i := range file {
+		for b := 0; b < 8; b++ {
+			bad := bytes.Clone(file)
+			bad[i] ^= 1 << b
+			if _, ok := spillPayload(bad); ok {
+				t.Fatalf("frame with bit %d of byte %d flipped was accepted", b, i)
+			}
+		}
 	}
 }
 

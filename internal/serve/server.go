@@ -29,7 +29,7 @@ type Config struct {
 	QueueDepth int
 	// CacheEntries bounds the in-memory result cache (default 128).
 	CacheEntries int
-	// CacheDir, when non-empty, spills every result to <dir>/<hash>.json and
+	// CacheDir, when non-empty, spills every result to <dir>/<hash>.spill and
 	// serves cache misses from it.
 	CacheDir string
 	// Watchdog, when positive, attaches to every job's cells a
@@ -142,13 +142,15 @@ func (s *Server) registerLiveMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("mlnoc_cache_entries", "result-cache entries resident in memory",
 		func() float64 { _, _, n := s.cache.Stats(); return float64(n) })
 	reg.CounterFunc("mlnoc_cache_hits", "result-cache hits (memory or spill dir)",
-		func() uint64 { h, _, _, _ := s.cache.Counters(); return uint64(h) })
+		func() uint64 { h, _, _, _, _ := s.cache.Counters(); return uint64(h) })
 	reg.CounterFunc("mlnoc_cache_misses", "result-cache misses",
-		func() uint64 { _, m, _, _ := s.cache.Counters(); return uint64(m) })
+		func() uint64 { _, m, _, _, _ := s.cache.Counters(); return uint64(m) })
 	reg.CounterFunc("mlnoc_cache_evictions", "result-cache in-memory LRU evictions",
-		func() uint64 { _, _, e, _ := s.cache.Counters(); return uint64(e) })
+		func() uint64 { _, _, e, _, _ := s.cache.Counters(); return uint64(e) })
 	reg.CounterFunc("mlnoc_cache_spills", "result payloads written through to the spill directory",
-		func() uint64 { _, _, _, sp := s.cache.Counters(); return uint64(sp) })
+		func() uint64 { _, _, _, sp, _ := s.cache.Counters(); return uint64(sp) })
+	reg.CounterFunc("mlnoc_cache_spill_rejects", "spill files removed for failing their length or checksum",
+		func() uint64 { _, _, _, _, r := s.cache.Counters(); return uint64(r) })
 }
 
 // runJob is the production runFunc: it attaches the job's live telemetry

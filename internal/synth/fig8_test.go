@@ -250,15 +250,27 @@ func TestNetlistBuilderBasics(t *testing.T) {
 		{false, true, false, true, true, true},
 		{true, true, true, true, false, false},
 	} {
-		out := nl.Eval(map[string]bool{"x": tc.x, "y": tc.y})
-		if out["and"] != tc.and || out["or"] != tc.or ||
-			out["xor"] != tc.xor || out["notx"] != tc.notx {
-			t.Fatalf("x=%v y=%v: got %v", tc.x, tc.y, out)
+		in := map[string]uint64{"x": bit(tc.x), "y": bit(tc.y)}
+		for _, o := range []struct {
+			name string
+			want bool
+		}{{"and", tc.and}, {"or", tc.or}, {"xor", tc.xor}, {"notx", tc.notx}} {
+			if got := nl.EvalUint(in, o.name); got != bit(o.want) {
+				t.Fatalf("x=%v y=%v: %s = %d, want %v", tc.x, tc.y, o.name, got, o.want)
+			}
 		}
 	}
 	if len(nl.InputNames()) != 2 || len(nl.OutputNames()) != 4 {
 		t.Fatal("name bookkeeping wrong")
 	}
+}
+
+// bit is b as a one-bit bus value.
+func bit(b bool) uint64 {
+	if b {
+		return 1
+	}
+	return 0
 }
 
 func TestGreaterThanExhaustive(t *testing.T) {
@@ -317,7 +329,7 @@ func TestEvalUnknownNamesPanic(t *testing.T) {
 				t.Error("unknown input accepted")
 			}
 		}()
-		nl.Eval(map[string]bool{"zzz": true})
+		nl.EvalUint(map[string]uint64{"zzz": 1}, "o")
 	}()
 	func() {
 		defer func() {

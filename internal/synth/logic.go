@@ -271,25 +271,6 @@ func (n *Netlist) InputNames() []string { return n.inOrder }
 // OutputNames returns the primary outputs in declaration order.
 func (n *Netlist) OutputNames() []string { return n.outOrder }
 
-// Eval evaluates the circuit for the given input assignment. Missing inputs
-// default to false; unknown names panic.
-func (n *Netlist) Eval(in map[string]bool) map[string]bool {
-	vals := n.values()
-	for name, v := range in {
-		ws, ok := n.ins[name]
-		if !ok || len(ws) != 1 {
-			panic("synth: unknown input " + name)
-		}
-		vals[ws[0]] = v
-	}
-	n.run(vals)
-	out := make(map[string]bool, len(n.outOrder))
-	for _, name := range n.outOrder {
-		out[name] = vals[n.outs[name][0]]
-	}
-	return out
-}
-
 // EvalUint evaluates the circuit with unsigned-integer convenience: each
 // entry of in assigns a bus ("la" -> la0..laN) or a single input, missing
 // ones reading 0, and the named output bus or single output is decoded back
