@@ -251,7 +251,7 @@ func TestProtocolFlows(t *testing.T) {
 
 	// L2 hit: CU -> L2 -> CU data.
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: true})
+		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: true}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 200 && cu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -265,7 +265,7 @@ func TestProtocolFlows(t *testing.T) {
 
 	// L2 miss: CU -> L2 -> Dir -> L2 -> CU data.
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: false, dir: nid(dir.Node.ID)})
+		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: false, dir: nid(dir.Node.ID)}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 500 && cu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -280,7 +280,7 @@ func TestProtocolFlows(t *testing.T) {
 	// Write: CU -> L2 (ack to CU) and write-through L2 -> Dir.
 	before := dir.Handled
 	sys.send(cu.Node, l2.Node.ID, ClassGPUReq, noc.TypeRequest, DataFlits,
-		pkt{kind: opGPUWrite, requester: nid(cu.Node.ID), dir: nid(dir.Node.ID)})
+		pkt{kind: opGPUWrite, requester: nid(cu.Node.ID), dir: nid(dir.Node.ID)}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 500 && (cu.Outstanding > 0 || dir.Handled == before); i++ {
 		for _, b := range sys.AllBanks() {
@@ -298,7 +298,7 @@ func TestProtocolFlows(t *testing.T) {
 	// Coherence: Dir probe -> CU ack -> Dir.
 	before = dir.Handled
 	sys.send(dir.Node, cu.Node.ID, ClassCoh, noc.TypeCoherence, ReqFlits,
-		pkt{kind: opCohProbe, requester: nid(dir.Node.ID)})
+		pkt{kind: opCohProbe, requester: nid(dir.Node.ID)}.word())
 	for i := 0; i < 500 && dir.Handled == before; i++ {
 		for _, b := range sys.AllBanks() {
 			b.Tick(sys.Net.Cycle())
@@ -312,7 +312,7 @@ func TestProtocolFlows(t *testing.T) {
 	// CPU read, LLC miss: CPU -> LLC -> Dir -> LLC -> CPU.
 	cpu := sys.Quadrants[0].CPU
 	sys.send(cpu.Node, cpu.quad.LLC.Node.ID, ClassCPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opCPURead, requester: nid(cpu.Node.ID), hit: false, dir: nid(dir.Node.ID)})
+		pkt{kind: opCPURead, requester: nid(cpu.Node.ID), hit: false, dir: nid(dir.Node.ID)}.word())
 	cpu.Outstanding = 1
 	for i := 0; i < 500 && cpu.Outstanding > 0; i++ {
 		for _, b := range sys.AllBanks() {
@@ -557,11 +557,13 @@ func TestNewRunnerDoesNotAllocateStreams(t *testing.T) {
 // TestEpisodeAllocationBudget builds a system and runs one short bfs episode
 // on it, the apu_infer benchmark's episode under global-age. Each of its 140
 // streams draws fewer than 274 times, so none allocates an xrand register,
-// the network's delivery store is sized when it is built, and a VC buffer is
-// a 32-byte list through its messages that never allocates: the episode
-// allocates about 330 KB, where 64-byte ring buffers and wide protocol
-// records made it about 480 KB, a delivery wheel grown slot by slot about
-// 575 KB and a 4.9 KB register per stream about 1 260 KB.
+// the network's delivery store and per-node tables are sized once, VC
+// buffers and node queues are lists through 96-byte messages that never
+// allocate, and a protocol payload travels packed in its message: the
+// episode allocates about 260 KB, where 120-byte messages, boxed payloads and
+// slice-backed node queues made it about 330 KB, 64-byte ring buffers and
+// wide protocol records about 480 KB, a delivery wheel grown slot by slot
+// about 575 KB and a 4.9 KB register per stream about 1 260 KB.
 func TestEpisodeAllocationBudget(t *testing.T) {
 	model, err := synfull.ByName("bfs")
 	if err != nil {
@@ -577,23 +579,44 @@ func TestEpisodeAllocationBudget(t *testing.T) {
 	if !finished {
 		t.Fatal("did not finish")
 	}
-	const budget = 400 << 10
+	const budget = 300 << 10
 	if got := after.TotalAlloc - before.TotalAlloc; got >= budget {
 		t.Errorf("one episode allocates %d KB, want under %d KB", got>>10, budget>>10)
 	}
 }
 
-// TestProtocolRecordSizes pins the records an episode allocates per protocol
-// message: a payload box in the 16-byte size class and a bank's queued reply
-// at 32 bytes, two a cache line.
+// TestProtocolRecordSizes pins a bank's queued reply at 24 bytes: its
+// payload word, the cycle it is due, and its destination, class, type and
+// size in five bytes.
 func TestProtocolRecordSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
 	}
-	if got := unsafe.Sizeof(pkt{}); got != 16 {
-		t.Errorf("unsafe.Sizeof(pkt) = %d, want 16", got)
+	if got := unsafe.Sizeof(timedMsg{}); got != 24 {
+		t.Errorf("unsafe.Sizeof(timedMsg) = %d, want 24", got)
 	}
-	if got := unsafe.Sizeof(timedMsg{}); got != 32 {
-		t.Errorf("unsafe.Sizeof(timedMsg) = %d, want 32", got)
+}
+
+// TestPayloadWordRoundTrip packs every op kind, both hit outcomes and the
+// node indices at either end of the 16-bit range into a payload word and
+// unpacks it, and checks that the zero word carries no pkt.
+func TestPayloadWordRoundTrip(t *testing.T) {
+	ids := []nid{0, 1, math.MaxUint16}
+	for kind := opGPURead; kind <= opWriteAck; kind++ {
+		for _, hit := range []bool{false, true} {
+			for _, req := range ids {
+				for _, via := range ids {
+					for _, dir := range ids {
+						p := pkt{kind: kind, hit: hit, requester: req, via: via, dir: dir}
+						if got, ok := unpack(p.word()); !ok || got != p {
+							t.Fatalf("unpack(%#x) = %+v, %v; want %+v", p.word(), got, ok, p)
+						}
+					}
+				}
+			}
+		}
+	}
+	if p, ok := unpack(0); ok {
+		t.Fatalf("unpack(0) = %+v, true; want no pkt", p)
 	}
 }

@@ -26,12 +26,13 @@ const (
 	opWriteAck               // L2 -> CU write acknowledgement
 )
 
-// nid is a noc.NodeID narrowed for the protocol records (pkt, timedMsg);
-// NewSystem checks that every node's ID fits.
-type nid int32
+// nid is a noc.NodeID narrowed to a 16-bit node index for the protocol
+// records (pkt, timedMsg); NewSystem checks that every node's ID fits.
+type nid uint16
 
-// pkt is the protocol payload; noc.Message.Payload carries a *pkt. It is
-// 16 bytes, the smallest size class that holds it.
+// pkt is the protocol payload. It travels packed into one word, the
+// message's noc.Message.Payload (see word and unpack), so a protocol message
+// carries no storage of its own.
 //
 // Hit/miss outcomes and directory targets are pre-drawn at issue time from
 // per-requester random streams and carried in the packet. This keeps the
@@ -51,6 +52,37 @@ type pkt struct {
 	dir nid
 }
 
+// The payload word a pkt packs into: bit 0 is set on every such word, so a
+// message that carries no pkt (Payload 0) is told apart; bit 1 is hit; bits
+// 8-15 are the kind; and requester, via and dir fill bits 16-31, 32-47 and
+// 48-63.
+const (
+	pktCarried = 1 << 0
+	pktHit     = 1 << 1
+)
+
+// word packs p into a payload word.
+func (p pkt) word() uint64 {
+	w := uint64(pktCarried) | uint64(p.kind)<<8 |
+		uint64(p.requester)<<16 | uint64(p.via)<<32 | uint64(p.dir)<<48
+	if p.hit {
+		w |= pktHit
+	}
+	return w
+}
+
+// unpack returns the pkt a payload word carries; ok is false for a word
+// that carries none.
+func unpack(w uint64) (p pkt, ok bool) {
+	if w&pktCarried == 0 {
+		return pkt{}, false
+	}
+	return pkt{
+		kind: opKind(w >> 8), hit: w&pktHit != 0,
+		requester: nid(w >> 16), via: nid(w >> 32), dir: nid(w >> 48),
+	}, true
+}
+
 // PhaseParams is the per-quadrant behavioural parameter set active during the
 // current workload phase; the Runner refreshes it every cycle from the
 // quadrant's synfull instance.
@@ -64,51 +96,31 @@ type PhaseParams struct {
 	LLCHit        float64
 }
 
-// send constructs and injects a protocol message at the from node. Messages
-// come from the network's freelist and their payload boxes from the system's:
-// sinks take the pkt out by value and retain neither, so both are recycled at
-// delivery.
-func (s *System) send(from *noc.Node, to noc.NodeID, class noc.Class, typ noc.MsgType, flits int, p pkt) {
+// send constructs and injects a protocol message at the from node, its
+// payload packed into the message. Messages come from the network's
+// freelist: sinks unpack the payload and do not retain the message, so it is
+// recycled at delivery.
+func (s *System) send(from *noc.Node, to noc.NodeID, class noc.Class, typ noc.MsgType, flits int, payload uint64) {
 	s.nextID++
 	m := s.Net.AllocMessage()
 	m.ID = s.nextID
 	m.Dst = to
 	m.Class = class
 	m.Type = typ
-	m.SizeFlits = flits
-	var box *pkt
-	if k := len(s.pktFree); k > 0 {
-		box = s.pktFree[k-1]
-		s.pktFree = s.pktFree[:k-1]
-	} else {
-		box = new(pkt)
-	}
-	*box = p
-	m.Payload = box
+	m.SizeFlits = int32(flits)
+	m.Payload = payload
 	from.Inject(m)
 }
 
-// take copies the protocol payload out of a delivered message and returns
-// its box to the freelist; ok is false for a message that carries none.
-func (s *System) take(m *noc.Message) (p pkt, ok bool) {
-	box, ok := m.Payload.(*pkt)
-	if !ok {
-		return pkt{}, false
-	}
-	m.Payload = nil
-	s.pktFree = append(s.pktFree, box)
-	return *box, true
-}
-
-// timedMsg is a bank reply awaiting its service latency: 32 bytes, so a
-// bank's queue grows by two replies a cache line.
+// timedMsg is a bank reply awaiting its service latency: 24 bytes, its
+// payload packed as it will travel.
 type timedMsg struct {
 	ready int64
+	p     uint64 // the payload word
 	to    nid
 	class noc.Class
 	typ   noc.MsgType
 	flits uint8
-	p     pkt
 }
 
 // bankRepliesPerCycle is every bank's reply bandwidth: the most replies a
@@ -164,14 +176,14 @@ func (b *Bank) reply(now int64, to nid, class noc.Class, typ noc.MsgType, flits 
 		b.head = 0
 	}
 	b.queue = append(b.queue, timedMsg{
-		ready: now + b.latency, to: to, class: class, typ: typ, flits: flits, p: p,
+		ready: now + b.latency, p: p.word(), to: to, class: class, typ: typ, flits: flits,
 	})
 }
 
 // sink handles a protocol message arriving at the bank.
 func (b *Bank) sink(now int64, m *noc.Message) {
 	b.Handled++
-	p, ok := b.sys.take(m)
+	p, ok := unpack(m.Payload)
 	if !ok {
 		panic(fmt.Sprintf("apu: %s bank received non-protocol %s", b.Label, m))
 	}
@@ -349,7 +361,7 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 				flits = DataFlits
 			}
 			c.sys.send(c.Node, op.l2.Node.ID, ClassGPUReq, noc.TypeRequest, flits,
-				pkt{kind: op.kind, requester: nid(c.Node.ID), hit: op.hit, dir: nid(op.dir.Node.ID)})
+				pkt{kind: op.kind, requester: nid(c.Node.ID), hit: op.hit, dir: nid(op.dir.Node.ID)}.word())
 			c.Outstanding++
 		}
 		c.hasPending = false
@@ -363,18 +375,18 @@ func (c *CU) Tick(now int64, params *PhaseParams) {
 	dir := c.sys.Dirs[c.cycRNG.Intn(len(c.sys.Dirs))]
 	if fIF < ifetchRate {
 		c.sys.send(c.Node, c.l1i.Node.ID, ClassGPUReq, noc.TypeRequest, ReqFlits,
-			pkt{kind: opIFetch, requester: nid(c.Node.ID)})
+			pkt{kind: opIFetch, requester: nid(c.Node.ID)}.word())
 	}
 	if fCoh < params.CoherenceRate {
 		// A directory probes this CU; the CU acks on receipt.
 		c.sys.send(dir.Node, c.Node.ID, ClassCoh, noc.TypeCoherence, ReqFlits,
-			pkt{kind: opCohProbe, requester: nid(dir.Node.ID)})
+			pkt{kind: opCohProbe, requester: nid(dir.Node.ID)}.word())
 	}
 }
 
 // sink handles responses and coherence probes arriving at the CU.
 func (c *CU) sink(now int64, m *noc.Message) {
-	p, ok := c.sys.take(m)
+	p, ok := unpack(m.Payload)
 	if !ok {
 		return // foreign message (e.g. raw synthetic traffic in tests)
 	}
@@ -395,7 +407,7 @@ func (c *CU) sink(now int64, m *noc.Message) {
 		}
 	case opCohProbe:
 		c.sys.send(c.Node, m.Src, ClassCoh, noc.TypeCoherence, ReqFlits,
-			pkt{kind: opCohAck, requester: nid(c.Node.ID)})
+			pkt{kind: opCohAck, requester: nid(c.Node.ID)}.word())
 	}
 }
 
@@ -454,7 +466,7 @@ func (c *CPU) Tick(now int64, params *PhaseParams) {
 	hit := c.opRNG.Float64() < params.LLCHit
 	dir := c.sys.Dirs[c.opRNG.Intn(len(c.sys.Dirs))]
 	c.sys.send(c.Node, c.quad.LLC.Node.ID, ClassCPUReq, noc.TypeRequest, ReqFlits,
-		pkt{kind: opCPURead, requester: nid(c.Node.ID), hit: hit, dir: nid(dir.Node.ID)})
+		pkt{kind: opCPURead, requester: nid(c.Node.ID), hit: hit, dir: nid(dir.Node.ID)}.word())
 	c.Outstanding++
 	c.OpsRemaining--
 	c.wantIssue = false
@@ -462,7 +474,7 @@ func (c *CPU) Tick(now int64, params *PhaseParams) {
 
 // sink handles LLC responses arriving at the CPU.
 func (c *CPU) sink(now int64, m *noc.Message) {
-	if p, ok := c.sys.take(m); ok && p.kind == opCPUData && c.Outstanding > 0 {
+	if p, ok := unpack(m.Payload); ok && p.kind == opCPUData && c.Outstanding > 0 {
 		c.Outstanding--
 	}
 }

@@ -117,8 +117,7 @@ type System struct {
 	// refreshes them every cycle.
 	params [4]PhaseParams
 
-	nextID  uint64
-	pktFree []*pkt // payload boxes of delivered messages, reused by send
+	nextID uint64
 }
 
 // NewSystem builds the chip topology and wires every endpoint's protocol
@@ -219,8 +218,8 @@ func NewSystem(cfg Config, seed int64) *System {
 	}
 
 	nodes := len(sys.Net.Nodes())
-	if nodes > math.MaxInt32 {
-		panic(fmt.Sprintf("apu: %d nodes do not fit the protocol records' 32-bit node IDs", nodes))
+	if nodes > math.MaxUint16 {
+		panic(fmt.Sprintf("apu: %d nodes do not fit the protocol records' 16-bit node indices", nodes))
 	}
 	sys.isL2 = make([]bool, nodes)
 	for _, b := range sys.L2s {

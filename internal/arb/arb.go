@@ -143,11 +143,11 @@ func (p *ProbDist) Name() string { return "probdist" }
 func (p *ProbDist) Select(_ *noc.ArbContext, cands []noc.Candidate) int {
 	total := 0
 	for _, c := range cands {
-		total += c.Msg.HopCount + 1
+		total += int(c.Msg.HopCount) + 1
 	}
 	pick := p.rng.Intn(total)
 	for i, c := range cands {
-		pick -= c.Msg.HopCount + 1
+		pick -= int(c.Msg.HopCount) + 1
 		if pick < 0 {
 			return i
 		}

@@ -28,7 +28,7 @@ func cand(port noc.PortID, vc int, inject, arrival int64, hops int) noc.Candidat
 		Msg: &noc.Message{
 			InjectCycle:  inject,
 			ArrivalCycle: arrival,
-			HopCount:     hops,
+			HopCount:     int32(hops),
 			SizeFlits:    1,
 		},
 	}

@@ -162,7 +162,7 @@ func TestExtendedPoliciesDeliver(t *testing.T) {
 				dst := cores[rng.Intn(len(cores))]
 				src.Inject(&noc.Message{
 					ID: id, Dst: dst.ID, Class: noc.Class(rng.Intn(2)),
-					SizeFlits: 1 + 4*rng.Intn(2),
+					SizeFlits: int32(1 + 4*rng.Intn(2)),
 				})
 			}
 			net.Step()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"path/filepath"
 
 	"mlnoc/internal/arb"
 	"mlnoc/internal/core"
@@ -13,18 +14,54 @@ import (
 	"mlnoc/internal/xrand"
 )
 
-// WriteFile creates path and writes it, buffered, through write. It returns
-// the first error of the write, the flush and the close, so a command reports
-// an output file as written only once every byte has reached it.
+// WriteFile writes path, buffered, through write, and replaces it only once
+// every byte is written: it writes a temporary file in path's directory,
+// syncs it and renames it over path, so a failed or interrupted write leaves
+// the previous file as it was and no temporary file behind. It returns the
+// first error of the write, the flush, the sync, the close and the rename.
+// The file keeps the mode of the file it replaces, and a new one gets 0644.
+// A path that exists and is not a regular file (a device such as /dev/null,
+// a pipe, a symbolic link) is written in place, since a rename would replace
+// it.
 func WriteFile(path string, write func(io.Writer) error) error {
-	f, err := os.Create(path)
+	mode := os.FileMode(0o644)
+	if fi, err := os.Lstat(path); err == nil {
+		if !fi.Mode().IsRegular() {
+			f, err := os.OpenFile(path, os.O_WRONLY|os.O_TRUNC, 0)
+			if err != nil {
+				return err
+			}
+			return writeClose(f, write, false)
+		}
+		mode = fi.Mode().Perm()
+	}
+	f, err := os.CreateTemp(filepath.Dir(path), "."+filepath.Base(path)+".tmp*")
 	if err != nil {
 		return err
 	}
+	err = writeClose(f, write, true)
+	if err == nil {
+		err = os.Chmod(f.Name(), mode)
+	}
+	if err == nil {
+		err = os.Rename(f.Name(), path)
+	}
+	if err != nil {
+		os.Remove(f.Name())
+	}
+	return err
+}
+
+// writeClose writes f, buffered, through write, flushes it, syncs it if
+// sync is set, and closes it. It returns the first error.
+func writeClose(f *os.File, write func(io.Writer) error, sync bool) error {
 	bw := bufio.NewWriter(f)
-	err = write(bw)
+	err := write(bw)
 	if err == nil {
 		err = bw.Flush()
+	}
+	if err == nil && sync {
+		err = f.Sync()
 	}
 	if cerr := f.Close(); err == nil {
 		err = cerr

@@ -110,10 +110,10 @@ func TestQuickFeatureRange(t *testing.T) {
 	norm := DefaultNorm()
 	f := func(flits8, hops8, dist8 uint8, arrival, gap int16, typ8, dk8 uint8) bool {
 		m := &noc.Message{
-			SizeFlits:    int(flits8%12) + 1,
+			SizeFlits:    int32(flits8%12) + 1,
 			ArrivalCycle: 1000 - int64(arrival%1000),
-			Distance:     int(dist8 % 20),
-			HopCount:     int(hops8 % 20),
+			Distance:     int32(dist8 % 20),
+			HopCount:     int32(hops8 % 20),
 			ArrivalGap:   int64(gap%2000) + 2000,
 			Type:         noc.MsgType(typ8 % 3),
 			DstKind:      noc.DstType(dk8 % 3),
@@ -180,10 +180,10 @@ func TestBuildStateIsScatterOfSparse(t *testing.T) {
 			for _, slot := range rng.Perm(spec.ActionSize())[:1+rng.Intn(min(12, spec.ActionSize()))] {
 				port, vc := spec.SlotPort(slot)
 				cands = append(cands, noc.Candidate{Port: port, VC: vc, Msg: &noc.Message{
-					SizeFlits:    1 + rng.Intn(8),
+					SizeFlits:    int32(1 + rng.Intn(8)),
 					ArrivalCycle: 100 - int64(rng.Intn(3)*rng.Intn(40)),
-					Distance:     rng.Intn(7),
-					HopCount:     rng.Intn(2) * rng.Intn(7),
+					Distance:     int32(rng.Intn(7)),
+					HopCount:     int32(rng.Intn(2) * rng.Intn(7)),
 					ArrivalGap:   int64(rng.Intn(2) * rng.Intn(70)),
 					Type:         noc.MsgType(rng.Intn(3)),
 					DstKind:      noc.DstType(rng.Intn(3)),
@@ -330,7 +330,7 @@ func TestAlgorithm2PriorityFits5Bits(t *testing.T) {
 		la := int64(la8) % 200
 		m := &noc.Message{
 			ArrivalCycle: 1000 - la,
-			HopCount:     int(hc8 % 30),
+			HopCount:     int32(hc8 % 30),
 			Type:         noc.MsgType(typ8 % 3),
 		}
 		port := noc.PortID(port8 % noc.MaxPorts)
@@ -379,7 +379,7 @@ func TestRulesMatchTheirPBlocks(t *testing.T) {
 			for hc := 0; hc < 16; hc++ {
 				for port := 0; port < noc.MaxPorts; port++ {
 					for class := 0; class < 3; class++ {
-						m := &noc.Message{ArrivalCycle: now - int64(la), HopCount: hc, Type: noc.MsgType(class)}
+						m := &noc.Message{ArrivalCycle: now - int64(la), HopCount: int32(hc), Type: noc.MsgType(class)}
 						want := p.Priority(now, noc.PortID(port), m)
 						if got := synth.PBlockPriority(nl, r, la, hc, port, class); got != want {
 							t.Fatalf("%s: P-block(la=%d hc=%d port=%d class=%d) = %d, want %d",
@@ -455,7 +455,7 @@ func TestRulesMatchTheirSelectMax(t *testing.T) {
 				for k := range cands {
 					la, hc := ages[rng.Intn(len(ages))], hops[rng.Intn(len(hops))]
 					port, class := rng.Intn(noc.MaxPorts), rng.Intn(3)
-					m := &noc.Message{ArrivalCycle: now - la, HopCount: hc, Type: noc.MsgType(class)}
+					m := &noc.Message{ArrivalCycle: now - la, HopCount: int32(hc), Type: noc.MsgType(class)}
 					cands[k] = noc.Candidate{Port: noc.PortID(port), Msg: m}
 					pris[k] = synth.PBlockPriority(pblock, r, hwLocalAge(now, m), hc, port, class)
 				}
@@ -758,7 +758,7 @@ func TestSelectMaxRotatingTieBreak(t *testing.T) {
 		{Msg: &noc.Message{HopCount: 5}},
 		{Msg: &noc.Message{HopCount: 4}},
 	}
-	pri := func(c noc.Candidate) int { return c.Msg.HopCount }
+	pri := func(c noc.Candidate) int { return int(c.Msg.HopCount) }
 	// At cycle 0 the scan starts at 0: the first tied max wins.
 	if got := selectMax(0, cands, pri); got != 0 {
 		t.Fatalf("cycle 0 tie-break = %d, want 0", got)

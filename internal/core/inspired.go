@@ -49,7 +49,7 @@ func (p *RulePolicy) Rule() synth.Rule { return p.rule }
 
 // Priority returns the priority level of message m entering on port in.
 func (p *RulePolicy) Priority(now int64, in noc.PortID, m *noc.Message) int {
-	return p.rule.Priority(hwLocalAge(now, m), m.HopCount, int(in), int(m.Type))
+	return p.rule.Priority(hwLocalAge(now, m), int(m.HopCount), int(in), int(m.Type))
 }
 
 // Select implements noc.Policy.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"testing"
 
 	"mlnoc/internal/noc"
@@ -33,6 +34,9 @@ func BenchmarkHotTrainingLoop(b *testing.B) {
 // benchSelectSite builds a training agent plus a standing three-way
 // arbitration at one (router, output) site, exercising the full Select path:
 // state build, Q-inference, pending-decision bookkeeping and replay writes.
+// The candidates come in ascending (port, VC) order, the order the engine
+// hands every arbitration over in, so the state build takes the lookup path
+// real arbitrations take.
 func benchSelectSite() (*Agent, *noc.ArbContext, []noc.Candidate) {
 	spec := MeshSpec(3)
 	agent := NewAgent(spec, AgentConfig{
@@ -48,9 +52,9 @@ func benchSelectSite() (*Agent, *noc.ArbContext, []noc.Candidate) {
 		}
 	}
 	cands := []noc.Candidate{
+		{Port: noc.PortCore, VC: 2, Msg: mk(3, 5, 12)},
 		{Port: noc.PortWest, VC: 0, Msg: mk(1, 4, 3)},
 		{Port: noc.PortEast, VC: 1, Msg: mk(2, 6, 0)},
-		{Port: noc.PortCore, VC: 2, Msg: mk(3, 5, 12)},
 	}
 	ctx := &noc.ArbContext{Net: net, Router: net.RouterAt(1, 1), Out: noc.PortNorth, Cycle: 100}
 	return agent, ctx, cands
@@ -71,7 +75,9 @@ func BenchmarkHotAgentSelect(b *testing.B) {
 // TestAgentSelectZeroAllocs pins the zero-allocation contract: once the
 // replay ring is full and evictions feed the size lists, a training-mode
 // Select performs no heap allocations, whether a site always asks for one
-// size or its candidate count changes from call to call, and neither does a
+// size or its candidate count changes from call to call, and whether its
+// candidates come in the engine's order or out of it (the state build's slow
+// path), and neither does a
 // whole cycle of the training loop (traffic, a Step whose arbitration is the
 // agent's, and its TrainBatch).
 func TestAgentSelectZeroAllocs(t *testing.T) {
@@ -83,6 +89,11 @@ func TestAgentSelectZeroAllocs(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(200, func() { agent.Select(ctx, cands) }); allocs != 0 {
 		t.Errorf("Select allocates %v objects per decision, want 0", allocs)
+	}
+	reversed := slices.Clone(cands)
+	slices.Reverse(reversed)
+	if allocs := testing.AllocsPerRun(200, func() { agent.Select(ctx, reversed) }); allocs != 0 {
+		t.Errorf("Select over candidates out of engine order allocates %v objects per decision, want 0", allocs)
 	}
 
 	// Two, three and five candidates in turn: the lists hold three sizes, and

@@ -172,10 +172,10 @@ func candidate(s *StateSpec, slot int, src noc.NodeID, flits int, age int64, dis
 	port, vc := s.SlotPort(slot)
 	return noc.Candidate{Port: port, VC: vc, Msg: &noc.Message{
 		Src:          src,
-		SizeFlits:    flits,
+		SizeFlits:    int32(flits),
 		ArrivalCycle: recordNow - age,
-		Distance:     dist,
-		HopCount:     hops,
+		Distance:     int32(dist),
+		HopCount:     int32(hops),
 		ArrivalGap:   gap,
 		Type:         noc.MsgType(typ % 3),
 		DstKind:      noc.DstType(dst % 3),

@@ -30,7 +30,7 @@ func drive(net *noc.Network, cores []*noc.Node, seed int64, cycles int) {
 				ID:        id,
 				Dst:       dst.ID,
 				Class:     noc.Class(rng.Intn(vcs)),
-				SizeFlits: 1 + rng.Intn(4),
+				SizeFlits: int32(1 + rng.Intn(4)),
 			})
 		}
 		net.Step()
@@ -137,7 +137,7 @@ func TestPartitionConservation(t *testing.T) {
 		src, dst := cores[rng.Intn(2)], cores[rng.Intn(2)]
 		if src != dst {
 			id++
-			src.Inject(&noc.Message{ID: id, Dst: dst.ID, SizeFlits: 1 + rng.Intn(3)})
+			src.Inject(&noc.Message{ID: id, Dst: dst.ID, SizeFlits: int32(1 + rng.Intn(3))})
 		}
 		net.Step()
 	}

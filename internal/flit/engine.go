@@ -167,9 +167,9 @@ func (e *Engine) Inject(src, dst int, class noc.Class, flits int) {
 		Src:       noc.NodeID(src),
 		Dst:       noc.NodeID(dst),
 		Class:     class,
-		SizeFlits: flits,
+		SizeFlits: int32(flits),
 		GenCycle:  e.cycle,
-		Distance:  e.routers[src].Coord.Manhattan(e.routers[dst].Coord),
+		Distance:  int32(e.routers[src].Coord.Manhattan(e.routers[dst].Coord)),
 	}
 	e.nodes[src].queue = append(e.nodes[src].queue, m)
 	e.stats.Injected++
@@ -230,7 +230,7 @@ func (e *Engine) Step() {
 			f.Kind = HeadTail
 		case n.seq == 0:
 			f.Kind = Head
-		case n.seq == m.SizeFlits-1:
+		case n.seq == int(m.SizeFlits)-1:
 			f.Kind = Tail
 		default:
 			f.Kind = Body
@@ -240,7 +240,7 @@ func (e *Engine) Step() {
 		}
 		buf.q = append(buf.q, f)
 		n.seq++
-		if n.seq == m.SizeFlits {
+		if n.seq == int(m.SizeFlits) {
 			n.cur = nil
 		}
 	}
@@ -346,7 +346,7 @@ func (e *Engine) launch(r *router, in noc.PortID, vc int, out noc.PortID) {
 		// tail ejects.
 		e.flitsReceived[f.Pkt.ID]++
 		if f.Kind.IsTail() {
-			if got := e.flitsReceived[f.Pkt.ID]; got != f.Pkt.SizeFlits {
+			if got := e.flitsReceived[f.Pkt.ID]; got != int(f.Pkt.SizeFlits) {
 				panic(fmt.Sprintf("flit: packet %d ejected %d of %d flits", f.Pkt.ID, got, f.Pkt.SizeFlits))
 			}
 			delete(e.flitsReceived, f.Pkt.ID)

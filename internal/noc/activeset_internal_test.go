@@ -137,7 +137,7 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 			m.ID = id
 			m.Dst = nodes[d].ID
 			m.Class = Class(rng.Intn(2))
-			m.SizeFlits = 1 + rng.Intn(2)
+			m.SizeFlits = int32(1 + rng.Intn(2))
 			nd.Inject(m)
 		}
 		switch {

@@ -14,9 +14,8 @@ import (
 // equal to a fresh Route verdict under the current fault state (Route may
 // write only the message, idempotently: the Routing contract); outs bit o set
 // exactly when want[o] is non-zero. It also walks the lists Message.next
-// threads: each buffer's list holds Len() messages and ends at its tail, no
-// message sits in two lists or in a list and the freelist, and a message
-// waiting at a node links to nothing.
+// threads (checkLists): every buffer's and every node's list, and the
+// freelist.
 func checkArbState(t testing.TB, net *Network, when string) {
 	t.Helper()
 	checkLists(t, net, when)
@@ -70,18 +69,21 @@ func checkArbState(t testing.TB, net *Network, when string) {
 }
 
 // listPlace is where checkLists found a linked message: buffer (p, vc) of r,
-// or the freelist (r == nil).
+// the injection queue of node, or the freelist (both nil).
 type listPlace struct {
-	r  *Router
-	p  PortID
-	vc int
+	r    *Router
+	p    PortID
+	vc   int
+	node *Node
 }
 
-// checkLists walks the freelist and every input buffer's list from its head.
-// It fails when a list's length is not the buffer's Len(), when its last
-// message is not its tail, when a message is reached twice (two lists, a list
-// and the freelist, or a cycle), or when a message queued at a node has a
-// successor.
+// checkLists walks the freelist, every input buffer's list and every node's
+// injection queue from its head. It fails when a list's length is not its
+// buffer's Len() or its node's PendingInjections(), when its last message is
+// not its tail, when a message is reached twice (two lists, a list and the
+// freelist, or a cycle), when the node queues do not add up to the network's
+// PendingInjections(), or when a node's activity bit disagrees with whether
+// its queue is empty.
 func checkLists(t testing.TB, net *Network, when string) {
 	t.Helper()
 	where := map[*Message]listPlace{}
@@ -98,7 +100,7 @@ func checkLists(t testing.TB, net *Network, when string) {
 		for p := PortID(0); p < MaxPorts; p++ {
 			for vc := range r.in[p] {
 				buf := &r.in[p][vc]
-				at := listPlace{r, p, vc}
+				at := listPlace{r: r, p: p, vc: vc}
 				var last *Message
 				k := 0
 				for m := buf.head; m != nil; m = m.next {
@@ -113,12 +115,26 @@ func checkLists(t testing.TB, net *Network, when string) {
 			}
 		}
 	}
+	pending := 0
 	for _, nd := range net.nodes {
-		for _, m := range nd.injectQ[nd.injectHead:] {
-			if m.next != nil {
-				t.Fatalf("%s: %s queued at %s links to %s", when, m, nd, m.next)
-			}
+		var last *Message
+		k := 0
+		for m := nd.qHead; m != nil; m = m.next {
+			visit(m, listPlace{node: nd})
+			last = m
+			k++
 		}
+		if k != nd.PendingInjections() || nd.qTail != last {
+			t.Fatalf("%s: %s queues %d messages ending at %v, PendingInjections %d, tail %v",
+				when, nd, k, last, nd.PendingInjections(), nd.qTail)
+		}
+		if active := net.actN[nd.ID>>6]>>(uint(nd.ID)&63)&1 != 0; active != (k != 0) {
+			t.Fatalf("%s: %s activity bit %v with %d queued", when, nd, active, k)
+		}
+		pending += k
+	}
+	if pending != net.PendingInjections() {
+		t.Fatalf("%s: node queues hold %d messages, PendingInjections %d", when, pending, net.PendingInjections())
 	}
 }
 
@@ -200,7 +216,7 @@ func injectRandom(net *Network, nodes []*Node, rng *rand.Rand, rate float64, id 
 		m.ID = *id
 		m.Dst = nodes[d].ID
 		m.Class = Class(rng.Intn(net.cfg.VCs))
-		m.SizeFlits = 1 + 4*rng.Intn(2)
+		m.SizeFlits = int32(1 + 4*rng.Intn(2))
 		nd.Inject(m)
 	}
 }

@@ -87,11 +87,11 @@ func TestBufferListMatchesSliceModel(t *testing.T) {
 	}
 }
 
-// TestHotStructSizes pins the layout a hop reads: the carried destination,
-// the cached route and the list link fit Message in the 128-byte size class,
-// a Buffer is two list ends, two int32 counters and its last arrival (two
-// buffers a cache line), and a delivery names its destination in three
-// words.
+// TestHotStructSizes pins the layout a hop reads: Message is twelve words,
+// the 96-byte size class, with the carried destination, the cached route,
+// the one-word payload and the list link; a Buffer is two list ends, two
+// int32 counters and its last arrival (two buffers a cache line); and a
+// delivery names its destination in three words.
 func TestHotStructSizes(t *testing.T) {
 	if unsafe.Sizeof(uintptr(0)) != 8 {
 		t.Skip("sizes are pinned for 64-bit platforms")
@@ -100,7 +100,7 @@ func TestHotStructSizes(t *testing.T) {
 		name      string
 		got, want uintptr
 	}{
-		{"Message", unsafe.Sizeof(Message{}), 120},
+		{"Message", unsafe.Sizeof(Message{}), 96},
 		{"Buffer", unsafe.Sizeof(Buffer{}), 32},
 		{"delivery", unsafe.Sizeof(delivery{}), 24},
 	} {

@@ -8,9 +8,9 @@ import (
 )
 
 // TestDeliveryStoreFixedAtNew pins that a network's delivery storage is sized
-// by New: on a fresh network whose message freelist and injection queues are
-// already warm (input buffers are lists through the messages and never
-// allocate), driving the in-flight deliveries up to
+// by New: on a fresh network whose message freelist is already warm and whose
+// per-node tables its first Step sized (input buffers and injection queues
+// are lists through the messages and never allocate), driving the in-flight deliveries up to
 // their first peak allocates nothing. It counts the runtime's mallocs over the
 // whole climb, on one P as testing.AllocsPerRun does, because AllocsPerRun's
 // integer division hides fewer than one allocation per cycle.
@@ -21,9 +21,7 @@ func TestDeliveryStoreFixedAtNew(t *testing.T) {
 	for i := 0; i < 64*cycles; i++ {
 		net.recycleMessage(&Message{pooled: true})
 	}
-	for _, nd := range nodes {
-		nd.injectQ = make([]*Message, 0, cycles)
-	}
+	net.Step() // the first Step sizes the per-node tables
 	rng := rand.New(rand.NewSource(3))
 	var id uint64
 	peak := 0

@@ -64,7 +64,7 @@ func TestLinkDownRequeuesInFlight(t *testing.T) {
 	// link, drain, and see exactly one delivery with a single counted hop.
 	net.SetLinkDown(0, PortEast, false)
 	var hops int
-	cores[1].Sink = func(_ int64, m *Message) { hops = m.HopCount }
+	cores[1].Sink = func(_ int64, m *Message) { hops = int(m.HopCount) }
 	if !net.Drain(100) {
 		t.Fatal("network did not drain after link restore")
 	}
@@ -169,7 +169,7 @@ func TestRequeueStranded(t *testing.T) {
 			s.Injected, s.Delivered, net.InFlight())
 	}
 	var hops []int
-	cores[1].Sink = func(_ int64, m *Message) { hops = append(hops, m.HopCount) }
+	cores[1].Sink = func(_ int64, m *Message) { hops = append(hops, int(m.HopCount)) }
 	if !net.Drain(100) {
 		t.Fatal("network did not drain after rescue")
 	}
@@ -218,7 +218,7 @@ func TestHealthyFaultHooksAreInert(t *testing.T) {
 				continue
 			}
 			id++
-			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(i % 2), SizeFlits: 1 + i%4})
+			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(i % 2), SizeFlits: int32(1 + i%4)})
 			net.Step()
 		}
 		net.Drain(10000)

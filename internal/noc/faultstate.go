@@ -106,6 +106,7 @@ func (n *Network) requeueLink(r *Router, p PortID) int {
 // when it re-enters, so the conservation identity
 // Injected == Delivered + Unreachable + InFlight holds at every instant.
 func (n *Network) RequeueStranded(strand func(r *Router, p PortID, m *Message) bool) int {
+	n.sizeNodeTables()
 	requeued := 0
 	reinject := func(r *Router, p PortID, m *Message) {
 		n.stats.Injected--

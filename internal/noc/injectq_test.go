@@ -1,88 +1,62 @@
 package noc
 
-import "testing"
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+)
 
-// injectQHarness drives Node.Inject and Node.dequeue directly (white-box),
-// tracking the ID sequence so every head observation checks FIFO order and
-// every dequeue checks PendingInjections.
-type injectQHarness struct {
-	t      *testing.T
-	node   *Node
-	dst    NodeID
-	next   uint64 // next ID to inject
-	expect uint64 // next ID expected at the queue head
-}
-
-func (h *injectQHarness) inject(k int) {
-	h.t.Helper()
-	for i := 0; i < k; i++ {
-		h.node.Inject(&Message{ID: h.next, Dst: h.dst, SizeFlits: 1})
-		h.next++
-	}
-	if p, want := h.node.PendingInjections(), int(h.next-h.expect); p != want {
-		h.t.Fatalf("pending = %d after inject, want %d", p, want)
-	}
-}
-
-func (h *injectQHarness) drain(k int) {
-	h.t.Helper()
-	for i := 0; i < k; i++ {
-		if got := h.node.injectQ[h.node.injectHead].ID; got != h.expect {
-			h.t.Fatalf("head has id %d, want %d; FIFO order broken", got, h.expect)
-		}
-		h.node.dequeue()
-		h.expect++
-		if p, want := h.node.PendingInjections(), int(h.next-h.expect); p != want {
-			h.t.Fatalf("pending = %d after dequeue, want %d", p, want)
-		}
-	}
-}
-
-// TestInjectQueueCompactionBoundary pins the ring dequeue's compaction rule
-// (injectHead >= 1024 and the consumed prefix at least as large as the
-// remainder) with interleaved Inject/dequeue right at the boundary: order and
-// PendingInjections must be unaffected by when the copy-down happens.
-func TestInjectQueueCompactionBoundary(t *testing.T) {
+// TestInjectQueueMatchesSliceModel drives two nodes' injection queues and a
+// plain-slice FIFO per node through the same random bursts of Inject and
+// dequeue (white-box), and after every operation compares PendingInjections
+// and the head with the model and walks every list and activity bit
+// (checkLists). A dequeue must return the model's head with its link cleared.
+// Phases that favour bursts in, then bursts out, make the queues grow past
+// five hundred messages and drain to empty before they refill, or the run
+// proves nothing about either.
+func TestInjectQueueMatchesSliceModel(t *testing.T) {
 	net, cores := buildMesh(t, 2, 1, 1)
-	net.SetPolicy(firstPolicy{})
-	h := &injectQHarness{t: t, node: cores[0], dst: cores[1].ID, next: 1, expect: 1}
-	n := h.node
-
-	// Below the threshold: head 1023 never compacts regardless of length.
-	h.inject(2000)
-	h.drain(1023)
-	if n.injectHead != 1023 {
-		t.Fatalf("head = %d before the boundary, want 1023", n.injectHead)
+	nodes := cores[:2]
+	models := make([][]*Message, len(nodes))
+	rng := rand.New(rand.NewSource(11))
+	var id uint64
+	refills, deepest := 0, 0
+	for step := 0; step < 1000; step++ {
+		i := rng.Intn(len(nodes))
+		nd := nodes[i]
+		fill := step/250%2 == 0
+		if k := rng.Intn(32); (rng.Intn(4) == 0) != fill {
+			if len(models[i]) == 0 && k > 0 && id > 0 {
+				refills++
+			}
+			for ; k > 0; k-- {
+				id++
+				m := &Message{ID: id, Dst: nodes[1-i].ID, SizeFlits: 1}
+				nd.Inject(m)
+				models[i] = append(models[i], m)
+			}
+		} else {
+			for k = min(k, len(models[i])); k > 0; k-- {
+				m := nd.qHead
+				if nd.dequeue(); m != models[i][0] || m.next != nil {
+					t.Fatalf("step %d: dequeue = %v (next %v), model head %v", step, m, m.next, models[i][0])
+				}
+				models[i] = models[i][1:]
+			}
+		}
+		deepest = max(deepest, len(models[i]))
+		when := fmt.Sprintf("step %d", step)
+		for j, nd := range nodes {
+			if nd.PendingInjections() != len(models[j]) {
+				t.Fatalf("%s: %s has %d pending, model %d", when, nd, nd.PendingInjections(), len(models[j]))
+			}
+			if len(models[j]) > 0 && nd.qHead != models[j][0] {
+				t.Fatalf("%s: %s head %v, model %v", when, nd, nd.qHead, models[j][0])
+			}
+		}
+		checkLists(t, net, when)
 	}
-
-	// Interleave an append exactly at the boundary, then cross it: at head
-	// 1024 with 2001 queued the consumed prefix (2048 >= 2001) dominates, so
-	// this single dequeue must compact.
-	h.inject(1)
-	h.drain(1)
-	if n.injectHead != 0 {
-		t.Fatalf("head = %d after crossing the boundary, want 0 (compaction)", n.injectHead)
-	}
-	if got, want := len(n.injectQ), int(h.next-h.expect); got != want {
-		t.Fatalf("queue length %d after compaction, want %d", got, want)
-	}
-
-	// Appends after the copy-down land behind the surviving tail.
-	h.inject(500)
-	h.drain(int(h.next - h.expect)) // drain everything
-	if n.injectHead != 0 || len(n.injectQ) != 0 {
-		t.Fatalf("drained queue not reset: head %d, len %d", n.injectHead, len(n.injectQ))
-	}
-
-	// Above the head threshold but with the remainder still dominating
-	// (1024*2 < 4000), compaction must hold off.
-	h.inject(4000)
-	h.drain(1024)
-	if n.injectHead != 1024 {
-		t.Fatalf("head = %d with a dominating remainder, want 1024 (no compaction)", n.injectHead)
-	}
-	h.drain(int(h.next - h.expect))
-	if n.PendingInjections() != 0 {
-		t.Fatalf("pending = %d after full drain", n.PendingInjections())
+	if refills == 0 || deepest < 500 {
+		t.Fatalf("vacuous: %d refills of an emptied queue, deepest queue %d", refills, deepest)
 	}
 }

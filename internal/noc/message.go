@@ -75,6 +75,8 @@ type NodeID int
 // with.
 //
 // Fields marked "dynamic" are updated by the simulator as the message moves.
+// The layout is twelve words, 96 bytes, the 96-byte size class: the narrow
+// fields pair up in the words between the identifiers and the cycle stamps.
 type Message struct {
 	ID    uint64
 	Src   NodeID
@@ -87,41 +89,11 @@ type Message struct {
 
 	// dstPort, dstX and dstY are the destination node's attach port and
 	// router coordinate, resolved once by Node.Inject (see DstRouter). They
-	// fill the padding after DstKind.
+	// fill the word after DstKind.
 	dstPort    int8
 	dstX, dstY int16
 
-	SizeFlits int
-
-	// GenCycle is the cycle at which the message was generated (queued at its
-	// source node). Latency statistics are measured from generation, so
-	// source queueing under contention is included.
-	GenCycle int64
-
-	// InjectCycle is the cycle at which the message entered the network;
-	// global age = now - InjectCycle.
-	InjectCycle int64
-
-	// Distance is the hop distance from source to destination router
-	// (Manhattan distance under X-Y routing). Node.Inject sets it.
-	Distance int
-
-	// ArrivalCycle (dynamic) is the cycle the message arrived at its current
-	// router; local age = now - ArrivalCycle.
-	ArrivalCycle int64
-
-	// HopCount (dynamic) is the number of router-to-router hops traversed so
-	// far. It is zero while the message waits at its source router.
-	HopCount int
-
-	// ArrivalGap (dynamic) is the number of cycles between this message's
-	// arrival at its current input buffer and the previous arrival at the
-	// same buffer (Table 2 "Inter-arrival time").
-	ArrivalGap int64
-
-	// Payload carries opaque protocol-level state for higher layers (e.g.
-	// the APU coherence layer); the NoC never inspects it.
-	Payload any
+	SizeFlits int32
 
 	// RouteBits is per-message scratch state owned by the active Routing
 	// (e.g. the up*/down* phase bit of the fault-aware router); the engine
@@ -138,11 +110,41 @@ type Message struct {
 	// bit is clear (Router.want).
 	route int8
 
+	// GenCycle is the cycle at which the message was generated (queued at its
+	// source node). Latency statistics are measured from generation, so
+	// source queueing under contention is included.
+	GenCycle int64
+
+	// InjectCycle is the cycle at which the message entered the network;
+	// global age = now - InjectCycle.
+	InjectCycle int64
+
+	// Distance is the hop distance from source to destination router
+	// (Manhattan distance under X-Y routing). Node.Inject sets it.
+	Distance int32
+
+	// HopCount (dynamic) is the number of router-to-router hops traversed so
+	// far. It is zero while the message waits at its source router.
+	HopCount int32
+
+	// ArrivalCycle (dynamic) is the cycle the message arrived at its current
+	// router; local age = now - ArrivalCycle.
+	ArrivalCycle int64
+
+	// ArrivalGap (dynamic) is the number of cycles between this message's
+	// arrival at its current input buffer and the previous arrival at the
+	// same buffer (Table 2 "Inter-arrival time").
+	ArrivalGap int64
+
+	// Payload is one opaque word of protocol-level state for higher layers
+	// (the APU coherence layer packs its packet into it); the NoC never reads
+	// it.
+	Payload uint64
+
 	// next links the message to its successor in the one list it sits in: a
-	// router input buffer (Buffer) or the network's freelist. It is nil
-	// everywhere else — queued at a node, in flight on a link, delivered.
-	// With route, pooled and RouteBits it keeps Message at 120 bytes, the
-	// 128-byte size class.
+	// node's injection queue (Node), a router input buffer (Buffer) or the
+	// network's freelist. It is nil everywhere else — in flight on a link,
+	// delivered — and at the tail of its list.
 	next *Message
 }
 

@@ -124,7 +124,11 @@ type Network struct {
 	// Drain/Quiescent check is O(1) instead of O(nodes) per cycle.
 	pendingInj int
 
-	inflightBySrc []int // outstanding messages per source node
+	// inflightBySrc counts the outstanding messages per source node. It and
+	// stats.PerSource are per-node tables that sizeNodeTables brings to the
+	// node count the first time the node set is used — at a Step or an
+	// accessor — instead of growing them by one per AttachNode.
+	inflightBySrc []int
 
 	// in-flight age tracking for reward functions
 	inflightCount int64
@@ -291,8 +295,6 @@ func (n *Network) AttachNode(x, y int, port PortID, kind DstType, label string) 
 	r.peerNode[port] = node
 	n.allocPortBuffers(r, port)
 	n.nodes = append(n.nodes, node)
-	n.inflightBySrc = append(n.inflightBySrc, 0)
-	n.stats.PerSource = append(n.stats.PerSource, stats.Accumulator{})
 	if want := (len(n.nodes) + 63) / 64; len(n.actN) < want {
 		n.actN = append(n.actN, 0)
 	}
@@ -362,13 +364,32 @@ func (n *Network) Nodes() []*Node { return n.nodes }
 // Node returns the node with the given ID.
 func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
+// sizeNodeTables brings the per-node tables to one entry per attached node:
+// one allocation each when the node set is first used, and one resize per
+// use after further AttachNodes. Existing entries keep their counts.
+func (n *Network) sizeNodeTables() {
+	if len(n.inflightBySrc) == len(n.nodes) {
+		return
+	}
+	inflight := make([]int, len(n.nodes))
+	copy(inflight, n.inflightBySrc)
+	n.inflightBySrc = inflight
+	perSource := make([]stats.Accumulator, len(n.nodes))
+	copy(perSource, n.stats.PerSource)
+	n.stats.PerSource = perSource
+}
+
 // Stats returns the accumulated network statistics.
-func (n *Network) Stats() *Stats { return &n.stats }
+func (n *Network) Stats() *Stats {
+	n.sizeNodeTables()
+	return &n.stats
+}
 
 // ResetStats clears latency and counter statistics (typically after warmup).
 // In-flight bookkeeping is preserved. PerSource is zeroed in place, so the
 // cycles after a reset allocate no more than those before it.
 func (n *Network) ResetStats() {
+	n.sizeNodeTables()
 	perSource := n.stats.PerSource
 	clear(perSource)
 	n.stats = Stats{PerSource: perSource}
@@ -381,7 +402,10 @@ func (n *Network) InFlight() int64 { return n.inflightCount }
 
 // OutstandingFrom returns the number of in-flight messages injected by the
 // given source node (Table 2 "In-flight messages" feature).
-func (n *Network) OutstandingFrom(src NodeID) int { return n.inflightBySrc[src] }
+func (n *Network) OutstandingFrom(src NodeID) int {
+	n.sizeNodeTables()
+	return n.inflightBySrc[src]
+}
 
 // AvgInFlightAge returns the mean age of all in-flight messages at the
 // current cycle, or 0 when the network is empty.
@@ -438,6 +462,7 @@ func (n *Network) Step() {
 	if n.policy == nil {
 		panic("noc: Step called with no policy installed")
 	}
+	n.sizeNodeTables()
 	n.cycle++
 	if n.slot++; n.slot == wheelLen {
 		n.slot = 0
@@ -621,7 +646,7 @@ func (n *Network) injectFrom(node *Node) {
 	if n.faulty && node.Router.linkDown[node.Port] {
 		return // the node's attach link is down; injections wait
 	}
-	m := node.injectQ[node.injectHead]
+	m := node.qHead
 	if int(m.Class) >= n.cfg.VCs {
 		panic(fmt.Sprintf("noc: %s has class %d but network has %d VCs",
 			m, m.Class, n.cfg.VCs))

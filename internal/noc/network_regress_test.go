@@ -8,8 +8,8 @@ import (
 )
 
 // TestInjectQueueFIFOUnderBacklog piles a deep backlog onto one node and
-// checks that the ring-style dequeue preserves FIFO order, drains fully, and
-// keeps PendingInjections consistent throughout.
+// checks that the queue's list preserves FIFO order, drains fully, and keeps
+// PendingInjections consistent throughout.
 func TestInjectQueueFIFOUnderBacklog(t *testing.T) {
 	net, cores := buildMesh(t, 2, 1, 1)
 	net.SetPolicy(firstPolicy{})
@@ -48,8 +48,8 @@ func TestInjectQueueFIFOUnderBacklog(t *testing.T) {
 	}
 }
 
-// TestInjectQueueInterleaved keeps injecting while the queue drains, crossing
-// the ring's reset and compaction paths.
+// TestInjectQueueInterleaved keeps injecting while the queue drains, so the
+// list empties and refills over and over.
 func TestInjectQueueInterleaved(t *testing.T) {
 	net, cores := buildMesh(t, 2, 1, 1)
 	net.SetPolicy(firstPolicy{})
@@ -118,7 +118,7 @@ func TestLinkUtilizationMatchesRecount(t *testing.T) {
 					ID:        id,
 					Dst:       cores[rng.Intn(len(cores))].ID,
 					Class:     Class(rng.Intn(2)),
-					SizeFlits: 1 + rng.Intn(4),
+					SizeFlits: int32(1 + rng.Intn(4)),
 				})
 			}
 		}

@@ -133,7 +133,7 @@ func TestSingleMessageLatency(t *testing.T) {
 		var got *Message
 		dst.Sink = func(now int64, m *Message) { deliveredAt, got = now, m }
 
-		src.Inject(&Message{ID: 1, Dst: dst.ID, SizeFlits: tc.flits})
+		src.Inject(&Message{ID: 1, Dst: dst.ID, SizeFlits: int32(tc.flits)})
 		if !net.Drain(1000) {
 			t.Fatalf("%+v: network did not drain", tc)
 		}
@@ -145,10 +145,10 @@ func TestSingleMessageLatency(t *testing.T) {
 		if lat := deliveredAt - got.InjectCycle; lat != wantLatency {
 			t.Errorf("%+v: net latency %d, want %d", tc, lat, wantLatency)
 		}
-		if got.HopCount != hops {
+		if int(got.HopCount) != hops {
 			t.Errorf("%+v: hop count %d, want %d", tc, got.HopCount, hops)
 		}
-		if got.Distance != hops {
+		if int(got.Distance) != hops {
 			t.Errorf("%+v: distance %d, want %d", tc, got.Distance, hops)
 		}
 	}
@@ -235,7 +235,7 @@ func TestConservation(t *testing.T) {
 			size = 5
 		}
 		src.Inject(&Message{
-			ID: id, Dst: dst.ID, Class: Class(rng.Intn(3)), SizeFlits: size,
+			ID: id, Dst: dst.ID, Class: Class(rng.Intn(3)), SizeFlits: int32(size),
 		})
 		net.Step()
 	}
@@ -380,9 +380,9 @@ func TestQuickRoutingDelivers(t *testing.T) {
 		}
 		ok := false
 		dst.Sink = func(_ int64, m *Message) {
-			ok = m.HopCount == abs(sx-dx)+abs(sy-dy)
+			ok = int(m.HopCount) == abs(sx-dx)+abs(sy-dy)
 		}
-		src.Inject(&Message{ID: 1, Dst: dst.ID, SizeFlits: flits})
+		src.Inject(&Message{ID: 1, Dst: dst.ID, SizeFlits: int32(flits)})
 		return net.Drain(int64(10*(w+h)*flits+50)) && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
@@ -403,7 +403,7 @@ func TestQuickConservationUnderLoad(t *testing.T) {
 			dst := cores[rng.Intn(len(cores))]
 			src.Inject(&Message{
 				ID: uint64(i + 1), Dst: dst.ID,
-				Class: Class(rng.Intn(2)), SizeFlits: 1 + rng.Intn(5),
+				Class: Class(rng.Intn(2)), SizeFlits: int32(1 + rng.Intn(5)),
 			})
 		}
 		return net.Drain(100000) && net.Stats().Delivered == int64(n)
@@ -547,7 +547,7 @@ func TestMatchedEngineConservation(t *testing.T) {
 			id++
 			src := cores[rng.Intn(len(cores))]
 			dst := cores[rng.Intn(len(cores))]
-			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(rng.Intn(2)), SizeFlits: 1 + 4*rng.Intn(2)})
+			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(rng.Intn(2)), SizeFlits: int32(1 + 4*rng.Intn(2))})
 		}
 		net.Step()
 	}
@@ -587,7 +587,7 @@ func TestMatcherDoubleGrantPanics(t *testing.T) {
 		for _, src := range cores {
 			id++
 			dst := cores[rng.Intn(len(cores))]
-			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(rng.Intn(3)), SizeFlits: 1 + 4*rng.Intn(2)})
+			src.Inject(&Message{ID: id, Dst: dst.ID, Class: Class(rng.Intn(3)), SizeFlits: int32(1 + 4*rng.Intn(2))})
 		}
 		net.Step()
 	}

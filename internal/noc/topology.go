@@ -103,11 +103,11 @@ type Node struct {
 	// call Step.
 	Sink func(now int64, m *Message)
 
-	// injectQ holds pending injections, drained one per cycle. Dequeue
-	// advances injectHead instead of shifting the slice, so heavy backlogs
-	// (queue depths in the thousands under APU bursts) stay O(1) per message.
-	injectQ    []*Message
-	injectHead int
+	// The injection queue: the qLen messages waiting to enter the network,
+	// linked from qHead to qTail through Message.next (a queued message is in
+	// no other list) and drained one per cycle from the head.
+	qHead, qTail *Message
+	qLen         int
 }
 
 // Inject queues a message for injection at this node. The message enters the
@@ -115,7 +115,7 @@ type Node struct {
 // cycle. Dst and SizeFlits must be set by the caller; Inject sets Src and
 // GenCycle, and resolves Dst once into DstKind, Distance and the destination
 // every routing reads (Message.DstRouter). It panics on a Dst that names no
-// attached node.
+// attached node. m must be in no list.
 func (n *Node) Inject(m *Message) {
 	if m.SizeFlits <= 0 {
 		panic("noc: message must have at least one flit")
@@ -128,12 +128,16 @@ func (n *Node) Inject(m *Message) {
 	dr := dst.Router
 	m.dstX, m.dstY, m.dstPort = int16(dr.Coord.X), int16(dr.Coord.Y), int8(dst.Port)
 	m.DstKind = dst.Kind
-	m.Distance = n.net.Distance(n.Router.Coord, dr.Coord)
+	m.Distance = int32(n.net.Distance(n.Router.Coord, dr.Coord))
 	m.GenCycle = n.net.cycle
-	if n.injectHead == len(n.injectQ) {
+	if n.qTail == nil {
+		n.qHead = m
 		n.net.activateNode(n.ID) // empty -> non-empty
+	} else {
+		n.qTail.next = m
 	}
-	n.injectQ = append(n.injectQ, m)
+	n.qTail = m
+	n.qLen++
 	n.net.pendingInj++
 }
 
@@ -143,29 +147,18 @@ func (n *Node) Network() *Network { return n.net }
 
 // PendingInjections returns the number of messages queued at the node that
 // have not yet entered the network.
-func (n *Node) PendingInjections() int { return len(n.injectQ) - n.injectHead }
+func (n *Node) PendingInjections() int { return n.qLen }
 
-// dequeue removes and forgets the message at the head of the injection queue.
-// The consumed prefix is reclaimed when the queue drains, or compacted once it
-// dominates a large backlog, keeping both time and memory amortized O(1).
+// dequeue unlinks the head of the injection queue, which must be non-empty.
 func (n *Node) dequeue() {
-	n.injectQ[n.injectHead] = nil
-	n.injectHead++
-	n.net.pendingInj--
-	if n.injectHead == len(n.injectQ) {
-		n.injectQ = n.injectQ[:0]
-		n.injectHead = 0
+	m := n.qHead
+	if n.qHead = m.next; n.qHead == nil {
+		n.qTail = nil
 		n.net.deactivateNode(n.ID) // non-empty -> empty
-		return
 	}
-	if n.injectHead >= 1024 && n.injectHead*2 >= len(n.injectQ) {
-		rem := copy(n.injectQ, n.injectQ[n.injectHead:])
-		for i := rem; i < len(n.injectQ); i++ {
-			n.injectQ[i] = nil
-		}
-		n.injectQ = n.injectQ[:rem]
-		n.injectHead = 0
-	}
+	m.next = nil
+	n.qLen--
+	n.net.pendingInj--
 }
 
 // String implements fmt.Stringer.

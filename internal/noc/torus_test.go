@@ -89,7 +89,7 @@ func TestTorusWrapDelivery(t *testing.T) {
 	nodes[0].Sink = nil
 	src := nodes[net.RouterAt(0, 0).ID()]
 	dst := nodes[net.RouterAt(4, 4).ID()]
-	dst.Sink = func(now int64, m *Message) { hops, dist = m.HopCount, m.Distance }
+	dst.Sink = func(now int64, m *Message) { hops, dist = int(m.HopCount), int(m.Distance) }
 	src.Inject(&Message{ID: 1, Dst: dst.ID, SizeFlits: 1})
 	if !net.Drain(100) {
 		t.Fatal("message not delivered")
@@ -125,7 +125,7 @@ func TestTorusConservation(t *testing.T) {
 			m.ID = id
 			m.Dst = nodes[(i+1+rng.Intn(len(nodes)-1))%len(nodes)].ID
 			m.Class = Class(rng.Intn(2))
-			m.SizeFlits = 1 + rng.Intn(3)
+			m.SizeFlits = int32(1 + rng.Intn(3))
 			nd.Inject(m)
 		}
 		net.Step()

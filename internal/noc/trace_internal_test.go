@@ -93,7 +93,7 @@ func traceRun(t *testing.T, policy Policy, cfg Config, cycles int,
 			m.ID = id
 			m.Dst = nodes[d].ID
 			m.Class = Class(rng.Intn(cfg.VCs))
-			m.SizeFlits = 1 + 4*rng.Intn(2)
+			m.SizeFlits = int32(1 + 4*rng.Intn(2))
 			nd.Inject(m)
 		}
 		net.Step()

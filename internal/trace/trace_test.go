@@ -38,7 +38,7 @@ func runScenario(traced bool, cfg trace.Config) ([]delivery, *noc.Network, *trac
 	var log []delivery
 	for _, c := range cores {
 		c.Sink = func(now int64, m *noc.Message) {
-			log = append(log, delivery{cycle: now, id: m.ID, hops: m.HopCount})
+			log = append(log, delivery{cycle: now, id: m.ID, hops: int(m.HopCount)})
 		}
 	}
 	id := uint64(0)
@@ -49,7 +49,7 @@ func runScenario(traced bool, cfg trace.Config) ([]delivery, *noc.Network, *trac
 			continue
 		}
 		id++
-		src.Inject(&noc.Message{ID: id, Dst: dst.ID, Class: noc.Class(i % 2), SizeFlits: 1 + i%4})
+		src.Inject(&noc.Message{ID: id, Dst: dst.ID, Class: noc.Class(i % 2), SizeFlits: int32(1 + i%4)})
 		net.Step()
 	}
 	net.Drain(10000)

@@ -203,7 +203,7 @@ func (in *Injector) Tick() {
 		m.Dst = in.Nodes[d].ID
 		m.Class = noc.Class(in.rng.Intn(max(1, in.Classes)))
 		m.Type = typ
-		m.SizeFlits = size
+		m.SizeFlits = int32(size)
 		node.Inject(m)
 	}
 }
