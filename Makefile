@@ -1,7 +1,7 @@
 GO ?= go
 GOFMT ?= gofmt
 
-.PHONY: build test test-nofma race vet vet-cross nofuse fmt layering examples bench-once verify clean
+.PHONY: build test test-nofma race vet vet-cross nofuse reach fmt layering examples bench-once verify clean
 
 build:
 	$(GO) build ./...
@@ -33,6 +33,40 @@ vet:
 # built only off amd64 (internal/nn/gemm_other.go) compile in CI too.
 vet-cross:
 	GOARCH=arm64 $(GO) vet ./...
+
+# Every function declared under internal/ must be in some binary. Build every
+# main package with inlining off (a callee keeps its symbol), for amd64 and for
+# arm64 (nn/gemm_other.go is built only off amd64), and fail, naming file and
+# line, on a non-test `func` that no binary holds (generic ones by their
+# [go.shape] instantiations, assembly by their .abi0 symbols) unless
+# internal/reach.allow lists it; an allowlist line that covers nothing fails
+# too. What may be listed, each line with its reason: packages only tests
+# import, methods an interface requires, code waiting for its caller, and code
+# tests run as an oracle. Functions that only benchmark holds are printed
+# without failing.
+reach:
+	@tmp=$$(mktemp -d) && trap 'rm -rf $$tmp' EXIT && \
+	mains=$$($(GO) list -f '{{if eq .Name "main"}}{{.ImportPath}}{{end}}' ./...) && \
+	for a in amd64 arm64; do GOARCH=$$a $(GO) build -gcflags=all=-l -o $$tmp/$$a/ $$mains || exit 1; done && \
+	$(GO) tool nm $$tmp/*/* > $$tmp/syms && \
+	grep -n '^func ' $$(find internal -name '*.go' ! -name '*_test.go') > $$tmp/decls && \
+	awk 'function bare(s) { while (gsub(/\[[^][]*\]/, "", s)); return s } \
+		FNR == 1 { f++ } \
+		f == 1 && NF && $$1 !~ /^#/ { allow[$$1] = 0 } \
+		f == 2 && $$3 ~ /^[Tt]$$/ && $$4 ~ /^mlnoc\/internal\// { b = $$1; sub(/:$$/, "", b); sub(/.*\//, "", b); \
+			s = bare(substr($$0, index($$0, $$4) + 15)); gsub(/\(\*|\)/, "", s); sub(/\.abi0$$/, "", s); \
+			sub(/\.init\.[0-9]+$$/, ".init", s); if (!((s, b) in seen)) { seen[s, b]; n[s]++; by[s] = b } } \
+		f == 3 { split($$0, p, ":"); at = p[1] ":" p[2]; sig = substr($$0, length(at) + 7); \
+			k = p[1]; sub(/^internal\//, "", k); sub(/\/[^\/]*$$/, ".", k); \
+			if (sig ~ /^\(/) { r = bare(substr(sig, 2, index(sig, ")") - 2)); sub(/^[^)]*\) /, "", sig); \
+				sub(/.* /, "", r); sub(/^\*/, "", r); k = k r "." } \
+			match(sig, /^[A-Za-z0-9_]+/); k = k substr(sig, 1, RLENGTH); \
+			if (n[k] == 1 && by[k] == "benchmark") print "only benchmark holds " at ": " k; \
+			if (n[k]) next; ok = 0; \
+			for (e in allow) if (e == k || (e ~ /\*$$/ && index(k, substr(e, 1, length(e) - 1)) == 1)) { allow[e]++; ok = 1 } \
+			if (!ok) { print at ": " k " is in no binary"; bad = 1 } } \
+		END { for (e in allow) if (!allow[e]) { print "internal/reach.allow: " e " covers no function"; bad = 1 }; exit bad }' \
+		internal/reach.allow $$tmp/syms $$tmp/decls
 
 # Go lets a compiler fuse x*y+z into one rounding unless an explicit float64()
 # rounds the product. gc fuses on arm64 and never on amd64, so an unrounded
@@ -89,7 +123,7 @@ bench-once:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./...
 
 # The PR gate: everything that must be green before merging.
-verify: fmt vet vet-cross nofuse layering build test examples test-nofma race bench-once
+verify: fmt vet vet-cross nofuse reach layering build test examples test-nofma race bench-once
 
 clean:
 	$(GO) clean ./...

@@ -220,9 +220,9 @@ func TestIdleQuadrantStops(t *testing.T) {
 	if !sys.Net.Quiescent() {
 		t.Fatal("network still active after all quadrants completed")
 	}
-	for _, b := range sys.AllBanks() {
-		if b.QueueLen() != 0 {
-			t.Fatalf("%s bank still has %d queued replies", b.Label, b.QueueLen())
+	for _, b := range sys.banks {
+		if n := len(b.queue) - b.head; n != 0 {
+			t.Fatalf("%s bank still has %d queued replies", b.Label, n)
 		}
 	}
 }
@@ -237,7 +237,7 @@ func TestBankBandwidthBound(t *testing.T) {
 			pkt{kind: opMemData, requester: nid(sys.CUs[0].Node.ID), via: nid(sys.L2s[0].Node.ID)})
 	}
 	dir.Tick(1000) // well past the service latency: all five are ready
-	if got := dir.QueueLen(); got != 3 {
+	if got := len(dir.queue) - dir.head; got != 3 {
 		t.Fatalf("dir served %d replies in one cycle, want 2 (bank bandwidth)", 5-got)
 	}
 }
@@ -254,7 +254,7 @@ func TestProtocolFlows(t *testing.T) {
 		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: true}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 200 && cu.Outstanding > 0; i++ {
-		for _, b := range sys.AllBanks() {
+		for _, b := range sys.banks {
 			b.Tick(sys.Net.Cycle())
 		}
 		sys.Net.Step()
@@ -268,7 +268,7 @@ func TestProtocolFlows(t *testing.T) {
 		pkt{kind: opGPURead, requester: nid(cu.Node.ID), hit: false, dir: nid(dir.Node.ID)}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 500 && cu.Outstanding > 0; i++ {
-		for _, b := range sys.AllBanks() {
+		for _, b := range sys.banks {
 			b.Tick(sys.Net.Cycle())
 		}
 		sys.Net.Step()
@@ -283,7 +283,7 @@ func TestProtocolFlows(t *testing.T) {
 		pkt{kind: opGPUWrite, requester: nid(cu.Node.ID), dir: nid(dir.Node.ID)}.word())
 	cu.Outstanding = 1
 	for i := 0; i < 500 && (cu.Outstanding > 0 || dir.Handled == before); i++ {
-		for _, b := range sys.AllBanks() {
+		for _, b := range sys.banks {
 			b.Tick(sys.Net.Cycle())
 		}
 		sys.Net.Step()
@@ -300,7 +300,7 @@ func TestProtocolFlows(t *testing.T) {
 	sys.send(dir.Node, cu.Node.ID, ClassCoh, noc.TypeCoherence, ReqFlits,
 		pkt{kind: opCohProbe, requester: nid(dir.Node.ID)}.word())
 	for i := 0; i < 500 && dir.Handled == before; i++ {
-		for _, b := range sys.AllBanks() {
+		for _, b := range sys.banks {
 			b.Tick(sys.Net.Cycle())
 		}
 		sys.Net.Step()
@@ -315,7 +315,7 @@ func TestProtocolFlows(t *testing.T) {
 		pkt{kind: opCPURead, requester: nid(cpu.Node.ID), hit: false, dir: nid(dir.Node.ID)}.word())
 	cpu.Outstanding = 1
 	for i := 0; i < 500 && cpu.Outstanding > 0; i++ {
-		for _, b := range sys.AllBanks() {
+		for _, b := range sys.banks {
 			b.Tick(sys.Net.Cycle())
 		}
 		sys.Net.Step()
@@ -381,23 +381,21 @@ func TestQuickQuadrantOf(t *testing.T) {
 
 func TestEndpointLookup(t *testing.T) {
 	sys := testSystem(t, 3)
-	if _, ok := sys.Endpoint(sys.CUs[0].Node.ID).(*CU); !ok {
+	if _, ok := sys.byNode[sys.CUs[0].Node.ID].(*CU); !ok {
 		t.Fatal("CU endpoint lookup failed")
 	}
-	if _, ok := sys.Endpoint(sys.Dirs[0].Node.ID).(*Bank); !ok {
+	if _, ok := sys.byNode[sys.Dirs[0].Node.ID].(*Bank); !ok {
 		t.Fatal("bank endpoint lookup failed")
 	}
-	if _, ok := sys.Endpoint(sys.CPUs[0].Node.ID).(*CPU); !ok {
+	if _, ok := sys.byNode[sys.CPUs[0].Node.ID].(*CPU); !ok {
 		t.Fatal("CPU endpoint lookup failed")
 	}
-	for _, nd := range sys.Net.Nodes() {
-		if sys.Endpoint(nd.ID) == nil {
-			t.Fatalf("%s has no endpoint", nd)
-		}
+	if len(sys.byNode) != len(sys.Net.Nodes()) {
+		t.Fatalf("%d endpoints for %d nodes", len(sys.byNode), len(sys.Net.Nodes()))
 	}
-	for _, id := range []noc.NodeID{-1, noc.NodeID(len(sys.Net.Nodes()))} {
-		if ep := sys.Endpoint(id); ep != nil {
-			t.Fatalf("Endpoint(%d) = %v for a node that does not exist", id, ep)
+	for _, nd := range sys.Net.Nodes() {
+		if sys.byNode[nd.ID] == nil {
+			t.Fatalf("%s has no endpoint", nd)
 		}
 	}
 }

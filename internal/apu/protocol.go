@@ -247,9 +247,6 @@ func (b *Bank) Tick(now int64) {
 	}
 }
 
-// QueueLen returns the number of replies awaiting service.
-func (b *Bank) QueueLen() int { return len(b.queue) - b.head }
-
 // CU is one GPU compute unit with its private L1D. It retires OpsRemaining
 // operations; memory reads and writes occupy its outstanding-request window,
 // so slow responses stall issue — the mechanism that turns NoC latency into

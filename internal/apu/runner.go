@@ -145,7 +145,7 @@ func (r *Runner) Step() {
 			r.Completion[q] = now
 		}
 	}
-	// Tick only the banks holding a queued reply, in AllBanks order. The
+	// Tick only the banks holding a queued reply, in System.banks order. The
 	// per-word snapshot is safe: a tick clears only its own bank's bit, and
 	// replies are queued by deliveries, inside Net.Step.
 	for wi, word := range r.Sys.busy {

@@ -110,7 +110,7 @@ type System struct {
 
 	byNode []any    // by NodeID: the node's *CU, *Bank or *CPU
 	isL2   []bool   // by NodeID: the node is a GPU L2 bank
-	banks  []*Bank  // every bank, in AllBanks order
+	banks  []*Bank  // every bank: L2s, L1Is, directories, then LLCs
 	busy   []uint64 // bit i set iff banks[i] holds a queued reply
 
 	// params holds the active phase parameters per quadrant; the Runner
@@ -243,19 +243,6 @@ func NewSystem(cfg Config, seed int64) *System {
 	}
 	sys.busy = make([]uint64, (len(sys.banks)+63)/64)
 	return sys
-}
-
-// AllBanks returns every cache/directory bank in the system (L2, L1I,
-// directories and LLCs).
-func (s *System) AllBanks() []*Bank { return append([]*Bank(nil), s.banks...) }
-
-// Endpoint returns the protocol endpoint (*CU, *Bank or *CPU) attached as the
-// given node, or nil.
-func (s *System) Endpoint(id noc.NodeID) any {
-	if uint(id) >= uint(len(s.byNode)) {
-		return nil
-	}
-	return s.byNode[id]
 }
 
 // quadrantOf maps a tile coordinate to its quadrant index:

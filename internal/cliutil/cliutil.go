@@ -98,16 +98,13 @@ func (c *Check) OneOf(name, v string, allowed ...string) {
 
 // Err returns the first recorded violation, or nil when every constraint
 // held. Validation is fail-fast in message but exhaustive in recording: all
-// violations are kept (see Errs) and the first one names the error.
+// violations are kept and the first one names the error.
 func (c *Check) Err() error {
 	if len(c.errs) == 0 {
 		return nil
 	}
 	return c.errs[0]
 }
-
-// Errs returns every recorded violation in check order.
-func (c *Check) Errs() []error { return c.errs }
 
 // Exit prints the first violation as "prog: <msg>" to stderr and exits with
 // status 2 (the flag-error convention); it is a no-op when the check passed.

@@ -19,8 +19,8 @@ func TestCheckPasses(t *testing.T) {
 	if err := c.Err(); err != nil {
 		t.Fatalf("clean check failed: %v", err)
 	}
-	if len(c.Errs()) != 0 {
-		t.Fatalf("Errs = %v", c.Errs())
+	if len(c.errs) != 0 {
+		t.Fatalf("errs = %v", c.errs)
 	}
 }
 
@@ -77,7 +77,7 @@ func TestCheckRecordsAllViolations(t *testing.T) {
 	c.Positive("-size", -1)
 	c.Unit("-rate", 2)
 	c.NonNegative("-warmup", -5)
-	if got := len(c.Errs()); got != 3 {
+	if got := len(c.errs); got != 3 {
 		t.Fatalf("recorded %d violations, want 3", got)
 	}
 	if !strings.Contains(c.Err().Error(), "-size") {

@@ -82,10 +82,6 @@ func TestSlotRoundTrip(t *testing.T) {
 				t.Fatalf("slot %d assigned twice", s)
 			}
 			seen[s] = true
-			gp, gvc := spec.SlotPort(s)
-			if gp != p || gvc != vc {
-				t.Fatalf("SlotPort(%d) = (%v,%d), want (%v,%d)", s, gp, gvc, p, vc)
-			}
 		}
 	}
 }
@@ -178,8 +174,7 @@ func TestBuildStateIsScatterOfSparse(t *testing.T) {
 		for trial := 0; trial < 300; trial++ {
 			var cands []noc.Candidate
 			for _, slot := range rng.Perm(spec.ActionSize())[:1+rng.Intn(min(12, spec.ActionSize()))] {
-				port, vc := spec.SlotPort(slot)
-				cands = append(cands, noc.Candidate{Port: port, VC: vc, Msg: &noc.Message{
+				cands = append(cands, noc.Candidate{Port: spec.Ports[slot/spec.VCs], VC: slot % spec.VCs, Msg: &noc.Message{
 					SizeFlits:    int32(1 + rng.Intn(8)),
 					ArrivalCycle: 100 - int64(rng.Intn(3)*rng.Intn(40)),
 					Distance:     int32(rng.Intn(7)),

@@ -169,8 +169,7 @@ const recordNow = int64(1) << 62
 // candidate returns a candidate at slot with the given readings, as the
 // fuzz target and the random trials both draw them.
 func candidate(s *StateSpec, slot int, src noc.NodeID, flits int, age int64, dist, hops int, gap int64, typ, dst uint8) noc.Candidate {
-	port, vc := s.SlotPort(slot)
-	return noc.Candidate{Port: port, VC: vc, Msg: &noc.Message{
+	return noc.Candidate{Port: s.Ports[slot/s.VCs], VC: slot % s.VCs, Msg: &noc.Message{
 		Src:          src,
 		SizeFlits:    int32(flits),
 		ArrivalCycle: recordNow - age,

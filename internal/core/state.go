@@ -136,11 +136,6 @@ func (s *StateSpec) Slot(port noc.PortID, vc int) int {
 	return col*s.VCs + vc
 }
 
-// SlotPort returns the (port, vc) of an action index.
-func (s *StateSpec) SlotPort(slot int) (noc.PortID, int) {
-	return s.Ports[slot/s.VCs], slot % s.VCs
-}
-
 // Record appends to dst the record of one arbitration: for each candidate in
 // the order given, its Slot in one byte and then one reading per feature of
 // the spec's FeatureSet, the integer the state normalizes (Feature.read): one

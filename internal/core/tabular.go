@@ -60,9 +60,6 @@ func NewTabularAgent(spec *StateSpec, seed int64) *TabularAgent {
 // Name implements noc.Policy.
 func (a *TabularAgent) Name() string { return "q-table" }
 
-// Decisions returns the number of contended arbitrations handled.
-func (a *TabularAgent) Decisions() int64 { return a.decisions }
-
 // bucket discretizes v into 2^bits levels with a doubling scale
 // (0, 1-2, 3-6, 7+ for 2 bits).
 func bucket(v int64, bits uint) uint64 {

@@ -65,7 +65,7 @@ func TestTabularAgentLearnsAndGrows(t *testing.T) {
 		in.Tick()
 		net.Step()
 	}
-	if agent.Decisions() == 0 {
+	if agent.decisions == 0 {
 		t.Fatal("no contended arbitrations")
 	}
 	if agent.Table.States() < 100 {

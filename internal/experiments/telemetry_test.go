@@ -140,7 +140,9 @@ func TestCellFailureDiagnostics(t *testing.T) {
 			})
 		}
 		cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-		net.Run(200)
+		for range 200 {
+			net.Step()
+		}
 		return net, suite
 	}
 	bareNet, _ := frozen(false)

@@ -12,7 +12,7 @@ import (
 // net.Node. This file is the only place that lookup survives.
 
 func refXY(net *noc.Network, r *noc.Router, m *noc.Message) noc.PortID {
-	dst := net.Node(m.Dst)
+	dst := net.Nodes()[m.Dst]
 	if dst.Router == r {
 		return dst.Port
 	}
@@ -20,7 +20,7 @@ func refXY(net *noc.Network, r *noc.Router, m *noc.Message) noc.PortID {
 }
 
 func refTable(t *TableRouting, r *noc.Router, m *noc.Message) noc.PortID {
-	dst := t.net.Node(m.Dst)
+	dst := t.net.Nodes()[m.Dst]
 	if dst.Router == r {
 		if !r.LinkUp(dst.Port) {
 			return noc.RouteUnreachable
@@ -48,7 +48,7 @@ func refTable(t *TableRouting, r *noc.Router, m *noc.Message) noc.PortID {
 }
 
 func refWestFirst(net *noc.Network, r *noc.Router, m *noc.Message) noc.PortID {
-	dst := net.Node(m.Dst)
+	dst := net.Nodes()[m.Dst]
 	dx, dy := dst.Router.Coord.X-r.Coord.X, dst.Router.Coord.Y-r.Coord.Y
 	up := func(p noc.PortID) bool { return r.LinkUp(p) && r.Neighbor(p) != nil }
 	switch {

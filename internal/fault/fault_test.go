@@ -185,7 +185,9 @@ func TestWestFirstRouting(t *testing.T) {
 	// Westbound (2,1) -> (0,1): west is the only admissible direction under
 	// west-first, so the dead west link is an unreachable verdict.
 	cores[5].Inject(&noc.Message{ID: 2, Dst: cores[3].ID, SizeFlits: 1})
-	net.Run(10)
+	for range 10 {
+		net.Step()
+	}
 	if net.FaultStats().Unreachable != 1 {
 		t.Fatalf("Unreachable = %d, want 1 (west-first cannot detour westbound)", net.FaultStats().Unreachable)
 	}
@@ -290,7 +292,9 @@ func TestKillTakesEffectAtItsCycle(t *testing.T) {
 	if _, err := (Spec{Plan: plan}).Equip(net); err != nil {
 		t.Fatalf("Equip: %v", err)
 	}
-	net.Run(20)
+	for range 20 {
+		net.Step()
+	}
 	if down[9] != 0 || down[10] != 2 {
 		t.Fatalf("LinksDown after cycles 9 and 10 = %d, %d; want 0, 2", down[9], down[10])
 	}

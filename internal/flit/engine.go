@@ -141,9 +141,6 @@ func New(cfg Config, policy noc.Policy) *Engine {
 	return e
 }
 
-// Cycle returns the current cycle.
-func (e *Engine) Cycle() int64 { return e.cycle }
-
 // Stats returns the accumulated statistics.
 func (e *Engine) Stats() *Stats { return &e.stats }
 
@@ -363,13 +360,6 @@ func (e *Engine) launch(r *router, in noc.PortID, vc int, out noc.PortID) {
 	e.nextArrivals = append(e.nextArrivals, arrival{
 		r: e.routers[r.Neighbor(out).ID()], port: out.Opposite(), vc: vc, f: f,
 	})
-}
-
-// Run advances the engine by n cycles.
-func (e *Engine) Run(n int64) {
-	for i := int64(0); i < n; i++ {
-		e.Step()
-	}
 }
 
 // Quiescent reports whether no packets remain anywhere in the system.

@@ -15,11 +15,7 @@
 // ordering checked here (experiments.FlitCheck) is that of the same code.
 package flit
 
-import (
-	"fmt"
-
-	"mlnoc/internal/noc"
-)
+import "mlnoc/internal/noc"
 
 // Kind is a flit's position within its packet.
 type Kind uint8
@@ -32,21 +28,6 @@ const (
 	// HeadTail is a single-flit packet.
 	HeadTail
 )
-
-// String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case Head:
-		return "head"
-	case Body:
-		return "body"
-	case Tail:
-		return "tail"
-	case HeadTail:
-		return "head-tail"
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
 
 // IsHead reports whether the flit opens a packet.
 func (k Kind) IsHead() bool { return k == Head || k == HeadTail }

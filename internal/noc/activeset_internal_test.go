@@ -105,8 +105,8 @@ func checkBitmaps(t testing.TB, net *Network, when string) {
 	}
 	for _, nd := range net.nodes {
 		got := net.actN[nd.ID>>6]&(1<<(uint(nd.ID)&63)) != 0
-		if want := nd.PendingInjections() > 0; got != want {
-			t.Fatalf("%s: node %d activity bit = %v, pending = %d", when, nd.ID, got, nd.PendingInjections())
+		if want := nd.qLen > 0; got != want {
+			t.Fatalf("%s: node %d activity bit = %v, pending = %d", when, nd.ID, got, nd.qLen)
 		}
 	}
 }
@@ -143,11 +143,11 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 		switch {
 		case cycle%97 == 13:
 			if downAttach >= 0 {
-				nd := net.Node(NodeID(downAttach))
+				nd := net.nodes[downAttach]
 				net.SetLinkDown(nd.Router.ID(), nd.Port, false)
 			}
 			downAttach = rng.Intn(len(nodes))
-			nd := net.Node(NodeID(downAttach))
+			nd := net.nodes[downAttach]
 			net.SetLinkDown(nd.Router.ID(), nd.Port, true)
 		case cycle%211 == 77:
 			// Strand every message bound for a random destination.
@@ -164,7 +164,7 @@ func TestActiveSetBitmapInvariants(t *testing.T) {
 	}
 	// Repair and drain so the terminal state is checked empty.
 	if downAttach >= 0 {
-		nd := net.Node(NodeID(downAttach))
+		nd := net.nodes[downAttach]
 		net.SetLinkDown(nd.Router.ID(), nd.Port, false)
 	}
 	net.Drain(20000)

@@ -79,7 +79,7 @@ type listPlace struct {
 
 // checkLists walks the freelist, every input buffer's list and every node's
 // injection queue from its head. It fails when a list's length is not its
-// buffer's Len() or its node's PendingInjections(), when its last message is
+// buffer's Len() or its node's qLen, when its last message is
 // not its tail, when a message is reached twice (two lists, a list and the
 // freelist, or a cycle), when the node queues do not add up to the network's
 // PendingInjections(), or when a node's activity bit disagrees with whether
@@ -124,9 +124,9 @@ func checkLists(t testing.TB, net *Network, when string) {
 			last = m
 			k++
 		}
-		if k != nd.PendingInjections() || nd.qTail != last {
-			t.Fatalf("%s: %s queues %d messages ending at %v, PendingInjections %d, tail %v",
-				when, nd, k, last, nd.PendingInjections(), nd.qTail)
+		if k != nd.qLen || nd.qTail != last {
+			t.Fatalf("%s: %s queues %d messages ending at %v, qLen %d, tail %v",
+				when, nd, k, last, nd.qLen, nd.qTail)
 		}
 		if active := net.actN[nd.ID>>6]>>(uint(nd.ID)&63)&1 != 0; active != (k != 0) {
 			t.Fatalf("%s: %s activity bit %v with %d queued", when, nd, active, k)

@@ -1,9 +1,11 @@
 package noc
 
 import (
+	"fmt"
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"testing"
 )
 
@@ -13,7 +15,9 @@ import (
 // are lists through the messages and never allocate), driving the in-flight deliveries up to
 // their first peak allocates nothing. It counts the runtime's mallocs over the
 // whole climb, on one P as testing.AllocsPerRun does, because AllocsPerRun's
-// integer division hides fewer than one allocation per cycle.
+// integer division hides fewer than one allocation per cycle. The count is
+// process-wide, so a failure names the stacks that allocated in the window
+// from a heap profile sampling every allocation.
 func TestDeliveryStoreFixedAtNew(t *testing.T) {
 	const cycles = 300
 	net, nodes := BuildMeshCores(Config{Width: 8, Height: 8, VCs: 3, BufferCap: 4})
@@ -26,6 +30,8 @@ func TestDeliveryStoreFixedAtNew(t *testing.T) {
 	var id uint64
 	peak := 0
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	prof := newAllocProfile()
+	defer prof.stop()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for c := 0; c < cycles; c++ {
@@ -38,8 +44,66 @@ func TestDeliveryStoreFixedAtNew(t *testing.T) {
 		t.Fatalf("vacuous: in-flight deliveries peaked at %d", peak)
 	}
 	if n := after.Mallocs - before.Mallocs; n != 0 {
-		t.Fatalf("%d cycles up to a peak of %d in-flight deliveries made %d mallocs, want 0", cycles, peak, n)
+		t.Fatalf("%d cycles up to a peak of %d in-flight deliveries made %d mallocs, want 0; allocated since the window opened:\n%s",
+			cycles, peak, n, prof.since())
 	}
+}
+
+// allocProfile records every allocation's stack (runtime.MemProfileRate 1)
+// from newAllocProfile to stop, and since names the stacks that allocated
+// after newAllocProfile. Opening it runs no GC, which would wake the
+// runtime's background scavenger into the window, so its baseline is the
+// profile of the last GC: the set-up's allocations since then, sampled at
+// the default rate, may be listed too.
+type allocProfile struct{ rate, nbase int }
+
+// profBase and profNow are made at package start, so reading a profile into
+// them allocates nothing.
+var profBase, profNow = make([]runtime.MemProfileRecord, 512), make([]runtime.MemProfileRecord, 512)
+
+func newAllocProfile() allocProfile {
+	p := allocProfile{rate: runtime.MemProfileRate}
+	p.nbase, _ = runtime.MemProfile(profBase, true)
+	runtime.MemProfileRate = 1
+	return p
+}
+
+func (p allocProfile) stop() { runtime.MemProfileRate = p.rate }
+
+// since returns each stack whose allocation count grew after the baseline,
+// with the growth, one frame a line. It stops recording and runs a GC, which
+// publishes the allocations made since the last one; the GC's own are not
+// listed.
+func (p allocProfile) since() string {
+	p.stop()
+	runtime.GC()
+	n, ok := runtime.MemProfile(profNow, true)
+	if !ok || p.nbase > len(profBase) {
+		return fmt.Sprintf("(the heap profile outgrew its buffers: %d and %d records)", p.nbase, n)
+	}
+	seen := make(map[[32]uintptr]int64, p.nbase)
+	for _, r := range profBase[:p.nbase] {
+		seen[r.Stack0] = r.AllocObjects
+	}
+	var b strings.Builder
+	for _, r := range profNow[:n] {
+		grew := r.AllocObjects - seen[r.Stack0]
+		if grew <= 0 {
+			continue
+		}
+		stack := fmt.Sprintf("%d more objects at\n", grew)
+		frames := runtime.CallersFrames(r.Stack())
+		for f, more := frames.Next(); ; f, more = frames.Next() {
+			stack += fmt.Sprintf("\t%s %s:%d\n", f.Function, f.File, f.Line)
+			if !more {
+				break
+			}
+		}
+		if !strings.Contains(stack, "allocProfile.since") {
+			b.WriteString(stack)
+		}
+	}
+	return b.String()
 }
 
 // wheelLists returns the messages of every wheel slot's list, in list order.

@@ -22,7 +22,9 @@ func TestLinkDownBlocksGrants(t *testing.T) {
 		t.Fatalf("LinksDown = %d, want 1", got)
 	}
 	cores[0].Inject(&Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(50)
+	for range 50 {
+		net.Step()
+	}
 	if net.Stats().Delivered != 0 {
 		t.Fatal("message crossed a dead link")
 	}
@@ -102,7 +104,9 @@ func TestUnreachableEviction(t *testing.T) {
 	ob := &evictionObserver{}
 	net.AddObserver(ob)
 	cores[0].Inject(&Message{ID: 1, Dst: cores[3].ID, SizeFlits: 1})
-	net.Run(3)
+	for range 3 {
+		net.Step()
+	}
 	if ob.evictions != 1 {
 		t.Fatalf("ObserveUnreachable ran %d times, want 1", ob.evictions)
 	}
@@ -161,8 +165,8 @@ func TestRequeueStranded(t *testing.T) {
 	if normalized != 1 {
 		t.Fatalf("strand saw the kept message %d times, want 1", normalized)
 	}
-	if got := cores[0].PendingInjections(); got != 1 {
-		t.Fatalf("PendingInjections = %d after rescue, want 1", got)
+	if got := cores[0].qLen; got != 1 {
+		t.Fatalf("node 0 has %d pending after rescue, want 1", got)
 	}
 	if s := net.Stats(); s.Injected != s.Delivered+net.FaultStats().Unreachable+net.InFlight() {
 		t.Fatalf("conservation broken after rescue: injected=%d delivered=%d inflight=%d",
@@ -192,8 +196,10 @@ func TestAttachPortDownBlocksInjection(t *testing.T) {
 	net.SetPolicy(firstPolicy{})
 	net.SetLinkDown(0, PortCore, true)
 	cores[0].Inject(&Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(20)
-	if cores[0].PendingInjections() != 1 || net.Stats().Injected != 0 {
+	for range 20 {
+		net.Step()
+	}
+	if cores[0].qLen != 1 || net.Stats().Injected != 0 {
 		t.Fatal("injection proceeded through a dead attach port")
 	}
 	net.SetLinkDown(0, PortCore, false)

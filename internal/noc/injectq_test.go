@@ -8,8 +8,8 @@ import (
 
 // TestInjectQueueMatchesSliceModel drives two nodes' injection queues and a
 // plain-slice FIFO per node through the same random bursts of Inject and
-// dequeue (white-box), and after every operation compares PendingInjections
-// and the head with the model and walks every list and activity bit
+// dequeue (white-box), and after every operation compares the queue's length
+// and head with the model and walks every list and activity bit
 // (checkLists). A dequeue must return the model's head with its link cleared.
 // Phases that favour bursts in, then bursts out, make the queues grow past
 // five hundred messages and drain to empty before they refill, or the run
@@ -47,8 +47,8 @@ func TestInjectQueueMatchesSliceModel(t *testing.T) {
 		deepest = max(deepest, len(models[i]))
 		when := fmt.Sprintf("step %d", step)
 		for j, nd := range nodes {
-			if nd.PendingInjections() != len(models[j]) {
-				t.Fatalf("%s: %s has %d pending, model %d", when, nd, nd.PendingInjections(), len(models[j]))
+			if nd.qLen != len(models[j]) {
+				t.Fatalf("%s: %s has %d pending, model %d", when, nd, nd.qLen, len(models[j]))
 			}
 			if len(models[j]) > 0 && nd.qHead != models[j][0] {
 				t.Fatalf("%s: %s head %v, model %v", when, nd, nd.qHead, models[j][0])

@@ -148,10 +148,6 @@ type Message struct {
 	next *Message
 }
 
-// GlobalAge returns the number of cycles since the message entered the
-// network.
-func (m *Message) GlobalAge(now int64) int64 { return now - m.InjectCycle }
-
 // LocalAge returns the number of cycles the message has waited at its current
 // router.
 func (m *Message) LocalAge(now int64) int64 { return now - m.ArrivalCycle }

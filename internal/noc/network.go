@@ -308,9 +308,6 @@ func (n *Network) SetPolicy(p Policy) {
 	n.matcher, _ = p.(Matcher)
 }
 
-// Policy returns the installed arbitration policy.
-func (n *Network) Policy() Policy { return n.policy }
-
 // SetRouting installs a routing algorithm, replacing built-in X-Y routing
 // (pass nil to restore it). Installing a Routing marks the network faulty so
 // unreachable verdicts are honored; with all links healthy, the reference
@@ -323,10 +320,6 @@ func (n *Network) SetRouting(rt Routing) {
 	// The new routing may reach different verdicts on every buffered head.
 	n.invalidateRoutes()
 }
-
-// Routing returns the installed routing algorithm, or nil when the built-in
-// X-Y routing is active.
-func (n *Network) Routing() Routing { return n.routing }
 
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
@@ -360,9 +353,6 @@ func (n *Network) Routers() []*Router { return n.routers }
 
 // Nodes returns all attached nodes in attachment order.
 func (n *Network) Nodes() []*Node { return n.nodes }
-
-// Node returns the node with the given ID.
-func (n *Network) Node(id NodeID) *Node { return n.nodes[id] }
 
 // sizeNodeTables brings the per-node tables to one entry per attached node:
 // one allocation each when the node set is first used, and one resize per
@@ -476,13 +466,6 @@ func (n *Network) Step() {
 	}
 	if n.OnCycle != nil {
 		n.OnCycle(n)
-	}
-}
-
-// Run advances the simulation by cycles steps.
-func (n *Network) Run(cycles int64) {
-	for i := int64(0); i < cycles; i++ {
-		n.Step()
 	}
 }
 

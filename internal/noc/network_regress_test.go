@@ -9,7 +9,7 @@ import (
 
 // TestInjectQueueFIFOUnderBacklog piles a deep backlog onto one node and
 // checks that the queue's list preserves FIFO order, drains fully, and keeps
-// PendingInjections consistent throughout.
+// its length consistent throughout.
 func TestInjectQueueFIFOUnderBacklog(t *testing.T) {
 	net, cores := buildMesh(t, 2, 1, 1)
 	net.SetPolicy(firstPolicy{})
@@ -20,13 +20,13 @@ func TestInjectQueueFIFOUnderBacklog(t *testing.T) {
 	for i := 0; i < n; i++ {
 		cores[0].Inject(&Message{ID: uint64(i + 1), Dst: cores[1].ID, SizeFlits: 1})
 	}
-	if p := cores[0].PendingInjections(); p != n {
+	if p := cores[0].qLen; p != n {
 		t.Fatalf("pending = %d, want %d", p, n)
 	}
 	prevPending := n
 	for i := 0; i < 10*n && !net.Quiescent(); i++ {
 		net.Step()
-		p := cores[0].PendingInjections()
+		p := cores[0].qLen
 		if p > prevPending || p < 0 {
 			t.Fatalf("pending went from %d to %d", prevPending, p)
 		}
@@ -35,8 +35,8 @@ func TestInjectQueueFIFOUnderBacklog(t *testing.T) {
 	if !net.Quiescent() {
 		t.Fatal("backlog did not drain")
 	}
-	if cores[0].PendingInjections() != 0 {
-		t.Fatalf("pending = %d after drain", cores[0].PendingInjections())
+	if cores[0].qLen != 0 {
+		t.Fatalf("pending = %d after drain", cores[0].qLen)
 	}
 	if len(got) != n {
 		t.Fatalf("delivered %d of %d", len(got), n)
@@ -215,7 +215,9 @@ func TestSchedulePanicReportsDelay(t *testing.T) {
 			}
 		}
 	}()
-	net.Run(4)
+	for range 4 {
+		net.Step()
+	}
 }
 
 // TestScheduleTakenSlotPanics: an output holds one delivery at a time, so a
@@ -298,7 +300,9 @@ func TestPendingInjectionsCounter(t *testing.T) {
 	scan := func() int {
 		total := 0
 		for _, nd := range nodes {
-			total += nd.PendingInjections()
+			for m := nd.qHead; m != nil; m = m.next {
+				total++
+			}
 		}
 		return total
 	}

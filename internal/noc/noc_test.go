@@ -492,10 +492,10 @@ func TestInjectRejectsZeroFlits(t *testing.T) {
 	cores[0].Inject(&Message{ID: 1, Dst: cores[1].ID})
 }
 
-func TestGlobalAndLocalAge(t *testing.T) {
+func TestLocalAge(t *testing.T) {
 	m := &Message{InjectCycle: 10, ArrivalCycle: 30}
-	if m.GlobalAge(50) != 40 || m.LocalAge(50) != 20 {
-		t.Fatalf("ages = %d/%d, want 40/20", m.GlobalAge(50), m.LocalAge(50))
+	if m.LocalAge(50) != 20 {
+		t.Fatalf("local age = %d, want 20", m.LocalAge(50))
 	}
 }
 

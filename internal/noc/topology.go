@@ -145,10 +145,6 @@ func (n *Node) Inject(m *Message) {
 // use it to reach the message freelist (Network.AllocMessage).
 func (n *Node) Network() *Network { return n.net }
 
-// PendingInjections returns the number of messages queued at the node that
-// have not yet entered the network.
-func (n *Node) PendingInjections() int { return n.qLen }
-
 // dequeue unlinks the head of the injection queue, which must be non-empty.
 func (n *Node) dequeue() {
 	m := n.qHead

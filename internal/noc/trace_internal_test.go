@@ -122,7 +122,7 @@ func faultSchedule(core bool) func(*Network, int) {
 // under attachRouting.
 func attachDown(net *Network, cycle int) {
 	if cycle == 150 || cycle == 400 {
-		nd := net.Node(10)
+		nd := net.nodes[10]
 		net.SetLinkDown(nd.Router.ID(), nd.Port, cycle == 150)
 	}
 }

@@ -49,16 +49,18 @@ func TestWatchdogCatchesStarvation(t *testing.T) {
 	net.SetPolicy(biasPolicy{})
 	w := AttachWatchdog(net, WatchdogConfig{Threshold: 200})
 
+	// Node 1 queues four messages once: its head starves in router 1's core
+	// buffer, so at most four injections stay pending there, and topping the
+	// total up to eight keeps node 0's flow saturated and the contested
+	// output never idle.
 	var id uint64
+	for ; id < 4; id++ {
+		cores[1].Inject(&noc.Message{ID: id, Dst: cores[2].ID, SizeFlits: 1})
+	}
 	for cycle := 0; cycle < 2000; cycle++ {
-		// Saturate both flows so the contested output never goes idle.
-		if cores[0].PendingInjections() < 4 {
+		if net.PendingInjections() < 8 {
 			id++
 			cores[0].Inject(&noc.Message{ID: id, Dst: cores[2].ID, SizeFlits: 1})
-		}
-		if cores[1].PendingInjections() < 4 {
-			id++
-			cores[1].Inject(&noc.Message{ID: id, Dst: cores[2].ID, SizeFlits: 1})
 		}
 		net.Step()
 	}
@@ -98,7 +100,9 @@ func TestWatchdogCatchesLivelock(t *testing.T) {
 
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[3].ID, SizeFlits: 1})
 	cores[1].Inject(&noc.Message{ID: 2, Dst: cores[2].ID, SizeFlits: 1})
-	net.Run(1000)
+	for range 1000 {
+		net.Step()
+	}
 
 	if !w.Tripped() {
 		t.Fatal("watchdog did not trip on a zero-delivery window")
@@ -144,7 +148,9 @@ func TestWatchdogQuietOnHealthyRun(t *testing.T) {
 	}
 	// An idle drained network must not look like a livelock either.
 	net.Drain(20000)
-	net.Run(2000)
+	for range 2000 {
+		net.Step()
+	}
 	if w.Tripped() {
 		t.Fatalf("watchdog tripped on an idle network:\n%s", w.Summary())
 	}
@@ -164,7 +170,9 @@ func TestWatchdogDrainedThenIdle(t *testing.T) {
 	if !net.Drain(1000) {
 		t.Fatal("network did not drain")
 	}
-	net.Run(2000) // twenty livelock windows of drained idleness
+	for range 2000 { // twenty livelock windows of drained idleness
+		net.Step()
+	}
 	if w.Tripped() {
 		t.Fatalf("watchdog tripped on a drained idle network:\n%s", w.Summary())
 	}
@@ -185,7 +193,9 @@ func TestWatchdogAlertCap(t *testing.T) {
 	net.SetPolicy(deadMatcher{})
 	w := AttachWatchdog(net, WatchdogConfig{Threshold: 10})
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(1000)
+	for range 1000 {
+		net.Step()
+	}
 	if len(w.Alerts()) != maxAlerts {
 		t.Fatalf("recorded %d alerts, want cap %d", len(w.Alerts()), maxAlerts)
 	}
@@ -207,7 +217,9 @@ func TestWatchdogFaultBlackhole(t *testing.T) {
 	net.SetLinkDown(0, noc.PortEast, true)
 	w := AttachWatchdog(net, WatchdogConfig{Threshold: 50})
 	cores[0].Inject(&noc.Message{ID: 1, Dst: cores[1].ID, SizeFlits: 1})
-	net.Run(500)
+	for range 500 {
+		net.Step()
+	}
 	var holes int
 	for _, a := range w.Alerts() {
 		switch a.Kind {

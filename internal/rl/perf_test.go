@@ -254,7 +254,7 @@ func TestReplayArenaRing(t *testing.T) {
 			next[j] = 0xff
 		}
 		added = append(added, e)
-		sizes[r.ArenaBytes()] = true
+		sizes[len(r.arena)] = true
 		if r.Len() > 1 && r.off[(r.next+capacity-1)%capacity] == 0 {
 			wraps++
 		}
@@ -316,8 +316,8 @@ func TestReplayArenaPlacement(t *testing.T) {
 		r.Add(Transition{State: state, Action: i})
 		added = append(added, state)
 		slot := (r.next + r.cap - 1) % r.cap
-		if r.ArenaBytes() != c.arena || int(r.off[slot]) != c.at {
-			t.Fatalf("add %d: record at %d in an arena of %d, want at %d in %d", i, r.off[slot], r.ArenaBytes(), c.at, c.arena)
+		if len(r.arena) != c.arena || int(r.off[slot]) != c.at {
+			t.Fatalf("add %d: record at %d in an arena of %d, want at %d in %d", i, r.off[slot], len(r.arena), c.at, c.arena)
 		}
 		for j := 0; j < r.Len(); j++ {
 			k, n := (r.next-r.Len()+j+r.cap)%r.cap, len(added)-r.Len()+j

@@ -277,9 +277,6 @@ func (r *Replay) Len() int { return r.size }
 // Cap returns the capacity of the replay memory.
 func (r *Replay) Cap() int { return r.cap }
 
-// ArenaBytes returns the size of the arena the experiences are stored in.
-func (r *Replay) ArenaBytes() int { return len(r.arena) }
-
 // SampleInto fills dst with len(dst) experiences drawn uniformly at random
 // with replacement — the same slot can appear several times in one batch, and
 // the draw probability is uniform over stored experiences regardless of age.

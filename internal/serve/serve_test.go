@@ -313,7 +313,7 @@ func TestDrainGraceful(t *testing.T) {
 	// Draining flips immediately; new submissions bounce even while the
 	// running job is still going.
 	deadline := time.Now().Add(2 * time.Second)
-	for !s.Draining() && time.Now().Before(deadline) {
+	for !s.draining.Load() && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
 	}
 	if code, _ := postJob(t, h, `{"type":"quant","seed":3}`); code != http.StatusServiceUnavailable {
@@ -529,8 +529,8 @@ func TestMetricsRender(t *testing.T) {
 		}
 	}
 	// The document must be valid exposition text per the strict parser.
-	if err := telemetry.Lint(body); err != nil {
-		t.Errorf("/metrics does not lint: %v", err)
+	if _, err := telemetry.Parse(body); err != nil {
+		t.Errorf("/metrics does not parse: %v", err)
 	}
 }
 
@@ -707,7 +707,7 @@ func TestSpillFrameRejectsEveryDamage(t *testing.T) {
 // TestEndToEndTinySweep drives the daemon end to end over a real loopback
 // listener and a real simulation: the health endpoints, a tiny deterministic
 // sweep submitted twice (the second answered from the cache with a
-// byte-identical payload), /metrics linting and covering jobs, HTTP routes,
+// byte-identical payload), /metrics parsing strictly and covering jobs, HTTP routes,
 // pool, cache and watchdog, the job's event stream, and the dashboard.
 func TestEndToEndTinySweep(t *testing.T) {
 	if testing.Short() {
@@ -806,7 +806,7 @@ func TestEndToEndTinySweep(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics: code %d", code)
 	}
-	if err := telemetry.Lint(string(metrics)); err != nil {
+	if _, err := telemetry.Parse(string(metrics)); err != nil {
 		t.Fatalf("/metrics is not valid exposition text: %v\n%s", err, metrics)
 	}
 	for _, want := range []string{

@@ -253,9 +253,6 @@ func (s *Server) finalizeQueued(jobs []*Job) {
 	}
 }
 
-// Draining reports whether shutdown has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
-
 // register mints an ID and adds the job to the registry as a live one. An
 // empty corrID is defaulted to "<id>-<hash prefix>", so every job is
 // correlatable even when the client sent no X-Correlation-ID.

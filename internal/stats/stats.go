@@ -69,9 +69,6 @@ func (a *Accumulator) Min() float64 { return a.min }
 // Max returns the largest sample, or 0 for an empty accumulator.
 func (a *Accumulator) Max() float64 { return a.max }
 
-// Sum returns mean*count.
-func (a *Accumulator) Sum() float64 { return a.mean * float64(a.n) }
-
 // String implements fmt.Stringer.
 func (a *Accumulator) String() string {
 	return fmt.Sprintf("n=%d mean=%.3f sd=%.3f min=%.3f max=%.3f",

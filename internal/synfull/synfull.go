@@ -120,15 +120,8 @@ type Instance struct {
 	src      xrand.Source
 }
 
-// NewInstance creates an instance starting in phase 0.
-func NewInstance(m *Model, seed int64) *Instance {
-	in := new(Instance)
-	in.Reset(m, seed)
-	return in
-}
-
-// Reset puts the instance in the state NewInstance(m, seed) returns, reusing
-// its storage.
+// Reset starts the instance in phase 0 of m, its stream seeded with seed,
+// reusing its storage. A zero Instance is ready for Reset.
 func (in *Instance) Reset(m *Model, seed int64) {
 	if in.rng == nil {
 		in.rng = rand.New(&in.src)
@@ -159,6 +152,3 @@ func (in *Instance) Tick(now int64) {
 
 // Cur returns the active phase.
 func (in *Instance) Cur() *Phase { return &in.Model.Phases[in.phase] }
-
-// PhaseIndex returns the index of the active phase.
-func (in *Instance) PhaseIndex() int { return in.phase }

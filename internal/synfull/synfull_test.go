@@ -127,14 +127,15 @@ func TestModelValidation(t *testing.T) {
 
 func TestInstancePhaseMachine(t *testing.T) {
 	m, _ := ByName("bfs")
-	in := NewInstance(m, 99)
-	if in.PhaseIndex() != 0 {
+	var in Instance
+	in.Reset(m, 99)
+	if in.phase != 0 {
 		t.Fatal("instance must start in phase 0")
 	}
 	seen := map[int]bool{0: true}
 	for cycle := int64(0); cycle < m.PhaseLen*200; cycle++ {
 		in.Tick(cycle)
-		p := in.PhaseIndex()
+		p := in.phase
 		if p < 0 || p >= len(m.Phases) {
 			t.Fatalf("phase index %d out of range", p)
 		}
@@ -149,11 +150,13 @@ func TestInstancePhaseMachine(t *testing.T) {
 
 func TestInstanceDeterministicPerSeed(t *testing.T) {
 	m, _ := ByName("spmv")
-	a, b := NewInstance(m, 5), NewInstance(m, 5)
+	var a, b Instance
+	a.Reset(m, 5)
+	b.Reset(m, 5)
 	for cycle := int64(0); cycle < m.PhaseLen*50; cycle++ {
 		a.Tick(cycle)
 		b.Tick(cycle)
-		if a.PhaseIndex() != b.PhaseIndex() {
+		if a.phase != b.phase {
 			t.Fatal("same-seed instances diverged")
 		}
 	}

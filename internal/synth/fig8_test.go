@@ -260,7 +260,7 @@ func TestNetlistBuilderBasics(t *testing.T) {
 			}
 		}
 	}
-	if len(nl.InputNames()) != 2 || len(nl.OutputNames()) != 4 {
+	if len(nl.inOrder) != 2 || len(nl.outOrder) != 4 {
 		t.Fatal("name bookkeeping wrong")
 	}
 }

@@ -265,12 +265,6 @@ func (n *Netlist) NumGates() int { return len(n.gates) }
 // Depth returns the logic depth (gate levels) to the deepest output.
 func (n *Netlist) Depth() int { return n.maxDepth }
 
-// InputNames returns the primary inputs in declaration order.
-func (n *Netlist) InputNames() []string { return n.inOrder }
-
-// OutputNames returns the primary outputs in declaration order.
-func (n *Netlist) OutputNames() []string { return n.outOrder }
-
 // EvalUint evaluates the circuit with unsigned-integer convenience: each
 // entry of in assigns a bus ("la" -> la0..laN) or a single input, missing
 // ones reading 0, and the named output bus or single output is decoded back

@@ -28,13 +28,6 @@ func (r *Registry) Render(w io.Writer) error {
 	return err
 }
 
-// RenderText returns the exposition document as a string.
-func (r *Registry) RenderText() string {
-	var b strings.Builder
-	_ = r.Render(&b)
-	return b.String()
-}
-
 // Handler returns an http.Handler serving the exposition (a /metrics
 // endpoint).
 func (r *Registry) Handler() http.Handler {

@@ -150,12 +150,6 @@ func Parse(text string) ([]Family, error) {
 	return fams, nil
 }
 
-// Lint is Parse discarding the parsed model — the smoke-test entry point.
-func Lint(text string) error {
-	_, err := Parse(text)
-	return err
-}
-
 // parseComment splits "# HELP name rest" / "# TYPE name rest".
 func parseComment(line string) (kind, name, rest string, err error) {
 	fields := strings.SplitN(line, " ", 4)

@@ -283,9 +283,6 @@ func (h *Histogram) Observe(v float64) {
 	}
 }
 
-// Count returns the total number of observations.
-func (h *Histogram) Count() uint64 { return h.count.Load() }
-
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 

@@ -7,6 +7,13 @@ import (
 	"testing"
 )
 
+// render returns the exposition document r.Render writes.
+func render(r *Registry) string {
+	var b strings.Builder
+	_ = r.Render(&b)
+	return b.String()
+}
+
 func TestCounterGaugeBasics(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("jobs", "jobs seen").With()
@@ -46,8 +53,8 @@ func TestHistogramBucketsAndQuantile(t *testing.T) {
 	for _, v := range []float64{0.5, 1.5, 1.5, 3, 9} {
 		h.Observe(v)
 	}
-	if h.Count() != 5 {
-		t.Fatalf("count = %d, want 5", h.Count())
+	if h.count.Load() != 5 {
+		t.Fatalf("count = %d, want 5", h.count.Load())
 	}
 	if h.Sum() != 15.5 {
 		t.Fatalf("sum = %g, want 15.5", h.Sum())
@@ -108,7 +115,7 @@ func TestCallbackFamilies(t *testing.T) {
 	r.CounterFunc("spills", "cache spills", func() uint64 { return n })
 	r.GaugeFunc("busy", "busy workers", func() float64 { return 3 })
 	n++
-	text := r.RenderText()
+	text := render(r)
 	for _, want := range []string{"spills_total 42", "busy 3"} {
 		if !strings.Contains(text, want) {
 			t.Errorf("render missing %q:\n%s", want, text)
@@ -135,7 +142,7 @@ value`).Inc()
 	r.GaugeFunc("busy", "busy workers", func() float64 { return 2 })
 	r.CounterFunc("evictions", "cache evictions", func() uint64 { return 9 })
 
-	text := r.RenderText()
+	text := render(r)
 	fams, err := Parse(text)
 	if err != nil {
 		t.Fatalf("rendered exposition does not re-parse: %v\n%s", err, text)
@@ -177,7 +184,7 @@ func TestRenderDeterministic(t *testing.T) {
 		v.With("z").Inc()
 		v.With("a").Inc()
 		r.Gauge("a_metric", "").With().Set(1)
-		return r.RenderText()
+		return render(r)
 	}
 	if build() != build() {
 		t.Fatal("identical registries rendered differently")
@@ -209,8 +216,8 @@ func TestParseRejectsMalformed(t *testing.T) {
 		"series keys collide": "# TYPE x histogram\nx_bucket{a=\"1,b=2\",le=\"+Inf\"} 1\nx_count{a=\"1\",b=\"2\"} 1\n# EOF\n",
 	}
 	for name, doc := range cases {
-		if err := Lint(doc); err == nil {
-			t.Errorf("%s: lint accepted malformed document:\n%s", name, doc)
+		if _, err := Parse(doc); err == nil {
+			t.Errorf("%s: Parse accepted malformed document:\n%s", name, doc)
 		}
 	}
 }
@@ -238,7 +245,7 @@ func TestConcurrentHammer(t *testing.T) {
 				g.Set(float64(i))
 				h.Observe(float64(i % 200))
 				if i%64 == 0 {
-					_ = r.RenderText() // render concurrently with writes
+					_ = render(r) // render concurrently with writes
 				}
 			}
 		}(w)
@@ -252,11 +259,11 @@ func TestConcurrentHammer(t *testing.T) {
 			t.Fatalf("worker %d counter = %d, want %d", w, got, perWorker)
 		}
 	}
-	if h.Count() != workers*perWorker {
-		t.Fatalf("histogram count = %d, want %d", h.Count(), workers*perWorker)
+	if h.count.Load() != workers*perWorker {
+		t.Fatalf("histogram count = %d, want %d", h.count.Load(), workers*perWorker)
 	}
-	if err := Lint(r.RenderText()); err != nil {
-		t.Fatalf("post-hammer render does not lint: %v", err)
+	if _, err := Parse(render(r)); err != nil {
+		t.Fatalf("post-hammer render does not parse: %v", err)
 	}
 }
 

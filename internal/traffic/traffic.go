@@ -9,7 +9,6 @@
 package traffic
 
 import (
-	"fmt"
 	"math/rand"
 
 	"mlnoc/internal/noc"
@@ -271,12 +270,6 @@ type RunResult struct {
 	Delivered  int64
 	Injected   int64
 	Cycles     int64
-}
-
-// String implements fmt.Stringer.
-func (r RunResult) String() string {
-	return fmt.Sprintf("avg=%.2f max=%.0f delivered=%d cycles=%d",
-		r.AvgLatency, r.MaxLatency, r.Delivered, r.Cycles)
 }
 
 // Run executes a warmup/measure experiment: warmup cycles with injection

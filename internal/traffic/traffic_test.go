@@ -163,9 +163,6 @@ func TestRunPhases(t *testing.T) {
 	if res.MaxLatency < res.AvgLatency {
 		t.Fatal("max < avg")
 	}
-	if res.String() == "" {
-		t.Fatal("empty result string")
-	}
 }
 
 // TestQuickPatternsInRange: every pattern returns a valid non-self index for
