@@ -108,10 +108,9 @@ type System struct {
 
 	Quadrants [4]*Quadrant
 
-	byNode []any    // by NodeID: the node's *CU, *Bank or *CPU
-	isL2   []bool   // by NodeID: the node is a GPU L2 bank
-	banks  []*Bank  // every bank: L2s, L1Is, directories, then LLCs
-	busy   []uint64 // bit i set iff banks[i] holds a queued reply
+	isL2  []bool   // by NodeID: the node is a GPU L2 bank
+	banks []*Bank  // every bank: L2s, L1Is, directories, then LLCs
+	busy  []uint64 // bit i set iff banks[i] holds a queued reply
 
 	// params holds the active phase parameters per quadrant; the Runner
 	// refreshes them every cycle.
@@ -230,16 +229,8 @@ func NewSystem(cfg Config, seed int64) *System {
 	sys.banks = append(sys.banks, sys.L1Is...)
 	sys.banks = append(sys.banks, sys.Dirs...)
 	sys.banks = append(sys.banks, sys.LLCs...)
-	sys.byNode = make([]any, nodes)
 	for i, b := range sys.banks {
 		b.idx = i
-		sys.byNode[b.Node.ID] = b
-	}
-	for _, cu := range sys.CUs {
-		sys.byNode[cu.Node.ID] = cu
-	}
-	for _, cpu := range sys.CPUs {
-		sys.byNode[cpu.Node.ID] = cpu
 	}
 	sys.busy = make([]uint64, (len(sys.banks)+63)/64)
 	return sys

@@ -42,9 +42,6 @@ type ScalingStudyResult struct {
 // benchmark/simd.go still passes one, and goes when the benchmark harness is
 // unified. In-repo callers pass nil.
 func ScalingStudyCtx(ctx context.Context, sizes, _ []int, torus bool, sc Scale) (*ScalingStudyResult, error) {
-	if len(sizes) == 0 {
-		sizes = DefaultScalingSizes
-	}
 	res := &ScalingStudyResult{Sizes: append([]int(nil), sizes...), Torus: torus}
 	for _, size := range sizes {
 		if size < 2 {

@@ -2,6 +2,8 @@ package experiments
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -12,15 +14,20 @@ import (
 )
 
 // Experiment is one entry of Table: the name cmd/experiments and the serve
-// daemon know it by, and the run that produces its output. A Run that fails
-// after producing output (quant below Input.QuantMinAgree) returns the output
-// with the error.
+// daemon know it by, and the run that produces its output.
 type Experiment struct {
 	Name string
 	// Solo keeps the entry out of "all": it is a view of another entry's
 	// output, or its output depends on the machine.
 	Solo bool
-	Run  func(context.Context, Input) (Result, error)
+	run  func(context.Context, Input) (Result, error)
+}
+
+// Run runs the entry on in with its defaults resolved. A run that fails after
+// producing output (quant below Input.QuantMinAgree) returns the output with
+// the error.
+func (e Experiment) Run(ctx context.Context, in Input) (Result, error) {
+	return e.run(ctx, in.resolve())
 }
 
 // Input is what an entry runs on: the scale, the sweeps' per-cell hook
@@ -32,15 +39,49 @@ type Experiment struct {
 // agreement. ScalingSizes are scaling's and mesh's topology edges
 // (DefaultScalingSizes, within CheckTopology's bounds), and Torus wraps them
 // into tori.
+//
+// Every field but Cell, a hook that watches a run without changing it,
+// reaches Key, a field added later too unless it is tagged json:"-" and
+// listed in TestKeyCoversEveryField's exclusions.
 type Input struct {
 	Scale         Scale
-	Cell          CellHook
+	Cell          CellHook `json:"-"`
 	TrainNN       bool
 	FaultRates    []float64
 	QuantSize     int
 	QuantMinAgree float64
 	ScalingSizes  []int
 	Torus         bool
+}
+
+// resolve fills every zero field of in that has a default with it. It is the
+// one reader of the defaults, so a run and its Key see the same values.
+func (in Input) resolve() Input {
+	if len(in.FaultRates) == 0 {
+		in.FaultRates = DefaultFaultRates
+	}
+	if in.QuantSize == 0 {
+		in.QuantSize = DefaultQuantSize
+	}
+	if len(in.ScalingSizes) == 0 {
+		in.ScalingSizes = DefaultScalingSizes
+	}
+	return in
+}
+
+// Key returns the SHA-256 of what the Table entry called entry computes on
+// in: the JSON encoding of the name and of in resolved. Two inputs with one
+// key run alike, whether a default is left out or spelled out.
+func Key(entry string, in Input) [sha256.Size]byte {
+	buf, err := json.Marshal(struct {
+		Entry string
+		Input Input
+	}{entry, in.resolve()})
+	if err != nil {
+		// Only a NaN or infinite float fails, which JSON cannot spell.
+		panic(fmt.Sprintf("experiments: key of %s: %v", entry, err))
+	}
+	return sha256.Sum256(buf)
 }
 
 // Result is an entry's output: its rendered tables, and the CSV files of
@@ -85,17 +126,17 @@ func CheckTopology(c *cliutil.Check, name string, sizes []int, torus bool) {
 // Table lists every experiment. "all" runs the entries that are not Solo, in
 // table order.
 var Table = []Experiment{
-	{Name: "table1", Run: plain(func(Input) Result { return Result{Rendered: renderTable1()} })},
-	{Name: "table2", Run: plain(func(Input) Result { return Result{Rendered: renderTable2()} })},
-	{Name: "table3", Run: plain(func(Input) Result {
+	{Name: "table1", run: plain(func(Input) Result { return Result{Rendered: renderTable1()} })},
+	{Name: "table2", run: plain(func(Input) Result { return Result{Rendered: renderTable2()} })},
+	{Name: "table3", run: plain(func(Input) Result {
 		r := Table3()
 		return Result{r.Render(), []CSVFile{{"table3.csv", r.CSV()}}}
 	})},
-	{Name: "fig4", Run: plain(func(in Input) Result {
+	{Name: "fig4", run: plain(func(in Input) Result {
 		r := MeshStudy(4, in.Scale)
 		return Result{r.RenderHeatmap(), []CSVFile{{"fig4_heatmap.csv", r.HeatmapCSV()}}}
 	})},
-	{Name: "fig5", Run: plain(func(in Input) Result {
+	{Name: "fig5", run: plain(func(in Input) Result {
 		var res Result
 		for _, size := range []int{4, 8} {
 			r := MeshStudy(size, in.Scale)
@@ -104,7 +145,7 @@ var Table = []Experiment{
 		}
 		return res
 	})},
-	{Name: "fig7", Run: view(func(ctx context.Context, in Input) (*core.Heatmap, error) {
+	{Name: "fig7", run: view(func(ctx context.Context, in Input) (*core.Heatmap, error) {
 		tr, err := core.Train(ctx, APUTrainSpec(in.Scale))
 		if err != nil {
 			return nil, err
@@ -114,60 +155,57 @@ var Table = []Experiment{
 	}, func(h *core.Heatmap) Result {
 		return Result{RenderAPUHeatmap(h), []CSVFile{{"fig7_heatmap.csv", viz.HeatmapCSV(h.RowLabels, h.ColLabels, h.Abs)}}}
 	})},
-	{Name: "fig9", Solo: true, Run: view(execSweep, func(r *ExecSweepResult) Result {
+	{Name: "fig9", Solo: true, run: view(execSweep, func(r *ExecSweepResult) Result {
 		return Result{r.RenderAvg(), []CSVFile{{"fig9_avg.csv", r.CSVAvg()}}}
 	})},
-	{Name: "fig10", Solo: true, Run: view(execSweep, func(r *ExecSweepResult) Result {
+	{Name: "fig10", Solo: true, run: view(execSweep, func(r *ExecSweepResult) Result {
 		return Result{r.RenderTail(), []CSVFile{{"fig10_tail.csv", r.CSVTail()}}}
 	})},
-	{Name: "fig9+10", Run: view(execSweep, fig9And10)},
-	{Name: "exec", Solo: true, Run: view(execSweep, fig9And10)},
-	{Name: "fig11", Run: view(func(ctx context.Context, in Input) (*MixResult, error) {
+	{Name: "fig9+10", run: view(execSweep, fig9And10)},
+	{Name: "exec", Solo: true, run: view(execSweep, fig9And10)},
+	{Name: "fig11", run: view(func(ctx context.Context, in Input) (*MixResult, error) {
 		return MixedWorkloadsCtx(ctx, in.Scale, in.TrainNN, in.Cell)
 	}, func(r *MixResult) Result { return Result{r.Render(), []CSVFile{{"fig11_mixes.csv", r.CSV()}}} })},
-	{Name: "fig12", Run: plain(func(in Input) Result {
+	{Name: "fig12", run: plain(func(in Input) Result {
 		r := RewardCurves(in.Scale)
 		return Result{r.Render(), []CSVFile{{"fig12_rewards.csv", r.CSV()}}}
 	})},
-	{Name: "fig13", Run: plain(func(in Input) Result {
+	{Name: "fig13", run: plain(func(in Input) Result {
 		r := FeatureCurves(in.Scale)
 		return Result{r.Render(), []CSVFile{{"fig13_features.csv", r.CSV()}}}
 	})},
-	{Name: "ablation", Run: view(func(ctx context.Context, in Input) (*AblationResult, error) {
+	{Name: "ablation", run: view(func(ctx context.Context, in Input) (*AblationResult, error) {
 		return AblationCtx(ctx, in.Scale, in.Cell)
 	}, func(r *AblationResult) Result { return Result{r.Render(), []CSVFile{{"ablation.csv", r.CSV()}}} })},
-	{Name: "starvation", Run: plain(func(in Input) Result {
+	{Name: "starvation", run: plain(func(in Input) Result {
 		r := Starvation(in.Scale)
 		return Result{r.Render(), []CSVFile{{"starvation.csv", r.CSV()}}}
 	})},
-	{Name: "fairness", Run: plain(func(in Input) Result {
+	{Name: "fairness", run: plain(func(in Input) Result {
 		r := Fairness(in.Scale)
 		return Result{r.Render(), []CSVFile{{"fairness.csv", r.CSV()}}}
 	})},
-	{Name: "faults", Run: view(func(ctx context.Context, in Input) (*FaultSweepResult, error) {
-		if len(in.FaultRates) == 0 {
-			in.FaultRates = DefaultFaultRates
-		}
+	{Name: "faults", run: view(func(ctx context.Context, in Input) (*FaultSweepResult, error) {
 		return FaultSweepRatesCtx(ctx, in.Scale, in.Cell, in.FaultRates)
 	}, func(r *FaultSweepResult) Result {
 		return Result{r.Render(), []CSVFile{{"faults_mesh.csv", r.CSVMesh()}, {"faults_apu.csv", r.CSVAPU()}}}
 	})},
-	{Name: "qtable", Run: plain(func(in Input) Result { return Result{Rendered: QTableStudy(in.Scale).Render()} })},
-	{Name: "flitcheck", Run: plain(func(in Input) Result {
+	{Name: "qtable", run: plain(func(in Input) Result { return Result{Rendered: QTableStudy(in.Scale).Render()} })},
+	{Name: "flitcheck", run: plain(func(in Input) Result {
 		r := FlitCheck(in.Scale)
 		return Result{r.Render(), []CSVFile{{"flitcheck.csv", r.CSV()}}}
 	})},
-	{Name: "bufablation", Run: plain(func(in Input) Result { return Result{Rendered: BufferAblation(in.Scale).Render()} })},
-	{Name: "tiebreak", Run: plain(func(in Input) Result { return Result{Rendered: TieBreakAblation(in.Scale).Render()} })},
-	{Name: "derive", Run: plain(func(in Input) Result { return Result{Rendered: DeriveReport(in.Scale)} })},
-	{Name: "hillclimb", Run: plain(func(in Input) Result { return Result{Rendered: HillClimbReport(in.Scale)} })},
-	{Name: "quant", Run: runQuant},
+	{Name: "bufablation", run: plain(func(in Input) Result { return Result{Rendered: BufferAblation(in.Scale).Render()} })},
+	{Name: "tiebreak", run: plain(func(in Input) Result { return Result{Rendered: TieBreakAblation(in.Scale).Render()} })},
+	{Name: "derive", run: plain(func(in Input) Result { return Result{Rendered: DeriveReport(in.Scale)} })},
+	{Name: "hillclimb", run: plain(func(in Input) Result { return Result{Rendered: HillClimbReport(in.Scale)} })},
+	{Name: "quant", run: runQuant},
 	// scaling times its runs; mesh is its deterministic half, the same on
 	// every machine, which is what the serve daemon caches.
-	{Name: "scaling", Solo: true, Run: view(scalingStudy, func(r *ScalingStudyResult) Result {
+	{Name: "scaling", Solo: true, run: view(scalingStudy, func(r *ScalingStudyResult) Result {
 		return Result{r.Render(), []CSVFile{{"scaling_throughput.csv", r.CSV()}, {"scaling_invariant.csv", r.InvariantCSV()}}}
 	})},
-	{Name: "mesh", Solo: true, Run: view(scalingStudy, func(r *ScalingStudyResult) Result {
+	{Name: "mesh", Solo: true, run: view(scalingStudy, func(r *ScalingStudyResult) Result {
 		return Result{r.RenderInvariant(), []CSVFile{{"scaling_invariant.csv", r.InvariantCSV()}}}
 	})},
 }
@@ -221,9 +259,6 @@ func scalingStudy(ctx context.Context, in Input) (*ScalingStudyResult, error) {
 func runQuant(ctx context.Context, in Input) (Result, error) {
 	if err := ctx.Err(); err != nil {
 		return Result{}, err
-	}
-	if in.QuantSize == 0 {
-		in.QuantSize = DefaultQuantSize
 	}
 	r := QuantStudy(in.QuantSize, in.Scale)
 	res := Result{r.Render(), []CSVFile{{"quant_fidelity.csv", r.CSV()}}}

@@ -7,8 +7,9 @@ import (
 	"time"
 )
 
-// BenchmarkJobHash measures the canonical content hash: parse-free, it is the
-// per-submission fixed cost every request pays before the cache lookup.
+// BenchmarkJobHash measures the job hash, the experiments.Key of the job's
+// input: parse-free, it is the per-submission fixed cost every request pays
+// before the cache lookup.
 func BenchmarkJobHash(b *testing.B) {
 	spec := &Spec{
 		Type:  TypeSweep,

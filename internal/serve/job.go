@@ -47,7 +47,7 @@ type Event struct {
 // Job is one submitted unit of work. All exported access goes through
 // methods; the zero value is not usable — Server mints jobs.
 type Job struct {
-	// ID is the per-daemon submission ID ("j000001"); Hash is the canonical
+	// ID is the per-daemon submission ID ("j000001"); Hash is the
 	// content hash shared by every submission of the same work. CorrID is the
 	// correlation ID threaded from HTTP submission through pool execution,
 	// watchdog alerts and SSE events — client-supplied (X-Correlation-ID) or

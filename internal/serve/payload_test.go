@@ -32,10 +32,10 @@ func TestEveryJobHasAnEntry(t *testing.T) {
 }
 
 // TestExecutePayloadsPinned holds one tiny job of every shape Execute runs to
-// the sha256 of its payload, recorded before Execute became a lookup into
-// experiments.Table. A payload that carries trained weights is pinned for the
-// amd64-fma training arithmetic only (clitest.Platform), as cmd/trainarb's
-// goldens are.
+// the sha256 of its payload. Every field but "hash" was recorded before
+// Execute became a lookup into experiments.Table. A payload that carries
+// trained weights is pinned for the amd64-fma training arithmetic only
+// (clitest.Platform), as cmd/trainarb's goldens are.
 func TestExecutePayloadsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("runs real (tiny) simulations and trainings")
@@ -49,19 +49,19 @@ func TestExecutePayloadsPinned(t *testing.T) {
 		sum        string
 	}{
 		{"exec", `{"type":"sweep","sweep":{"experiment":"exec"},` + apu + `}`, false,
-			"31d7dbb6d3470cb22601062de1cca5b149ddd4ed661bc6c1e39a8b2798c53844"},
+			"95b45020f0338f82d91dd0bfd8d70d70c8acc42c631dbec384443b711b09a068"},
 		{"mix-nn", `{"type":"sweep","sweep":{"experiment":"mix","train_nn":true},` + apu + `}`, true,
-			"ae0025aeae3d4c26e1f28db07e9a28752d4b746c05b44c820662f6bc7ccfe49c"},
+			"be359f9f506342e9fe51f4429140548d13800c7eb68e5badd342d3ecccb257ee"},
 		{"ablation", `{"type":"sweep","sweep":{"experiment":"ablation"},` + apu + `}`, false,
-			"f729526e69890879bd7fd577bdb424ce9889d2ce85012be182a2b0ea81d7044c"},
+			"60941f01569ca342176af5687dcdb45f65e455819333d095bd5da5a11ce30da6"},
 		{"fault", `{"type":"fault","fault":{"rates":[0,0.1]},"scale":{"op_scale":0.05,"warmup_cycles":200,"measure_cycles":400}}`, false,
-			"51e7a6dbfbd35a0c55aca0f93302a146f69f88e2ec1fb6bf2f0b75d7bdb232c1"},
+			"01e7784bb20e8a4df709cfd87f45ff5c2e3ed6a636bf7346d4dc111320ff9a78"},
 		{"quant", `{"type":"quant",` + mesh + `}`, true,
-			"5bc07d988d4eb22a0144f31e3d71360a918750754c9808c6850a33c17fddc6b9"},
+			"93280bcd533681d52d639eeba3b861cc355e3de83460c271ad147a75b260707f"},
 		{"mesh", `{"type":"mesh","mesh":{"sizes":[4,5]},"scale":{"warmup_cycles":100,"measure_cycles":300}}`, false,
-			"e4d09cd96a9b141562196b6f074dc75d1c818a814404d44631dbbd0af87cd9ee"},
+			"90c58744adc29c49a3db431ed5bccb7e43e8348f4a84523d3ddf233ccdcdb348"},
 		{"train", `{"type":"train",` + apu + `}`, true,
-			"09649630fa87514eedaf1fc1eb231c9b37dd03566b12bfaebf9643949c8b8784"},
+			"1f8b46b2397d49ffa58cdee1a7946becd9b43fe803aba1e0dd4d9090a8b869b7"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			if c.weights && !trained {

@@ -7,9 +7,9 @@
 //
 // The whole design leans on one property pinned by the engine's tests: a job
 // spec plus a seed fully determines the simulation output, bit for bit. That
-// makes (spec, seed, engine version) a safe cache key — the canonical job
-// hash — and makes a cache hit indistinguishable from a re-run except for
-// latency.
+// makes (spec, seed, engine version) a safe cache key — the job hash, the
+// experiments.Key of what the job runs — and makes a cache hit
+// indistinguishable from a re-run except for latency.
 package serve
 
 import (
@@ -18,6 +18,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"strconv"
 
 	"mlnoc/internal/cliutil"
 	"mlnoc/internal/experiments"
@@ -26,11 +27,12 @@ import (
 // Versions folded into every job hash. EngineVersion must be bumped whenever
 // a change makes the simulator produce different output for the same spec
 // (otherwise a stale cache would keep serving the old results); SchemaVersion
-// guards the canonicalization itself, so a change to how specs are resolved
-// into hashes can never collide with hashes minted before it.
+// guards the key itself, so a change to how specs are resolved into hashes
+// can never collide with hashes minted before it. Schema 2 keys a job by
+// experiments.Key.
 const (
 	EngineVersion = "mlnoc-engine/8"
-	SchemaVersion = 1
+	SchemaVersion = 2
 )
 
 // Job spec vocabulary.
@@ -76,7 +78,7 @@ type Spec struct {
 
 // ScaleSpec selects a Scale preset and optionally overrides individual
 // knobs; a zero field means "use the preset's value", which is exactly how
-// the canonicalizer treats it (an explicit value equal to the preset's
+// the hash treats it (an explicit value equal to the preset's
 // hashes identically to leaving the field out).
 type ScaleSpec struct {
 	Preset        string  `json:"preset,omitempty"` // "quick" (default) or "full"
@@ -117,9 +119,9 @@ type MeshSpec struct {
 	Torus bool  `json:"torus,omitempty"`
 }
 
-// ParseSpec decodes and validates a JSON job spec. Unknown fields are
-// rejected: a typo that silently dropped a knob would hash — and cache — as
-// a different job than the user meant.
+// ParseSpec decodes and validates a JSON job spec. Unknown fields, and
+// sections the job type does not read, are rejected: a knob silently dropped
+// would hash — and cache — as a different job than the user meant.
 func ParseSpec(data []byte) (*Spec, error) {
 	dec := json.NewDecoder(bytes.NewReader(data))
 	dec.DisallowUnknownFields()
@@ -159,6 +161,9 @@ func (s *Spec) Validate() error {
 			return fmt.Errorf(`sweep jobs need a "sweep" section`)
 		}
 		c.OneOf("sweep.experiment", s.Sweep.Experiment, sweepExperiments...)
+		if s.Sweep.TrainNN {
+			c.OneOf("sweep.experiment with train_nn", s.Sweep.Experiment, "exec", "mix")
+		}
 	case TypeFault:
 		if s.Fault != nil {
 			for i, r := range s.Fault.Rates {
@@ -175,7 +180,18 @@ func (s *Spec) Validate() error {
 			experiments.CheckTopology(&c, "mesh.sizes", s.Mesh.Sizes, s.Mesh.Torus)
 		}
 	}
-	return c.Err()
+	if err := c.Err(); err != nil {
+		return err
+	}
+	for _, sec := range []struct {
+		name string
+		set  bool
+	}{{TypeSweep, s.Sweep != nil}, {TypeFault, s.Fault != nil}, {TypeQuant, s.Quant != nil}, {TypeMesh, s.Mesh != nil}} {
+		if sec.set && sec.name != s.Type {
+			return fmt.Errorf("%s jobs read no %q section", s.Type, sec.name)
+		}
+	}
+	return nil
 }
 
 // EffectiveSeed resolves the spec's seed (0 means the CLI-wide default, 1).
@@ -219,62 +235,30 @@ func (s *Spec) ResolveScale() experiments.Scale {
 	return sc
 }
 
-// input resolves the spec into the experiments.Input its entry runs on, with
-// every default applied. Execute runs exactly these values and Hash covers
-// them, so the hash cannot disagree with what runs.
+// input is the experiments.Input the spec's entry runs on. Execute runs it
+// and Hash keys it, so the hash cannot disagree with what runs.
 func (s *Spec) input(cell experiments.CellHook) experiments.Input {
-	in := experiments.Input{
-		Scale:        s.ResolveScale(),
-		Cell:         cell,
-		FaultRates:   experiments.DefaultFaultRates,
-		QuantSize:    experiments.DefaultQuantSize,
-		ScalingSizes: experiments.DefaultScalingSizes,
-	}
+	in := experiments.Input{Scale: s.ResolveScale(), Cell: cell}
 	if s.Sweep != nil {
 		in.TrainNN = s.Sweep.TrainNN
 	}
-	if s.Fault != nil && len(s.Fault.Rates) > 0 {
+	if s.Fault != nil {
 		in.FaultRates = s.Fault.Rates
 	}
-	if s.Quant != nil && s.Quant.Size > 0 {
+	if s.Quant != nil {
 		in.QuantSize = s.Quant.Size
 	}
 	if s.Mesh != nil {
-		in.Torus = s.Mesh.Torus
-		if len(s.Mesh.Sizes) > 0 {
-			in.ScalingSizes = s.Mesh.Sizes
-		}
+		in.ScalingSizes, in.Torus = s.Mesh.Sizes, s.Mesh.Torus
 	}
 	return in
 }
 
-// canonicalJob is the exact byte layout hashed into the job's cache key:
-// engine and schema versions, the job type, and every resolved
-// result-affecting parameter with defaults applied. JSON key order follows
-// struct field order, so marshalling is deterministic; request-level JSON
-// key order and default-vs-explicit spelling cannot reach this struct.
-type canonicalJob struct {
-	Engine string            `json:"engine"`
-	Schema int               `json:"schema"`
-	Type   string            `json:"type"`
-	Seed   int64             `json:"seed"`
-	Scale  experiments.Scale `json:"scale"`
-	Sweep  *SweepSpec        `json:"sweep,omitempty"`
-	Rates  []float64         `json:"rates,omitempty"`
-	Size   int               `json:"size,omitempty"`
-	Mesh   *canonicalMesh    `json:"mesh,omitempty"`
-}
-
-// canonicalMesh is the hashed form of a mesh job.
-type canonicalMesh struct {
-	Sizes []int `json:"sizes"`
-	Torus bool  `json:"torus"`
-}
-
-// Hash returns the canonical content hash of the job: a hex SHA-256 over the
-// canonical form. Two specs hash identically iff they resolve to the same
-// simulation under the same engine — reordered JSON keys, omitted defaults
-// and scheduling metadata (priority) do not change the hash; seed, any scale
+// Hash returns the job's content hash: the hex SHA-256 of the engine and
+// schema versions and the experiments.Key of the entry the job runs on its
+// input. Two specs hash identically iff they resolve to the same simulation
+// under the same engine — reordered JSON keys, omitted defaults and
+// scheduling metadata (priority) do not change the hash; seed, any scale
 // knob, job parameters, or an engine/schema version bump do.
 func (s *Spec) Hash() string {
 	return s.hashWith(EngineVersion, SchemaVersion)
@@ -283,30 +267,10 @@ func (s *Spec) Hash() string {
 // hashWith is Hash with explicit versions, split out so tests can prove a
 // version bump invalidates the cache key.
 func (s *Spec) hashWith(engine string, schema int) string {
-	in := s.input(nil)
-	c := canonicalJob{
-		Engine: engine,
-		Schema: schema,
-		Type:   s.Type,
-		Seed:   in.Scale.Seed,
-		Scale:  in.Scale,
-	}
-	switch s.Type {
-	case TypeSweep:
-		sw := *s.Sweep
-		c.Sweep = &sw
-	case TypeFault:
-		c.Rates = in.FaultRates
-	case TypeQuant:
-		c.Size = in.QuantSize
-	case TypeMesh:
-		c.Mesh = &canonicalMesh{Sizes: in.ScalingSizes, Torus: in.Torus}
-	}
-	buf, err := json.Marshal(c)
-	if err != nil {
-		// canonicalJob contains only plain data; Marshal cannot fail.
-		panic(fmt.Sprintf("serve: canonical marshal: %v", err))
-	}
+	key := experiments.Key(s.entry(), s.input(nil))
+	buf := append(make([]byte, 0, 64), engine...)
+	buf = strconv.AppendInt(append(buf, 0), int64(schema), 10)
+	buf = append(append(buf, 0), key[:]...)
 	sum := sha256.Sum256(buf)
 	return hex.EncodeToString(sum[:])
 }

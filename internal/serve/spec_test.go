@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -73,29 +72,6 @@ func TestMeshHashSemantics(t *testing.T) {
 	}
 }
 
-// Adding the mesh job type must not perturb the canonical bytes of
-// pre-existing job types — the canonical form only gains an omitempty field —
-// so every cache entry minted before it stays addressable.
-func TestMeshFieldAbsentFromOtherCanonicalForms(t *testing.T) {
-	for _, js := range []string{`{"type":"quant"}`, `{"type":"fault"}`, `{"type":"train"}`} {
-		spec := mustParse(t, js)
-		c := canonicalJob{
-			Engine: EngineVersion,
-			Schema: SchemaVersion,
-			Type:   spec.Type,
-			Seed:   spec.EffectiveSeed(),
-			Scale:  spec.ResolveScale(),
-		}
-		buf, err := json.Marshal(c)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if strings.Contains(string(buf), "mesh") {
-			t.Fatalf("canonical form of %s grew a mesh key: %s", js, buf)
-		}
-	}
-}
-
 // Anything that changes what the simulation computes must change the hash.
 func TestHashDiffersOnParameters(t *testing.T) {
 	base := mustParse(t, `{"type":"sweep","seed":1,"sweep":{"experiment":"exec"}}`)
@@ -144,6 +120,9 @@ func TestParseSpecRejects(t *testing.T) {
 		{`{"type":"quant","quant":{"size":65}}`, `quant.size must be <= 64, got 65`},
 		{`{"type":"mesh","mesh":{"shards":4}}`, `unknown field "shards"`},
 		{`{"type":"train","scale":{"op_scale":-0.5}}`, `scale.op_scale must be positive`},
+		{`{"type":"quant","mesh":{"sizes":[4]}}`, `quant jobs read no "mesh" section`},
+		{`{"type":"fault","quant":{"size":8}}`, `fault jobs read no "quant" section`},
+		{`{"type":"sweep","sweep":{"experiment":"ablation","train_nn":true}}`, `sweep.experiment with train_nn must be one of [exec mix], got "ablation"`},
 	}
 	for _, tc := range cases {
 		_, err := ParseSpec([]byte(tc.js))
