@@ -43,6 +43,7 @@ func TestRejects(t *testing.T) {
 		{[]string{"-size", "1"}, "-size must be >= 2, got 1", 2},
 		{[]string{"-topology", "torus", "-size", "2"}, "-size must be >= 3, got 2", 2},
 		{[]string{"-rate", "2"}, "-rate must be in [0,1], got 2", 2},
+		{[]string{"-size", "4", "-rate", "NaN", "-cycles", "100", "-warmup", "10"}, "-rate must be finite, got NaN", 2},
 		{[]string{"-vcs", "11"}, "-vcs must be <= 10, got 11", 2},
 		{[]string{"-watchdog", "-1"}, "-watchdog must be >= 0, got -1", 2},
 		{[]string{"-trace-sample", "0"}, "-trace-sample must be >= 1, got 0", 2},

@@ -44,7 +44,7 @@ func main() {
 	addr := flag.String("addr", ":8723", "HTTP listen address")
 	workers := flag.Int("workers", 0, "max simultaneously running jobs (0 = NumCPU)")
 	queueDepth := flag.Int("queue", 64, "max queued jobs before submissions get 503")
-	cacheEntries := flag.Int("cache-entries", 128, "in-memory result cache size (jobs)")
+	cacheEntries := flag.Int("cache-entries", 128, "in-memory result cache and spec memo size (entries each)")
 	cacheDir := flag.String("cache-dir", "", "spill results to this directory (survives restarts)")
 	watchdog := flag.Int64("watchdog", 0,
 		"attach a watchdog to every job's cells: flag head messages older than N cycles and N-cycle zero-delivery windows (0 = off)")

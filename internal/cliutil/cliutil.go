@@ -14,6 +14,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 )
 
@@ -37,9 +38,20 @@ func (c *Check) Positive(name string, v int64) {
 	}
 }
 
-// PositiveF requires v > 0.
+// finite records a violation and reports false when v is NaN or an infinity,
+// which every float check rejects: no comparison with NaN is true, so a range
+// test alone would let it through.
+func (c *Check) finite(name string, v float64) bool {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		c.fail("%s must be finite, got %g", name, v)
+		return false
+	}
+	return true
+}
+
+// PositiveF requires a finite v > 0.
 func (c *Check) PositiveF(name string, v float64) {
-	if v <= 0 {
+	if c.finite(name, v) && v <= 0 {
 		c.fail("%s must be positive, got %g", name, v)
 	}
 }
@@ -51,16 +63,16 @@ func (c *Check) NonNegative(name string, v int64) {
 	}
 }
 
-// NonNegativeF requires v >= 0.
+// NonNegativeF requires a finite v >= 0.
 func (c *Check) NonNegativeF(name string, v float64) {
-	if v < 0 {
+	if c.finite(name, v) && v < 0 {
 		c.fail("%s must be >= 0, got %g", name, v)
 	}
 }
 
 // Unit requires v in [0,1].
 func (c *Check) Unit(name string, v float64) {
-	if v < 0 || v > 1 {
+	if c.finite(name, v) && (v < 0 || v > 1) {
 		c.fail("%s must be in [0,1], got %g", name, v)
 	}
 }

@@ -1,6 +1,7 @@
 package cliutil
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -55,6 +56,24 @@ func TestRejectionMessages(t *testing.T) {
 			`-scale must be one of [quick full], got "huge"`},
 		{"spec-field", func(c *Check) { c.PositiveF("sweep.op_scale", -2) },
 			"sweep.op_scale must be positive, got -2"},
+		{"positivef-nan", func(c *Check) { c.PositiveF("-opscale", math.NaN()) },
+			"-opscale must be finite, got NaN"},
+		{"positivef-inf", func(c *Check) { c.PositiveF("-opscale", math.Inf(1)) },
+			"-opscale must be finite, got +Inf"},
+		{"positivef-neginf", func(c *Check) { c.PositiveF("-opscale", math.Inf(-1)) },
+			"-opscale must be finite, got -Inf"},
+		{"nonnegativef-nan", func(c *Check) { c.NonNegativeF("-lr", math.NaN()) },
+			"-lr must be finite, got NaN"},
+		{"nonnegativef-inf", func(c *Check) { c.NonNegativeF("-lr", math.Inf(1)) },
+			"-lr must be finite, got +Inf"},
+		{"nonnegativef-neginf", func(c *Check) { c.NonNegativeF("-lr", math.Inf(-1)) },
+			"-lr must be finite, got -Inf"},
+		{"unit-nan", func(c *Check) { c.Unit("-rate", math.NaN()) },
+			"-rate must be finite, got NaN"},
+		{"unit-inf", func(c *Check) { c.Unit("-rate", math.Inf(1)) },
+			"-rate must be finite, got +Inf"},
+		{"unit-neginf", func(c *Check) { c.Unit("-rate", math.Inf(-1)) },
+			"-rate must be finite, got -Inf"},
 	}
 	for _, tc := range cases {
 		var c Check

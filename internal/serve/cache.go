@@ -3,6 +3,7 @@ package serve
 import (
 	"bytes"
 	"container/list"
+	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
 	"os"
@@ -25,10 +26,8 @@ import (
 // (cut short, corrupted) is a miss, removed and counted in rejects.
 type cache struct {
 	mu        sync.Mutex
-	max       int
 	dir       string
-	entries   map[string]*list.Element
-	order     *list.List // front = most recently used
+	mem       *lru[string, []byte] // job hash -> payload
 	hits      int64
 	misses    int64
 	evictions int64
@@ -68,28 +67,65 @@ func spillPayload(file []byte) ([]byte, bool) {
 	return payload, true
 }
 
-type cacheEntry struct {
-	hash    string
-	payload []byte
+// lru is a least-recently-used map of at most max entries: the result
+// cache's memory tier and the spec memo. Its owner serializes access.
+type lru[K comparable, V any] struct {
+	max   int
+	items map[K]*list.Element
+	order *list.List // of *lruEntry[K, V]; front = most recently used
 }
 
-func newCache(maxEntries int, dir string) *cache {
-	return &cache{
-		max:     maxEntries,
-		dir:     dir,
-		entries: make(map[string]*list.Element),
-		order:   list.New(),
+type lruEntry[K comparable, V any] struct {
+	key K
+	val V
+}
+
+func newLRU[K comparable, V any](max int) *lru[K, V] {
+	return &lru[K, V]{max: max, items: make(map[K]*list.Element), order: list.New()}
+}
+
+// Get returns the value under k and marks it most recently used.
+func (l *lru[K, V]) Get(k K) (V, bool) {
+	el, ok := l.items[k]
+	if !ok {
+		var zero V
+		return zero, false
 	}
+	l.order.MoveToFront(el)
+	return el.Value.(*lruEntry[K, V]).val, true
+}
+
+// Put stores v under k as the most recently used entry and returns how many
+// of the least recently used it evicted to stay within max.
+func (l *lru[K, V]) Put(k K, v V) (evicted int) {
+	if el, ok := l.items[k]; ok {
+		l.order.MoveToFront(el)
+		el.Value.(*lruEntry[K, V]).val = v
+		return 0
+	}
+	l.items[k] = l.order.PushFront(&lruEntry[K, V]{key: k, val: v})
+	for len(l.items) > l.max {
+		oldest := l.order.Back()
+		l.order.Remove(oldest)
+		delete(l.items, oldest.Value.(*lruEntry[K, V]).key)
+		evicted++
+	}
+	return evicted
+}
+
+// Len returns the number of entries held.
+func (l *lru[K, V]) Len() int { return len(l.items) }
+
+func newCache(maxEntries int, dir string) *cache {
+	return &cache{dir: dir, mem: newLRU[string, []byte](maxEntries)}
 }
 
 // Get returns the payload cached under hash. Memory first, then the spill
 // directory (promoting the entry back into memory).
 func (c *cache) Get(hash string) ([]byte, bool) {
 	c.mu.Lock()
-	if el, ok := c.entries[hash]; ok {
-		c.order.MoveToFront(el)
+	if payload, ok := c.mem.Get(hash); ok {
 		c.hits++
-		payload := el.Value.(*cacheEntry).payload
 		c.mu.Unlock()
 		return payload, true
 	}
@@ -100,7 +136,7 @@ func (c *cache) Get(hash string) ([]byte, bool) {
 			if payload, ok := spillPayload(file); ok {
 				c.mu.Lock()
 				c.hits++
-				c.putLocked(hash, payload)
+				c.evictions += int64(c.mem.Put(hash, payload))
 				c.mu.Unlock()
 				return payload, true
 			}
@@ -122,7 +158,7 @@ func (c *cache) Get(hash string) ([]byte, bool) {
 // in-memory entry is already live.
 func (c *cache) Put(hash string, payload []byte) {
 	c.mu.Lock()
-	c.putLocked(hash, payload)
+	c.evictions += int64(c.mem.Put(hash, payload))
 	c.mu.Unlock()
 	if c.dir != "" && c.spill(hash, payload) == nil {
 		c.mu.Lock()
@@ -154,27 +190,11 @@ func (c *cache) spill(hash string, payload []byte) error {
 	return err
 }
 
-func (c *cache) putLocked(hash string, payload []byte) {
-	if el, ok := c.entries[hash]; ok {
-		c.order.MoveToFront(el)
-		el.Value.(*cacheEntry).payload = payload
-		return
-	}
-	el := c.order.PushFront(&cacheEntry{hash: hash, payload: payload})
-	c.entries[hash] = el
-	for len(c.entries) > c.max {
-		oldest := c.order.Back()
-		c.order.Remove(oldest)
-		delete(c.entries, oldest.Value.(*cacheEntry).hash)
-		c.evictions++
-	}
-}
-
 // Stats returns cumulative hit/miss counters and the live entry count.
 func (c *cache) Stats() (hits, misses int64, entries int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.entries)
+	return c.hits, c.misses, c.mem.Len()
 }
 
 // Counters returns every cumulative counter — the /metrics bridge. Evictions
@@ -189,4 +209,49 @@ func (c *cache) Counters() (hits, misses, evictions, spills, rejects int64) {
 
 func (c *cache) spillPath(hash string) string {
 	return filepath.Join(c.dir, hash+".spill")
+}
+
+// specMemo remembers the spec each accepted request body parsed to, and that
+// spec's job hash, keyed by the body's SHA-256: a resubmitted body is answered
+// without being decoded, validated or hashed again. It holds the most recently
+// submitted Config.CacheEntries bodies. A body ParseSpec rejects is never
+// stored, so it is rejected the same way every time. Every job minted from one
+// body shares its *Spec, which nothing writes after ParseSpec.
+type specMemo struct {
+	mu  sync.Mutex
+	lru *lru[[sha256.Size]byte, parsedSpec]
+}
+
+type parsedSpec struct {
+	spec *Spec
+	hash string
+}
+
+func newSpecMemo(maxEntries int) *specMemo {
+	return &specMemo{lru: newLRU[[sha256.Size]byte, parsedSpec](maxEntries)}
+}
+
+// parse returns ParseSpec(body) and its Hash, from the memo when body was
+// accepted before.
+func (m *specMemo) parse(body []byte) (*Spec, string, error) {
+	key := sha256.Sum256(body)
+	m.mu.Lock()
+	p, ok := m.lru.Get(key)
+	m.mu.Unlock()
+	if ok {
+		return p.spec, p.hash, nil
+	}
+	spec, err := ParseSpec(body)
+	if err != nil {
+		return nil, "", err
+	}
+	p = parsedSpec{spec: spec, hash: spec.Hash()}
+	m.mu.Lock()
+	if first, ok := m.lru.Get(key); ok {
+		p = first // a concurrent submission of the same body stored it first
+	} else {
+		m.lru.Put(key, p)
+	}
+	m.mu.Unlock()
+	return p.spec, p.hash, nil
 }

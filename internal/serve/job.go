@@ -2,7 +2,7 @@ package serve
 
 import (
 	"context"
-	"fmt"
+	"strconv"
 	"sync"
 	"time"
 )
@@ -71,22 +71,32 @@ type Job struct {
 	started   time.Time
 	finished  time.Time
 	cancelFn  context.CancelFunc
-	cancelled bool // cancel requested (maybe before the worker built the context)
-	subs      map[chan Event]struct{}
+	cancelled bool                    // cancel requested (maybe before the worker built the context)
+	subs      map[chan Event]struct{} // made by the first Subscribe
 }
 
 // newJob creates the queued job of submission seq; hash is spec.Hash(), which
 // the caller has computed for the cache lookup already.
 func newJob(seq int, hash string, spec *Spec, now time.Time) *Job {
 	return &Job{
-		ID:      fmt.Sprintf("j%06d", seq),
+		ID:      jobID(seq),
 		Hash:    hash,
 		Spec:    spec,
 		seq:     seq,
 		state:   StateQueued,
 		created: now,
-		subs:    make(map[chan Event]struct{}),
 	}
+}
+
+// jobID is "j" and seq in at least six digits, zero-padded: j000042.
+func jobID(seq int) string {
+	var idBuf, digitBuf [20]byte
+	digits := strconv.AppendInt(digitBuf[:0], int64(seq), 10)
+	id := append(idBuf[:0], 'j')
+	for n := len(digits); n < 6; n++ {
+		id = append(id, '0')
+	}
+	return string(append(id, digits...))
 }
 
 // State returns the current lifecycle state.
@@ -182,6 +192,14 @@ func (j *Job) publishLocked(ev Event) {
 	}
 }
 
+// publishStatusLocked streams the current status, building it only when
+// someone subscribes: a cache hit finishes before any client can.
+func (j *Job) publishStatusLocked() {
+	if len(j.subs) > 0 {
+		j.publishLocked(Event{Kind: "status", Data: j.statusLocked()})
+	}
+}
+
 // closeSubsLocked ends every stream after a terminal transition.
 func (j *Job) closeSubsLocked() {
 	for ch := range j.subs {
@@ -198,10 +216,13 @@ func (j *Job) Subscribe() (<-chan Event, func()) {
 	ch := make(chan Event, 64)
 	j.mu.Lock()
 	ch <- Event{Kind: "status", Data: j.statusLocked()}
-	if j.state.terminal() || j.subs == nil {
+	if j.state.terminal() { // finishLocked has closed its streams
 		close(ch)
 		j.mu.Unlock()
 		return ch, func() {}
+	}
+	if j.subs == nil {
+		j.subs = make(map[chan Event]struct{})
 	}
 	j.subs[ch] = struct{}{}
 	j.mu.Unlock()
@@ -227,7 +248,7 @@ func (j *Job) start(cancel context.CancelFunc, now time.Time) bool {
 	j.state = StateRunning
 	j.started = now
 	j.cancelFn = cancel
-	j.publishLocked(Event{Kind: "status", Data: j.statusLocked()})
+	j.publishStatusLocked()
 	return true
 }
 
@@ -299,7 +320,7 @@ func (j *Job) finishLocked(st State, result []byte, errMsg string, now time.Time
 	j.result = result
 	j.errMsg = errMsg
 	j.finished = now
-	j.publishLocked(Event{Kind: "status", Data: j.statusLocked()})
+	j.publishStatusLocked()
 	j.closeSubsLocked()
 }
 

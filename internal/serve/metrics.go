@@ -59,11 +59,6 @@ func (m *metrics) jobFinished(jobType string, st State, elapsed time.Duration) {
 	}
 }
 
-// httpObserved records one handler invocation's latency under its route.
-func (m *metrics) httpObserved(route string, elapsed time.Duration) {
-	m.httpLat.With(route).Observe(elapsed.Seconds())
-}
-
 // watchdogAlert counts one alert under its classification.
 func (m *metrics) watchdogAlert(kind obs.AlertKind) {
 	m.alerts.With(string(kind)).Inc()

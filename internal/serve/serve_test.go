@@ -887,3 +887,12 @@ func checkSweepStream(t *testing.T, body io.Reader) {
 		t.Fatalf("stream carried %d progress and %d snapshot events, want %d of each", progress, len(snapped), total)
 	}
 }
+
+// Job IDs are "j" and the submission number, zero-padded to six digits.
+func TestJobID(t *testing.T) {
+	for seq, want := range map[int]string{1: "j000001", 42: "j000042", 999999: "j999999", 1234567: "j1234567"} {
+		if got := jobID(seq); got != want {
+			t.Errorf("jobID(%d) = %q, want %q", seq, got, want)
+		}
+	}
+}

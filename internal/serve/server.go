@@ -27,7 +27,8 @@ type Config struct {
 	// QueueDepth bounds the number of queued-but-not-running jobs; a full
 	// queue rejects submissions with 503 (default 64).
 	QueueDepth int
-	// CacheEntries bounds the in-memory result cache (default 128).
+	// CacheEntries bounds the in-memory result cache, and the memo of
+	// request bodies already parsed, to this many entries each (default 128).
 	CacheEntries int
 	// CacheDir, when non-empty, spills every result to <dir>/<hash>.spill and
 	// serves cache misses from it.
@@ -56,6 +57,7 @@ type Server struct {
 	q        *queue
 	pool     *pool
 	cache    *cache
+	memo     *specMemo
 	met      *metrics
 	log      *slog.Logger
 	draining atomic.Bool
@@ -99,6 +101,7 @@ func New(cfg Config) *Server {
 		cfg:   cfg,
 		q:     newQueue(cfg.QueueDepth),
 		cache: newCache(cfg.CacheEntries, cfg.CacheDir),
+		memo:  newSpecMemo(cfg.CacheEntries),
 		met:   newMetrics(cfg.Registry),
 		log:   cfg.Logger,
 		jobs:  make(map[string]*Job),
@@ -313,17 +316,16 @@ func (s *Server) snapshotJobs(liveOnly bool) []*Job {
 	return out
 }
 
-// SubmitCorr runs the full submission flow (validation already done by the
-// caller): cache lookup, then enqueue, under the caller's correlation ID (""
+// SubmitCorr runs the full submission flow for a validated spec and its
+// Hash: cache lookup, then enqueue, under the caller's correlation ID (""
 // mints one). The error is non-nil only when the daemon cannot accept the job
 // (draining or queue full).
-func (s *Server) SubmitCorr(spec *Spec, corrID string) (*Job, error) {
+func (s *Server) SubmitCorr(spec *Spec, hash, corrID string) (*Job, error) {
 	if s.draining.Load() {
 		return nil, errDraining
 	}
 	now := time.Now()
 	s.met.jobSubmitted()
-	hash := spec.Hash()
 	if payload, ok := s.cache.Get(hash); ok {
 		job := s.register(spec, hash, corrID, now)
 		job.completeCached(payload, now)
@@ -366,12 +368,15 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// route wraps a handler with per-route latency tracking.
+// route wraps a handler with per-route latency tracking. The route's series
+// is looked up once, on its first request, so /metrics lists the routes
+// served so far.
 func (s *Server) route(name string, h http.HandlerFunc) http.HandlerFunc {
+	lat := sync.OnceValue(func() *telemetry.Histogram { return s.met.httpLat.With(name) })
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		h(w, r)
-		s.met.httpObserved(name, time.Since(start))
+		lat().Observe(time.Since(start).Seconds())
 	}
 }
 
@@ -385,18 +390,33 @@ func writeError(w http.ResponseWriter, code int, msg string) {
 	writeJSON(w, code, map[string]string{"error": msg})
 }
 
+// maxSpecBytes caps a submitted spec's body.
+const maxSpecBytes = 1 << 20
+
+// readBody reads a request body of at most maxSpecBytes, into a buffer of its
+// Content-Length when it declares one (net/http holds a body to it).
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, error) {
+	body := http.MaxBytesReader(w, r.Body, maxSpecBytes)
+	if n := r.ContentLength; n >= 0 && n <= maxSpecBytes {
+		buf := make([]byte, n)
+		_, err := io.ReadFull(body, buf)
+		return buf, err
+	}
+	return io.ReadAll(body)
+}
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, 1<<20))
+	body, err := readBody(w, r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "read body: "+err.Error())
 		return
 	}
-	spec, err := ParseSpec(body)
+	spec, hash, err := s.memo.parse(body)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	job, err := s.SubmitCorr(spec, r.Header.Get("X-Correlation-ID"))
+	job, err := s.SubmitCorr(spec, hash, r.Header.Get("X-Correlation-ID"))
 	switch {
 	case err != nil:
 		writeError(w, http.StatusServiceUnavailable, err.Error())
@@ -431,18 +451,22 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no such job")
 		return
 	}
-	st := job.Status()
-	switch st.State {
-	case StateDone:
-		payload, _ := job.Result()
-		w.Header().Set("Content-Type", "application/json")
-		w.WriteHeader(http.StatusOK)
-		_, _ = w.Write(payload)
-	case StateFailed:
-		writeError(w, http.StatusInternalServerError, st.Error)
-	default:
-		writeError(w, http.StatusConflict, fmt.Sprintf("job is %s, not done", st.State))
+	payload, done := job.Result()
+	if !done {
+		switch st := job.Status(); st.State {
+		case StateFailed:
+			writeError(w, http.StatusInternalServerError, st.Error)
+			return
+		case StateDone: // it finished since Result
+			payload, _ = job.Result()
+		default:
+			writeError(w, http.StatusConflict, fmt.Sprintf("job is %s, not done", st.State))
+			return
+		}
 	}
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(payload)
 }
 
 func (s *Server) handleCancel(w http.ResponseWriter, r *http.Request) {
